@@ -19,50 +19,63 @@ import (
 	"grca/internal/wal"
 )
 
+// serveOptions holds serve's flag values.
+type serveOptions struct {
+	addr, dataDir, bundleDir, fsync, metricsAddr, replicaOf   string
+	fsyncEvery, retention, timeout, replicaGrace, replicaPoll time.Duration
+	snapshotEvery, shards, maxInflight, replayWorkers         int
+}
+
+// serveFlags registers serve's flags onto o. It is split from runServe
+// so a test can hold README's flag table to exactly this set.
+func serveFlags(o *serveOptions) *flag.FlagSet {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (WAL, snapshots, journal; required)")
+	fs.StringVar(&o.bundleDir, "bundle", "", "dataset bundle directory supplying configs + manifest (required)")
+	fs.StringVar(&o.fsync, "fsync", "batch", "WAL durability policy: batch (sync per commit) or interval")
+	fs.DurationVar(&o.fsyncEvery, "fsync-interval", 200*time.Millisecond, "background sync period with -fsync=interval")
+	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown/eviction)")
+	fs.DurationVar(&o.retention, "retention", 0, "evict events older than this behind the stream head (0 = keep everything)")
+	fs.IntVar(&o.shards, "shards", 1, "store/WAL shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 64, "per-shard ingest queue depth; beyond it clients get 429")
+	fs.DurationVar(&o.timeout, "request-timeout", 60*time.Second, "per-request applier wait bound")
+	fs.IntVar(&o.replayWorkers, "replay-workers", 0, "WAL recovery decode parallelism (0 = GOMAXPROCS)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
+		"serve expvar/pprof on a dedicated address (e.g. :6060); "+
+			"when unset, the same handlers are mounted on the main -addr under /debug/")
+	fs.StringVar(&o.replicaOf, "replica-of", "",
+		"run as a live read replica of the primary at this base URL (e.g. http://primary:8080); "+
+			"writes are redirected there until `grca promote`")
+	fs.DurationVar(&o.replicaGrace, "replica-grace", 0,
+		"primary-side WAL retention grace for detached replicas (0 = default)")
+	fs.DurationVar(&o.replicaPoll, "replica-poll", 0,
+		"primary-side shipping poll interval (0 = default)")
+	return fs
+}
+
 // runServe starts the durable diagnosis service: the bundle supplies the
 // configuration archive and deployment metadata, feeds arrive over HTTP,
 // and everything accepted survives restarts via the WAL + ingest journal
 // under -data-dir.
 func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	dataDir := fs.String("data-dir", "", "durable state directory (WAL, snapshots, journal; required)")
-	bundleDir := fs.String("bundle", "", "dataset bundle directory supplying configs + manifest (required)")
-	fsync := fs.String("fsync", "batch", "WAL durability policy: batch (sync per commit) or interval")
-	fsyncEvery := fs.Duration("fsync-interval", 200*time.Millisecond, "background sync period with -fsync=interval")
-	snapshotEvery := fs.Int("snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown/eviction)")
-	retention := fs.Duration("retention", 0, "evict events older than this behind the stream head (0 = keep everything)")
-	shards := fs.Int("shards", 1, "store/WAL shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
-	maxInflight := fs.Int("max-inflight", 64, "per-shard ingest queue depth; beyond it clients get 429")
-	timeout := fs.Duration("request-timeout", 60*time.Second, "per-request applier wait bound")
-	legacyParsers := fs.Bool("legacy-parsers", false, "use the reference string parsers instead of the zero-copy fast path (parity-tested escape hatch)")
-	replayWorkers := fs.Int("replay-workers", 0, "WAL recovery decode parallelism (0 = GOMAXPROCS)")
-	metricsAddr := fs.String("metrics-addr", "",
-		"serve expvar/pprof on a dedicated address (e.g. :6060); "+
-			"when unset, the same handlers are mounted on the main -addr under /debug/")
-	replicaOf := fs.String("replica-of", "",
-		"run as a live read replica of the primary at this base URL (e.g. http://primary:8080); "+
-			"writes are redirected there until `grca promote`")
-	replicaGrace := fs.Duration("replica-grace", 0,
-		"primary-side WAL retention grace for detached replicas (0 = default)")
-	replicaPoll := fs.Duration("replica-poll", 0,
-		"primary-side shipping poll interval (0 = default)")
-	if err := fs.Parse(args); err != nil {
+	var o serveOptions
+	if err := serveFlags(&o).Parse(args); err != nil {
 		return err
 	}
-	if *dataDir == "" || *bundleDir == "" {
+	if o.dataDir == "" || o.bundleDir == "" {
 		return fmt.Errorf("serve: -data-dir and -bundle are required")
 	}
-	policy, err := wal.ParseFsyncPolicy(*fsync)
+	policy, err := wal.ParseFsyncPolicy(o.fsync)
 	if err != nil {
 		return err
 	}
-	bundle, err := platform.Load(*bundleDir)
+	bundle, err := platform.Load(o.bundleDir)
 	if err != nil {
 		return err
 	}
-	if *metricsAddr != "" {
-		bound, shutdown, err := obs.ServeDebug(*metricsAddr)
+	if o.metricsAddr != "" {
+		bound, shutdown, err := obs.ServeDebug(o.metricsAddr)
 		if err != nil {
 			return err
 		}
@@ -71,23 +84,22 @@ func runServe(args []string) error {
 	}
 
 	s, err := server.Open(server.Config{
-		DataDir:        *dataDir,
+		DataDir:        o.dataDir,
 		Bundle:         bundle,
 		Fsync:          policy,
-		FsyncInterval:  *fsyncEvery,
-		SnapshotEvery:  *snapshotEvery,
-		Retention:      *retention,
-		Shards:         *shards,
-		MaxInflight:    *maxInflight,
-		RequestTimeout: *timeout,
-		LegacyParsers:  *legacyParsers,
-		ReplayWorkers:  *replayWorkers,
-		ReplicaOf:      *replicaOf,
-		ReplicaGrace:   *replicaGrace,
-		ReplicaPoll:    *replicaPoll,
+		FsyncInterval:  o.fsyncEvery,
+		SnapshotEvery:  o.snapshotEvery,
+		Retention:      o.retention,
+		Shards:         o.shards,
+		MaxInflight:    o.maxInflight,
+		RequestTimeout: o.timeout,
+		ReplayWorkers:  o.replayWorkers,
+		ReplicaOf:      o.replicaOf,
+		ReplicaGrace:   o.replicaGrace,
+		ReplicaPoll:    o.replicaPoll,
 		// No dedicated metrics listener: expose /debug/ on the main
 		// address so a single-port deployment still has expvar/pprof.
-		Debug: *metricsAddr == "",
+		Debug: o.metricsAddr == "",
 	})
 	if err != nil {
 		return err
@@ -102,15 +114,15 @@ func runServe(args []string) error {
 		fmt.Fprint(os.Stderr, "; WAL rebuilt from journal")
 	}
 	fmt.Fprintln(os.Stderr, ")")
-	if *replicaOf != "" {
-		fmt.Fprintf(os.Stderr, "serve: replica of %s — writes redirect to the primary until promotion\n", *replicaOf)
+	if o.replicaOf != "" {
+		fmt.Fprintf(os.Stderr, "serve: replica of %s — writes redirect to the primary until promotion\n", o.replicaOf)
 	}
 
-	bound, err := s.Start(*addr)
+	bound, err := s.Start(o.addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, shards=%d, fsync=%s)\n", bound, *dataDir, rec.Shards, policy)
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, shards=%d, fsync=%s)\n", bound, o.dataDir, rec.Shards, policy)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -266,8 +266,8 @@ type Collector struct {
 	// LegacyParsers disables the zero-copy fast path (fastpath.go) and
 	// runs every feed through the reference string parsers alone. The
 	// fast path behaves identically (FuzzParserParity is the gate); the
-	// toggle exists to isolate a suspected fast-path bug in production
-	// and as the reference side of the differential tests.
+	// toggle is the reference side of the differential tests and has no
+	// runtime switch.
 	LegacyParsers bool
 
 	tzCache map[string]*time.Location

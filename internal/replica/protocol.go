@@ -1,5 +1,5 @@
 // Package replica is the WAL-shipping replication subsystem: a
-// primary-side Source that tails the serving pipeline's ingest journals
+// primary-side Source that tails the serving pipeline's ingest journal
 // and per-shard WAL segments and streams them over HTTP, and the
 // follower-side pieces — a reconnecting Client, a WALSink that
 // materializes shipped segments and snapshots on the follower's disk —
@@ -10,9 +10,8 @@
 // protocol message: a type byte followed by a type-specific body. Two
 // stream kinds exist:
 //
-//   - The journal stream ships every shard's ingest-journal records
-//     merged into global sequence order (each tagged with its owner
-//     shard). It is totally ordered, so the follower applies records in
+//   - The journal stream ships the ingest journal's records in file
+//     order, which is dispatch order, so the follower applies records in
 //     arrival order through the same replay path crash recovery uses —
 //     same routing, same dense ID allocation, same store digests.
 //   - A WAL stream per shard ships that shard's event-WAL records (and,
@@ -21,8 +20,8 @@
 //     disk only; on promotion they are reconciled against the journal
 //     replay exactly as a restarting primary reconciles its own WAL.
 //
-// Heartbeats carry the primary's sealed sequence and per-shard
-// journal/WAL frontiers — the lag signal — on every stream.
+// Heartbeats carry the primary's durable journal sequence and size and
+// the per-shard WAL frontiers — the lag signal — on every stream.
 package replica
 
 import (
@@ -38,9 +37,8 @@ const (
 	// version, the primary's boot ID, its shard count, the stream kind,
 	// and the resume point the server honored.
 	MsgHello byte = 1
-	// MsgJournalRec carries one ingest-journal record and the shard whose
-	// journal owns it. Journal-stream only; records arrive in global
-	// sequence order.
+	// MsgJournalRec carries one ingest-journal record. Journal-stream
+	// only; records arrive in sequence order.
 	MsgJournalRec byte = 2
 	// MsgWALRec carries one event-WAL segment record (explicit store ID
 	// inside). WAL-stream only; records arrive in ascending ID order.
@@ -54,8 +52,9 @@ const (
 	// MsgSnapEnd closes the snapshot; WAL records from its next-ID bound
 	// follow.
 	MsgSnapEnd byte = 6
-	// MsgHeartbeat carries the primary's sealed sequence and per-shard
-	// journal byte sizes and WAL frontiers — the follower's lag inputs.
+	// MsgHeartbeat carries the primary's durable journal sequence, the
+	// journal's byte size, and the per-shard WAL frontiers — the
+	// follower's lag inputs.
 	MsgHeartbeat byte = 7
 	// MsgEOF ends a stream deliberately (shutdown, seal) with a reason.
 	MsgEOF byte = 8
@@ -63,7 +62,7 @@ const (
 
 // ProtocolVersion is negotiated via MsgHello; a follower refuses a
 // primary speaking a different version.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Stream kinds named in MsgHello.
 const (
@@ -88,8 +87,6 @@ type Msg struct {
 	Stream byte
 	From   int
 
-	// MsgJournalRec
-	Shard int
 	// MsgJournalRec, MsgWALRec
 	Rec []byte
 	// MsgSnapChunk
@@ -99,9 +96,9 @@ type Msg struct {
 	Size int64
 
 	// MsgHeartbeat
-	Sealed       int
-	JournalBytes []int64
-	WALNext      []int
+	Sealed       int   // highest sequence durably journaled
+	JournalBytes int64 // ingest journal size
+	WALNext      []int // per shard
 
 	// MsgEOF
 	Reason string
@@ -135,12 +132,11 @@ func AppendHello(b []byte, bootID string, shards int, stream byte, from int) []b
 	return appendMsg(b, p)
 }
 
-// AppendJournalRec frames one journal record (owner shard + verbatim
-// on-disk record bytes) onto b.
-func AppendJournalRec(b []byte, shard int, rec []byte) []byte {
-	p := make([]byte, 0, 8+len(rec))
+// AppendJournalRec frames one journal record (verbatim on-disk record
+// bytes) onto b.
+func AppendJournalRec(b []byte, rec []byte) []byte {
+	p := make([]byte, 0, 1+len(rec))
 	p = append(p, MsgJournalRec)
-	p = binary.AppendUvarint(p, uint64(shard))
 	p = append(p, rec...)
 	return appendMsg(b, p)
 }
@@ -174,20 +170,16 @@ func AppendSnapChunk(b []byte, chunk []byte) []byte {
 // AppendSnapEnd frames the snapshot terminator onto b.
 func AppendSnapEnd(b []byte) []byte { return appendMsg(b, []byte{MsgSnapEnd}) }
 
-// AppendHeartbeat frames a lag heartbeat onto b: the sealed global
-// sequence plus, per shard, the journal's byte size and the WAL's next
+// AppendHeartbeat frames a lag heartbeat onto b: the highest durably
+// journaled sequence, the journal's byte size, and each shard's next WAL
 // record ID on the primary.
-func AppendHeartbeat(b []byte, sealed int, journalBytes []int64, walNext []int) []byte {
-	p := make([]byte, 0, 16+20*len(journalBytes))
+func AppendHeartbeat(b []byte, sealed int, journalBytes int64, walNext []int) []byte {
+	p := make([]byte, 0, 32+10*len(walNext))
 	p = append(p, MsgHeartbeat)
 	p = binary.AppendVarint(p, int64(sealed))
-	p = binary.AppendUvarint(p, uint64(len(journalBytes)))
-	for i := range journalBytes {
-		p = binary.AppendUvarint(p, uint64(journalBytes[i]))
-		n := 0
-		if i < len(walNext) {
-			n = walNext[i]
-		}
+	p = binary.AppendUvarint(p, uint64(journalBytes))
+	p = binary.AppendUvarint(p, uint64(len(walNext)))
+	for _, n := range walNext {
 		p = binary.AppendUvarint(p, uint64(n))
 	}
 	return appendMsg(b, p)
@@ -238,14 +230,7 @@ func ParseMsg(p []byte) (Msg, error) {
 			return m, fmt.Errorf("replica: truncated hello resume point")
 		}
 		m.From = int(from)
-	case MsgJournalRec:
-		shard, sz := binary.Uvarint(p)
-		if sz <= 0 || shard >= maxShards {
-			return m, fmt.Errorf("replica: bad journal record shard")
-		}
-		m.Shard = int(shard)
-		m.Rec = p[sz:]
-	case MsgWALRec:
+	case MsgJournalRec, MsgWALRec:
 		m.Rec = p
 	case MsgSnapBegin:
 		next, sz := binary.Uvarint(p)
@@ -274,25 +259,24 @@ func ParseMsg(p []byte) (Msg, error) {
 		}
 		p = p[sz:]
 		m.Sealed = int(sealed)
+		jb, sz := binary.Uvarint(p)
+		if sz <= 0 {
+			return m, fmt.Errorf("replica: truncated heartbeat journal bytes")
+		}
+		p = p[sz:]
+		m.JournalBytes = int64(jb)
 		n, sz := binary.Uvarint(p)
 		if sz <= 0 || n > maxShards {
 			return m, fmt.Errorf("replica: bad heartbeat shard count")
 		}
 		p = p[sz:]
-		m.JournalBytes = make([]int64, n)
 		m.WALNext = make([]int, n)
-		for i := uint64(0); i < n; i++ {
-			jb, sz := binary.Uvarint(p)
-			if sz <= 0 {
-				return m, fmt.Errorf("replica: truncated heartbeat journal bytes")
-			}
-			p = p[sz:]
+		for i := range m.WALNext {
 			wn, sz := binary.Uvarint(p)
 			if sz <= 0 {
 				return m, fmt.Errorf("replica: truncated heartbeat wal frontier")
 			}
 			p = p[sz:]
-			m.JournalBytes[i] = int64(jb)
 			m.WALNext[i] = int(wn)
 		}
 	default:
@@ -301,9 +285,9 @@ func ParseMsg(p []byte) (Msg, error) {
 	return m, nil
 }
 
-// JournalSeq reads the global sequence number off an encoded ingest
-// journal record without decoding the rest — what the source's merge
-// and the follower's lag tracking need.
+// JournalSeq reads the sequence number off an encoded ingest journal
+// record without decoding the rest — what the source's resume skip and
+// the follower's overlap check need.
 func JournalSeq(p []byte) (int, error) {
 	seq, sz := binary.Uvarint(p)
 	if sz <= 0 {

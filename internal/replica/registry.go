@@ -30,7 +30,7 @@ type followerEntry struct {
 	id         string
 	streams    int // open stream connections
 	lastSeen   time.Time
-	journalSeq int   // last merged-journal seq shipped
+	journalSeq int   // last journal seq shipped
 	walNext    []int // per-shard shipped WAL frontier (next un-shipped ID)
 }
 
@@ -80,7 +80,7 @@ func (r *Registry) Detach(id string) {
 	}
 }
 
-// NoteJournal records the merged-journal sequence shipped to the
+// NoteJournal records the journal sequence shipped to the
 // follower.
 func (r *Registry) NoteJournal(id string, seq int) {
 	r.mu.Lock()

@@ -52,12 +52,12 @@ func decodeStream(t *testing.T, b []byte) []Msg {
 func TestProtocolRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendHello(b, "boot-1", 4, StreamJournal, 17)
-	b = AppendJournalRec(b, 2, []byte("journal-bytes"))
+	b = AppendJournalRec(b, []byte("journal-bytes"))
 	b = AppendWALRec(b, []byte{7, 'w'})
 	b = AppendSnapBegin(b, 1000, 12345)
 	b = AppendSnapChunk(b, []byte("chunk"))
 	b = AppendSnapEnd(b)
-	b = AppendHeartbeat(b, 41, []int64{10, 20}, []int{5, 6})
+	b = AppendHeartbeat(b, 41, 20, []int{5, 6})
 	b = AppendEOF(b, "done")
 
 	msgs := decodeStream(t, b)
@@ -69,7 +69,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		h.Shards != 4 || h.Stream != StreamJournal || h.From != 17 {
 		t.Fatalf("hello mismatch: %+v", h)
 	}
-	if j := msgs[1]; j.Type != MsgJournalRec || j.Shard != 2 || string(j.Rec) != "journal-bytes" {
+	if j := msgs[1]; j.Type != MsgJournalRec || string(j.Rec) != "journal-bytes" {
 		t.Fatalf("journal rec mismatch: %+v", j)
 	}
 	if w := msgs[2]; w.Type != MsgWALRec || !bytes.Equal(w.Rec, []byte{7, 'w'}) {
@@ -86,7 +86,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 	hb := msgs[6]
 	if hb.Type != MsgHeartbeat || hb.Sealed != 41 ||
-		len(hb.JournalBytes) != 2 || hb.JournalBytes[1] != 20 || hb.WALNext[1] != 6 {
+		hb.JournalBytes != 20 || len(hb.WALNext) != 2 || hb.WALNext[1] != 6 {
 		t.Fatalf("heartbeat mismatch: %+v", hb)
 	}
 	if e := msgs[7]; e.Type != MsgEOF || e.Reason != "done" {
@@ -332,218 +332,99 @@ func (w *collectWriter) bytes() []byte {
 	return append([]byte(nil), w.b...)
 }
 
-func TestServeJournalMergeOrder(t *testing.T) {
-	dir := t.TempDir()
-	paths := []string{filepath.Join(dir, "j0.log"), filepath.Join(dir, "j1.log")}
-	appendJ := func(shard, seq int, body string) {
-		j, err := wal.OpenJournal(paths[shard])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec []byte
-		rec = appendUvarintTest(rec, seq)
-		rec = append(rec, body...)
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		j.Close()
-	}
-	// Shard 0 owns seqs 0 and 2; shard 1 owns seq 1. Sealed starts at
-	// [-1,-1]: nothing may be emitted past a silent shard.
-	appendJ(0, 0, "a")
-	appendJ(0, 2, "c")
-
-	var sealedMu sync.Mutex
-	sealed := []int{-1, -1}
-	reg := NewRegistry(2, time.Minute)
-	src := NewSource(SourceConfig{
-		BootID: "boot-m", Shards: 2,
-		JournalPath: func(i int) string { return paths[i] },
-		WALDir:      func(i int) string { return dir },
-		Sealed: func() []int {
-			sealedMu.Lock()
-			defer sealedMu.Unlock()
-			return append([]int(nil), sealed...)
-		},
-		WALFrontier: func(int) int { return 0 },
-		Registry:    reg,
-		Poll:        2 * time.Millisecond,
-	})
-	w := &collectWriter{}
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- src.ServeJournal(w, nil, "t", -1, stop) }()
-
-	countJ := func() int {
-		n := 0
-		for _, m := range decodeStream(t, w.bytes()) {
-			if m.Type == MsgJournalRec {
-				n++
-			}
-		}
-		return n
-	}
-	waitJ := func(want int) {
-		deadline := time.Now().Add(5 * time.Second)
-		for countJ() < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %d journal recs (have %d)", want, countJ())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
-	// Nothing is sealed: seq 0 must be held (shard 1 might still get a
-	// lower seq... no — but the merge can't know 0 is shard-global-min
-	// until shard 1 seals past it or shows a record).
-	time.Sleep(30 * time.Millisecond)
-	if n := countJ(); n != 0 {
-		t.Fatalf("emitted %d records before any seal", n)
-	}
-	// Seal shard 1 at 0: seq 0 may go; seq 2 still blocked (shard 1 could
-	// own seq 1 or 2).
-	sealedMu.Lock()
-	sealed[1] = 0
-	sealedMu.Unlock()
-	waitJ(1)
-	// Shard 1's record for seq 1 arrives: with both queues non-empty the
-	// merge emits 1, then stalls on 2 until shard 1 seals past it.
-	appendJ(1, 1, "b")
-	waitJ(2)
-	time.Sleep(20 * time.Millisecond)
-	if n := countJ(); n != 2 {
-		t.Fatalf("emitted %d records, want exactly 2 before sealing", n)
-	}
-	sealedMu.Lock()
-	sealed[1] = 2
-	sealedMu.Unlock()
-	waitJ(3)
-	close(stop)
-	if err := <-done; err != nil {
+// TestServeJournalTail: the journal stream is a plain tail of one file.
+// Records appended while the stream is live arrive in file order, a
+// torn tail (a frame still being written) is carried until it completes
+// rather than shipped, and a reconnect at from=k skips everything ≤ k.
+func TestServeJournalTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.log")
+	rec := func(seq int) []byte { return append(appendUvarintTest(nil, seq), "body"...) }
+	j, err := wal.OpenJournal(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	var got []int
-	var shards []int
-	for _, m := range decodeStream(t, w.bytes()) {
-		if m.Type != MsgJournalRec {
-			continue
-		}
-		seq, err := JournalSeq(m.Rec)
-		if err != nil {
+	defer j.Close()
+	appendJ := func(seq int) {
+		if err := j.Append(rec(seq)); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, seq)
-		shards = append(shards, m.Shard)
 	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("merged seqs = %v, want [0 1 2]", got)
-	}
-	if shards[0] != 0 || shards[1] != 1 || shards[2] != 0 {
-		t.Fatalf("owner shards = %v, want [0 1 0]", shards)
-	}
-}
-
-// TestServeJournalWatermarkBeforeFill pins the sample order inside the
-// merge loop: the sealed watermark must be snapshotted BEFORE the file
-// tails are read. The Sealed callback here plays the role of a shard
-// applier finishing a commit between the two steps — it appends a
-// record to shard 0's journal and advances the watermark past it in
-// the same breath. If the source sampled sealed after the fill, that
-// pass would see shard 0's queue empty, sealed past the new record,
-// emit the later sequences, and the resume skip would then silently
-// drop the record on the next pass (a permanently lagging follower).
-func TestServeJournalWatermarkBeforeFill(t *testing.T) {
-	dir := t.TempDir()
-	paths := []string{filepath.Join(dir, "j0.log"), filepath.Join(dir, "j1.log")}
-	appendJ := func(shard, seq int, body string) {
-		j, err := wal.OpenJournal(paths[shard])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec []byte
-		rec = appendUvarintTest(rec, seq)
-		rec = append(rec, body...)
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		j.Close()
-	}
-	// Shard 0 owns seqs 0 and 3 (3 lands mid-stream); shard 1 owns the
-	// rest and is fully durable from the start.
-	appendJ(0, 0, "a")
-	appendJ(1, 1, "b")
-	appendJ(1, 2, "c")
-	appendJ(1, 4, "e")
-
-	var mu sync.Mutex
-	calls := 0
-	appended := false
-	reg := NewRegistry(2, time.Minute)
 	src := NewSource(SourceConfig{
-		BootID: "boot-w", Shards: 2,
-		JournalPath: func(i int) string { return paths[i] },
-		WALDir:      func(i int) string { return dir },
-		Sealed: func() []int {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if calls == 1 {
-				// Seq 3 is still in flight toward shard 0's journal.
-				return []int{0, 4}
-			}
-			if !appended {
-				// The commit completes: seq 3 becomes durable and shard
-				// 0's watermark moves past it, both "during" this call.
-				appended = true
-				appendJ(0, 3, "d")
-			}
-			return []int{4, 4}
-		},
-		WALFrontier: func(int) int { return 0 },
-		Registry:    reg,
-		Poll:        2 * time.Millisecond,
+		BootID: "boot-t", Shards: 1,
+		JournalPath:     path,
+		WALDir:          func(int) string { return filepath.Dir(path) },
+		JournalFrontier: func() int { return -1 },
+		WALFrontier:     func(int) int { return 0 },
+		Registry:        NewRegistry(1, time.Minute),
+		Poll:            2 * time.Millisecond,
 	})
-	w := &collectWriter{}
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- src.ServeJournal(w, nil, "t", -1, stop) }()
+	// serve starts a stream at from and returns a wait-for-seqs function
+	// and the stream's stop function.
+	serve := func(from int) (func(want ...int), func()) {
+		w := &collectWriter{}
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() { done <- src.ServeJournal(w, nil, "t", from, stop) }()
+		seqs := func() []int {
+			var got []int
+			for _, m := range decodeStream(t, w.bytes()) {
+				if m.Type == MsgJournalRec {
+					seq, err := JournalSeq(m.Rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, seq)
+				}
+			}
+			return got
+		}
+		wait := func(want ...int) {
+			t.Helper()
+			deadline := time.Now().Add(5 * time.Second)
+			for fmt.Sprint(seqs()) != fmt.Sprint(want) {
+				if time.Now().After(deadline) {
+					t.Fatalf("stream from %d shipped %v, want %v", from, seqs(), want)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+		return wait, func() {
+			close(stop)
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		}
+	}
 
-	seqs := func() []int {
-		var got []int
-		for _, m := range decodeStream(t, w.bytes()) {
-			if m.Type != MsgJournalRec {
-				continue
-			}
-			seq, err := JournalSeq(m.Rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, seq)
-		}
-		return got
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(seqs()) < 5 {
-		if time.Now().After(deadline) {
-			t.Fatalf("stream stalled at %v, want [0 1 2 3 4] — a watermark sampled after the fill pass drops late-filled records", seqs())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	if err := <-done; err != nil {
+	appendJ(0)
+	appendJ(1)
+	wait, stop := serve(-1)
+	wait(0, 1)
+	appendJ(2) // lands while the stream is live
+	wait(0, 1, 2)
+	// A torn tail: seq 3's frame minus its last byte, written raw.
+	frame := wal.AppendFrame(nil, rec(3))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := seqs()
-	want := []int{0, 1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("merged seqs = %v, want %v", got, want)
+	defer f.Close()
+	if _, err := f.Write(frame[:len(frame)-1]); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged seqs = %v, want %v", got, want)
-		}
+	time.Sleep(30 * time.Millisecond) // several polls over the torn frame
+	wait(0, 1, 2)
+	if _, err := f.Write(frame[len(frame)-1:]); err != nil {
+		t.Fatal(err)
 	}
+	wait(0, 1, 2, 3)
+	stop()
+
+	wait, stop = serve(1)
+	wait(2, 3)
+	appendJ(4)
+	wait(2, 3, 4)
+	stop()
 }
 
 func TestServeWALLiveTailAndDigest(t *testing.T) {
@@ -560,12 +441,12 @@ func TestServeWALLiveTailAndDigest(t *testing.T) {
 
 	src := NewSource(SourceConfig{
 		BootID: "boot-w", Shards: 1,
-		JournalPath: func(int) string { return filepath.Join(prim, "none.log") },
-		WALDir:      func(int) string { return prim },
-		Sealed:      func() []int { return []int{-1} },
-		WALFrontier: func(int) int { return l.Frontier() },
-		Registry:    reg,
-		Poll:        2 * time.Millisecond,
+		JournalPath:     filepath.Join(prim, "none.log"),
+		WALDir:          func(int) string { return prim },
+		JournalFrontier: func() int { return -1 },
+		WALFrontier:     func(int) int { return l.Frontier() },
+		Registry:        reg,
+		Poll:            2 * time.Millisecond,
 	})
 	w := &collectWriter{}
 	stop := make(chan struct{})

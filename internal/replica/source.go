@@ -24,15 +24,14 @@ type SourceConfig struct {
 	BootID string
 	// Shards is the pipeline's shard count.
 	Shards int
-	// JournalPath returns shard i's ingest journal path.
-	JournalPath func(i int) string
+	// JournalPath is the ingest journal's path.
+	JournalPath string
 	// WALDir returns shard i's WAL state directory (holding wal/ and
 	// snap/).
 	WALDir func(i int) string
-	// Sealed returns, per shard, the highest sequence number that shard's
-	// journal can no longer gain records at or below — the merge's
-	// emission watermark.
-	Sealed func() []int
+	// JournalFrontier returns the highest sequence durably journaled on
+	// the primary (heartbeat lag signal).
+	JournalFrontier func() int
 	// WALFrontier returns shard i's next WAL record ID on the primary
 	// (heartbeat lag signal).
 	WALFrontier func(i int) int
@@ -55,9 +54,8 @@ func (c *SourceConfig) defaults() {
 
 // Source serves replication streams off the primary's on-disk state. It
 // holds no locks of the serving pipeline: it tails the journal and
-// segment files the appliers write, and consults the sealed-sequence
-// watermark to emit the merged journal in a total order no later append
-// can contradict.
+// segment files the appliers write. The journal has one appender, so its
+// file order is already the total order followers apply in.
 type Source struct {
 	cfg SourceConfig
 }
@@ -74,17 +72,9 @@ func (s *Source) BootID() string { return s.cfg.BootID }
 // Shards returns the shard count.
 func (s *Source) Shards() int { return s.cfg.Shards }
 
-// JournalSizes returns each shard journal's current byte size (0 for a
-// journal not yet created).
-func (s *Source) JournalSizes() []int64 {
-	out := make([]int64, s.cfg.Shards)
-	for i := range out {
-		if st, err := os.Stat(s.cfg.JournalPath(i)); err == nil {
-			out[i] = st.Size()
-		}
-	}
-	return out
-}
+// JournalSize returns the journal's current byte size (0 for a journal
+// not yet created).
+func (s *Source) JournalSize() int64 { return wal.JournalSize(s.cfg.JournalPath) }
 
 // WALFrontiers returns each shard's next WAL record ID.
 func (s *Source) WALFrontiers() []int {
@@ -97,14 +87,7 @@ func (s *Source) WALFrontiers() []int {
 
 // heartbeat encodes the current lag heartbeat.
 func (s *Source) heartbeat(b []byte) []byte {
-	sealed := s.cfg.Sealed()
-	minSealed := -1
-	for i, v := range sealed {
-		if i == 0 || v < minSealed {
-			minSealed = v
-		}
-	}
-	return AppendHeartbeat(b, minSealed, s.JournalSizes(), s.WALFrontiers())
+	return AppendHeartbeat(b, s.cfg.JournalFrontier(), s.JournalSize(), s.WALFrontiers())
 }
 
 // fileTail incrementally reads one append-only framed file, carrying a
@@ -191,17 +174,10 @@ func (c *streamConn) push() error {
 	return err
 }
 
-// jrec is one journal record queued for merge.
-type jrec struct {
-	seq     int
-	payload []byte
-}
-
-// ServeJournal streams the merged ingest journal to one follower: every
-// shard journal's records, merged into global sequence order, each
-// tagged with its owner shard, starting after sequence `from`. The
-// stream tails the files live and ends only on stop (server shutdown)
-// or a write error (follower gone). flush may be nil.
+// ServeJournal streams the ingest journal to one follower: every record
+// after sequence `from`, in file order. The stream tails the file live
+// and ends only on stop (server shutdown) or a write error (follower
+// gone). flush may be nil.
 func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
 	s.cfg.Registry.Attach(followerID)
 	defer s.cfg.Registry.Detach(followerID)
@@ -213,79 +189,33 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		return err
 	}
 
-	tails := make([]*fileTail, s.cfg.Shards)
-	queues := make([][]jrec, s.cfg.Shards)
-	for i := range tails {
-		tails[i] = &fileTail{path: s.cfg.JournalPath(i)}
-		defer tails[i].close()
-	}
+	tail := &fileTail{path: s.cfg.JournalPath}
+	defer tail.close()
 	shipped := from
 	lastBeat := obs.Now()
 	for {
-		// The watermark snapshot MUST precede the file reads: a record
-		// durably appended but not yet read in this pass is still pending
-		// (done follows the fsync), so its shard's watermark observed here
-		// sits below it and the merge gate cannot emit past it. Sampling
-		// sealed after the fill would let a concurrent commit advance the
-		// watermark over records this pass never saw — the merge would
-		// run ahead and the resume skip below would then drop them.
-		sealed := s.cfg.Sealed()
-		for i := range tails {
-			if _, err := tails[i].fill(func(payload []byte) error {
-				seq, err := JournalSeq(payload)
-				if err != nil {
-					return fmt.Errorf("replica: shard %d journal: %v", i, err)
-				}
-				queues[i] = append(queues[i], jrec{seq, append([]byte(nil), payload...)})
-				return nil
-			}); err != nil {
-				conn.buf = AppendEOF(conn.buf, err.Error())
-				conn.push() //nolint:errcheck // stream is ending either way
-				return err
+		progress, err := tail.fill(func(payload []byte) error {
+			seq, err := JournalSeq(payload)
+			if err != nil {
+				return fmt.Errorf("replica: journal: %v", err)
 			}
-		}
-		// Emit every record whose order no future append can contradict: a
-		// queued record with sequence s goes out once each other shard
-		// either shows a queued record (necessarily later — per-shard
-		// sequences ascend) or is sealed at or past s.
-		emitted := false
-		for {
-			pick := -1
-			for i := range queues {
-				if len(queues[i]) > 0 && (pick < 0 || queues[i][0].seq < queues[pick][0].seq) {
-					pick = i
-				}
-			}
-			if pick < 0 {
-				break
-			}
-			seq := queues[pick][0].seq
-			ready := true
-			for j := range queues {
-				if j != pick && len(queues[j]) == 0 && sealed[j] < seq {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				break
-			}
-			rec := queues[pick][0]
-			queues[pick] = queues[pick][1:]
 			if seq <= shipped {
-				continue // resume skip: the follower journaled this already
+				return nil // resume skip: the follower journaled this already
 			}
-			conn.buf = AppendJournalRec(conn.buf, pick, rec.payload)
+			conn.buf = AppendJournalRec(conn.buf, payload)
 			shipped = seq
-			emitted = true
 			mJournalShipped.Inc()
 			if len(conn.buf) >= 1<<16 {
-				if err := conn.push(); err != nil {
-					return err
-				}
+				return conn.push()
 			}
+			return nil
+		})
+		if err != nil {
+			conn.buf = AppendEOF(conn.buf, err.Error())
+			conn.push() //nolint:errcheck // stream is ending either way
+			return err
 		}
-		if emitted {
+		if progress {
 			s.cfg.Registry.NoteJournal(followerID, shipped)
 			if err := conn.push(); err != nil {
 				return err
@@ -560,11 +490,10 @@ func ShipWALOnce(dir string, bootID string, from int, w io.Writer) (next int, er
 	reg.Attach("once")
 	src := NewSource(SourceConfig{
 		BootID: bootID, Shards: 1,
-		JournalPath: func(int) string { return "" },
-		WALDir:      func(int) string { return dir },
-		Sealed:      func() []int { return []int{-1} },
-		WALFrontier: func(int) int { return 0 },
-		Registry:    reg,
+		WALDir:          func(int) string { return dir },
+		JournalFrontier: func() int { return -1 },
+		WALFrontier:     func(int) int { return 0 },
+		Registry:        reg,
 	})
 	sess := &walSession{src: src, conn: conn, followerID: "once", shard: 0, next: from}
 	for {

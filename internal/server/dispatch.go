@@ -8,19 +8,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"grca/internal/apps/cdn"
 	"grca/internal/event"
 	"grca/internal/locus"
 )
 
 // batch is one dispatched ingest batch moving through the commit
-// pipeline. The dispatcher fills seq/kind/stored-slots and routes
+// pipeline. The dispatcher fills seq and the stored slots and routes
 // sub-batches to shards; appliers write stored instances into their
 // positions and count pending down; the finisher waits for ready, runs
 // the streaming processors, and replies.
 type batch struct {
-	seq  int
-	kind byte
+	seq int
 	// stored collects the committed instances in original batch order,
 	// across shards: applier j writes its events into its own positions.
 	// The finisher reads it only after ready closes; the countdown's
@@ -73,8 +71,7 @@ type shardTask struct {
 	bt     *batch
 	events []event.Instance // IDs pre-assigned by the dispatcher
 	pos    []int            // events[j] commits into bt.stored[pos[j]]
-	jrec   []byte           // journal record, on the one owner shard
-	jseq   int              // jrec's sequence, for the sealer's watermark
+	jrec   []byte           // the batch's journal record, on lane 0's slice
 	wait   *sync.WaitGroup  // barrier
 }
 
@@ -135,35 +132,29 @@ func (s *Server) shardOf(loc locus.Location) int {
 // dispatchEvents admits a normalized-event batch: reject while any
 // involved shard queue is full (before consuming a sequence number or
 // IDs, so both stay dense), then allocate, split by shard, and enqueue.
-// The journal record — the verbatim request body — goes to the shard of
-// the batch's first event; replaying the merged journals in sequence
-// order re-allocates the same IDs to the same events.
+// The journal record — the verbatim request body — always rides lane 0's
+// slice, even when no event routes there, so the journal has one
+// appender and its file order is dispatch order; replaying it
+// re-allocates the same IDs to the same events.
 func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
-	// An empty batch has no first event to own the journal record and
-	// nothing to commit. Handlers reject these before dispatch, but guard
-	// here too: reaching routes[0] on an empty slice would panic under
-	// dispatchMu after consuming a sequence number the finisher never
-	// sees, wedging every later waitFinisher.
+	// Handlers reject empty batches before dispatch; guard here too so
+	// nothing event-less is ever journaled as an event batch.
 	if len(t.events) == 0 {
 		return nil, errResult(http.StatusBadRequest, "empty event batch")
 	}
 	n := len(s.shards)
 	routes := make([]int, len(t.events))
 	perShard := make([]int, n)
-	involved := 0
 	for j := range t.events {
 		i := s.shardOf(t.events[j].Loc)
 		routes[j] = i
-		if perShard[i] == 0 {
-			involved++
-		}
 		perShard[i]++
 	}
 	depth, capacity := 0, 0
 	for i, sh := range s.shards {
 		depth += len(sh.queue)
 		capacity += cap(sh.queue)
-		if perShard[i] > 0 && len(sh.queue) == cap(sh.queue) {
+		if (i == 0 || perShard[i] > 0) && len(sh.queue) == cap(sh.queue) {
 			mRejected.Inc()
 			// Retry-After scales with how loaded the whole pipeline is:
 			// an almost-empty pipeline with one hot shard retries fast, a
@@ -194,33 +185,32 @@ func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
 	s.seq++
 	block := s.st.AllocBlock(len(t.events))
 	bt := &batch{
-		seq: seq, kind: t.kind,
+		seq:    seq,
 		stored: make([]*event.Instance, len(t.events)),
 		ready:  make(chan struct{}),
 		reply:  make(chan taskResult, 1),
 	}
-	bt.pending.Store(int32(involved))
 	subs := make([]*shardTask, n)
+	subs[0] = &shardTask{bt: bt, jrec: encodeRecord(seq, t.kind, "", t.raw)}
+	involved := 1
 	for j := range t.events {
 		i := routes[j]
 		st := subs[i]
 		if st == nil {
-			st = &shardTask{
-				bt:     bt,
-				events: make([]event.Instance, 0, perShard[i]),
-				pos:    make([]int, 0, perShard[i]),
-			}
+			st = &shardTask{bt: bt}
 			subs[i] = st
+			involved++
+		}
+		if st.events == nil {
+			st.events = make([]event.Instance, 0, perShard[i])
+			st.pos = make([]int, 0, perShard[i])
 		}
 		ev := t.events[j]
 		ev.ID = block + j
 		st.events = append(st.events, ev)
 		st.pos = append(st.pos, j)
 	}
-	owner := routes[0] // non-empty: guarded at the top
-	subs[owner].jrec = encodeRecord(seq, t.kind, "", t.raw)
-	subs[owner].jseq = seq
-	s.sealer.assign(owner, seq)
+	bt.pending.Store(int32(involved))
 	for i, st := range subs {
 		if st != nil {
 			s.shards[i].queue <- *st // admission guaranteed space
@@ -256,15 +246,11 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 	s.barrier()
 	seq := s.seq
 	s.seq++
-	bt := &batch{seq: seq, kind: recFeed, ready: closedChan, reply: make(chan taskResult, 1)}
+	bt := &batch{seq: seq, ready: closedChan, reply: make(chan taskResult, 1)}
 	// The fsynced journal append is the commit point; it precedes the
 	// apply so an invalid batch is journaled too — replay hits the same
 	// deterministic parse error and converges on the same state.
-	rec := encodeRecord(seq, recFeed, t.source, t.lines)
-	s.sealer.assign(0, seq)
-	err := s.shards[0].jour.Append(rec)
-	s.sealer.done(0, seq)
-	if err != nil {
+	if err := s.journalInline(seq, encodeRecord(seq, recFeed, t.source, t.lines)); err != nil {
 		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
 		s.finishQ <- bt
 		return bt, taskResult{}
@@ -299,11 +285,8 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 	s.waitFinisher()
 	seq := s.seq
 	s.seq++
-	bt := &batch{seq: seq, kind: recFinalize, ready: closedChan, reply: make(chan taskResult, 1)}
-	s.sealer.assign(0, seq)
-	err := s.shards[0].jour.Append(encodeRecord(seq, recFinalize, "", nil))
-	s.sealer.done(0, seq)
-	if err != nil {
+	bt := &batch{seq: seq, ready: closedChan, reply: make(chan taskResult, 1)}
+	if err := s.journalInline(seq, encodeRecord(seq, recFinalize, "", nil)); err != nil {
 		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
 		s.finishQ <- bt
 		return bt, taskResult{}
@@ -318,11 +301,31 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 	return bt, taskResult{}
 }
 
-func (s *Server) applyFinalize() taskResult {
-	if err := s.coll.Finalize(); err != nil {
-		return errResult(http.StatusInternalServerError, "finalize: %v", err)
+// journalInline appends and fsyncs one record from admission. Callers
+// hold dispatchMu and have passed barrier, so lane 0's applier — the
+// journal's other appender — is idle and the record lands in sequence.
+func (s *Server) journalInline(seq int, rec []byte) error {
+	if err := s.jour.AppendNoSync(rec); err != nil {
+		return err
 	}
-	cdn.MaterializeEgressChanges(s.coll, s.cfg.Bundle.CDN, s.coll.WindowStart, s.coll.WindowEnd)
+	return s.syncJournal(seq)
+}
+
+// syncJournal fsyncs the journal — the commit point of every record
+// staged so far — and advances the durable frontier to seq, the last of
+// them.
+func (s *Server) syncJournal(seq int) error {
+	if err := s.jour.Sync(); err != nil {
+		return err
+	}
+	s.journaled.Store(int64(seq))
+	return nil
+}
+
+func (s *Server) applyFinalize() taskResult {
+	if err := closeFeeds(s.coll, s.cfg.Bundle.CDN); err != nil {
+		return errResult(http.StatusInternalServerError, "%v", err)
+	}
 	if err := s.installServing(false); err != nil {
 		return errResult(http.StatusInternalServerError, "%v", err)
 	}
@@ -388,46 +391,38 @@ func (s *Server) applier(sh *shard) {
 	}
 }
 
-// applyShardGroup commits one group on one shard: stage the journal
-// records this shard owns, fsync once (each batch's commit point),
-// insert every event into the store (feeding the shard's WAL buffer),
-// commit the WAL once, then count each batch down. Insertions proceed
-// even for a batch whose journal append failed — its shards must stay
-// mutually consistent and its reply is an error either way; the next
-// restart reconciles the store against the journals and rebuilds.
+// applyShardGroup commits one group on one shard: stage the group's
+// journal records (lane 0 carries them all), fsync once (each batch's
+// commit point), insert every event into the store (feeding the shard's
+// WAL buffer), commit the WAL once, then count each batch down.
+// Insertions proceed even for a batch whose journal append failed — its
+// shards must stay mutually consistent and its reply is an error either
+// way; the next restart reconciles the store against the journal and
+// rebuilds.
 func (s *Server) applyShardGroup(sh *shard, group []shardTask) {
 	var jerr error
-	staged := 0
+	staged := -1 // sequence of the last record staged
 	for i := range group {
 		t := &group[i]
 		if t.jrec == nil {
 			continue
 		}
 		if jerr == nil {
-			if err := sh.jour.AppendNoSync(t.jrec); err != nil {
-				jerr = err
-			} else {
-				staged++
+			if jerr = s.jour.AppendNoSync(t.jrec); jerr == nil {
+				staged = t.bt.seq
 			}
 		}
 		if jerr != nil {
 			t.bt.fail(http.StatusInternalServerError, fmt.Errorf("journal: %v", jerr))
 		}
 	}
-	if staged > 0 {
-		if err := sh.jour.Sync(); err != nil {
+	if staged >= 0 {
+		if err := s.syncJournal(staged); err != nil {
 			for i := range group {
 				if group[i].jrec != nil {
 					group[i].bt.fail(http.StatusInternalServerError, fmt.Errorf("journal: %v", err))
 				}
 			}
-		}
-	}
-	// Every owned record's fate is settled — durably journaled, or failed
-	// and never appearing — so the sealer's watermark can move past them.
-	for i := range group {
-		if group[i].jrec != nil {
-			s.sealer.done(sh.idx, group[i].jseq)
 		}
 	}
 	for i := range group {
@@ -470,8 +465,7 @@ func (s *Server) finisher() {
 	defer close(s.finishDone)
 	for bt := range s.finishQ {
 		<-bt.ready
-		switch bt.kind {
-		case recEvents, recEventsWire:
+		if bt.stored != nil { // an event batch; the others arrive with res set
 			if status, err := bt.firstErr(); err != nil {
 				bt.res = taskResult{status: status, err: err}
 			} else {

@@ -22,25 +22,26 @@ import (
 	"grca/internal/replica"
 	"grca/internal/rollup"
 	"grca/internal/wal"
-	"grca/internal/wire"
 )
 
 // followerState is the replica-only half of a Server: the stream
 // clients, the per-shard WAL sinks, and the lag bookkeeping. The live
-// store is the same scratch pipeline crash recovery builds — the
+// store is the same scratch pipeline crash recovery builds, and apply is
+// the same journalApplier over it with the serving hooks attached — the
 // follower IS a recovery that never stops replaying.
 type followerState struct {
 	primary string // primary base URL, no trailing slash
 	id      string // stable follower stream ID (REPLICA file)
 	bootID  string // primary incarnation being replicated
 
+	apply   journalApplier
 	sinks   []*replica.WALSink
 	clients []*replica.Client
 
 	appliedSeq atomic.Int64 // last journal sequence applied (and locally journaled)
 	walNext    []atomic.Int64
 
-	// sealed means the clients are stopped and the local journals and
+	// sealed means the clients are stopped and the local journal and
 	// sinks are closed; sealOnce makes the seal idempotent between
 	// Promote and Shutdown, and promoteOnce serializes promotion without
 	// holding any lock across the reopen (which acquires the whole
@@ -83,15 +84,18 @@ type PromoteInfo struct {
 }
 
 // fetchPrimaryMeta fetches the primary's rendezvous document, retrying
-// briefly so a follower and its primary can start together.
-func fetchPrimaryMeta(base string) (ReplicationMetaJSON, error) {
+// briefly so a follower and its primary can start together. Each of the
+// ten attempts is bounded by perAttempt, so a primary that accepts the
+// connection and never answers fails the open instead of hanging it.
+func fetchPrimaryMeta(base string, perAttempt, backoff time.Duration) (ReplicationMetaJSON, error) {
 	var meta ReplicationMetaJSON
 	var lastErr error
+	client := &http.Client{Timeout: perAttempt}
 	for attempt := 0; attempt < 10; attempt++ {
 		if attempt > 0 {
-			time.Sleep(500 * time.Millisecond)
+			time.Sleep(backoff)
 		}
-		resp, err := http.Get(base + "/v1/replication/meta")
+		resp, err := client.Get(base + "/v1/replication/meta")
 		if err != nil {
 			lastErr = err
 			continue
@@ -136,13 +140,14 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 				return id, nil
 			}
 		}
-		// Boot ID changed (or the marker is malformed): drop every shard's
-		// shipped journal, WAL, and snapshot state and resync from scratch.
+		// Boot ID changed (or the marker is malformed): drop the shipped
+		// journal and every shard's WAL and snapshot state and resync from
+		// scratch.
+		if err := os.Remove(journalPath(dataDir)); err != nil && !os.IsNotExist(err) {
+			return "", err
+		}
 		for i := 0; i < n; i++ {
 			dir := shardDir(dataDir, n, i)
-			if err := os.Remove(journalPath(dir)); err != nil && !os.IsNotExist(err) {
-				return "", err
-			}
 			for _, sub := range []string{"wal", "snap"} {
 				if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
 					return "", err
@@ -162,8 +167,8 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 }
 
 // openFollower opens the service as a live read replica: replay the
-// locally shipped journals exactly as crash recovery would, then keep
-// applying the primary's merged journal stream through the same path
+// locally shipped journal exactly as crash recovery would, then keep
+// applying the primary's journal stream through the same path
 // while per-shard WAL streams materialize segment state on disk for a
 // later promotion.
 func openFollower(cfg Config) (*Server, error) {
@@ -172,7 +177,7 @@ func openFollower(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	primary := strings.TrimRight(cfg.ReplicaOf, "/")
-	meta, err := fetchPrimaryMeta(primary)
+	meta, err := fetchPrimaryMeta(primary, 5*time.Second, 500*time.Millisecond)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +195,7 @@ func openFollower(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: config archive: %v", err)
 	}
-	rep, err := replayJournals(cfg, topo)
+	rep, err := replayJournal(cfg, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -205,20 +210,20 @@ func openFollower(cfg Config) (*Server, error) {
 	}
 	fs.appliedSeq.Store(int64(rep.maxSeq))
 
-	// Shard entries carry the live store shard and the local slice of the
-	// shipped journal; there is no WAL, queue, or applier — the journal
-	// stream's apply goroutine is the only writer.
+	// Shard entries carry only the live store shard; there is no WAL,
+	// queue, or applier — the journal stream's apply goroutine is the only
+	// writer.
+	jour, err := wal.OpenJournal(journalPath(cfg.DataDir))
+	if err != nil {
+		return nil, err
+	}
 	shards := make([]*shard, n)
 	opened := false
 	defer func() {
 		if opened {
 			return
 		}
-		for _, sh := range shards {
-			if sh != nil {
-				sh.jour.Close() //nolint:errcheck // being discarded
-			}
-		}
+		jour.Close() //nolint:errcheck // being discarded
 		for _, sk := range fs.sinks {
 			if sk != nil {
 				sk.Close() //nolint:errcheck // being discarded
@@ -230,11 +235,7 @@ func openFollower(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		jour, err := wal.OpenJournal(journalPath(dir))
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = &shard{st: rep.shards[i], jour: jour, idx: i}
+		shards[i] = &shard{st: rep.shards[i], idx: i}
 		sink, err := replica.OpenWALSink(dir, 0)
 		if err != nil {
 			return nil, err
@@ -244,7 +245,7 @@ func openFollower(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: rep.scratch, coll: rep.coll,
+		cfg: cfg, topo: topo, shards: shards, st: rep.scratch, coll: rep.coll, jour: jour,
 		roll:       rollup.New(rollup.Config{}),
 		hub:        newSSEHub(),
 		seq:        rep.maxSeq + 1,
@@ -257,6 +258,11 @@ func openFollower(cfg Config) (*Server, error) {
 		},
 	}
 	s.finishCond = sync.NewCond(&s.finishMu)
+	fs.apply = journalApplier{
+		coll: rep.coll, st: rep.scratch, dep: cfg.Bundle.CDN,
+		serving: func() error { return s.installServing(false) },
+		stored:  func(stored []*event.Instance) { s.observeStored(stored) },
+	}
 	s.roll.SeedEvents(s.st)
 	s.st.OnAppend(s.roll.ObserveEvent)
 	s.st.OnEvict(s.roll.EvictEvents)
@@ -327,7 +333,7 @@ func (fs *followerState) checkHello(m replica.Msg, stream byte, shards int) erro
 
 // handleJournalMsg applies one journal-stream message. Runs on the
 // journal client's goroutine — the follower's only writer to the live
-// store and the local journals.
+// store and the local journal.
 func (s *Server) handleJournalMsg(m replica.Msg) error {
 	fs := s.follower
 	switch m.Type {
@@ -336,17 +342,14 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 			return replica.Fatal(err)
 		}
 	case replica.MsgJournalRec:
-		if m.Shard >= len(s.shards) {
-			return replica.Fatal(fmt.Errorf("journal record for shard %d of %d", m.Shard, len(s.shards)))
-		}
-		if err := s.applyJournalRecord(m.Shard, m.Rec); err != nil {
+		if err := s.applyJournalRecord(m.Rec); err != nil {
 			return replica.Fatal(err)
 		}
 		fs.noteMsg()
 	case replica.MsgHeartbeat:
 		fs.noteHeartbeat(m)
 		s.updateLag(m)
-		s.syncFollowerJournals()
+		s.syncFollowerJournal()
 	case replica.MsgEOF:
 		// The client loop already treats EOF as end-of-connection; seen
 		// here only if the primary interleaves it oddly — ignore.
@@ -357,11 +360,10 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 }
 
 // applyJournalRecord journals one shipped record locally and applies it
-// to the live pipeline — the same switch crash recovery's replay runs,
-// incrementally, under dispatchMu so reads never see a half-applied
-// batch.
-func (s *Server) applyJournalRecord(shard int, rec []byte) error {
-	seq, kind, source, body, err := decodeJournalRecord(rec)
+// to the live pipeline through the applier crash recovery runs, under
+// dispatchMu so reads never see a half-applied batch.
+func (s *Server) applyJournalRecord(rec []byte) error {
+	seq, err := replica.JournalSeq(rec)
 	if err != nil {
 		return err
 	}
@@ -371,50 +373,14 @@ func (s *Server) applyJournalRecord(shard int, rec []byte) error {
 	if seq <= int(fs.appliedSeq.Load()) {
 		return nil // reconnect overlap: already journaled and applied
 	}
-	// Local journal first: the live store is rebuilt from the journals at
+	// Local journal first: the live store is rebuilt from the journal at
 	// boot, so everything applied must be journaled (durability is async;
 	// a torn tail just re-ships).
-	if err := s.shards[shard].jour.AppendNoSync(rec); err != nil {
+	if err := s.jour.AppendNoSync(rec); err != nil {
 		return err
 	}
-	switch kind {
-	case recFeed:
-		// Parse errors are deterministic and already answered by the
-		// primary; state after the partial ingest is identical either way.
-		s.coll.Ingest(source, bytes.NewReader(body)) //nolint:errcheck // see above
-	case recFinalize:
-		if res := s.applyFinalize(); res.err != nil {
-			return res.err
-		}
-	case recEvents:
-		var evs []EventJSON
-		if err := json.Unmarshal(body, &evs); err != nil {
-			return err
-		}
-		stored := make([]*event.Instance, 0, len(evs))
-		for _, ej := range evs {
-			in, err := ej.instance()
-			if err != nil {
-				return err
-			}
-			stored = append(stored, s.st.Add(in))
-		}
-		s.observeStored(stored)
-	case recEventsWire:
-		b, err := wire.Decode(body)
-		if err != nil {
-			return err
-		}
-		if b.Kind != wire.KindEvents {
-			return fmt.Errorf("journaled wire kind %d, want events", b.Kind)
-		}
-		stored := make([]*event.Instance, 0, len(b.Events))
-		for i := range b.Events {
-			stored = append(stored, s.st.Add(b.Events[i]))
-		}
-		s.observeStored(stored)
-	default:
-		return fmt.Errorf("unknown journal record kind %d", kind)
+	if _, err := fs.apply.apply(rec); err != nil {
+		return err
 	}
 	s.seq = seq + 1
 	fs.appliedSeq.Store(int64(seq))
@@ -488,19 +454,7 @@ func (fs *followerState) noteState(err error) {
 // journal not yet shipped, WAL records not yet sunk.
 func (s *Server) updateLag(hb replica.Msg) {
 	fs := s.follower
-	var lagBytes int64
-	for i := range s.shards {
-		if i >= len(hb.JournalBytes) {
-			break
-		}
-		local := int64(0)
-		if st, err := os.Stat(journalPath(shardDir(s.cfg.DataDir, len(s.shards), i))); err == nil {
-			local = st.Size()
-		}
-		if d := hb.JournalBytes[i] - local; d > 0 {
-			lagBytes += d
-		}
-	}
+	mReplLagBytes.Set(max(hb.JournalBytes-wal.JournalSize(journalPath(s.cfg.DataDir)), 0))
 	var lagRecs int64
 	for i := range s.shards {
 		if i >= len(hb.WALNext) {
@@ -510,26 +464,23 @@ func (s *Server) updateLag(hb replica.Msg) {
 			lagRecs += d
 		}
 	}
-	mReplLagBytes.Set(lagBytes)
 	mReplLagRecs.Set(lagRecs)
 }
 
-// syncFollowerJournals fsyncs the local journals at heartbeat cadence
+// syncFollowerJournal fsyncs the local journal at heartbeat cadence
 // (shipped records are written without fsync on the apply path).
-func (s *Server) syncFollowerJournals() {
+func (s *Server) syncFollowerJournal() {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
 	if s.follower.isSealed() {
 		return
 	}
-	for _, sh := range s.shards {
-		sh.jour.Sync() //nolint:errcheck // advisory; the apply path surfaces real write errors
-	}
+	s.jour.Sync() //nolint:errcheck // advisory; the apply path surfaces real write errors
 }
 
 func (fs *followerState) isSealed() bool { return fs.sealed.Load() }
 
-// sealFollower stops the stream clients and closes the local journals
+// sealFollower stops the stream clients and closes the local journal
 // and sinks; after it returns no goroutine touches follower disk state.
 // Idempotent (sealOnce); called by Promote and Shutdown.
 func (s *Server) sealFollower() error {
@@ -541,16 +492,11 @@ func (s *Server) sealFollower() error {
 		for _, c := range fs.clients {
 			c.Wait()
 		}
-		var err error
 		s.dispatchMu.Lock() // exclude a final in-flight apply's journal write
 		fs.sealed.Store(true)
-		for _, sh := range s.shards {
-			if e := sh.jour.Sync(); e != nil && err == nil {
-				err = e
-			}
-			if e := sh.jour.Close(); e != nil && err == nil {
-				err = e
-			}
+		err := s.jour.Sync()
+		if e := s.jour.Close(); e != nil && err == nil {
+			err = e
 		}
 		s.dispatchMu.Unlock()
 		for _, sk := range fs.sinks {
@@ -567,7 +513,7 @@ func (s *Server) sealFollower() error {
 // reopen the data directory exactly as a restarting primary would. The
 // reopen's journal-vs-WAL reconciliation is the promotion's digest
 // verification — every shard whose shipped WAL state disagrees with the
-// shipped journal history is rebuilt from the journals, so the promoted
+// shipped journal history is rebuilt from the journal, so the promoted
 // store always equals a clean single-node replay of the same journal.
 // The promoted server takes over request handling atomically; this
 // server's handler delegates to it from then on.
@@ -673,22 +619,16 @@ func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 		sealed := hb.Sealed
 		st.PrimarySealed = &sealed
 	}
-	n := len(s.shards)
-	for i := 0; i < n; i++ {
+	local := wal.JournalSize(journalPath(s.cfg.DataDir))
+	for i := range s.shards {
 		lag := ReplicaShardLag{
 			Shard:           i,
+			JournalBytes:    local,
+			PrimaryJournal:  hb.JournalBytes,
+			LagBytes:        max(hb.JournalBytes-local, 0),
 			WALNext:         int(fs.walNext[i].Load()),
 			SnapBootstraps:  snapBoots[i],
 			StreamConnected: serr == nil && !lastMsg.IsZero(),
-		}
-		if fi, err := os.Stat(journalPath(shardDir(s.cfg.DataDir, n, i))); err == nil {
-			lag.JournalBytes = fi.Size()
-		}
-		if i < len(hb.JournalBytes) {
-			lag.PrimaryJournal = hb.JournalBytes[i]
-			if d := lag.PrimaryJournal - lag.JournalBytes; d > 0 {
-				lag.LagBytes = d
-			}
 		}
 		if i < len(hb.WALNext) {
 			lag.PrimaryWALNext = hb.WALNext[i]

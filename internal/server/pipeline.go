@@ -6,32 +6,31 @@
 // # Durability model
 //
 // The store is split into N independent shards (Config.Shards), each a
-// complete lane of the write path with its own lock, WAL segment
-// directory, snapshot directory, ingest journal, and applier goroutine.
-// Two append-only structures per shard carry the state:
+// lane of the write path with its own lock, WAL segment directory,
+// snapshot directory, and applier goroutine. Two kinds of append-only
+// structure carry the state:
 //
-//   - The event WAL (internal/wal): every normalized instance added to
-//     the shard, with snapshots and compaction. It recovers the shard
-//     byte-identically and fast.
-//   - The ingest journal (journal.log): accepted ingest batches — raw
-//     feed lines or normalized-event bodies — plus the finalize marker.
-//     Every record carries the batch's global sequence number, so the
-//     union of all shard journals, sorted by sequence, is the total
-//     ingest history in commit order. The collector's parse state
-//     (routing simulations, pairing buffers, rolling baselines) is a
-//     function of raw input, not of normalized events, so restart
-//     recovery replays this merged journal through a fresh collector.
+//   - The event WAL (internal/wal), one per shard: every normalized
+//     instance added to the shard, with snapshots and compaction. It
+//     recovers the shard byte-identically and fast.
+//   - The ingest journal (<data-dir>/journal.log), one per data dir:
+//     accepted ingest batches — raw feed lines or normalized-event
+//     bodies — plus the finalize marker, each prefixed with the batch's
+//     dispatch sequence number. Lane 0 is its only appender, so file
+//     order is dispatch order: the file is the total ingest history.
+//     The collector's parse state (routing simulations, pairing buffers,
+//     rolling baselines) is a function of raw input, not of normalized
+//     events, so restart recovery replays the journal through a fresh
+//     collector.
 //
-// A batch's journal append (fsynced, on the one shard that owns its
-// record) is its commit point; the per-shard WAL commits follow it. On
-// startup all shards are reconciled: the merged journal replays into a
-// scratch sharded pipeline, and each scratch shard's digest must equal
-// the corresponding WAL-recovered shard's. A mismatch — a crash between
-// journal fsync and WAL commit, a lost shard directory, or corruption —
-// rebuilds that shard's WAL from the journal replay, so recovery always
-// converges on the journals' committed batch set. See DESIGN.md §15 for
-// the ID-renumbering caveat when unacknowledged batches are torn out of
-// the middle of the sequence.
+// A batch's journal append (fsynced) is its commit point; the per-shard
+// WAL commits follow it. On startup all shards are reconciled: the
+// journal replays into a scratch sharded pipeline, and each scratch
+// shard's digest must equal the corresponding WAL-recovered shard's. A
+// mismatch — a crash between journal fsync and WAL commit, a lost shard
+// directory, or corruption — rebuilds that shard's WAL from the journal
+// replay, so recovery always converges on the journal's committed
+// prefix of the dispatch order (DESIGN.md §15).
 //
 // # Pipeline
 //
@@ -42,8 +41,9 @@
 // is full the handler answers 429 with a depth-derived Retry-After
 // instead of buffering, before any ID is allocated, so memory stays
 // bounded and IDs stay dense under overload. Per-shard applier
-// goroutines drain their queues in commit groups (journal fsync, store
-// inserts, WAL commit — each amortized across every batch waiting), and
+// goroutines drain their queues in commit groups (on lane 0 the journal
+// fsync, then on every lane store inserts and a WAL commit — each
+// amortized across every batch waiting), and
 // a single finisher goroutine joins the shards' completions back into
 // sequence order to run the streaming processors and reply — so
 // responses are byte-identical for every shard count. Reads (diagnose,
@@ -100,9 +100,8 @@ var (
 // uvarint len(source) | source | body: raw feed lines for recFeed, the
 // JSON event array for recEvents, a wire.KindEvents batch (verbatim
 // request bytes) for recEventsWire, empty for recFinalize. seq is the
-// batch's global dispatch sequence — records of different batches live
-// in different shard journals, and sorting the union by seq recovers
-// the total commit order.
+// batch's dispatch sequence; it ascends through the file and is the
+// replication stream's resume cursor.
 const (
 	recFeed       = 1
 	recFinalize   = 2
@@ -174,14 +173,14 @@ const maxEventDuration = 15 * time.Minute
 
 // Config configures Open.
 type Config struct {
-	// DataDir holds the WAL, snapshots, and ingest journal — per shard,
-	// under shard-<i>/ when Shards > 1.
+	// DataDir holds the ingest journal and the WAL and snapshots — the
+	// latter two per shard, under shard-<i>/ when Shards > 1.
 	DataDir string
 	// Bundle supplies the configuration archive and manifest (collection
 	// window, CDN deployment). Its Feeds are ignored — feeds arrive over
 	// HTTP.
 	Bundle platform.Bundle
-	// Shards is the number of independent store/WAL/journal lanes the
+	// Shards is the number of independent store/WAL lanes the
 	// ingest path commits through (default 1). A data directory is bound
 	// to its shard count at creation; reopening with a different count is
 	// refused.
@@ -205,10 +204,6 @@ type Config struct {
 	// RequestTimeout bounds one request's wait for the commit pipeline
 	// (default 60s).
 	RequestTimeout time.Duration
-	// LegacyParsers forces the collector's reference string parsers
-	// instead of the zero-copy fast path (an escape hatch; the two are
-	// parity-tested byte-identical).
-	LegacyParsers bool
 	// ReplayWorkers is the WAL's recovery decode parallelism (0 =
 	// GOMAXPROCS).
 	ReplayWorkers int
@@ -228,6 +223,10 @@ type Config struct {
 	// ReplicaPoll is the replication streams' file-tail poll cadence
 	// (default 50ms).
 	ReplicaPoll time.Duration
+
+	// legacyParsers runs the collector's reference string parsers instead
+	// of the zero-copy fast path: the parity tests' reference server.
+	legacyParsers bool
 }
 
 func (c *Config) defaults() {
@@ -259,13 +258,11 @@ type taskResult struct {
 }
 
 // shard is one lane of the parallel commit pipeline: a store shard, its
-// WAL, its slice of the ingest journal, and the bounded queue its
-// applier goroutine drains.
+// WAL, and the bounded queue its applier goroutine drains.
 type shard struct {
 	idx   int
 	st    *store.Memory
 	log   *wal.Log
-	jour  *wal.Journal
 	queue chan shardTask
 	done  chan struct{}
 }
@@ -285,6 +282,14 @@ type Server struct {
 	dispatchMu sync.Mutex
 	seq        int
 	routeCache map[locus.Location]int
+
+	// jour is the ingest journal. A primary appends to it from lane 0's
+	// applier (event batches) and, with every lane quiesced behind a
+	// barrier, from admission (feeds, finalize); a follower appends from
+	// the journal stream's apply path. journaled is the highest sequence
+	// durably in it, advanced after each successful sync.
+	jour      *wal.Journal
+	journaled atomic.Int64
 
 	// The finisher joins shard completions back into sequence order:
 	// batches enter finishQ at dispatch, and the finisher replies to each
@@ -313,12 +318,11 @@ type Server struct {
 	hub  *sseHub
 
 	// Replication (DESIGN.md §16). Primary side: bootID names this
-	// incarnation, sealer feeds the stream merge's watermark, replReg
-	// tracks followers (and pins compaction), replSrc serves the streams.
+	// incarnation, replReg tracks followers (and pins compaction), replSrc
+	// serves the streams.
 	// Follower side: follower is non-nil on a read replica, and promoted,
 	// once set, is the post-failover primary every request delegates to.
 	bootID   string
-	sealer   *sealer
 	replReg  *replica.Registry
 	replSrc  *replica.Source
 	follower *followerState
@@ -341,7 +345,7 @@ type RecoveryInfo struct {
 	// Shards is the shard count the data directory is bound to.
 	Shards int
 	// WALRebuilt is true when at least one shard's WAL disagreed with the
-	// merged journal (crash between journal fsync and WAL commit, a lost
+	// journal (crash between journal fsync and WAL commit, a lost
 	// shard directory, or corruption) and was rebuilt from the journal
 	// replay.
 	WALRebuilt bool
@@ -359,13 +363,20 @@ func shardDir(dataDir string, n, i int) string {
 	return filepath.Join(dataDir, fmt.Sprintf("shard-%d", i))
 }
 
-// checkShardMarker binds the data directory to its shard count: the
-// journals' sequence interleave and per-shard event placement are
-// functions of N, so reopening with a different N would replay into the
-// wrong shards. Pre-sharding directories (journal or WAL present, no
-// marker) are adopted as single-shard only — stamping one with n>1
-// would orphan its root-level state under the shard-<i>/ layout.
+// checkShardMarker binds the data directory to its shard count:
+// per-shard event placement is a function of N, so reopening with a
+// different N would pair each shard's WAL with the wrong slice of the
+// replay. Pre-sharding directories (journal or WAL present, no marker)
+// are adopted as single-shard only — stamping one with n>1 would orphan
+// its root-level WAL under the shard-<i>/ layout. A multi-shard
+// directory from before the single journal (shard-<i>/journal.log) is
+// refused the same way: its history is not in the root journal.
 func checkShardMarker(dataDir string, n int) error {
+	// (Glob fails only on a malformed pattern.)
+	if old, _ := filepath.Glob(journalPath(filepath.Join(dataDir, "shard-*"))); len(old) > 0 {
+		return fmt.Errorf("server: data dir %s holds per-shard ingest journals (%s); this version keeps one journal at %s and does not migrate them",
+			dataDir, strings.Join(old, ", "), journalPath(dataDir))
+	}
 	path := filepath.Join(dataDir, "SHARDS")
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -443,9 +454,9 @@ func Open(cfg Config) (*Server, error) {
 	}
 	wg.Wait()
 	// Until the pipeline goroutines take ownership at the very end, every
-	// open log and journal is ours: close them all on any error path so a
-	// failed Open leaks neither file handles nor fsync goroutines.
-	var shards []*shard
+	// open log and the journal are ours: close them all on any error path
+	// so a failed Open leaks neither file handles nor fsync goroutines.
+	var jour *wal.Journal
 	opened := false
 	defer func() {
 		if opened {
@@ -456,17 +467,15 @@ func Open(cfg Config) (*Server, error) {
 				ws[i].log.Close() //nolint:errcheck // being discarded
 			}
 		}
-		for _, sh := range shards {
-			if sh != nil {
-				sh.jour.Close() //nolint:errcheck // being discarded
-			}
+		if jour != nil {
+			jour.Close() //nolint:errcheck // being discarded
 		}
 	}()
 
-	// Replay the merged ingest journals through a scratch pipeline to
-	// rebuild collector state; its per-shard stores double as the
+	// Replay the ingest journal through a scratch pipeline to rebuild
+	// collector state; its per-shard stores double as the
 	// cross-check against the WAL-recovered shards.
-	rep, err := replayJournals(cfg, topo)
+	rep, err := replayJournal(cfg, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +484,7 @@ func Open(cfg Config) (*Server, error) {
 		if ws[i].err == nil && wal.StoreDigest(ws[i].st) == wal.StoreDigest(rep.shards[i]) {
 			continue
 		}
-		// This shard's WAL trails or disagrees with the journals: rebuild
+		// This shard's WAL trails or disagrees with the journal: rebuild
 		// it from the journal replay, which is the batch-level committed
 		// prefix.
 		if ws[i].log != nil {
@@ -512,26 +521,26 @@ func Open(cfg Config) (*Server, error) {
 	st := store.NewShardedOf(mems, store.HashRoute(n))
 	st.SetNext(rep.scratch.NextID())
 
-	// The scratch collector carries the journals' parse state; point it
+	// The scratch collector carries the journal's parse state; point it
 	// at the authoritative store for all future ingest.
 	coll := rep.coll
 	coll.Store = st
 
-	shards = make([]*shard, n)
+	jour, err = wal.OpenJournal(journalPath(cfg.DataDir))
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]*shard, n)
 	for i := range shards {
-		jour, err := wal.OpenJournal(journalPath(shardDir(cfg.DataDir, n, i)))
-		if err != nil {
-			return nil, err
-		}
 		shards[i] = &shard{
-			idx: i, st: mems[i], log: ws[i].log, jour: jour,
+			idx: i, st: mems[i], log: ws[i].log,
 			queue: make(chan shardTask, cfg.MaxInflight),
 			done:  make(chan struct{}),
 		}
 	}
 
 	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: st, coll: coll,
+		cfg: cfg, topo: topo, shards: shards, st: st, coll: coll, jour: jour,
 		roll:        rollup.New(rollup.Config{}),
 		hub:         newSSEHub(),
 		seq:         rep.maxSeq + 1,
@@ -546,6 +555,7 @@ func Open(cfg Config) (*Server, error) {
 		},
 	}
 	s.finishCond = sync.NewCond(&s.finishMu)
+	s.journaled.Store(int64(rep.maxSeq))
 	// The Result Browser rollups: seed the trend bins from the recovered
 	// store (Restore bypasses the append hook), then track every future
 	// append and eviction incrementally. Cause counters are seeded by
@@ -568,7 +578,7 @@ func Open(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.initReplicationSource(rep)
+	s.initReplicationSource()
 	opened = true
 	for i := range shards {
 		go s.applier(shards[i])
@@ -601,11 +611,11 @@ func latticeRoute(view *netstate.View, n int) func(locus.Location) int {
 	return func(loc locus.Location) int { return m.Shard(loc, n) }
 }
 
-// replayJournals rebuilds the pipeline state recorded across all shard
-// journals into a fresh collector + sharded store: the records are
-// merged in global sequence order, so dense ID allocation and shard
-// placement replay exactly as the original dispatch produced them.
-func replayJournals(cfg Config, topo *netmodel.Topology) (replayResult, error) {
+// replayJournal rebuilds the pipeline state recorded in the ingest
+// journal into a fresh collector + sharded store: file order is dispatch
+// order, so dense ID allocation and shard placement replay exactly as
+// the original dispatch produced them.
+func replayJournal(cfg Config, topo *netmodel.Topology) (replayResult, error) {
 	n := cfg.Shards
 	rep := replayResult{maxSeq: -1, shards: make([]*store.Memory, n)}
 	for i := range rep.shards {
@@ -616,83 +626,108 @@ func replayJournals(cfg Config, topo *netmodel.Topology) (replayResult, error) {
 	}
 	rep.scratch = store.NewShardedOf(rep.shards, store.HashRoute(n))
 	c := collector.New(topo, rep.scratch, cfg.Bundle.Start.Year())
-	c.LegacyParsers = cfg.LegacyParsers
+	c.LegacyParsers = cfg.legacyParsers
 	c.WindowStart = cfg.Bundle.Start
 	c.WindowEnd = cfg.Bundle.Start.Add(cfg.Bundle.Duration)
 	rep.coll = c
 
-	type jrec struct {
-		seq    int
-		kind   byte
-		source string
-		body   []byte
-	}
-	var recs []jrec
-	for i := 0; i < n; i++ {
-		_, err := wal.ReplayJournal(journalPath(shardDir(cfg.DataDir, n, i)), func(p []byte) error {
-			seq, kind, source, body, err := decodeJournalRecord(p)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, jrec{seq, kind, source, body})
-			return nil
-		})
-		if err != nil {
-			return rep, fmt.Errorf("server: journal replay: %v", err)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-
-	for _, r := range recs {
-		rep.batches++
-		if r.seq > rep.maxSeq {
-			rep.maxSeq = r.seq
-		}
-		switch r.kind {
-		case recFeed:
-			if err := c.Ingest(r.source, bytes.NewReader(r.body)); err != nil {
-				// The original run journaled this batch before rejecting it
-				// with the same deterministic parse error; state after the
-				// partial ingest is identical either way.
-				continue
-			}
-		case recFinalize:
-			if err := c.Finalize(); err != nil {
-				return rep, fmt.Errorf("server: journal replay: finalize: %v", err)
-			}
-			cdn.MaterializeEgressChanges(c, cfg.Bundle.CDN, c.WindowStart, c.WindowEnd)
+	ap := journalApplier{
+		coll: c, st: rep.scratch, dep: cfg.Bundle.CDN,
+		// Replay needs only the routing change; Open installs the serving
+		// artifacts once, over the fully recovered store.
+		serving: func() error {
 			view := netstate.NewView(topo, c.OSPF, c.BGP)
 			cdn.Register(view, cfg.Bundle.CDN)
 			rep.scratch.SetRoute(latticeRoute(view, n))
 			rep.finalized = true
-		case recEvents:
-			var evs []EventJSON
-			if err := json.Unmarshal(r.body, &evs); err != nil {
-				return rep, fmt.Errorf("server: journaled event batch: %v", err)
-			}
-			for _, ej := range evs {
-				in, err := ej.instance()
-				if err != nil {
-					return rep, fmt.Errorf("server: journaled event batch: %v", err)
-				}
-				rep.scratch.Add(in)
-			}
-		case recEventsWire:
-			b, err := wire.Decode(r.body)
-			if err != nil {
-				return rep, fmt.Errorf("server: journaled event batch: %v", err)
-			}
-			if b.Kind != wire.KindEvents {
-				return rep, fmt.Errorf("server: journaled event batch: wire kind %d, want events", b.Kind)
-			}
-			for i := range b.Events {
-				rep.scratch.Add(b.Events[i])
-			}
-		default:
-			return rep, fmt.Errorf("server: unknown journal record kind %d", r.kind)
+			return nil
+		},
+	}
+	_, err := wal.ReplayJournal(journalPath(cfg.DataDir), func(p []byte) error {
+		seq, err := ap.apply(p)
+		if err != nil {
+			return err
 		}
+		rep.batches++
+		rep.maxSeq = seq
+		return nil
+	})
+	if err != nil {
+		return rep, fmt.Errorf("server: journal replay: %v", err)
 	}
 	return rep, nil
+}
+
+// journalApplier is the one definition of what a journaled record
+// means: it decodes a record and applies it to a collector + store
+// pair. Crash recovery drives it over journal.log and a follower drives
+// it over the journal stream — a follower is a recovery that never
+// stops — so both allocate the same IDs on the same shards as the
+// dispatch that wrote the record.
+type journalApplier struct {
+	coll *collector.Collector
+	st   *store.Sharded
+	dep  cdn.Deployment
+	// serving runs after a finalize record has closed the collector's
+	// feed phase: it installs at least the lattice routing.
+	serving func() error
+	// stored, when set, sees each event record's stored instances.
+	stored func([]*event.Instance)
+}
+
+func (a *journalApplier) apply(rec []byte) (seq int, err error) {
+	seq, kind, source, body, err := decodeJournalRecord(rec)
+	if err != nil {
+		return seq, err
+	}
+	var ins []event.Instance
+	switch kind {
+	case recFeed:
+		// The dispatch journaled this batch before parsing it, so a parse
+		// error recurs here deterministically (the primary answered it);
+		// state after the partial ingest is identical either way.
+		a.coll.Ingest(source, bytes.NewReader(body)) //nolint:errcheck // see above
+		return seq, nil
+	case recFinalize:
+		if err := closeFeeds(a.coll, a.dep); err != nil {
+			return seq, err
+		}
+		return seq, a.serving()
+	case recEvents:
+		var evs []EventJSON
+		if err = json.Unmarshal(body, &evs); err == nil {
+			ins, err = decodeEvents(evs)
+		}
+	case recEventsWire:
+		var b wire.Batch
+		if b, err = wire.Decode(body); err == nil && b.Kind != wire.KindEvents {
+			err = fmt.Errorf("wire kind %d, want events", b.Kind)
+		}
+		ins = b.Events
+	default:
+		return seq, fmt.Errorf("unknown journal record kind %d", kind)
+	}
+	if err != nil {
+		return seq, fmt.Errorf("journaled event batch %d: %v", seq, err)
+	}
+	stored := make([]*event.Instance, len(ins))
+	for i := range ins {
+		stored[i] = a.st.Add(ins[i])
+	}
+	if a.stored != nil {
+		a.stored(stored)
+	}
+	return seq, nil
+}
+
+// closeFeeds ends the collector's feed phase: finalize, then derive the
+// CDN egress-change events that need the finalized routing state.
+func closeFeeds(c *collector.Collector, dep cdn.Deployment) error {
+	if err := c.Finalize(); err != nil {
+		return fmt.Errorf("finalize: %v", err)
+	}
+	cdn.MaterializeEgressChanges(c, dep, c.WindowStart, c.WindowEnd)
+	return nil
 }
 
 // installServing transitions to the serving phase: routing view, CDN

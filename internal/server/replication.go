@@ -7,15 +7,14 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 
 	"grca/internal/obs"
 	"grca/internal/replica"
 )
 
-// Replication: a primary tails its own ingest journals and WAL segments
+// Replication: a primary tails its own ingest journal and WAL segments
 // and streams them to followers (internal/replica); a follower applies
-// the merged journal stream through the same path crash recovery uses
+// the journal stream through the same path crash recovery uses
 // and serves the read API live. See DESIGN.md §16.
 
 var (
@@ -24,74 +23,6 @@ var (
 	mReplLagBytes = obs.GetGauge("replica.follower.journal.lag.bytes")
 	mReplLagRecs  = obs.GetGauge("replica.follower.wal.lag.records")
 )
-
-// sealer tracks, per shard, the dispatch sequence numbers assigned to
-// journal records that are not yet durably appended to that shard's
-// journal file. Its watermark is what lets the replication source merge
-// the shard journals into one totally-ordered stream while appliers
-// commit concurrently: sealed[j] is a sequence such that no future
-// append to shard j's journal will ever carry seq <= sealed[j], so a
-// queued record with a lower sequence on another shard is safe to emit.
-type sealer struct {
-	mu      sync.Mutex
-	pending [][]int // per shard: assigned, not yet durably journaled
-	last    int     // highest sequence ever assigned
-}
-
-func newSealer(shards, last int) *sealer {
-	return &sealer{pending: make([][]int, shards), last: last}
-}
-
-// assign marks seq as in flight toward shard's journal. Called under
-// dispatchMu, before the batch is enqueued (or inline-appended), so the
-// watermark can never run ahead of an assignment.
-func (se *sealer) assign(shard, seq int) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	se.pending[shard] = append(se.pending[shard], seq)
-	if seq > se.last {
-		se.last = seq
-	}
-}
-
-// done retires seq: its record is durably in shard's journal — or its
-// append failed and the record will never appear, which seals past it
-// just the same.
-func (se *sealer) done(shard, seq int) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	p := se.pending[shard]
-	for i := range p {
-		if p[i] == seq {
-			p[i] = p[len(p)-1]
-			se.pending[shard] = p[:len(p)-1]
-			return
-		}
-	}
-}
-
-// sealed returns the per-shard watermarks. A shard with in-flight
-// records is sealed just below its lowest one; an idle shard is sealed
-// at the highest sequence ever assigned (anything later is higher).
-func (se *sealer) sealed() []int {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	out := make([]int, len(se.pending))
-	for j, p := range se.pending {
-		if len(p) == 0 {
-			out[j] = se.last
-			continue
-		}
-		lo := p[0]
-		for _, s := range p[1:] {
-			if s < lo {
-				lo = s
-			}
-		}
-		out[j] = lo - 1
-	}
-	return out
-}
 
 // newBootID returns a fresh primary-incarnation ID. Followers refuse to
 // resume a stream across a boot-ID change: recovery after a torn crash
@@ -106,26 +37,23 @@ func newBootID() string {
 }
 
 // initReplicationSource wires the primary side of replication: the
-// sealer (fed by dispatch), the follower registry, the stream source
-// over the shard journals and WALs, and each WAL's compaction pin.
-func (s *Server) initReplicationSource(rep replayResult) {
+// follower registry, the stream source over the journal and the shard
+// WALs, and each WAL's compaction pin.
+func (s *Server) initReplicationSource() {
 	n := len(s.shards)
 	s.bootID = newBootID()
-	s.sealer = newSealer(n, rep.maxSeq)
 	s.replReg = replica.NewRegistry(n, s.cfg.ReplicaGrace)
 	s.replSrc = replica.NewSource(replica.SourceConfig{
-		BootID: s.bootID,
-		Shards: n,
-		JournalPath: func(i int) string {
-			return journalPath(shardDir(s.cfg.DataDir, n, i))
-		},
+		BootID:      s.bootID,
+		Shards:      n,
+		JournalPath: journalPath(s.cfg.DataDir),
 		WALDir: func(i int) string {
 			return shardDir(s.cfg.DataDir, n, i)
 		},
-		Sealed:      s.sealer.sealed,
-		WALFrontier: func(i int) int { return s.shards[i].log.Frontier() },
-		Registry:    s.replReg,
-		Poll:        s.cfg.ReplicaPoll,
+		JournalFrontier: func() int { return int(s.journaled.Load()) },
+		WALFrontier:     func(i int) int { return s.shards[i].log.Frontier() },
+		Registry:        s.replReg,
+		Poll:            s.cfg.ReplicaPoll,
 	})
 	for i := range s.shards {
 		shard := i
@@ -137,7 +65,10 @@ func (s *Server) initReplicationSource(rep replayResult) {
 // promoted).
 func (s *Server) isFollower() bool { return s.follower != nil }
 
-// ReplicationMetaJSON is the primary's stream rendezvous document.
+// ReplicationMetaJSON is the primary's stream rendezvous document. The
+// benchmark (bench/) indexes Sealed and JournalBytes per shard, so both
+// stay slices of length Shards although there is one journal: every
+// index carries its durable sequence and its byte size.
 type ReplicationMetaJSON struct {
 	BootID       string  `json:"boot_id"`
 	Shards       int     `json:"shards"`
@@ -164,7 +95,9 @@ type ReplicationStatusJSON struct {
 	StreamError   string            `json:"stream_error,omitempty"`
 }
 
-// ReplicaShardLag is one shard's catch-up position on a follower.
+// ReplicaShardLag is one shard's catch-up position on a follower. The
+// journal fields repeat the one journal's figures in every row, for the
+// same reason as ReplicationMetaJSON's.
 type ReplicaShardLag struct {
 	Shard           int   `json:"shard"`
 	JournalBytes    int64 `json:"journal_bytes"`
@@ -186,13 +119,18 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
 		return
 	}
-	writeJSON(w, http.StatusOK, ReplicationMetaJSON{
+	meta := ReplicationMetaJSON{
 		BootID:       s.bootID,
 		Shards:       len(s.shards),
-		Sealed:       s.sealer.sealed(),
-		JournalBytes: s.replSrc.JournalSizes(),
+		Sealed:       make([]int, len(s.shards)),
+		JournalBytes: make([]int64, len(s.shards)),
 		WALNext:      s.replSrc.WALFrontiers(),
-	})
+	}
+	sealed, size := int(s.journaled.Load()), s.replSrc.JournalSize()
+	for i := range meta.Sealed {
+		meta.Sealed[i], meta.JournalBytes[i] = sealed, size
+	}
+	writeJSON(w, http.StatusOK, meta)
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
@@ -212,7 +150,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReplJournal streams the merged ingest journal. Mounted raw (no
+// handleReplJournal streams the ingest journal. Mounted raw (no
 // request timeout): the stream lives until the follower disconnects or
 // the server shuts down.
 func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,27 +17,14 @@ import (
 	"grca/internal/wal"
 )
 
-// primarySealedMin returns the primary's minimum sealed sequence — with
-// the pipeline quiesced, the last sequence it committed.
-func primarySealedMin(p *Server) int {
-	s := p.sealer.sealed()
-	m := s[0]
-	for _, v := range s {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // waitReplicaCaughtUp blocks until the follower has applied every
-// sealed journal sequence and its WAL sinks reach the primary's
+// durably journaled sequence and its WAL sinks reach the primary's
 // frontiers.
 func waitReplicaCaughtUp(t *testing.T, foll, prim *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		target := primarySealedMin(prim)
+		target := int(prim.journaled.Load())
 		applied := int(foll.follower.appliedSeq.Load())
 		walOK := true
 		for i := range prim.shards {
@@ -70,8 +58,12 @@ func TestReplicaParityAndPromote(t *testing.T) {
 			}
 			ts := httptest.NewServer(prim.Handler())
 			loadAndFinalize(t, ts, b)
+			// Feeds, finalize, and both event encodings: every journal
+			// record kind reaches the follower's stream apply and, at the
+			// promotion's reopen, crash recovery's replay — the shared
+			// applier's two callers.
 			for i, evs := range lifecycleBatches(b) {
-				code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs})
+				code, body := postLifecycleBatch(t, ts, i, evs)
 				if code != http.StatusOK {
 					t.Fatalf("event batch %d: %d %s", i, code, body)
 				}
@@ -207,7 +199,7 @@ func TestReplicaParityAndPromote(t *testing.T) {
 // TestFailoverPromoteMatchesCleanReplay kills the primary abruptly
 // (connections severed, no shutdown), promotes the follower, and checks
 // the promoted node against a clean single-node replay of the
-// follower's own journals: identical per-shard digests and identical
+// follower's own journal: identical per-shard digests and identical
 // diagnose/breakdown bodies.
 func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 	_, b := testBundle(t)
@@ -250,21 +242,14 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Clean replay: the follower's journals, copied verbatim into a fresh
+	// Clean replay: the follower's journal, copied verbatim into a fresh
 	// data dir, opened as a plain single node.
-	for i := 0; i < shards; i++ {
-		src := journalPath(shardDir(follDir, shards, i))
-		dstDir := shardDir(cleanDir, shards, i)
-		if err := os.MkdirAll(dstDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(journalPath(dstDir), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	data, err := os.ReadFile(journalPath(follDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath(cleanDir), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(cleanDir, "SHARDS"), []byte("2\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -336,22 +321,31 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 }
 
 // TestPrepareReplicaState covers the REPLICA marker: a boot-ID change
-// wipes shipped shard state and keeps the follower's stable ID.
+// wipes the shipped state — the root journal and every shard's WAL —
+// and keeps the follower's stable ID. A previous version's per-shard
+// journal is not shipped state: it is left for checkShardMarker to
+// refuse, never silently deleted.
 func TestPrepareReplicaState(t *testing.T) {
 	dir := t.TempDir()
-	id1, err := prepareReplicaState(dir, 1, "boot-a")
+	id1, err := prepareReplicaState(dir, 2, "boot-a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id1 == "" {
 		t.Fatal("empty follower id")
 	}
-	// Same boot: state survives, ID is stable.
-	jp := journalPath(shardDir(dir, 1, 0))
-	if err := os.WriteFile(jp, []byte("journal"), 0o644); err != nil {
+	jp, walDir := journalPath(dir), filepath.Join(shardDir(dir, 2, 1), "wal")
+	old := journalPath(shardDir(dir, 2, 1))
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	id2, err := prepareReplicaState(dir, 1, "boot-a")
+	for _, p := range []string{jp, old} {
+		if err := os.WriteFile(p, []byte("journal"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Same boot: state survives, ID is stable.
+	id2, err := prepareReplicaState(dir, 2, "boot-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,14 +356,52 @@ func TestPrepareReplicaState(t *testing.T) {
 		t.Fatalf("journal wiped on same-boot reopen: %v", err)
 	}
 	// New boot: shipped state wiped, ID still stable.
-	id3, err := prepareReplicaState(dir, 1, "boot-b")
+	id3, err := prepareReplicaState(dir, 2, "boot-b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id3 != id1 {
 		t.Fatalf("follower id changed across resync: %q -> %q", id1, id3)
 	}
-	if _, err := os.Stat(jp); !os.IsNotExist(err) {
-		t.Fatalf("journal survived a boot-ID change: %v", err)
+	for _, p := range []string{jp, walDir} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived a boot-ID change: %v", p, err)
+		}
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("old per-shard journal deleted by the resync wipe: %v", err)
+	}
+}
+
+// TestFetchPrimaryMetaTimesOut: a primary that accepts the connection
+// and never answers must fail the rendezvous after its bounded attempts
+// instead of hanging a starting follower forever.
+func TestFetchPrimaryMetaTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held, never read or answered, until the test ends
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := fetchPrimaryMeta("http://"+ln.Addr().String(), 20*time.Millisecond, time.Millisecond)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("black-hole primary produced a meta document")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fetchPrimaryMeta still blocked on a primary that never answers")
 	}
 }

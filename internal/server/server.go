@@ -400,7 +400,7 @@ func (s *Server) Start(addr string) (string, error) {
 // Shutdown drains gracefully: stop accepting work, let in-flight
 // requests finish, drain every shard's queue and the finisher,
 // force-drain the streaming processors, snapshot each shard, and close
-// the WALs and journals. Safe to call once; the ctx bounds the HTTP
+// the WALs and the journal. Safe to call once; the ctx bounds the HTTP
 // drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.closing)
@@ -439,9 +439,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if e := sh.log.Close(); e != nil && err == nil {
 			err = e
 		}
-		if e := sh.jour.Close(); e != nil && err == nil {
-			err = e
-		}
+	}
+	if e := s.jour.Close(); e != nil && err == nil {
+		err = e
 	}
 	return err
 }

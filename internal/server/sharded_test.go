@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"grca/internal/event"
 	"grca/internal/platform"
+	"grca/internal/store"
 	"grca/internal/wal"
 	"grca/internal/wire"
 )
@@ -97,27 +99,7 @@ func driveLifecycle(t *testing.T, dir string, b platform.Bundle, shards int) lif
 		t.Fatalf("finalize (shards=%d): %d %s", shards, code, body)
 	}
 	for i, evs := range lifecycleBatches(b) {
-		if i%2 == 1 {
-			// Odd batches ride the binary wire format so both journaled
-			// event representations are under differential test.
-			ins, err := decodeEvents(evs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(ts.URL+"/v1/ingest", wire.ContentType,
-				bytes.NewReader(wire.AppendEvents(nil, ins)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wbody, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			record(resp.StatusCode, wbody, fmt.Sprintf("wire event batch %d", i))
-			continue
-		}
-		code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs})
+		code, body := postLifecycleBatch(t, ts, i, evs)
 		record(code, body, fmt.Sprintf("event batch %d", i))
 	}
 	for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
@@ -139,6 +121,21 @@ func driveLifecycle(t *testing.T, dir string, b platform.Bundle, shards int) lif
 		t.Fatal(err)
 	}
 	return out
+}
+
+// postLifecycleBatch posts event batch i: odd batches ride the binary
+// wire format so both journaled event representations (recEvents,
+// recEventsWire) are under differential test.
+func postLifecycleBatch(t *testing.T, ts *httptest.Server, i int, evs []EventJSON) (int, []byte) {
+	t.Helper()
+	if i%2 == 0 {
+		return post(t, ts, "/v1/ingest", IngestRequest{Events: evs})
+	}
+	ins, err := decodeEvents(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postWire(t, ts, wire.AppendEvents(nil, ins))
 }
 
 // TestShardedParityDifferential is the sharded pipeline's correctness
@@ -183,7 +180,7 @@ func TestShardedParityDifferential(t *testing.T) {
 // TestShardedRestartAndPartialWALLoss: a sharded data dir must recover
 // byte-identically after a clean restart, and — the crash-point
 // property — after losing any subset of its shard WALs, which the
-// journals rebuild. The digest must be stable across one more restart
+// journal rebuilds. The digest must be stable across one more restart
 // after the rebuild.
 func TestShardedRestartAndPartialWALLoss(t *testing.T) {
 	_, b := testBundle(t)
@@ -215,7 +212,7 @@ func TestShardedRestartAndPartialWALLoss(t *testing.T) {
 		t.Fatalf("clean restart changed the store digest")
 	}
 	// Lose shard WALs in growing subsets; each recovery must rebuild the
-	// lost shards from the journals and land on the identical store.
+	// lost shards from the journal and land on the identical store.
 	for _, lost := range [][]int{{1}, {0, 2}, {0, 1, 2}} {
 		for _, i := range lost {
 			for _, sub := range []string{"wal", "snap"} {
@@ -319,7 +316,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 }
 
 // TestShardCountPinned: a data directory refuses to reopen with a
-// different shard count — the journals' interleave is a function of N.
+// different shard count — event placement is a function of N.
 func TestShardCountPinned(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
@@ -363,28 +360,104 @@ func TestLegacyLayoutRefusesSharding(t *testing.T) {
 	}
 }
 
-// TestShardedTornJournalTail: a torn frame at the tail of one shard's
-// journal (the batch never acknowledged) must truncate deterministically
-// and leave a consistent, digest-stable store behind.
+// TestOldShardJournalsRefused: a multi-shard data directory written
+// before the single journal still holds shard-<i>/journal.log. Its
+// history is not in the root journal, so opening it must refuse, naming
+// the files, instead of serving an empty (or partial) store.
+func TestOldShardJournalsRefused(t *testing.T) {
+	_, b := testBundle(t)
+	dir := t.TempDir()
+	driveLifecycle(t, dir, b, 2)
+	old := journalPath(filepath.Join(dir, "shard-1"))
+	if err := os.WriteFile(old, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{DataDir: dir, Bundle: b, Shards: 2}); err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("open over %s: err = %v, want a refusal naming it", old, err)
+	}
+}
+
+// TestOffLaneZeroBatchJournaled: the journal has one appender, lane 0,
+// so a batch none of whose events route there must still be journaled
+// (by a journal-only sub-task) before it is acknowledged. The proof is a
+// kill -9 persona: reopen without shutdown, with one involved shard's
+// WAL gone, and the journal alone restores the acknowledged batch.
+func TestOffLaneZeroBatchJournaled(t *testing.T) {
+	_, b := testBundle(t)
+	dir := t.TempDir()
+	const shards = 4
+	s, err := Open(Config{DataDir: dir, Bundle: b, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background()) //nolint:errcheck // the "killed" instance: only reaps its goroutines
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+
+	at := b.Start.Add(b.Duration).Add(time.Hour)
+	var evs []EventJSON
+	lost := -1
+	for i := 0; len(evs) < 6; i++ {
+		loc := LocationJSON{Type: "router", A: fmt.Sprintf("load-r%d", i)}
+		in, err := EventJSON{Name: "synthetic tick", Start: at, End: at, Loc: loc}.instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh := s.st.ShardFor(in.Loc); sh != 0 {
+			evs = append(evs, EventJSON{Name: "synthetic tick", Start: at, End: at, Loc: loc})
+			lost = sh
+		}
+	}
+	lane0, seq := s.shards[0].st.Len(), s.journaled.Load()
+	if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs}); code != http.StatusOK {
+		t.Fatalf("off-lane-0 batch: %d %s", code, body)
+	}
+	if s.shards[0].st.Len() != lane0 {
+		t.Fatal("the batch was meant to route wholly off lane 0")
+	}
+	if got := s.journaled.Load(); got != seq+1 {
+		t.Fatalf("durable journal sequence %d after the ack, want %d", got, seq+1)
+	}
+	want := wal.StoreDigest(s.Store())
+
+	for _, sub := range []string{"wal", "snap"} {
+		if err := os.RemoveAll(filepath.Join(dir, fmt.Sprintf("shard-%d", lost), sub)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := Open(Config{DataDir: dir, Bundle: b, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if !s2.Recovery().WALRebuilt {
+		t.Error("losing a shard WAL did not trigger a rebuild from the journal")
+	}
+	if got := wal.StoreDigest(s2.Store()); got != want {
+		t.Fatal("recovered store differs from the acknowledged one")
+	}
+}
+
+// TestShardedTornJournalTail: a torn frame at the tail of the journal
+// (the batch never acknowledged) must truncate deterministically and
+// leave a consistent, digest-stable store behind.
 func TestShardedTornJournalTail(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
 	const shards = 2
 	before := driveLifecycle(t, dir, b, shards)
 
-	// Append garbage (a torn partial frame) to each shard journal.
-	for i := 0; i < shards; i++ {
-		f, err := os.OpenFile(journalPath(filepath.Join(dir, fmt.Sprintf("shard-%d", i))),
-			os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte{0xFF, 0x13, 0x37}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	// Append garbage (a torn partial frame) to the journal.
+	f, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xFF, 0x13, 0x37}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	s, err := Open(Config{DataDir: dir, Bundle: b, Shards: shards})
 	if err != nil {
@@ -395,6 +468,28 @@ func TestShardedTornJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != before.digest {
-		t.Fatal("torn journal tails changed the recovered store")
+		t.Fatal("a torn journal tail changed the recovered store")
+	}
+}
+
+// TestJournalApplierRejects: a record the applier cannot interpret is an
+// error to both of its callers — recovery refuses the data dir, a
+// follower stops its stream — and never a silent skip.
+func TestJournalApplierRejects(t *testing.T) {
+	ap := journalApplier{st: store.NewSharded(1, store.HashRoute(1))}
+	for name, rec := range map[string][]byte{
+		"truncated":       {0x80},
+		"unknown kind":    encodeRecord(0, 9, "", nil),
+		"bad JSON events": encodeRecord(0, recEvents, "", []byte("{")),
+		"invalid event":   encodeRecord(0, recEvents, "", []byte(`[{"name":""}]`)),
+		"torn wire batch": encodeRecord(0, recEventsWire, "", []byte("GRC")),
+		"wire feed batch": encodeRecord(0, recEventsWire, "", wire.AppendFeed(nil, "syslog", "line\n")),
+	} {
+		if _, err := ap.apply(rec); err == nil {
+			t.Errorf("%s: applied without error", name)
+		}
+	}
+	if ap.st.Len() != 0 {
+		t.Errorf("rejected records stored %d events", ap.st.Len())
 	}
 }

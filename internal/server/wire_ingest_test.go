@@ -38,7 +38,7 @@ func TestWireIngestParity(t *testing.T) {
 	_, b := testBundle(t)
 
 	refDir, fastDir := t.TempDir(), t.TempDir()
-	ref, err := Open(Config{DataDir: refDir, Bundle: b, LegacyParsers: true})
+	ref, err := Open(Config{DataDir: refDir, Bundle: b, legacyParsers: true})
 	if err != nil {
 		t.Fatal(err)
 	}

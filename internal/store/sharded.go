@@ -12,9 +12,8 @@ import (
 )
 
 // Sharded is a Store composed of N independent Memory shards. Each shard
-// has its own lock (and, in the server, its own WAL segment directory,
-// journal, and applier goroutine), so writes to different shards never
-// contend. Event IDs stay globally monotonic via an atomic block
+// has its own lock (and, in the server, its own WAL segment directory
+// and applier goroutine), so writes to different shards never contend. Event IDs stay globally monotonic via an atomic block
 // allocator, which keeps ScanAfter pagination and StoreDigest
 // well-defined across shards; a shard therefore sees a sparse ID
 // subsequence and relies on Memory's gap-tolerant Put.

@@ -49,6 +49,16 @@ func ReplayJournal(path string, fn func(payload []byte) error) (truncated int64,
 	return 0, nil
 }
 
+// JournalSize returns the byte size of the journal at path, 0 for one
+// not yet created.
+func JournalSize(path string) int64 {
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return st.Size()
+}
+
 // OpenJournal opens (creating as needed) the journal at path for
 // appending. Replay first: opening does not validate existing content.
 func OpenJournal(path string) (*Journal, error) {

@@ -53,7 +53,6 @@ import (
 var (
 	mAppends      = obs.GetCounter("wal.appends")
 	mCommits      = obs.GetCounter("wal.commits")
-	mCoalesced    = obs.GetCounter("wal.commits.coalesced")
 	mFsyncs       = obs.GetCounter("wal.fsyncs")
 	mSnapshots    = obs.GetCounter("wal.snapshots")
 	mCompacted    = obs.GetCounter("wal.segments.compacted")
@@ -105,13 +104,6 @@ type Options struct {
 	// exactly as the original run did — recovering with a different
 	// retention than the log was written under yields a different store.
 	Retention time.Duration
-	// GroupWindow, when positive under FsyncBatch, enables group commit:
-	// the first Commit of a burst becomes the leader, waits up to this
-	// long for concurrent committers' records to land in the pending
-	// buffer, then flushes and fsyncs once for the whole group. Commits
-	// whose records were covered by another leader's sync return without
-	// touching the disk at all. Zero keeps one fsync per Commit.
-	GroupWindow time.Duration
 	// ReplayWorkers is the number of goroutines decoding records during
 	// recovery (segments and snapshot alike). The frame scan and the
 	// store applies stay sequential, so the recovered store is
@@ -168,13 +160,6 @@ type Log struct {
 	closed     bool
 	err        error // first write/sync failure; sticky
 
-	// Group commit: records with ID < syncedSeq are on stable storage;
-	// syncing marks a leader inside its window or fsync, and syncCond
-	// (on mu) wakes the followers riding that sync.
-	syncedSeq int
-	syncing   bool
-	syncCond  *sync.Cond
-
 	// pinFn, when set, bounds compaction from below: segments holding
 	// records at or above its return value stay on disk (replication
 	// followers that have not shipped them yet). Guarded by mu.
@@ -197,7 +182,6 @@ func Open(dir string, opts Options) (*Log, *store.Memory, Recovery, error) {
 		}
 	}
 	l := &Log{dir: dir, opts: opts, st: store.New()}
-	l.syncCond = sync.NewCond(&l.mu)
 	if opts.Retention > 0 {
 		l.st.SetRetention(opts.Retention)
 	}
@@ -205,7 +189,6 @@ func Open(dir string, opts Options) (*Log, *store.Memory, Recovery, error) {
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	l.syncedSeq = l.nextSeq // everything recovered is already on disk
 	l.st.OnAppend(l.record)
 	if opts.Fsync == FsyncInterval {
 		l.stop = make(chan struct{})
@@ -251,16 +234,11 @@ func (l *Log) record(in *event.Instance) {
 // FsyncBatch, forces them to disk. It also rotates segments past the size
 // threshold and triggers an auto-snapshot when SnapshotEvery is due.
 // An acknowledged Commit under FsyncBatch means the records survive
-// kill -9. With Options.GroupWindow set, concurrent Commits coalesce
-// into one fsync; the durability contract is unchanged.
+// kill -9. Commit does not coalesce callers: the serving pipeline's
+// per-shard applier is the one committer, and its queue-drain commit
+// group is the one place fsyncs are amortized.
 func (l *Log) Commit() error {
-	var err error
-	if l.opts.Fsync == FsyncBatch && l.opts.GroupWindow > 0 {
-		err = l.groupCommit()
-	} else {
-		err = l.flush(l.opts.Fsync == FsyncBatch)
-	}
-	if err != nil {
+	if err := l.flush(l.opts.Fsync == FsyncBatch); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -274,82 +252,6 @@ func (l *Log) Commit() error {
 
 // Sync flushes and fsyncs regardless of policy.
 func (l *Log) Sync() error { return l.flush(true) }
-
-// groupCommit is Commit under Options.GroupWindow: the caller's records
-// must be durable on return, but the fsync making them so may be issued
-// by any committer. The first arrival becomes the leader; it releases
-// the lock for the window so stragglers can append, then flushes and
-// syncs everything pending. Arrivals during an in-flight sync wait on
-// the condition and usually find their records already covered. The
-// unlocked window lives between two lock-scoped helpers so every
-// critical section is a plain lock/defer pair.
-func (l *Log) groupCommit() error {
-	began := obs.Now()
-	target, lead, err := l.groupEnter()
-	if err != nil || !lead {
-		return err
-	}
-	time.Sleep(l.opts.GroupWindow) // bounded wait for the group to form
-	return l.groupFinish(target, began)
-}
-
-// groupEnter waits out any in-flight sync and decides this committer's
-// role: done (covered by a previous sync or a sticky error) or leader
-// (syncing is set and the caller owns the window).
-func (l *Log) groupEnter() (target int, lead bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	target = l.nextSeq // records this committer needs durable
-	for l.syncing {
-		if l.err != nil || l.syncedSeq >= target {
-			break
-		}
-		l.syncCond.Wait()
-	}
-	if l.err != nil {
-		return 0, false, l.err
-	}
-	if l.syncedSeq >= target {
-		mCoalesced.Inc()
-		return 0, false, nil
-	}
-	if l.closed {
-		return 0, false, fmt.Errorf("wal: log closed")
-	}
-	l.syncing = true
-	return target, true, nil
-}
-
-// groupFinish is the leader's second half: flush and fsync whatever the
-// window gathered, then wake the followers riding this sync.
-func (l *Log) groupFinish(target int, began time.Time) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var err error
-	switch {
-	case l.err != nil:
-		err = l.err
-	case l.syncedSeq >= target && len(l.buf) == 0:
-		// Close (or a snapshot's Sync) flushed everything while the
-		// window was open; nothing left to do.
-	case l.closed:
-		err = fmt.Errorf("wal: log closed")
-	case len(l.buf) > 0:
-		err = l.flushLocked(true, began)
-	default:
-		// Pending buffer drained by a non-syncing path; force the sync
-		// the caller was promised.
-		if err = fileSync(l.seg); err != nil {
-			l.err = err
-		} else {
-			mFsyncs.Inc()
-			l.syncedSeq = l.nextSeq
-		}
-	}
-	l.syncing = false
-	l.syncCond.Broadcast()
-	return err
-}
 
 func (l *Log) flush(sync bool) error {
 	began := obs.Now()
@@ -406,7 +308,6 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 			return err
 		}
 		mFsyncs.Inc()
-		l.syncedSeq = l.nextSeq
 	}
 	l.sinceSnap += l.bufRecords
 	l.buf = l.buf[:0]
