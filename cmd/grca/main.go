@@ -26,16 +26,13 @@ import (
 	"strings"
 	"time"
 
-	"grca/internal/apps/backbone"
+	"grca/internal/apps"
 	"grca/internal/apps/bgpflap"
-	"grca/internal/apps/cdn"
-	"grca/internal/apps/pim"
 	"grca/internal/browser"
 	"grca/internal/collector"
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
-	"grca/internal/netstate"
 	"grca/internal/obs"
 	"grca/internal/platform"
 	"grca/internal/realtime"
@@ -100,25 +97,11 @@ func usage() {
   grca promote -addr URL                 # flip a running replica into a standalone primary`)
 }
 
-type app struct {
-	study   string
-	display func(string) string
-	engine  func(store.Store, *netstate.View) (*engine.Engine, error)
-	title   string
-}
-
-var apps = map[string]app{
-	"bgpflap":  {"bgp", bgpflap.DisplayLabel, bgpflap.NewEngine, "Root Cause Breakdown of BGP Flaps (cf. Table IV)"},
-	"cdn":      {"cdn", cdn.DisplayLabel, cdn.NewEngine, "Root Cause Breakdown of End-to-End RTT Degradations (cf. Table VI)"},
-	"pim":      {"pim", pim.DisplayLabel, pim.NewEngine, "Root Cause Breakdown of PIM Adjacency Losses (cf. Table VIII)"},
-	"backbone": {"backbone", backbone.DisplayLabel, backbone.NewEngine, "Root Cause Breakdown of In-Network Packet Loss (§I scenario)"},
-}
-
 func runApp(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("run: application name required")
 	}
-	a, ok := apps[args[0]]
+	a, ok := apps.Get(args[0])
 	if !ok {
 		return fmt.Errorf("run: unknown application %q", args[0])
 	}
@@ -154,7 +137,7 @@ func runApp(args []string) error {
 		return err
 	}
 	warnDrops(sys.Collector)
-	eng, err := a.engine(sys.Store, sys.View)
+	eng, err := a.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		return err
 	}
@@ -163,8 +146,8 @@ func runApp(args []string) error {
 	ds := eng.DiagnoseAll()
 	elapsed := time.Since(began)
 
-	rows := browser.Breakdown(ds, a.display)
-	if err := browser.WriteTable(os.Stdout, a.title, rows); err != nil {
+	rows := browser.Breakdown(ds, a.DisplayLabel)
+	if err := browser.WriteTable(os.Stdout, a.Title, rows); err != nil {
 		return err
 	}
 	per := time.Duration(0)
@@ -174,7 +157,7 @@ func runApp(args []string) error {
 	fmt.Printf("\n%d symptoms diagnosed in %v (%v/event)\n", len(ds), elapsed.Round(time.Millisecond), per.Round(time.Microsecond))
 
 	if *score && len(bundle.Truth) > 0 {
-		s := platform.ScoreDiagnoses(bundle.Truth, a.study, ds, 10*time.Minute)
+		s := platform.ScoreDiagnoses(bundle.Truth, a.Study, ds, 10*time.Minute)
 		fmt.Printf("ground truth: %d/%d correct (%.1f%%), %d unmatched\n",
 			s.Correct, s.Total, 100*s.Accuracy(), s.Unmatched)
 	}
@@ -286,11 +269,10 @@ func runStats(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("stats: application name or -addr required")
 	}
-	a, ok := apps[args[0]]
+	a, ok := apps.Get(args[0])
 	if !ok {
 		return fmt.Errorf("stats: unknown application %q", args[0])
 	}
-	build := appBuilders[args[0]]
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	data := fs.String("data", "", "dataset bundle directory (required)")
 	stream := fs.Bool("stream", true, "also replay the corpus through the streaming processor")
@@ -309,7 +291,7 @@ func runStats(args []string) error {
 		return err
 	}
 	warnDrops(sys.Collector)
-	eng, err := a.engine(sys.Store, sys.View)
+	eng, err := a.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		return err
 	}
@@ -321,7 +303,7 @@ func runStats(args []string) error {
 	if *stream {
 		// Replay the corpus in availability order so the realtime.* gauges
 		// and grace-wait histogram reflect this dataset too.
-		_, g, err := build()
+		_, g, err := a.Build()
 		if err != nil {
 			return err
 		}
@@ -455,25 +437,17 @@ func runBayes(args []string) error {
 	return nil
 }
 
-// appBuilders maps application names to their Build functions.
-var appBuilders = map[string]func() (*event.Library, *dgraph.Graph, error){
-	"bgpflap":  bgpflap.Build,
-	"cdn":      cdn.Build,
-	"pim":      pim.Build,
-	"backbone": backbone.Build,
-}
-
 // runGraph emits the application's diagnosis graph as Graphviz DOT — a
 // rendering of the paper's Figs. 4, 5, or 6.
 func runGraph(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("graph: application name required")
 	}
-	build, ok := appBuilders[args[0]]
+	a, ok := apps.Get(args[0])
 	if !ok {
 		return fmt.Errorf("graph: unknown application %q", args[0])
 	}
-	lib, g, err := build()
+	lib, g, err := a.Build()
 	if err != nil {
 		return err
 	}
@@ -495,7 +469,7 @@ func runReport(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("report: application name required")
 	}
-	a, ok := apps[args[0]]
+	a, ok := apps.Get(args[0])
 	if !ok {
 		return fmt.Errorf("report: unknown application %q", args[0])
 	}
@@ -516,14 +490,14 @@ func runReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng, err := a.engine(sys.Store, sys.View)
+	eng, err := a.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		return err
 	}
 	ds := eng.DiagnoseAll()
 	return browser.WriteReport(os.Stdout, sys.Store, ds, browser.ReportOptions{
-		Title:    a.title,
-		Display:  a.display,
+		Title:    a.Title,
+		Display:  a.DisplayLabel,
 		TrendBin: *trendBin,
 		View:     sys.View,
 		Metrics:  obs.Default(),
@@ -537,7 +511,7 @@ func runCheck(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("check: application name required")
 	}
-	build, ok := appBuilders[args[0]]
+	a, ok := apps.Get(args[0])
 	if !ok {
 		return fmt.Errorf("check: unknown application %q", args[0])
 	}
@@ -557,7 +531,7 @@ func runCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, g, err := build()
+	_, g, err := a.Build()
 	if err != nil {
 		return err
 	}

@@ -21,9 +21,9 @@ import (
 
 // serveOptions holds serve's flag values.
 type serveOptions struct {
-	addr, dataDir, bundleDir, fsync, metricsAddr, replicaOf   string
-	fsyncEvery, retention, timeout, replicaGrace, replicaPoll time.Duration
-	snapshotEvery, shards, maxInflight, replayWorkers         int
+	addr, dataDir, bundleDir, fsync, metricsAddr, replicaOf string
+	fsyncEvery, retention, timeout, replicaPoll             time.Duration
+	snapshotEvery, shards, maxInflight                      int
 }
 
 // serveFlags registers serve's flags onto o. It is split from runServe
@@ -40,15 +40,12 @@ func serveFlags(o *serveOptions) *flag.FlagSet {
 	fs.IntVar(&o.shards, "shards", 1, "store/WAL shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
 	fs.IntVar(&o.maxInflight, "max-inflight", 64, "per-shard ingest queue depth; beyond it clients get 429")
 	fs.DurationVar(&o.timeout, "request-timeout", 60*time.Second, "per-request applier wait bound")
-	fs.IntVar(&o.replayWorkers, "replay-workers", 0, "WAL recovery decode parallelism (0 = GOMAXPROCS)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve expvar/pprof on a dedicated address (e.g. :6060); "+
 			"when unset, the same handlers are mounted on the main -addr under /debug/")
 	fs.StringVar(&o.replicaOf, "replica-of", "",
 		"run as a live read replica of the primary at this base URL (e.g. http://primary:8080); "+
 			"writes are redirected there until `grca promote`")
-	fs.DurationVar(&o.replicaGrace, "replica-grace", 0,
-		"primary-side WAL retention grace for detached replicas (0 = default)")
 	fs.DurationVar(&o.replicaPoll, "replica-poll", 0,
 		"primary-side shipping poll interval (0 = default)")
 	return fs
@@ -93,9 +90,7 @@ func runServe(args []string) error {
 		Shards:         o.shards,
 		MaxInflight:    o.maxInflight,
 		RequestTimeout: o.timeout,
-		ReplayWorkers:  o.replayWorkers,
 		ReplicaOf:      o.replicaOf,
-		ReplicaGrace:   o.replicaGrace,
 		ReplicaPoll:    o.replicaPoll,
 		// No dedicated metrics listener: expose /debug/ on the main
 		// address so a single-port deployment still has expvar/pprof.

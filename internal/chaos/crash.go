@@ -31,10 +31,29 @@ type CrashResult struct {
 // point the log is abandoned without a commit or close — records buffered
 // since the last acknowledged commit existed only in memory and are lost,
 // exactly as under kill -9 — and the next session recovers from disk and
-// re-delivers from the recovered high-water mark. After the final clean
+// re-delivers what the recovered store is missing. After the final clean
 // shutdown the store is recovered once more and compared byte-for-byte
 // against the original.
 func (inj *Injector) CrashReplay(clean store.Store) (CrashResult, error) {
+	return inj.crashReplay(clean, 1)
+}
+
+// CrashReplaySharded is CrashReplay for the sharded write path: the
+// corpus is delivered through an N-shard store where every shard owns
+// its own WAL, a kill -9 abandons all shard logs at once, and each
+// shard survives only to its own commit horizon — so recovery faces
+// interleaved loss, with different shards torn at different points of
+// the global ID sequence. The same seed crashes at the same events at
+// every shard count.
+func (inj *Injector) CrashReplaySharded(clean store.Store, shards int) (CrashResult, error) {
+	return inj.crashReplay(clean, shards)
+}
+
+// crashReplay is the one crash-restart harness. Each session re-delivers
+// exactly the events missing from the merged store, with their original
+// IDs (the sparse per-shard Put path), and the final recovery must merge
+// back byte-identical to the unperturbed store.
+func (inj *Injector) crashReplay(clean store.Store, shards int) (CrashResult, error) {
 	dir, err := os.MkdirTemp("", "grca-chaos-crash-")
 	if err != nil {
 		return CrashResult{}, err
@@ -58,112 +77,17 @@ func (inj *Injector) CrashReplay(clean store.Store) (CrashResult, error) {
 	}
 	sort.Ints(cuts)
 
-	res := CrashResult{}
-	deliver := func(cut int, crash bool) error {
-		l, st, _, err := wal.Open(dir, opts)
-		if err != nil {
-			return fmt.Errorf("chaos: crash recovery: %v", err)
-		}
-		resume := st.NextID()
-		if crash && resume > cut {
-			// An earlier crash already passed this point; nothing to do.
-			return nil
-		}
-		for i := resume; i < cut; i++ {
-			st.Add(ins[i])
-			if (i+1-resume)%inj.cfg.CrashBatch == 0 {
-				if err := l.Commit(); err != nil {
-					return err
-				}
-			}
-		}
-		if !crash {
-			if err := l.Commit(); err != nil {
-				return err
-			}
-			return l.Close()
-		}
-		// kill -9: walk away. The uncommitted tail of the buffer is lost;
-		// the abandoned descriptors hold only already-acknowledged bytes.
-		res.Crashes++
-		res.Redelivered += cut - int(lastCommitted(resume, cut, inj.cfg.CrashBatch))
-		return nil
-	}
-	for _, cut := range cuts {
-		if err := deliver(cut, true); err != nil {
-			return res, err
-		}
-	}
-	if err := deliver(n, false); err != nil {
-		return res, err
-	}
-
-	// The scored store is what a restarted server would actually see.
-	l, st, _, err := wal.Open(dir, opts)
-	if err != nil {
-		return res, fmt.Errorf("chaos: final recovery: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		return res, err
-	}
-	res.Store = st
-	res.DigestMatch = wal.StoreDigest(st) == wal.StoreDigest(clean)
-	return res, nil
-}
-
-// lastCommitted returns the highest event index covered by an acknowledged
-// commit in a session that resumed at resume and crashed before cut, with
-// commits every batch events.
-func lastCommitted(resume, cut, batch int) int64 {
-	full := (cut - resume) / batch
-	return int64(resume + full*batch)
-}
-
-// CrashReplaySharded is CrashReplay for the sharded write path: the
-// corpus is delivered through an N-shard store where every shard owns
-// its own WAL, a kill -9 abandons all shard logs at once, and each
-// shard survives only to its own commit horizon — so recovery faces
-// interleaved loss, with different shards torn at different points of
-// the global ID sequence. Each session re-delivers exactly the events
-// missing from the merged store, with their original IDs (the sparse
-// per-shard Put path), and the final recovery must merge back
-// byte-identical to the unperturbed store.
-func (inj *Injector) CrashReplaySharded(clean store.Store, shards int) (CrashResult, error) {
-	dir, err := os.MkdirTemp("", "grca-chaos-crash-sharded-")
-	if err != nil {
-		return CrashResult{}, err
-	}
-	defer os.RemoveAll(dir) //nolint:errcheck // best-effort temp cleanup
-
-	_, _, ins := clean.Dump()
-	n := len(ins)
-	opts := wal.Options{SnapshotEvery: 4 * inj.cfg.CrashBatch}
-	route := store.HashRoute(shards)
-
-	// Same crash-point derivation as CrashReplay: the same seed crashes
-	// at the same events in both topologies.
-	rng := inj.rng("crash")
-	pts := map[int]bool{}
-	for len(pts) < inj.cfg.CrashCount && len(pts) < n-1 {
-		pts[1+rng.Intn(n-1)] = true
-	}
-	cuts := make([]int, 0, len(pts))
-	for p := range pts {
-		cuts = append(cuts, p)
-	}
-	sort.Ints(cuts)
-
 	open := func() ([]*wal.Log, *store.Sharded, error) {
 		logs := make([]*wal.Log, shards)
 		mems := make([]*store.Memory, shards)
 		for i := range logs {
 			l, st, _, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), opts)
 			if err != nil {
-				return nil, nil, fmt.Errorf("chaos: sharded crash recovery: %v", err)
+				return nil, nil, fmt.Errorf("chaos: crash recovery: %v", err)
 			}
 			logs[i], mems[i] = l, st
 		}
-		return logs, store.NewShardedOf(mems, route), nil
+		return logs, store.NewShardedOf(mems), nil
 	}
 
 	res := CrashResult{}

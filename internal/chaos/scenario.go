@@ -6,38 +6,12 @@ import (
 	"fmt"
 	"time"
 
-	"grca/internal/apps/backbone"
-	"grca/internal/apps/bgpflap"
-	"grca/internal/apps/cdn"
-	"grca/internal/apps/pim"
+	"grca/internal/apps"
 	"grca/internal/browser"
-	"grca/internal/dgraph"
-	"grca/internal/engine"
-	"grca/internal/event"
-	"grca/internal/netstate"
 	"grca/internal/platform"
 	"grca/internal/realtime"
 	"grca/internal/rollup"
-	"grca/internal/store"
 )
-
-// AppSpec binds one packaged RCA application to the harness.
-type AppSpec struct {
-	Name      string
-	Study     string // ground-truth study key in simnet.Truth
-	NewEngine func(store.Store, *netstate.View) (*engine.Engine, error)
-	Build     func() (*event.Library, *dgraph.Graph, error)
-}
-
-// AppSpecs lists the packaged applications in canonical order.
-func AppSpecs() []AppSpec {
-	return []AppSpec{
-		{"bgpflap", "bgp", bgpflap.NewEngine, bgpflap.Build},
-		{"cdn", "cdn", cdn.NewEngine, cdn.Build},
-		{"pim", "pim", pim.NewEngine, pim.Build},
-		{"backbone", "backbone", backbone.NewEngine, backbone.Build},
-	}
-}
 
 // StreamStats carries the delayed-replay counters of one app's delay
 // scenario.
@@ -128,7 +102,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 	if len(faults) == 0 {
 		faults = AllFaults()
 	}
-	apps, err := selectApps(opts.Apps)
+	selected, err := selectApps(opts.Apps)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +114,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("chaos: clean assemble: %v", err)
 	}
 	cleanAcc := map[string]float64{}
-	for _, a := range apps {
+	for _, a := range selected {
 		sc, err := scoreApp(a, cleanSys, b, opts.Tolerance)
 		if err != nil {
 			return nil, err
@@ -158,7 +132,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 		if f == FaultDelay {
 			// Delay perturbs delivery into the streaming processor, not
 			// the feed text: replay the clean corpus per application.
-			for _, a := range apps {
+			for _, a := range selected {
 				_, g, err := a.Build()
 				if err != nil {
 					return nil, fmt.Errorf("chaos: %s graph: %v", a.Name, err)
@@ -192,7 +166,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 			scen.Crashes, scen.Redelivered, scen.DigestMatch =
 				res.Crashes, res.Redelivered, res.DigestMatch
 			scen.BreakdownMatch = true
-			for _, a := range apps {
+			for _, a := range selected {
 				eng, err := a.NewEngine(res.Store, cleanSys.View)
 				if err != nil {
 					return nil, fmt.Errorf("chaos: %s engine: %v", a.Name, err)
@@ -240,7 +214,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 			scen.StaleFrontier, scen.Total = res.StaleFrontier, res.Total
 			scen.Reconnects, scen.Torn = res.Reconnects, res.Torn
 			scen.DigestMatch = res.DigestMatch
-			for _, a := range apps {
+			for _, a := range selected {
 				eng, err := a.NewEngine(res.Store, cleanSys.View)
 				if err != nil {
 					return nil, fmt.Errorf("chaos: %s engine: %v", a.Name, err)
@@ -264,7 +238,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 		scen.Malformed = sum.Totals.Malformed
 		scen.Quarantined = sum.Quarantined()
 		scen.Dropped = inj.Dropped
-		for _, a := range apps {
+		for _, a := range selected {
 			sc, err := scoreApp(a, sys, b, opts.Tolerance)
 			if err != nil {
 				return nil, err
@@ -277,29 +251,22 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-func selectApps(names []string) ([]AppSpec, error) {
-	all := AppSpecs()
+func selectApps(names []string) ([]apps.App, error) {
 	if len(names) == 0 {
-		return all, nil
+		return apps.All(), nil
 	}
-	var out []AppSpec
+	var out []apps.App
 	for _, name := range names {
-		found := false
-		for _, a := range all {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
+		a, ok := apps.Get(name)
+		if !ok {
 			return nil, fmt.Errorf("chaos: unknown application %q", name)
 		}
+		out = append(out, a)
 	}
 	return out, nil
 }
 
-func scoreApp(a AppSpec, sys *platform.System, b platform.Bundle, tol time.Duration) (AppScore, error) {
+func scoreApp(a apps.App, sys *platform.System, b platform.Bundle, tol time.Duration) (AppScore, error) {
 	eng, err := a.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		return AppScore{}, fmt.Errorf("chaos: %s engine: %v", a.Name, err)

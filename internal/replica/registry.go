@@ -8,6 +8,8 @@ import (
 	"grca/internal/obs"
 )
 
+var mFollowers = obs.GetGauge("replica.source.followers")
+
 // DefaultGrace is how long a disconnected follower's compaction pin
 // survives: segments it has not shipped stay on disk for this window so
 // a transient partition does not force a snapshot re-bootstrap.
@@ -46,11 +48,8 @@ type FollowerStatus struct {
 }
 
 // NewRegistry returns a registry for a primary with the given shard
-// count. grace <= 0 takes DefaultGrace.
+// count; the server passes DefaultGrace.
 func NewRegistry(shards int, grace time.Duration) *Registry {
-	if grace <= 0 {
-		grace = DefaultGrace
-	}
 	return &Registry{shards: shards, grace: grace, followers: map[string]*followerEntry{}}
 }
 
@@ -66,6 +65,7 @@ func (r *Registry) Attach(id string) {
 	}
 	e.streams++
 	e.lastSeen = obs.Now()
+	r.expireLocked()
 }
 
 // Detach drops one stream connection and stamps the grace-window clock.
@@ -78,6 +78,7 @@ func (r *Registry) Detach(id string) {
 		}
 		e.lastSeen = obs.Now()
 	}
+	r.expireLocked()
 }
 
 // NoteJournal records the journal sequence shipped to the
@@ -128,13 +129,17 @@ func (r *Registry) PinWAL(shard int) int {
 	return pin
 }
 
-// expireLocked removes disconnected entries past the grace window.
+// expireLocked removes disconnected entries past the grace window and
+// publishes the follower count. Every path that adds, detaches or lists
+// followers runs it, so the replica.source.followers gauge is what
+// Status would report.
 func (r *Registry) expireLocked() {
 	for id, e := range r.followers {
 		if e.streams == 0 && obs.Since(e.lastSeen) > r.grace {
 			delete(r.followers, id)
 		}
 	}
+	mFollowers.Set(int64(len(r.followers)))
 }
 
 // Status returns every live follower's row, sorted by ID.

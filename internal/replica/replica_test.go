@@ -158,6 +158,35 @@ func TestRegistryPinAndGrace(t *testing.T) {
 	}
 }
 
+// TestRegistryFollowersGauge: replica.source.followers tracks the table
+// through attach, detach and grace expiry — it is what Status reports,
+// not a value stamped once when a journal stream opened.
+func TestRegistryFollowersGauge(t *testing.T) {
+	r := NewRegistry(1, 30*time.Millisecond)
+	check := func(what string, want int) {
+		t.Helper()
+		if got := mFollowers.Value(); got != int64(want) {
+			t.Errorf("%s: gauge = %d, want %d", what, got, want)
+		}
+		if got := len(r.Status()); got != want {
+			t.Errorf("%s: Status lists %d followers, want %d", what, got, want)
+		}
+	}
+	r.Attach("f1")
+	check("one attached", 1)
+	r.Attach("f1") // a second stream of the same follower
+	r.Attach("f2")
+	check("two attached", 2)
+	r.Detach("f2")
+	check("f2 inside its grace window", 2)
+	time.Sleep(60 * time.Millisecond)
+	r.Detach("f1") // one of f1's two streams; the detach also expires f2
+	if got := mFollowers.Value(); got != 1 {
+		t.Errorf("after f2's grace: gauge = %d, want 1", got)
+	}
+	check("f2 expired", 1)
+}
+
 func TestWALSinkWriteScanResume(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenWALSink(dir, 256) // tiny segments to force rotation

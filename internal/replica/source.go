@@ -14,7 +14,6 @@ var (
 	mJournalShipped = obs.GetCounter("replica.source.journal.records")
 	mWALShipped     = obs.GetCounter("replica.source.wal.records")
 	mSnapshots      = obs.GetCounter("replica.source.snapshots.shipped")
-	mFollowers      = obs.GetGauge("replica.source.followers")
 )
 
 // SourceConfig wires a Source into the serving pipeline it streams from.
@@ -181,7 +180,6 @@ func (c *streamConn) push() error {
 func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
 	s.cfg.Registry.Attach(followerID)
 	defer s.cfg.Registry.Detach(followerID)
-	mFollowers.Set(int64(len(s.cfg.Registry.Status())))
 
 	conn := &streamConn{w: w, flush: flush}
 	conn.buf = AppendHello(conn.buf, s.cfg.BootID, s.cfg.Shards, StreamJournal, from)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/engine"
 	"grca/internal/locus"
@@ -49,10 +50,8 @@ func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) (string, fun
 		return "", nil, false
 	}
 	app := r.URL.Query().Get("app")
-	for _, a := range appSpecs() {
-		if a.name == app {
-			return app, a.display, true
-		}
+	if a, ok := apps.Get(app); ok {
+		return app, a.DisplayLabel, true
 	}
 	if app == "" {
 		writeErr(w, http.StatusBadRequest, "app parameter required")
@@ -249,9 +248,9 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	view := s.view
 	if app == "" {
-		for _, a := range appSpecs() {
-			if eng := s.engines[a.name]; eng != nil && eng.Graph.Root == sym.Name {
-				app = a.name
+		for _, a := range apps.All() {
+			if eng := s.engines[a.Name]; eng != nil && eng.Graph.Root == sym.Name {
+				app = a.Name
 				break
 			}
 		}

@@ -77,12 +77,12 @@ func TestResultBrowser(t *testing.T) {
 	t.Run("breakdown parity", func(t *testing.T) {
 		for _, app := range []string{"bgpflap", "cdn"} {
 			spec := specFor(t, app)
-			eng, err := spec.newEngine(sys.Store, sys.View)
+			eng, err := spec.NewEngine(sys.Store, sys.View)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ds := eng.DiagnoseAll()
-			want, _ := json.Marshal(browser.Breakdown(ds, spec.display))
+			want, _ := json.Marshal(browser.Breakdown(ds, spec.DisplayLabel))
 			code, body := get(t, ts, "/v1/breakdown?app="+app)
 			if code != http.StatusOK {
 				t.Fatalf("%s: %d %s", app, code, body)
@@ -422,7 +422,7 @@ func TestSSESlowConsumerEviction(t *testing.T) {
 // matter how large the store is — the default page, the hard cap, and the
 // cursor walk.
 func TestEventsPaginationBounded(t *testing.T) {
-	st := store.NewSharded(1, nil)
+	st := store.NewSharded(1)
 	const total = maxEventsPage + 500
 	t0 := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < total; i++ {

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"grca/internal/apps"
 	"grca/internal/event"
-	"grca/internal/locus"
 )
 
 // batch is one dispatched ingest batch moving through the commit
@@ -114,19 +114,19 @@ func (s *Server) admit(t *task) (*batch, taskResult) {
 	}
 }
 
-// shardOf routes a location, caching the answer: post-finalize routing
-// walks the conversion lattice's component map, and ingest streams
-// concentrate on few distinct locations. The cache lives under
-// dispatchMu and resets when the routing function changes.
-func (s *Server) shardOf(loc locus.Location) int {
-	if i, ok := s.routeCache[loc]; ok {
-		return i
+// reject answers 429 for an admission that found a queue full. Its
+// Retry-After scales with how loaded the whole pipeline is — every shard
+// queue plus the finisher's backlog: an almost-empty pipeline with one
+// hot shard retries fast, a saturated one backs off harder.
+func (s *Server) reject(reason string) (*batch, taskResult) {
+	mRejected.Inc()
+	depth, capacity := s.queueTotals()
+	depth, capacity = depth+len(s.finishQ), capacity+cap(s.finishQ)
+	return nil, taskResult{
+		status:     http.StatusTooManyRequests,
+		err:        fmt.Errorf("%s, retry later", reason),
+		retryAfter: 1 + (3*depth)/max(capacity, 1),
 	}
-	i := s.st.ShardFor(loc)
-	if len(s.routeCache) < 1<<16 {
-		s.routeCache[loc] = i
-	}
-	return i
 }
 
 // dispatchEvents admits a normalized-event batch: reject while any
@@ -146,40 +146,25 @@ func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
 	routes := make([]int, len(t.events))
 	perShard := make([]int, n)
 	for j := range t.events {
-		i := s.shardOf(t.events[j].Loc)
+		i := s.st.ShardFor(t.events[j].Loc)
 		routes[j] = i
 		perShard[i]++
 	}
-	depth, capacity := 0, 0
 	for i, sh := range s.shards {
-		depth += len(sh.queue)
-		capacity += cap(sh.queue)
 		if (i == 0 || perShard[i] > 0) && len(sh.queue) == cap(sh.queue) {
-			mRejected.Inc()
-			// Retry-After scales with how loaded the whole pipeline is:
-			// an almost-empty pipeline with one hot shard retries fast, a
-			// saturated one backs off harder.
-			return nil, taskResult{
-				status:     http.StatusTooManyRequests,
-				err:        fmt.Errorf("ingest queue full (shard %d), retry later", i),
-				retryAfter: 1 + (3*depth)/max(capacity, 1),
-			}
+			return s.reject(fmt.Sprintf("ingest queue full (shard %d)", i))
 		}
 	}
-	mQueueDepth.Set(int64(depth))
 	// The finisher's backlog gates admission too: committed batches sit
 	// in finishQ until the streaming processors catch up, and the send
 	// below happens under dispatchMu, so it must never block. Only
 	// admission (under this lock) sends to finishQ and the finisher only
 	// receives, so a vacancy observed here is still there at the send.
 	if len(s.finishQ) == cap(s.finishQ) {
-		mRejected.Inc()
-		return nil, taskResult{
-			status:     http.StatusTooManyRequests,
-			err:        fmt.Errorf("ingest pipeline backlogged, retry later"),
-			retryAfter: 1 + (3*(depth+len(s.finishQ)))/max(capacity+cap(s.finishQ), 1),
-		}
+		return s.reject("ingest pipeline backlogged")
 	}
+	depth, _ := s.queueTotals()
+	mQueueDepth.Set(int64(depth))
 
 	seq := s.seq
 	s.seq++
@@ -235,13 +220,7 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 	// saturated so the send at the end can never block under dispatchMu.
 	// (Finalize needs no such gate: waitFinisher drains finishQ first.)
 	if len(s.finishQ) == cap(s.finishQ) {
-		mRejected.Inc()
-		depth, capacity := s.queueTotals()
-		return nil, taskResult{
-			status:     http.StatusTooManyRequests,
-			err:        fmt.Errorf("ingest pipeline backlogged, retry later"),
-			retryAfter: 1 + (3*(depth+len(s.finishQ)))/max(capacity+cap(s.finishQ), 1),
-		}
+		return s.reject("ingest pipeline backlogged")
 	}
 	s.barrier()
 	seq := s.seq
@@ -276,7 +255,7 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 // artifacts. It drains the whole pipeline first — the barrier commits
 // every queued event, waitFinisher drains the finisher — so the rollup
 // seed that installServing derives sees exactly the events of all
-// acknowledged batches, and no batch straddles the routing change.
+// acknowledged batches.
 func (s *Server) dispatchFinalize() (*batch, taskResult) {
 	if s.isFinalized() {
 		return nil, errResult(http.StatusConflict, "already finalized")
@@ -498,14 +477,13 @@ func (s *Server) observeStored(stored []*event.Instance) IngestResponse {
 	s.mu.RLock()
 	procs := s.procs
 	s.mu.RUnlock()
-	specs := appSpecs()
 	for _, in := range stored {
 		if in == nil {
 			continue
 		}
 		resp.Stored++
-		for _, a := range specs { // stable app order
-			p, ok := procs[a.name]
+		for _, a := range apps.All() { // stable app order
+			p, ok := procs[a.Name]
 			if !ok {
 				continue
 			}
@@ -515,7 +493,7 @@ func (s *Server) observeStored(stored []*event.Instance) IngestResponse {
 			}
 			for _, d := range ds {
 				dj := diagnosisJSON(d)
-				dj.App = a.name
+				dj.App = a.Name
 				resp.Diagnoses = append(resp.Diagnoses, dj)
 			}
 		}

@@ -15,9 +15,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/conf"
 	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/obs"
 	"grca/internal/replica"
 	"grca/internal/rollup"
@@ -246,12 +246,11 @@ func openFollower(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg: cfg, topo: topo, shards: shards, st: rep.scratch, coll: rep.coll, jour: jour,
-		roll:       rollup.New(rollup.Config{}),
-		hub:        newSSEHub(),
-		seq:        rep.maxSeq + 1,
-		routeCache: map[locus.Location]int{},
-		closing:    make(chan struct{}),
-		follower:   fs,
+		roll:     rollup.New(rollup.Config{}),
+		hub:      newSSEHub(),
+		seq:      rep.maxSeq + 1,
+		closing:  make(chan struct{}),
+		follower: fs,
 		recovery: RecoveryInfo{
 			Batches: rep.batches, Finalized: rep.finalized,
 			Events: rep.scratch.Len(), Shards: n,
@@ -574,8 +573,8 @@ func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 	s.mu.RLock()
 	procs := s.procs
 	s.mu.RUnlock()
-	for _, a := range appSpecs() {
-		if p, ok := procs[a.name]; ok {
+	for _, a := range apps.All() {
+		if p, ok := procs[a.Name]; ok {
 			p.Close()
 		}
 	}

@@ -36,10 +36,10 @@
 //
 // HTTP handlers dispatch batches under a single admission lock that
 // assigns the global sequence number and a dense block of event IDs,
-// splits the batch by the location→shard routing function, and enqueues
-// each sub-batch onto its shard's bounded queue — when an involved queue
-// is full the handler answers 429 with a depth-derived Retry-After
-// instead of buffering, before any ID is allocated, so memory stays
+// splits the batch by each event's shard (a hash of its location), and
+// enqueues each sub-batch onto its shard's bounded queue — when an
+// involved queue is full the handler answers 429 with a depth-derived
+// Retry-After instead of buffering, before any ID is allocated, so memory stays
 // bounded and IDs stay dense under overload. Per-shard applier
 // goroutines drain their queues in commit groups (on lane 0 the journal
 // fsync, then on every lane store inserts and a WAL commit — each
@@ -65,16 +65,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"grca/internal/apps/backbone"
-	"grca/internal/apps/bgpflap"
+	"grca/internal/apps"
 	"grca/internal/apps/cdn"
-	"grca/internal/apps/pim"
 	"grca/internal/collector"
 	"grca/internal/conf"
-	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/netmodel"
 	"grca/internal/netstate"
 	"grca/internal/obs"
@@ -135,25 +131,6 @@ func decodeJournalRecord(p []byte) (seq int, kind byte, source string, body []by
 	return int(sq), kind, string(p[sz : sz+int(n)]), p[sz+int(n):], nil
 }
 
-// appSpec binds one packaged RCA application to the service. display
-// maps raw engine labels to the application's paper-table row names —
-// the Result Browser's breakdown vocabulary.
-type appSpec struct {
-	name      string
-	build     func() (*event.Library, *dgraph.Graph, error)
-	newEngine func(store.Store, *netstate.View) (*engine.Engine, error)
-	display   func(string) string
-}
-
-func appSpecs() []appSpec {
-	return []appSpec{
-		{"bgpflap", bgpflap.Build, bgpflap.NewEngine, bgpflap.DisplayLabel},
-		{"cdn", cdn.Build, cdn.NewEngine, cdn.DisplayLabel},
-		{"pim", pim.Build, pim.NewEngine, pim.DisplayLabel},
-		{"backbone", backbone.Build, backbone.NewEngine, backbone.DisplayLabel},
-	}
-}
-
 // knownSources mirrors the collector's feed switch so an unknown source
 // is rejected before it is journaled.
 var knownSources = map[string]bool{
@@ -204,9 +181,6 @@ type Config struct {
 	// RequestTimeout bounds one request's wait for the commit pipeline
 	// (default 60s).
 	RequestTimeout time.Duration
-	// ReplayWorkers is the WAL's recovery decode parallelism (0 =
-	// GOMAXPROCS).
-	ReplayWorkers int
 	// Debug mounts the expvar/pprof debug handlers under /debug/ on the
 	// main API address — the single-port deployment; a dedicated metrics
 	// listener (obs.ServeDebug) is the alternative.
@@ -217,9 +191,6 @@ type Config struct {
 	// continuously, and redirects writes there. POST
 	// /v1/replication/promote turns it into a primary.
 	ReplicaOf string
-	// ReplicaGrace is how long WAL compaction holds segments for a
-	// recently disconnected follower (default 5m).
-	ReplicaGrace time.Duration
 	// ReplicaPoll is the replication streams' file-tail poll cadence
 	// (default 50ms).
 	ReplicaPoll time.Duration
@@ -276,12 +247,11 @@ type Server struct {
 	coll   *collector.Collector
 
 	// dispatchMu serializes batch admission: sequence numbering, ID block
-	// allocation, shard routing, and queue placement. Feeds and finalize
-	// apply inline under it (they read and mutate collector state), so it
-	// also serializes every collector write and every routing change.
+	// allocation, the split by shard, and queue placement. Feeds and
+	// finalize apply inline under it (they read and mutate collector
+	// state), so it also serializes every collector write.
 	dispatchMu sync.Mutex
 	seq        int
-	routeCache map[locus.Location]int
 
 	// jour is the ingest journal. A primary appends to it from lane 0's
 	// applier (event batches) and, with every lane quiesced behind a
@@ -364,10 +334,10 @@ func shardDir(dataDir string, n, i int) string {
 }
 
 // checkShardMarker binds the data directory to its shard count:
-// per-shard event placement is a function of N, so reopening with a
-// different N would pair each shard's WAL with the wrong slice of the
-// replay. Pre-sharding directories (journal or WAL present, no marker)
-// are adopted as single-shard only — stamping one with n>1 would orphan
+// placement is hash(location) mod N, so reopening with a different N
+// would pair each shard's WAL with the wrong slice of the replay.
+// Pre-sharding directories (journal or WAL present, no marker) are
+// adopted as single-shard only — stamping one with n>1 would orphan
 // its root-level WAL under the shard-<i>/ layout. A multi-shard
 // directory from before the single journal (shard-<i>/journal.log) is
 // refused the same way: its history is not in the root journal.
@@ -432,7 +402,6 @@ func Open(cfg Config) (*Server, error) {
 	walOpts := wal.Options{
 		Fsync: cfg.Fsync, FsyncInterval: cfg.FsyncInterval,
 		SnapshotEvery: cfg.SnapshotEvery, Retention: cfg.Retention,
-		ReplayWorkers: cfg.ReplayWorkers,
 	}
 
 	// Recover every shard's WAL in parallel; a shard that fails here is
@@ -518,7 +487,7 @@ func Open(cfg Config) (*Server, error) {
 	for i := range ws {
 		mems[i] = ws[i].st
 	}
-	st := store.NewShardedOf(mems, store.HashRoute(n))
+	st := store.NewShardedOf(mems)
 	st.SetNext(rep.scratch.NextID())
 
 	// The scratch collector carries the journal's parse state; point it
@@ -544,7 +513,6 @@ func Open(cfg Config) (*Server, error) {
 		roll:        rollup.New(rollup.Config{}),
 		hub:         newSSEHub(),
 		seq:         rep.maxSeq + 1,
-		routeCache:  map[locus.Location]int{},
 		finishQ:     make(chan *batch, n*cfg.MaxInflight+n+1),
 		finishDone:  make(chan struct{}),
 		finishedSeq: rep.maxSeq,
@@ -603,14 +571,6 @@ type replayResult struct {
 	maxSeq    int
 }
 
-// latticeRoute builds the post-finalize location→shard routing function:
-// conversion-lattice components co-shard, everything else spreads by
-// hash of its own key.
-func latticeRoute(view *netstate.View, n int) func(locus.Location) int {
-	m := netstate.BuildShardMap(view)
-	return func(loc locus.Location) int { return m.Shard(loc, n) }
-}
-
 // replayJournal rebuilds the pipeline state recorded in the ingest
 // journal into a fresh collector + sharded store: file order is dispatch
 // order, so dense ID allocation and shard placement replay exactly as
@@ -624,7 +584,7 @@ func replayJournal(cfg Config, topo *netmodel.Topology) (replayResult, error) {
 			rep.shards[i].SetRetention(cfg.Retention)
 		}
 	}
-	rep.scratch = store.NewShardedOf(rep.shards, store.HashRoute(n))
+	rep.scratch = store.NewShardedOf(rep.shards)
 	c := collector.New(topo, rep.scratch, cfg.Bundle.Start.Year())
 	c.LegacyParsers = cfg.legacyParsers
 	c.WindowStart = cfg.Bundle.Start
@@ -633,12 +593,9 @@ func replayJournal(cfg Config, topo *netmodel.Topology) (replayResult, error) {
 
 	ap := journalApplier{
 		coll: c, st: rep.scratch, dep: cfg.Bundle.CDN,
-		// Replay needs only the routing change; Open installs the serving
-		// artifacts once, over the fully recovered store.
+		// Replay only notes the phase; Open installs the serving artifacts
+		// once, over the fully recovered store.
 		serving: func() error {
-			view := netstate.NewView(topo, c.OSPF, c.BGP)
-			cdn.Register(view, cfg.Bundle.CDN)
-			rep.scratch.SetRoute(latticeRoute(view, n))
 			rep.finalized = true
 			return nil
 		},
@@ -669,7 +626,7 @@ type journalApplier struct {
 	st   *store.Sharded
 	dep  cdn.Deployment
 	// serving runs after a finalize record has closed the collector's
-	// feed phase: it installs at least the lattice routing.
+	// feed phase.
 	serving func() error
 	// stored, when set, sees each event record's stored instances.
 	stored func([]*event.Instance)
@@ -731,47 +688,40 @@ func closeFeeds(c *collector.Collector, dep cdn.Deployment) error {
 }
 
 // installServing transitions to the serving phase: routing view, CDN
-// registration, lattice-aware shard routing, per-application engines and
-// streaming processors. With rebuildTails (recovery), each processor
-// re-observes the tail of the stored stream so symptoms still inside
+// registration, per-application engines and streaming processors. With
+// rebuildTails (recovery), each processor re-observes the tail of the stored stream so symptoms still inside
 // their grace window at the crash stay pending instead of vanishing;
 // their already-served diagnoses are discarded. Runs under dispatchMu
 // (finalize) or before concurrency starts (Open).
 func (s *Server) installServing(rebuildTails bool) error {
 	view := netstate.NewView(s.topo, s.coll.OSPF, s.coll.BGP)
 	cdn.Register(view, s.cfg.Bundle.CDN)
-	// From here on, new events co-shard with everything their locations
-	// convert to through the lattice. Events stored under the bootstrap
-	// hash routing stay where they are — reads scatter-gather, so
-	// placement is a locality property, never a correctness one.
-	s.st.SetRoute(latticeRoute(view, len(s.shards)))
-	s.routeCache = map[locus.Location]int{}
 	engines := map[string]*engine.Engine{}
 	traced := map[string]*engine.Engine{}
 	procs := map[string]*realtime.Processor{}
-	for _, a := range appSpecs() {
-		eng, err := a.newEngine(s.st, view)
+	for _, a := range apps.All() {
+		eng, err := a.NewEngine(s.st, view)
 		if err != nil {
-			return fmt.Errorf("server: %s engine: %v", a.name, err)
+			return fmt.Errorf("server: %s engine: %v", a.Name, err)
 		}
-		engines[a.name] = eng
+		engines[a.Name] = eng
 		// A tracing twin rather than a per-request copy: Engine embeds an
 		// atomic cache pointer and must not be copied.
-		teng, err := a.newEngine(s.st, view)
+		teng, err := a.NewEngine(s.st, view)
 		if err != nil {
-			return fmt.Errorf("server: %s engine: %v", a.name, err)
+			return fmt.Errorf("server: %s engine: %v", a.Name, err)
 		}
 		teng.Tracing = true
-		traced[a.name] = teng
-		_, g, err := a.build()
+		traced[a.Name] = teng
+		_, g, err := a.Build()
 		if err != nil {
-			return fmt.Errorf("server: %s graph: %v", a.name, err)
+			return fmt.Errorf("server: %s graph: %v", a.Name, err)
 		}
 		p := realtime.NewOnStore(s.st, view, g, realtime.GraceFor(g, maxEventDuration))
 		if rebuildTails {
 			rebuildTail(s.st, p)
 		}
-		procs[a.name] = p
+		procs[a.Name] = p
 	}
 	// Seed the breakdown rollups: one full-evidence diagnosis of every
 	// stored root symptom per application, so the Result Browser's
@@ -781,17 +731,17 @@ func (s *Server) installServing(rebuildTails bool) error {
 	// deterministically. Symptoms still pending in a processor are
 	// counted too; their eventual grace-elapsed drain re-counts them
 	// with the (by then unchanged) full evidence.
-	for _, a := range appSpecs() {
-		for _, d := range engines[a.name].DiagnoseAllParallel(0) {
-			s.roll.CountDiagnosis(a.name, d)
+	for _, a := range apps.All() {
+		for _, d := range engines[a.Name].DiagnoseAllParallel(0) {
+			s.roll.CountDiagnosis(a.Name, d)
 		}
 	}
 	// Fan live diagnoses out to the rollup counters, the recent ring,
 	// and the SSE stream. Installed after the tail rebuild so its
 	// replayed emissions (already served before the crash) don't reach
 	// the ring.
-	for _, a := range appSpecs() {
-		name := a.name
+	for _, a := range apps.All() {
+		name := a.Name
 		procs[name].OnDiagnosis = func(d engine.Diagnosis) {
 			seq := s.roll.AddDiagnosis(name, d)
 			if s.hub.active() {

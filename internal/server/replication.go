@@ -42,7 +42,7 @@ func newBootID() string {
 func (s *Server) initReplicationSource() {
 	n := len(s.shards)
 	s.bootID = newBootID()
-	s.replReg = replica.NewRegistry(n, s.cfg.ReplicaGrace)
+	s.replReg = replica.NewRegistry(n, replica.DefaultGrace)
 	s.replSrc = replica.NewSource(replica.SourceConfig{
 		BootID:      s.bootID,
 		Shards:      n,

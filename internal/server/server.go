@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/obs"
 	"grca/internal/wire"
 )
@@ -354,6 +355,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		phase = "serving"
 	}
 	depth, capacity := s.queueTotals()
+	shardEvents := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		shardEvents[i] = sh.st.Len()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"phase":    phase,
 		"events":   s.st.Len(),
@@ -364,6 +369,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"shards":         len(s.shards),
 			"queue_depth":    depth,
 			"queue_capacity": capacity,
+			"shard_events":   shardEvents,
 		},
 		"metrics": obs.Default().Snapshot(),
 	})
@@ -427,8 +433,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.RLock()
 	procs := s.procs
 	s.mu.RUnlock()
-	for _, a := range appSpecs() {
-		if p, ok := procs[a.name]; ok {
+	for _, a := range apps.All() {
+		if p, ok := procs[a.Name]; ok {
 			p.Close()
 		}
 	}

@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/collector"
 	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/platform"
 	"grca/internal/simnet"
 	"grca/internal/store"
@@ -111,7 +111,7 @@ func TestDiagnoseParityWithBatch(t *testing.T) {
 
 	for _, app := range []string{"bgpflap", "cdn"} {
 		spec := specFor(t, app)
-		eng, err := spec.newEngine(sys.Store, sys.View)
+		eng, err := spec.NewEngine(sys.Store, sys.View)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,15 +180,13 @@ func TestDiagnoseParityWithBatch(t *testing.T) {
 	}
 }
 
-func specFor(t *testing.T, name string) appSpec {
+func specFor(t *testing.T, name string) apps.App {
 	t.Helper()
-	for _, a := range appSpecs() {
-		if a.name == name {
-			return a
-		}
+	a, ok := apps.Get(name)
+	if !ok {
+		t.Fatalf("no app %q", name)
 	}
-	t.Fatalf("no app %q", name)
-	return appSpec{}
+	return a
 }
 
 // TestRestartRecovery: a served corpus survives shutdown and reopen —
@@ -339,45 +337,66 @@ func TestIngestValidation(t *testing.T) {
 }
 
 // TestBackpressure429: a full ingest queue answers 429 + Retry-After
-// instead of buffering. The applier is deliberately absent, so the queue
-// stays full.
+// instead of buffering. The appliers are deliberately absent, so the
+// queues stay as filled: dispatch must reject at admission, before
+// consuming a sequence number or IDs, and Retry-After must grow with the
+// depth of the whole pipeline, not stop at the first full lane.
 func TestBackpressure429(t *testing.T) {
-	// A server whose only shard queue is pre-filled and has no applier:
-	// dispatch must reject at admission, before consuming a sequence
-	// number or IDs.
-	s := &Server{
-		cfg:        Config{MaxInflight: 2, RequestTimeout: time.Second},
-		st:         store.NewSharded(1, nil),
-		routeCache: map[locus.Location]int{},
-		closing:    make(chan struct{}),
-	}
-	s.shards = []*shard{{queue: make(chan shardTask, 2)}}
-	s.shards[0].queue <- shardTask{}
-	s.shards[0].queue <- shardTask{}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	const inflight = 2
+	for _, tc := range []struct {
+		name       string
+		shards     int
+		otherLanes int // tasks queued on each lane but 0, which is always full
+		wantRA     int
+	}{
+		{name: "shards=1", shards: 1, wantRA: 4},
+		// Lane 0 full (it counts for every batch), the other three idle:
+		// 2 of 8 slots.
+		{name: "shards=4 one hot lane", shards: 4, otherLanes: 0, wantRA: 1},
+		{name: "shards=4 half loaded", shards: 4, otherLanes: 1, wantRA: 2},
+		{name: "shards=4 saturated", shards: 4, otherLanes: inflight, wantRA: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Server{
+				cfg:     Config{MaxInflight: inflight, RequestTimeout: time.Second},
+				st:      store.NewSharded(tc.shards),
+				closing: make(chan struct{}),
+			}
+			for i := 0; i < tc.shards; i++ {
+				sh := &shard{idx: i, queue: make(chan shardTask, inflight)}
+				fill := tc.otherLanes
+				if i == 0 {
+					fill = inflight
+				}
+				for j := 0; j < fill; j++ {
+					sh.queue <- shardTask{}
+				}
+				s.shards = append(s.shards, sh)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	data, _ := json.Marshal(IngestRequest{Events: []EventJSON{{
-		Name: "x", Start: time.Unix(0, 0).UTC(), End: time.Unix(1, 0).UTC(),
-		Loc: LocationJSON{Type: "router", A: "r0"},
-	}}})
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	// Retry-After scales with queue depth: a fully loaded pipeline
-	// (depth 2 of 2) must push clients beyond the old constant 1s.
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 2 {
-		t.Errorf("Retry-After = %q, want a depth-derived value >= 2",
-			resp.Header.Get("Retry-After"))
-	}
-	if s.seq != 0 || s.st.NextID() != 0 {
-		t.Errorf("rejection consumed seq=%d nextID=%d, want neither", s.seq, s.st.NextID())
+			data, _ := json.Marshal(IngestRequest{Events: []EventJSON{{
+				Name: "x", Start: time.Unix(0, 0).UTC(), End: time.Unix(1, 0).UTC(),
+				Loc: LocationJSON{Type: "router", A: "r0"},
+			}}})
+			resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status = %d, want 429", resp.StatusCode)
+			}
+			ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if err != nil || ra != tc.wantRA {
+				t.Errorf("Retry-After = %q, want the depth-derived %d",
+					resp.Header.Get("Retry-After"), tc.wantRA)
+			}
+			if s.seq != 0 || s.st.NextID() != 0 {
+				t.Errorf("rejection consumed seq=%d nextID=%d, want neither", s.seq, s.st.NextID())
+			}
+		})
 	}
 }
 

@@ -37,10 +37,9 @@ type lifecycleOutcome struct {
 
 // lifecycleBatches builds the post-finalize event stream the harness
 // replays identically against every shard count: EBGPFlap symptoms on
-// real PERs (co-sharded with their PoP components by the lattice)
-// interleaved with synthetic ticks on unknown routers (spread across
-// shards by hash), so every batch exercises the cross-shard split and
-// the streaming-diagnosis path.
+// real PERs interleaved with synthetic ticks on unknown routers, all
+// spread across shards by the hash of their locations, so every batch
+// exercises the cross-shard split and the streaming-diagnosis path.
 func lifecycleBatches(b platform.Bundle) [][]EventJSON {
 	at := b.Start.Add(b.Duration).Add(time.Hour)
 	var batches [][]EventJSON
@@ -201,6 +200,13 @@ func TestShardedRestartAndPartialWALLoss(t *testing.T) {
 		if rec.WALRebuilt != wantRebuilt {
 			t.Errorf("%s: WALRebuilt = %v, want %v", what, rec.WALRebuilt, wantRebuilt)
 		}
+		ts := httptest.NewServer(s.Handler())
+		for app, want := range before.diagnose {
+			if _, got := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true}); !bytes.Equal(got, want) {
+				t.Errorf("%s: diagnose %s differs from the undisturbed run", what, app)
+			}
+		}
+		ts.Close()
 		d := wal.StoreDigest(s.Store())
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -228,6 +234,81 @@ func TestShardedRestartAndPartialWALLoss(t *testing.T) {
 		if d := reopen(false, what+" (second restart)"); d != before.digest {
 			t.Fatalf("%s: digest not stable across a second restart", what)
 		}
+	}
+
+	// Intact WALs holding the wrong events: swap two shards' wal/+snap/
+	// dirs, which is what a data dir written under another placement
+	// function looks like to this one. Nothing is torn or missing, so only
+	// the digest reconcile can notice; it must rebuild both shards from
+	// the journal.
+	for _, sub := range []string{"wal", "snap"} {
+		a, c := filepath.Join(dir, "shard-0", sub), filepath.Join(dir, "shard-1", sub)
+		tmp := a + ".swap"
+		for _, mv := range [][2]string{{a, tmp}, {c, a}, {tmp, c}} {
+			if err := os.Rename(mv[0], mv[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if d := reopen(true, "swapped shard dirs"); d != before.digest {
+		t.Fatal("swapped shard dirs: recovered digest differs")
+	}
+	if d := reopen(false, "swapped shard dirs (second restart)"); d != before.digest {
+		t.Fatal("swapped shard dirs: digest not stable across a second restart")
+	}
+}
+
+// TestShardedPlacementSpreads: the bundle's own events — the ones on
+// topology locations, which a connected network's conversion lattice
+// relates into one component — must spread over the commit lanes after
+// finalize like any others, or -shards buys nothing for real traffic.
+func TestShardedPlacementSpreads(t *testing.T) {
+	d, b := testBundle(t)
+	const shards = 4
+	s, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+
+	sys, err := platform.FromDataset(d, platform.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []EventJSON
+	for _, name := range sys.Store.Names() {
+		for _, in := range sys.Store.All(name) {
+			ej := eventJSON(in)
+			ej.ID = 0
+			evs = append(evs, ej)
+		}
+	}
+	before := make([]int, shards)
+	for i, sh := range s.shards {
+		before[i] = sh.st.Len()
+	}
+	for len(evs) > 0 {
+		n := min(len(evs), 500)
+		if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs[:n]}); code != http.StatusOK {
+			t.Fatalf("event batch: %d %s", code, body)
+		}
+		evs = evs[n:]
+	}
+	total, most := 0, 0
+	for i, sh := range s.shards {
+		n := sh.st.Len() - before[i]
+		total += n
+		most = max(most, n)
+	}
+	if total == 0 {
+		t.Fatal("no topology events were stored")
+	}
+	if share := float64(most) / float64(total); share > 0.6 {
+		t.Errorf("one shard holds %d of %d post-finalize topology events (%.0f%%), want at most 60%%",
+			most, total, 100*share)
 	}
 }
 
@@ -476,7 +557,7 @@ func TestShardedTornJournalTail(t *testing.T) {
 // error to both of its callers — recovery refuses the data dir, a
 // follower stops its stream — and never a silent skip.
 func TestJournalApplierRejects(t *testing.T) {
-	ap := journalApplier{st: store.NewSharded(1, store.HashRoute(1))}
+	ap := journalApplier{st: store.NewSharded(1)}
 	for name, rec := range map[string][]byte{
 		"truncated":       {0x80},
 		"unknown kind":    encodeRecord(0, 9, "", nil),

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -24,25 +23,11 @@ import (
 // indistinguishable from a Memory fed the same sequence of writes.
 type Sharded struct {
 	shards []*Memory
-	route  func(locus.Location) int
 	next   atomic.Int64
 }
 
-// HashRoute returns a deterministic location→shard function over n
-// shards keyed on the location's canonical Key. It is the fallback
-// router for locations outside any known topology component.
-func HashRoute(n int) func(locus.Location) int {
-	return func(loc locus.Location) int {
-		h := fnv.New32a()
-		h.Write([]byte(loc.Key()))
-		return int(h.Sum32() % uint32(n))
-	}
-}
-
-// NewSharded returns a Sharded store of n fresh shards. route maps a
-// location to a shard index in [0,n); it must be deterministic. A nil
-// route falls back to HashRoute(n).
-func NewSharded(n int, route func(locus.Location) int) *Sharded {
+// NewSharded returns a Sharded store of n fresh shards.
+func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
@@ -50,15 +35,15 @@ func NewSharded(n int, route func(locus.Location) int) *Sharded {
 	for i := range shards {
 		shards[i] = New()
 	}
-	return newShardedOf(shards, route)
+	return &Sharded{shards: shards}
 }
 
 // NewShardedOf assembles a Sharded store over existing shards (the
 // recovery path: each shard was rebuilt by its own WAL). The caller must
 // SetNext to the recovered global ID frontier; until then the allocator
 // resumes from the highest frontier any shard has seen.
-func NewShardedOf(shards []*Memory, route func(locus.Location) int) *Sharded {
-	s := newShardedOf(shards, route)
+func NewShardedOf(shards []*Memory) *Sharded {
+	s := &Sharded{shards: shards}
 	next := 0
 	for _, sh := range shards {
 		if n := sh.NextID(); n > next {
@@ -69,38 +54,41 @@ func NewShardedOf(shards []*Memory, route func(locus.Location) int) *Sharded {
 	return s
 }
 
-func newShardedOf(shards []*Memory, route func(locus.Location) int) *Sharded {
-	if route == nil {
-		route = HashRoute(len(shards))
-	}
-	return &Sharded{shards: shards, route: route}
-}
-
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// SetRoute replaces the location→shard routing function. Routing is a
-// placement decision only — reads scatter-gather, so events stored under
-// the old route stay correct — but replacing it must be externally
-// serialized with every Add/AddAll/ShardFor caller (the server swaps
-// routes under its dispatch lock, where all writes originate).
-func (s *Sharded) SetRoute(route func(locus.Location) int) {
-	if route == nil {
-		route = HashRoute(len(s.shards))
-	}
-	s.route = route
-}
 
 // Shard returns the i'th shard.
 func (s *Sharded) Shard(i int) *Memory { return s.shards[i] }
 
-// ShardFor returns the shard index a location routes to.
+// ShardFor returns the shard index a location is placed on: FNV-1a of
+// the location's canonical Key, mod the shard count. Placement is a pure
+// function of the event's own location, fixed for the life of a data
+// dir; the hash runs over the key's parts so the hot path never builds
+// the string.
 func (s *Sharded) ShardFor(loc locus.Location) int {
-	i := s.route(loc)
-	if i < 0 || i >= len(s.shards) {
+	n := len(s.shards)
+	if n == 1 {
 		return 0
 	}
-	return i
+	h := fnvAdd(fnvOffset32, loc.Type.String())
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, loc.A)
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, loc.B)
+	return int(h % uint32(n))
+}
+
+// 32-bit FNV-1a, as hash/fnv computes it.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+func fnvAdd(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime32
+	}
+	return h
 }
 
 // AllocBlock atomically reserves n consecutive global IDs and returns
@@ -222,10 +210,8 @@ func (s *Sharded) QueryFunc(name string, from, to time.Time, keep func(*event.In
 	return mergeByStart(per)
 }
 
-// QueryAt restricts Query to one exact location. It still scatters
-// across every shard: the routing function may change over the server's
-// lifetime (hash routing before the topology is known, lattice routing
-// after), so reads never assume placement.
+// QueryAt restricts Query to one exact location. Like every read it
+// scatters across all shards: reads never assume placement.
 func (s *Sharded) QueryAt(name string, from, to time.Time, loc locus.Location) []*event.Instance {
 	per := make([][]*event.Instance, 0, len(s.shards))
 	for _, sh := range s.shards {

@@ -42,7 +42,7 @@ func TestShardedEvictionRetentionParity(t *testing.T) {
 
 	single := New()
 	single.SetRetention(retention)
-	sharded := NewSharded(4, nil)
+	sharded := NewSharded(4)
 	sharded.SetRetention(retention)
 	if sharded.Retention() != retention {
 		t.Fatalf("sharded retention = %v", sharded.Retention())

@@ -6,7 +6,9 @@
 #   3. stream normalized events with grca-load over BOTH ingest
 #      encodings (JSON and the binary wire format), recording each
 #      throughput and the /v1/breakdown latency at a small and a ~10x
-#      larger store (the rollup keeps it flat; the ratio is gated)
+#      larger store (the rollup keeps it flat; the ratio is gated), then
+#      print /v1/stats' per-shard event counts and fail if one shard
+#      holds more than 60% of them
 #   4. exercise the Result Browser: breakdown, trend, drilldown, and one
 #      SSE diagnosis event, failing on non-200 or empty aggregates
 #   5. diagnose, SIGTERM, restart (timed), and assert the event count,
@@ -21,9 +23,9 @@
 #   7. repeat the binary stream against a fresh -shards=1 data dir and
 #      gate the sharded/single speedup (>= SERVE_SMOKE_MIN_SHARD_RATIO,
 #      only when the box has >= 4 cores — shards can't beat one commit
-#      lane without cores to run on)
-#   8. gate events/s per encoding against the committed BENCH_SERVE.json
-#      (>10% regression fails; override with SERVE_SMOKE_MAX_REGRESSION)
+#      lane without cores to run on) and the absolute events/s floor
+#      (SERVE_SMOKE_MIN_EPS); `go run ./bench` is the measurement, so
+#      nothing here compares against a committed number
 #
 # Usage: scripts/serve_smoke.sh [out.json]
 #   out.json  where to write the throughput report (default BENCH_SERVE.json)
@@ -42,10 +44,6 @@ MIN_EPS="${SERVE_SMOKE_MIN_EPS:-20000}"
 # must stay roughly flat as the store grows ~10x. The gate is lenient
 # (sub-ms latencies are noisy on shared CI boxes).
 MAX_P99_RATIO="${SERVE_SMOKE_MAX_P99_RATIO:-1.5}"
-# Allowed fractional events/s drop per encoding vs the committed report
-# (0.10 = fail on >10% regression). CI runners with unpredictable
-# neighbors relax this and rely on the absolute MIN_EPS floor.
-MAX_REGRESSION="${SERVE_SMOKE_MAX_REGRESSION:-0.10}"
 # Shard count for the main run, and the binary-ingest speedup the sharded
 # run must show over a single-shard run of the same stream. The ratio is
 # gated only on boxes with >= 4 cores; the measured value is always
@@ -55,14 +53,6 @@ SHARDS="${SERVE_SMOKE_SHARDS:-4}"
 MIN_SHARD_RATIO="${SERVE_SMOKE_MIN_SHARD_RATIO:-1.8}"
 CORES=$(nproc)
 GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
-
-# Capture the committed baseline before this run overwrites it.
-BASELINE=""
-if [ -f "$OUT" ]; then
-  BASELINE="$WORK/baseline.json"
-  mkdir -p "$WORK"
-  cp "$OUT" "$BASELINE"
-fi
 
 cleanup() {
   for pid in "$SERVE_PID" "$REPLICA_PID"; do
@@ -122,6 +112,16 @@ echo "== streaming 90k more events over JSON ingest"
 echo "== streaming 90k more events over binary wire ingest (large-store breakdown probe)"
 "$WORK/bin/grca-load" -addr "$BASE" -events 90000 -batch 1000 -c 4 \
   -wire binary -probe "$PROBE" -probes 300 -o "$WORK/load-binary.json"
+
+echo "== per-shard placement after the -shards=$SHARDS streams"
+curl -fsS "$BASE/v1/stats" | python3 -c '
+import json, sys
+per = json.load(sys.stdin)["pipeline"]["shard_events"]
+share = max(per) / max(sum(per), 1)
+print(f"   shard_events: {per} (largest share {share:.0%})")
+if len(per) > 1 and share > 0.6:
+    sys.exit(f"serve_smoke: FAIL — one of {len(per)} shards holds {share:.0%} of the events (> 60%)")
+' || exit 1
 
 echo "== exercising the Result Browser endpoints"
 browse() { # browse <path> <python-expr over parsed json r> <label>
@@ -319,17 +319,16 @@ stop_serve
 
 # Merge the load runs into one report (the sharded binary run is the
 # headline; its probe run saw the largest store), gate the breakdown
-# growth ratio, the absolute events/s floor, the sharded/single-shard
-# speedup (>= 4 cores only), and the per-encoding regression vs the
-# committed baseline (skipped when no baseline was present).
+# growth ratio, the absolute events/s floor, and the sharded/single-shard
+# speedup (>= 4 cores only).
 python3 - "$OUT" "$WORK/load-small.json" "$WORK/load-json.json" "$WORK/load-binary.json" \
-  "$WORK/load-shard1.json" "${BASELINE:-}" "$MAX_P99_RATIO" "$MIN_EPS" "$MAX_REGRESSION" \
+  "$WORK/load-shard1.json" "$MAX_P99_RATIO" "$MIN_EPS" \
   "$RESTART_SECONDS" "$EVENTS_AFTER" "$SHARDS" "$CORES" "$GOMAXPROCS_EFF" "$MIN_SHARD_RATIO" <<'PYEOF'
 import json, sys
-(out, small_path, json_path, bin_path, shard1_path, baseline_path,
- max_ratio, min_eps, max_reg, restart_s, restart_events,
- shards, cores, gomaxprocs, min_shard_ratio) = sys.argv[1:16]
-max_ratio, min_eps, max_reg = float(max_ratio), int(min_eps), float(max_reg)
+(out, small_path, json_path, bin_path, shard1_path,
+ max_ratio, min_eps, restart_s, restart_events,
+ shards, cores, gomaxprocs, min_shard_ratio) = sys.argv[1:14]
+max_ratio, min_eps = float(max_ratio), int(min_eps)
 shards, cores, gomaxprocs = int(shards), int(cores), int(gomaxprocs)
 min_shard_ratio = float(min_shard_ratio)
 small = json.load(open(small_path))
@@ -390,25 +389,6 @@ for mode in ("json", "binary"):
         print(f"serve_smoke: FAIL — {mode} ingest {rep[f'events_per_sec_{mode}']:.0f} events/s "
               f"below floor {min_eps}", file=sys.stderr)
         failed = True
-if baseline_path:
-    base = json.load(open(baseline_path))
-    for mode in ("json", "binary"):
-        want = base.get(f"events_per_sec_{mode}")
-        if want is None and mode == "binary":
-            # Pre-dual-encoding baseline: its single number was JSON-path.
-            continue
-        if want is None:
-            want = base.get("events_per_sec")
-        if want is None:
-            continue
-        floor = want * (1.0 - max_reg)
-        got = rep[f"events_per_sec_{mode}"]
-        if got < floor:
-            print(f"serve_smoke: FAIL — {mode} ingest regressed to {got:.0f} events/s "
-                  f"(< {floor:.0f} = baseline {want:.0f} - {max_reg:.0%})", file=sys.stderr)
-            failed = True
-else:
-    print("   (no committed baseline found; regression gate skipped)")
 sys.exit(1 if failed else 0)
 PYEOF
 
