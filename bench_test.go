@@ -441,8 +441,9 @@ func BenchmarkDiagnosisLatencyBGP(b *testing.B) { benchLatency(b, bgpCorpus(b), 
 
 // BenchmarkDiagnosisLatencyBGPObsOff is BenchmarkDiagnosisLatencyBGP with
 // the metrics registry gated off (obs.SetEnabled(false)); the pair bounds
-// the always-on instrumentation overhead, budgeted at ≤5%
-// (BENCH_BASELINE.json records the measured delta).
+// the always-on instrumentation overhead on a diagnosis, budgeted at
+// ≤5%. (`go run ./bench -trace` reports traced vs untraced ingest rate
+// as trace.overhead_share.)
 func BenchmarkDiagnosisLatencyBGPObsOff(b *testing.B) {
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(true)
@@ -526,9 +527,10 @@ func BenchmarkParallelDiagnosis(b *testing.B) {
 
 // BenchmarkChaosParallelDiagnosis measures DiagnoseAllParallel throughput
 // on the clean BGP corpus versus the same corpus ingested from 10%-faulted
-// feeds (skew + reorder + duplicate + truncate; see BENCH_CHAOS.json for
-// the recorded comparison). Accuracy is reported alongside so a throughput
-// win can't hide an evidence loss.
+// feeds (skew + reorder + duplicate + truncate). Accuracy is reported
+// alongside so a throughput win can't hide an evidence loss; the
+// per-fault accuracy bounds themselves are asserted by
+// internal/chaos/matrix_test.go.
 func BenchmarkChaosParallelDiagnosis(b *testing.B) {
 	for _, v := range []struct {
 		name string

@@ -22,7 +22,7 @@ import (
 // serveOptions holds serve's flag values.
 type serveOptions struct {
 	addr, dataDir, bundleDir, fsync, metricsAddr, replicaOf string
-	fsyncEvery, retention, timeout, replicaPoll             time.Duration
+	fsyncEvery, retention, timeout                          time.Duration
 	snapshotEvery, shards, maxInflight                      int
 }
 
@@ -46,8 +46,6 @@ func serveFlags(o *serveOptions) *flag.FlagSet {
 	fs.StringVar(&o.replicaOf, "replica-of", "",
 		"run as a live read replica of the primary at this base URL (e.g. http://primary:8080); "+
 			"writes are redirected there until `grca promote`")
-	fs.DurationVar(&o.replicaPoll, "replica-poll", 0,
-		"primary-side shipping poll interval (0 = default)")
 	return fs
 }
 
@@ -91,7 +89,6 @@ func runServe(args []string) error {
 		MaxInflight:    o.maxInflight,
 		RequestTimeout: o.timeout,
 		ReplicaOf:      o.replicaOf,
-		ReplicaPoll:    o.replicaPoll,
 		// No dedicated metrics listener: expose /debug/ on the main
 		// address so a single-port deployment still has expvar/pprof.
 		Debug: o.metricsAddr == "",

@@ -456,6 +456,31 @@ func TestServeJournalTail(t *testing.T) {
 	stop()
 }
 
+// TestFileTailIdleFillAllocatesNothing: every live stream polls fill
+// each Poll for as long as a follower is attached, so a fill that finds
+// nothing new must not touch the heap.
+func TestFileTailIdleFillAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.log")
+	if err := os.WriteFile(path, wal.AppendFrame(nil, []byte("rec")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tail := &fileTail{path: path}
+	defer tail.close()
+	frames := 0
+	push := func([]byte) error { frames++; return nil }
+	if _, err := tail.fill(push); err != nil || frames != 1 {
+		t.Fatalf("first fill delivered %d frames, err %v; want 1", frames, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if progress, err := tail.fill(push); progress || err != nil {
+			t.Fatalf("idle fill: progress %v, err %v", progress, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("idle fill allocates %.0f times per poll, want 0", allocs)
+	}
+}
+
 func TestServeWALLiveTailAndDigest(t *testing.T) {
 	// Records written while the stream is live — across segment rotations
 	// and snapshots (compaction racing the stream) — must all arrive, and

@@ -96,6 +96,7 @@ type fileTail struct {
 	f     *os.File
 	off   int64 // next read offset
 	carry []byte
+	buf   []byte // read buffer, kept across fills: an idle poll allocates nothing
 }
 
 // fill reads everything currently readable and pushes each complete
@@ -111,13 +112,15 @@ func (t *fileTail) fill(push func(payload []byte) error) (bool, error) {
 		}
 		t.f = f
 	}
+	if t.buf == nil {
+		t.buf = make([]byte, 1<<18)
+	}
 	progress := false
-	buf := make([]byte, 1<<18)
 	for {
-		n, err := t.f.ReadAt(buf, t.off)
+		n, err := t.f.ReadAt(t.buf, t.off)
 		if n > 0 {
 			t.off += int64(n)
-			t.carry = append(t.carry, buf[:n]...)
+			t.carry = append(t.carry, t.buf[:n]...)
 			for {
 				payload, rest, ok := wal.ReadFrame(t.carry)
 				if !ok {

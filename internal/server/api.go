@@ -86,9 +86,10 @@ type IngestResponse struct {
 	// Stored is how many normalized instances the batch added to the
 	// store (for feeds, after parsing/detection; raw lines in ≠ events out).
 	Stored int `json:"stored"`
-	// Lines/Malformed report feed-mode parse volume for this server's
-	// lifetime source stats delta is not tracked per batch; totals live
-	// in /v1/stats.
+	// Late counts (event, application) pairs whose event arrived behind
+	// that application's stream clock by more than its grace period: the
+	// event is stored, but symptoms it might explain were already
+	// diagnosed without it. Feed-mode parse totals live in /v1/stats.
 	Late int `json:"late,omitempty"`
 	// Diagnoses carries streaming diagnoses emitted by this batch
 	// (normalized-event mode after finalize).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -123,10 +124,36 @@ func fetchPrimaryMeta(base string, perAttempt, backoff time.Duration) (Replicati
 	return meta, fmt.Errorf("server: primary %s: %v", base, lastErr)
 }
 
+// ErrPrimaryHistory refuses a replica whose data directory has no
+// REPLICA marker yet holds a journal, WAL or snapshots: a primary wrote
+// them (an ex-primary rejoining after a failover), and what it
+// acknowledged past the failover point was never shipped. Resuming on
+// top of it would report "caught up" over a store that differs from the
+// new primary's; deleting it is the operator's call.
+var ErrPrimaryHistory = errors.New("server: data dir holds a primary's history; a replica must start on an empty directory")
+
+// primaryState returns the first piece of durable serving state found
+// under dataDir ("" when there is none).
+func primaryState(dataDir string, n int) string {
+	paths := []string{journalPath(dataDir)}
+	for i := 0; i < n; i++ {
+		dir := shardDir(dataDir, n, i)
+		paths = append(paths, wal.WALDirOf(dir), wal.SnapDirOf(dir))
+	}
+	for _, p := range paths {
+		if _, err := os.Stat(p); err == nil {
+			return p
+		}
+	}
+	return ""
+}
+
 // prepareReplicaState reconciles the data dir with the primary
 // incarnation: same boot ID resumes the shipped state, a different one
 // wipes it (sequences may have been renumbered; shipped history can
-// only be replaced). Returns this follower's stable stream ID.
+// only be replaced). The marker is written before any shipped state, so
+// state without a marker is a primary's and is refused
+// (ErrPrimaryHistory). Returns this follower's stable stream ID.
 func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 	path := replicaFile(dataDir)
 	id := ""
@@ -156,6 +183,10 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 		}
 	case !os.IsNotExist(err):
 		return "", err
+	default:
+		if p := primaryState(dataDir, n); p != "" {
+			return "", fmt.Errorf("%w (found %s)", ErrPrimaryHistory, p)
+		}
 	}
 	if id == "" {
 		id = "replica-" + newBootID()

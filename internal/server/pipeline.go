@@ -191,9 +191,6 @@ type Config struct {
 	// continuously, and redirects writes there. POST
 	// /v1/replication/promote turns it into a primary.
 	ReplicaOf string
-	// ReplicaPoll is the replication streams' file-tail poll cadence
-	// (default 50ms).
-	ReplicaPoll time.Duration
 
 	// legacyParsers runs the collector's reference string parsers instead
 	// of the zero-copy fast path: the parity tests' reference server.
@@ -561,7 +558,7 @@ func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 // Store exposes the authoritative event store (tests, CLI wiring).
 func (s *Server) Store() store.Store { return s.st }
 
-// replayResult is what replayJournals rebuilt.
+// replayResult is what replayJournal rebuilt.
 type replayResult struct {
 	coll      *collector.Collector
 	shards    []*store.Memory
@@ -689,10 +686,11 @@ func closeFeeds(c *collector.Collector, dep cdn.Deployment) error {
 
 // installServing transitions to the serving phase: routing view, CDN
 // registration, per-application engines and streaming processors. With
-// rebuildTails (recovery), each processor re-observes the tail of the stored stream so symptoms still inside
-// their grace window at the crash stay pending instead of vanishing;
-// their already-served diagnoses are discarded. Runs under dispatchMu
-// (finalize) or before concurrency starts (Open).
+// rebuildTails (recovery), each processor re-observes the tail of the
+// stored stream so symptoms still inside their grace window at the
+// crash stay pending instead of vanishing; their already-served
+// diagnoses are discarded. Runs under dispatchMu (finalize) or before
+// concurrency starts (Open).
 func (s *Server) installServing(rebuildTails bool) error {
 	view := netstate.NewView(s.topo, s.coll.OSPF, s.coll.BGP)
 	cdn.Register(view, s.cfg.Bundle.CDN)

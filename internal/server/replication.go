@@ -53,7 +53,6 @@ func (s *Server) initReplicationSource() {
 		JournalFrontier: func() int { return int(s.journaled.Load()) },
 		WALFrontier:     func(i int) int { return s.shards[i].log.Frontier() },
 		Registry:        s.replReg,
-		Poll:            s.cfg.ReplicaPoll,
 	})
 	for i := range s.shards {
 		shard := i

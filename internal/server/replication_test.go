@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -71,7 +72,7 @@ func TestReplicaParityAndPromote(t *testing.T) {
 
 			foll, err := Open(Config{
 				DataDir: t.TempDir(), Bundle: b, Shards: shards,
-				ReplicaOf: ts.URL, ReplicaPoll: 2 * time.Millisecond,
+				ReplicaOf: ts.URL,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +201,8 @@ func TestReplicaParityAndPromote(t *testing.T) {
 // (connections severed, no shutdown), promotes the follower, and checks
 // the promoted node against a clean single-node replay of the
 // follower's own journal: identical per-shard digests and identical
-// diagnose/breakdown bodies.
+// diagnose/breakdown bodies. Then the old primary's directory is
+// reopened as a replica of the promoted node, and refused.
 func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 	_, b := testBundle(t)
 	const shards = 2
@@ -214,7 +216,7 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 
 	foll, err := Open(Config{
 		DataDir: follDir, Bundle: b, Shards: shards,
-		ReplicaOf: ts.URL, ReplicaPoll: 2 * time.Millisecond,
+		ReplicaOf: ts.URL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +309,25 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 		t.Fatalf("post-promote role %q, want primary", rs.Role)
 	}
 
+	// The old primary comes back pointed at the node that replaced it.
+	// Its journal may hold acknowledged records that never shipped, so it
+	// is refused as a replica, and its directory is left as it was.
+	if err := prim.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	journal, _ := os.ReadFile(journalPath(primDir))
+	ex, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards, ReplicaOf: ts2.URL})
+	if !errors.Is(err, ErrPrimaryHistory) {
+		if err == nil {
+			ex.Shutdown(context.Background()) //nolint:errcheck // test teardown
+		}
+		t.Fatalf("ex-primary dir opened as a replica: err %v, want ErrPrimaryHistory", err)
+	}
+	after, _ := os.ReadFile(journalPath(primDir))
+	if _, err := os.Stat(replicaFile(primDir)); !os.IsNotExist(err) || len(journal) == 0 || !bytes.Equal(journal, after) {
+		t.Fatalf("refused open touched the dir: marker stat %v, journal %d -> %d bytes", err, len(journal), len(after))
+	}
+
 	tsClean.Close()
 	if err := clean.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -315,17 +336,31 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 	if err := foll.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := prim.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPrepareReplicaState covers the REPLICA marker: a boot-ID change
 // wipes the shipped state — the root journal and every shard's WAL —
 // and keeps the follower's stable ID. A previous version's per-shard
 // journal is not shipped state: it is left for checkShardMarker to
-// refuse, never silently deleted.
+// refuse, never silently deleted. Nor is anything in a dir that has no
+// marker at all.
 func TestPrepareReplicaState(t *testing.T) {
+	// No marker but serving state on disk: a primary wrote it. Refused,
+	// nothing deleted, no marker stamped.
+	for _, rel := range []string{"journal.log", "shard-1/wal", "shard-0/snap"} {
+		exDir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(exDir, rel), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prepareReplicaState(exDir, 2, "boot-a"); !errors.Is(err, ErrPrimaryHistory) {
+			t.Fatalf("dir holding %s: err %v, want ErrPrimaryHistory", rel, err)
+		}
+		_, gone := os.Stat(filepath.Join(exDir, rel))
+		if _, err := os.Stat(replicaFile(exDir)); gone != nil || !os.IsNotExist(err) {
+			t.Fatalf("refusal over %s: state stat %v, marker stat %v", rel, gone, err)
+		}
+	}
+
 	dir := t.TempDir()
 	id1, err := prepareReplicaState(dir, 2, "boot-a")
 	if err != nil {

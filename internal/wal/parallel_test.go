@@ -98,8 +98,8 @@ func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
 }
 
 // BenchmarkOpenReplay measures recovery (the restart path) over a
-// 20k-record segment tail; the serve-level 10× restart figure lives in
-// BENCH_SERVE.json.
+// 20k-record segment tail; the serve-level figure is restart_s in
+// `go run ./bench`.
 func BenchmarkOpenReplay(b *testing.B) {
 	dir := b.TempDir()
 	ins := genEvents(51, 20000)

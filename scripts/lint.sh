@@ -6,7 +6,8 @@
 # Runs, in order: gofmt (whole tree, including testdata exemplars),
 # go vet, the grcalint analyzer suite (style + concurrency-correctness
 # checks; findings also written as a JSON envelope artifact when a path
-# is given), and grca vet -strict over the built-in and example specs.
+# is given), grca vet -strict over the built-in and example specs, and a
+# grep that keeps the docs from drifting back to a deleted instrument.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -39,6 +40,16 @@ go run ./cmd/grca vet -strict || fail=1
 
 echo "== grca vet -strict (example specs) =="
 go run ./cmd/grca vet -strict examples/specs/*.grca || fail=1
+
+echo "== retired instruments stay retired =="
+# `go run ./bench` measures and `go test` gates; nothing outside bench/
+# and the PR history may point back at the deleted bench files or smoke.
+# ([s] keeps the pattern from matching this file.)
+if git grep -nE 'BENCH_[A-Z]+\.json|serve_[s]moke' -- . \
+    ':!bench' ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
+  echo "mentions of a deleted instrument (above)" >&2
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "lint: FAILED" >&2
