@@ -102,6 +102,9 @@ func runServe(args []string) error {
 		phase = "serving"
 	}
 	fmt.Fprintf(os.Stderr, "serve: recovered %d batches, %d events (phase %s", rec.Batches, rec.Events, phase)
+	if rec.SnapshotsSkipped > 0 {
+		fmt.Fprintf(os.Stderr, "; %d unreadable WAL snapshots skipped", rec.SnapshotsSkipped)
+	}
 	if rec.WALRebuilt {
 		fmt.Fprint(os.Stderr, "; WAL rebuilt from journal")
 	}

@@ -260,27 +260,24 @@ func TestWALSinkWriteScanResume(t *testing.T) {
 }
 
 func TestWALSinkSnapshotBootstrap(t *testing.T) {
-	// Build a primary log with a snapshot, ship it through the sink, and
-	// check the follower recovers the identical store.
+	// Build a primary log whose snapshot spans several runs and whose
+	// early segments compaction already deleted, ship it through the sink
+	// from zero, and check the follower recovers the identical store from
+	// the one run the image installs as.
 	prim := t.TempDir()
-	l, st, _, err := wal.Open(prim, wal.Options{})
+	l, st, _, err := wal.Open(prim, wal.Options{SegmentBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 25; i++ {
+	const rounds, perRound, tail = 4, 1500, 5 // 1500 records: a run well past crumb size
+	for i := 0; i < rounds*perRound+tail; i++ {
 		if _, err := st.Put(inst(i, "boot")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 25; i < 30; i++ {
-		if _, err := st.Put(inst(i, "boot")); err != nil {
-			t.Fatal(err)
+		if i%perRound == perRound-1 {
+			if err := l.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := l.Commit(); err != nil {
@@ -290,14 +287,21 @@ func TestWALSinkSnapshotBootstrap(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(prim), "run-*.run"))
+	if err != nil || len(runs) != rounds {
+		t.Fatalf("primary snapshot spans %d runs (%v), want %d", len(runs), err, rounds)
+	}
+	if segs, err := wal.Segments(prim); err != nil || segs[0].First == 0 {
+		t.Fatalf("compaction left the segment chain whole (%v): %+v", err, segs)
+	}
 
 	var buf bytes.Buffer
 	next, err := ShipWALOnce(prim, "boot-x", 0, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != 30 {
-		t.Fatalf("shipped next = %d, want 30", next)
+	if next != rounds*perRound+tail {
+		t.Fatalf("shipped next = %d, want %d", next, rounds*perRound+tail)
 	}
 
 	foll := t.TempDir()
@@ -333,9 +337,15 @@ func TestWALSinkSnapshotBootstrap(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, mem, _, err := wal.Open(foll, wal.Options{})
+	if runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(foll), "*")); err != nil || len(runs) != 2 {
+		t.Fatalf("follower snap/ holds %v (%v), want one run and one manifest", runs, err)
+	}
+	_, mem, rec, err := wal.Open(foll, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.SnapshotNext != rounds*perRound || rec.Replayed != tail {
+		t.Fatalf("follower recovery %+v, want the snapshot at %d and %d records replayed", rec, rounds*perRound, tail)
 	}
 	if got := wal.StoreDigest(mem); got != want {
 		t.Fatalf("follower digest %s != primary %s", got, want)

@@ -10,9 +10,9 @@ import (
 
 // WALSink materializes one shard's shipped event-WAL stream on the
 // follower's disk, in the exact layout the primary uses (wal/seg-*.log
-// segments, snap/snap-*.snap snapshots), so that promotion — a plain
-// wal.Open over the directory — recovers it like a restarting primary
-// recovers its own log. The sink is not an applier: shipped bytes go to
+// segments, a snap/snap-*.snap manifest over snap/run-*.run), so that
+// promotion — a plain wal.Open over the directory — recovers it like a
+// restarting primary recovers its own log. The sink is not an applier: shipped bytes go to
 // disk only; the follower's live store is fed by the journal stream.
 //
 // Durability is asynchronous: records are written without fsync and
@@ -60,7 +60,7 @@ func OpenWALSink(dir string, segBytes int64) (*WALSink, error) {
 // leaves next at one past the highest intact record (or the snapshot
 // bound when that is higher) and reopens the tail segment for append.
 func (s *WALSink) scan() error {
-	_, snapNext, ok, err := wal.LatestSnapshot(s.dir)
+	snapNext, ok, err := wal.LatestSnapshot(s.dir)
 	if err != nil {
 		return err
 	}
@@ -175,7 +175,8 @@ func (s *WALSink) rotateAt(first int) error {
 
 // BeginSnapshot starts a snapshot bootstrap: the primary compacted past
 // our frontier, so local shard state is unusable — wipe every segment
-// and snapshot and stage the shipped snapshot into a temp file.
+// and snapshot file and stage the shipped snapshot image into a temp
+// file.
 func (s *WALSink) BeginSnapshot(next int, size int64) error {
 	if s.seg != nil {
 		s.seg.Close() //nolint:errcheck // the file is about to be deleted
@@ -194,12 +195,12 @@ func (s *WALSink) BeginSnapshot(next int, size int64) error {
 			return err
 		}
 	}
-	snaps, err := filepath.Glob(filepath.Join(wal.SnapDirOf(s.dir), "snap-*.snap"))
+	snaps, err := os.ReadDir(wal.SnapDirOf(s.dir)) // manifests, runs, a torn bootstrap's temp file
 	if err != nil {
 		return err
 	}
-	for _, p := range snaps {
-		if err := os.Remove(p); err != nil {
+	for _, e := range snaps {
+		if err := os.Remove(filepath.Join(wal.SnapDirOf(s.dir), e.Name())); err != nil {
 			return err
 		}
 	}
@@ -222,9 +223,9 @@ func (s *WALSink) WriteSnapshotChunk(chunk []byte) error {
 	return err
 }
 
-// EndSnapshot commits the staged snapshot (size-checked, synced,
-// renamed into place) and moves the frontier to its bound; WAL records
-// from there follow on the stream.
+// EndSnapshot commits the staged snapshot image (size-checked, synced,
+// installed as one run under a manifest) and moves the frontier to its
+// bound; WAL records from there follow on the stream.
 func (s *WALSink) EndSnapshot() error {
 	if s.snapTmp == nil {
 		return fmt.Errorf("replica: snapshot end outside a bootstrap")
@@ -238,14 +239,14 @@ func (s *WALSink) EndSnapshot() error {
 	if err := fileSyncClose(f); err != nil {
 		return err
 	}
-	tmp := filepath.Join(wal.SnapDirOf(s.dir), "snap.tmp")
-	if err := os.Rename(tmp, wal.SnapPath(s.dir, s.snapNext)); err != nil {
+	next, err := wal.InstallSnapshotImage(s.dir, f.Name())
+	if err != nil {
 		return err
 	}
-	if err := syncDir(wal.SnapDirOf(s.dir)); err != nil {
-		return err
+	if next != s.snapNext {
+		return fmt.Errorf("replica: snapshot bootstrap covers IDs below %d, announced %d", next, s.snapNext)
 	}
-	s.next = s.snapNext
+	s.next = next
 	return nil
 }
 
@@ -281,13 +282,4 @@ func fileSyncClose(f *os.File) error {
 		return err
 	}
 	return f.Close()
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -279,47 +279,69 @@ type walSession struct {
 }
 
 // bootstrap decides how the stream starts: from the follower's frontier
-// when segments still cover it, from the latest snapshot otherwise.
+// when segments still cover it, from the latest readable snapshot
+// otherwise.
 func (w *walSession) bootstrap() error {
 	w.dir = w.src.cfg.WALDir(w.shard)
-	path, snapNext, ok, err := wal.LatestSnapshot(w.dir)
+	// Records below the snapshot bound may be compacted away; ship the
+	// snapshot — its manifest's runs as one image — and resume records at
+	// its bound. The image holds every run open before the first chunk
+	// goes out, so compaction deleting one mid-stream tears nothing.
+	img, err := wal.OpenSnapshotImage(w.dir)
 	if err != nil {
 		return err
 	}
-	if ok && w.next < snapNext {
-		// Records below the snapshot bound may be compacted away; ship the
-		// snapshot file verbatim and resume records at its bound. (Read it
-		// whole up front — the keep-two rule may delete it mid-stream.)
-		data, err := os.ReadFile(path)
+	if img == nil {
+		// No image, yet a manifest is there: compaction outran the open,
+		// or every snapshot is unreadable. Segments below its bound may be
+		// gone, so records alone could ship a gap — end the stream instead
+		// (the follower reconnects).
+		next, ok, err := wal.LatestSnapshot(w.dir)
 		if err != nil {
-			// Deleted between listing and read: a newer snapshot exists now.
-			path2, next2, ok2, err2 := wal.LatestSnapshot(w.dir)
-			if err2 != nil || !ok2 {
-				return fmt.Errorf("replica: shard %d snapshot vanished: %v", w.shard, err)
-			}
-			if data, err = os.ReadFile(path2); err != nil {
+			return err
+		}
+		if ok && w.next < next {
+			return fmt.Errorf("replica: shard %d: the snapshot covering IDs below %d cannot be read", w.shard, next)
+		}
+	} else {
+		defer img.Close()
+		if w.next < img.Next {
+			if err := w.shipImage(img); err != nil {
 				return err
 			}
-			snapNext = next2
 		}
-		w.conn.buf = AppendSnapBegin(w.conn.buf, snapNext, int64(len(data)))
-		const chunk = 256 << 10
-		for off := 0; off < len(data); off += chunk {
-			end := min(off+chunk, len(data))
-			w.conn.buf = AppendSnapChunk(w.conn.buf, data[off:end])
+	}
+	w.src.cfg.Registry.NoteWAL(w.followerID, w.shard, w.next)
+	w.booted = true
+	return nil
+}
+
+// shipImage sends the snapshot image as one bootstrap and moves the
+// resume point to its bound.
+func (w *walSession) shipImage(img *wal.SnapshotImage) error {
+	w.conn.buf = AppendSnapBegin(w.conn.buf, img.Next, img.Size)
+	chunk := make([]byte, 256<<10)
+	for {
+		n, err := io.ReadFull(img, chunk)
+		if n > 0 {
+			w.conn.buf = AppendSnapChunk(w.conn.buf, chunk[:n])
 			if err := w.conn.push(); err != nil {
 				return err
 			}
 		}
-		w.conn.buf = AppendSnapEnd(w.conn.buf)
-		if err := w.conn.push(); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
 			return err
 		}
-		w.next = snapNext
-		mSnapshots.Inc()
 	}
-	w.src.cfg.Registry.NoteWAL(w.followerID, w.shard, w.next)
-	w.booted = true
+	w.conn.buf = AppendSnapEnd(w.conn.buf)
+	if err := w.conn.push(); err != nil {
+		return err
+	}
+	w.next = img.Next
+	mSnapshots.Inc()
 	return nil
 }
 

@@ -53,12 +53,39 @@ func TestReplicaParityAndPromote(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			_, b := testBundle(t)
-			prim, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards})
+			primDir := t.TempDir()
+			prim, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards, SnapshotEvery: 400})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ts := httptest.NewServer(prim.Handler())
 			loadAndFinalize(t, ts, b)
+			// Ballast: enough padded ticks that every shard auto-snapshots
+			// several times with runs past crumb size, so the follower —
+			// attaching only after all of it, hence after compaction — has
+			// to bootstrap each shard from a snapshot of several runs.
+			ballastAt := b.Start.Add(b.Duration).Add(30 * time.Minute)
+			for i := 0; i < 4*shards; i++ {
+				evs := make([]EventJSON, 400)
+				for j := range evs {
+					n := i*len(evs) + j
+					at := ballastAt.Add(time.Duration(n) * time.Millisecond)
+					evs[j] = EventJSON{
+						Name: "synthetic tick", Start: at, End: at,
+						Loc:   LocationJSON{Type: "router", A: fmt.Sprintf("load-r%d", n%97)},
+						Attrs: map[string]string{"pad": strings.Repeat("p", 200)},
+					}
+				}
+				if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs}); code != http.StatusOK {
+					t.Fatalf("ballast batch %d: %d %s", i, code, body)
+				}
+			}
+			for i := 0; i < shards; i++ {
+				runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(shardDir(primDir, shards, i)), "run-*.run"))
+				if err != nil || len(runs) < 3 {
+					t.Fatalf("primary shard %d holds %d snapshot runs (%v), want ≥ 3", i, len(runs), err)
+				}
+			}
 			// Feeds, finalize, and both event encodings: every journal
 			// record kind reaches the follower's stream apply and, at the
 			// promotion's reopen, crash recovery's replay — the shared
@@ -144,6 +171,11 @@ func TestReplicaParityAndPromote(t *testing.T) {
 			}
 			if rs.Role != "replica" || rs.Primary != ts.URL || len(rs.ShardLag) != shards {
 				t.Fatalf("replica status = %s", body)
+			}
+			for _, lag := range rs.ShardLag {
+				if lag.SnapBootstraps == 0 {
+					t.Fatalf("shard %d caught up without a snapshot bootstrap: %s", lag.Shard, body)
+				}
 			}
 			code, body = get(t, ts, "/v1/replication/status")
 			if code != http.StatusOK {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"grca/internal/apps"
 	"grca/internal/collector"
 	"grca/internal/event"
+	"grca/internal/obs"
 	"grca/internal/platform"
 	"grca/internal/simnet"
 	"grca/internal/store"
@@ -206,36 +208,134 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, crash := range []bool{false, true} {
-		if crash {
-			// Crash persona: the WAL vanished (or tore) after the journal
-			// fsync — the journal must rebuild everything.
+	personas := []struct {
+		name    string
+		damage  func()
+		rebuilt bool // the WAL must be rebuilt from the journal
+		skipped int  // unreadable snapshots recovery must report
+	}{
+		{"clean restart", func() {}, false, 0},
+		// The WAL vanished (or tore) after the journal fsync — the journal
+		// must rebuild everything.
+		{"WAL lost", func() {
 			for _, sub := range []string{"wal", "snap"} {
 				if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
+		}, true, 0},
+		// A data dir from before snapshots became manifest + runs: one
+		// whole-store dump, the segments below it compacted away. The dump
+		// is skipped as unreadable, the WAL alone then trails the journal,
+		// and the digest reconcile rebuilds it — once.
+		{"old-format dump", func() {
+			snaps, err := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), "snap-*.snap"))
+			if err != nil || len(snaps) == 0 {
+				t.Fatalf("no manifest to replace: %v", err)
+			}
+			newest := snaps[len(snaps)-1]
+			var next int
+			if _, err := fmt.Sscanf(filepath.Base(newest), "snap-%d.snap", &next); err != nil {
+				t.Fatal(err)
+			}
+			for _, sub := range []string{wal.WALDirOf(dir), wal.SnapDirOf(dir)} {
+				if err := os.RemoveAll(sub); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Mkdir(sub, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dump := wal.AppendFrame([]byte("GRCASNAP1"), []byte{0, byte(next), 0}) // base, next, count: the magic alone decides
+			if err := os.WriteFile(newest, dump, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wal.SegPath(dir, next), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true, 1},
+		{"restart after the heal", func() {}, false, 0},
+	}
+	for _, p := range personas {
+		p.damage()
 		s2 := openServer(t, dir, b)
 		rec := s2.Recovery()
 		if !rec.Finalized {
-			t.Fatalf("crash=%v: recovery lost the finalized phase: %+v", crash, rec)
+			t.Fatalf("%s: recovery lost the finalized phase: %+v", p.name, rec)
 		}
-		if rec.WALRebuilt != crash {
-			t.Fatalf("crash=%v: WALRebuilt=%v", crash, rec.WALRebuilt)
+		if rec.WALRebuilt != p.rebuilt || rec.SnapshotsSkipped != p.skipped {
+			t.Fatalf("%s: recovery %+v, want WALRebuilt=%v with %d snapshots skipped", p.name, rec, p.rebuilt, p.skipped)
 		}
 		if got := wal.StoreDigest(s2.Store()); got != digest {
-			t.Fatalf("crash=%v: recovered store digest differs", crash)
+			t.Fatalf("%s: recovered store digest differs", p.name)
 		}
 		ts2 := httptest.NewServer(s2.Handler())
 		_, diagAfter := post(t, ts2, "/v1/diagnose", DiagnoseRequest{App: "bgpflap", All: true})
 		if !bytes.Equal(diagBefore, diagAfter) {
-			t.Fatalf("crash=%v: post-restart diagnoses differ from pre-restart", crash)
+			t.Fatalf("%s: post-restart diagnoses differ from pre-restart", p.name)
 		}
 		ts2.Close()
 		if err := s2.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSnapshotFailureDoesNotFailIngest: a batch that is journaled, stored
+// and fsynced is answered 200 whatever happens to the auto-snapshot that
+// its commit happened to trigger. With snap/ unusable for the whole load
+// every request succeeds, the failures show in wal.snapshots.failed, and
+// once the fault is cleared the directory recovers without a rebuild.
+func TestSnapshotFailureDoesNotFailIngest(t *testing.T) {
+	_, b := testBundle(t)
+	dir := t.TempDir()
+	s, err := Open(Config{DataDir: dir, Bundle: b, SnapshotEvery: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tests run as root, so permissions stop nothing: make snap/ a file.
+	if err := os.Remove(wal.SnapDirOf(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal.SnapDirOf(dir), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed := obs.GetCounter("wal.snapshots.failed")
+	before := failed.Value()
+	ts := httptest.NewServer(s.Handler())
+	loadAndFinalize(t, ts, b) // fails the test on any non-200
+	for i, evs := range lifecycleBatches(b) {
+		if code, body := postLifecycleBatch(t, ts, i, evs); code != http.StatusOK {
+			t.Fatalf("event batch %d: %d %s", i, code, body)
+		}
+	}
+	if s.Store().Len() < 10*50 {
+		t.Fatalf("only %d events stored: the load never passed SnapshotEvery often", s.Store().Len())
+	}
+	if got := failed.Value() - before; got < 10 {
+		t.Fatalf("wal.snapshots.failed rose by %d over %d events at SnapshotEvery=50", got, s.Store().Len())
+	}
+	code, stats := get(t, ts, "/v1/stats")
+	if code != http.StatusOK || !bytes.Contains(stats, []byte("wal.snapshots.failed")) {
+		t.Fatalf("/v1/stats (%d) does not report wal.snapshots.failed", code)
+	}
+	digest := wal.StoreDigest(s.Store())
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err == nil {
+		t.Fatal("shutdown's final snapshot into a broken snap/ reported success")
+	}
+	if err := os.Remove(wal.SnapDirOf(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openServer(t, dir, b)
+	if rec := s2.Recovery(); rec.WALRebuilt || !rec.Finalized {
+		t.Fatalf("recovery after the fault cleared: %+v, want the WAL intact", rec)
+	}
+	if got := wal.StoreDigest(s2.Store()); got != digest {
+		t.Fatal("recovered store digest differs")
+	}
+	if err := s2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -568,26 +568,73 @@ func (s *Memory) Dump() (base, next int, ins []event.Instance) {
 	return base, next, ins
 }
 
-// SnapshotTo streams the dumped state without copying it: header runs
-// once with the Dump bounds and live count, then each runs per live
-// instance in ID order, all under one read lock — so the header's count
-// and the instances visited are a single consistent cut even with
-// concurrent writers. The callbacks must not retain or mutate the
-// instances, and must not call back into the store.
-func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(*event.Instance) error) error {
+// Cut is one consistent view of the store's ID space: the bounds, live
+// counts and instances it reports all belong to the same instant even
+// with concurrent writers. It is valid only inside the function passed to
+// Memory.Cut, which holds the store's read lock for its duration — so the
+// function must not call back into the store, and must not retain or
+// mutate the instances it is shown.
+type Cut struct{ s *Memory }
+
+// Cut runs fn over one consistent cut of the store. Incremental
+// snapshots use it to decide, per sealed ID range, whether anything was
+// evicted since the range was last written, and to stream only the
+// ranges that changed.
+func (s *Memory) Cut(fn func(Cut) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := header(s.base, s.base+len(s.byID), s.live); err != nil {
-		return err
+	return fn(Cut{s})
+}
+
+// Bounds returns the Dump bounds and the live instance count.
+func (c Cut) Bounds() (base, next, live int) {
+	return c.s.base, c.s.base + len(c.s.byID), c.s.live
+}
+
+// slots returns the ID slots of [lo, hi), clamped to the store's bounds.
+func (c Cut) slots(lo, hi int) []*event.Instance {
+	lo, hi = max(lo-c.s.base, 0), min(hi-c.s.base, len(c.s.byID))
+	if lo >= hi {
+		return nil
 	}
-	for _, in := range s.byID {
+	return c.s.byID[lo:hi]
+}
+
+// Count returns how many live instances carry an ID in [lo, hi).
+func (c Cut) Count(lo, hi int) int {
+	n := 0
+	for _, in := range c.slots(lo, hi) {
 		if in != nil {
-			if err := each(in); err != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Each calls fn for every live instance with an ID in [lo, hi), in ID
+// order, stopping at the first error.
+func (c Cut) Each(lo, hi int, fn func(*event.Instance) error) error {
+	for _, in := range c.slots(lo, hi) {
+		if in != nil {
+			if err := fn(in); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// SnapshotTo streams the whole dumped state through one Cut: header runs
+// once with the Dump bounds and live count, then each runs per live
+// instance in ID order. The callbacks are bound by Cut's rules.
+func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(*event.Instance) error) error {
+	return s.Cut(func(c Cut) error {
+		base, next, live := c.Bounds()
+		if err := header(base, next, live); err != nil {
+			return err
+		}
+		return c.Each(base, next, each)
+	})
 }
 
 // Restore rebuilds a dumped state into an empty store: each instance is

@@ -339,3 +339,78 @@ func TestSpanIncremental(t *testing.T) {
 		}
 	}
 }
+
+// TestCutRangesMatchDump: a Cut's bounds, per-range counts and per-range
+// walks agree with Dump after ragged eviction, for ranges inside, across
+// and beyond the store's ID bounds — and SnapshotTo, built on it, walks
+// the whole store.
+func TestCutRangesMatchDump(t *testing.T) {
+	s := New()
+	for i := 0; i < 200; i++ {
+		dur := 1
+		if i%7 == 0 {
+			dur = 500 // survives the eviction below among evicted neighbours
+		}
+		s.Add(mk("e", i, dur, locus.At(locus.Router, "r1")))
+	}
+	if s.EvictBefore(t0.Add(120*time.Minute)) == 0 {
+		t.Fatal("nothing evicted")
+	}
+	base, next, ins := s.Dump()
+	liveIn := func(lo, hi int) (ids []int) {
+		for _, in := range ins {
+			if in.ID >= lo && in.ID < hi {
+				ids = append(ids, in.ID)
+			}
+		}
+		return ids
+	}
+	err := s.Cut(func(c Cut) error {
+		if b, n, live := c.Bounds(); b != base || n != next || live != len(ins) {
+			t.Errorf("Bounds = %d,%d,%d; Dump says %d,%d,%d", b, n, live, base, next, len(ins))
+		}
+		for _, r := range [][2]int{{0, 50}, {base, next}, {-10, next + 10}, {100, 130}, {next, next + 5}, {150, 150}, {160, 140}} {
+			want := liveIn(r[0], r[1])
+			if got := c.Count(r[0], r[1]); got != len(want) {
+				t.Errorf("Count[%d,%d) = %d, want %d", r[0], r[1], got, len(want))
+			}
+			var got []int
+			if err := c.Each(r[0], r[1], func(in *event.Instance) error {
+				got = append(got, in.ID)
+				return nil
+			}); err != nil {
+				return err
+			}
+			if len(got) != len(want) {
+				t.Errorf("Each[%d,%d) visited %v, want %v", r[0], r[1], got, want)
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("Each[%d,%d) visited %v, want %v", r[0], r[1], got, want)
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited := 0
+	err = s.SnapshotTo(func(b, n, count int) error {
+		if b != base || n != next || count != len(ins) {
+			t.Errorf("SnapshotTo header = %d,%d,%d; Dump says %d,%d,%d", b, n, count, base, next, len(ins))
+		}
+		return nil
+	}, func(in *event.Instance) error {
+		if in.ID != ins[visited].ID {
+			t.Errorf("SnapshotTo visit %d is ID %d, want %d", visited, in.ID, ins[visited].ID)
+		}
+		visited++
+		return nil
+	})
+	if err != nil || visited != len(ins) {
+		t.Fatalf("SnapshotTo visited %d of %d (%v)", visited, len(ins), err)
+	}
+}

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 )
 
 // Shipping support for the replication subsystem (internal/replica): the
@@ -102,23 +104,144 @@ func Segments(dir string) ([]Segment, error) {
 	return out, nil
 }
 
-// LatestSnapshot returns the newest snapshot file under dir and the
-// next-ID bound it covers; ok is false when no snapshot exists.
-func LatestSnapshot(dir string) (path string, next int, ok bool, err error) {
-	snaps, nums, err := listNumbered(snapDir(dir), "snap-", ".snap")
-	if err != nil {
-		return "", 0, false, err
+// LatestSnapshot returns the next-ID bound of the newest snapshot
+// manifest under dir; ok is false when no snapshot exists.
+func LatestSnapshot(dir string) (next int, ok bool, err error) {
+	_, nums, err := listNumbered(snapDir(dir), "snap-", ".snap")
+	if err != nil || len(nums) == 0 {
+		return 0, false, err
 	}
-	if len(snaps) == 0 {
-		return "", 0, false, nil
-	}
-	return snaps[len(snaps)-1], nums[len(nums)-1], true, nil
+	return nums[len(nums)-1], true, nil
 }
 
-// SnapPath returns where a snapshot covering IDs < next lives under dir
-// — the follower-side sink writes shipped snapshots to the same name the
-// primary used.
-func SnapPath(dir string, next int) string { return snapFile(dir, next) }
+// SnapshotImage is a snapshot under dir read as one run: the header of a
+// run covering [base, next) followed by the records of every run the
+// manifest references, in order — the form a follower bootstraps from.
+// Every run file is open from the moment the image exists, so the
+// primary's compaction may delete them mid-stream without tearing it.
+type SnapshotImage struct {
+	Next int   // the snapshot's next-ID bound
+	Size int64 // total bytes Read will deliver
+	io.Reader
+	files []*os.File
+}
+
+// OpenSnapshotImage opens the newest snapshot under dir whose manifest
+// parses and whose runs are all present at their recorded size and
+// header. It returns nil when dir holds no such snapshot.
+func OpenSnapshotImage(dir string) (*SnapshotImage, error) {
+	snaps, _, err := listNumbered(snapDir(dir), "snap-", ".snap")
+	if err != nil {
+		return nil, err
+	}
+	for i := len(snaps) - 1; i >= 0; i-- {
+		m, err := readManifest(snaps[i])
+		if err != nil {
+			continue
+		}
+		if im := openImage(dir, m); im != nil {
+			return im, nil
+		}
+	}
+	return nil, nil
+}
+
+func openImage(dir string, m manifest) *SnapshotImage {
+	hdr := appendRunHeader(nil, m.base, m.next, m.live)
+	im := &SnapshotImage{Next: m.next, Size: int64(len(hdr))}
+	parts := []io.Reader{bytes.NewReader(hdr)}
+	for _, r := range m.runs {
+		f, err := os.Open(runFile(dir, r))
+		if err != nil {
+			im.Close()
+			return nil
+		}
+		im.files = append(im.files, f)
+		records := runRecords(f, r)
+		if records == nil {
+			im.Close()
+			return nil
+		}
+		parts = append(parts, records)
+		im.Size += records.Size()
+	}
+	im.Reader = io.MultiReader(parts...)
+	return im
+}
+
+// runRecords returns the record section of the open run file f, or nil
+// when f is not at r's recorded size or does not start with r's header.
+func runRecords(f *os.File, r runInfo) *io.SectionReader {
+	want := appendRunHeader(nil, r.lo, r.hi, r.count)
+	if fi, err := f.Stat(); err != nil || fi.Size() != r.size {
+		return nil
+	}
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		return nil
+	}
+	return io.NewSectionReader(f, int64(len(want)), r.size-int64(len(want)))
+}
+
+// Close releases the image's run files.
+func (im *SnapshotImage) Close() {
+	for _, f := range im.files {
+		f.Close() //nolint:errcheck // read-only
+	}
+}
+
+// InstallSnapshotImage makes the image staged at path (a SnapshotImage's
+// bytes, already synced) the one snapshot under dir — a single run and
+// the manifest over it, the same form Snapshot writes — and returns its
+// next-ID bound. The image's header is trusted no further than recovery
+// trusts any file: the manifest records the size and CRC of the bytes
+// actually staged, and Open validates the records against them.
+func InstallSnapshotImage(dir, path string) (next int, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	sum := &crcWriter{w: io.Discard}
+	r := io.TeeReader(f, sum)
+	magic := make([]byte, len(runMagic))
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != runMagic {
+		return 0, fmt.Errorf("wal: %s: not a snapshot image", path)
+	}
+	hdr, err := NewFrameReader(r).Next()
+	if err != nil {
+		return 0, fmt.Errorf("wal: %s: snapshot image header: %v", path, err)
+	}
+	u := uvarints{hdr, true}
+	run := runInfo{lo: u.next(), hi: u.next(), count: u.next()}
+	if !u.ok || len(u.p) != 0 {
+		return 0, fmt.Errorf("wal: %s: bad snapshot image header", path)
+	}
+	// The frame reader read ahead through the tee; sum what it left.
+	if _, err := io.Copy(io.Discard, r); err != nil {
+		return 0, err
+	}
+	run.size, run.crc = sum.size, sum.crc
+	m := manifest{base: run.lo, next: run.hi, live: run.count}
+	if run.count > 0 {
+		m.runs = []runInfo{run}
+	}
+	if err := m.validate(); err != nil {
+		return 0, fmt.Errorf("wal: %s: snapshot image header: %v", path, err)
+	}
+	if run.count == 0 {
+		err = os.Remove(path) // an empty store's image: the manifest says it all
+	} else {
+		err = os.Rename(path, runFile(dir, run))
+	}
+	if err != nil {
+		return 0, err
+	}
+	if _, err := writeManifest(dir, m); err != nil {
+		return 0, err
+	}
+	return m.next, nil
+}
 
 // SegPath returns the segment path for a segment whose first record
 // carries the given ID.

@@ -2,119 +2,531 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"grca/internal/event"
+	"grca/internal/store"
 )
 
-// Snapshot file format:
+// A snapshot is a small manifest over immutable run files:
 //
-//	magic "GRCASNAP1" | frame(header) | count × frame(uvarint ID + instance)
+//	snap/snap-<next>.snap            magic "GRCASNAP2" | frame(manifest)
+//	snap/run-<lo>-<hi>-<count>.run   magic "GRCARUN1" | frame(header) | count × frame(uvarint ID + instance)
 //
-// where header is uvarint base | uvarint next | uvarint count. Every
-// frame carries the standard CRC32C, and count is committed up front, so
-// a partially written snapshot is detected and skipped at recovery (the
-// write is also staged through a rename, making a torn snapshot unlikely
-// in the first place).
-const snapMagic = "GRCASNAP1"
+// A run holds the instances that were live in the ID range [lo, hi) when
+// it was written; its header is uvarint lo | hi | count. The manifest is
+// uvarint base | next | live | #runs, then per run lo | hi | count | file
+// size | CRC32C of the whole file, runs ascending and non-overlapping.
+// Every frame carries the standard CRC32C.
+//
+// Under a Log IDs only ascend (record poisons the log otherwise), so a
+// range already written can only lose instances, and a run's content
+// is a function of (lo, hi, count): a run is unchanged exactly when the
+// store still holds count live instances in [lo, hi). That one
+// comparison replaces a dead-ID filter or tombstone list, and it is why
+// the count is part of the file name — a rewritten range never lands on
+// the name of the run it replaces, which the previous manifest may still
+// reference.
+const (
+	snapMagic = "GRCASNAP2"
+	runMagic  = "GRCARUN1"
+
+	// crumbBytes is the size below which a run is a crumb: written into
+	// one run with the crumbs next to it whenever any of them is written,
+	// so snapshots that each add a handful of records (a snapshot per
+	// insert under retention) grow one run to this size instead of
+	// littering one file each, and runs that evictions wore down fold
+	// together instead of lingering.
+	crumbBytes = 64 << 10
+
+	// maxID bounds every ID and count read from disk so that sums and
+	// differences of two of them cannot overflow an int.
+	maxID = 1 << 62
+)
+
+// runInfo is one manifest entry.
+type runInfo struct {
+	lo, hi int    // ID range the run covered when written
+	count  int    // instances in the file
+	size   int64  // file bytes
+	crc    uint32 // CRC32C of the whole file
+}
+
+// manifest is a decoded snapshot manifest: the store's Dump bounds and
+// live count at the cut, and the runs that together hold those instances.
+type manifest struct {
+	base, next, live int
+	runs             []runInfo
+}
 
 func snapFile(dir string, next int) string {
 	return filepath.Join(snapDir(dir), fmt.Sprintf("snap-%016d.snap", next))
 }
 
-// Snapshot flushes pending records, writes a full dump of the store, and
-// compacts: segments made redundant by the snapshot and all but the
-// previous snapshot are deleted. With retention eviction feeding this
-// (the store's OnEvict hook), disk stays bounded like the store's memory.
+func runName(r runInfo) string {
+	return fmt.Sprintf("run-%016d-%016d-%d.run", r.lo, r.hi, r.count)
+}
+
+func runFile(dir string, r runInfo) string { return filepath.Join(snapDir(dir), runName(r)) }
+
+func appendRunHeader(b []byte, lo, hi, count int) []byte {
+	var p []byte
+	p = binary.AppendUvarint(p, uint64(lo))
+	p = binary.AppendUvarint(p, uint64(hi))
+	p = binary.AppendUvarint(p, uint64(count))
+	return appendFrame(append(b, runMagic...), p)
+}
+
+func (m manifest) encode() []byte {
+	var p []byte
+	for _, v := range []int{m.base, m.next, m.live, len(m.runs)} {
+		p = binary.AppendUvarint(p, uint64(v))
+	}
+	for _, r := range m.runs {
+		for _, v := range []uint64{uint64(r.lo), uint64(r.hi), uint64(r.count), uint64(r.size), uint64(r.crc)} {
+			p = binary.AppendUvarint(p, v)
+		}
+	}
+	return appendFrame([]byte(snapMagic), p)
+}
+
+// uvarints reads consecutive bounded uvarints; ok turns false (and stays
+// false) at the first truncated or out-of-range value.
+type uvarints struct {
+	p  []byte
+	ok bool
+}
+
+func (u *uvarints) next() int {
+	v, sz := binary.Uvarint(u.p)
+	if sz <= 0 || v > maxID {
+		u.ok = false
+		return 0
+	}
+	u.p = u.p[sz:]
+	return int(v)
+}
+
+// parseManifest decodes and validates a manifest file's bytes. The run
+// count is checked against the bytes that carry it before anything is
+// allocated.
+func parseManifest(data []byte) (manifest, error) {
+	var m manifest
+	if !bytes.HasPrefix(data, []byte(snapMagic)) {
+		return m, fmt.Errorf("bad manifest magic")
+	}
+	payload, rest, ok := readFrame(data[len(snapMagic):])
+	if !ok || len(rest) != 0 {
+		return m, fmt.Errorf("torn manifest")
+	}
+	u := uvarints{payload, true}
+	m.base, m.next, m.live = u.next(), u.next(), u.next()
+	nruns := u.next()
+	// A run entry is five uvarints, so at least five bytes.
+	if !u.ok || nruns > len(u.p)/5 {
+		return m, fmt.Errorf("bad manifest header")
+	}
+	m.runs = make([]runInfo, nruns)
+	for i := range m.runs {
+		r := runInfo{lo: u.next(), hi: u.next(), count: u.next(), size: int64(u.next())}
+		crc := u.next()
+		if crc > 0xffffffff {
+			u.ok = false
+		}
+		r.crc = uint32(crc)
+		m.runs[i] = r
+	}
+	if !u.ok || len(u.p) != 0 {
+		return m, fmt.Errorf("bad manifest run list")
+	}
+	return m, m.validate()
+}
+
+// validate checks the invariants recovery relies on: bounds in order,
+// runs non-empty, ascending, non-overlapping and below next, each count
+// possible in its ID range and in the bytes the run claims (a record is
+// at least its frame header), and the counts summing to live.
+func (m manifest) validate() error {
+	if m.base > m.next || m.live > m.next-m.base {
+		return fmt.Errorf("bad manifest bounds [%d,%d) for %d instances", m.base, m.next, m.live)
+	}
+	end, live := 0, 0
+	for i, r := range m.runs {
+		if r.lo < end || r.hi > m.next || r.count < 1 || r.count > r.hi-r.lo || int64(r.count) > r.size/frameHeader {
+			return fmt.Errorf("bad manifest run %d", i)
+		}
+		end = r.hi
+		live += r.count
+	}
+	if live != m.live {
+		return fmt.Errorf("manifest runs hold %d instances, header says %d", live, m.live)
+	}
+	return nil
+}
+
+func readManifest(path string) (manifest, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return manifest{}, err
+	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return m, fmt.Errorf("wal: %s: %v", path, err)
+	}
+	return m, nil
+}
+
+// parseRun decodes a run file's bytes into dst against the manifest
+// entry that references it: the size, whole-file CRC and header must
+// match the entry, exactly len(dst) = count records must follow and
+// nothing after them, and their IDs must ascend inside [lo, hi). The
+// frame scan is sequential and the decode parallel — same staging as
+// segment replay, same any-worker-count determinism.
+func parseRun(data []byte, want runInfo, workers int, dst []event.Instance) error {
+	if int64(len(data)) != want.size || crc32.Checksum(data, castagnoli) != want.crc {
+		return fmt.Errorf("size or checksum differs from the manifest")
+	}
+	hdr := appendRunHeader(nil, want.lo, want.hi, want.count)
+	if !bytes.HasPrefix(data, hdr) {
+		return fmt.Errorf("header differs from the manifest")
+	}
+	rest := data[len(hdr):]
+	frames := make([][]byte, len(dst))
+	prev := want.lo - 1
+	for i := range frames {
+		payload, r2, ok := readFrame(rest)
+		if !ok {
+			return fmt.Errorf("torn record %d/%d", i, len(dst))
+		}
+		// Order is checked here, on bytes the CRC just pulled into cache,
+		// rather than in a second walk over the decoded instances.
+		id, err := recordID(payload)
+		if err != nil || id <= prev || id >= want.hi {
+			return fmt.Errorf("record %d: ID %d out of order for [%d,%d)", i, id, want.lo, want.hi)
+		}
+		prev = id
+		frames[i], rest = payload, r2
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%d bytes after the last record", len(rest))
+	}
+	return parallelIndexed(len(frames), workers, func(i int) error {
+		in, err := decodeRecord(frames[i])
+		if err != nil {
+			return fmt.Errorf("record %d: %v", i, err)
+		}
+		dst[i] = in
+		return nil
+	})
+}
+
+// readSnapshot loads the manifest at path and every run it references.
+func readSnapshot(dir, path string, workers int) (manifest, []event.Instance, error) {
+	m, err := readManifest(path)
+	if err != nil {
+		return m, nil, err
+	}
+	// The manifest bounded every count by the size it claims for the run;
+	// hold those claims against the files before allocating for them.
+	for _, r := range m.runs {
+		fi, err := os.Stat(runFile(dir, r))
+		if err != nil {
+			return m, nil, err
+		}
+		if fi.Size() != r.size {
+			return m, nil, fmt.Errorf("wal: %s is %d bytes, manifest %s says %d", runFile(dir, r), fi.Size(), path, r.size)
+		}
+	}
+	ins := make([]event.Instance, m.live)
+	off := 0
+	for _, r := range m.runs {
+		data, err := os.ReadFile(runFile(dir, r))
+		if err != nil {
+			return m, nil, err
+		}
+		if err := parseRun(data, r, workers, ins[off:off+r.count]); err != nil {
+			return m, nil, fmt.Errorf("wal: %s: %v", runFile(dir, r), err)
+		}
+		off += r.count
+	}
+	if len(ins) > 0 && ins[0].ID < m.base {
+		return m, nil, fmt.Errorf("wal: %s: instance ID %d below base %d", path, ins[0].ID, m.base)
+	}
+	return m, ins, nil
+}
+
+// loadLatestSnapshot restores the newest readable snapshot into the
+// fresh store. An unreadable one — torn by a crash, corrupt, referencing
+// a missing run, or in a format this code does not write — is counted and
+// skipped for the previous one: the segments below it still exist until a
+// later snapshot succeeds.
+func (l *Log) loadLatestSnapshot(rec *Recovery) error {
+	snaps, _, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
+	if err != nil {
+		return err
+	}
+	for i := len(snaps) - 1; i >= 0; i-- {
+		m, ins, err := readSnapshot(l.dir, snaps[i], l.opts.replayWorkers())
+		if err != nil {
+			rec.SnapshotsSkipped++
+			mSnapUnreadable.Inc()
+			continue
+		}
+		if err := l.st.Restore(m.base, m.next, ins); err != nil {
+			return fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
+		}
+		l.snap = m
+		rec.SnapshotNext = m.next
+		rec.SnapshotLive = len(ins)
+		return nil
+	}
+	return nil
+}
+
+// plannedRun is one entry of the manifest being built: a run of the
+// previous manifest kept as it is, or an ID range to write anew.
+type plannedRun struct {
+	runInfo
+	write bool
+}
+
+// planRuns decides what a snapshot writes. prev are the previous
+// manifest's runs, [prevNext, next) the IDs assigned since, and live
+// counts the store's live instances in an ID range. A run whose range
+// still holds its count is kept; an emptied one is dropped; one that
+// lost instances is rewritten, and the tail is written. Crumbs — runs
+// under crumbBytes, and the tail — that sit next to each other are
+// written as one run as soon as any of them has to be written; a run at
+// or over crumbBytes is never merged, so a large run that evictions keep
+// touching does not swallow the records that arrive after it.
+func planRuns(prev []runInfo, prevNext, next int, live func(lo, hi int) int) []plannedRun {
+	plan := make([]plannedRun, 0, len(prev)+1)
+	for _, r := range prev {
+		if n := live(r.lo, r.hi); n > 0 {
+			write := n != r.count
+			r.count = n
+			plan = append(plan, plannedRun{r, write})
+		}
+	}
+	if n := live(prevNext, next); n > 0 {
+		plan = append(plan, plannedRun{runInfo{lo: prevNext, hi: next, count: n}, true})
+	}
+	out := plan[:0]
+	for i := 0; i < len(plan); {
+		j, write, count := i, false, 0
+		for j < len(plan) && plan[j].size < crumbBytes {
+			write = write || plan[j].write
+			count += plan[j].count
+			j++
+		}
+		switch {
+		case j == i: // not a crumb: stands alone, kept or rewritten
+			out = append(out, plan[i])
+			j++
+		case write:
+			out = append(out, plannedRun{runInfo{lo: plan[i].lo, hi: plan[j-1].hi, count: count}, true})
+		default:
+			out = append(out, plan[i:j]...)
+		}
+		i = j
+	}
+	return out
+}
+
+// crcWriter passes writes through to w, tracking their size and CRC32C.
+type crcWriter struct {
+	w    io.Writer
+	size int64
+	crc  uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.size += int64(n)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// writeRun streams the cut's live instances in r's range into a temp
+// file beside the run's final name and returns the file, still open and
+// not yet synced, with r's size and CRC filled in. It streams through a
+// reused scratch buffer and a buffered writer — never an in-memory image.
+func writeRun(dir string, r *runInfo, c store.Cut) (*os.File, error) {
+	f, err := os.OpenFile(runFile(dir, *r)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	cw := &crcWriter{w: f}
+	bw := bufio.NewWriterSize(cw, 1<<18)
+	scratch := make([]byte, 0, 1024)
+	frame := appendRunHeader(make([]byte, 0, 1024), r.lo, r.hi, r.count)
+	_, err = bw.Write(frame)
+	if err == nil {
+		err = c.Each(r.lo, r.hi, func(in *event.Instance) error {
+			scratch = appendRecord(scratch[:0], in)
+			frame = appendFrame(frame[:0], scratch)
+			_, err := bw.Write(frame)
+			return err
+		})
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		f.Close() //nolint:errcheck // already failing; the temp file is collected by compact
+		return nil, err
+	}
+	r.size, r.crc = cw.size, cw.crc
+	return f, nil
+}
+
+// commitFile syncs and closes a written temp file and renames it to path.
+func commitFile(f *os.File, path string) error {
+	err := fileSync(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
+// writeManifest makes m the durable snapshot covering IDs < m.next. The
+// runs it references must already be renamed into place.
+func writeManifest(dir string, m manifest) (int64, error) {
+	data := m.encode()
+	f, err := os.OpenFile(filepath.Join(snapDir(dir), "snap.tmp"), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close() //nolint:errcheck // already failing
+		return 0, err
+	}
+	if err := commitFile(f, snapFile(dir, m.next)); err != nil {
+		return 0, err
+	}
+	return int64(len(data)), syncDir(snapDir(dir))
+}
+
+// Snapshot flushes pending records and writes what changed since the
+// previous snapshot: one run for the IDs assigned since, a rewrite of
+// each run an eviction took instances from, and a manifest naming those
+// beside the runs kept as they are. It then compacts: segments and runs
+// made redundant and all but the previous manifest are deleted. With
+// retention eviction feeding this (the store's OnEvict hook), disk stays
+// bounded like the store's memory, and the bytes written follow the
+// records added and evicted, not the store's size.
 //
-// The dump streams through a reused scratch buffer and a buffered
-// writer — never a full in-memory image — so snapshotting a large store
-// costs no large allocations and no growslice copying (it showed up as
-// the dominant ingest-path cost before: every 50k-record snapshot
-// re-copied a multi-megabyte buffer through doubling growth).
+// Write order: runs are synced and renamed, then the manifest is synced
+// and renamed, then the directory is synced, then compaction runs. A
+// crash before the manifest's rename leaves unreferenced runs, which
+// recovery ignores and the next compaction collects; a crash after it
+// leaves at worst files compaction had not yet removed. Should the
+// directory lose a run's rename but keep the manifest's, the manifest
+// fails its size and CRC check and recovery falls back to the previous
+// one, whose runs and segments are only removed after the sync.
+//
+// A failure is counted in wal.snapshots.failed and leaves the log as it
+// was — the previous snapshot and every segment above it still recover
+// the store, and the next snapshot covers the same delta.
 func (l *Log) Snapshot() error {
+	err := l.snapshot()
+	if err != nil {
+		mSnapFailed.Inc()
+	}
+	return err
+}
+
+func (l *Log) snapshot() error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
-	// Records buffered but unflushed are covered by the dump below; sync
+	// Records buffered but unflushed are covered by the runs below; sync
 	// them anyway so the log never trails the snapshot's claim.
 	if err := l.Sync(); err != nil {
 		return err
 	}
 
-	tmp := filepath.Join(snapDir(l.dir), "snap.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	var m manifest
+	type writtenRun struct {
+		tmp  *os.File
+		info *runInfo // the m.runs entry the file is
+	}
+	var written []writtenRun
+	defer func() {
+		for _, w := range written {
+			w.tmp.Close() //nolint:errcheck // failed before its commit; compact collects the temp file
+		}
+	}()
+	err := l.st.Cut(func(c store.Cut) error {
+		m.base, m.next, m.live = c.Bounds()
+		plan := planRuns(l.snap.runs, l.snap.next, m.next, c.Count)
+		m.runs = make([]runInfo, len(plan))
+		for i, p := range plan {
+			m.runs[i] = p.runInfo
+			if !p.write {
+				continue
+			}
+			f, err := writeRun(l.dir, &m.runs[i], c)
+			if err != nil {
+				return err
+			}
+			written = append(written, writtenRun{f, &m.runs[i]})
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<18)
-	next := 0
-	scratch := make([]byte, 0, 1024)
-	frame := make([]byte, 0, 1024)
-	werr := l.st.SnapshotTo(
-		func(base, n, count int) error {
-			next = n
-			if _, err := bw.WriteString(snapMagic); err != nil {
-				return err
-			}
-			scratch = binary.AppendUvarint(scratch[:0], uint64(base))
-			scratch = binary.AppendUvarint(scratch, uint64(n))
-			scratch = binary.AppendUvarint(scratch, uint64(count))
-			frame = appendFrame(frame[:0], scratch)
-			_, err := bw.Write(frame)
+	nwritten := len(written)
+	for len(written) > 0 {
+		w := written[0]
+		written = written[1:]
+		if err := commitFile(w.tmp, runFile(l.dir, *w.info)); err != nil {
 			return err
-		},
-		func(in *event.Instance) error {
-			scratch = binary.AppendUvarint(scratch[:0], uint64(in.ID))
-			scratch = appendInstance(scratch, in)
-			frame = appendFrame(frame[:0], scratch)
-			_, err := bw.Write(frame)
-			return err
-		})
-	if werr == nil {
-		werr = bw.Flush()
+		}
+		mSnapBytes.Add(w.info.size)
 	}
-	if werr == nil {
-		werr = fileSync(f)
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	path := snapFile(l.dir, next)
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := syncDir(snapDir(l.dir)); err != nil {
+	n, err := writeManifest(l.dir, m)
+	if err != nil {
 		return err
 	}
 	mSnapshots.Inc()
+	mSnapBytes.Add(n)
+	mSnapRunsWritten.Add(int64(nwritten))
+	mSnapRunsReused.Add(int64(len(m.runs) - nwritten))
 
+	l.snap = m
 	l.mu.Lock()
-	l.snapNext = next
-	if l.sinceSnap = l.nextSeq - next; l.sinceSnap < 0 {
+	if l.sinceSnap = l.nextSeq - m.next; l.sinceSnap < 0 {
 		l.sinceSnap = 0
 	}
 	active := l.segPath
 	l.mu.Unlock()
-	return l.compact(active)
+	return l.compact(active, m)
 }
 
-// compact keeps the latest two snapshots and removes segments whose
-// entire record range lies below the OLDER retained snapshot (never the
-// active segment). Compacting to the older snapshot — not the one just
-// written — is what makes the two-snapshot retention real: if the newest
-// snapshot turns out unreadable at recovery, the previous snapshot plus
-// the still-present segments rebuild the same state. A compaction pin
-// (SetCompactPin) additionally keeps every segment holding records a
-// replication follower has not shipped yet: segment i's records all lie
-// below segment i+1's first ID, so it is removable only when that bound
-// clears both the snapshot horizon and the pin.
-func (l *Log) compact(active string) error {
+// compact keeps the latest two manifests, the runs either references,
+// and removes segments whose entire record range lies below the OLDER
+// retained snapshot (never the active segment). Compacting to the older
+// snapshot — not the one just written — is what makes the two-snapshot
+// retention real: if the newest snapshot turns out unreadable at
+// recovery, the previous manifest, its runs and the still-present
+// segments rebuild the same state. A compaction pin (SetCompactPin)
+// additionally keeps every segment holding records a replication
+// follower has not shipped yet: segment i's records all lie below
+// segment i+1's first ID, so it is removable only when that bound clears
+// both the snapshot horizon and the pin. cur is the manifest just
+// written.
+func (l *Log) compact(active string, cur manifest) error {
 	snaps, nums, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
 	if err != nil {
 		return err
@@ -125,8 +537,33 @@ func (l *Log) compact(active string) error {
 		}
 	}
 	horizon := 0 // only one snapshot: it has no fallback, delete nothing
+	keep := map[string]bool{}
+	for _, r := range cur.runs {
+		keep[runName(r)] = true
+	}
 	if n := len(nums); n >= 2 {
 		horizon = nums[n-2]
+		// An older manifest that does not parse references nothing worth
+		// keeping: recovery could not use it either.
+		if older, err := readManifest(snaps[n-2]); err == nil {
+			for _, r := range older.runs {
+				keep[runName(r)] = true
+			}
+		}
+	}
+	// Whatever else is named like a run is an orphan: replaced, emptied,
+	// or a temp file or renamed run of a snapshot that never got its
+	// manifest. Snapshot is serialized, so nothing here is in flight.
+	entries, err := os.ReadDir(snapDir(l.dir))
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "run-") && !keep[name] {
+			if err := os.Remove(filepath.Join(snapDir(l.dir), name)); err != nil {
+				return err
+			}
+		}
 	}
 	if pin := l.compactPin(); pin < horizon {
 		horizon = pin
@@ -153,88 +590,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// loadLatestSnapshot restores the newest readable snapshot into the
-// fresh store, skipping unreadable ones (a torn write during a crash).
-func (l *Log) loadLatestSnapshot(rec *Recovery) error {
-	snaps, _, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
-	if err != nil {
-		return err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		base, next, ins, err := readSnapshot(snaps[i], l.opts.replayWorkers())
-		if err != nil {
-			// Unreadable snapshot: fall back to the previous one (the
-			// segments below it still exist until a snapshot succeeds).
-			continue
-		}
-		if err := l.st.Restore(base, next, ins); err != nil {
-			return fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
-		}
-		rec.SnapshotNext = next
-		rec.SnapshotLive = len(ins)
-		return nil
-	}
-	return nil
-}
-
-func readSnapshot(path string, workers int) (base, next int, ins []event.Instance, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, 0, nil, fmt.Errorf("wal: %s: bad snapshot magic", path)
-	}
-	rest := data[len(snapMagic):]
-	hdr, rest, ok := readFrame(rest)
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("wal: %s: torn snapshot header", path)
-	}
-	b, sz := binary.Uvarint(hdr)
-	if sz <= 0 {
-		return 0, 0, nil, fmt.Errorf("wal: %s: bad snapshot base", path)
-	}
-	hdr = hdr[sz:]
-	n, sz := binary.Uvarint(hdr)
-	if sz <= 0 {
-		return 0, 0, nil, fmt.Errorf("wal: %s: bad snapshot next", path)
-	}
-	hdr = hdr[sz:]
-	count, sz := binary.Uvarint(hdr)
-	if sz <= 0 {
-		return 0, 0, nil, fmt.Errorf("wal: %s: bad snapshot count", path)
-	}
-	base, next = int(b), int(n)
-	// Frame scan first, parallel decode second — same staging as segment
-	// replay, same any-worker-count determinism.
-	frames := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		payload, r2, ok := readFrame(rest)
-		if !ok {
-			return 0, 0, nil, fmt.Errorf("wal: %s: torn snapshot record %d/%d", path, i, count)
-		}
-		frames = append(frames, payload)
-		rest = r2
-	}
-	ins = make([]event.Instance, len(frames))
-	err = parallelIndexed(len(frames), workers, func(i int) error {
-		payload := frames[i]
-		id, sz := binary.Uvarint(payload)
-		if sz <= 0 {
-			return fmt.Errorf("wal: %s: bad snapshot record ID", path)
-		}
-		in, err := decodeInstance(payload[sz:])
-		if err != nil {
-			return fmt.Errorf("wal: %s: snapshot record %d: %v", path, i, err)
-		}
-		in.ID = int(id)
-		ins[i] = in
-		return nil
-	})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return base, next, ins, nil
 }

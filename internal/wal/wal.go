@@ -1,15 +1,17 @@
 // Package wal gives the G-RCA event store durability: a segmented,
 // append-only write-ahead log of normalized event instances with
-// per-record CRC32C framing, periodic snapshots of the full store, and
-// startup recovery that replays snapshot+tail into a byte-identical
-// store. The paper's platform ran as a shared service continuously fed by
-// many applications (§II); this package is what lets the reproduction
-// survive a restart without replaying raw feeds.
+// per-record CRC32C framing, periodic incremental snapshots (a manifest
+// over immutable ID-range runs, see snapshot.go), and startup recovery
+// that replays snapshot+tail into a byte-identical store. The paper's
+// platform ran as a shared service continuously fed by many applications
+// (§II); this package is what lets the reproduction survive a restart
+// without replaying raw feeds.
 //
 // # Layout and invariants
 //
-//	<dir>/wal/seg-<firstID>.log    framed records, IDs ascending from firstID
-//	<dir>/snap/snap-<nextID>.snap  full store dump covering IDs < nextID
+//	<dir>/wal/seg-<firstID>.log          framed records, IDs ascending from firstID
+//	<dir>/snap/snap-<nextID>.snap        manifest of the snapshot covering IDs < nextID
+//	<dir>/snap/run-<lo>-<hi>-<count>.run immutable run: the instances live in [lo, hi)
 //
 // Every record carries its store ID explicitly: one Log serves one
 // Memory shard, and under a sharded store a shard holds a sparse,
@@ -58,6 +60,16 @@ var (
 	mCompacted    = obs.GetCounter("wal.segments.compacted")
 	mPendingBytes = obs.GetGauge("wal.pending.bytes")
 	mCommitSecs   = obs.GetHistogram("wal.commit.seconds", obs.LatencyBuckets)
+
+	// Snapshot write amplification: bytes is everything written under
+	// snap/ (runs and manifests); written ÷ reused runs says how much of
+	// each snapshot was delta. failed counts snapshots that returned an
+	// error, unreadable the ones recovery had to skip.
+	mSnapBytes       = obs.GetCounter("wal.snapshot.bytes")
+	mSnapRunsWritten = obs.GetCounter("wal.snapshot.runs.written")
+	mSnapRunsReused  = obs.GetCounter("wal.snapshot.runs.reused")
+	mSnapFailed      = obs.GetCounter("wal.snapshots.failed")
+	mSnapUnreadable  = obs.GetCounter("wal.snapshots.unreadable")
 )
 
 // FsyncPolicy selects when appended records are forced to stable storage.
@@ -130,6 +142,9 @@ type Recovery struct {
 	SnapshotNext int
 	// SnapshotLive is how many live instances the snapshot held.
 	SnapshotLive int
+	// SnapshotsSkipped is how many newer snapshots were unreadable and
+	// passed over on the way to the one restored (or to none).
+	SnapshotsSkipped int
 	// Replayed is how many tail records were replayed from segments.
 	Replayed int
 	// TruncatedBytes is how much torn tail was cut off the log.
@@ -155,8 +170,7 @@ type Log struct {
 	segPath    string
 	segBytes   int64
 	nextSeq    int // lowest ID the next appended record may carry
-	snapNext   int // next-ID covered by the latest durable snapshot
-	sinceSnap  int // records committed since that snapshot
+	sinceSnap  int // records committed since the latest durable snapshot
 	closed     bool
 	err        error // first write/sync failure; sticky
 
@@ -166,6 +180,10 @@ type Log struct {
 	pinFn func() int
 
 	snapMu sync.Mutex // serializes Snapshot end to end
+	// snap is the latest durable snapshot's manifest — the runs the next
+	// snapshot keeps or rewrites. Written by recovery and, under snapMu, by
+	// Snapshot.
+	snap manifest
 
 	stop chan struct{}
 	done chan struct{}
@@ -234,9 +252,12 @@ func (l *Log) record(in *event.Instance) {
 // FsyncBatch, forces them to disk. It also rotates segments past the size
 // threshold and triggers an auto-snapshot when SnapshotEvery is due.
 // An acknowledged Commit under FsyncBatch means the records survive
-// kill -9. Commit does not coalesce callers: the serving pipeline's
-// per-shard applier is the one committer, and its queue-drain commit
-// group is the one place fsyncs are amortized.
+// kill -9, and the error it returns is the flush's alone: a failed
+// auto-snapshot takes nothing back from records already on disk, so it is
+// counted (wal.snapshots.failed) and retried by the next Commit instead
+// of being reported against a durable batch. Commit does not coalesce
+// callers: the serving pipeline's per-shard applier is the one committer,
+// and its queue-drain commit group is the one place fsyncs are amortized.
 func (l *Log) Commit() error {
 	if err := l.flush(l.opts.Fsync == FsyncBatch); err != nil {
 		return err
@@ -245,7 +266,7 @@ func (l *Log) Commit() error {
 	due := l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery
 	l.mu.Unlock()
 	if due {
-		return l.Snapshot()
+		l.Snapshot() //nolint:errcheck // counted; sinceSnap still due, so the next Commit retries
 	}
 	return nil
 }
@@ -532,7 +553,6 @@ func (l *Log) recover() (Recovery, error) {
 		}
 	}
 	l.nextSeq = expected
-	l.snapNext = rec.SnapshotNext
 	l.sinceSnap = expected - rec.SnapshotNext
 
 	// Reopen the tail segment for appending — unless its record range

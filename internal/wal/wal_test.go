@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,6 +169,138 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 		if st3.Len() != k+len(extra) {
 			t.Fatalf("trial %d: post-crash append lost events: %d, want %d", trial, st3.Len(), k+len(extra))
+		}
+	}
+	snapshotCrashCuts(t)
+}
+
+// snapshotCrashCuts is TestCrashRecoveryProperty's second half: the
+// crash lands inside Snapshot rather than inside an append. A log under
+// retention is driven until a sweep's snapshot has runs to rewrite, the
+// directory is imaged before and after that one Snapshot call, and each
+// state a crash between its steps can leave is recovered.
+func snapshotCrashCuts(t *testing.T) {
+	opts := Options{SegmentBytes: 64 << 10, Retention: 30 * time.Hour}
+	dir := t.TempDir()
+	l, st, _, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var before, after, want string
+	sweeps := 0
+	st.OnEvict(func([]*event.Instance, time.Time) {
+		if sweeps++; sweeps == 40 {
+			// Snapshot syncs first; the crash images start from there.
+			if err := l.Sync(); err != nil {
+				t.Error(err)
+			}
+			before = copyDir(t, dir)
+		}
+		if err := l.Snapshot(); err != nil {
+			t.Errorf("snapshot on evict: %v", err)
+		}
+		if sweeps == 40 {
+			after, want = copyDir(t, dir), StoreDigest(st)
+		}
+	})
+	for _, in := range raggedEvents(53, 12000, 12*time.Hour) {
+		if st.Add(in); after != "" {
+			break
+		}
+	}
+	if after == "" {
+		t.Fatal("the stream never reached its 40th sweep")
+	}
+	names := func(dir string) map[string]bool {
+		out := map[string]bool{}
+		entries, err := os.ReadDir(snapDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			out[e.Name()] = true
+		}
+		return out
+	}
+	was, is := names(before), names(after)
+	newRuns, replaced := 0, 0
+	for name := range is {
+		if strings.HasPrefix(name, "run-") && !was[name] {
+			newRuns++
+		}
+	}
+	for name := range was {
+		if strings.HasPrefix(name, "run-") && !is[name] {
+			replaced++
+		}
+	}
+	if len(manifests(t, before)) != 2 || newRuns < 2 || replaced == 0 {
+		t.Fatalf("snapshot under test wrote %d runs and retired %d over %d manifests: want a rewrite beside the tail, two generations",
+			newRuns, replaced, len(manifests(t, before)))
+	}
+	// overlay copies after's snap/ files that keep(name) selects onto a
+	// fresh copy of before.
+	overlay := func(keep func(name string) bool) string {
+		cut := copyDir(t, before)
+		for name := range is {
+			if !keep(name) {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(snapDir(after), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(snapDir(cut), name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cut
+	}
+	cuts := []struct {
+		name string
+		dir  string
+		// fromNew: recovery must restore the new manifest — true from
+		// its rename on, the previous one until then.
+		fromNew bool
+	}{
+		{"runs written but not renamed", func() string {
+			cut := copyDir(t, before)
+			tmp := filepath.Join(snapDir(cut), "run-0000000000000000-0000000000000009-3.run.tmp")
+			if err := os.WriteFile(tmp, []byte("half a run"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return cut
+		}(), false},
+		{"runs renamed but no manifest", overlay(func(name string) bool { return strings.HasPrefix(name, "run-") }), false},
+		{"manifest renamed but compaction not run", overlay(func(string) bool { return true }), true},
+		{"compaction done", after, true},
+	}
+	beforeNext, _, _ := LatestSnapshot(before)
+	afterNext, _, _ := LatestSnapshot(after)
+	for _, cut := range cuts {
+		l2, st2, rec, err := Open(cut.dir, opts)
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", cut.name, err)
+		}
+		wantNext := beforeNext
+		if cut.fromNew {
+			wantNext = afterNext
+		}
+		if rec.SnapshotNext != wantNext || rec.SnapshotsSkipped != 0 {
+			t.Fatalf("%s: recovery %+v, want the snapshot at %d and none skipped", cut.name, rec, wantNext)
+		}
+		if StoreDigest(st2) != want {
+			t.Fatalf("%s: recovered %d events, digest differs from the store that crashed (%d events)", cut.name, st2.Len(), st.Len())
+		}
+		// The next snapshot collects whatever the crash orphaned.
+		if err := l2.Snapshot(); err != nil {
+			t.Fatalf("%s: snapshot after recovery: %v", cut.name, err)
+		}
+		checkManifestsIntact(t, cut.dir)
+		checkNoOrphans(t, cut.dir)
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -379,50 +513,101 @@ func TestIntervalFsyncCloseFlushes(t *testing.T) {
 	}
 }
 
+// TestTornSnapshotFallsBack damages snapshots every way a crash or a bad
+// disk can and checks recovery falls back — to the previous manifest when
+// there is one, to the segments alone when there is not — without ever
+// trusting the damaged one, and says how many it skipped.
 func TestTornSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	ins := genEvents(19, 200)
-	l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
+	flip := func(t *testing.T, path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st.AddAll(ins[:150])
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
+	// build leaves a closed log holding generations snapshots 1000 events
+	// apart (a run each, well over crumb size) and a 100-event tail.
+	build := func(t *testing.T, generations int) (dir, want string) {
+		t.Helper()
+		dir = t.TempDir()
+		ins := genEvents(19, generations*1000+100)
+		l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < generations; g++ {
+			st.AddAll(ins[g*1000 : (g+1)*1000])
+			if err := l.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.AddAll(ins[generations*1000:])
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(manifests(t, dir)); n != min(generations, 2) {
+			t.Fatalf("%d manifests after %d snapshots", n, generations)
+		}
+		return dir, StoreDigest(st)
 	}
-	st.AddAll(ins[150:])
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
+	// run returns the file of the run covering [lo, lo+1000).
+	run := func(t *testing.T, dir string, lo int) string {
+		t.Helper()
+		return runFile(dir, runInfo{lo: lo, hi: lo + 1000, count: 1000})
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name        string
+		generations int
+		damage      func(t *testing.T, dir string)
+		snapNext    int  // SnapshotNext recovery must report
+		skipped     int  // SnapshotsSkipped it must report
+		whole       bool // the recovered store must equal the original
+	}{
+		// Compaction trails one snapshot behind, so with a single snapshot
+		// the full segment history is still there and rebuilds everything.
+		{"only manifest corrupt", 1, func(t *testing.T, dir string) { flip(t, snapFile(dir, 1000)) }, 0, 1, true},
+		{"only run corrupt", 1, func(t *testing.T, dir string) { flip(t, run(t, dir, 0)) }, 0, 1, true},
+		// Two generations: the older manifest, the run both share and the
+		// segments above it rebuild the identical store.
+		{"newest manifest corrupt", 3, func(t *testing.T, dir string) { flip(t, snapFile(dir, 3000)) }, 2000, 1, true},
+		{"newest manifest truncated", 3, func(t *testing.T, dir string) {
+			if err := os.Truncate(snapFile(dir, 3000), 20); err != nil {
+				t.Fatal(err)
+			}
+		}, 2000, 1, true},
+		{"run only the newest references missing", 3, func(t *testing.T, dir string) {
+			if err := os.Remove(run(t, dir, 2000)); err != nil {
+				t.Fatal(err)
+			}
+		}, 2000, 1, true},
+		{"run only the newest references corrupt", 3, func(t *testing.T, dir string) { flip(t, run(t, dir, 2000)) }, 2000, 1, true},
+		// A run both manifests reference: neither is readable, and the
+		// segments below the older one are compacted away, so the store
+		// cannot be whole — but recovery must neither panic nor trust it.
+		{"run both reference corrupt", 3, func(t *testing.T, dir string) { flip(t, run(t, dir, 1000)) }, 0, 2, false},
 	}
-	// Corrupt the newest snapshot: recovery must fall back (here, to the
-	// segments alone, since only one snapshot exists... the tail after it
-	// is gone with the snapshot's coverage — so assert graceful handling,
-	// not full recovery).
-	snaps, _, err := listNumbered(snapDir(dir), "snap-", ".snap")
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("snapshots: %v (%d)", err, len(snaps))
-	}
-	data, err := os.ReadFile(snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snaps[len(snaps)-1], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.SnapshotNext != 0 {
-		t.Fatalf("corrupt snapshot was trusted: %+v", rec)
-	}
-	// Compaction only runs when a snapshot succeeds, so the full segment
-	// history is still there and recovery rebuilds everything.
-	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
-		t.Fatal("fallback recovery lost data despite intact segments")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, want := build(t, tc.generations)
+			tc.damage(t, dir)
+			l, st, rec, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if rec.SnapshotNext != tc.snapNext || rec.SnapshotsSkipped != tc.skipped {
+				t.Fatalf("recovery %+v, want SnapshotNext %d with %d skipped", rec, tc.snapNext, tc.skipped)
+			}
+			if got := StoreDigest(st) == want; got != tc.whole {
+				t.Fatalf("recovered store (%d live) equals the original: %v, want %v", st.Len(), got, tc.whole)
+			}
+		})
 	}
 }
