@@ -672,6 +672,180 @@ func TestCompactionPinHoldsSegments(t *testing.T) {
 	}
 }
 
+// heldWriter is a follower's connection that stops draining: after the
+// first `free` writes, a Write parks until release is closed. held is
+// closed when the first write parks.
+type heldWriter struct {
+	collectWriter
+	free          int
+	held, release chan struct{}
+}
+
+func (w *heldWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.free--
+	left := w.free
+	w.mu.Unlock()
+	if left == -1 {
+		close(w.held)
+	}
+	if left < 0 {
+		<-w.release
+	}
+	return w.collectWriter.Write(p)
+}
+
+// TestLaggingFollowerAcrossAdoptedSegments holds a live WAL stream inside
+// the first segment while the primary seals and adopts four: the pin keeps
+// every wal/ name the stream has yet to read, each beside the snap/ name
+// of the same file; once released the stream ships every record with no
+// gap and no snapshot bootstrap, the log the sink wrote recovers to the
+// primary's digest, and the primary's next snapshot lets the shipped
+// segments go while the runs linked from them stay.
+func TestLaggingFollowerAcrossAdoptedSegments(t *testing.T) {
+	prim := t.TempDir()
+	l, st, _, err := wal.Open(prim, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reg := NewRegistry(1, time.Minute)
+	l.SetCompactPin(func() int { return reg.PinWAL(0) })
+	src := NewSource(SourceConfig{
+		BootID: "boot-lag", Shards: 1,
+		JournalPath:     filepath.Join(prim, "none.log"),
+		WALDir:          func(int) string { return prim },
+		JournalFrontier: func() int { return -1 },
+		WALFrontier:     func(int) int { return l.Frontier() },
+		Registry:        reg,
+		Poll:            2 * time.Millisecond,
+	})
+	// The hello passes; the first 64 KiB of records parks the stream.
+	w := &heldWriter{free: 1, held: make(chan struct{}), release: make(chan struct{})}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- src.ServeWAL(w, nil, "lag", 0, 0, stop) }()
+
+	const rounds, perRound = 4, 1500 // 1500 records: a segment well past crumb size
+	round := func(r int, snapshot bool) {
+		t.Helper()
+		for i := r * perRound; i < (r+1)*perRound; i++ {
+			if _, err := st.Put(inst(i, "lag")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if snapshot {
+			if err := l.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round(0, false)
+	select {
+	case <-w.held: // booted on records, before any snapshot exists to bootstrap from
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream never reached its first 64 KiB")
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < rounds; r++ {
+		round(r, true)
+	}
+	segs, err := wal.Segments(prim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(prim), "run-*.run"))
+	if err != nil || len(segs) != rounds || len(runs) != rounds {
+		t.Fatalf("held stream: %d segments and %d runs (%v), want %d of each", len(segs), len(runs), err, rounds)
+	}
+	for i, seg := range segs { // run names sort by their lo, like segments
+		sfi, err := os.Stat(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rfi, err := os.Stat(runs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg.First != i*perRound || !os.SameFile(sfi, rfi) {
+			t.Fatalf("segment %d is %s, not the file %s is", i, seg.Path, runs[i])
+		}
+	}
+
+	close(w.release)
+	const total = rounds * perRound
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		next := 0
+		for _, m := range decodeStream(t, w.bytes()) {
+			switch m.Type {
+			case MsgSnapBegin:
+				t.Fatal("a stream the pin kept whole bootstrapped from a snapshot")
+			case MsgWALRec:
+				if id, err := wal.RecordID(m.Rec); err != nil || id != next {
+					t.Fatalf("stream shipped record %d (%v) after %d", id, err, next-1)
+				}
+				next++
+			}
+		}
+		if next == total {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream stalled at record %d of %d", next, total)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	want := wal.StoreDigest(st)
+
+	// Shipped: the pin has moved, so one more snapshot compacts every
+	// wal/ name below the older manifest — the snap/ names stay.
+	round(rounds, true)
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if segs, err = wal.Segments(prim); err != nil || segs[0].First != total {
+		t.Fatalf("after the stream caught up the chain starts at %+v (%v), want %d", segs, err, total)
+	}
+	if runs, err = filepath.Glob(filepath.Join(wal.SnapDirOf(prim), "run-*.run")); err != nil || len(runs) != rounds+1 {
+		t.Fatalf("%d runs (%v) after compaction, want %d", len(runs), err, rounds+1)
+	}
+
+	foll := t.TempDir()
+	sink, err := OpenWALSink(foll, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range decodeStream(t, w.bytes()) {
+		if m.Type != MsgWALRec {
+			continue
+		}
+		if id, _ := wal.RecordID(m.Rec); id < total {
+			if err := sink.WriteRecord(m.Rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Promotion is this Open: the follower's log becomes a primary's.
+	promoted, mem, _, err := wal.Open(foll, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	if got := wal.StoreDigest(mem); got != want {
+		t.Fatalf("promoted follower digest %s != primary %s", got, want)
+	}
+}
+
 func TestClientStreamsAndReconnects(t *testing.T) {
 	// First request fails; second serves three messages then EOF. The
 	// client must reconnect, deliver all messages, and honor Stop.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"io"
 	"os"
 )
 
@@ -20,33 +21,41 @@ type Journal struct {
 
 // ReplayJournal streams every committed record of the journal at path to
 // fn, truncating a torn tail in place (the longest-committed-prefix
-// contract, as for segments). A missing file is an empty journal.
+// contract, as for segments). It reads through a fixed buffer, so a
+// journal of any size replays in the memory of its largest record; the
+// payload fn sees is reused by the next call. A missing file is an empty
+// journal.
 func ReplayJournal(path string, fn func(payload []byte) error) (truncated int64, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
+	defer f.Close()
+	fr := NewFrameReader(f)
 	off := int64(0)
-	rest := data
-	for len(rest) > 0 {
-		payload, r2, ok := readFrame(rest)
-		if !ok {
-			truncated = int64(len(rest))
-			if err := os.Truncate(path, off); err != nil {
-				return truncated, err
+	for {
+		payload, err := fr.Next()
+		switch err {
+		case nil:
+		case io.EOF:
+			return 0, nil
+		case ErrTornFrame:
+			fi, err := f.Stat()
+			if err != nil {
+				return 0, err
 			}
-			return truncated, nil
+			return fi.Size() - off, os.Truncate(path, off)
+		default:
+			return 0, err
 		}
 		if err := fn(payload); err != nil {
 			return 0, err
 		}
 		off += int64(frameHeader + len(payload))
-		rest = r2
 	}
-	return 0, nil
 }
 
 // JournalSize returns the byte size of the journal at path, 0 for one

@@ -37,8 +37,8 @@ func RecordID(p []byte) (int, error) { return recordID(p) }
 // FrameReader incrementally decodes record frames from a byte stream —
 // the streaming counterpart of ReadFrame for consumers that cannot hold
 // the whole log in memory (the replication client). Next returns io.EOF
-// at a clean frame boundary and ErrTornFrame when the stream ends or
-// corrupts mid-frame.
+// at a clean frame boundary, ErrTornFrame when the stream ends or
+// corrupts mid-frame, and the reader's own error when a read fails.
 type FrameReader struct {
 	br      *bufio.Reader
 	hdr     [frameHeader]byte
@@ -60,13 +60,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // ended cleanly between frames.
 func (fr *FrameReader) Next() ([]byte, error) {
 	if _, err := io.ReadFull(fr.br, fr.hdr[:1]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, ErrTornFrame
+		return nil, err // io.EOF: a clean boundary
 	}
 	if _, err := io.ReadFull(fr.br, fr.hdr[1:]); err != nil {
-		return nil, ErrTornFrame
+		return nil, tornOr(err)
 	}
 	n := binary.LittleEndian.Uint32(fr.hdr[0:4])
 	if n > maxRecord {
@@ -77,12 +74,23 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	}
 	fr.payload = fr.payload[:n]
 	if _, err := io.ReadFull(fr.br, fr.payload); err != nil {
-		return nil, ErrTornFrame
+		return nil, tornOr(err)
 	}
 	if crc32.Checksum(fr.payload, castagnoli) != binary.LittleEndian.Uint32(fr.hdr[4:8]) {
 		return nil, ErrTornFrame
 	}
 	return fr.payload, nil
+}
+
+// tornOr maps a stream that ended inside a frame to ErrTornFrame; a read
+// that failed for another reason keeps its error, so that a consumer that
+// truncates torn tails (ReplayJournal) never cuts a file it could not
+// read.
+func tornOr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrTornFrame
+	}
+	return err
 }
 
 // Segment describes one on-disk WAL segment file.
@@ -114,11 +122,27 @@ func LatestSnapshot(dir string) (next int, ok bool, err error) {
 	return nums[len(nums)-1], true, nil
 }
 
-// SnapshotImage is a snapshot under dir read as one run: the header of a
-// run covering [base, next) followed by the records of every run the
-// manifest references, in order — the form a follower bootstraps from.
-// Every run file is open from the moment the image exists, so the
-// primary's compaction may delete them mid-stream without tearing it.
+// imageMagic opens a snapshot image on the wire. (The bytes are those of
+// the header run files once carried, so the stream did not change when
+// the files lost it.)
+const imageMagic = "GRCARUN1"
+
+// appendImageHeader appends an image's header: the magic and one frame,
+// uvarint base | next | live.
+func appendImageHeader(b []byte, base, next, live int) []byte {
+	var p []byte
+	p = binary.AppendUvarint(p, uint64(base))
+	p = binary.AppendUvarint(p, uint64(next))
+	p = binary.AppendUvarint(p, uint64(live))
+	return appendFrame(append(b, imageMagic...), p)
+}
+
+// SnapshotImage is a snapshot under dir read as one stream: a header
+// saying it covers [base, next) with so many instances, followed by the
+// bytes of every run the manifest references, in order — the form a
+// follower bootstraps from. Every run file is open from the moment the
+// image exists, so the primary's compaction may delete them mid-stream
+// without tearing it.
 type SnapshotImage struct {
 	Next int   // the snapshot's next-ID bound
 	Size int64 // total bytes Read will deliver
@@ -127,8 +151,8 @@ type SnapshotImage struct {
 }
 
 // OpenSnapshotImage opens the newest snapshot under dir whose manifest
-// parses and whose runs are all present at their recorded size and
-// header. It returns nil when dir holds no such snapshot.
+// parses and whose runs are all present at their recorded size. It
+// returns nil when dir holds no such snapshot.
 func OpenSnapshotImage(dir string) (*SnapshotImage, error) {
 	snaps, _, err := listNumbered(snapDir(dir), "snap-", ".snap")
 	if err != nil {
@@ -147,7 +171,7 @@ func OpenSnapshotImage(dir string) (*SnapshotImage, error) {
 }
 
 func openImage(dir string, m manifest) *SnapshotImage {
-	hdr := appendRunHeader(nil, m.base, m.next, m.live)
+	hdr := appendImageHeader(nil, m.base, m.next, m.live)
 	im := &SnapshotImage{Next: m.next, Size: int64(len(hdr))}
 	parts := []io.Reader{bytes.NewReader(hdr)}
 	for _, r := range m.runs {
@@ -157,30 +181,30 @@ func openImage(dir string, m manifest) *SnapshotImage {
 			return nil
 		}
 		im.files = append(im.files, f)
-		records := runRecords(f, r)
-		if records == nil {
+		if !looksLikeRun(f, r) {
 			im.Close()
 			return nil
 		}
-		parts = append(parts, records)
-		im.Size += records.Size()
+		parts = append(parts, io.NewSectionReader(f, 0, r.size))
+		im.Size += r.size
 	}
 	im.Reader = io.MultiReader(parts...)
 	return im
 }
 
-// runRecords returns the record section of the open run file f, or nil
-// when f is not at r's recorded size or does not start with r's header.
-func runRecords(f *os.File, r runInfo) *io.SectionReader {
-	want := appendRunHeader(nil, r.lo, r.hi, r.count)
+// looksLikeRun reports whether the open run file f is at r's recorded
+// size and starts with a record frame — which a run in a format this code
+// does not write (one with a header) does not.
+func looksLikeRun(f *os.File, r runInfo) bool {
 	if fi, err := f.Stat(); err != nil || fi.Size() != r.size {
-		return nil
+		return false
 	}
-	got := make([]byte, len(want))
-	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
-		return nil
+	var hdr [frameHeader]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return false
 	}
-	return io.NewSectionReader(f, int64(len(want)), r.size-int64(len(want)))
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	return n <= maxRecord && n <= r.size-frameHeader
 }
 
 // Close releases the image's run files.
@@ -193,22 +217,23 @@ func (im *SnapshotImage) Close() {
 // InstallSnapshotImage makes the image staged at path (a SnapshotImage's
 // bytes, already synced) the one snapshot under dir — a single run and
 // the manifest over it, the same form Snapshot writes — and returns its
-// next-ID bound. The image's header is trusted no further than recovery
-// trusts any file: the manifest records the size and CRC of the bytes
-// actually staged, and Open validates the records against them.
+// next-ID bound. A run file is records and nothing else, so the records
+// are copied out from behind the image's header and the staged file is
+// removed. The header is trusted no further than recovery trusts any
+// file: the manifest records the size and CRC of the bytes actually
+// copied, and Open validates the records against them.
 func InstallSnapshotImage(dir, path string) (next int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	sum := &crcWriter{w: io.Discard}
-	r := io.TeeReader(f, sum)
-	magic := make([]byte, len(runMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != runMagic {
+	fr := NewFrameReader(f)
+	magic := make([]byte, len(imageMagic))
+	if _, err := io.ReadFull(fr.br, magic); err != nil || string(magic) != imageMagic {
 		return 0, fmt.Errorf("wal: %s: not a snapshot image", path)
 	}
-	hdr, err := NewFrameReader(r).Next()
+	hdr, err := fr.Next()
 	if err != nil {
 		return 0, fmt.Errorf("wal: %s: snapshot image header: %v", path, err)
 	}
@@ -217,11 +242,12 @@ func InstallSnapshotImage(dir, path string) (next int, err error) {
 	if !u.ok || len(u.p) != 0 {
 		return 0, fmt.Errorf("wal: %s: bad snapshot image header", path)
 	}
-	// The frame reader read ahead through the tee; sum what it left.
-	if _, err := io.Copy(io.Discard, r); err != nil {
+	// Hold the announced count against the bytes staged before copying any.
+	fi, err := f.Stat()
+	if err != nil {
 		return 0, err
 	}
-	run.size, run.crc = sum.size, sum.crc
+	run.size = fi.Size() - int64(len(imageMagic)+frameHeader+len(hdr))
 	m := manifest{base: run.lo, next: run.hi, live: run.count}
 	if run.count > 0 {
 		m.runs = []runInfo{run}
@@ -229,12 +255,23 @@ func InstallSnapshotImage(dir, path string) (next int, err error) {
 	if err := m.validate(); err != nil {
 		return 0, fmt.Errorf("wal: %s: snapshot image header: %v", path, err)
 	}
-	if run.count == 0 {
-		err = os.Remove(path) // an empty store's image: the manifest says it all
-	} else {
-		err = os.Rename(path, runFile(dir, run))
+	if run.count > 0 {
+		tmp, err := os.OpenFile(runFile(dir, run)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		if err != nil {
+			return 0, err
+		}
+		sum := &crcWriter{w: tmp}
+		if _, err := io.Copy(sum, fr.br); err != nil {
+			tmp.Close() //nolint:errcheck // already failing
+			return 0, err
+		}
+		m.runs[0].size, m.runs[0].crc = sum.size, sum.crc
+		if err := commitFile(tmp, runFile(dir, run)); err != nil {
+			return 0, err
+		}
 	}
-	if err != nil {
+	// An empty store's image is its header: the manifest says it all.
+	if err := os.Remove(path); err != nil {
 		return 0, err
 	}
 	if _, err := writeManifest(dir, m); err != nil {

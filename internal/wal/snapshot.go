@@ -9,22 +9,33 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"grca/internal/event"
+	"grca/internal/obs"
 	"grca/internal/store"
 )
 
 // A snapshot is a small manifest over immutable run files:
 //
 //	snap/snap-<next>.snap            magic "GRCASNAP2" | frame(manifest)
-//	snap/run-<lo>-<hi>-<count>.run   magic "GRCARUN1" | frame(header) | count × frame(uvarint ID + instance)
+//	snap/run-<lo>-<hi>-<count>.run   count × frame(uvarint ID + instance)
 //
 // A run holds the instances that were live in the ID range [lo, hi) when
-// it was written; its header is uvarint lo | hi | count. The manifest is
-// uvarint base | next | live | #runs, then per run lo | hi | count | file
-// size | CRC32C of the whole file, runs ascending and non-overlapping.
-// Every frame carries the standard CRC32C.
+// it came to exist, in the segment record encoding and nothing else: what
+// it covers is said by its name and by the manifest entry that references
+// it. The manifest is uvarint base | next | live | #runs, then per run
+// lo | hi | count | file size | CRC32C of the whole file, runs ascending
+// and non-overlapping. Every frame carries the standard CRC32C.
+//
+// A run comes to exist one of two ways. A sealed segment whose records
+// are exactly the live instances of the run's range is adopted: hard-
+// linked under the run's name, its size and CRC taken from what the log
+// kept as it wrote the segment — the bytes are what writeRun would
+// produce, so nothing is written. Every other run — a range an eviction
+// took instances from, a crumb, a range whose records straddle segments —
+// is written from the store by writeRun.
 //
 // Under a Log IDs only ascend (record poisons the log otherwise), so a
 // range already written can only lose instances, and a run's content
@@ -36,14 +47,15 @@ import (
 // reference.
 const (
 	snapMagic = "GRCASNAP2"
-	runMagic  = "GRCARUN1"
 
 	// crumbBytes is the size below which a run is a crumb: written into
 	// one run with the crumbs next to it whenever any of them is written,
 	// so snapshots that each add a handful of records (a snapshot per
 	// insert under retention) grow one run to this size instead of
 	// littering one file each, and runs that evictions wore down fold
-	// together instead of lingering.
+	// together instead of lingering. It is also the size below which a
+	// snapshot leaves the active segment open: a crumb is copied, so that
+	// such snapshots grow one segment too, not one each.
 	crumbBytes = 64 << 10
 
 	// maxID bounds every ID and count read from disk so that sums and
@@ -75,14 +87,6 @@ func runName(r runInfo) string {
 }
 
 func runFile(dir string, r runInfo) string { return filepath.Join(snapDir(dir), runName(r)) }
-
-func appendRunHeader(b []byte, lo, hi, count int) []byte {
-	var p []byte
-	p = binary.AppendUvarint(p, uint64(lo))
-	p = binary.AppendUvarint(p, uint64(hi))
-	p = binary.AppendUvarint(p, uint64(count))
-	return appendFrame(append(b, runMagic...), p)
-}
 
 func (m manifest) encode() []byte {
 	var p []byte
@@ -184,20 +188,17 @@ func readManifest(path string) (manifest, error) {
 }
 
 // parseRun decodes a run file's bytes into dst against the manifest
-// entry that references it: the size, whole-file CRC and header must
-// match the entry, exactly len(dst) = count records must follow and
-// nothing after them, and their IDs must ascend inside [lo, hi). The
+// entry that references it: the size and whole-file CRC must match the
+// entry, the bytes must be exactly len(dst) = count records, and their
+// IDs must ascend inside [lo, hi). A file in any other format — a run
+// with the header this code once wrote — fails at its first frame. The
 // frame scan is sequential and the decode parallel — same staging as
 // segment replay, same any-worker-count determinism.
 func parseRun(data []byte, want runInfo, workers int, dst []event.Instance) error {
 	if int64(len(data)) != want.size || crc32.Checksum(data, castagnoli) != want.crc {
 		return fmt.Errorf("size or checksum differs from the manifest")
 	}
-	hdr := appendRunHeader(nil, want.lo, want.hi, want.count)
-	if !bytes.HasPrefix(data, hdr) {
-		return fmt.Errorf("header differs from the manifest")
-	}
-	rest := data[len(hdr):]
+	rest := data
 	frames := make([][]byte, len(dst))
 	prev := want.lo - 1
 	for i := range frames {
@@ -298,16 +299,21 @@ type plannedRun struct {
 }
 
 // planRuns decides what a snapshot writes. prev are the previous
-// manifest's runs, [prevNext, next) the IDs assigned since, and live
-// counts the store's live instances in an ID range. A run whose range
-// still holds its count is kept; an emptied one is dropped; one that
-// lost instances is rewritten, and the tail is written. Crumbs — runs
-// under crumbBytes, and the tail — that sit next to each other are
-// written as one run as soon as any of them has to be written; a run at
-// or over crumbBytes is never merged, so a large run that evictions keep
-// touching does not swallow the records that arrive after it.
-func planRuns(prev []runInfo, prevNext, next int, live func(lo, hi int) int) []plannedRun {
-	plan := make([]plannedRun, 0, len(prev)+1)
+// manifest's runs, [prevNext, next) the IDs assigned since, sealed the
+// closed segments that hold them (ascending), and live counts the store's
+// live instances in an ID range. A run whose range still holds its count
+// is kept; an emptied one is dropped; one that lost instances is
+// rewritten. The tail is planned per sealed segment — a range ending
+// where the segment's records end — so that a segment's records are one
+// run's, and what the active segment holds beyond the last seal is a
+// range of its own. Crumbs — runs under crumbBytes, a segment under it or
+// reaching below its range, and that last range — that sit next to each
+// other are written as one run as soon as any of them has to be written;
+// a run at or over crumbBytes is never merged, so a large run that
+// evictions keep touching does not swallow the records that arrive after
+// it.
+func planRuns(prev []runInfo, prevNext, next int, sealed []segInfo, live func(lo, hi int) int) []plannedRun {
+	plan := make([]plannedRun, 0, len(prev)+len(sealed)+1)
 	for _, r := range prev {
 		if n := live(r.lo, r.hi); n > 0 {
 			write := n != r.count
@@ -315,9 +321,23 @@ func planRuns(prev []runInfo, prevNext, next int, live func(lo, hi int) int) []p
 			plan = append(plan, plannedRun{r, write})
 		}
 	}
-	if n := live(prevNext, next); n > 0 {
-		plan = append(plan, plannedRun{runInfo{lo: prevNext, hi: next, count: n}, true})
+	tail := func(hi int, size int64) {
+		if n := live(prevNext, hi); n > 0 {
+			plan = append(plan, plannedRun{runInfo{lo: prevNext, hi: hi, count: n, size: size}, true})
+		}
+		prevNext = hi
 	}
+	for _, s := range sealed {
+		if s.last < prevNext {
+			continue // the previous snapshot covers it
+		}
+		size := s.size
+		if s.first < prevNext {
+			size = 0 // part of it is a crumb's already: let the two merge
+		}
+		tail(s.last+1, size)
+	}
+	tail(next, 0)
 	out := plan[:0]
 	for i := 0; i < len(plan); {
 		j, write, count := i, false, 0
@@ -340,6 +360,37 @@ func planRuns(prev []runInfo, prevNext, next int, live func(lo, hi int) int) []p
 	return out
 }
 
+// adoptable returns the sealed segment whose bytes are the run r, if there
+// is one: every record of it inside r's range, as many of them as the
+// range holds live instances, and each still live. IDs ascend through the
+// log, so every instance ever stored with an ID between the segment's
+// first and last is a record of it; with all of those live and the range
+// holding no more, the segment's records are the range's live instances
+// in ID order, and the encoding is the one writeRun uses.
+func adoptable(sealed []segInfo, r runInfo, live func(lo, hi int) int) *segInfo {
+	for i := range sealed {
+		s := &sealed[i]
+		if r.lo <= s.first && s.last < r.hi && s.count == r.count && live(s.first, s.last+1) == s.count {
+			return s
+		}
+	}
+	return nil
+}
+
+// linkRun makes the sealed segment at seg the run at run. A name already
+// there is the orphan of a snapshot that linked it and never got its
+// manifest (a run a retained manifest references is kept, never planned
+// again under the same name), so it is replaced.
+func linkRun(seg, run string) error {
+	err := os.Link(seg, run)
+	if os.IsExist(err) {
+		if err = os.Remove(run); err == nil {
+			err = os.Link(seg, run)
+		}
+	}
+	return err
+}
+
 // crcWriter passes writes through to w, tracking their size and CRC32C.
 type crcWriter struct {
 	w    io.Writer
@@ -358,6 +409,8 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // file beside the run's final name and returns the file, still open and
 // not yet synced, with r's size and CRC filled in. It streams through a
 // reused scratch buffer and a buffered writer — never an in-memory image.
+// What it writes is what flushLocked wrote for the same instances, byte
+// for byte: that is what makes a sealed segment adoptable in its place.
 func writeRun(dir string, r *runInfo, c store.Cut) (*os.File, error) {
 	f, err := os.OpenFile(runFile(dir, *r)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -365,17 +418,13 @@ func writeRun(dir string, r *runInfo, c store.Cut) (*os.File, error) {
 	}
 	cw := &crcWriter{w: f}
 	bw := bufio.NewWriterSize(cw, 1<<18)
-	scratch := make([]byte, 0, 1024)
-	frame := appendRunHeader(make([]byte, 0, 1024), r.lo, r.hi, r.count)
-	_, err = bw.Write(frame)
-	if err == nil {
-		err = c.Each(r.lo, r.hi, func(in *event.Instance) error {
-			scratch = appendRecord(scratch[:0], in)
-			frame = appendFrame(frame[:0], scratch)
-			_, err := bw.Write(frame)
-			return err
-		})
-	}
+	scratch, frame := make([]byte, 0, 1024), make([]byte, 0, 1024)
+	err = c.Each(r.lo, r.hi, func(in *event.Instance) error {
+		scratch = appendRecord(scratch[:0], in)
+		frame = appendFrame(frame[:0], scratch)
+		_, err := bw.Write(frame)
+		return err
+	})
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -417,27 +466,31 @@ func writeManifest(dir string, m manifest) (int64, error) {
 	return int64(len(data)), syncDir(snapDir(dir))
 }
 
-// Snapshot flushes pending records and writes what changed since the
-// previous snapshot: one run for the IDs assigned since, a rewrite of
-// each run an eviction took instances from, and a manifest naming those
-// beside the runs kept as they are. It then compacts: segments and runs
-// made redundant and all but the previous manifest are deleted. With
-// retention eviction feeding this (the store's OnEvict hook), disk stays
-// bounded like the store's memory, and the bytes written follow the
-// records added and evicted, not the store's size.
+// Snapshot flushes pending records, seals the active segment, and makes
+// durable what changed since the previous snapshot: a run for each sealed
+// segment of the IDs assigned since — the segment itself, linked, when
+// its records are exactly the run's — a rewrite of each run an eviction
+// took instances from, and a manifest naming those beside the runs kept
+// as they are. It then compacts: segments and runs made redundant and all
+// but the previous manifest are deleted. With retention eviction feeding
+// this (the store's OnEvict hook), disk stays bounded like the store's
+// memory, and the bytes written follow the records evicted, not the
+// store's size — the records added were written once, by Commit.
 //
-// Write order: runs are synced and renamed, then the manifest is synced
-// and renamed, then the directory is synced, then compaction runs. A
-// crash before the manifest's rename leaves unreferenced runs, which
-// recovery ignores and the next compaction collects; a crash after it
-// leaves at worst files compaction had not yet removed. Should the
-// directory lose a run's rename but keep the manifest's, the manifest
-// fails its size and CRC check and recovery falls back to the previous
-// one, whose runs and segments are only removed after the sync.
+// Write order: the segment is synced and closed, then linked; written
+// runs are synced and renamed; then the manifest is synced and renamed,
+// then the directory is synced, then compaction runs. A crash before the
+// manifest's rename leaves unreferenced runs, which recovery ignores and
+// the next compaction collects (a link that finds its name taken by one
+// replaces it); a crash after it leaves at worst files compaction had not
+// yet removed. Should the directory lose a run's name but keep the
+// manifest's, the manifest fails its size and CRC check and recovery
+// falls back to the previous one, whose runs and segments are only
+// removed after the sync.
 //
 // A failure is counted in wal.snapshots.failed and leaves the log as it
-// was — the previous snapshot and every segment above it still recover
-// the store, and the next snapshot covers the same delta.
+// was but for the seal — the previous snapshot and every segment above it
+// still recover the store, and the next snapshot covers the same delta.
 func (l *Log) Snapshot() error {
 	err := l.snapshot()
 	if err != nil {
@@ -450,8 +503,19 @@ func (l *Log) snapshot() error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 	// Records buffered but unflushed are covered by the runs below; sync
-	// them anyway so the log never trails the snapshot's claim.
-	if err := l.Sync(); err != nil {
+	// them anyway so the log never trails the snapshot's claim. Then seal,
+	// so that what was appended since the last snapshot is a file nothing
+	// will write to again — unless it is a crumb, which is copied.
+	l.mu.Lock()
+	err := l.flushLocked(true, obs.Now())
+	if err == nil && l.cur.size >= crumbBytes {
+		if err = l.sealLocked(); err != nil {
+			l.err = err
+		}
+	}
+	sealed := slices.Clone(l.sealed)
+	l.mu.Unlock()
+	if err != nil {
 		return err
 	}
 
@@ -466,20 +530,28 @@ func (l *Log) snapshot() error {
 			w.tmp.Close() //nolint:errcheck // failed before its commit; compact collects the temp file
 		}
 	}()
-	err := l.st.Cut(func(c store.Cut) error {
+	adopted := 0
+	err = l.st.Cut(func(c store.Cut) error {
 		m.base, m.next, m.live = c.Bounds()
-		plan := planRuns(l.snap.runs, l.snap.next, m.next, c.Count)
+		plan := planRuns(l.snap.runs, l.snap.next, m.next, sealed, c.Count)
 		m.runs = make([]runInfo, len(plan))
 		for i, p := range plan {
-			m.runs[i] = p.runInfo
+			r := &m.runs[i]
+			*r = p.runInfo
 			if !p.write {
 				continue
 			}
-			f, err := writeRun(l.dir, &m.runs[i], c)
+			// A link the filesystem refuses is a run to write like any other.
+			if s := adoptable(sealed, *r, c.Count); s != nil && linkRun(s.path, runFile(l.dir, *r)) == nil {
+				r.size, r.crc = s.size, s.crc
+				adopted++
+				continue
+			}
+			f, err := writeRun(l.dir, r, c)
 			if err != nil {
 				return err
 			}
-			written = append(written, writtenRun{f, &m.runs[i]})
+			written = append(written, writtenRun{f, r})
 		}
 		return nil
 	})
@@ -502,21 +574,27 @@ func (l *Log) snapshot() error {
 	mSnapshots.Inc()
 	mSnapBytes.Add(n)
 	mSnapRunsWritten.Add(int64(nwritten))
-	mSnapRunsReused.Add(int64(len(m.runs) - nwritten))
+	mSnapRunsAdopted.Add(int64(adopted))
+	mSnapRunsReused.Add(int64(len(m.runs) - nwritten - adopted))
 
 	l.snap = m
 	l.mu.Lock()
 	if l.sinceSnap = l.nextSeq - m.next; l.sinceSnap < 0 {
 		l.sinceSnap = 0
 	}
-	active := l.segPath
+	// A segment the manifest covers can never be adopted again: a later
+	// rewrite of its range is one an eviction caused.
+	l.sealed = slices.DeleteFunc(l.sealed, func(s segInfo) bool { return s.last < m.next })
+	active := l.cur.path
 	l.mu.Unlock()
 	return l.compact(active, m)
 }
 
 // compact keeps the latest two manifests, the runs either references,
 // and removes segments whose entire record range lies below the OLDER
-// retained snapshot (never the active segment). Compacting to the older
+// retained snapshot (never the active segment). A segment a run was linked
+// from goes like any other: the wal/ name and the snap/ name are two names
+// of one file, each removed by its own rule. Compacting to the older
 // snapshot — not the one just written — is what makes the two-snapshot
 // retention real: if the newest snapshot turns out unreadable at
 // recovery, the previous manifest, its runs and the still-present

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -35,11 +36,33 @@ func manifests(t testing.TB, dir string) []string {
 	return snaps
 }
 
+// fileInfos stats the files in dir, by name.
+func fileInfos(t testing.TB, dir string) map[string]os.FileInfo {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]os.FileInfo{}
+	for _, e := range entries {
+		if out[e.Name()], err = e.Info(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // copyDir clones a log directory — a crash image to recover from while
-// the original carries on.
+// the original carries on. Two names of one file in src (a sealed segment
+// and the run linked from it) are two names of one file in the clone.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
+	type copied struct {
+		fi   os.FileInfo
+		path string
+	}
+	var done []copied
 	err := filepath.Walk(src, func(p string, fi os.FileInfo, err error) error {
 		if err != nil {
 			return err
@@ -48,10 +71,16 @@ func copyDir(t *testing.T, src string) string {
 		if fi.IsDir() {
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
+		for _, c := range done {
+			if os.SameFile(c.fi, fi) {
+				return os.Link(c.path, filepath.Join(dst, rel))
+			}
+		}
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
+		done = append(done, copied{fi, filepath.Join(dst, rel)})
 		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
 	})
 	if err != nil {
@@ -60,9 +89,9 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// checkManifestsIntact asserts what compaction must never break: every
-// retained manifest parses and each run it references is on disk at the
-// recorded size.
+// checkManifestsIntact asserts what neither compaction nor an append may
+// ever break: every retained manifest parses and each run it references
+// is on disk at the recorded size and CRC.
 func checkManifestsIntact(t *testing.T, dir string) {
 	t.Helper()
 	snaps := manifests(t, dir)
@@ -75,12 +104,12 @@ func checkManifestsIntact(t *testing.T, dir string) {
 			t.Fatalf("retained manifest unreadable: %v", err)
 		}
 		for _, r := range m.runs {
-			fi, err := os.Stat(runFile(dir, r))
+			data, err := os.ReadFile(runFile(dir, r))
 			if err != nil {
 				t.Fatalf("%s references a run compaction deleted: %v", filepath.Base(p), err)
 			}
-			if fi.Size() != r.size {
-				t.Fatalf("%s: run %s is %d bytes, manifest says %d", filepath.Base(p), runName(r), fi.Size(), r.size)
+			if int64(len(data)) != r.size || crc32.Checksum(data, castagnoli) != r.crc {
+				t.Fatalf("%s: run %s is %d bytes, manifest says %d, or its CRC differs", filepath.Base(p), runName(r), len(data), r.size)
 			}
 		}
 	}
@@ -111,11 +140,10 @@ func checkNoOrphans(t *testing.T, dir string) {
 	}
 }
 
-// TestSnapshotWriteAmplification is the point of incremental snapshots
+// TestSnapshotWriteAmplification is the point of adopting sealed segments
 // as an exact count: 20 auto-snapshots over a store growing to 200k
-// events write about the final snapshot's bytes to snap/ — each record
-// once, plus manifests — where re-dumping the store each time wrote
-// about ten times that.
+// events write each record once — into its segment — and to snap/ the
+// manifests alone, every run being a second name of a segment.
 func TestSnapshotWriteAmplification(t *testing.T) {
 	const total, every, batch = 200_000, 10_000, 1000
 	dir := t.TempDir()
@@ -125,63 +153,70 @@ func TestSnapshotWriteAmplification(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// Bytes written to snap/, counted from outside: every file name that
-	// appears there (names are never reused with other content) at its
-	// size. The metric must agree to the byte.
-	seen := map[string]bool{}
-	written, snapshots := int64(0), 0
-	counter := mSnapBytes.Value()
+	// Bytes the log's files received, counted from outside: every name
+	// that ever appears under wal/ at its largest size (a segment only
+	// grows), and every name that appears under snap/ at its size (names
+	// are never reused with other content) unless it is a second name of
+	// a segment. The snap/ metric must agree to the byte.
+	segSizes, seen := map[string]int64{}, map[string]bool{}
+	snapBytes, manifestBytes, snapshots := int64(0), int64(0), 0
+	counter, adopted := mSnapBytes.Value(), mSnapRunsAdopted.Value()
 	for i := 0; i < total; i += batch {
 		st.AddAll(ins[i : i+batch])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		entries, err := os.ReadDir(snapDir(dir))
-		if err != nil {
-			t.Fatal(err)
+		segs := fileInfos(t, walDir(dir))
+		for name, fi := range segs {
+			segSizes[name] = fi.Size()
 		}
-		for _, e := range entries {
-			if seen[e.Name()] {
+	next:
+		for name, fi := range fileInfos(t, snapDir(dir)) {
+			if seen[name] {
 				continue
 			}
-			seen[e.Name()] = true
-			fi, err := e.Info()
-			if err != nil {
-				t.Fatal(err)
-			}
-			written += fi.Size()
-			if strings.HasSuffix(e.Name(), ".snap") {
+			seen[name] = true
+			if strings.HasSuffix(name, ".snap") {
 				snapshots++
+				manifestBytes += fi.Size()
 			}
+			// Compaction trails a snapshot behind, so the segment a new
+			// run was linked from is still listed.
+			for _, seg := range segs {
+				if os.SameFile(seg, fi) {
+					continue next
+				}
+			}
+			snapBytes += fi.Size()
 		}
+	}
+	segBytes := int64(0)
+	for _, size := range segSizes {
+		segBytes += size
 	}
 	if snapshots != total/every {
 		t.Fatalf("%d auto-snapshots, want %d", snapshots, total/every)
 	}
-	if got := mSnapBytes.Value() - counter; got != written {
-		t.Fatalf("wal.snapshot.bytes counted %d, snap/ received %d", got, written)
+	if got := mSnapBytes.Value() - counter; got != snapBytes || snapBytes != manifestBytes {
+		t.Fatalf("wal.snapshot.bytes counted %d, snap/ received %d, of which manifests %d: want all three equal",
+			got, snapBytes, manifestBytes)
+	}
+	if got := mSnapRunsAdopted.Value() - adopted; got != total/every {
+		t.Fatalf("%d runs adopted, want one per snapshot (%d)", got, total/every)
 	}
 	snaps := manifests(t, dir)
-	newest := snaps[len(snaps)-1]
-	m, err := readManifest(newest)
+	m, err := readManifest(snaps[len(snaps)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.live != total || len(m.runs) != total/every {
 		t.Fatalf("final manifest holds %d instances in %d runs, want %d in %d", m.live, len(m.runs), total, total/every)
 	}
-	fi, err := os.Stat(newest)
-	if err != nil {
-		t.Fatal(err)
+	if written, limit := segBytes+snapBytes, segBytes+segBytes/20; written > limit {
+		t.Fatalf("20 snapshots brought the log's writes to %d bytes for %d bytes of segments (%.3f×, limit 1.05×)",
+			written, segBytes, float64(written)/float64(segBytes))
 	}
-	final := fi.Size()
-	for _, r := range m.runs {
-		final += r.size
-	}
-	if limit := final + final/4; written > limit {
-		t.Fatalf("20 snapshots wrote %d bytes for a final snapshot of %d (%.2f×, limit 1.25×)",
-			written, final, float64(written)/float64(final))
-	}
+	checkManifestsIntact(t, dir)
 }
 
 // raggedEvents is a stream retention evicts raggedly: starts advance a
@@ -283,6 +318,10 @@ func TestSnapshotPerInsertKeepsFewRuns(t *testing.T) {
 	if n := len(runFiles(t, dir)); n > 8 || peak > 8 {
 		t.Fatalf("%d run files after a snapshot per insert (peak %d), want ≤ 8", n, peak)
 	}
+	// A crumb is copied, not sealed: one segment grows, too.
+	if segs, _, _ := listNumbered(walDir(dir), "seg-", ".log"); len(segs) > 4 {
+		t.Fatalf("%d segment files after a snapshot per insert, want ≤ 4", len(segs))
+	}
 	checkManifestsIntact(t, dir)
 	want := StoreDigest(st)
 	if err := l.Close(); err != nil {
@@ -317,7 +356,7 @@ func TestPlanRuns(t *testing.T) {
 		{0, 100}: 0, {100, 200}: 60, {200, 300}: 99, {300, 400}: 100, {400, 410}: 10, {410, 500}: 90,
 		{500, 520}: 18, {520, 530}: 10, {530, 600}: 70, {600, 605}: 5, {605, 620}: 12,
 	}
-	got := planRuns(prev, 605, 620, func(lo, hi int) int { return live[[2]int{lo, hi}] })
+	got := planRuns(prev, 605, 620, nil, func(lo, hi int) int { return live[[2]int{lo, hi}] })
 	rewritten := func(r runInfo, count int) plannedRun { r.count = count; return plannedRun{r, true} }
 	want := []plannedRun{
 		rewritten(prev[1], 60),
@@ -336,6 +375,55 @@ func TestPlanRuns(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("plan[%d] = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestPlanRunsSealedTail pins how the tail is planned over sealed
+// segments, and which of the planned runs a segment may stand in for.
+func TestPlanRunsSealedTail(t *testing.T) {
+	big := int64(crumbBytes)
+	prev := []runInfo{
+		{lo: 0, hi: 100, count: 100, size: big},
+		{lo: 100, hi: 120, count: 20, size: 1400}, // a crumb copied while segment a was still open
+	}
+	sealed := []segInfo{
+		{path: "gone", first: 0, last: 99, count: 100, size: big}, // covered by the previous snapshot
+		{path: "a", first: 100, last: 199, count: 100, size: big}, // reaches below the tail: merges with its crumb
+		{path: "b", first: 200, last: 299, count: 100, size: big}, // wholly in the tail, big: a run of its own
+		{path: "c", first: 300, last: 309, count: 10, size: 700},  // a crumb: merges with what the active segment holds
+	}
+	counts := map[[2]int]int{
+		{0, 100}: 100, {100, 120}: 20, {120, 200}: 80, {200, 300}: 100, {300, 310}: 10, {310, 320}: 7,
+		{100, 200}: 100,
+	}
+	live := func(lo, hi int) int { return counts[[2]int{lo, hi}] }
+	got := planRuns(prev, 120, 320, sealed, live)
+	want := []plannedRun{
+		{prev[0], false},
+		{runInfo{lo: 100, hi: 200, count: 100}, true},
+		{runInfo{lo: 200, hi: 300, count: 100, size: big}, true},
+		{runInfo{lo: 300, hi: 320, count: 17}, true},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("plan has %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("plan[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for i, path := range []string{"a", "b", ""} {
+		i++ // the runs to write
+		s := adoptable(sealed, got[i].runInfo, live)
+		if (s == nil) != (path == "") || s != nil && s.path != path {
+			t.Errorf("plan[%d] adopts %+v, want segment %q", i, s, path)
+		}
+	}
+	// Equal counts are not equal contents: a record of b evicted and an
+	// instance live beside it in the range.
+	counts[[2]int{200, 300}] = 99
+	if s := adoptable(sealed, runInfo{lo: 190, hi: 300, count: 100}, live); s != nil {
+		t.Errorf("a range holding an instance segment %q does not was adopted from it", s.path)
 	}
 }
 
@@ -469,13 +557,13 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 	}
 
 	// A header announcing more records than the bytes could hold.
-	lying := appendRunHeader(nil, 0, 1<<60, 1<<60)
+	lying := appendImageHeader(nil, 0, 1<<60, 1<<60)
 	if _, _, err := install(t, lying); err == nil {
 		t.Fatal("an image announcing 1<<60 records in 30 bytes was installed")
 	}
 	// A header that is plausible but wrong: installs, and recovery skips it.
-	hdrLen := len(appendRunHeader(nil, 0, 4000, 4000))
-	wrong := append(appendRunHeader(nil, 0, 4000, 3999), data[hdrLen:]...)
+	hdrLen := len(appendImageHeader(nil, 0, 4000, 4000))
+	wrong := append(appendImageHeader(nil, 0, 4000, 3999), data[hdrLen:]...)
 	dir, _, err = install(t, wrong)
 	if err != nil {
 		t.Fatal(err)
@@ -552,74 +640,271 @@ func TestCommitSurvivesSnapshotFailure(t *testing.T) {
 	}
 }
 
+// unreadablePairs returns, from a log directory holding one manifest over
+// one run, manifest and run bytes recovery must refuse: the run as it
+// would be had an append landed in it after its manifest was written, and
+// the same records under the header run files carried before they became
+// plain record files, with a manifest that vouches for those very bytes.
+func unreadablePairs(t testing.TB, dir string) map[string][2][]byte {
+	t.Helper()
+	m, err := readManifest(manifests(t, dir)[0])
+	if err != nil || len(m.runs) != 1 {
+		t.Fatalf("want one manifest over one run, have %+v (%v)", m, err)
+	}
+	run, err := os.ReadFile(runFile(dir, m.runs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := genEvents(59, 1)[0]
+	extra.ID = m.next
+	grown := appendFrame(append([]byte(nil), run...), appendRecord(nil, &extra))
+	old := m
+	r := m.runs[0]
+	headed := append(appendImageHeader(nil, r.lo, r.hi, r.count), run...)
+	r.size, r.crc = int64(len(headed)), crc32.Checksum(headed, castagnoli)
+	old.runs = []runInfo{r}
+	return map[string][2][]byte{
+		"run grown after its manifest": {m.encode(), grown},
+		"run with the old header":      {old.encode(), headed},
+	}
+}
+
+// TestForeignRunsFallBack: a run that is not, byte for byte, the records
+// its manifest entry describes makes the snapshot unreadable — counted,
+// skipped, and the segments rebuild the store.
+func TestForeignRunsFallBack(t *testing.T) {
+	build := func(t *testing.T) (dir, want string) {
+		dir = t.TempDir()
+		ins := genEvents(61, 1100)
+		l, st, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.AddAll(ins[:1000])
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		st.AddAll(ins[1000:])
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, StoreDigest(st)
+	}
+	first, _ := build(t)
+	for name, pair := range unreadablePairs(t, first) {
+		t.Run(name, func(t *testing.T) {
+			dir, want := build(t)
+			run := runFiles(t, dir)[0]
+			// The run is a second name of a segment: replace it, so that
+			// the segment keeps the records recovery falls back to.
+			if err := os.Remove(run); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(run, pair[1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(manifests(t, dir)[0], pair[0], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, st, rec, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.SnapshotNext != 0 || rec.SnapshotsSkipped != 1 {
+				t.Fatalf("recovery %+v: want the snapshot skipped and counted", rec)
+			}
+			if StoreDigest(st) != want {
+				t.Fatal("fallback recovery lost data despite intact segments")
+			}
+		})
+	}
+}
+
+// TestAdoptedRunMatchesWrittenRun: a run that came to exist as a link to
+// a sealed segment is, byte for byte, the file writeRun produces for the
+// same range — on dense IDs and on the sparse IDs a shard of a sharded
+// store sees — and its manifest entry carries that file's size and CRC.
+func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
+	for _, stride := range []int{1, 3} {
+		t.Run(map[int]string{1: "dense", 3: "sparse"}[stride], func(t *testing.T) {
+			dir, scratch := t.TempDir(), t.TempDir()
+			if err := os.MkdirAll(snapDir(scratch), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			l, st, _, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			ins := genEvents(67, 3000)
+			adopted := mSnapRunsAdopted.Value()
+			for gen := 0; gen < 3; gen++ {
+				for i := gen * 1000; i < (gen+1)*1000; i++ {
+					ins[i].ID = 5 + i*stride
+					if _, err := st.Put(ins[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := mSnapRunsAdopted.Value() - adopted; got != 3 {
+				t.Fatalf("%d runs adopted, want 3", got)
+			}
+			m, err := readManifest(manifests(t, dir)[1])
+			if err != nil || len(m.runs) != 3 {
+				t.Fatalf("newest manifest %+v (%v), want three runs", m, err)
+			}
+			segs, _, err := listNumbered(walDir(dir), "seg-", ".log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range m.runs {
+				want := runInfo{lo: r.lo, hi: r.hi, count: r.count}
+				err := st.Cut(func(c store.Cut) error {
+					f, err := writeRun(scratch, &want, c)
+					if err != nil {
+						return err
+					}
+					return commitFile(f, runFile(scratch, want))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want != r {
+					t.Fatalf("adopted entry %+v, written entry %+v", r, want)
+				}
+				got, err := os.ReadFile(runFile(dir, r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				written, err := os.ReadFile(runFile(scratch, want))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, written) {
+					t.Fatalf("run %s: the adopted file differs from the written one", runName(r))
+				}
+			}
+			// The newest run is still a second name of the segment it was.
+			last, err := os.Stat(runFile(dir, m.runs[2]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := os.Stat(segs[len(segs)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !os.SameFile(last, seg) {
+				t.Fatalf("%s is not a link to %s", runName(m.runs[2]), segs[len(segs)-1])
+			}
+		})
+	}
+}
+
 // FuzzSnapshotDecode feeds arbitrary bytes to both snapshot readers, as a
 // manifest and as a run. A follower's snap/ holds whatever its primary
 // sent, so neither may panic, and neither may allocate for a count the
-// bytes present could not carry.
+// bytes present could not carry. An input that starts with a whole
+// manifest frame is that manifest followed by the run its first entry
+// references — a snap/ directory in one string — and the run is then
+// also held against that entry, as recovery holds it.
 func FuzzSnapshotDecode(f *testing.F) {
-	dir := f.TempDir()
-	l, st, _, err := Open(dir, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	st.AddAll(genEvents(47, 20))
-	if err := l.Snapshot(); err != nil {
-		f.Fatal(err)
-	}
-	st.AddAll(genEvents(48, 20))
-	if err := l.Snapshot(); err != nil {
-		f.Fatal(err)
-	}
-	l.Close()
-	for _, p := range append(manifests(f, dir), runFiles(f, dir)...) {
-		data, err := os.ReadFile(p)
+	snapshot := func(n int) (dir string) {
+		dir = f.TempDir()
+		l, st, _, err := Open(dir, Options{})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		flipped := append([]byte(nil), data...)
-		flipped[len(flipped)-3] ^= 0x20
-		f.Add(flipped)
+		st.AddAll(genEvents(47, n))
+		if err := l.Snapshot(); err != nil {
+			f.Fatal(err)
+		}
+		l.Close()
+		return dir
+	}
+	for _, n := range []int{20, 1000} { // a written crumb, an adopted segment
+		dir := snapshot(n)
+		man, err := os.ReadFile(manifests(f, dir)[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		run, err := os.ReadFile(runFiles(f, dir)[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, data := range [][]byte{man, run, append(man[:len(man):len(man)], run...)} {
+			f.Add(data)
+			f.Add(data[:len(data)/2])
+			flipped := append([]byte(nil), data...)
+			flipped[len(flipped)-3] ^= 0x20
+			f.Add(flipped)
+		}
+		for _, pair := range unreadablePairs(f, dir) {
+			f.Add(append(pair[0], pair[1]...))
+		}
 	}
 	f.Add(hugeCountDump())
-	f.Add(appendRunHeader(nil, 0, 1<<60, 1<<60))
+	f.Add(appendImageHeader(nil, 0, 1<<60, 1<<60))
 	f.Add(manifest{next: 1 << 60, live: 1 << 60, runs: []runInfo{{hi: 1 << 60, count: 1 << 60, size: 8}}}.encode())
 	f.Add([]byte("GRCASNAP2 but nothing else"))
 
+	// restores checks that a run the reader accepted against want is one
+	// the store takes back.
+	restores := func(t *testing.T, run []byte, want runInfo) {
+		dst := make([]event.Instance, want.count)
+		if err := parseRun(run, want, 2, dst); err == nil {
+			if err := store.New().Restore(want.lo, want.hi, dst); err != nil {
+				t.Fatalf("a run the reader accepted does not restore: %v", err)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := parseManifest(data); err == nil {
-			if len(m.runs)*5 > len(data) {
-				t.Fatalf("%d runs accepted from %d bytes", len(m.runs), len(data))
+		man, run := data, data
+		if strings.HasPrefix(string(data), snapMagic) {
+			if _, rest, ok := readFrame(data[len(snapMagic):]); ok {
+				man, run = data[:len(data)-len(rest)], rest
+			}
+		}
+		if m, err := parseManifest(man); err == nil {
+			if len(m.runs)*5 > len(man) {
+				t.Fatalf("%d runs accepted from %d bytes", len(m.runs), len(man))
 			}
 			for _, r := range m.runs {
 				if int64(r.count) > r.size/frameHeader {
 					t.Fatalf("run of %d records accepted in %d claimed bytes", r.count, r.size)
 				}
 			}
-		}
-		// As a run: take the entry a manifest would have to carry for
-		// these bytes to get past the size and CRC check, from the bytes
-		// themselves.
-		if !strings.HasPrefix(string(data), runMagic) {
-			return
-		}
-		hdr, _, ok := readFrame(data[len(runMagic):])
-		if !ok {
-			return
-		}
-		u := uvarints{hdr, true}
-		want := runInfo{lo: u.next(), hi: u.next(), count: u.next(), size: int64(len(data)), crc: crc32.Checksum(data, castagnoli)}
-		m := manifest{base: want.lo, next: want.hi, live: want.count, runs: []runInfo{want}}
-		if !u.ok || m.validate() != nil {
-			return
-		}
-		dst := make([]event.Instance, want.count)
-		if err := parseRun(data, want, 2, dst); err == nil {
-			fresh := store.New()
-			if err := fresh.Restore(m.base, m.next, dst); err != nil {
-				t.Fatalf("a run the reader accepted does not restore: %v", err)
+			// As recovery does: the size the entry claims is held against
+			// the file before anything is allocated for its count.
+			if len(m.runs) > 0 && m.runs[0].size == int64(len(run)) {
+				restores(t, run, m.runs[0])
 			}
+		}
+		// As a run on its own: take the entry a manifest would have to
+		// carry for these bytes to get past the size and CRC check, from
+		// the bytes themselves.
+		want := runInfo{size: int64(len(run)), crc: crc32.Checksum(run, castagnoli)}
+		for rest := run; ; want.count++ {
+			payload, r2, ok := readFrame(rest)
+			if !ok {
+				break
+			}
+			id, err := recordID(payload)
+			if err != nil || id < 0 || id >= maxID {
+				break
+			}
+			if want.count == 0 {
+				want.lo = id
+			}
+			want.hi, rest = id+1, r2
+		}
+		if (manifest{base: want.lo, next: want.hi, live: want.count, runs: []runInfo{want}}).validate() == nil {
+			restores(t, run, want)
 		}
 	})
 }

@@ -13,6 +13,12 @@
 //	<dir>/snap/snap-<nextID>.snap        manifest of the snapshot covering IDs < nextID
 //	<dir>/snap/run-<lo>-<hi>-<count>.run immutable run: the instances live in [lo, hi)
 //
+// Segments and runs are one encoding — framed records, nothing else — so
+// a snapshot seals the active segment and hard-links it under snap/ as
+// its newest run instead of writing the records again (snapshot.go). A
+// sealed segment is immutable: no append and no truncation ever lands in
+// an inode a run shares.
+//
 // Every record carries its store ID explicitly: one Log serves one
 // Memory shard, and under a sharded store a shard holds a sparse,
 // strictly ascending subsequence of the global ID space, so position in
@@ -36,6 +42,7 @@ package wal
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -62,11 +69,14 @@ var (
 	mCommitSecs   = obs.GetHistogram("wal.commit.seconds", obs.LatencyBuckets)
 
 	// Snapshot write amplification: bytes is everything written under
-	// snap/ (runs and manifests); written ÷ reused runs says how much of
-	// each snapshot was delta. failed counts snapshots that returned an
-	// error, unreadable the ones recovery had to skip.
+	// snap/ (manifests, and the runs that had to be written from the
+	// store; adopting a sealed segment links it and writes nothing);
+	// adopted and written against reused runs says how much of each
+	// snapshot was delta. failed counts snapshots that returned an error,
+	// unreadable the ones recovery had to skip.
 	mSnapBytes       = obs.GetCounter("wal.snapshot.bytes")
 	mSnapRunsWritten = obs.GetCounter("wal.snapshot.runs.written")
+	mSnapRunsAdopted = obs.GetCounter("wal.snapshot.runs.adopted")
 	mSnapRunsReused  = obs.GetCounter("wal.snapshot.runs.reused")
 	mSnapFailed      = obs.GetCounter("wal.snapshots.failed")
 	mSnapUnreadable  = obs.GetCounter("wal.snapshots.unreadable")
@@ -154,6 +164,19 @@ type Recovery struct {
 	DroppedSegments int
 }
 
+// segInfo is what the log knows of one segment file without reading it
+// back: the IDs of its first and last record, how many it holds, and the
+// size and CRC32C of the whole file, kept as flushLocked writes (recovery
+// re-derives them for the segments it reads). It is everything a manifest
+// entry says of a run, which is what lets a snapshot adopt the file.
+type segInfo struct {
+	path        string
+	first, last int
+	count       int
+	size        int64
+	crc         uint32
+}
+
 // Log is an open write-ahead log bound to one store.
 type Log struct {
 	dir  string
@@ -166,11 +189,11 @@ type Log struct {
 	bufIDs     []int  // store ID of each pending record (for segment naming)
 	scratch    []byte
 	bufRecords int
-	seg        *os.File
-	segPath    string
-	segBytes   int64
-	nextSeq    int // lowest ID the next appended record may carry
-	sinceSnap  int // records committed since the latest durable snapshot
+	seg        *os.File  // active segment; nil between a seal and the next flush
+	cur        segInfo   // the active segment so far
+	sealed     []segInfo // closed segments holding records no snapshot covers yet
+	nextSeq    int       // lowest ID the next appended record may carry
+	sinceSnap  int       // records committed since the latest durable snapshot
 	closed     bool
 	err        error // first write/sync failure; sticky
 
@@ -303,24 +326,30 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 	}
 	written, off := 0, 0
 	for written < l.bufRecords {
-		if l.seg == nil || l.segBytes >= l.opts.SegmentBytes {
+		if l.seg == nil || l.cur.size >= l.opts.SegmentBytes {
 			if err := l.rotateAtLocked(l.bufIDs[written]); err != nil {
 				l.err = err
 				return err
 			}
 		}
-		capacity := l.opts.SegmentBytes - l.segBytes
+		capacity := l.opts.SegmentBytes - l.cur.size
 		end := written + 1 // always make progress
 		for end < l.bufRecords && int64(recEnd(end)-off) <= capacity {
 			end++
 		}
 		chunk := recEnd(end - 1)
 		n, err := l.seg.Write(l.buf[off:chunk])
-		l.segBytes += int64(n)
+		l.cur.size += int64(n)
 		if err != nil {
 			l.err = err
 			return err
 		}
+		if l.cur.count == 0 {
+			l.cur.first = l.bufIDs[written]
+		}
+		l.cur.last = l.bufIDs[end-1]
+		l.cur.count += end - written
+		l.cur.crc = crc32.Update(l.cur.crc, castagnoli, l.buf[off:chunk])
 		off, written = chunk, end
 	}
 	if sync {
@@ -341,23 +370,37 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 	return nil
 }
 
-// rotateAtLocked syncs and closes the active segment and opens a fresh
-// one named for the ID of the next record it will hold.
+// sealLocked syncs and closes the active segment for good: nothing is
+// ever written to the file again, and the next flush opens a successor.
+func (l *Log) sealLocked() error {
+	if l.seg == nil {
+		return nil
+	}
+	if err := fileSync(l.seg); err != nil {
+		return err
+	}
+	if err := l.seg.Close(); err != nil {
+		return err
+	}
+	if l.cur.count > 0 {
+		l.sealed = append(l.sealed, l.cur)
+	}
+	l.seg, l.cur = nil, segInfo{}
+	return nil
+}
+
+// rotateAtLocked seals the active segment and opens a fresh one named for
+// the ID of the next record it will hold.
 func (l *Log) rotateAtLocked(first int) error {
-	if l.seg != nil {
-		if err := fileSync(l.seg); err != nil {
-			return err
-		}
-		if err := l.seg.Close(); err != nil {
-			return err
-		}
+	if err := l.sealLocked(); err != nil {
+		return err
 	}
 	path := segPath(l.dir, first)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	l.seg, l.segPath, l.segBytes = f, path, 0
+	l.seg, l.cur = f, segInfo{path: path}
 	return nil
 }
 
@@ -457,10 +500,36 @@ func listNumbered(dir, prefix, suffix string) ([]string, []int, error) {
 	return names, nums, nil
 }
 
+// linkedRuns indexes snap/'s run files by name, for telling which segment
+// shares its inode with one. It holds every file named like a run, also
+// the orphans of a snapshot that never got its manifest.
+func linkedRuns(dir string) (map[string]os.FileInfo, error) {
+	entries, err := os.ReadDir(snapDir(dir))
+	if err != nil {
+		return nil, err
+	}
+	runs := map[string]os.FileInfo{}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "run-") {
+			continue
+		}
+		if fi, err := e.Info(); err == nil { // gone since the listing: not a link any more
+			runs[e.Name()] = fi
+		}
+	}
+	return runs, nil
+}
+
 // recover restores the newest readable snapshot and replays the segment
 // tail. On a torn or corrupt record it truncates the log there and drops
 // any later segments: the recovered store is the longest committed
 // prefix.
+//
+// Segments the snapshot covers are not opened at all: one whose
+// successor's name is at or below the snapshot's next-ID (every record
+// in a segment lies below its successor's name), and one that is the same
+// file as a run the restored manifest references. A fallback to the older
+// manifest lowers that bound, and then they are read.
 func (l *Log) recover() (Recovery, error) {
 	var rec Recovery
 	if err := l.loadLatestSnapshot(&rec); err != nil {
@@ -470,8 +539,17 @@ func (l *Log) recover() (Recovery, error) {
 	if err != nil {
 		return rec, err
 	}
+	runs, err := linkedRuns(l.dir)
+	if err != nil {
+		return rec, err
+	}
+	restored := map[string]bool{}
+	for _, r := range l.snap.runs {
+		restored[runName(r)] = true
+	}
 	expected := rec.SnapshotNext // next ID the store will assign
-	lastEnd := -1                // ID after the last record of the last kept segment
+	var tail segInfo             // the last segment read and kept
+	tailLinked := false          // ...shares its inode with a run
 	torn := false
 	for i, path := range segs {
 		if torn {
@@ -483,6 +561,26 @@ func (l *Log) recover() (Recovery, error) {
 		}
 		if firsts[i] < 0 {
 			return rec, fmt.Errorf("wal: segment %s has a negative first ID", path)
+		}
+		if i+1 < len(segs) && firsts[i+1] <= rec.SnapshotNext {
+			continue
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			return rec, err
+		}
+		linked := ""
+		for name, run := range runs {
+			if os.SameFile(fi, run) {
+				linked = name
+				break
+			}
+		}
+		if restored[linked] {
+			continue
+		}
+		if tail.count > 0 {
+			l.sealed = append(l.sealed, tail)
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -498,17 +596,19 @@ func (l *Log) recover() (Recovery, error) {
 			payload []byte
 		}
 		var pend []pendRec
-		off := int64(0)
 		rest := data
-		prev := -1
-		lastEnd = firsts[i] // empty segment: append resumes at its name
+		// An empty segment resumes at its name: first > last says so.
+		tail, tailLinked = segInfo{path: path, first: firsts[i], last: firsts[i] - 1}, linked != ""
 		for len(rest) > 0 {
 			payload, r2, ok := readFrame(rest)
 			if !ok {
-				// Torn tail: cut the file back to the committed prefix.
+				// Torn tail: cut the file back to the committed prefix. A
+				// sealed segment was synced whole before any run linked it,
+				// so a tear there is the disk's doing, the run over the same
+				// bytes is unreadable with it, and the cut loses nothing.
 				torn = true
 				rec.TruncatedBytes += int64(len(rest))
-				if err := os.Truncate(path, off); err != nil {
+				if err := os.Truncate(path, tail.size); err != nil {
 					return rec, err
 				}
 				break
@@ -517,16 +617,21 @@ func (l *Log) recover() (Recovery, error) {
 			if err != nil {
 				return rec, fmt.Errorf("wal: %s: %v", path, err)
 			}
-			if id <= prev {
-				return rec, fmt.Errorf("wal: %s record ID %d not ascending (previous %d)", path, id, prev)
+			if tail.count > 0 && id <= tail.last {
+				return rec, fmt.Errorf("wal: %s record ID %d not ascending (previous %d)", path, id, tail.last)
 			}
-			prev = id
+			if tail.count == 0 {
+				tail.first = id
+			}
+			tail.last = id
+			tail.count++
 			if id >= expected {
 				pend = append(pend, pendRec{id, payload})
 			}
-			off += int64(frameHeader + len(payload))
+			tail.size += int64(frameHeader + len(payload))
 			rest = r2
 		}
+		tail.crc = crc32.Checksum(data[:tail.size], castagnoli)
 		ins := make([]event.Instance, len(pend))
 		err = parallelIndexed(len(pend), l.opts.replayWorkers(), func(i int) error {
 			in, err := decodeRecord(pend[i].payload)
@@ -548,41 +653,25 @@ func (l *Log) recover() (Recovery, error) {
 			rec.Replayed++
 			expected = pend[i].seq + 1
 		}
-		if prev >= 0 {
-			lastEnd = prev + 1
-		}
 	}
 	l.nextSeq = expected
 	l.sinceSnap = expected - rec.SnapshotNext
 
-	// Reopen the tail segment for appending — unless its record range
-	// would leave a numbering gap (all its records predate the snapshot
-	// restore point, or no segments survive), in which case start fresh.
-	if lastEnd == l.nextSeq && len(segs) > 0 {
-		last := segs[len(segs)-1]
-		if torn {
-			last = keptTail(segs, rec.DroppedSegments)
-		}
-		f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Reopen the last segment for appending — unless that would leave a
+	// numbering gap (all its records predate the snapshot restore point,
+	// or no segment was read), or it shares its inode with a run: appends
+	// there would land in the run. Then start fresh. (After a tear the
+	// file is no longer what any run was linked to; see above.)
+	if tail.path != "" && tail.last+1 == l.nextSeq && (torn || !tailLinked) {
+		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return rec, err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return rec, err
-		}
-		l.seg, l.segPath, l.segBytes = f, last, st.Size()
+		l.seg, l.cur = f, tail
 		return rec, nil
 	}
-	if err := l.rotateAtLocked(l.nextSeq); err != nil {
-		return rec, err
+	if tail.count > 0 {
+		l.sealed = append(l.sealed, tail)
 	}
-	return rec, nil
-}
-
-// keptTail returns the last segment that survived recovery when dropped
-// trailing segments were removed.
-func keptTail(segs []string, dropped int) string {
-	return segs[len(segs)-1-dropped]
+	return rec, l.rotateAtLocked(l.nextSeq)
 }

@@ -176,11 +176,17 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 // snapshotCrashCuts is TestCrashRecoveryProperty's second half: the
 // crash lands inside Snapshot rather than inside an append. A log under
-// retention is driven until a sweep's snapshot has runs to rewrite, the
-// directory is imaged before and after that one Snapshot call, and each
-// state a crash between its steps can leave is recovered.
+// retention is driven until a sweep's snapshot has runs to rewrite beside
+// a sealed segment to adopt, the directory is imaged before and after
+// that one Snapshot call, and each state a crash between its steps can
+// leave is recovered — and then appended to and snapshotted again, which
+// must leave every run a retained manifest references as it was.
 func snapshotCrashCuts(t *testing.T) {
-	opts := Options{SegmentBytes: 64 << 10, Retention: 30 * time.Hour}
+	// Sweeps come every 60 events or so, each snapshot copying the crumb
+	// the active segment still is, until the segment passes crumbBytes and
+	// is sealed and adopted: the 35th sweep is such a one.
+	const crashSweep = 35
+	opts := Options{Retention: 30 * time.Hour}
 	dir := t.TempDir()
 	l, st, _, err := Open(dir, opts)
 	if err != nil {
@@ -190,7 +196,7 @@ func snapshotCrashCuts(t *testing.T) {
 	var before, after, want string
 	sweeps := 0
 	st.OnEvict(func([]*event.Instance, time.Time) {
-		if sweeps++; sweeps == 40 {
+		if sweeps++; sweeps == crashSweep {
 			// Snapshot syncs first; the crash images start from there.
 			if err := l.Sync(); err != nil {
 				t.Error(err)
@@ -200,51 +206,61 @@ func snapshotCrashCuts(t *testing.T) {
 		if err := l.Snapshot(); err != nil {
 			t.Errorf("snapshot on evict: %v", err)
 		}
-		if sweeps == 40 {
+		if sweeps == crashSweep {
 			after, want = copyDir(t, dir), StoreDigest(st)
 		}
 	})
-	for _, in := range raggedEvents(53, 12000, 12*time.Hour) {
-		if st.Add(in); after != "" {
-			break
-		}
+	stream := raggedEvents(53, 12000, 12*time.Hour)
+	fed := 0
+	for after == "" && fed < len(stream) {
+		st.Add(stream[fed])
+		fed++
 	}
 	if after == "" {
-		t.Fatal("the stream never reached its 40th sweep")
+		t.Fatal("the stream never reached the sweep under test")
 	}
-	names := func(dir string) map[string]bool {
-		out := map[string]bool{}
-		entries, err := os.ReadDir(snapDir(dir))
-		if err != nil {
-			t.Fatal(err)
+	was, is, segs := fileInfos(t, snapDir(before)), fileInfos(t, snapDir(after)), fileInfos(t, walDir(after))
+	// segmentOf names the segment a run of the after image is a link to.
+	segmentOf := func(run string) string {
+		for name, seg := range segs {
+			if os.SameFile(seg, is[run]) {
+				return name
+			}
 		}
-		for _, e := range entries {
-			out[e.Name()] = true
-		}
-		return out
+		return ""
 	}
-	was, is := names(before), names(after)
-	newRuns, replaced := 0, 0
+	written, linked, replaced := 0, 0, 0
 	for name := range is {
-		if strings.HasPrefix(name, "run-") && !was[name] {
-			newRuns++
+		switch {
+		case !strings.HasPrefix(name, "run-") || was[name] != nil:
+		case segmentOf(name) != "":
+			linked++
+		default:
+			written++
 		}
 	}
 	for name := range was {
-		if strings.HasPrefix(name, "run-") && !is[name] {
+		if strings.HasPrefix(name, "run-") && is[name] == nil {
 			replaced++
 		}
 	}
-	if len(manifests(t, before)) != 2 || newRuns < 2 || replaced == 0 {
-		t.Fatalf("snapshot under test wrote %d runs and retired %d over %d manifests: want a rewrite beside the tail, two generations",
-			newRuns, replaced, len(manifests(t, before)))
+	if len(manifests(t, before)) != 2 || written == 0 || linked == 0 || replaced == 0 {
+		t.Fatalf("snapshot under test wrote %d runs, linked %d and retired %d over %d manifests: want a rewrite beside an adopted tail, two generations",
+			written, linked, replaced, len(manifests(t, before)))
 	}
-	// overlay copies after's snap/ files that keep(name) selects onto a
-	// fresh copy of before.
+	// overlay puts after's snap/ files that keep(name) selects onto a
+	// fresh copy of before: a linked run as a link to the copy's segment
+	// (Snapshot syncs first, so before holds it whole), any other by value.
 	overlay := func(keep func(name string) bool) string {
 		cut := copyDir(t, before)
 		for name := range is {
 			if !keep(name) {
+				continue
+			}
+			if seg := segmentOf(name); seg != "" {
+				if err := os.Link(filepath.Join(walDir(cut), seg), filepath.Join(snapDir(cut), name)); err != nil {
+					t.Fatal(err)
+				}
 				continue
 			}
 			data, err := os.ReadFile(filepath.Join(snapDir(after), name))
@@ -257,6 +273,7 @@ func snapshotCrashCuts(t *testing.T) {
 		}
 		return cut
 	}
+	isRun := func(name string) bool { return strings.HasPrefix(name, "run-") }
 	cuts := []struct {
 		name string
 		dir  string
@@ -264,7 +281,8 @@ func snapshotCrashCuts(t *testing.T) {
 		// its rename on, the previous one until then.
 		fromNew bool
 	}{
-		{"runs written but not renamed", func() string {
+		// Sealing changes no byte on disk: the segment is closed, that is all.
+		{"sealed, not linked; a run written but not renamed", func() string {
 			cut := copyDir(t, before)
 			tmp := filepath.Join(snapDir(cut), "run-0000000000000000-0000000000000009-3.run.tmp")
 			if err := os.WriteFile(tmp, []byte("half a run"), 0o644); err != nil {
@@ -272,8 +290,9 @@ func snapshotCrashCuts(t *testing.T) {
 			}
 			return cut
 		}(), false},
-		{"runs renamed but no manifest", overlay(func(name string) bool { return strings.HasPrefix(name, "run-") }), false},
-		{"manifest renamed but compaction not run", overlay(func(string) bool { return true }), true},
+		{"linked, no manifest; written runs not renamed", overlay(func(name string) bool { return segmentOf(name) != "" }), false},
+		{"linked and renamed, no manifest", overlay(isRun), false},
+		{"manifest renamed, compaction not run", overlay(func(string) bool { return true }), true},
 		{"compaction done", after, true},
 	}
 	beforeNext, _, _ := LatestSnapshot(before)
@@ -293,14 +312,32 @@ func snapshotCrashCuts(t *testing.T) {
 		if StoreDigest(st2) != want {
 			t.Fatalf("%s: recovered %d events, digest differs from the store that crashed (%d events)", cut.name, st2.Len(), st.Len())
 		}
-		// The next snapshot collects whatever the crash orphaned.
-		if err := l2.Snapshot(); err != nil {
-			t.Fatalf("%s: snapshot after recovery: %v", cut.name, err)
+		// The manifests the crash left must outlive what follows: appends
+		// (none may land in a segment a run is a name of), and snapshots,
+		// the first of which collects whatever the crash orphaned.
+		for round := 0; round < 2; round++ {
+			for _, in := range stream[fed+round*40:][:40] {
+				st2.Add(in)
+			}
+			if err := l2.Commit(); err != nil {
+				t.Fatalf("%s: commit after recovery: %v", cut.name, err)
+			}
+			if err := l2.Snapshot(); err != nil {
+				t.Fatalf("%s: snapshot after recovery: %v", cut.name, err)
+			}
+			checkManifestsIntact(t, cut.dir)
+			checkNoOrphans(t, cut.dir)
 		}
-		checkManifestsIntact(t, cut.dir)
-		checkNoOrphans(t, cut.dir)
+		live := StoreDigest(st2)
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
+		}
+		_, st3, rec, err := Open(cut.dir, opts)
+		if err != nil || rec.SnapshotsSkipped != 0 {
+			t.Fatalf("%s: reopening after the appends: %+v, %v", cut.name, rec, err)
+		}
+		if StoreDigest(st3) != live {
+			t.Fatalf("%s: the store reopened after the appends differs from the live one", cut.name)
 		}
 	}
 }
@@ -489,6 +526,54 @@ func TestEvictionSnapshotRecovery(t *testing.T) {
 	}
 	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
 		t.Fatal("recovered store differs from the evicted original")
+	}
+}
+
+// TestRecoverySkipsCoveredSegments: a segment whose successor is named at
+// or below the restored snapshot's next-ID holds nothing recovery needs,
+// and is not opened — shown by putting garbage under its name, which a
+// scan would take for a torn record and drop every later segment for.
+func TestRecoverySkipsCoveredSegments(t *testing.T) {
+	dir := t.TempDir()
+	ins := genEvents(71, 2100)
+	l, st, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, upTo := range []int{1000, 2000} {
+		st.AddAll(ins[upTo-1000 : upTo])
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.AddAll(ins[2000:])
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := StoreDigest(st)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, firsts, err := listNumbered(walDir(dir), "seg-", ".log")
+	if err != nil || len(segs) != 2 || firsts[0] != 1000 || firsts[1] != 2000 {
+		t.Fatalf("segments %v (%v), want the sealed one at 1000 and the tail at 2000", firsts, err)
+	}
+	// Under a new inode: the old one is the newest run's, too.
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], []byte("not a record frame"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, st2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotNext != 2000 || rec.Replayed != 100 || rec.TruncatedBytes != 0 || rec.DroppedSegments != 0 {
+		t.Fatalf("recovery %+v: want the snapshot at 2000, the 100-record tail, and the segment below untouched", rec)
+	}
+	if StoreDigest(st2) != want {
+		t.Fatal("recovered store differs from the one that was closed")
 	}
 }
 
