@@ -97,51 +97,114 @@ func usage() {
   grca promote -addr URL                 # flip a running replica into a standalone primary`)
 }
 
-func runApp(args []string) error {
+// appArg resolves a command's leading application name.
+func appArg(cmd string, args []string) (apps.App, error) {
 	if len(args) < 1 {
-		return fmt.Errorf("run: application name required")
+		return apps.App{}, fmt.Errorf("%s: application name required", cmd)
 	}
 	a, ok := apps.Get(args[0])
 	if !ok {
-		return fmt.Errorf("run: unknown application %q", args[0])
+		return apps.App{}, fmt.Errorf("%s: unknown application %q", cmd, args[0])
 	}
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	return a, nil
+}
+
+// bundleCmd is the front half of every command that reads a bundle: the
+// application (app, or the leading argument), the flags — -data plus
+// whatever flags registers — then the bundle loaded, assembled, and bound
+// to the application's engine.
+type bundleCmd struct {
+	name, app string
+	flags     func(*flag.FlagSet)
+	// ready, when set, runs once the flags are parsed, before the bundle
+	// loads.
+	ready func() error
+}
+
+type openBundle struct {
+	app    apps.App
+	bundle platform.Bundle
+	sys    *platform.System
+	eng    *engine.Engine
+}
+
+func (c bundleCmd) open(args []string) (*openBundle, error) {
+	if c.app != "" {
+		args = append([]string{c.app}, args...)
+	}
+	a, err := appArg(c.name, args)
+	if err != nil {
+		return nil, err
+	}
+	fs := flag.NewFlagSet(c.name, flag.ExitOnError)
 	data := fs.String("data", "", "dataset bundle directory (required)")
-	score := fs.Bool("score", false, "score diagnoses against ground truth when available")
-	trend := fs.Duration("trend", 0, "print a symptom trend with the given bin width")
-	show := fs.Int("show", 0, "print the first N full diagnoses (evidence chains)")
-	trace := fs.Bool("trace", false, "record per-stage diagnosis traces and print the slowest ones")
-	slowest := fs.Int("slowest", 3, "with -trace, how many of the slowest diagnoses to print")
-	metricsAddr := fs.String("metrics-addr", "", "serve expvar/pprof on this address (e.g. :6060) while running")
+	if c.flags != nil {
+		c.flags(fs)
+	}
 	if err := fs.Parse(args[1:]); err != nil {
-		return err
+		return nil, err
 	}
 	if *data == "" {
-		return fmt.Errorf("run: -data is required")
+		return nil, fmt.Errorf("%s: -data is required", c.name)
 	}
-	if *metricsAddr != "" {
-		bound, shutdown, err := obs.ServeDebug(*metricsAddr)
-		if err != nil {
-			return err
+	if c.ready != nil {
+		if err := c.ready(); err != nil {
+			return nil, err
 		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "metrics: expvar at http://%s/debug/vars, pprof at http://%s/debug/pprof/\n", bound, bound)
 	}
-
 	bundle, err := platform.Load(*data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sys, err := bundle.Assemble(platform.Options{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	warnDrops(sys.Collector)
 	eng, err := a.NewEngine(sys.Store, sys.View)
+	if err != nil {
+		return nil, err
+	}
+	return &openBundle{a, bundle, sys, eng}, nil
+}
+
+func runApp(args []string) error {
+	var o struct {
+		score, trace  bool
+		trend         time.Duration
+		show, slowest int
+		metricsAddr   string
+	}
+	shutdown := func() {}
+	defer func() { shutdown() }()
+	b, err := bundleCmd{
+		name: "run",
+		flags: func(fs *flag.FlagSet) {
+			fs.BoolVar(&o.score, "score", false, "score diagnoses against ground truth when available")
+			fs.DurationVar(&o.trend, "trend", 0, "print a symptom trend with the given bin width")
+			fs.IntVar(&o.show, "show", 0, "print the first N full diagnoses (evidence chains)")
+			fs.BoolVar(&o.trace, "trace", false, "record per-stage diagnosis traces and print the slowest ones")
+			fs.IntVar(&o.slowest, "slowest", 3, "with -trace, how many of the slowest diagnoses to print")
+			fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve expvar/pprof on this address (e.g. :6060) while running")
+		},
+		ready: func() error {
+			if o.metricsAddr == "" {
+				return nil
+			}
+			bound, stop, err := obs.ServeDebug(o.metricsAddr)
+			if err != nil {
+				return err
+			}
+			shutdown = stop
+			fmt.Fprintf(os.Stderr, "metrics: expvar at http://%s/debug/vars, pprof at http://%s/debug/pprof/\n", bound, bound)
+			return nil
+		},
+	}.open(args)
 	if err != nil {
 		return err
 	}
-	eng.Tracing = *trace
+	a, bundle, sys, eng := b.app, b.bundle, b.sys, b.eng
+	warnDrops(sys.Collector)
+	eng.Tracing = o.trace
 	began := time.Now()
 	ds := eng.DiagnoseAll()
 	elapsed := time.Since(began)
@@ -156,19 +219,19 @@ func runApp(args []string) error {
 	}
 	fmt.Printf("\n%d symptoms diagnosed in %v (%v/event)\n", len(ds), elapsed.Round(time.Millisecond), per.Round(time.Microsecond))
 
-	if *score && len(bundle.Truth) > 0 {
+	if o.score && len(bundle.Truth) > 0 {
 		s := platform.ScoreDiagnoses(bundle.Truth, a.Study, ds, 10*time.Minute)
 		fmt.Printf("ground truth: %d/%d correct (%.1f%%), %d unmatched\n",
 			s.Correct, s.Total, 100*s.Accuracy(), s.Unmatched)
 	}
-	if *trend > 0 && len(ds) > 0 {
-		printTrend(sys.Store, eng.Graph.Root, bundle.Start, bundle.Start.Add(bundle.Duration), *trend)
+	if o.trend > 0 && len(ds) > 0 {
+		printTrend(sys.Store, eng.Graph.Root, bundle.Start, bundle.Start.Add(bundle.Duration), o.trend)
 	}
-	for i := 0; i < *show && i < len(ds); i++ {
+	for i := 0; i < o.show && i < len(ds); i++ {
 		printDiagnosis(ds[i])
 	}
-	if *trace {
-		printSlowest(ds, *slowest)
+	if o.trace {
+		printSlowest(ds, o.slowest)
 	}
 	return nil
 }
@@ -269,32 +332,15 @@ func runStats(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("stats: application name or -addr required")
 	}
-	a, ok := apps.Get(args[0])
-	if !ok {
-		return fmt.Errorf("stats: unknown application %q", args[0])
-	}
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	data := fs.String("data", "", "dataset bundle directory (required)")
-	stream := fs.Bool("stream", true, "also replay the corpus through the streaming processor")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("stats: -data is required")
-	}
-	bundle, err := platform.Load(*data)
+	var stream *bool
+	b, err := bundleCmd{name: "stats", flags: func(fs *flag.FlagSet) {
+		stream = fs.Bool("stream", true, "also replay the corpus through the streaming processor")
+	}}.open(args)
 	if err != nil {
 		return err
 	}
-	sys, err := bundle.Assemble(platform.Options{})
-	if err != nil {
-		return err
-	}
+	sys, eng := b.sys, b.eng
 	warnDrops(sys.Collector)
-	eng, err := a.NewEngine(sys.Store, sys.View)
-	if err != nil {
-		return err
-	}
 	began := time.Now()
 	ds := eng.DiagnoseAll()
 	batch := time.Since(began)
@@ -303,10 +349,7 @@ func runStats(args []string) error {
 	if *stream {
 		// Replay the corpus in availability order so the realtime.* gauges
 		// and grace-wait histogram reflect this dataset too.
-		_, g, err := a.Build()
-		if err != nil {
-			return err
-		}
+		g := eng.Graph
 		proc := realtime.New(sys.View, g, realtime.GraceFor(g, 15*time.Minute))
 		var ins []*event.Instance
 		for _, name := range sys.Store.Names() {
@@ -388,29 +431,17 @@ func listRules() error {
 // runBayes reproduces the §IV-C study: group flaps by line card and run
 // joint Bayesian inference, comparing against the rule-based verdicts.
 func runBayes(args []string) error {
-	fs := flag.NewFlagSet("bayes", flag.ExitOnError)
-	data := fs.String("data", "", "dataset bundle directory (required)")
-	window := fs.Duration("window", 3*time.Minute, "grouping window")
-	minMulti := fs.Int("min-multi", 4, "flaps per card+window to count as a multi-flap group")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("bayes: -data is required")
-	}
-	bundle, err := platform.Load(*data)
+	var window *time.Duration
+	var minMulti *int
+	b, err := bundleCmd{name: "bayes", app: "bgpflap", flags: func(fs *flag.FlagSet) {
+		window = fs.Duration("window", 3*time.Minute, "grouping window")
+		minMulti = fs.Int("min-multi", 4, "flaps per card+window to count as a multi-flap group")
+	}}.open(args)
 	if err != nil {
 		return err
 	}
-	sys, err := bundle.Assemble(platform.Options{})
-	if err != nil {
-		return err
-	}
-	eng, err := bgpflap.NewEngine(sys.Store, sys.View)
-	if err != nil {
-		return err
-	}
-	ds := eng.DiagnoseAll()
+	sys := b.sys
+	ds := b.eng.DiagnoseAll()
 	cfg, err := bgpflap.BayesConfig()
 	if err != nil {
 		return err
@@ -440,12 +471,9 @@ func runBayes(args []string) error {
 // runGraph emits the application's diagnosis graph as Graphviz DOT — a
 // rendering of the paper's Figs. 4, 5, or 6.
 func runGraph(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("graph: application name required")
-	}
-	a, ok := apps.Get(args[0])
-	if !ok {
-		return fmt.Errorf("graph: unknown application %q", args[0])
+	a, err := appArg("graph", args)
+	if err != nil {
+		return err
 	}
 	lib, g, err := a.Build()
 	if err != nil {
@@ -466,35 +494,15 @@ func runGraph(args []string) error {
 
 // runReport renders the full SQM report for an application over a bundle.
 func runReport(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("report: application name required")
-	}
-	a, ok := apps.Get(args[0])
-	if !ok {
-		return fmt.Errorf("report: unknown application %q", args[0])
-	}
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	data := fs.String("data", "", "dataset bundle directory (required)")
-	trendBin := fs.Duration("trend", 24*time.Hour, "trend bucket width")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("report: -data is required")
-	}
-	bundle, err := platform.Load(*data)
+	var trendBin *time.Duration
+	b, err := bundleCmd{name: "report", flags: func(fs *flag.FlagSet) {
+		trendBin = fs.Duration("trend", 24*time.Hour, "trend bucket width")
+	}}.open(args)
 	if err != nil {
 		return err
 	}
-	sys, err := bundle.Assemble(platform.Options{})
-	if err != nil {
-		return err
-	}
-	eng, err := a.NewEngine(sys.Store, sys.View)
-	if err != nil {
-		return err
-	}
-	ds := eng.DiagnoseAll()
+	a, sys := b.app, b.sys
+	ds := b.eng.DiagnoseAll()
 	return browser.WriteReport(os.Stdout, sys.Store, ds, browser.ReportOptions{
 		Title:    a.Title,
 		Display:  a.DisplayLabel,
@@ -508,35 +516,12 @@ func runReport(args []string) error {
 // dataset with the Correlation Tester (§II-E): rules whose symptom and
 // diagnostic series are not statistically correlated are flagged.
 func runCheck(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("check: application name required")
-	}
-	a, ok := apps.Get(args[0])
-	if !ok {
-		return fmt.Errorf("check: unknown application %q", args[0])
-	}
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	data := fs.String("data", "", "dataset bundle directory (required)")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if *data == "" {
-		return fmt.Errorf("check: -data is required")
-	}
-	bundle, err := platform.Load(*data)
+	b, err := bundleCmd{name: "check"}.open(args)
 	if err != nil {
 		return err
 	}
-	sys, err := bundle.Assemble(platform.Options{})
-	if err != nil {
-		return err
-	}
-	_, g, err := a.Build()
-	if err != nil {
-		return err
-	}
-	m := browser.Miner{Store: sys.Store}
-	verdicts := m.ValidateGraph(g, bundle.Start, bundle.Start.Add(bundle.Duration))
+	m := browser.Miner{Store: b.sys.Store}
+	verdicts := m.ValidateGraph(b.eng.Graph, b.bundle.Start, b.bundle.Start.Add(b.bundle.Duration))
 	pass, fail, skip := 0, 0, 0
 	for _, v := range verdicts {
 		switch {

@@ -66,7 +66,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if prog.Allow, err = lint.ParseAllowlist(string(src)); err != nil {
+		if prog.Allow, err = lint.ParseAllowlist(*allowPath, string(src)); err != nil {
 			fail(fmt.Errorf("%s: %v", *allowPath, err))
 		}
 	}

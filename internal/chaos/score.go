@@ -40,27 +40,14 @@ type ScoreSummary struct {
 	Labels    []LabelScore
 }
 
-// Score matches each diagnosis to the nearest same-location truth record
-// of the study within tolerance, then computes top-cause accuracy and
-// per-label precision/recall. The expected label for a truth kind follows
-// platform.ExpectedLabel (what rule-based reasoning *can* conclude, e.g. a
-// line-card crash presents as an interface flap, §IV-C).
+// Score matches each diagnosis to a truth record the way the platform
+// scorer does (platform.MatchTruth: nearest same-location record of the
+// study within tolerance), then computes top-cause accuracy, detection
+// and per-label precision/recall. The expected label for a truth kind
+// follows platform.ExpectedLabel (what rule-based reasoning *can*
+// conclude, e.g. a line-card crash presents as an interface flap, §IV-C).
 func Score(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance time.Duration) ScoreSummary {
-	type slot struct {
-		truth   *simnet.Truth
-		matched bool
-	}
-	byWhere := map[string][]*slot{}
 	var s ScoreSummary
-	for i := range truths {
-		tr := &truths[i]
-		if tr.Study != study {
-			continue
-		}
-		s.Truths++
-		byWhere[tr.Where] = append(byWhere[tr.Where], &slot{truth: tr})
-	}
-
 	counts := map[string]*LabelScore{}
 	tally := func(label string) *LabelScore {
 		ls := counts[label]
@@ -71,27 +58,16 @@ func Score(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance
 		return ls
 	}
 
-	for _, d := range ds {
-		where := d.Symptom.Loc.String()
-		var best *slot
-		var bestDelta time.Duration
-		for _, sl := range byWhere[where] {
-			delta := d.Symptom.Start.Sub(sl.truth.At)
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta <= tolerance && (best == nil || delta < bestDelta) {
-				best, bestDelta = sl, delta
-			}
-		}
-		if best == nil {
+	matched := map[*simnet.Truth]bool{}
+	for i, tr := range platform.MatchTruth(truths, study, ds, tolerance) {
+		if tr == nil {
 			s.Unmatched++
 			continue
 		}
-		best.matched = true
+		matched[tr] = true
 		s.Matched++
-		expected := platform.ExpectedLabel(best.truth.Kind)
-		predicted := d.Primary()
+		expected := platform.ExpectedLabel(tr.Kind)
+		predicted := ds[i].Primary()
 		if predicted == expected {
 			s.Correct++
 			tally(expected).TP++
@@ -100,13 +76,15 @@ func Score(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance
 			tally(expected).FN++
 		}
 	}
-
-	for _, slots := range byWhere {
-		for _, sl := range slots {
-			if !sl.matched {
-				s.Missed++
-				tally(platform.ExpectedLabel(sl.truth.Kind)).FN++
-			}
+	for i := range truths {
+		tr := &truths[i]
+		if tr.Study != study {
+			continue
+		}
+		s.Truths++
+		if !matched[tr] {
+			s.Missed++
+			tally(platform.ExpectedLabel(tr.Kind)).FN++
 		}
 	}
 

@@ -61,7 +61,8 @@ type Engine struct {
 	// Tracing attaches an obs.Trace to every Diagnosis: one span per rule
 	// evaluation carrying its store-query and spatial-join timings,
 	// nested along the evidence chain. Off by default; the aggregate
-	// latency histograms are recorded either way.
+	// latency histograms are recorded either way. It is Diagnose's
+	// default; DiagnoseTraced traces one call whatever it says.
 	Tracing bool
 
 	// cache is the shared spatial-expansion cache, lazily created for the
@@ -257,11 +258,18 @@ func (e *Engine) expand(c *spatialCache, loc locus.Location, level locus.Type, t
 }
 
 // Diagnose correlates and reasons about one symptom instance.
-func (e *Engine) Diagnose(sym *event.Instance) Diagnosis {
+func (e *Engine) Diagnose(sym *event.Instance) Diagnosis { return e.diagnose(sym, e.Tracing) }
+
+// DiagnoseTraced is Diagnose with a Trace attached for this call only.
+// It runs on the same engine — and so the same spatial cache — as the
+// untraced calls beside it.
+func (e *Engine) DiagnoseTraced(sym *event.Instance) Diagnosis { return e.diagnose(sym, true) }
+
+func (e *Engine) diagnose(sym *event.Instance, tracing bool) Diagnosis {
 	began := obs.Now()
 	d := Diagnosis{Symptom: sym}
 	var tr *obs.Trace
-	if e.Tracing {
+	if tracing {
 		tr = obs.StartTrace("diagnose " + sym.Name + " @ " + sym.Loc.String())
 		d.Trace = tr
 	}

@@ -125,7 +125,7 @@ func computeFacts(prog *Program) *facts {
 		litTrans:   map[*ast.FuncLit]map[*types.Var]acquire{},
 		litFacts:   map[*ast.FuncLit]*funcFacts{},
 	}
-	// Pass 1: extract per-function ops/calls and find registration methods.
+	// Pass 1: extract per-function ops/calls.
 	for _, pass := range prog.Passes {
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
@@ -141,10 +141,6 @@ func computeFacts(prog *Program) *facts {
 				fs.extract(pass, fd.Body, ff)
 				fs.funcs[obj] = ff
 				fs.ordered = append(fs.ordered, ff)
-				if field := fs.registrationField(pass, fd); field != nil {
-					fs.regMethods[obj] = field
-					fs.hookFields[field] = true
-				}
 			}
 		}
 	}
@@ -160,6 +156,21 @@ func computeFacts(prog *Program) *facts {
 		}
 		return ap.Line < bp.Line
 	})
+	// Find the registration methods. One that hands its callback on to
+	// another is found the round after its target, so iterate.
+	for changed := true; changed; {
+		changed = false
+		for _, ff := range fs.ordered {
+			if _, known := fs.regMethods[ff.fn]; known {
+				continue
+			}
+			if field := fs.registrationField(ff.pass, ff.decl); field != nil {
+				fs.regMethods[ff.fn] = field
+				fs.hookFields[field] = true
+				changed = true
+			}
+		}
+	}
 	// Pass 2: hook invocations and registration callsites need the full
 	// hook-field set, so resolve them after pass 1.
 	for _, ff := range fs.ordered {
@@ -312,12 +323,19 @@ func lockVar(info *types.Info, x ast.Expr) (*types.Var, string) {
 	return nil, ""
 }
 
-// registrationField detects the hook-registration shape: a method whose
+// registrationField detects the hook-registration shapes: a method whose
 // body appends one of its function-typed parameters to a func-slice field
 // of the receiver, e.g.
 //
 //	func (s *Store) OnAppend(fn func(*event.Instance)) {
 //	    s.onAppend = append(s.onAppend, fn)
+//	}
+//
+// or passes it on to a method already known to register, which makes it
+// a registration on the same field:
+//
+//	func (s *Sharded) OnAppend(fn func(*event.Instance)) {
+//	    for _, sh := range s.shards { sh.OnAppend(fn) }
 //	}
 func (fs *facts) registrationField(pass *Pass, fd *ast.FuncDecl) *types.Var {
 	if fd.Recv == nil || fd.Type.Params == nil {
@@ -339,6 +357,13 @@ func (fs *facts) registrationField(pass *Pass, fd *ast.FuncDecl) *types.Var {
 	}
 	var field *types.Var
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) >= 1 {
+			arg, ok := call.Args[0].(*ast.Ident)
+			if f := fs.regMethods[calleeFunc(pass.Info, call)]; f != nil && ok && params[pass.Info.Uses[arg]] {
+				field = f
+				return false
+			}
+		}
 		asg, ok := n.(*ast.AssignStmt)
 		if !ok || len(asg.Rhs) != 1 || len(asg.Lhs) != 1 {
 			return true

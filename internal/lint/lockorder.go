@@ -4,6 +4,7 @@ import (
 	"bufio"
 	_ "embed"
 	"fmt"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -11,12 +12,13 @@ import (
 
 // Allowlist is the sanctioned lock-nesting order: an edge "A -> B" means
 // code may acquire B while holding A. Any observed nesting outside the
-// list, and any cycle among observed nestings, is a lockorder diagnostic.
-// The canonical list lives in internal/lint/lockorder.allow and is
-// documented as the lock-order graph in DESIGN.md §13 — the two are kept
-// in sync by a test.
+// list, any listed edge no code exercises, and any cycle among observed
+// nestings, is a lockorder diagnostic. The canonical list lives in
+// internal/lint/lockorder.allow and is documented as the lock-order graph
+// in DESIGN.md §13 — the two are kept in sync by a test.
 type Allowlist struct {
-	edges map[[2]string]bool
+	file  string            // where findings about the list itself point
+	edges map[[2]string]int // edge → the line that declares it
 }
 
 //go:embed lockorder.allow
@@ -24,7 +26,7 @@ var defaultAllow string
 
 // DefaultAllowlist parses the embedded lockorder.allow.
 func DefaultAllowlist() *Allowlist {
-	a, err := ParseAllowlist(defaultAllow)
+	a, err := ParseAllowlist("internal/lint/lockorder.allow", defaultAllow)
 	if err != nil {
 		// The embedded file is validated by tests; a parse failure here is
 		// a build defect, not a runtime condition.
@@ -34,11 +36,12 @@ func DefaultAllowlist() *Allowlist {
 }
 
 // EmptyAllowlist sanctions nothing; test programs use it.
-func EmptyAllowlist() *Allowlist { return &Allowlist{edges: map[[2]string]bool{}} }
+func EmptyAllowlist() *Allowlist { return &Allowlist{edges: map[[2]string]int{}} }
 
-// ParseAllowlist reads "from -> to" lines; '#' starts a comment.
-func ParseAllowlist(src string) (*Allowlist, error) {
-	a := &Allowlist{edges: map[[2]string]bool{}}
+// ParseAllowlist reads "from -> to" lines from src, the contents of
+// file; '#' starts a comment.
+func ParseAllowlist(file, src string) (*Allowlist, error) {
+	a := &Allowlist{file: file, edges: map[[2]string]int{}}
 	sc := bufio.NewScanner(strings.NewReader(src))
 	for n := 1; sc.Scan(); n++ {
 		line := sc.Text()
@@ -53,7 +56,7 @@ func ParseAllowlist(src string) (*Allowlist, error) {
 		if !ok {
 			return nil, fmt.Errorf("line %d: want \"from -> to\", got %q", n, line)
 		}
-		a.edges[[2]string{strings.TrimSpace(from), strings.TrimSpace(to)}] = true
+		a.edges[[2]string{strings.TrimSpace(from), strings.TrimSpace(to)}] = n
 	}
 	return a, sc.Err()
 }
@@ -74,17 +77,20 @@ func (a *Allowlist) Edges() [][2]string {
 }
 
 func (a *Allowlist) allows(from, to string) bool {
-	return a.edges[[2]string{from, to}]
+	_, ok := a.edges[[2]string{from, to}]
+	return ok
 }
 
 // LockOrder builds the whole-program mutex acquisition graph and flags
 // (a) a mutex acquired while already held — sync mutexes are not
 // reentrant, so that is a guaranteed or writer-pending deadlock; (b) any
-// nesting edge absent from the sanctioned allowlist; and (c) cycles among
-// the observed edges, the classic AB/BA deadlock.
+// nesting edge absent from the sanctioned allowlist; (c) any allowlist
+// edge with no observed nesting, so a deleted lock takes its permission
+// with it; and (d) cycles among the observed edges, the classic AB/BA
+// deadlock.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "flags mutex self-acquisition, lock nestings outside lockorder.allow, and acquisition-order cycles",
+	Doc:  "flags mutex self-acquisition, lock nestings outside lockorder.allow, stale allowlist edges, and acquisition-order cycles",
 	RunProgram: func(prog *Program) []Diagnostic {
 		g := prog.Facts().lockGraph()
 		allow := prog.Allow
@@ -99,7 +105,9 @@ var LockOrder = &Analyzer{
 			}
 			out = append(out, Diagnostic{Pos: s.pos, Analyzer: "lockorder", Message: msg})
 		}
+		observed := map[[2]string]bool{}
 		for _, e := range g.edges {
+			observed[[2]string{e.fromName, e.toName}] = true
 			if allow.allows(e.fromName, e.toName) {
 				continue
 			}
@@ -109,6 +117,25 @@ var LockOrder = &Analyzer{
 			}
 			msg += "; undocumented lock nesting — add to lockorder.allow and DESIGN.md §13 if sanctioned"
 			out = append(out, Diagnostic{Pos: e.pos, Analyzer: "lockorder", Message: msg})
+		}
+		// A run over part of the module sees part of the nestings: an edge
+		// is judged only when both its locks' packages were analyzed.
+		analyzed := map[string]bool{}
+		for _, pass := range prog.Passes {
+			analyzed[pass.Pkg.Name()] = true
+		}
+		for _, e := range allow.Edges() {
+			fromPkg, _, _ := strings.Cut(e[0], ".")
+			toPkg, _, _ := strings.Cut(e[1], ".")
+			if observed[e] || !analyzed[fromPkg] || !analyzed[toPkg] {
+				continue
+			}
+			out = append(out, Diagnostic{
+				Pos:      token.Position{Filename: allow.file, Line: allow.edges[e]},
+				Analyzer: "lockorder",
+				Message: fmt.Sprintf("%s -> %s is sanctioned but no code acquires %s while holding %s; delete the stale edge here and from DESIGN.md §13",
+					e[0], e[1], e[1], e[0]),
+			})
 		}
 		out = append(out, lockCycles(g.edges)...)
 		return out

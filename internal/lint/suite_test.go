@@ -16,8 +16,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 var concurrencyIDs = []string{"lockorder", "deferunlock", "atomicmix", "hookreentry", "goroutinelife"}
 
 // loadBroken loads the deliberately-broken exemplar module under
-// testdata/src as a Program. The allowlist sanctions exactly one edge so
-// the goldens prove allowlisting works.
+// testdata/src as a Program. The allowlist sanctions one edge the
+// exemplars exercise, so the goldens prove allowlisting works, and one
+// they do not, so the goldens prove a stale edge is a finding.
 func loadBroken(t *testing.T) *Program {
 	t.Helper()
 	l, err := NewLoader("testdata/src")
@@ -40,7 +41,8 @@ func loadBroken(t *testing.T) *Program {
 		passes = append(passes, pkg.Pass(l.Fset))
 	}
 	prog := NewProgram(passes)
-	prog.Allow, err = ParseAllowlist("lockorder.A.mu -> lockorder.D.mu")
+	prog.Allow, err = ParseAllowlist("testdata/src/lockorder.allow",
+		"lockorder.A.mu -> lockorder.D.mu\nlockorder.D.mu -> lockorder.C.mu")
 	if err != nil {
 		t.Fatal(err)
 	}

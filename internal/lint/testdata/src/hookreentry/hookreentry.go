@@ -85,3 +85,21 @@ func RegisterClean(s *Store, sink chan<- Item) {
 		}
 	})
 }
+
+// Sharded mirrors store.Sharded: its OnAppend registers nothing itself,
+// it hands the callback on to every shard.
+type Sharded struct{ shards []*Store }
+
+func (sh *Sharded) OnAppend(fn func(Item)) {
+	for _, s := range sh.shards {
+		s.OnAppend(fn)
+	}
+}
+
+// RegisterForwarded binds the deadlocking hook through the forwarder; the
+// registration is still seen.
+func RegisterForwarded(sh *Sharded) {
+	sh.OnAppend(func(Item) {
+		_ = sh.shards[0].Len()
+	})
+}

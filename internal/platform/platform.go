@@ -110,35 +110,40 @@ func ExpectedLabel(kind string) string {
 	return kind
 }
 
-// ScoreDiagnoses matches each diagnosis to the nearest truth record for
-// the study (same location, within tolerance) and scores Primary labels.
-func ScoreDiagnoses(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance time.Duration) Score {
-	byWhere := map[string][]simnet.Truth{}
-	for _, tr := range truths {
-		if tr.Study == study {
+// MatchTruth pairs each diagnosis with the study's nearest truth record
+// at the same location within tolerance; out[i] is nil when ds[i] has
+// none. The pointers are into truths.
+func MatchTruth(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance time.Duration) []*simnet.Truth {
+	byWhere := map[string][]*simnet.Truth{}
+	for i := range truths {
+		if tr := &truths[i]; tr.Study == study {
 			byWhere[tr.Where] = append(byWhere[tr.Where], tr)
 		}
 	}
-	var s Score
-	for _, d := range ds {
-		where := d.Symptom.Loc.String()
-		var best *simnet.Truth
-		for i := range byWhere[where] {
-			tr := &byWhere[where][i]
-			delta := d.Symptom.Start.Sub(tr.At)
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta <= tolerance && (best == nil || absDelta(d.Symptom.Start, tr.At) < absDelta(d.Symptom.Start, best.At)) {
-				best = tr
+	out := make([]*simnet.Truth, len(ds))
+	for i, d := range ds {
+		var best time.Duration
+		for _, tr := range byWhere[d.Symptom.Loc.String()] {
+			delta := absDelta(d.Symptom.Start, tr.At)
+			if delta <= tolerance && (out[i] == nil || delta < best) {
+				out[i], best = tr, delta
 			}
 		}
-		if best == nil {
+	}
+	return out
+}
+
+// ScoreDiagnoses matches each diagnosis to a truth record (MatchTruth)
+// and scores Primary labels.
+func ScoreDiagnoses(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance time.Duration) Score {
+	var s Score
+	for i, tr := range MatchTruth(truths, study, ds, tolerance) {
+		if tr == nil {
 			s.Unmatched++
 			continue
 		}
 		s.Total++
-		if d.Primary() == ExpectedLabel(best.Kind) {
+		if ds[i].Primary() == ExpectedLabel(tr.Kind) {
 			s.Correct++
 		}
 	}

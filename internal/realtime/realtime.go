@@ -102,6 +102,10 @@ func NewOnStore(st store.Store, view *netstate.View, g *dgraph.Graph, grace time
 // Store exposes the processor's event store (e.g. for trending).
 func (p *Processor) Store() store.Store { return p.st }
 
+// Engine exposes the processor's engine, so on-demand diagnoses of the
+// same application run over the spatial cache the stream has filled.
+func (p *Processor) Engine() *engine.Engine { return p.eng }
+
 // Observe ingests one normalized event instance. Instances should arrive
 // in nondecreasing order of availability (their End time), with a
 // tolerance of Grace for cross-source skew. An instance older than that is
@@ -115,17 +119,13 @@ func (p *Processor) Store() store.Store { return p.st }
 // Observe returns the diagnoses of every pending symptom whose grace
 // period elapsed as the stream clock advanced.
 func (p *Processor) Observe(in event.Instance) (ds []engine.Diagnosis, late bool) {
-	return p.observe(p.st.Add(in))
+	return p.ObserveStored(p.st.Add(in))
 }
 
 // ObserveStored is Observe for an instance already added to the
 // processor's (shared) store by its owner — the serving pipeline's
 // applier. Same ordering contract and results as Observe.
 func (p *Processor) ObserveStored(stored *event.Instance) (ds []engine.Diagnosis, late bool) {
-	return p.observe(stored)
-}
-
-func (p *Processor) observe(stored *event.Instance) (ds []engine.Diagnosis, late bool) {
 	if p.isClosed() {
 		return nil, false
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/engine"
 	"grca/internal/locus"
@@ -42,37 +41,32 @@ func streamFrame(e rollup.Entry) []byte {
 	return []byte(fmt.Sprintf("id: %d\nevent: diagnosis\ndata: %s\n\n", e.Seq, body))
 }
 
-// browserApp resolves the app query parameter to its display mapping,
-// writing the error response itself on failure.
-func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) (string, func(string) string, bool) {
-	if !s.isFinalized() {
+// browserApp resolves the app query parameter to the served application,
+// writing the error response itself (and returning nil) on failure.
+func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) *servedApp {
+	sv := s.serving.Load()
+	if sv == nil {
 		writeErr(w, http.StatusConflict, "not finalized: POST /v1/finalize first")
-		return "", nil, false
+		return nil
 	}
 	app := r.URL.Query().Get("app")
-	if a, ok := apps.Get(app); ok {
-		return app, a.DisplayLabel, true
-	}
-	if app == "" {
+	a := sv.app(app)
+	switch {
+	case a != nil:
+	case app == "":
 		writeErr(w, http.StatusBadRequest, "app parameter required")
-	} else {
+	default:
 		writeErr(w, http.StatusBadRequest, "unknown application %q", app)
 	}
-	return "", nil, false
+	return a
 }
 
 // pendingDiagnoses diagnoses, on demand, the symptoms still pending in
-// app's realtime processor — the delta between the rollup counters and
-// the full store that BreakdownCounts/CauseTrend merge back in.
-func (s *Server) pendingDiagnoses(app string) []engine.Diagnosis {
-	s.mu.RLock()
-	p := s.procs[app]
-	eng := s.engines[app]
-	s.mu.RUnlock()
-	if p == nil || eng == nil {
-		return nil
-	}
-	syms := p.PendingSymptoms()
+// the application's realtime processor — the delta between the rollup
+// counters and the full store that BreakdownCounts/CauseTrend merge back
+// in.
+func (a *servedApp) pendingDiagnoses() []engine.Diagnosis {
+	syms, eng := a.proc.PendingSymptoms(), a.proc.Engine()
 	ds := make([]engine.Diagnosis, 0, len(syms))
 	for _, sym := range syms {
 		ds = append(ds, eng.Diagnose(sym))
@@ -84,12 +78,8 @@ func (s *Server) pendingDiagnoses(app string) []engine.Diagnosis {
 // breakdown table (display labels), equal to the batch browser.Breakdown
 // over one full-evidence diagnosis of every live root symptom.
 func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	app, display, ok := s.browserApp(w, r)
-	if !ok {
+	a := s.browserApp(w, r)
+	if a == nil {
 		return
 	}
 	var from time.Time
@@ -104,16 +94,16 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 			from = last.Add(-d)
 		}
 	}
-	counts, total := s.roll.BreakdownCounts(app, from, s.pendingDiagnoses(app))
+	counts, total := s.roll.BreakdownCounts(a.Name, from, a.pendingDiagnoses())
 	mapped := make(map[string]int, len(counts))
 	for label, n := range counts {
-		mapped[display(label)] += n
+		mapped[a.DisplayLabel(label)] += n
 	}
 	rows := browser.Rows(mapped, total)
 	if rows == nil {
 		rows = []browser.Row{}
 	}
-	resp := map[string]any{"app": app, "total": total, "rows": rows}
+	resp := map[string]any{"app": a.Name, "total": total, "rows": rows}
 	if window != "" {
 		resp["window"] = window
 	}
@@ -123,20 +113,16 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 // handleCauses serves GET /v1/causes?app=: the raw root-cause labels
 // (the filter/trend vocabulary) with live counts.
 func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
+	a := s.browserApp(w, r)
+	if a == nil {
 		return
 	}
-	app, _, ok := s.browserApp(w, r)
-	if !ok {
-		return
-	}
-	counts, total := s.roll.BreakdownCounts(app, time.Time{}, s.pendingDiagnoses(app))
+	counts, total := s.roll.BreakdownCounts(a.Name, time.Time{}, a.pendingDiagnoses())
 	rows := browser.Rows(counts, total)
 	if rows == nil {
 		rows = []browser.Row{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"app": app, "total": total, "causes": rows})
+	writeJSON(w, http.StatusOK, map[string]any{"app": a.Name, "total": total, "causes": rows})
 }
 
 // handleTrend serves GET /v1/trend: per-bin counts of an event name
@@ -145,10 +131,6 @@ func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
 // truncated onto the bin grid; defaults cover the store span, where the
 // series equals the batch browser.Trend exactly.
 func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	q := r.URL.Query()
 	bin := s.roll.Bin()
 	if v := q.Get("bin"); v != "" {
@@ -188,13 +170,13 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{"bin": bin.String(), "from": from, "to": to}
 	switch {
 	case cause != "":
-		app, _, ok := s.browserApp(w, r)
-		if !ok {
+		a := s.browserApp(w, r)
+		if a == nil {
 			return
 		}
-		resp["app"], resp["cause"] = app, cause
+		resp["app"], resp["cause"] = a.Name, cause
 		if haveSpan {
-			points = s.roll.CauseTrend(app, cause, from, to, bin, s.pendingDiagnoses(app))
+			points = s.roll.CauseTrend(a.Name, cause, from, to, bin, a.pendingDiagnoses())
 		}
 	case name != "":
 		resp["name"] = name
@@ -224,11 +206,8 @@ const (
 // (evidence chain plus staged timings) and every co-located raw event
 // within the window, the paper's §IV-B manual exploration.
 func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if !s.isFinalized() {
+	sv := s.serving.Load()
+	if sv == nil {
 		writeErr(w, http.StatusConflict, "not finalized: POST /v1/finalize first")
 		return
 	}
@@ -245,19 +224,17 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	app := q.Get("app")
-	s.mu.RLock()
-	view := s.view
+	a := sv.app(app)
 	if app == "" {
-		for _, a := range apps.All() {
-			if eng := s.engines[a.Name]; eng != nil && eng.Graph.Root == sym.Name {
+		for i := range sv.apps {
+			if sv.apps[i].proc.Engine().Graph.Root == sym.Name {
+				a = &sv.apps[i]
 				app = a.Name
 				break
 			}
 		}
 	}
-	teng := s.traced[app]
-	s.mu.RUnlock()
-	if teng == nil {
+	if a == nil {
 		if app == "" {
 			writeErr(w, http.StatusBadRequest,
 				"event %d (%q) is no application's root symptom; pass app=", id, sym.Name)
@@ -284,8 +261,8 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		}
 		level = t
 	}
-	d := teng.Diagnose(sym)
-	colocated, err := browser.DrillDown(s.st, view, sym, window, level)
+	d := a.proc.Engine().DiagnoseTraced(sym)
+	colocated, err := browser.DrillDown(s.st, sv.view, sym, window, level)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "drill-down: %v", err)
 		return
@@ -306,10 +283,6 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 // handleRecent serves GET /v1/recent?after=&limit=: the ring of recent
 // streaming diagnoses, the poll-based sibling of /v1/stream.
 func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	q := r.URL.Query()
 	after := int64(0)
 	if v := q.Get("after"); v != "" {
@@ -348,10 +321,6 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 // Deliberately not wrapped in the request timeout: the stream lives
 // until the client leaves or the server drains.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusInternalServerError, "streaming unsupported")

@@ -7,10 +7,6 @@ import "net/http"
 // diagnosis stream, all rendered client-side from the /v1 JSON
 // endpoints with no external assets.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Write([]byte(dashboardHTML)) //nolint:errcheck // client gone
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"grca/internal/apps"
 	"grca/internal/event"
 )
 
@@ -32,26 +31,18 @@ type batch struct {
 	// event batches.
 	res   taskResult
 	reply chan taskResult
-
-	errMu sync.Mutex
-	err   error
-	errSt int
+	// failed is the batch's first commit error, set by whichever lane
+	// hits one first; the finisher replies with it.
+	failed atomic.Pointer[taskResult]
+	// drain marks the sentinel finalize pushes through finishQ to wait
+	// for every batch ahead of it: it carries no work and is not counted.
+	drain bool
 }
 
-// fail records the batch's first commit error (journal, store, WAL);
-// the finisher turns it into the reply.
+// fail records a commit error (journal, store, WAL) on the batch; only
+// the first one sticks.
 func (bt *batch) fail(status int, err error) {
-	bt.errMu.Lock()
-	if bt.err == nil {
-		bt.err, bt.errSt = err, status
-	}
-	bt.errMu.Unlock()
-}
-
-func (bt *batch) firstErr() (int, error) {
-	bt.errMu.Lock()
-	defer bt.errMu.Unlock()
-	return bt.errSt, bt.err
+	bt.failed.CompareAndSwap(nil, &taskResult{status: status, err: err})
 }
 
 // closedChan is the pre-closed ready channel shared by inline-applied
@@ -218,42 +209,31 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 	}
 	// Feeds reply through finishQ too; refuse while the finisher is
 	// saturated so the send at the end can never block under dispatchMu.
-	// (Finalize needs no such gate: waitFinisher drains finishQ first.)
+	// (Finalize needs no such gate: drainFinisher empties finishQ first.)
 	if len(s.finishQ) == cap(s.finishQ) {
 		return s.reject("ingest pipeline backlogged")
 	}
 	s.barrier()
-	seq := s.seq
-	s.seq++
-	bt := &batch{seq: seq, ready: closedChan, reply: make(chan taskResult, 1)}
-	// The fsynced journal append is the commit point; it precedes the
-	// apply so an invalid batch is journaled too — replay hits the same
-	// deterministic parse error and converges on the same state.
-	if err := s.journalInline(seq, encodeRecord(seq, recFeed, t.source, t.lines)); err != nil {
-		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
-		s.finishQ <- bt
-		return bt, taskResult{}
-	}
-	before := s.st.NextID()
-	if err := s.coll.Ingest(t.source, bytes.NewReader(t.lines)); err != nil {
-		bt.res = errResult(http.StatusBadRequest, "%v", err)
-	} else {
-		stored := s.st.NextID() - before
-		mEvents.Add(int64(stored))
-		bt.res = taskResult{status: http.StatusOK, resp: IngestResponse{Stored: stored}}
-	}
-	for _, sh := range s.shards {
-		if err := sh.log.Commit(); err != nil && bt.res.err == nil {
-			bt.res = errResult(http.StatusInternalServerError, "wal: %v", err)
+	// The fsynced journal append precedes the apply, so an invalid batch
+	// is journaled too — replay hits the same deterministic parse error and
+	// converges on the same state.
+	bt := s.journalInline(recFeed, t.source, t.lines)
+	if bt.res.err == nil {
+		before := s.st.NextID()
+		if err := s.coll.Ingest(t.source, bytes.NewReader(t.lines)); err != nil {
+			bt.res = errResult(http.StatusBadRequest, "%v", err)
+		} else {
+			stored := s.st.NextID() - before
+			mEvents.Add(int64(stored))
+			bt.res = taskResult{status: http.StatusOK, resp: IngestResponse{Stored: stored}}
 		}
 	}
-	s.finishQ <- bt
-	return bt, taskResult{}
+	return s.finishInline(bt)
 }
 
 // dispatchFinalize closes the feed phase and installs the serving
 // artifacts. It drains the whole pipeline first — the barrier commits
-// every queued event, waitFinisher drains the finisher — so the rollup
+// every queued event, drainFinisher drains the finisher — so the rollup
 // seed that installServing derives sees exactly the events of all
 // acknowledged batches.
 func (s *Server) dispatchFinalize() (*batch, taskResult) {
@@ -261,16 +241,43 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 		return nil, errResult(http.StatusConflict, "already finalized")
 	}
 	s.barrier()
-	s.waitFinisher()
-	seq := s.seq
-	s.seq++
-	bt := &batch{seq: seq, ready: closedChan, reply: make(chan taskResult, 1)}
-	if err := s.journalInline(seq, encodeRecord(seq, recFinalize, "", nil)); err != nil {
-		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
-		s.finishQ <- bt
-		return bt, taskResult{}
+	s.drainFinisher()
+	bt := s.journalInline(recFinalize, "", nil)
+	if bt.res.err == nil {
+		bt.res = taskResult{status: http.StatusOK}
+		err := closeFeeds(s.coll, s.cfg.Bundle.CDN)
+		if err == nil {
+			err = s.installServing(false)
+		}
+		if err != nil {
+			bt.res = errResult(http.StatusInternalServerError, "%v", err)
+		}
 	}
-	bt.res = s.applyFinalize()
+	return s.finishInline(bt)
+}
+
+// journalInline starts a batch that admission applies itself: it takes
+// the next sequence number and appends and fsyncs the batch's record,
+// its commit point. Callers hold dispatchMu and have passed barrier, so
+// lane 0's applier — the journal's other appender — is idle and the
+// record lands in sequence. A failure is left in the batch's reply.
+func (s *Server) journalInline(kind byte, source string, body []byte) *batch {
+	bt := &batch{seq: s.seq, ready: closedChan, reply: make(chan taskResult, 1)}
+	s.seq++
+	err := s.jour.AppendNoSync(encodeRecord(bt.seq, kind, source, body))
+	if err == nil {
+		err = s.syncJournal(bt.seq)
+	}
+	if err != nil {
+		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
+	}
+	return bt
+}
+
+// finishInline ends such a batch: it commits every shard's WAL behind
+// what the apply stored (nothing, when the journal append failed) and
+// queues the reply behind the batches already with the finisher.
+func (s *Server) finishInline(bt *batch) (*batch, taskResult) {
 	for _, sh := range s.shards {
 		if err := sh.log.Commit(); err != nil && bt.res.err == nil {
 			bt.res = errResult(http.StatusInternalServerError, "wal: %v", err)
@@ -278,16 +285,6 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 	}
 	s.finishQ <- bt
 	return bt, taskResult{}
-}
-
-// journalInline appends and fsyncs one record from admission. Callers
-// hold dispatchMu and have passed barrier, so lane 0's applier — the
-// journal's other appender — is idle and the record lands in sequence.
-func (s *Server) journalInline(seq int, rec []byte) error {
-	if err := s.jour.AppendNoSync(rec); err != nil {
-		return err
-	}
-	return s.syncJournal(seq)
 }
 
 // syncJournal fsyncs the journal — the commit point of every record
@@ -299,16 +296,6 @@ func (s *Server) syncJournal(seq int) error {
 	}
 	s.journaled.Store(int64(seq))
 	return nil
-}
-
-func (s *Server) applyFinalize() taskResult {
-	if err := closeFeeds(s.coll, s.cfg.Bundle.CDN); err != nil {
-		return errResult(http.StatusInternalServerError, "%v", err)
-	}
-	if err := s.installServing(false); err != nil {
-		return errResult(http.StatusInternalServerError, "%v", err)
-	}
-	return taskResult{status: http.StatusOK}
 }
 
 // barrier blocks until every shard applier has committed everything
@@ -323,16 +310,15 @@ func (s *Server) barrier() {
 	wg.Wait()
 }
 
-// waitFinisher blocks until the finisher has replied to every batch
-// dispatched so far. Callers hold dispatchMu; the finisher never takes
-// it, so it drains independently.
-func (s *Server) waitFinisher() {
-	target := s.seq - 1
-	s.finishMu.Lock()
-	for s.finishedSeq < target {
-		s.finishCond.Wait()
-	}
-	s.finishMu.Unlock()
+// drainFinisher blocks until the finisher has replied to every batch
+// dispatched so far, by queueing a sentinel behind them and waiting for
+// its reply. Callers hold dispatchMu, so the sentinel is the last thing
+// in finishQ; the finisher never takes that lock and, past barrier, waits
+// on no applier, so the send blocks at most until it frees one slot.
+func (s *Server) drainFinisher() {
+	bt := &batch{drain: true, ready: closedChan, reply: make(chan taskResult, 1)}
+	s.finishQ <- bt
+	<-bt.reply
 }
 
 // applier is shard sh's single writer: it drains the queue into commit
@@ -445,27 +431,17 @@ func (s *Server) finisher() {
 	for bt := range s.finishQ {
 		<-bt.ready
 		if bt.stored != nil { // an event batch; the others arrive with res set
-			if status, err := bt.firstErr(); err != nil {
-				bt.res = taskResult{status: status, err: err}
+			if f := bt.failed.Load(); f != nil {
+				bt.res = *f
 			} else {
-				bt.res = s.observeBatch(bt)
+				bt.res = taskResult{status: http.StatusOK, resp: s.observeStored(bt.stored)}
 			}
 		}
-		mBatches.Inc()
+		if !bt.drain {
+			mBatches.Inc()
+		}
 		bt.reply <- bt.res
-		s.finishMu.Lock()
-		s.finishedSeq = bt.seq
-		s.finishCond.Broadcast()
-		s.finishMu.Unlock()
 	}
-}
-
-// observeBatch runs the committed events of one batch through every
-// application's streaming processor, in batch order, collecting the
-// response the same way the pre-sharding single applier did.
-func (s *Server) observeBatch(bt *batch) taskResult {
-	resp := s.observeStored(bt.stored)
-	return taskResult{status: http.StatusOK, resp: resp}
 }
 
 // observeStored runs committed instances through every application's
@@ -474,20 +450,18 @@ func (s *Server) observeBatch(bt *batch) taskResult {
 // processors the identical event sequence.
 func (s *Server) observeStored(stored []*event.Instance) IngestResponse {
 	var resp IngestResponse
-	s.mu.RLock()
-	procs := s.procs
-	s.mu.RUnlock()
+	var served []servedApp // none before finalize
+	if sv := s.serving.Load(); sv != nil {
+		served = sv.apps
+	}
 	for _, in := range stored {
 		if in == nil {
 			continue
 		}
 		resp.Stored++
-		for _, a := range apps.All() { // stable app order
-			p, ok := procs[a.Name]
-			if !ok {
-				continue
-			}
-			ds, late := p.ObserveStored(in)
+		for i := range served {
+			a := &served[i]
+			ds, late := a.proc.ObserveStored(in)
 			if late {
 				resp.Late++
 			}

@@ -16,12 +16,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"grca/internal/apps"
 	"grca/internal/conf"
 	"grca/internal/event"
 	"grca/internal/obs"
 	"grca/internal/replica"
-	"grca/internal/rollup"
 	"grca/internal/wal"
 )
 
@@ -275,33 +273,16 @@ func openFollower(cfg Config) (*Server, error) {
 		fs.walNext[i].Store(int64(sink.Frontier()))
 	}
 
-	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: rep.scratch, coll: rep.coll, jour: jour,
-		roll:     rollup.New(rollup.Config{}),
-		hub:      newSSEHub(),
-		seq:      rep.maxSeq + 1,
-		closing:  make(chan struct{}),
-		follower: fs,
-		recovery: RecoveryInfo{
-			Batches: rep.batches, Finalized: rep.finalized,
-			Events: rep.scratch.Len(), Shards: n,
-		},
+	s, err := newServer(cfg, topo, rep, rep.scratch, shards, jour)
+	if err != nil {
+		return nil, err
 	}
-	s.finishCond = sync.NewCond(&s.finishMu)
+	s.follower = fs
 	fs.apply = journalApplier{
 		coll: rep.coll, st: rep.scratch, dep: cfg.Bundle.CDN,
 		serving: func() error { return s.installServing(false) },
 		stored:  func(stored []*event.Instance) { s.observeStored(stored) },
 	}
-	s.roll.SeedEvents(s.st)
-	s.st.OnAppend(s.roll.ObserveEvent)
-	s.st.OnEvict(s.roll.EvictEvents)
-	if rep.finalized {
-		if err := s.installServing(true); err != nil {
-			return nil, err
-		}
-	}
-	mRecovered.Add(int64(rep.batches))
 	mReplSeq.Set(int64(rep.maxSeq))
 	opened = true
 	s.startFollowerClients()
@@ -601,14 +582,7 @@ func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 	if e := s.sealFollower(); e != nil && err == nil {
 		err = e
 	}
-	s.mu.RLock()
-	procs := s.procs
-	s.mu.RUnlock()
-	for _, a := range apps.All() {
-		if p, ok := procs[a.Name]; ok {
-			p.Close()
-		}
-	}
+	s.serving.Load().close()
 	if node := s.promoted.Load(); node != nil {
 		if e := node.srv.Shutdown(ctx); e != nil && err == nil {
 			err = e

@@ -263,21 +263,12 @@ type Server struct {
 	// after its shards commit, running the streaming processors over the
 	// stored events in dispatch order so responses are byte-identical for
 	// any shard count.
-	finishQ     chan *batch
-	finishDone  chan struct{}
-	finishMu    sync.Mutex
-	finishCond  *sync.Cond
-	finishedSeq int
+	finishQ    chan *batch
+	finishDone chan struct{}
 
-	// mu guards the serving-phase artifacts (finalized flag, view,
-	// engines, processors): written at finalize, read by handlers and the
-	// finisher.
-	mu        sync.RWMutex
-	finalized bool
-	view      *netstate.View
-	engines   map[string]*engine.Engine
-	traced    map[string]*engine.Engine // tracing twins of engines
-	procs     map[string]*realtime.Processor
+	// serving is the serving phase: nil while loading, set once by
+	// installServing (finalize, or recovery of a finalized data dir).
+	serving atomic.Pointer[serving]
 
 	// roll holds the Result Browser's incremental aggregates; hub fans
 	// streaming diagnoses out to SSE clients. Both exist from Open on.
@@ -483,7 +474,6 @@ func Open(cfg Config) (*Server, error) {
 		rebuilt = true
 		mRebuilt.Inc()
 	}
-	mRecovered.Add(int64(rep.batches))
 
 	mems := make([]*store.Memory, n)
 	for i := range ws {
@@ -491,11 +481,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	st := store.NewShardedOf(mems)
 	st.SetNext(rep.scratch.NextID())
-
-	// The scratch collector carries the journal's parse state; point it
-	// at the authoritative store for all future ingest.
-	coll := rep.coll
-	coll.Store = st
 
 	jour, err = wal.OpenJournal(journalPath(cfg.DataDir))
 	if err != nil {
@@ -510,29 +495,14 @@ func Open(cfg Config) (*Server, error) {
 		}
 	}
 
-	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: st, coll: coll, jour: jour,
-		roll:        rollup.New(rollup.Config{}),
-		hub:         newSSEHub(),
-		seq:         rep.maxSeq + 1,
-		finishQ:     make(chan *batch, n*cfg.MaxInflight+n+1),
-		finishDone:  make(chan struct{}),
-		finishedSeq: rep.maxSeq,
-		closing:     make(chan struct{}),
-		recovery: RecoveryInfo{
-			Batches: rep.batches, Finalized: rep.finalized,
-			Events: st.Len(), Shards: n, WALRebuilt: rebuilt, SnapshotsSkipped: skipped,
-		},
+	s, err := newServer(cfg, topo, rep, st, shards, jour)
+	if err != nil {
+		return nil, err
 	}
-	s.finishCond = sync.NewCond(&s.finishMu)
+	s.recovery.WALRebuilt, s.recovery.SnapshotsSkipped = rebuilt, skipped
+	s.finishQ = make(chan *batch, n*cfg.MaxInflight+n+1)
+	s.finishDone = make(chan struct{})
 	s.journaled.Store(int64(rep.maxSeq))
-	// The Result Browser rollups: seed the trend bins from the recovered
-	// store (Restore bypasses the append hook), then track every future
-	// append and eviction incrementally. Cause counters are seeded by
-	// installServing once engines exist.
-	s.roll.SeedEvents(st)
-	st.OnAppend(s.roll.ObserveEvent)
-	st.OnEvict(s.roll.EvictEvents)
 	for i := range shards {
 		l := shards[i].log
 		mems[i].OnEvict(func([]*event.Instance, time.Time) {
@@ -543,17 +513,48 @@ func Open(cfg Config) (*Server, error) {
 			l.Snapshot() //nolint:errcheck // counted in wal.snapshots.failed; the next snapshot covers the same delta
 		})
 	}
-	if rep.finalized {
-		if err := s.installServing(true); err != nil {
-			return nil, err
-		}
-	}
 	s.initReplicationSource()
 	opened = true
 	for i := range shards {
 		go s.applier(shards[i])
 	}
 	go s.finisher()
+	return s, nil
+}
+
+// newServer assembles what a primary and a follower have in common: the
+// Server over the recovered store and collector, the Result Browser
+// rollups, and — when the journal already holds a finalize record — the
+// serving phase with its processors' tails rebuilt. The caller adds its
+// own role's half and starts the goroutines.
+func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, st *store.Sharded, shards []*shard, jour *wal.Journal) (*Server, error) {
+	// The scratch collector carries the journal's parse state; point it
+	// at the authoritative store for all future ingest.
+	rep.coll.Store = st
+	s := &Server{
+		cfg: cfg, topo: topo, shards: shards, st: st, coll: rep.coll, jour: jour,
+		roll:    rollup.New(rollup.Config{}),
+		hub:     newSSEHub(),
+		seq:     rep.maxSeq + 1,
+		closing: make(chan struct{}),
+		recovery: RecoveryInfo{
+			Batches: rep.batches, Finalized: rep.finalized,
+			Events: st.Len(), Shards: len(shards),
+		},
+	}
+	mRecovered.Add(int64(rep.batches))
+	// The Result Browser rollups: seed the trend bins from the recovered
+	// store (Restore bypasses the append hook), then track every future
+	// append and eviction incrementally. Cause counters are seeded by
+	// installServing once engines exist.
+	s.roll.SeedEvents(st)
+	st.OnAppend(s.roll.ObserveEvent)
+	st.OnEvict(s.roll.EvictEvents)
+	if rep.finalized {
+		if err := s.installServing(true); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -689,87 +690,113 @@ func closeFeeds(c *collector.Collector, dep cdn.Deployment) error {
 	return nil
 }
 
+// serving is the serving phase: the routing view and one streaming
+// processor per application, in apps.All() order — the order streaming
+// diagnoses of one event are reported in. A processor's engine is its
+// application's only engine: the stream, /v1/diagnose, /v1/drilldown,
+// the pending-symptom merge and the rollup seed all diagnose through it
+// and so share one spatial cache. Built by installServing and never
+// changed afterwards.
+type serving struct {
+	view *netstate.View
+	apps []servedApp
+}
+
+type servedApp struct {
+	apps.App
+	proc *realtime.Processor
+}
+
+// app returns the named application's entry, or nil.
+func (sv *serving) app(name string) *servedApp {
+	for i := range sv.apps {
+		if sv.apps[i].Name == name {
+			return &sv.apps[i]
+		}
+	}
+	return nil
+}
+
+// close force-drains every processor; a no-op before finalize.
+func (sv *serving) close() {
+	if sv == nil {
+		return
+	}
+	for _, a := range sv.apps {
+		a.proc.Close()
+	}
+}
+
 // installServing transitions to the serving phase: routing view, CDN
-// registration, per-application engines and streaming processors. With
-// rebuildTails (recovery), each processor re-observes the tail of the
-// stored stream so symptoms still inside their grace window at the
+// registration, and each application's streaming processor and engine.
+// With rebuildTails (recovery), the processors re-observe the tail of
+// the stored stream so symptoms still inside their grace window at the
 // crash stay pending instead of vanishing; their already-served
 // diagnoses are discarded. Runs under dispatchMu (finalize) or before
 // concurrency starts (Open).
 func (s *Server) installServing(rebuildTails bool) error {
 	view := netstate.NewView(s.topo, s.coll.OSPF, s.coll.BGP)
 	cdn.Register(view, s.cfg.Bundle.CDN)
-	engines := map[string]*engine.Engine{}
-	traced := map[string]*engine.Engine{}
-	procs := map[string]*realtime.Processor{}
+	sv := &serving{view: view}
 	for _, a := range apps.All() {
-		eng, err := a.NewEngine(s.st, view)
-		if err != nil {
-			return fmt.Errorf("server: %s engine: %v", a.Name, err)
-		}
-		engines[a.Name] = eng
-		// A tracing twin rather than a per-request copy: Engine embeds an
-		// atomic cache pointer and must not be copied.
-		teng, err := a.NewEngine(s.st, view)
-		if err != nil {
-			return fmt.Errorf("server: %s engine: %v", a.Name, err)
-		}
-		teng.Tracing = true
-		traced[a.Name] = teng
 		_, g, err := a.Build()
 		if err != nil {
 			return fmt.Errorf("server: %s graph: %v", a.Name, err)
 		}
 		p := realtime.NewOnStore(s.st, view, g, realtime.GraceFor(g, maxEventDuration))
-		if rebuildTails {
-			rebuildTail(s.st, p)
-		}
-		procs[a.Name] = p
+		sv.apps = append(sv.apps, servedApp{a, p})
 	}
-	// Seed the breakdown rollups: one full-evidence diagnosis of every
-	// stored root symptom per application, so the Result Browser's
-	// invariant (breakdown ≡ batch browser.Breakdown over the live
-	// store) holds from the first request — including right after a
-	// crash recovery, where this re-derives the identical counters
-	// deterministically. Symptoms still pending in a processor are
-	// counted too; their eventual grace-elapsed drain re-counts them
-	// with the (by then unchanged) full evidence.
-	for _, a := range apps.All() {
-		for _, d := range engines[a.Name].DiagnoseAllParallel(0) {
-			s.roll.CountDiagnosis(a.Name, d)
-		}
+	if rebuildTails {
+		rebuildTail(s.st, sv.apps)
 	}
-	// Fan live diagnoses out to the rollup counters, the recent ring,
-	// and the SSE stream. Installed after the tail rebuild so its
-	// replayed emissions (already served before the crash) don't reach
-	// the ring.
-	for _, a := range apps.All() {
+	for _, a := range sv.apps {
+		// Seed the breakdown rollups: one full-evidence diagnosis of every
+		// stored root symptom, so the Result Browser's invariant (breakdown
+		// ≡ batch browser.Breakdown over the live store) holds from the
+		// first request — including right after a crash recovery, where
+		// this re-derives the identical counters deterministically.
+		// Symptoms still pending in the processor are counted too; their
+		// eventual grace-elapsed drain re-counts them with the (by then
+		// unchanged) full evidence.
 		name := a.Name
-		procs[name].OnDiagnosis = func(d engine.Diagnosis) {
+		for _, d := range a.proc.Engine().DiagnoseAllParallel(0) {
+			s.roll.CountDiagnosis(name, d)
+		}
+		// Fan live diagnoses out to the rollup counters, the recent ring,
+		// and the SSE stream. Installed after the tail rebuild so its
+		// replayed emissions (already served before the crash) don't reach
+		// the ring.
+		a.proc.OnDiagnosis = func(d engine.Diagnosis) {
 			seq := s.roll.AddDiagnosis(name, d)
 			if s.hub.active() {
 				s.hub.publish(seq, streamFrame(rollup.Entry{Seq: seq, App: name, D: d}))
 			}
 		}
 	}
-	s.mu.Lock()
-	s.finalized, s.view, s.engines, s.traced, s.procs = true, view, engines, traced, procs
-	s.mu.Unlock()
+	s.serving.Store(sv)
 	return nil
 }
 
 // rebuildTail replays the stored stream's tail (availability order)
-// through a fresh processor: events past the span's end minus the grace
-// window reconstruct the stream clock and the pending-symptom queue.
-// Emitted diagnoses are dropped — anything whose grace elapsed before
-// the crash was already served (streamed diagnoses are at-most-once; the
-// authoritative answer is always /v1/diagnose).
-func rebuildTail(st store.Store, p *realtime.Processor) {
+// through the fresh processors: for each, the events past the span's end
+// minus its grace window reconstruct the stream clock and the
+// pending-symptom queue. The tail is gathered and sorted once, as far
+// back as the longest grace reaches. Emitted diagnoses are dropped —
+// anything whose grace elapsed before the crash was already served
+// (streamed diagnoses are at-most-once; the authoritative answer is
+// always /v1/diagnose).
+func rebuildTail(st store.Store, served []servedApp) {
 	_, last, ok := st.Span()
 	if !ok {
 		return
 	}
-	cut := last.Add(-p.Grace - maxEventDuration)
+	cutFor := func(a servedApp) time.Time { return last.Add(-a.proc.Grace - maxEventDuration) }
+	cut := last
+	for _, a := range served {
+		if c := cutFor(a); c.Before(cut) {
+			cut = c
+		}
+	}
 	var tail []*event.Instance
 	for _, name := range st.Names() {
 		for _, in := range st.All(name) {
@@ -779,8 +806,13 @@ func rebuildTail(st store.Store, p *realtime.Processor) {
 		}
 	}
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].End.Before(tail[j].End) })
-	for _, in := range tail {
-		p.ObserveStored(in)
+	for _, a := range served {
+		own := cutFor(a)
+		for _, in := range tail {
+			if !in.End.Before(own) {
+				a.proc.ObserveStored(in)
+			}
+		}
 	}
 }
 
@@ -788,11 +820,7 @@ func errResult(status int, format string, args ...any) taskResult {
 	return taskResult{status: status, err: fmt.Errorf(format, args...)}
 }
 
-func (s *Server) isFinalized() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.finalized
-}
+func (s *Server) isFinalized() bool { return s.serving.Load() != nil }
 
 // queueTotals sums depth and capacity across all shard queues (len/cap
 // on channels are safe concurrently).

@@ -110,10 +110,6 @@ type ReplicaShardLag struct {
 }
 
 func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	if s.isFollower() {
 		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
 		return
@@ -133,10 +129,6 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	if s.isFollower() {
 		writeJSON(w, http.StatusOK, s.follower.status(s))
 		return
@@ -153,47 +145,37 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 // request timeout): the stream lives until the follower disconnects or
 // the server shuts down.
 func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
-	if s.isFollower() {
-		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
-		return
-	}
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		writeErr(w, http.StatusBadRequest, "missing follower id")
-		return
-	}
-	from, err := strconv.Atoi(r.URL.Query().Get("from"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad from cursor")
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	s.replSrc.ServeJournal(w, flush, id, from, s.closing) //nolint:errcheck // stream end is the follower's signal
+	s.serveReplStream(w, r, false)
 }
 
 // handleReplWAL streams one shard's event WAL. Mounted raw, like the
 // journal stream.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
+	s.serveReplStream(w, r, true)
+}
+
+// serveReplStream validates a stream request (?id=&from=, and &shard= for
+// a WAL stream) and hands the connection to the replication source.
+func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request, wal bool) {
 	if s.isFollower() {
 		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
 		return
 	}
-	id := r.URL.Query().Get("id")
+	q := r.URL.Query()
+	id := q.Get("id")
 	if id == "" {
 		writeErr(w, http.StatusBadRequest, "missing follower id")
 		return
 	}
-	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-	if err != nil || shard < 0 || shard >= len(s.shards) {
-		writeErr(w, http.StatusBadRequest, "bad shard")
-		return
+	shard := 0
+	if wal {
+		var err error
+		if shard, err = strconv.Atoi(q.Get("shard")); err != nil || shard < 0 || shard >= len(s.shards) {
+			writeErr(w, http.StatusBadRequest, "bad shard")
+			return
+		}
 	}
-	from, err := strconv.Atoi(r.URL.Query().Get("from"))
+	from, err := strconv.Atoi(q.Get("from"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad from cursor")
 		return
@@ -204,14 +186,14 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	s.replSrc.ServeWAL(w, flush, id, shard, from, s.closing) //nolint:errcheck // stream end is the follower's signal
+	if wal {
+		s.replSrc.ServeWAL(w, flush, id, shard, from, s.closing) //nolint:errcheck // stream end is the follower's signal
+	} else {
+		s.replSrc.ServeJournal(w, flush, id, from, s.closing) //nolint:errcheck // stream end is the follower's signal
+	}
 }
 
 func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if !s.isFollower() {
 		writeErr(w, http.StatusConflict, "this node is already a primary")
 		return

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"grca/internal/apps"
 	"grca/internal/obs"
 	"grca/internal/wire"
 )
@@ -50,29 +49,20 @@ const maxBody = 8 << 20
 // /debug/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", s.timed(mIngestSecs, s.handleIngest))
-	mux.HandleFunc("/v1/finalize", s.timed(mIngestSecs, s.handleFinalize))
-	mux.HandleFunc("/v1/diagnose", s.timed(mDiagnoseSecs, s.handleDiagnose))
-	mux.HandleFunc("/v1/events", s.timed(mEventsSecs, s.handleEvents))
-	mux.HandleFunc("/v1/stats", s.timed(mStatsSecs, s.handleStats))
-	mux.HandleFunc("/v1/breakdown", s.timed(mBrowserSecs, s.handleBreakdown))
-	mux.HandleFunc("/v1/trend", s.timed(mBrowserSecs, s.handleTrend))
-	mux.HandleFunc("/v1/causes", s.timed(mBrowserSecs, s.handleCauses))
-	mux.HandleFunc("/v1/drilldown/", s.timed(mBrowserSecs, s.handleDrilldown))
-	mux.HandleFunc("/v1/recent", s.timed(mBrowserSecs, s.handleRecent))
-	// The stream outlives any request timeout; it is bounded by the
-	// client and server lifetimes instead of s.timed.
-	mux.HandleFunc("/v1/stream", s.handleStream)
-	mux.HandleFunc("/v1/replication/status", s.timed(mStatsSecs, s.handleReplStatus))
-	mux.HandleFunc("/v1/replication/meta", s.timed(mStatsSecs, s.handleReplMeta))
-	// Replication streams live until the follower disconnects, and a
-	// promotion replays the whole journal history — none fit under the
-	// request timeout.
-	mux.HandleFunc("/v1/replication/journal", s.handleReplJournal)
-	mux.HandleFunc("/v1/replication/wal", s.handleReplWAL)
-	mux.HandleFunc("/v1/replication/promote", s.handleReplPromote)
-	mux.HandleFunc("/browser/", s.handleDashboard)
-	mux.HandleFunc("/healthz", s.handleHealthz)
+	for _, rt := range s.routes() {
+		method, handle := rt.method, rt.fn
+		fn := func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != method {
+				writeErr(w, http.StatusMethodNotAllowed, "%s required", method)
+				return
+			}
+			handle(w, r)
+		}
+		if rt.hist != nil {
+			fn = s.timed(rt.hist, fn)
+		}
+		mux.HandleFunc(rt.path, fn)
+	}
 	if s.cfg.Debug {
 		mux.Handle("/debug/", obs.DebugMux())
 	}
@@ -85,6 +75,44 @@ func (s *Server) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// route is one API endpoint: its path, the one method it answers (any
+// other gets a 405), and the latency histogram it is timed under. A nil
+// hist mounts it outside timed, with no request timeout.
+type route struct {
+	path, method string
+	hist         *obs.Histogram
+	fn           http.HandlerFunc
+}
+
+func (s *Server) routes() []route {
+	const get, post = http.MethodGet, http.MethodPost
+	return []route{
+		{"/v1/ingest", post, mIngestSecs, s.handleIngest},
+		{"/v1/finalize", post, mIngestSecs, s.handleFinalize},
+		{"/v1/diagnose", post, mDiagnoseSecs, s.handleDiagnose},
+		{"/v1/events", get, mEventsSecs, s.handleEvents},
+		{"/v1/stats", get, mStatsSecs, s.handleStats},
+		{"/v1/breakdown", get, mBrowserSecs, s.handleBreakdown},
+		{"/v1/trend", get, mBrowserSecs, s.handleTrend},
+		{"/v1/causes", get, mBrowserSecs, s.handleCauses},
+		{"/v1/drilldown/", get, mBrowserSecs, s.handleDrilldown},
+		{"/v1/recent", get, mBrowserSecs, s.handleRecent},
+		// The stream outlives any request timeout; it is bounded by the
+		// client and server lifetimes instead.
+		{"/v1/stream", get, nil, s.handleStream},
+		{"/v1/replication/status", get, mStatsSecs, s.handleReplStatus},
+		{"/v1/replication/meta", get, mStatsSecs, s.handleReplMeta},
+		// Replication streams live until the follower disconnects, and a
+		// promotion replays the whole journal history — none fit under the
+		// request timeout.
+		{"/v1/replication/journal", get, nil, s.handleReplJournal},
+		{"/v1/replication/wal", get, nil, s.handleReplWAL},
+		{"/v1/replication/promote", post, nil, s.handleReplPromote},
+		{"/browser/", get, nil, s.handleDashboard},
+		{"/healthz", get, nil, s.handleHealthz},
+	}
 }
 
 // timed wraps a handler with the inflight gauge, a request-scoped
@@ -112,10 +140,6 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if s.isFollower() {
 		s.redirectToPrimary(w, r)
 		return
@@ -222,10 +246,6 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, t task) {
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if s.isFollower() {
 		s.redirectToPrimary(w, r)
 		return
@@ -239,35 +259,31 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req DiagnoseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	s.mu.RLock()
-	finalized := s.finalized
-	eng := s.engines[req.App]
-	if req.Trace {
-		eng = s.traced[req.App]
-	}
-	s.mu.RUnlock()
-	if !finalized {
+	sv := s.serving.Load()
+	if sv == nil {
 		writeErr(w, http.StatusConflict, "not finalized: POST /v1/finalize first")
 		return
 	}
-	if eng == nil {
+	a := sv.app(req.App)
+	if a == nil {
 		writeErr(w, http.StatusBadRequest, "unknown application %q", req.App)
 		return
+	}
+	eng := a.proc.Engine()
+	diagnose := eng.Diagnose
+	if req.Trace {
+		diagnose = eng.DiagnoseTraced
 	}
 	resp := DiagnoseResponse{App: req.App, Diagnoses: []DiagnosisJSON{}}
 	switch {
 	case req.All:
-		for _, d := range eng.DiagnoseAll() {
-			resp.Diagnoses = append(resp.Diagnoses, diagnosisJSON(d))
+		for _, sym := range s.st.All(eng.Graph.Root) {
+			resp.Diagnoses = append(resp.Diagnoses, diagnosisJSON(diagnose(sym)))
 		}
 	default:
 		sym, ok := s.st.Get(req.ID)
@@ -280,7 +296,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 				req.ID, sym.Name, req.App, eng.Graph.Root)
 			return
 		}
-		resp.Diagnoses = append(resp.Diagnoses, diagnosisJSON(eng.Diagnose(sym)))
+		resp.Diagnoses = append(resp.Diagnoses, diagnosisJSON(diagnose(sym)))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -293,10 +309,6 @@ const (
 )
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	q := r.URL.Query()
 	name := q.Get("name")
 	if name == "" && !q.Has("limit") && !q.Has("after") {
@@ -345,26 +357,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	first, last, _ := s.st.Span()
-	phase := "loading"
-	if s.isFinalized() {
-		phase = "serving"
-	}
 	depth, capacity := s.queueTotals()
 	shardEvents := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		shardEvents[i] = sh.st.Len()
 	}
+	// The collector's tallies are written by feed loads (and a follower's
+	// journal apply) under dispatchMu.
+	s.dispatchMu.Lock()
+	sources := s.coll.Summary()
+	s.dispatchMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"phase":    phase,
+		"phase":    s.phase(),
 		"events":   s.st.Len(),
 		"span":     map[string]any{"first": first, "last": last},
 		"recovery": s.recovery,
-		"sources":  s.coll.Summary(),
+		"sources":  sources,
 		"pipeline": map[string]any{
 			"shards":         len(s.shards),
 			"queue_depth":    depth,
@@ -376,11 +385,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	phase := "loading"
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "phase": s.phase()})
+}
+
+func (s *Server) phase() string {
 	if s.isFinalized() {
-		phase = "serving"
+		return "serving"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "phase": phase})
+	return "loading"
 }
 
 // ---------------------------------------------------------------------
@@ -430,14 +442,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	close(s.finishQ)
 	<-s.finishDone
-	s.mu.RLock()
-	procs := s.procs
-	s.mu.RUnlock()
-	for _, a := range apps.All() {
-		if p, ok := procs[a.Name]; ok {
-			p.Close()
-		}
-	}
+	s.serving.Load().close()
 	for _, sh := range s.shards {
 		if e := sh.log.Snapshot(); e != nil && err == nil {
 			err = e
