@@ -108,7 +108,9 @@ func runServe(args []string) error {
 	if rec.WALRebuilt {
 		fmt.Fprint(os.Stderr, "; WAL rebuilt from journal")
 	}
-	fmt.Fprintln(os.Stderr, ")")
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	fmt.Fprintf(os.Stderr, "): WAL open %v beside head replay %v, tail apply %v over %d journal segments (%d records applied, %d verified), serving install %v\n",
+		ms(rec.WALOpen), ms(rec.HeadReplay), ms(rec.TailApply), rec.JournalSegments, rec.TailApplied, rec.TailVerified, ms(rec.ServingInstall))
 	if o.replicaOf != "" {
 		fmt.Fprintf(os.Stderr, "serve: replica of %s — writes redirect to the primary until promotion\n", o.replicaOf)
 	}
@@ -134,8 +136,8 @@ func runServe(args []string) error {
 
 // runPromote flips a running replica into a standalone primary: it
 // seals the replication streams, finishes replay, reopens through the
-// normal recovery path (whose journal-vs-WAL reconcile verifies the
-// shipped state), and reports the promoted node's per-shard digests.
+// normal recovery path (which checks the shipped journal against the
+// shipped WAL state), and reports the promoted node's per-shard digests.
 func runPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "base URL of the replica to promote (e.g. http://127.0.0.1:8081; required)")

@@ -20,9 +20,14 @@ func FuzzStreamDecode(f *testing.F) {
 	good = AppendHello(good, "boot-fuzz", 4, StreamJournal, 12)
 	good = AppendJournalRec(good, []byte{42, 'r', 'e', 'c'})
 	good = AppendWALRec(good, []byte{9, 'w'})
-	good = AppendSnapBegin(good, 512, 64)
+	good = AppendSnapBegin(good, 0, 512, 64)
 	good = AppendSnapChunk(good, bytes.Repeat([]byte{0xab}, 64))
 	good = AppendSnapEnd(good)
+	// ...the protocol-3 frames of a journal stream: a checkpoint per shard
+	// (one of them empty), then a tail segment's header shipped verbatim.
+	good = AppendSnapEnd(AppendSnapBegin(good, 3, 0, 0))
+	good = AppendJournalRec(good, wal.AppendJournalSegmentHeader(nil,
+		wal.JournalSegmentHeader{FirstSeq: 13, FirstID: 900, Offset: 1 << 20, Fronts: []int{880, 900, 0, 512}}))
 	good = AppendHeartbeat(good, 99, 1234, []int{5, 6, 7, 8})
 	good = AppendEOF(good, "seal")
 	f.Add(good)
@@ -35,6 +40,12 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	f.Add([]byte("not a stream at all"))
+	// A checkpoint naming a shard no node has, one whose bound overflows
+	// an int, and a header whose first ID lies below a shard's front.
+	f.Add(AppendSnapBegin(nil, maxShards, 1, 1))
+	f.Add(AppendSnapBegin(nil, 0, -1, -1))
+	f.Add(AppendJournalRec(nil, wal.AppendJournalSegmentHeader(nil,
+		wal.JournalSegmentHeader{FirstSeq: 13, FirstID: 10, Fronts: []int{11}})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(wal.NewFrameReader(bytes.NewReader(data)))
@@ -54,6 +65,16 @@ func FuzzStreamDecode(f *testing.F) {
 			}
 			if len(m.WALNext) > maxShards {
 				t.Fatalf("heartbeat array out of bounds: %d", len(m.WALNext))
+			}
+			if m.Shard < 0 || m.Shard >= maxShards || m.Next < 0 || m.Size < 0 {
+				t.Fatalf("snapshot announcement out of bounds: shard %d, next %d, size %d", m.Shard, m.Next, m.Size)
+			}
+			if m.Type == MsgJournalRec && wal.IsJournalSegmentHeader(m.Rec) {
+				// What the follower does with a header: parse it; garbage is
+				// an error, never a panic or a negative position.
+				if h, err := wal.ParseJournalSegmentHeader(m.Rec); err == nil && (h.FirstSeq < 0 || h.FirstID < 0 || h.Offset < 0) {
+					t.Fatalf("segment header out of bounds: %+v", h)
+				}
 			}
 			msgs++
 			if msgs > 1<<20 {

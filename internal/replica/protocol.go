@@ -13,15 +13,20 @@
 //   - The journal stream ships the ingest journal's records in file
 //     order, which is dispatch order, so the follower applies records in
 //     arrival order through the same replay path crash recovery uses —
-//     same routing, same dense ID allocation, same store digests.
+//     same routing, same dense ID allocation, same store digests. The
+//     journal is segmented and its covered tail dropped (wal/journal.go):
+//     segment headers ship verbatim, and a follower whose resume point
+//     lies in a dropped segment is sent one store checkpoint per shard
+//     before the retained tail.
 //   - A WAL stream per shard ships that shard's event-WAL records (and,
 //     when the follower's frontier predates the oldest retained segment,
 //     the latest snapshot first). Shipped bytes go to the follower's
-//     disk only; on promotion they are reconciled against the journal
-//     replay exactly as a restarting primary reconciles its own WAL.
+//     disk only; on promotion they are the checkpoints the shipped
+//     journal is replayed over, exactly as a restarting primary replays
+//     its journal over its own WAL.
 //
-// Heartbeats carry the primary's durable journal sequence and size and
-// the per-shard WAL frontiers — the lag signal — on every stream.
+// Heartbeats carry the primary's durable journal sequence and logical
+// size (bytes ever journaled) and the per-shard WAL frontiers — the lag signal — on every stream.
 package replica
 
 import (
@@ -43,9 +48,12 @@ const (
 	// MsgWALRec carries one event-WAL segment record (explicit store ID
 	// inside). WAL-stream only; records arrive in ascending ID order.
 	MsgWALRec byte = 3
-	// MsgSnapBegin announces a snapshot bootstrap: the follower's resume
-	// point predates the oldest retained segment, so the latest snapshot
-	// ships first. The follower resets its local WAL state for the shard.
+	// MsgSnapBegin announces a snapshot bootstrap of one shard: the
+	// follower's resume point predates the oldest retained segment, so the
+	// latest snapshot ships first. On a WAL stream the follower resets its
+	// local WAL state for the shard; on the journal stream it replaces the
+	// live shard's content (a checkpoint), and a size of zero is the empty
+	// checkpoint of a shard that has no snapshot.
 	MsgSnapBegin byte = 4
 	// MsgSnapChunk carries one chunk of the snapshot file, verbatim.
 	MsgSnapChunk byte = 5
@@ -62,7 +70,7 @@ const (
 
 // ProtocolVersion is negotiated via MsgHello; a follower refuses a
 // primary speaking a different version.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Stream kinds named in MsgHello.
 const (
@@ -71,8 +79,12 @@ const (
 )
 
 // maxShards bounds the per-shard arrays a heartbeat or hello may claim,
-// so a corrupt frame cannot drive a huge allocation.
-const maxShards = 1024
+// so a corrupt frame cannot drive a huge allocation; maxID bounds the IDs
+// and sizes a frame may carry so none turns negative as an int.
+const (
+	maxShards = 1024
+	maxID     = 1 << 62
+)
 
 // Msg is one decoded protocol message; the populated fields depend on
 // Type. Rec and Chunk alias the decoded frame's buffer — copy to retain
@@ -92,12 +104,13 @@ type Msg struct {
 	// MsgSnapChunk
 	Chunk []byte
 	// MsgSnapBegin
-	Next int
-	Size int64
+	Shard int
+	Next  int
+	Size  int64
 
 	// MsgHeartbeat
 	Sealed       int   // highest sequence durably journaled
-	JournalBytes int64 // ingest journal size
+	JournalBytes int64 // the journal's logical size: bytes ever journaled
 	WALNext      []int // per shard
 
 	// MsgEOF
@@ -150,12 +163,14 @@ func AppendWALRec(b []byte, rec []byte) []byte {
 	return appendMsg(b, p)
 }
 
-// AppendSnapBegin frames a snapshot-bootstrap announcement onto b.
-func AppendSnapBegin(b []byte, next int, size int64) []byte {
-	p := make([]byte, 0, 24)
+// AppendSnapBegin frames a snapshot-bootstrap announcement for shard onto
+// b.
+func AppendSnapBegin(b []byte, shard, next int, size int64) []byte {
+	p := make([]byte, 0, 32)
 	p = append(p, MsgSnapBegin)
 	p = binary.AppendUvarint(p, uint64(next))
 	p = binary.AppendUvarint(p, uint64(size))
+	p = binary.AppendUvarint(p, uint64(shard))
 	return appendMsg(b, p)
 }
 
@@ -242,7 +257,15 @@ func ParseMsg(p []byte) (Msg, error) {
 		if sz <= 0 {
 			return m, fmt.Errorf("replica: truncated snapshot size")
 		}
-		m.Next, m.Size = int(next), int64(size)
+		p = p[sz:]
+		shard, sz := binary.Uvarint(p)
+		if sz <= 0 || shard >= maxShards {
+			return m, fmt.Errorf("replica: bad snapshot shard index")
+		}
+		if next > maxID || size > maxID {
+			return m, fmt.Errorf("replica: snapshot bound out of range")
+		}
+		m.Shard, m.Next, m.Size = int(shard), int(next), int64(size)
 	case MsgSnapChunk:
 		m.Chunk = p
 	case MsgSnapEnd, MsgEOF:

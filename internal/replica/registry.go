@@ -81,17 +81,35 @@ func (r *Registry) Detach(id string) {
 	r.expireLocked()
 }
 
-// NoteJournal records the journal sequence shipped to the
-// follower.
+// NoteJournal records the journal sequence the follower holds or was
+// last shipped. It is set, not raised: a reconnect says where the
+// follower really stands, and that may be below what an earlier
+// connection had sent.
 func (r *Registry) NoteJournal(id string, seq int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e := r.followers[id]; e != nil {
-		if seq > e.journalSeq {
-			e.journalSeq = seq
-		}
+		e.journalSeq = seq
 		e.lastSeen = obs.Now()
 	}
+}
+
+// PinJournal returns the journal's pin — the lowest sequence some live
+// (attached, or disconnected within the grace window) follower has not
+// been shipped — or -1 when no follower pins it: a tail segment holding
+// that sequence or a later one stays on the primary's disk, up to the
+// server's hard cap.
+func (r *Registry) PinJournal() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.expireLocked()
+	pin := -1
+	for _, e := range r.followers {
+		if next := e.journalSeq + 1; pin < 0 || next < pin {
+			pin = next
+		}
+	}
+	return pin
 }
 
 // NoteWAL records the follower's shipped WAL frontier for one shard:

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	b = AppendHello(b, "boot-1", 4, StreamJournal, 17)
 	b = AppendJournalRec(b, []byte("journal-bytes"))
 	b = AppendWALRec(b, []byte{7, 'w'})
-	b = AppendSnapBegin(b, 1000, 12345)
+	b = AppendSnapBegin(b, 2, 1000, 12345)
 	b = AppendSnapChunk(b, []byte("chunk"))
 	b = AppendSnapEnd(b)
 	b = AppendHeartbeat(b, 41, 20, []int{5, 6})
@@ -75,7 +76,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if w := msgs[2]; w.Type != MsgWALRec || !bytes.Equal(w.Rec, []byte{7, 'w'}) {
 		t.Fatalf("wal rec mismatch: %+v", w)
 	}
-	if s := msgs[3]; s.Type != MsgSnapBegin || s.Next != 1000 || s.Size != 12345 {
+	if s := msgs[3]; s.Type != MsgSnapBegin || s.Shard != 2 || s.Next != 1000 || s.Size != 12345 {
 		t.Fatalf("snap begin mismatch: %+v", s)
 	}
 	if c := msgs[4]; c.Type != MsgSnapChunk || string(c.Chunk) != "chunk" {
@@ -155,6 +156,29 @@ func TestRegistryPinAndGrace(t *testing.T) {
 	st := r.Status()
 	if len(st) != 1 || st[0].ID != "f1" || !st[0].Connected {
 		t.Fatalf("status = %+v, want connected f1 only", st)
+	}
+
+	// The journal pin beside it: the lowest sequence some live follower has
+	// yet to be shipped. A fresh follower pins everything; a reconnect says
+	// where the follower stands, also when that is further back.
+	if pin := r.PinJournal(); pin != 0 {
+		t.Fatalf("journal pin = %d with f1 shipped nothing, want 0", pin)
+	}
+	r.NoteJournal("f1", 41)
+	r.Attach("f3")
+	r.NoteJournal("f3", 17)
+	if pin := r.PinJournal(); pin != 18 {
+		t.Fatalf("journal pin = %d, want 18: f3's next", pin)
+	}
+	r.NoteJournal("f1", 9)
+	if pin := r.PinJournal(); pin != 10 {
+		t.Fatalf("journal pin = %d after f1 reconnected from 9, want 10", pin)
+	}
+	r.Detach("f1")
+	r.Detach("f3")
+	time.Sleep(60 * time.Millisecond)
+	if pin := r.PinJournal(); pin != -1 {
+		t.Fatalf("journal pin = %d past every grace window, want -1", pin)
 	}
 }
 
@@ -464,6 +488,177 @@ func TestServeJournalTail(t *testing.T) {
 	appendJ(4)
 	wait(2, 3, 4)
 	stop()
+}
+
+// segmentedJournal writes a journal of a head and `segments` tail
+// segments under dir, perSeg records of about 1 KiB in each file, and
+// returns the journal, still open, and the next sequence.
+func segmentedJournal(t *testing.T, dir string, segments, perSeg int) (*wal.SegmentedJournal, int) {
+	t.Helper()
+	j, err := wal.OpenSegmentedJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Repeat("b", 1000)
+	seq := 0
+	for file := 0; file <= segments; file++ {
+		if file > 0 {
+			if err := j.Roll(wal.JournalSegmentHeader{FirstSeq: seq, FirstID: 10 * seq, Fronts: []int{10 * seq}}, nil, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < perSeg; i++ {
+			if err := j.AppendNoSync(append(append(appendUvarintTest(nil, seq), 3, 0), body...)); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return j, seq
+}
+
+// journalStream runs one ServeJournal connection from `from` until the
+// stream has shipped the record with sequence `until`, and returns what
+// it shipped: the records' sequences, and the first sequences of the
+// segment headers among them.
+func journalStream(t *testing.T, src *Source, id string, from, until int) (seqs, headers []int, msgs []Msg) {
+	t.Helper()
+	w := &collectWriter{}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- src.ServeJournal(w, nil, id, from, stop) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		seqs, headers, msgs = nil, nil, decodeStream(t, w.bytes())
+		for _, m := range msgs {
+			if m.Type != MsgJournalRec {
+				continue
+			}
+			seq, err := JournalSeq(m.Rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wal.IsJournalSegmentHeader(m.Rec) {
+				headers = append(headers, seq)
+			} else {
+				seqs = append(seqs, seq)
+			}
+		}
+		if len(seqs) > 0 && seqs[len(seqs)-1] >= until {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream from %d shipped records %v, never reached %d", from, seqs, until)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("stream from %d ended after records %v: %v", from, seqs, err)
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return seqs, headers, msgs
+}
+
+// TestServeJournalSegments: over a segmented journal the stream ships
+// every record in order with each tail segment's header ahead of its
+// records, and a reconnect starts in the segment that holds its resume
+// point — at the tip of a 20-segment journal it reads less than two
+// segments' bytes, where scanning from journal.log read all of them.
+func TestServeJournalSegments(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(wal.SnapDirOf(dir), 0o755); err != nil { // a shard with no snapshot yet
+		t.Fatal(err)
+	}
+	const segments, perSeg = 20, 8
+	j, next := segmentedJournal(t, dir, segments, perSeg)
+	defer j.Close()
+	src := NewSource(SourceConfig{
+		BootID: "boot-s", Shards: 1,
+		JournalPath:     wal.JournalHead(dir),
+		WALDir:          func(int) string { return dir },
+		JournalFrontier: func() int { return next - 1 },
+		WALFrontier:     func(int) int { return 0 },
+		Registry:        NewRegistry(1, time.Minute),
+		Poll:            2 * time.Millisecond,
+	})
+	if got := src.JournalSize(); got != j.Offset() {
+		t.Fatalf("the source reads a journal of %d bytes off the files, %d were journaled", got, j.Offset())
+	}
+
+	seqs, headers, _ := journalStream(t, src, "whole", -1, next-1)
+	for i, seq := range seqs {
+		if seq != i {
+			t.Fatalf("record %d of the whole stream carries sequence %d", i, seq)
+		}
+	}
+	if len(seqs) != next || len(headers) != segments {
+		t.Fatalf("shipped %d records and %d headers, want %d and %d", len(seqs), len(headers), next, segments)
+	}
+	for i, first := range headers {
+		if first != (i+1)*perSeg {
+			t.Fatalf("header %d announces sequence %d, want %d", i, first, (i+1)*perSeg)
+		}
+	}
+
+	// A reconnect holding everything but the last record.
+	segBytes := j.Offset() / (segments + 1)
+	read := mJournalRead.Value()
+	seqs, headers, _ = journalStream(t, src, "tip", next-2, next-1)
+	if len(seqs) != 1 || seqs[0] != next-1 || len(headers) != 0 {
+		t.Fatalf("reconnect at the tip shipped records %v and headers %v, want just %d", seqs, headers, next-1)
+	}
+	if got := mJournalRead.Value() - read; got >= 2*segBytes {
+		t.Fatalf("reconnect at the tip read %d bytes of a journal with %d-byte segments", got, segBytes)
+	}
+	// One holding exactly a whole segment gets the next one's header again:
+	// it may not have rolled yet.
+	seqs, headers, _ = journalStream(t, src, "edge", 5*perSeg-1, next-1)
+	if seqs[0] != 5*perSeg || len(headers) == 0 || headers[0] != 5*perSeg {
+		t.Fatalf("reconnect at a segment's edge began with record %d and headers %v, want both at %d", seqs[0], headers, 5*perSeg)
+	}
+
+	// Segments dropped behind journal.log: a follower whose resume point
+	// lies in them is sent a checkpoint per shard between journal.log's
+	// rest and the retained tail.
+	for k := 0; k < 10; k++ {
+		if err := j.DropOldest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldest := j.Tail()[0].Header.FirstSeq
+	seqs, headers, msgs := journalStream(t, src, "late", 2, next-1)
+	if want := append(seqRange(3, perSeg), seqRange(oldest, next)...); fmt.Sprint(seqs) != fmt.Sprint(want) {
+		t.Fatalf("late follower was shipped records %v, want journal.log's rest then %d on", seqs, oldest)
+	}
+	if headers[0] != oldest {
+		t.Fatalf("the tail resumed at header %d, want the oldest retained segment %d", headers[0], oldest)
+	}
+	begins := 0
+	for i, m := range msgs {
+		if m.Type == MsgSnapBegin {
+			if begins++; m.Shard != 0 || m.Size != 0 || msgs[i+1].Type != MsgSnapEnd {
+				t.Fatalf("checkpoint frame %+v followed by %+v, want shard 0's empty checkpoint", m, msgs[i+1])
+			}
+		}
+	}
+	if begins != 1 {
+		t.Fatalf("%d checkpoints shipped to a follower resuming inside dropped segments, want one per shard", begins)
+	}
+}
+
+func seqRange(lo, hi int) []int {
+	var out []int
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
 }
 
 // TestFileTailIdleFillAllocatesNothing: every live stream polls fill

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"grca/internal/obs"
@@ -12,8 +13,10 @@ import (
 
 var (
 	mJournalShipped = obs.GetCounter("replica.source.journal.records")
+	mJournalRead    = obs.GetCounter("replica.source.journal.bytes.read")
 	mWALShipped     = obs.GetCounter("replica.source.wal.records")
 	mSnapshots      = obs.GetCounter("replica.source.snapshots.shipped")
+	mCheckpoints    = obs.GetCounter("replica.source.checkpoints.shipped")
 )
 
 // SourceConfig wires a Source into the serving pipeline it streams from.
@@ -23,7 +26,8 @@ type SourceConfig struct {
 	BootID string
 	// Shards is the pipeline's shard count.
 	Shards int
-	// JournalPath is the ingest journal's path.
+	// JournalPath is the path of the ingest journal's segment 0
+	// (journal.log); its tail segments lie beside it.
 	JournalPath string
 	// WALDir returns shard i's WAL state directory (holding wal/ and
 	// snap/).
@@ -53,8 +57,9 @@ func (c *SourceConfig) defaults() {
 
 // Source serves replication streams off the primary's on-disk state. It
 // holds no locks of the serving pipeline: it tails the journal and
-// segment files the appliers write. The journal has one appender, so its
-// file order is already the total order followers apply in.
+// segment files the appliers write. The journal has one appender, so the
+// order of its files, and of the records in each, is already the total
+// order followers apply in.
 type Source struct {
 	cfg SourceConfig
 }
@@ -71,9 +76,12 @@ func (s *Source) BootID() string { return s.cfg.BootID }
 // Shards returns the shard count.
 func (s *Source) Shards() int { return s.cfg.Shards }
 
-// JournalSize returns the journal's current byte size (0 for a journal
-// not yet created).
-func (s *Source) JournalSize() int64 { return wal.JournalSize(s.cfg.JournalPath) }
+// JournalSize returns the journal's logical size: the bytes ever
+// journaled, dropped tail segments included (0 for a journal not yet
+// created).
+func (s *Source) JournalSize() int64 { return wal.JournalOffset(s.journalDir()) }
+
+func (s *Source) journalDir() string { return filepath.Dir(s.cfg.JournalPath) }
 
 // WALFrontiers returns each shard's next WAL record ID.
 func (s *Source) WALFrontiers() []int {
@@ -96,7 +104,8 @@ type fileTail struct {
 	f     *os.File
 	off   int64 // next read offset
 	carry []byte
-	buf   []byte // read buffer, kept across fills: an idle poll allocates nothing
+	buf   []byte       // read buffer, kept across fills: an idle poll allocates nothing
+	read  *obs.Counter // when set, counts the bytes read
 }
 
 // fill reads everything currently readable and pushes each complete
@@ -120,6 +129,9 @@ func (t *fileTail) fill(push func(payload []byte) error) (bool, error) {
 		n, err := t.f.ReadAt(t.buf, t.off)
 		if n > 0 {
 			t.off += int64(n)
+			if t.read != nil {
+				t.read.Add(int64(n))
+			}
 			t.carry = append(t.carry, t.buf[:n]...)
 			for {
 				payload, rest, ok := wal.ReadFrame(t.carry)
@@ -177,47 +189,43 @@ func (c *streamConn) push() error {
 }
 
 // ServeJournal streams the ingest journal to one follower: every record
-// after sequence `from`, in file order. The stream tails the file live
-// and ends only on stop (server shutdown) or a write error (follower
-// gone). flush may be nil.
+// after sequence `from`, in journal order. The stream starts in the file
+// that holds from+1 — tail segments are named for their first sequence —
+// tails the active file live, follows each roll into the next segment
+// (the header record ships verbatim: the follower rolls where the primary
+// rolled), and ends only on stop (server shutdown), a write error
+// (follower gone), or a segment dropped from under it. A follower whose
+// resume point lies in a segment already dropped is sent, between
+// segment 0 and the retained tail, one store checkpoint per shard.
+// flush may be nil.
 func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
 	s.cfg.Registry.Attach(followerID)
 	defer s.cfg.Registry.Detach(followerID)
+	// The new connection's resume point is what the follower holds, whatever
+	// an earlier connection shipped.
+	s.cfg.Registry.NoteJournal(followerID, from)
 
 	conn := &streamConn{w: w, flush: flush}
 	conn.buf = AppendHello(conn.buf, s.cfg.BootID, s.cfg.Shards, StreamJournal, from)
 	if err := conn.push(); err != nil {
 		return err
 	}
-
-	tail := &fileTail{path: s.cfg.JournalPath}
-	defer tail.close()
-	shipped := from
+	sess := &journalSession{src: s, conn: conn, followerID: followerID, shipped: from}
+	defer func() {
+		if sess.tail != nil {
+			sess.tail.close()
+		}
+	}()
 	lastBeat := obs.Now()
 	for {
-		progress, err := tail.fill(func(payload []byte) error {
-			seq, err := JournalSeq(payload)
-			if err != nil {
-				return fmt.Errorf("replica: journal: %v", err)
-			}
-			if seq <= shipped {
-				return nil // resume skip: the follower journaled this already
-			}
-			conn.buf = AppendJournalRec(conn.buf, payload)
-			shipped = seq
-			mJournalShipped.Inc()
-			if len(conn.buf) >= 1<<16 {
-				return conn.push()
-			}
-			return nil
-		})
+		progress, err := sess.step()
 		if err != nil {
 			conn.buf = AppendEOF(conn.buf, err.Error())
 			conn.push() //nolint:errcheck // stream is ending either way
 			return err
 		}
 		if progress {
-			s.cfg.Registry.NoteJournal(followerID, shipped)
+			s.cfg.Registry.NoteJournal(followerID, sess.shipped)
 			if err := conn.push(); err != nil {
 				return err
 			}
@@ -239,6 +247,156 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		case <-time.After(s.cfg.Poll):
 		}
 	}
+}
+
+// journalSession is one journal stream's server-side state.
+type journalSession struct {
+	src        *Source
+	conn       *streamConn
+	followerID string
+	shipped    int       // highest sequence the follower holds or was sent
+	tail       *fileTail // the file being read; nil before the first step
+	cur        int       // first sequence of that file; -1 for journal.log
+}
+
+// step makes one unit of progress: pick the starting file, drain the
+// current file's new records, or hand off to the next segment.
+func (j *journalSession) step() (bool, error) {
+	if j.tail == nil {
+		return true, j.start()
+	}
+	progress, err := j.tail.fill(func(payload []byte) error {
+		seq, err := JournalSeq(payload)
+		if err != nil {
+			return fmt.Errorf("replica: journal: %v", err)
+		}
+		if wal.IsJournalSegmentHeader(payload) {
+			// A header carries the sequence of the record behind it: the
+			// follower needs it until it holds that record.
+			if seq <= j.shipped {
+				return nil
+			}
+		} else {
+			if seq <= j.shipped {
+				return nil // resume skip: the follower journaled this already
+			}
+			j.shipped = seq
+			mJournalShipped.Inc()
+		}
+		j.conn.buf = AppendJournalRec(j.conn.buf, payload)
+		if len(j.conn.buf) >= 1<<16 {
+			return j.conn.push()
+		}
+		return nil
+	})
+	if err != nil || progress {
+		return progress, err
+	}
+	// No new bytes. A frame still being written completes in place; with
+	// none in flight, follow a roll.
+	if len(j.tail.carry) != 0 {
+		return false, nil
+	}
+	return j.advance()
+}
+
+// start opens the file holding from+1: the newest tail segment beginning
+// at or below it, journal.log when there is none.
+func (j *journalSession) start() error {
+	segs, err := wal.JournalTail(j.src.journalDir())
+	if err != nil {
+		return err
+	}
+	j.cur = -1
+	path := j.src.cfg.JournalPath
+	for _, seg := range segs {
+		if seg.Header.FirstSeq <= j.shipped+1 {
+			j.cur, path = seg.Header.FirstSeq, seg.Path
+		}
+	}
+	j.tail = &fileTail{path: path, read: mJournalRead}
+	return nil
+}
+
+// advance moves to the segment after the current file, if a roll made
+// one. Rolling seals a file before its successor gets a header, so once a
+// successor's header reads, the current file is complete. Leaving
+// journal.log, the successor either begins at the byte journal.log ends
+// on, or segments between them were dropped and the follower is sent
+// checkpoints to stand on instead.
+func (j *journalSession) advance() (bool, error) {
+	segs, err := wal.JournalTail(j.src.journalDir())
+	if err != nil {
+		return false, err
+	}
+	var next *wal.JournalSegment
+	for i := range segs {
+		if segs[i].Header.FirstSeq > j.cur {
+			next = &segs[i]
+			break
+		}
+	}
+	if next == nil {
+		return false, nil
+	}
+	h, ok, err := wal.ReadJournalSegmentHeader(next.Path)
+	if os.IsNotExist(err) {
+		return false, nil // dropped since the listing: the next poll lists again
+	}
+	if err != nil || !ok {
+		return false, err // a roll in progress: the header is not whole yet
+	}
+	switch {
+	case j.cur < 0 && h.Offset != j.tail.off:
+		if h.Offset < j.tail.off {
+			return false, fmt.Errorf("replica: journal segment %s begins at byte %d, inside journal.log", next.Path, h.Offset)
+		}
+		if err := j.bootstrap(next, h); err != nil {
+			return false, err
+		}
+	case j.cur >= 0 && h.FirstSeq != j.shipped+1:
+		// Past the hard cap the oldest segments go whatever a follower pins;
+		// a reconnect finds the resume point dropped and bootstraps.
+		return false, fmt.Errorf("replica: journal segments between sequence %d and %d were dropped under the stream", j.shipped, h.FirstSeq)
+	}
+	j.tail.close()
+	j.tail = &fileTail{path: next.Path, read: mJournalRead}
+	j.cur = h.FirstSeq
+	return true, nil
+}
+
+// bootstrap sends the follower what the dropped segments between
+// journal.log and seg held, as one store checkpoint per shard. The
+// journal pin goes to seg first, so that no drop takes it while the
+// images ship; the images are whatever snapshots the shards hold now,
+// which the drop rule keeps at or beyond where seg begins — the follower
+// checks that against the header that follows.
+func (j *journalSession) bootstrap(seg *wal.JournalSegment, h wal.JournalSegmentHeader) error {
+	j.src.cfg.Registry.NoteJournal(j.followerID, h.FirstSeq-1)
+	if _, err := os.Stat(seg.Path); err != nil {
+		return fmt.Errorf("replica: journal segment %s was dropped before it could be pinned", seg.Path)
+	}
+	for shard := 0; shard < j.src.cfg.Shards; shard++ {
+		img, err := wal.OpenSnapshotImage(j.src.cfg.WALDir(shard))
+		if err != nil {
+			return err
+		}
+		if img == nil {
+			// No snapshot: the shard's checkpoint is the empty store, which
+			// the follower accepts only if the shard had no event yet when
+			// seg began.
+			j.conn.buf = AppendSnapEnd(AppendSnapBegin(j.conn.buf, shard, 0, 0))
+			continue
+		}
+		err = shipImage(j.conn, shard, img)
+		img.Close()
+		if err != nil {
+			return err
+		}
+	}
+	j.shipped = h.FirstSeq - 1
+	mCheckpoints.Inc()
+	return j.conn.push()
 }
 
 // ServeWAL streams one shard's event WAL to a follower from record ID
@@ -319,13 +477,23 @@ func (w *walSession) bootstrap() error {
 // shipImage sends the snapshot image as one bootstrap and moves the
 // resume point to its bound.
 func (w *walSession) shipImage(img *wal.SnapshotImage) error {
-	w.conn.buf = AppendSnapBegin(w.conn.buf, img.Next, img.Size)
+	if err := shipImage(w.conn, w.shard, img); err != nil {
+		return err
+	}
+	w.next = img.Next
+	mSnapshots.Inc()
+	return nil
+}
+
+// shipImage frames one shard's snapshot image onto the stream.
+func shipImage(conn *streamConn, shard int, img *wal.SnapshotImage) error {
+	conn.buf = AppendSnapBegin(conn.buf, shard, img.Next, img.Size)
 	chunk := make([]byte, 256<<10)
 	for {
 		n, err := io.ReadFull(img, chunk)
 		if n > 0 {
-			w.conn.buf = AppendSnapChunk(w.conn.buf, chunk[:n])
-			if err := w.conn.push(); err != nil {
+			conn.buf = AppendSnapChunk(conn.buf, chunk[:n])
+			if err := conn.push(); err != nil {
 				return err
 			}
 		}
@@ -336,13 +504,8 @@ func (w *walSession) shipImage(img *wal.SnapshotImage) error {
 			return err
 		}
 	}
-	w.conn.buf = AppendSnapEnd(w.conn.buf)
-	if err := w.conn.push(); err != nil {
-		return err
-	}
-	w.next = img.Next
-	mSnapshots.Inc()
-	return nil
+	conn.buf = AppendSnapEnd(conn.buf)
+	return conn.push()
 }
 
 // openSegmentFor positions the tail on the newest segment whose first ID

@@ -154,6 +154,17 @@ func (r *Rollup) SeedEvents(st store.Store) {
 	}
 }
 
+// Reset forgets every binned event and counted diagnosis, for a store
+// whose content was replaced wholesale (a replica loading a checkpoint):
+// seed again from the new content. The recent ring and its sequence stay
+// — stream cursors held by clients must keep ascending.
+func (r *Rollup) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events = map[string]map[int64]int{}
+	r.apps = map[string]*appAgg{}
+}
+
 // EvictEvents reverses ObserveEvent for retention-evicted instances and
 // un-counts any evicted root symptoms, keeping the breakdown invariant
 // scoped to live symptoms. Registered as a store OnEvict hook.

@@ -5,11 +5,16 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"grca/internal/event"
+	"grca/internal/obs"
+	"grca/internal/wal"
 )
+
+var mRollsFailed = obs.GetCounter("journal.rolls.failed")
 
 // batch is one dispatched ingest batch moving through the commit
 // pipeline. The dispatcher fills seq and the stored slots and routes
@@ -34,6 +39,12 @@ type batch struct {
 	// failed is the batch's first commit error, set by whichever lane
 	// hits one first; the finisher replies with it.
 	failed atomic.Pointer[taskResult]
+	// jdone closes once lane 0 has made the batch's journal record durable,
+	// or failed to (jerr, written before the close). The other lanes of a
+	// batch wait on it before they touch their stores, so no WAL ever holds
+	// an event the journal does not; a batch wholly on lane 0 has none.
+	jdone chan struct{}
+	jerr  error
 	// drain marks the sentinel finalize pushes through finishQ to wait
 	// for every batch ahead of it: it carries no work and is not counted.
 	drain bool
@@ -63,7 +74,10 @@ type shardTask struct {
 	events []event.Instance // IDs pre-assigned by the dispatcher
 	pos    []int            // events[j] commits into bt.stored[pos[j]]
 	jrec   []byte           // the batch's journal record, on lane 0's slice
-	wait   *sync.WaitGroup  // barrier
+	// roll, on lane 0's slice, is the header of a new tail segment to
+	// start before jrec is appended.
+	roll *wal.JournalSegmentHeader
+	wait *sync.WaitGroup // barrier
 }
 
 // dispatch admits one validated ingest request into the commit pipeline
@@ -168,6 +182,10 @@ func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
 	}
 	subs := make([]*shardTask, n)
 	subs[0] = &shardTask{bt: bt, jrec: encodeRecord(seq, t.kind, "", t.raw)}
+	if s.inTail && s.segBytes >= journalSegmentBytes {
+		subs[0].roll, s.segBytes = s.tailHeader(seq, block), 0
+	}
+	s.segBytes += int64(wal.FrameHeader + len(subs[0].jrec))
 	involved := 1
 	for j := range t.events {
 		i := routes[j]
@@ -185,6 +203,10 @@ func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
 		ev.ID = block + j
 		st.events = append(st.events, ev)
 		st.pos = append(st.pos, j)
+		s.fronts[i] = ev.ID + 1
+	}
+	if involved > 1 {
+		bt.jdone = make(chan struct{})
 	}
 	bt.pending.Store(int32(involved))
 	for i, st := range subs {
@@ -227,6 +249,7 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 			mEvents.Add(int64(stored))
 			bt.res = taskResult{status: http.StatusOK, resp: IngestResponse{Stored: stored}}
 		}
+		s.refreshFronts()
 	}
 	return s.finishInline(bt)
 }
@@ -235,7 +258,9 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 // artifacts. It drains the whole pipeline first — the barrier commits
 // every queued event, drainFinisher drains the finisher — so the rollup
 // seed that installServing derives sees exactly the events of all
-// acknowledged batches.
+// acknowledged batches. The finalize record is the last one journal.log
+// takes: with it applied the journal rolls to its first tail segment, and
+// everything journaled from here on can be dropped behind the snapshots.
 func (s *Server) dispatchFinalize() (*batch, taskResult) {
 	if s.isFinalized() {
 		return nil, errResult(http.StatusConflict, "already finalized")
@@ -251,9 +276,88 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 		}
 		if err != nil {
 			bt.res = errResult(http.StatusInternalServerError, "%v", err)
+		} else {
+			// closeFeeds stored events of its own. A roll that fails leaves
+			// the records that follow in journal.log, kept whole like the
+			// rest of it; the next boot rolls.
+			s.refreshFronts()
+			if s.rollJournal(s.tailHeader(s.seq, s.st.NextID())) == nil {
+				s.inTail, s.segBytes = true, 0
+			}
 		}
 	}
 	return s.finishInline(bt)
+}
+
+// refreshFronts reads each shard's allocation frontier off its store.
+// Callers hold dispatchMu with every lane idle (or not yet started), so
+// the stores hold everything allocated.
+func (s *Server) refreshFronts() {
+	for i, sh := range s.shards {
+		s.fronts[i] = sh.st.NextID()
+	}
+}
+
+// tailHeader describes the tail segment whose first record will be seq,
+// allocating event IDs from firstID on: admission's view of the journal at
+// that point. Callers hold dispatchMu.
+func (s *Server) tailHeader(seq, firstID int) *wal.JournalSegmentHeader {
+	return &wal.JournalSegmentHeader{FirstSeq: seq, FirstID: firstID, Fronts: slices.Clone(s.fronts)}
+}
+
+// rollJournal makes a new tail segment the journal's active file. Runs on
+// the journal's appender: lane 0's applier, or admission with it idle.
+func (s *Server) rollJournal(h *wal.JournalSegmentHeader) error {
+	err := s.jour.Roll(*h, nil, false)
+	if err != nil {
+		mRollsFailed.Inc()
+	}
+	return err
+}
+
+// dropJournalSegments unlinks, oldest first, every sealed tail segment
+// that nothing needs any more: each event it allocated lies below the
+// older of its shard's two retained snapshot manifests (so either
+// manifest, alone, still recovers it), and no live follower has yet to
+// read it — or the follower pins more than the hard cap allows. Each
+// snapshot's manifest was durable (its directory fsynced) before the
+// floor it raised was published, the directory is fsynced again behind
+// the unlinks, and a segment's successor carries the frontiers the test
+// is made against. With force, once journalForceAfter sealed segments
+// wait, a shard that holds the oldest back is snapshotted from here: one
+// that went idle would otherwise never snapshot again. Runs on the
+// journal's appender.
+func (s *Server) dropJournalSegments(force bool) {
+	dropped := false
+	for {
+		tail := s.jour.Tail()
+		if len(tail) < 2 {
+			break
+		}
+		sealed, next := len(tail)-1, tail[1].Header
+		if pin := s.replReg.PinJournal(); pin >= 0 && pin < next.FirstSeq && int64(sealed) <= s.pinCap.Load() {
+			break
+		}
+		covered := true
+		for i, sh := range s.shards {
+			if force && sealed >= journalForceAfter {
+				// The second snapshot makes the first one the older manifest.
+				for k := 0; k < 2 && sh.log.Floor() < next.Fronts[i]; k++ {
+					if sh.log.Snapshot() != nil {
+						break // counted in wal.snapshots.failed
+					}
+				}
+			}
+			covered = covered && sh.log.Floor() >= next.Fronts[i]
+		}
+		if !covered || s.jour.DropOldest() != nil {
+			break
+		}
+		dropped = true
+	}
+	if dropped {
+		s.jour.SyncDir() //nolint:errcheck // an unlink that a crash undoes is a segment dropped again at the next boot
+	}
 }
 
 // journalInline starts a batch that admission applies itself: it takes
@@ -356,42 +460,61 @@ func (s *Server) applier(sh *shard) {
 	}
 }
 
-// applyShardGroup commits one group on one shard: stage the group's
-// journal records (lane 0 carries them all), fsync once (each batch's
-// commit point), insert every event into the store (feeding the shard's
-// WAL buffer), commit the WAL once, then count each batch down.
-// Insertions proceed even for a batch whose journal append failed — its
-// shards must stay mutually consistent and its reply is an error either
-// way; the next restart reconciles the store against the journal and
-// rebuilds.
+// applyShardGroup commits one group on one shard. Lane 0 first stages
+// the group's journal records (it carries them all), rolling to a new
+// tail segment where admission said to, and fsyncs once — each batch's
+// commit point, announced to the batch's other lanes. Every lane then
+// inserts its events into the store (feeding the shard's WAL buffer) —
+// the other lanes only once the batch's record is durable, and no lane at
+// all for a batch whose record failed: the journal is dead from then on
+// (its first error is sticky), and a WAL holding what the journal lacks
+// is the one state recovery cannot add its way out of. One WAL commit,
+// then each batch is counted down; lane 0 then drops the journal segments
+// the snapshots have come to cover, and last a barrier is released.
 func (s *Server) applyShardGroup(sh *shard, group []shardTask) {
 	var jerr error
-	staged := -1 // sequence of the last record staged
+	staged, rolled := -1, false
 	for i := range group {
 		t := &group[i]
 		if t.jrec == nil {
 			continue
+		}
+		if t.roll != nil && jerr == nil {
+			rolled = s.rollJournal(t.roll) == nil || rolled
 		}
 		if jerr == nil {
 			if jerr = s.jour.AppendNoSync(t.jrec); jerr == nil {
 				staged = t.bt.seq
 			}
 		}
+	}
+	if staged >= 0 && jerr == nil {
+		jerr = s.syncJournal(staged)
+	}
+	for i := range group {
+		t := &group[i]
+		if t.jrec == nil {
+			continue
+		}
 		if jerr != nil {
+			t.bt.jerr = jerr
 			t.bt.fail(http.StatusInternalServerError, fmt.Errorf("journal: %v", jerr))
 		}
-	}
-	if staged >= 0 {
-		if err := s.syncJournal(staged); err != nil {
-			for i := range group {
-				if group[i].jrec != nil {
-					group[i].bt.fail(http.StatusInternalServerError, fmt.Errorf("journal: %v", err))
-				}
-			}
+		if t.bt.jdone != nil {
+			close(t.bt.jdone)
 		}
 	}
 	for i := range group {
 		t := &group[i]
+		if t.wait != nil {
+			continue
+		}
+		if t.jrec == nil {
+			<-t.bt.jdone // another lane's slice of a batch lane 0 journals
+		}
+		if t.bt.jerr != nil {
+			continue
+		}
 		for j := range t.events {
 			stored, err := sh.st.Put(t.events[j])
 			if err != nil {
@@ -409,14 +532,17 @@ func (s *Server) applyShardGroup(sh *shard, group []shardTask) {
 		}
 	}
 	for i := range group {
-		t := &group[i]
-		if t.wait != nil {
-			t.wait.Done()
-			continue
-		}
-		if t.bt.pending.Add(-1) == 0 {
+		if t := &group[i]; t.wait == nil && t.bt.pending.Add(-1) == 0 {
 			close(t.bt.ready)
 		}
+	}
+	// Behind the acknowledgements, so no batch waits on an unlink; ahead of
+	// the barrier's release, so admission never finds lane 0 in the journal.
+	if sh.idx == 0 {
+		s.dropJournalSegments(rolled)
+	}
+	if t := &group[len(group)-1]; t.wait != nil { // a barrier ends its group
+		t.wait.Done()
 	}
 }
 

@@ -20,14 +20,18 @@ import (
 	"grca/internal/event"
 	"grca/internal/obs"
 	"grca/internal/replica"
+	"grca/internal/store"
 	"grca/internal/wal"
 )
 
+var mReplCheckpoints = obs.GetCounter("replica.follower.checkpoints.loaded")
+
 // followerState is the replica-only half of a Server: the stream
 // clients, the per-shard WAL sinks, and the lag bookkeeping. The live
-// store is the same scratch pipeline crash recovery builds, and apply is
-// the same journalApplier over it with the serving hooks attached — the
-// follower IS a recovery that never stops replaying.
+// store is what crash recovery builds — checkpoints with the journal
+// applied over them — and apply is the same journalApplier over it with
+// the serving hooks attached: the follower IS a recovery that never stops
+// replaying.
 type followerState struct {
 	primary string // primary base URL, no trailing slash
 	id      string // stable follower stream ID (REPLICA file)
@@ -39,6 +43,13 @@ type followerState struct {
 
 	appliedSeq atomic.Int64 // last journal sequence applied (and locally journaled)
 	walNext    []atomic.Int64
+
+	// images collects the store checkpoints the journal stream sends ahead
+	// of a tail segment whose predecessors the primary has dropped — one
+	// per shard, image the one arriving; that segment's header record makes
+	// them the live store. Only the journal client's goroutine touches them.
+	images []*shardImage
+	image  *incomingImage
 
 	// sealed means the clients are stopped and the local journal and
 	// sinks are closed; sealOnce makes the seal idempotent between
@@ -61,6 +72,20 @@ type followerState struct {
 	snapBoots []int
 }
 
+// shardImage is one shard's decoded checkpoint: store.Memory.Replace's
+// arguments.
+type shardImage struct {
+	base, next int
+	ins        []event.Instance
+}
+
+// incomingImage is a checkpoint between its MsgSnapBegin and MsgSnapEnd.
+type incomingImage struct {
+	shard, next int
+	size        int64
+	dec         wal.ImageDecoder
+}
+
 // promotedNode is the primary a promoted replica delegates to.
 type promotedNode struct {
 	srv  *Server
@@ -75,8 +100,9 @@ type PromoteInfo struct {
 	BootID string `json:"boot_id"`
 	// AppliedSeq is the last stream sequence applied before the seal.
 	AppliedSeq int `json:"applied_seq"`
-	// Recovery is the reopen's reconciliation report: WALRebuilt is the
-	// per-shard digest check's verdict on the shipped WAL state.
+	// Recovery is the reopen's report: how much of the shipped journal's
+	// tail the shipped WAL state already held (TailVerified) or lacked
+	// (TailApplied), and whether a shard had to be refilled (WALRebuilt).
 	Recovery RecoveryInfo `json:"recovery"`
 	// Digests are the promoted store's per-shard digests.
 	Digests []string `json:"digests"`
@@ -123,7 +149,7 @@ func fetchPrimaryMeta(base string, perAttempt, backoff time.Duration) (Replicati
 }
 
 // ErrPrimaryHistory refuses a replica whose data directory has no
-// REPLICA marker yet holds a journal, WAL or snapshots: a primary wrote
+// REPLICA marker yet holds a journal (either kind of file), WAL or snapshots: a primary wrote
 // them (an ex-primary rejoining after a failover), and what it
 // acknowledged past the failover point was never shipped. Resuming on
 // top of it would report "caught up" over a store that differs from the
@@ -133,7 +159,7 @@ var ErrPrimaryHistory = errors.New("server: data dir holds a primary's history; 
 // primaryState returns the first piece of durable serving state found
 // under dataDir ("" when there is none).
 func primaryState(dataDir string, n int) string {
-	paths := []string{journalPath(dataDir)}
+	paths := append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...)
 	for i := 0; i < n; i++ {
 		dir := shardDir(dataDir, n, i)
 		paths = append(paths, wal.WALDirOf(dir), wal.SnapDirOf(dir))
@@ -144,6 +170,29 @@ func primaryState(dataDir string, n int) string {
 		}
 	}
 	return ""
+}
+
+// journalTailPaths lists the journal's tail segment files under dataDir.
+func journalTailPaths(dataDir string) []string {
+	paths, _ := filepath.Glob(filepath.Join(dataDir, "journal-*.log")) // fails only on a malformed pattern
+	return paths
+}
+
+// wipeShippedState removes everything a primary shipped into dataDir: the
+// journal, head and tail, and every shard's WAL and snapshots. The REPLICA
+// marker stays.
+func wipeShippedState(dataDir string, n int) error {
+	for _, p := range append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...) {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := wipeShardState(dataDir, n, i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // prepareReplicaState reconciles the data dir with the primary
@@ -165,19 +214,12 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 				return id, nil
 			}
 		}
-		// Boot ID changed (or the marker is malformed): drop the shipped
-		// journal and every shard's WAL and snapshot state and resync from
-		// scratch.
-		if err := os.Remove(journalPath(dataDir)); err != nil && !os.IsNotExist(err) {
+		// Boot ID changed (or the marker is malformed, or a divergence voided
+		// it): drop the shipped journal — a stale tail under a fresh head
+		// would replay as if it followed it — and every shard's WAL and
+		// snapshot state, and resync from scratch.
+		if err := wipeShippedState(dataDir, n); err != nil {
 			return "", err
-		}
-		for i := 0; i < n; i++ {
-			dir := shardDir(dataDir, n, i)
-			for _, sub := range []string{"wal", "snap"} {
-				if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-					return "", err
-				}
-			}
 		}
 	case !os.IsNotExist(err):
 		return "", err
@@ -224,7 +266,26 @@ func openFollower(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: config archive: %v", err)
 	}
-	rep, err := replayJournal(cfg, topo)
+	// Recover the live store from the shipped state, as a primary would
+	// from its own: the shipped journal over empty checkpoints while it
+	// reaches back to ID 0, over what the WAL sinks hold once it begins
+	// behind a checkpoint the primary sent. Shipped state that does not
+	// add up — the sinks trail that checkpoint, or disagree with the
+	// journal — is not repaired but replaced: wipe it and bootstrap anew.
+	var rep replayResult
+	var tail []wal.JournalSegment
+	for attempt := 0; ; attempt++ {
+		tail, err = wal.RecoverJournalTail(cfg.DataDir)
+		if err == nil {
+			rep, _, err = recoverJournal(cfg, topo, tail, func() []checkpoint { return shippedCheckpoints(cfg, tail) })
+		}
+		if err == nil || attempt > 0 || !(errors.Is(err, ErrCheckpointLost) || errors.Is(err, ErrCheckpointDiverged)) {
+			break
+		}
+		if err := wipeShippedState(cfg.DataDir, n); err != nil {
+			return nil, err
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +303,7 @@ func openFollower(cfg Config) (*Server, error) {
 	// Shard entries carry only the live store shard; there is no WAL,
 	// queue, or applier — the journal stream's apply goroutine is the only
 	// writer.
-	jour, err := wal.OpenJournal(journalPath(cfg.DataDir))
+	jour, err := wal.OpenSegmentedJournal(cfg.DataDir, tail)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +325,7 @@ func openFollower(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		shards[i] = &shard{st: rep.shards[i], idx: i}
+		shards[i] = &shard{st: rep.st.Shard(i), idx: i}
 		sink, err := replica.OpenWALSink(dir, 0)
 		if err != nil {
 			return nil, err
@@ -273,13 +334,13 @@ func openFollower(cfg Config) (*Server, error) {
 		fs.walNext[i].Store(int64(sink.Frontier()))
 	}
 
-	s, err := newServer(cfg, topo, rep, rep.scratch, shards, jour)
+	s, err := newServer(cfg, topo, rep, shards, jour)
 	if err != nil {
 		return nil, err
 	}
 	s.follower = fs
 	fs.apply = journalApplier{
-		coll: rep.coll, st: rep.scratch, dep: cfg.Bundle.CDN,
+		coll: rep.coll, st: rep.st, dep: cfg.Bundle.CDN,
 		serving: func() error { return s.installServing(false) },
 		stored:  func(stored []*event.Instance) { s.observeStored(stored) },
 	}
@@ -287,6 +348,32 @@ func openFollower(cfg Config) (*Server, error) {
 	opened = true
 	s.startFollowerClients()
 	return s, nil
+}
+
+// shippedCheckpoints are a restarting follower's checkpoints: empty ones
+// while its journal reaches back to ID 0 — the journal then rebuilds the
+// store by itself, as it always did — and otherwise what each shard's WAL
+// sink was shipped, read without opening it for appends. One that cannot
+// be read says so in its err.
+func shippedCheckpoints(cfg Config, tail []wal.JournalSegment) []checkpoint {
+	n := cfg.Shards
+	cps := make([]checkpoint, n)
+	whole := len(tail) == 0 || tail[0].Header.Offset == wal.JournalSize(journalPath(cfg.DataDir))
+	var wg sync.WaitGroup
+	for i := range cps {
+		if whole {
+			cps[i].st = store.New()
+			cps[i].st.SetRetention(cfg.Retention)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cps[i].st, cps[i].rec, cps[i].err = wal.ReadCheckpoint(shardDir(cfg.DataDir, n, i), wal.Options{Retention: cfg.Retention})
+		}(i)
+	}
+	wg.Wait()
+	return cps
 }
 
 // startFollowerClients launches the journal stream client and one WAL
@@ -347,16 +434,32 @@ func (fs *followerState) checkHello(m replica.Msg, stream byte, shards int) erro
 // store and the local journal.
 func (s *Server) handleJournalMsg(m replica.Msg) error {
 	fs := s.follower
+	var err error
 	switch m.Type {
 	case replica.MsgHello:
-		if err := fs.checkHello(m, replica.StreamJournal, len(s.shards)); err != nil {
-			return replica.Fatal(err)
-		}
+		// A new connection starts over whatever checkpoint the last one was
+		// in the middle of.
+		fs.images, fs.image = nil, nil
+		err = fs.checkHello(m, replica.StreamJournal, len(s.shards))
 	case replica.MsgJournalRec:
-		if err := s.applyJournalRecord(m.Rec); err != nil {
-			return replica.Fatal(err)
-		}
+		err = s.applyJournalRecord(m.Rec)
 		fs.noteMsg()
+	case replica.MsgSnapBegin:
+		if m.Shard >= len(s.shards) || fs.image != nil {
+			err = fmt.Errorf("unexpected checkpoint announcement for shard %d", m.Shard)
+			break
+		}
+		fs.image = &incomingImage{shard: m.Shard, next: m.Next, size: m.Size}
+	case replica.MsgSnapChunk:
+		if fs.image == nil {
+			err = fmt.Errorf("checkpoint chunk outside a checkpoint")
+			break
+		}
+		fs.image.size -= int64(len(m.Chunk))
+		_, err = fs.image.dec.Write(m.Chunk)
+		fs.noteMsg()
+	case replica.MsgSnapEnd:
+		err = fs.endImage(len(s.shards))
 	case replica.MsgHeartbeat:
 		fs.noteHeartbeat(m)
 		s.updateLag(m)
@@ -365,15 +468,54 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 		// The client loop already treats EOF as end-of-connection; seen
 		// here only if the primary interleaves it oddly — ignore.
 	default:
-		return replica.Fatal(fmt.Errorf("unexpected message type %d on the journal stream", m.Type))
+		err = fmt.Errorf("unexpected message type %d on the journal stream", m.Type)
 	}
+	if err != nil {
+		// Nothing here heals by reconnecting into the same primary.
+		return replica.Fatal(err)
+	}
+	return nil
+}
+
+// endImage closes the checkpoint being received: the bytes announced, the
+// bound announced, decoded whole. A size of zero is the empty checkpoint
+// of a shard that has no snapshot.
+func (fs *followerState) endImage(shards int) error {
+	in := fs.image
+	fs.image = nil
+	if in == nil {
+		return fmt.Errorf("checkpoint end outside a checkpoint")
+	}
+	img := &shardImage{}
+	if in.next != 0 || in.size != 0 {
+		if in.size != 0 {
+			return fmt.Errorf("checkpoint of shard %d is %d bytes off its announced size", in.shard, -in.size)
+		}
+		var err error
+		if img.base, img.next, img.ins, err = in.dec.Finish(); err != nil {
+			return err
+		}
+		if img.next != in.next {
+			return fmt.Errorf("checkpoint of shard %d covers IDs below %d, announced %d", in.shard, img.next, in.next)
+		}
+	}
+	if fs.images == nil {
+		fs.images = make([]*shardImage, shards)
+	}
+	fs.images[in.shard] = img
 	return nil
 }
 
 // applyJournalRecord journals one shipped record locally and applies it
 // to the live pipeline through the applier crash recovery runs, under
-// dispatchMu so reads never see a half-applied batch.
+// dispatchMu so reads never see a half-applied batch. A tail segment's
+// header is not applied but followed: the local journal rolls where the
+// primary's did.
 func (s *Server) applyJournalRecord(rec []byte) error {
+	h, isHeader, err := segmentHeader(rec)
+	if err != nil {
+		return err
+	}
 	seq, err := replica.JournalSeq(rec)
 	if err != nil {
 		return err
@@ -381,6 +523,15 @@ func (s *Server) applyJournalRecord(rec []byte) error {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
 	fs := s.follower
+	if isHeader {
+		if h.FirstSeq <= int(fs.appliedSeq.Load()) {
+			return nil // reconnect overlap: rolled there already
+		}
+		return s.followRoll(h, rec)
+	}
+	if fs.images != nil {
+		return fmt.Errorf("checkpoints were not followed by a segment header")
+	}
 	if seq <= int(fs.appliedSeq.Load()) {
 		return nil // reconnect overlap: already journaled and applied
 	}
@@ -398,6 +549,65 @@ func (s *Server) applyJournalRecord(rec []byte) error {
 	mReplApplied.Inc()
 	mReplSeq.Set(int64(seq))
 	return nil
+}
+
+// followRoll starts the local journal's next tail segment with the
+// primary's header record, verbatim, so that the directory is a primary's
+// directory. A header that follows checkpoints begins behind segments the
+// primary dropped: the checkpoints become the live store, the local tail
+// is replaced, and the records behind the header go through the frontier
+// filter like a recovery's. Either way the header says which event ID its
+// first record allocates, and the replay must stand exactly there — a
+// divergence check at every roll. Callers hold dispatchMu.
+func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
+	fs := s.follower
+	n := len(s.shards)
+	if len(h.Fronts) != n {
+		return fmt.Errorf("segment header for %d shards, this replica runs %d", len(h.Fronts), n)
+	}
+	replace := fs.images != nil
+	if replace {
+		for i, img := range fs.images {
+			if img == nil || img.next < h.Fronts[i] {
+				return fmt.Errorf("no checkpoint of shard %d reaching event ID %d came before journal segment %d", i, h.Fronts[i], h.FirstSeq)
+			}
+		}
+		for i, img := range fs.images {
+			if err := s.shards[i].st.Replace(img.base, img.next, img.ins); err != nil {
+				return err
+			}
+		}
+		fs.images = nil
+		s.st.SetNext(h.FirstID)
+		fs.apply.st = newFrontierStore(s.st, nil, s.cfg.Retention)
+		// Everything derived from the store's content is derived again.
+		s.roll.Reset()
+		s.roll.SeedEvents(s.st)
+		if s.isFinalized() {
+			if err := s.installServing(true); err != nil {
+				return err
+			}
+		}
+		mReplCheckpoints.Inc()
+	} else if h.FirstID != s.st.NextID() {
+		// The same records led somewhere else here: the shipped state cannot
+		// be extended, only replaced. Void the marker so the restart does.
+		fs.voidMarker(s.cfg.DataDir)
+		return fmt.Errorf("journal segment %d begins at event ID %d on the primary, this replica's replay stands at %d: restart the replica to resync",
+			h.FirstSeq, h.FirstID, s.st.NextID())
+	}
+	if err := s.jour.Roll(h, raw, replace); err != nil {
+		return err
+	}
+	s.seq = h.FirstSeq
+	return nil
+}
+
+// voidMarker rewrites the REPLICA marker without its boot ID, so that the
+// next open takes the shipped state for another incarnation's and wipes
+// it.
+func (fs *followerState) voidMarker(dataDir string) {
+	os.WriteFile(replicaFile(dataDir), []byte("\n"+fs.id+"\n"), 0o644) //nolint:errcheck // best effort: the stream stops either way
 }
 
 // handleWALMsg feeds one WAL-stream message into shard's sink. Runs on
@@ -465,7 +675,7 @@ func (fs *followerState) noteState(err error) {
 // journal not yet shipped, WAL records not yet sunk.
 func (s *Server) updateLag(hb replica.Msg) {
 	fs := s.follower
-	mReplLagBytes.Set(max(hb.JournalBytes-wal.JournalSize(journalPath(s.cfg.DataDir)), 0))
+	mReplLagBytes.Set(max(hb.JournalBytes-s.jour.Offset(), 0))
 	var lagRecs int64
 	for i := range s.shards {
 		if i >= len(hb.WALNext) {
@@ -522,10 +732,12 @@ func (s *Server) sealFollower() error {
 
 // Promote turns this replica into a primary: seal the streams, then
 // reopen the data directory exactly as a restarting primary would. The
-// reopen's journal-vs-WAL reconciliation is the promotion's digest
-// verification — every shard whose shipped WAL state disagrees with the
-// shipped journal history is rebuilt from the journal, so the promoted
-// store always equals a clean single-node replay of the same journal.
+// reopen's checkpoint + tail recovery is the promotion's verification —
+// every event the shipped WAL state and the shipped journal both hold is
+// checked against the other, what the WAL streams had not delivered is
+// added from the journal, and a shard that disagrees is refilled from it
+// (or, behind a checkpoint bootstrap, refused) — so the promoted store
+// equals a clean single-node replay of the same journal.
 // The promoted server takes over request handling atomically; this
 // server's handler delegates to it from then on.
 func (s *Server) Promote() (PromoteInfo, error) {
@@ -623,7 +835,7 @@ func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 		sealed := hb.Sealed
 		st.PrimarySealed = &sealed
 	}
-	local := wal.JournalSize(journalPath(s.cfg.DataDir))
+	local := s.jour.Offset()
 	for i := range s.shards {
 		lag := ReplicaShardLag{
 			Shard:           i,

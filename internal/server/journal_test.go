@@ -1,0 +1,701 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"grca/internal/obs"
+	"grca/internal/platform"
+	"grca/internal/wal"
+)
+
+// shrinkJournal makes the journal's tail roll every segBytes for the
+// length of the test, so a few hundred small batches cross many segments.
+func shrinkJournal(t *testing.T, segBytes int64) {
+	t.Helper()
+	old := journalSegmentBytes
+	journalSegmentBytes = segBytes
+	t.Cleanup(func() { journalSegmentBytes = old })
+}
+
+// tickStream posts batches of synthetic ticks whose event time advances
+// by step per batch: the post-finalize load of every test here.
+type tickStream struct {
+	t       *testing.T
+	ts      *httptest.Server
+	at      time.Time
+	step    time.Duration
+	n       int // batches posted
+	routers []string
+}
+
+func newTickStream(t *testing.T, ts *httptest.Server, b platform.Bundle, step time.Duration) *tickStream {
+	routers := make([]string, 61)
+	for i := range routers {
+		routers[i] = fmt.Sprintf("load-r%d", i)
+	}
+	return &tickStream{t: t, ts: ts, at: b.Start.Add(b.Duration).Add(time.Hour), step: step, routers: routers}
+}
+
+// batch builds the next batch: per ticks over the stream's routers.
+func (k *tickStream) batch(per int) []EventJSON {
+	evs := make([]EventJSON, per)
+	t0 := k.at.Add(time.Duration(k.n) * k.step)
+	for j := range evs {
+		at := t0.Add(time.Duration(j) * time.Millisecond)
+		evs[j] = EventJSON{
+			Name: "synthetic tick", Start: at, End: at,
+			Loc:   LocationJSON{Type: "router", A: k.routers[(k.n*per+j)%len(k.routers)]},
+			Attrs: map[string]string{"n": fmt.Sprint(k.n*per + j)},
+		}
+	}
+	k.n++
+	return evs
+}
+
+func (k *tickStream) post(batches, per int) {
+	k.t.Helper()
+	for i := 0; i < batches; i++ {
+		if code, body := post(k.t, k.ts, "/v1/ingest", IngestRequest{Events: k.batch(per)}); code != http.StatusOK {
+			k.t.Fatalf("tick batch %d: %d %s", k.n, code, body)
+		}
+	}
+}
+
+// routersOn returns router names whose ticks place on (or off) shard.
+func routersOn(s *Server, shard int, on bool, n int) []string {
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		name := fmt.Sprintf("pick-r%d", i)
+		at := s.cfg.Bundle.Start
+		in, err := EventJSON{Name: "synthetic tick", Start: at, End: at, Loc: LocationJSON{Type: "router", A: name}}.instance()
+		if err != nil {
+			panic(err)
+		}
+		if (s.st.ShardFor(in.Loc) == shard) == on {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// journalFiles lists the journal's files under dir with their sizes,
+// journal.log first.
+func journalFiles(t *testing.T, dir string) (paths []string, total int64) {
+	t.Helper()
+	paths = append([]string{journalPath(dir)}, journalTailPaths(dir)...)
+	for _, p := range paths {
+		total += wal.JournalSize(p)
+	}
+	return paths, total
+}
+
+// copyTree copies a data dir as a crash would leave it: every file's
+// bytes as they stand, nothing flushed or closed first.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dst, strings.TrimPrefix(path, src))
+		if d.IsDir() {
+			return os.MkdirAll(to, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(to, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// treeOf renders every non-empty file under dir (but those under a
+// skipped prefix) with its size and a checksum: what "touched nothing" is
+// held against.
+func treeOf(t *testing.T, dir string, skip ...string) string {
+	t.Helper()
+	var lines []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel := strings.TrimPrefix(path, dir)
+		for _, s := range skip {
+			if strings.HasPrefix(rel, s) {
+				return nil
+			}
+		}
+		data, err := os.ReadFile(path)
+		if len(data) > 0 { // an empty file is the segment that opening a WAL starts
+			lines = append(lines, fmt.Sprintf("%s %d %08x", rel, len(data), crc32.ChecksumIEEE(data)))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// olderManifest returns the next-ID bound of the older of the (up to) two
+// manifests under a shard dir, 0 with fewer than two.
+func olderManifest(t *testing.T, dir string) int {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), "snap-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 2 {
+		return 0
+	}
+	sort.Strings(snaps)
+	var next int
+	if _, err := fmt.Sscanf(filepath.Base(snaps[len(snaps)-2]), "snap-%d.snap", &next); err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+// TestJournalBoundedUnderRetention: over twenty retention windows of
+// events the journal on disk stays segment 0 plus what was journaled
+// since the older snapshot manifest plus one segment — it follows the
+// events retained, not the events ever ingested — journal.log itself
+// never grows past finalize, and the reopened store is the live one.
+func TestJournalBoundedUnderRetention(t *testing.T) {
+	const (
+		segBytes  = 16 << 10
+		retention = 10 * time.Minute
+		step      = 30 * time.Second // 20 batches a window
+		per       = 40
+		batches   = 20 * 20
+	)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			shrinkJournal(t, segBytes)
+			_, b := testBundle(t)
+			dir := t.TempDir()
+			cfg := Config{DataDir: dir, Bundle: b, Shards: shards, Retention: retention, SnapshotEvery: 300}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			loadAndFinalize(t, ts, b)
+			head := wal.JournalSize(journalPath(dir))
+			dropped := obs.GetCounter("journal.segments.dropped").Value()
+
+			// Each batch's journal bytes and the last event ID it allocated.
+			type journaled struct {
+				bytes  int64
+				lastID int
+			}
+			var log []journaled
+			k := newTickStream(t, ts, b, step)
+			for i := 0; i < batches; i++ {
+				before := s.jour.Offset()
+				k.post(1, per)
+				log = append(log, journaled{s.jour.Offset() - before, s.st.NextID() - 1})
+			}
+			if got := s.Store().Len(); got > 3*20*per {
+				t.Fatalf("%d events live after %d batches: retention is not evicting", got, batches)
+			}
+			want := wal.StoreDigest(s.Store())
+			ever := s.jour.Offset()
+			ts.Close()
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := wal.JournalSize(journalPath(dir)); got != head {
+				t.Fatalf("journal.log is %d bytes, it was %d at finalize: records landed in segment 0 after it", got, head)
+			}
+			floor := int(^uint(0) >> 1)
+			for i := 0; i < shards; i++ {
+				floor = min(floor, olderManifest(t, shardDir(dir, shards, i)))
+			}
+			var since int64
+			for _, j := range log {
+				if j.lastID >= floor {
+					since += j.bytes
+				}
+			}
+			files, onDisk := journalFiles(t, dir)
+			// One segment for the one the floor falls inside (kept whole), a
+			// record's overshoot per roll in it, and the headers.
+			bound := head + since + segBytes + 2*log[0].bytes + int64(len(files))*64
+			if onDisk > bound {
+				t.Fatalf("journal holds %d bytes in %d files; segment 0 (%d) + records since the older manifests at ID %d (%d) + one segment allows %d",
+					onDisk, len(files), head, floor, since, bound)
+			}
+			if onDisk > ever/4 {
+				t.Fatalf("journal holds %d of the %d bytes ever journaled: it is not following retention", onDisk, ever)
+			}
+			if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 20 {
+				t.Fatalf("%d journal segments dropped over %d batches, want at least 20", got, batches)
+			}
+
+			s2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := s2.Recovery()
+			if rec.WALRebuilt || rec.TailApplied != 0 || rec.JournalSegments != len(files) {
+				t.Fatalf("clean reopen: %+v with %d journal files on disk", rec, len(files))
+			}
+			if got := wal.StoreDigest(s2.Store()); got != want {
+				t.Fatal("the store reopened from checkpoints + tail differs from the live one")
+			}
+			if err := s2.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestJournalDropsPastIdleShard: a shard that stops receiving events
+// takes no snapshots of its own, so its older manifest would hold the
+// journal's tail back for good. Lane 0 snapshots it once segments pile
+// up, and the tail keeps being dropped while the other shards go through
+// snapshot after snapshot.
+func TestJournalDropsPastIdleShard(t *testing.T) {
+	shrinkJournal(t, 16<<10)
+	_, b := testBundle(t)
+	dir := t.TempDir()
+	const shards, idle = 4, 3
+	cfg := Config{DataDir: dir, Bundle: b, Shards: shards, SnapshotEvery: 200}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	loadAndFinalize(t, ts, b)
+	k := newTickStream(t, ts, b, time.Second)
+	k.post(10, 40) // every shard, the idle one included
+	if s.shards[idle].st.Len() == 0 {
+		t.Fatal("the shard meant to go idle never got an event")
+	}
+	k.routers = routersOn(s, idle, false, 40)
+	idleLen := s.shards[idle].st.Len()
+	snaps := obs.GetCounter("wal.snapshots").Value()
+	dropped := obs.GetCounter("journal.segments.dropped").Value()
+	k.post(150, 40)
+	if s.shards[idle].st.Len() != idleLen {
+		t.Fatal("the idle shard received events")
+	}
+	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 3*(shards-1) {
+		t.Fatalf("%d snapshots while the shard idled, want the others through at least 3 each", got)
+	}
+	if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 10 {
+		t.Fatalf("%d journal segments dropped while one shard idled, want the tail to keep going", got)
+	}
+	if files, _ := journalFiles(t, dir); len(files) > 1+journalForceAfter+3 {
+		t.Fatalf("%d journal files on disk with one shard idle: %v", len(files), files)
+	}
+	want := wal.StoreDigest(s.Store())
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if got := wal.StoreDigest(s2.Store()); got != want {
+		t.Fatal("reopened store differs from the live one")
+	}
+}
+
+// pinnedPrimary opens a primary whose journal tail is pinned by a
+// follower that never reads — nothing is dropped however far the
+// snapshots get — loads the corpus and streams ticks over many segments.
+func pinnedPrimary(t *testing.T, cfg Config, batches int) (*Server, *httptest.Server, *tickStream) {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.replReg.Attach("parked")
+	ts := httptest.NewServer(s.Handler())
+	loadAndFinalize(t, ts, cfg.Bundle)
+	k := newTickStream(t, ts, cfg.Bundle, time.Second)
+	k.post(batches, 40)
+	return s, ts, k
+}
+
+// TestJournalCrashCuts: the journal's own crash points — a roll killed
+// before its header is durable, after the header and before the first
+// record, a kill between the snapshot manifest and the unlinks it allows,
+// between two of the unlinks, and with the WAL trailing the journal by
+// what -fsync=interval had not flushed. Each image recovers to the store
+// of the node that never crashed, and is then appended to, snapshotted by
+// a clean shutdown and reopened to that node's store again.
+func TestJournalCrashCuts(t *testing.T) {
+	shrinkJournal(t, 8<<10)
+	_, b := testBundle(t)
+	const shards = 2
+	live := t.TempDir()
+	cfg := Config{DataDir: live, Bundle: b, Shards: shards, SnapshotEvery: 150}
+	s, ts, k := pinnedPrimary(t, cfg, 60)
+	defer ts.Close()
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	want := wal.StoreDigest(s.Store())
+	liveFiles, _ := journalFiles(t, live)
+	if len(liveFiles) < 8 {
+		t.Fatalf("the pinned journal holds %d files, want a long tail to cut", len(liveFiles))
+	}
+	// Where the journal stands, for the header a killed roll leaves behind.
+	s.dispatchMu.Lock()
+	s.refreshFronts()
+	next := s.tailHeader(s.seq, s.st.NextID())
+	next.Offset = s.jour.Offset()
+	s.dispatchMu.Unlock()
+	header := wal.AppendFrame(nil, wal.AppendJournalSegmentHeader(nil, *next))
+	nextPath := fmt.Sprintf("journal-%016d.log", next.FirstSeq)
+
+	// The batch every recovered image takes next, and the store that leaves.
+	extra := k.batch(40)
+	cuts := []struct {
+		name  string
+		cut   func(dir string)
+		check func(t *testing.T, dir string, s2 *Server)
+	}{
+		{"manifest durable, nothing unlinked yet", func(string) {}, func(t *testing.T, dir string, s2 *Server) {
+			if files, _ := journalFiles(t, dir); len(files) >= len(liveFiles) {
+				t.Fatalf("boot dropped nothing: %d journal files, %d before", len(files), len(liveFiles))
+			}
+		}},
+		{"between two unlinks", func(dir string) {
+			if err := os.Remove(filepath.Join(dir, filepath.Base(liveFiles[1]))); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"roll killed with the new file empty", func(dir string) {
+			if err := os.WriteFile(filepath.Join(dir, nextPath), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, dir string, s2 *Server) {
+			if tail := s2.jour.Tail(); tail[len(tail)-1].Header.FirstSeq == next.FirstSeq {
+				t.Fatal("the headerless file was kept as a segment")
+			}
+		}},
+		{"roll killed inside the header", func(dir string) {
+			if err := os.WriteFile(filepath.Join(dir, nextPath), header[:len(header)-3], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"roll killed after the header, before the first record", func(dir string) {
+			if err := os.WriteFile(filepath.Join(dir, nextPath), header, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, dir string, s2 *Server) {
+			if tail := s2.jour.Tail(); tail[len(tail)-1].Header.FirstSeq != next.FirstSeq {
+				t.Fatalf("the journal appends to segment %d, the header-only segment is %d", tail[len(tail)-1].Header.FirstSeq, next.FirstSeq)
+			}
+		}},
+	}
+	recovered := map[string]string{} // cut → dir, reopened once more below
+	for _, c := range cuts {
+		dir := copyTree(t, live) // the outer test's: it is reopened after the subtest
+		t.Run(c.name, func(t *testing.T) {
+			c.cut(dir)
+			ccfg := cfg
+			ccfg.DataDir = dir
+			s2, err := Open(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wal.StoreDigest(s2.Store()); got != want {
+				t.Fatalf("recovered store differs from the never-crashed one (%+v)", s2.Recovery())
+			}
+			if c.check != nil {
+				c.check(t, dir, s2)
+			}
+			ts2 := httptest.NewServer(s2.Handler())
+			if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: extra}); code != http.StatusOK {
+				t.Fatalf("append after recovery: %d %s", code, body)
+			}
+			ts2.Close()
+			if err := s2.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			recovered[c.name] = dir
+		})
+	}
+	if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: extra}); code != http.StatusOK {
+		t.Fatalf("append on the live node: %d %s", code, body)
+	}
+	want = wal.StoreDigest(s.Store())
+	for name, dir := range recovered {
+		ccfg := cfg
+		ccfg.DataDir = dir
+		s3, err := Open(ccfg)
+		if err != nil {
+			t.Fatalf("%s: second reopen: %v", name, err)
+		}
+		if rec := s3.Recovery(); rec.WALRebuilt || wal.StoreDigest(s3.Store()) != want {
+			t.Errorf("%s: after append, snapshot and reopen the store differs from the never-crashed one (%+v)", name, rec)
+		}
+		if err := s3.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWALTrailsJournalUnderIntervalFsync: under -fsync=interval an
+// acknowledged batch is in the journal and, for up to an interval, only
+// there. A kill inside it leaves the WAL a commit group behind; the tail
+// adds exactly what it lacks.
+func TestWALTrailsJournalUnderIntervalFsync(t *testing.T) {
+	shrinkJournal(t, 8<<10)
+	_, b := testBundle(t)
+	live := t.TempDir()
+	cfg := Config{DataDir: live, Bundle: b, Shards: 2, SnapshotEvery: 150,
+		Fsync: wal.FsyncInterval, FsyncInterval: time.Hour}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	s.replReg.Attach("parked")             // no unlink under the copy below
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+	k := newTickStream(t, ts, b, time.Second)
+	k.post(40, 40) // auto-snapshots flush along the way
+	for _, sh := range s.shards {
+		if err := sh.log.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := map[string]int64{}
+	for i := range s.shards {
+		segs, err := wal.Segments(shardDir(live, 2, i))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("shard %d: segments %v, %v", i, segs, err)
+		}
+		active := segs[len(segs)-1].Path
+		flushed[strings.TrimPrefix(active, live)] = wal.JournalSize(active)
+	}
+	k.post(2, 20) // acknowledged and journaled; written to the WAL, synced nowhere
+	want := wal.StoreDigest(s.Store())
+
+	// The kill takes what the WAL had not synced: its files are back where
+	// the last sync left them.
+	dir := copyTree(t, live)
+	for rel, size := range flushed {
+		if wal.JournalSize(filepath.Join(dir, rel)) <= size {
+			t.Fatalf("%s did not grow past its synced %d bytes", rel, size)
+		}
+		if err := os.Truncate(filepath.Join(dir, rel), size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.DataDir = dir
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	rec := s2.Recovery()
+	if rec.TailApplied != 2 || rec.WALRebuilt {
+		t.Fatalf("recovery %+v, want exactly the 2 unflushed batches applied from the tail and nothing rebuilt", rec)
+	}
+	if got := wal.StoreDigest(s2.Store()); got != want {
+		t.Fatal("an acknowledged batch the WAL had not flushed is missing after the kill")
+	}
+}
+
+// truncatedImage runs a primary until its journal has dropped tail
+// segments, parks a follower so that more pile up sealed, and returns the
+// crash image of that directory with the live store's digest.
+func truncatedImage(t *testing.T, cfg Config) (dir, digest string) {
+	t.Helper()
+	cfg.DataDir = t.TempDir()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, cfg.Bundle)
+	k := newTickStream(t, ts, cfg.Bundle, time.Second)
+	k.post(60, 40)
+	// Lane 0 drops behind the acknowledgement; let the pass that follows
+	// the last batch finish before pinning what is left.
+	time.Sleep(50 * time.Millisecond)
+	s.replReg.Attach("parked")
+	k.post(20, 40)
+	dir = copyTree(t, cfg.DataDir)
+	tail, err := wal.RecoverJournalTail(dir)
+	if err != nil || len(tail) < 3 || tail[0].Header.Offset == wal.JournalSize(journalPath(dir)) {
+		t.Fatalf("want a truncated journal with sealed segments left: tail %+v, %v", tail, err)
+	}
+	return dir, wal.StoreDigest(s.Store())
+}
+
+// TestCheckpointLostIsAnError: once tail segments have been dropped, the
+// snapshots that let them go are the only copy of their events. Deleting
+// a shard's snap/ and wal/ then is not a rebuild but a refusal, by name,
+// that leaves the directory as it found it. The same deletion while the
+// journal still reaches back to ID 0 refills the shard.
+func TestCheckpointLostIsAnError(t *testing.T) {
+	shrinkJournal(t, 8<<10)
+	_, b := testBundle(t)
+	const shards, lost = 2, 1
+	lose := func(dir string) {
+		if err := wipeShardState(dir, shards, lost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lostDirs := []string{"/shard-1/wal", "/shard-1/snap"}
+
+	t.Run("truncated journal", func(t *testing.T) {
+		cfg := Config{Bundle: b, Shards: shards, SnapshotEvery: 150}
+		dir, want := truncatedImage(t, cfg)
+		cfg.DataDir = dir
+		// Intact, the image opens to the live store.
+		s, err := Open(cfg)
+		if err != nil || wal.StoreDigest(s.Store()) != want {
+			t.Fatalf("the undamaged image: %v", err)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		lose(dir)
+		before := treeOf(t, dir, lostDirs...)
+		for attempt := 0; attempt < 2; attempt++ {
+			s, err := Open(cfg)
+			if !errors.Is(err, ErrCheckpointLost) {
+				if err == nil {
+					s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+				}
+				t.Fatalf("open %d over a lost checkpoint behind a truncated journal: err %v, want ErrCheckpointLost", attempt, err)
+			}
+			if after := treeOf(t, dir, lostDirs...); after != before {
+				t.Fatalf("the refused open touched the directory:\n%s\n---\n%s", before, after)
+			}
+		}
+	})
+	t.Run("untruncated journal", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config{DataDir: dir, Bundle: b, Shards: shards, SnapshotEvery: 150}
+		s, ts, _ := pinnedPrimary(t, cfg, 60)
+		want := wal.StoreDigest(s.Store())
+		ts.Close()
+		crashed := copyTree(t, dir)
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		lose(crashed)
+		cfg.DataDir = crashed
+		s2, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
+		if rec := s2.Recovery(); !rec.WALRebuilt || wal.StoreDigest(s2.Store()) != want {
+			t.Fatalf("a lost shard under a whole journal: %+v, digest equal: %v", rec, wal.StoreDigest(s2.Store()) == want)
+		}
+	})
+}
+
+// TestOverlapVerified: what a checkpoint and the retained tail both hold
+// is checked, not trusted. Damage under a run both manifests reference,
+// a tail segment that no longer frames, and a tail record that frames but
+// says something else than the WAL holds are each refused — behind a
+// truncated journal there is nothing to rebuild from — and never served.
+func TestOverlapVerified(t *testing.T) {
+	shrinkJournal(t, 8<<10)
+	_, b := testBundle(t)
+	const shards = 2
+	cfg := Config{Bundle: b, Shards: shards, SnapshotEvery: 150}
+	base, _ := truncatedImage(t, cfg)
+	refused := func(t *testing.T, dir string, want error) {
+		t.Helper()
+		c := cfg
+		c.DataDir = dir
+		s, err := Open(c)
+		if err == nil {
+			s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+			t.Fatal("the damaged directory was opened and served")
+		}
+		if want != nil && !errors.Is(err, want) {
+			t.Fatalf("refused with %v, want %v", err, want)
+		}
+		t.Log(err)
+	}
+	flip := func(t *testing.T, path string, at int64) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[at] ^= 0x20
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("run under both manifests", func(t *testing.T) {
+		dir := copyTree(t, base)
+		runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(shardDir(dir, shards, 0)), "run-*.run"))
+		if err != nil || len(runs) < 3 {
+			t.Fatalf("shard 0 holds %d runs (%v), want an old one both manifests reference", len(runs), err)
+		}
+		sort.Strings(runs)
+		flip(t, runs[0], wal.JournalSize(runs[0])/2)
+		refused(t, dir, ErrCheckpointDiverged)
+	})
+	t.Run("sealed tail segment torn", func(t *testing.T) {
+		dir := copyTree(t, base)
+		tail := journalTailPaths(dir)
+		if len(tail) < 2 {
+			t.Fatalf("%d tail segments, want a sealed one", len(tail))
+		}
+		flip(t, tail[0], wal.JournalSize(tail[0])/2)
+		refused(t, dir, nil)
+	})
+	t.Run("tail record disagrees with the WAL", func(t *testing.T) {
+		dir := copyTree(t, base)
+		tail := journalTailPaths(dir)
+		// Re-frame the segment's records with one router renamed: every CRC
+		// holds, the placement may even stay, the event is another one.
+		var out []byte
+		renamed := false
+		torn, err := wal.ScanJournal(tail[0], func(p []byte) error {
+			rec := append([]byte(nil), p...)
+			if i := strings.Index(string(rec), `"load-r`); i >= 0 && !renamed {
+				rec[i+1], renamed = 'x', true
+			}
+			out = wal.AppendFrame(out, rec)
+			return nil
+		})
+		if err != nil || torn >= 0 || !renamed {
+			t.Fatalf("rewriting %s: torn %d, %v, renamed %v", tail[0], torn, err, renamed)
+		}
+		if err := os.WriteFile(tail[0], out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, dir, ErrCheckpointDiverged)
+	})
+}

@@ -13,24 +13,29 @@
 //   - The event WAL (internal/wal), one per shard: every normalized
 //     instance added to the shard, with snapshots and compaction. It
 //     recovers the shard byte-identically and fast.
-//   - The ingest journal (<data-dir>/journal.log), one per data dir:
-//     accepted ingest batches — raw feed lines or normalized-event
-//     bodies — plus the finalize marker, each prefixed with the batch's
-//     dispatch sequence number. Lane 0 is its only appender, so file
-//     order is dispatch order: the file is the total ingest history.
-//     The collector's parse state (routing simulations, pairing buffers,
+//   - The ingest journal, one per data dir: accepted ingest batches —
+//     raw feed lines or normalized-event bodies — plus the finalize
+//     marker, each prefixed with the batch's dispatch sequence number.
+//     Lane 0 is its only appender, so file order is dispatch order.
+//     <data-dir>/journal.log is segment 0, everything through finalize:
+//     the collector's parse state (routing simulations, pairing buffers,
 //     rolling baselines) is a function of raw input, not of normalized
-//     events, so restart recovery replays the journal through a fresh
-//     collector.
+//     events, so restart recovery replays it through a fresh collector,
+//     and it is never dropped. What follows finalize is store input
+//     only; it goes to tail segments (journal-<firstSeq>.log), which are
+//     unlinked once every shard's snapshots hold their events.
 //
 // A batch's journal append (fsynced) is its commit point; the per-shard
-// WAL commits follow it. On startup all shards are reconciled: the
-// journal replays into a scratch sharded pipeline, and each scratch
-// shard's digest must equal the corresponding WAL-recovered shard's. A
-// mismatch — a crash between journal fsync and WAL commit, a lost shard
-// directory, or corruption — rebuilds that shard's WAL from the journal
-// replay, so recovery always converges on the journal's committed
-// prefix of the dispatch order (DESIGN.md §15).
+// WAL commits follow it, so a WAL never holds what the journal does not.
+// Startup is newest readable checkpoint + journal tail (recovery.go):
+// every shard's WAL is opened while segment 0 replays into a scratch
+// store, then the head's events and the retained tail go through a
+// per-shard frontier — an event the shard's WAL holds is verified
+// against it and skipped, one it lacks (a crash between journal fsync and
+// WAL commit, -fsync=interval's window) is added through the WAL. A lost
+// or disagreeing shard is refilled from an empty checkpoint while the
+// journal still reaches back to ID 0, and refused with a named error
+// once its tail has been dropped (DESIGN.md §11, §15).
 //
 // # Pipeline
 //
@@ -54,6 +59,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -90,6 +96,7 @@ var (
 	mQueueDepth = obs.GetGauge("server.queue.depth")
 	mRecovered  = obs.GetCounter("server.recovery.batches")
 	mRebuilt    = obs.GetCounter("server.recovery.wal.rebuilt")
+	mTailRecs   = obs.GetCounter("server.recovery.tail.records")
 )
 
 // Journal record kinds. A record is uvarint seq | kind |
@@ -150,8 +157,9 @@ const maxEventDuration = 15 * time.Minute
 
 // Config configures Open.
 type Config struct {
-	// DataDir holds the ingest journal and the WAL and snapshots — the
-	// latter two per shard, under shard-<i>/ when Shards > 1.
+	// DataDir holds the ingest journal (journal.log and its tail segments
+	// journal-<firstSeq>.log) and the WAL and snapshots — the latter two
+	// per shard, under shard-<i>/ when Shards > 1.
 	DataDir string
 	// Bundle supplies the configuration archive and manifest (collection
 	// window, CDN deployment). Its Feeds are ignored — feeds arrive over
@@ -172,8 +180,10 @@ type Config struct {
 	// SnapshotEvery auto-snapshots a shard after that many WAL records.
 	SnapshotEvery int
 	// Retention, when positive, evicts events older than this behind each
-	// shard's moving window; eviction triggers a snapshot so compaction
-	// keeps disk bounded too.
+	// shard's moving window; eviction triggers a snapshot, snapshots let
+	// WAL segments be compacted and journal tail segments be dropped, so
+	// disk follows the events retained (plus journal.log, the feed phase's
+	// record, which is kept whole).
 	Retention time.Duration
 	// MaxInflight bounds each shard's ingest queue (default 64 batches);
 	// when an involved shard's queue is full, ingest answers 429.
@@ -250,13 +260,24 @@ type Server struct {
 	dispatchMu sync.Mutex
 	seq        int
 
-	// jour is the ingest journal. A primary appends to it from lane 0's
-	// applier (event batches) and, with every lane quiesced behind a
-	// barrier, from admission (feeds, finalize); a follower appends from
-	// the journal stream's apply path. journaled is the highest sequence
-	// durably in it, advanced after each successful sync.
-	jour      *wal.Journal
+	// jour is the ingest journal. A primary appends to it — and rolls it
+	// to a new tail segment, and drops the segments the snapshots cover —
+	// from lane 0's applier (event batches) and, with every lane quiesced
+	// behind a barrier, from admission (feeds, finalize); a follower appends
+	// from the journal stream's apply path. journaled is the highest
+	// sequence durably in it, advanced after each successful sync.
+	jour      *wal.SegmentedJournal
 	journaled atomic.Int64
+	// Admission's view of the journal, under dispatchMu: fronts[i] is one
+	// past the highest event ID allocated to shard i, segBytes the record
+	// bytes admitted into the active file, inTail whether that file is a
+	// tail segment. A roll is decided here, where the journal's position is
+	// a function of the dispatch order alone, and carried out by lane 0.
+	fronts   []int
+	segBytes int64
+	inTail   bool
+	// pinCap is journalPinCap (tests lower it on a running server).
+	pinCap atomic.Int64
 
 	// The finisher joins shard completions back into sequence order:
 	// batches enter finishQ at dispatch, and the finisher replies to each
@@ -291,9 +312,10 @@ type Server struct {
 	recovery RecoveryInfo
 }
 
-// RecoveryInfo reports what Open reconstructed.
+// RecoveryInfo reports what Open reconstructed, and where its time went.
 type RecoveryInfo struct {
-	// Batches is how many journaled ingest batches were replayed.
+	// Batches is how many journaled ingest batches were replayed: all of
+	// segment 0 and the retained tail.
 	Batches int
 	// Finalized reports whether the recovered service was already past
 	// finalize.
@@ -302,15 +324,41 @@ type RecoveryInfo struct {
 	Events int
 	// Shards is the shard count the data directory is bound to.
 	Shards int
-	// WALRebuilt is true when at least one shard's WAL disagreed with the
-	// journal (crash between journal fsync and WAL commit, a lost
-	// shard directory, or corruption) and was rebuilt from the journal
-	// replay.
+	// WALRebuilt is true when at least one shard was filled from the
+	// journal over an empty checkpoint: its WAL was lost, unreadable, never
+	// reached its first commit, or disagreed with the journal and was
+	// wiped.
 	WALRebuilt bool
 	// SnapshotsSkipped is how many unreadable WAL snapshots recovery
 	// passed over, summed across shards (wal.Recovery.SnapshotsSkipped).
 	SnapshotsSkipped int
+	// JournalSegments is how many journal files were found, journal.log
+	// included.
+	JournalSegments int
+	// TailApplied and TailVerified split the retained tail's records by
+	// what the frontier filter did with them: added at least one event to
+	// a shard that lacked it, or found every event already held and equal.
+	TailApplied, TailVerified int
+	// The stages of Open: opening the shard WALs (segment 0 replays beside
+	// it), replaying segment 0, putting the head's events and the retained
+	// tail through the frontier filter, and building the serving state.
+	WALOpen, HeadReplay, TailApply, ServingInstall time.Duration
 }
+
+// journalSegmentBytes is the size at which the journal's tail rolls to a
+// new segment (a variable so tests can shrink it), journalForceAfter how
+// many sealed segments may wait on a shard's snapshots before lane 0 takes
+// the snapshots itself (an idle shard takes none of its own; a busy one's
+// -snapshot-every cadence leaves fewer than that waiting), and
+// journalPinCap the hard cap on what a follower may pin: past that many
+// sealed segments the oldest goes whatever a follower has yet to read, and
+// the follower re-bootstraps from a checkpoint.
+var journalSegmentBytes int64 = wal.JournalSegmentBytes
+
+const (
+	journalForceAfter = 8
+	journalPinCap     = 64
+)
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
@@ -390,122 +438,73 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: config archive: %v", err)
 	}
-	walOpts := wal.Options{
-		Fsync: cfg.Fsync, FsyncInterval: cfg.FsyncInterval,
-		SnapshotEvery: cfg.SnapshotEvery, Retention: cfg.Retention,
+	tail, err := wal.RecoverJournalTail(cfg.DataDir)
+	if err != nil {
+		return nil, err
 	}
 
-	// Recover every shard's WAL in parallel; a shard that fails here is
-	// rebuilt from the journal replay below.
-	type walState struct {
-		log *wal.Log
-		st  *store.Memory
-		rec wal.Recovery
-		err error
+	// Checkpoint + tail. A shard whose checkpoint cannot be read, or fails
+	// the overlap check, is wiped and the recovery run again over its empty
+	// checkpoint — possible only while the journal reaches back to ID 0.
+	var rep replayResult
+	var cps []checkpoint
+	wiped := map[int]bool{}
+	for {
+		rep, cps, err = recoverJournal(cfg, topo, tail, func() []checkpoint { return openWALs(cfg) })
+		var div *divergedError
+		if !errors.As(err, &div) || !div.whole || wiped[div.shard] {
+			break
+		}
+		closeCheckpoints(cps)
+		if err := wipeShardState(cfg.DataDir, n, div.shard); err != nil {
+			return nil, err
+		}
+		wiped[div.shard] = true
 	}
-	ws := make([]walState, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			l, st, rec, err := wal.Open(shardDir(cfg.DataDir, n, i), walOpts)
-			ws[i] = walState{l, st, rec, err}
-		}(i)
-	}
-	wg.Wait()
 	// Until the pipeline goroutines take ownership at the very end, every
 	// open log and the journal are ours: close them all on any error path
 	// so a failed Open leaks neither file handles nor fsync goroutines.
-	var jour *wal.Journal
+	var jour *wal.SegmentedJournal
 	opened := false
 	defer func() {
 		if opened {
 			return
 		}
-		for i := range ws {
-			if ws[i].log != nil {
-				ws[i].log.Close() //nolint:errcheck // being discarded
-			}
-		}
+		closeCheckpoints(cps)
 		if jour != nil {
 			jour.Close() //nolint:errcheck // being discarded
 		}
 	}()
-
-	// Replay the ingest journal through a scratch pipeline to rebuild
-	// collector state; its per-shard stores double as the
-	// cross-check against the WAL-recovered shards.
-	rep, err := replayJournal(cfg, topo)
 	if err != nil {
 		return nil, err
 	}
-	rebuilt, skipped := false, 0
-	for i := range ws {
-		skipped += ws[i].rec.SnapshotsSkipped
-		if ws[i].err == nil && wal.StoreDigest(ws[i].st) == wal.StoreDigest(rep.shards[i]) {
-			continue
-		}
-		// This shard's WAL trails or disagrees with the journal: rebuild
-		// it from the journal replay, which is the batch-level committed
-		// prefix.
-		if ws[i].log != nil {
-			ws[i].log.Close() //nolint:errcheck // being discarded
-			ws[i].log = nil
-		}
-		dir := shardDir(cfg.DataDir, n, i)
-		for _, sub := range []string{"wal", "snap"} {
-			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-				return nil, err
-			}
-		}
-		l, st, _, err := wal.Open(dir, walOpts)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = walState{log: l, st: st}
-		base, next, ins := rep.shards[i].Dump()
-		if err := st.Restore(base, next, ins); err != nil {
-			return nil, fmt.Errorf("server: rebuilding shard %d from journal: %v", i, err)
-		}
-		if err := l.Snapshot(); err != nil {
-			return nil, err
-		}
-		rebuilt = true
+	if rep.info.WALRebuilt = rep.info.WALRebuilt || len(wiped) > 0; rep.info.WALRebuilt {
 		mRebuilt.Inc()
 	}
 
-	mems := make([]*store.Memory, n)
-	for i := range ws {
-		mems[i] = ws[i].st
-	}
-	st := store.NewShardedOf(mems)
-	st.SetNext(rep.scratch.NextID())
-
-	jour, err = wal.OpenJournal(journalPath(cfg.DataDir))
+	jour, err = wal.OpenSegmentedJournal(cfg.DataDir, tail)
 	if err != nil {
 		return nil, err
 	}
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
-			idx: i, st: mems[i], log: ws[i].log,
+			idx: i, st: cps[i].st, log: cps[i].log,
 			queue: make(chan shardTask, cfg.MaxInflight),
 			done:  make(chan struct{}),
 		}
 	}
 
-	s, err := newServer(cfg, topo, rep, st, shards, jour)
+	s, err := newServer(cfg, topo, rep, shards, jour)
 	if err != nil {
 		return nil, err
 	}
-	s.recovery.WALRebuilt, s.recovery.SnapshotsSkipped = rebuilt, skipped
 	s.finishQ = make(chan *batch, n*cfg.MaxInflight+n+1)
 	s.finishDone = make(chan struct{})
 	s.journaled.Store(int64(rep.maxSeq))
 	for i := range shards {
 		l := shards[i].log
-		mems[i].OnEvict(func([]*event.Instance, time.Time) {
+		shards[i].st.OnEvict(func([]*event.Instance, time.Time) {
 			// Runs on that shard's applier goroutine (its only writer):
 			// evicting the shard is the moment to snapshot, so segment
 			// compaction keeps disk bounded the same way retention bounds
@@ -514,6 +513,16 @@ func Open(cfg Config) (*Server, error) {
 		})
 	}
 	s.initReplicationSource()
+	// A finalized journal still in journal.log — a crash between the
+	// finalize record and its roll, or a dir an earlier version wrote —
+	// starts its tail here; what the snapshots already cover goes.
+	if s.isFinalized() && !s.inTail {
+		if err := s.rollJournal(s.tailHeader(s.seq, s.st.NextID())); err != nil {
+			return nil, err
+		}
+		s.inTail, s.segBytes = true, 0
+	}
+	s.dropJournalSegments(false)
 	opened = true
 	for i := range shards {
 		go s.applier(shards[i])
@@ -527,22 +536,28 @@ func Open(cfg Config) (*Server, error) {
 // rollups, and — when the journal already holds a finalize record — the
 // serving phase with its processors' tails rebuilt. The caller adds its
 // own role's half and starts the goroutines.
-func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, st *store.Sharded, shards []*shard, jour *wal.Journal) (*Server, error) {
-	// The scratch collector carries the journal's parse state; point it
-	// at the authoritative store for all future ingest.
+func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, shards []*shard, jour *wal.SegmentedJournal) (*Server, error) {
+	// The collector carries the journal's parse state; point it at the
+	// authoritative store for all future ingest.
+	st := rep.st.Sharded
 	rep.coll.Store = st
 	s := &Server{
 		cfg: cfg, topo: topo, shards: shards, st: st, coll: rep.coll, jour: jour,
-		roll:    rollup.New(rollup.Config{}),
-		hub:     newSSEHub(),
-		seq:     rep.maxSeq + 1,
-		closing: make(chan struct{}),
-		recovery: RecoveryInfo{
-			Batches: rep.batches, Finalized: rep.finalized,
-			Events: st.Len(), Shards: len(shards),
-		},
+		roll:     rollup.New(rollup.Config{}),
+		hub:      newSSEHub(),
+		seq:      rep.maxSeq + 1,
+		closing:  make(chan struct{}),
+		recovery: rep.info,
+		fronts:   make([]int, len(shards)),
+		segBytes: jour.ActiveSize(),
+		inTail:   len(jour.Tail()) > 0,
 	}
+	s.pinCap.Store(journalPinCap)
+	s.recovery.Batches, s.recovery.Finalized = rep.batches, rep.finalized
+	s.recovery.Events, s.recovery.Shards = st.Len(), len(shards)
+	s.refreshFronts()
 	mRecovered.Add(int64(rep.batches))
+	mTailRecs.Add(int64(rep.info.TailApplied + rep.info.TailVerified))
 	// The Result Browser rollups: seed the trend bins from the recovered
 	// store (Restore bypasses the append hook), then track every future
 	// append and eviction incrementally. Cause counters are seeded by
@@ -551,9 +566,11 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, st *store.
 	st.OnAppend(s.roll.ObserveEvent)
 	st.OnEvict(s.roll.EvictEvents)
 	if rep.finalized {
+		began := obs.Now()
 		if err := s.installServing(true); err != nil {
 			return nil, err
 		}
+		s.recovery.ServingInstall = obs.Since(began)
 	}
 	return s, nil
 }
@@ -564,74 +581,24 @@ func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 // Store exposes the authoritative event store (tests, CLI wiring).
 func (s *Server) Store() store.Store { return s.st }
 
-// replayResult is what replayJournal rebuilt.
-type replayResult struct {
-	coll      *collector.Collector
-	shards    []*store.Memory
-	scratch   *store.Sharded
-	finalized bool
-	batches   int
-	maxSeq    int
-}
-
-// replayJournal rebuilds the pipeline state recorded in the ingest
-// journal into a fresh collector + sharded store: file order is dispatch
-// order, so dense ID allocation and shard placement replay exactly as
-// the original dispatch produced them.
-func replayJournal(cfg Config, topo *netmodel.Topology) (replayResult, error) {
-	n := cfg.Shards
-	rep := replayResult{maxSeq: -1, shards: make([]*store.Memory, n)}
-	for i := range rep.shards {
-		rep.shards[i] = store.New()
-		if cfg.Retention > 0 {
-			rep.shards[i].SetRetention(cfg.Retention)
-		}
-	}
-	rep.scratch = store.NewShardedOf(rep.shards)
-	c := collector.New(topo, rep.scratch, cfg.Bundle.Start.Year())
-	c.LegacyParsers = cfg.legacyParsers
-	c.WindowStart = cfg.Bundle.Start
-	c.WindowEnd = cfg.Bundle.Start.Add(cfg.Bundle.Duration)
-	rep.coll = c
-
-	ap := journalApplier{
-		coll: c, st: rep.scratch, dep: cfg.Bundle.CDN,
-		// Replay only notes the phase; Open installs the serving artifacts
-		// once, over the fully recovered store.
-		serving: func() error {
-			rep.finalized = true
-			return nil
-		},
-	}
-	_, err := wal.ReplayJournal(journalPath(cfg.DataDir), func(p []byte) error {
-		seq, err := ap.apply(p)
-		if err != nil {
-			return err
-		}
-		rep.batches++
-		rep.maxSeq = seq
-		return nil
-	})
-	if err != nil {
-		return rep, fmt.Errorf("server: journal replay: %v", err)
-	}
-	return rep, nil
-}
-
 // journalApplier is the one definition of what a journaled record
 // means: it decodes a record and applies it to a collector + store
-// pair. Crash recovery drives it over journal.log and a follower drives
-// it over the journal stream — a follower is a recovery that never
+// pair. Crash recovery drives it over the journal's files and a follower
+// drives it over the journal stream — a follower is a recovery that never
 // stops — so both allocate the same IDs on the same shards as the
-// dispatch that wrote the record.
+// dispatch that wrote the record. The store is a frontierStore in every
+// case: what a checkpoint already holds is verified and not stored again.
+// (A tail segment's header record is its caller's: it says where the
+// records behind it go, not what to apply.)
 type journalApplier struct {
 	coll *collector.Collector
-	st   *store.Sharded
+	st   *frontierStore
 	dep  cdn.Deployment
 	// serving runs after a finalize record has closed the collector's
 	// feed phase.
 	serving func() error
-	// stored, when set, sees each event record's stored instances.
+	// stored, when set, sees each event record's stored instances; an
+	// event the checkpoint already held is a nil in its place.
 	stored func([]*event.Instance)
 }
 
@@ -673,6 +640,9 @@ func (a *journalApplier) apply(rec []byte) (seq int, err error) {
 	stored := make([]*event.Instance, len(ins))
 	for i := range ins {
 		stored[i] = a.st.Add(ins[i])
+	}
+	if a.st.err != nil {
+		return seq, a.st.err
 	}
 	if a.stored != nil {
 		a.stored(stored)

@@ -67,7 +67,9 @@ func (s *Server) isFollower() bool { return s.follower != nil }
 // ReplicationMetaJSON is the primary's stream rendezvous document. The
 // benchmark (bench/) indexes Sealed and JournalBytes per shard, so both
 // stay slices of length Shards although there is one journal: every
-// index carries its durable sequence and its byte size.
+// index carries its durable sequence and its logical size — the bytes
+// ever journaled, dropped tail segments included, which is what a
+// follower's own figure counts too.
 type ReplicationMetaJSON struct {
 	BootID       string  `json:"boot_id"`
 	Shards       int     `json:"shards"`
@@ -121,7 +123,7 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 		JournalBytes: make([]int64, len(s.shards)),
 		WALNext:      s.replSrc.WALFrontiers(),
 	}
-	sealed, size := int(s.journaled.Load()), s.replSrc.JournalSize()
+	sealed, size := int(s.journaled.Load()), s.jour.Offset()
 	for i := range meta.Sealed {
 		meta.Sealed[i], meta.JournalBytes[i] = sealed, size
 	}

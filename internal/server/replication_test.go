@@ -12,9 +12,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"grca/internal/obs"
 	"grca/internal/wal"
 )
 
@@ -276,14 +278,21 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Clean replay: the follower's journal, copied verbatim into a fresh
-	// data dir, opened as a plain single node.
-	data, err := os.ReadFile(journalPath(follDir))
-	if err != nil {
-		t.Fatal(err)
+	// Clean replay: the follower's journal — segment 0 and the tail it
+	// rolled where the primary rolled — copied verbatim into a fresh data
+	// dir, opened as a plain single node.
+	files := append([]string{journalPath(follDir)}, journalTailPaths(follDir)...)
+	if len(files) < 2 {
+		t.Fatalf("the follower's journal is %v: it did not roll behind finalize", files)
 	}
-	if err := os.WriteFile(journalPath(cleanDir), data, 0o644); err != nil {
-		t.Fatal(err)
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cleanDir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.WriteFile(filepath.Join(cleanDir, "SHARDS"), []byte("2\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -371,15 +380,15 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 }
 
 // TestPrepareReplicaState covers the REPLICA marker: a boot-ID change
-// wipes the shipped state — the root journal and every shard's WAL —
-// and keeps the follower's stable ID. A previous version's per-shard
+// wipes the shipped state — the root journal, head and tail segments,
+// and every shard's WAL — and keeps the follower's stable ID. A previous version's per-shard
 // journal is not shipped state: it is left for checkShardMarker to
 // refuse, never silently deleted. Nor is anything in a dir that has no
 // marker at all.
 func TestPrepareReplicaState(t *testing.T) {
 	// No marker but serving state on disk: a primary wrote it. Refused,
 	// nothing deleted, no marker stamped.
-	for _, rel := range []string{"journal.log", "shard-1/wal", "shard-0/snap"} {
+	for _, rel := range []string{"journal.log", "journal-0000000000000042.log", "shard-1/wal", "shard-0/snap"} {
 		exDir := t.TempDir()
 		if err := os.MkdirAll(filepath.Join(exDir, rel), 0o755); err != nil {
 			t.Fatal(err)
@@ -402,11 +411,12 @@ func TestPrepareReplicaState(t *testing.T) {
 		t.Fatal("empty follower id")
 	}
 	jp, walDir := journalPath(dir), filepath.Join(shardDir(dir, 2, 1), "wal")
+	tailSeg := filepath.Join(dir, "journal-0000000000000042.log")
 	old := journalPath(shardDir(dir, 2, 1))
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{jp, old} {
+	for _, p := range []string{jp, tailSeg, old} {
 		if err := os.WriteFile(p, []byte("journal"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -419,8 +429,10 @@ func TestPrepareReplicaState(t *testing.T) {
 	if id2 != id1 {
 		t.Fatalf("follower id changed across same-boot reopen: %q -> %q", id1, id2)
 	}
-	if _, err := os.Stat(jp); err != nil {
-		t.Fatalf("journal wiped on same-boot reopen: %v", err)
+	for _, p := range []string{jp, tailSeg} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("journal wiped on same-boot reopen: %v", err)
+		}
 	}
 	// New boot: shipped state wiped, ID still stable.
 	id3, err := prepareReplicaState(dir, 2, "boot-b")
@@ -430,7 +442,9 @@ func TestPrepareReplicaState(t *testing.T) {
 	if id3 != id1 {
 		t.Fatalf("follower id changed across resync: %q -> %q", id1, id3)
 	}
-	for _, p := range []string{jp, walDir} {
+	// The tail segment too: left behind, it would replay as the tail of
+	// whatever head the new incarnation ships.
+	for _, p := range []string{jp, tailSeg, walDir} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s survived a boot-ID change: %v", p, err)
 		}
@@ -471,4 +485,260 @@ func TestFetchPrimaryMetaTimesOut(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("fetchPrimaryMeta still blocked on a primary that never answers")
 	}
+}
+
+// compareReplica holds a caught-up follower against its quiesced primary:
+// per-shard store digests and the diagnose and breakdown bodies of every
+// application, byte for byte.
+func compareReplica(t *testing.T, prim, foll *Server, ts, ts2 *httptest.Server) {
+	t.Helper()
+	for i := range prim.shards {
+		if got, want := wal.StoreDigest(foll.shards[i].st), wal.StoreDigest(prim.shards[i].st); got != want {
+			t.Fatalf("shard %d digest differs: follower %s (%d events), primary %s (%d events)",
+				i, got, foll.shards[i].st.Len(), want, prim.shards[i].st.Len())
+		}
+	}
+	for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
+		_, pbody := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+		code, fbody := post(t, ts2, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+		if code != http.StatusOK || !bytes.Equal(pbody, fbody) {
+			t.Fatalf("diagnose %s differs between primary and replica (replica answered %d)", app, code)
+		}
+		_, pbody = get(t, ts, "/v1/breakdown?app="+app)
+		code, fbody = get(t, ts2, "/v1/breakdown?app="+app)
+		if code != http.StatusOK || !bytes.Equal(pbody, fbody) {
+			t.Fatalf("breakdown %s differs between primary and replica (replica answered %d):\n%s\n---\n%s", app, code, pbody, fbody)
+		}
+	}
+}
+
+// TestLateFollowerBootstrapsFromCheckpoint: a follower that attaches, on
+// an empty directory, to a primary whose journal has long dropped the
+// segments behind its snapshots is sent segment 0, one store checkpoint
+// per shard, and the retained tail — and lands on the primary's store
+// and read surfaces. Its directory then restarts to the same store
+// without another bootstrap, and promotes to a primary holding it.
+func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
+	shrinkJournal(t, 8<<10)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, b := testBundle(t)
+			prim, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards, SnapshotEvery: 150})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
+			ts := httptest.NewServer(prim.Handler())
+			defer ts.Close()
+			loadAndFinalize(t, ts, b)
+			dropped := obs.GetCounter("journal.segments.dropped").Value()
+			// Symptoms and their evidence first, so they sit in dropped
+			// segments; then ballast over many segments and snapshots.
+			for i, evs := range lifecycleBatches(b) {
+				if code, body := postLifecycleBatch(t, ts, i, evs); code != http.StatusOK {
+					t.Fatalf("event batch %d: %d %s", i, code, body)
+				}
+			}
+			k := newTickStream(t, ts, b, time.Second)
+			k.at = k.at.Add(200 * time.Hour) // past the lifecycle's drain tick
+			k.post(40*shards, 40)
+			if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 3 {
+				t.Fatalf("the primary dropped %d journal segments, want at least 3 truncations before the follower attaches", got)
+			}
+
+			follDir := t.TempDir()
+			loaded := mReplCheckpoints.Value()
+			fcfg := Config{DataDir: follDir, Bundle: b, Shards: shards, ReplicaOf: ts.URL}
+			foll, err := Open(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts2 := httptest.NewServer(foll.Handler())
+			waitReplicaCaughtUp(t, foll, prim)
+			if got := mReplCheckpoints.Value() - loaded; got != 1 {
+				t.Fatalf("the late follower loaded %d checkpoint sets, want 1", got)
+			}
+			compareReplica(t, prim, foll, ts, ts2)
+			if got, want := foll.jour.Offset(), prim.jour.Offset(); got != want {
+				t.Fatalf("follower's journal stands at logical byte %d, the primary's at %d", got, want)
+			}
+			if files, _ := journalFiles(t, follDir); len(files) < 2 {
+				t.Fatalf("the follower's journal is %v: it did not roll where the primary rolled", files)
+			}
+
+			// More of the stream, live, through the frontier filter's far side.
+			k.post(5, 40)
+			waitReplicaCaughtUp(t, foll, prim)
+			compareReplica(t, prim, foll, ts, ts2)
+
+			// Restart from its own directory: the journal begins behind a
+			// checkpoint, so the sinks' shipped state is what it stands on.
+			ts2.Close()
+			if err := foll.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			foll, err = Open(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+			ts2 = httptest.NewServer(foll.Handler())
+			defer ts2.Close()
+			if rec := foll.Recovery(); rec.TailApplied+rec.TailVerified == 0 || rec.Batches == 0 {
+				t.Fatalf("the restarted follower replayed nothing of its own journal: %+v", rec)
+			}
+			waitReplicaCaughtUp(t, foll, prim)
+			if got := mReplCheckpoints.Value() - loaded; got != 1 {
+				t.Fatalf("the restart bootstrapped again (%d checkpoint sets loaded in all)", got)
+			}
+			compareReplica(t, prim, foll, ts, ts2)
+
+			code, body := post(t, ts2, "/v1/replication/promote", struct{}{})
+			if code != http.StatusOK {
+				t.Fatalf("promote: %d %s", code, body)
+			}
+			var info PromoteInfo
+			if err := json.Unmarshal(body, &info); err != nil {
+				t.Fatal(err)
+			}
+			for i := range prim.shards {
+				if want := wal.StoreDigest(prim.shards[i].st); info.Digests[i] != want {
+					t.Fatalf("promoted shard %d digest %s, want the primary's %s (%+v)", i, info.Digests[i], want, info.Recovery)
+				}
+			}
+			if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: k.batch(10)}); code != http.StatusOK {
+				t.Fatalf("post-promote ingest: %d %s", code, body)
+			}
+		})
+	}
+}
+
+// gate parks whatever writes through it while it is shut.
+type gate struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	shut bool
+}
+
+func newGate() *gate {
+	g := &gate{}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *gate) set(shut bool) {
+	g.mu.Lock()
+	g.shut = shut
+	g.mu.Unlock()
+	g.cond.Broadcast()
+}
+
+// gatedWriter is a stream's ResponseWriter behind a gate.
+type gatedWriter struct {
+	http.ResponseWriter
+	g *gate
+}
+
+func (w gatedWriter) Write(p []byte) (int, error) {
+	w.g.mu.Lock()
+	for w.g.shut {
+		w.g.cond.Wait()
+	}
+	w.g.mu.Unlock()
+	return w.ResponseWriter.Write(p)
+}
+
+func (w gatedWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestLaggingFollowerPinsJournal: a journal stream parked mid-journal
+// keeps every segment it has yet to read on the primary's disk, through
+// as many snapshots as go by; released, it ships them all with no gap and
+// no bootstrap, and they go. Past the hard cap the primary stops waiting:
+// the oldest segments are dropped from under the parked stream, which
+// ends at the gap instead of shipping across it, and the reconnect brings
+// the follower back through a checkpoint.
+func TestLaggingFollowerPinsJournal(t *testing.T) {
+	shrinkJournal(t, 8<<10)
+	_, b := testBundle(t)
+	const shards = 2
+	primDir := t.TempDir()
+	prim, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards, SnapshotEvery: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	g := newGate()
+	defer g.set(false)
+	h := prim.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replication/journal" {
+			w = gatedWriter{w, g}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+	k := newTickStream(t, ts, b, time.Second)
+	k.post(20, 40)
+
+	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts2 := httptest.NewServer(foll.Handler())
+	defer ts2.Close()
+	waitReplicaCaughtUp(t, foll, prim)
+	loaded := mReplCheckpoints.Value()
+	droppedCtr := obs.GetCounter("journal.segments.dropped")
+	files := func() int { paths, _ := journalFiles(t, primDir); return len(paths) }
+	waitFiles := func(what string, ok func(n int) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !ok(files()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the primary holds %d journal files", what, files())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	// Parked: segments pile up behind the stream, across many snapshots.
+	g.set(true)
+	before, snaps := files(), obs.GetCounter("wal.snapshots").Value()
+	k.post(40, 40)
+	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 6 {
+		t.Fatalf("%d snapshots while the stream was parked, want several per shard", got)
+	}
+	if got := files(); got < before+12 {
+		t.Fatalf("%d journal files with the stream parked, %d before: segments the follower has yet to read were dropped", got, before)
+	}
+	applied := foll.follower.appliedSeq.Load()
+	g.set(false)
+	waitReplicaCaughtUp(t, foll, prim)
+	if foll.follower.appliedSeq.Load() < applied+30 {
+		t.Fatalf("the follower applied up to %d while parked at about %d: the stream was not parked", foll.follower.appliedSeq.Load(), applied)
+	}
+	if got := mReplCheckpoints.Value() - loaded; got != 0 {
+		t.Fatalf("the released follower loaded %d checkpoint sets, want none: every segment was kept for it", got)
+	}
+	compareReplica(t, prim, foll, ts, ts2)
+	k.post(1, 40) // a commit group on lane 0: the pass that drops what the follower now holds
+	waitReplicaCaughtUp(t, foll, prim)
+	waitFiles("released and caught up", func(n int) bool { return n <= before+3 })
+
+	// Past the hard cap the pin stops holding.
+	prim.pinCap.Store(3)
+	g.set(true)
+	dropped := droppedCtr.Value()
+	k.post(40, 40)
+	if got := droppedCtr.Value() - dropped; got < 8 {
+		t.Fatalf("%d journal segments dropped past a cap of 3 with the stream parked, want the tail to keep going", got)
+	}
+	g.set(false)
+	waitReplicaCaughtUp(t, foll, prim)
+	if got := mReplCheckpoints.Value() - loaded; got != 1 {
+		t.Fatalf("the follower loaded %d checkpoint sets after the cap dropped segments from under its stream, want 1", got)
+	}
+	compareReplica(t, prim, foll, ts, ts2)
 }

@@ -417,8 +417,8 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Shutdown drains gracefully: stop accepting work, let in-flight
 // requests finish, drain every shard's queue and the finisher,
-// force-drain the streaming processors, snapshot each shard, and close
-// the WALs and the journal. Safe to call once; the ctx bounds the HTTP
+// force-drain the streaming processors, snapshot each shard, drop the
+// journal segments that covers, and close the WALs and the journal. Safe to call once; the ctx bounds the HTTP
 // drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.closing)
@@ -451,6 +451,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = e
 		}
 	}
+	// The final snapshots raised the floors once more.
+	s.dropJournalSegments(false)
 	if e := s.jour.Close(); e != nil && err == nil {
 		err = e
 	}

@@ -557,7 +557,7 @@ func TestShardedTornJournalTail(t *testing.T) {
 // error to both of its callers — recovery refuses the data dir, a
 // follower stops its stream — and never a silent skip.
 func TestJournalApplierRejects(t *testing.T) {
-	ap := journalApplier{st: store.NewSharded(1)}
+	ap := journalApplier{st: newFrontierStore(store.NewSharded(1), nil, 0)}
 	for name, rec := range map[string][]byte{
 		"truncated":       {0x80},
 		"unknown kind":    encodeRecord(0, 9, "", nil),

@@ -39,9 +39,9 @@ func NewSharded(n int) *Sharded {
 }
 
 // NewShardedOf assembles a Sharded store over existing shards (the
-// recovery path: each shard was rebuilt by its own WAL). The caller must
-// SetNext to the recovered global ID frontier; until then the allocator
-// resumes from the highest frontier any shard has seen.
+// recovery path: each shard was rebuilt by its own WAL). The allocator
+// resumes from the highest frontier any shard has seen; recovery
+// repositions it with SetNext.
 func NewShardedOf(shards []*Memory) *Sharded {
 	s := &Sharded{shards: shards}
 	next := 0
@@ -99,17 +99,11 @@ func (s *Sharded) AllocBlock(n int) int {
 	return int(s.next.Add(int64(n))) - n
 }
 
-// SetNext moves the global allocator to next; used after recovery when
-// journal replay proves IDs beyond any surviving shard frontier were
-// assigned.
-func (s *Sharded) SetNext(next int) {
-	for {
-		cur := s.next.Load()
-		if int64(next) <= cur || s.next.CompareAndSwap(cur, int64(next)) {
-			return
-		}
-	}
-}
+// SetNext positions the global allocator at next. Recovery sets it to
+// the ID the journal's next record allocates — below the shards'
+// frontiers while the retained tail is replayed over them — so it is for
+// a store no one else is writing.
+func (s *Sharded) SetNext(next int) { s.next.Store(int64(next)) }
 
 // NextID returns the next global ID the allocator will hand out.
 func (s *Sharded) NextID() int { return int(s.next.Load()) }

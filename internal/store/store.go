@@ -644,6 +644,23 @@ func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(
 func (s *Memory) Restore(base, next int, ins []event.Instance) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.restoreLocked(base, next, ins)
+}
+
+// Replace makes a dumped state the store's whole content, whatever it
+// held: a replica loading a checkpoint its primary shipped over a shard
+// it had been filling itself. Hooks and retention stay; like Restore it
+// runs no hook, so whoever derives state from the store's content
+// rebuilds it.
+func (s *Memory) Replace(base, next int, ins []event.Instance) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.byName, s.byID, s.base, s.live = map[string]*nameIndex{}, nil, 0, 0
+	s.first, s.last = time.Time{}, time.Time{}
+	return s.restoreLocked(base, next, ins)
+}
+
+func (s *Memory) restoreLocked(base, next int, ins []event.Instance) error {
 	if len(s.byID) != 0 || s.base != 0 {
 		return fmt.Errorf("store: Restore into a non-empty store")
 	}

@@ -8,6 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"grca/internal/event"
+	"grca/internal/store"
 )
 
 // Shipping support for the replication subsystem (internal/replica): the
@@ -280,6 +283,106 @@ func InstallSnapshotImage(dir, path string) (next int, err error) {
 	return m.next, nil
 }
 
+// ImageDecoder decodes a SnapshotImage's bytes, fed in whatever pieces
+// they arrive in, into the store state they carry: the Dump bounds and
+// the live instances, ready for store.Memory.Replace. The bytes are
+// outside input — the header is held against the records actually read,
+// and IDs must ascend inside [base, next).
+type ImageDecoder struct {
+	carry      []byte
+	header     bool
+	base, next int
+	live       int
+	ins        []event.Instance
+	err        error
+}
+
+// Write decodes every whole frame p completes; the first bad one is the
+// decoder's error from then on.
+func (d *ImageDecoder) Write(p []byte) (int, error) {
+	if d.err != nil {
+		return 0, d.err
+	}
+	d.carry = append(d.carry, p...)
+	if !d.header {
+		if len(d.carry) < len(imageMagic) {
+			return len(p), nil
+		}
+		if string(d.carry[:len(imageMagic)]) != imageMagic {
+			d.err = fmt.Errorf("wal: not a snapshot image")
+			return 0, d.err
+		}
+		hdr, rest, ok := readFrame(d.carry[len(imageMagic):])
+		if !ok {
+			return len(p), d.stalled()
+		}
+		u := uvarints{hdr, true}
+		d.base, d.next, d.live = u.next(), u.next(), u.next()
+		if !u.ok || len(u.p) != 0 || d.base > d.next || d.live > d.next-d.base {
+			d.err = fmt.Errorf("wal: bad snapshot image header")
+			return 0, d.err
+		}
+		d.header, d.carry = true, rest
+	}
+	for {
+		payload, rest, ok := readFrame(d.carry)
+		if !ok {
+			break
+		}
+		in, err := decodeRecord(payload)
+		prev := d.base - 1
+		if n := len(d.ins); n > 0 {
+			prev = d.ins[n-1].ID
+		}
+		if err != nil || in.ID <= prev || in.ID >= d.next || len(d.ins) == d.live {
+			d.err = fmt.Errorf("wal: snapshot image record %d (ID %d) does not fit [%d,%d) × %d: %v", len(d.ins), in.ID, d.base, d.next, d.live, err)
+			return 0, d.err
+		}
+		d.ins = append(d.ins, in)
+		d.carry = rest
+	}
+	// Keep the torn remainder without pinning the consumed bytes.
+	d.carry = append([]byte(nil), d.carry...)
+	return len(p), d.stalled()
+}
+
+// stalled reports a carry no frame can still complete: longer than the
+// largest record, it is damage and not a frame in flight.
+func (d *ImageDecoder) stalled() error {
+	if len(d.carry) > len(imageMagic)+frameHeader+maxRecord {
+		d.err = fmt.Errorf("wal: snapshot image: torn or corrupt frame")
+	}
+	return d.err
+}
+
+// Finish returns the decoded state once every byte has been written.
+func (d *ImageDecoder) Finish() (base, next int, ins []event.Instance, err error) {
+	switch {
+	case d.err != nil:
+		return 0, 0, nil, d.err
+	case !d.header || len(d.carry) != 0:
+		return 0, 0, nil, fmt.Errorf("wal: snapshot image ends inside a frame")
+	case len(d.ins) != d.live:
+		return 0, 0, nil, fmt.Errorf("wal: snapshot image holds %d instances, header says %d", len(d.ins), d.live)
+	}
+	return d.base, d.next, d.ins, nil
+}
+
+// ReadCheckpoint recovers the store the log under dir holds — newest
+// readable snapshot plus segment tail, as Open does — without opening the
+// log for appending: no hook on the store, no segment created. A follower
+// restarting behind a hole in its journal reads its sink's shipped state
+// with it. Like Open it cuts a torn segment tail.
+func ReadCheckpoint(dir string, opts Options) (*store.Memory, Recovery, error) {
+	opts.defaults()
+	l := &Log{dir: dir, opts: opts, st: store.New()}
+	if opts.Retention > 0 {
+		l.st.SetRetention(opts.Retention)
+	}
+	rec, _, _, err := l.replay()
+	return l.st, rec, err
+}
+
 // SegPath returns the segment path for a segment whose first record
 // carries the given ID.
 func SegPath(dir string, first int) string { return segPath(dir, first) }
@@ -294,6 +397,17 @@ func (l *Log) Frontier() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextSeq
+}
+
+// Floor returns the next-ID bound of the older of the two retained
+// snapshot manifests (0 with fewer than two): every record with a lower
+// ID is held by a snapshot that was durable before the latest one began,
+// so losing the latest loses none of them. The serving pipeline drops
+// the ingest journal behind it.
+func (l *Log) Floor() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.floor
 }
 
 // SetCompactPin installs fn, consulted by segment compaction: a segment

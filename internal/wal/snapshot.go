@@ -269,7 +269,7 @@ func readSnapshot(dir, path string, workers int) (manifest, []event.Instance, er
 // skipped for the previous one: the segments below it still exist until a
 // later snapshot succeeds.
 func (l *Log) loadLatestSnapshot(rec *Recovery) error {
-	snaps, _, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
+	snaps, nums, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
 	if err != nil {
 		return err
 	}
@@ -284,9 +284,17 @@ func (l *Log) loadLatestSnapshot(rec *Recovery) error {
 			return fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
 		}
 		l.snap = m
+		if i > 0 {
+			l.floor = nums[i-1]
+		}
 		rec.SnapshotNext = m.next
 		rec.SnapshotLive = len(ins)
-		return nil
+		break
+	}
+	// compact's horizon, from the file names alone (they outlive a
+	// manifest's readability): the restore must reach it.
+	if n := len(nums); n >= 2 && rec.SnapshotNext < nums[n-2] {
+		rec.LostBelow = nums[n-2]
 	}
 	return nil
 }
@@ -577,8 +585,12 @@ func (l *Log) snapshot() error {
 	mSnapRunsAdopted.Add(int64(adopted))
 	mSnapRunsReused.Add(int64(len(m.runs) - nwritten - adopted))
 
+	// The manifest this one follows was durable before this snapshot began;
+	// what it covers is covered twice over now.
+	floor := l.snap.next
 	l.snap = m
 	l.mu.Lock()
+	l.floor = floor
 	if l.sinceSnap = l.nextSeq - m.next; l.sinceSnap < 0 {
 		l.sinceSnap = 0
 	}

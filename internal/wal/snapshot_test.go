@@ -577,6 +577,42 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 			t.Fatalf("junk image %q was installed", junk)
 		}
 	}
+
+	// The same bytes decoded straight into a store — a follower loading a
+	// checkpoint off the journal stream — in whatever pieces they arrive.
+	decode := func(data []byte, piece int) (*store.Memory, error) {
+		var d ImageDecoder
+		for len(data) > 0 {
+			n := min(piece, len(data))
+			if _, err := d.Write(data[:n]); err != nil {
+				return nil, err
+			}
+			data = data[n:]
+		}
+		base, next, ins, err := d.Finish()
+		if err != nil {
+			return nil, err
+		}
+		st := store.New()
+		st.Add(event.Instance{Name: "what the shard held before"})
+		return st, st.Replace(base, next, ins)
+	}
+	for _, piece := range []int{1 << 20, 4096, 7} {
+		st3, err := decode(data, piece)
+		if err != nil || StoreDigest(st3) != want {
+			t.Fatalf("decoded in pieces of %d: %v, digest equal: %v", piece, err, err == nil && StoreDigest(st3) == want)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"lying header":  lying,
+		"one short":     wrong,
+		"cut mid-frame": data[:len(data)-5],
+		"junk":          []byte("not an image at all, however long it goes on"),
+	} {
+		if _, err := decode(bad, 4096); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
 }
 
 // TestCommitSurvivesSnapshotFailure: Commit reports the flush, not the

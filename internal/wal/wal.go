@@ -155,6 +155,13 @@ type Recovery struct {
 	// SnapshotsSkipped is how many newer snapshots were unreadable and
 	// passed over on the way to the one restored (or to none).
 	SnapshotsSkipped int
+	// LostBelow, when positive, says the recovered store may have a hole:
+	// compaction removes the segments wholly below the older retained
+	// manifest, so with neither that manifest nor a newer one readable the
+	// records below its next-ID bound — this value — are in no file this
+	// recovery could read. The log alone cannot fill it; the serving
+	// pipeline refills the shard from the ingest journal, or refuses it.
+	LostBelow int
 	// Replayed is how many tail records were replayed from segments.
 	Replayed int
 	// TruncatedBytes is how much torn tail was cut off the log.
@@ -196,6 +203,11 @@ type Log struct {
 	sinceSnap  int       // records committed since the latest durable snapshot
 	closed     bool
 	err        error // first write/sync failure; sticky
+
+	// floor is the next-ID bound of the older of the two retained
+	// manifests: every record below it is held by a snapshot that was
+	// already durable when the latest one began. Guarded by mu.
+	floor int
 
 	// pinFn, when set, bounds compaction from below: segments holding
 	// records at or above its return value stay on disk (replication
@@ -531,43 +543,69 @@ func linkedRuns(dir string) (map[string]os.FileInfo, error) {
 // file as a run the restored manifest references. A fallback to the older
 // manifest lowers that bound, and then they are read.
 func (l *Log) recover() (Recovery, error) {
-	var rec Recovery
-	if err := l.loadLatestSnapshot(&rec); err != nil {
+	rec, tail, reopen, err := l.replay()
+	if err != nil {
 		return rec, err
+	}
+	// Reopen the last segment for appending — unless that would leave a
+	// numbering gap (all its records predate the snapshot restore point,
+	// or no segment was read), or it shares its inode with a run: appends
+	// there would land in the run. Then start fresh. (After a tear the
+	// file is no longer what any run was linked to; see replay.)
+	if reopen {
+		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return rec, err
+		}
+		l.seg, l.cur = f, tail
+		return rec, nil
+	}
+	if tail.count > 0 {
+		l.sealed = append(l.sealed, tail)
+	}
+	return rec, l.rotateAtLocked(l.nextSeq)
+}
+
+// replay is recovery's read side: it restores the store and leaves the
+// log positioned (nextSeq, sinceSnap, sealed, floor), writing nothing but
+// the cut of a torn tail. tail is the last segment read and kept; reopen
+// says it may take the next appends.
+func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
+	if err := l.loadLatestSnapshot(&rec); err != nil {
+		return rec, tail, false, err
 	}
 	segs, firsts, err := listNumbered(walDir(l.dir), "seg-", ".log")
 	if err != nil {
-		return rec, err
+		return rec, tail, false, err
 	}
 	runs, err := linkedRuns(l.dir)
 	if err != nil {
-		return rec, err
+		return rec, tail, false, err
 	}
 	restored := map[string]bool{}
 	for _, r := range l.snap.runs {
 		restored[runName(r)] = true
 	}
 	expected := rec.SnapshotNext // next ID the store will assign
-	var tail segInfo             // the last segment read and kept
-	tailLinked := false          // ...shares its inode with a run
+	tailLinked := false          // tail shares its inode with a run
 	torn := false
 	for i, path := range segs {
 		if torn {
 			if err := os.Remove(path); err != nil {
-				return rec, err
+				return rec, tail, false, err
 			}
 			rec.DroppedSegments++
 			continue
 		}
 		if firsts[i] < 0 {
-			return rec, fmt.Errorf("wal: segment %s has a negative first ID", path)
+			return rec, tail, false, fmt.Errorf("wal: segment %s has a negative first ID", path)
 		}
 		if i+1 < len(segs) && firsts[i+1] <= rec.SnapshotNext {
 			continue
 		}
 		fi, err := os.Stat(path)
 		if err != nil {
-			return rec, err
+			return rec, tail, false, err
 		}
 		linked := ""
 		for name, run := range runs {
@@ -584,7 +622,7 @@ func (l *Log) recover() (Recovery, error) {
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return rec, err
+			return rec, tail, false, err
 		}
 		// Replay in three stages: a sequential frame scan (CRC checks,
 		// torn-tail detection, skip-or-replay by the record's explicit
@@ -609,16 +647,16 @@ func (l *Log) recover() (Recovery, error) {
 				torn = true
 				rec.TruncatedBytes += int64(len(rest))
 				if err := os.Truncate(path, tail.size); err != nil {
-					return rec, err
+					return rec, tail, false, err
 				}
 				break
 			}
 			id, err := recordID(payload)
 			if err != nil {
-				return rec, fmt.Errorf("wal: %s: %v", path, err)
+				return rec, tail, false, fmt.Errorf("wal: %s: %v", path, err)
 			}
 			if tail.count > 0 && id <= tail.last {
-				return rec, fmt.Errorf("wal: %s record ID %d not ascending (previous %d)", path, id, tail.last)
+				return rec, tail, false, fmt.Errorf("wal: %s record ID %d not ascending (previous %d)", path, id, tail.last)
 			}
 			if tail.count == 0 {
 				tail.first = id
@@ -644,11 +682,11 @@ func (l *Log) recover() (Recovery, error) {
 			return nil
 		})
 		if err != nil {
-			return rec, err
+			return rec, tail, false, err
 		}
 		for i := range ins {
 			if _, err := l.st.Put(ins[i]); err != nil {
-				return rec, fmt.Errorf("wal: %s replay record %d: %v", path, pend[i].seq, err)
+				return rec, tail, false, fmt.Errorf("wal: %s replay record %d: %v", path, pend[i].seq, err)
 			}
 			rec.Replayed++
 			expected = pend[i].seq + 1
@@ -656,22 +694,5 @@ func (l *Log) recover() (Recovery, error) {
 	}
 	l.nextSeq = expected
 	l.sinceSnap = expected - rec.SnapshotNext
-
-	// Reopen the last segment for appending — unless that would leave a
-	// numbering gap (all its records predate the snapshot restore point,
-	// or no segment was read), or it shares its inode with a run: appends
-	// there would land in the run. Then start fresh. (After a tear the
-	// file is no longer what any run was linked to; see above.)
-	if tail.path != "" && tail.last+1 == l.nextSeq && (torn || !tailLinked) {
-		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return rec, err
-		}
-		l.seg, l.cur = f, tail
-		return rec, nil
-	}
-	if tail.count > 0 {
-		l.sealed = append(l.sealed, tail)
-	}
-	return rec, l.rotateAtLocked(l.nextSeq)
+	return rec, tail, tail.path != "" && tail.last+1 == l.nextSeq && (torn || !tailLinked), nil
 }

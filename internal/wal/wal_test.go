@@ -696,3 +696,73 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 		})
 	}
 }
+
+// TestFloorAndReadCheckpoint: Floor is the next-ID bound of the older of
+// the two retained manifests — what the serving pipeline drops the ingest
+// journal behind — through snapshots, an idle re-snapshot (which makes
+// the latest manifest the older one's equal) and a reopen; and
+// ReadCheckpoint recovers the store Open would, writing nothing.
+func TestFloorAndReadCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ins := genEvents(47, 900)
+	l, st, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(wantFloor int) {
+		t.Helper()
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Floor(); got != wantFloor {
+			t.Fatalf("floor %d after the snapshot at %d, want %d", got, l.Frontier(), wantFloor)
+		}
+	}
+	if l.Floor() != 0 {
+		t.Fatalf("floor %d on an empty log", l.Floor())
+	}
+	st.AddAll(ins[:300])
+	snap(0) // one manifest: it has no fallback
+	st.AddAll(ins[300:600])
+	snap(300)
+	st.AddAll(ins[600:])
+	snap(600)
+	snap(900) // nothing new: both retained generations now reach 900
+	want := StoreDigest(st)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := listTree(t, dir)
+	got, rec, err := ReadCheckpoint(dir, Options{})
+	if err != nil || StoreDigest(got) != want || rec.SnapshotNext != 900 {
+		t.Fatalf("ReadCheckpoint: %+v, %v, digest equal: %v", rec, err, err == nil && StoreDigest(got) == want)
+	}
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("ReadCheckpoint changed the directory:\n%s\n---\n%s", before, after)
+	}
+	l, _, _, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.Floor(); got != 600 {
+		t.Fatalf("floor %d after the reopen, want 600: the older manifest file on disk", got)
+	}
+}
+
+// listTree renders every file under dir with its size.
+func listTree(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
+		if err == nil && !fi.IsDir() {
+			fmt.Fprintf(&b, "%s %d\n", strings.TrimPrefix(path, dir), fi.Size())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
