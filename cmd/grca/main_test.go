@@ -132,6 +132,18 @@ func TestRunErrors(t *testing.T) {
 	if err := runCheck([]string{"nope", "-data", "x"}); err == nil {
 		t.Error("check unknown app accepted")
 	}
+	// The one value -shards still takes is 1; the refusal comes before the
+	// bundle or the data dir is looked at, and says where to read why.
+	dir := filepath.Join(t.TempDir(), "never-created")
+	for _, n := range []string{"0", "2"} {
+		err := runServe([]string{"-data-dir", dir, "-bundle", dir, "-shards", n})
+		if err == nil || !containsStr(err.Error(), "DESIGN.md §15") {
+			t.Errorf("serve -shards %s: err = %v, want a refusal naming DESIGN.md §15", n, err)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Error("a refused serve created its data dir")
+	}
 }
 
 func TestListCommands(t *testing.T) {

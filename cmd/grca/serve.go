@@ -37,8 +37,10 @@ func serveFlags(o *serveOptions) *flag.FlagSet {
 	fs.DurationVar(&o.fsyncEvery, "fsync-interval", 200*time.Millisecond, "background sync period with -fsync=interval")
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown/eviction)")
 	fs.DurationVar(&o.retention, "retention", 0, "evict events older than this behind the stream head (0 = keep everything)")
-	fs.IntVar(&o.shards, "shards", 1, "store/WAL shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
-	fs.IntVar(&o.maxInflight, "max-inflight", 64, "per-shard ingest queue depth; beyond it clients get 429")
+	// A vestige of the multi-lane pipeline: bench/ passes -shards 1 and may
+	// not change with the code it measures. ROADMAP item 1(e) deletes it.
+	fs.IntVar(&o.shards, "shards", 1, "accepted for compatibility and must be 1: the commit pipeline is single-lane (DESIGN.md §15)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 64, "ingest queue depth; beyond it clients get 429")
 	fs.DurationVar(&o.timeout, "request-timeout", 60*time.Second, "per-request applier wait bound")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve expvar/pprof on a dedicated address (e.g. :6060); "+
@@ -60,6 +62,9 @@ func runServe(args []string) error {
 	}
 	if o.dataDir == "" || o.bundleDir == "" {
 		return fmt.Errorf("serve: -data-dir and -bundle are required")
+	}
+	if o.shards != 1 {
+		return fmt.Errorf("serve: -shards %d: the commit pipeline is single-lane and multi-shard data dirs are not migrated (DESIGN.md §15)", o.shards)
 	}
 	policy, err := wal.ParseFsyncPolicy(o.fsync)
 	if err != nil {
@@ -85,7 +90,6 @@ func runServe(args []string) error {
 		FsyncInterval:  o.fsyncEvery,
 		SnapshotEvery:  o.snapshotEvery,
 		Retention:      o.retention,
-		Shards:         o.shards,
 		MaxInflight:    o.maxInflight,
 		RequestTimeout: o.timeout,
 		ReplicaOf:      o.replicaOf,
@@ -119,7 +123,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, shards=%d, fsync=%s)\n", bound, o.dataDir, rec.Shards, policy)
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, fsync=%s)\n", bound, o.dataDir, policy)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -137,7 +141,7 @@ func runServe(args []string) error {
 // runPromote flips a running replica into a standalone primary: it
 // seals the replication streams, finishes replay, reopens through the
 // normal recovery path (which checks the shipped journal against the
-// shipped WAL state), and reports the promoted node's per-shard digests.
+// shipped WAL state), and reports the promoted node's store digest.
 func runPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "base URL of the replica to promote (e.g. http://127.0.0.1:8081; required)")
@@ -174,8 +178,8 @@ func runPromote(args []string) error {
 	fmt.Printf("promoted: role=%s boot=%s applied_seq=%d\n", info.Role, info.BootID, info.AppliedSeq)
 	fmt.Printf("recovered %d batches, %d events (finalized=%v, wal_rebuilt=%v)\n",
 		info.Recovery.Batches, info.Recovery.Events, info.Recovery.Finalized, info.Recovery.WALRebuilt)
-	for i, d := range info.Digests {
-		fmt.Printf("shard %d digest %s\n", i, d)
-	}
+	// "shard 0" is the form the benchmark's promoted-digest check parses
+	// (bench/ may not change with the code it measures; ROADMAP item 1(e)).
+	fmt.Printf("shard 0 digest %s\n", info.Digest)
 	return nil
 }

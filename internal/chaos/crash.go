@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"grca/internal/store"
@@ -35,25 +34,6 @@ type CrashResult struct {
 // shutdown the store is recovered once more and compared byte-for-byte
 // against the original.
 func (inj *Injector) CrashReplay(clean store.Store) (CrashResult, error) {
-	return inj.crashReplay(clean, 1)
-}
-
-// CrashReplaySharded is CrashReplay for the sharded write path: the
-// corpus is delivered through an N-shard store where every shard owns
-// its own WAL, a kill -9 abandons all shard logs at once, and each
-// shard survives only to its own commit horizon — so recovery faces
-// interleaved loss, with different shards torn at different points of
-// the global ID sequence. The same seed crashes at the same events at
-// every shard count.
-func (inj *Injector) CrashReplaySharded(clean store.Store, shards int) (CrashResult, error) {
-	return inj.crashReplay(clean, shards)
-}
-
-// crashReplay is the one crash-restart harness. Each session re-delivers
-// exactly the events missing from the merged store, with their original
-// IDs (the sparse per-shard Put path), and the final recovery must merge
-// back byte-identical to the unperturbed store.
-func (inj *Injector) crashReplay(clean store.Store, shards int) (CrashResult, error) {
 	dir, err := os.MkdirTemp("", "grca-chaos-crash-")
 	if err != nil {
 		return CrashResult{}, err
@@ -77,68 +57,50 @@ func (inj *Injector) crashReplay(clean store.Store, shards int) (CrashResult, er
 	}
 	sort.Ints(cuts)
 
-	open := func() ([]*wal.Log, *store.Sharded, error) {
-		logs := make([]*wal.Log, shards)
-		mems := make([]*store.Memory, shards)
-		for i := range logs {
-			l, st, _, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), opts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("chaos: crash recovery: %v", err)
-			}
-			logs[i], mems[i] = l, st
+	open := func() (*wal.Log, *store.Memory, error) {
+		l, st, _, err := wal.Open(dir, opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("chaos: crash recovery: %v", err)
 		}
-		return logs, store.NewShardedOf(mems), nil
+		return l, st, nil
 	}
 
 	res := CrashResult{}
 	prevCut := 0
+	// Each session re-delivers exactly the events missing from the
+	// recovered store, with their original IDs.
 	deliver := func(cut int, crash bool) error {
-		logs, st, err := open()
+		l, st, err := open()
 		if err != nil {
 			return err
 		}
-		commitAll := func() error {
-			for _, l := range logs {
-				if err := l.Commit(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		delivered := 0
 		for i := 0; i < cut; i++ {
-			// Redeliver exactly what the merged store is missing — some
-			// shards committed past this point, others lost it.
 			if _, ok := st.Get(ins[i].ID); ok {
 				continue
 			}
 			if i < prevCut {
 				res.Redelivered++
 			}
-			if _, err := st.Shard(st.ShardFor(ins[i].Loc)).Put(ins[i]); err != nil {
+			if _, err := st.Put(ins[i]); err != nil {
 				return err
 			}
 			if delivered++; delivered%inj.cfg.CrashBatch == 0 {
-				if err := commitAll(); err != nil {
+				if err := l.Commit(); err != nil {
 					return err
 				}
 			}
 		}
 		if crash {
-			// kill -9: walk away from every shard's log at once.
+			// kill -9: walk away from the log.
 			res.Crashes++
 			prevCut = cut
 			return nil
 		}
-		if err := commitAll(); err != nil {
+		if err := l.Commit(); err != nil {
 			return err
 		}
-		for _, l := range logs {
-			if err := l.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return l.Close()
 	}
 	for _, cut := range cuts {
 		if err := deliver(cut, true); err != nil {
@@ -149,14 +111,12 @@ func (inj *Injector) crashReplay(clean store.Store, shards int) (CrashResult, er
 		return res, err
 	}
 
-	logs, st, err := open()
+	l, st, err := open()
 	if err != nil {
 		return res, err
 	}
-	for _, l := range logs {
-		if err := l.Close(); err != nil {
-			return res, err
-		}
+	if err := l.Close(); err != nil {
+		return res, err
 	}
 	res.Store = st
 	res.DigestMatch = wal.StoreDigest(st) == wal.StoreDigest(clean)

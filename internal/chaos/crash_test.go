@@ -61,38 +61,3 @@ func TestCrashReplayByteIdentical(t *testing.T) {
 		t.Errorf("same seed diverged: %+v vs %+v", res, res2)
 	}
 }
-
-// TestCrashReplayShardedByteIdentical extends the crash property to the
-// sharded write path: crashes tear different shards' WALs at different
-// points of the global ID sequence, and recovery must still converge on
-// a merged store byte-identical to never having crashed.
-func TestCrashReplayShardedByteIdentical(t *testing.T) {
-	clean := crashCorpus(2000)
-	cfg := Config{Seed: 11, Faults: []Fault{FaultCrashRestart}, CrashCount: 4, CrashBatch: 64}
-	res, err := New(cfg).CrashReplaySharded(clean, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Crashes != 4 {
-		t.Errorf("crashes = %d, want 4", res.Crashes)
-	}
-	if !res.DigestMatch {
-		t.Fatal("recovered sharded store is not byte-identical to the clean one")
-	}
-	if res.Store.Len() != clean.Len() {
-		t.Fatalf("recovered %d events, want %d", res.Store.Len(), clean.Len())
-	}
-	// The 17 routers of the corpus must actually spread over the shards:
-	// a degenerate all-on-one-shard run would not test interleaved loss.
-	if res.Redelivered == 0 {
-		t.Error("no events redelivered — crash points never hit an uncommitted tail")
-	}
-
-	res2, err := New(cfg).CrashReplaySharded(clean, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Crashes != res.Crashes || res2.Redelivered != res.Redelivered {
-		t.Errorf("same seed diverged: %+v vs %+v", res, res2)
-	}
-}

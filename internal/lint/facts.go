@@ -334,8 +334,8 @@ func lockVar(info *types.Info, x ast.Expr) (*types.Var, string) {
 // or passes it on to a method already known to register, which makes it
 // a registration on the same field:
 //
-//	func (s *Sharded) OnAppend(fn func(*event.Instance)) {
-//	    for _, sh := range s.shards { sh.OnAppend(fn) }
+//	func (f *Fanout) OnAppend(fn func(*event.Instance)) {
+//	    for _, s := range f.stores { s.OnAppend(fn) }
 //	}
 func (fs *facts) registrationField(pass *Pass, fd *ast.FuncDecl) *types.Var {
 	if fd.Recv == nil || fd.Type.Params == nil {

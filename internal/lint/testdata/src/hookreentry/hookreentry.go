@@ -86,8 +86,8 @@ func RegisterClean(s *Store, sink chan<- Item) {
 	})
 }
 
-// Sharded mirrors store.Sharded: its OnAppend registers nothing itself,
-// it hands the callback on to every shard.
+// Sharded is a forwarder: its OnAppend registers nothing itself, it hands
+// the callback on to every store it is made of.
 type Sharded struct{ shards []*Store }
 
 func (sh *Sharded) OnAppend(fn func(Item)) {

@@ -17,18 +17,18 @@ import (
 func FuzzStreamDecode(f *testing.F) {
 	// Seed with a well-formed stream of every message type...
 	var good []byte
-	good = AppendHello(good, "boot-fuzz", 4, StreamJournal, 12)
+	good = AppendHello(good, "boot-fuzz", StreamJournal, 12)
 	good = AppendJournalRec(good, []byte{42, 'r', 'e', 'c'})
 	good = AppendWALRec(good, []byte{9, 'w'})
-	good = AppendSnapBegin(good, 0, 512, 64)
+	good = AppendSnapBegin(good, 512, 64)
 	good = AppendSnapChunk(good, bytes.Repeat([]byte{0xab}, 64))
 	good = AppendSnapEnd(good)
-	// ...the protocol-3 frames of a journal stream: a checkpoint per shard
-	// (one of them empty), then a tail segment's header shipped verbatim.
-	good = AppendSnapEnd(AppendSnapBegin(good, 3, 0, 0))
+	// ...the frames of a journal stream past dropped segments: an empty
+	// checkpoint, then a tail segment's header shipped verbatim.
+	good = AppendSnapEnd(AppendSnapBegin(good, 0, 0))
 	good = AppendJournalRec(good, wal.AppendJournalSegmentHeader(nil,
-		wal.JournalSegmentHeader{FirstSeq: 13, FirstID: 900, Offset: 1 << 20, Fronts: []int{880, 900, 0, 512}}))
-	good = AppendHeartbeat(good, 99, 1234, []int{5, 6, 7, 8})
+		wal.JournalSegmentHeader{FirstSeq: 13, FirstID: 900, Offset: 1 << 20, Front: 880}))
+	good = AppendHeartbeat(good, 99, 1234, 5)
 	good = AppendEOF(good, "seal")
 	f.Add(good)
 	// ...its truncations (torn frames and a mid-payload cut)...
@@ -40,12 +40,18 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	f.Add([]byte("not a stream at all"))
-	// A checkpoint naming a shard no node has, one whose bound overflows
-	// an int, and a header whose first ID lies below a shard's front.
-	f.Add(AppendSnapBegin(nil, maxShards, 1, 1))
-	f.Add(AppendSnapBegin(nil, 0, -1, -1))
+	// A protocol-3 hello (a shard count between boot ID and stream kind):
+	// refused by its version, whatever follows it.
+	v3 := []byte{MsgHello, 3, 4, 'b', 'o', 'o', 't', 4, StreamJournal, 24}
+	if m, err := ParseMsg(v3); err == nil {
+		f.Fatalf("a protocol-3 hello parsed: %+v", m)
+	}
+	f.Add(appendMsg(nil, v3))
+	// A checkpoint whose bound overflows an int, and a header whose first
+	// ID lies below its front.
+	f.Add(AppendSnapBegin(nil, -1, -1))
 	f.Add(AppendJournalRec(nil, wal.AppendJournalSegmentHeader(nil,
-		wal.JournalSegmentHeader{FirstSeq: 13, FirstID: 10, Fronts: []int{11}})))
+		wal.JournalSegmentHeader{FirstSeq: 13, FirstID: 10, Front: 11})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(wal.NewFrameReader(bytes.NewReader(data)))
@@ -60,14 +66,11 @@ func FuzzStreamDecode(f *testing.F) {
 				break
 			}
 			// Parsed fields must stay within the bounds ParseMsg promises.
-			if m.Shards < 0 || m.Shards > maxShards {
-				t.Fatalf("hello shards out of bounds: %d", m.Shards)
+			if m.WALNext < 0 {
+				t.Fatalf("heartbeat WAL frontier out of bounds: %d", m.WALNext)
 			}
-			if len(m.WALNext) > maxShards {
-				t.Fatalf("heartbeat array out of bounds: %d", len(m.WALNext))
-			}
-			if m.Shard < 0 || m.Shard >= maxShards || m.Next < 0 || m.Size < 0 {
-				t.Fatalf("snapshot announcement out of bounds: shard %d, next %d, size %d", m.Shard, m.Next, m.Size)
+			if m.Next < 0 || m.Size < 0 {
+				t.Fatalf("snapshot announcement out of bounds: next %d, size %d", m.Next, m.Size)
 			}
 			if m.Type == MsgJournalRec && wal.IsJournalSegmentHeader(m.Rec) {
 				// What the follower does with a header: parse it; garbage is

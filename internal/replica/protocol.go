@@ -1,6 +1,6 @@
 // Package replica is the WAL-shipping replication subsystem: a
 // primary-side Source that tails the serving pipeline's ingest journal
-// and per-shard WAL segments and streams them over HTTP, and the
+// and event-WAL segments and streams them over HTTP, and the
 // follower-side pieces — a reconnecting Client, a WALSink that
 // materializes shipped segments and snapshots on the follower's disk —
 // that keep a live read replica byte-identical to its primary.
@@ -13,20 +13,20 @@
 //   - The journal stream ships the ingest journal's records in file
 //     order, which is dispatch order, so the follower applies records in
 //     arrival order through the same replay path crash recovery uses —
-//     same routing, same dense ID allocation, same store digests. The
-//     journal is segmented and its covered tail dropped (wal/journal.go):
-//     segment headers ship verbatim, and a follower whose resume point
-//     lies in a dropped segment is sent one store checkpoint per shard
-//     before the retained tail.
-//   - A WAL stream per shard ships that shard's event-WAL records (and,
-//     when the follower's frontier predates the oldest retained segment,
-//     the latest snapshot first). Shipped bytes go to the follower's
-//     disk only; on promotion they are the checkpoints the shipped
-//     journal is replayed over, exactly as a restarting primary replays
-//     its journal over its own WAL.
+//     same dense ID allocation, same store digest. The journal is
+//     segmented and its covered tail dropped (wal/journal.go): segment
+//     headers ship verbatim, and a follower whose resume point lies in a
+//     dropped segment is sent a store checkpoint before the retained tail.
+//   - The WAL stream ships the event WAL's records (and, when the
+//     follower's frontier predates the oldest retained segment, the latest
+//     snapshot first). Shipped bytes go to the follower's disk only; on
+//     promotion they are the checkpoint the shipped journal is replayed
+//     over, exactly as a restarting primary replays its journal over its
+//     own WAL.
 //
 // Heartbeats carry the primary's durable journal sequence and logical
-// size (bytes ever journaled) and the per-shard WAL frontiers — the lag signal — on every stream.
+// size (bytes ever journaled) and the WAL frontier — the lag signal — on
+// both streams.
 package replica
 
 import (
@@ -39,8 +39,8 @@ import (
 // Protocol message types. One frame carries one message.
 const (
 	// MsgHello is the server's first frame on every stream: protocol
-	// version, the primary's boot ID, its shard count, the stream kind,
-	// and the resume point the server honored.
+	// version, the primary's boot ID, the stream kind, and the resume point
+	// the server honored.
 	MsgHello byte = 1
 	// MsgJournalRec carries one ingest-journal record. Journal-stream
 	// only; records arrive in sequence order.
@@ -48,12 +48,12 @@ const (
 	// MsgWALRec carries one event-WAL segment record (explicit store ID
 	// inside). WAL-stream only; records arrive in ascending ID order.
 	MsgWALRec byte = 3
-	// MsgSnapBegin announces a snapshot bootstrap of one shard: the
-	// follower's resume point predates the oldest retained segment, so the
-	// latest snapshot ships first. On a WAL stream the follower resets its
-	// local WAL state for the shard; on the journal stream it replaces the
-	// live shard's content (a checkpoint), and a size of zero is the empty
-	// checkpoint of a shard that has no snapshot.
+	// MsgSnapBegin announces a snapshot bootstrap: the follower's resume
+	// point predates the oldest retained segment, so the latest snapshot
+	// ships first. On the WAL stream the follower resets its local WAL
+	// state; on the journal stream it replaces the live store's content (a
+	// checkpoint), and a size of zero is the empty checkpoint of a primary
+	// that has no snapshot.
 	MsgSnapBegin byte = 4
 	// MsgSnapChunk carries one chunk of the snapshot file, verbatim.
 	MsgSnapChunk byte = 5
@@ -61,16 +61,18 @@ const (
 	// follow.
 	MsgSnapEnd byte = 6
 	// MsgHeartbeat carries the primary's durable journal sequence, the
-	// journal's byte size, and the per-shard WAL frontiers — the
-	// follower's lag inputs.
+	// journal's byte size, and the WAL frontier — the follower's lag inputs.
 	MsgHeartbeat byte = 7
 	// MsgEOF ends a stream deliberately (shutdown, seal) with a reason.
 	MsgEOF byte = 8
 )
 
-// ProtocolVersion is negotiated via MsgHello; a follower refuses a
-// primary speaking a different version.
-const ProtocolVersion = 3
+// ProtocolVersion rides MsgHello. ParseMsg refuses a hello of any other
+// version before it reads the fields that differ between versions, so no
+// frame of a mismatched peer is ever applied. (3 carried a shard count in
+// the hello, a shard index in MsgSnapBegin and one WAL frontier per shard
+// in the heartbeat.)
+const ProtocolVersion = 4
 
 // Stream kinds named in MsgHello.
 const (
@@ -78,13 +80,9 @@ const (
 	StreamWAL     byte = 'w'
 )
 
-// maxShards bounds the per-shard arrays a heartbeat or hello may claim,
-// so a corrupt frame cannot drive a huge allocation; maxID bounds the IDs
-// and sizes a frame may carry so none turns negative as an int.
-const (
-	maxShards = 1024
-	maxID     = 1 << 62
-)
+// maxID bounds the IDs and sizes a frame may carry so none turns negative
+// as an int.
+const maxID = 1 << 62
 
 // Msg is one decoded protocol message; the populated fields depend on
 // Type. Rec and Chunk alias the decoded frame's buffer — copy to retain
@@ -93,9 +91,7 @@ type Msg struct {
 	Type byte
 
 	// MsgHello
-	Ver    int
 	BootID string
-	Shards int
 	Stream byte
 	From   int
 
@@ -104,14 +100,13 @@ type Msg struct {
 	// MsgSnapChunk
 	Chunk []byte
 	// MsgSnapBegin
-	Shard int
-	Next  int
-	Size  int64
+	Next int
+	Size int64
 
 	// MsgHeartbeat
 	Sealed       int   // highest sequence durably journaled
 	JournalBytes int64 // the journal's logical size: bytes ever journaled
-	WALNext      []int // per shard
+	WALNext      int   // the event WAL's next record ID
 
 	// MsgEOF
 	Reason string
@@ -134,12 +129,11 @@ func readStreamString(p []byte) (string, []byte, error) {
 func appendMsg(b, payload []byte) []byte { return wal.AppendFrame(b, payload) }
 
 // AppendHello frames a hello message onto b.
-func AppendHello(b []byte, bootID string, shards int, stream byte, from int) []byte {
+func AppendHello(b []byte, bootID string, stream byte, from int) []byte {
 	p := make([]byte, 0, 32+len(bootID))
 	p = append(p, MsgHello)
 	p = binary.AppendUvarint(p, ProtocolVersion)
 	p = appendStreamString(p, bootID)
-	p = binary.AppendUvarint(p, uint64(shards))
 	p = append(p, stream)
 	p = binary.AppendVarint(p, int64(from))
 	return appendMsg(b, p)
@@ -163,14 +157,12 @@ func AppendWALRec(b []byte, rec []byte) []byte {
 	return appendMsg(b, p)
 }
 
-// AppendSnapBegin frames a snapshot-bootstrap announcement for shard onto
-// b.
-func AppendSnapBegin(b []byte, shard, next int, size int64) []byte {
+// AppendSnapBegin frames a snapshot-bootstrap announcement onto b.
+func AppendSnapBegin(b []byte, next int, size int64) []byte {
 	p := make([]byte, 0, 32)
 	p = append(p, MsgSnapBegin)
 	p = binary.AppendUvarint(p, uint64(next))
 	p = binary.AppendUvarint(p, uint64(size))
-	p = binary.AppendUvarint(p, uint64(shard))
 	return appendMsg(b, p)
 }
 
@@ -186,17 +178,14 @@ func AppendSnapChunk(b []byte, chunk []byte) []byte {
 func AppendSnapEnd(b []byte) []byte { return appendMsg(b, []byte{MsgSnapEnd}) }
 
 // AppendHeartbeat frames a lag heartbeat onto b: the highest durably
-// journaled sequence, the journal's byte size, and each shard's next WAL
+// journaled sequence, the journal's byte size, and the event WAL's next
 // record ID on the primary.
-func AppendHeartbeat(b []byte, sealed int, journalBytes int64, walNext []int) []byte {
-	p := make([]byte, 0, 32+10*len(walNext))
+func AppendHeartbeat(b []byte, sealed int, journalBytes int64, walNext int) []byte {
+	p := make([]byte, 0, 32)
 	p = append(p, MsgHeartbeat)
 	p = binary.AppendVarint(p, int64(sealed))
 	p = binary.AppendUvarint(p, uint64(journalBytes))
-	p = binary.AppendUvarint(p, uint64(len(walNext)))
-	for _, n := range walNext {
-		p = binary.AppendUvarint(p, uint64(n))
-	}
+	p = binary.AppendUvarint(p, uint64(walNext))
 	return appendMsg(b, p)
 }
 
@@ -224,18 +213,15 @@ func ParseMsg(p []byte) (Msg, error) {
 		if sz <= 0 {
 			return m, fmt.Errorf("replica: truncated hello version")
 		}
+		if ver != ProtocolVersion {
+			// Fatal: reconnecting into the same peer cannot change it.
+			return m, Fatal(fmt.Errorf("the peer speaks protocol version %d, this node %d", ver, ProtocolVersion))
+		}
 		p = p[sz:]
-		m.Ver = int(ver)
 		var err error
 		if m.BootID, p, err = readStreamString(p); err != nil {
 			return m, err
 		}
-		shards, sz := binary.Uvarint(p)
-		if sz <= 0 || shards == 0 || shards > maxShards {
-			return m, fmt.Errorf("replica: bad hello shard count")
-		}
-		p = p[sz:]
-		m.Shards = int(shards)
 		if len(p) < 1 {
 			return m, fmt.Errorf("replica: truncated hello stream kind")
 		}
@@ -257,15 +243,10 @@ func ParseMsg(p []byte) (Msg, error) {
 		if sz <= 0 {
 			return m, fmt.Errorf("replica: truncated snapshot size")
 		}
-		p = p[sz:]
-		shard, sz := binary.Uvarint(p)
-		if sz <= 0 || shard >= maxShards {
-			return m, fmt.Errorf("replica: bad snapshot shard index")
-		}
 		if next > maxID || size > maxID {
 			return m, fmt.Errorf("replica: snapshot bound out of range")
 		}
-		m.Shard, m.Next, m.Size = int(shard), int(next), int64(size)
+		m.Next, m.Size = int(next), int64(size)
 	case MsgSnapChunk:
 		m.Chunk = p
 	case MsgSnapEnd, MsgEOF:
@@ -288,20 +269,11 @@ func ParseMsg(p []byte) (Msg, error) {
 		}
 		p = p[sz:]
 		m.JournalBytes = int64(jb)
-		n, sz := binary.Uvarint(p)
-		if sz <= 0 || n > maxShards {
-			return m, fmt.Errorf("replica: bad heartbeat shard count")
+		wn, sz := binary.Uvarint(p)
+		if sz <= 0 || wn > maxID {
+			return m, fmt.Errorf("replica: bad heartbeat wal frontier")
 		}
-		p = p[sz:]
-		m.WALNext = make([]int, n)
-		for i := range m.WALNext {
-			wn, sz := binary.Uvarint(p)
-			if sz <= 0 {
-				return m, fmt.Errorf("replica: truncated heartbeat wal frontier")
-			}
-			p = p[sz:]
-			m.WALNext[i] = int(wn)
-		}
+		m.WALNext = int(wn)
 	default:
 		return m, fmt.Errorf("replica: unknown message type %d", m.Type)
 	}

@@ -15,14 +15,13 @@ var mFollowers = obs.GetGauge("replica.source.followers")
 // a transient partition does not force a snapshot re-bootstrap.
 const DefaultGrace = 5 * time.Minute
 
-// Registry tracks attached followers on the primary: per-follower,
-// per-shard shipped frontiers feed the WAL compaction pin, and the
+// Registry tracks attached followers on the primary: each follower's
+// shipped frontiers feed the journal and WAL compaction pins, and the
 // whole table backs /v1/replication/status. A follower that disconnects
-// keeps its entry (and its pin) for the grace window; reconnecting
+// keeps its entry (and its pins) for the grace window; reconnecting
 // within it resumes from retained segments instead of a snapshot.
 type Registry struct {
-	shards int
-	grace  time.Duration
+	grace time.Duration
 
 	mu        sync.Mutex
 	followers map[string]*followerEntry
@@ -32,8 +31,8 @@ type followerEntry struct {
 	id         string
 	streams    int // open stream connections
 	lastSeen   time.Time
-	journalSeq int   // last journal seq shipped
-	walNext    []int // per-shard shipped WAL frontier (next un-shipped ID)
+	journalSeq int // last journal seq shipped
+	walNext    int // shipped WAL frontier (next un-shipped ID)
 }
 
 // FollowerStatus is one follower's row in the primary's replication
@@ -44,13 +43,12 @@ type FollowerStatus struct {
 	Connected  bool    `json:"connected"`
 	IdleSecs   float64 `json:"idle_seconds"`
 	JournalSeq int     `json:"journal_seq"`
-	WALNext    []int   `json:"wal_next"`
+	WALNext    int     `json:"wal_next"`
 }
 
-// NewRegistry returns a registry for a primary with the given shard
-// count; the server passes DefaultGrace.
-func NewRegistry(shards int, grace time.Duration) *Registry {
-	return &Registry{shards: shards, grace: grace, followers: map[string]*followerEntry{}}
+// NewRegistry returns an empty registry; the server passes DefaultGrace.
+func NewRegistry(grace time.Duration) *Registry {
+	return &Registry{grace: grace, followers: map[string]*followerEntry{}}
 }
 
 // Attach registers one stream connection for the follower, creating its
@@ -60,7 +58,7 @@ func (r *Registry) Attach(id string) {
 	defer r.mu.Unlock()
 	e := r.followers[id]
 	if e == nil {
-		e = &followerEntry{id: id, journalSeq: -1, walNext: make([]int, r.shards)}
+		e = &followerEntry{id: id, journalSeq: -1}
 		r.followers[id] = e
 	}
 	e.streams++
@@ -112,36 +110,31 @@ func (r *Registry) PinJournal() int {
 	return pin
 }
 
-// NoteWAL records the follower's shipped WAL frontier for one shard:
-// every record with ID < next has been sent.
-func (r *Registry) NoteWAL(id string, shard, next int) {
+// NoteWAL records the follower's shipped WAL frontier: every record with
+// ID < next has been sent.
+func (r *Registry) NoteWAL(id string, next int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.followers[id]
-	if e == nil || shard < 0 || shard >= len(e.walNext) {
+	if e == nil {
 		return
 	}
-	if next > e.walNext[shard] {
-		e.walNext[shard] = next
-	}
+	e.walNext = max(e.walNext, next)
 	e.lastSeen = obs.Now()
 }
 
-// PinWAL returns shard's compaction pin — the lowest WAL record ID some
-// live (attached, or disconnected within the grace window) follower has
-// not shipped — or -1 when no follower pins the shard. Expired entries
-// are dropped here, lazily.
-func (r *Registry) PinWAL(shard int) int {
+// PinCompaction returns the event WAL's compaction pin — the lowest WAL
+// record ID some live (attached, or disconnected within the grace window)
+// follower has not shipped — or -1 when no follower pins it. Expired
+// entries are dropped here, lazily.
+func (r *Registry) PinCompaction() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.expireLocked()
 	pin := -1
 	for _, e := range r.followers {
-		if shard < 0 || shard >= len(e.walNext) {
-			continue
-		}
-		if pin < 0 || e.walNext[shard] < pin {
-			pin = e.walNext[shard]
+		if pin < 0 || e.walNext < pin {
+			pin = e.walNext
 		}
 	}
 	return pin
@@ -167,12 +160,10 @@ func (r *Registry) Status() []FollowerStatus {
 	r.expireLocked()
 	out := make([]FollowerStatus, 0, len(r.followers))
 	for _, e := range r.followers {
-		wn := make([]int, len(e.walNext))
-		copy(wn, e.walNext)
 		out = append(out, FollowerStatus{
 			ID: e.id, Streams: e.streams, Connected: e.streams > 0,
 			IdleSecs:   obs.Since(e.lastSeen).Seconds(),
-			JournalSeq: e.journalSeq, WALNext: wn,
+			JournalSeq: e.journalSeq, WALNext: e.walNext,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -52,13 +53,13 @@ func decodeStream(t *testing.T, b []byte) []Msg {
 
 func TestProtocolRoundTrip(t *testing.T) {
 	var b []byte
-	b = AppendHello(b, "boot-1", 4, StreamJournal, 17)
+	b = AppendHello(b, "boot-1", StreamJournal, 17)
 	b = AppendJournalRec(b, []byte("journal-bytes"))
 	b = AppendWALRec(b, []byte{7, 'w'})
-	b = AppendSnapBegin(b, 2, 1000, 12345)
+	b = AppendSnapBegin(b, 1000, 12345)
 	b = AppendSnapChunk(b, []byte("chunk"))
 	b = AppendSnapEnd(b)
-	b = AppendHeartbeat(b, 41, 20, []int{5, 6})
+	b = AppendHeartbeat(b, 41, 20, 6)
 	b = AppendEOF(b, "done")
 
 	msgs := decodeStream(t, b)
@@ -66,8 +67,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("got %d messages, want 8", len(msgs))
 	}
 	h := msgs[0]
-	if h.Type != MsgHello || h.Ver != ProtocolVersion || h.BootID != "boot-1" ||
-		h.Shards != 4 || h.Stream != StreamJournal || h.From != 17 {
+	if h.Type != MsgHello || h.BootID != "boot-1" || h.Stream != StreamJournal || h.From != 17 {
 		t.Fatalf("hello mismatch: %+v", h)
 	}
 	if j := msgs[1]; j.Type != MsgJournalRec || string(j.Rec) != "journal-bytes" {
@@ -76,7 +76,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if w := msgs[2]; w.Type != MsgWALRec || !bytes.Equal(w.Rec, []byte{7, 'w'}) {
 		t.Fatalf("wal rec mismatch: %+v", w)
 	}
-	if s := msgs[3]; s.Type != MsgSnapBegin || s.Shard != 2 || s.Next != 1000 || s.Size != 12345 {
+	if s := msgs[3]; s.Type != MsgSnapBegin || s.Next != 1000 || s.Size != 12345 {
 		t.Fatalf("snap begin mismatch: %+v", s)
 	}
 	if c := msgs[4]; c.Type != MsgSnapChunk || string(c.Chunk) != "chunk" {
@@ -86,18 +86,28 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("snap end mismatch: %+v", msgs[5])
 	}
 	hb := msgs[6]
-	if hb.Type != MsgHeartbeat || hb.Sealed != 41 ||
-		hb.JournalBytes != 20 || len(hb.WALNext) != 2 || hb.WALNext[1] != 6 {
+	if hb.Type != MsgHeartbeat || hb.Sealed != 41 || hb.JournalBytes != 20 || hb.WALNext != 6 {
 		t.Fatalf("heartbeat mismatch: %+v", hb)
 	}
 	if e := msgs[7]; e.Type != MsgEOF || e.Reason != "done" {
 		t.Fatalf("eof mismatch: %+v", e)
 	}
+
+	// Another version's hello is refused for its version alone: what
+	// follows the version differs between versions and is not read.
+	for _, hello := range [][]byte{
+		{MsgHello, 3, 6, 'b', 'o', 'o', 't', '-', '1', 4, StreamJournal, 34}, // what protocol 3 sent for the hello above
+		{MsgHello, 5},
+	} {
+		if _, err := ParseMsg(hello); !errors.Is(err, ErrFatal) || !strings.Contains(err.Error(), fmt.Sprintf("protocol version %d", hello[1])) {
+			t.Fatalf("a version-%d hello: err %v, want a fatal refusal naming the version", hello[1], err)
+		}
+	}
 }
 
 func TestReaderTornStream(t *testing.T) {
 	var b []byte
-	b = AppendHello(b, "boot", 1, StreamWAL, 0)
+	b = AppendHello(b, "boot", StreamWAL, 0)
 	b = AppendWALRec(b, []byte{1, 2, 3})
 	for cut := 1; cut < len(b); cut++ {
 		r := NewReader(wal.NewFrameReader(bytes.NewReader(b[:cut])))
@@ -123,34 +133,31 @@ func TestReaderTornStream(t *testing.T) {
 }
 
 func TestRegistryPinAndGrace(t *testing.T) {
-	r := NewRegistry(2, 30*time.Millisecond)
-	if pin := r.PinWAL(0); pin != -1 {
+	r := NewRegistry(30 * time.Millisecond)
+	if pin := r.PinCompaction(); pin != -1 {
 		t.Fatalf("empty registry pin = %d, want -1", pin)
 	}
 	r.Attach("f1")
-	if pin := r.PinWAL(0); pin != 0 {
+	if pin := r.PinCompaction(); pin != 0 {
 		t.Fatalf("fresh follower pin = %d, want 0 (everything)", pin)
 	}
-	r.NoteWAL("f1", 0, 100)
-	r.NoteWAL("f1", 1, 50)
-	if pin := r.PinWAL(0); pin != 100 {
-		t.Fatalf("shard 0 pin = %d, want 100", pin)
-	}
-	if pin := r.PinWAL(1); pin != 50 {
-		t.Fatalf("shard 1 pin = %d, want 50", pin)
+	r.NoteWAL("f1", 100)
+	r.NoteWAL("f1", 50) // the frontier is raised, never lowered
+	if pin := r.PinCompaction(); pin != 100 {
+		t.Fatalf("pin = %d, want 100", pin)
 	}
 	r.Attach("f2")
-	r.NoteWAL("f2", 0, 10)
-	if pin := r.PinWAL(0); pin != 10 {
+	r.NoteWAL("f2", 10)
+	if pin := r.PinCompaction(); pin != 10 {
 		t.Fatalf("two-follower pin = %d, want min 10", pin)
 	}
 	// Disconnect f2: the pin holds through the grace window, then expires.
 	r.Detach("f2")
-	if pin := r.PinWAL(0); pin != 10 {
+	if pin := r.PinCompaction(); pin != 10 {
 		t.Fatalf("graced pin = %d, want 10", pin)
 	}
 	time.Sleep(60 * time.Millisecond)
-	if pin := r.PinWAL(0); pin != 100 {
+	if pin := r.PinCompaction(); pin != 100 {
 		t.Fatalf("post-grace pin = %d, want 100", pin)
 	}
 	st := r.Status()
@@ -186,7 +193,7 @@ func TestRegistryPinAndGrace(t *testing.T) {
 // through attach, detach and grace expiry — it is what Status reports,
 // not a value stamped once when a journal stream opened.
 func TestRegistryFollowersGauge(t *testing.T) {
-	r := NewRegistry(1, 30*time.Millisecond)
+	r := NewRegistry(30 * time.Millisecond)
 	check := func(what string, want int) {
 		t.Helper()
 		if got := mFollowers.Value(); got != int64(want) {
@@ -413,12 +420,12 @@ func TestServeJournalTail(t *testing.T) {
 		}
 	}
 	src := NewSource(SourceConfig{
-		BootID: "boot-t", Shards: 1,
+		BootID:          "boot-t",
 		JournalPath:     path,
-		WALDir:          func(int) string { return filepath.Dir(path) },
+		WALDir:          filepath.Dir(path),
 		JournalFrontier: func() int { return -1 },
-		WALFrontier:     func(int) int { return 0 },
-		Registry:        NewRegistry(1, time.Minute),
+		WALFrontier:     func() int { return 0 },
+		Registry:        NewRegistry(time.Minute),
 		Poll:            2 * time.Millisecond,
 	})
 	// serve starts a stream at from and returns a wait-for-seqs function
@@ -503,7 +510,7 @@ func segmentedJournal(t *testing.T, dir string, segments, perSeg int) (*wal.Segm
 	seq := 0
 	for file := 0; file <= segments; file++ {
 		if file > 0 {
-			if err := j.Roll(wal.JournalSegmentHeader{FirstSeq: seq, FirstID: 10 * seq, Fronts: []int{10 * seq}}, nil, false); err != nil {
+			if err := j.Roll(wal.JournalSegmentHeader{FirstSeq: seq, FirstID: 10 * seq, Front: 10 * seq}, nil, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -580,12 +587,12 @@ func TestServeJournalSegments(t *testing.T) {
 	j, next := segmentedJournal(t, dir, segments, perSeg)
 	defer j.Close()
 	src := NewSource(SourceConfig{
-		BootID: "boot-s", Shards: 1,
+		BootID:          "boot-s",
 		JournalPath:     wal.JournalHead(dir),
-		WALDir:          func(int) string { return dir },
+		WALDir:          dir,
 		JournalFrontier: func() int { return next - 1 },
-		WALFrontier:     func(int) int { return 0 },
-		Registry:        NewRegistry(1, time.Minute),
+		WALFrontier:     func() int { return 0 },
+		Registry:        NewRegistry(time.Minute),
 		Poll:            2 * time.Millisecond,
 	})
 	if got := src.JournalSize(); got != j.Offset() {
@@ -643,7 +650,7 @@ func TestServeJournalSegments(t *testing.T) {
 	begins := 0
 	for i, m := range msgs {
 		if m.Type == MsgSnapBegin {
-			if begins++; m.Shard != 0 || m.Size != 0 || msgs[i+1].Type != MsgSnapEnd {
+			if begins++; m.Size != 0 || msgs[i+1].Type != MsgSnapEnd {
 				t.Fatalf("checkpoint frame %+v followed by %+v, want shard 0's empty checkpoint", m, msgs[i+1])
 			}
 		}
@@ -695,22 +702,22 @@ func TestServeWALLiveTailAndDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(1, time.Minute)
-	l.SetCompactPin(func() int { return reg.PinWAL(0) })
+	reg := NewRegistry(time.Minute)
+	l.SetCompactPin(reg.PinCompaction)
 
 	src := NewSource(SourceConfig{
-		BootID: "boot-w", Shards: 1,
+		BootID:          "boot-w",
 		JournalPath:     filepath.Join(prim, "none.log"),
-		WALDir:          func(int) string { return prim },
+		WALDir:          prim,
 		JournalFrontier: func() int { return -1 },
-		WALFrontier:     func(int) int { return l.Frontier() },
+		WALFrontier:     func() int { return l.Frontier() },
 		Registry:        reg,
 		Poll:            2 * time.Millisecond,
 	})
 	w := &collectWriter{}
 	stop := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- src.ServeWAL(w, nil, "t", 0, 0, stop) }()
+	go func() { done <- src.ServeWAL(w, nil, "t", 0, stop) }()
 
 	const total = 120
 	for i := 0; i < total; i++ {
@@ -904,14 +911,14 @@ func TestLaggingFollowerAcrossAdoptedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	reg := NewRegistry(1, time.Minute)
-	l.SetCompactPin(func() int { return reg.PinWAL(0) })
+	reg := NewRegistry(time.Minute)
+	l.SetCompactPin(reg.PinCompaction)
 	src := NewSource(SourceConfig{
-		BootID: "boot-lag", Shards: 1,
+		BootID:          "boot-lag",
 		JournalPath:     filepath.Join(prim, "none.log"),
-		WALDir:          func(int) string { return prim },
+		WALDir:          prim,
 		JournalFrontier: func() int { return -1 },
-		WALFrontier:     func(int) int { return l.Frontier() },
+		WALFrontier:     func() int { return l.Frontier() },
 		Registry:        reg,
 		Poll:            2 * time.Millisecond,
 	})
@@ -919,7 +926,7 @@ func TestLaggingFollowerAcrossAdoptedSegments(t *testing.T) {
 	w := &heldWriter{free: 1, held: make(chan struct{}), release: make(chan struct{})}
 	stop := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- src.ServeWAL(w, nil, "lag", 0, 0, stop) }()
+	go func() { done <- src.ServeWAL(w, nil, "lag", 0, stop) }()
 
 	const rounds, perRound = 4, 1500 // 1500 records: a segment well past crumb size
 	round := func(r int, snapshot bool) {
@@ -1056,7 +1063,7 @@ func TestClientStreamsAndReconnects(t *testing.T) {
 			return
 		}
 		var b []byte
-		b = AppendHello(b, "boot-c", 1, StreamWAL, 0)
+		b = AppendHello(b, "boot-c", StreamWAL, 0)
 		b = AppendWALRec(b, []byte{0, 'x'})
 		b = AppendEOF(b, "bye")
 		w.Write(b) //nolint:errcheck // test server
@@ -1099,7 +1106,7 @@ func TestClientStreamsAndReconnects(t *testing.T) {
 func TestClientFatalStops(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var b []byte
-		b = AppendHello(b, "other-boot", 1, StreamWAL, 0)
+		b = AppendHello(b, "other-boot", StreamWAL, 0)
 		w.Write(b) //nolint:errcheck // test server
 	}))
 	defer srv.Close()

@@ -8,7 +8,7 @@ import (
 	"grca/internal/wal"
 )
 
-// WALSink materializes one shard's shipped event-WAL stream on the
+// WALSink materializes the shipped event-WAL stream on the
 // follower's disk, in the exact layout the primary uses (wal/seg-*.log
 // segments, a snap/snap-*.snap manifest over snap/run-*.run), so that
 // promotion — a plain wal.Open over the directory — recovers it like a
@@ -35,7 +35,7 @@ type WALSink struct {
 	snapWant int64
 }
 
-// OpenWALSink scans the shard state under dir, truncates any torn tail
+// OpenWALSink scans the WAL state under dir, truncates any torn tail
 // (and drops segments beyond it), and returns a sink positioned at the
 // first record ID not yet on disk — the resume point to request from
 // the primary.
@@ -174,7 +174,7 @@ func (s *WALSink) rotateAt(first int) error {
 }
 
 // BeginSnapshot starts a snapshot bootstrap: the primary compacted past
-// our frontier, so local shard state is unusable — wipe every segment
+// our frontier, so the local WAL state is unusable — wipe every segment
 // and snapshot file and stage the shipped snapshot image into a temp
 // file.
 func (s *WALSink) BeginSnapshot(next int, size int64) error {

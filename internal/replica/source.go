@@ -24,20 +24,17 @@ type SourceConfig struct {
 	// BootID identifies this primary incarnation; a follower refuses to
 	// resume across a boot-ID change (recovery may renumber sequences).
 	BootID string
-	// Shards is the pipeline's shard count.
-	Shards int
 	// JournalPath is the path of the ingest journal's segment 0
 	// (journal.log); its tail segments lie beside it.
 	JournalPath string
-	// WALDir returns shard i's WAL state directory (holding wal/ and
-	// snap/).
-	WALDir func(i int) string
+	// WALDir is the event WAL's state directory (holding wal/ and snap/).
+	WALDir string
 	// JournalFrontier returns the highest sequence durably journaled on
 	// the primary (heartbeat lag signal).
 	JournalFrontier func() int
-	// WALFrontier returns shard i's next WAL record ID on the primary
+	// WALFrontier returns the event WAL's next record ID on the primary
 	// (heartbeat lag signal).
-	WALFrontier func(i int) int
+	WALFrontier func() int
 	// Registry tracks followers and feeds the compaction pin.
 	Registry *Registry
 	// Poll is the file-tail poll cadence (default 50ms).
@@ -57,7 +54,7 @@ func (c *SourceConfig) defaults() {
 
 // Source serves replication streams off the primary's on-disk state. It
 // holds no locks of the serving pipeline: it tails the journal and
-// segment files the appliers write. The journal has one appender, so the
+// segment files the applier writes. The journal has one appender, so the
 // order of its files, and of the records in each, is already the total
 // order followers apply in.
 type Source struct {
@@ -73,9 +70,6 @@ func NewSource(cfg SourceConfig) *Source {
 // BootID returns the primary incarnation this source streams for.
 func (s *Source) BootID() string { return s.cfg.BootID }
 
-// Shards returns the shard count.
-func (s *Source) Shards() int { return s.cfg.Shards }
-
 // JournalSize returns the journal's logical size: the bytes ever
 // journaled, dropped tail segments included (0 for a journal not yet
 // created).
@@ -83,18 +77,9 @@ func (s *Source) JournalSize() int64 { return wal.JournalOffset(s.journalDir()) 
 
 func (s *Source) journalDir() string { return filepath.Dir(s.cfg.JournalPath) }
 
-// WALFrontiers returns each shard's next WAL record ID.
-func (s *Source) WALFrontiers() []int {
-	out := make([]int, s.cfg.Shards)
-	for i := range out {
-		out[i] = s.cfg.WALFrontier(i)
-	}
-	return out
-}
-
 // heartbeat encodes the current lag heartbeat.
 func (s *Source) heartbeat(b []byte) []byte {
-	return AppendHeartbeat(b, s.cfg.JournalFrontier(), s.JournalSize(), s.WALFrontiers())
+	return AppendHeartbeat(b, s.cfg.JournalFrontier(), s.JournalSize(), s.cfg.WALFrontier())
 }
 
 // fileTail incrementally reads one append-only framed file, carrying a
@@ -196,7 +181,7 @@ func (c *streamConn) push() error {
 // rolled), and ends only on stop (server shutdown), a write error
 // (follower gone), or a segment dropped from under it. A follower whose
 // resume point lies in a segment already dropped is sent, between
-// segment 0 and the retained tail, one store checkpoint per shard.
+// segment 0 and the retained tail, a store checkpoint.
 // flush may be nil.
 func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
 	s.cfg.Registry.Attach(followerID)
@@ -206,7 +191,7 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 	s.cfg.Registry.NoteJournal(followerID, from)
 
 	conn := &streamConn{w: w, flush: flush}
-	conn.buf = AppendHello(conn.buf, s.cfg.BootID, s.cfg.Shards, StreamJournal, from)
+	conn.buf = AppendHello(conn.buf, s.cfg.BootID, StreamJournal, from)
 	if err := conn.push(); err != nil {
 		return err
 	}
@@ -322,8 +307,8 @@ func (j *journalSession) start() error {
 // one. Rolling seals a file before its successor gets a header, so once a
 // successor's header reads, the current file is complete. Leaving
 // journal.log, the successor either begins at the byte journal.log ends
-// on, or segments between them were dropped and the follower is sent
-// checkpoints to stand on instead.
+// on, or segments between them were dropped and the follower is sent a
+// checkpoint to stand on instead.
 func (j *journalSession) advance() (bool, error) {
 	segs, err := wal.JournalTail(j.src.journalDir())
 	if err != nil {
@@ -366,29 +351,26 @@ func (j *journalSession) advance() (bool, error) {
 }
 
 // bootstrap sends the follower what the dropped segments between
-// journal.log and seg held, as one store checkpoint per shard. The
-// journal pin goes to seg first, so that no drop takes it while the
-// images ship; the images are whatever snapshots the shards hold now,
-// which the drop rule keeps at or beyond where seg begins — the follower
-// checks that against the header that follows.
+// journal.log and seg held, as a store checkpoint. The journal pin goes to
+// seg first, so that no drop takes it while the image ships; the image is
+// whatever snapshot the WAL holds now, which the drop rule keeps at or
+// beyond where seg begins — the follower checks that against the header
+// that follows.
 func (j *journalSession) bootstrap(seg *wal.JournalSegment, h wal.JournalSegmentHeader) error {
 	j.src.cfg.Registry.NoteJournal(j.followerID, h.FirstSeq-1)
 	if _, err := os.Stat(seg.Path); err != nil {
 		return fmt.Errorf("replica: journal segment %s was dropped before it could be pinned", seg.Path)
 	}
-	for shard := 0; shard < j.src.cfg.Shards; shard++ {
-		img, err := wal.OpenSnapshotImage(j.src.cfg.WALDir(shard))
-		if err != nil {
-			return err
-		}
-		if img == nil {
-			// No snapshot: the shard's checkpoint is the empty store, which
-			// the follower accepts only if the shard had no event yet when
-			// seg began.
-			j.conn.buf = AppendSnapEnd(AppendSnapBegin(j.conn.buf, shard, 0, 0))
-			continue
-		}
-		err = shipImage(j.conn, shard, img)
+	img, err := wal.OpenSnapshotImage(j.src.cfg.WALDir)
+	if err != nil {
+		return err
+	}
+	if img == nil {
+		// No snapshot: the checkpoint is the empty store, which the follower
+		// accepts only if no event had been stored yet when seg began.
+		j.conn.buf = AppendSnapEnd(AppendSnapBegin(j.conn.buf, 0, 0))
+	} else {
+		err = shipImage(j.conn, img)
 		img.Close()
 		if err != nil {
 			return err
@@ -399,26 +381,23 @@ func (j *journalSession) bootstrap(seg *wal.JournalSegment, h wal.JournalSegment
 	return j.conn.push()
 }
 
-// ServeWAL streams one shard's event WAL to a follower from record ID
-// `from`: the latest snapshot first when retention has compacted past
-// the resume point, then every segment record in ID order, tailing the
-// active segment and handing off at rotation. The registry pin is set
-// before the segment listing, so compaction cannot delete a segment
-// between the decision to ship it and the read.
-func (s *Source) ServeWAL(w io.Writer, flush func(), followerID string, shard, from int, stop <-chan struct{}) error {
-	if shard < 0 || shard >= s.cfg.Shards {
-		return fmt.Errorf("replica: no shard %d", shard)
-	}
+// ServeWAL streams the event WAL to a follower from record ID `from`: the
+// latest snapshot first when retention has compacted past the resume
+// point, then every segment record in ID order, tailing the active segment
+// and handing off at rotation. The registry pin is set before the segment
+// listing, so compaction cannot delete a segment between the decision to
+// ship it and the read.
+func (s *Source) ServeWAL(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
 	s.cfg.Registry.Attach(followerID)
 	defer s.cfg.Registry.Detach(followerID)
-	s.cfg.Registry.NoteWAL(followerID, shard, from)
+	s.cfg.Registry.NoteWAL(followerID, from)
 
 	conn := &streamConn{w: w, flush: flush}
-	conn.buf = AppendHello(conn.buf, s.cfg.BootID, s.cfg.Shards, StreamWAL, from)
+	conn.buf = AppendHello(conn.buf, s.cfg.BootID, StreamWAL, from)
 	if err := conn.push(); err != nil {
 		return err
 	}
-	sess := &walSession{src: s, conn: conn, followerID: followerID, shard: shard, next: from}
+	sess := &walSession{src: s, conn: conn, followerID: followerID, next: from}
 	return sess.run(stop)
 }
 
@@ -427,8 +406,6 @@ type walSession struct {
 	src        *Source
 	conn       *streamConn
 	followerID string
-	shard      int
-	dir        string
 	next       int // next record ID to ship
 	tail       *fileTail
 	tailFirst  int  // first ID of the segment tail reads
@@ -440,12 +417,11 @@ type walSession struct {
 // when segments still cover it, from the latest readable snapshot
 // otherwise.
 func (w *walSession) bootstrap() error {
-	w.dir = w.src.cfg.WALDir(w.shard)
 	// Records below the snapshot bound may be compacted away; ship the
 	// snapshot — its manifest's runs as one image — and resume records at
 	// its bound. The image holds every run open before the first chunk
 	// goes out, so compaction deleting one mid-stream tears nothing.
-	img, err := wal.OpenSnapshotImage(w.dir)
+	img, err := wal.OpenSnapshotImage(w.src.cfg.WALDir)
 	if err != nil {
 		return err
 	}
@@ -454,12 +430,12 @@ func (w *walSession) bootstrap() error {
 		// or every snapshot is unreadable. Segments below its bound may be
 		// gone, so records alone could ship a gap — end the stream instead
 		// (the follower reconnects).
-		next, ok, err := wal.LatestSnapshot(w.dir)
+		next, ok, err := wal.LatestSnapshot(w.src.cfg.WALDir)
 		if err != nil {
 			return err
 		}
 		if ok && w.next < next {
-			return fmt.Errorf("replica: shard %d: the snapshot covering IDs below %d cannot be read", w.shard, next)
+			return fmt.Errorf("replica: the snapshot covering IDs below %d cannot be read", next)
 		}
 	} else {
 		defer img.Close()
@@ -469,7 +445,7 @@ func (w *walSession) bootstrap() error {
 			}
 		}
 	}
-	w.src.cfg.Registry.NoteWAL(w.followerID, w.shard, w.next)
+	w.src.cfg.Registry.NoteWAL(w.followerID, w.next)
 	w.booted = true
 	return nil
 }
@@ -477,7 +453,7 @@ func (w *walSession) bootstrap() error {
 // shipImage sends the snapshot image as one bootstrap and moves the
 // resume point to its bound.
 func (w *walSession) shipImage(img *wal.SnapshotImage) error {
-	if err := shipImage(w.conn, w.shard, img); err != nil {
+	if err := shipImage(w.conn, img); err != nil {
 		return err
 	}
 	w.next = img.Next
@@ -485,9 +461,9 @@ func (w *walSession) shipImage(img *wal.SnapshotImage) error {
 	return nil
 }
 
-// shipImage frames one shard's snapshot image onto the stream.
-func shipImage(conn *streamConn, shard int, img *wal.SnapshotImage) error {
-	conn.buf = AppendSnapBegin(conn.buf, shard, img.Next, img.Size)
+// shipImage frames a snapshot image onto the stream.
+func shipImage(conn *streamConn, img *wal.SnapshotImage) error {
+	conn.buf = AppendSnapBegin(conn.buf, img.Next, img.Size)
 	chunk := make([]byte, 256<<10)
 	for {
 		n, err := io.ReadFull(img, chunk)
@@ -509,11 +485,10 @@ func shipImage(conn *streamConn, shard int, img *wal.SnapshotImage) error {
 }
 
 // openSegmentFor positions the tail on the newest segment whose first ID
-// is at or below next (records before it are already shipped or never
-// existed on this sparse shard). Returns false when no segment exists
-// yet.
+// is at or below next (records before it are already shipped, or their
+// IDs were never stored). Returns false when no segment exists yet.
 func (w *walSession) openSegmentFor() (bool, error) {
-	segs, err := wal.Segments(w.dir)
+	segs, err := wal.Segments(w.src.cfg.WALDir)
 	if err != nil {
 		return false, err
 	}
@@ -536,7 +511,7 @@ func (w *walSession) openSegmentFor() (bool, error) {
 // successor, so once a newer segment is listed the current one is
 // complete.
 func (w *walSession) advanceSegment() (bool, error) {
-	segs, err := wal.Segments(w.dir)
+	segs, err := wal.Segments(w.src.cfg.WALDir)
 	if err != nil {
 		return false, err
 	}
@@ -566,7 +541,7 @@ func (w *walSession) run(stop <-chan struct{}) error {
 			return err
 		}
 		if progress {
-			w.src.cfg.Registry.NoteWAL(w.followerID, w.shard, w.next)
+			w.src.cfg.Registry.NoteWAL(w.followerID, w.next)
 			if err := w.conn.push(); err != nil {
 				return err
 			}
@@ -606,7 +581,7 @@ func (w *walSession) step() (bool, error) {
 	progress, err := w.tail.fill(func(payload []byte) error {
 		id, err := wal.RecordID(payload)
 		if err != nil {
-			return fmt.Errorf("replica: shard %d segment %s: %v", w.shard, w.tail.path, err)
+			return fmt.Errorf("replica: segment %s: %v", w.tail.path, err)
 		}
 		if id < w.next {
 			return nil // below the resume point: already shipped
@@ -640,7 +615,7 @@ func (w *walSession) step() (bool, error) {
 	if advanced {
 		w.stalls++
 		if w.stalls > 200 {
-			return false, fmt.Errorf("replica: shard %d segment %s torn mid-stream", w.shard, w.tail.path)
+			return false, fmt.Errorf("replica: segment %s torn mid-stream", w.tail.path)
 		}
 	}
 	return false, nil
@@ -649,7 +624,7 @@ func (w *walSession) step() (bool, error) {
 // advanceable reports whether a segment newer than the current one
 // exists (the hand-off condition, checked while a torn carry blocks it).
 func (w *walSession) advanceable() (bool, error) {
-	segs, err := wal.Segments(w.dir)
+	segs, err := wal.Segments(w.src.cfg.WALDir)
 	if err != nil {
 		return false, err
 	}
@@ -661,27 +636,27 @@ func (w *walSession) advanceable() (bool, error) {
 	return false, nil
 }
 
-// ShipWALOnce streams shard state under dir — the latest snapshot if
+// ShipWALOnce streams the WAL state under dir — the latest snapshot if
 // `from` predates the oldest retained record, then every flushed segment
 // record with ID >= the resume point — to w, and returns without
 // tailing. It is the chaos harness's deterministic, single-shot form of
 // ServeWAL, sharing walSession's bootstrap and scan.
 func ShipWALOnce(dir string, bootID string, from int, w io.Writer) (next int, err error) {
 	conn := &streamConn{w: w}
-	conn.buf = AppendHello(conn.buf, bootID, 1, StreamWAL, from)
+	conn.buf = AppendHello(conn.buf, bootID, StreamWAL, from)
 	if err := conn.push(); err != nil {
 		return from, err
 	}
-	reg := NewRegistry(1, time.Hour)
+	reg := NewRegistry(time.Hour)
 	reg.Attach("once")
 	src := NewSource(SourceConfig{
-		BootID: bootID, Shards: 1,
-		WALDir:          func(int) string { return dir },
+		BootID:          bootID,
+		WALDir:          dir,
 		JournalFrontier: func() int { return -1 },
-		WALFrontier:     func(int) int { return 0 },
+		WALFrontier:     func() int { return 0 },
 		Registry:        reg,
 	})
-	sess := &walSession{src: src, conn: conn, followerID: "once", shard: 0, next: from}
+	sess := &walSession{src: src, conn: conn, followerID: "once", next: from}
 	for {
 		progress, err := sess.step()
 		if err != nil {

@@ -422,7 +422,7 @@ func TestSSESlowConsumerEviction(t *testing.T) {
 // matter how large the store is — the default page, the hard cap, and the
 // cursor walk.
 func TestEventsPaginationBounded(t *testing.T) {
-	st := store.NewSharded(1)
+	st := store.New()
 	const total = maxEventsPage + 500
 	t0 := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < total; i++ {

@@ -26,30 +26,29 @@ import (
 
 var mReplCheckpoints = obs.GetCounter("replica.follower.checkpoints.loaded")
 
-// followerState is the replica-only half of a Server: the stream
-// clients, the per-shard WAL sinks, and the lag bookkeeping. The live
-// store is what crash recovery builds — checkpoints with the journal
-// applied over them — and apply is the same journalApplier over it with
-// the serving hooks attached: the follower IS a recovery that never stops
-// replaying.
+// followerState is the replica-only half of a Server: the two stream
+// clients, the WAL sink, and the lag bookkeeping. The live store is what
+// crash recovery builds — a checkpoint with the journal applied over it —
+// and apply is the same journalApplier over it with the serving hooks
+// attached: the follower IS a recovery that never stops replaying.
 type followerState struct {
 	primary string // primary base URL, no trailing slash
 	id      string // stable follower stream ID (REPLICA file)
 	bootID  string // primary incarnation being replicated
 
 	apply   journalApplier
-	sinks   []*replica.WALSink
-	clients []*replica.Client
+	sink    *replica.WALSink
+	clients [2]*replica.Client // the journal stream's, the WAL stream's
 
 	appliedSeq atomic.Int64 // last journal sequence applied (and locally journaled)
-	walNext    []atomic.Int64
+	walNext    atomic.Int64 // the sink's frontier
 
-	// images collects the store checkpoints the journal stream sends ahead
-	// of a tail segment whose predecessors the primary has dropped — one
-	// per shard, image the one arriving; that segment's header record makes
-	// them the live store. Only the journal client's goroutine touches them.
-	images []*shardImage
-	image  *incomingImage
+	// incoming is the store checkpoint arriving on the journal stream ahead
+	// of a tail segment whose predecessors the primary has dropped, image
+	// the one that has arrived whole; that segment's header record makes it
+	// the live store. Only the journal client's goroutine touches them.
+	incoming *incomingImage
+	image    *storeImage
 
 	// sealed means the clients are stopped and the local journal and
 	// sinks are closed; sealOnce makes the seal idempotent between
@@ -69,21 +68,20 @@ type followerState struct {
 	hbAt      time.Time
 	lastMsg   time.Time
 	streamErr error
-	snapBoots []int
+	snapBoots int // snapshot bootstraps of the sink
 }
 
-// shardImage is one shard's decoded checkpoint: store.Memory.Replace's
-// arguments.
-type shardImage struct {
+// storeImage is a decoded checkpoint: store.Memory.Replace's arguments.
+type storeImage struct {
 	base, next int
 	ins        []event.Instance
 }
 
 // incomingImage is a checkpoint between its MsgSnapBegin and MsgSnapEnd.
 type incomingImage struct {
-	shard, next int
-	size        int64
-	dec         wal.ImageDecoder
+	next int
+	size int64
+	dec  wal.ImageDecoder
 }
 
 // promotedNode is the primary a promoted replica delegates to.
@@ -102,10 +100,10 @@ type PromoteInfo struct {
 	AppliedSeq int `json:"applied_seq"`
 	// Recovery is the reopen's report: how much of the shipped journal's
 	// tail the shipped WAL state already held (TailVerified) or lacked
-	// (TailApplied), and whether a shard had to be refilled (WALRebuilt).
+	// (TailApplied), and whether the store had to be refilled (WALRebuilt).
 	Recovery RecoveryInfo `json:"recovery"`
-	// Digests are the promoted store's per-shard digests.
-	Digests []string `json:"digests"`
+	// Digest is the promoted store's digest.
+	Digest string `json:"digest"`
 }
 
 // fetchPrimaryMeta fetches the primary's rendezvous document, retrying
@@ -158,13 +156,9 @@ var ErrPrimaryHistory = errors.New("server: data dir holds a primary's history; 
 
 // primaryState returns the first piece of durable serving state found
 // under dataDir ("" when there is none).
-func primaryState(dataDir string, n int) string {
+func primaryState(dataDir string) string {
 	paths := append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...)
-	for i := 0; i < n; i++ {
-		dir := shardDir(dataDir, n, i)
-		paths = append(paths, wal.WALDirOf(dir), wal.SnapDirOf(dir))
-	}
-	for _, p := range paths {
+	for _, p := range append(paths, wal.WALDirOf(dataDir), wal.SnapDirOf(dataDir)) {
 		if _, err := os.Stat(p); err == nil {
 			return p
 		}
@@ -179,20 +173,15 @@ func journalTailPaths(dataDir string) []string {
 }
 
 // wipeShippedState removes everything a primary shipped into dataDir: the
-// journal, head and tail, and every shard's WAL and snapshots. The REPLICA
+// journal, head and tail, and the WAL and its snapshots. The REPLICA
 // marker stays.
-func wipeShippedState(dataDir string, n int) error {
+func wipeShippedState(dataDir string) error {
 	for _, p := range append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...) {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
-	for i := 0; i < n; i++ {
-		if err := wipeShardState(dataDir, n, i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return wipeWALState(dataDir)
 }
 
 // prepareReplicaState reconciles the data dir with the primary
@@ -201,7 +190,7 @@ func wipeShippedState(dataDir string, n int) error {
 // only be replaced). The marker is written before any shipped state, so
 // state without a marker is a primary's and is refused
 // (ErrPrimaryHistory). Returns this follower's stable stream ID.
-func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
+func prepareReplicaState(dataDir, bootID string) (string, error) {
 	path := replicaFile(dataDir)
 	id := ""
 	data, err := os.ReadFile(path)
@@ -216,15 +205,15 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 		}
 		// Boot ID changed (or the marker is malformed, or a divergence voided
 		// it): drop the shipped journal — a stale tail under a fresh head
-		// would replay as if it followed it — and every shard's WAL and
-		// snapshot state, and resync from scratch.
-		if err := wipeShippedState(dataDir, n); err != nil {
+		// would replay as if it followed it — and the WAL and snapshot
+		// state, and resync from scratch.
+		if err := wipeShippedState(dataDir); err != nil {
 			return "", err
 		}
 	case !os.IsNotExist(err):
 		return "", err
 	default:
-		if p := primaryState(dataDir, n); p != "" {
+		if p := primaryState(dataDir); p != "" {
 			return "", fmt.Errorf("%w (found %s)", ErrPrimaryHistory, p)
 		}
 	}
@@ -239,27 +228,22 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 
 // openFollower opens the service as a live read replica: replay the
 // locally shipped journal exactly as crash recovery would, then keep
-// applying the primary's journal stream through the same path
-// while per-shard WAL streams materialize segment state on disk for a
-// later promotion.
+// applying the primary's journal stream through the same path while the
+// WAL stream materializes segment state on disk for a later promotion.
 func openFollower(cfg Config) (*Server, error) {
-	n := cfg.Shards
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, err
-	}
 	primary := strings.TrimRight(cfg.ReplicaOf, "/")
 	meta, err := fetchPrimaryMeta(primary, 5*time.Second, 500*time.Millisecond)
 	if err != nil {
 		return nil, err
 	}
-	if meta.Shards != n {
-		return nil, fmt.Errorf("server: primary %s runs %d shards, replica configured with %d", primary, meta.Shards, n)
+	if meta.Shards != 1 {
+		return nil, fmt.Errorf("%w: primary %s runs %d shards", ErrMultiShard, primary, meta.Shards)
 	}
-	id, err := prepareReplicaState(cfg.DataDir, n, meta.BootID)
-	if err != nil {
+	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := checkShardMarker(cfg.DataDir, n); err != nil {
+	id, err := prepareReplicaState(cfg.DataDir, meta.BootID)
+	if err != nil {
 		return nil, err
 	}
 	topo, err := conf.Parse(cfg.Bundle.Configs, cfg.Bundle.Inventory)
@@ -267,22 +251,22 @@ func openFollower(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: config archive: %v", err)
 	}
 	// Recover the live store from the shipped state, as a primary would
-	// from its own: the shipped journal over empty checkpoints while it
-	// reaches back to ID 0, over what the WAL sinks hold once it begins
+	// from its own: the shipped journal over an empty checkpoint while it
+	// reaches back to ID 0, over what the WAL sink holds once it begins
 	// behind a checkpoint the primary sent. Shipped state that does not
-	// add up — the sinks trail that checkpoint, or disagree with the
+	// add up — the sink trails that checkpoint, or disagrees with the
 	// journal — is not repaired but replaced: wipe it and bootstrap anew.
 	var rep replayResult
 	var tail []wal.JournalSegment
 	for attempt := 0; ; attempt++ {
 		tail, err = wal.RecoverJournalTail(cfg.DataDir)
 		if err == nil {
-			rep, _, err = recoverJournal(cfg, topo, tail, func() []checkpoint { return shippedCheckpoints(cfg, tail) })
+			rep, _, err = recoverJournal(cfg, topo, tail, func() checkpoint { return shippedCheckpoint(cfg, tail) })
 		}
 		if err == nil || attempt > 0 || !(errors.Is(err, ErrCheckpointLost) || errors.Is(err, ErrCheckpointDiverged)) {
 			break
 		}
-		if err := wipeShippedState(cfg.DataDir, n); err != nil {
+		if err := wipeShippedState(cfg.DataDir); err != nil {
 			return nil, err
 		}
 	}
@@ -290,120 +274,73 @@ func openFollower(cfg Config) (*Server, error) {
 		return nil, err
 	}
 
-	fs := &followerState{
-		primary:   primary,
-		id:        id,
-		bootID:    meta.BootID,
-		sinks:     make([]*replica.WALSink, n),
-		walNext:   make([]atomic.Int64, n),
-		snapBoots: make([]int, n),
-	}
-	fs.appliedSeq.Store(int64(rep.maxSeq))
-
-	// Shard entries carry only the live store shard; there is no WAL,
-	// queue, or applier — the journal stream's apply goroutine is the only
-	// writer.
+	// There is no WAL, queue or applier — the journal stream's apply
+	// goroutine is the live store's only writer.
 	jour, err := wal.OpenSegmentedJournal(cfg.DataDir, tail)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]*shard, n)
-	opened := false
-	defer func() {
-		if opened {
-			return
-		}
-		jour.Close() //nolint:errcheck // being discarded
-		for _, sk := range fs.sinks {
-			if sk != nil {
-				sk.Close() //nolint:errcheck // being discarded
-			}
-		}
-	}()
-	for i := range shards {
-		dir := shardDir(cfg.DataDir, n, i)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		shards[i] = &shard{st: rep.st.Shard(i), idx: i}
-		sink, err := replica.OpenWALSink(dir, 0)
-		if err != nil {
-			return nil, err
-		}
-		fs.sinks[i] = sink
-		fs.walNext[i].Store(int64(sink.Frontier()))
-	}
-
-	s, err := newServer(cfg, topo, rep, shards, jour)
+	sink, err := replica.OpenWALSink(cfg.DataDir, 0)
 	if err != nil {
+		jour.Close() //nolint:errcheck // being discarded
 		return nil, err
 	}
-	s.follower = fs
+	s, err := newServer(cfg, topo, rep, jour)
+	if err != nil {
+		jour.Close() //nolint:errcheck // being discarded
+		sink.Close() //nolint:errcheck // being discarded
+		return nil, err
+	}
+	fs := &followerState{primary: primary, id: id, bootID: meta.BootID, sink: sink}
+	fs.appliedSeq.Store(int64(rep.maxSeq))
+	fs.walNext.Store(int64(sink.Frontier()))
 	fs.apply = journalApplier{
-		coll: rep.coll, st: rep.st, dep: cfg.Bundle.CDN,
+		coll: rep.coll, dep: cfg.Bundle.CDN,
 		serving: func() error { return s.installServing(false) },
 		stored:  func(stored []*event.Instance) { s.observeStored(stored) },
 	}
+	fs.apply.writeTo(rep.st)
+	s.follower = fs
 	mReplSeq.Set(int64(rep.maxSeq))
-	opened = true
 	s.startFollowerClients()
 	return s, nil
 }
 
-// shippedCheckpoints are a restarting follower's checkpoints: empty ones
+// shippedCheckpoint is a restarting follower's checkpoint: an empty one
 // while its journal reaches back to ID 0 — the journal then rebuilds the
-// store by itself, as it always did — and otherwise what each shard's WAL
-// sink was shipped, read without opening it for appends. One that cannot
-// be read says so in its err.
-func shippedCheckpoints(cfg Config, tail []wal.JournalSegment) []checkpoint {
-	n := cfg.Shards
-	cps := make([]checkpoint, n)
-	whole := len(tail) == 0 || tail[0].Header.Offset == wal.JournalSize(journalPath(cfg.DataDir))
-	var wg sync.WaitGroup
-	for i := range cps {
-		if whole {
-			cps[i].st = store.New()
-			cps[i].st.SetRetention(cfg.Retention)
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cps[i].st, cps[i].rec, cps[i].err = wal.ReadCheckpoint(shardDir(cfg.DataDir, n, i), wal.Options{Retention: cfg.Retention})
-		}(i)
+// store by itself, as it always did — and otherwise what the WAL sink was
+// shipped, read without opening it for appends. One that cannot be read
+// says so in its err.
+func shippedCheckpoint(cfg Config, tail []wal.JournalSegment) (cp checkpoint) {
+	if len(tail) == 0 || tail[0].Header.Offset == wal.JournalSize(journalPath(cfg.DataDir)) {
+		cp.st = store.New()
+		cp.st.SetRetention(cfg.Retention)
+		return cp
 	}
-	wg.Wait()
-	return cps
+	cp.st, cp.rec, cp.err = wal.ReadCheckpoint(cfg.DataDir, wal.Options{Retention: cfg.Retention})
+	return cp
 }
 
-// startFollowerClients launches the journal stream client and one WAL
-// stream client per shard.
+// startFollowerClients launches the journal stream client and the WAL
+// stream client.
 func (s *Server) startFollowerClients() {
 	fs := s.follower
-	jc := &replica.Client{
-		URL: func(from int) string {
-			return fmt.Sprintf("%s/v1/replication/journal?id=%s&from=%d",
-				fs.primary, url.QueryEscape(fs.id), from)
-		},
+	streamURL := func(stream string) func(from int) string {
+		return func(from int) string {
+			return fmt.Sprintf("%s/v1/replication/%s?id=%s&from=%d", fs.primary, stream, url.QueryEscape(fs.id), from)
+		}
+	}
+	fs.clients = [2]*replica.Client{{
+		URL:     streamURL("journal"),
 		From:    func() int { return int(fs.appliedSeq.Load()) },
 		Handle:  s.handleJournalMsg,
 		OnState: fs.noteState,
-	}
-	fs.clients = append(fs.clients, jc)
-	for i := range s.shards {
-		shard := i
-		sink := fs.sinks[i]
-		wc := &replica.Client{
-			URL: func(from int) string {
-				return fmt.Sprintf("%s/v1/replication/wal?id=%s&shard=%d&from=%d",
-					fs.primary, url.QueryEscape(fs.id), shard, from)
-			},
-			From:    sink.Frontier,
-			Handle:  func(m replica.Msg) error { return s.handleWALMsg(shard, m) },
-			OnState: fs.noteState,
-		}
-		fs.clients = append(fs.clients, wc)
-	}
+	}, {
+		URL:     streamURL("wal"),
+		From:    fs.sink.Frontier,
+		Handle:  s.handleWALMsg,
+		OnState: fs.noteState,
+	}}
 	for _, c := range fs.clients {
 		c.Start()
 	}
@@ -412,16 +349,11 @@ func (s *Server) startFollowerClients() {
 // checkHello validates a stream's opening frame against the incarnation
 // this follower is bound to. Any mismatch is fatal — reconnecting into
 // the same primary cannot fix it; the operator restarts the replica,
-// which resyncs via prepareReplicaState.
-func (fs *followerState) checkHello(m replica.Msg, stream byte, shards int) error {
-	if m.Ver != replica.ProtocolVersion {
-		return fmt.Errorf("primary speaks protocol %d, this replica %d", m.Ver, replica.ProtocolVersion)
-	}
+// which resyncs via prepareReplicaState. (A hello of another protocol
+// version never gets here: replica.ParseMsg refuses it.)
+func (fs *followerState) checkHello(m replica.Msg, stream byte) error {
 	if m.BootID != fs.bootID {
 		return fmt.Errorf("primary boot ID changed (%s -> %s): restart the replica to resync", fs.bootID, m.BootID)
-	}
-	if m.Shards != shards {
-		return fmt.Errorf("primary reports %d shards, replica runs %d", m.Shards, shards)
 	}
 	if m.Stream != stream {
 		return fmt.Errorf("wrong stream kind %q", m.Stream)
@@ -439,27 +371,27 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 	case replica.MsgHello:
 		// A new connection starts over whatever checkpoint the last one was
 		// in the middle of.
-		fs.images, fs.image = nil, nil
-		err = fs.checkHello(m, replica.StreamJournal, len(s.shards))
+		fs.incoming, fs.image = nil, nil
+		err = fs.checkHello(m, replica.StreamJournal)
 	case replica.MsgJournalRec:
 		err = s.applyJournalRecord(m.Rec)
 		fs.noteMsg()
 	case replica.MsgSnapBegin:
-		if m.Shard >= len(s.shards) || fs.image != nil {
-			err = fmt.Errorf("unexpected checkpoint announcement for shard %d", m.Shard)
+		if fs.incoming != nil || fs.image != nil {
+			err = fmt.Errorf("unexpected checkpoint announcement")
 			break
 		}
-		fs.image = &incomingImage{shard: m.Shard, next: m.Next, size: m.Size}
+		fs.incoming = &incomingImage{next: m.Next, size: m.Size}
 	case replica.MsgSnapChunk:
-		if fs.image == nil {
+		if fs.incoming == nil {
 			err = fmt.Errorf("checkpoint chunk outside a checkpoint")
 			break
 		}
-		fs.image.size -= int64(len(m.Chunk))
-		_, err = fs.image.dec.Write(m.Chunk)
+		fs.incoming.size -= int64(len(m.Chunk))
+		_, err = fs.incoming.dec.Write(m.Chunk)
 		fs.noteMsg()
 	case replica.MsgSnapEnd:
-		err = fs.endImage(len(s.shards))
+		err = fs.endImage()
 	case replica.MsgHeartbeat:
 		fs.noteHeartbeat(m)
 		s.updateLag(m)
@@ -479,30 +411,27 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 
 // endImage closes the checkpoint being received: the bytes announced, the
 // bound announced, decoded whole. A size of zero is the empty checkpoint
-// of a shard that has no snapshot.
-func (fs *followerState) endImage(shards int) error {
-	in := fs.image
-	fs.image = nil
+// of a primary that has no snapshot.
+func (fs *followerState) endImage() error {
+	in := fs.incoming
+	fs.incoming = nil
 	if in == nil {
 		return fmt.Errorf("checkpoint end outside a checkpoint")
 	}
-	img := &shardImage{}
+	img := &storeImage{}
 	if in.next != 0 || in.size != 0 {
 		if in.size != 0 {
-			return fmt.Errorf("checkpoint of shard %d is %d bytes off its announced size", in.shard, -in.size)
+			return fmt.Errorf("the checkpoint is %d bytes off its announced size", -in.size)
 		}
 		var err error
 		if img.base, img.next, img.ins, err = in.dec.Finish(); err != nil {
 			return err
 		}
 		if img.next != in.next {
-			return fmt.Errorf("checkpoint of shard %d covers IDs below %d, announced %d", in.shard, img.next, in.next)
+			return fmt.Errorf("the checkpoint covers IDs below %d, announced %d", img.next, in.next)
 		}
 	}
-	if fs.images == nil {
-		fs.images = make([]*shardImage, shards)
-	}
-	fs.images[in.shard] = img
+	fs.image = img
 	return nil
 }
 
@@ -529,8 +458,8 @@ func (s *Server) applyJournalRecord(rec []byte) error {
 		}
 		return s.followRoll(h, rec)
 	}
-	if fs.images != nil {
-		return fmt.Errorf("checkpoints were not followed by a segment header")
+	if fs.image != nil {
+		return fmt.Errorf("a checkpoint was not followed by a segment header")
 	}
 	if seq <= int(fs.appliedSeq.Load()) {
 		return nil // reconnect overlap: already journaled and applied
@@ -553,33 +482,27 @@ func (s *Server) applyJournalRecord(rec []byte) error {
 
 // followRoll starts the local journal's next tail segment with the
 // primary's header record, verbatim, so that the directory is a primary's
-// directory. A header that follows checkpoints begins behind segments the
-// primary dropped: the checkpoints become the live store, the local tail
+// directory. A header that follows a checkpoint begins behind segments the
+// primary dropped: the checkpoint becomes the live store, the local tail
 // is replaced, and the records behind the header go through the frontier
 // filter like a recovery's. Either way the header says which event ID its
 // first record allocates, and the replay must stand exactly there — a
 // divergence check at every roll. Callers hold dispatchMu.
 func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 	fs := s.follower
-	n := len(s.shards)
-	if len(h.Fronts) != n {
-		return fmt.Errorf("segment header for %d shards, this replica runs %d", len(h.Fronts), n)
-	}
-	replace := fs.images != nil
+	img := fs.image
+	replace := img != nil
 	if replace {
-		for i, img := range fs.images {
-			if img == nil || img.next < h.Fronts[i] {
-				return fmt.Errorf("no checkpoint of shard %d reaching event ID %d came before journal segment %d", i, h.Fronts[i], h.FirstSeq)
-			}
+		if img.next < h.Front {
+			return fmt.Errorf("the checkpoint before journal segment %d reaches event ID %d, not %d", h.FirstSeq, img.next, h.Front)
 		}
-		for i, img := range fs.images {
-			if err := s.shards[i].st.Replace(img.base, img.next, img.ins); err != nil {
-				return err
-			}
+		if err := s.st.Replace(img.base, img.next, img.ins); err != nil {
+			return err
 		}
-		fs.images = nil
-		s.st.SetNext(h.FirstID)
-		fs.apply.st = newFrontierStore(s.st, nil, s.cfg.Retention)
+		fs.image = nil
+		over := newFrontierStore(checkpoint{st: s.st}, s.cfg.Retention)
+		over.next = h.FirstID
+		fs.apply.writeTo(over)
 		// Everything derived from the store's content is derived again.
 		s.roll.Reset()
 		s.roll.SeedEvents(s.st)
@@ -589,12 +512,12 @@ func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 			}
 		}
 		mReplCheckpoints.Inc()
-	} else if h.FirstID != s.st.NextID() {
+	} else if at := fs.apply.st.NextID(); h.FirstID != at {
 		// The same records led somewhere else here: the shipped state cannot
 		// be extended, only replaced. Void the marker so the restart does.
 		fs.voidMarker(s.cfg.DataDir)
 		return fmt.Errorf("journal segment %d begins at event ID %d on the primary, this replica's replay stands at %d: restart the replica to resync",
-			h.FirstSeq, h.FirstID, s.st.NextID())
+			h.FirstSeq, h.FirstID, at)
 	}
 	if err := s.jour.Roll(h, raw, replace); err != nil {
 		return err
@@ -610,15 +533,15 @@ func (fs *followerState) voidMarker(dataDir string) {
 	os.WriteFile(replicaFile(dataDir), []byte("\n"+fs.id+"\n"), 0o644) //nolint:errcheck // best effort: the stream stops either way
 }
 
-// handleWALMsg feeds one WAL-stream message into shard's sink. Runs on
-// that shard's WAL client goroutine — the sink's only user.
-func (s *Server) handleWALMsg(shard int, m replica.Msg) error {
+// handleWALMsg feeds one WAL-stream message into the sink. Runs on the
+// WAL client's goroutine — the sink's only user.
+func (s *Server) handleWALMsg(m replica.Msg) error {
 	fs := s.follower
-	sink := fs.sinks[shard]
+	sink := fs.sink
 	var err error
 	switch m.Type {
 	case replica.MsgHello:
-		if e := fs.checkHello(m, replica.StreamWAL, len(s.shards)); e != nil {
+		if e := fs.checkHello(m, replica.StreamWAL); e != nil {
 			return replica.Fatal(e)
 		}
 	case replica.MsgWALRec:
@@ -627,7 +550,7 @@ func (s *Server) handleWALMsg(shard int, m replica.Msg) error {
 		err = sink.BeginSnapshot(m.Next, m.Size)
 		if err == nil {
 			fs.mu.Lock()
-			fs.snapBoots[shard]++
+			fs.snapBoots++
 			fs.mu.Unlock()
 		}
 	case replica.MsgSnapChunk:
@@ -645,7 +568,7 @@ func (s *Server) handleWALMsg(shard int, m replica.Msg) error {
 		// Sink failures (disk, protocol misuse) do not heal by reconnecting.
 		return replica.Fatal(err)
 	}
-	fs.walNext[shard].Store(int64(sink.Frontier()))
+	fs.walNext.Store(int64(sink.Frontier()))
 	fs.noteMsg()
 	return nil
 }
@@ -658,7 +581,7 @@ func (fs *followerState) noteMsg() {
 
 func (fs *followerState) noteHeartbeat(m replica.Msg) {
 	fs.mu.Lock()
-	fs.hb = m // JournalBytes/WALNext are fresh allocations, safe to retain
+	fs.hb = m
 	fs.hbAt = obs.Now()
 	fs.lastMsg = fs.hbAt
 	fs.mu.Unlock()
@@ -674,18 +597,8 @@ func (fs *followerState) noteState(err error) {
 // updateLag refreshes the follower lag gauges from a heartbeat: bytes of
 // journal not yet shipped, WAL records not yet sunk.
 func (s *Server) updateLag(hb replica.Msg) {
-	fs := s.follower
 	mReplLagBytes.Set(max(hb.JournalBytes-s.jour.Offset(), 0))
-	var lagRecs int64
-	for i := range s.shards {
-		if i >= len(hb.WALNext) {
-			break
-		}
-		if d := int64(hb.WALNext[i]) - fs.walNext[i].Load(); d > 0 {
-			lagRecs += d
-		}
-	}
-	mReplLagRecs.Set(lagRecs)
+	mReplLagRecs.Set(max(int64(hb.WALNext)-s.follower.walNext.Load(), 0))
 }
 
 // syncFollowerJournal fsyncs the local journal at heartbeat cadence
@@ -702,7 +615,7 @@ func (s *Server) syncFollowerJournal() {
 func (fs *followerState) isSealed() bool { return fs.sealed.Load() }
 
 // sealFollower stops the stream clients and closes the local journal
-// and sinks; after it returns no goroutine touches follower disk state.
+// and sink; after it returns no goroutine touches follower disk state.
 // Idempotent (sealOnce); called by Promote and Shutdown.
 func (s *Server) sealFollower() error {
 	fs := s.follower
@@ -720,10 +633,8 @@ func (s *Server) sealFollower() error {
 			err = e
 		}
 		s.dispatchMu.Unlock()
-		for _, sk := range fs.sinks {
-			if e := sk.Close(); e != nil && err == nil {
-				err = e
-			}
+		if e := fs.sink.Close(); e != nil && err == nil {
+			err = e
 		}
 		fs.sealErr = err
 	})
@@ -734,8 +645,8 @@ func (s *Server) sealFollower() error {
 // reopen the data directory exactly as a restarting primary would. The
 // reopen's checkpoint + tail recovery is the promotion's verification —
 // every event the shipped WAL state and the shipped journal both hold is
-// checked against the other, what the WAL streams had not delivered is
-// added from the journal, and a shard that disagrees is refilled from it
+// checked against the other, what the WAL stream had not delivered is
+// added from the journal, and a WAL that disagrees is refilled from it
 // (or, behind a checkpoint bootstrap, refused) — so the promoted store
 // equals a clean single-node replay of the same journal.
 // The promoted server takes over request handling atomically; this
@@ -773,9 +684,7 @@ func (s *Server) promote() (PromoteInfo, error) {
 		BootID:     ps.bootID,
 		AppliedSeq: int(fs.appliedSeq.Load()),
 		Recovery:   ps.Recovery(),
-	}
-	for _, sh := range ps.shards {
-		info.Digests = append(info.Digests, wal.StoreDigest(sh.st))
+		Digest:     wal.StoreDigest(ps.st),
 	}
 	node := &promotedNode{srv: ps, h: ps.Handler(), info: info}
 	s.promoted.Store(node)
@@ -806,24 +715,18 @@ func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 // status renders /v1/replication/status for a replica.
 func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 	fs.mu.Lock()
-	hb, hbAt, lastMsg, serr := fs.hb, fs.hbAt, fs.lastMsg, fs.streamErr
-	snapBoots := append([]int(nil), fs.snapBoots...)
+	hb, hbAt, lastMsg, serr, snapBoots := fs.hb, fs.hbAt, fs.lastMsg, fs.streamErr, fs.snapBoots
 	fs.mu.Unlock()
+	if node := s.promoted.Load(); node != nil {
+		// Promoted: report the new primary's identity through the old path.
+		return ReplicationStatusJSON{Role: "primary", BootID: node.info.BootID}
+	}
 	applied := int(fs.appliedSeq.Load())
 	st := ReplicationStatusJSON{
 		Role:       "replica",
 		BootID:     fs.bootID,
-		Shards:     len(s.shards),
 		Primary:    fs.primary,
 		AppliedSeq: &applied,
-	}
-	if node := s.promoted.Load(); node != nil {
-		// Promoted: report the new primary's identity through the old path.
-		return ReplicationStatusJSON{
-			Role:   "primary",
-			BootID: node.info.BootID,
-			Shards: len(s.shards),
-		}
 	}
 	if serr != nil {
 		st.StreamError = serr.Error()
@@ -835,24 +738,16 @@ func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 		sealed := hb.Sealed
 		st.PrimarySealed = &sealed
 	}
-	local := s.jour.Offset()
-	for i := range s.shards {
-		lag := ReplicaShardLag{
-			Shard:           i,
-			JournalBytes:    local,
-			PrimaryJournal:  hb.JournalBytes,
-			LagBytes:        max(hb.JournalBytes-local, 0),
-			WALNext:         int(fs.walNext[i].Load()),
-			SnapBootstraps:  snapBoots[i],
-			StreamConnected: serr == nil && !lastMsg.IsZero(),
-		}
-		if i < len(hb.WALNext) {
-			lag.PrimaryWALNext = hb.WALNext[i]
-			if d := lag.PrimaryWALNext - lag.WALNext; d > 0 {
-				lag.WALLag = d
-			}
-		}
-		st.ShardLag = append(st.ShardLag, lag)
-	}
+	local, walNext := s.jour.Offset(), int(fs.walNext.Load())
+	st.ShardLag = []ReplicaShardLag{{
+		JournalBytes:    local,
+		PrimaryJournal:  hb.JournalBytes,
+		LagBytes:        max(hb.JournalBytes-local, 0),
+		WALNext:         walNext,
+		PrimaryWALNext:  hb.WALNext,
+		WALLag:          max(hb.WALNext-walNext, 0),
+		SnapBootstraps:  snapBoots,
+		StreamConnected: serr == nil && !lastMsg.IsZero(),
+	}}
 	return st
 }

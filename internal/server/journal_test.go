@@ -15,8 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/collector"
+	"grca/internal/conf"
 	"grca/internal/obs"
 	"grca/internal/platform"
+	"grca/internal/store"
 	"grca/internal/wal"
 )
 
@@ -71,23 +74,6 @@ func (k *tickStream) post(batches, per int) {
 			k.t.Fatalf("tick batch %d: %d %s", k.n, code, body)
 		}
 	}
-}
-
-// routersOn returns router names whose ticks place on (or off) shard.
-func routersOn(s *Server, shard int, on bool, n int) []string {
-	var out []string
-	for i := 0; len(out) < n; i++ {
-		name := fmt.Sprintf("pick-r%d", i)
-		at := s.cfg.Bundle.Start
-		in, err := EventJSON{Name: "synthetic tick", Start: at, End: at, Loc: LocationJSON{Type: "router", A: name}}.instance()
-		if err != nil {
-			panic(err)
-		}
-		if (s.st.ShardFor(in.Loc) == shard) == on {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // journalFiles lists the journal's files under dir with their sizes,
@@ -156,7 +142,7 @@ func treeOf(t *testing.T, dir string, skip ...string) string {
 }
 
 // olderManifest returns the next-ID bound of the older of the (up to) two
-// manifests under a shard dir, 0 with fewer than two.
+// snapshot manifests under a data dir, 0 with fewer than two.
 func olderManifest(t *testing.T, dir string) int {
 	t.Helper()
 	snaps, err := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), "snap-*.snap"))
@@ -187,127 +173,112 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 		per       = 40
 		batches   = 20 * 20
 	)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			shrinkJournal(t, segBytes)
-			_, b := testBundle(t)
-			dir := t.TempDir()
-			cfg := Config{DataDir: dir, Bundle: b, Shards: shards, Retention: retention, SnapshotEvery: 300}
-			s, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			loadAndFinalize(t, ts, b)
-			head := wal.JournalSize(journalPath(dir))
-			dropped := obs.GetCounter("journal.segments.dropped").Value()
+	// Shards: 1 is how bench/ opens a server; most tests leave it 0.
+	t.Run("shards=1", func(t *testing.T) {
+		shrinkJournal(t, segBytes)
+		_, b := testBundle(t)
+		dir := t.TempDir()
+		cfg := Config{DataDir: dir, Bundle: b, Shards: 1, Retention: retention, SnapshotEvery: 300}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		loadAndFinalize(t, ts, b)
+		head := wal.JournalSize(journalPath(dir))
+		dropped := obs.GetCounter("journal.segments.dropped").Value()
 
-			// Each batch's journal bytes and the last event ID it allocated.
-			type journaled struct {
-				bytes  int64
-				lastID int
-			}
-			var log []journaled
-			k := newTickStream(t, ts, b, step)
-			for i := 0; i < batches; i++ {
-				before := s.jour.Offset()
-				k.post(1, per)
-				log = append(log, journaled{s.jour.Offset() - before, s.st.NextID() - 1})
-			}
-			if got := s.Store().Len(); got > 3*20*per {
-				t.Fatalf("%d events live after %d batches: retention is not evicting", got, batches)
-			}
-			want := wal.StoreDigest(s.Store())
-			ever := s.jour.Offset()
-			ts.Close()
-			if err := s.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+		// Each batch's journal bytes and the last event ID it allocated.
+		type journaled struct {
+			bytes  int64
+			lastID int
+		}
+		var log []journaled
+		k := newTickStream(t, ts, b, step)
+		for i := 0; i < batches; i++ {
+			before := s.jour.Offset()
+			k.post(1, per)
+			log = append(log, journaled{s.jour.Offset() - before, s.st.NextID() - 1})
+		}
+		if got := s.Store().Len(); got > 3*20*per {
+			t.Fatalf("%d events live after %d batches: retention is not evicting", got, batches)
+		}
+		want := wal.StoreDigest(s.Store())
+		ever := s.jour.Offset()
+		ts.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 
-			if got := wal.JournalSize(journalPath(dir)); got != head {
-				t.Fatalf("journal.log is %d bytes, it was %d at finalize: records landed in segment 0 after it", got, head)
+		if got := wal.JournalSize(journalPath(dir)); got != head {
+			t.Fatalf("journal.log is %d bytes, it was %d at finalize: records landed in segment 0 after it", got, head)
+		}
+		floor := olderManifest(t, dir)
+		var since int64
+		for _, j := range log {
+			if j.lastID >= floor {
+				since += j.bytes
 			}
-			floor := int(^uint(0) >> 1)
-			for i := 0; i < shards; i++ {
-				floor = min(floor, olderManifest(t, shardDir(dir, shards, i)))
-			}
-			var since int64
-			for _, j := range log {
-				if j.lastID >= floor {
-					since += j.bytes
-				}
-			}
-			files, onDisk := journalFiles(t, dir)
-			// One segment for the one the floor falls inside (kept whole), a
-			// record's overshoot per roll in it, and the headers.
-			bound := head + since + segBytes + 2*log[0].bytes + int64(len(files))*64
-			if onDisk > bound {
-				t.Fatalf("journal holds %d bytes in %d files; segment 0 (%d) + records since the older manifests at ID %d (%d) + one segment allows %d",
-					onDisk, len(files), head, floor, since, bound)
-			}
-			if onDisk > ever/4 {
-				t.Fatalf("journal holds %d of the %d bytes ever journaled: it is not following retention", onDisk, ever)
-			}
-			if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 20 {
-				t.Fatalf("%d journal segments dropped over %d batches, want at least 20", got, batches)
-			}
+		}
+		files, onDisk := journalFiles(t, dir)
+		// One segment for the one the floor falls inside (kept whole), a
+		// record's overshoot per roll in it, and the headers.
+		bound := head + since + segBytes + 2*log[0].bytes + int64(len(files))*64
+		if onDisk > bound {
+			t.Fatalf("journal holds %d bytes in %d files; segment 0 (%d) + records since the older manifest at ID %d (%d) + one segment allows %d",
+				onDisk, len(files), head, floor, since, bound)
+		}
+		if onDisk > ever/4 {
+			t.Fatalf("journal holds %d of the %d bytes ever journaled: it is not following retention", onDisk, ever)
+		}
+		if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 20 {
+			t.Fatalf("%d journal segments dropped over %d batches, want at least 20", got, batches)
+		}
 
-			s2, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := s2.Recovery()
-			if rec.WALRebuilt || rec.TailApplied != 0 || rec.JournalSegments != len(files) {
-				t.Fatalf("clean reopen: %+v with %d journal files on disk", rec, len(files))
-			}
-			if got := wal.StoreDigest(s2.Store()); got != want {
-				t.Fatal("the store reopened from checkpoints + tail differs from the live one")
-			}
-			if err := s2.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		s2, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := s2.Recovery()
+		if rec.WALRebuilt || rec.TailApplied != 0 || rec.JournalSegments != len(files) {
+			t.Fatalf("clean reopen: %+v with %d journal files on disk", rec, len(files))
+		}
+		if got := wal.StoreDigest(s2.Store()); got != want {
+			t.Fatal("the store reopened from checkpoints + tail differs from the live one")
+		}
+		if err := s2.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// TestJournalDropsPastIdleShard: a shard that stops receiving events
-// takes no snapshots of its own, so its older manifest would hold the
-// journal's tail back for good. Lane 0 snapshots it once segments pile
-// up, and the tail keeps being dropped while the other shards go through
-// snapshot after snapshot.
-func TestJournalDropsPastIdleShard(t *testing.T) {
+// TestJournalDropsWithoutSnapshotCadence: under -snapshot-every 0 nothing
+// but an eviction or a shutdown snapshots the store, so with no retention
+// the journal's tail would never be covered. The applier takes the
+// snapshots itself once journalForceAfter sealed segments wait, and the
+// tail keeps being dropped.
+func TestJournalDropsWithoutSnapshotCadence(t *testing.T) {
 	shrinkJournal(t, 16<<10)
 	_, b := testBundle(t)
 	dir := t.TempDir()
-	const shards, idle = 4, 3
-	cfg := Config{DataDir: dir, Bundle: b, Shards: shards, SnapshotEvery: 200}
+	cfg := Config{DataDir: dir, Bundle: b}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	loadAndFinalize(t, ts, b)
-	k := newTickStream(t, ts, b, time.Second)
-	k.post(10, 40) // every shard, the idle one included
-	if s.shards[idle].st.Len() == 0 {
-		t.Fatal("the shard meant to go idle never got an event")
-	}
-	k.routers = routersOn(s, idle, false, 40)
-	idleLen := s.shards[idle].st.Len()
 	snaps := obs.GetCounter("wal.snapshots").Value()
 	dropped := obs.GetCounter("journal.segments.dropped").Value()
-	k.post(150, 40)
-	if s.shards[idle].st.Len() != idleLen {
-		t.Fatal("the idle shard received events")
-	}
-	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 3*(shards-1) {
-		t.Fatalf("%d snapshots while the shard idled, want the others through at least 3 each", got)
+	newTickStream(t, ts, b, time.Second).post(150, 40)
+	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 4 {
+		t.Fatalf("%d snapshots over a tail of dozens of segments, want the applier to have forced several", got)
 	}
 	if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 10 {
-		t.Fatalf("%d journal segments dropped while one shard idled, want the tail to keep going", got)
+		t.Fatalf("%d journal segments dropped with no snapshot cadence, want the tail to keep going", got)
 	}
 	if files, _ := journalFiles(t, dir); len(files) > 1+journalForceAfter+3 {
-		t.Fatalf("%d journal files on disk with one shard idle: %v", len(files), files)
+		t.Fatalf("%d journal files on disk with no snapshot cadence: %v", len(files), files)
 	}
 	want := wal.StoreDigest(s.Store())
 	ts.Close()
@@ -351,9 +322,8 @@ func pinnedPrimary(t *testing.T, cfg Config, batches int) (*Server, *httptest.Se
 func TestJournalCrashCuts(t *testing.T) {
 	shrinkJournal(t, 8<<10)
 	_, b := testBundle(t)
-	const shards = 2
 	live := t.TempDir()
-	cfg := Config{DataDir: live, Bundle: b, Shards: shards, SnapshotEvery: 150}
+	cfg := Config{DataDir: live, Bundle: b, SnapshotEvery: 150}
 	s, ts, k := pinnedPrimary(t, cfg, 60)
 	defer ts.Close()
 	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
@@ -364,8 +334,7 @@ func TestJournalCrashCuts(t *testing.T) {
 	}
 	// Where the journal stands, for the header a killed roll leaves behind.
 	s.dispatchMu.Lock()
-	s.refreshFronts()
-	next := s.tailHeader(s.seq, s.st.NextID())
+	next := s.tailHeader()
 	next.Offset = s.jour.Offset()
 	s.dispatchMu.Unlock()
 	header := wal.AppendFrame(nil, wal.AppendJournalSegmentHeader(nil, *next))
@@ -468,7 +437,7 @@ func TestWALTrailsJournalUnderIntervalFsync(t *testing.T) {
 	shrinkJournal(t, 8<<10)
 	_, b := testBundle(t)
 	live := t.TempDir()
-	cfg := Config{DataDir: live, Bundle: b, Shards: 2, SnapshotEvery: 150,
+	cfg := Config{DataDir: live, Bundle: b, SnapshotEvery: 150,
 		Fsync: wal.FsyncInterval, FsyncInterval: time.Hour}
 	s, err := Open(cfg)
 	if err != nil {
@@ -481,33 +450,26 @@ func TestWALTrailsJournalUnderIntervalFsync(t *testing.T) {
 	loadAndFinalize(t, ts, b)
 	k := newTickStream(t, ts, b, time.Second)
 	k.post(40, 40) // auto-snapshots flush along the way
-	for _, sh := range s.shards {
-		if err := sh.log.Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.log.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	flushed := map[string]int64{}
-	for i := range s.shards {
-		segs, err := wal.Segments(shardDir(live, 2, i))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("shard %d: segments %v, %v", i, segs, err)
-		}
-		active := segs[len(segs)-1].Path
-		flushed[strings.TrimPrefix(active, live)] = wal.JournalSize(active)
+	segs, err := wal.Segments(live)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v, %v", segs, err)
 	}
+	active := strings.TrimPrefix(segs[len(segs)-1].Path, live)
+	flushed := wal.JournalSize(filepath.Join(live, active))
 	k.post(2, 20) // acknowledged and journaled; written to the WAL, synced nowhere
 	want := wal.StoreDigest(s.Store())
 
-	// The kill takes what the WAL had not synced: its files are back where
-	// the last sync left them.
+	// The kill takes what the WAL had not synced: its active segment is
+	// back where the last sync left it.
 	dir := copyTree(t, live)
-	for rel, size := range flushed {
-		if wal.JournalSize(filepath.Join(dir, rel)) <= size {
-			t.Fatalf("%s did not grow past its synced %d bytes", rel, size)
-		}
-		if err := os.Truncate(filepath.Join(dir, rel), size); err != nil {
-			t.Fatal(err)
-		}
+	if wal.JournalSize(filepath.Join(dir, active)) <= flushed {
+		t.Fatalf("%s did not grow past its synced %d bytes", active, flushed)
+	}
+	if err := os.Truncate(filepath.Join(dir, active), flushed); err != nil {
+		t.Fatal(err)
 	}
 	cfg.DataDir = dir
 	s2, err := Open(cfg)
@@ -540,8 +502,8 @@ func truncatedImage(t *testing.T, cfg Config) (dir, digest string) {
 	loadAndFinalize(t, ts, cfg.Bundle)
 	k := newTickStream(t, ts, cfg.Bundle, time.Second)
 	k.post(60, 40)
-	// Lane 0 drops behind the acknowledgement; let the pass that follows
-	// the last batch finish before pinning what is left.
+	// The applier drops behind the acknowledgement; let the pass that
+	// follows the last batch finish before pinning what is left.
 	time.Sleep(50 * time.Millisecond)
 	s.replReg.Attach("parked")
 	k.post(20, 40)
@@ -555,22 +517,21 @@ func truncatedImage(t *testing.T, cfg Config) (dir, digest string) {
 
 // TestCheckpointLostIsAnError: once tail segments have been dropped, the
 // snapshots that let them go are the only copy of their events. Deleting
-// a shard's snap/ and wal/ then is not a rebuild but a refusal, by name,
-// that leaves the directory as it found it. The same deletion while the
-// journal still reaches back to ID 0 refills the shard.
+// snap/ and wal/ then is not a rebuild but a refusal, by name, that leaves
+// the directory as it found it. The same deletion while the journal still
+// reaches back to ID 0 refills the store.
 func TestCheckpointLostIsAnError(t *testing.T) {
 	shrinkJournal(t, 8<<10)
 	_, b := testBundle(t)
-	const shards, lost = 2, 1
 	lose := func(dir string) {
-		if err := wipeShardState(dir, shards, lost); err != nil {
+		if err := wipeWALState(dir); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lostDirs := []string{"/shard-1/wal", "/shard-1/snap"}
+	lostDirs := []string{"/wal", "/snap"}
 
 	t.Run("truncated journal", func(t *testing.T) {
-		cfg := Config{Bundle: b, Shards: shards, SnapshotEvery: 150}
+		cfg := Config{Bundle: b, SnapshotEvery: 150}
 		dir, want := truncatedImage(t, cfg)
 		cfg.DataDir = dir
 		// Intact, the image opens to the live store.
@@ -598,7 +559,7 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 	})
 	t.Run("untruncated journal", func(t *testing.T) {
 		dir := t.TempDir()
-		cfg := Config{DataDir: dir, Bundle: b, Shards: shards, SnapshotEvery: 150}
+		cfg := Config{DataDir: dir, Bundle: b, SnapshotEvery: 150}
 		s, ts, _ := pinnedPrimary(t, cfg, 60)
 		want := wal.StoreDigest(s.Store())
 		ts.Close()
@@ -614,7 +575,7 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 		}
 		defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
 		if rec := s2.Recovery(); !rec.WALRebuilt || wal.StoreDigest(s2.Store()) != want {
-			t.Fatalf("a lost shard under a whole journal: %+v, digest equal: %v", rec, wal.StoreDigest(s2.Store()) == want)
+			t.Fatalf("a lost WAL under a whole journal: %+v, digest equal: %v", rec, wal.StoreDigest(s2.Store()) == want)
 		}
 	})
 }
@@ -624,11 +585,12 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 // a tail segment that no longer frames, and a tail record that frames but
 // says something else than the WAL holds are each refused — behind a
 // truncated journal there is nothing to rebuild from — and never served.
+// And whoever writes through the frontier during a replay is checked the
+// same way: a collector's adds below it store nothing.
 func TestOverlapVerified(t *testing.T) {
 	shrinkJournal(t, 8<<10)
 	_, b := testBundle(t)
-	const shards = 2
-	cfg := Config{Bundle: b, Shards: shards, SnapshotEvery: 150}
+	cfg := Config{Bundle: b, SnapshotEvery: 150}
 	base, _ := truncatedImage(t, cfg)
 	refused := func(t *testing.T, dir string, want error) {
 		t.Helper()
@@ -658,9 +620,9 @@ func TestOverlapVerified(t *testing.T) {
 
 	t.Run("run under both manifests", func(t *testing.T) {
 		dir := copyTree(t, base)
-		runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(shardDir(dir, shards, 0)), "run-*.run"))
+		runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), "run-*.run"))
 		if err != nil || len(runs) < 3 {
-			t.Fatalf("shard 0 holds %d runs (%v), want an old one both manifests reference", len(runs), err)
+			t.Fatalf("snap/ holds %d runs (%v), want an old one both manifests reference", len(runs), err)
 		}
 		sort.Strings(runs)
 		flip(t, runs[0], wal.JournalSize(runs[0])/2)
@@ -697,5 +659,51 @@ func TestOverlapVerified(t *testing.T) {
 			t.Fatal(err)
 		}
 		refused(t, dir, ErrCheckpointDiverged)
+	})
+	t.Run("collector writes below the frontier", func(t *testing.T) {
+		topo, err := conf.Parse(b.Configs, b.Inventory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The feed phase through a collector, as replayHead runs it.
+		feedPhase := func(st store.Store, skip string) {
+			t.Helper()
+			c := collector.New(topo, st, b.Start.Year())
+			c.WindowStart, c.WindowEnd = b.Start, b.Start.Add(b.Duration)
+			for _, src := range feedOrder {
+				if feed, ok := b.Feeds[src]; ok && src != skip {
+					if err := c.Ingest(src, strings.NewReader(feed)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := closeFeeds(c, b.CDN); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := store.New()
+		feedPhase(held, "")
+		n, digest := held.Len(), wal.StoreDigest(held)
+		if n == 0 {
+			t.Fatal("the feed phase stored nothing")
+		}
+		// The same phase replayed from ID 0 over a checkpoint that holds it
+		// all: every one of the collector's writes is verified, none stored.
+		fs := newFrontierStore(checkpoint{st: held}, 0)
+		fs.next = 0
+		feedPhase(fs, "")
+		if fs.err != nil || fs.present != n || fs.added != 0 || wal.StoreDigest(held) != digest {
+			t.Fatalf("replay below the frontier: err %v, %d of %d events verified, %d added, store unchanged: %v",
+				fs.err, fs.present, n, fs.added, wal.StoreDigest(held) == digest)
+		}
+		// A collector that derives other events than the checkpoint holds is
+		// caught at the first one, and stores nothing either.
+		fs = newFrontierStore(checkpoint{st: held}, 0)
+		fs.next = 0
+		feedPhase(fs, collector.SourceSyslog)
+		if !errors.Is(fs.err, ErrCheckpointDiverged) || fs.added != 0 || wal.StoreDigest(held) != digest {
+			t.Fatalf("a diverging replay below the frontier: err %v, %d added, store unchanged: %v",
+				fs.err, fs.added, wal.StoreDigest(held) == digest)
+		}
 	})
 }

@@ -5,54 +5,49 @@
 //
 // # Durability model
 //
-// The store is split into N independent shards (Config.Shards), each a
-// lane of the write path with its own lock, WAL segment directory,
-// snapshot directory, and applier goroutine. Two kinds of append-only
-// structure carry the state:
+// One store, one event WAL, one ingest journal, one applier goroutine. Two
+// kinds of append-only structure carry the state:
 //
-//   - The event WAL (internal/wal), one per shard: every normalized
-//     instance added to the shard, with snapshots and compaction. It
-//     recovers the shard byte-identically and fast.
-//   - The ingest journal, one per data dir: accepted ingest batches —
-//     raw feed lines or normalized-event bodies — plus the finalize
-//     marker, each prefixed with the batch's dispatch sequence number.
-//     Lane 0 is its only appender, so file order is dispatch order.
+//   - The event WAL (internal/wal): every normalized instance added to the
+//     store, with snapshots and compaction. It recovers the store
+//     byte-identically and fast.
+//   - The ingest journal: accepted ingest batches — raw feed lines or
+//     normalized-event bodies — plus the finalize marker, each prefixed
+//     with the batch's dispatch sequence number. The applier is its only
+//     appender, so file order is dispatch order.
 //     <data-dir>/journal.log is segment 0, everything through finalize:
 //     the collector's parse state (routing simulations, pairing buffers,
 //     rolling baselines) is a function of raw input, not of normalized
 //     events, so restart recovery replays it through a fresh collector,
 //     and it is never dropped. What follows finalize is store input
 //     only; it goes to tail segments (journal-<firstSeq>.log), which are
-//     unlinked once every shard's snapshots hold their events.
+//     unlinked once the WAL's snapshots hold their events.
 //
-// A batch's journal append (fsynced) is its commit point; the per-shard
-// WAL commits follow it, so a WAL never holds what the journal does not.
-// Startup is newest readable checkpoint + journal tail (recovery.go):
-// every shard's WAL is opened while segment 0 replays into a scratch
-// store, then the head's events and the retained tail go through a
-// per-shard frontier — an event the shard's WAL holds is verified
-// against it and skipped, one it lacks (a crash between journal fsync and
-// WAL commit, -fsync=interval's window) is added through the WAL. A lost
-// or disagreeing shard is refilled from an empty checkpoint while the
-// journal still reaches back to ID 0, and refused with a named error
-// once its tail has been dropped (DESIGN.md §11, §15).
+// A batch's journal append (fsynced) is its commit point; the store insert
+// and the WAL commit follow it in the same goroutine, so the WAL never
+// holds what the journal does not. Startup is newest readable checkpoint +
+// journal tail (recovery.go): the WAL is opened while segment 0 replays
+// into a scratch store, then the head's events and the retained tail go
+// through a frontier — an event the WAL holds is verified against it and
+// skipped, one it lacks (a crash between journal fsync and WAL commit,
+// -fsync=interval's window) is added through the WAL. A lost or
+// disagreeing WAL is refilled from an empty checkpoint while the journal
+// still reaches back to ID 0, and refused with a named error once its
+// tail has been dropped (DESIGN.md §11, §15).
 //
 // # Pipeline
 //
-// HTTP handlers dispatch batches under a single admission lock that
-// assigns the global sequence number and a dense block of event IDs,
-// splits the batch by each event's shard (a hash of its location), and
-// enqueues each sub-batch onto its shard's bounded queue — when an
-// involved queue is full the handler answers 429 with a depth-derived
-// Retry-After instead of buffering, before any ID is allocated, so memory stays
-// bounded and IDs stay dense under overload. Per-shard applier
-// goroutines drain their queues in commit groups (on lane 0 the journal
-// fsync, then on every lane store inserts and a WAL commit — each
-// amortized across every batch waiting), and
-// a single finisher goroutine joins the shards' completions back into
-// sequence order to run the streaming processors and reply — so
-// responses are byte-identical for every shard count. Reads (diagnose,
-// events, stats) bypass the queues and scatter-gather the shards.
+// Admission → applier → observer (DESIGN.md §15). HTTP handlers admit
+// batches under a single lock that assigns the sequence number and a dense
+// block of event IDs and enqueues the batch on one bounded queue — when it
+// is full the handler answers 429 with a depth-derived Retry-After instead
+// of buffering, before any sequence number or ID is consumed, so memory
+// stays bounded and IDs stay dense under overload. The applier drains the
+// queue in commit groups (journal append + one fsync, store inserts, one
+// WAL commit — each amortized across every batch waiting) and hands each
+// batch to the observer, a goroutine of its own so that the streaming
+// processors run beside the next group's fsync instead of behind it; the
+// observer replies. Reads (diagnose, events, stats) bypass the queue.
 package server
 
 import (
@@ -65,7 +60,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,17 +152,16 @@ const maxEventDuration = 15 * time.Minute
 // Config configures Open.
 type Config struct {
 	// DataDir holds the ingest journal (journal.log and its tail segments
-	// journal-<firstSeq>.log) and the WAL and snapshots — the latter two
-	// per shard, under shard-<i>/ when Shards > 1.
+	// journal-<firstSeq>.log), the WAL (wal/) and its snapshots (snap/).
 	DataDir string
 	// Bundle supplies the configuration archive and manifest (collection
 	// window, CDN deployment). Its Feeds are ignored — feeds arrive over
 	// HTTP.
 	Bundle platform.Bundle
-	// Shards is the number of independent store/WAL lanes the
-	// ingest path commits through (default 1). A data directory is bound
-	// to its shard count at creation; reopening with a different count is
-	// refused.
+	// Shards is a vestige of the multi-lane pipeline (DESIGN.md §15): 0 and
+	// 1 open, anything else is ErrMultiShard. It stays a field because
+	// bench/ sets it and may not change with the code it measures; ROADMAP
+	// item 1(e) deletes it.
 	Shards int
 	// Fsync is the WAL durability policy (default batch). The ingest
 	// journal always fsyncs per commit group; this tunes only the event
@@ -177,16 +170,16 @@ type Config struct {
 	// FsyncInterval is the WAL background sync period under interval
 	// policy.
 	FsyncInterval time.Duration
-	// SnapshotEvery auto-snapshots a shard after that many WAL records.
+	// SnapshotEvery auto-snapshots the store after that many WAL records.
 	SnapshotEvery int
-	// Retention, when positive, evicts events older than this behind each
-	// shard's moving window; eviction triggers a snapshot, snapshots let
+	// Retention, when positive, evicts events older than this behind the
+	// store's moving window; eviction triggers a snapshot, snapshots let
 	// WAL segments be compacted and journal tail segments be dropped, so
 	// disk follows the events retained (plus journal.log, the feed phase's
 	// record, which is kept whole).
 	Retention time.Duration
-	// MaxInflight bounds each shard's ingest queue (default 64 batches);
-	// when an involved shard's queue is full, ingest answers 429.
+	// MaxInflight bounds the ingest queue (default 64 batches); when it is
+	// full, ingest answers 429.
 	MaxInflight int
 	// RequestTimeout bounds one request's wait for the commit pipeline
 	// (default 60s).
@@ -208,9 +201,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
 	}
@@ -219,7 +209,7 @@ func (c *Config) defaults() {
 	}
 }
 
-// task is one validated ingest request handed to the dispatcher.
+// task is one validated ingest request handed to admission.
 type task struct {
 	kind   byte
 	source string
@@ -235,57 +225,48 @@ type taskResult struct {
 	retryAfter int // seconds, set on 429
 }
 
-// shard is one lane of the parallel commit pipeline: a store shard, its
-// WAL, and the bounded queue its applier goroutine drains.
-type shard struct {
-	idx   int
-	st    *store.Memory
-	log   *wal.Log
-	queue chan shardTask
-	done  chan struct{}
-}
-
 // Server is an open diagnosis service.
 type Server struct {
-	cfg    Config
-	topo   *netmodel.Topology
-	shards []*shard
-	st     *store.Sharded
-	coll   *collector.Collector
+	cfg  Config
+	topo *netmodel.Topology
+	st   *store.Memory
+	log  *wal.Log // the event WAL; nil on a follower, whose WAL state is its sink's
+	coll *collector.Collector
 
-	// dispatchMu serializes batch admission: sequence numbering, ID block
-	// allocation, the split by shard, and queue placement. Feeds and
-	// finalize apply inline under it (they read and mutate collector
-	// state), so it also serializes every collector write.
+	// dispatchMu serializes batch admission: sequence numbering, event ID
+	// allocation and queue placement. Feeds and finalize apply inline under
+	// it (they read and mutate collector state), so it also serializes every
+	// collector write.
 	dispatchMu sync.Mutex
-	seq        int
+	// Admission's view of the pipeline, under dispatchMu: seq and nextID are
+	// the next batch's sequence and first event ID, segBytes the record
+	// bytes admitted into the journal's active file, inTail whether that
+	// file is a tail segment. A roll is decided here, where the journal's
+	// position is a function of the dispatch order alone, and carried out by
+	// the applier.
+	seq, nextID int
+	segBytes    int64
+	inTail      bool
+
+	// The commit pipeline (dispatch.go): admission sends on queue, the
+	// applier commits what it receives in groups and sends on observeQ, the
+	// observer runs the streaming processors and replies. Shutdown closes
+	// queue; each stage closes the next one's inbox, and observed closes
+	// when the observer has exited.
+	queue    chan *batch
+	observeQ chan *batch
+	observed chan struct{}
 
 	// jour is the ingest journal. A primary appends to it — and rolls it
 	// to a new tail segment, and drops the segments the snapshots cover —
-	// from lane 0's applier (event batches) and, with every lane quiesced
-	// behind a barrier, from admission (feeds, finalize); a follower appends
-	// from the journal stream's apply path. journaled is the highest
-	// sequence durably in it, advanced after each successful sync.
+	// from the applier (event batches) and, with the applier idle behind a
+	// drain, from admission (feeds, finalize); a follower appends from the
+	// journal stream's apply path. journaled is the highest sequence durably
+	// in it, advanced after each successful sync.
 	jour      *wal.SegmentedJournal
 	journaled atomic.Int64
-	// Admission's view of the journal, under dispatchMu: fronts[i] is one
-	// past the highest event ID allocated to shard i, segBytes the record
-	// bytes admitted into the active file, inTail whether that file is a
-	// tail segment. A roll is decided here, where the journal's position is
-	// a function of the dispatch order alone, and carried out by lane 0.
-	fronts   []int
-	segBytes int64
-	inTail   bool
 	// pinCap is journalPinCap (tests lower it on a running server).
 	pinCap atomic.Int64
-
-	// The finisher joins shard completions back into sequence order:
-	// batches enter finishQ at dispatch, and the finisher replies to each
-	// after its shards commit, running the streaming processors over the
-	// stored events in dispatch order so responses are byte-identical for
-	// any shard count.
-	finishQ    chan *batch
-	finishDone chan struct{}
 
 	// serving is the serving phase: nil while loading, set once by
 	// installServing (finalize, or recovery of a finalized data dir).
@@ -322,34 +303,31 @@ type RecoveryInfo struct {
 	Finalized bool
 	// Events is the recovered store's live event count.
 	Events int
-	// Shards is the shard count the data directory is bound to.
-	Shards int
-	// WALRebuilt is true when at least one shard was filled from the
-	// journal over an empty checkpoint: its WAL was lost, unreadable, never
-	// reached its first commit, or disagreed with the journal and was
-	// wiped.
+	// WALRebuilt is true when the store was filled from the journal over an
+	// empty checkpoint: the WAL was lost, unreadable, never reached its
+	// first commit, or disagreed with the journal and was wiped.
 	WALRebuilt bool
 	// SnapshotsSkipped is how many unreadable WAL snapshots recovery
-	// passed over, summed across shards (wal.Recovery.SnapshotsSkipped).
+	// passed over (wal.Recovery.SnapshotsSkipped).
 	SnapshotsSkipped int
 	// JournalSegments is how many journal files were found, journal.log
 	// included.
 	JournalSegments int
 	// TailApplied and TailVerified split the retained tail's records by
-	// what the frontier filter did with them: added at least one event to
-	// a shard that lacked it, or found every event already held and equal.
+	// what the frontier filter did with them: added at least one event the
+	// checkpoint lacked, or found every event already held and equal.
 	TailApplied, TailVerified int
-	// The stages of Open: opening the shard WALs (segment 0 replays beside
-	// it), replaying segment 0, putting the head's events and the retained
+	// The stages of Open: opening the WAL (segment 0 replays beside it),
+	// replaying segment 0, putting the head's events and the retained
 	// tail through the frontier filter, and building the serving state.
 	WALOpen, HeadReplay, TailApply, ServingInstall time.Duration
 }
 
 // journalSegmentBytes is the size at which the journal's tail rolls to a
 // new segment (a variable so tests can shrink it), journalForceAfter how
-// many sealed segments may wait on a shard's snapshots before lane 0 takes
-// the snapshots itself (an idle shard takes none of its own; a busy one's
-// -snapshot-every cadence leaves fewer than that waiting), and
+// many sealed segments may wait on the WAL's snapshots before the applier
+// takes the snapshots itself (under -snapshot-every 0 nothing else would;
+// any other cadence leaves fewer than that waiting), and
 // journalPinCap the hard cap on what a follower may pin: past that many
 // sealed segments the oldest goes whatever a follower has yet to read, and
 // the follower re-bootstraps from a checkpoint.
@@ -362,76 +340,51 @@ const (
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
-// shardDir returns shard i's state directory: the data dir itself for a
-// single-shard deployment (the pre-sharding layout), shard-<i>/ under it
-// otherwise.
-func shardDir(dataDir string, n, i int) string {
-	if n == 1 {
-		return dataDir
-	}
-	return filepath.Join(dataDir, fmt.Sprintf("shard-%d", i))
-}
+// ErrMultiShard refuses what only a multi-lane version ran or wrote: a
+// shard count other than 1 in the configuration, in a data dir (its SHARDS
+// marker, a shard-<i>/ directory, a journal segment header) or on the
+// primary a replica is pointed at. Open returns it before it creates,
+// writes or wipes anything.
+var ErrMultiShard = errors.New("server: this version runs one commit lane (DESIGN.md §15) and does not migrate multi-shard data dirs")
 
-// checkShardMarker binds the data directory to its shard count:
-// placement is hash(location) mod N, so reopening with a different N
-// would pair each shard's WAL with the wrong slice of the replay.
-// Pre-sharding directories (journal or WAL present, no marker) are
-// adopted as single-shard only — stamping one with n>1 would orphan
-// its root-level WAL under the shard-<i>/ layout. A multi-shard
-// directory from before the single journal (shard-<i>/journal.log) is
-// refused the same way: its history is not in the root journal.
-func checkShardMarker(dataDir string, n int) error {
-	// (Glob fails only on a malformed pattern.)
-	if old, _ := filepath.Glob(journalPath(filepath.Join(dataDir, "shard-*"))); len(old) > 0 {
-		return fmt.Errorf("server: data dir %s holds per-shard ingest journals (%s); this version keeps one journal at %s and does not migrate them",
-			dataDir, strings.Join(old, ", "), journalPath(dataDir))
+// checkSingleLane holds cfg and what its data dir already contains against
+// ErrMultiShard. It only reads. New dirs get no SHARDS marker; one a
+// single-shard node of an earlier version wrote reads "1" and is accepted.
+func checkSingleLane(cfg Config) error {
+	if cfg.Shards < 0 || cfg.Shards > 1 {
+		return fmt.Errorf("%w: %d shards configured", ErrMultiShard, cfg.Shards)
 	}
-	path := filepath.Join(dataDir, "SHARDS")
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if n != 1 && legacyLayout(dataDir) {
-			return fmt.Errorf("server: data dir %s holds a pre-sharding single-shard layout, opened with %d shards (resharding is not supported)",
-				dataDir, n)
+	marker := filepath.Join(cfg.DataDir, "SHARDS")
+	if data, err := os.ReadFile(marker); err == nil {
+		if have := strings.TrimSpace(string(data)); have != "1" {
+			return fmt.Errorf("%w: %s says %q", ErrMultiShard, marker, have)
 		}
-		return os.WriteFile(path, []byte(strconv.Itoa(n)+"\n"), 0o644)
-	}
-	if err != nil {
+	} else if !os.IsNotExist(err) {
 		return err
 	}
-	have, err := strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil {
-		return fmt.Errorf("server: unreadable shard marker %s: %v", path, err)
+	// (Glob fails only on a malformed pattern.)
+	if dirs, _ := filepath.Glob(filepath.Join(cfg.DataDir, "shard-*")); len(dirs) > 0 {
+		return fmt.Errorf("%w: found %s", ErrMultiShard, strings.Join(dirs, ", "))
 	}
-	if have != n {
-		return fmt.Errorf("server: data dir %s holds %d shards, opened with %d (resharding is not supported)",
-			dataDir, have, n)
+	for _, p := range journalTailPaths(cfg.DataDir) {
+		// Any other fault in a header is recovery's to report.
+		if _, _, err := wal.ReadJournalSegmentHeader(p); errors.Is(err, wal.ErrJournalShards) {
+			return fmt.Errorf("%w: %s: %v", ErrMultiShard, p, err)
+		}
 	}
 	return nil
-}
-
-// legacyLayout reports whether dataDir carries pre-sharding state at its
-// root: an ingest journal or a WAL segment directory.
-func legacyLayout(dataDir string) bool {
-	if _, err := os.Stat(journalPath(dataDir)); err == nil {
-		return true
-	}
-	if _, err := os.Stat(filepath.Join(dataDir, "wal")); err == nil {
-		return true
-	}
-	return false
 }
 
 // Open recovers (or initializes) the service under cfg.DataDir.
 func Open(cfg Config) (*Server, error) {
 	cfg.defaults()
+	if err := checkSingleLane(cfg); err != nil {
+		return nil, err
+	}
 	if cfg.ReplicaOf != "" {
 		return openFollower(cfg)
 	}
-	n := cfg.Shards
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := checkShardMarker(cfg.DataDir, n); err != nil {
 		return nil, err
 	}
 	topo, err := conf.Parse(cfg.Bundle.Configs, cfg.Bundle.Inventory)
@@ -443,34 +396,30 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 
-	// Checkpoint + tail. A shard whose checkpoint cannot be read, or fails
-	// the overlap check, is wiped and the recovery run again over its empty
-	// checkpoint — possible only while the journal reaches back to ID 0.
-	var rep replayResult
-	var cps []checkpoint
-	wiped := map[int]bool{}
-	for {
-		rep, cps, err = recoverJournal(cfg, topo, tail, func() []checkpoint { return openWALs(cfg) })
-		var div *divergedError
-		if !errors.As(err, &div) || !div.whole || wiped[div.shard] {
-			break
-		}
-		closeCheckpoints(cps)
-		if err := wipeShardState(cfg.DataDir, n, div.shard); err != nil {
+	// Checkpoint + tail. A checkpoint that cannot be read, or fails the
+	// overlap check, is wiped and the recovery run once more over an empty
+	// one — possible only while the journal reaches back to ID 0.
+	open := func() checkpoint { return openWAL(cfg) }
+	rep, cp, err := recoverJournal(cfg, topo, tail, open)
+	var div *divergedError
+	wiped := errors.As(err, &div) && div.whole
+	if wiped {
+		cp.close()
+		if err := wipeWALState(cfg.DataDir); err != nil {
 			return nil, err
 		}
-		wiped[div.shard] = true
+		rep, cp, err = recoverJournal(cfg, topo, tail, open)
 	}
-	// Until the pipeline goroutines take ownership at the very end, every
-	// open log and the journal are ours: close them all on any error path
-	// so a failed Open leaks neither file handles nor fsync goroutines.
+	// Until the pipeline goroutines take ownership at the very end, the
+	// open log and the journal are ours: close them on any error path so a
+	// failed Open leaks neither file handles nor an fsync goroutine.
 	var jour *wal.SegmentedJournal
 	opened := false
 	defer func() {
 		if opened {
 			return
 		}
-		closeCheckpoints(cps)
+		cp.close()
 		if jour != nil {
 			jour.Close() //nolint:errcheck // being discarded
 		}
@@ -478,7 +427,7 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rep.info.WALRebuilt = rep.info.WALRebuilt || len(wiped) > 0; rep.info.WALRebuilt {
+	if rep.info.WALRebuilt = rep.info.WALRebuilt || wiped; rep.info.WALRebuilt {
 		mRebuilt.Inc()
 	}
 
@@ -486,48 +435,41 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]*shard, n)
-	for i := range shards {
-		shards[i] = &shard{
-			idx: i, st: cps[i].st, log: cps[i].log,
-			queue: make(chan shardTask, cfg.MaxInflight),
-			done:  make(chan struct{}),
-		}
-	}
-
-	s, err := newServer(cfg, topo, rep, shards, jour)
+	s, err := newServer(cfg, topo, rep, jour)
 	if err != nil {
 		return nil, err
 	}
-	s.finishQ = make(chan *batch, n*cfg.MaxInflight+n+1)
-	s.finishDone = make(chan struct{})
+	// The collector carries the journal's parse state. From here on its adds
+	// go to the store itself and admission numbers them; a follower's keep
+	// going through the replay's frontier.
+	s.log, s.coll.Store = cp.log, s.st
+	s.queue = make(chan *batch, cfg.MaxInflight)
+	// As deep as the queue, so the applier hands a whole commit group to the
+	// observer without waiting on it; deeper would only let acknowledged-
+	// but-unobserved batches pile up.
+	s.observeQ = make(chan *batch, cfg.MaxInflight)
+	s.observed = make(chan struct{})
 	s.journaled.Store(int64(rep.maxSeq))
-	for i := range shards {
-		l := shards[i].log
-		shards[i].st.OnEvict(func([]*event.Instance, time.Time) {
-			// Runs on that shard's applier goroutine (its only writer):
-			// evicting the shard is the moment to snapshot, so segment
-			// compaction keeps disk bounded the same way retention bounds
-			// memory.
-			l.Snapshot() //nolint:errcheck // counted in wal.snapshots.failed; the next snapshot covers the same delta
-		})
-	}
+	s.st.OnEvict(func([]*event.Instance, time.Time) {
+		// Runs on the applier goroutine (the store's only writer): evicting
+		// is the moment to snapshot, so segment compaction keeps disk bounded
+		// the same way retention bounds memory.
+		s.log.Snapshot() //nolint:errcheck // counted in wal.snapshots.failed; the next snapshot covers the same delta
+	})
 	s.initReplicationSource()
 	// A finalized journal still in journal.log — a crash between the
 	// finalize record and its roll, or a dir an earlier version wrote —
 	// starts its tail here; what the snapshots already cover goes.
 	if s.isFinalized() && !s.inTail {
-		if err := s.rollJournal(s.tailHeader(s.seq, s.st.NextID())); err != nil {
+		if err := s.rollJournal(s.tailHeader()); err != nil {
 			return nil, err
 		}
 		s.inTail, s.segBytes = true, 0
 	}
 	s.dropJournalSegments(false)
 	opened = true
-	for i := range shards {
-		go s.applier(shards[i])
-	}
-	go s.finisher()
+	go s.applier()
+	go s.observer()
 	return s, nil
 }
 
@@ -536,26 +478,22 @@ func Open(cfg Config) (*Server, error) {
 // rollups, and — when the journal already holds a finalize record — the
 // serving phase with its processors' tails rebuilt. The caller adds its
 // own role's half and starts the goroutines.
-func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, shards []*shard, jour *wal.SegmentedJournal) (*Server, error) {
-	// The collector carries the journal's parse state; point it at the
-	// authoritative store for all future ingest.
-	st := rep.st.Sharded
-	rep.coll.Store = st
+func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.SegmentedJournal) (*Server, error) {
+	st := rep.st.Memory
 	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: st, coll: rep.coll, jour: jour,
+		cfg: cfg, topo: topo, st: st, coll: rep.coll, jour: jour,
 		roll:     rollup.New(rollup.Config{}),
 		hub:      newSSEHub(),
 		seq:      rep.maxSeq + 1,
+		nextID:   rep.st.NextID(),
 		closing:  make(chan struct{}),
 		recovery: rep.info,
-		fronts:   make([]int, len(shards)),
 		segBytes: jour.ActiveSize(),
 		inTail:   len(jour.Tail()) > 0,
 	}
 	s.pinCap.Store(journalPinCap)
 	s.recovery.Batches, s.recovery.Finalized = rep.batches, rep.finalized
-	s.recovery.Events, s.recovery.Shards = st.Len(), len(shards)
-	s.refreshFronts()
+	s.recovery.Events = st.Len()
 	mRecovered.Add(int64(rep.batches))
 	mTailRecs.Add(int64(rep.info.TailApplied + rep.info.TailVerified))
 	// The Result Browser rollups: seed the trend bins from the recovered
@@ -585,14 +523,14 @@ func (s *Server) Store() store.Store { return s.st }
 // means: it decodes a record and applies it to a collector + store
 // pair. Crash recovery drives it over the journal's files and a follower
 // drives it over the journal stream — a follower is a recovery that never
-// stops — so both allocate the same IDs on the same shards as the
-// dispatch that wrote the record. The store is a frontierStore in every
+// stops — so both allocate the same IDs as the dispatch that wrote the
+// record. The store is a frontierStore in every
 // case: what a checkpoint already holds is verified and not stored again.
 // (A tail segment's header record is its caller's: it says where the
 // records behind it go, not what to apply.)
 type journalApplier struct {
 	coll *collector.Collector
-	st   *frontierStore
+	st   *frontierStore // set by writeTo, with the collector's
 	dep  cdn.Deployment
 	// serving runs after a finalize record has closed the collector's
 	// feed phase.
@@ -600,6 +538,14 @@ type journalApplier struct {
 	// stored, when set, sees each event record's stored instances; an
 	// event the checkpoint already held is a nil in its place.
 	stored func([]*event.Instance)
+}
+
+// writeTo makes fs the store of the applier and of its collector at once:
+// an event record's IDs and the ones the collector's own adds take (a
+// feed's, closeFeeds's) interleave in one journal, so they come from one
+// allocator.
+func (a *journalApplier) writeTo(fs *frontierStore) {
+	a.st, a.coll.Store = fs, fs
 }
 
 func (a *journalApplier) apply(rec []byte) (seq int, err error) {
@@ -791,13 +737,3 @@ func errResult(status int, format string, args ...any) taskResult {
 }
 
 func (s *Server) isFinalized() bool { return s.serving.Load() != nil }
-
-// queueTotals sums depth and capacity across all shard queues (len/cap
-// on channels are safe concurrently).
-func (s *Server) queueTotals() (depth, capacity int) {
-	for _, sh := range s.shards {
-		depth += len(sh.queue)
-		capacity += cap(sh.queue)
-	}
-	return depth, capacity
-}

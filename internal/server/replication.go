@@ -37,39 +37,34 @@ func newBootID() string {
 }
 
 // initReplicationSource wires the primary side of replication: the
-// follower registry, the stream source over the journal and the shard
-// WALs, and each WAL's compaction pin.
+// follower registry, the stream source over the journal and the WAL, and
+// the WAL's compaction pin.
 func (s *Server) initReplicationSource() {
-	n := len(s.shards)
 	s.bootID = newBootID()
-	s.replReg = replica.NewRegistry(n, replica.DefaultGrace)
+	s.replReg = replica.NewRegistry(replica.DefaultGrace)
 	s.replSrc = replica.NewSource(replica.SourceConfig{
-		BootID:      s.bootID,
-		Shards:      n,
-		JournalPath: journalPath(s.cfg.DataDir),
-		WALDir: func(i int) string {
-			return shardDir(s.cfg.DataDir, n, i)
-		},
+		BootID:          s.bootID,
+		JournalPath:     journalPath(s.cfg.DataDir),
+		WALDir:          s.cfg.DataDir,
 		JournalFrontier: func() int { return int(s.journaled.Load()) },
-		WALFrontier:     func(i int) int { return s.shards[i].log.Frontier() },
+		WALFrontier:     s.log.Frontier,
 		Registry:        s.replReg,
 	})
-	for i := range s.shards {
-		shard := i
-		s.shards[i].log.SetCompactPin(func() int { return s.replReg.PinWAL(shard) })
-	}
+	s.log.SetCompactPin(s.replReg.PinCompaction)
 }
 
 // isFollower reports whether this server is a read replica (not yet
 // promoted).
 func (s *Server) isFollower() bool { return s.follower != nil }
 
-// ReplicationMetaJSON is the primary's stream rendezvous document. The
-// benchmark (bench/) indexes Sealed and JournalBytes per shard, so both
-// stay slices of length Shards although there is one journal: every
-// index carries its durable sequence and its logical size — the bytes
+// ReplicationMetaJSON is the primary's stream rendezvous document: its
+// incarnation, the journal's durable sequence and logical size — the bytes
 // ever journaled, dropped tail segments included, which is what a
-// follower's own figure counts too.
+// follower's own figure counts too — and the WAL's frontier. Shards is
+// always 1 and the three slices always hold one element, vestiges of the
+// multi-lane pipeline kept because the benchmark (bench/) indexes them and
+// may not change with the code it measures; ROADMAP item 1(e) makes them
+// scalars.
 type ReplicationMetaJSON struct {
 	BootID       string  `json:"boot_id"`
 	Shards       int     `json:"shards"`
@@ -82,25 +77,23 @@ type ReplicationMetaJSON struct {
 type ReplicationStatusJSON struct {
 	Role   string `json:"role"` // "primary" | "replica"
 	BootID string `json:"boot_id"`
-	Shards int    `json:"shards"`
 
 	// Primary side.
 	Followers []replica.FollowerStatus `json:"followers,omitempty"`
 
 	// Follower side.
-	Primary       string            `json:"primary,omitempty"`
-	AppliedSeq    *int              `json:"applied_seq,omitempty"`
-	PrimarySealed *int              `json:"primary_sealed,omitempty"`
-	ShardLag      []ReplicaShardLag `json:"shard_lag,omitempty"`
-	LagSeconds    float64           `json:"lag_seconds,omitempty"`
-	StreamError   string            `json:"stream_error,omitempty"`
+	Primary       string `json:"primary,omitempty"`
+	AppliedSeq    *int   `json:"applied_seq,omitempty"`
+	PrimarySealed *int   `json:"primary_sealed,omitempty"`
+	// ShardLag holds one row, for the same reason ReplicationMetaJSON's
+	// slices hold one element.
+	ShardLag    []ReplicaShardLag `json:"shard_lag,omitempty"`
+	LagSeconds  float64           `json:"lag_seconds,omitempty"`
+	StreamError string            `json:"stream_error,omitempty"`
 }
 
-// ReplicaShardLag is one shard's catch-up position on a follower. The
-// journal fields repeat the one journal's figures in every row, for the
-// same reason as ReplicationMetaJSON's.
+// ReplicaShardLag is a follower's catch-up position on both streams.
 type ReplicaShardLag struct {
-	Shard           int   `json:"shard"`
 	JournalBytes    int64 `json:"journal_bytes"`
 	PrimaryJournal  int64 `json:"primary_journal_bytes"`
 	LagBytes        int64 `json:"lag_bytes"`
@@ -116,18 +109,13 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
 		return
 	}
-	meta := ReplicationMetaJSON{
+	writeJSON(w, http.StatusOK, ReplicationMetaJSON{
 		BootID:       s.bootID,
-		Shards:       len(s.shards),
-		Sealed:       make([]int, len(s.shards)),
-		JournalBytes: make([]int64, len(s.shards)),
-		WALNext:      s.replSrc.WALFrontiers(),
-	}
-	sealed, size := int(s.journaled.Load()), s.jour.Offset()
-	for i := range meta.Sealed {
-		meta.Sealed[i], meta.JournalBytes[i] = sealed, size
-	}
-	writeJSON(w, http.StatusOK, meta)
+		Shards:       1,
+		Sealed:       []int{int(s.journaled.Load())},
+		JournalBytes: []int64{s.jour.Offset()},
+		WALNext:      []int{s.log.Frontier()},
+	})
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
@@ -138,7 +126,6 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReplicationStatusJSON{
 		Role:      "primary",
 		BootID:    s.bootID,
-		Shards:    len(s.shards),
 		Followers: s.replReg.Status(),
 	})
 }
@@ -150,14 +137,14 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	s.serveReplStream(w, r, false)
 }
 
-// handleReplWAL streams one shard's event WAL. Mounted raw, like the
-// journal stream.
+// handleReplWAL streams the event WAL. Mounted raw, like the journal
+// stream.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	s.serveReplStream(w, r, true)
 }
 
-// serveReplStream validates a stream request (?id=&from=, and &shard= for
-// a WAL stream) and hands the connection to the replication source.
+// serveReplStream validates a stream request (?id=&from=) and hands the
+// connection to the replication source.
 func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request, wal bool) {
 	if s.isFollower() {
 		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
@@ -168,14 +155,6 @@ func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request, wal boo
 	if id == "" {
 		writeErr(w, http.StatusBadRequest, "missing follower id")
 		return
-	}
-	shard := 0
-	if wal {
-		var err error
-		if shard, err = strconv.Atoi(q.Get("shard")); err != nil || shard < 0 || shard >= len(s.shards) {
-			writeErr(w, http.StatusBadRequest, "bad shard")
-			return
-		}
 	}
 	from, err := strconv.Atoi(q.Get("from"))
 	if err != nil {
@@ -189,7 +168,7 @@ func (s *Server) serveReplStream(w http.ResponseWriter, r *http.Request, wal boo
 		flush = f.Flush
 	}
 	if wal {
-		s.replSrc.ServeWAL(w, flush, id, shard, from, s.closing) //nolint:errcheck // stream end is the follower's signal
+		s.replSrc.ServeWAL(w, flush, id, from, s.closing) //nolint:errcheck // stream end is the follower's signal
 	} else {
 		s.replSrc.ServeJournal(w, flush, id, from, s.closing) //nolint:errcheck // stream end is the follower's signal
 	}

@@ -21,21 +21,15 @@ import (
 )
 
 // waitReplicaCaughtUp blocks until the follower has applied every
-// durably journaled sequence and its WAL sinks reach the primary's
-// frontiers.
+// durably journaled sequence and its WAL sink reaches the primary's
+// frontier.
 func waitReplicaCaughtUp(t *testing.T, foll, prim *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		target := int(prim.journaled.Load())
 		applied := int(foll.follower.appliedSeq.Load())
-		walOK := true
-		for i := range prim.shards {
-			if int(foll.follower.walNext[i].Load()) < prim.shards[i].log.Frontier() {
-				walOK = false
-				break
-			}
-		}
+		walOK := int(foll.follower.walNext.Load()) >= prim.log.Frontier()
 		if applied >= target && walOK {
 			return
 		}
@@ -47,211 +41,188 @@ func waitReplicaCaughtUp(t *testing.T, foll, prim *Server) {
 }
 
 // TestReplicaParityAndPromote is the replication subsystem's core
-// contract at 1 and 4 shards: a follower caught up to a quiesced
-// primary has byte-identical per-shard store digests and byte-identical
-// diagnose/breakdown bodies, redirects writes to the primary, exposes
-// lag gauges, and — promoted — becomes a primary that accepts writes.
+// contract: a follower caught up to a quiesced primary has a
+// byte-identical store digest and byte-identical diagnose/breakdown
+// bodies, redirects writes to the primary, exposes lag gauges, and —
+// promoted — becomes a primary that accepts writes.
 func TestReplicaParityAndPromote(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			_, b := testBundle(t)
-			primDir := t.TempDir()
-			prim, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards, SnapshotEvery: 400})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(prim.Handler())
-			loadAndFinalize(t, ts, b)
-			// Ballast: enough padded ticks that every shard auto-snapshots
-			// several times with runs past crumb size, so the follower —
-			// attaching only after all of it, hence after compaction — has
-			// to bootstrap each shard from a snapshot of several runs.
-			ballastAt := b.Start.Add(b.Duration).Add(30 * time.Minute)
-			for i := 0; i < 4*shards; i++ {
-				evs := make([]EventJSON, 400)
-				for j := range evs {
-					n := i*len(evs) + j
-					at := ballastAt.Add(time.Duration(n) * time.Millisecond)
-					evs[j] = EventJSON{
-						Name: "synthetic tick", Start: at, End: at,
-						Loc:   LocationJSON{Type: "router", A: fmt.Sprintf("load-r%d", n%97)},
-						Attrs: map[string]string{"pad": strings.Repeat("p", 200)},
-					}
-				}
-				if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs}); code != http.StatusOK {
-					t.Fatalf("ballast batch %d: %d %s", i, code, body)
+	// Shards: 1 is how bench/ opens a server; most tests leave it 0.
+	t.Run("shards=1", func(t *testing.T) {
+		_, b := testBundle(t)
+		primDir := t.TempDir()
+		prim, err := Open(Config{DataDir: primDir, Bundle: b, Shards: 1, SnapshotEvery: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(prim.Handler())
+		loadAndFinalize(t, ts, b)
+		// Ballast: enough padded ticks that the store auto-snapshots
+		// several times with runs past crumb size, so the follower —
+		// attaching only after all of it, hence after compaction — has
+		// to bootstrap its WAL from a snapshot of several runs.
+		ballastAt := b.Start.Add(b.Duration).Add(30 * time.Minute)
+		for i := 0; i < 4; i++ {
+			evs := make([]EventJSON, 400)
+			for j := range evs {
+				n := i*len(evs) + j
+				at := ballastAt.Add(time.Duration(n) * time.Millisecond)
+				evs[j] = EventJSON{
+					Name: "synthetic tick", Start: at, End: at,
+					Loc:   LocationJSON{Type: "router", A: fmt.Sprintf("load-r%d", n%97)},
+					Attrs: map[string]string{"pad": strings.Repeat("p", 200)},
 				}
 			}
-			for i := 0; i < shards; i++ {
-				runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(shardDir(primDir, shards, i)), "run-*.run"))
-				if err != nil || len(runs) < 3 {
-					t.Fatalf("primary shard %d holds %d snapshot runs (%v), want ≥ 3", i, len(runs), err)
-				}
+			if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs}); code != http.StatusOK {
+				t.Fatalf("ballast batch %d: %d %s", i, code, body)
 			}
-			// Feeds, finalize, and both event encodings: every journal
-			// record kind reaches the follower's stream apply and, at the
-			// promotion's reopen, crash recovery's replay — the shared
-			// applier's two callers.
-			for i, evs := range lifecycleBatches(b) {
-				code, body := postLifecycleBatch(t, ts, i, evs)
-				if code != http.StatusOK {
-					t.Fatalf("event batch %d: %d %s", i, code, body)
-				}
-			}
-
-			foll, err := Open(Config{
-				DataDir: t.TempDir(), Bundle: b, Shards: shards,
-				ReplicaOf: ts.URL,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts2 := httptest.NewServer(foll.Handler())
-			waitReplicaCaughtUp(t, foll, prim)
-
-			// Byte-identical state: merged and per-shard digests.
-			if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
-				t.Fatalf("merged store digest differs: follower %s, primary %s", got, want)
-			}
-			for i := range prim.shards {
-				got, want := wal.StoreDigest(foll.shards[i].st), wal.StoreDigest(prim.shards[i].st)
-				if got != want {
-					t.Fatalf("shard %d digest differs: follower %s, primary %s", i, got, want)
-				}
-			}
-
-			// Byte-identical read surfaces.
-			for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
-				code, pbody := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
-				if code != http.StatusOK {
-					t.Fatalf("primary diagnose %s: %d %s", app, code, pbody)
-				}
-				code, fbody := post(t, ts2, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
-				if code != http.StatusOK {
-					t.Fatalf("replica diagnose %s: %d %s", app, code, fbody)
-				}
-				if !bytes.Equal(pbody, fbody) {
-					t.Fatalf("diagnose %s differs between primary and replica", app)
-				}
-				code, pbody = get(t, ts, "/v1/breakdown?app="+app)
-				if code != http.StatusOK {
-					t.Fatalf("primary breakdown %s: %d %s", app, code, pbody)
-				}
-				code, fbody = get(t, ts2, "/v1/breakdown?app="+app)
-				if code != http.StatusOK {
-					t.Fatalf("replica breakdown %s: %d %s", app, code, fbody)
-				}
-				if !bytes.Equal(pbody, fbody) {
-					t.Fatalf("breakdown %s differs between primary and replica", app)
-				}
-			}
-
-			// Write fencing: ingest and finalize 307 to the primary.
-			noRedirect := &http.Client{
-				CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-			}
-			resp, err := noRedirect.Post(ts2.URL+"/v1/ingest", "application/json", strings.NewReader("{}"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusTemporaryRedirect {
-				t.Fatalf("replica ingest status %d, want 307", resp.StatusCode)
-			}
-			if loc := resp.Header.Get("Location"); loc != ts.URL+"/v1/ingest" {
-				t.Fatalf("redirect location %q, want %q", loc, ts.URL+"/v1/ingest")
-			}
-
-			// Replication status and lag gauges.
-			code, body := get(t, ts2, "/v1/replication/status")
+		}
+		runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(primDir), "run-*.run"))
+		if err != nil || len(runs) < 3 {
+			t.Fatalf("the primary holds %d snapshot runs (%v), want ≥ 3", len(runs), err)
+		}
+		// Feeds, finalize, and both event encodings: every journal
+		// record kind reaches the follower's stream apply and, at the
+		// promotion's reopen, crash recovery's replay — the shared
+		// applier's two callers.
+		for i, evs := range lifecycleBatches(b) {
+			code, body := postLifecycleBatch(t, ts, i, evs)
 			if code != http.StatusOK {
-				t.Fatalf("replication status: %d %s", code, body)
+				t.Fatalf("event batch %d: %d %s", i, code, body)
 			}
-			var rs ReplicationStatusJSON
-			if err := json.Unmarshal(body, &rs); err != nil {
-				t.Fatal(err)
-			}
-			if rs.Role != "replica" || rs.Primary != ts.URL || len(rs.ShardLag) != shards {
-				t.Fatalf("replica status = %s", body)
-			}
-			for _, lag := range rs.ShardLag {
-				if lag.SnapBootstraps == 0 {
-					t.Fatalf("shard %d caught up without a snapshot bootstrap: %s", lag.Shard, body)
-				}
-			}
-			code, body = get(t, ts, "/v1/replication/status")
-			if code != http.StatusOK {
-				t.Fatalf("primary replication status: %d %s", code, body)
-			}
-			if err := json.Unmarshal(body, &rs); err != nil {
-				t.Fatal(err)
-			}
-			if rs.Role != "primary" || len(rs.Followers) == 0 {
-				t.Fatalf("primary status = %s", body)
-			}
-			code, body = get(t, ts2, "/v1/stats")
-			if code != http.StatusOK {
-				t.Fatalf("replica stats: %d", code)
-			}
-			if !bytes.Contains(body, []byte("replica.follower.applied.seq")) {
-				t.Fatalf("replica stats carry no lag gauges")
-			}
+		}
 
-			// Promote: the replica reopens as a primary and accepts writes.
-			code, body = post(t, ts2, "/v1/replication/promote", struct{}{})
-			if code != http.StatusOK {
-				t.Fatalf("promote: %d %s", code, body)
-			}
-			var info PromoteInfo
-			if err := json.Unmarshal(body, &info); err != nil {
-				t.Fatal(err)
-			}
-			if info.Role != "primary" || len(info.Digests) != shards {
-				t.Fatalf("promote info = %s", body)
-			}
-			for i := range prim.shards {
-				if want := wal.StoreDigest(prim.shards[i].st); info.Digests[i] != want {
-					t.Fatalf("promoted shard %d digest %s, want %s", i, info.Digests[i], want)
-				}
-			}
-			code, body = post(t, ts2, "/v1/ingest", IngestRequest{Events: lifecycleBatches(b)[0]})
-			if code != http.StatusOK {
-				t.Fatalf("post-promote ingest: %d %s", code, body)
-			}
-
-			ts2.Close()
-			if err := foll.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			ts.Close()
-			if err := prim.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+		foll, err := Open(Config{
+			DataDir: t.TempDir(), Bundle: b, Shards: 1,
+			ReplicaOf: ts.URL,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts2 := httptest.NewServer(foll.Handler())
+		waitReplicaCaughtUp(t, foll, prim)
+
+		// Byte-identical state.
+		if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
+			t.Fatalf("store digest differs: follower %s, primary %s", got, want)
+		}
+
+		// Byte-identical read surfaces.
+		for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
+			code, pbody := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+			if code != http.StatusOK {
+				t.Fatalf("primary diagnose %s: %d %s", app, code, pbody)
+			}
+			code, fbody := post(t, ts2, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+			if code != http.StatusOK {
+				t.Fatalf("replica diagnose %s: %d %s", app, code, fbody)
+			}
+			if !bytes.Equal(pbody, fbody) {
+				t.Fatalf("diagnose %s differs between primary and replica", app)
+			}
+			code, pbody = get(t, ts, "/v1/breakdown?app="+app)
+			if code != http.StatusOK {
+				t.Fatalf("primary breakdown %s: %d %s", app, code, pbody)
+			}
+			code, fbody = get(t, ts2, "/v1/breakdown?app="+app)
+			if code != http.StatusOK {
+				t.Fatalf("replica breakdown %s: %d %s", app, code, fbody)
+			}
+			if !bytes.Equal(pbody, fbody) {
+				t.Fatalf("breakdown %s differs between primary and replica", app)
+			}
+		}
+
+		// Write fencing: ingest and finalize 307 to the primary.
+		noRedirect := &http.Client{
+			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
+		}
+		resp, err := noRedirect.Post(ts2.URL+"/v1/ingest", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTemporaryRedirect {
+			t.Fatalf("replica ingest status %d, want 307", resp.StatusCode)
+		}
+		if loc := resp.Header.Get("Location"); loc != ts.URL+"/v1/ingest" {
+			t.Fatalf("redirect location %q, want %q", loc, ts.URL+"/v1/ingest")
+		}
+
+		// Replication status and lag gauges.
+		code, body := get(t, ts2, "/v1/replication/status")
+		if code != http.StatusOK {
+			t.Fatalf("replication status: %d %s", code, body)
+		}
+		var rs ReplicationStatusJSON
+		if err := json.Unmarshal(body, &rs); err != nil {
+			t.Fatal(err)
+		}
+		if rs.Role != "replica" || rs.Primary != ts.URL || len(rs.ShardLag) != 1 {
+			t.Fatalf("replica status = %s", body)
+		}
+		if rs.ShardLag[0].SnapBootstraps == 0 {
+			t.Fatalf("the WAL stream caught up without a snapshot bootstrap: %s", body)
+		}
+		code, body = get(t, ts, "/v1/replication/status")
+		if code != http.StatusOK {
+			t.Fatalf("primary replication status: %d %s", code, body)
+		}
+		if err := json.Unmarshal(body, &rs); err != nil {
+			t.Fatal(err)
+		}
+		if rs.Role != "primary" || len(rs.Followers) == 0 {
+			t.Fatalf("primary status = %s", body)
+		}
+		code, body = get(t, ts2, "/v1/stats")
+		if code != http.StatusOK {
+			t.Fatalf("replica stats: %d", code)
+		}
+		if !bytes.Contains(body, []byte("replica.follower.applied.seq")) {
+			t.Fatalf("replica stats carry no lag gauges")
+		}
+
+		// Promote: the replica reopens as a primary and accepts writes.
+		code, body = post(t, ts2, "/v1/replication/promote", struct{}{})
+		if code != http.StatusOK {
+			t.Fatalf("promote: %d %s", code, body)
+		}
+		var info PromoteInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		if want := wal.StoreDigest(prim.st); info.Role != "primary" || info.Digest != want {
+			t.Fatalf("promote info = %s, want a primary with the store digest %s", body, want)
+		}
+		code, body = post(t, ts2, "/v1/ingest", IngestRequest{Events: lifecycleBatches(b)[0]})
+		if code != http.StatusOK {
+			t.Fatalf("post-promote ingest: %d %s", code, body)
+		}
+
+		ts2.Close()
+		if err := foll.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ts.Close()
+		if err := prim.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFailoverPromoteMatchesCleanReplay kills the primary abruptly
 // (connections severed, no shutdown), promotes the follower, and checks
 // the promoted node against a clean single-node replay of the
-// follower's own journal: identical per-shard digests and identical
+// follower's own journal: identical store digests and identical
 // diagnose/breakdown bodies. Then the old primary's directory is
 // reopened as a replica of the promoted node, and refused.
 func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 	_, b := testBundle(t)
-	const shards = 2
 	primDir, follDir, cleanDir := t.TempDir(), t.TempDir(), t.TempDir()
-	prim, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prim := openServer(t, primDir, b)
 	ts := httptest.NewServer(prim.Handler())
 	loadAndFinalize(t, ts, b)
 
-	foll, err := Open(Config{
-		DataDir: follDir, Bundle: b, Shards: shards,
-		ReplicaOf: ts.URL,
-	})
+	foll, err := Open(Config{DataDir: follDir, Bundle: b, ReplicaOf: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,19 +265,11 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(cleanDir, "SHARDS"), []byte("2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := Open(Config{DataDir: cleanDir, Bundle: b, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := openServer(t, cleanDir, b)
 	tsClean := httptest.NewServer(clean.Handler())
 
-	for i := range clean.shards {
-		if want := wal.StoreDigest(clean.shards[i].st); info.Digests[i] != want {
-			t.Fatalf("promoted shard %d digest %s != clean replay %s", i, info.Digests[i], want)
-		}
+	if want := wal.StoreDigest(clean.st); info.Digest != want {
+		t.Fatalf("promoted digest %s != clean replay %s", info.Digest, want)
 	}
 	for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
 		code, pbody := post(t, ts2, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
@@ -357,7 +320,7 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal, _ := os.ReadFile(journalPath(primDir))
-	ex, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards, ReplicaOf: ts2.URL})
+	ex, err := Open(Config{DataDir: primDir, Bundle: b, ReplicaOf: ts2.URL})
 	if !errors.Is(err, ErrPrimaryHistory) {
 		if err == nil {
 			ex.Shutdown(context.Background()) //nolint:errcheck // test teardown
@@ -380,20 +343,18 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 }
 
 // TestPrepareReplicaState covers the REPLICA marker: a boot-ID change
-// wipes the shipped state — the root journal, head and tail segments,
-// and every shard's WAL — and keeps the follower's stable ID. A previous version's per-shard
-// journal is not shipped state: it is left for checkShardMarker to
-// refuse, never silently deleted. Nor is anything in a dir that has no
-// marker at all.
+// wipes the shipped state — the root journal, head and tail segments, and
+// the WAL — and keeps the follower's stable ID. Nothing in a dir that has
+// no marker at all is shipped state: it is refused, never deleted.
 func TestPrepareReplicaState(t *testing.T) {
 	// No marker but serving state on disk: a primary wrote it. Refused,
 	// nothing deleted, no marker stamped.
-	for _, rel := range []string{"journal.log", "journal-0000000000000042.log", "shard-1/wal", "shard-0/snap"} {
+	for _, rel := range []string{"journal.log", "journal-0000000000000042.log", "wal", "snap"} {
 		exDir := t.TempDir()
 		if err := os.MkdirAll(filepath.Join(exDir, rel), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prepareReplicaState(exDir, 2, "boot-a"); !errors.Is(err, ErrPrimaryHistory) {
+		if _, err := prepareReplicaState(exDir, "boot-a"); !errors.Is(err, ErrPrimaryHistory) {
 			t.Fatalf("dir holding %s: err %v, want ErrPrimaryHistory", rel, err)
 		}
 		_, gone := os.Stat(filepath.Join(exDir, rel))
@@ -403,39 +364,38 @@ func TestPrepareReplicaState(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	id1, err := prepareReplicaState(dir, 2, "boot-a")
+	id1, err := prepareReplicaState(dir, "boot-a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id1 == "" {
 		t.Fatal("empty follower id")
 	}
-	jp, walDir := journalPath(dir), filepath.Join(shardDir(dir, 2, 1), "wal")
+	jp, walDir := journalPath(dir), wal.WALDirOf(dir)
 	tailSeg := filepath.Join(dir, "journal-0000000000000042.log")
-	old := journalPath(shardDir(dir, 2, 1))
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{jp, tailSeg, old} {
+	for _, p := range []string{jp, tailSeg} {
 		if err := os.WriteFile(p, []byte("journal"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Same boot: state survives, ID is stable.
-	id2, err := prepareReplicaState(dir, 2, "boot-a")
+	id2, err := prepareReplicaState(dir, "boot-a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id2 != id1 {
 		t.Fatalf("follower id changed across same-boot reopen: %q -> %q", id1, id2)
 	}
-	for _, p := range []string{jp, tailSeg} {
+	for _, p := range []string{jp, tailSeg, walDir} {
 		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("journal wiped on same-boot reopen: %v", err)
+			t.Fatalf("shipped state wiped on same-boot reopen: %v", err)
 		}
 	}
 	// New boot: shipped state wiped, ID still stable.
-	id3, err := prepareReplicaState(dir, 2, "boot-b")
+	id3, err := prepareReplicaState(dir, "boot-b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,9 +408,6 @@ func TestPrepareReplicaState(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s survived a boot-ID change: %v", p, err)
 		}
-	}
-	if _, err := os.Stat(old); err != nil {
-		t.Fatalf("old per-shard journal deleted by the resync wipe: %v", err)
 	}
 }
 
@@ -488,15 +445,13 @@ func TestFetchPrimaryMetaTimesOut(t *testing.T) {
 }
 
 // compareReplica holds a caught-up follower against its quiesced primary:
-// per-shard store digests and the diagnose and breakdown bodies of every
+// the store digest and the diagnose and breakdown bodies of every
 // application, byte for byte.
 func compareReplica(t *testing.T, prim, foll *Server, ts, ts2 *httptest.Server) {
 	t.Helper()
-	for i := range prim.shards {
-		if got, want := wal.StoreDigest(foll.shards[i].st), wal.StoreDigest(prim.shards[i].st); got != want {
-			t.Fatalf("shard %d digest differs: follower %s (%d events), primary %s (%d events)",
-				i, got, foll.shards[i].st.Len(), want, prim.shards[i].st.Len())
-		}
+	if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
+		t.Fatalf("store digest differs: follower %s (%d events), primary %s (%d events)",
+			got, foll.st.Len(), want, prim.st.Len())
 	}
 	for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
 		_, pbody := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
@@ -514,103 +469,100 @@ func compareReplica(t *testing.T, prim, foll *Server, ts, ts2 *httptest.Server) 
 
 // TestLateFollowerBootstrapsFromCheckpoint: a follower that attaches, on
 // an empty directory, to a primary whose journal has long dropped the
-// segments behind its snapshots is sent segment 0, one store checkpoint
-// per shard, and the retained tail — and lands on the primary's store
+// segments behind its snapshots is sent segment 0, a store checkpoint, and
+// the retained tail — and lands on the primary's store
 // and read surfaces. Its directory then restarts to the same store
 // without another bootstrap, and promotes to a primary holding it.
 func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 	shrinkJournal(t, 8<<10)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			_, b := testBundle(t)
-			prim, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards, SnapshotEvery: 150})
-			if err != nil {
-				t.Fatal(err)
+	// Shards: 1 is how bench/ opens a server; most tests leave it 0.
+	t.Run("shards=1", func(t *testing.T) {
+		_, b := testBundle(t)
+		prim, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: 1, SnapshotEvery: 150})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
+		ts := httptest.NewServer(prim.Handler())
+		defer ts.Close()
+		loadAndFinalize(t, ts, b)
+		dropped := obs.GetCounter("journal.segments.dropped").Value()
+		// Symptoms and their evidence first, so they sit in dropped
+		// segments; then ballast over many segments and snapshots.
+		for i, evs := range lifecycleBatches(b) {
+			if code, body := postLifecycleBatch(t, ts, i, evs); code != http.StatusOK {
+				t.Fatalf("event batch %d: %d %s", i, code, body)
 			}
-			defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
-			ts := httptest.NewServer(prim.Handler())
-			defer ts.Close()
-			loadAndFinalize(t, ts, b)
-			dropped := obs.GetCounter("journal.segments.dropped").Value()
-			// Symptoms and their evidence first, so they sit in dropped
-			// segments; then ballast over many segments and snapshots.
-			for i, evs := range lifecycleBatches(b) {
-				if code, body := postLifecycleBatch(t, ts, i, evs); code != http.StatusOK {
-					t.Fatalf("event batch %d: %d %s", i, code, body)
-				}
-			}
-			k := newTickStream(t, ts, b, time.Second)
-			k.at = k.at.Add(200 * time.Hour) // past the lifecycle's drain tick
-			k.post(40*shards, 40)
-			if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 3 {
-				t.Fatalf("the primary dropped %d journal segments, want at least 3 truncations before the follower attaches", got)
-			}
+		}
+		k := newTickStream(t, ts, b, time.Second)
+		k.at = k.at.Add(200 * time.Hour) // past the lifecycle's drain tick
+		k.post(40, 40)
+		if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 3 {
+			t.Fatalf("the primary dropped %d journal segments, want at least 3 truncations before the follower attaches", got)
+		}
 
-			follDir := t.TempDir()
-			loaded := mReplCheckpoints.Value()
-			fcfg := Config{DataDir: follDir, Bundle: b, Shards: shards, ReplicaOf: ts.URL}
-			foll, err := Open(fcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts2 := httptest.NewServer(foll.Handler())
-			waitReplicaCaughtUp(t, foll, prim)
-			if got := mReplCheckpoints.Value() - loaded; got != 1 {
-				t.Fatalf("the late follower loaded %d checkpoint sets, want 1", got)
-			}
-			compareReplica(t, prim, foll, ts, ts2)
-			if got, want := foll.jour.Offset(), prim.jour.Offset(); got != want {
-				t.Fatalf("follower's journal stands at logical byte %d, the primary's at %d", got, want)
-			}
-			if files, _ := journalFiles(t, follDir); len(files) < 2 {
-				t.Fatalf("the follower's journal is %v: it did not roll where the primary rolled", files)
-			}
+		follDir := t.TempDir()
+		loaded := mReplCheckpoints.Value()
+		fcfg := Config{DataDir: follDir, Bundle: b, Shards: 1, ReplicaOf: ts.URL}
+		foll, err := Open(fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts2 := httptest.NewServer(foll.Handler())
+		waitReplicaCaughtUp(t, foll, prim)
+		if got := mReplCheckpoints.Value() - loaded; got != 1 {
+			t.Fatalf("the late follower loaded %d checkpoints, want 1", got)
+		}
+		compareReplica(t, prim, foll, ts, ts2)
+		if got, want := foll.jour.Offset(), prim.jour.Offset(); got != want {
+			t.Fatalf("follower's journal stands at logical byte %d, the primary's at %d", got, want)
+		}
+		if files, _ := journalFiles(t, follDir); len(files) < 2 {
+			t.Fatalf("the follower's journal is %v: it did not roll where the primary rolled", files)
+		}
 
-			// More of the stream, live, through the frontier filter's far side.
-			k.post(5, 40)
-			waitReplicaCaughtUp(t, foll, prim)
-			compareReplica(t, prim, foll, ts, ts2)
+		// More of the stream, live, through the frontier filter's far side.
+		k.post(5, 40)
+		waitReplicaCaughtUp(t, foll, prim)
+		compareReplica(t, prim, foll, ts, ts2)
 
-			// Restart from its own directory: the journal begins behind a
-			// checkpoint, so the sinks' shipped state is what it stands on.
-			ts2.Close()
-			if err := foll.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			foll, err = Open(fcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
-			ts2 = httptest.NewServer(foll.Handler())
-			defer ts2.Close()
-			if rec := foll.Recovery(); rec.TailApplied+rec.TailVerified == 0 || rec.Batches == 0 {
-				t.Fatalf("the restarted follower replayed nothing of its own journal: %+v", rec)
-			}
-			waitReplicaCaughtUp(t, foll, prim)
-			if got := mReplCheckpoints.Value() - loaded; got != 1 {
-				t.Fatalf("the restart bootstrapped again (%d checkpoint sets loaded in all)", got)
-			}
-			compareReplica(t, prim, foll, ts, ts2)
+		// Restart from its own directory: the journal begins behind a
+		// checkpoint, so the sink's shipped state is what it stands on.
+		ts2.Close()
+		if err := foll.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		foll, err = Open(fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+		ts2 = httptest.NewServer(foll.Handler())
+		defer ts2.Close()
+		if rec := foll.Recovery(); rec.TailApplied+rec.TailVerified == 0 || rec.Batches == 0 {
+			t.Fatalf("the restarted follower replayed nothing of its own journal: %+v", rec)
+		}
+		waitReplicaCaughtUp(t, foll, prim)
+		if got := mReplCheckpoints.Value() - loaded; got != 1 {
+			t.Fatalf("the restart bootstrapped again (%d checkpoints loaded in all)", got)
+		}
+		compareReplica(t, prim, foll, ts, ts2)
 
-			code, body := post(t, ts2, "/v1/replication/promote", struct{}{})
-			if code != http.StatusOK {
-				t.Fatalf("promote: %d %s", code, body)
-			}
-			var info PromoteInfo
-			if err := json.Unmarshal(body, &info); err != nil {
-				t.Fatal(err)
-			}
-			for i := range prim.shards {
-				if want := wal.StoreDigest(prim.shards[i].st); info.Digests[i] != want {
-					t.Fatalf("promoted shard %d digest %s, want the primary's %s (%+v)", i, info.Digests[i], want, info.Recovery)
-				}
-			}
-			if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: k.batch(10)}); code != http.StatusOK {
-				t.Fatalf("post-promote ingest: %d %s", code, body)
-			}
-		})
-	}
+		code, body := post(t, ts2, "/v1/replication/promote", struct{}{})
+		if code != http.StatusOK {
+			t.Fatalf("promote: %d %s", code, body)
+		}
+		var info PromoteInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		if want := wal.StoreDigest(prim.st); info.Digest != want {
+			t.Fatalf("promoted digest %s, want the primary's %s (%+v)", info.Digest, want, info.Recovery)
+		}
+		if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: k.batch(10)}); code != http.StatusOK {
+			t.Fatalf("post-promote ingest: %d %s", code, body)
+		}
+	})
 }
 
 // gate parks whatever writes through it while it is shut.
@@ -660,9 +612,8 @@ func (w gatedWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 func TestLaggingFollowerPinsJournal(t *testing.T) {
 	shrinkJournal(t, 8<<10)
 	_, b := testBundle(t)
-	const shards = 2
 	primDir := t.TempDir()
-	prim, err := Open(Config{DataDir: primDir, Bundle: b, Shards: shards, SnapshotEvery: 150})
+	prim, err := Open(Config{DataDir: primDir, Bundle: b, SnapshotEvery: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +632,7 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 	k := newTickStream(t, ts, b, time.Second)
 	k.post(20, 40)
 
-	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards, ReplicaOf: ts.URL})
+	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, ReplicaOf: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +659,7 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 	before, snaps := files(), obs.GetCounter("wal.snapshots").Value()
 	k.post(40, 40)
 	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 6 {
-		t.Fatalf("%d snapshots while the stream was parked, want several per shard", got)
+		t.Fatalf("%d snapshots while the stream was parked, want several", got)
 	}
 	if got := files(); got < before+12 {
 		t.Fatalf("%d journal files with the stream parked, %d before: segments the follower has yet to read were dropped", got, before)
@@ -720,10 +671,10 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 		t.Fatalf("the follower applied up to %d while parked at about %d: the stream was not parked", foll.follower.appliedSeq.Load(), applied)
 	}
 	if got := mReplCheckpoints.Value() - loaded; got != 0 {
-		t.Fatalf("the released follower loaded %d checkpoint sets, want none: every segment was kept for it", got)
+		t.Fatalf("the released follower loaded %d checkpoints, want none: every segment was kept for it", got)
 	}
 	compareReplica(t, prim, foll, ts, ts2)
-	k.post(1, 40) // a commit group on lane 0: the pass that drops what the follower now holds
+	k.post(1, 40) // a commit group: the pass that drops what the follower now holds
 	waitReplicaCaughtUp(t, foll, prim)
 	waitFiles("released and caught up", func(n int) bool { return n <= before+3 })
 
@@ -738,7 +689,7 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 	g.set(false)
 	waitReplicaCaughtUp(t, foll, prim)
 	if got := mReplCheckpoints.Value() - loaded; got != 1 {
-		t.Fatalf("the follower loaded %d checkpoint sets after the cap dropped segments from under its stream, want 1", got)
+		t.Fatalf("the follower loaded %d checkpoints after the cap dropped segments from under its stream, want 1", got)
 	}
 	compareReplica(t, prim, foll, ts, ts2)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -151,7 +152,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
 		body, err := readBody(w, r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+			writeBodyErr(w, err)
 			return
 		}
 		b, err := wire.Decode(body)
@@ -182,7 +183,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeBodyErr(w, err)
 		return
 	}
 	switch {
@@ -209,6 +210,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.finishIngest(w, r, t)
+}
+
+// writeBodyErr answers a request whose body could not be read or decoded:
+// 413 when it ran into the maxBody cap, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // readBody reads the bounded request body in one allocation when the
@@ -358,11 +370,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	first, last, _ := s.st.Span()
-	depth, capacity := s.queueTotals()
-	shardEvents := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		shardEvents[i] = sh.st.Len()
-	}
 	// The collector's tallies are written by feed loads (and a follower's
 	// journal apply) under dispatchMu.
 	s.dispatchMu.Lock()
@@ -375,10 +382,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"recovery": s.recovery,
 		"sources":  sources,
 		"pipeline": map[string]any{
-			"shards":         len(s.shards),
-			"queue_depth":    depth,
-			"queue_capacity": capacity,
-			"shard_events":   shardEvents,
+			"queue_depth":    len(s.queue),
+			"queue_capacity": cap(s.queue),
 		},
 		"metrics": obs.Default().Snapshot(),
 	})
@@ -415,11 +420,10 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Shutdown drains gracefully: stop accepting work, let in-flight
-// requests finish, drain every shard's queue and the finisher,
-// force-drain the streaming processors, snapshot each shard, drop the
-// journal segments that covers, and close the WALs and the journal. Safe to call once; the ctx bounds the HTTP
-// drain.
+// Shutdown drains gracefully: stop accepting work, let in-flight requests
+// finish, drain the commit pipeline, force-drain the streaming processors,
+// snapshot the store, drop the journal segments that covers, and close the
+// WAL and the journal. Safe to call once; the ctx bounds the HTTP drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.closing)
 	var err error
@@ -429,29 +433,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.isFollower() {
 		return s.shutdownFollower(ctx, err)
 	}
-	// Closing the queues under dispatchMu excludes in-flight dispatchers:
+	// Closing the queue under dispatchMu excludes in-flight dispatchers:
 	// anyone who passed the closing check has finished enqueueing before
-	// we close, anyone after sees closing first.
+	// we close, anyone after sees closing first. The applier then closes
+	// the observer's inbox behind its last group.
 	s.dispatchMu.Lock()
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
+	close(s.queue)
 	s.dispatchMu.Unlock()
-	for _, sh := range s.shards {
-		<-sh.done
-	}
-	close(s.finishQ)
-	<-s.finishDone
+	<-s.observed
 	s.serving.Load().close()
-	for _, sh := range s.shards {
-		if e := sh.log.Snapshot(); e != nil && err == nil {
-			err = e
-		}
-		if e := sh.log.Close(); e != nil && err == nil {
-			err = e
-		}
+	if e := s.log.Snapshot(); e != nil && err == nil {
+		err = e
 	}
-	// The final snapshots raised the floors once more.
+	if e := s.log.Close(); e != nil && err == nil {
+		err = e
+	}
+	// The final snapshot raised the floor once more.
 	s.dropJournalSegments(false)
 	if e := s.jour.Close(); e != nil && err == nil {
 		err = e

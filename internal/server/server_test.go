@@ -437,41 +437,34 @@ func TestIngestValidation(t *testing.T) {
 }
 
 // TestBackpressure429: a full ingest queue answers 429 + Retry-After
-// instead of buffering. The appliers are deliberately absent, so the
-// queues stay as filled: dispatch must reject at admission, before
+// instead of buffering. The applier and the observer are deliberately
+// absent, so the queues stay as filled: admission must reject before
 // consuming a sequence number or IDs, and Retry-After must grow with the
-// depth of the whole pipeline, not stop at the first full lane.
+// depth of the whole pipeline, the observer's backlog included.
 func TestBackpressure429(t *testing.T) {
 	const inflight = 2
 	for _, tc := range []struct {
-		name       string
-		shards     int
-		otherLanes int // tasks queued on each lane but 0, which is always full
-		wantRA     int
+		name      string
+		observing int // batches waiting on the observer, of inflight
+		wantRA    int
 	}{
-		{name: "shards=1", shards: 1, wantRA: 4},
-		// Lane 0 full (it counts for every batch), the other three idle:
-		// 2 of 8 slots.
-		{name: "shards=4 one hot lane", shards: 4, otherLanes: 0, wantRA: 1},
-		{name: "shards=4 half loaded", shards: 4, otherLanes: 1, wantRA: 2},
-		{name: "shards=4 saturated", shards: 4, otherLanes: inflight, wantRA: 4},
+		{name: "observer idle", observing: 0, wantRA: 2},
+		{name: "observer half loaded", observing: 1, wantRA: 3},
+		{name: "observer saturated", observing: inflight, wantRA: 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &Server{
-				cfg:     Config{MaxInflight: inflight, RequestTimeout: time.Second},
-				st:      store.NewSharded(tc.shards),
-				closing: make(chan struct{}),
+				cfg:      Config{MaxInflight: inflight, RequestTimeout: time.Second},
+				st:       store.New(),
+				queue:    make(chan *batch, inflight),
+				observeQ: make(chan *batch, inflight),
+				closing:  make(chan struct{}),
 			}
-			for i := 0; i < tc.shards; i++ {
-				sh := &shard{idx: i, queue: make(chan shardTask, inflight)}
-				fill := tc.otherLanes
-				if i == 0 {
-					fill = inflight
-				}
-				for j := 0; j < fill; j++ {
-					sh.queue <- shardTask{}
-				}
-				s.shards = append(s.shards, sh)
+			for j := 0; j < inflight; j++ {
+				s.queue <- &batch{}
+			}
+			for j := 0; j < tc.observing; j++ {
+				s.observeQ <- &batch{}
 			}
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
@@ -493,8 +486,8 @@ func TestBackpressure429(t *testing.T) {
 				t.Errorf("Retry-After = %q, want the depth-derived %d",
 					resp.Header.Get("Retry-After"), tc.wantRA)
 			}
-			if s.seq != 0 || s.st.NextID() != 0 {
-				t.Errorf("rejection consumed seq=%d nextID=%d, want neither", s.seq, s.st.NextID())
+			if s.seq != 0 || s.nextID != 0 {
+				t.Errorf("rejection consumed seq=%d nextID=%d, want neither", s.seq, s.nextID)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -110,143 +109,171 @@ func TestOneEnginePerApp(t *testing.T) {
 // event batches in flight. Whichever side of it a batch lands on, its
 // symptom is in the breakdown — seeded if acknowledged before, pending or
 // streamed if after — and the batch counter sees every acknowledged
-// request once and the finisher's drain sentinel not at all.
+// request once, the inline feeds and finalize included, and the drain
+// sentinels not at all.
 func TestFinalizeAfterBurst(t *testing.T) {
 	_, b := testBundle(t)
 	batches := obs.GetCounter("server.ingest.batches")
-	for _, shards := range []int{1, 4} {
-		s, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards, MaxInflight: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		counted := batches.Value()
-		feeds := 0
-		for _, src := range feedOrder {
-			if feed, ok := b.Feeds[src]; ok {
-				if code, body := post(t, ts, "/v1/ingest", IngestRequest{Source: src, Lines: feed}); code != http.StatusOK {
-					t.Fatalf("ingest %s: %d %s", src, code, body)
-				}
-				feeds++
+	s, err := Open(Config{DataDir: t.TempDir(), Bundle: b, MaxInflight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	counted := batches.Value()
+	feeds := 0
+	for _, src := range feedOrder {
+		if feed, ok := b.Feeds[src]; ok {
+			if code, body := post(t, ts, "/v1/ingest", IngestRequest{Source: src, Lines: feed}); code != http.StatusOK {
+				t.Fatalf("ingest %s: %d %s", src, code, body)
 			}
+			feeds++
 		}
+	}
 
-		const workers, perWorker = 6, 10
-		at := b.Start.Add(b.Duration).Add(time.Hour)
-		acked := make(chan struct{}, workers*perWorker)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWorker; i++ {
-					data, err := json.Marshal(IngestRequest{Events: []EventJSON{{
-						Name: event.EBGPFlap, Start: at, End: at.Add(time.Minute),
-						Loc: LocationJSON{Type: "router:neighbor",
-							A: fmt.Sprintf("pop%02d-per%d", w%2, 1+i%2), B: fmt.Sprintf("10.98.%d.%d", w, i)},
-					}}})
+	const workers, perWorker = 6, 10
+	at := b.Start.Add(b.Duration).Add(time.Hour)
+	acked := make(chan struct{}, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				data, err := json.Marshal(IngestRequest{Events: []EventJSON{{
+					Name: event.EBGPFlap, Start: at, End: at.Add(time.Minute),
+					Loc: LocationJSON{Type: "router:neighbor",
+						A: fmt.Sprintf("pop%02d-per%d", w%2, 1+i%2), B: fmt.Sprintf("10.98.%d.%d", w, i)},
+				}}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(data))
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					for {
-						resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(data))
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						code := resp.StatusCode
-						io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for reuse
-						resp.Body.Close()
-						if code == http.StatusTooManyRequests {
-							time.Sleep(time.Millisecond)
-							continue
-						}
-						if code != http.StatusOK {
-							t.Errorf("shards=%d worker %d batch %d: status %d", shards, w, i, code)
-							return
-						}
-						break
+					code := resp.StatusCode
+					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for reuse
+					resp.Body.Close()
+					if code == http.StatusTooManyRequests {
+						time.Sleep(time.Millisecond)
+						continue
 					}
-					acked <- struct{}{}
+					if code != http.StatusOK {
+						t.Errorf("worker %d batch %d: status %d", w, i, code)
+						return
+					}
+					break
 				}
-			}(w)
-		}
-		for i := 0; i < workers; i++ { // a few acknowledged, the rest in flight
-			<-acked
-		}
-		if code, body := post(t, ts, "/v1/finalize", struct{}{}); code != http.StatusOK {
-			t.Fatalf("shards=%d finalize: %d %s", shards, code, body)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-
-		const n = workers * perWorker
-		flaps := s.Store().All(event.EBGPFlap) // the corpus's, paired at finalize, and the burst's
-		burst := 0
-		for _, in := range flaps {
-			if strings.HasPrefix(in.Loc.B, "10.98.") {
-				burst++
+				acked <- struct{}{}
 			}
+		}(w)
+	}
+	for i := 0; i < workers; i++ { // a few acknowledged, the rest in flight
+		<-acked
+	}
+	if code, body := post(t, ts, "/v1/finalize", struct{}{}); code != http.StatusOK {
+		t.Fatalf("finalize: %d %s", code, body)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	const n = workers * perWorker
+	flaps := s.Store().All(event.EBGPFlap) // the corpus's, paired at finalize, and the burst's
+	burst := 0
+	for _, in := range flaps {
+		if strings.HasPrefix(in.Loc.B, "10.98.") {
+			burst++
 		}
-		if burst != n || len(flaps) == n {
-			t.Fatalf("shards=%d: store holds %d flaps, %d of the burst's %d acknowledged", shards, len(flaps), burst, n)
-		}
-		code, body := get(t, ts, "/v1/breakdown?app=bgpflap")
-		if code != http.StatusOK {
-			t.Fatalf("breakdown: %d %s", code, body)
-		}
-		var bd struct {
-			Total int `json:"total"`
-		}
-		if err := json.Unmarshal(body, &bd); err != nil {
-			t.Fatal(err)
-		}
-		if bd.Total != len(flaps) {
-			t.Errorf("shards=%d: breakdown covers %d symptoms, the store holds %d", shards, bd.Total, len(flaps))
-		}
-		if got, want := batches.Value()-counted, int64(n+feeds+1); got != want {
-			t.Errorf("shards=%d: server.ingest.batches moved by %d, want %d events + %d feeds + finalize = %d",
-				shards, got, n, feeds, want)
-		}
-		ts.Close()
-		if err := s.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if burst != n || len(flaps) == n {
+		t.Fatalf("store holds %d flaps, %d of the burst's %d acknowledged", len(flaps), burst, n)
+	}
+	code, body := get(t, ts, "/v1/breakdown?app=bgpflap")
+	if code != http.StatusOK {
+		t.Fatalf("breakdown: %d %s", code, body)
+	}
+	var bd struct {
+		Total int `json:"total"`
+	}
+	if err := json.Unmarshal(body, &bd); err != nil {
+		t.Fatal(err)
+	}
+	if bd.Total != len(flaps) {
+		t.Errorf("breakdown covers %d symptoms, the store holds %d", bd.Total, len(flaps))
+	}
+	if got, want := batches.Value()-counted, int64(n+feeds+1); got != want {
+		t.Errorf("server.ingest.batches moved by %d, want %d events + %d feeds + finalize = %d", got, n, feeds, want)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestBatchFirstErrorWins: two lanes failing one batch at the same
-// moment leave exactly one of their errors, whole, in the reply.
+// TestBatchFirstErrorWins: a batch that fails at more than one step of its
+// commit — journal append, store insert, WAL commit, in that order — is
+// answered with the first failure, whole, and after a journal failure
+// nothing reaches the store: not that batch's events, and no later
+// batch's, because the journal takes no more records.
 func TestBatchFirstErrorWins(t *testing.T) {
-	s := &Server{finishQ: make(chan *batch, 1), finishDone: make(chan struct{})}
-	go s.finisher()
-	errs := []error{errors.New("journal: disk full"), errors.New("wal: short write")}
-	for i := 0; i < 200; i++ {
-		bt := &batch{
-			seq: i, stored: make([]*event.Instance, 1),
-			ready: make(chan struct{}), reply: make(chan taskResult, 1),
-		}
-		var wg sync.WaitGroup
-		for _, err := range errs {
-			wg.Add(1)
-			go func(err error) {
-				defer wg.Done()
-				bt.fail(http.StatusInternalServerError, err)
-			}(err)
-		}
-		wg.Wait()
-		close(bt.ready)
-		s.finishQ <- bt
-		res := <-bt.reply
-		if res.status != http.StatusInternalServerError || (res.err != errs[0] && res.err != errs[1]) {
-			t.Fatalf("reply %d %v, want 500 with one of %v", res.status, res.err, errs)
+	_, b := testBundle(t)
+	s := openServer(t, t.TempDir(), b)
+	defer s.Shutdown(context.Background()) //nolint:errcheck // shuts down over a closed journal and log
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	tick := func() IngestRequest {
+		at := b.Start.Add(time.Hour)
+		return IngestRequest{Events: []EventJSON{{
+			Name: "synthetic tick", Start: at, End: at, Loc: LocationJSON{Type: "router", A: "load-r0"},
+		}}}
+	}
+	ingest := func(want string) {
+		t.Helper()
+		code, body := post(t, ts, "/v1/ingest", tick())
+		var ej ErrorJSON
+		if err := json.Unmarshal(body, &ej); err != nil || code != http.StatusInternalServerError || !strings.HasPrefix(ej.Error, want) {
+			t.Fatalf("answered %d %s, want a 500 that begins %q", code, body, want)
 		}
 	}
-	close(s.finishQ)
-	<-s.finishDone
+	// occupy stores an event under the ID the next batch's event will be
+	// given, so that its insert fails.
+	occupy := func() {
+		t.Helper()
+		s.dispatchMu.Lock()
+		defer s.dispatchMu.Unlock()
+		in, err := tick().Events[0].instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.ID = s.nextID
+		if _, err := s.st.Put(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	occupy()
+	ingest("store: ")
+	occupy()
+	if err := s.log.Close(); err != nil { // every commit fails from here on
+		t.Fatal(err)
+	}
+	ingest("store: ") // ahead of the WAL's
+	ingest("wal: ")
+	occupy()
+	if err := s.jour.Close(); err != nil { // every append fails from here on
+		t.Fatal(err)
+	}
+	held := s.st.Len()
+	ingest("journal: ") // ahead of the store's and the WAL's
+	ingest("journal: ")
+	if got := s.st.Len(); got != held {
+		t.Fatalf("the store went from %d to %d events behind a failed journal", held, got)
+	}
 }
 
 // TestStatsDuringFeeds: /v1/stats reads the collector's per-source

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,7 +132,8 @@ func TestWireIngestParity(t *testing.T) {
 }
 
 // TestWireIngestValidation: malformed wire bodies and unknown feed
-// sources are rejected with 400 before being journaled.
+// sources are rejected with 400, and oversized bodies with 413, before
+// being journaled.
 func TestWireIngestValidation(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
@@ -153,6 +156,21 @@ func TestWireIngestValidation(t *testing.T) {
 	// hang).
 	if code, _ := postWire(t, ts, wire.AppendEvents(nil, nil)); code != http.StatusBadRequest {
 		t.Fatalf("empty wire event batch: %d, want 400", code)
+	}
+	// A body over the cap is not a malformed one: 413, naming the cap, in
+	// either encoding (JSON whitespace keeps the decoder reading into it).
+	oversized := bytes.Repeat([]byte(" "), maxBody+1)
+	for _, ct := range []string{"application/json", wire.ContentType} {
+		resp, err := http.Post(ts.URL+"/v1/ingest", ct, bytes.NewReader(oversized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ej ErrorJSON
+		err = json.NewDecoder(resp.Body).Decode(&ej)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(ej.Error, strconv.Itoa(maxBody)) {
+			t.Fatalf("%s body of %d bytes: %d %q (%v), want a 413 naming the %d-byte cap", ct, len(oversized), resp.StatusCode, ej.Error, err, maxBody)
+		}
 	}
 	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {

@@ -7,16 +7,15 @@ import (
 	"grca/internal/locus"
 )
 
-// Store is the event-store access surface shared by the single-shard
-// Memory and the multi-shard Sharded. The engine, collector, rollups,
-// browser, and WAL digesting all program against this interface, so the
-// number of shards behind an ingest path is invisible to readers:
-// placement affects parallelism, never results.
+// Store is the event-store access surface the engine, collector, rollups,
+// browser and WAL digesting program against. Memory implements it; the
+// server's recovery wraps a Memory in a filter that verifies, and does not
+// store again, what a checkpoint already holds.
 type Store interface {
-	// Writes. Add/AddAll assign IDs internally; both implementations
-	// keep IDs globally monotonic and never reuse them.
+	// Add is the only way to write an event through a Store, so a wrapper
+	// that overrides it sees every write. It assigns the ID; IDs ascend and
+	// are never reused.
 	Add(in event.Instance) *event.Instance
-	AddAll(ins []event.Instance)
 
 	// Point and scan reads.
 	Get(id int) (*event.Instance, bool)
@@ -32,9 +31,7 @@ type Store interface {
 	Span() (first, last time.Time, ok bool)
 	Dump() (base, next int, ins []event.Instance)
 
-	// Hooks and retention. Hooks must be registered before concurrent
-	// use; on a Sharded store they observe per-shard appends and
-	// evictions (concurrently, one goroutine per shard applier).
+	// Hooks and retention. Hooks must be registered before concurrent use.
 	OnAppend(fn func(*event.Instance))
 	OnEvict(fn func(evicted []*event.Instance, cutoff time.Time))
 	SetRetention(d time.Duration)
@@ -42,7 +39,4 @@ type Store interface {
 	EvictBefore(cutoff time.Time) int
 }
 
-var (
-	_ Store = (*Memory)(nil)
-	_ Store = (*Sharded)(nil)
-)
+var _ Store = (*Memory)(nil)

@@ -41,14 +41,12 @@ type nameIndex struct {
 	dirty     bool
 }
 
-// Memory is the single-lock in-memory event store — one shard of the
-// system. It is safe for concurrent use, and reads run under a shared
-// lock so that diagnosis can fan out across goroutines. Reads may
-// trigger a lazy re-sort after a batch of out-of-order writes; a read
-// racing such a write may observe that batch partially, so run bulk
-// analysis after ingestion settles (the normal collector → engine
-// phasing). The Store interface abstracts over Memory and the
-// multi-shard Sharded so readers never depend on placement.
+// Memory is the single-lock in-memory event store. It is safe for
+// concurrent use, and reads run under a shared lock so that diagnosis can
+// fan out across goroutines. Reads may trigger a lazy re-sort after a
+// batch of out-of-order writes; a read racing such a write may observe
+// that batch partially, so run bulk analysis after ingestion settles (the
+// normal collector → engine phasing).
 type Memory struct {
 	mu     sync.RWMutex
 	byName map[string]*nameIndex
@@ -78,7 +76,7 @@ type Memory struct {
 	onEvict []func(evicted []*event.Instance, cutoff time.Time)
 }
 
-// New returns an empty single-shard store.
+// New returns an empty store.
 func New() *Memory {
 	return &Memory{byName: map[string]*nameIndex{}}
 }
@@ -138,11 +136,11 @@ func (s *Memory) addLocked(in event.Instance) *event.Instance {
 }
 
 // Put inserts a copy of in at its pre-assigned ID and returns a pointer
-// to the stored instance. IDs are assigned externally (by a Sharded
-// allocator or WAL replay), so a shard's ID sequence may be sparse: a
-// forward gap leaves unassigned slots that behave exactly like
-// tombstones. A Put below the current frontier fills the matching empty
-// slot; reusing an occupied ID is an error.
+// to the stored instance. IDs are assigned externally (by the server's
+// admission, or WAL replay), so the sequence may be sparse: a forward gap
+// leaves unassigned slots that behave exactly like tombstones. A Put
+// below the current frontier fills the matching empty slot; reusing an
+// occupied ID is an error.
 func (s *Memory) Put(in event.Instance) (*event.Instance, error) {
 	s.mu.Lock()
 	stored, err := s.putLocked(in)
@@ -189,13 +187,12 @@ func (s *Memory) putLocked(in event.Instance) (*event.Instance, error) {
 	switch {
 	case len(s.byID) == 0 && in.ID >= next:
 		// Empty (or fully trimmed) store: jump the base forward so a
-		// shard whose first global ID is large doesn't allocate a nil
-		// prefix.
+		// first ID that is large doesn't allocate a nil prefix.
 		s.base = in.ID
 		s.byID = append(s.byID, stored)
 	case in.ID >= next:
-		// Forward gap: IDs in between belong to other shards; leave
-		// them as unassigned (tombstone-equivalent) slots.
+		// Forward gap: leave the IDs in between as unassigned
+		// (tombstone-equivalent) slots.
 		for next < in.ID {
 			s.byID = append(s.byID, nil)
 			next++
@@ -648,7 +645,7 @@ func (s *Memory) Restore(base, next int, ins []event.Instance) error {
 }
 
 // Replace makes a dumped state the store's whole content, whatever it
-// held: a replica loading a checkpoint its primary shipped over a shard
+// held: a replica loading a checkpoint its primary shipped over a store
 // it had been filling itself. Hooks and retention stay; like Restore it
 // runs no hook, so whoever derives state from the store's content
 // rebuilds it.

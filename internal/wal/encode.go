@@ -73,9 +73,9 @@ func readString(b []byte) (string, []byte, error) {
 }
 
 // appendRecord encodes one segment record: the instance's store ID
-// followed by the instance body. IDs are explicit because a shard of a
-// sharded store sees a sparse subsequence of the global ID space, so a
-// record's position in its shard's log no longer determines its ID.
+// followed by the instance body. IDs are explicit because the sequence
+// may be sparse (retention trims it, a failed batch leaves its IDs
+// unused), so a record's position in the log does not determine its ID.
 func appendRecord(b []byte, in *event.Instance) []byte {
 	b = binary.AppendUvarint(b, uint64(in.ID))
 	return appendInstance(b, in)
@@ -192,8 +192,7 @@ func encodedSize(in *event.Instance) int {
 // StoreDigest returns a hex SHA-256 over the store's full dumped state —
 // ID bounds plus every live instance in canonical encoding. Two stores
 // with equal digests hold byte-identical event data; it is the
-// equivalence check behind the crash-recovery guarantees. It accepts any
-// Store, so a merged Sharded dump digests comparably to a single Memory.
+// equivalence check behind the crash-recovery guarantees.
 func StoreDigest(st store.Store) string {
 	base, next, ins := st.Dump()
 	h := sha256.New()

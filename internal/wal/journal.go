@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -155,15 +156,17 @@ const (
 	// JournalSegmentKind is the record kind of a tail segment's header, in
 	// the kind space of the records the serving pipeline journals.
 	JournalSegmentKind byte = 5
-
-	// maxJournalShards bounds the shard count a header may claim.
-	maxJournalShards = 1024
 )
+
+// ErrJournalShards is a tail-segment header written for more than one
+// shard: the data dir is a multi-shard one, which this version does not
+// read.
+var ErrJournalShards = errors.New("wal: journal segment header written for more than one shard")
 
 // JournalSegmentHeader is the first record of every tail segment. It says
 // where the segment sits in the journal — by sequence, by event ID and by
-// byte — and where every shard stood when it began, which is what lets
-// recovery start from it without the segments before it.
+// byte — and how far a checkpoint must reach for recovery to start from
+// the segment without the ones before it.
 type JournalSegmentHeader struct {
 	// FirstSeq is the sequence of the segment's first record (its name).
 	FirstSeq int
@@ -172,26 +175,23 @@ type JournalSegmentHeader struct {
 	// Offset is the logical offset of the segment's first byte: the bytes
 	// ever journaled before it, dropped segments included.
 	Offset int64
-	// Fronts holds, per shard, one past the highest event ID allocated to
-	// the shard before the segment began (0 for none). A checkpoint of
-	// shard i that reaches Fronts[i] lacks nothing the segments from this
-	// one on do not hold.
-	Fronts []int
+	// Front is one past the highest event ID stored before the segment
+	// began (0 for none). A checkpoint that reaches Front lacks nothing the
+	// segments from this one on do not hold.
+	Front int
 }
 
 // AppendJournalSegmentHeader appends h encoded as a journal record:
 // uvarint FirstSeq | JournalSegmentKind | uvarint 0 (no source) | uvarint
-// FirstID | Offset | #shards | Fronts.
+// FirstID | Offset | 1 | Front. The 1 is the shard count of the format
+// multi-shard versions wrote; a single-shard dir of theirs reads as is.
 func AppendJournalSegmentHeader(b []byte, h JournalSegmentHeader) []byte {
 	b = binary.AppendUvarint(b, uint64(h.FirstSeq))
 	b = append(b, JournalSegmentKind, 0)
 	b = binary.AppendUvarint(b, uint64(h.FirstID))
 	b = binary.AppendUvarint(b, uint64(h.Offset))
-	b = binary.AppendUvarint(b, uint64(len(h.Fronts)))
-	for _, f := range h.Fronts {
-		b = binary.AppendUvarint(b, uint64(f))
-	}
-	return b
+	b = append(b, 1)
+	return binary.AppendUvarint(b, uint64(h.Front))
 }
 
 // IsJournalSegmentHeader reports whether a journal record is a tail
@@ -202,9 +202,8 @@ func IsJournalSegmentHeader(rec []byte) bool {
 }
 
 // ParseJournalSegmentHeader decodes a header record. The bytes are outside
-// input on a follower: every value is bounded, the shard count is held
-// against the bytes that carry it before anything is allocated, and
-// anything left over is an error.
+// input on a follower: every value is bounded and anything left over is an
+// error. A shard count other than 1 is ErrJournalShards.
 func ParseJournalSegmentHeader(p []byte) (JournalSegmentHeader, error) {
 	var h JournalSegmentHeader
 	u := uvarints{p, true}
@@ -216,17 +215,15 @@ func ParseJournalSegmentHeader(p []byte) (JournalSegmentHeader, error) {
 	h.FirstID = u.next()
 	h.Offset = int64(u.next())
 	n := u.next()
-	if !u.ok || n < 1 || n > maxJournalShards || n > len(u.p) {
+	if !u.ok || n < 1 {
 		return h, fmt.Errorf("wal: bad journal segment header")
 	}
-	h.Fronts = make([]int, n)
-	for i := range h.Fronts {
-		if h.Fronts[i] = u.next(); h.Fronts[i] > h.FirstID {
-			u.ok = false
-		}
+	if n != 1 {
+		return h, fmt.Errorf("%w (%d)", ErrJournalShards, n)
 	}
-	if !u.ok || len(u.p) != 0 {
-		return h, fmt.Errorf("wal: bad journal segment header shard fronts")
+	h.Front = u.next()
+	if !u.ok || h.Front > h.FirstID || len(u.p) != 0 {
+		return h, fmt.Errorf("wal: bad journal segment header front")
 	}
 	return h, nil
 }
@@ -340,9 +337,8 @@ func JournalOffset(dir string) int64 {
 
 // SegmentedJournal appends to the journal under one data dir: to
 // journal.log until the first Roll, to the newest tail segment after. One
-// goroutine at a time drives it (the serving pipeline's lane 0 applier,
-// or admission with that lane quiesced); Offset alone may be read from
-// any. The first write or sync failure is sticky: a journal that may have
+// goroutine at a time drives it (the serving pipeline's applier, or
+// admission with the applier quiesced); Offset alone may be read from any. The first write or sync failure is sticky: a journal that may have
 // a torn frame in its middle takes no more records, so what a replay
 // finds is always a prefix of what was dispatched.
 type SegmentedJournal struct {
@@ -439,7 +435,7 @@ func (j *SegmentedJournal) ActiveSize() int64 { return j.curSize }
 func (j *SegmentedJournal) Tail() []JournalSegment { return j.tail }
 
 // Roll makes a new tail segment the active file. h says where the journal
-// stands — FirstSeq, FirstID and Fronts are the caller's, Offset is filled
+// stands — FirstSeq, FirstID and Front are the caller's, Offset is filled
 // in here — unless raw is given, which is then the header record to write
 // verbatim and h its parse (a follower rolls where its primary rolled).
 // With replace, the existing tail is unlinked first: the new segment

@@ -3,10 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"testing"
 )
 
@@ -114,7 +114,7 @@ func TestSegmentedJournalRollDropRecover(t *testing.T) {
 	}
 	headSize := j.Offset()
 	for k := 0; k < 4; k++ {
-		h := JournalSegmentHeader{FirstSeq: seq, FirstID: 10 * seq, Fronts: []int{10 * seq, 0}}
+		h := JournalSegmentHeader{FirstSeq: seq, FirstID: 10 * seq, Front: 10 * seq}
 		if err := j.Roll(h, nil, false); err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestRecoverJournalTailCrashCuts(t *testing.T) {
 		}
 		for seq := 0; seq < 9; seq++ {
 			if seq%3 == 0 && seq > 0 {
-				if err := j.Roll(JournalSegmentHeader{FirstSeq: seq, FirstID: seq, Fronts: []int{seq}}, nil, false); err != nil {
+				if err := j.Roll(JournalSegmentHeader{FirstSeq: seq, FirstID: seq, Front: seq}, nil, false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -221,7 +221,7 @@ func TestRecoverJournalTailCrashCuts(t *testing.T) {
 	}
 	t.Run("headerless last file", func(t *testing.T) {
 		dir, tail := build(t)
-		hdr := appendFrame(nil, AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 9, FirstID: 9, Fronts: []int{9}}))
+		hdr := appendFrame(nil, AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 9, FirstID: 9, Front: 9}))
 		for _, cut := range []int{0, 3, len(hdr) - 1} {
 			path := journalSegPath(dir, 9)
 			if err := os.WriteFile(path, hdr[:cut], 0o644); err != nil {
@@ -242,7 +242,7 @@ func TestRecoverJournalTailCrashCuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Roll(JournalSegmentHeader{FirstSeq: 9, FirstID: 9, Fronts: []int{9}}, nil, false); err != nil {
+		if err := j.Roll(JournalSegmentHeader{FirstSeq: 9, FirstID: 9, Front: 9}, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -282,7 +282,7 @@ func TestSegmentedJournalFollowerRolls(t *testing.T) {
 	roll := func(h JournalSegmentHeader, replace bool) error {
 		return j.Roll(h, AppendJournalSegmentHeader(nil, h), replace)
 	}
-	h1 := JournalSegmentHeader{FirstSeq: 1, FirstID: 4, Offset: j.Offset(), Fronts: []int{4}}
+	h1 := JournalSegmentHeader{FirstSeq: 1, FirstID: 4, Offset: j.Offset(), Front: 4}
 	if err := roll(h1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,10 @@ func TestSegmentedJournalFollowerRolls(t *testing.T) {
 	if err := j.AppendNoSync(jrec(1, "tail")); err != nil {
 		t.Fatal(err)
 	}
-	if err := roll(JournalSegmentHeader{FirstSeq: 2, FirstID: 5, Offset: j.Offset() + 1, Fronts: []int{5}}, false); err == nil {
+	if err := roll(JournalSegmentHeader{FirstSeq: 2, FirstID: 5, Offset: j.Offset() + 1, Front: 5}, false); err == nil {
 		t.Fatal("a header beginning past the local journal's end was followed")
 	}
-	far := JournalSegmentHeader{FirstSeq: 40, FirstID: 900, Offset: 1 << 20, Fronts: []int{880}}
+	far := JournalSegmentHeader{FirstSeq: 40, FirstID: 900, Offset: 1 << 20, Front: 880}
 	if err := roll(far, true); err != nil {
 		t.Fatal(err)
 	}
@@ -314,27 +314,26 @@ func TestSegmentedJournalFollowerRolls(t *testing.T) {
 // beyond the first ID, or an error — never a panic, never an allocation
 // the input did not pay for.
 func FuzzJournalSegmentHeader(f *testing.F) {
-	f.Add(AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 7, FirstID: 4096, Offset: 8 << 20, Fronts: []int{4000, 4096, 0, 17}}))
-	f.Add(AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 1, Fronts: []int{0}}))
-	f.Add(AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 3, FirstID: 5, Fronts: []int{6}})) // a front beyond the first ID
+	f.Add(AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 7, FirstID: 4096, Offset: 8 << 20, Front: 4000}))
+	f.Add(AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 1}))
+	f.Add(AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 3, FirstID: 5, Front: 6})) // a front beyond the first ID
 	f.Add(jrec(3, "an event batch, not a header"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, JournalSegmentKind, 0, 0, 0, 1, 0})
 	f.Add([]byte{1, JournalSegmentKind, 0, 1, 0, 0xff, 0xff, 0x03}) // a huge shard count over no bytes
+	twoShards := []byte{7, JournalSegmentKind, 0, 9, 0, 2, 4, 9}    // what a -shards 2 node wrote
+	f.Add(twoShards)
+	if _, err := ParseJournalSegmentHeader(twoShards); !errors.Is(err, ErrJournalShards) {
+		f.Fatalf("a two-shard header: err %v, want ErrJournalShards", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ParseJournalSegmentHeader(data)
 		if err != nil {
 			return
 		}
-		if h.FirstSeq < 0 || h.FirstID < 0 || h.Offset < 0 || len(h.Fronts) == 0 || len(h.Fronts) > maxJournalShards {
+		if h.FirstSeq < 0 || h.FirstID < 0 || h.Offset < 0 || h.Front < 0 || h.Front > h.FirstID {
 			t.Fatalf("accepted %+v", h)
 		}
-		for _, fr := range h.Fronts {
-			if fr < 0 || fr > h.FirstID {
-				t.Fatalf("accepted a front of %d under first ID %d", fr, h.FirstID)
-			}
-		}
-		if again, err := ParseJournalSegmentHeader(AppendJournalSegmentHeader(nil, h)); err != nil || again.FirstSeq != h.FirstSeq ||
-			again.FirstID != h.FirstID || again.Offset != h.Offset || !slices.Equal(again.Fronts, h.Fronts) {
+		if again, err := ParseJournalSegmentHeader(AppendJournalSegmentHeader(nil, h)); err != nil || again != h {
 			t.Fatalf("%+v encodes to something that parses as %+v, %v", h, again, err)
 		}
 	})

@@ -19,10 +19,9 @@
 // sealed segment is immutable: no append and no truncation ever lands in
 // an inode a run shares.
 //
-// Every record carries its store ID explicitly: one Log serves one
-// Memory shard, and under a sharded store a shard holds a sparse,
-// strictly ascending subsequence of the global ID space, so position in
-// the log cannot determine the ID. The log observes every insert through
+// Every record carries its store ID explicitly: the IDs a store holds
+// ascend strictly but may be sparse, so position in the log cannot
+// determine the ID. The log observes every insert through
 // the store's append hook and rejects any ID regression. Recovery
 // restores the newest readable snapshot, then replays exactly the
 // records with ID ≥ the snapshot's next-ID. A torn final record (crash
@@ -160,7 +159,7 @@ type Recovery struct {
 	// manifest, so with neither that manifest nor a newer one readable the
 	// records below its next-ID bound — this value — are in no file this
 	// recovery could read. The log alone cannot fill it; the serving
-	// pipeline refills the shard from the ingest journal, or refuses it.
+	// pipeline refills the store from the ingest journal, or refuses it.
 	LostBelow int
 	// Replayed is how many tail records were replayed from segments.
 	Replayed int
@@ -266,8 +265,8 @@ func (l *Log) record(in *event.Instance) {
 	if in.ID < l.nextSeq {
 		// The store and log disagree on IDs — a second writer bypassed
 		// recovery, or IDs regressed. Poison the log rather than persist
-		// a corrupt order. (IDs above nextSeq are legal: a shard of a
-		// sharded store skips the IDs other shards were allocated.)
+		// a corrupt order. (IDs above nextSeq are legal: the sequence may
+		// be sparse.)
 		if l.err == nil {
 			l.err = fmt.Errorf("wal: append ID %d, log expects ≥ %d", in.ID, l.nextSeq)
 		}
@@ -291,7 +290,7 @@ func (l *Log) record(in *event.Instance) {
 // auto-snapshot takes nothing back from records already on disk, so it is
 // counted (wal.snapshots.failed) and retried by the next Commit instead
 // of being reported against a durable batch. Commit does not coalesce
-// callers: the serving pipeline's per-shard applier is the one committer,
+// callers: the serving pipeline's applier is the one committer,
 // and its queue-drain commit group is the one place fsyncs are amortized.
 func (l *Log) Commit() error {
 	if err := l.flush(l.opts.Fsync == FsyncBatch); err != nil {
