@@ -194,21 +194,29 @@ func DrillDown(st store.Store, view *netstate.View, sym *event.Instance, window 
 	for _, l := range symLocs {
 		set[l] = true
 	}
+	// Candidates repeat locations and Expand is not cached: decide each
+	// distinct location once per call.
+	related := map[locus.Location]bool{}
 	var out []*event.Instance
 	for _, name := range st.Names() {
 		for _, in := range st.Query(name, sym.Start.Add(-window), sym.End.Add(window)) {
 			if in == sym {
 				continue
 			}
-			locs, err := view.Expand(in.Loc, level, sym.Start)
-			if err != nil {
-				continue // unmodeled location: skip, don't abort exploration
-			}
-			for _, l := range locs {
-				if set[l] {
-					out = append(out, in)
-					break
+			hit, seen := related[in.Loc]
+			if !seen {
+				// An unmodeled location is a miss: skip, don't abort exploration.
+				locs, _ := view.Expand(in.Loc, level, sym.Start)
+				for _, l := range locs {
+					if set[l] {
+						hit = true
+						break
+					}
 				}
+				related[in.Loc] = hit
+			}
+			if hit {
+				out = append(out, in)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package browser
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +128,53 @@ func TestDrillDown(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Name != event.CPUHighSpike || got[0].Loc.A != "chi-per1" {
 		t.Errorf("drill-down = %v", got)
+	}
+}
+
+// TestDrillDownMemoEqualsUnmemoized: deciding each distinct location once
+// per call returns exactly what expanding every candidate does.
+func TestDrillDownMemoEqualsUnmemoized(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	st := store.New()
+	ifc, _ := n.Topo.InterfaceByName("chi-per1", "to-custB")
+	locs := []locus.Location{
+		locus.At(locus.Router, "chi-per1"), locus.At(locus.Router, "chi-cr1"), locus.At(locus.Router, "nyc-per1"),
+		locus.Between(locus.Interface, "chi-per1", "to-custB"), locus.Between(locus.Interface, "nyc-cr1", "to-chi-cr1"),
+		locus.Between(locus.RouterNeighbor, "chi-per1", ifc.PeerIP.String()),
+		locus.At(locus.Router, "no-such-router"), locus.Between(locus.Interface, "chi-per1", "no-such-port"),
+	}
+	names := []string{event.CPUHighSpike, event.InterfaceFlap, event.RouterReboot, event.EBGPFlap}
+	for i := 0; i < 400; i++ {
+		at := t0.Add(time.Duration(i*7%120) * time.Minute)
+		st.Add(event.Instance{Name: names[i%len(names)], Start: at, End: at.Add(time.Duration(i%3) * time.Minute), Loc: locs[i%len(locs)]})
+	}
+	for _, level := range []locus.Type{locus.Router, locus.Interface} {
+		for _, sym := range st.All(event.EBGPFlap) {
+			if _, err := n.View.Expand(sym.Loc, level, sym.Start); err != nil {
+				continue
+			}
+			got, err := DrillDown(st, n.View, sym, 10*time.Minute, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			symLocs, _ := n.View.Expand(sym.Loc, level, sym.Start)
+			var want []*event.Instance
+			for _, name := range st.Names() {
+				for _, in := range st.Query(name, sym.Start.Add(-10*time.Minute), sym.End.Add(10*time.Minute)) {
+					cand, err := n.View.Expand(in.Loc, level, sym.Start)
+					if in == sym || err != nil {
+						continue
+					}
+					if slices.ContainsFunc(cand, func(l locus.Location) bool { return slices.Contains(symLocs, l) }) {
+						want = append(want, in)
+					}
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].Start.Before(want[j].Start) })
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("level %v, symptom %v: drill-down returned %d events, the un-memoized loop %d", level, sym, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"sort"
 
+	"grca/internal/event"
 	"grca/internal/store"
 	"grca/internal/wal"
 )
@@ -24,6 +25,20 @@ type CrashResult struct {
 	DigestMatch bool
 }
 
+// liveInstances copies every live instance of st, in ID order: the
+// delivery schedule of the crash and replica replays.
+func liveInstances(st store.Store) []event.Instance {
+	var ins []event.Instance
+	st.SnapshotTo(func(_, _, live int) error { //nolint:errcheck // neither callback fails
+		ins = make([]event.Instance, 0, live)
+		return nil
+	}, func(in *event.Instance) error {
+		ins = append(ins, *in)
+		return nil
+	})
+	return ins
+}
+
 // CrashReplay simulates a serve process being killed and restarted
 // mid-ingest: the clean corpus is delivered in store order to a WAL-backed
 // store, committing every CrashBatch events. At each deterministic crash
@@ -40,7 +55,7 @@ func (inj *Injector) CrashReplay(clean store.Store) (CrashResult, error) {
 	}
 	defer os.RemoveAll(dir) //nolint:errcheck // best-effort temp cleanup
 
-	_, _, ins := clean.Dump()
+	ins := liveInstances(clean)
 	n := len(ins)
 	opts := wal.Options{SnapshotEvery: 4 * inj.cfg.CrashBatch}
 

@@ -22,7 +22,7 @@ func crashCorpus(n int) store.Store {
 		}
 		if i%3 == 0 {
 			in.Name = event.InterfaceUp
-			in.Attrs = map[string]string{"n": fmt.Sprint(i)}
+			in.Attrs = event.NewAttrs(map[string]string{"n": fmt.Sprint(i)})
 		}
 		st.Add(in)
 	}

@@ -113,7 +113,7 @@ func (inj *Injector) ReplicaReplay(clean store.Store, f Fault) (ReplicaResult, e
 	}
 	defer os.RemoveAll(follDir) //nolint:errcheck // best-effort temp cleanup
 
-	_, _, ins := clean.Dump()
+	ins := liveInstances(clean)
 	res := ReplicaResult{Total: len(ins)}
 
 	// The lag scenario ships a pure record stream (no snapshots, so the

@@ -590,7 +590,7 @@ func (c *Collector) add(name string, start, end time.Time, loc locus.Location, a
 	}
 	c.stats(source).Events++
 	mEvents.Inc()
-	c.Store.Add(event.Instance{Name: name, Start: start, End: end, Loc: loc, Attrs: attrs})
+	c.Store.Add(event.Instance{Name: name, Start: start, End: end, Loc: loc, Attrs: event.NewAttrs(attrs)})
 }
 
 // Finalize drains the pairing buffers: flap detection over the buffered

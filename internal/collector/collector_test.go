@@ -346,7 +346,7 @@ func TestBGPMonAndEgressChanges(t *testing.T) {
 		t.Fatalf("egress changes = %v", ch)
 	}
 	if ch[0].Attr("old") != "chi-per1" || ch[0].Attr("new") != "wdc-per1" {
-		t.Errorf("change attrs = %v", ch[0].Attrs)
+		t.Errorf("change attrs = %v", ch[0].Attrs.Map())
 	}
 	if ch[0].Loc != locus.Between(locus.IngressDestination, "nyc-per1", "198.51.100.0/24") {
 		t.Errorf("change loc = %v", ch[0].Loc)

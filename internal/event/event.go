@@ -53,28 +53,18 @@ type Instance struct {
 	Loc   locus.Location
 	// Attrs carries the "additional info" of the tuple: raw message text,
 	// measured values, ground-truth labels in simulation, etc.
-	Attrs map[string]string
+	Attrs Attrs
 }
 
 // Duration returns End − Start.
 func (in Instance) Duration() time.Duration { return in.End.Sub(in.Start) }
 
 // Attr returns the named attribute or "".
-func (in Instance) Attr(key string) string {
-	if in.Attrs == nil {
-		return ""
-	}
-	return in.Attrs[key]
-}
+func (in Instance) Attr(key string) string { return in.Attrs.Get(key) }
 
 // WithAttr returns a copy of the instance with the attribute set.
 func (in Instance) WithAttr(key, value string) Instance {
-	attrs := make(map[string]string, len(in.Attrs)+1)
-	for k, v := range in.Attrs {
-		attrs[k] = v
-	}
-	attrs[key] = value
-	in.Attrs = attrs
+	in.Attrs = in.Attrs.With(key, value)
 	return in
 }
 

@@ -124,13 +124,13 @@ func TestInstanceHelpers(t *testing.T) {
 		t.Error("Duration wrong")
 	}
 	if in.Attr("missing") != "" {
-		t.Error("Attr on nil map should be empty")
+		t.Error("Attr on the empty set should be empty")
 	}
 	in2 := in.WithAttr("rootcause", "fiber cut")
 	if in2.Attr("rootcause") != "fiber cut" {
 		t.Error("WithAttr did not set")
 	}
-	if in.Attrs != nil {
+	if in.Attrs != (Attrs{}) {
 		t.Error("WithAttr mutated the receiver")
 	}
 	in3 := in2.WithAttr("k2", "v2")

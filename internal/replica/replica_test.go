@@ -28,7 +28,7 @@ func inst(id int, name string) event.Instance {
 		Start: t0.Add(time.Duration(id) * time.Second),
 		End:   t0.Add(time.Duration(id)*time.Second + time.Minute),
 		Loc:   locus.Location{Type: locus.Router, A: fmt.Sprintf("r%d", id%7)},
-		Attrs: map[string]string{"seq": fmt.Sprint(id)},
+		Attrs: event.NewAttrs(map[string]string{"seq": fmt.Sprint(id)}),
 	}
 }
 

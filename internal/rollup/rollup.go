@@ -148,10 +148,10 @@ func (r *Rollup) ObserveEvent(in *event.Instance) {
 // bins — the recovery path, where the store was rebuilt from snapshot +
 // WAL before the rollup existed. Register the hooks after seeding.
 func (r *Rollup) SeedEvents(st store.Store) {
-	_, _, ins := st.Dump()
-	for i := range ins {
-		r.ObserveEvent(&ins[i])
-	}
+	st.SnapshotTo(func(int, int, int) error { return nil }, func(in *event.Instance) error { //nolint:errcheck // neither callback fails
+		r.ObserveEvent(in)
+		return nil
+	})
 }
 
 // Reset forgets every binned event and counted diagnosis, for a store

@@ -47,7 +47,7 @@ func eventJSON(in *event.Instance) EventJSON {
 	return EventJSON{
 		ID: in.ID, Name: in.Name,
 		Start: in.Start, End: in.End,
-		Loc: locationJSON(in.Loc), Attrs: in.Attrs,
+		Loc: locationJSON(in.Loc), Attrs: in.Attrs.Map(),
 	}
 }
 
@@ -67,7 +67,7 @@ func (e EventJSON) instance() (event.Instance, error) {
 	}
 	return event.Instance{
 		Name: e.Name, Start: e.Start.UTC(), End: e.End.UTC(),
-		Loc: loc, Attrs: e.Attrs,
+		Loc: loc, Attrs: event.NewAttrs(e.Attrs),
 	}, nil
 }
 

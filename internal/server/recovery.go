@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -149,7 +148,7 @@ func (f *frontierStore) place(in event.Instance) *event.Instance {
 func (f *frontierStore) verify(in *event.Instance) string {
 	got, ok := f.Get(in.ID)
 	if ok {
-		if got.Name != in.Name || !got.Start.Equal(in.Start) || !got.End.Equal(in.End) || got.Loc != in.Loc || !maps.Equal(got.Attrs, in.Attrs) {
+		if got.Name != in.Name || !got.Start.Equal(in.Start) || !got.End.Equal(in.End) || got.Loc != in.Loc || got.Attrs != in.Attrs {
 			return fmt.Sprintf("event %d is %q at %v in the checkpoint, %q at %v in the journal", in.ID, got.Name, got.Loc, in.Name, in.Loc)
 		}
 		f.present++

@@ -183,3 +183,41 @@ func TestWireIngestValidation(t *testing.T) {
 		t.Fatalf("rejected batches were journaled: recovered %d", n)
 	}
 }
+
+// TestEventJSONAttrsCanonical: the JSON path packs the attribute set the
+// wire path packs — a duplicated key's last value wins, order does not
+// matter, `"attrs": {}` is an absent one — and renders it back sorted,
+// omitted when empty.
+func TestEventJSONAttrsCanonical(t *testing.T) {
+	const head = `{"name":"x","start":"2010-01-01T00:00:00Z","end":"2010-01-01T00:00:00Z","loc":{"type":"router","a":"r1"}`
+	parse := func(tail string) event.Instance {
+		t.Helper()
+		var e EventJSON
+		if err := json.Unmarshal([]byte(head+tail), &e); err != nil {
+			t.Fatal(err)
+		}
+		in, err := e.instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	with := parse(`,"attrs":{"b":"1","a":"2","b":"3"}}`)
+	if want := event.NewAttrs(map[string]string{"a": "2", "b": "3"}); with.Attrs != want {
+		t.Errorf("attrs %v, want %v", with.Attrs.Map(), want.Map())
+	}
+	viaWire, err := wire.Decode(wire.AppendEvents(nil, []event.Instance{with}))
+	if err != nil || viaWire.Events[0].Attrs != with.Attrs {
+		t.Errorf("over the wire the attributes became %+v (%v)", viaWire.Events, err)
+	}
+	if out, _ := json.Marshal(eventJSON(&with)); string(out) != head+`,"attrs":{"a":"2","b":"3"}}` {
+		t.Errorf("rendered %s", out)
+	}
+	none := parse(`}`)
+	if empty := parse(`,"attrs":{}}`); empty.Attrs != none.Attrs || none.Attrs != (event.Attrs{}) {
+		t.Errorf(`"attrs": {} gave %+v, an absent one %+v`, empty.Attrs, none.Attrs)
+	}
+	if out, _ := json.Marshal(eventJSON(&none)); string(out) != head+`}` {
+		t.Errorf("rendered %s", out)
+	}
+}

@@ -29,7 +29,10 @@ type Store interface {
 	All(name string) []*event.Instance
 	ScanAfter(name string, after, limit int) (out []*event.Instance, more bool)
 	Span() (first, last time.Time, ok bool)
-	Dump() (base, next int, ins []event.Instance)
+	// SnapshotTo streams the whole content through one consistent cut:
+	// header once with the ID bounds and live count, then each per live
+	// instance in ID order, under the read lock (see Cut's rules).
+	SnapshotTo(header func(base, next, count int) error, each func(*event.Instance) error) error
 
 	// Hooks and retention. Hooks must be registered before concurrent use.
 	OnAppend(fn func(*event.Instance))

@@ -4,7 +4,8 @@
 // the access pattern of the paper's "database tables" (§II-A) without the
 // external database dependency.
 //
-// Instances are indexed per event name and kept sorted by start time; a
+// Instances are indexed per event name and kept sorted by start time
+// (out-of-order arrivals wait in a tail that the next read merges in); a
 // per-name maximum-duration bound turns interval-overlap queries into two
 // binary searches plus a bounded scan.
 package store
@@ -30,20 +31,65 @@ var (
 		[]float64{1, 5, 10, 30, 60, 120, 300, 600, 1800, 3600, 7200, 21600, 86400})
 	mQueryResults  = obs.GetHistogram("store.query.results", obs.SizeBuckets)
 	mLazyResorts   = obs.GetCounter("store.lazy.resorts")
+	mResortMoved   = obs.GetCounter("store.lazy.resort.moved")
 	mQueryScanSkip = obs.GetCounter("store.query.scanned.nonoverlap")
 	mEvicted       = obs.GetCounter("store.evicted")
 	mEvictions     = obs.GetCounter("store.evictions")
 )
 
+// nameIndex holds one event name's instances. instances[:sorted] is in
+// Start order, equal Starts in insertion order; instances[sorted:] is the
+// unsettled tail — every Put since one arrived behind the prefix's last
+// Start — in insertion order. Everything in the prefix was inserted
+// before anything in the tail, so settling is a stable sort of the tail
+// and a merge, and equals a stable sort of the whole index.
 type nameIndex struct {
-	instances []*event.Instance // sorted by Start once clean
+	instances []*event.Instance
+	sorted    int
 	maxDur    time.Duration
-	dirty     bool
+}
+
+func (idx *nameIndex) add(in *event.Instance) {
+	n := len(idx.instances)
+	if idx.sorted == n && (n == 0 || !idx.instances[n-1].Start.After(in.Start)) {
+		idx.sorted++
+	}
+	idx.instances = append(idx.instances, in)
+	if d := in.Duration(); d > idx.maxDur {
+		idx.maxDur = d
+	}
+}
+
+func (idx *nameIndex) settled() bool { return idx.sorted == len(idx.instances) }
+
+// settle merges the tail into the prefix from the back, so it rewrites
+// the tail and the prefix elements that start after the tail's earliest
+// — never the part of the index the tail does not reach.
+func (idx *nameIndex) settle() {
+	if idx.settled() {
+		return
+	}
+	ins := idx.instances
+	tail := append([]*event.Instance(nil), ins[idx.sorted:]...)
+	sort.SliceStable(tail, func(i, j int) bool { return tail[i].Start.Before(tail[j].Start) })
+	i, k := idx.sorted-1, len(ins)-1
+	for j := len(tail) - 1; j >= 0; k-- {
+		if i >= 0 && ins[i].Start.After(tail[j].Start) {
+			ins[k] = ins[i]
+			i--
+		} else {
+			ins[k] = tail[j]
+			j--
+		}
+	}
+	mLazyResorts.Inc()
+	mResortMoved.Add(int64(len(ins) - 1 - k))
+	idx.sorted = len(ins)
 }
 
 // Memory is the single-lock in-memory event store. It is safe for
 // concurrent use, and reads run under a shared lock so that diagnosis can
-// fan out across goroutines. Reads may trigger a lazy re-sort after a
+// fan out across goroutines. Reads may trigger a lazy settle after a
 // batch of out-of-order writes; a read racing such a write may observe
 // that batch partially, so run bulk analysis after ingestion settles (the
 // normal collector → engine phasing).
@@ -212,13 +258,7 @@ func (s *Memory) putLocked(in event.Instance) (*event.Instance, error) {
 		idx = &nameIndex{}
 		s.byName[in.Name] = idx
 	}
-	if n := len(idx.instances); n > 0 && idx.instances[n-1].Start.After(in.Start) {
-		idx.dirty = true
-	}
-	idx.instances = append(idx.instances, stored)
-	if d := in.Duration(); d > idx.maxDur {
-		idx.maxDur = d
-	}
+	idx.add(stored)
 	if s.live == 1 || in.Start.Before(s.first) {
 		s.first = in.Start
 	}
@@ -297,16 +337,6 @@ func (s *Memory) Names() []string {
 	return out
 }
 
-func (idx *nameIndex) ensureSorted() {
-	if !idx.dirty {
-		return
-	}
-	sort.SliceStable(idx.instances, func(i, j int) bool {
-		return idx.instances[i].Start.Before(idx.instances[j].Start)
-	})
-	idx.dirty = false
-}
-
 // Query returns the instances of the named event whose [Start, End]
 // interval overlaps [from, to] (inclusive on both ends), ordered by start
 // time. The returned slice is freshly allocated.
@@ -325,9 +355,9 @@ func (s *Memory) QueryFunc(name string, from, to time.Time, keep func(*event.Ins
 		return nil
 	}
 	mQueryWindow.ObserveDuration(to.Sub(from))
-	if idx.dirty {
+	if !idx.settled() {
 		// Upgrade: drop the read lock and redo the whole read under the
-		// write lock. Resuming on RLock after a write-locked re-sort would
+		// write lock. Resuming on RLock after a write-locked settle would
 		// trust state observed before the upgrade — the PR 3 store race,
 		// now rejected by the deferunlock/lockorder analyzers.
 		s.mu.RUnlock()
@@ -336,17 +366,14 @@ func (s *Memory) QueryFunc(name string, from, to time.Time, keep func(*event.Ins
 		if idx = s.byName[name]; idx == nil {
 			return nil // evicted between the locks
 		}
-		if idx.dirty {
-			mLazyResorts.Inc()
-			idx.ensureSorted()
-		}
+		idx.settle()
 		return queryScan(idx, from, to, keep)
 	}
 	defer s.mu.RUnlock()
 	return queryScan(idx, from, to, keep)
 }
 
-// queryScan performs the window scan over a sorted index; the caller
+// queryScan performs the window scan over a settled index; the caller
 // holds s.mu in either mode.
 func queryScan(idx *nameIndex, from, to time.Time, keep func(*event.Instance) bool) []*event.Instance {
 	ins := idx.instances
@@ -388,19 +415,16 @@ func (s *Memory) All(name string) []*event.Instance {
 		s.mu.RUnlock()
 		return nil
 	}
-	if idx.dirty {
+	if !idx.settled() {
 		// Same upgrade discipline as QueryFunc: redo the read under the
-		// write lock rather than resorting and resuming on RLock.
+		// write lock rather than settling and resuming on RLock.
 		s.mu.RUnlock()
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if idx = s.byName[name]; idx == nil {
 			return nil
 		}
-		if idx.dirty {
-			mLazyResorts.Inc()
-			idx.ensureSorted()
-		}
+		idx.settle()
 		return append([]*event.Instance(nil), idx.instances...)
 	}
 	defer s.mu.RUnlock()
@@ -498,11 +522,11 @@ func (s *Memory) evictLocked(cutoff time.Time) []*event.Instance {
 	s.live -= evicted
 	mEvicted.Add(int64(evicted))
 	mEvictions.Inc()
-	// Filter each name index in place; the kept instances stay in their
-	// prior relative order so sortedness (and dirtiness) is preserved.
-	// maxDur is left as an upper bound: a too-wide query bound only costs
-	// extra scan, never correctness.
+	// Filter each name index in place, settled first so that what is kept
+	// is all prefix. maxDur is left as an upper bound: a too-wide query
+	// bound only costs extra scan, never correctness.
 	for name, idx := range s.byName {
+		idx.settle()
 		kept := idx.instances[:0]
 		for _, in := range idx.instances {
 			if !in.End.Before(cutoff) {
@@ -516,7 +540,7 @@ func (s *Memory) evictLocked(cutoff time.Time) []*event.Instance {
 			delete(s.byName, name)
 			continue
 		}
-		idx.instances = kept
+		idx.instances, idx.sorted = kept, len(kept)
 	}
 	// Trim leading tombstones, advancing the ID base; copy so the evicted
 	// prefix of the backing array is actually released.
@@ -680,13 +704,7 @@ func (s *Memory) restoreLocked(base, next int, ins []event.Instance) error {
 			idx = &nameIndex{}
 			s.byName[in.Name] = idx
 		}
-		if n := len(idx.instances); n > 0 && idx.instances[n-1].Start.After(in.Start) {
-			idx.dirty = true
-		}
-		idx.instances = append(idx.instances, &stored)
-		if d := in.Duration(); d > idx.maxDur {
-			idx.maxDur = d
-		}
+		idx.add(&stored)
 		if s.live == 1 || in.Start.Before(s.first) {
 			s.first = in.Start
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"time"
 
 	"grca/internal/event"
@@ -114,19 +113,7 @@ func appendInstance(b []byte, in *event.Instance) []byte {
 	b = append(b, byte(in.Loc.Type))
 	b = appendString(b, in.Loc.A)
 	b = appendString(b, in.Loc.B)
-	b = binary.AppendUvarint(b, uint64(len(in.Attrs)))
-	if len(in.Attrs) > 0 {
-		keys := make([]string, 0, len(in.Attrs))
-		for k := range in.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = appendString(b, in.Attrs[k])
-		}
-	}
-	return b
+	return in.Attrs.AppendSection(b)
 }
 
 func decodeInstance(p []byte) (event.Instance, error) {
@@ -158,23 +145,8 @@ func decodeInstance(p []byte) (event.Instance, error) {
 	if in.Loc.B, p, err = readString(p); err != nil {
 		return in, err
 	}
-	nattrs, sz := binary.Uvarint(p)
-	if sz <= 0 || nattrs > uint64(len(p)) {
-		return in, fmt.Errorf("wal: truncated attribute count")
-	}
-	p = p[sz:]
-	if nattrs > 0 {
-		in.Attrs = make(map[string]string, nattrs)
-		for i := uint64(0); i < nattrs; i++ {
-			var k, v string
-			if k, p, err = readString(p); err != nil {
-				return in, err
-			}
-			if v, p, err = readString(p); err != nil {
-				return in, err
-			}
-			in.Attrs[k] = v
-		}
+	if in.Attrs, p, err = event.ParseAttrs(p); err != nil {
+		return in, fmt.Errorf("wal: %v", err)
 	}
 	if len(p) != 0 {
 		return in, fmt.Errorf("wal: %d trailing bytes after instance", len(p))
@@ -194,17 +166,17 @@ func encodedSize(in *event.Instance) int {
 // with equal digests hold byte-identical event data; it is the
 // equivalence check behind the crash-recovery guarantees.
 func StoreDigest(st store.Store) string {
-	base, next, ins := st.Dump()
 	h := sha256.New()
 	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(base))
-	buf = binary.AppendUvarint(buf, uint64(next))
-	h.Write(buf)
-	for i := range ins {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(ins[i].ID))
-		buf = appendInstance(buf, &ins[i])
+	st.SnapshotTo(func(base, next, _ int) error { //nolint:errcheck // neither callback fails
+		buf = binary.AppendUvarint(buf, uint64(base))
+		buf = binary.AppendUvarint(buf, uint64(next))
 		h.Write(buf)
-	}
+		return nil
+	}, func(in *event.Instance) error {
+		buf = appendRecord(buf[:0], in)
+		h.Write(buf)
+		return nil
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }

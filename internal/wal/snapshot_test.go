@@ -236,7 +236,7 @@ func raggedEvents(seed int64, n int, long time.Duration) []event.Instance {
 		out[i] = event.Instance{
 			Name: "tick", Start: start, End: start.Add(dur),
 			Loc:   locus.At(locus.Router, "r"+string(rune('0'+rng.Intn(4)))),
-			Attrs: map[string]string{"raw": strings.Repeat("x", rng.Intn(200))},
+			Attrs: event.NewAttrs(map[string]string{"raw": strings.Repeat("x", rng.Intn(200))}),
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -31,10 +32,10 @@ func genEvents(seed int64, n int) []event.Instance {
 			Loc:   locus.Between(locus.Interface, fmt.Sprintf("r%d.pop%02d", rng.Intn(6), rng.Intn(3)), fmt.Sprintf("ge-0/0/%d", rng.Intn(4))),
 		}
 		if rng.Intn(2) == 0 {
-			in.Attrs = map[string]string{
+			in.Attrs = event.NewAttrs(map[string]string{
 				"raw":  fmt.Sprintf("line %d", i),
 				"peer": fmt.Sprintf("10.0.%d.%d", rng.Intn(8), rng.Intn(250)),
-			}
+			})
 		}
 		out[i] = in
 	}
@@ -765,4 +766,108 @@ func listTree(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// TestParentDataDirBootsBothWays: testdata/datadir-pr23 is a data dir the
+// commit before event.Attrs wrote (attributes were a map then) — genEvents
+// in, a snapshot after 200 events, 100 more, clean close — with the
+// StoreDigest it held. It must open here to that digest, and the same
+// calls here must write the same bytes into every file, so that the older
+// binary opens what this one writes: the packed attributes changed no
+// byte of the record or snapshot encoding.
+func TestParentDataDirBootsBothWays(t *testing.T) {
+	const fixture = "testdata/datadir-pr23"
+	want, err := os.ReadFile(filepath.Join(fixture, "DIGEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := t.TempDir()
+	files, _ := filepath.Glob(filepath.Join(fixture, "*", "*"))
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(old, strings.TrimPrefix(f, fixture))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, st, rec, err := Open(old, Options{SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //nolint:errcheck // read-only use
+	if got := StoreDigest(st); got != strings.TrimSpace(string(want)) || rec.SnapshotNext != 200 || rec.Replayed != 100 {
+		t.Fatalf("the older dir opened to digest %s (recovery %+v), it held %s", got, rec, want)
+	}
+
+	fresh := t.TempDir()
+	ins := genEvents(24, 300)
+	l2, st2, _, err := Open(fresh, Options{SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.AddAll(ins[:200])
+	steps := []func() error{l2.Commit, l2.Snapshot, func() error { st2.AddAll(ins[200:]); return nil }, l2.Commit, l2.Close}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	for _, pat := range []string{"wal/*", "snap/*"} {
+		olds, _ := filepath.Glob(filepath.Join(fixture, pat))
+		news, _ := filepath.Glob(filepath.Join(fresh, pat))
+		if len(olds) == 0 || len(olds) != len(news) {
+			t.Fatalf("%s: the older dir has %d files, this one wrote %d", pat, len(olds), len(news))
+		}
+		for i := range olds {
+			a, _ := os.ReadFile(olds[i])
+			b, _ := os.ReadFile(news[i])
+			if filepath.Base(olds[i]) != filepath.Base(news[i]) || !bytes.Equal(a, b) {
+				t.Errorf("%s differs from what this version wrote as %s", olds[i], filepath.Base(news[i]))
+			}
+		}
+	}
+}
+
+// TestDecodeRecordAttrs: a record's attribute section in any order, with
+// duplicates, replays as the canonical set (last wins), and a torn one
+// keeps the decoder's error strings.
+func TestDecodeRecordAttrs(t *testing.T) {
+	in := genEvents(3, 1)[0]
+	in.ID, in.Attrs = 7, event.Attrs{}
+	bare := appendRecord(nil, &in)
+	bare = bare[: len(bare)-1 : len(bare)-1]
+	section := func(pairs ...string) []byte {
+		b := []byte{byte(len(pairs) / 2)}
+		for _, s := range pairs {
+			b = appendString(b, s)
+		}
+		return b
+	}
+	want := in
+	want.Attrs = event.NewAttrs(map[string]string{"a": "2", "b": "3"})
+	for _, sec := range [][]byte{section("a", "2", "b", "3"), section("b", "1", "a", "2", "b", "3")} {
+		if got, err := decodeRecord(append(bare, sec...)); err != nil || got != want {
+			t.Errorf("section %x: decoded %+v (%v), want %+v", sec, got, err, want)
+		}
+	}
+	for _, tc := range []struct {
+		sec  []byte
+		want string
+	}{
+		{nil, "wal: truncated attribute count"},
+		{[]byte{5, 1, 'a'}, "wal: truncated attribute count"},
+		{[]byte{1, 4, 'a'}, "wal: truncated string"},
+		{[]byte{1, 1, 'a', 4, 'b'}, "wal: truncated string"},
+		{[]byte{1, 1, 'a', 1, 'b', 0}, "wal: 1 trailing bytes after instance"},
+	} {
+		if _, err := decodeRecord(append(bare, tc.sec...)); err == nil || err.Error() != tc.want {
+			t.Errorf("section %x: err %v, want %q", tc.sec, err, tc.want)
+		}
+	}
 }

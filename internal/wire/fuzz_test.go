@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 		Name:  "long",
 		Start: time.Unix(0, 1).UTC(), End: time.Unix(1<<40, 999999999).UTC(),
 		Loc:   locus.Between(locus.SourceDestination, "a", "b"),
-		Attrs: map[string]string{"k": string(make([]byte, 300))},
+		Attrs: event.NewAttrs(map[string]string{"k": string(make([]byte, 300))}),
 	}
 	f.Add(AppendEvents(nil, []event.Instance{long, long}))
 
@@ -34,8 +35,8 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// Successful decodes must round-trip: re-encode and compare the
-		// decoded forms (the byte encodings may differ only if the input
-		// used unsorted attrs, so compare semantically).
+		// decoded forms (the re-encoding may differ from data — unsorted
+		// attributes, padded varints — so compare semantically).
 		var enc []byte
 		switch b.Kind {
 		case KindEvents:
@@ -52,6 +53,16 @@ func FuzzDecode(f *testing.F) {
 		if b2.Kind != b.Kind || len(b2.Events) != len(b.Events) ||
 			b2.Source != b.Source || b2.Lines != b.Lines {
 			t.Fatalf("re-decode mismatch: %+v vs %+v", b, b2)
+		}
+		// What Decode returns is canonical, so decode → encode → decode
+		// is a fixed point, attributes and bytes both.
+		for i := range b.Events {
+			if b2.Events[i].Attrs != b.Events[i].Attrs {
+				t.Fatalf("event %d: attributes %+v re-decoded as %+v", i, b.Events[i].Attrs, b2.Events[i].Attrs)
+			}
+		}
+		if b.Kind == KindEvents && !bytes.Equal(AppendEvents(nil, b2.Events), enc) {
+			t.Fatalf("re-encoding the re-decoded batch changed its bytes")
 		}
 	})
 }

@@ -34,7 +34,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -110,19 +109,7 @@ func appendEvent(b []byte, in *event.Instance) []byte {
 	b = appendString(b, in.Loc.Type.String())
 	b = appendString(b, in.Loc.A)
 	b = appendString(b, in.Loc.B)
-	b = binary.AppendUvarint(b, uint64(len(in.Attrs)))
-	if len(in.Attrs) > 0 {
-		keys := make([]string, 0, len(in.Attrs))
-		for k := range in.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = appendString(b, in.Attrs[k])
-		}
-	}
-	return b
+	return in.Attrs.AppendSection(b)
 }
 
 // IsWire reports whether p starts with the wire magic — the cheap
@@ -192,12 +179,13 @@ func Decode(p []byte) (Batch, error) {
 	}
 }
 
-// interner deduplicates strings within one Decode call. Event names,
-// locus elements, and attribute keys repeat heavily inside a batch, so
-// sharing one allocation per distinct value keeps a 1000-event batch
-// from allocating thousands of identical short strings. The map lookup
-// on a []byte key is allocation-free (the compiler elides the
-// conversion); only the first occurrence pays for the copy.
+// interner deduplicates strings within one Decode call. Event names and
+// locus elements repeat heavily inside a batch (attribute keys too, but
+// those stay inside each event's packed event.Attrs), so sharing one
+// allocation per distinct value keeps a 1000-event batch from allocating
+// thousands of identical short strings. The map lookup on a []byte key
+// is allocation-free (the compiler elides the conversion); only the
+// first occurrence pays for the copy.
 type interner map[string]string
 
 func (tab interner) intern(b []byte) string {
@@ -245,24 +233,15 @@ func decodeEvent(p []byte, tab interner) (event.Instance, error) {
 	if err != nil {
 		return in, fmt.Errorf("wire: event %q locus: %v", name, err)
 	}
-	nattrs, sz := binary.Uvarint(p)
-	if sz <= 0 || nattrs > uint64(len(p)) {
-		return in, fmt.Errorf("wire: event %q: truncated attribute count", name)
-	}
-	p = p[sz:]
-	var attrs map[string]string
-	if nattrs > 0 {
-		attrs = make(map[string]string, nattrs)
-		for i := uint64(0); i < nattrs; i++ {
-			var k, v string
-			if k, p, err = readInterned(p, tab); err != nil {
-				return in, fmt.Errorf("wire: event %q attr key: %v", name, err)
-			}
-			if v, p, err = readString(p); err != nil {
-				return in, fmt.Errorf("wire: event %q attr value: %v", name, err)
-			}
-			attrs[k] = v
-		}
+	attrs, p, err := event.ParseAttrs(p)
+	switch err {
+	case nil:
+	case event.ErrAttrCount:
+		return in, fmt.Errorf("wire: event %q: %v", name, err)
+	case event.ErrAttrKey:
+		return in, fmt.Errorf("wire: event %q attr key: %v", name, err)
+	default:
+		return in, fmt.Errorf("wire: event %q attr value: %v", name, err)
 	}
 	if len(p) != 0 {
 		return in, fmt.Errorf("wire: event %q: %d trailing bytes", name, len(p))

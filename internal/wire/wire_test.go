@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,10 +28,10 @@ func goldenEvents() []event.Instance {
 		{
 			Name: "eBGP flap", Start: t0, End: t0.Add(time.Minute),
 			Loc: locus.Between(locus.RouterNeighbor, "pop00-per1", "10.99.0.1"),
-			Attrs: map[string]string{
+			Attrs: event.NewAttrs(map[string]string{
 				"neighbor": "10.99.0.1",
 				"msg":      "BGP-5-ADJCHANGE: neighbor 10.99.0.1 Down",
-			},
+			}),
 		},
 		{
 			Name: event.InterfaceUp, Start: t0.Add(time.Second + 250*time.Millisecond),
@@ -39,7 +41,7 @@ func goldenEvents() []event.Instance {
 		{
 			Name: "CPU high", Start: t0.Add(2 * time.Hour), End: t0.Add(3 * time.Hour),
 			Loc:   locus.At(locus.Router, "pop01-agg2"),
-			Attrs: map[string]string{"pct": "97"},
+			Attrs: event.NewAttrs(map[string]string{"pct": "97"}),
 		},
 	}
 }
@@ -115,10 +117,7 @@ func TestRoundTripProperty(t *testing.T) {
 				},
 			}
 			for j := rng.Intn(4); j > 0; j-- {
-				if ins[i].Attrs == nil {
-					ins[i].Attrs = map[string]string{}
-				}
-				ins[i].Attrs["k"+randStr(6)] = randStr(20)
+				ins[i] = ins[i].WithAttr("k"+randStr(6), randStr(20))
 			}
 		}
 		enc := AppendEvents(nil, ins)
@@ -128,6 +127,32 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		if got.Kind != KindEvents || !reflect.DeepEqual(got.Events, ins) {
 			t.Fatalf("iter %d: round trip mismatch\n got %+v\nwant %+v", iter, got.Events, ins)
+		}
+		if !bytes.Equal(AppendEvents(nil, got.Events), enc) {
+			t.Fatalf("iter %d: decode → encode is not a fixed point", iter)
+		}
+		// The same batch with every attribute section scrambled — keys
+		// descending, each preceded by a stale duplicate — decodes to the
+		// same instances: one canonical form whatever the sender wrote.
+		recs := make([][]byte, len(ins))
+		for i, in := range ins {
+			m := in.Attrs.Map()
+			keys := make([]string, 0, len(m))
+			for k := range m {
+				keys = append(keys, k)
+			}
+			sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+			var pairs []string
+			for _, k := range keys {
+				pairs = append(pairs, k, "stale")
+			}
+			for _, k := range keys {
+				pairs = append(pairs, k, m[k])
+			}
+			recs[i] = rawEvent(in, pairs...)
+		}
+		if got, err = Decode(rawBatch(recs...)); err != nil || !reflect.DeepEqual(got.Events, ins) {
+			t.Fatalf("iter %d: scrambled attributes: %v\n got %+v\nwant %+v", iter, err, got.Events, ins)
 		}
 
 		src, lines := randStr(10), randStr(200)
@@ -139,6 +164,27 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("iter %d: feed round trip mismatch", iter)
 		}
 	}
+}
+
+// rawEvent is in's record with a hand-assembled attribute section: the
+// pairs exactly as given, in order, duplicates included.
+func rawEvent(in event.Instance, pairs ...string) []byte {
+	in.Attrs = event.Attrs{}
+	rec := appendEvent(nil, &in)
+	rec = binary.AppendUvarint(rec[:len(rec)-1], uint64(len(pairs)/2))
+	for _, s := range pairs {
+		rec = appendString(rec, s)
+	}
+	return rec
+}
+
+// rawBatch frames records as a KindEvents batch.
+func rawBatch(recs ...[]byte) []byte {
+	b := binary.AppendUvarint(appendHeader(nil, KindEvents), uint64(len(recs)))
+	for _, rec := range recs {
+		b = append(binary.AppendUvarint(b, uint64(len(rec))), rec...)
+	}
+	return b
 }
 
 // TestDecodeValidation asserts the wire decoder rejects invalid events
@@ -164,6 +210,33 @@ func TestDecodeValidation(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("decode(%+v): err %v, want %q", tc.in, err, tc.want)
 		}
+	}
+
+	// A malformed attribute section keeps its error strings, and a valid
+	// one in any order, with duplicates, is the canonical set (last wins).
+	x := event.Instance{Name: "x", Start: t0, End: t0, Loc: locus.At(locus.Router, "r1")}
+	bare := rawEvent(x)
+	bare = bare[:len(bare)-1]
+	for _, tc := range []struct {
+		section []byte
+		want    string
+	}{
+		{nil, `wire: event "x": truncated attribute count`},
+		{[]byte{0x80}, `wire: event "x": truncated attribute count`},
+		{[]byte{7, 1, 'k', 1, 'v'}, `wire: event "x": truncated attribute count`},
+		{[]byte{1, 9, 'k'}, `wire: event "x" attr key: truncated string`},
+		{[]byte{1, 1, 'k', 9, 'v'}, `wire: event "x" attr value: truncated string`},
+		{[]byte{1, 1, 'k', 1, 'v', 0}, `wire: event "x": 1 trailing bytes`},
+	} {
+		rec := append(bare[:len(bare):len(bare)], tc.section...)
+		if _, err := Decode(rawBatch(rec)); err == nil || err.Error() != tc.want {
+			t.Errorf("section %x: err %v, want %q", tc.section, err, tc.want)
+		}
+	}
+	want := event.NewAttrs(map[string]string{"a": "2", "b": "3"})
+	got, err := Decode(rawBatch(rawEvent(x, "b", "1", "a", "2", "b", "3"), rawEvent(x, "a", "2", "b", "3"), rawEvent(x)))
+	if err != nil || got.Events[0].Attrs != want || got.Events[1].Attrs != want || got.Events[2].Attrs != (event.Attrs{}) {
+		t.Errorf("duplicate and unsorted keys: %+v, %v; want %+v twice and none", got.Events, err, want)
 	}
 }
 
