@@ -7,7 +7,7 @@
 // event Knowledge Library, and stores the resulting event instances so the
 // RCA engine can correlate them.
 //
-// Raw line formats per source are documented on each Ingest* method.
+// Raw line formats per source are documented on each source's parser.
 // Malformed lines never abort ingestion: they are counted and sampled in
 // Malformed, mirroring how an operational pipeline must survive dirty
 // feeds.
@@ -20,8 +20,6 @@ import (
 	"io"
 	"net/netip"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"grca/internal/bgp"
@@ -263,21 +261,14 @@ type Collector struct {
 	// The correlation-mining study of §IV-B requires these candidate
 	// series; bulk RCA runs can leave them off.
 	EmitGenericSignatures bool
-	// LegacyParsers disables the zero-copy fast path (fastpath.go) and
-	// runs every feed through the reference string parsers alone. The
-	// fast path behaves identically (FuzzParserParity is the gate); the
-	// toggle is the reference side of the differential tests and has no
-	// runtime switch.
-	LegacyParsers bool
 
 	tzCache map[string]*time.Location
-	// scr is the pooled fast-path working memory, held only for the
+	// scr is the pooled line-parsing working memory, held only for the
 	// duration of one Ingest call.
 	scr *scratch
-	// addrCache / prefixCache memoize netip parses of repeated monitor-
-	// feed fields (loopbacks, interface addresses, route prefixes).
-	addrCache   map[string]netip.Addr
-	prefixCache map[string]netip.Prefix
+	// addrCache memoizes netip parses of repeated address fields
+	// (loopbacks, interface and neighbor addresses).
+	addrCache map[string]netip.Addr
 	// curSource names the feed being ingested, so events emitted by the
 	// parsers are attributed to it; Finalize's pairing passes attribute
 	// to the buffered transitions' originating source instead.
@@ -331,39 +322,44 @@ func New(topo *netmodel.Topology, st store.Store, year int) *Collector {
 // line length, a read error) — is quarantined rather than aborting the
 // run: its remaining input is dropped, the reason lands in its
 // SourceStats, and ingestion of the other feeds continues.
+//
+// The five high-volume feeds are parsed on the scanner's bytes
+// (lineparse.go); the others take one string per line.
 func (c *Collector) Ingest(source string, r io.Reader) error {
 	if c.finalized {
 		return fmt.Errorf("collector: Ingest after Finalize")
 	}
-	var parse func(line string) error
+	text := func(parse func(string) error) func([]byte) error {
+		return func(line []byte) error { return parse(string(line)) }
+	}
+	var parse func(line []byte) error
 	switch source {
 	case SourceSyslog:
-		parse = c.parseSyslog
+		parse = c.syslogLine
 	case SourceSNMP:
-		parse = c.parseSNMP
+		parse = c.snmpLine
 	case SourceOSPFMon:
-		parse = c.parseOSPFMon
+		parse = c.ospfMonLine
 	case SourceBGPMon:
-		parse = c.parseBGPMon
+		parse = c.bgpMonLine
 	case SourceTACACS:
-		parse = c.parseTACACS
+		parse = text(c.parseTACACS)
 	case SourceWorkflow:
-		parse = c.parseWorkflow
+		parse = text(c.parseWorkflow)
 	case SourceLayer1:
-		parse = c.parseLayer1
+		parse = text(c.parseLayer1)
 	case SourcePerfMon:
-		parse = c.parsePerfMon
+		parse = c.perfMonLine
 	case SourceKeynote:
-		parse = c.parseKeynote
+		parse = text(c.parseKeynote)
 	case SourceServer:
-		parse = c.parseServerLog
+		parse = text(c.parseServerLog)
 	default:
 		return fmt.Errorf("collector: unknown source %q", source)
 	}
 	budget := c.Budget
 	budget.defaults()
 	stats := c.stats(source)
-	fast := c.fastParser(source)
 	c.curSource = source
 	scr := scratchPool.Get().(*scratch)
 	scr.reset()
@@ -382,12 +378,13 @@ func (c *Collector) Ingest(source string, r io.Reader) error {
 		scratchPool.Put(scr)
 	}()
 
-	// record applies the error-budget accounting for one consumed line;
-	// it reports false once the source is quarantined. line is lazy so
-	// the fast path only materializes a string on the malformed path.
-	record := func(err error, line func() string) bool {
-		if err != nil {
-			c.Malformed.add(source, line(), err)
+	// consume parses one raw line and applies the error-budget
+	// accounting; it reports false once the source is quarantined.
+	consume := func(line []byte) bool {
+		stats.Lines++
+		mLines.Inc()
+		if err := parse(line); err != nil {
+			c.Malformed.add(source, string(line), err)
 			stats.Malformed++
 			mMalformed.Inc()
 			if stats.Lines >= budget.MinLines && float64(stats.Malformed) > budget.MaxDropRate*float64(stats.Lines) {
@@ -402,91 +399,35 @@ func (c *Collector) Ingest(source string, r io.Reader) error {
 		}
 		return true
 	}
-	// consume runs one raw line through the reference parser.
-	consume := func(line string) bool {
-		stats.Lines++
-		mLines.Inc()
-		return record(parse(line), func() string { return line })
-	}
-	// consumeBytes runs one raw line through the zero-copy parser,
-	// falling back to the reference parser whenever it declines.
-	consumeBytes := func(line []byte) bool {
-		stats.Lines++
-		mLines.Inc()
-		handled, err := fast(line)
-		if handled {
-			mFastLines.Inc()
-		} else {
-			mFastFallback.Inc()
-			err = parse(string(line))
-		}
-		return record(err, func() string { return string(line) })
-	}
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(scr.scanbuf, 4*1024*1024)
-
 	if stamp := lineStamp[source]; stamp != nil {
 		// Order-sensitive feed: its parser replays a state machine (OSPF
 		// weights, BGP RIB) or a rolling baseline, so records delivered out
 		// of time order — multi-threaded relays, retried batches — would
-		// corrupt reconstructed state. Buffer the feed and restore record
-		// order before parsing. Lines whose timestamp cannot be read sort
-		// to the front, where the parser tallies them as malformed.
-		if fast != nil {
-			// Zero-copy variant: lines land in the pooled arena and are
-			// sorted as spans; the stamps fall back to the reference
-			// stamp readers only on unusual forms.
-			fstamp := fastLineStamp(source)
-			for sc.Scan() {
-				b := sc.Bytes()
-				if len(b) == 0 || b[0] == '#' {
-					continue
-				}
-				scr.spans = append(scr.spans, lineSpan{off: len(scr.arena), n: len(b), at: fstamp(b, stamp)})
-				scr.arena = append(scr.arena, b...)
-			}
-			sort.SliceStable(scr.spans, func(i, j int) bool { return scr.spans[i].at.Before(scr.spans[j].at) })
-			for _, sp := range scr.spans {
-				if !consumeBytes(scr.arena[sp.off : sp.off+sp.n]) {
-					return nil
-				}
-			}
-		} else {
-			type stamped struct {
-				at   time.Time
-				line string
-			}
-			var lines []stamped
-			for sc.Scan() {
-				line := sc.Text()
-				if line == "" || line[0] == '#' {
-					continue
-				}
-				at, _ := stamp(line)
-				lines = append(lines, stamped{at: at, line: line})
-			}
-			sort.SliceStable(lines, func(i, j int) bool { return lines[i].at.Before(lines[j].at) })
-			for _, l := range lines {
-				if !consume(l.line) {
-					return nil
-				}
-			}
-		}
-	} else if fast != nil {
+		// corrupt reconstructed state. Buffer the feed in the pooled arena
+		// and restore record order before parsing. Lines whose timestamp
+		// cannot be read sort to the front, where the parser tallies them
+		// as malformed.
 		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 || line[0] == '#' {
+			b := sc.Bytes()
+			if len(b) == 0 || b[0] == '#' {
 				continue
 			}
-			if !consumeBytes(line) {
+			scr.spans = append(scr.spans, lineSpan{off: len(scr.arena), n: len(b), at: stamp(b)})
+			scr.arena = append(scr.arena, b...)
+		}
+		sort.SliceStable(scr.spans, func(i, j int) bool { return scr.spans[i].at.Before(scr.spans[j].at) })
+		for _, sp := range scr.spans {
+			if !consume(scr.arena[sp.off : sp.off+sp.n]) {
 				return nil
 			}
 		}
 	} else {
 		for sc.Scan() {
-			line := sc.Text()
-			if line == "" || line[0] == '#' {
+			line := sc.Bytes()
+			if len(line) == 0 || line[0] == '#' {
 				continue
 			}
 			if !consume(line) {
@@ -501,49 +442,13 @@ func (c *Collector) Ingest(source string, r io.Reader) error {
 	return nil
 }
 
-// fastLineStamp returns the zero-copy stamp reader for an order-restored
-// source. The reader receives the reference stamp function and falls
-// back to it (via one string conversion) on any form the byte scanner is
-// not certain about, so sort keys — and therefore store IDs — are
-// identical on both paths.
-func fastLineStamp(source string) func(line []byte, ref func(string) (time.Time, bool)) time.Time {
-	if source == SourceOSPFMon {
-		return func(line []byte, ref func(string) (time.Time, bool)) time.Time {
-			i := bytes.IndexByte(line, ' ')
-			if i < 0 {
-				i = len(line)
-			}
-			if at, ok := parseRFC3339(line[:i]); ok {
-				return at
-			}
-			at, _ := ref(string(line))
-			return at
-		}
-	}
-	sep := byte(',')
-	if source == SourceBGPMon {
-		sep = '|'
-	}
-	return func(line []byte, ref func(string) (time.Time, bool)) time.Time {
-		i := bytes.IndexByte(line, sep)
-		if i < 0 {
-			return time.Time{}
-		}
-		secs, ok := parseInt64(line[:i])
-		if !ok {
-			return time.Time{}
-		}
-		return time.Unix(secs, 0).UTC()
-	}
-}
-
-// lineStamp maps each centrally-stamped, order-sensitive source to a
-// function extracting its record timestamp, used by Ingest to restore
-// record order before parsing. Syslog, TACACS, workflow, and layer-1
-// records stay in arrival order: they carry device-local or zoned stamps
-// and feed point events or Finalize-sorted pairing buffers, which tolerate
-// disorder by construction.
-var lineStamp = map[string]func(string) (time.Time, bool){
+// lineStamp maps each centrally-stamped, order-sensitive source to the
+// reader of its record timestamp, used by Ingest to restore record order
+// before parsing; an unreadable stamp is the zero time. Syslog, TACACS,
+// workflow, and layer-1 records stay in arrival order: they carry
+// device-local or zoned stamps and feed point events or Finalize-sorted
+// pairing buffers, which tolerate disorder by construction.
+var lineStamp = map[string]func([]byte) time.Time{
 	SourceOSPFMon: stampRFC3339Field,
 	SourceBGPMon:  stampEpochUntil('|'),
 	SourceSNMP:    stampEpochUntil(','),
@@ -553,30 +458,28 @@ var lineStamp = map[string]func(string) (time.Time, bool){
 }
 
 // stampRFC3339Field reads a leading RFC 3339 timestamp field.
-func stampRFC3339Field(line string) (time.Time, bool) {
-	i := strings.IndexByte(line, ' ')
-	if i < 0 {
-		i = len(line)
+func stampRFC3339Field(line []byte) time.Time {
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		line = line[:i]
 	}
-	at, err := time.Parse(time.RFC3339, line[:i])
-	if err != nil {
-		return time.Time{}, false
+	if at, ok := parseRFC3339(line); ok {
+		return at
 	}
-	return at, true
+	return time.Time{}
 }
 
 // stampEpochUntil reads a leading Unix-seconds field ended by sep.
-func stampEpochUntil(sep byte) func(string) (time.Time, bool) {
-	return func(line string) (time.Time, bool) {
-		i := strings.IndexByte(line, sep)
+func stampEpochUntil(sep byte) func([]byte) time.Time {
+	return func(line []byte) time.Time {
+		i := bytes.IndexByte(line, sep)
 		if i < 0 {
-			return time.Time{}, false
+			return time.Time{}
 		}
-		secs, err := strconv.ParseInt(line[:i], 10, 64)
-		if err != nil {
-			return time.Time{}, false
+		secs, ok := parseInt(line[:i])
+		if !ok {
+			return time.Time{}
 		}
-		return time.Unix(secs, 0).UTC(), true
+		return time.Unix(secs, 0).UTC()
 	}
 }
 

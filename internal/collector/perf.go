@@ -48,7 +48,7 @@ func (b *baseline) median() (float64, bool) {
 
 const baselineWindow = 24 // two hours of 5-minute samples
 
-// parsePerfMon ingests the in-network active measurement feed (probe
+// perfMonLine ingests the in-network active measurement feed (probe
 // traffic between PoP pairs), one CSV row per pair per 5-minute bin:
 //
 //	epoch,ingress,egress,delay_ms,loss_pct,tput_mbps
@@ -59,71 +59,63 @@ const baselineWindow = 24 // two hours of 5-minute samples
 // DelayFactor × median), "In-network loss increase" (loss above median +
 // LossDelta points), and "In-network throughput drop" (throughput below
 // TputFactor × median).
-func (c *Collector) parsePerfMon(line string) error {
-	parts := strings.Split(line, ",")
-	if len(parts) != 6 {
-		return fmt.Errorf("want 6 fields, got %d", len(parts))
+func (c *Collector) perfMonLine(line []byte) error {
+	scr := c.scr
+	f := scr.split(line, ',')
+	if len(f) != 6 {
+		return fmt.Errorf("want 6 fields, got %d", len(f))
 	}
-	epoch, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad epoch %q", parts[0])
+	epoch, ok := parseInt(f[0])
+	if !ok {
+		return fmt.Errorf("bad epoch %q", f[0])
 	}
 	start := time.Unix(epoch, 0).UTC()
 	end := start.Add(5 * time.Minute)
-	ingress, err := c.Aliases.Canonical(parts[1])
+	ingress, err := c.canonical(f[1])
 	if err != nil {
 		return err
 	}
-	egress, err := c.Aliases.Canonical(parts[2])
+	egress, err := c.canonical(f[2])
 	if err != nil {
 		return err
 	}
 	var vals [3]float64
-	for i := 0; i < 3; i++ {
-		v, err := strconv.ParseFloat(parts[3+i], 64)
-		if err != nil {
-			return fmt.Errorf("bad measurement %q", parts[3+i])
+	for i := range vals {
+		if vals[i], ok = parseFloat(f[3+i]); !ok {
+			return fmt.Errorf("bad measurement %q", f[3+i])
 		}
-		vals[i] = v
 	}
 	delay, loss, tput := vals[0], vals[1], vals[2]
 	loc := locus.Between(locus.IngressEgress, ingress, egress)
-	key := loc.Key()
 
-	c.judge(key+"/delay", delay, func(med float64) bool {
+	// The baselines are keyed "<loc.Key()>/<kind>", built in scratch.
+	scr.key = append(scr.key[:0], loc.Type.String()...)
+	scr.key = append(append(append(append(scr.key, '|'), ingress...), '|'), egress...)
+	base := len(scr.key)
+
+	scr.key = append(scr.key[:base], "/delay"...)
+	c.judgeKey(scr.key, delay, func(med float64) bool {
 		return delay > med*c.Thresholds.DelayFactor
 	}, func() {
-		c.add(event.DelayIncrease, start, end, loc, map[string]string{"delay_ms": parts[3]})
+		c.add(event.DelayIncrease, start, end, loc, map[string]string{"delay_ms": string(f[3])})
 	})
-	c.judge(key+"/loss", loss, func(med float64) bool {
+	scr.key = append(scr.key[:base], "/loss"...)
+	c.judgeKey(scr.key, loss, func(med float64) bool {
 		return loss > med+c.Thresholds.LossDelta
 	}, func() {
-		c.add(event.LossIncrease, start, end, loc, map[string]string{"loss_pct": parts[4]})
+		c.add(event.LossIncrease, start, end, loc, map[string]string{"loss_pct": string(f[4])})
 	})
-	c.judge(key+"/tput", tput, func(med float64) bool {
+	scr.key = append(scr.key[:base], "/tput"...)
+	c.judgeKey(scr.key, tput, func(med float64) bool {
 		return med > 0 && tput < med*c.Thresholds.TputFactor
 	}, func() {
-		c.add(event.ThroughputDrop, start, end, loc, map[string]string{"tput_mbps": parts[5]})
+		c.add(event.ThroughputDrop, start, end, loc, map[string]string{"tput_mbps": string(f[5])})
 	})
 	return nil
 }
 
-// judge runs one rolling-baseline detector.
-func (c *Collector) judge(key string, v float64, breach func(median float64) bool, emit func()) {
-	b := c.perfBase[key]
-	if b == nil {
-		b = newBaseline(baselineWindow)
-		c.perfBase[key] = b
-	}
-	if med, ready := b.observe(v); ready && breach(med) {
-		emit()
-	}
-}
-
-// judgeKey is judge for the zero-copy path: the key arrives as bytes and
-// is only copied to a string when a new baseline is created. Both paths
-// share c.perfBase, so a feed may switch paths mid-stream without
-// resetting its baselines.
+// judgeKey runs one rolling-baseline detector. The key is only copied to
+// a string when a new baseline is created.
 func (c *Collector) judgeKey(key []byte, v float64, breach func(median float64) bool, emit func()) {
 	b := c.perfBase[string(key)] // no-alloc map probe
 	if b == nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"grca/internal/bgp"
@@ -23,7 +21,7 @@ const LSInfinity = 65535
 // within this window (a maintenance costing out the whole router).
 const routerCostWindow = 2 * time.Minute
 
-// parseOSPFMon ingests the OSPF monitor feed (the OSPFMon of the paper),
+// ospfMonLine ingests the OSPF monitor feed (the OSPFMon of the paper),
 // one flooded metric observation per line:
 //
 //	2010-01-02T03:04:05Z 10.255.0.1 10.0.0.1 metric 10
@@ -39,36 +37,35 @@ const routerCostWindow = 2 * time.Minute
 // re-convergence event" at both link interfaces; transitions to LSInfinity
 // yield "Link Cost Out/Down"; transitions back yield "Link Cost In/Up";
 // and Finalize groups whole-router transitions into "Router Cost In/Out".
-func (c *Collector) parseOSPFMon(line string) error {
-	fields := strings.Fields(line)
-	if len(fields) != 5 && !(len(fields) == 6 && fields[5] == "initial") {
+func (c *Collector) ospfMonLine(line []byte) error {
+	f := c.scr.words(line)
+	if len(f) != 5 && !(len(f) == 6 && string(f[5]) == "initial") {
 		return fmt.Errorf("want 'ts router ifip metric N [initial]'")
 	}
-	at, err := time.Parse(time.RFC3339, fields[0])
-	if err != nil {
-		return fmt.Errorf("bad timestamp %q", fields[0])
+	at, ok := parseRFC3339(f[0])
+	if !ok {
+		return fmt.Errorf("bad timestamp %q", f[0])
 	}
 	at = at.UTC()
-	if _, err := netip.ParseAddr(fields[1]); err != nil {
-		return fmt.Errorf("bad router address %q", fields[1])
+	if _, ok := c.addrCached(f[1]); !ok {
+		return fmt.Errorf("bad router address %q", f[1])
 	}
-	ifip, err := netip.ParseAddr(fields[2])
-	if err != nil {
-		return fmt.Errorf("bad interface address %q", fields[2])
+	ifip, ok := c.addrCached(f[2])
+	if !ok {
+		return fmt.Errorf("bad interface address %q", f[2])
 	}
-	if fields[3] != "metric" {
+	if string(f[3]) != "metric" {
 		return fmt.Errorf("missing metric keyword")
 	}
-	metric, err := strconv.Atoi(fields[4])
-	if err != nil || metric < 0 {
-		return fmt.Errorf("bad metric %q", fields[4])
+	metric, ok := atoi(f[4])
+	if !ok || metric < 0 {
+		return fmt.Errorf("bad metric %q", f[4])
 	}
-	return c.applyOSPFMon(at, ifip, metric, fields[4], len(fields) == 6)
+	return c.applyOSPFMon(at, ifip, metric, string(f[4]), len(f) == 6)
 }
 
-// applyOSPFMon is the back half of OSPFMon parsing — simulation update
-// and event inference — shared verbatim by the reference parser and the
-// zero-copy fast path so the two cannot drift.
+// applyOSPFMon is the back half of OSPFMon parsing: simulation update and
+// event inference.
 func (c *Collector) applyOSPFMon(at time.Time, ifip netip.Addr, metric int, metricText string, initial bool) error {
 	ifc, ok := c.Topo.InterfaceByIP(ifip)
 	if !ok || ifc.Link == nil {
@@ -173,7 +170,7 @@ func (c *Collector) internalLinkCount(router string) int {
 	return n
 }
 
-// parseBGPMon ingests the route-reflector update feed, pipe-separated:
+// bgpMonLine ingests the route-reflector update feed, pipe-separated:
 //
 //	1262304000|A|198.51.100.0/24|10.255.0.6|100|3|0|0
 //	1262307600|W|198.51.100.0/24|10.255.0.6
@@ -182,45 +179,43 @@ func (c *Collector) internalLinkCount(router string) int {
 // preference, AS-path length, MED, origin. Withdraw: epoch, "W", prefix,
 // egress loopback. Egress loopbacks normalize to router names via the
 // alias table.
-func (c *Collector) parseBGPMon(line string) error {
-	parts := strings.Split(line, "|")
-	if len(parts) < 4 {
+func (c *Collector) bgpMonLine(line []byte) error {
+	f := c.scr.split(line, '|')
+	if len(f) < 4 {
 		return fmt.Errorf("want at least 4 fields")
 	}
-	epoch, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad epoch %q", parts[0])
+	epoch, ok := parseInt(f[0])
+	if !ok {
+		return fmt.Errorf("bad epoch %q", f[0])
 	}
 	at := time.Unix(epoch, 0).UTC()
-	prefix, err := netip.ParsePrefix(parts[2])
+	prefix, err := netip.ParsePrefix(string(f[2]))
 	if err != nil {
-		return fmt.Errorf("bad prefix %q", parts[2])
+		return fmt.Errorf("bad prefix %q", f[2])
 	}
-	egress, err := c.Aliases.Canonical(parts[3])
+	egress, err := c.canonical(f[3])
 	if err != nil {
 		return err
 	}
-	switch parts[1] {
+	switch string(f[1]) {
 	case "W":
 		return c.BGP.Withdraw(at, prefix, egress)
 	case "A":
-		if len(parts) != 8 {
-			return fmt.Errorf("announce wants 8 fields, got %d", len(parts))
+		if len(f) != 8 {
+			return fmt.Errorf("announce wants 8 fields, got %d", len(f))
 		}
 		var nums [4]int
-		for i := 0; i < 4; i++ {
-			v, err := strconv.Atoi(parts[4+i])
-			if err != nil {
-				return fmt.Errorf("bad attribute %q", parts[4+i])
+		for i := range nums {
+			if nums[i], ok = atoi(f[4+i]); !ok {
+				return fmt.Errorf("bad attribute %q", f[4+i])
 			}
-			nums[i] = v
 		}
 		return c.BGP.Announce(at, bgp.Route{
 			Prefix: prefix, Egress: egress,
 			LocalPref: nums[0], ASPathLen: nums[1], MED: nums[2], Origin: nums[3],
 		})
 	}
-	return fmt.Errorf("unknown update type %q", parts[1])
+	return fmt.Errorf("unknown update type %q", f[1])
 }
 
 // EmitEgressChanges materializes "BGP egress change" events (Table I) for

@@ -2,15 +2,13 @@ package collector
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"grca/internal/event"
 	"grca/internal/locus"
 )
 
-// parseSNMP ingests 5-minute SNMP poller output, one CSV row per sample:
+// snmpLine ingests 5-minute SNMP poller output, one CSV row per sample:
 //
 //	epoch,device,object,instance,value
 //	1262304000,chi-per1.net.example.com,cpu5min,,87.5
@@ -21,49 +19,49 @@ import (
 // mark the *start* of the 5-minute bin. Objects: cpu5min (router CPU
 // percent), ifutil (interface utilization percent), iferrors (corrupted
 // packets in the bin).
-func (c *Collector) parseSNMP(line string) error {
-	parts := strings.Split(line, ",")
-	if len(parts) != 5 {
-		return fmt.Errorf("want 5 fields, got %d", len(parts))
+func (c *Collector) snmpLine(line []byte) error {
+	f := c.scr.split(line, ',')
+	if len(f) != 5 {
+		return fmt.Errorf("want 5 fields, got %d", len(f))
 	}
-	epoch, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad epoch %q", parts[0])
+	epoch, ok := parseInt(f[0])
+	if !ok {
+		return fmt.Errorf("bad epoch %q", f[0])
 	}
 	start := time.Unix(epoch, 0).UTC()
 	end := start.Add(5 * time.Minute)
-	router, err := c.Aliases.Canonical(parts[1])
+	router, err := c.canonical(f[1])
 	if err != nil {
 		return err
 	}
-	value, err := strconv.ParseFloat(parts[4], 64)
-	if err != nil {
-		return fmt.Errorf("bad value %q", parts[4])
+	value, ok := parseFloat(f[4])
+	if !ok {
+		return fmt.Errorf("bad value %q", f[4])
 	}
-	object, instance := parts[2], parts[3]
-	switch object {
+	object, instance := f[2], f[3]
+	switch string(object) {
 	case "cpu5min":
 		if value >= c.Thresholds.CPUAveragePct {
 			c.add(event.CPUHighAverage, start, end, locus.At(locus.Router, router),
-				map[string]string{"cpu": parts[4]})
+				map[string]string{"cpu": string(f[4])})
 		}
 	case "ifutil":
-		if instance == "" {
+		if len(instance) == 0 {
 			return fmt.Errorf("ifutil without interface instance")
 		}
 		if value >= c.Thresholds.LinkUtilPct {
 			c.add(event.LinkCongestion, start, end,
-				locus.Between(locus.Interface, router, instance),
-				map[string]string{"util": parts[4]})
+				locus.Between(locus.Interface, router, string(instance)),
+				map[string]string{"util": string(f[4])})
 		}
 	case "iferrors":
-		if instance == "" {
+		if len(instance) == 0 {
 			return fmt.Errorf("iferrors without interface instance")
 		}
 		if value >= c.Thresholds.LinkErrorCount {
 			c.add(event.LinkLoss, start, end,
-				locus.Between(locus.Interface, router, instance),
-				map[string]string{"errors": parts[4]})
+				locus.Between(locus.Interface, router, string(instance)),
+				map[string]string{"errors": string(f[4])})
 		}
 	default:
 		return fmt.Errorf("unknown SNMP object %q", object)

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -10,7 +11,7 @@ import (
 	"grca/internal/locus"
 )
 
-// parseSyslog ingests router syslog. Lines follow the classic RFC 3164
+// syslogLine ingests router syslog. Lines follow the classic RFC 3164
 // shape — *device-local* wall time with no year or zone, and a device name
 // that may be any alias (short name, FQDN, upper-case):
 //
@@ -21,17 +22,21 @@ import (
 // device's configured clock zone, resolving the paper's mixture of "local
 // time (depending on the time zone of the device), network time ... and
 // GMT".
-func (c *Collector) parseSyslog(line string) error {
-	ts, rest, err := c.splitSyslogTime(line)
+func (c *Collector) syslogLine(line []byte) error {
+	if len(line) < 16 {
+		return fmt.Errorf("line too short")
+	}
+	ts, err := syslogStamp(line[:15], c.Year)
 	if err != nil {
 		return err
 	}
-	sp := strings.IndexByte(rest, ' ')
+	rest := bytes.TrimSpace(line[15:])
+	sp := bytes.IndexByte(rest, ' ')
 	if sp < 0 {
 		return fmt.Errorf("missing device field")
 	}
-	device, msg := rest[:sp], strings.TrimSpace(rest[sp+1:])
-	router, err := c.Aliases.Canonical(device)
+	device, msg := rest[:sp], bytes.TrimSpace(rest[sp+1:])
+	router, err := c.canonical(device)
 	if err != nil {
 		return err
 	}
@@ -39,60 +44,40 @@ func (c *Collector) parseSyslog(line string) error {
 	// year-less stamp against the collection window when one is set.
 	at := c.resolveSyslogYear(ts, c.location(router))
 
-	if !strings.HasPrefix(msg, "%") {
+	if len(msg) == 0 || msg[0] != '%' {
 		return fmt.Errorf("missing facility tag")
 	}
-	colon := strings.IndexByte(msg, ':')
+	colon := bytes.IndexByte(msg, ':')
 	if colon < 0 {
 		return fmt.Errorf("missing message separator")
 	}
-	tag, body := msg[1:colon], strings.TrimSpace(msg[colon+1:])
+	tag, body := msg[1:colon], bytes.TrimSpace(msg[colon+1:])
 
 	if c.EmitGenericSignatures {
-		c.add("syslog:"+tag, at, at, locus.At(locus.Router, router), nil)
+		c.add("syslog:"+string(tag), at, at, locus.At(locus.Router, router), nil)
 	}
 
-	switch tag {
+	switch string(tag) {
 	case "LINK-3-UPDOWN":
-		return c.syslogUpDown(c.ifaceTrans, router, at, body, "Interface ")
+		return c.upDown(c.ifaceTrans, router, at, body, "Interface ")
 	case "LINEPROTO-5-UPDOWN":
-		return c.syslogUpDown(c.protoTrans, router, at, body, "Line protocol on Interface ")
+		return c.upDown(c.protoTrans, router, at, body, "Line protocol on Interface ")
 	case "BGP-5-ADJCHANGE":
-		return c.syslogBGPAdj(router, at, body)
+		return c.bgpAdj(router, at, body)
 	case "BGP-5-NOTIFICATION":
-		return c.syslogBGPNotif(router, at, body)
+		return c.syslogBGPNotif(router, at, string(body))
 	case "SYS-5-RESTART":
 		c.add(event.RouterReboot, at, at, locus.At(locus.Router, router), nil)
 	case "SYS-1-CPURISINGTHRESHOLD":
 		c.add(event.CPUHighSpike, at, at, locus.At(locus.Router, router),
-			map[string]string{"detail": body})
+			map[string]string{"detail": string(body)})
 	case "PIM-5-NBRCHG":
-		return c.syslogPIM(router, at, body)
+		return c.syslogPIM(router, at, string(body))
 	default:
 		// Unrecognized but well-formed messages are normal operational
 		// noise; the generic signature (if enabled) already captured them.
 	}
 	return nil
-}
-
-// splitSyslogTime parses the leading "Jan  2 15:04:05 " and returns the
-// wall time (year filled from c.Year) plus the remainder.
-func (c *Collector) splitSyslogTime(line string) (time.Time, string, error) {
-	// Month (3) + space; day may be space-padded.
-	if len(line) < 16 {
-		return time.Time{}, "", fmt.Errorf("line too short")
-	}
-	stamp := line[:15]
-	ts, err := time.Parse("Jan _2 15:04:05", stamp)
-	if err != nil {
-		return time.Time{}, "", fmt.Errorf("bad timestamp %q: %v", stamp, err)
-	}
-	year := c.Year
-	if year == 0 {
-		year = 2010
-	}
-	ts = time.Date(year, ts.Month(), ts.Day(), ts.Hour(), ts.Minute(), ts.Second(), 0, time.UTC)
-	return ts, strings.TrimSpace(line[15:]), nil
 }
 
 // resolveSyslogYear converts a year-less wall time to UTC in the device's
@@ -115,51 +100,50 @@ func (c *Collector) resolveSyslogYear(ts time.Time, loc *time.Location) time.Tim
 	return mk(c.Year)
 }
 
-func (c *Collector) syslogUpDown(buf map[locus.Location][]transition, router string, at time.Time, body, prefix string) error {
-	rest, ok := strings.CutPrefix(body, prefix)
+func (c *Collector) upDown(buf map[locus.Location][]transition, router string, at time.Time, body []byte, prefix string) error {
+	rest, ok := bytes.CutPrefix(body, []byte(prefix))
 	if !ok {
 		return fmt.Errorf("unexpected UPDOWN body %q", body)
 	}
-	comma := strings.Index(rest, ", changed state to ")
+	const clause = ", changed state to "
+	comma := bytes.Index(rest, []byte(clause))
 	if comma < 0 {
 		return fmt.Errorf("missing state clause")
 	}
-	ifname := rest[:comma]
-	state := strings.TrimSpace(rest[comma+len(", changed state to "):])
 	up := false
-	switch state {
+	switch state := bytes.TrimSpace(rest[comma+len(clause):]); string(state) {
 	case "up":
 		up = true
 	case "down":
 	default:
 		return fmt.Errorf("unknown state %q", state)
 	}
-	loc := locus.Between(locus.Interface, router, ifname)
+	loc := locus.Between(locus.Interface, router, string(rest[:comma]))
 	buf[loc] = append(buf[loc], transition{at: at, loc: loc, up: up})
 	return nil
 }
 
-func (c *Collector) syslogBGPAdj(router string, at time.Time, body string) error {
+func (c *Collector) bgpAdj(router string, at time.Time, body []byte) error {
 	// "neighbor 10.1.0.2 Down Interface flap" / "neighbor 10.1.0.2 Up"
-	fields := strings.Fields(body)
-	if len(fields) < 3 || fields[0] != "neighbor" {
+	f := c.scr.words(body)
+	if len(f) < 3 || string(f[0]) != "neighbor" {
 		return fmt.Errorf("unexpected ADJCHANGE body %q", body)
 	}
-	if _, err := netip.ParseAddr(fields[1]); err != nil {
-		return fmt.Errorf("bad neighbor address %q", fields[1])
+	if _, ok := c.addrCached(f[1]); !ok {
+		return fmt.Errorf("bad neighbor address %q", f[1])
 	}
-	loc := locus.Between(locus.RouterNeighbor, router, fields[1])
-	var attr map[string]string
-	if len(fields) > 3 {
-		attr = map[string]string{"reason": strings.Join(fields[3:], " ")}
-	}
-	switch fields[2] {
+	loc := locus.Between(locus.RouterNeighbor, router, string(f[1]))
+	switch string(f[2]) {
 	case "Up":
 		c.bgpTrans[loc] = append(c.bgpTrans[loc], transition{at: at, loc: loc, up: true})
 	case "Down":
+		var attr map[string]string
+		if len(f) > 3 {
+			attr = map[string]string{"reason": string(bytes.Join(f[3:], []byte(" ")))}
+		}
 		c.bgpTrans[loc] = append(c.bgpTrans[loc], transition{at: at, loc: loc, attr: attr})
 	default:
-		return fmt.Errorf("unknown adjacency state %q", fields[2])
+		return fmt.Errorf("unknown adjacency state %q", f[2])
 	}
 	return nil
 }

@@ -282,9 +282,8 @@ func TestWALSinkWriteScanResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, next, ins := mem.Dump()
-	if next != 40 || len(ins) != 40 {
-		t.Fatalf("recovered next=%d live=%d, want 40/40", next, len(ins))
+	if next, live := mem.NextID(), mem.Len(); next != 40 || live != 40 {
+		t.Fatalf("recovered next=%d live=%d, want 40/40", next, live)
 	}
 }
 

@@ -125,6 +125,11 @@ func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"app": a.Name, "total": total, "causes": rows})
 }
 
+// maxTrendPoints caps one /v1/trend series. The series is allocated
+// before anything is counted, so an unbounded [from, to] at a fine bin
+// would let one request allocate gigabytes; a year of 1-minute bins fits.
+const maxTrendPoints = 1 << 20
+
 // handleTrend serves GET /v1/trend: per-bin counts of an event name
 // (?name=) or of a diagnosed cause (?app=&cause=, raw label) over
 // [from, to]. bin must be a multiple of the rollup base bin; from is
@@ -164,6 +169,11 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 		to = t
 	}
 	from = from.Truncate(bin)
+	if !to.Before(from) && to.Sub(from)/bin >= maxTrendPoints {
+		writeErr(w, http.StatusBadRequest, "trend from %s to %s at bin %v exceeds %d points; use a larger bin",
+			from.Format(time.RFC3339), to.Format(time.RFC3339), bin, maxTrendPoints)
+		return
+	}
 
 	name, cause := q.Get("name"), q.Get("cause")
 	var points []browser.TrendPoint

@@ -153,6 +153,16 @@ func TestResultBrowser(t *testing.T) {
 		if code, _ := get(t, ts, "/v1/trend"); code != http.StatusBadRequest {
 			t.Errorf("trend without name or cause: %d", code)
 		}
+		// Two centuries of 1-minute bins would be ~1.2e8 points allocated
+		// up front: refused, naming the cap and the way out.
+		code, body := get(t, ts, "/v1/trend?name=x&from=1970-01-01T00:00:00Z&to=2200-01-01T00:00:00Z")
+		if code != http.StatusBadRequest || !strings.Contains(string(body), strconv.Itoa(maxTrendPoints)) ||
+			!strings.Contains(string(body), "larger bin") {
+			t.Errorf("unbounded trend: %d %s", code, body)
+		}
+		if code, body := get(t, ts, "/v1/trend?name=x&bin=24h&from=1970-01-01T00:00:00Z&to=2010-01-01T00:00:00Z"); code != http.StatusOK {
+			t.Errorf("forty years of daily bins: %d %s", code, body)
+		}
 	})
 
 	t.Run("causes and cause trend", func(t *testing.T) {

@@ -194,10 +194,6 @@ type Config struct {
 	// continuously, and redirects writes there. POST
 	// /v1/replication/promote turns it into a primary.
 	ReplicaOf string
-
-	// legacyParsers runs the collector's reference string parsers instead
-	// of the zero-copy fast path: the parity tests' reference server.
-	legacyParsers bool
 }
 
 func (c *Config) defaults() {

@@ -241,7 +241,6 @@ func replayHead(cfg Config, topo *netmodel.Topology) (h head) {
 	h.scratch.SetRetention(cfg.Retention)
 	fs := newFrontierStore(checkpoint{st: h.scratch}, 0)
 	c := collector.New(topo, fs, cfg.Bundle.Start.Year())
-	c.LegacyParsers = cfg.legacyParsers
 	c.WindowStart = cfg.Bundle.Start
 	c.WindowEnd = cfg.Bundle.Start.Add(cfg.Bundle.Duration)
 	h.coll = c

@@ -31,39 +31,35 @@ func postWire(t *testing.T, ts *httptest.Server, body []byte) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// TestWireIngestParity is the fast path's defining contract: a server
-// fed the whole corpus through the binary wire format and the zero-copy
-// parsers must be byte-identical — store digest and diagnosis JSON — to
-// a server fed the same corpus as JSON through the reference string
-// parsers.
+// TestWireIngestParity is the wire format's defining contract: a server
+// fed the whole corpus as binary wire batches must be byte-identical —
+// store digest and diagnosis JSON — to a server fed the same corpus as
+// JSON. Both run the collector's one parser, so any difference is the
+// encoding's.
 func TestWireIngestParity(t *testing.T) {
 	_, b := testBundle(t)
 
-	refDir, fastDir := t.TempDir(), t.TempDir()
-	ref, err := Open(Config{DataDir: refDir, Bundle: b, legacyParsers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	refDir, wireDir := t.TempDir(), t.TempDir()
+	ref := openServer(t, refDir, b)
 	refTS := httptest.NewServer(ref.Handler())
 	defer refTS.Close()
-	fast := openServer(t, fastDir, b)
-	fastTS := httptest.NewServer(fast.Handler())
-	defer fastTS.Close()
+	wired := openServer(t, wireDir, b)
+	wireTS := httptest.NewServer(wired.Handler())
+	defer wireTS.Close()
 
-	// Reference: JSON feeds + legacy parsers. Fast: binary feed batches +
-	// zero-copy parsers.
+	// Reference: JSON feeds. The other: binary feed batches.
 	loadAndFinalize(t, refTS, b)
 	for _, src := range feedOrder {
 		feed, ok := b.Feeds[src]
 		if !ok {
 			continue
 		}
-		code, body := postWire(t, fastTS, wire.AppendFeed(nil, src, feed))
+		code, body := postWire(t, wireTS, wire.AppendFeed(nil, src, feed))
 		if code != http.StatusOK {
 			t.Fatalf("wire ingest %s: %d %s", src, code, body)
 		}
 	}
-	if code, body := post(t, fastTS, "/v1/finalize", struct{}{}); code != http.StatusOK {
+	if code, body := post(t, wireTS, "/v1/finalize", struct{}{}); code != http.StatusOK {
 		t.Fatalf("finalize: %d %s", code, body)
 	}
 
@@ -88,45 +84,45 @@ func TestWireIngestParity(t *testing.T) {
 	if err := json.Unmarshal(body, &refResp); err != nil {
 		t.Fatal(err)
 	}
-	code, body = postWire(t, fastTS, wire.AppendEvents(nil, ins))
+	code, body = postWire(t, wireTS, wire.AppendEvents(nil, ins))
 	if code != http.StatusOK {
 		t.Fatalf("wire event ingest: %d %s", code, body)
 	}
-	var fastResp IngestResponse
-	if err := json.Unmarshal(body, &fastResp); err != nil {
+	var wireResp IngestResponse
+	if err := json.Unmarshal(body, &wireResp); err != nil {
 		t.Fatal(err)
 	}
-	if fastResp.Stored != refResp.Stored || fastResp.Late != refResp.Late ||
-		len(fastResp.Diagnoses) != len(refResp.Diagnoses) {
-		t.Fatalf("wire ingest response %+v, json reference %+v", fastResp, refResp)
+	if wireResp.Stored != refResp.Stored || wireResp.Late != refResp.Late ||
+		len(wireResp.Diagnoses) != len(refResp.Diagnoses) {
+		t.Fatalf("wire ingest response %+v, json reference %+v", wireResp, refResp)
 	}
 
-	if got, want := wal.StoreDigest(fast.Store()), wal.StoreDigest(ref.Store()); got != want {
-		t.Fatalf("wire+fast store digest differs from json+legacy (%d vs %d events)",
-			fast.Store().Len(), ref.Store().Len())
+	if got, want := wal.StoreDigest(wired.Store()), wal.StoreDigest(ref.Store()); got != want {
+		t.Fatalf("wire store digest differs from json (%d vs %d events)",
+			wired.Store().Len(), ref.Store().Len())
 	}
 	for _, app := range []string{"bgpflap", "cdn"} {
 		_, refBody := post(t, refTS, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
-		_, fastBody := post(t, fastTS, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
-		if !bytes.Equal(refBody, fastBody) {
-			t.Fatalf("%s: diagnosis bytes differ between wire+fast and json+legacy", app)
+		_, wireBody := post(t, wireTS, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+		if !bytes.Equal(refBody, wireBody) {
+			t.Fatalf("%s: diagnosis bytes differ between wire and json", app)
 		}
 	}
 
 	// Restart the wire-fed server: journal replay decodes the verbatim
 	// wire records (recFeed raw lines + recEventsWire), so the recovered
 	// digest must not move.
-	want := wal.StoreDigest(fast.Store())
-	fastTS.Close()
-	if err := fast.Shutdown(context.Background()); err != nil {
+	want := wal.StoreDigest(wired.Store())
+	wireTS.Close()
+	if err := wired.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	fast2 := openServer(t, fastDir, b)
-	defer fast2.Shutdown(context.Background()) //nolint:errcheck // test teardown
-	if got := wal.StoreDigest(fast2.Store()); got != want {
+	wire2 := openServer(t, wireDir, b)
+	defer wire2.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if got := wal.StoreDigest(wire2.Store()); got != want {
 		t.Fatal("restart after wire ingest changed the store digest")
 	}
-	if !fast2.Recovery().Finalized {
+	if !wire2.Recovery().Finalized {
 		t.Fatal("restart lost the finalize marker")
 	}
 }

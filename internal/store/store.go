@@ -569,25 +569,8 @@ func (s *Memory) evictLocked(cutoff time.Time) []*event.Instance {
 }
 
 // ---------------------------------------------------------------------
-// Dump and restore (snapshot support)
+// Cuts and restore (snapshot support)
 // ---------------------------------------------------------------------
-
-// Dump returns a copy of every live instance in ID order, together with
-// the ID of the first slot (base) and the ID the next insert will receive
-// (next). base..next−1 spans the live IDs plus any interior tombstones;
-// Restore rebuilds exactly this state.
-func (s *Memory) Dump() (base, next int, ins []event.Instance) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	base, next = s.base, s.base+len(s.byID)
-	ins = make([]event.Instance, 0, s.live)
-	for _, in := range s.byID {
-		if in != nil {
-			ins = append(ins, *in)
-		}
-	}
-	return base, next, ins
-}
 
 // Cut is one consistent view of the store's ID space: the bounds, live
 // counts and instances it reports all belong to the same instant even
@@ -607,7 +590,9 @@ func (s *Memory) Cut(fn func(Cut) error) error {
 	return fn(Cut{s})
 }
 
-// Bounds returns the Dump bounds and the live instance count.
+// Bounds returns the cut's ID bounds — base, the first slot, and next,
+// the ID the next insert will receive; base..next−1 spans the live IDs
+// plus any interior tombstones — and the live instance count.
 func (c Cut) Bounds() (base, next, live int) {
 	return c.s.base, c.s.base + len(c.s.byID), c.s.live
 }
@@ -645,8 +630,8 @@ func (c Cut) Each(lo, hi int, fn func(*event.Instance) error) error {
 	return nil
 }
 
-// SnapshotTo streams the whole dumped state through one Cut: header runs
-// once with the Dump bounds and live count, then each runs per live
+// SnapshotTo streams the whole store through one Cut: header runs once
+// with the ID bounds and live count, then each runs per live
 // instance in ID order. The callbacks are bound by Cut's rules.
 func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(*event.Instance) error) error {
 	return s.Cut(func(c Cut) error {

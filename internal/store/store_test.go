@@ -340,10 +340,24 @@ func TestSpanIncremental(t *testing.T) {
 	}
 }
 
+// dump reads the store's ID bounds and a copy of every live instance in
+// ID order straight from its fields — the independent reading a Cut is
+// checked against.
+func dump(s *Memory) (base, next int, ins []event.Instance) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, in := range s.byID {
+		if in != nil {
+			ins = append(ins, *in)
+		}
+	}
+	return s.base, s.base + len(s.byID), ins
+}
+
 // TestCutRangesMatchDump: a Cut's bounds, per-range counts and per-range
-// walks agree with Dump after ragged eviction, for ranges inside, across
-// and beyond the store's ID bounds — and SnapshotTo, built on it, walks
-// the whole store.
+// walks agree with the store's own fields (dump) after ragged eviction,
+// for ranges inside, across and beyond the store's ID bounds — and
+// SnapshotTo, built on it, walks the whole store.
 func TestCutRangesMatchDump(t *testing.T) {
 	s := New()
 	for i := 0; i < 200; i++ {
@@ -356,7 +370,7 @@ func TestCutRangesMatchDump(t *testing.T) {
 	if s.EvictBefore(t0.Add(120*time.Minute)) == 0 {
 		t.Fatal("nothing evicted")
 	}
-	base, next, ins := s.Dump()
+	base, next, ins := dump(s)
 	liveIn := func(lo, hi int) (ids []int) {
 		for _, in := range ins {
 			if in.ID >= lo && in.ID < hi {
@@ -367,7 +381,7 @@ func TestCutRangesMatchDump(t *testing.T) {
 	}
 	err := s.Cut(func(c Cut) error {
 		if b, n, live := c.Bounds(); b != base || n != next || live != len(ins) {
-			t.Errorf("Bounds = %d,%d,%d; Dump says %d,%d,%d", b, n, live, base, next, len(ins))
+			t.Errorf("Bounds = %d,%d,%d; dump says %d,%d,%d", b, n, live, base, next, len(ins))
 		}
 		for _, r := range [][2]int{{0, 50}, {base, next}, {-10, next + 10}, {100, 130}, {next, next + 5}, {150, 150}, {160, 140}} {
 			want := liveIn(r[0], r[1])
@@ -400,7 +414,7 @@ func TestCutRangesMatchDump(t *testing.T) {
 	visited := 0
 	err = s.SnapshotTo(func(b, n, count int) error {
 		if b != base || n != next || count != len(ins) {
-			t.Errorf("SnapshotTo header = %d,%d,%d; Dump says %d,%d,%d", b, n, count, base, next, len(ins))
+			t.Errorf("SnapshotTo header = %d,%d,%d; dump says %d,%d,%d", b, n, count, base, next, len(ins))
 		}
 		return nil
 	}, func(in *event.Instance) error {

@@ -285,7 +285,7 @@ func InstallSnapshotImage(dir, path string) (next int, err error) {
 }
 
 // ImageDecoder decodes a SnapshotImage's bytes, fed in whatever pieces
-// they arrive in, into the store state they carry: the Dump bounds and
+// they arrive in, into the store state they carry: the ID bounds and
 // the live instances, ready for store.Memory.Replace. The bytes are
 // outside input — the header is held against the records actually read,
 // and IDs must ascend inside [base, next).

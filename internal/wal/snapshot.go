@@ -71,7 +71,7 @@ type runInfo struct {
 	crc    uint32 // CRC32C of the whole file
 }
 
-// manifest is a decoded snapshot manifest: the store's Dump bounds and
+// manifest is a decoded snapshot manifest: the store's ID bounds and
 // live count at the cut, and the runs that together hold those instances.
 type manifest struct {
 	base, next, live int
