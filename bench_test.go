@@ -414,15 +414,15 @@ func benchLatencyTracing(b *testing.B, c *corpus, newEngine func(store.Store, *n
 	if len(symptoms) == 0 {
 		b.Fatal("no symptoms")
 	}
-	hits := obs.GetCounter("engine.expand.cache.hits")
-	misses := obs.GetCounter("engine.expand.cache.misses")
+	hits := obs.GetCounter("netstate.expand.cache.hits")
+	misses := obs.GetCounter("netstate.expand.cache.misses")
 	h0, m0 := hits.Value(), misses.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Diagnose(symptoms[i%len(symptoms)])
 	}
 	b.StopTimer()
-	// The shared spatial cache is the load-bearing optimization here: report
+	// The view's expansion cache is the load-bearing optimization here: report
 	// its effectiveness and fail the benchmark outright if repeated
 	// diagnoses stop sharing expansions (dh+dm == 0 means the registry is
 	// gated off, as in the ObsOff variant).

@@ -194,8 +194,9 @@ func DrillDown(st store.Store, view *netstate.View, sym *event.Instance, window 
 	for _, l := range symLocs {
 		set[l] = true
 	}
-	// Candidates repeat locations and Expand is not cached: decide each
-	// distinct location once per call.
+	// Candidates repeat locations: decide each distinct location's
+	// intersection with the symptom's footprint once per call (the
+	// expansion itself is memoized by the view).
 	related := map[locus.Location]bool{}
 	var out []*event.Instance
 	for _, name := range st.Names() {

@@ -30,9 +30,8 @@ import (
 
 // Engine metrics (see internal/obs): the diagnosis-latency histogram is
 // the repo's measurement of the paper's §III per-event latency claims
-// (<5 s/event for BGP and PIM, <3 min/event for CDN); the expand-cache
-// counters show how much of the spatial work the shared routing-epoch
-// cache absorbs across all diagnoses (see spatialCache).
+// (<5 s/event for BGP and PIM, <3 min/event for CDN). The spatial work
+// is memoized by the view (netstate.View.Expand).
 var (
 	mDiagnoses       = obs.GetCounter("engine.diagnoses")
 	mDiagnoseLatency = obs.GetHistogram("engine.diagnose.seconds", obs.LatencyBuckets)
@@ -40,8 +39,6 @@ var (
 	mEvidenceNodes   = obs.GetCounter("engine.evidence.nodes")
 	mWarnings        = obs.GetCounter("engine.warnings")
 	mUnknowns        = obs.GetCounter("engine.unknown")
-	mExpandHits      = obs.GetCounter("engine.expand.cache.hits")
-	mExpandMisses    = obs.GetCounter("engine.expand.cache.misses")
 )
 
 // Unknown is the root-cause label for symptoms with no joined evidence.
@@ -64,15 +61,6 @@ type Engine struct {
 	// latency histograms are recorded either way. It is Diagnose's
 	// default; DiagnoseTraced traces one call whatever it says.
 	Tracing bool
-
-	// cache is the shared spatial-expansion cache, lazily created for the
-	// view's current routing generations and shared by every Diagnose call
-	// and every DiagnoseAllParallel worker on this engine.
-	cache atomic.Pointer[spatialCache]
-
-	// noShared disables the shared cache (every expansion recomputes);
-	// used by tests to pin cache-on/cache-off determinism.
-	noShared bool
 }
 
 // New returns an engine over the given substrates.
@@ -154,115 +142,12 @@ func (d Diagnosis) Primary() string {
 	return d.Causes[0].Event
 }
 
-// spatialCache memoizes spatial expansions process-wide: CDN-style
-// symptoms expand through the BGP and OSPF simulations, which dominate
-// diagnosis latency (the paper's §III-B.2). Entries are keyed by
-// (location, level, routing epoch) — a comparable struct, no string
-// formatting on the hot path — so any two diagnoses (or workers of one
-// DiagnoseAllParallel, or successive symptoms of a streaming processor)
-// that expand the same location in the same epoch share one computation.
-// The cache is striped across sharded RWMutexes to keep parallel workers
-// off each other's locks, and the whole table is discarded when either
-// routing change log grows (see Engine.spatial).
-type spatialCache struct {
-	ospfGen, bgpGen int64
-	shards          [expandShards]expandShard
-}
-
-const expandShards = 32 // power of two; see expandKey.shard
-
-// expandKey identifies one memoized expansion. Cached results are valid
-// for every instant in the epoch, per netstate.Epoch's equivalence
-// guarantee.
-type expandKey struct {
-	loc   locus.Location
-	level locus.Type
-	epoch netstate.Epoch
-}
-
-// shard hashes the key with FNV-1a, allocation-free.
-func (k expandKey) shard() int {
-	h := uint32(2166136261)
-	h = (h ^ uint32(k.loc.Type)) * 16777619
-	for i := 0; i < len(k.loc.A); i++ {
-		h = (h ^ uint32(k.loc.A[i])) * 16777619
-	}
-	for i := 0; i < len(k.loc.B); i++ {
-		h = (h ^ uint32(k.loc.B[i])) * 16777619
-	}
-	h = (h ^ uint32(k.level)) * 16777619
-	h = (h ^ uint32(k.epoch.OSPF)) * 16777619
-	h = (h ^ uint32(k.epoch.BGP)) * 16777619
-	return int(h & (expandShards - 1))
-}
-
-type expandEntry struct {
-	locs []locus.Location // shared; callers must not mutate
-	err  error
-}
-
-type expandShard struct {
-	mu sync.RWMutex
-	m  map[expandKey]expandEntry
-}
-
-func newSpatialCache(ospfGen, bgpGen int64) *spatialCache {
-	c := &spatialCache{ospfGen: ospfGen, bgpGen: bgpGen}
-	for i := range c.shards {
-		c.shards[i].m = map[expandKey]expandEntry{}
-	}
-	return c
-}
-
-// spatial returns the shared cache for the view's current routing
-// generations, swapping in a fresh one if ingestion happened since it was
-// filled. Called once per diagnosis: a SetWeight/Announce racing an
-// in-flight diagnosis is out of scope (ingest-then-diagnose phasing), but
-// ingest *between* diagnoses — the streaming case — invalidates cleanly.
-func (e *Engine) spatial() *spatialCache {
-	og, bg := e.View.Generations()
-	for {
-		c := e.cache.Load()
-		if c != nil && c.ospfGen == og && c.bgpGen == bg {
-			return c
-		}
-		nc := newSpatialCache(og, bg)
-		if e.cache.CompareAndSwap(c, nc) {
-			return nc
-		}
-	}
-}
-
-// expand answers one spatial expansion through the shared cache. The
-// returned slice is shared across goroutines and must be treated as
-// read-only (the engine only iterates it to build join sets).
-func (e *Engine) expand(c *spatialCache, loc locus.Location, level locus.Type, t time.Time) ([]locus.Location, error) {
-	if c == nil { // cache disabled (tests)
-		return e.View.Expand(loc, level, t)
-	}
-	k := expandKey{loc: loc, level: level, epoch: e.View.EpochAt(t)}
-	sh := &c.shards[k.shard()]
-	sh.mu.RLock()
-	ent, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		mExpandHits.Inc()
-		return ent.locs, ent.err
-	}
-	mExpandMisses.Inc()
-	locs, err := e.View.Expand(loc, level, t)
-	sh.mu.Lock()
-	sh.m[k] = expandEntry{locs: locs, err: err}
-	sh.mu.Unlock()
-	return locs, err
-}
-
 // Diagnose correlates and reasons about one symptom instance.
 func (e *Engine) Diagnose(sym *event.Instance) Diagnosis { return e.diagnose(sym, e.Tracing) }
 
 // DiagnoseTraced is Diagnose with a Trace attached for this call only.
-// It runs on the same engine — and so the same spatial cache — as the
-// untraced calls beside it.
+// It expands through the same view cache as the untraced calls beside
+// it.
 func (e *Engine) DiagnoseTraced(sym *event.Instance) Diagnosis { return e.diagnose(sym, true) }
 
 func (e *Engine) diagnose(sym *event.Instance, tracing bool) Diagnosis {
@@ -273,13 +158,9 @@ func (e *Engine) diagnose(sym *event.Instance, tracing bool) Diagnosis {
 		tr = obs.StartTrace("diagnose " + sym.Name + " @ " + sym.Loc.String())
 		d.Trace = tr
 	}
-	var cache *spatialCache
-	if !e.noShared {
-		cache = e.spatial()
-	}
 	root := &Node{Event: sym.Name, Instance: sym}
 	visited := map[string]bool{sym.Name: true}
-	e.correlate(root, visited, 0, cache, &d, tr)
+	e.correlate(root, visited, 0, &d, tr)
 	d.Root = root
 	rs := tr.StartSpan("reason")
 	d.Causes = e.reason(root)
@@ -301,7 +182,7 @@ func (e *Engine) diagnose(sym *event.Instance, tracing bool) Diagnosis {
 // recursively. With tracing on, each rule evaluation opens a span (so
 // deeper evidence nests under the rule that admitted it) annotated with
 // its expand, store-query, and spatial-join timings.
-func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, cache *spatialCache, d *Diagnosis, tr *obs.Trace) {
+func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, d *Diagnosis, tr *obs.Trace) {
 	if depth >= e.MaxDepth {
 		return
 	}
@@ -335,7 +216,7 @@ func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, cache *s
 		symSet := map[locus.Location]bool{}
 		expanded := false
 		for _, when := range times {
-			locs, err := e.expand(cache, in.Loc, rule.JoinLevel, when)
+			locs, err := e.View.Expand(in.Loc, rule.JoinLevel, when)
 			if err != nil {
 				continue
 			}
@@ -378,7 +259,7 @@ func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, cache *s
 			}
 			ok := rule.Temporal.Joined(in.Start, in.End, cand.Start, cand.End)
 			if ok {
-				candLocs, err := e.expand(cache, cand.Loc, rule.JoinLevel, at)
+				candLocs, err := e.View.Expand(cand.Loc, rule.JoinLevel, at)
 				if err != nil {
 					d.Warnings = append(d.Warnings,
 						fmt.Sprintf("rule %q: diagnostic location %s: %v", rule.Key(), cand.Loc, err))
@@ -404,7 +285,7 @@ func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, cache *s
 			child := &Node{Event: rule.Diagnostic, Instance: cand, Rule: rule}
 			n.Children = append(n.Children, child)
 			visited[rule.Diagnostic] = true
-			e.correlate(child, visited, depth+1, cache, d, tr)
+			e.correlate(child, visited, depth+1, d, tr)
 			delete(visited, rule.Diagnostic)
 		}
 		if sp != nil {

@@ -7,6 +7,7 @@ import (
 
 	"grca/internal/event"
 	"grca/internal/locus"
+	"grca/internal/netstate"
 	"grca/internal/ospf"
 )
 
@@ -95,12 +96,20 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// freshEngine is the fixture's engine over a new view of the same
+// simulations: its expansion cache is empty, so every expansion it makes
+// is computed, the reference the shared view cache must reproduce.
+func (f *fixture) freshEngine() *Engine {
+	return New(f.st, netstate.NewView(f.net.Topo, f.net.OSPF, f.net.BGP), f.eng.Graph)
+}
+
 // TestSharedCacheDeterminism: diagnoses must be byte-identical — labels,
-// causes down to instance IDs, and warnings — with the process-wide
-// spatial cache enabled vs disabled, and across worker counts 1/2/8. The
-// fixture records weight changes so the corpus spans several routing
-// epochs and both cache layers (SPF memo, expansion cache) are exercised
-// across epoch boundaries.
+// causes down to instance IDs, and warnings — from the fixture's view,
+// whose expansion cache every worker shares, and from a fresh view with an
+// empty cache, across worker counts 1/2/8. The fixture records weight
+// changes so the corpus spans several routing epochs and both cache
+// layers (SPF memo, expansion cache) are exercised across epoch
+// boundaries.
 func TestSharedCacheDeterminism(t *testing.T) {
 	f := newFixture(t)
 	// Weight churn creating distinct routing epochs mid-corpus.
@@ -117,9 +126,7 @@ func TestSharedCacheDeterminism(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		f.symptom(800 + i*300)
 	}
-	f.eng.noShared = true
-	base := f.eng.DiagnoseAll()
-	f.eng.noShared = false
+	base := f.freshEngine().DiagnoseAll()
 	want := make([]string, len(base))
 	for i, d := range base {
 		want[i] = causeSig(d)
@@ -141,8 +148,9 @@ func TestSharedCacheDeterminism(t *testing.T) {
 }
 
 // TestSharedCacheInvalidatedByIngest: recording a routing change between
-// diagnoses must invalidate the shared cache — the next diagnosis answers
-// against the new network condition, identically to a cache-free engine.
+// diagnoses must invalidate the view's cache — the next diagnosis answers
+// against the new network condition, identically to an engine over a
+// fresh view.
 func TestSharedCacheInvalidatedByIngest(t *testing.T) {
 	f := newFixture(t)
 	f.add(event.InterfaceFlap, 900, 1, f.ifLoc)
@@ -154,11 +162,9 @@ func TestSharedCacheInvalidatedByIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := f.eng.Diagnose(sym)
-	f.eng.noShared = true
-	fresh := f.eng.Diagnose(sym)
-	f.eng.noShared = false
+	fresh := f.freshEngine().Diagnose(sym)
 	if causeSig(after) != causeSig(fresh) {
-		t.Errorf("post-ingest diagnosis diverged from cache-free engine:\n got %s\nwant %s",
+		t.Errorf("post-ingest diagnosis diverged from a fresh view:\n got %s\nwant %s",
 			causeSig(after), causeSig(fresh))
 	}
 	_ = before

@@ -19,7 +19,7 @@ import (
 //     under the write lock instead (DESIGN.md §13).
 //
 // The plain RUnlock→Lock upgrade with a re-check and no RLock resume is
-// idiomatic (obs.Registry, engine's expand cache) and is not flagged.
+// idiomatic (obs.Registry, netstate's expand cache) and is not flagged.
 var DeferUnlock = &Analyzer{
 	Name: "deferunlock",
 	Doc:  "flags returns and function ends that leak a held mutex, and RLock→Lock upgrades that resume reading",

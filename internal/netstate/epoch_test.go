@@ -2,21 +2,34 @@ package netstate_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"grca/internal/bgp"
 	"grca/internal/locus"
 	"grca/internal/netstate"
+	"grca/internal/ospf"
 	"grca/internal/testnet"
 )
 
+// uncached returns a new view over n's simulations, registered as
+// testnet registers n.View. Its expansion cache starts empty, so its
+// first answer for a key is computed, not remembered.
+func uncached(n *testnet.Net) *netstate.View {
+	v := netstate.NewView(n.Topo, n.OSPF, n.BGP)
+	v.RegisterServer("cdn-nyc-s1", "cdn-nyc", "nyc-per1")
+	v.RegisterClient("agent-1", testnet.AgentAddr, "")
+	return v
+}
+
 // TestEpochEquivalence is the property behind the routing-epoch cache:
-// under a random change log, Expand(loc, level, t1) == Expand(loc, level,
-// t2) (as a set) whenever EpochAt(t1) == EpochAt(t2), for every expansion
-// family that consults routing state. Distinct epochs must also be
-// distinguishable: a weight change that actually reroutes yields a
-// different epoch on the two sides of its instant.
+// under a random change log, a computed Expand(loc, level, t1) equals a
+// computed Expand(loc, level, t2) (as a set) whenever EpochAt(t1) ==
+// EpochAt(t2), for every expansion family that consults routing state.
+// Distinct epochs must also be distinguishable: a weight change that
+// actually reroutes yields a different epoch on the two sides of its
+// instant.
 func TestEpochEquivalence(t *testing.T) {
 	links := []string{"nyc-chi-1", "nyc-chi-2", "chi-wdc-1", "chi-wdc-2", "nyc-wdc-1", "nyc-wdc-2", "chi-core"}
 	weightsFor := []int{5, 10, 25, 40, 80}
@@ -72,7 +85,7 @@ func TestEpochEquivalence(t *testing.T) {
 			err  bool
 		}
 		expand := func(p int, when time.Time) result {
-			locs, err := n.View.Expand(probes[p].loc, probes[p].level, when)
+			locs, err := uncached(n).Expand(probes[p].loc, probes[p].level, when)
 			return result{locs: keys(locs), err: err != nil}
 		}
 		// Reference expansion per (probe, epoch), built as sampled.
@@ -141,5 +154,40 @@ func TestViewEpochComposition(t *testing.T) {
 	og, bg := n.View.Generations()
 	if og != 1 || bg != 4 {
 		t.Errorf("Generations = %d, %d, want 1, 4", og, bg)
+	}
+}
+
+// TestExpandCacheInvalidatedByGeneration: a change recorded at an earlier
+// instant than the ones already cached renumbers the epochs, so the same
+// (location, level, epoch) key can name a different routing state after
+// it. The view must drop its table when a generation moves rather than
+// answer from the old numbering.
+func TestExpandCacheInvalidatedByGeneration(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	t0 := testnet.T0
+	span := locus.Between(locus.IngressEgress, "nyc-per1", "wdc-per1")
+	if err := n.OSPF.SetWeight(t0.Add(2*time.Hour), "chi-core", 40); err != nil {
+		t.Fatal(err)
+	}
+	late, err := n.View.Expand(span, locus.LogicalLink, t0.Add(3*time.Hour)) // OSPF epoch 1
+	if err != nil || len(late) == 0 {
+		t.Fatalf("Expand at T0+3h = %v, %v", late, err)
+	}
+	// Cost out a link on that path before the first change: T0+1h is now
+	// in OSPF epoch 1 too, with the link gone.
+	if err := n.OSPF.SetWeight(t0.Add(30*time.Minute), late[0].A, ospf.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	at := t0.Add(time.Hour)
+	if a, b := n.View.EpochAt(at), n.View.EpochAt(t0.Add(3*time.Hour)); a.OSPF != 1 || b.OSPF != 2 {
+		t.Fatalf("epochs after the earlier change = %+v, %+v; want OSPF 1 and 2", a, b)
+	}
+	got, gerr := n.View.Expand(span, locus.LogicalLink, at)
+	want, werr := uncached(n).Expand(span, locus.LogicalLink, at)
+	if (gerr != nil) != (werr != nil) || strings.Join(keys(got), " ") != strings.Join(keys(want), " ") {
+		t.Fatalf("Expand at T0+1h = %v, %v; a fresh view computes %v, %v", keys(got), gerr, keys(want), werr)
+	}
+	if strings.Join(keys(got), " ") == strings.Join(keys(late), " ") {
+		t.Fatalf("costing out %s did not change the path %v; the test proves nothing", late[0].A, keys(late))
 	}
 }

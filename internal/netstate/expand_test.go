@@ -157,6 +157,22 @@ func TestExpandServer(t *testing.T) {
 	}
 }
 
+// TestRegistrationDropsExpandCache: a server registered after an
+// expansion of it failed must expand from then on — registration changes
+// what a location expands to, so the view's cache cannot outlive it.
+func TestRegistrationDropsExpandCache(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	late := locus.At(locus.Server, "cdn-wdc-s1")
+	if _, err := n.View.Expand(late, locus.Router, testnet.T0); err == nil {
+		t.Fatal("unregistered server accepted")
+	}
+	n.View.RegisterServer("cdn-wdc-s1", "cdn-wdc", "wdc-per1")
+	got, err := n.View.Expand(late, locus.Router, testnet.T0)
+	if err != nil || len(got) != 1 || got[0].A != "wdc-per1" {
+		t.Errorf("server registered after a failed expansion → %v, %v", got, err)
+	}
+}
+
 func TestExpandServerClientEdges(t *testing.T) {
 	n := testnet.Build(t.Fatalf)
 	sc := locus.Between(locus.ServerClient, "cdn-nyc-s1", "agent-1")

@@ -13,6 +13,8 @@ package netstate
 import (
 	"fmt"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"grca/internal/bgp"
@@ -23,18 +25,20 @@ import (
 )
 
 // Conversion-utility metrics: Expand drives the spatial joins that
-// dominate CDN diagnosis latency (§III-B.2), so its call volume and
-// fan-out are the first read on a slow diagnosis.
+// dominate CDN diagnosis latency (§III-B.2), so its cache hit rate and
+// the fan-out of what it computes are the first read on a slow diagnosis.
 var (
-	mExpands      = obs.GetCounter("netstate.expands")
+	mExpandHits   = obs.GetCounter("netstate.expand.cache.hits")
+	mExpandMisses = obs.GetCounter("netstate.expand.cache.misses")
 	mExpandErrors = obs.GetCounter("netstate.expand.errors")
 	mExpandFanout = obs.GetHistogram("netstate.expand.locations", obs.SizeBuckets)
 	mRelated      = obs.GetCounter("netstate.related")
 	mEgressFor    = obs.GetCounter("netstate.egressfor")
 )
 
-// View is the queryable network condition. It is immutable after the
-// registration calls complete and safe for concurrent readers.
+// View is the queryable network condition. Once the registration calls
+// are done it is safe for concurrent readers, who share its expansion
+// cache.
 type View struct {
 	Topo *netmodel.Topology
 	OSPF *ospf.Sim
@@ -44,15 +48,16 @@ type View struct {
 	serverRouter map[string]string     // CDN server or node → attachment router
 	clientAddr   map[string]netip.Addr // measurement agent / source → address
 	clientIngr   map[string]string     // agent/source → ingress router, when known from config
+
+	cache atomic.Pointer[expandCache] // see Expand
 }
 
 // Epoch identifies an equivalence class of instants for spatial
 // expansion: the topology is static, so Expand(loc, level, t) depends on t
 // only through the OSPF weight state and the BGP RIB. Two instants with
 // equal Epochs yield provably identical expansions for every location and
-// level, which is what lets expansion results be cached process-wide and
-// shared across diagnoses (see EpochAt and internal/engine's spatial
-// cache).
+// level, which is what lets Expand memoize its results per epoch and share
+// them across every consumer of the view.
 type Epoch struct {
 	OSPF int
 	BGP  int
@@ -89,6 +94,7 @@ func NewView(topo *netmodel.Topology, o *ospf.Sim, b *bgp.Sim) *View {
 // network through router. The node itself is registered with the same
 // attachment so node-level events expand consistently.
 func (v *View) RegisterServer(server, node, router string) {
+	v.cache.Store(nil)
 	v.serverNode[server] = node
 	v.serverRouter[server] = router
 	v.serverRouter[node] = router
@@ -99,6 +105,7 @@ func (v *View) RegisterServer(server, node, router string) {
 // when it is known from configuration (e.g. a data-center attachment), and
 // may be empty when only routing determines it.
 func (v *View) RegisterClient(name string, addr netip.Addr, ingress string) {
+	v.cache.Store(nil)
 	v.clientAddr[name] = addr
 	if ingress != "" {
 		v.clientIngr[name] = ingress
@@ -141,15 +148,101 @@ func (v *View) EgressFor(ingress, client string, t time.Time) (string, error) {
 // adjacencies) answer against the reconstructed network condition at t.
 // Unsupported conversions return an error so misconfigured rules surface
 // loudly instead of silently never joining.
+//
+// Results, errors included, are memoized per (loc, level, EpochAt(t)) in
+// one table shared by every caller of the view — the engines of all
+// applications, drill-down, the Correlation Tester — so the returned
+// slice must be treated as read-only.
 func (v *View) Expand(loc locus.Location, level locus.Type, t time.Time) ([]locus.Location, error) {
+	c := v.expandTable()
+	k := expandKey{loc: loc, level: level, epoch: v.EpochAt(t)}
+	sh := &c.shards[k.shard()]
+	sh.mu.RLock()
+	ent, ok := sh.m[k]
+	sh.mu.RUnlock()
+	if ok {
+		mExpandHits.Inc()
+		return ent.locs, ent.err
+	}
+	mExpandMisses.Inc()
 	locs, err := v.expand(loc, level, t)
-	mExpands.Inc()
 	if err != nil {
 		mExpandErrors.Inc()
 	} else {
 		mExpandFanout.Observe(float64(len(locs)))
 	}
+	sh.mu.Lock()
+	sh.m[k] = expandEntry{locs: locs, err: err}
+	sh.mu.Unlock()
 	return locs, err
+}
+
+// expandCache is Expand's memo for one pair of routing generations. CDN
+// expansions run the BGP and OSPF simulations, which dominate diagnosis
+// latency (§III-B.2). Keys are comparable structs, so the hot path
+// formats no strings, and the table is striped across RWMutexes to keep
+// parallel diagnoses off each other's locks.
+type expandCache struct {
+	ospfGen, bgpGen int64
+	shards          [expandShards]expandShard
+}
+
+const expandShards = 32 // power of two; see expandKey.shard
+
+// expandKey identifies one memoized expansion, valid for every instant of
+// the epoch (see Epoch).
+type expandKey struct {
+	loc   locus.Location
+	level locus.Type
+	epoch Epoch
+}
+
+// shard hashes the key with FNV-1a, allocation-free.
+func (k expandKey) shard() int {
+	h := uint32(2166136261)
+	h = (h ^ uint32(k.loc.Type)) * 16777619
+	for i := 0; i < len(k.loc.A); i++ {
+		h = (h ^ uint32(k.loc.A[i])) * 16777619
+	}
+	for i := 0; i < len(k.loc.B); i++ {
+		h = (h ^ uint32(k.loc.B[i])) * 16777619
+	}
+	h = (h ^ uint32(k.level)) * 16777619
+	h = (h ^ uint32(k.epoch.OSPF)) * 16777619
+	h = (h ^ uint32(k.epoch.BGP)) * 16777619
+	return int(h & (expandShards - 1))
+}
+
+type expandEntry struct {
+	locs []locus.Location // shared; callers must not mutate
+	err  error
+}
+
+type expandShard struct {
+	mu sync.RWMutex
+	m  map[expandKey]expandEntry
+}
+
+// expandTable returns the table for the view's current routing
+// generations, swapping in an empty one when either change log has grown
+// since it was filled: epoch numbering is only stable while the logs are
+// append-quiescent, so ingest between expansions — the streaming case —
+// invalidates wholesale. A registration call drops the table too.
+func (v *View) expandTable() *expandCache {
+	og, bg := v.Generations()
+	for {
+		c := v.cache.Load()
+		if c != nil && c.ospfGen == og && c.bgpGen == bg {
+			return c
+		}
+		nc := &expandCache{ospfGen: og, bgpGen: bg}
+		for i := range nc.shards {
+			nc.shards[i].m = map[expandKey]expandEntry{}
+		}
+		if v.cache.CompareAndSwap(c, nc) {
+			return nc
+		}
+	}
 }
 
 func (v *View) expand(loc locus.Location, level locus.Type, t time.Time) ([]locus.Location, error) {

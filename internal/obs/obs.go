@@ -514,7 +514,7 @@ func WriteText(w io.Writer, s Snapshot) error {
 }
 
 // CacheRatio is one derived cache effectiveness figure: Name is the
-// counter prefix (e.g. "engine.expand.cache"), Ratio is hits/(hits+misses).
+// counter prefix (e.g. "netstate.expand.cache"), Ratio is hits/(hits+misses).
 type CacheRatio struct {
 	Name         string
 	Hits, Misses int64

@@ -189,8 +189,8 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 
 func TestCacheRatios(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("engine.expand.cache.hits").Add(30)
-	r.Counter("engine.expand.cache.misses").Add(10)
+	r.Counter("netstate.expand.cache.hits").Add(30)
+	r.Counter("netstate.expand.cache.misses").Add(10)
 	r.Counter("ospf.spf.cache.hits").Add(0)
 	r.Counter("ospf.spf.cache.misses").Add(5)
 	r.Counter("bgp.bestpath.cache.hits").Add(7) // no .misses pair: skipped
@@ -199,7 +199,7 @@ func TestCacheRatios(t *testing.T) {
 	r.Counter("idle.cache.misses").Add(0)
 	got := CacheRatios(r.Snapshot())
 	want := []CacheRatio{
-		{Name: "engine.expand.cache", Hits: 30, Misses: 10, Ratio: 0.75},
+		{Name: "netstate.expand.cache", Hits: 30, Misses: 10, Ratio: 0.75},
 		{Name: "ospf.spf.cache", Hits: 0, Misses: 5, Ratio: 0},
 	}
 	if len(got) != len(want) {

@@ -81,10 +81,10 @@ type Processor struct {
 
 // New builds a streaming processor. The store starts empty and fills from
 // the observed stream; view supplies the (historically reconstructed)
-// network condition exactly as in batch mode. The processor keeps one
-// engine for its lifetime, so the engine's shared spatial cache carries
-// across Observe calls: symptoms landing in an already-seen routing epoch
-// reuse the expansions computed for earlier symptoms.
+// network condition exactly as in batch mode. Expansions are memoized on
+// the view, so they carry across Observe calls: symptoms landing in an
+// already-seen routing epoch reuse the expansions computed for earlier
+// symptoms, and for any other consumer of the same view.
 func New(view *netstate.View, g *dgraph.Graph, grace time.Duration) *Processor {
 	st := store.New()
 	return &Processor{Grace: grace, eng: engine.New(st, view, g), st: st}
@@ -103,7 +103,7 @@ func NewOnStore(st store.Store, view *netstate.View, g *dgraph.Graph, grace time
 func (p *Processor) Store() store.Store { return p.st }
 
 // Engine exposes the processor's engine, so on-demand diagnoses of the
-// same application run over the spatial cache the stream has filled.
+// same application run on the engine the stream diagnoses with.
 func (p *Processor) Engine() *engine.Engine { return p.eng }
 
 // Observe ingests one normalized event instance. Instances should arrive
@@ -231,7 +231,7 @@ func (p *Processor) Forced() int { return p.forced }
 
 func (p *Processor) drain(all bool) []engine.Diagnosis {
 	// Partition under the lock, diagnose outside it: Diagnose hits the
-	// store and the spatial cache and must not serialize against
+	// store and the view's expansion cache and must not serialize against
 	// PendingSymptoms readers.
 	var ripe []*event.Instance
 	p.pmu.Lock()

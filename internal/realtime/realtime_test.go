@@ -263,18 +263,17 @@ func TestGraceFor(t *testing.T) {
 	}
 }
 
-// TestStreamingSharesSpatialCache: the processor holds one engine for its
-// lifetime, so the shared routing-epoch expansion cache must accumulate
-// across Observe calls — the second symptom's expansions hit entries the
-// first symptom filled.
+// TestStreamingSharesSpatialCache: the view's routing-epoch expansion
+// cache must accumulate across Observe calls — the second symptom's
+// expansions hit entries the first symptom filled.
 func TestStreamingSharesSpatialCache(t *testing.T) {
 	n := testnet.Build(t.Fatalf)
 	p := New(n.View, miniGraph(t), time.Minute)
 	t0 := testnet.T0
 	ifc, _ := n.Topo.InterfaceByName("chi-per1", "to-custB")
 	adj := locus.Between(locus.RouterNeighbor, "chi-per1", ifc.PeerIP.String())
-	hits := obs.GetCounter("engine.expand.cache.hits")
-	misses := obs.GetCounter("engine.expand.cache.misses")
+	hits := obs.GetCounter("netstate.expand.cache.hits")
+	misses := obs.GetCounter("netstate.expand.cache.misses")
 
 	sym := func(at time.Duration) event.Instance {
 		return event.Instance{Name: event.EBGPFlap, Start: t0.Add(at), End: t0.Add(at + time.Minute), Loc: adj}

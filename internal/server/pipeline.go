@@ -635,8 +635,9 @@ func closeFeeds(c *collector.Collector, dep cdn.Deployment) error {
 // processor per application, in apps.All() order — the order streaming
 // diagnoses of one event are reported in. A processor's engine is its
 // application's only engine: the stream, /v1/diagnose, /v1/drilldown,
-// the pending-symptom merge and the rollup seed all diagnose through it
-// and so share one spatial cache. Built by installServing and never
+// the pending-symptom merge and the rollup seed all diagnose through it.
+// Every engine, drill-down's browser.DrillDown included, expands through
+// view, whose one cache they all share. Built by installServing and never
 // changed afterwards.
 type serving struct {
 	view *netstate.View

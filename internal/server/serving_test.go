@@ -18,9 +18,10 @@ import (
 )
 
 // TestOneEnginePerApp: the stream, /v1/diagnose and /v1/drilldown ask
-// one engine. A symptom the stream has just diagnosed costs the two
-// on-demand paths no spatial expansion of their own, and all three
-// answers are the same diagnosis.
+// one engine. A symptom the stream has just diagnosed costs /v1/diagnose
+// no spatial expansion of its own, all three answers are the same
+// diagnosis, and a second drill-down of it — co-located events included —
+// is served from the view's one expansion cache.
 func TestOneEnginePerApp(t *testing.T) {
 	_, b := testBundle(t)
 	s := openServer(t, t.TempDir(), b)
@@ -57,8 +58,8 @@ func TestOneEnginePerApp(t *testing.T) {
 	}
 	id := streamed.Symptom.ID
 
-	misses := obs.GetCounter("engine.expand.cache.misses")
-	hits := obs.GetCounter("engine.expand.cache.hits")
+	misses := obs.GetCounter("netstate.expand.cache.misses")
+	hits := obs.GetCounter("netstate.expand.cache.hits")
 	missesBefore, hitsBefore := misses.Value(), hits.Value()
 
 	code, body = post(t, ts, "/v1/diagnose", DiagnoseRequest{App: "bgpflap", ID: id})
@@ -72,33 +73,43 @@ func TestOneEnginePerApp(t *testing.T) {
 	if got, _ := json.Marshal(diag.Diagnoses[0]); !bytes.Equal(got, want) {
 		t.Errorf("/v1/diagnose differs from the streamed diagnosis:\n%s\n%s", got, want)
 	}
-
-	code, body = get(t, ts, fmt.Sprintf("/v1/drilldown/%d", id))
-	if code != http.StatusOK {
-		t.Fatalf("drilldown: %d %s", code, body)
-	}
-	var drill struct {
-		App       string          `json:"app"`
-		Diagnosis DiagnosisJSON   `json:"diagnosis"`
-		Trace     json.RawMessage `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &drill); err != nil {
-		t.Fatal(err)
-	}
-	if drill.App != "bgpflap" || len(drill.Diagnosis.Trace) == 0 || string(drill.Trace) == "null" {
-		t.Errorf("drilldown app %q, %d trace lines, trace %s: want a traced bgpflap diagnosis",
-			drill.App, len(drill.Diagnosis.Trace), drill.Trace)
-	}
-	drill.Diagnosis.Trace = nil // timings; everything else is the diagnosis
-	if got, _ := json.Marshal(drill.Diagnosis); !bytes.Equal(got, want) {
-		t.Errorf("/v1/drilldown differs from the streamed diagnosis:\n%s\n%s", got, want)
-	}
-
 	if d := misses.Value() - missesBefore; d != 0 {
-		t.Errorf("the on-demand diagnoses missed the spatial cache %d times; the stream had filled it", d)
+		t.Errorf("the on-demand diagnosis missed the spatial cache %d times; the stream had filled it", d)
 	}
 	if hits.Value() == hitsBefore {
-		t.Error("the on-demand diagnoses never consulted the spatial cache")
+		t.Error("the on-demand diagnosis never consulted the spatial cache")
+	}
+
+	// The first drill-down expands the co-located candidates' locations,
+	// which no diagnosis needed; the second finds them in the view's cache.
+	for pass := 0; pass < 2; pass++ {
+		missesBefore, hitsBefore = misses.Value(), hits.Value()
+		code, body = get(t, ts, fmt.Sprintf("/v1/drilldown/%d", id))
+		if code != http.StatusOK {
+			t.Fatalf("drilldown: %d %s", code, body)
+		}
+		var drill struct {
+			App       string          `json:"app"`
+			Diagnosis DiagnosisJSON   `json:"diagnosis"`
+			Trace     json.RawMessage `json:"trace"`
+		}
+		if err := json.Unmarshal(body, &drill); err != nil {
+			t.Fatal(err)
+		}
+		if drill.App != "bgpflap" || len(drill.Diagnosis.Trace) == 0 || string(drill.Trace) == "null" {
+			t.Errorf("drilldown app %q, %d trace lines, trace %s: want a traced bgpflap diagnosis",
+				drill.App, len(drill.Diagnosis.Trace), drill.Trace)
+		}
+		drill.Diagnosis.Trace = nil // timings; everything else is the diagnosis
+		if got, _ := json.Marshal(drill.Diagnosis); !bytes.Equal(got, want) {
+			t.Errorf("/v1/drilldown differs from the streamed diagnosis:\n%s\n%s", got, want)
+		}
+	}
+	if d := misses.Value() - missesBefore; d != 0 {
+		t.Errorf("a repeated drill-down missed the spatial cache %d times", d)
+	}
+	if hits.Value() == hitsBefore {
+		t.Error("a repeated drill-down never consulted the spatial cache")
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
