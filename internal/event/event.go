@@ -12,7 +12,9 @@
 package event
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -55,6 +57,18 @@ type Instance struct {
 	// measured values, ground-truth labels in simulation, etc.
 	Attrs Attrs
 }
+
+// MinTime and MaxTime are the first and last instants the durable logs can
+// hold: they write a time as int64 nanoseconds since the Unix epoch.
+var (
+	MinTime = time.Unix(0, math.MinInt64).UTC()
+	MaxTime = time.Unix(0, math.MaxInt64).UTC()
+)
+
+// ErrTimeRange is an instance that starts before MinTime or ends after
+// MaxTime. Both ingest encodings reject it with this text.
+var ErrTimeRange = errors.New("start and end must lie between " +
+	MinTime.Format(time.RFC3339Nano) + " and " + MaxTime.Format(time.RFC3339Nano))
 
 // Duration returns End − Start.
 func (in Instance) Duration() time.Duration { return in.End.Sub(in.Start) }

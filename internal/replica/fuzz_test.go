@@ -47,12 +47,15 @@ func FuzzStreamDecode(f *testing.F) {
 		f.Fatalf("a protocol-3 hello parsed: %+v", m)
 	}
 	f.Add(appendMsg(nil, v3))
-	// A protocol-4 hello: the bytes a v5 hello has but for the version.
-	v4 := []byte{MsgHello, 4, 9, 'b', 'o', 'o', 't', '-', 'f', 'u', 'z', 'z', StreamJournal, 24}
-	if m, err := ParseMsg(v4); err == nil {
-		f.Fatalf("a protocol-4 hello parsed: %+v", m)
+	// Protocol-4 and -5 hellos: the bytes a v6 hello has but for the
+	// version.
+	for _, v := range []byte{4, 5} {
+		old := []byte{MsgHello, v, 9, 'b', 'o', 'o', 't', '-', 'f', 'u', 'z', 'z', StreamJournal, 24}
+		if m, err := ParseMsg(old); err == nil {
+			f.Fatalf("a protocol-%d hello parsed: %+v", v, m)
+		}
+		f.Add(appendMsg(nil, old))
 	}
-	f.Add(appendMsg(nil, v4))
 	// A checkpoint whose bound overflows an int, and a header whose first
 	// ID lies below its front.
 	f.Add(AppendSnapBegin(nil, -1, -1))

@@ -65,8 +65,10 @@ const (
 // the hello, a shard index in MsgSnapBegin and one WAL frontier per shard
 // in the heartbeat. 4 has 5's frames, but a follower of 4 also opens a
 // WAL stream a primary of 5 does not serve, and a primary of 4 pins its
-// WAL compaction for a follower of 5 that never opens one.)
-const ProtocolVersion = 5
+// WAL compaction for a follower of 5 that never opens one. 5 has 6's
+// frames, but its journal records carry event batches as JSON or wire
+// bodies, and a follower of 5 cannot decode the event blocks 6 ships.)
+const ProtocolVersion = 6
 
 // Stream kinds named in MsgHello; StreamWAL only by ShipWALOnce.
 const (

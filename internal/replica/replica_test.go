@@ -97,8 +97,9 @@ func TestProtocolRoundTrip(t *testing.T) {
 	// follows the version differs between versions and is not read.
 	for _, hello := range [][]byte{
 		{MsgHello, 3, 6, 'b', 'o', 'o', 't', '-', '1', 4, StreamJournal, 34}, // what protocol 3 sent for the hello above
-		{MsgHello, 4, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 4's: 5's bytes but for the version
-		{MsgHello, 6},
+		{MsgHello, 4, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 4's: 6's bytes but for the version
+		{MsgHello, 5, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 5's, likewise
+		{MsgHello, 7},
 	} {
 		if _, err := ParseMsg(hello); !errors.Is(err, ErrFatal) || !strings.Contains(err.Error(), fmt.Sprintf("protocol version %d", hello[1])) {
 			t.Fatalf("a version-%d hello: err %v, want a fatal refusal naming the version", hello[1], err)

@@ -61,6 +61,9 @@ func (e EventJSON) instance() (event.Instance, error) {
 	if e.End.Before(e.Start) {
 		return event.Instance{}, fmt.Errorf("event %q: end precedes start", e.Name)
 	}
+	if e.Start.Before(event.MinTime) || e.End.After(event.MaxTime) {
+		return event.Instance{}, fmt.Errorf("event %q: %v", e.Name, event.ErrTimeRange)
+	}
 	loc, err := e.Loc.location()
 	if err != nil {
 		return event.Instance{}, fmt.Errorf("event %q: %v", e.Name, err)

@@ -84,10 +84,10 @@ func (s *Server) admit(t *task) (*batch, taskResult) {
 
 // admitEvents admits a normalized-event batch: reject while the queue is
 // full (before consuming a sequence number or IDs, so both stay dense),
-// then allocate and enqueue. The journal record is the verbatim request
-// body; the applier appends records in queue order, so the journal's file
-// order is dispatch order and replaying it re-allocates the same IDs to
-// the same events.
+// then allocate and enqueue. The journal record is the handler's event
+// block behind the sequence number; the applier appends records in queue
+// order, so the journal's file order is dispatch order and replaying it
+// re-allocates the same IDs to the same events.
 func (s *Server) admitEvents(t *task) (*batch, taskResult) {
 	// Handlers reject empty batches before dispatch; guard here too so
 	// nothing event-less is ever journaled as an event batch.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -25,6 +26,8 @@ import (
 
 // shrinkJournal makes the journal's tail roll every segBytes for the
 // length of the test, so a few hundred small batches cross many segments.
+// A tickStream batch of 40 events journals as an event block of about
+// 1 KiB: 2 KiB rolls every other batch.
 func shrinkJournal(t *testing.T, segBytes int64) {
 	t.Helper()
 	old := journalSegmentBytes
@@ -167,7 +170,7 @@ func olderManifest(t *testing.T, dir string) int {
 // never grows past finalize, and the reopened store is the live one.
 func TestJournalBoundedUnderRetention(t *testing.T) {
 	const (
-		segBytes  = 16 << 10
+		segBytes  = 4 << 10
 		retention = 10 * time.Minute
 		step      = 30 * time.Second // 20 batches a window
 		per       = 40
@@ -228,8 +231,10 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 			t.Fatalf("journal holds %d bytes in %d files; segment 0 (%d) + records since the older manifest at ID %d (%d) + one segment allows %d",
 				onDisk, len(files), head, floor, since, bound)
 		}
-		if onDisk > ever/4 {
-			t.Fatalf("journal holds %d of the %d bytes ever journaled: it is not following retention", onDisk, ever)
+		// Over the tail: journal.log, the feeds, is kept whole and would
+		// dominate a ratio over everything.
+		if tail, everTail := onDisk-head, ever-head; tail > everTail/4 {
+			t.Fatalf("the journal's tail holds %d of the %d bytes ever journaled behind finalize: it is not following retention", tail, everTail)
 		}
 		if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 20 {
 			t.Fatalf("%d journal segments dropped over %d batches, want at least 20", got, batches)
@@ -258,7 +263,7 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 // snapshots itself once journalForceAfter sealed segments wait, and the
 // tail keeps being dropped.
 func TestJournalDropsWithoutSnapshotCadence(t *testing.T) {
-	shrinkJournal(t, 16<<10)
+	shrinkJournal(t, 4<<10)
 	_, b := testBundle(t)
 	dir := t.TempDir()
 	cfg := Config{DataDir: dir, Bundle: b}
@@ -320,7 +325,7 @@ func pinnedPrimary(t *testing.T, cfg Config, batches int) (*Server, *httptest.Se
 // of the node that never crashed, and is then appended to, snapshotted by
 // a clean shutdown and reopened to that node's store again.
 func TestJournalCrashCuts(t *testing.T) {
-	shrinkJournal(t, 8<<10)
+	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	live := t.TempDir()
 	cfg := Config{DataDir: live, Bundle: b, SnapshotEvery: 150}
@@ -434,7 +439,7 @@ func TestJournalCrashCuts(t *testing.T) {
 // there. A kill inside it leaves the WAL a commit group behind; the tail
 // adds exactly what it lacks.
 func TestWALTrailsJournalUnderIntervalFsync(t *testing.T) {
-	shrinkJournal(t, 8<<10)
+	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	live := t.TempDir()
 	cfg := Config{DataDir: live, Bundle: b, SnapshotEvery: 150,
@@ -521,7 +526,7 @@ func truncatedImage(t *testing.T, cfg Config) (dir, digest string) {
 // the directory as it found it. The same deletion while the journal still
 // reaches back to ID 0 refills the store.
 func TestCheckpointLostIsAnError(t *testing.T) {
-	shrinkJournal(t, 8<<10)
+	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	lose := func(dir string) {
 		if err := wipeWALState(dir); err != nil {
@@ -588,7 +593,7 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 // And whoever writes through the frontier during a replay is checked the
 // same way: a collector's adds below it store nothing.
 func TestOverlapVerified(t *testing.T) {
-	shrinkJournal(t, 8<<10)
+	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	cfg := Config{Bundle: b, SnapshotEvery: 150}
 	base, _ := truncatedImage(t, cfg)
@@ -640,14 +645,19 @@ func TestOverlapVerified(t *testing.T) {
 	t.Run("tail record disagrees with the WAL", func(t *testing.T) {
 		dir := copyTree(t, base)
 		tail := journalTailPaths(dir)
-		// Re-frame the segment's records with one router renamed: every CRC
-		// holds, the placement may even stay, the event is another one.
+		// Re-frame the segment's records with one router renamed in an event
+		// block's string table: every CRC holds, the placement may even stay,
+		// the events that name it are other ones.
 		var out []byte
 		renamed := false
 		torn, err := wal.ScanJournal(tail[0], func(p []byte) error {
 			rec := append([]byte(nil), p...)
-			if i := strings.Index(string(rec), `"load-r`); i >= 0 && !renamed {
-				rec[i+1], renamed = 'x', true
+			if _, kind, _, _, err := decodeJournalRecord(rec); err != nil || kind != recEventBlock {
+				out = wal.AppendFrame(out, rec)
+				return nil
+			}
+			if i := strings.Index(string(rec), "load-r"); i >= 0 && !renamed {
+				rec[i], renamed = 'x', true
 			}
 			out = wal.AppendFrame(out, rec)
 			return nil
@@ -706,4 +716,79 @@ func TestOverlapVerified(t *testing.T) {
 				fs.err, fs.added, wal.StoreDigest(held) == digest)
 		}
 	})
+}
+
+// TestParentDataDirBoots: testdata/datadir-pr27 is a data dir the version
+// before the event block wrote — three feeds, then a JSON and a wire event
+// batch in journal.log ahead of the finalize record, both kinds again in
+// its tail segment, a clean shutdown — and testdata/datadir-pr27.want
+// holds the store digest and the SHA-256 of each application's /v1/diagnose
+// body it served. Event records of kinds 3 and 4 are read, never written:
+// the dir must boot here to that digest and those bytes, verified against
+// the WAL it wrote and applied when that WAL is gone; the blocks this
+// version journals behind them, into the same tail segment, reboot to the
+// live store.
+func TestParentDataDirBoots(t *testing.T) {
+	const fixture = "testdata/datadir-pr27"
+	digest, err := os.ReadFile(fixture + ".want/DIGEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes, err := os.ReadFile(fixture + ".want/DIAGNOSE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b := testBundle(t)
+	dir := copyTree(t, fixture)
+	reopen := func(what string, wantRebuilt bool, want string) *Server {
+		t.Helper()
+		s := openServer(t, dir, b)
+		if rec := s.Recovery(); !rec.Finalized || rec.WALRebuilt != wantRebuilt {
+			t.Fatalf("%s: recovery %+v, want finalized and WALRebuilt %v", what, rec, wantRebuilt)
+		}
+		if got := wal.StoreDigest(s.Store()); got != want {
+			t.Fatalf("%s: digest %s, want %s", what, got, want)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		what    string
+		rebuilt bool
+	}{{"as written", false}, {"without its WAL", true}} {
+		if c.rebuilt {
+			removeWALState(t, dir)
+		}
+		s := reopen(c.what, c.rebuilt, strings.TrimSpace(string(digest)))
+		ts := httptest.NewServer(s.Handler())
+		var got strings.Builder
+		for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
+			code, body := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+			if code != http.StatusOK {
+				t.Fatalf("%s: diagnose %s: %d %s", c.what, app, code, body)
+			}
+			fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(body), app)
+		}
+		ts.Close()
+		if got.String() != string(hashes) {
+			t.Errorf("%s: diagnose bodies hash to\n%s, the older version served\n%s", c.what, got.String(), hashes)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := openServer(t, dir, b)
+	ts := httptest.NewServer(s.Handler())
+	newTickStream(t, ts, b, time.Second).post(2, 10)
+	live := wal.StoreDigest(s.Store())
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if tail := journalTailPaths(dir); len(tail) != 1 {
+		t.Fatalf("tail segments %v, want the older version's one, taking the blocks behind its records", tail)
+	}
+	reopen("with blocks behind its records", false, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
+	removeWALState(t, dir)
+	reopen("with blocks behind its records, without its WAL", true, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"grca/internal/event"
+	"grca/internal/locus"
 	"grca/internal/platform"
 	"grca/internal/store"
 	"grca/internal/wal"
@@ -124,8 +125,8 @@ func driveLifecycle(t *testing.T, dir string, b platform.Bundle, batches [][]Eve
 }
 
 // postLifecycleBatch posts event batch i: odd batches ride the binary
-// wire format so both journaled event representations (recEvents,
-// recEventsWire) are under test.
+// wire format so both APIs are under test, on the way into the journal's
+// one event record kind and out of it.
 func postLifecycleBatch(t *testing.T, ts *httptest.Server, i int, evs []EventJSON) (int, []byte) {
 	t.Helper()
 	if i%2 == 0 {
@@ -462,7 +463,7 @@ func refusedUntouched(t *testing.T, cfg Config, dir string) {
 // is refused by name before Open creates, writes or wipes anything; a
 // marker that says 1 is what a single-shard node used to write, and opens.
 func TestMultiShardRefused(t *testing.T) {
-	shrinkJournal(t, 8<<10)
+	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	// A finalized dir with a journal tail, as this version writes it.
 	base := t.TempDir()
@@ -616,13 +617,25 @@ func TestTornJournalTail(t *testing.T) {
 // follower stops its stream — and never a silent skip.
 func TestJournalApplierRejects(t *testing.T) {
 	ap := journalApplier{st: newFrontierStore(checkpoint{st: store.New()}, 0)}
+	at := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	evs := []event.Instance{
+		{Name: "x", Start: at, End: at, Loc: locus.At(locus.Router, "r1")},
+		{Name: "y", Start: at, End: at.Add(time.Minute), Loc: locus.Between(locus.Interface, "r1", "ge-0/0/0")},
+	}
+	block := wal.AppendEventBlock(nil, evs)
+	short := append([]byte{byte(len(evs) + 1)}, block[1:]...) // one event more than it holds
 	for name, rec := range map[string][]byte{
 		"truncated":       {0x80},
 		"unknown kind":    encodeRecord(0, 9, "", nil),
+		"segment header":  wal.AppendJournalSegmentHeader(nil, wal.JournalSegmentHeader{FirstSeq: 3, FirstID: 7, Front: 7}),
 		"bad JSON events": encodeRecord(0, recEvents, "", []byte("{")),
 		"invalid event":   encodeRecord(0, recEvents, "", []byte(`[{"name":""}]`)),
 		"torn wire batch": encodeRecord(0, recEventsWire, "", []byte("GRC")),
 		"wire feed batch": encodeRecord(0, recEventsWire, "", wire.AppendFeed(nil, "syslog", "line\n")),
+		"torn block":      encodeRecord(0, recEventBlock, "", block[:len(block)-2]),
+		"short block":     encodeRecord(0, recEventBlock, "", short),
+		// One event, table {"x"}, whose B names a second string.
+		"reference past the table": encodeRecord(0, recEventBlock, "", []byte{1, 1, 1, 'x', 0, 0, 0, byte(locus.Router), 0, 1, 0}),
 	} {
 		if _, err := ap.apply(rec); err == nil {
 			t.Errorf("%s: applied without error", name)
@@ -630,5 +643,28 @@ func TestJournalApplierRejects(t *testing.T) {
 	}
 	if ap.st.Len() != 0 {
 		t.Errorf("rejected records stored %d events", ap.st.Len())
+	}
+}
+
+// TestJournalRecordKinds: the journal has one kind space, shared by the
+// records this package writes and the segment header wal writes. A kind
+// taken twice makes a follower read event batches as segment headers (or
+// the reverse) and stall, so every kind is distinct.
+func TestJournalRecordKinds(t *testing.T) {
+	kinds := map[string]byte{
+		"recFeed": recFeed, "recFinalize": recFinalize,
+		"recEvents": recEvents, "recEventsWire": recEventsWire,
+		"wal.JournalSegmentKind": wal.JournalSegmentKind, "recEventBlock": recEventBlock,
+	}
+	seen := map[byte]string{}
+	for name, k := range kinds {
+		if other, dup := seen[k]; dup {
+			t.Errorf("%s and %s are both journal record kind %d", name, other, k)
+		}
+		seen[k] = name
+	}
+	rec := encodeRecord(4, recEventBlock, "", wal.AppendEventBlock(nil, nil))
+	if wal.IsJournalSegmentHeader(rec) {
+		t.Error("an event block record reads as a segment header")
 	}
 }

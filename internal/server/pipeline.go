@@ -11,10 +11,10 @@
 //   - The event WAL (internal/wal): every normalized instance added to the
 //     store, with snapshots and compaction. It recovers the store
 //     byte-identically and fast.
-//   - The ingest journal: accepted ingest batches — raw feed lines or
-//     normalized-event bodies — plus the finalize marker, each prefixed
-//     with the batch's dispatch sequence number. The applier is its only
-//     appender, so file order is dispatch order.
+//   - The ingest journal: accepted ingest batches — raw feed lines, or
+//     the validated events as one dense block — plus the finalize marker,
+//     each prefixed with the batch's dispatch sequence number. The applier
+//     is its only appender, so file order is dispatch order.
 //     <data-dir>/journal.log is segment 0, everything through finalize:
 //     the collector's parse state (routing simulations, pairing buffers,
 //     rolling baselines) is a function of raw input, not of normalized
@@ -93,17 +93,24 @@ var (
 	mTailRecs   = obs.GetCounter("server.recovery.tail.records")
 )
 
-// Journal record kinds. A record is uvarint seq | kind |
-// uvarint len(source) | source | body: raw feed lines for recFeed, the
-// JSON event array for recEvents, a wire.KindEvents batch (verbatim
-// request bytes) for recEventsWire, empty for recFinalize. seq is the
-// batch's dispatch sequence; it ascends through the file and is the
-// replication stream's resume cursor.
+// Journal record kinds, all of them: one kind space for the records this
+// package writes and the tail segment header wal writes. A record is
+// uvarint seq | kind | uvarint len(source) | source | body: raw feed lines
+// for recFeed, empty for recFinalize, and for recEventBlock the batch's
+// validated instances as one wal event block — whichever API the batch
+// arrived on. seq is the batch's dispatch sequence; it ascends through the
+// file and is the replication stream's resume cursor. recEvents (the JSON
+// event array) and recEventsWire (a verbatim wire.KindEvents body) are
+// what earlier versions journaled event batches as: read, never written.
+// journalApplier.apply has a case for every kind, so two that collide do
+// not compile.
 const (
-	recFeed       = 1
-	recFinalize   = 2
-	recEvents     = 3
-	recEventsWire = 4
+	recFeed          = 1
+	recFinalize      = 2
+	recEvents        = 3
+	recEventsWire    = 4
+	recSegmentHeader = wal.JournalSegmentKind // 5
+	recEventBlock    = 6
 )
 
 func encodeRecord(seq int, kind byte, source string, body []byte) []byte {
@@ -211,7 +218,7 @@ type task struct {
 	source string
 	lines  []byte
 	events []event.Instance
-	raw    []byte // journal body for recEvents/recEventsWire
+	raw    []byte // journal body for recEventBlock
 }
 
 type taskResult struct {
@@ -591,6 +598,10 @@ func (a *journalApplier) apply(rec []byte) (seq int, err error) {
 			return seq, err
 		}
 		return seq, a.serving()
+	case recSegmentHeader:
+		return seq, fmt.Errorf("a journal segment header is not a batch")
+	case recEventBlock:
+		ins, err = wal.DecodeEventBlock(body)
 	case recEvents:
 		var evs []EventJSON
 		if err = json.Unmarshal(body, &evs); err == nil {

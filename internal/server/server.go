@@ -12,7 +12,9 @@ import (
 	"strings"
 	"time"
 
+	"grca/internal/event"
 	"grca/internal/obs"
+	"grca/internal/wal"
 	"grca/internal/wire"
 )
 
@@ -171,10 +173,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "empty event batch")
 				return
 			}
-			// The verbatim request bytes are the journal record: replay
-			// re-decodes them, so the store recovers byte-identically
-			// without a JSON round-trip.
-			t = task{kind: recEventsWire, events: b.Events, raw: body}
+			t = eventTask(b.Events)
 		}
 		s.finishIngest(w, r, t)
 		return
@@ -198,17 +197,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		raw, err := json.Marshal(req.Events)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		t = task{kind: recEvents, events: ins, raw: raw}
+		t = eventTask(ins)
 	default:
 		writeErr(w, http.StatusBadRequest, "provide either source+lines or events")
 		return
 	}
 	s.finishIngest(w, r, t)
+}
+
+// eventTask is a validated event batch with its journal body: the events
+// as one wal event block, whichever API they arrived on, so the same
+// events journal to the same bytes. It is encoded here, in the handler's
+// goroutine, not under dispatchMu.
+func eventTask(ins []event.Instance) task {
+	return task{kind: recEventBlock, events: ins, raw: wal.AppendEventBlock(nil, ins)}
 }
 
 // writeBodyErr answers a request whose body could not be read or decoded:

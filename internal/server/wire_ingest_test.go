@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"grca/internal/event"
+	"grca/internal/locus"
 	"grca/internal/wal"
 	"grca/internal/wire"
 )
@@ -29,6 +30,20 @@ func postWire(t *testing.T, ts *httptest.Server, body []byte) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, out
+}
+
+// lastJournalRecord returns the last record journaled under dir.
+func lastJournalRecord(t *testing.T, dir string) []byte {
+	t.Helper()
+	paths, _ := journalFiles(t, dir)
+	var last []byte
+	if _, err := wal.ScanJournal(paths[len(paths)-1], func(p []byte) error {
+		last = append(last[:0], p...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return last
 }
 
 // TestWireIngestParity is the wire format's defining contract: a server
@@ -70,7 +85,7 @@ func TestWireIngestParity(t *testing.T) {
 		{Name: event.EBGPFlap, Start: at, End: at.Add(time.Minute),
 			Loc: LocationJSON{Type: "router:neighbor", A: "pop00-per1", B: "10.99.0.1"}},
 		{Name: "synthetic tick", Start: at.Add(48 * time.Hour), End: at.Add(48 * time.Hour),
-			Loc: LocationJSON{Type: "router", A: "pop00-per1"}},
+			Loc: LocationJSON{Type: "router", A: "pop00-per1"}, Attrs: map[string]string{"b": "1", "a": "2"}},
 	}
 	ins, err := decodeEvents(evs)
 	if err != nil {
@@ -96,6 +111,15 @@ func TestWireIngestParity(t *testing.T) {
 		len(wireResp.Diagnoses) != len(refResp.Diagnoses) {
 		t.Fatalf("wire ingest response %+v, json reference %+v", wireResp, refResp)
 	}
+	// One writer: the batch journals to the same record whichever encoding
+	// carried it — one event block, at the same sequence.
+	refRec, wireRec := lastJournalRecord(t, refDir), lastJournalRecord(t, wireDir)
+	if !bytes.Equal(refRec, wireRec) {
+		t.Fatalf("the json batch journaled as %x, the wire batch as %x", refRec, wireRec)
+	}
+	if _, kind, _, _, err := decodeJournalRecord(refRec); err != nil || kind != recEventBlock {
+		t.Fatalf("the event batch journaled as kind %d (%v), want %d", kind, err, recEventBlock)
+	}
 
 	if got, want := wal.StoreDigest(wired.Store()), wal.StoreDigest(ref.Store()); got != want {
 		t.Fatalf("wire store digest differs from json (%d vs %d events)",
@@ -109,9 +133,8 @@ func TestWireIngestParity(t *testing.T) {
 		}
 	}
 
-	// Restart the wire-fed server: journal replay decodes the verbatim
-	// wire records (recFeed raw lines + recEventsWire), so the recovered
-	// digest must not move.
+	// Restart the wire-fed server: journal replay re-parses the feed lines
+	// and decodes the event block, so the recovered digest must not move.
 	want := wal.StoreDigest(wired.Store())
 	wireTS.Close()
 	if err := wired.Shutdown(context.Background()); err != nil {
@@ -152,6 +175,23 @@ func TestWireIngestValidation(t *testing.T) {
 	// hang).
 	if code, _ := postWire(t, ts, wire.AppendEvents(nil, nil)); code != http.StatusBadRequest {
 		t.Fatalf("empty wire event batch: %d, want 400", code)
+	}
+	// An instant past 2262-04-11 has no int64-nanosecond form, which is how
+	// the journal and the WAL write it: stored, it would replay as 1715.
+	// Both encodings refuse it, with the same words.
+	late := time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	beyond := EventJSON{Name: "x", Start: late, End: late, Loc: LocationJSON{Type: "router", A: "r1"}}
+	ins := []event.Instance{{Name: "x", Start: late, End: late, Loc: locus.At(locus.Router, "r1")}}
+	want := `event "x": ` + event.ErrTimeRange.Error()
+	for name, send := range map[string]func() (int, []byte){
+		"json": func() (int, []byte) { return post(t, ts, "/v1/ingest", IngestRequest{Events: []EventJSON{beyond}}) },
+		"wire": func() (int, []byte) { return postWire(t, ts, wire.AppendEvents(nil, ins)) },
+	} {
+		code, body := send()
+		var ej ErrorJSON
+		if err := json.Unmarshal(body, &ej); code != http.StatusBadRequest || err != nil || ej.Error != want {
+			t.Fatalf("%s event at %v: %d %s, want 400 %q", name, late, code, body, want)
+		}
 	}
 	// A body over the cap is not a malformed one: 413, naming the cap, in
 	// either encoding (JSON whitespace keeps the decoder reading into it).

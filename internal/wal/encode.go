@@ -154,6 +154,143 @@ func decodeInstance(p []byte) (event.Instance, error) {
 	return in, nil
 }
 
+// An event block is one batch of instances in the ingest journal's dense
+// encoding — every name and locus element once, in a string table, and
+// each event as references into it:
+//
+//	uvarint count | uvarint nstrings | nstrings × (uvarint len | bytes)
+//	| count × event
+//	event = uvarint name ref | varint start − previous start
+//	      | uvarint end − start | locus type byte
+//	      | uvarint A ref | uvarint B ref | attribute section
+//
+// The table is in first-use order and a ref is an index into it. Times are
+// nanoseconds since the Unix epoch, as in a segment record; the first
+// event's previous start is 0, and the differences are taken modulo 2^64
+// so that every instant a record holds has an encoding. The attribute
+// section is the canonical event.Attrs bytes. IDs are not encoded: replay
+// allocates them in dispatch order.
+
+// minBlockEvent is the fewest bytes an event of a block takes, one per
+// field: a block's count is bounded by its bytes.
+const minBlockEvent = 7
+
+// AppendEventBlock appends ins encoded as one event block to b. The same
+// instances always encode to the same bytes.
+func AppendEventBlock(b []byte, ins []event.Instance) []byte {
+	refs := make(map[string]uint64, 64)
+	var table []string
+	ref := func(s string) uint64 {
+		r, ok := refs[s]
+		if !ok {
+			r = uint64(len(table))
+			refs[s] = r
+			table = append(table, s)
+		}
+		return r
+	}
+	evs := make([]byte, 0, 16*len(ins))
+	var prev uint64
+	for i := range ins {
+		in := &ins[i]
+		start := uint64(in.Start.UnixNano())
+		evs = binary.AppendUvarint(evs, ref(in.Name))
+		evs = binary.AppendVarint(evs, int64(start-prev))
+		evs = binary.AppendUvarint(evs, uint64(in.End.UnixNano())-start)
+		evs = append(evs, byte(in.Loc.Type))
+		evs = binary.AppendUvarint(evs, ref(in.Loc.A))
+		evs = binary.AppendUvarint(evs, ref(in.Loc.B))
+		evs = in.Attrs.AppendSection(evs)
+		prev = start
+	}
+	b = binary.AppendUvarint(b, uint64(len(ins)))
+	b = binary.AppendUvarint(b, uint64(len(table)))
+	for _, s := range table {
+		b = appendString(b, s)
+	}
+	return append(b, evs...)
+}
+
+// DecodeEventBlock decodes an event block. The bytes may be a follower's
+// outside input: it never panics or reads past p, every count is bounded
+// by the bytes that carry it before anything is allocated for it, and a
+// table string is one allocation its events share. An event ending before
+// it starts is an error, as is anything left over.
+func DecodeEventBlock(p []byte) ([]event.Instance, error) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 {
+		return nil, fmt.Errorf("wal: event block: truncated event count")
+	}
+	p = p[sz:]
+	nstr, sz := binary.Uvarint(p)
+	if sz <= 0 || nstr > uint64(len(p)-sz) {
+		return nil, fmt.Errorf("wal: event block: bad string count")
+	}
+	p = p[sz:]
+	table := make([]string, nstr)
+	var err error
+	for i := range table {
+		if table[i], p, err = readString(p); err != nil {
+			return nil, fmt.Errorf("wal: event block: string %d: %v", i, err)
+		}
+	}
+	if n > uint64(len(p)/minBlockEvent) {
+		return nil, fmt.Errorf("wal: event block: %d events in %d bytes", n, len(p))
+	}
+	out := make([]event.Instance, n)
+	var start uint64
+	for i := range out {
+		in := &out[i]
+		var ok bool
+		if in.Name, p, ok = readRef(p, table); !ok {
+			return nil, fmt.Errorf("wal: event block: event %d: bad name ref", i)
+		}
+		d, sz := binary.Varint(p)
+		if sz <= 0 {
+			return nil, fmt.Errorf("wal: event block: event %d: truncated start", i)
+		}
+		p = p[sz:]
+		dur, sz := binary.Uvarint(p)
+		if sz <= 0 {
+			return nil, fmt.Errorf("wal: event block: event %d: truncated duration", i)
+		}
+		p = p[sz:]
+		start += uint64(d)
+		end := start + dur
+		if int64(end) < int64(start) {
+			return nil, fmt.Errorf("wal: event block: event %d ends before it starts", i)
+		}
+		in.Start, in.End = time.Unix(0, int64(start)).UTC(), time.Unix(0, int64(end)).UTC()
+		if len(p) < 1 {
+			return nil, fmt.Errorf("wal: event block: event %d: truncated location type", i)
+		}
+		in.Loc.Type = locus.Type(p[0])
+		if in.Loc.A, p, ok = readRef(p[1:], table); !ok {
+			return nil, fmt.Errorf("wal: event block: event %d: bad location ref", i)
+		}
+		if in.Loc.B, p, ok = readRef(p, table); !ok {
+			return nil, fmt.Errorf("wal: event block: event %d: bad location ref", i)
+		}
+		if in.Attrs, p, err = event.ParseAttrs(p); err != nil {
+			return nil, fmt.Errorf("wal: event block: event %d: %v", i, err)
+		}
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("wal: event block: %d trailing bytes", len(p))
+	}
+	return out, nil
+}
+
+// readRef reads a string table reference; ok is false when it is
+// truncated or names no entry.
+func readRef(p []byte, table []string) (s string, rest []byte, ok bool) {
+	r, sz := binary.Uvarint(p)
+	if sz <= 0 || r >= uint64(len(table)) {
+		return "", p, false
+	}
+	return table[r], p[sz:], true
+}
+
 // encodedSize returns the framed on-disk size of one instance record —
 // what Append will write for it. Exposed for tests that compute committed
 // prefixes around byte-level cuts.

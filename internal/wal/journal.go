@@ -23,7 +23,8 @@ var (
 
 // Journal is a flat append-only file of opaque framed records — the same
 // CRC32C framing as segments, without sequence numbers or snapshots. The
-// serving pipeline journals raw ingest batches here: the event WAL can
+// serving pipeline journals ingest batches here — raw feed lines, and
+// event batches as event blocks (AppendEventBlock): the event WAL can
 // recover the normalized store byte-for-byte, but the collector's parse
 // state (routing simulations, pairing buffers, rolling baselines) is a
 // function of the raw input, so restart recovery replays this journal
@@ -150,11 +151,15 @@ const (
 	// the tail to a new segment: small enough that the covered tail goes in
 	// pieces of about a snapshot interval's records, large enough that a
 	// roll (one file, one header, three fsyncs) is a few per second at full
-	// ingest rate.
-	JournalSegmentBytes = 8 << 20
+	// ingest rate. The size is in bytes and the tail holds event blocks, at
+	// about 10 bytes an event: 1 MiB is ~100k events, where a segment that
+	// spanned many more could not be dropped until long after its first
+	// events were checkpointed.
+	JournalSegmentBytes = 1 << 20
 
 	// JournalSegmentKind is the record kind of a tail segment's header, in
-	// the kind space of the records the serving pipeline journals.
+	// the kind space of the records the serving pipeline journals (its table
+	// is in internal/server, pipeline.go).
 	JournalSegmentKind byte = 5
 )
 

@@ -258,6 +258,9 @@ func decodeEvent(p []byte, tab interner) (event.Instance, error) {
 	if end.Before(start) {
 		return in, fmt.Errorf("event %q: end precedes start", name)
 	}
+	if start.Before(event.MinTime) || end.After(event.MaxTime) {
+		return in, fmt.Errorf("event %q: %v", name, event.ErrTimeRange)
+	}
 	t, err := locus.ParseType(typeName)
 	if err != nil {
 		return in, fmt.Errorf("event %q: %v", name, err)

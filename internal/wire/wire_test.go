@@ -201,6 +201,10 @@ func TestDecodeValidation(t *testing.T) {
 			Loc: locus.At(locus.Router, "r1")}, `event "x": start and end are required`},
 		{event.Instance{Name: "x", Start: t0, End: t0.Add(-time.Second),
 			Loc: locus.At(locus.Router, "r1")}, `event "x": end precedes start`},
+		{event.Instance{Name: "x", Start: t0, End: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
+			Loc: locus.At(locus.Router, "r1")}, `event "x": ` + event.ErrTimeRange.Error()},
+		{event.Instance{Name: "x", Start: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), End: t0,
+			Loc: locus.At(locus.Router, "r1")}, `event "x": ` + event.ErrTimeRange.Error()},
 		{event.Instance{Name: "x", Start: t0, End: t0,
 			Loc: locus.Location{Type: locus.Type(200), A: "r1"}},
 			`event "x": locus: unknown location type "locus.type(200)"`},
