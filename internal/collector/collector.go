@@ -457,6 +457,18 @@ var lineStamp = map[string]func([]byte) time.Time{
 	SourceServer:  stampEpochUntil(','),
 }
 
+// feedTime is the one bound on the instants a feed line carries: the line
+// stamped at yields events from at to at+span at most, and an instant the
+// durable logs cannot hold — they write int64 nanoseconds, event.MinTime
+// to event.MaxTime — makes the line malformed, with event.ErrTimeRange's
+// text, before it touches any state. Every time reader returns through it.
+func feedTime(at time.Time, span time.Duration) (time.Time, error) {
+	if at.Before(event.MinTime) || at.Add(span).After(event.MaxTime) {
+		return time.Time{}, event.ErrTimeRange
+	}
+	return at.UTC(), nil
+}
+
 // stampRFC3339Field reads a leading RFC 3339 timestamp field.
 func stampRFC3339Field(line []byte) time.Time {
 	if i := bytes.IndexByte(line, ' '); i >= 0 {

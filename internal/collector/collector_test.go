@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"fmt"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -588,5 +589,52 @@ func TestScannerFailureQuarantinesNotAborts(t *testing.T) {
 	finalize(t, c)
 	if st.Count(event.RouterReboot) != 1 {
 		t.Errorf("events before scan failure lost")
+	}
+}
+
+// TestFeedTimesOutOfRange: a line stamped at an instant the durable logs
+// cannot hold is malformed before it touches any state — one case per
+// time-reader family, each with the text of event.ErrTimeRange — stores
+// nothing, and counts against its source's error budget.
+func TestFeedTimesOutOfRange(t *testing.T) {
+	c, st := newCollector(t)
+	l := c.Topo.Links["chi-wdc-1"]
+	aIP, loopA := l.A.IP.String(), l.A.Router.Loopback.String()
+	chiLoop := c.Topo.Routers["chi-per1"].Loopback.String()
+	cases := []struct{ family, source, line string }{
+		{"epoch, read in place", SourceSNMP, "99999999999,chi-per1,cpu5min,,87.5"},
+		{"epoch whose 5-minute bin ends past MaxTime", SourceSNMP, "9223372036,chi-per1,cpu5min,,87.5"},
+		{"epoch before MinTime", SourceBGPMon, "-99999999999|A|198.51.100.0/24|" + chiLoop + "|100|3|0|0"},
+		{"epoch, read in place", SourcePerfMon, "99999999999,nyc-per1,chi-per1,23.0,0.0,940"},
+		{"epoch, read by strconv", SourceKeynote, "99999999999,cdn-nyc-s1,agent-1,41.0,8800"},
+		{"epoch, read by strconv", SourceServer, "99999999999,policy,cdn-nyc,rebalance-7"},
+		{"RFC 3339 Zulu, read in place", SourceOSPFMon, "9999-01-01T00:00:00Z " + loopA + " " + aIP + " metric 65535"},
+		{"RFC 3339 with an offset, read by time.Parse", SourceOSPFMon, "1600-01-01T00:00:00+01:00 " + loopA + " " + aIP + " metric 65535"},
+		{"RFC 3339, read by time.Parse", SourceTACACS, "9999-01-02T01:00:00Z|chi-per1|prov|mvpn custA add"},
+		{"RFC 3339, read by time.Parse", SourceWorkflow, "1066-10-14T09:00:00Z|chi-per1|TKT1|provision-customer"},
+		{"the layer-1 layout", SourceLayer1, "9999/01/02 03:04:05 +0000|mesh-nyc-cr1|MESH-RESTORE|fast"},
+	}
+	for i, tc := range cases {
+		ingest(t, c, tc.source, tc.line+"\n")
+		want := fmt.Sprintf("%s: %q: %v", tc.source, tc.line, event.ErrTimeRange)
+		if c.Malformed.Count != i+1 || c.Malformed.Samples[i] != want {
+			t.Fatalf("%s (%s): malformed %d, last sample %q, want %q", tc.family, tc.source, c.Malformed.Count, c.Malformed.Samples[len(c.Malformed.Samples)-1], want)
+		}
+	}
+	finalize(t, c)
+	if st.Len() != 0 {
+		t.Fatalf("%d events stored from lines stamped outside the logs' range: %v", st.Len(), st.All(event.CPUHighAverage))
+	}
+	if w := c.OSPF.WeightAt("chi-wdc-1", time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)); w >= 1<<20 {
+		t.Errorf("a rejected OSPF line costed the link out: weight %d", w)
+	}
+
+	// Against the budget like any malformed line: the feed sorts them last,
+	// and the second takes the drop rate to 2/4.
+	c, _ = newCollector(t)
+	c.Budget = ErrorBudget{MinLines: 2, MaxDropRate: 0.4}
+	ingest(t, c, SourceSNMP, "1262304000,chi-per1,cpu5min,,87.5\n99999999999,chi-per1,cpu5min,,87.5\n99999999999,chi-per1,cpu5min,,88.5\n1262304300,chi-per1,cpu5min,,87.5\n")
+	if s := c.Sources[SourceSNMP]; s.Quarantine == "" || s.Malformed != 2 || s.Parsed != 2 {
+		t.Fatalf("snmp with two out-of-range lines of four: %+v, want quarantined", *s)
 	}
 }

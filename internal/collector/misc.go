@@ -29,7 +29,9 @@ func (c *Collector) parseTACACS(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad timestamp %q", parts[0])
 	}
-	at = at.UTC()
+	if at, err = feedTime(at, 0); err != nil {
+		return err
+	}
 	router, err := c.Aliases.Canonical(parts[1])
 	if err != nil {
 		return err
@@ -78,7 +80,9 @@ func (c *Collector) parseWorkflow(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad timestamp %q", parts[0])
 	}
-	at = at.UTC()
+	if at, err = feedTime(at, 0); err != nil {
+		return err
+	}
 	router, err := c.Aliases.Canonical(parts[1])
 	if err != nil {
 		return err
@@ -110,7 +114,9 @@ func (c *Collector) parseLayer1(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad timestamp %q", parts[0])
 	}
-	at = at.UTC()
+	if at, err = feedTime(at, 0); err != nil {
+		return err
+	}
 	device, kind, detail := parts[1], parts[2], parts[3]
 	if _, ok := c.Topo.L1[device]; !ok {
 		return fmt.Errorf("unknown layer-1 device %q", device)

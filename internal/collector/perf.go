@@ -69,7 +69,10 @@ func (c *Collector) perfMonLine(line []byte) error {
 	if !ok {
 		return fmt.Errorf("bad epoch %q", f[0])
 	}
-	start := time.Unix(epoch, 0).UTC()
+	start, err := feedTime(time.Unix(epoch, 0), 5*time.Minute)
+	if err != nil {
+		return err
+	}
 	end := start.Add(5 * time.Minute)
 	ingress, err := c.canonical(f[1])
 	if err != nil {
@@ -145,7 +148,10 @@ func (c *Collector) parseKeynote(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad epoch %q", parts[0])
 	}
-	start := time.Unix(epoch, 0).UTC()
+	start, err := feedTime(time.Unix(epoch, 0), 5*time.Minute)
+	if err != nil {
+		return err
+	}
 	end := start.Add(5 * time.Minute)
 	server, agent := parts[1], parts[2]
 	rtt, err := strconv.ParseFloat(parts[3], 64)
@@ -194,7 +200,10 @@ func (c *Collector) parseServerLog(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad epoch %q", parts[0])
 	}
-	at := time.Unix(epoch, 0).UTC()
+	at, err := feedTime(time.Unix(epoch, 0), 5*time.Minute)
+	if err != nil {
+		return err
+	}
 	switch parts[1] {
 	case "load":
 		load, err := strconv.ParseFloat(parts[3], 64)

@@ -240,7 +240,10 @@ func (c *Collector) parseSNMP(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad epoch %q", parts[0])
 	}
-	start := time.Unix(epoch, 0).UTC()
+	start, err := feedTime(time.Unix(epoch, 0), 5*time.Minute)
+	if err != nil {
+		return err
+	}
 	end := start.Add(5 * time.Minute)
 	router, err := c.Aliases.Canonical(parts[1])
 	if err != nil {
@@ -291,7 +294,10 @@ func (c *Collector) parsePerfMon(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad epoch %q", parts[0])
 	}
-	start := time.Unix(epoch, 0).UTC()
+	start, err := feedTime(time.Unix(epoch, 0), 5*time.Minute)
+	if err != nil {
+		return err
+	}
 	end := start.Add(5 * time.Minute)
 	ingress, err := c.Aliases.Canonical(parts[1])
 	if err != nil {
@@ -341,7 +347,9 @@ func (c *Collector) parseOSPFMon(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad timestamp %q", fields[0])
 	}
-	at = at.UTC()
+	if at, err = feedTime(at, 0); err != nil {
+		return err
+	}
 	if _, err := netip.ParseAddr(fields[1]); err != nil {
 		return fmt.Errorf("bad router address %q", fields[1])
 	}
@@ -369,7 +377,10 @@ func (c *Collector) parseBGPMon(line string) error {
 	if err != nil {
 		return fmt.Errorf("bad epoch %q", parts[0])
 	}
-	at := time.Unix(epoch, 0).UTC()
+	at, err := feedTime(time.Unix(epoch, 0), 0)
+	if err != nil {
+		return err
+	}
 	prefix, err := netip.ParsePrefix(parts[2])
 	if err != nil {
 		return fmt.Errorf("bad prefix %q", parts[2])

@@ -46,7 +46,10 @@ func (c *Collector) ospfMonLine(line []byte) error {
 	if !ok {
 		return fmt.Errorf("bad timestamp %q", f[0])
 	}
-	at = at.UTC()
+	at, err := feedTime(at, 0)
+	if err != nil {
+		return err
+	}
 	if _, ok := c.addrCached(f[1]); !ok {
 		return fmt.Errorf("bad router address %q", f[1])
 	}
@@ -188,7 +191,10 @@ func (c *Collector) bgpMonLine(line []byte) error {
 	if !ok {
 		return fmt.Errorf("bad epoch %q", f[0])
 	}
-	at := time.Unix(epoch, 0).UTC()
+	at, err := feedTime(time.Unix(epoch, 0), 0)
+	if err != nil {
+		return err
+	}
 	prefix, err := netip.ParsePrefix(string(f[2]))
 	if err != nil {
 		return fmt.Errorf("bad prefix %q", f[2])

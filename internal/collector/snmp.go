@@ -28,7 +28,10 @@ func (c *Collector) snmpLine(line []byte) error {
 	if !ok {
 		return fmt.Errorf("bad epoch %q", f[0])
 	}
-	start := time.Unix(epoch, 0).UTC()
+	start, err := feedTime(time.Unix(epoch, 0), 5*time.Minute)
+	if err != nil {
+		return err
+	}
 	end := start.Add(5 * time.Minute)
 	router, err := c.canonical(f[1])
 	if err != nil {

@@ -104,6 +104,9 @@ func (a Attrs) AppendSection(b []byte) []byte {
 	return append(b, a.sec...)
 }
 
+// SectionLen returns the length of the section AppendSection writes.
+func (a Attrs) SectionLen() int { return max(len(a.sec), 1) }
+
 // Len returns the number of attributes.
 func (a Attrs) Len() int {
 	n, _ := uvarint(a.sec, 0)

@@ -39,15 +39,17 @@ const (
 	// MsgJournalRec carries one ingest-journal record. Journal-stream
 	// only; records arrive in sequence order.
 	MsgJournalRec byte = 2
-	// MsgWALRec carries one event-WAL segment record (explicit store ID
-	// inside), in ascending ID order. Only ShipWALOnce sends it.
+	// MsgWALRec carries one event-WAL record in the legacy record encoding
+	// (explicit store ID inside; a segment's block frames are expanded to
+	// one each), in ascending ID order. Only ShipWALOnce sends it.
 	MsgWALRec byte = 3
 	// MsgSnapBegin announces a checkpoint: the follower's resume point lies
 	// in dropped journal segments, so the latest snapshot ships before the
 	// retained tail and replaces the live store's content. A size of zero
 	// is the empty checkpoint of a primary that has no snapshot.
 	MsgSnapBegin byte = 4
-	// MsgSnapChunk carries one chunk of the snapshot file, verbatim.
+	// MsgSnapChunk carries one chunk of the snapshot image (a manifest
+	// and its runs, wal.SnapshotImage), verbatim.
 	MsgSnapChunk byte = 5
 	// MsgSnapEnd closes the snapshot; WAL records from its next-ID bound
 	// follow.
@@ -67,8 +69,11 @@ const (
 // WAL stream a primary of 5 does not serve, and a primary of 4 pins its
 // WAL compaction for a follower of 5 that never opens one. 5 has 6's
 // frames, but its journal records carry event batches as JSON or wire
-// bodies, and a follower of 5 cannot decode the event blocks 6 ships.)
-const ProtocolVersion = 6
+// bodies, and a follower of 5 cannot decode the event blocks 6 ships. 6
+// has 7's frames, but the checkpoint a lagging follower is sent is then a
+// header and runs of one record a frame, and a follower of 6 cannot
+// decode the manifest and block runs 7 ships.)
+const ProtocolVersion = 7
 
 // Stream kinds named in MsgHello; StreamWAL only by ShipWALOnce.
 const (
@@ -144,8 +149,8 @@ func AppendJournalRec(b []byte, rec []byte) []byte {
 	return appendMsg(b, p)
 }
 
-// AppendWALRec frames one WAL segment record (verbatim on-disk bytes)
-// onto b.
+// AppendWALRec frames one legacy WAL record (wal.SegmentRecords hands
+// them out) onto b.
 func AppendWALRec(b []byte, rec []byte) []byte {
 	p := make([]byte, 0, 1+len(rec))
 	p = append(p, MsgWALRec)

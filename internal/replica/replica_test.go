@@ -99,7 +99,8 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{MsgHello, 3, 6, 'b', 'o', 'o', 't', '-', '1', 4, StreamJournal, 34}, // what protocol 3 sent for the hello above
 		{MsgHello, 4, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 4's: 6's bytes but for the version
 		{MsgHello, 5, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 5's, likewise
-		{MsgHello, 7},
+		{MsgHello, 6, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 6's, likewise
+		{MsgHello, 8},
 	} {
 		if _, err := ParseMsg(hello); !errors.Is(err, ErrFatal) || !strings.Contains(err.Error(), fmt.Sprintf("protocol version %d", hello[1])) {
 			t.Fatalf("a version-%d hello: err %v, want a fatal refusal naming the version", hello[1], err)
@@ -292,13 +293,13 @@ func TestWALSinkSnapshotBootstrap(t *testing.T) {
 	// Build a primary log whose snapshot spans several runs and whose
 	// early segments compaction already deleted, ship it through the sink
 	// from zero, and check the follower recovers the identical store from
-	// the one run the image installs as.
+	// the runs the image installs as.
 	prim := t.TempDir()
 	l, st, _, err := wal.Open(prim, wal.Options{SegmentBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds, perRound, tail = 4, 1500, 5 // 1500 records: a run well past crumb size
+	const rounds, perRound, tail = 4, 3000, 5 // 3000 records: a run well past crumb size
 	for i := 0; i < rounds*perRound+tail; i++ {
 		if _, err := st.Put(inst(i, "boot")); err != nil {
 			t.Fatal(err)
@@ -366,8 +367,8 @@ func TestWALSinkSnapshotBootstrap(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(foll), "*")); err != nil || len(runs) != 2 {
-		t.Fatalf("follower snap/ holds %v (%v), want one run and one manifest", runs, err)
+	if runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(foll), "*")); err != nil || len(runs) != rounds+1 {
+		t.Fatalf("follower snap/ holds %v (%v), want the primary's %d runs and one manifest", runs, err, rounds)
 	}
 	_, mem, rec, err := wal.Open(foll, wal.Options{})
 	if err != nil {
@@ -736,7 +737,7 @@ func TestLaggingFollowerAcrossAdoptedSegments(t *testing.T) {
 			t.Fatalf("the pass from %d reports %d, the sink stands at %d, %d records arrived", from, next, sink.Frontier(), want-from)
 		}
 	}
-	const rounds, perRound = 4, 1500 // 1500 records: a segment well past crumb size
+	const rounds, perRound = 4, 3000 // 3000 records: a segment well past crumb size
 	for r := 0; r < rounds; r++ {
 		for i := r * perRound; i < (r+1)*perRound; i++ {
 			if _, err := st.Put(inst(i, "lag")); err != nil {
@@ -878,8 +879,9 @@ func TestClientFatalStops(t *testing.T) {
 	}
 }
 
-// makeTestRecords encodes n segment records the way the WAL does — via
-// a scratch log — so sink tests feed real on-disk record bytes.
+// makeTestRecords encodes n records the way ShipWALOnce sends them — the
+// block frames of a scratch log's segments expanded into records — so sink
+// tests feed real record bytes.
 func makeTestRecords(t *testing.T, n int, name string) [][]byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -908,12 +910,19 @@ func makeTestRecords(t *testing.T, n int, name string) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var recs wal.SegmentRecords
 		for len(data) > 0 {
 			payload, rest, ok := wal.ReadFrame(data)
 			if !ok {
 				t.Fatalf("bad test record in %s", seg.Path)
 			}
-			out = append(out, append([]byte(nil), payload...))
+			err := recs.Frame(payload, 0, func(_ int, rec []byte) error {
+				out = append(out, append([]byte(nil), rec...))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			data = rest
 		}
 	}

@@ -8,12 +8,15 @@ import (
 	"grca/internal/wal"
 )
 
-// WALSink materializes a ShipWALOnce stream on disk, in the exact layout
-// a primary uses (wal/seg-*.log segments, a snap/snap-*.snap manifest over
+// WALSink materializes a ShipWALOnce stream on disk, in the layout a
+// primary uses (wal/seg-*.log segments, a snap/snap-*.snap manifest over
 // snap/run-*.run), so that a plain wal.Open over the directory recovers
-// it like a restarting primary recovers its own log. No follower runs one
-// (a follower writes its own WAL from its own store); it is frozen for
-// bench/ and the chaos replica-lag and partition classes.
+// it like a restarting primary recovers its own log. Its segments hold the
+// stream's records as they arrive, one legacy record a frame, which
+// wal.Open reads and never appends to; a bootstrap installs the primary's
+// manifest and runs. No follower runs one (a follower writes its own WAL
+// from its own store); it is frozen for bench/ and the chaos replica-lag
+// and partition classes.
 //
 // Durability is asynchronous: records are written without fsync until
 // Sync or Close. A crash tears off an unsynced tail; reopening resumes
@@ -126,7 +129,7 @@ func (s *WALSink) scan() error {
 // for the stream request.
 func (s *WALSink) Frontier() int { return s.next }
 
-// WriteRecord appends one shipped segment record. Records below the
+// WriteRecord appends one shipped legacy record. Records below the
 // frontier (re-shipped after a reconnect) are dropped; IDs must
 // otherwise ascend.
 func (s *WALSink) WriteRecord(rec []byte) error {
@@ -223,7 +226,7 @@ func (s *WALSink) WriteSnapshotChunk(chunk []byte) error {
 }
 
 // EndSnapshot commits the staged snapshot image (size-checked, synced,
-// installed as one run under a manifest) and moves the frontier to its
+// installed as its runs under its manifest) and moves the frontier to its
 // bound; WAL records from there follow on the stream.
 func (s *WALSink) EndSnapshot() error {
 	if s.snapTmp == nil {

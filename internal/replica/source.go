@@ -411,8 +411,9 @@ type walSession struct {
 	conn      *streamConn
 	next      int // next record ID to ship
 	tail      *fileTail
-	tailFirst int  // first ID of the segment tail reads
-	booted    bool // past the snapshot decision
+	tailFirst int                // first ID of the segment tail reads
+	recs      wal.SegmentRecords // that segment's frames, as records
+	booted    bool               // past the snapshot decision
 }
 
 // bootstrap decides how the stream starts: from the resume point when
@@ -464,7 +465,7 @@ func (w *walSession) openSegmentFor() (bool, error) {
 		}
 	}
 	w.tail = &fileTail{path: segs[idx].Path}
-	w.tailFirst = segs[idx].First
+	w.tailFirst, w.recs = segs[idx].First, wal.SegmentRecords{}
 	return true, nil
 }
 
@@ -481,7 +482,7 @@ func (w *walSession) advanceSegment() (bool, error) {
 		if segs[i].First > w.tailFirst {
 			w.tail.close()
 			w.tail = &fileTail{path: segs[i].Path}
-			w.tailFirst = segs[i].First
+			w.tailFirst, w.recs = segs[i].First, wal.SegmentRecords{}
 			return true, nil
 		}
 	}
@@ -500,18 +501,18 @@ func (w *walSession) step() (bool, error) {
 		return w.openSegmentFor()
 	}
 	progress, err := w.tail.fill(func(payload []byte) error {
-		id, err := wal.RecordID(payload)
+		// Records below the resume point are already shipped.
+		err := w.recs.Frame(payload, w.next, func(id int, rec []byte) error {
+			w.conn.buf = AppendWALRec(w.conn.buf, rec)
+			w.next = id + 1
+			mWALShipped.Inc()
+			if len(w.conn.buf) >= 1<<16 {
+				return w.conn.push()
+			}
+			return nil
+		})
 		if err != nil {
 			return fmt.Errorf("replica: segment %s: %v", w.tail.path, err)
-		}
-		if id < w.next {
-			return nil // below the resume point: already shipped
-		}
-		w.conn.buf = AppendWALRec(w.conn.buf, payload)
-		w.next = id + 1
-		mWALShipped.Inc()
-		if len(w.conn.buf) >= 1<<16 {
-			return w.conn.push()
 		}
 		return nil
 	})
@@ -523,8 +524,8 @@ func (w *walSession) step() (bool, error) {
 
 // ShipWALOnce streams the WAL state under dir — the latest snapshot if
 // `from` predates the oldest retained record, then every flushed segment
-// record with ID >= the resume point — to w, and returns without
-// tailing. No server serves the WAL (followers take the journal stream
+// record with ID >= the resume point, a block frame expanded into one
+// MsgWALRec per instance — to w, and returns without tailing. No server serves the WAL (followers take the journal stream
 // alone); this one-shot form is frozen because bench/ measures it and the
 // chaos replica-lag and partition classes drive a WALSink through it.
 func ShipWALOnce(dir string, bootID string, from int, w io.Writer) (next int, err error) {

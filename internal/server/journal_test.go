@@ -718,18 +718,31 @@ func TestOverlapVerified(t *testing.T) {
 	})
 }
 
-// TestParentDataDirBoots: testdata/datadir-pr27 is a data dir the version
-// before the event block wrote — three feeds, then a JSON and a wire event
-// batch in journal.log ahead of the finalize record, both kinds again in
-// its tail segment, a clean shutdown — and testdata/datadir-pr27.want
-// holds the store digest and the SHA-256 of each application's /v1/diagnose
-// body it served. Event records of kinds 3 and 4 are read, never written:
-// the dir must boot here to that digest and those bytes, verified against
-// the WAL it wrote and applied when that WAL is gone; the blocks this
-// version journals behind them, into the same tail segment, reboot to the
-// live store.
+// TestParentDataDirBoots: each fixture is a data dir an earlier version
+// wrote, and fixture.want holds the store digest and the SHA-256 of each
+// application's /v1/diagnose body it served. Each must boot here to that
+// digest and those bytes, verified against the WAL it wrote and applied
+// when that WAL is gone; what this version journals and logs behind it
+// reboots to the live store, with and without the WAL.
+//
+//   - datadir-pr27, from the version before the event block: three feeds,
+//     then a JSON and a wire event batch in journal.log ahead of the
+//     finalize record, both kinds again in its tail segment, a clean
+//     shutdown. Event records of kinds 3 and 4 are read, never written;
+//     the blocks this version journals go behind them, into the same tail
+//     segment.
+//   - datadir-pr28, from the version before the block WAL: three feeds, a
+//     JSON and a wire batch journaled as event blocks on both sides of the
+//     finalize record, snapshots every 150 events, a clean shutdown — its
+//     WAL segment and runs hold one legacy record a frame. They are read,
+//     never appended to: the WAL goes on in a block segment.
 func TestParentDataDirBoots(t *testing.T) {
-	const fixture = "testdata/datadir-pr27"
+	for _, fixture := range []string{"datadir-pr27", "datadir-pr28"} {
+		t.Run(fixture, func(t *testing.T) { parentDataDirBoots(t, filepath.Join("testdata", fixture)) })
+	}
+}
+
+func parentDataDirBoots(t *testing.T, fixture string) {
 	digest, err := os.ReadFile(fixture + ".want/DIGEST")
 	if err != nil {
 		t.Fatal(err)
@@ -777,6 +790,10 @@ func TestParentDataDirBoots(t *testing.T) {
 		}
 	}
 
+	// Once more over the files as the older version left them, so that
+	// this version's records land behind its records, not behind a rebuilt
+	// WAL's.
+	dir = copyTree(t, fixture)
 	s := openServer(t, dir, b)
 	ts := httptest.NewServer(s.Handler())
 	newTickStream(t, ts, b, time.Second).post(2, 10)
@@ -788,7 +805,46 @@ func TestParentDataDirBoots(t *testing.T) {
 	if tail := journalTailPaths(dir); len(tail) != 1 {
 		t.Fatalf("tail segments %v, want the older version's one, taking the blocks behind its records", tail)
 	}
-	reopen("with blocks behind its records", false, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
+	reopen("with this version's records behind its own", false, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
 	removeWALState(t, dir)
-	reopen("with blocks behind its records, without its WAL", true, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
+	reopen("with this version's records behind its own, without its WAL", true, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
+}
+
+// TestOutOfRangeFeedLineReplays: a feed line stamped where the logs cannot
+// hold it is malformed when it is posted and again when the journal's
+// replay re-parses it at boot — the same tallies, the same store — and the
+// line beside it is parsed both times.
+func TestOutOfRangeFeedLineReplays(t *testing.T) {
+	_, b := testBundle(t)
+	dir := t.TempDir()
+	s := openServer(t, dir, b)
+	ts := httptest.NewServer(s.Handler())
+	// A line of the corpus's own SNMP feed, and the same line in year 5138.
+	good, _, _ := strings.Cut(b.Feeds[collector.SourceSNMP], "\n")
+	_, rest, _ := strings.Cut(good, ",")
+	feed := good + "\n99999999999," + rest + "\n"
+	if code, body := post(t, ts, "/v1/ingest", IngestRequest{Source: collector.SourceSNMP, Lines: feed}); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	ts.Close()
+	summary := func(s *Server) collector.SourceStats {
+		for _, src := range s.coll.Summary().Sources {
+			if src.Source == collector.SourceSNMP {
+				return src.SourceStats
+			}
+		}
+		return collector.SourceStats{}
+	}
+	posted, digest := summary(s), wal.StoreDigest(s.Store())
+	if posted.Malformed != 1 || posted.Parsed != 1 {
+		t.Fatalf("posted: %+v, want the one line parsed and the other malformed", posted)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s = openServer(t, dir, b)
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if got := summary(s); got != posted || wal.StoreDigest(s.Store()) != digest {
+		t.Fatalf("replayed: %+v, digest equal %v; posted: %+v", got, wal.StoreDigest(s.Store()) == digest, posted)
+	}
 }

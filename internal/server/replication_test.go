@@ -501,7 +501,7 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		}
 		k := newTickStream(t, ts, b, time.Second)
 		k.at = k.at.Add(200 * time.Hour) // past the lifecycle's drain tick
-		k.post(40, 40)
+		k.post(80, 40)
 		if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 3 {
 			t.Fatalf("the primary dropped %d journal segments, want at least 3 truncations before the follower attaches", got)
 		}
@@ -853,18 +853,19 @@ func TestFollowerJournalBounded(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPeersRefused: a follower pointed at a protocol-4 or -5
-// primary is refused by the hello's version before a record is applied —
-// a v5 primary's event batches are the JSON and wire bodies a v6 follower
-// still reads, and the refusal stands on the version alone — and a primary
-// of this version opens its stream with a hello whose version comes first,
-// which an older follower's ParseMsg refuses the same way, before it reads
-// anything else (a v5 follower could not decode the event blocks behind
-// it).
+// TestMixedVersionPeersRefused: a follower pointed at a protocol-4, -5 or
+// -6 primary is refused by the hello's version before a record is applied
+// — a v5 primary's event batches are the JSON and wire bodies this
+// follower still reads, a v6 primary's journal records are this version's,
+// and the refusal stands on the version alone — and a primary of this
+// version opens its stream with a hello whose version comes first, which
+// an older follower's ParseMsg refuses the same way, before it reads
+// anything else (a v6 follower could not decode the block runs of the
+// checkpoint behind it).
 func TestMixedVersionPeersRefused(t *testing.T) {
 	_, b := testBundle(t)
 	rec := encodeRecord(0, recFinalize, "", nil)
-	for _, v := range []byte{4, 5} {
+	for _, v := range []byte{4, 5, 6} {
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/v1/replication/meta":

@@ -13,17 +13,18 @@ import (
 	"grca/internal/store"
 )
 
-// Record framing: every record — in segments and in snapshots alike — is
+// Framing: every frame — in segments, runs, manifests and the journal
+// alike — is
 //
 //	uint32 LE payload length | uint32 LE CRC32C(payload) | payload
 //
 // The CRC is Castagnoli (CRC32C), the polynomial storage systems
-// standardize on for record checksums. A record whose header is short,
+// standardize on for record checksums. A frame whose header is short,
 // whose length is absurd, or whose CRC does not match marks the end of
 // the committed prefix: recovery truncates there instead of failing.
 const (
 	frameHeader = 8
-	// maxRecord bounds a single record so a corrupted length field cannot
+	// maxRecord bounds a single frame so a corrupted length field cannot
 	// drive a multi-gigabyte allocation during recovery.
 	maxRecord = 16 << 20
 )
@@ -32,11 +33,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame appends the framed payload to b.
 func appendFrame(b, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	b = append(b, hdr[:]...)
-	return append(b, payload...)
+	at := len(b)
+	b = append(b, make([]byte, frameHeader)...)
+	return sealFrame(append(b, payload...), at)
+}
+
+// sealFrame fills in the header of the frame at b[at:], whose payload
+// was appended behind the header's room.
+func sealFrame(b []byte, at int) []byte {
+	p := b[at+frameHeader:]
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(b[at+4:], crc32.Checksum(p, castagnoli))
+	return b
 }
 
 // readFrame decodes one frame at the front of b, returning the payload
@@ -71,18 +79,19 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
 }
 
-// appendRecord encodes one segment record: the instance's store ID
-// followed by the instance body. IDs are explicit because the sequence
-// may be sparse (retention trims it, a failed batch leaves its IDs
-// unused), so a record's position in the log does not determine its ID.
+// appendRecord encodes one legacy record: the instance's store ID
+// followed by the instance body — what a frame of a legacy segment or run
+// holds, what StoreDigest hashes, and what the one-shot shipping path
+// sends. IDs are explicit because the sequence may be sparse (retention
+// trims it, a failed batch leaves its IDs unused), so a record's position
+// in the log does not determine its ID.
 func appendRecord(b []byte, in *event.Instance) []byte {
 	b = binary.AppendUvarint(b, uint64(in.ID))
 	return appendInstance(b, in)
 }
 
-// recordID reads just the leading ID of a segment record — what the
-// recovery frame scan needs to decide skip-or-replay without paying for
-// a full decode.
+// recordID reads just the leading ID of a legacy record — what a frame
+// scan needs to decide skip-or-replay without paying for a full decode.
 func recordID(p []byte) (int, error) {
 	id, sz := binary.Uvarint(p)
 	if sz <= 0 {
@@ -91,7 +100,7 @@ func recordID(p []byte) (int, error) {
 	return int(id), nil
 }
 
-// decodeRecord decodes a segment record into the instance it stores,
+// decodeRecord decodes a legacy record into the instance it stores,
 // with its ID set.
 func decodeRecord(p []byte) (event.Instance, error) {
 	id, sz := binary.Uvarint(p)
@@ -165,11 +174,12 @@ func decodeInstance(p []byte) (event.Instance, error) {
 //	      | uvarint A ref | uvarint B ref | attribute section
 //
 // The table is in first-use order and a ref is an index into it. Times are
-// nanoseconds since the Unix epoch, as in a segment record; the first
+// nanoseconds since the Unix epoch, as in a legacy record; the first
 // event's previous start is 0, and the differences are taken modulo 2^64
 // so that every instant a record holds has an encoding. The attribute
-// section is the canonical event.Attrs bytes. IDs are not encoded: replay
-// allocates them in dispatch order.
+// section is the canonical event.Attrs bytes. IDs are not encoded: the
+// journal's replay allocates them in dispatch order, and a WAL block frame
+// carries them ahead of its block.
 
 // minBlockEvent is the fewest bytes an event of a block takes, one per
 // field: a block's count is bounded by its bytes.
@@ -217,68 +227,85 @@ func AppendEventBlock(b []byte, ins []event.Instance) []byte {
 // table string is one allocation its events share. An event ending before
 // it starts is an error, as is anything left over.
 func DecodeEventBlock(p []byte) ([]event.Instance, error) {
+	var out []event.Instance
+	err := decodeEventBlock(p, func(n int) ([]event.Instance, error) {
+		out = make([]event.Instance, n)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeEventBlock decodes the block p into the slice dst returns for its
+// event count, which is bounded by the bytes present before dst is asked.
+func decodeEventBlock(p []byte, dst func(n int) ([]event.Instance, error)) error {
 	n, sz := binary.Uvarint(p)
 	if sz <= 0 {
-		return nil, fmt.Errorf("wal: event block: truncated event count")
+		return fmt.Errorf("wal: event block: truncated event count")
 	}
 	p = p[sz:]
 	nstr, sz := binary.Uvarint(p)
 	if sz <= 0 || nstr > uint64(len(p)-sz) {
-		return nil, fmt.Errorf("wal: event block: bad string count")
+		return fmt.Errorf("wal: event block: bad string count")
 	}
 	p = p[sz:]
 	table := make([]string, nstr)
 	var err error
 	for i := range table {
 		if table[i], p, err = readString(p); err != nil {
-			return nil, fmt.Errorf("wal: event block: string %d: %v", i, err)
+			return fmt.Errorf("wal: event block: string %d: %v", i, err)
 		}
 	}
 	if n > uint64(len(p)/minBlockEvent) {
-		return nil, fmt.Errorf("wal: event block: %d events in %d bytes", n, len(p))
+		return fmt.Errorf("wal: event block: %d events in %d bytes", n, len(p))
 	}
-	out := make([]event.Instance, n)
+	out, err := dst(int(n))
+	if err != nil {
+		return err
+	}
 	var start uint64
 	for i := range out {
 		in := &out[i]
 		var ok bool
 		if in.Name, p, ok = readRef(p, table); !ok {
-			return nil, fmt.Errorf("wal: event block: event %d: bad name ref", i)
+			return fmt.Errorf("wal: event block: event %d: bad name ref", i)
 		}
 		d, sz := binary.Varint(p)
 		if sz <= 0 {
-			return nil, fmt.Errorf("wal: event block: event %d: truncated start", i)
+			return fmt.Errorf("wal: event block: event %d: truncated start", i)
 		}
 		p = p[sz:]
 		dur, sz := binary.Uvarint(p)
 		if sz <= 0 {
-			return nil, fmt.Errorf("wal: event block: event %d: truncated duration", i)
+			return fmt.Errorf("wal: event block: event %d: truncated duration", i)
 		}
 		p = p[sz:]
 		start += uint64(d)
 		end := start + dur
 		if int64(end) < int64(start) {
-			return nil, fmt.Errorf("wal: event block: event %d ends before it starts", i)
+			return fmt.Errorf("wal: event block: event %d ends before it starts", i)
 		}
 		in.Start, in.End = time.Unix(0, int64(start)).UTC(), time.Unix(0, int64(end)).UTC()
 		if len(p) < 1 {
-			return nil, fmt.Errorf("wal: event block: event %d: truncated location type", i)
+			return fmt.Errorf("wal: event block: event %d: truncated location type", i)
 		}
 		in.Loc.Type = locus.Type(p[0])
 		if in.Loc.A, p, ok = readRef(p[1:], table); !ok {
-			return nil, fmt.Errorf("wal: event block: event %d: bad location ref", i)
+			return fmt.Errorf("wal: event block: event %d: bad location ref", i)
 		}
 		if in.Loc.B, p, ok = readRef(p, table); !ok {
-			return nil, fmt.Errorf("wal: event block: event %d: bad location ref", i)
+			return fmt.Errorf("wal: event block: event %d: bad location ref", i)
 		}
 		if in.Attrs, p, err = event.ParseAttrs(p); err != nil {
-			return nil, fmt.Errorf("wal: event block: event %d: %v", i, err)
+			return fmt.Errorf("wal: event block: event %d: %v", i, err)
 		}
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("wal: event block: %d trailing bytes", len(p))
+		return fmt.Errorf("wal: event block: %d trailing bytes", len(p))
 	}
-	return out, nil
+	return nil
 }
 
 // readRef reads a string table reference; ok is false when it is
@@ -291,11 +318,154 @@ func readRef(p []byte, table []string) (s string, rest []byte, ok bool) {
 	return table[r], p[sz:], true
 }
 
-// encodedSize returns the framed on-disk size of one instance record —
-// what Append will write for it. Exposed for tests that compute committed
-// prefixes around byte-level cuts.
-func encodedSize(in *event.Instance) int {
-	return frameHeader + len(appendRecord(nil, in))
+// Record files — segments and runs — come in two encodings, told apart by
+// their first frame. A block file, every one this version writes, opens
+// with the magic frame, payload "GRCABLK1", and every frame after it is a
+// block frame of instances with ascending IDs:
+//
+//	uvarint first ID | uvarint last ID | uvarint count
+//	| (count − 1) × uvarint (ID − previous ID − 1)  — only when count < last − first + 1
+//	| event block of the count instances
+//
+// A legacy file — what earlier versions wrote, read and never written —
+// has no magic frame, and each of its frames is one record (appendRecord).
+// No legacy file begins with the magic: read as a record it is ID 71 and a
+// name 82 bytes long with 6 left. The first and last ID lead a block frame
+// so that a scan deciding skip-or-replay reads them without decoding an
+// event; dense IDs, the usual commit group, cost nothing more.
+const blockMagic = "GRCABLK1"
+
+// magicFrame is the frame every block file opens with.
+var magicFrame = appendFrame(nil, []byte(blockMagic))
+
+// A commit group or a run is cut into block frames of at most
+// maxBlockEvents instances, a frame closing early once its instances'
+// strings pass maxBlockBytes: no frame comes near maxRecord (a lone event
+// is bounded by the ingest body cap), and a parallel decode has units.
+const (
+	maxBlockEvents = 4096
+	maxBlockBytes  = 1 << 20
+)
+
+// blockLen returns how many instances from the front of ins the next
+// block frame takes.
+func blockLen(ins []event.Instance) int {
+	n, size := 0, 0
+	for n < len(ins) && n < maxBlockEvents && size < maxBlockBytes {
+		in := &ins[n]
+		size += len(in.Name) + len(in.Loc.A) + len(in.Loc.B) + in.Attrs.SectionLen()
+		n++
+	}
+	return n
+}
+
+// appendBlockFrame appends ins — IDs ascending, at most blockLen of them
+// — to b as one framed block.
+func appendBlockFrame(b []byte, ins []event.Instance) []byte {
+	at := len(b)
+	b = append(b, make([]byte, frameHeader)...)
+	first, last := ins[0].ID, ins[len(ins)-1].ID
+	b = binary.AppendUvarint(b, uint64(first))
+	b = binary.AppendUvarint(b, uint64(last))
+	b = binary.AppendUvarint(b, uint64(len(ins)))
+	if len(ins) < last-first+1 {
+		for i := 1; i < len(ins); i++ {
+			b = binary.AppendUvarint(b, uint64(ins[i].ID-ins[i-1].ID-1))
+		}
+	}
+	return sealFrame(AppendEventBlock(b, ins), at)
+}
+
+// span is what a frame of a record file holds, read off its header: the
+// IDs of its first and last instance and how many it holds.
+type span struct{ first, last, count int }
+
+// blockSpan reads a block frame's header, every field bounded: IDs in
+// order, no more instances than IDs between them or than the bytes behind
+// the header could carry. rest is what follows the header.
+func blockSpan(p []byte) (s span, rest []byte, err error) {
+	u := uvarints{p, true}
+	s.first, s.last, s.count = u.next(), u.next(), u.next()
+	if !u.ok || s.count < 1 || s.first > s.last || s.count > s.last-s.first+1 || s.count > len(u.p)/minBlockEvent {
+		return s, nil, fmt.Errorf("wal: bad block header")
+	}
+	return s, u.p, nil
+}
+
+// decodeBlockFrame decodes a block frame into dst, which has room for
+// exactly its count of instances, IDs set. Decoding is total: the IDs must
+// land on the header's last, and the block must hold the header's count.
+func decodeBlockFrame(p []byte, dst []event.Instance) error {
+	s, p, err := blockSpan(p)
+	if err != nil {
+		return err
+	}
+	if len(dst) != s.count {
+		return fmt.Errorf("wal: block of %d instances decoded into %d", s.count, len(dst))
+	}
+	sparse := s.count < s.last-s.first+1
+	id := s.first
+	for i := range dst {
+		if i > 0 {
+			var g uint64
+			if sparse {
+				var sz int
+				if g, sz = binary.Uvarint(p); sz <= 0 {
+					return fmt.Errorf("wal: truncated block ID gap")
+				}
+				p = p[sz:]
+			}
+			if g >= uint64(s.last-id) {
+				return fmt.Errorf("wal: block IDs run past %d", s.last)
+			}
+			id += int(g) + 1
+		}
+		dst[i].ID = id // the event block sets every field but this one
+	}
+	if id != s.last {
+		return fmt.Errorf("wal: block IDs end at %d, its header says %d", id, s.last)
+	}
+	return decodeEventBlock(p, func(n int) ([]event.Instance, error) {
+		if n != len(dst) {
+			return nil, fmt.Errorf("wal: block of %d events, its header says %d", n, len(dst))
+		}
+		return dst, nil
+	})
+}
+
+// fileFrames reads the frames of one record file in order. The first
+// tells the encoding: the magic frame makes it a block file, any other is
+// the first record of a legacy file.
+type fileFrames struct {
+	n     int // frames read
+	block bool
+}
+
+// span reads the span of the file's next frame p; the magic frame's holds
+// no instance.
+func (f *fileFrames) span(p []byte) (span, error) {
+	f.n++
+	if f.n == 1 && string(p) == blockMagic {
+		f.block = true
+		return span{}, nil
+	}
+	if f.block {
+		s, _, err := blockSpan(p)
+		return s, err
+	}
+	id, err := recordID(p)
+	return span{id, id, 1}, err
+}
+
+// decode decodes a frame whose span the file's scan read into dst, which
+// has room for exactly its count.
+func (f *fileFrames) decode(p []byte, dst []event.Instance) error {
+	if f.block {
+		return decodeBlockFrame(p, dst)
+	}
+	in, err := decodeRecord(p)
+	dst[0] = in
+	return err
 }
 
 // StoreDigest returns a hex SHA-256 over the store's full dumped state —

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -47,17 +48,22 @@ func TestParallelReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelReplayCorruptRecordDeterministicError: a corrupted record
-// body (intact frame, gibberish payload) must produce the same fatal
-// error for every worker count.
+// TestParallelReplayCorruptRecordDeterministicError: corrupted block
+// bodies (intact frames and ID headers, gibberish events) must produce the
+// same fatal error for every worker count — the first one's.
 func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
 	dir := t.TempDir()
-	ins := genEvents(43, 50)
+	ins := genEvents(43, 80)
 	l, st, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddAll(ins)
+	for i := 0; i < len(ins); i += 10 {
+		st.AddAll(ins[i : i+10])
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +71,30 @@ func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v (%d)", err, len(segs))
 	}
-	// Replace record 7's payload with garbage of the same length and fix
-	// up its CRC so the framing stays valid.
+	// Overwrite the blocks of the third and the sixth group with 0xff and
+	// fix up their CRCs, so the framing stays valid.
 	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := 0
-	for i := 0; i < 7; i++ {
-		off += encodedSize(&ins[i])
+	var patched []byte
+	for frame, rest := 0, data; len(rest) > 0; frame++ {
+		payload, r2, ok := readFrame(rest)
+		if !ok {
+			t.Fatal("the segment does not frame")
+		}
+		if frame == 3 || frame == 6 {
+			_, block, err := blockSpan(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload = append([]byte(nil), payload...)
+			for i := len(payload) - len(block); i < len(payload); i++ {
+				payload[i] = 0xff
+			}
+		}
+		patched, rest = appendFrame(patched, payload), r2
 	}
-	n := encodedSize(&ins[7]) - frameHeader
-	garbage := make([]byte, n)
-	for i := range garbage {
-		garbage[i] = 0xff
-	}
-	patched := append(append(append([]byte{}, data[:off]...), appendFrame(nil, garbage)...), data[off+frameHeader+n:]...)
 	if err := os.WriteFile(segs[0], patched, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +106,8 @@ func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
 		}
 		msgs = append(msgs, err.Error())
 	}
-	if msgs[0] != msgs[1] {
-		t.Fatalf("error differs by worker count:\n1: %s\n8: %s", msgs[0], msgs[1])
+	if msgs[0] != msgs[1] || !strings.Contains(msgs[0], "record 20:") {
+		t.Fatalf("error differs by worker count or is not the first bad group's:\n1: %s\n8: %s", msgs[0], msgs[1])
 	}
 }
 

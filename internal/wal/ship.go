@@ -8,18 +8,19 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"grca/internal/event"
 )
 
 // Shipping support for the replication subsystem (internal/replica): the
-// stream's wire format is the on-disk format, so the source tails
-// segment and journal files directly and followers write what they
-// receive. This file exports just enough of the framing and the dir
-// layout to do that. Only the journal stream serves followers; what ships
-// the event WAL itself (internal/replica's one-shot path, and
+// stream's framing is the on-disk framing, so the source tails journal
+// files directly, and a checkpoint is a snapshot's files end to end. This
+// file exports just enough of the framing and the dir layout to do that.
+// Only the journal stream serves followers; what ships the event WAL
+// itself (internal/replica's one-shot path, SegmentRecords and
 // InstallSnapshotImage here) is frozen for bench/ and the chaos
-// replication classes.
+// replication classes, and speaks legacy records, one a message.
 
 // FrameHeader is the byte length of a record frame's header.
 const FrameHeader = frameHeader
@@ -35,7 +36,7 @@ func AppendFrame(b, payload []byte) []byte { return appendFrame(b, payload) }
 // holds no complete, intact frame (the torn-tail signal).
 func ReadFrame(b []byte) (payload, rest []byte, ok bool) { return readFrame(b) }
 
-// RecordID returns the store ID carried by an encoded segment record.
+// RecordID returns the store ID a legacy record carries.
 func RecordID(p []byte) (int, error) { return recordID(p) }
 
 // FrameReader incrementally decodes record frames from a byte stream —
@@ -126,27 +127,12 @@ func LatestSnapshot(dir string) (next int, ok bool, err error) {
 	return nums[len(nums)-1], true, nil
 }
 
-// imageMagic opens a snapshot image on the wire. (The bytes are those of
-// the header run files once carried, so the stream did not change when
-// the files lost it.)
-const imageMagic = "GRCARUN1"
-
-// appendImageHeader appends an image's header: the magic and one frame,
-// uvarint base | next | live.
-func appendImageHeader(b []byte, base, next, live int) []byte {
-	var p []byte
-	p = binary.AppendUvarint(p, uint64(base))
-	p = binary.AppendUvarint(p, uint64(next))
-	p = binary.AppendUvarint(p, uint64(live))
-	return appendFrame(append(b, imageMagic...), p)
-}
-
-// SnapshotImage is a snapshot under dir read as one stream: a header
-// saying it covers [base, next) with so many instances, followed by the
-// bytes of every run the manifest references, in order — the form a
-// follower bootstraps from. Every run file is open from the moment the
-// image exists, so the primary's compaction may delete them mid-stream
-// without tearing it.
+// SnapshotImage is a snapshot under dir read as one stream: the manifest
+// file's bytes, then the bytes of every run it references, in order — the
+// form a follower bootstraps from. A run in the image is delimited by the
+// size its manifest entry gives, and is a record file of either encoding,
+// as on disk. Every run file is open from the moment the image exists, so
+// the primary's compaction may delete them mid-stream without tearing it.
 type SnapshotImage struct {
 	Next int   // the snapshot's next-ID bound
 	Size int64 // total bytes Read will deliver
@@ -175,7 +161,7 @@ func OpenSnapshotImage(dir string) (*SnapshotImage, error) {
 }
 
 func openImage(dir string, m manifest) *SnapshotImage {
-	hdr := appendImageHeader(nil, m.base, m.next, m.live)
+	hdr := m.encode()
 	im := &SnapshotImage{Next: m.next, Size: int64(len(hdr))}
 	parts := []io.Reader{bytes.NewReader(hdr)}
 	for _, r := range m.runs {
@@ -197,8 +183,9 @@ func openImage(dir string, m manifest) *SnapshotImage {
 }
 
 // looksLikeRun reports whether the open run file f is at r's recorded
-// size and starts with a record frame — which a run in a format this code
-// does not write (one with a header) does not.
+// size and starts with a frame — a block file's magic frame or a legacy
+// file's first record — which a run in a format this code does not read
+// (one with a header) does not.
 func looksLikeRun(f *os.File, r runInfo) bool {
 	if fi, err := f.Stat(); err != nil || fi.Size() != r.size {
 		return false
@@ -219,13 +206,13 @@ func (im *SnapshotImage) Close() {
 }
 
 // InstallSnapshotImage makes the image staged at path (a SnapshotImage's
-// bytes, already synced) the one snapshot under dir — a single run and
-// the manifest over it, the same form Snapshot writes — and returns its
-// next-ID bound. A run file is records and nothing else, so the records
-// are copied out from behind the image's header and the staged file is
-// removed. The header is trusted no further than recovery trusts any
-// file: the manifest records the size and CRC of the bytes actually
-// copied, and Open validates the records against them.
+// bytes, already synced) the one snapshot under dir — its runs, each
+// copied out under its own name, and the manifest over them, the form
+// Snapshot writes — removes the staged file, and returns the snapshot's
+// next-ID bound. The manifest is trusted no further than recovery trusts
+// one: it must validate, the bytes behind it must be exactly its runs'
+// sizes, and each run copied must have the CRC its entry gives before the
+// manifest is written.
 func InstallSnapshotImage(dir, path string) (next int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -233,48 +220,48 @@ func InstallSnapshotImage(dir, path string) (next int, err error) {
 	}
 	defer f.Close()
 	fr := NewFrameReader(f)
-	magic := make([]byte, len(imageMagic))
-	if _, err := io.ReadFull(fr.br, magic); err != nil || string(magic) != imageMagic {
+	magic := make([]byte, len(snapMagic))
+	if _, err := io.ReadFull(fr.br, magic); err != nil || string(magic) != snapMagic {
 		return 0, fmt.Errorf("wal: %s: not a snapshot image", path)
 	}
-	hdr, err := fr.Next()
+	payload, err := fr.Next()
 	if err != nil {
-		return 0, fmt.Errorf("wal: %s: snapshot image header: %v", path, err)
+		return 0, fmt.Errorf("wal: %s: snapshot image manifest: %v", path, err)
 	}
-	u := uvarints{hdr, true}
-	run := runInfo{lo: u.next(), hi: u.next(), count: u.next()}
-	if !u.ok || len(u.p) != 0 {
-		return 0, fmt.Errorf("wal: %s: bad snapshot image header", path)
+	m, err := decodeManifest(payload)
+	if err != nil {
+		return 0, fmt.Errorf("wal: %s: snapshot image manifest: %v", path, err)
 	}
-	// Hold the announced count against the bytes staged before copying any.
+	// Hold the sizes the manifest claims against the bytes staged before
+	// copying any.
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, err
 	}
-	run.size = fi.Size() - int64(len(imageMagic)+frameHeader+len(hdr))
-	m := manifest{base: run.lo, next: run.hi, live: run.count}
-	if run.count > 0 {
-		m.runs = []runInfo{run}
+	size := int64(len(snapMagic) + frameHeader + len(payload))
+	for _, r := range m.runs {
+		size += r.size
 	}
-	if err := m.validate(); err != nil {
-		return 0, fmt.Errorf("wal: %s: snapshot image header: %v", path, err)
+	if size != fi.Size() {
+		return 0, fmt.Errorf("wal: %s: snapshot image of %d bytes, its manifest accounts for %d", path, fi.Size(), size)
 	}
-	if run.count > 0 {
-		tmp, err := os.OpenFile(runFile(dir, run)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	for _, r := range m.runs {
+		tmp, err := os.OpenFile(runFile(dir, r)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
 			return 0, err
 		}
 		sum := &crcWriter{w: tmp}
-		if _, err := io.Copy(sum, fr.br); err != nil {
+		if _, err := io.CopyN(sum, fr.br, r.size); err != nil || sum.crc != r.crc {
 			tmp.Close() //nolint:errcheck // already failing
+			if err == nil {
+				err = fmt.Errorf("wal: %s: run %s differs from its manifest entry", path, runName(r))
+			}
 			return 0, err
 		}
-		m.runs[0].size, m.runs[0].crc = sum.size, sum.crc
-		if err := commitFile(tmp, runFile(dir, run)); err != nil {
+		if err := commitFile(tmp, runFile(dir, r)); err != nil {
 			return 0, err
 		}
 	}
-	// An empty store's image is its header: the manifest says it all.
 	if err := os.Remove(path); err != nil {
 		return 0, err
 	}
@@ -287,15 +274,20 @@ func InstallSnapshotImage(dir, path string) (next int, err error) {
 // ImageDecoder decodes a SnapshotImage's bytes, fed in whatever pieces
 // they arrive in, into the store state they carry: the ID bounds and
 // the live instances, ready for store.Memory.Replace. The bytes are
-// outside input — the header is held against the records actually read,
-// and IDs must ascend inside [base, next).
+// outside input, held to what recovery holds a snapshot to: the manifest
+// must validate, each run must end on a frame boundary at its size with
+// its CRC and count, and IDs must ascend inside its range.
 type ImageDecoder struct {
-	carry      []byte
-	header     bool
-	base, next int
-	live       int
-	ins        []event.Instance
-	err        error
+	carry  []byte
+	header bool
+	m      manifest
+	run    int        // the run being read
+	left   int64      // its bytes not yet read
+	crc    uint32     // its CRC32C so far
+	frames fileFrames // its encoding
+	held   int        // its instances decoded
+	ins    []event.Instance
+	err    error
 }
 
 // Write decodes every whole frame p completes; the first bad one is the
@@ -306,51 +298,89 @@ func (d *ImageDecoder) Write(p []byte) (int, error) {
 	}
 	d.carry = append(d.carry, p...)
 	if !d.header {
-		if len(d.carry) < len(imageMagic) {
+		if len(d.carry) < len(snapMagic) {
 			return len(p), nil
 		}
-		if string(d.carry[:len(imageMagic)]) != imageMagic {
-			d.err = fmt.Errorf("wal: not a snapshot image")
-			return 0, d.err
+		if string(d.carry[:len(snapMagic)]) != snapMagic {
+			return 0, d.fail(fmt.Errorf("wal: not a snapshot image"))
 		}
-		hdr, rest, ok := readFrame(d.carry[len(imageMagic):])
+		payload, rest, ok := readFrame(d.carry[len(snapMagic):])
 		if !ok {
 			return len(p), d.stalled()
 		}
-		u := uvarints{hdr, true}
-		d.base, d.next, d.live = u.next(), u.next(), u.next()
-		if !u.ok || len(u.p) != 0 || d.base > d.next || d.live > d.next-d.base {
-			d.err = fmt.Errorf("wal: bad snapshot image header")
-			return 0, d.err
+		m, err := decodeManifest(payload)
+		if err != nil {
+			return 0, d.fail(fmt.Errorf("wal: snapshot image manifest: %v", err))
 		}
-		d.header, d.carry = true, rest
+		d.m, d.header, d.carry = m, true, rest
+		d.nextRun(0)
 	}
-	for {
+	for len(d.carry) > 0 {
+		if d.run == len(d.m.runs) {
+			return 0, d.fail(fmt.Errorf("wal: snapshot image: %d bytes after its last run", len(d.carry)))
+		}
 		payload, rest, ok := readFrame(d.carry)
 		if !ok {
 			break
 		}
-		in, err := decodeRecord(payload)
-		prev := d.base - 1
-		if n := len(d.ins); n > 0 {
-			prev = d.ins[n-1].ID
+		n := int64(len(d.carry) - len(rest))
+		if n > d.left {
+			return 0, d.fail(fmt.Errorf("wal: snapshot image: a frame crosses the end of run %s", runName(d.m.runs[d.run])))
 		}
-		if err != nil || in.ID <= prev || in.ID >= d.next || len(d.ins) == d.live {
-			d.err = fmt.Errorf("wal: snapshot image record %d (ID %d) does not fit [%d,%d) × %d: %v", len(d.ins), in.ID, d.base, d.next, d.live, err)
-			return 0, d.err
-		}
-		d.ins = append(d.ins, in)
+		d.crc = crc32.Update(d.crc, castagnoli, d.carry[:n])
+		d.left -= n
 		d.carry = rest
+		if err := d.frame(payload); err != nil {
+			return 0, d.fail(fmt.Errorf("wal: snapshot image run %s: %v", runName(d.m.runs[d.run]), err))
+		}
+		if d.left == 0 {
+			if r := d.m.runs[d.run]; d.crc != r.crc || d.held != r.count {
+				return 0, d.fail(fmt.Errorf("wal: snapshot image run %s holds %d records with CRC %08x, its entry %d with %08x", runName(r), d.held, d.crc, r.count, r.crc))
+			}
+			d.nextRun(d.run + 1)
+		}
 	}
 	// Keep the torn remainder without pinning the consumed bytes.
 	d.carry = append([]byte(nil), d.carry...)
 	return len(p), d.stalled()
 }
 
+// nextRun starts reading run i (none past the last).
+func (d *ImageDecoder) nextRun(i int) {
+	d.run, d.crc, d.frames, d.held = i, 0, fileFrames{}, 0
+	if i < len(d.m.runs) {
+		d.left = d.m.runs[i].size
+	}
+}
+
+// frame decodes one frame of the current run.
+func (d *ImageDecoder) frame(p []byte) error {
+	s, err := d.frames.span(p)
+	if err != nil || s.count == 0 {
+		return err
+	}
+	r, prev := d.m.runs[d.run], d.m.base-1
+	if n := len(d.ins); n > 0 {
+		prev = d.ins[n-1].ID
+	}
+	if s.first <= prev || s.first < r.lo || s.last >= r.hi || s.count > r.count-d.held {
+		return fmt.Errorf("IDs %d…%d do not fit [%d,%d) × %d after ID %d", s.first, s.last, r.lo, r.hi, r.count, prev)
+	}
+	at := len(d.ins)
+	d.ins = slices.Grow(d.ins, s.count)[:at+s.count]
+	d.held += s.count
+	return d.frames.decode(p, d.ins[at:])
+}
+
+func (d *ImageDecoder) fail(err error) error {
+	d.err = err
+	return err
+}
+
 // stalled reports a carry no frame can still complete: longer than the
-// largest record, it is damage and not a frame in flight.
+// largest frame, it is damage and not a frame in flight.
 func (d *ImageDecoder) stalled() error {
-	if len(d.carry) > len(imageMagic)+frameHeader+maxRecord {
+	if len(d.carry) > len(snapMagic)+frameHeader+maxRecord {
 		d.err = fmt.Errorf("wal: snapshot image: torn or corrupt frame")
 	}
 	return d.err
@@ -361,12 +391,48 @@ func (d *ImageDecoder) Finish() (base, next int, ins []event.Instance, err error
 	switch {
 	case d.err != nil:
 		return 0, 0, nil, d.err
-	case !d.header || len(d.carry) != 0:
-		return 0, 0, nil, fmt.Errorf("wal: snapshot image ends inside a frame")
-	case len(d.ins) != d.live:
-		return 0, 0, nil, fmt.Errorf("wal: snapshot image holds %d instances, header says %d", len(d.ins), d.live)
+	case !d.header || len(d.carry) != 0 || d.run != len(d.m.runs):
+		return 0, 0, nil, fmt.Errorf("wal: snapshot image ends inside a frame or run")
+	case len(d.ins) != d.m.live:
+		return 0, 0, nil, fmt.Errorf("wal: snapshot image holds %d instances, its manifest says %d", len(d.ins), d.m.live)
 	}
-	return d.base, d.next, d.ins, nil
+	return d.m.base, d.m.next, d.ins, nil
+}
+
+// SegmentRecords reads the frames of one segment file in order, handing
+// out what each holds as legacy records (appendRecord) — what the one-shot
+// shipping path sends and a WALSink writes: a legacy file's frame is its
+// one record, a block frame one record per instance, the magic frame
+// none. Use one per file.
+type SegmentRecords struct {
+	frames fileFrames
+	ins    []event.Instance
+	rec    []byte
+}
+
+// Frame calls fn with every record of the frame payload p whose ID is at
+// least from, in ID order. rec is reused by the next record.
+func (r *SegmentRecords) Frame(p []byte, from int, fn func(id int, rec []byte) error) error {
+	s, err := r.frames.span(p)
+	if err != nil || s.count == 0 || s.last < from {
+		return err
+	}
+	if !r.frames.block {
+		return fn(s.first, p)
+	}
+	r.ins = slices.Grow(r.ins[:0], s.count)[:s.count]
+	if err := decodeBlockFrame(p, r.ins); err != nil {
+		return err
+	}
+	for i := range r.ins {
+		if in := &r.ins[i]; in.ID >= from {
+			r.rec = appendRecord(r.rec[:0], in)
+			if err := fn(in.ID, r.rec); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SegPath returns the segment path for a segment whose first record

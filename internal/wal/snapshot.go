@@ -20,22 +20,25 @@ import (
 // A snapshot is a small manifest over immutable run files:
 //
 //	snap/snap-<next>.snap            magic "GRCASNAP2" | frame(manifest)
-//	snap/run-<lo>-<hi>-<count>.run   count × frame(uvarint ID + instance)
+//	snap/run-<lo>-<hi>-<count>.run   a record file: magicFrame | block frames
 //
 // A run holds the instances that were live in the ID range [lo, hi) when
-// it came to exist, in the segment record encoding and nothing else: what
-// it covers is said by its name and by the manifest entry that references
-// it. The manifest is uvarint base | next | live | #runs, then per run
-// lo | hi | count | file size | CRC32C of the whole file, runs ascending
-// and non-overlapping. Every frame carries the standard CRC32C.
+// it came to exist, in the segment encoding and nothing else — a block
+// file, or a legacy one an earlier version wrote (encode.go): what it
+// covers is said by its name and by the manifest entry that references it.
+// The manifest is uvarint base | next | live | #runs, then per run lo | hi
+// | count | file size | CRC32C of the whole file, runs ascending and
+// non-overlapping. Every frame carries the standard CRC32C.
 //
 // A run comes to exist one of two ways. A sealed segment whose records
 // are exactly the live instances of the run's range is adopted: hard-
 // linked under the run's name, its size and CRC taken from what the log
-// kept as it wrote the segment — the bytes are what writeRun would
-// produce, so nothing is written. Every other run — a range an eviction
-// took instances from, a crumb, a range whose records straddle segments —
-// is written from the store by writeRun.
+// kept as it wrote the segment — it decodes to the instances writeRun
+// would write, so nothing is written. (Not to the same bytes: a segment's
+// frames follow commit groups, which a run written from the store cannot
+// know.) Every other run — a range an eviction took instances from, a
+// crumb, a range whose records straddle segments — is written from the
+// store by writeRun.
 //
 // Under a Log IDs only ascend (record poisons the log otherwise), so a
 // range already written can only lose instances, and a run's content
@@ -118,18 +121,23 @@ func (u *uvarints) next() int {
 	return int(v)
 }
 
-// parseManifest decodes and validates a manifest file's bytes. The run
-// count is checked against the bytes that carry it before anything is
-// allocated.
+// parseManifest decodes and validates a manifest file's bytes.
 func parseManifest(data []byte) (manifest, error) {
-	var m manifest
 	if !bytes.HasPrefix(data, []byte(snapMagic)) {
-		return m, fmt.Errorf("bad manifest magic")
+		return manifest{}, fmt.Errorf("bad manifest magic")
 	}
 	payload, rest, ok := readFrame(data[len(snapMagic):])
 	if !ok || len(rest) != 0 {
-		return m, fmt.Errorf("torn manifest")
+		return manifest{}, fmt.Errorf("torn manifest")
 	}
+	return decodeManifest(payload)
+}
+
+// decodeManifest decodes and validates a manifest frame's payload. The
+// run count is checked against the bytes that carry it before anything is
+// allocated.
+func decodeManifest(payload []byte) (manifest, error) {
+	var m manifest
 	u := uvarints{payload, true}
 	m.base, m.next, m.live = u.next(), u.next(), u.next()
 	nruns := u.next()
@@ -155,15 +163,17 @@ func parseManifest(data []byte) (manifest, error) {
 
 // validate checks the invariants recovery relies on: bounds in order,
 // runs non-empty, ascending, non-overlapping and below next, each count
-// possible in its ID range and in the bytes the run claims (a record is
-// at least its frame header), and the counts summing to live.
+// possible in its ID range and in the bytes the run claims, and the
+// counts summing to live. An instance takes at least minBlockEvent bytes
+// in either encoding — its share of a block frame, or a legacy record's
+// frame header alone — so that bounds the count by the size.
 func (m manifest) validate() error {
 	if m.base > m.next || m.live > m.next-m.base {
 		return fmt.Errorf("bad manifest bounds [%d,%d) for %d instances", m.base, m.next, m.live)
 	}
 	end, live := 0, 0
 	for i, r := range m.runs {
-		if r.lo < end || r.hi > m.next || r.count < 1 || r.count > r.hi-r.lo || int64(r.count) > r.size/frameHeader {
+		if r.lo < end || r.hi > m.next || r.count < 1 || r.count > r.hi-r.lo || int64(r.count) > r.size/minBlockEvent {
 			return fmt.Errorf("bad manifest run %d", i)
 		}
 		end = r.hi
@@ -189,41 +199,47 @@ func readManifest(path string) (manifest, error) {
 
 // parseRun decodes a run file's bytes into dst against the manifest
 // entry that references it: the size and whole-file CRC must match the
-// entry, the bytes must be exactly len(dst) = count records, and their
-// IDs must ascend inside [lo, hi). A file in any other format — a run
-// with the header this code once wrote — fails at its first frame. The
-// frame scan is sequential and the decode parallel — same staging as
-// segment replay, same any-worker-count determinism.
+// entry, the frames must hold exactly len(dst) = count records in either
+// encoding, and their IDs must ascend inside [lo, hi). A file in any
+// other format — a run with the header this code once wrote — fails at
+// its first frame. The frame scan is sequential and the decode parallel —
+// same staging as segment replay, same any-worker-count determinism.
 func parseRun(data []byte, want runInfo, workers int, dst []event.Instance) error {
 	if int64(len(data)) != want.size || crc32.Checksum(data, castagnoli) != want.crc {
 		return fmt.Errorf("size or checksum differs from the manifest")
 	}
-	rest := data
-	frames := make([][]byte, len(dst))
-	prev := want.lo - 1
-	for i := range frames {
+	var ff fileFrames
+	var frames []pendFrame
+	var at []int // where each frame's instances go in dst
+	held, prev := 0, want.lo-1
+	for rest := data; len(rest) > 0; {
 		payload, r2, ok := readFrame(rest)
 		if !ok {
-			return fmt.Errorf("torn record %d/%d", i, len(dst))
+			return fmt.Errorf("torn frame after record %d/%d", held, len(dst))
 		}
+		rest = r2
 		// Order is checked here, on bytes the CRC just pulled into cache,
 		// rather than in a second walk over the decoded instances.
-		id, err := recordID(payload)
-		if err != nil || id <= prev || id >= want.hi {
-			return fmt.Errorf("record %d: ID %d out of order for [%d,%d)", i, id, want.lo, want.hi)
+		s, err := ff.span(payload)
+		if err != nil {
+			return fmt.Errorf("record %d: %v", held, err)
 		}
-		prev = id
-		frames[i], rest = payload, r2
+		if s.count == 0 {
+			continue // the magic frame
+		}
+		if s.first <= prev || s.last >= want.hi || s.count > len(dst)-held {
+			return fmt.Errorf("record %d: IDs %d…%d do not fit [%d,%d) × %d after ID %d", held, s.first, s.last, want.lo, want.hi, len(dst), prev)
+		}
+		frames, at = append(frames, pendFrame{payload, s}), append(at, held)
+		held, prev = held+s.count, s.last
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%d bytes after the last record", len(rest))
+	if held != len(dst) {
+		return fmt.Errorf("%d records, the manifest says %d", held, len(dst))
 	}
 	return parallelIndexed(len(frames), workers, func(i int) error {
-		in, err := decodeRecord(frames[i])
-		if err != nil {
-			return fmt.Errorf("record %d: %v", i, err)
+		if err := ff.decode(frames[i].payload, dst[at[i]:at[i]+frames[i].count]); err != nil {
+			return fmt.Errorf("record %d: %v", at[i], err)
 		}
-		dst[i] = in
 		return nil
 	})
 }
@@ -265,7 +281,7 @@ func readSnapshot(dir, path string, workers int) (manifest, []event.Instance, er
 
 // loadLatestSnapshot restores the newest readable snapshot into the
 // fresh store. An unreadable one — torn by a crash, corrupt, referencing
-// a missing run, or in a format this code does not write — is counted and
+// a missing run, or in a format this code does not read — is counted and
 // skipped for the previous one: the segments below it still exist until a
 // later snapshot succeeds.
 func (l *Log) loadLatestSnapshot(rec *Recovery) error {
@@ -368,13 +384,13 @@ func planRuns(prev []runInfo, prevNext, next int, sealed []segInfo, live func(lo
 	return out
 }
 
-// adoptable returns the sealed segment whose bytes are the run r, if there
-// is one: every record of it inside r's range, as many of them as the
-// range holds live instances, and each still live. IDs ascend through the
-// log, so every instance ever stored with an ID between the segment's
+// adoptable returns the sealed segment whose records are the run r, if
+// there is one: every record of it inside r's range, as many of them as
+// the range holds live instances, and each still live. IDs ascend through
+// the log, so every instance ever stored with an ID between the segment's
 // first and last is a record of it; with all of those live and the range
 // holding no more, the segment's records are the range's live instances
-// in ID order, and the encoding is the one writeRun uses.
+// in ID order — what writeRun writes, in frames of other sizes.
 func adoptable(sealed []segInfo, r runInfo, live func(lo, hi int) int) *segInfo {
 	for i := range sealed {
 		s := &sealed[i]
@@ -415,10 +431,11 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 
 // writeRun streams the cut's live instances in r's range into a temp
 // file beside the run's final name and returns the file, still open and
-// not yet synced, with r's size and CRC filled in. It streams through a
-// reused scratch buffer and a buffered writer — never an in-memory image.
-// What it writes is what flushLocked wrote for the same instances, byte
-// for byte: that is what makes a sealed segment adoptable in its place.
+// not yet synced, with r's size and CRC filled in. It writes a block file,
+// maxBlockEvents instances at a time through a reused frame buffer and a
+// buffered writer — never an in-memory image. What it writes decodes to
+// what flushLocked wrote for the same instances: that is what makes a
+// sealed segment adoptable in its place.
 func writeRun(dir string, r *runInfo, c store.Cut) (*os.File, error) {
 	f, err := os.OpenFile(runFile(dir, *r)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -426,13 +443,32 @@ func writeRun(dir string, r *runInfo, c store.Cut) (*os.File, error) {
 	}
 	cw := &crcWriter{w: f}
 	bw := bufio.NewWriterSize(cw, 1<<18)
-	scratch, frame := make([]byte, 0, 1024), make([]byte, 0, 1024)
-	err = c.Each(r.lo, r.hi, func(in *event.Instance) error {
-		scratch = appendRecord(scratch[:0], in)
-		frame = appendFrame(frame[:0], scratch)
-		_, err := bw.Write(frame)
-		return err
-	})
+	group := make([]event.Instance, 0, min(r.count, maxBlockEvents))
+	var frame []byte
+	flush := func() error {
+		for rest := group; len(rest) > 0; {
+			n := blockLen(rest)
+			frame = appendBlockFrame(frame[:0], rest[:n])
+			if _, err := bw.Write(frame); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		group = group[:0]
+		return nil
+	}
+	_, err = bw.Write(magicFrame)
+	if err == nil {
+		err = c.Each(r.lo, r.hi, func(in *event.Instance) error {
+			if group = append(group, *in); len(group) < maxBlockEvents {
+				return nil
+			}
+			return flush()
+		})
+	}
+	if err == nil {
+		err = flush()
+	}
 	if err == nil {
 		err = bw.Flush()
 	}

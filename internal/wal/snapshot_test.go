@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -490,18 +491,19 @@ func TestHugeCountsFallBack(t *testing.T) {
 }
 
 // TestSnapshotImageRoundtrip: a multi-run snapshot read as one image and
-// installed in an empty directory recovers the identical store from a
-// single run — and an image whose header lies is refused or, at worst,
-// installed as a snapshot recovery then skips.
+// installed in an empty directory recovers the identical store from the
+// same runs — and an image whose manifest lies, or whose runs are not what
+// it says, is refused or, at worst, installed as a snapshot recovery then
+// skips.
 func TestSnapshotImageRoundtrip(t *testing.T) {
 	prim := t.TempDir()
-	ins := genEvents(41, 4000) // 1000 a run: well past crumb size, so four runs
+	ins := genEvents(41, 12000) // 3000 a run: well past crumb size, so four runs
 	l, st, _, err := Open(prim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4000; i += 1000 {
-		st.AddAll(ins[i : i+1000])
+	for i := 0; i < 12000; i += 3000 {
+		st.AddAll(ins[i : i+3000])
 		if err := l.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -514,8 +516,8 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 	if err != nil || im == nil {
 		t.Fatalf("no image: %v", err)
 	}
-	if len(im.files) != 4 || im.Next != 4000 {
-		t.Fatalf("image over %d runs up to ID %d, want 4 runs up to 4000", len(im.files), im.Next)
+	if len(im.files) != 4 || im.Next != 12000 {
+		t.Fatalf("image over %d runs up to ID %d, want 4 runs up to 12000", len(im.files), im.Next)
 	}
 	// Compaction deleting the runs mid-stream must not tear the image.
 	for _, p := range runFiles(t, prim) {
@@ -529,42 +531,32 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 		t.Fatalf("image read %d bytes (%v), announced %d", len(data), err, im.Size)
 	}
 
-	install := func(t *testing.T, data []byte) (string, int, error) {
-		dir := t.TempDir()
-		if err := os.MkdirAll(snapDir(dir), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		staged := filepath.Join(snapDir(dir), "snap.tmp")
-		if err := os.WriteFile(staged, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		next, err := InstallSnapshotImage(dir, staged)
-		return dir, next, err
-	}
-	dir, next, err := install(t, data)
-	if err != nil || next != 4000 {
+	dir, next, err := installImage(t, data)
+	if err != nil || next != 12000 {
 		t.Fatalf("install: next %d, %v", next, err)
 	}
-	if n := len(runFiles(t, dir)); n != 1 {
-		t.Fatalf("installed as %d runs, want 1", n)
+	if n := len(runFiles(t, dir)); n != 4 {
+		t.Fatalf("installed as %d runs, want the image's 4", n)
 	}
 	_, st2, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapshotLive != 4000 || StoreDigest(st2) != want {
+	if rec.SnapshotLive != 12000 || StoreDigest(st2) != want {
 		t.Fatalf("installed image recovered %+v, digest equal: %v", rec, StoreDigest(st2) == want)
 	}
 
-	// A header announcing more records than the bytes could hold.
-	lying := appendImageHeader(nil, 0, 1<<60, 1<<60)
-	if _, _, err := install(t, lying); err == nil {
-		t.Fatal("an image announcing 1<<60 records in 30 bytes was installed")
+	// A manifest announcing more records than the bytes behind it hold.
+	lying := manifest{next: 1 << 60, live: 1 << 60, runs: []runInfo{{hi: 1 << 60, count: 1 << 60, size: 1 << 62}}}.encode()
+	if _, _, err := installImage(t, lying); err == nil {
+		t.Fatal("an image announcing 1<<60 records in its manifest alone was installed")
 	}
-	// A header that is plausible but wrong: installs, and recovery skips it.
-	hdrLen := len(appendImageHeader(nil, 0, 4000, 4000))
-	wrong := append(appendImageHeader(nil, 0, 4000, 3999), data[hdrLen:]...)
-	dir, _, err = install(t, wrong)
+	// A manifest that is plausible but wrong: installs, and recovery skips it.
+	m, hdrLen := imageManifest(t, data)
+	m.runs[1].count--
+	m.live--
+	wrong := append(m.encode(), data[hdrLen:]...)
+	dir, _, err = installImage(t, wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,33 +564,22 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 	if err != nil || rec.SnapshotNext != 0 || rec.SnapshotsSkipped != 1 {
 		t.Fatalf("recovery over a lying image: %+v, %v", rec, err)
 	}
-	for _, junk := range [][]byte{nil, []byte("GRCARUN1"), []byte("not an image at all"), hugeCountDump()} {
-		if _, _, err := install(t, junk); err == nil {
+	// A run that is not what its entry says is not installed at all.
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-3] ^= 0x20
+	if _, _, err := installImage(t, flipped); err == nil {
+		t.Fatal("an image with a damaged run was installed")
+	}
+	for _, junk := range [][]byte{nil, []byte(snapMagic), []byte("not an image at all"), hugeCountDump()} {
+		if _, _, err := installImage(t, junk); err == nil {
 			t.Fatalf("junk image %q was installed", junk)
 		}
 	}
 
 	// The same bytes decoded straight into a store — a follower loading a
 	// checkpoint off the journal stream — in whatever pieces they arrive.
-	decode := func(data []byte, piece int) (*store.Memory, error) {
-		var d ImageDecoder
-		for len(data) > 0 {
-			n := min(piece, len(data))
-			if _, err := d.Write(data[:n]); err != nil {
-				return nil, err
-			}
-			data = data[n:]
-		}
-		base, next, ins, err := d.Finish()
-		if err != nil {
-			return nil, err
-		}
-		st := store.New()
-		st.Add(event.Instance{Name: "what the shard held before"})
-		return st, st.Replace(base, next, ins)
-	}
 	for _, piece := range []int{1 << 20, 4096, 7} {
-		st3, err := decode(data, piece)
+		st3, err := decodeImage(data, piece)
 		if err != nil || StoreDigest(st3) != want {
 			t.Fatalf("decoded in pieces of %d: %v, digest equal: %v", piece, err, err == nil && StoreDigest(st3) == want)
 		}
@@ -606,13 +587,139 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"lying header":  lying,
 		"one short":     wrong,
+		"run damaged":   flipped,
 		"cut mid-frame": data[:len(data)-5],
+		"one byte more": append(data[:len(data):len(data)], 0),
 		"junk":          []byte("not an image at all, however long it goes on"),
 	} {
-		if _, err := decode(bad, 4096); err == nil {
+		if _, err := decodeImage(bad, 4096); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
+}
+
+// TestMixedImage: a snapshot of a directory an earlier version wrote keeps
+// its legacy run beside the block runs this version writes; the image over
+// both decodes and installs to the store it was taken from.
+func TestMixedImage(t *testing.T) {
+	dir := legacyDir(t, genEvents(26, 1000))
+	l, st, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AddAll(genEvents(26, 50))
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := StoreDigest(st)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	im, err := OpenSnapshotImage(dir)
+	if err != nil || im == nil {
+		t.Fatalf("no image: %v", err)
+	}
+	data, err := io.ReadAll(im)
+	im.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, at := imageManifest(t, data)
+	var formats []string
+	for _, r := range m.runs {
+		formats = append(formats, map[bool]string{true: "block", false: "legacy"}[bytes.HasPrefix(data[at:], magicFrame)])
+		at += int(r.size)
+	}
+	if fmt.Sprint(formats) != "[legacy block]" {
+		t.Fatalf("the image's runs are %v, want a legacy one and a block one", formats)
+	}
+	if st2, err := decodeImage(data, 999); err != nil || StoreDigest(st2) != want {
+		t.Fatalf("the mixed image decoded: %v, digest equal: %v", err, err == nil && StoreDigest(st2) == want)
+	}
+	fresh, _, err := installImage(t, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st3, _, err := Open(fresh, Options{}); err != nil || StoreDigest(st3) != want {
+		t.Fatalf("the mixed image installed: %v, digest equal: %v", err, err == nil && StoreDigest(st3) == want)
+	}
+}
+
+// legacyDir returns a data dir as an earlier version left it after a
+// snapshot of ins: a manifest over one legacy run, well past crumb size,
+// and no segment.
+func legacyDir(t *testing.T, ins []event.Instance) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(snapDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var run []byte
+	for i := range ins {
+		ins[i].ID = i
+		run = appendFrame(run, appendRecord(nil, &ins[i]))
+	}
+	r := runInfo{lo: 0, hi: len(ins), count: len(ins), size: int64(len(run)), crc: crc32.Checksum(run, castagnoli)}
+	if r.size < crumbBytes {
+		t.Fatalf("a legacy run of %d bytes is a crumb", r.size)
+	}
+	if err := os.WriteFile(runFile(dir, r), run, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeManifest(dir, manifest{next: r.hi, live: r.count, runs: []runInfo{r}}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// installImage stages data in a fresh directory and installs it there.
+func installImage(t *testing.T, data []byte) (string, int, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(snapDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	staged := filepath.Join(snapDir(dir), "snap.tmp")
+	if err := os.WriteFile(staged, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	next, err := InstallSnapshotImage(dir, staged)
+	return dir, next, err
+}
+
+// imageManifest returns the manifest an image opens with and its length.
+func imageManifest(t *testing.T, data []byte) (manifest, int) {
+	t.Helper()
+	_, rest, ok := readFrame(data[len(snapMagic):])
+	if !ok {
+		t.Fatal("the image does not open with a manifest")
+	}
+	n := len(data) - len(rest)
+	m, err := parseManifest(data[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, n
+}
+
+// decodeImage runs an ImageDecoder over data, piece bytes at a time, into
+// a store that held something else before.
+func decodeImage(data []byte, piece int) (*store.Memory, error) {
+	var d ImageDecoder
+	for len(data) > 0 {
+		n := min(piece, len(data))
+		if _, err := d.Write(data[:n]); err != nil {
+			return nil, err
+		}
+		data = data[n:]
+	}
+	base, next, ins, err := d.Finish()
+	if err != nil {
+		return nil, err
+	}
+	st := store.New()
+	st.Add(event.Instance{Name: "what the store held before"})
+	return st, st.Replace(base, next, ins)
 }
 
 // TestCommitSurvivesSnapshotFailure: Commit reports the flush, not the
@@ -676,6 +783,16 @@ func TestCommitSurvivesSnapshotFailure(t *testing.T) {
 	}
 }
 
+// oldRunHeader is the header run files carried before they became plain
+// record files.
+func oldRunHeader(lo, hi, count int) []byte {
+	var p []byte
+	for _, v := range []int{lo, hi, count} {
+		p = binary.AppendUvarint(p, uint64(v))
+	}
+	return appendFrame([]byte("GRCARUN1"), p)
+}
+
 // unreadablePairs returns, from a log directory holding one manifest over
 // one run, manifest and run bytes recovery must refuse: the run as it
 // would be had an append landed in it after its manifest was written, and
@@ -693,10 +810,10 @@ func unreadablePairs(t testing.TB, dir string) map[string][2][]byte {
 	}
 	extra := genEvents(59, 1)[0]
 	extra.ID = m.next
-	grown := appendFrame(append([]byte(nil), run...), appendRecord(nil, &extra))
+	grown := appendBlockFrame(append([]byte(nil), run...), []event.Instance{extra})
 	old := m
 	r := m.runs[0]
-	headed := append(appendImageHeader(nil, r.lo, r.hi, r.count), run...)
+	headed := append(oldRunHeader(r.lo, r.hi, r.count), run...)
 	r.size, r.crc = int64(len(headed)), crc32.Checksum(headed, castagnoli)
 	old.runs = []runInfo{r}
 	return map[string][2][]byte{
@@ -760,9 +877,10 @@ func TestForeignRunsFallBack(t *testing.T) {
 }
 
 // TestAdoptedRunMatchesWrittenRun: a run that came to exist as a link to
-// a sealed segment is, byte for byte, the file writeRun produces for the
-// same range — on dense IDs and on the sparse IDs a shard of a sharded
-// store sees — and its manifest entry carries that file's size and CRC.
+// a sealed segment decodes to exactly the instances writeRun writes for
+// the same range — on dense IDs and on sparse ones — though not from the
+// same bytes (a segment's frames follow its commit groups), and its
+// manifest entry carries the size and CRC of the file it is.
 func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 	for _, stride := range []int{1, 3} {
 		t.Run(map[int]string{1: "dense", 3: "sparse"}[stride], func(t *testing.T) {
@@ -775,13 +893,19 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			ins := genEvents(67, 3000)
+			ins := genEvents(67, 9000) // 3000 a segment: well past crumb size
 			adopted := mSnapRunsAdopted.Value()
 			for gen := 0; gen < 3; gen++ {
-				for i := gen * 1000; i < (gen+1)*1000; i++ {
+				// Commit groups of 750: four frames a segment.
+				for i := gen * 3000; i < (gen+1)*3000; i++ {
 					ins[i].ID = 5 + i*stride
 					if _, err := st.Put(ins[i]); err != nil {
 						t.Fatal(err)
+					}
+					if i%750 == 749 {
+						if err := l.Commit(); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				if err := l.Snapshot(); err != nil {
@@ -799,6 +923,18 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			decode := func(path string, r runInfo) []event.Instance {
+				t.Helper()
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]event.Instance, r.count)
+				if err := parseRun(data, r, 2, got); err != nil {
+					t.Fatalf("%s against its entry %+v: %v", path, r, err)
+				}
+				return got
+			}
 			for _, r := range m.runs {
 				want := runInfo{lo: r.lo, hi: r.hi, count: r.count}
 				err := st.Cut(func(c store.Cut) error {
@@ -811,19 +947,14 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want != r {
-					t.Fatalf("adopted entry %+v, written entry %+v", r, want)
+				got, written := decode(runFile(dir, r), r), decode(runFile(scratch, want), want)
+				for i := range written {
+					if got[i] != written[i] {
+						t.Fatalf("run %s: instance %d is %+v adopted, %+v written", runName(r), i, got[i], written[i])
+					}
 				}
-				got, err := os.ReadFile(runFile(dir, r))
-				if err != nil {
-					t.Fatal(err)
-				}
-				written, err := os.ReadFile(runFile(scratch, want))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, written) {
-					t.Fatalf("run %s: the adopted file differs from the written one", runName(r))
+				if r.size <= want.size {
+					t.Fatalf("run %s: the adopted file is %d bytes, the written one %d: four commit groups should cost more than one frame", runName(r), r.size, want.size)
 				}
 			}
 			// The newest run is still a second name of the segment it was.
@@ -843,7 +974,7 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to both snapshot readers, as a
-// manifest and as a run. A follower's snap/ holds whatever its primary
+// manifest and as a run of either encoding. A follower's snap/ holds whatever its primary
 // sent, so neither may panic, and neither may allocate for a count the
 // bytes present could not carry. An input that starts with a whole
 // manifest frame is that manifest followed by the run its first entry
@@ -863,7 +994,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		l.Close()
 		return dir
 	}
-	for _, n := range []int{20, 1000} { // a written crumb, an adopted segment
+	for _, n := range []int{20, 3000} { // a written crumb, an adopted segment
 		dir := snapshot(n)
 		man, err := os.ReadFile(manifests(f, dir)[0])
 		if err != nil {
@@ -885,7 +1016,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	}
 	f.Add(hugeCountDump())
-	f.Add(appendImageHeader(nil, 0, 1<<60, 1<<60))
+	f.Add(oldRunHeader(0, 1<<60, 1<<60))
 	f.Add(manifest{next: 1 << 60, live: 1 << 60, runs: []runInfo{{hi: 1 << 60, count: 1 << 60, size: 8}}}.encode())
 	f.Add([]byte("GRCASNAP2 but nothing else"))
 
@@ -911,7 +1042,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("%d runs accepted from %d bytes", len(m.runs), len(man))
 			}
 			for _, r := range m.runs {
-				if int64(r.count) > r.size/frameHeader {
+				if int64(r.count) > r.size/minBlockEvent {
 					t.Fatalf("run of %d records accepted in %d claimed bytes", r.count, r.size)
 				}
 			}
@@ -925,19 +1056,23 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// carry for these bytes to get past the size and CRC check, from
 		// the bytes themselves.
 		want := runInfo{size: int64(len(run)), crc: crc32.Checksum(run, castagnoli)}
-		for rest := run; ; want.count++ {
+		var ff fileFrames
+		for rest := run; ; {
 			payload, r2, ok := readFrame(rest)
 			if !ok {
 				break
 			}
-			id, err := recordID(payload)
-			if err != nil || id < 0 || id >= maxID {
+			s, err := ff.span(payload)
+			if err != nil || s.first < 0 || s.last >= maxID {
 				break
 			}
-			if want.count == 0 {
-				want.lo = id
+			if s.count > 0 {
+				if want.count == 0 {
+					want.lo = s.first
+				}
+				want.hi, want.count = s.last+1, want.count+s.count
 			}
-			want.hi, rest = id+1, r2
+			rest = r2
 		}
 		if (manifest{base: want.lo, next: want.hi, live: want.count, runs: []runInfo{want}}).validate() == nil {
 			restores(t, run, want)

@@ -1,6 +1,6 @@
 // Package wal gives the G-RCA event store durability: a segmented,
 // append-only write-ahead log of normalized event instances with
-// per-record CRC32C framing, periodic incremental snapshots (a manifest
+// per-frame CRC32C framing, periodic incremental snapshots (a manifest
 // over immutable ID-range runs, see snapshot.go), and startup recovery
 // that replays snapshot+tail into a byte-identical store. The paper's
 // platform ran as a shared service continuously fed by many applications
@@ -9,27 +9,31 @@
 //
 // # Layout and invariants
 //
-//	<dir>/wal/seg-<firstID>.log          framed records, IDs ascending from firstID
+//	<dir>/wal/seg-<firstID>.log          record file, IDs ascending from firstID
 //	<dir>/snap/snap-<nextID>.snap        manifest of the snapshot covering IDs < nextID
 //	<dir>/snap/run-<lo>-<hi>-<count>.run immutable run: the instances live in [lo, hi)
 //
-// Segments and runs are one encoding — framed records, nothing else — so
-// a snapshot seals the active segment and hard-links it under snap/ as
-// its newest run instead of writing the records again (snapshot.go). A
-// sealed segment is immutable: no append and no truncation ever lands in
-// an inode a run shares.
+// Segments and runs are one kind of file — a record file: the magic
+// frame, then one block frame per commit group (or per maxBlockEvents of
+// one), each a group's instances in the ingest journal's event-block
+// encoding behind their IDs (encode.go). Record files an earlier version
+// wrote hold one legacy record per frame; they are read, never appended
+// to. So a snapshot seals the active segment and hard-links it under
+// snap/ as its newest run instead of writing the records again
+// (snapshot.go). A sealed segment is immutable: no append and no
+// truncation ever lands in an inode a run shares.
 //
-// Every record carries its store ID explicitly: the IDs a store holds
+// Every frame carries its store IDs explicitly: the IDs a store holds
 // ascend strictly but may be sparse, so position in the log cannot
-// determine the ID. The log observes every insert through
-// the store's append hook and rejects any ID regression. Recovery
-// restores the newest readable snapshot, then replays exactly the
-// records with ID ≥ the snapshot's next-ID. A torn final record (crash
-// mid-write) is truncated, not fatal: the recovered store is the longest
-// committed prefix of the log. Snapshots make the segments
-// below them redundant, so Snapshot deletes them — with the store's
-// retention eviction triggering snapshots, disk usage stays bounded the
-// same way the store's window bounds memory.
+// determine the ID. The log observes every insert through the store's
+// append hook, rejects any ID regression, and encodes what it kept at the
+// flush. Recovery restores the newest readable snapshot, then replays
+// exactly the records with ID ≥ the snapshot's next-ID. A torn final
+// frame (crash mid-write) is truncated, not fatal: the recovered store is
+// the longest committed prefix of the log, a torn group lost whole.
+// Snapshots make the segments below them redundant, so Snapshot deletes
+// them — with the store's retention eviction triggering snapshots, disk
+// usage stays bounded the same way the store's window bounds memory.
 //
 // # Concurrency
 //
@@ -44,6 +48,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,16 +61,16 @@ import (
 )
 
 // Durability metrics: commit and fsync volume tell an operator what the
-// chosen fsync policy actually costs; pending bytes is the loss window a
-// crash would tear off under -fsync=interval.
+// chosen fsync policy actually costs; pending records are the loss window
+// a crash would tear off under -fsync=interval.
 var (
-	mAppends      = obs.GetCounter("wal.appends")
-	mCommits      = obs.GetCounter("wal.commits")
-	mFsyncs       = obs.GetCounter("wal.fsyncs")
-	mSnapshots    = obs.GetCounter("wal.snapshots")
-	mCompacted    = obs.GetCounter("wal.segments.compacted")
-	mPendingBytes = obs.GetGauge("wal.pending.bytes")
-	mCommitSecs   = obs.GetHistogram("wal.commit.seconds", obs.LatencyBuckets)
+	mAppends    = obs.GetCounter("wal.appends")
+	mCommits    = obs.GetCounter("wal.commits")
+	mFsyncs     = obs.GetCounter("wal.fsyncs")
+	mSnapshots  = obs.GetCounter("wal.snapshots")
+	mCompacted  = obs.GetCounter("wal.segments.compacted")
+	mPending    = obs.GetGauge("wal.pending.records")
+	mCommitSecs = obs.GetHistogram("wal.commit.seconds", obs.LatencyBuckets)
 
 	// Snapshot write amplification: bytes is everything written under
 	// snap/ (manifests, and the runs that had to be written from the
@@ -113,8 +118,8 @@ type Options struct {
 	// (default 200ms).
 	FsyncInterval time.Duration
 	// SegmentBytes is the soft segment-rotation threshold (default 64MiB);
-	// flushes split at record boundaries, so a segment only exceeds it
-	// when a single record does.
+	// flushes rotate between frames, so a segment only exceeds it by the
+	// last frame written to it.
 	SegmentBytes int64
 	// SnapshotEvery, when positive, auto-snapshots after that many
 	// records have been committed since the last snapshot. Zero leaves
@@ -125,7 +130,7 @@ type Options struct {
 	// exactly as the original run did — recovering with a different
 	// retention than the log was written under yields a different store.
 	Retention time.Duration
-	// ReplayWorkers is the number of goroutines decoding records during
+	// ReplayWorkers is the number of goroutines decoding frames during
 	// recovery (segments and snapshot alike). The frame scan and the
 	// store applies stay sequential, so the recovered store is
 	// byte-identical for every worker count. Zero means GOMAXPROCS.
@@ -189,19 +194,16 @@ type Log struct {
 	opts Options
 	st   *store.Memory
 
-	mu         sync.Mutex
-	buf        []byte // framed records awaiting write
-	bufStarts  []int  // byte offset in buf where each pending record begins
-	bufIDs     []int  // store ID of each pending record (for segment naming)
-	scratch    []byte
-	bufRecords int
-	seg        *os.File  // active segment; nil between a seal and the next flush
-	cur        segInfo   // the active segment so far
-	sealed     []segInfo // closed segments holding records no snapshot covers yet
-	nextSeq    int       // lowest ID the next appended record may carry
-	sinceSnap  int       // records committed since the latest durable snapshot
-	closed     bool
-	err        error // first write/sync failure; sticky
+	mu        sync.Mutex
+	pend      []event.Instance // appended since the last flush, IDs ascending
+	buf       []byte           // the frame being written, reused
+	seg       *os.File         // active segment; nil between a seal and the next flush
+	cur       segInfo          // the active segment so far
+	sealed    []segInfo        // closed segments holding records no snapshot covers yet
+	nextSeq   int              // lowest ID the next appended record may carry
+	sinceSnap int              // records committed since the latest durable snapshot
+	closed    bool
+	err       error // first write/sync failure; sticky
 
 	// floor is the next-ID bound of the older of the two retained
 	// manifests: every record below it is held by a snapshot that was
@@ -248,9 +250,9 @@ func Open(dir string, opts Options) (*Log, *store.Memory, Recovery, error) {
 // Store returns the store the log recovers into and observes.
 func (l *Log) Store() *store.Memory { return l.st }
 
-// record is the store append hook: it frames the instance into the
-// pending buffer. Called under the store's write lock, so it only
-// touches the log's own state.
+// record is the store append hook: it keeps the instance for the next
+// flush, which encodes it. Called under the store's write lock, so it
+// only touches the log's own state, and does nothing it can put off.
 func (l *Log) record(in *event.Instance) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -267,14 +269,10 @@ func (l *Log) record(in *event.Instance) {
 		}
 		return
 	}
-	l.scratch = appendRecord(l.scratch[:0], in)
-	l.bufStarts = append(l.bufStarts, len(l.buf))
-	l.bufIDs = append(l.bufIDs, in.ID)
-	l.buf = appendFrame(l.buf, l.scratch)
-	l.bufRecords++
+	l.pend = append(l.pend, *in)
 	l.nextSeq = in.ID + 1
 	mAppends.Inc()
-	mPendingBytes.Set(int64(len(l.buf)))
+	mPending.Set(int64(len(l.pend)))
 }
 
 // Commit writes the pending records to the active segment and, under
@@ -317,46 +315,31 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 	if l.closed {
 		return fmt.Errorf("wal: log closed")
 	}
-	if len(l.buf) == 0 {
+	if len(l.pend) == 0 {
 		return nil
 	}
-	// Write the buffer in chunks split at record boundaries, rotating
-	// between chunks, so every record of a segment is consecutive from the
-	// ID in its name and SegmentBytes bounds segment size (a lone record
-	// larger than the threshold still goes out whole).
-	recEnd := func(i int) int {
-		if i+1 < len(l.bufStarts) {
-			return l.bufStarts[i+1]
-		}
-		return len(l.buf)
-	}
-	written, off := 0, 0
-	for written < l.bufRecords {
+	// The pending group goes out as block frames, rotating between frames,
+	// so every record of a segment is consecutive from the ID in its name
+	// and SegmentBytes bounds segment size.
+	for rest := l.pend; len(rest) > 0; {
+		n := blockLen(rest)
 		if l.seg == nil || l.cur.size >= l.opts.SegmentBytes {
-			if err := l.rotateAtLocked(l.bufIDs[written]); err != nil {
+			if err := l.rotateAtLocked(rest[0].ID); err != nil {
 				l.err = err
 				return err
 			}
 		}
-		capacity := l.opts.SegmentBytes - l.cur.size
-		end := written + 1 // always make progress
-		for end < l.bufRecords && int64(recEnd(end)-off) <= capacity {
-			end++
-		}
-		chunk := recEnd(end - 1)
-		n, err := l.seg.Write(l.buf[off:chunk])
-		l.cur.size += int64(n)
-		if err != nil {
+		l.buf = appendBlockFrame(l.buf[:0], rest[:n])
+		if err := l.writeLocked(l.buf); err != nil {
 			l.err = err
 			return err
 		}
 		if l.cur.count == 0 {
-			l.cur.first = l.bufIDs[written]
+			l.cur.first = rest[0].ID
 		}
-		l.cur.last = l.bufIDs[end-1]
-		l.cur.count += end - written
-		l.cur.crc = crc32.Update(l.cur.crc, castagnoli, l.buf[off:chunk])
-		off, written = chunk, end
+		l.cur.last = rest[n-1].ID
+		l.cur.count += n
+		rest = rest[n:]
 	}
 	if sync {
 		if err := fileSync(l.seg); err != nil {
@@ -365,13 +348,15 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 		}
 		mFsyncs.Inc()
 	}
-	l.sinceSnap += l.bufRecords
-	l.buf = l.buf[:0]
-	l.bufStarts = l.bufStarts[:0]
-	l.bufIDs = l.bufIDs[:0]
-	l.bufRecords = 0
+	l.sinceSnap += len(l.pend)
+	if cap(l.pend) > maxPendKept {
+		l.pend = nil
+	} else {
+		clear(l.pend) // the store may evict them before the next group overwrites them
+		l.pend = l.pend[:0]
+	}
 	mCommits.Inc()
-	mPendingBytes.Set(0)
+	mPending.Set(0)
 	mCommitSecs.ObserveDuration(obs.Since(began))
 	return nil
 }
@@ -406,8 +391,26 @@ func (l *Log) rotateAtLocked(first int) error {
 	if err != nil {
 		return err
 	}
-	l.seg, l.cur = f, segInfo{path: path}
-	return nil
+	return l.startLocked(f, segInfo{path: path})
+}
+
+// startLocked makes f, holding cur so far, the active segment: a file with
+// nothing in it yet is a block file from its first frame on.
+func (l *Log) startLocked(f *os.File, cur segInfo) error {
+	l.seg, l.cur = f, cur
+	if cur.size > 0 {
+		return nil
+	}
+	return l.writeLocked(magicFrame)
+}
+
+// writeLocked appends b to the active segment, keeping the size and the
+// running CRC32C a manifest entry would take from the file.
+func (l *Log) writeLocked(b []byte) error {
+	n, err := l.seg.Write(b)
+	l.cur.size += int64(n)
+	l.cur.crc = crc32.Update(l.cur.crc, castagnoli, b[:n])
+	return err
 }
 
 // flusher is the FsyncInterval background loop.
@@ -419,7 +422,7 @@ func (l *Log) flusher() {
 		select {
 		case <-t.C:
 			l.mu.Lock()
-			if !l.closed && l.err == nil && len(l.buf) > 0 {
+			if !l.closed && l.err == nil && len(l.pend) > 0 {
 				l.flushLocked(true, obs.Now()) //nolint:errcheck // sticky in l.err
 			}
 			l.mu.Unlock()
@@ -543,22 +546,39 @@ func (l *Log) recover() (Recovery, error) {
 	}
 	// Reopen the last segment for appending — unless that would leave a
 	// numbering gap (all its records predate the snapshot restore point,
-	// or no segment was read), or it shares its inode with a run: appends
-	// there would land in the run. Then start fresh. (After a tear the
-	// file is no longer what any run was linked to; see replay.)
+	// or no segment was read), it shares its inode with a run (appends
+	// there would land in the run), or it is a legacy file, which takes no
+	// block frames. Then start fresh. (After a tear the file is no longer
+	// what any run was linked to; see replay.)
 	if reopen {
 		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return rec, err
 		}
-		l.seg, l.cur = f, tail
-		return rec, nil
+		return rec, l.startLocked(f, tail)
 	}
 	if tail.count > 0 {
 		l.sealed = append(l.sealed, tail)
+	} else if tail.path != "" {
+		// A segment with no record that is not taking the appends — the
+		// rotation of a group torn before its frame, named past a hole in
+		// the IDs — would sort behind the one that does: it goes.
+		if err := os.Remove(tail.path); err != nil {
+			return rec, err
+		}
 	}
 	return rec, l.rotateAtLocked(l.nextSeq)
 }
+
+// maxPendKept bounds the pending room a flush keeps for the next group
+// (about 8 MB of instances): commit groups of ordinary batches reuse it,
+// and a burst — a whole feed's events stored at once — gives it back.
+const maxPendKept = 1 << 16
+
+// replayWindow is about how many instances recovery decodes before it
+// applies them: the parallel decode has work, and a 64 MiB segment of
+// block frames never lies decoded in memory whole.
+const replayWindow = 1 << 16
 
 // replay is recovery's read side: it restores the store and leaves the
 // log positioned (nextSeq, sinceSnap, sealed, floor), writing nothing but
@@ -582,6 +602,7 @@ func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
 	}
 	expected := rec.SnapshotNext // next ID the store will assign
 	tailLinked := false          // tail shares its inode with a run
+	var tailFrames fileFrames    // the tail's encoding
 	torn := false
 	for i, path := range segs {
 		if torn {
@@ -619,18 +640,15 @@ func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
 			return rec, tail, false, err
 		}
 		// Replay in three stages: a sequential frame scan (CRC checks,
-		// torn-tail detection, skip-or-replay by the record's explicit
-		// ID), parallel record decoding, and sequential in-order store
-		// applies — so the recovered store is byte-identical for any
+		// torn-tail detection, skip-or-replay by each frame's first and
+		// last ID), parallel frame decoding, and sequential in-order store
+		// applies of the instances at or above expected — a frame may
+		// straddle it — so the recovered store is byte-identical for any
 		// worker count.
-		type pendRec struct {
-			seq     int
-			payload []byte
-		}
-		var pend []pendRec
+		var pend []pendFrame
 		rest := data
 		// An empty segment resumes at its name: first > last says so.
-		tail, tailLinked = segInfo{path: path, first: firsts[i], last: firsts[i] - 1}, linked != ""
+		tail, tailLinked, tailFrames = segInfo{path: path, first: firsts[i], last: firsts[i] - 1}, linked != "", fileFrames{}
 		for len(rest) > 0 {
 			payload, r2, ok := readFrame(rest)
 			if !ok {
@@ -645,48 +663,82 @@ func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
 				}
 				break
 			}
-			id, err := recordID(payload)
+			s, err := tailFrames.span(payload)
 			if err != nil {
 				return rec, tail, false, fmt.Errorf("wal: %s: %v", path, err)
 			}
-			if tail.count > 0 && id <= tail.last {
-				return rec, tail, false, fmt.Errorf("wal: %s record ID %d not ascending (previous %d)", path, id, tail.last)
-			}
-			if tail.count == 0 {
-				tail.first = id
-			}
-			tail.last = id
-			tail.count++
-			if id >= expected {
-				pend = append(pend, pendRec{id, payload})
+			if s.count > 0 {
+				if tail.count > 0 && s.first <= tail.last {
+					return rec, tail, false, fmt.Errorf("wal: %s record ID %d not ascending (previous %d)", path, s.first, tail.last)
+				}
+				if tail.count == 0 {
+					tail.first = s.first
+				}
+				tail.last = s.last
+				tail.count += s.count
+				if s.last >= expected {
+					pend = append(pend, pendFrame{payload, s})
+				}
 			}
 			tail.size += int64(frameHeader + len(payload))
 			rest = r2
 		}
 		tail.crc = crc32.Checksum(data[:tail.size], castagnoli)
-		ins := make([]event.Instance, len(pend))
-		err = parallelIndexed(len(pend), l.opts.replayWorkers(), func(i int) error {
-			in, err := decodeRecord(pend[i].payload)
-			if err != nil {
-				// Framing intact but the payload is gibberish — not a
-				// torn write, refuse to guess.
-				return fmt.Errorf("wal: %s record %d: %v", path, pend[i].seq, err)
-			}
-			ins[i] = in
-			return nil
-		})
-		if err != nil {
+		if err := l.replayFrames(path, &tailFrames, pend, &expected, &rec); err != nil {
 			return rec, tail, false, err
-		}
-		for i := range ins {
-			if _, err := l.st.Put(ins[i]); err != nil {
-				return rec, tail, false, fmt.Errorf("wal: %s replay record %d: %v", path, pend[i].seq, err)
-			}
-			rec.Replayed++
-			expected = pend[i].seq + 1
 		}
 	}
 	l.nextSeq = expected
 	l.sinceSnap = expected - rec.SnapshotNext
-	return rec, tail, tail.path != "" && tail.last+1 == l.nextSeq && (torn || !tailLinked), nil
+	reopen = tail.path != "" && tail.last+1 == l.nextSeq && (torn || !tailLinked) && (tailFrames.block || tail.size == 0)
+	return rec, tail, reopen, nil
+}
+
+// pendFrame is a frame recovery's scan kept for replay.
+type pendFrame struct {
+	payload []byte
+	span
+}
+
+// replayFrames decodes frames of the file at path a window at a time, in
+// parallel, and puts every instance at or above *expected into the store
+// in ID order.
+func (l *Log) replayFrames(path string, ff *fileFrames, frames []pendFrame, expected *int, rec *Recovery) error {
+	var ins []event.Instance
+	for len(frames) > 0 {
+		n, total := 0, 0
+		for n < len(frames) && total < replayWindow {
+			total += frames[n].count
+			n++
+		}
+		window, at := frames[:n], make([]int, n)
+		frames = frames[n:]
+		total = 0
+		for i := range window {
+			at[i], total = total, total+window[i].count
+		}
+		ins = slices.Grow(ins[:0], total)[:total]
+		err := parallelIndexed(n, l.opts.replayWorkers(), func(i int) error {
+			if err := ff.decode(window[i].payload, ins[at[i]:at[i]+window[i].count]); err != nil {
+				// Framing intact but the payload is gibberish — not a torn
+				// write, refuse to guess.
+				return fmt.Errorf("wal: %s record %d: %v", path, window[i].first, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for i := range ins {
+			if ins[i].ID < *expected {
+				continue
+			}
+			if _, err := l.st.Put(ins[i]); err != nil {
+				return fmt.Errorf("wal: %s replay record %d: %v", path, ins[i].ID, err)
+			}
+			rec.Replayed++
+			*expected = ins[i].ID + 1
+		}
+	}
+	return nil
 }

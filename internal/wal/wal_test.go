@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -99,65 +100,96 @@ func TestRoundtripCleanClose(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryProperty is the torn-write property test: the log is
-// cut at a random byte offset — between records, inside a record body,
-// inside a frame header — and recovery must produce a store
-// byte-identical to the longest committed prefix of records, never an
-// error.
+// TestCrashRecoveryProperty is the torn-write property test: commit
+// groups of random sizes over IDs with holes (a failed batch leaves them)
+// go out as one block frame each; the log is cut at a byte offset —
+// inside and just past a segment's magic frame, then at random: between
+// frames, inside a block, inside a frame header — and recovery must
+// produce a store byte-identical to the groups wholly below the cut, never
+// an error: a torn frame loses exactly its own group. The recovered log
+// then takes appends on both sides of a snapshot and reopens to all of
+// them.
 func TestCrashRecoveryProperty(t *testing.T) {
-	ins := genEvents(7, 400)
-	sizes := make([]int, len(ins))
-	total := 0
-	for i := range ins {
-		// Records encode their store ID, so sizes depend on the IDs
-		// AddAll will assign below.
-		ins[i].ID = i
-		sizes[i] = encodedSize(&ins[i])
-		total += sizes[i]
-	}
 	rng := rand.New(rand.NewSource(99))
+	ins := genEvents(7, 400)
+	for i, id := 0, 0; i < len(ins); i++ {
+		id += 1 + rng.Intn(3)*rng.Intn(2)
+		ins[i].ID = id
+	}
+	var groups []int // where each commit group ends in ins
+	for i := 0; i < len(ins); {
+		i = min(len(ins), i+1+rng.Intn(40))
+		groups = append(groups, i)
+	}
 	for trial := 0; trial < 25; trial++ {
 		dir := t.TempDir()
-		l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
+		l, st, _, err := Open(dir, Options{SegmentBytes: 1 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.AddAll(ins)
-		if err := l.Sync(); err != nil {
-			t.Fatal(err)
+		ends := make([]int, len(groups)) // log bytes once each group is committed
+		for k, lo := range append([]int{0}, groups[:len(groups)-1]...) {
+			for _, in := range ins[lo:groups[k]] {
+				if _, err := st.Put(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			ends[k] = logBytes(t, dir)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-
+		bounds, starts := frameBounds(t, dir)
+		total := ends[len(ends)-1]
 		cut := rng.Intn(total + 1)
-		if trial == 0 {
+		switch k := trial - 1; {
+		case trial == 0:
 			cut = total // no damage
+		case k/2 < len(starts)-1 && k < 10:
+			// A segment rotated for a group a crash then tore before it,
+			// its name often past a hole in the IDs.
+			cut = starts[1+k/2] + []int{3, len(magicFrame)}[k%2]
 		}
 		crashAt(t, dir, cut)
 
-		// Longest committed prefix: records wholly below the cut.
-		k, cum := 0, 0
-		for k < len(ins) && cum+sizes[k] <= cut {
-			cum += sizes[k]
+		// Longest committed prefix: the groups wholly below the cut.
+		k := 0
+		for k < len(groups) && ends[k] <= cut {
 			k++
 		}
-
+		n := 0
+		if k > 0 {
+			n = groups[k-1]
+		}
 		l2, st2, rec, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("trial %d (cut %d): recovery failed: %v", trial, cut, err)
 		}
-		if got, want := StoreDigest(st2), digestOfPrefix(ins, k); got != want {
-			t.Fatalf("trial %d: cut %d bytes → recovered %d events, digest mismatch vs committed prefix %d",
+		if got, want := StoreDigest(st2), digestOfIDs(t, ins[:n]); got != want {
+			t.Fatalf("trial %d: cut %d bytes → recovered %d events, digest mismatch vs the %d groups committed below it",
 				trial, cut, st2.Len(), k)
 		}
-		if cut < total && rec.TruncatedBytes == 0 && k < len(ins) && cut != cumulativeEnd(sizes, k) {
-			t.Fatalf("trial %d: cut %d tore a record but recovery reported no truncation", trial, cut)
+		// What was cut off is the torn frame's head, back to its start.
+		b := 0
+		for _, at := range bounds {
+			if at <= cut {
+				b = at
+			}
 		}
-		// The log must keep working after a torn recovery: append, close,
-		// reopen, and the tail must be there.
-		extra := genEvents(int64(1000+trial), 5)
-		st2.AddAll(extra)
+		if rec.TruncatedBytes != int64(cut-b) {
+			t.Fatalf("trial %d: cut %d, %d bytes past the frame before it, recovery truncated %d", trial, cut, cut-b, rec.TruncatedBytes)
+		}
+		// The log must keep working after a torn recovery: append,
+		// snapshot, append, close, reopen, and the tail must be there.
+		extra := genEvents(int64(1000+trial), 10)
+		st2.AddAll(extra[:5])
+		if err := l2.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		st2.AddAll(extra[5:])
 		if err := l2.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +200,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st3.Len() != k+len(extra) {
-			t.Fatalf("trial %d: post-crash append lost events: %d, want %d", trial, st3.Len(), k+len(extra))
+		if st3.Len() != n+len(extra) {
+			t.Fatalf("trial %d (cut %d): post-crash appends lost events: %d, want %d", trial, cut, st3.Len(), n+len(extra))
 		}
 	}
 	snapshotCrashCuts(t)
@@ -185,8 +217,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 func snapshotCrashCuts(t *testing.T) {
 	// Sweeps come every 60 events or so, each snapshot copying the crumb
 	// the active segment still is, until the segment passes crumbBytes and
-	// is sealed and adopted: the 35th sweep is such a one.
-	const crashSweep = 35
+	// is sealed and adopted: the 29th sweep is such a one.
+	const crashSweep = 29
 	opts := Options{Retention: 30 * time.Hour}
 	dir := t.TempDir()
 	l, st, _, err := Open(dir, opts)
@@ -343,13 +375,42 @@ func snapshotCrashCuts(t *testing.T) {
 	}
 }
 
-// cumulativeEnd returns the byte offset at which record k ends.
-func cumulativeEnd(sizes []int, k int) int {
-	sum := 0
-	for i := 0; i < k; i++ {
-		sum += sizes[i]
+// logBytes returns the bytes under dir's wal/.
+func logBytes(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	for _, fi := range fileInfos(t, walDir(dir)) {
+		n += int(fi.Size())
 	}
-	return sum
+	return n
+}
+
+// frameBounds returns every offset of dir's log — its segments end to end,
+// as crashAt counts — at which a frame begins or ends, and those at which
+// a segment begins.
+func frameBounds(t *testing.T, dir string) (bounds, starts []int) {
+	t.Helper()
+	segs, _, err := listNumbered(walDir(dir), "seg-", ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds, starts = append(bounds, off), append(starts, off)
+		for rest := data; len(rest) > 0; {
+			_, r2, ok := readFrame(rest)
+			if !ok {
+				t.Fatalf("%s does not frame", path)
+			}
+			off += len(rest) - len(r2)
+			bounds, rest = append(bounds, off), r2
+		}
+	}
+	return bounds, starts
 }
 
 // crashAt simulates kill -9 at a global byte offset: the segment holding
@@ -444,7 +505,17 @@ func TestSnapshotCompactionBoundsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddAll(ins[:500])
+	// Commit groups of 25, a frame of about 800 bytes each: the 2 KiB
+	// segments rotate every few groups.
+	commitGroups := func(ins []event.Instance) {
+		for i := 0; i < len(ins); i += 25 {
+			st.AddAll(ins[i:min(i+25, len(ins))])
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commitGroups(ins[:500])
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +526,7 @@ func TestSnapshotCompactionBoundsDisk(t *testing.T) {
 	if len(before) < 3 {
 		t.Fatalf("test needs several segments, got %d", len(before))
 	}
-	st.AddAll(ins[500:])
+	commitGroups(ins[500:])
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -536,18 +607,18 @@ func TestEvictionSnapshotRecovery(t *testing.T) {
 // scan would take for a torn record and drop every later segment for.
 func TestRecoverySkipsCoveredSegments(t *testing.T) {
 	dir := t.TempDir()
-	ins := genEvents(71, 2100)
+	ins := genEvents(71, 6100) // 3000 a snapshot: well past crumb size
 	l, st, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, upTo := range []int{1000, 2000} {
-		st.AddAll(ins[upTo-1000 : upTo])
+	for _, upTo := range []int{3000, 6000} {
+		st.AddAll(ins[upTo-3000 : upTo])
 		if err := l.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.AddAll(ins[2000:])
+	st.AddAll(ins[6000:])
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -556,8 +627,8 @@ func TestRecoverySkipsCoveredSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs, firsts, err := listNumbered(walDir(dir), "seg-", ".log")
-	if err != nil || len(segs) != 2 || firsts[0] != 1000 || firsts[1] != 2000 {
-		t.Fatalf("segments %v (%v), want the sealed one at 1000 and the tail at 2000", firsts, err)
+	if err != nil || len(segs) != 2 || firsts[0] != 3000 || firsts[1] != 6000 {
+		t.Fatalf("segments %v (%v), want the sealed one at 3000 and the tail at 6000", firsts, err)
 	}
 	// Under a new inode: the old one is the newest run's, too.
 	if err := os.Remove(segs[0]); err != nil {
@@ -570,12 +641,60 @@ func TestRecoverySkipsCoveredSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapshotNext != 2000 || rec.Replayed != 100 || rec.TruncatedBytes != 0 || rec.DroppedSegments != 0 {
-		t.Fatalf("recovery %+v: want the snapshot at 2000, the 100-record tail, and the segment below untouched", rec)
+	if rec.SnapshotNext != 6000 || rec.Replayed != 100 || rec.TruncatedBytes != 0 || rec.DroppedSegments != 0 {
+		t.Fatalf("recovery %+v: want the snapshot at 6000, the 100-record tail, and the segment below untouched", rec)
 	}
 	if StoreDigest(st2) != want {
 		t.Fatal("recovered store differs from the one that was closed")
 	}
+}
+
+// TestRecoveryStraddlingFrame: a block frame whose IDs straddle the
+// restored snapshot's next is decoded whole, and only its instances at or
+// above next are replayed.
+func TestRecoveryStraddlingFrame(t *testing.T) {
+	dir := t.TempDir()
+	ins := genEvents(73, 10)
+	for i := range ins {
+		ins[i].ID = 2 * i
+	}
+	for _, sub := range []string{walDir(dir), snapDir(dir)} {
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(segPath(dir, 0), appendBlockFrame(append([]byte(nil), magicFrame...), ins), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := appendBlockFrame(append([]byte(nil), magicFrame...), ins[:5])
+	r := runInfo{lo: 0, hi: 9, count: 5, size: int64(len(run)), crc: crc32.Checksum(run, castagnoli)}
+	if err := os.WriteFile(runFile(dir, r), run, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeManifest(dir, manifest{next: 9, live: 5, runs: []runInfo{r}}); err != nil {
+		t.Fatal(err)
+	}
+	l, st, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec.SnapshotNext != 9 || rec.Replayed != 5 || StoreDigest(st) != digestOfIDs(t, ins) {
+		t.Fatalf("recovery %+v over a frame of IDs 0…18 behind a snapshot at 9: want the 5 instances above it replayed", rec)
+	}
+}
+
+// digestOfIDs returns the digest of a store holding exactly ins, their
+// IDs as given.
+func digestOfIDs(t *testing.T, ins []event.Instance) string {
+	t.Helper()
+	st := store.New()
+	for _, in := range ins {
+		if _, err := st.Put(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return StoreDigest(st)
 }
 
 func TestIntervalFsyncCloseFlushes(t *testing.T) {
@@ -615,23 +734,31 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// build leaves a closed log holding generations snapshots 1000 events
+	// build leaves a closed log holding generations snapshots gen events
 	// apart (a run each, well over crumb size) and a 100-event tail.
+	const gen = 3000
 	build := func(t *testing.T, generations int) (dir, want string) {
 		t.Helper()
 		dir = t.TempDir()
-		ins := genEvents(19, generations*1000+100)
+		ins := genEvents(19, generations*gen+100)
 		l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for g := 0; g < generations; g++ {
-			st.AddAll(ins[g*1000 : (g+1)*1000])
+			// In commit groups of 100: the 4 KiB segments are crumbs, so
+			// every run is written, none a second name of a segment.
+			for i := g * gen; i < (g+1)*gen; i += 100 {
+				st.AddAll(ins[i : i+100])
+				if err := l.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := l.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st.AddAll(ins[generations*1000:])
+		st.AddAll(ins[generations*gen:])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -643,10 +770,10 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 		}
 		return dir, StoreDigest(st)
 	}
-	// run returns the file of the run covering [lo, lo+1000).
+	// run returns the file of the run covering [lo, lo+gen).
 	run := func(t *testing.T, dir string, lo int) string {
 		t.Helper()
-		return runFile(dir, runInfo{lo: lo, hi: lo + 1000, count: 1000})
+		return runFile(dir, runInfo{lo: lo, hi: lo + gen, count: gen})
 	}
 	cases := []struct {
 		name        string
@@ -658,26 +785,26 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	}{
 		// Compaction trails one snapshot behind, so with a single snapshot
 		// the full segment history is still there and rebuilds everything.
-		{"only manifest corrupt", 1, func(t *testing.T, dir string) { flip(t, snapFile(dir, 1000)) }, 0, 1, true},
+		{"only manifest corrupt", 1, func(t *testing.T, dir string) { flip(t, snapFile(dir, gen)) }, 0, 1, true},
 		{"only run corrupt", 1, func(t *testing.T, dir string) { flip(t, run(t, dir, 0)) }, 0, 1, true},
 		// Two generations: the older manifest, the run both share and the
 		// segments above it rebuild the identical store.
-		{"newest manifest corrupt", 3, func(t *testing.T, dir string) { flip(t, snapFile(dir, 3000)) }, 2000, 1, true},
+		{"newest manifest corrupt", 3, func(t *testing.T, dir string) { flip(t, snapFile(dir, 3*gen)) }, 2 * gen, 1, true},
 		{"newest manifest truncated", 3, func(t *testing.T, dir string) {
-			if err := os.Truncate(snapFile(dir, 3000), 20); err != nil {
+			if err := os.Truncate(snapFile(dir, 3*gen), 20); err != nil {
 				t.Fatal(err)
 			}
-		}, 2000, 1, true},
+		}, 2 * gen, 1, true},
 		{"run only the newest references missing", 3, func(t *testing.T, dir string) {
-			if err := os.Remove(run(t, dir, 2000)); err != nil {
+			if err := os.Remove(run(t, dir, 2*gen)); err != nil {
 				t.Fatal(err)
 			}
-		}, 2000, 1, true},
-		{"run only the newest references corrupt", 3, func(t *testing.T, dir string) { flip(t, run(t, dir, 2000)) }, 2000, 1, true},
+		}, 2 * gen, 1, true},
+		{"run only the newest references corrupt", 3, func(t *testing.T, dir string) { flip(t, run(t, dir, 2*gen)) }, 2 * gen, 1, true},
 		// A run both manifests reference: neither is readable, and the
 		// segments below the older one are compacted away, so the store
 		// cannot be whole — but recovery must neither panic nor trust it.
-		{"run both reference corrupt", 3, func(t *testing.T, dir string) { flip(t, run(t, dir, 1000)) }, 0, 2, false},
+		{"run both reference corrupt", 3, func(t *testing.T, dir string) { flip(t, run(t, dir, gen)) }, 0, 2, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -746,26 +873,77 @@ func TestFloor(t *testing.T) {
 }
 
 // TestParentDataDirBootsBothWays: testdata/datadir-pr23 is a data dir the
-// commit before event.Attrs wrote (attributes were a map then) — genEvents
-// in, a snapshot after 200 events, 100 more, clean close — with the
-// StoreDigest it held. It must open here to that digest, and the same
-// calls here must write the same bytes into every file, so that the older
-// binary opens what this one writes: the packed attributes changed no
-// byte of the record or snapshot encoding.
+// commit before event.Attrs wrote — genEvents in, a snapshot after 200
+// events, 100 more, clean close — with the StoreDigest it held, every file
+// of it a legacy record file. It must open here to that digest. The test
+// once also held that the same calls here write the same bytes, so that
+// the older binary read what this one writes; the block files ended that
+// on purpose — no earlier binary reads them — and what stands in its place
+// is how this version carries such a dir on: it appends behind the legacy
+// segment in a fresh block segment, never into the legacy file, and the
+// directory reopens to the live store.
 func TestParentDataDirBootsBothWays(t *testing.T) {
 	const fixture = "testdata/datadir-pr23"
 	want, err := os.ReadFile(filepath.Join(fixture, "DIGEST"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := t.TempDir()
+	old := copyFixture(t, fixture)
+	legacy := map[string][]byte{}
+	files, _ := filepath.Glob(filepath.Join(fixture, "wal", "*"))
+	for _, p := range files {
+		legacy[filepath.Base(p)], _ = os.ReadFile(p)
+	}
+	l, st, rec, err := Open(old, Options{SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := StoreDigest(st); got != strings.TrimSpace(string(want)) || rec.SnapshotNext != 200 || rec.Replayed != 100 {
+		t.Fatalf("the older dir opened to digest %s (recovery %+v), it held %s", got, rec, want)
+	}
+
+	st.AddAll(genEvents(25, 50))
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	live := StoreDigest(st)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _, err := listNumbered(walDir(old), "seg-", ".log")
+	if err != nil || len(segs) != len(legacy)+1 {
+		t.Fatalf("segments %v (%v): want the %d legacy ones and one more", segs, err, len(legacy))
+	}
+	for _, p := range segs[:len(legacy)] {
+		if data, _ := os.ReadFile(p); !bytes.Equal(data, legacy[filepath.Base(p)]) {
+			t.Errorf("legacy segment %s changed", filepath.Base(p))
+		}
+	}
+	if data, _ := os.ReadFile(segs[len(legacy)]); filepath.Base(segs[len(legacy)]) != "seg-0000000000000300.log" || !bytes.HasPrefix(data, magicFrame) {
+		t.Fatalf("the appends went to %s, want a block segment at ID 300", filepath.Base(segs[len(legacy)]))
+	}
+	l, st, rec, err = Open(old, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //nolint:errcheck // read-only use
+	if StoreDigest(st) != live || rec.Replayed != 150 {
+		t.Fatalf("reopened behind the block segment: recovery %+v, digest equal to the live store: %v", rec, StoreDigest(st) == live)
+	}
+}
+
+// copyFixture copies a committed data dir's wal/ and snap/ into a fresh
+// directory, where opening it may write.
+func copyFixture(t *testing.T, fixture string) string {
+	t.Helper()
+	dir := t.TempDir()
 	files, _ := filepath.Glob(filepath.Join(fixture, "*", "*"))
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := filepath.Join(old, strings.TrimPrefix(f, fixture))
+		dst := filepath.Join(dir, strings.TrimPrefix(f, fixture))
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -773,42 +951,7 @@ func TestParentDataDirBootsBothWays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l, st, rec, err := Open(old, Options{SegmentBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close() //nolint:errcheck // read-only use
-	if got := StoreDigest(st); got != strings.TrimSpace(string(want)) || rec.SnapshotNext != 200 || rec.Replayed != 100 {
-		t.Fatalf("the older dir opened to digest %s (recovery %+v), it held %s", got, rec, want)
-	}
-
-	fresh := t.TempDir()
-	ins := genEvents(24, 300)
-	l2, st2, _, err := Open(fresh, Options{SegmentBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2.AddAll(ins[:200])
-	steps := []func() error{l2.Commit, l2.Snapshot, func() error { st2.AddAll(ins[200:]); return nil }, l2.Commit, l2.Close}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	for _, pat := range []string{"wal/*", "snap/*"} {
-		olds, _ := filepath.Glob(filepath.Join(fixture, pat))
-		news, _ := filepath.Glob(filepath.Join(fresh, pat))
-		if len(olds) == 0 || len(olds) != len(news) {
-			t.Fatalf("%s: the older dir has %d files, this one wrote %d", pat, len(olds), len(news))
-		}
-		for i := range olds {
-			a, _ := os.ReadFile(olds[i])
-			b, _ := os.ReadFile(news[i])
-			if filepath.Base(olds[i]) != filepath.Base(news[i]) || !bytes.Equal(a, b) {
-				t.Errorf("%s differs from what this version wrote as %s", olds[i], filepath.Base(news[i]))
-			}
-		}
-	}
+	return dir
 }
 
 // TestDecodeRecordAttrs: a record's attribute section in any order, with
