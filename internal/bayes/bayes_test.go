@@ -161,8 +161,14 @@ func TestClassesAndFeatures(t *testing.T) {
 
 // TestScaleInvariance is the paper's observation that multiplying the
 // probability parameters by a constant does not change the argmax: adding
-// the same log-constant to every class's prior preserves the ranking.
+// the same log-constant to every class's prior preserves the ranking. Two
+// classes whose log-odds tie (within 1e-9) under either scale have no
+// argmax to preserve — floating point breaks an exact tie one way at one
+// scale and the other way at another — so either Best passes.
 func TestScaleInvariance(t *testing.T) {
+	tied := func(r Result) bool {
+		return len(r.Ranked) == 2 && math.Abs(r.Ranked[0].LogOdds-r.Ranked[1].LogOdds) < 1e-9
+	}
 	f := func(p1, p2, e1, e2 uint8, present bool) bool {
 		mk := func(scale float64) *Config {
 			c := NewConfig()
@@ -175,7 +181,7 @@ func TestScaleInvariance(t *testing.T) {
 		ev := Evidence{"f": present}
 		r1, err1 := mk(1).Classify(ev)
 		r2, err2 := mk(1000).Classify(ev)
-		return err1 == nil && err2 == nil && r1.Best == r2.Best
+		return err1 == nil && err2 == nil && (r1.Best == r2.Best || tied(r1) || tied(r2))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -72,8 +72,10 @@ const (
 // bodies, and a follower of 5 cannot decode the event blocks 6 ships. 6
 // has 7's frames, but the checkpoint a lagging follower is sent is then a
 // header and runs of one record a frame, and a follower of 6 cannot
-// decode the manifest and block runs 7 ships.)
-const ProtocolVersion = 7
+// decode the manifest and block runs 7 ships. 7 has 8's frames, but its
+// journal records carry feed batches as raw lines, and a follower of 7
+// cannot apply the DEFLATE feed records 8 ships.)
+const ProtocolVersion = 8
 
 // Stream kinds named in MsgHello; StreamWAL only by ShipWALOnce.
 const (

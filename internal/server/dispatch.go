@@ -11,7 +11,13 @@ import (
 	"grca/internal/wal"
 )
 
-var mRollsFailed = obs.GetCounter("journal.rolls.failed")
+var (
+	mRollsFailed = obs.GetCounter("journal.rolls.failed")
+	// What feed batches cost the journal: the lines posted, and the framed
+	// records they were journaled as.
+	mFeedLineBytes   = obs.GetCounter("journal.feed.lines_bytes")
+	mFeedRecordBytes = obs.GetCounter("journal.feed.record_bytes")
+)
 
 // batch is one admitted event batch moving through the commit pipeline:
 // admission fills seq, stamps the event IDs and encodes the journal
@@ -73,7 +79,7 @@ func (s *Server) admit(t *task) (*batch, taskResult) {
 	default:
 	}
 	switch t.kind {
-	case recFeed:
+	case recFeedDeflate:
 		return nil, s.applyFeed(t)
 	case recFinalize:
 		return nil, s.applyFinalize()
@@ -142,9 +148,13 @@ func (s *Server) applyFeed(t *task) taskResult {
 	s.drain()
 	// The fsynced journal append precedes the apply, so an invalid batch
 	// is journaled too — replay hits the same deterministic parse error and
-	// converges on the same state.
-	res := s.journalInline(recFeed, t.source, t.lines)
+	// converges on the same state. The journal takes the handler's DEFLATE
+	// body; the collector parses the lines as they came, so a primary never
+	// inflates.
+	n, res := s.journalInline(recFeedDeflate, t.source, t.raw)
 	if res.err == nil {
+		mFeedLineBytes.Add(int64(len(t.lines)))
+		mFeedRecordBytes.Add(int64(n))
 		if err := s.coll.Ingest(t.source, bytes.NewReader(t.lines)); err != nil {
 			res = errResult(http.StatusBadRequest, "%v", err)
 		} else {
@@ -168,7 +178,7 @@ func (s *Server) applyFinalize() taskResult {
 		return errResult(http.StatusConflict, "already finalized")
 	}
 	s.drain()
-	res := s.journalInline(recFinalize, "", nil)
+	_, res := s.journalInline(recFinalize, "", nil)
 	if res.err == nil {
 		res = taskResult{status: http.StatusOK}
 		err := closeFeeds(s.coll, s.cfg.Bundle.CDN)
@@ -258,20 +268,21 @@ func (s *Server) snapshot() error {
 
 // journalInline takes the next sequence number for a batch that admission
 // applies itself and appends and fsyncs the batch's record, its commit
-// point. Callers hold dispatchMu and have drained the pipeline, so the
-// applier — the journal's other appender — is idle and the record lands in
-// sequence.
-func (s *Server) journalInline(kind byte, source string, body []byte) taskResult {
+// point, and says how many bytes the framed record took. Callers hold
+// dispatchMu and have drained the pipeline, so the applier — the journal's
+// other appender — is idle and the record lands in sequence.
+func (s *Server) journalInline(kind byte, source string, body []byte) (int, taskResult) {
 	seq := s.seq
 	s.seq++
-	err := s.jour.AppendNoSync(encodeRecord(seq, kind, source, body))
+	rec := encodeRecord(seq, kind, source, body)
+	err := s.jour.AppendNoSync(rec)
 	if err == nil {
 		err = s.syncJournal(seq)
 	}
 	if err != nil {
-		return errResult(http.StatusInternalServerError, "journal: %v", err)
+		return 0, errResult(http.StatusInternalServerError, "journal: %v", err)
 	}
-	return taskResult{}
+	return wal.FrameHeader + len(rec), taskResult{}
 }
 
 // commitInline ends such a batch: it commits the WAL behind what the apply

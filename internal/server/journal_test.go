@@ -337,6 +337,10 @@ func TestJournalCrashCuts(t *testing.T) {
 	if len(liveFiles) < 8 {
 		t.Fatalf("the pinned journal holds %d files, want a long tail to cut", len(liveFiles))
 	}
+	// Every image below boots through journal.log's feeds, DEFLATE records.
+	if _, kind, _, _, err := decodeJournalRecord(journalRecords(t, liveFiles[0])[0]); err != nil || kind != recFeedDeflate {
+		t.Fatalf("journal.log begins with a record of kind %d (%v), want a feed as %d", kind, err, recFeedDeflate)
+	}
 	// Where the journal stands, for the header a killed roll leaves behind.
 	s.dispatchMu.Lock()
 	next := s.tailHeader()
@@ -736,8 +740,13 @@ func TestOverlapVerified(t *testing.T) {
 //     finalize record, snapshots every 150 events, a clean shutdown — its
 //     WAL segment and runs hold one legacy record a frame. They are read,
 //     never appended to: the WAL goes on in a block segment.
+//   - datadir-pr29, from the version before the DEFLATE feed record: three
+//     feeds (JSON, wire, JSON) journaled as their raw lines, a JSON and a
+//     wire event batch ahead of the finalize record and five behind it,
+//     snapshots every 150 events, a clean shutdown. Feed records of kind 1
+//     are read, never written.
 func TestParentDataDirBoots(t *testing.T) {
-	for _, fixture := range []string{"datadir-pr27", "datadir-pr28"} {
+	for _, fixture := range []string{"datadir-pr27", "datadir-pr28", "datadir-pr29"} {
 		t.Run(fixture, func(t *testing.T) { parentDataDirBoots(t, filepath.Join("testdata", fixture)) })
 	}
 }

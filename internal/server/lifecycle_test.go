@@ -655,6 +655,7 @@ func TestJournalRecordKinds(t *testing.T) {
 		"recFeed": recFeed, "recFinalize": recFinalize,
 		"recEvents": recEvents, "recEventsWire": recEventsWire,
 		"wal.JournalSegmentKind": wal.JournalSegmentKind, "recEventBlock": recEventBlock,
+		"recFeedDeflate": recFeedDeflate,
 	}
 	seen := map[byte]string{}
 	for name, k := range kinds {

@@ -11,10 +11,11 @@
 //   - The event WAL (internal/wal): every normalized instance added to the
 //     store, with snapshots and compaction. It recovers the store
 //     byte-identically and fast.
-//   - The ingest journal: accepted ingest batches — raw feed lines, or
-//     the validated events as one dense block — plus the finalize marker,
-//     each prefixed with the batch's dispatch sequence number. The applier
-//     is its only appender, so file order is dispatch order.
+//   - The ingest journal: accepted ingest batches — a feed's raw lines as
+//     one DEFLATE stream, or the validated events as one dense block —
+//     plus the finalize marker, each prefixed with the batch's dispatch
+//     sequence number. The applier is its only appender, so file order is
+//     dispatch order.
 //     <data-dir>/journal.log is segment 0, everything through finalize:
 //     the collector's parse state (routing simulations, pairing buffers,
 //     rolling baselines) is a function of raw input, not of normalized
@@ -52,10 +53,12 @@ package server
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -95,15 +98,16 @@ var (
 
 // Journal record kinds, all of them: one kind space for the records this
 // package writes and the tail segment header wal writes. A record is
-// uvarint seq | kind | uvarint len(source) | source | body: raw feed lines
-// for recFeed, empty for recFinalize, and for recEventBlock the batch's
-// validated instances as one wal event block — whichever API the batch
-// arrived on. seq is the batch's dispatch sequence; it ascends through the
-// file and is the replication stream's resume cursor. recEvents (the JSON
-// event array) and recEventsWire (a verbatim wire.KindEvents body) are
-// what earlier versions journaled event batches as: read, never written.
-// journalApplier.apply has a case for every kind, so two that collide do
-// not compile.
+// uvarint seq | kind | uvarint len(source) | source | body: for
+// recFeedDeflate the feed batch's lines as one DEFLATE stream
+// (appendFeedRecord), empty for recFinalize, and for recEventBlock the
+// batch's validated instances as one wal event block — each whichever API
+// the batch arrived on. seq is the batch's dispatch sequence; it ascends
+// through the file and is the replication stream's resume cursor. recFeed
+// (the raw lines), recEvents (the JSON event array) and recEventsWire (a
+// verbatim wire.KindEvents body) are what earlier versions journaled
+// batches as: read, never written. journalApplier.apply has a case for
+// every kind, so two that collide do not compile.
 const (
 	recFeed          = 1
 	recFinalize      = 2
@@ -111,6 +115,7 @@ const (
 	recEventsWire    = 4
 	recSegmentHeader = wal.JournalSegmentKind // 5
 	recEventBlock    = 6
+	recFeedDeflate   = 7
 )
 
 func encodeRecord(seq int, kind byte, source string, body []byte) []byte {
@@ -137,6 +142,93 @@ func decodeJournalRecord(p []byte) (seq int, kind byte, source string, body []by
 		return 0, 0, "", nil, fmt.Errorf("server: truncated journal record source")
 	}
 	return int(sq), kind, string(p[sz : sz+int(n)]), p[sz+int(n):], nil
+}
+
+// deflaters holds the feed records' compressors: a flate.Writer's state is
+// about a megabyte, so one is reset per feed, not allocated per feed.
+var deflaters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed) // fails only on a bad level
+	return w
+}}
+
+// appendFeedRecord appends a recFeedDeflate body to dst: uvarint
+// len(lines) | lines as one raw DEFLATE stream (RFC 1951) at BestSpeed. It
+// is a function of the lines alone, so a feed journals to the same bytes
+// whichever API carried it. Feed text compresses to about 0.18×; stored
+// blocks bound what text that does not compress costs.
+func appendFeedRecord(dst, lines []byte) []byte {
+	buf := bytes.NewBuffer(binary.AppendUvarint(dst, uint64(len(lines))))
+	buf.Grow(len(lines)/4 + 64)
+	w := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(w)
+	w.Reset(buf)
+	w.Write(lines) //nolint:errcheck // a bytes.Buffer does not fail
+	w.Close()      //nolint:errcheck // ditto
+	return buf.Bytes()
+}
+
+// inflateFeed hands ingest the lines of a recFeedDeflate body as a stream
+// — boot holds no second copy of a feed batch — and then holds the body
+// to what it declares: a length no request could carry (maxBody) is
+// refused before anything is read or allocated, and the DEFLATE stream
+// must end exactly at the declared length, at the body's last byte.
+// ingest need not read everything; inflateFeed reads the rest.
+func inflateFeed(body []byte, ingest func(io.Reader)) error {
+	n, sz := binary.Uvarint(body)
+	switch {
+	case sz <= 0:
+		return fmt.Errorf("truncated line length")
+	case n > maxBody:
+		return fmt.Errorf("%d bytes of lines declared, over the %d-byte cap", n, maxBody)
+	}
+	src := bytes.NewReader(body[sz:])
+	zr := flate.NewReader(src)
+	lines := &feedLines{r: zr, left: int64(n)}
+	ingest(lines)
+	if _, err := io.Copy(io.Discard, lines); err != nil {
+		return err
+	}
+	var one [1]byte
+	if k, err := zr.Read(one[:]); k > 0 {
+		return fmt.Errorf("the stream runs past the %d bytes declared", n)
+	} else if err != io.EOF {
+		return fmt.Errorf("the stream does not end at the %d bytes declared: %v", n, err)
+	}
+	if src.Len() > 0 {
+		return fmt.Errorf("%d bytes trail the stream", src.Len())
+	}
+	return nil
+}
+
+// feedLines reads a feed record's lines: at most the declared length, and
+// a stream that ends short of it, or breaks, is an error that sticks — the
+// collector's scanner would take any error for the end of its input, so
+// inflateFeed reports it instead.
+type feedLines struct {
+	r    io.Reader
+	left int64
+	err  error
+}
+
+func (f *feedLines) Read(p []byte) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
+	if f.left == 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.r.Read(p)
+	f.left -= int64(n)
+	switch {
+	case err == io.EOF && f.left > 0:
+		f.err = fmt.Errorf("the stream ends %d bytes short of the length declared", f.left)
+	case err != nil && err != io.EOF:
+		f.err = err
+	}
+	return n, f.err
 }
 
 // knownSources mirrors the collector's feed switch so an unknown source
@@ -183,7 +275,8 @@ type Config struct {
 	// store's moving window; eviction triggers a snapshot, snapshots let
 	// WAL segments be compacted and journal tail segments be dropped, so
 	// disk follows the events retained (plus journal.log, the feed phase's
-	// record, which is kept whole).
+	// record — its feed batches DEFLATE-compressed, about 0.18× the lines
+	// posted — which is kept whole).
 	Retention time.Duration
 	// MaxInflight bounds the ingest queue (default 64 batches); when it is
 	// full, ingest answers 429.
@@ -218,7 +311,7 @@ type task struct {
 	source string
 	lines  []byte
 	events []event.Instance
-	raw    []byte // journal body for recEventBlock
+	raw    []byte // journal body for recFeedDeflate and recEventBlock
 }
 
 type taskResult struct {
@@ -587,11 +680,19 @@ func (a *journalApplier) apply(rec []byte) (seq int, err error) {
 	}
 	var ins []event.Instance
 	switch kind {
-	case recFeed:
-		// The dispatch journaled this batch before parsing it, so a parse
-		// error recurs here deterministically (the primary answered it);
-		// state after the partial ingest is identical either way.
-		a.coll.Ingest(source, bytes.NewReader(body)) //nolint:errcheck // see above
+	case recFeedDeflate, recFeed:
+		// The dispatch journaled the feed before parsing it, so a parse error
+		// recurs here deterministically (the primary answered it); state after
+		// the partial ingest is identical either way. A body that does not
+		// inflate to what it declares is another matter: a corrupt record.
+		ingest := func(r io.Reader) {
+			a.coll.Ingest(source, r) //nolint:errcheck // see above
+		}
+		if kind == recFeed {
+			ingest(bytes.NewReader(body))
+		} else if err := inflateFeed(body, ingest); err != nil {
+			return seq, fmt.Errorf("journaled feed batch %d: %v", seq, err)
+		}
 		return seq, nil
 	case recFinalize:
 		if err := closeFeeds(a.coll, a.dep); err != nil {

@@ -853,19 +853,19 @@ func TestFollowerJournalBounded(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPeersRefused: a follower pointed at a protocol-4, -5 or
-// -6 primary is refused by the hello's version before a record is applied
-// — a v5 primary's event batches are the JSON and wire bodies this
-// follower still reads, a v6 primary's journal records are this version's,
+// TestMixedVersionPeersRefused: a follower pointed at a protocol-4 to -7
+// primary is refused by the hello's version before a record is applied —
+// a v5 primary's event batches are the JSON and wire bodies this follower
+// still reads, a v7 primary's raw feed records are ones it still reads too,
 // and the refusal stands on the version alone — and a primary of this
 // version opens its stream with a hello whose version comes first, which
 // an older follower's ParseMsg refuses the same way, before it reads
-// anything else (a v6 follower could not decode the block runs of the
-// checkpoint behind it).
+// anything else (a v7 follower could not apply the DEFLATE feed records
+// behind it).
 func TestMixedVersionPeersRefused(t *testing.T) {
 	_, b := testBundle(t)
 	rec := encodeRecord(0, recFinalize, "", nil)
-	for _, v := range []byte{4, 5, 6} {
+	for _, v := range []byte{4, 5, 6, 7} {
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/v1/replication/meta":

@@ -29,7 +29,8 @@ var (
 )
 
 // maxBody bounds one request body (a feed batch of raw lines); matched
-// to the collector's own 4MiB line-scanner ceiling with framing slack.
+// to the collector's own 4MiB line-scanner ceiling with framing slack. It
+// also bounds the lines a journaled feed record may declare (inflateFeed).
 const maxBody = 8 << 20
 
 // Handler returns the service's HTTP API:
@@ -167,7 +168,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "unknown source %q", b.Source)
 				return
 			}
-			t = task{kind: recFeed, source: b.Source, lines: []byte(b.Lines)}
+			t = feedTask(b.Source, []byte(b.Lines))
 		case wire.KindEvents:
 			if len(b.Events) == 0 {
 				writeErr(w, http.StatusBadRequest, "empty event batch")
@@ -190,7 +191,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "unknown source %q", req.Source)
 			return
 		}
-		t = task{kind: recFeed, source: req.Source, lines: []byte(req.Lines)}
+		t = feedTask(req.Source, []byte(req.Lines))
 	case req.Source == "" && len(req.Events) > 0:
 		ins, err := decodeEvents(req.Events)
 		if err != nil {
@@ -211,6 +212,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // goroutine, not under dispatchMu.
 func eventTask(ins []event.Instance) task {
 	return task{kind: recEventBlock, events: ins, raw: wal.AppendEventBlock(nil, ins)}
+}
+
+// feedTask is a validated feed batch with its journal body: the lines as
+// one DEFLATE stream, whichever API they arrived on, so the same lines
+// journal to the same bytes. Like eventTask's block it is encoded in the
+// handler's goroutine, not under dispatchMu; the lines themselves are what
+// admission parses.
+func feedTask(source string, lines []byte) task {
+	return task{kind: recFeedDeflate, source: source, lines: lines, raw: appendFeedRecord(nil, lines)}
 }
 
 // writeBodyErr answers a request whose body could not be read or decoded:

@@ -32,18 +32,25 @@ func postWire(t *testing.T, ts *httptest.Server, body []byte) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// lastJournalRecord returns the last record journaled under dir.
-func lastJournalRecord(t *testing.T, dir string) []byte {
+// journalRecords returns the records of one journal file, in order.
+func journalRecords(t *testing.T, path string) [][]byte {
 	t.Helper()
-	paths, _ := journalFiles(t, dir)
-	var last []byte
-	if _, err := wal.ScanJournal(paths[len(paths)-1], func(p []byte) error {
-		last = append(last[:0], p...)
+	var recs [][]byte
+	if _, err := wal.ScanJournal(path, func(p []byte) error {
+		recs = append(recs, append([]byte(nil), p...))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return last
+	return recs
+}
+
+// lastJournalRecord returns the last record journaled under dir.
+func lastJournalRecord(t *testing.T, dir string) []byte {
+	t.Helper()
+	paths, _ := journalFiles(t, dir)
+	recs := journalRecords(t, paths[len(paths)-1])
+	return recs[len(recs)-1]
 }
 
 // TestWireIngestParity is the wire format's defining contract: a server
@@ -76,6 +83,20 @@ func TestWireIngestParity(t *testing.T) {
 	}
 	if code, body := post(t, wireTS, "/v1/finalize", struct{}{}); code != http.StatusOK {
 		t.Fatalf("finalize: %d %s", code, body)
+	}
+	// The feed phase journals to the same bytes either way: every feed one
+	// DEFLATE record of its lines, then the finalize record.
+	refHead, wireHead := journalRecords(t, journalPath(refDir)), journalRecords(t, journalPath(wireDir))
+	if len(refHead) != len(wireHead) {
+		t.Fatalf("journal.log holds %d records after json feeds, %d after wire feeds", len(refHead), len(wireHead))
+	}
+	for i := range refHead {
+		if !bytes.Equal(refHead[i], wireHead[i]) {
+			t.Fatalf("journal.log record %d is %x after the json feeds, %x after the wire feeds", i, refHead[i], wireHead[i])
+		}
+		if _, kind, _, _, err := decodeJournalRecord(refHead[i]); err != nil || (kind != recFeedDeflate && i < len(refHead)-1) {
+			t.Fatalf("journal.log record %d is kind %d (%v), want a feed as %d", i, kind, err, recFeedDeflate)
+		}
 	}
 
 	// Serving phase: the same normalized-event batch, JSON to one server
