@@ -201,7 +201,7 @@ func DrillDown(st store.Store, view *netstate.View, sym *event.Instance, window 
 	var out []*event.Instance
 	for _, name := range st.Names() {
 		for _, in := range st.Query(name, sym.Start.Add(-window), sym.End.Add(window)) {
-			if in == sym {
+			if in.ID == sym.ID {
 				continue
 			}
 			hit, seen := related[in.Loc]

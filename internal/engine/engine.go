@@ -251,7 +251,7 @@ func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, d *Diagn
 		joined := 0
 		var joinDur time.Duration
 		for _, cand := range cands {
-			if cand == in {
+			if cand.ID == in.ID {
 				continue
 			}
 			if sp != nil {
@@ -342,7 +342,7 @@ func (e *Engine) reason(root *Node) []Cause {
 		}
 		dup := false
 		for _, in := range c.Instances {
-			if in == l.node.Instance {
+			if in.ID == l.node.Instance.ID {
 				dup = true
 				break
 			}

@@ -30,7 +30,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %d diagnoses, want %d", workers, len(par), len(serial))
 		}
 		for i := range serial {
-			if par[i].Symptom != serial[i].Symptom {
+			if par[i].Symptom.ID != serial[i].Symptom.ID {
 				t.Fatalf("workers=%d: order diverged at %d", workers, i)
 			}
 			if par[i].Label() != serial[i].Label() {

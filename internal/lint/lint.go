@@ -19,6 +19,8 @@
 //     report writers' backs; fmt.Print* belongs to package main.
 //   - mapiter: report/emit paths that iterate a map while writing output
 //     produce nondeterministically ordered reports — sort the keys first.
+//   - instident: the store hands out copies, so two *event.Instance
+//     pointers to one stored event differ; identity is the ID.
 //
 // On top of the style checks sits the concurrency-correctness suite
 // (DESIGN.md §13): lockorder, deferunlock, atomicmix, hookreentry, and
@@ -79,7 +81,7 @@ type Analyzer struct {
 // style checks first, then the concurrency-correctness suite.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NakedTime, UTCTime, NoPrint, MapIter,
+		NakedTime, UTCTime, NoPrint, MapIter, InstIdent,
 		LockOrder, DeferUnlock, AtomicMix, HookReentry, GoroutineLife,
 	}
 }

@@ -124,7 +124,8 @@ func (p *Processor) Observe(in event.Instance) (ds []engine.Diagnosis, late bool
 
 // ObserveStored is Observe for an instance already added to the
 // processor's (shared) store by its owner — the serving pipeline's
-// applier. Same ordering contract and results as Observe.
+// applier. Same ordering contract and results as Observe. The processor
+// keeps its own copy of a pending symptom, never stored itself.
 func (p *Processor) ObserveStored(stored *event.Instance) (ds []engine.Diagnosis, late bool) {
 	if p.isClosed() {
 		return nil, false
@@ -140,8 +141,11 @@ func (p *Processor) ObserveStored(stored *event.Instance) (ds []engine.Diagnosis
 		p.now = avail
 	}
 	if stored.Name == p.eng.Graph.Root {
+		// A copy: stored may point into the caller's batch, which the
+		// pending queue must neither pin nor see change.
+		sym := *stored
 		p.pmu.Lock()
-		p.pending = append(p.pending, stored)
+		p.pending = append(p.pending, &sym)
 		mPendingPeak.SetMax(int64(len(p.pending)))
 		p.pmu.Unlock()
 	}

@@ -347,6 +347,33 @@ func TestObserveStoredSharedStore(t *testing.T) {
 	}
 }
 
+// TestPendingSymptomIsACopy: the serving pipeline hands ObserveStored
+// pointers into its decoded batch, so the pending queue keeps copies —
+// rewriting (or reusing) the batch afterwards changes nothing pending.
+func TestPendingSymptomIsACopy(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	g := miniGraph(t)
+	t0 := testnet.T0
+	ifc, _ := n.Topo.InterfaceByName("chi-per1", "to-custB")
+	adj := locus.Between(locus.RouterNeighbor, "chi-per1", ifc.PeerIP.String())
+	st := store.New()
+	p := NewOnStore(st, n.View, g, time.Hour)
+	batch := []event.Instance{{ID: 7, Name: event.EBGPFlap, Start: t0, End: t0.Add(time.Minute), Loc: adj}}
+	if err := st.PutAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	p.ObserveStored(&batch[0])
+	want := batch[0]
+	batch[0] = event.Instance{ID: 8, Name: "reused", Start: t0.Add(time.Hour), End: t0.Add(time.Hour)}
+	got := p.PendingSymptoms()
+	if len(got) != 1 || got[0].ID != want.ID || got[0].Name != want.Name || !got[0].Start.Equal(want.Start) || got[0].Loc != want.Loc {
+		t.Fatalf("pending after the batch was rewritten = %v, want %v", got, want)
+	}
+	if stored, ok := st.Get(7); !ok || stored.Name != event.EBGPFlap {
+		t.Fatalf("the store's copy changed with the batch: %v", stored)
+	}
+}
+
 // TestCloseForceDrains: Close diagnoses everything still pending, counts
 // it as forced (the grace period was cut short), and turns further
 // observations into no-ops.

@@ -378,14 +378,15 @@ func (s *Server) commitGroup(group []*batch) {
 			bt.fail("journal: %v", jerr)
 			continue
 		}
+		// The store keeps rows, not the batch: what the hooks and the
+		// observer see is the decoded batch itself, no per-event copy.
+		if err := s.st.PutAll(bt.events); err != nil {
+			bt.fail("store: %v", err)
+			continue
+		}
 		bt.stored = make([]*event.Instance, len(bt.events))
 		for j := range bt.events {
-			stored, err := s.st.Put(bt.events[j])
-			if err != nil {
-				bt.fail("store: %v", err)
-				continue
-			}
-			bt.stored[j] = stored
+			bt.stored[j] = &bt.events[j]
 		}
 	}
 	if err := s.log.Commit(); err != nil {

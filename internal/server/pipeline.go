@@ -851,13 +851,10 @@ func rebuildTail(st store.Store, served []servedApp) {
 			cut = c
 		}
 	}
+	// A window query, not All: only the tail is materialized.
 	var tail []*event.Instance
 	for _, name := range st.Names() {
-		for _, in := range st.All(name) {
-			if !in.End.Before(cut) {
-				tail = append(tail, in)
-			}
-		}
+		tail = append(tail, st.Query(name, cut, last)...)
 	}
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].End.Before(tail[j].End) })
 	for _, a := range served {

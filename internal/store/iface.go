@@ -17,7 +17,8 @@ type Store interface {
 	// are never reused.
 	Add(in event.Instance) *event.Instance
 
-	// Point and scan reads.
+	// Point and scan reads. Each hands out copies its caller owns, so two
+	// reads of one event are two pointers: identity is the ID.
 	Get(id int) (*event.Instance, bool)
 	Len() int
 	NextID() int

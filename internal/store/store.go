@@ -4,15 +4,27 @@
 // the access pattern of the paper's "database tables" (§II-A) without the
 // external database dependency.
 //
-// Instances are indexed per event name and kept sorted by start time
+// A stored event is a 40-byte row: a pointer-free 24-byte slot — its two
+// instants as int64 nanoseconds, its name and location as IDs into
+// per-store intern tables — and its 16-byte attribute section, kept in a
+// column beside the slots that a chunk only allocates once it holds an
+// event with attributes. Rows live in ID-indexed chunks; every read
+// materializes fresh event.Instance copies that the caller owns, so
+// identity is the ID, never the pointer.
+//
+// Each event name keeps an index of its rows sorted by start time
 // (out-of-order arrivals wait in a tail that the next read merges in); a
 // per-name maximum-duration bound turns interval-overlap queries into two
 // binary searches plus a bounded scan.
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,30 +49,56 @@ var (
 	mEvictions     = obs.GetCounter("store.evictions")
 )
 
-// nameIndex holds one event name's instances. instances[:sorted] is in
-// Start order, equal Starts in insertion order; instances[sorted:] is the
-// unsettled tail — every Put since one arrived behind the prefix's last
-// Start — in insertion order. Everything in the prefix was inserted
-// before anything in the tail, so settling is a stable sort of the tail
-// and a merge, and equals a stable sort of the whole index.
-type nameIndex struct {
-	instances []*event.Instance
-	sorted    int
-	maxDur    time.Duration
+// slot is a stored event's fixed part: everything but its attributes.
+// name and loc index the store's intern tables; name 0 marks an empty
+// slot (never assigned, or evicted). It holds no pointer, so the garbage
+// collector never scans a chunk: the attribute column is the only
+// per-event memory it walks.
+type slot struct {
+	start, end int64 // Unix nanoseconds
+	name, loc  uint32
 }
 
-func (idx *nameIndex) add(in *event.Instance) {
-	n := len(idx.instances)
-	if idx.sorted == n && (n == 0 || !idx.instances[n-1].Start.After(in.Start)) {
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+type (
+	chunk     [chunkSize]slot
+	attrChunk [chunkSize]event.Attrs
+)
+
+// A row is a slot's position: its ID minus the store's org. Indexes hold
+// rows, not IDs, at half the size; eviction rebases them when org moves.
+type row = uint32
+
+// nameIndex holds one event name's rows with their starts beside them, so
+// that sorting and searching never touch the slots. [:sorted] is in Start
+// order, equal Starts in insertion order; [sorted:] is the unsettled tail
+// — every Put since one arrived behind the prefix's last Start — in
+// insertion order. Everything in the prefix was inserted before anything
+// in the tail, so settling is a stable sort of the tail and a merge, and
+// equals a stable sort of the whole index.
+type nameIndex struct {
+	starts []int64
+	rows   []row
+	sorted int
+	maxDur int64
+}
+
+func (idx *nameIndex) add(r row, sl slot) {
+	n := len(idx.rows)
+	if idx.sorted == n && (n == 0 || idx.starts[n-1] <= sl.start) {
 		idx.sorted++
 	}
-	idx.instances = append(idx.instances, in)
-	if d := in.Duration(); d > idx.maxDur {
-		idx.maxDur = d
-	}
+	idx.starts = append(idx.starts, sl.start)
+	idx.rows = append(idx.rows, r)
+	idx.maxDur = max(idx.maxDur, sl.end-sl.start)
 }
 
-func (idx *nameIndex) settled() bool { return idx.sorted == len(idx.instances) }
+func (idx *nameIndex) settled() bool { return idx.sorted == len(idx.rows) }
 
 // settle merges the tail into the prefix from the back, so it rewrites
 // the tail and the prefix elements that start after the tail's earliest
@@ -69,22 +107,44 @@ func (idx *nameIndex) settle() {
 	if idx.settled() {
 		return
 	}
-	ins := idx.instances
-	tail := append([]*event.Instance(nil), ins[idx.sorted:]...)
-	sort.SliceStable(tail, func(i, j int) bool { return tail[i].Start.Before(tail[j].Start) })
-	i, k := idx.sorted-1, len(ins)-1
+	type ent struct {
+		start int64
+		r     row
+	}
+	starts, rows := idx.starts, idx.rows
+	var buf [16]ent // a late event or two: no allocation per settle
+	tail := buf[:0]
+	for i := idx.sorted; i < len(rows); i++ {
+		tail = append(tail, ent{starts[i], rows[i]})
+	}
+	slices.SortStableFunc(tail, func(a, b ent) int { return cmp.Compare(a.start, b.start) })
+	i, k := idx.sorted-1, len(rows)-1
 	for j := len(tail) - 1; j >= 0; k-- {
-		if i >= 0 && ins[i].Start.After(tail[j].Start) {
-			ins[k] = ins[i]
+		if i >= 0 && starts[i] > tail[j].start {
+			starts[k], rows[k] = starts[i], rows[i]
 			i--
 		} else {
-			ins[k] = tail[j]
+			starts[k], rows[k] = tail[j].start, tail[j].r
 			j--
 		}
 	}
 	mLazyResorts.Inc()
-	mResortMoved.Add(int64(len(ins) - 1 - k))
-	idx.sorted = len(ins)
+	mResortMoved.Add(int64(len(rows) - 1 - k))
+	idx.sorted = len(rows)
+}
+
+// nameEntry is one interned event name. It lives exactly as long as its
+// index holds a row.
+type nameEntry struct {
+	name string
+	idx  nameIndex
+}
+
+// locEntry is one interned location, with the count of live slots that
+// reference it.
+type locEntry struct {
+	loc  locus.Location
+	refs int
 }
 
 // Memory is the single-lock in-memory event store. It is safe for
@@ -94,17 +154,32 @@ func (idx *nameIndex) settle() {
 // that batch partially, so run bulk analysis after ingestion settles (the
 // normal collector → engine phasing).
 type Memory struct {
-	mu     sync.RWMutex
-	byName map[string]*nameIndex
-	// byID[i] holds the instance with ID base+i; a nil entry is an
-	// evicted instance (a tombstone — IDs are never reused). Leading
-	// tombstones are trimmed by advancing base.
-	byID []*event.Instance
-	base int
-	live int
-	// first/last maintain the store-wide time span incrementally so Span
-	// is O(1) instead of a full scan under the read lock.
-	first, last time.Time
+	mu sync.RWMutex
+	// chunks[i][j] is the slot of row i·chunkSize + j, ID org + row; a
+	// nil chunk is chunkSize empty slots. attrs[i][j] is its attribute
+	// section; attrs[i] is nil until chunk i holds an event with any. IDs
+	// are never reused. base..next−1 is the ID range the store spans:
+	// leading empty slots are trimmed by advancing base, and whole chunks
+	// below it dropped.
+	chunks     []*chunk
+	attrs      []*attrChunk
+	org        int
+	base, next int
+	live       int
+
+	// The intern tables. Entry 0 of each is unused, so that a zero slot
+	// is an empty one; freed entries are recycled.
+	names     []nameEntry
+	nameIDs   map[string]uint32
+	freeNames []uint32
+	locs      []locEntry
+	locIDs    map[locus.Location]uint32
+	freeLocs  []uint32
+
+	// first/last maintain the store-wide time span (Unix ns)
+	// incrementally so Span is O(1) instead of a full scan under the read
+	// lock.
+	first, last int64
 
 	// retention, when positive, bounds the store's look-back window:
 	// once the span exceeds retention (plus a 25% slack so eviction runs
@@ -124,21 +199,32 @@ type Memory struct {
 
 // New returns an empty store.
 func New() *Memory {
-	return &Memory{byName: map[string]*nameIndex{}}
+	s := &Memory{}
+	s.reset()
+	return s
+}
+
+// reset empties the store's content; hooks and retention stay.
+func (s *Memory) reset() {
+	s.chunks, s.attrs, s.org, s.base, s.next, s.live = nil, nil, 0, 0, 0, 0
+	s.names, s.nameIDs, s.freeNames = make([]nameEntry, 1), map[string]uint32{}, nil
+	s.locs, s.locIDs, s.freeLocs = make([]locEntry, 1), map[locus.Location]uint32{}, nil
+	s.first, s.last = 0, 0
 }
 
 // OnAppend registers fn to observe every stored instance. Hooks
 // accumulate and run in registration order. Each is called synchronously
-// under the store's write lock, so it must be cheap and must not call
-// back into the store (enqueueing for a background writer is the
-// intended use). Register hooks before concurrent use.
+// under the store's write lock, so it must be cheap, must not call back
+// into the store (enqueueing for a background writer is the intended
+// use), and must not retain or mutate the instance it is shown. Register
+// hooks before concurrent use.
 func (s *Memory) OnAppend(fn func(*event.Instance)) { s.onAppend = append(s.onAppend, fn) }
 
 // OnEvict registers fn to run after each retention eviction, outside the
-// store lock, with the evicted instances and the cutoff applied. Hooks
-// accumulate and run in registration order. Snapshot/compaction
-// coordination and rollup decrements hang off this hook. Register hooks
-// before concurrent use.
+// store lock, with copies of the evicted instances and the cutoff
+// applied. Hooks accumulate and run in registration order.
+// Snapshot/compaction coordination and rollup decrements hang off this
+// hook. Register hooks before concurrent use.
 func (s *Memory) OnEvict(fn func(evicted []*event.Instance, cutoff time.Time)) {
 	s.onEvict = append(s.onEvict, fn)
 }
@@ -159,144 +245,276 @@ func (s *Memory) Retention() time.Duration {
 	return s.retention
 }
 
-// Add inserts a copy of in, assigns it a unique ID, and returns a pointer
-// to the stored instance.
+// Add stores in under the next ID and returns a copy of it, ID set. Its
+// instants must lie between event.MinTime and event.MaxTime: every
+// ingress bounds them, so Add panics on one that does not.
 func (s *Memory) Add(in event.Instance) *event.Instance {
-	s.mu.Lock()
-	stored := s.addLocked(in)
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
-	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
-		}
+	if err := s.putEach(1, func(int) *event.Instance { in.ID = s.next; return &in }); err != nil {
+		panic(fmt.Sprintf("store: Add: %v", err))
 	}
-	return stored
+	return &in
 }
 
-func (s *Memory) addLocked(in event.Instance) *event.Instance {
-	in.ID = s.base + len(s.byID)
-	stored, _ := s.putLocked(in)
-	return stored
-}
-
-// Put inserts a copy of in at its pre-assigned ID and returns a pointer
-// to the stored instance. IDs are assigned externally (by the server's
-// admission, or WAL replay), so the sequence may be sparse: a forward gap
-// leaves unassigned slots that behave exactly like tombstones. A Put
-// below the current frontier fills the matching empty slot; reusing an
-// occupied ID is an error.
-func (s *Memory) Put(in event.Instance) (*event.Instance, error) {
-	s.mu.Lock()
-	stored, err := s.putLocked(in)
+// AddAll is Add for every instance, in order, under a single lock
+// acquisition.
+func (s *Memory) AddAll(ins []event.Instance) {
+	var in event.Instance
+	err := s.putEach(len(ins), func(i int) *event.Instance {
+		in = ins[i]
+		in.ID = s.next
+		return &in
+	})
 	if err != nil {
-		s.mu.Unlock()
+		panic(fmt.Sprintf("store: AddAll: %v", err))
+	}
+}
+
+// Put stores in at its pre-assigned ID and returns a copy of it. IDs are
+// assigned externally (by the server's admission, or WAL replay), so the
+// sequence may be sparse: a forward gap leaves unassigned slots that
+// behave exactly like evicted ones. A Put below the current frontier
+// fills the matching empty slot; reusing an occupied ID is an error, and
+// so is an instant outside event.MinTime..MaxTime (event.ErrTimeRange).
+func (s *Memory) Put(in event.Instance) (*event.Instance, error) {
+	if err := s.putEach(1, func(int) *event.Instance { return &in }); err != nil {
 		return nil, err
 	}
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
-	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
-		}
-	}
-	return stored, nil
+	return &in, nil
 }
 
-// PutAll inserts every instance at its pre-assigned ID, in order, under a
-// single lock acquisition. It stops at the first bad ID.
+// PutAll is Put for every instance, in order, under a single lock
+// acquisition, stopping at the first one Put would refuse. The append
+// hooks see &ins[i]: the caller's batch is the put path's only
+// per-event memory beside the slots.
 func (s *Memory) PutAll(ins []event.Instance) error {
+	return s.putEach(len(ins), func(i int) *event.Instance { return &ins[i] })
+}
+
+// eviction is one retention sweep, for the evict hooks.
+type eviction struct {
+	gone   []*event.Instance
+	cutoff time.Time
+}
+
+// putEach puts the n instances next(0..n−1) returns, under one write
+// lock. Retention applies after each, so the store ends up the same
+// however the inserts were batched — a follower applying one event at a
+// time evicts exactly what its primary did. The evict hooks run after
+// the lock is released, one call per sweep, in order.
+func (s *Memory) putEach(n int, next func(int) *event.Instance) error {
+	var sweeps []eviction
+	var err error
 	s.mu.Lock()
-	for _, in := range ins {
-		if _, err := s.putLocked(in); err != nil {
-			s.mu.Unlock()
-			return err
+	for i := 0; i < n && err == nil; i++ {
+		if err = s.putLocked(next(i)); err == nil {
+			if gone, cutoff := s.maybeEvictLocked(); len(gone) > 0 {
+				sweeps = append(sweeps, eviction{gone, cutoff})
+			}
 		}
 	}
-	gone, cutoff := s.maybeEvictLocked()
 	cbs := s.onEvict
 	s.mu.Unlock()
-	if len(gone) > 0 {
+	for _, e := range sweeps {
 		for _, cb := range cbs {
-			cb(gone, cutoff)
+			cb(e.gone, e.cutoff)
 		}
+	}
+	return err
+}
+
+// nanos returns t as Unix nanoseconds, false when int64 cannot hold it.
+func nanos(t time.Time) (int64, bool) {
+	if t.Before(event.MinTime) || t.After(event.MaxTime) {
+		return 0, false
+	}
+	return t.UnixNano(), true
+}
+
+func (s *Memory) putLocked(in *event.Instance) error {
+	start, okS := nanos(in.Start)
+	end, okE := nanos(in.End)
+	if !okS || !okE {
+		return event.ErrTimeRange
+	}
+	id := in.ID
+	switch {
+	case id >= s.next && s.base == s.next:
+		// Empty (or fully trimmed) store: jump the range forward so a
+		// first ID that is large doesn't allocate an empty prefix.
+		s.chunks, s.attrs, s.org, s.base = nil, nil, id&^chunkMask, id
+	case id >= s.base+math.MaxUint32-chunkSize:
+		return fmt.Errorf("store: Put ID %d lies 2^32 or more above the store base %d", id, s.base)
+	case id >= s.next:
+		// Forward gap: the IDs in between stay unassigned (empty) slots.
+	case id >= s.base:
+		if _, ok := s.lookup(id); ok {
+			return fmt.Errorf("store: Put reuses occupied ID %d", id)
+		}
+	default:
+		return fmt.Errorf("store: Put ID %d below store base %d", id, s.base)
+	}
+	s.next = max(s.next, id+1)
+	mAdds.Inc()
+	s.place(id, start, end, in)
+	for _, fn := range s.onAppend {
+		fn(in)
 	}
 	return nil
 }
 
-func (s *Memory) putLocked(in event.Instance) (*event.Instance, error) {
-	mAdds.Inc()
-	next := s.base + len(s.byID)
-	stored := &in
-	switch {
-	case len(s.byID) == 0 && in.ID >= next:
-		// Empty (or fully trimmed) store: jump the base forward so a
-		// first ID that is large doesn't allocate a nil prefix.
-		s.base = in.ID
-		s.byID = append(s.byID, stored)
-	case in.ID >= next:
-		// Forward gap: leave the IDs in between as unassigned
-		// (tombstone-equivalent) slots.
-		for next < in.ID {
-			s.byID = append(s.byID, nil)
-			next++
-		}
-		s.byID = append(s.byID, stored)
-	case in.ID >= s.base:
-		if s.byID[in.ID-s.base] != nil {
-			return nil, fmt.Errorf("store: Put reuses occupied ID %d", in.ID)
-		}
-		s.byID[in.ID-s.base] = stored
-	default:
-		return nil, fmt.Errorf("store: Put ID %d below store base %d", in.ID, s.base)
+// place writes in's row at id and indexes it; the caller has checked the
+// ID and converted the instants.
+func (s *Memory) place(id int, start, end int64, in *event.Instance) {
+	r := row(id - s.org)
+	i, j := int(r>>chunkBits), r&chunkMask
+	for len(s.chunks) <= i {
+		s.chunks, s.attrs = append(s.chunks, nil), append(s.attrs, nil)
 	}
+	if s.chunks[i] == nil {
+		s.chunks[i] = new(chunk)
+	}
+	if in.Attrs != (event.Attrs{}) {
+		if s.attrs[i] == nil {
+			s.attrs[i] = new(attrChunk)
+		}
+		s.attrs[i][j] = in.Attrs
+	}
+	nid := s.internName(in.Name)
+	sl := slot{start: start, end: end, name: nid, loc: s.internLoc(in.Loc)}
+	s.chunks[i][j] = sl
+	s.names[nid].idx.add(r, sl)
 	s.live++
-	idx := s.byName[in.Name]
-	if idx == nil {
-		idx = &nameIndex{}
-		s.byName[in.Name] = idx
+	if s.live == 1 || start < s.first {
+		s.first = start
 	}
-	idx.add(stored)
-	if s.live == 1 || in.Start.Before(s.first) {
-		s.first = in.Start
+	if s.live == 1 || end > s.last {
+		s.last = end
 	}
-	if s.live == 1 || in.End.After(s.last) {
-		s.last = in.End
-	}
-	for _, fn := range s.onAppend {
-		fn(stored)
-	}
-	return stored, nil
 }
 
-// AddAll inserts every instance, in order, under a single lock acquisition.
-func (s *Memory) AddAll(ins []event.Instance) {
-	s.mu.Lock()
-	for _, in := range ins {
-		s.addLocked(in)
+// slot returns the slot of a row the store holds.
+func (s *Memory) slot(r row) *slot { return &s.chunks[r>>chunkBits][r&chunkMask] }
+
+// lookup returns the row of an ID, false when the store holds no event
+// there.
+func (s *Memory) lookup(id int) (row, bool) {
+	off := id - s.org
+	if off < 0 || off>>chunkBits >= len(s.chunks) {
+		return 0, false
 	}
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
-	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
+	c := s.chunks[off>>chunkBits]
+	if c == nil || c[off&chunkMask].name == 0 {
+		return 0, false
+	}
+	return row(off), true
+}
+
+// internName returns name's intern ID, entering it (with a copy of the
+// string, so that no caller's buffer is pinned) when it is new.
+func (s *Memory) internName(name string) uint32 {
+	if id, ok := s.nameIDs[name]; ok {
+		return id
+	}
+	e := nameEntry{name: strings.Clone(name)}
+	var id uint32
+	if n := len(s.freeNames); n > 0 {
+		id, s.freeNames = s.freeNames[n-1], s.freeNames[:n-1]
+		s.names[id] = e
+	} else {
+		id = uint32(len(s.names))
+		s.names = append(s.names, e)
+	}
+	s.nameIDs[e.name] = id
+	return id
+}
+
+// internLoc returns loc's intern ID with one more reference taken,
+// entering it (strings copied) when it is new.
+func (s *Memory) internLoc(loc locus.Location) uint32 {
+	id, ok := s.locIDs[loc]
+	if !ok {
+		e := locEntry{loc: locus.Location{Type: loc.Type, A: strings.Clone(loc.A), B: strings.Clone(loc.B)}}
+		if n := len(s.freeLocs); n > 0 {
+			id, s.freeLocs = s.freeLocs[n-1], s.freeLocs[:n-1]
+			s.locs[id] = e
+		} else {
+			id = uint32(len(s.locs))
+			s.locs = append(s.locs, e)
 		}
+		s.locIDs[e.loc] = id
+	}
+	s.locs[id].refs++
+	return id
+}
+
+// releaseLoc drops one reference to a location, freeing its entry with
+// the last.
+func (s *Memory) releaseLoc(id uint32) {
+	e := &s.locs[id]
+	if e.refs--; e.refs == 0 {
+		delete(s.locIDs, e.loc)
+		*e = locEntry{}
+		s.freeLocs = append(s.freeLocs, id)
 	}
 }
 
-// Get returns the instance with the given ID. Evicted IDs report not
-// found, exactly like IDs never assigned.
+// releaseName frees an emptied name's entry.
+func (s *Memory) releaseName(id uint32) {
+	delete(s.nameIDs, s.names[id].name)
+	s.names[id] = nameEntry{}
+	s.freeNames = append(s.freeNames, id)
+}
+
+// fill materializes the event at row r into dst. Field by field: a
+// composite literal would build and copy a temporary.
+func (s *Memory) fill(dst *event.Instance, r row) {
+	sl := s.slot(r)
+	dst.ID = s.org + int(r)
+	dst.Name = s.names[sl.name].name
+	dst.Start = time.Unix(0, sl.start).UTC()
+	dst.End = time.Unix(0, sl.end).UTC()
+	dst.Loc = s.locs[sl.loc].loc
+	dst.Attrs = event.Attrs{}
+	if a := s.attrs[r>>chunkBits]; a != nil {
+		dst.Attrs = a[r&chunkMask]
+	}
+}
+
+// copies materializes the events of rows as one fresh array and the
+// pointer slice over it, nil for none.
+func (s *Memory) copies(rows []row) []*event.Instance {
+	if len(rows) == 0 {
+		return nil
+	}
+	vals := make([]event.Instance, len(rows))
+	out := make([]*event.Instance, len(rows))
+	for i, r := range rows {
+		s.fill(&vals[i], r)
+		out[i] = &vals[i]
+	}
+	return out
+}
+
+// index returns the named index, nil when no live event has the name.
+func (s *Memory) index(name string) *nameIndex {
+	if id, ok := s.nameIDs[name]; ok {
+		return &s.names[id].idx
+	}
+	return nil
+}
+
+// Get returns a copy of the instance with the given ID. Evicted IDs
+// report not found, exactly like IDs never assigned.
 func (s *Memory) Get(id int) (*event.Instance, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i := id - s.base
-	if i < 0 || i >= len(s.byID) || s.byID[i] == nil {
+	r, ok := s.lookup(id)
+	if !ok {
 		return nil, false
 	}
-	return s.byID[i], true
+	in := new(event.Instance)
+	s.fill(in, r)
+	return in, true
 }
 
 // Len returns the number of live (non-evicted) stored instances.
@@ -312,15 +530,15 @@ func (s *Memory) Len() int {
 func (s *Memory) NextID() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.base + len(s.byID)
+	return s.next
 }
 
 // Count returns the number of instances of the named event.
 func (s *Memory) Count(name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if idx := s.byName[name]; idx != nil {
-		return len(idx.instances)
+	if idx := s.index(name); idx != nil {
+		return len(idx.rows)
 	}
 	return 0
 }
@@ -329,27 +547,40 @@ func (s *Memory) Count(name string) int {
 func (s *Memory) Names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byName))
-	for n := range s.byName {
+	out := make([]string, 0, len(s.nameIDs))
+	for n := range s.nameIDs {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Query returns the instances of the named event whose [Start, End]
-// interval overlaps [from, to] (inclusive on both ends), ordered by start
-// time. The returned slice is freshly allocated.
+// Query returns copies of the instances of the named event whose [Start,
+// End] interval overlaps [from, to] (inclusive on both ends), ordered by
+// start time.
 func (s *Memory) Query(name string, from, to time.Time) []*event.Instance {
-	return s.QueryFunc(name, from, to, nil)
+	return s.query(name, from, to, nil, nil)
 }
 
 // QueryFunc is Query with an optional location/content filter applied to
-// each candidate. A nil filter accepts everything.
+// each candidate. A nil filter accepts everything; a filter must not
+// retain the instance it is shown.
 func (s *Memory) QueryFunc(name string, from, to time.Time, keep func(*event.Instance) bool) []*event.Instance {
+	return s.query(name, from, to, nil, keep)
+}
+
+// QueryAt returns the instances of the named event at the exact location,
+// overlapping the window. This is the common engine fast path for
+// element-level joins: the location is compared as its intern ID, before
+// anything is materialized.
+func (s *Memory) QueryAt(name string, from, to time.Time, loc locus.Location) []*event.Instance {
+	return s.query(name, from, to, &loc, nil)
+}
+
+func (s *Memory) query(name string, from, to time.Time, loc *locus.Location, keep func(*event.Instance) bool) []*event.Instance {
 	mQueries.Inc()
 	s.mu.RLock()
-	idx := s.byName[name]
+	idx := s.index(name)
 	if idx == nil || to.Before(from) {
 		s.mu.RUnlock()
 		return nil
@@ -363,101 +594,144 @@ func (s *Memory) QueryFunc(name string, from, to time.Time, keep func(*event.Ins
 		s.mu.RUnlock()
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if idx = s.byName[name]; idx == nil {
+		if idx = s.index(name); idx == nil {
 			return nil // evicted between the locks
 		}
 		idx.settle()
-		return queryScan(idx, from, to, keep)
+		return s.queryScan(idx, from, to, loc, keep)
 	}
 	defer s.mu.RUnlock()
-	return queryScan(idx, from, to, keep)
+	return s.queryScan(idx, from, to, loc, keep)
+}
+
+// clampNanos is t as Unix nanoseconds, saturated to int64's range.
+func clampNanos(t time.Time) int64 {
+	switch {
+	case t.Before(event.MinTime):
+		return math.MinInt64
+	case t.After(event.MaxTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
 }
 
 // queryScan performs the window scan over a settled index; the caller
 // holds s.mu in either mode.
-func queryScan(idx *nameIndex, from, to time.Time, keep func(*event.Instance) bool) []*event.Instance {
-	ins := idx.instances
+func (s *Memory) queryScan(idx *nameIndex, from, to time.Time, loc *locus.Location, keep func(*event.Instance) bool) []*event.Instance {
+	var lid uint32
+	if loc != nil {
+		var ok bool
+		if lid, ok = s.locIDs[*loc]; !ok {
+			mQueryResults.Observe(0)
+			return nil
+		}
+	}
+	lo, hi := clampNanos(from), clampNanos(to)
 	// First candidate: an overlapping instance has Start >= from-maxDur.
-	lowBound := from.Add(-idx.maxDur)
-	lo := sort.Search(len(ins), func(i int) bool { return !ins[i].Start.Before(lowBound) })
+	low := lo - idx.maxDur
+	if low > lo {
+		low = math.MinInt64 // saturate the subtraction
+	}
+	first, _ := slices.BinarySearch(idx.starts, low)
 	// Last candidate: Start <= to.
-	hi := sort.Search(len(ins), func(i int) bool { return ins[i].Start.After(to) })
-	var out []*event.Instance
+	last := len(idx.starts)
+	if hi < math.MaxInt64 {
+		last, _ = slices.BinarySearch(idx.starts, hi+1)
+	}
+	var buf [64]row
+	rows := buf[:0]
 	skipped := int64(0)
-	for _, in := range ins[lo:hi] {
-		if in.End.Before(from) {
+	for _, r := range idx.rows[first:last] {
+		sl := s.slot(r)
+		if sl.end < lo {
 			skipped++
 			continue
 		}
-		if keep == nil || keep(in) {
-			out = append(out, in)
+		if loc != nil && sl.loc != lid {
+			continue
 		}
+		rows = append(rows, r)
 	}
 	if skipped > 0 {
 		mQueryScanSkip.Add(skipped)
 	}
-	mQueryResults.Observe(float64(len(out)))
-	return out
+	if keep != nil {
+		rows = s.filter(rows, keep)
+	}
+	mQueryResults.Observe(float64(len(rows)))
+	return s.copies(rows)
 }
 
-// QueryAt returns the instances of the named event at the exact location,
-// overlapping the window. This is the common engine fast path for
-// element-level joins.
-func (s *Memory) QueryAt(name string, from, to time.Time, loc locus.Location) []*event.Instance {
-	return s.QueryFunc(name, from, to, func(in *event.Instance) bool { return in.Loc == loc })
+// filter keeps the rows whose events keep accepts, shown one scratch
+// instance at a time.
+func (s *Memory) filter(rows []row, keep func(*event.Instance) bool) []row {
+	var in event.Instance
+	kept := rows[:0]
+	for _, r := range rows {
+		if s.fill(&in, r); keep(&in) {
+			kept = append(kept, r)
+		}
+	}
+	return kept
 }
 
-// All returns every instance of the named event ordered by start time.
+// All returns copies of every instance of the named event ordered by
+// start time.
 func (s *Memory) All(name string) []*event.Instance {
 	s.mu.RLock()
-	idx := s.byName[name]
+	idx := s.index(name)
 	if idx == nil {
 		s.mu.RUnlock()
 		return nil
 	}
 	if !idx.settled() {
-		// Same upgrade discipline as QueryFunc: redo the read under the
+		// Same upgrade discipline as query: redo the read under the
 		// write lock rather than settling and resuming on RLock.
 		s.mu.RUnlock()
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if idx = s.byName[name]; idx == nil {
+		if idx = s.index(name); idx == nil {
 			return nil
 		}
 		idx.settle()
-		return append([]*event.Instance(nil), idx.instances...)
+		return s.copies(idx.rows)
 	}
 	defer s.mu.RUnlock()
-	return append([]*event.Instance(nil), idx.instances...)
+	return s.copies(idx.rows)
 }
 
-// ScanAfter returns up to limit live instances with ID > after, in ID
-// (insertion) order, optionally restricted to one event name ("" matches
-// every name). more reports whether further matching instances remain —
-// the caller resumes with after = out[len(out)-1].ID. This is the
-// pagination primitive behind the HTTP list endpoints: a bounded slice
-// per call instead of one unbounded array for the whole store.
+// ScanAfter returns copies of up to limit live instances with ID > after,
+// in ID (insertion) order, optionally restricted to one event name (""
+// matches every name). more reports whether further matching instances
+// remain — the caller resumes with after = out[len(out)-1].ID. This is
+// the pagination primitive behind the HTTP list endpoints: a bounded
+// slice per call instead of one unbounded array for the whole store.
 func (s *Memory) ScanAfter(name string, after, limit int) (out []*event.Instance, more bool) {
 	if limit <= 0 {
 		return nil, false
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i := after + 1 - s.base
-	if i < 0 {
-		i = 0
+	var nid uint32
+	if name != "" {
+		var ok bool
+		if nid, ok = s.nameIDs[name]; !ok {
+			return nil, false
+		}
 	}
-	for ; i < len(s.byID); i++ {
-		in := s.byID[i]
-		if in == nil || (name != "" && in.Name != name) {
+	var rows []row
+	for id := max(after+1, s.base); id < s.next; id++ {
+		r, ok := s.lookup(id)
+		if !ok || (nid != 0 && s.slot(r).name != nid) {
 			continue
 		}
-		if len(out) == limit {
-			return out, true
+		if len(rows) == limit {
+			more = true
+			break
 		}
-		out = append(out, in)
+		rows = append(rows, r)
 	}
-	return out, false
+	return s.copies(rows), more
 }
 
 // Span returns the earliest start and latest end across the whole store;
@@ -469,7 +743,7 @@ func (s *Memory) Span() (first, last time.Time, ok bool) {
 	if s.live == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	return s.first, s.last, true
+	return time.Unix(0, s.first).UTC(), time.Unix(0, s.last).UTC(), true
 }
 
 // ---------------------------------------------------------------------
@@ -477,13 +751,13 @@ func (s *Memory) Span() (first, last time.Time, ok bool) {
 // ---------------------------------------------------------------------
 
 // EvictBefore removes every instance whose End falls strictly before
-// cutoff and returns how many were evicted. Evicted IDs stay tombstoned
-// (Get reports not found; later IDs are unchanged) and the Span bounds are
+// cutoff and returns how many were evicted. Evicted IDs stay empty (Get
+// reports not found; later IDs are unchanged) and the Span bounds are
 // recomputed so they stay exact. The registered OnEvict hooks, if any, run
 // after the lock is released.
 func (s *Memory) EvictBefore(cutoff time.Time) int {
 	s.mu.Lock()
-	gone := s.evictLocked(cutoff)
+	gone := s.evictLocked(clampNanos(cutoff))
 	cbs := s.onEvict
 	s.mu.Unlock()
 	if len(gone) > 0 {
@@ -500,71 +774,92 @@ func (s *Memory) maybeEvictLocked() (evicted []*event.Instance, cutoff time.Time
 	if s.retention <= 0 || s.live == 0 {
 		return nil, time.Time{}
 	}
-	if s.last.Sub(s.first) <= s.retention+s.retention/4 {
+	r := int64(s.retention)
+	if s.last-s.first <= r+r/4 {
 		return nil, time.Time{}
 	}
-	cutoff = s.last.Add(-s.retention)
-	return s.evictLocked(cutoff), cutoff
+	c := s.last - r
+	return s.evictLocked(c), time.Unix(0, c).UTC()
 }
 
-func (s *Memory) evictLocked(cutoff time.Time) []*event.Instance {
-	var gone []*event.Instance
-	for i, in := range s.byID {
-		if in != nil && in.End.Before(cutoff) {
-			gone = append(gone, in)
-			s.byID[i] = nil
+// evictLocked empties every slot whose End is before cutoff (Unix ns),
+// releasing the intern entries no live slot references any more, and
+// returns copies of what it emptied in ID order.
+func (s *Memory) evictLocked(cutoff int64) []*event.Instance {
+	var rows []row
+	for id := s.base; id < s.next; id++ {
+		if r, ok := s.lookup(id); ok && s.slot(r).end < cutoff {
+			rows = append(rows, r)
 		}
 	}
-	evicted := len(gone)
-	if evicted == 0 {
+	if len(rows) == 0 {
 		return nil
 	}
-	s.live -= evicted
-	mEvicted.Add(int64(evicted))
+	gone := s.copies(rows)
+	for _, r := range rows {
+		sl := s.slot(r)
+		s.releaseLoc(sl.loc)
+		*sl = slot{}
+		if a := s.attrs[r>>chunkBits]; a != nil {
+			a[r&chunkMask] = event.Attrs{}
+		}
+	}
+	s.live -= len(rows)
+	mEvicted.Add(int64(len(rows)))
 	mEvictions.Inc()
+	// Trim leading empty slots, advancing the base; the chunks wholly
+	// below it go, and org (and with it every row) moves by what they
+	// held.
+	for s.base < s.next {
+		if _, ok := s.lookup(s.base); ok {
+			break
+		}
+		s.base++
+	}
+	// (Restore's bounds and forward gaps can reach past the allocated
+	// chunks.)
+	drop := min((s.base-s.org)>>chunkBits, len(s.chunks))
+	shift := row(drop << chunkBits)
 	// Filter each name index in place, settled first so that what is kept
 	// is all prefix. maxDur is left as an upper bound: a too-wide query
 	// bound only costs extra scan, never correctness.
-	for name, idx := range s.byName {
-		idx.settle()
-		kept := idx.instances[:0]
-		for _, in := range idx.instances {
-			if !in.End.Before(cutoff) {
-				kept = append(kept, in)
-			}
-		}
-		for i := len(kept); i < len(idx.instances); i++ {
-			idx.instances[i] = nil
-		}
-		if len(kept) == 0 {
-			delete(s.byName, name)
+	for nid := 1; nid < len(s.names); nid++ {
+		idx := &s.names[nid].idx
+		if len(idx.rows) == 0 {
 			continue
 		}
-		idx.instances, idx.sorted = kept, len(kept)
+		idx.settle()
+		k := 0
+		for i, r := range idx.rows {
+			if s.slot(r).name != 0 {
+				idx.starts[k], idx.rows[k] = idx.starts[i], r-shift
+				k++
+			}
+		}
+		if k == 0 {
+			s.releaseName(uint32(nid))
+			continue
+		}
+		idx.starts, idx.rows, idx.sorted = idx.starts[:k], idx.rows[:k], k
 	}
-	// Trim leading tombstones, advancing the ID base; copy so the evicted
-	// prefix of the backing array is actually released.
-	trim := 0
-	for trim < len(s.byID) && s.byID[trim] == nil {
-		trim++
-	}
-	if trim > 0 {
-		s.byID = append([]*event.Instance(nil), s.byID[trim:]...)
-		s.base += trim
+	if drop > 0 {
+		// Copy, so that the dropped prefix of the chunk table is released.
+		s.chunks = append([]*chunk(nil), s.chunks[drop:]...)
+		s.attrs = append([]*attrChunk(nil), s.attrs[drop:]...)
+		s.org += drop << chunkBits
 	}
 	// Recompute the span bounds. Eviction is keyed on End < cutoff, so
 	// last never shrinks, but first can.
 	if s.live == 0 {
-		s.first, s.last = time.Time{}, time.Time{}
+		s.first, s.last = 0, 0
 		return gone
 	}
-	first := time.Time{}
-	for _, in := range s.byID {
-		if in != nil && (first.IsZero() || in.Start.Before(first)) {
-			first = in.Start
+	first := true
+	for id := s.base; id < s.next; id++ {
+		if r, ok := s.lookup(id); ok && (first || s.slot(r).start < s.first) {
+			s.first, first = s.slot(r).start, false
 		}
 	}
-	s.first = first
 	return gone
 }
 
@@ -577,7 +872,8 @@ func (s *Memory) evictLocked(cutoff time.Time) []*event.Instance {
 // with concurrent writers. It is valid only inside the function passed to
 // Memory.Cut, which holds the store's read lock for its duration — so the
 // function must not call back into the store, and must not retain or
-// mutate the instances it is shown.
+// mutate the instances it is shown (Each fills one scratch instance per
+// call).
 type Cut struct{ s *Memory }
 
 // Cut runs fn over one consistent cut of the store. Incremental
@@ -592,42 +888,40 @@ func (s *Memory) Cut(fn func(Cut) error) error {
 
 // Bounds returns the cut's ID bounds — base, the first slot, and next,
 // the ID the next insert will receive; base..next−1 spans the live IDs
-// plus any interior tombstones — and the live instance count.
+// plus any interior empty slots — and the live instance count.
 func (c Cut) Bounds() (base, next, live int) {
-	return c.s.base, c.s.base + len(c.s.byID), c.s.live
+	return c.s.base, c.s.next, c.s.live
 }
 
-// slots returns the ID slots of [lo, hi), clamped to the store's bounds.
-func (c Cut) slots(lo, hi int) []*event.Instance {
-	lo, hi = max(lo-c.s.base, 0), min(hi-c.s.base, len(c.s.byID))
-	if lo >= hi {
-		return nil
+// each calls fn with the row of every live ID in [lo, hi) ∩ [base,
+// next), in ID order, stopping at the first error.
+func (c Cut) each(lo, hi int, fn func(row) error) error {
+	s := c.s
+	for id := max(lo, s.base); id < min(hi, s.next); id++ {
+		if r, ok := s.lookup(id); ok {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
 	}
-	return c.s.byID[lo:hi]
+	return nil
 }
 
 // Count returns how many live instances carry an ID in [lo, hi).
 func (c Cut) Count(lo, hi int) int {
 	n := 0
-	for _, in := range c.slots(lo, hi) {
-		if in != nil {
-			n++
-		}
-	}
+	c.each(lo, hi, func(row) error { n++; return nil }) //nolint:errcheck // the func returns nil
 	return n
 }
 
 // Each calls fn for every live instance with an ID in [lo, hi), in ID
 // order, stopping at the first error.
 func (c Cut) Each(lo, hi int, fn func(*event.Instance) error) error {
-	for _, in := range c.slots(lo, hi) {
-		if in != nil {
-			if err := fn(in); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	var in event.Instance
+	return c.each(lo, hi, func(r row) error {
+		c.s.fill(&in, r)
+		return fn(&in)
+	})
 }
 
 // SnapshotTo streams the whole store through one Cut: header runs once
@@ -644,7 +938,7 @@ func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(
 }
 
 // Restore rebuilds a dumped state into an empty store: each instance is
-// placed at its recorded ID, interior gaps stay tombstoned, and the next
+// placed at its recorded ID, interior gaps stay empty, and the next
 // insert receives ID next. It is the snapshot-recovery path; restoring
 // into a non-empty store is an error.
 func (s *Memory) Restore(base, next int, ins []event.Instance) error {
@@ -661,41 +955,34 @@ func (s *Memory) Restore(base, next int, ins []event.Instance) error {
 func (s *Memory) Replace(base, next int, ins []event.Instance) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byName, s.byID, s.base, s.live = map[string]*nameIndex{}, nil, 0, 0
-	s.first, s.last = time.Time{}, time.Time{}
+	s.reset()
 	return s.restoreLocked(base, next, ins)
 }
 
 func (s *Memory) restoreLocked(base, next int, ins []event.Instance) error {
-	if len(s.byID) != 0 || s.base != 0 {
+	if s.next != 0 || s.base != 0 {
 		return fmt.Errorf("store: Restore into a non-empty store")
 	}
 	if base < 0 || next < base || len(ins) > next-base {
 		return fmt.Errorf("store: Restore bounds [%d,%d) cannot hold %d instances", base, next, len(ins))
 	}
-	s.base = base
-	s.byID = make([]*event.Instance, next-base)
+	s.org, s.base, s.next = base&^chunkMask, base, next
 	prev := base - 1
-	for _, in := range ins {
+	for i := range ins {
+		in := &ins[i]
 		if in.ID <= prev || in.ID >= next {
 			return fmt.Errorf("store: Restore instance ID %d out of order for bounds [%d,%d)", in.ID, base, next)
 		}
+		if in.ID >= base+math.MaxUint32-chunkSize {
+			return fmt.Errorf("store: Restore instance ID %d lies 2^32 or more above the base %d", in.ID, base)
+		}
 		prev = in.ID
-		stored := in
-		s.byID[in.ID-base] = &stored
-		s.live++
-		idx := s.byName[in.Name]
-		if idx == nil {
-			idx = &nameIndex{}
-			s.byName[in.Name] = idx
+		start, okS := nanos(in.Start)
+		end, okE := nanos(in.End)
+		if !okS || !okE {
+			return fmt.Errorf("store: Restore instance ID %d: %w", in.ID, event.ErrTimeRange)
 		}
-		idx.add(&stored)
-		if s.live == 1 || in.Start.Before(s.first) {
-			s.first = in.Start
-		}
-		if s.live == 1 || in.End.After(s.last) {
-			s.last = in.End
-		}
+		s.place(in.ID, start, end, in)
 	}
 	return nil
 }

@@ -346,12 +346,14 @@ func TestSpanIncremental(t *testing.T) {
 func dump(s *Memory) (base, next int, ins []event.Instance) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, in := range s.byID {
-		if in != nil {
-			ins = append(ins, *in)
+	for id := s.base; id < s.next; id++ {
+		if r, ok := s.lookup(id); ok {
+			var in event.Instance
+			s.fill(&in, r)
+			ins = append(ins, in)
 		}
 	}
-	return s.base, s.base + len(s.byID), ins
+	return s.base, s.next, ins
 }
 
 // TestCutRangesMatchDump: a Cut's bounds, per-range counts and per-range

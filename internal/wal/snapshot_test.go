@@ -718,7 +718,7 @@ func decodeImage(data []byte, piece int) (*store.Memory, error) {
 		return nil, err
 	}
 	st := store.New()
-	st.Add(event.Instance{Name: "what the store held before"})
+	st.AddAll(genEvents(99, 1)) // what the store held before
 	return st, st.Replace(base, next, ins)
 }
 
