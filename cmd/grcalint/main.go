@@ -1,9 +1,9 @@
 // Command grcalint runs the project's custom analyzers (internal/lint)
 // over the module: the clock discipline (nakedtime, utctime), stdout
-// hygiene (noprint), deterministic-output (mapiter) and event-identity
-// (instident) checks, and the concurrency-correctness suite (lockorder,
-// deferunlock, atomicmix, hookreentry, goroutinelife) that ordinary go
-// vet cannot express. It is
+// hygiene (noprint), deterministic-output (mapiter), event-identity
+// (instident) and raw-memory (rawmem) checks, and the
+// concurrency-correctness suite (lockorder, deferunlock, atomicmix,
+// hookreentry, goroutinelife) that ordinary go vet cannot express. It is
 // a multichecker in the golang.org/x/tools/go/analysis mold, built on the
 // standard library alone.
 //

@@ -21,6 +21,9 @@
 //     produce nondeterministically ordered reports — sort the keys first.
 //   - instident: the store hands out copies, so two *event.Instance
 //     pointers to one stored event differ; identity is the ID.
+//   - rawmem: unsafe and syscall.Mmap/Munmap stay inside the store's page
+//     allocator (grca/internal/store's pages*.go), the one owner of
+//     memory the collector cannot see.
 //
 // On top of the style checks sits the concurrency-correctness suite
 // (DESIGN.md §13): lockorder, deferunlock, atomicmix, hookreentry, and
@@ -81,7 +84,7 @@ type Analyzer struct {
 // style checks first, then the concurrency-correctness suite.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NakedTime, UTCTime, NoPrint, MapIter, InstIdent,
+		NakedTime, UTCTime, NoPrint, MapIter, InstIdent, RawMem,
 		LockOrder, DeferUnlock, AtomicMix, HookReentry, GoroutineLife,
 	}
 }

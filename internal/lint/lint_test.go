@@ -14,8 +14,14 @@ import (
 // every analyzer, returning the diagnostics' "analyzer: message" strings.
 func check(t *testing.T, path, src string) []Diagnostic {
 	t.Helper()
+	return checkFile(t, path, "src.go", src)
+}
+
+// checkFile is check with the file's name given.
+func checkFile(t *testing.T, path, name, src string) []Diagnostic {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, 0)
+	f, err := parser.ParseFile(fset, name, src, 0)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -112,6 +118,25 @@ func f() {
 		"noprint: fmt.Println", "noprint: fmt.Printf")
 	// Outside internal/ (and in package main) printing is fine.
 	assertDiags(t, check(t, "grca/cmd/fake", strings.Replace(src, "package p", "package main", 1)))
+}
+
+// TestRawMem: unsafe and syscall.Mmap/Munmap are findings anywhere but
+// in grca/internal/store's pages*.go — another file of the store, or a
+// pages.go of another package, is no exception.
+func TestRawMem(t *testing.T) {
+	src := `package p
+import (
+	"syscall"
+	"unsafe"
+)
+var _ = unsafe.Sizeof(0)
+func f(b []byte) error { return syscall.Munmap(b) }
+`
+	assertDiags(t, checkFile(t, "grca/internal/store", "pages_linux.go", src))
+	assertDiags(t, checkFile(t, "grca/internal/store", "store.go", src),
+		"rawmem: import of unsafe", "rawmem: syscall.Munmap")
+	assertDiags(t, checkFile(t, "grca/internal/wal", "pages.go", src),
+		"rawmem: import of unsafe", "rawmem: syscall.Munmap")
 }
 
 func TestMapIter(t *testing.T) {

@@ -70,7 +70,7 @@ func brokenDiagLines(t *testing.T) map[string][]string {
 // exemplars against its golden file. Run with -update to regenerate.
 func TestGoldens(t *testing.T) {
 	byID := brokenDiagLines(t)
-	goldenIDs := append(append([]string{}, concurrencyIDs...), BadIgnore, "nakedtime", "instident")
+	goldenIDs := append(append([]string{}, concurrencyIDs...), BadIgnore, "nakedtime", "instident", "rawmem")
 	expected := map[string]bool{}
 	for _, id := range goldenIDs {
 		expected[id] = true

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -326,6 +327,38 @@ func TestStatsDuringFeeds(t *testing.T) {
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreMappedGauge: /v1/stats reports the pages the store maps
+// outside the heap; one ingest batch into an empty store maps at least a
+// chunk of slots and its name's columns.
+func TestStoreMappedGauge(t *testing.T) {
+	_, b := testBundle(t)
+	s := openServer(t, t.TempDir(), b)
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mapped := func() int64 {
+		t.Helper()
+		code, body := get(t, ts, "/v1/stats")
+		var stats struct {
+			Metrics struct{ Gauges map[string]int64 }
+		}
+		if err := json.Unmarshal(body, &stats); code != http.StatusOK || err != nil {
+			t.Fatalf("/v1/stats: %d %v", code, err)
+		}
+		return stats.Metrics.Gauges["store.mapped.bytes"]
+	}
+	// Let the finalizers of stores other tests dropped run first.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	before := mapped()
+	newTickStream(t, ts, b, time.Second).post(1, 100)
+	if after := mapped(); after <= 0 || after-before < 24<<10 {
+		t.Fatalf("store.mapped.bytes went from %d to %d over one ingest batch into an empty store", before, after)
 	}
 }
 

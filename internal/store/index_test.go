@@ -139,12 +139,15 @@ func BenchmarkQueryAfterOutOfOrderPut(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreHeapPerEvent reports the live heap a stored event costs,
-// for events shaped like the generated corpus's (corpusShaped; `go run
+// BenchmarkStoreHeapPerEvent reports what a stored event costs, heap and
+// mapped pages together (B/event) and the heap's share (heapB/event), for
+// events shaped like the generated corpus's (corpusShaped; `go run
 // ./bench`'s ledger stream has no attributes, so its
 // store.heap_bytes_per_event row cannot show them).
 func BenchmarkStoreHeapPerEvent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(heapPerEvent(200000), "B/event")
+		heap, mapped := rowBytes(200000)
+		b.ReportMetric(heap+mapped, "B/event")
+		b.ReportMetric(heap, "heapB/event")
 	}
 }

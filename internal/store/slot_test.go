@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -183,8 +184,8 @@ func TestReadsAreCopies(t *testing.T) {
 
 // TestPutRefusesOutOfRange: an instant the int64-nanosecond slot cannot
 // hold is refused with event.ErrTimeRange — by Put, by PutAll (which stops
-// there) and by Restore — and leaves nothing behind; it is never wrapped
-// around.
+// there and names the refused ID, as WAL replay reports it) and by
+// Restore — and leaves nothing behind; it is never wrapped around.
 func TestPutRefusesOutOfRange(t *testing.T) {
 	loc := locus.At(locus.Router, "r")
 	for _, bad := range []event.Instance{
@@ -199,8 +200,9 @@ func TestPutRefusesOutOfRange(t *testing.T) {
 		}
 		good := mk("e", 0, 1, loc)
 		bad.ID, good.ID = 1, 0
-		if err := s.PutAll([]event.Instance{good, bad, mk("e", 2, 1, loc)}); !errors.Is(err, event.ErrTimeRange) {
-			t.Errorf("PutAll = %v, want event.ErrTimeRange", err)
+		if err := s.PutAll([]event.Instance{good, bad, mk("e", 2, 1, loc)}); !errors.Is(err, event.ErrTimeRange) ||
+			!strings.Contains(err.Error(), "ID 1:") {
+			t.Errorf("PutAll = %v, want event.ErrTimeRange naming the refused ID 1", err)
 		}
 		if s.Len() != 1 || s.NextID() != 1 || s.Count("e") != 1 {
 			t.Errorf("after the refusals the store holds %d events, next ID %d", s.Len(), s.NextID())
@@ -353,25 +355,29 @@ func corpusShaped(n int) *Memory {
 	return s
 }
 
-// heapPerEvent reports the live heap n corpus-shaped stored events cost,
-// per event.
-func heapPerEvent(n int) float64 {
-	var heap [2]runtime.MemStats
+// rowBytes reports what n corpus-shaped stored events cost per event: the
+// live heap they add, and the bytes their store maps outside the heap.
+func rowBytes(n int) (heap, mapped float64) {
+	var ms [2]runtime.MemStats
 	runtime.GC()
-	runtime.ReadMemStats(&heap[0])
+	runtime.ReadMemStats(&ms[0])
 	s := corpusShaped(n)
 	runtime.GC()
-	runtime.ReadMemStats(&heap[1])
-	runtime.KeepAlive(s)
-	return float64(heap[1].HeapAlloc-heap[0].HeapAlloc) / float64(n)
+	runtime.ReadMemStats(&ms[1])
+	return float64(ms[1].HeapAlloc-ms[0].HeapAlloc) / float64(n), float64(mappedBy(s)) / float64(n)
 }
 
 // TestStoreBytesPerEvent is the memory gate: a corpus-shaped stored event
-// costs at most 72 bytes of live heap — slot, attribute column, index
-// entry and the attribute section itself (159.9 when every event was its
-// own event.Instance).
+// costs at most 72 bytes — slot, attribute column, index entry and the
+// attribute section itself (159.9 when every event was its own
+// event.Instance) — counting the heap and the mapped pages alike, and at
+// most 36 of them are heap: the slots and index columns are not.
 func TestStoreBytesPerEvent(t *testing.T) {
-	if got := heapPerEvent(200000); got > 72 {
-		t.Errorf("a stored event costs %.1f bytes of live heap, want ≤ 72", got)
+	heap, mapped := rowBytes(200000)
+	if heap+mapped > 72 {
+		t.Errorf("a stored event costs %.1f bytes (%.1f heap, %.1f mapped), want ≤ 72", heap+mapped, heap, mapped)
+	}
+	if heap > 36 {
+		t.Errorf("a stored event costs %.1f bytes of live heap, want ≤ 36", heap)
 	}
 }

@@ -16,6 +16,15 @@
 // (out-of-order arrivals wait in a tail that the next read merges in); a
 // per-name maximum-duration bound turns interval-overlap queries into two
 // binary searches plus a bounded scan.
+//
+// The slot chunks and the index columns hold no pointer, so they live
+// outside the Go heap, in pages the store's arena maps (pages.go) and
+// alone owns: eviction and an emptied name unmap what they drop, Replace
+// (a checkpoint install) unmaps everything, and a store dropped whole is
+// unmapped by the arena's finalizer (TestPagesReleased). No pointer into
+// those pages leaves the package, since every read copies. The race
+// detector does not see the pages themselves; every touch of them goes
+// through heap fields read under mu, which it does see.
 package store
 
 import (
@@ -88,13 +97,16 @@ type nameIndex struct {
 	maxDur int64
 }
 
-func (idx *nameIndex) add(r row, sl slot) {
+func (idx *nameIndex) add(a *arena, r row, sl slot) {
 	n := len(idx.rows)
+	if n == cap(idx.rows) {
+		a.growColumns(idx)
+	}
 	if idx.sorted == n && (n == 0 || idx.starts[n-1] <= sl.start) {
 		idx.sorted++
 	}
-	idx.starts = append(idx.starts, sl.start)
-	idx.rows = append(idx.rows, r)
+	idx.starts, idx.rows = idx.starts[:n+1], idx.rows[:n+1]
+	idx.starts[n], idx.rows[n] = sl.start, r
 	idx.maxDur = max(idx.maxDur, sl.end-sl.start)
 }
 
@@ -157,12 +169,14 @@ type Memory struct {
 	mu sync.RWMutex
 	// chunks[i][j] is the slot of row i·chunkSize + j, ID org + row; a
 	// nil chunk is chunkSize empty slots. attrs[i][j] is its attribute
-	// section; attrs[i] is nil until chunk i holds an event with any. IDs
-	// are never reused. base..next−1 is the ID range the store spans:
-	// leading empty slots are trimmed by advancing base, and whole chunks
-	// below it dropped.
+	// section; attrs[i] is nil until chunk i holds an event with any.
+	// Chunks and the name indexes' columns are mapped from mem, which the
+	// store alone owns. IDs are never reused. base..next−1 is the ID range
+	// the store spans: leading empty slots are trimmed by advancing base,
+	// and whole chunks below it dropped.
 	chunks     []*chunk
 	attrs      []*attrChunk
+	mem        *arena
 	org        int
 	base, next int
 	live       int
@@ -204,8 +218,13 @@ func New() *Memory {
 	return s
 }
 
-// reset empties the store's content; hooks and retention stay.
+// reset empties the store's content and unmaps its memory; hooks and
+// retention stay.
 func (s *Memory) reset() {
+	if s.mem == nil {
+		s.mem = newArena()
+	}
+	s.mem.freeAll()
 	s.chunks, s.attrs, s.org, s.base, s.next, s.live = nil, nil, 0, 0, 0, 0
 	s.names, s.nameIDs, s.freeNames = make([]nameEntry, 1), map[string]uint32{}, nil
 	s.locs, s.locIDs, s.freeLocs = make([]locEntry, 1), map[locus.Location]uint32{}, nil
@@ -333,15 +352,16 @@ func nanos(t time.Time) (int64, bool) {
 func (s *Memory) putLocked(in *event.Instance) error {
 	start, okS := nanos(in.Start)
 	end, okE := nanos(in.End)
-	if !okS || !okE {
-		return event.ErrTimeRange
-	}
 	id := in.ID
+	if !okS || !okE {
+		return fmt.Errorf("store: Put ID %d: %w", id, event.ErrTimeRange)
+	}
 	switch {
 	case id >= s.next && s.base == s.next:
 		// Empty (or fully trimmed) store: jump the range forward so a
 		// first ID that is large doesn't allocate an empty prefix.
-		s.chunks, s.attrs, s.org, s.base = nil, nil, id&^chunkMask, id
+		s.dropChunks(len(s.chunks))
+		s.org, s.base = id&^chunkMask, id
 	case id >= s.base+math.MaxUint32-chunkSize:
 		return fmt.Errorf("store: Put ID %d lies 2^32 or more above the store base %d", id, s.base)
 	case id >= s.next:
@@ -371,7 +391,7 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 		s.chunks, s.attrs = append(s.chunks, nil), append(s.attrs, nil)
 	}
 	if s.chunks[i] == nil {
-		s.chunks[i] = new(chunk)
+		s.chunks[i] = s.mem.newChunk()
 	}
 	if in.Attrs != (event.Attrs{}) {
 		if s.attrs[i] == nil {
@@ -382,7 +402,7 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 	nid := s.internName(in.Name)
 	sl := slot{start: start, end: end, name: nid, loc: s.internLoc(in.Loc)}
 	s.chunks[i][j] = sl
-	s.names[nid].idx.add(r, sl)
+	s.names[nid].idx.add(s.mem, r, sl)
 	s.live++
 	if s.live == 1 || start < s.first {
 		s.first = start
@@ -390,6 +410,23 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 	if s.live == 1 || end > s.last {
 		s.last = end
 	}
+}
+
+// dropChunks unmaps the first n chunks and drops them from the tables —
+// by copying, so that the dropped prefix is released — and org moves
+// past them.
+func (s *Memory) dropChunks(n int) {
+	if n == 0 {
+		return
+	}
+	for _, c := range s.chunks[:n] {
+		if c != nil {
+			s.mem.freeChunk(c)
+		}
+	}
+	s.chunks = append([]*chunk(nil), s.chunks[n:]...)
+	s.attrs = append([]*attrChunk(nil), s.attrs[n:]...)
+	s.org += n << chunkBits
 }
 
 // slot returns the slot of a row the store holds.
@@ -458,8 +495,9 @@ func (s *Memory) releaseLoc(id uint32) {
 	}
 }
 
-// releaseName frees an emptied name's entry.
+// releaseName frees an emptied name's entry and unmaps its columns.
 func (s *Memory) releaseName(id uint32) {
+	s.mem.freeColumns(&s.names[id].idx)
 	delete(s.nameIDs, s.names[id].name)
 	s.names[id] = nameEntry{}
 	s.freeNames = append(s.freeNames, id)
@@ -808,8 +846,8 @@ func (s *Memory) evictLocked(cutoff int64) []*event.Instance {
 	mEvicted.Add(int64(len(rows)))
 	mEvictions.Inc()
 	// Trim leading empty slots, advancing the base; the chunks wholly
-	// below it go, and org (and with it every row) moves by what they
-	// held.
+	// below it go — every chunk, once nothing is live — and org (and with
+	// it every row) moves by what they held.
 	for s.base < s.next {
 		if _, ok := s.lookup(s.base); ok {
 			break
@@ -819,6 +857,9 @@ func (s *Memory) evictLocked(cutoff int64) []*event.Instance {
 	// (Restore's bounds and forward gaps can reach past the allocated
 	// chunks.)
 	drop := min((s.base-s.org)>>chunkBits, len(s.chunks))
+	if s.live == 0 {
+		drop = len(s.chunks)
+	}
 	shift := row(drop << chunkBits)
 	// Filter each name index in place, settled first so that what is kept
 	// is all prefix. maxDur is left as an upper bound: a too-wide query
@@ -842,16 +883,11 @@ func (s *Memory) evictLocked(cutoff int64) []*event.Instance {
 		}
 		idx.starts, idx.rows, idx.sorted = idx.starts[:k], idx.rows[:k], k
 	}
-	if drop > 0 {
-		// Copy, so that the dropped prefix of the chunk table is released.
-		s.chunks = append([]*chunk(nil), s.chunks[drop:]...)
-		s.attrs = append([]*attrChunk(nil), s.attrs[drop:]...)
-		s.org += drop << chunkBits
-	}
+	s.dropChunks(drop)
 	// Recompute the span bounds. Eviction is keyed on End < cutoff, so
 	// last never shrinks, but first can.
 	if s.live == 0 {
-		s.first, s.last = 0, 0
+		s.org, s.first, s.last = s.base&^chunkMask, 0, 0
 		return gone
 	}
 	first := true

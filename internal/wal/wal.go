@@ -729,16 +729,20 @@ func (l *Log) replayFrames(path string, ff *fileFrames, frames []pendFrame, expe
 		if err != nil {
 			return err
 		}
-		for i := range ins {
-			if ins[i].ID < *expected {
-				continue
-			}
-			if _, err := l.st.Put(ins[i]); err != nil {
-				return fmt.Errorf("wal: %s replay record %d: %v", path, ins[i].ID, err)
-			}
-			rec.Replayed++
-			*expected = ins[i].ID + 1
+		// IDs ascend, so what the store already holds is a prefix; the
+		// rest goes in with one PutAll, whose error names the refused ID.
+		i := 0
+		for i < len(ins) && ins[i].ID < *expected {
+			i++
 		}
+		if i == len(ins) {
+			continue
+		}
+		if err := l.st.PutAll(ins[i:]); err != nil {
+			return fmt.Errorf("wal: %s replay: %v", path, err)
+		}
+		rec.Replayed += len(ins) - i
+		*expected = ins[len(ins)-1].ID + 1
 	}
 	return nil
 }
