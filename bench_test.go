@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"grca/internal/apps/backbone"
+	"grca/internal/apps"
 	"grca/internal/apps/bgpflap"
 	"grca/internal/apps/cdn"
 	"grca/internal/apps/pim"
@@ -142,12 +142,11 @@ func printTableOnce(key, title string, ds []engine.Diagnosis, display func(strin
 	_ = browser.WriteTable(os.Stdout, title, browser.Breakdown(ds, display))
 }
 
-// runBreakdown is the shared body of the three table benchmarks: the
-// measured operation is a full DiagnoseAll over the corpus.
-func runBreakdown(b *testing.B, c *corpus,
-	newEngine func(store.Store, *netstate.View) (*engine.Engine, error),
-	study, title string, display func(string) string, tolerance time.Duration) {
-	eng, err := newEngine(c.sys.Store, c.sys.View)
+// runBreakdown is the shared body of the table benchmarks: the measured
+// operation is a full DiagnoseAll over the corpus by the named application.
+func runBreakdown(b *testing.B, c *corpus, name string, tolerance time.Duration) {
+	a := apps.MustGet(name)
+	eng, err := a.NewEngine(c.sys.Store, c.sys.View)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,11 +159,11 @@ func runBreakdown(b *testing.B, c *corpus,
 	if len(ds) == 0 {
 		b.Fatal("no symptoms diagnosed")
 	}
-	score := platform.ScoreDiagnoses(c.dataset.Truth, study, ds, tolerance)
+	score := platform.ScoreDiagnoses(c.dataset.Truth, a.Study, ds, tolerance)
 	b.ReportMetric(100*score.Accuracy(), "accuracy%")
 	b.ReportMetric(float64(len(ds)), "events")
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(len(ds)), "us/event")
-	printTableOnce(study, title, ds, display)
+	printTableOnce(a.Study, a.Title(), ds, a.DisplayLabel)
 }
 
 // ---------------------------------------------------------------------
@@ -175,8 +174,7 @@ func runBreakdown(b *testing.B, c *corpus,
 // breakdown of customer eBGP flaps (paper: interface flap 63.94%, line
 // protocol flap 11.15%, unknown 10.95%, CPU spike 6.44%, HTE 4.86%, ...).
 func BenchmarkTableIV_BGPFlapBreakdown(b *testing.B) {
-	runBreakdown(b, bgpCorpus(b), bgpflap.NewEngine, "bgp",
-		"Table IV — Root Cause Breakdown of BGP Flaps", bgpflap.DisplayLabel, 2*time.Minute)
+	runBreakdown(b, bgpCorpus(b), "bgpflap", 2*time.Minute)
 }
 
 // BenchmarkTableVI_CDNBreakdown regenerates Table VI: the breakdown of
@@ -184,8 +182,7 @@ func BenchmarkTableIV_BGPFlapBreakdown(b *testing.B) {
 // egress change 5.71%, interface flap 4.65%, reconvergence 4.16%, policy
 // change 3.83%, congestion 3.50%, loss 3.32%).
 func BenchmarkTableVI_CDNBreakdown(b *testing.B) {
-	runBreakdown(b, cdnCorpus(b), cdn.NewEngine, "cdn",
-		"Table VI — Root Cause Breakdown of End-to-End RTT Degradations", cdn.DisplayLabel, 10*time.Minute)
+	runBreakdown(b, cdnCorpus(b), "cdn", 10*time.Minute)
 }
 
 // BenchmarkTableVIII_PIMBreakdown regenerates Table VIII: the breakdown of
@@ -193,8 +190,7 @@ func BenchmarkTableVI_CDNBreakdown(b *testing.B) {
 // reconvergence 10.36%, router cost in/out 10.34%, config change 4.04%,
 // uplink loss 1.95%, unknown 1.76%, cost out 1.50%, cost in 0.84%).
 func BenchmarkTableVIII_PIMBreakdown(b *testing.B) {
-	runBreakdown(b, pimCorpus(b), pim.NewEngine, "pim",
-		"Table VIII — Root Cause Breakdown of PIM Adjacency Losses", pim.DisplayLabel, 2*time.Minute)
+	runBreakdown(b, pimCorpus(b), "pim", 2*time.Minute)
 }
 
 // BenchmarkSectionI_BackboneLoss regenerates the §I motivating scenario:
@@ -207,9 +203,7 @@ func BenchmarkSectionI_BackboneLoss(b *testing.B) {
 		Seed: 21, PoPs: 4, PERsPerPoP: 2, SessionsPerPER: 4,
 		Duration: 28 * 24 * time.Hour, BackboneIncidents: 300,
 	}, platform.Options{})
-	runBreakdown(b, c, backbone.NewEngine, "backbone",
-		"§I scenario — Root Cause Breakdown of In-Network Packet Loss",
-		backbone.DisplayLabel, 10*time.Minute)
+	runBreakdown(b, c, "backbone", 10*time.Minute)
 }
 
 var (
@@ -259,36 +253,33 @@ func BenchmarkFig3_TemporalJoin(b *testing.B) {
 	}
 }
 
+// benchGraphBuild measures instantiating an application from its
+// rule-language file: parse the embedded spec, then build its event
+// library and diagnosis graph.
+func benchGraphBuild(b *testing.B, name string) {
+	for i := 0; i < b.N; i++ {
+		a, err := apps.Load(name, "")
+		if err == nil {
+			_, _, err = a.Build()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig4_BGPGraphBuild measures instantiating the BGP-flap
 // application (Table III events + Fig. 4 graph) from its rule-language
 // specification.
-func BenchmarkFig4_BGPGraphBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bgpflap.Build(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig4_BGPGraphBuild(b *testing.B) { benchGraphBuild(b, "bgpflap") }
 
 // BenchmarkFig5_CDNGraphBuild measures instantiating the CDN application
 // (Table V events + Fig. 5 graph).
-func BenchmarkFig5_CDNGraphBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cdn.Build(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig5_CDNGraphBuild(b *testing.B) { benchGraphBuild(b, "cdn") }
 
 // BenchmarkFig6_PIMGraphBuild measures instantiating the PIM application
 // (Table VII events + Fig. 6 graph).
-func BenchmarkFig6_PIMGraphBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := pim.Build(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig6_PIMGraphBuild(b *testing.B) { benchGraphBuild(b, "pim") }
 
 // cpuRelatedFlap is the §IV-B prefilter.
 func cpuRelatedFlap(d engine.Diagnosis) bool {

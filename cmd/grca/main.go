@@ -210,7 +210,7 @@ func runApp(args []string) error {
 	elapsed := time.Since(began)
 
 	rows := browser.Breakdown(ds, a.DisplayLabel)
-	if err := browser.WriteTable(os.Stdout, a.Title, rows); err != nil {
+	if err := browser.WriteTable(os.Stdout, a.Title(), rows); err != nil {
 		return err
 	}
 	per := time.Duration(0)
@@ -504,7 +504,7 @@ func runReport(args []string) error {
 	a, sys := b.app, b.sys
 	ds := b.eng.DiagnoseAll()
 	return browser.WriteReport(os.Stdout, sys.Store, ds, browser.ReportOptions{
-		Title:    a.Title,
+		Title:    a.Title(),
 		Display:  a.DisplayLabel,
 		TrendBin: *trendBin,
 		View:     sys.View,

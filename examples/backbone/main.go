@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/apps/backbone"
 	"grca/internal/browser"
 	"grca/internal/engine"
@@ -36,18 +37,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := backbone.NewEngine(sys.Store, sys.View)
+	app := apps.MustGet("backbone")
+	eng, err := app.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		log.Fatal(err)
 	}
 	diagnoses := eng.DiagnoseAll()
 
-	rows := browser.Breakdown(diagnoses, backbone.DisplayLabel)
-	if err := browser.WriteTable(os.Stdout,
-		"Root Cause Breakdown of In-Network Packet Loss (§I scenario)", rows); err != nil {
+	rows := browser.Breakdown(diagnoses, app.DisplayLabel)
+	if err := browser.WriteTable(os.Stdout, app.Title(), rows); err != nil {
 		log.Fatal(err)
 	}
-	score := platform.ScoreDiagnoses(dataset.Truth, "backbone", diagnoses, 10*time.Minute)
+	score := platform.ScoreDiagnoses(dataset.Truth, app.Study, diagnoses, 10*time.Minute)
 	fmt.Printf("\n%d loss events over %d probe pairs; accuracy %.1f%%\n",
 		len(diagnoses), len(dataset.ProbePairs), 100*score.Accuracy())
 	fmt.Printf("\nengineering decision: %s\n", backbone.Recommend(engine.Breakdown(diagnoses)))

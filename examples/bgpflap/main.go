@@ -13,7 +13,7 @@ import (
 	"sort"
 	"time"
 
-	"grca/internal/apps/bgpflap"
+	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/platform"
 	"grca/internal/simnet"
@@ -35,7 +35,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := bgpflap.NewEngine(sys.Store, sys.View)
+	app := apps.MustGet("bgpflap")
+	eng, err := app.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,12 +45,12 @@ func main() {
 	diagnoses := eng.DiagnoseAll()
 	elapsed := time.Since(began)
 
-	rows := browser.Breakdown(diagnoses, bgpflap.DisplayLabel)
-	if err := browser.WriteTable(os.Stdout, "Root Cause Breakdown of BGP Flaps (cf. Table IV)", rows); err != nil {
+	rows := browser.Breakdown(diagnoses, app.DisplayLabel)
+	if err := browser.WriteTable(os.Stdout, app.Title(), rows); err != nil {
 		log.Fatal(err)
 	}
 
-	score := platform.ScoreDiagnoses(dataset.Truth, "bgp", diagnoses, 2*time.Minute)
+	score := platform.ScoreDiagnoses(dataset.Truth, app.Study, diagnoses, 2*time.Minute)
 	fmt.Printf("\n%d flaps diagnosed in %v (%v/event); ground-truth accuracy %.1f%%\n",
 		len(diagnoses), elapsed.Round(time.Millisecond),
 		(elapsed / time.Duration(len(diagnoses))).Round(time.Microsecond),

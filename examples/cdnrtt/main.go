@@ -16,7 +16,7 @@ import (
 	"os"
 	"time"
 
-	"grca/internal/apps/cdn"
+	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/cdnassign"
 	"grca/internal/engine"
@@ -41,7 +41,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := cdn.NewEngine(sys.Store, sys.View)
+	app := apps.MustGet("cdn")
+	eng, err := app.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,12 +51,11 @@ func main() {
 	diagnoses := eng.DiagnoseAll()
 	elapsed := time.Since(began)
 
-	rows := browser.Breakdown(diagnoses, cdn.DisplayLabel)
-	if err := browser.WriteTable(os.Stdout,
-		"Root Cause Breakdown of End-to-End RTT Degradations (cf. Table VI)", rows); err != nil {
+	rows := browser.Breakdown(diagnoses, app.DisplayLabel)
+	if err := browser.WriteTable(os.Stdout, app.Title(), rows); err != nil {
 		log.Fatal(err)
 	}
-	score := platform.ScoreDiagnoses(dataset.Truth, "cdn", diagnoses, 10*time.Minute)
+	score := platform.ScoreDiagnoses(dataset.Truth, app.Study, diagnoses, 10*time.Minute)
 	fmt.Printf("\n%d degradations diagnosed in %v (%v/event); accuracy %.1f%%\n",
 		len(diagnoses), elapsed.Round(time.Millisecond),
 		(elapsed / time.Duration(max(1, len(diagnoses)))).Round(time.Microsecond),

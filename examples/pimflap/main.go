@@ -12,7 +12,7 @@ import (
 	"os"
 	"time"
 
-	"grca/internal/apps/pim"
+	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/engine"
 	"grca/internal/platform"
@@ -36,7 +36,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := pim.NewEngine(sys.Store, sys.View)
+	app := apps.MustGet("pim")
+	eng, err := app.NewEngine(sys.Store, sys.View)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,9 +46,8 @@ func main() {
 	diagnoses := eng.DiagnoseAll()
 	elapsed := time.Since(began)
 
-	rows := browser.Breakdown(diagnoses, pim.DisplayLabel)
-	if err := browser.WriteTable(os.Stdout,
-		"Root Cause Breakdown of PIM Adjacency Losses (cf. Table VIII)", rows); err != nil {
+	rows := browser.Breakdown(diagnoses, app.DisplayLabel)
+	if err := browser.WriteTable(os.Stdout, app.Title(), rows); err != nil {
 		log.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func main() {
 			classified++
 		}
 	}
-	score := platform.ScoreDiagnoses(dataset.Truth, "pim", diagnoses, 2*time.Minute)
+	score := platform.ScoreDiagnoses(dataset.Truth, app.Study, diagnoses, 2*time.Minute)
 	fmt.Printf("\n%d adjacency changes diagnosed in %v; %.1f%% classified (paper: >98%%); accuracy %.1f%%\n",
 		len(diagnoses), elapsed.Round(time.Millisecond),
 		100*float64(classified)/float64(len(diagnoses)), 100*score.Accuracy())

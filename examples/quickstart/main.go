@@ -1,14 +1,15 @@
 // Quickstart: the smallest end-to-end G-RCA run.
 //
-// It defines a one-rule RCA application in the rule-specification
-// language, stores a handful of event instances (the paper's worked
-// temporal example: an eBGP flap 180 s after an interface flap), and asks
-// the engine for the root cause.
+// It loads a one-rule RCA application written in the rule-specification
+// language (quickstart.grca), stores a handful of event instances (the
+// paper's worked temporal example: an eBGP flap 180 s after an interface
+// flap), and asks the engine for the root cause.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"time"
@@ -22,26 +23,10 @@ import (
 	"grca/internal/testnet"
 )
 
-const spec = `
-# A miniature BGP-flap application: one application event, one rule from
-# scratch, one rule pulled from the Knowledge Library catalogue.
-app "quickstart" root "eBGP flap"
-
-event "eBGP flap" {
-    loctype  router:neighbor
-    source   syslog
-    desc     "eBGP session goes down and comes up"
-}
-
-rule "eBGP flap" <- "Interface flap" {
-    priority 180
-    join     interface
-    symptom  start/start expand 185s 10s   # the BGP hold timer plus syslog fuzz
-    diag     start/end   expand 5s 5s
-}
-
-use "Interface flap" <- "SONET restoration" priority 190
-`
+// spec is the application, kept beside this file as quickstart.grca.
+//
+//go:embed quickstart.grca
+var spec string
 
 func main() {
 	// A small three-PoP test network provides topology and routing.

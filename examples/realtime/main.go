@@ -14,7 +14,7 @@ import (
 	"sort"
 	"time"
 
-	"grca/internal/apps/bgpflap"
+	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/engine"
 	"grca/internal/event"
@@ -35,7 +35,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, graph, err := bgpflap.Build()
+	app := apps.MustGet("bgpflap")
+	_, graph, err := app.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func main() {
 	diagnoses = append(diagnoses, p.Flush()...)
 	wall := time.Since(began)
 
-	rows := browser.Breakdown(diagnoses, bgpflap.DisplayLabel)
+	rows := browser.Breakdown(diagnoses, app.DisplayLabel)
 	fmt.Printf("\n%d flaps diagnosed live in %v wall time; worst event-time lag %v\n",
 		len(diagnoses), wall.Round(time.Millisecond), worstLag.Round(time.Second))
 	fmt.Println("top causes:")

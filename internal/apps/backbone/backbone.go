@@ -10,72 +10,29 @@
 //
 // The application is assembled almost entirely from the Knowledge
 // Library: the symptom and the congestion/reconvergence rules come from
-// Tables I and II; only two diagnosis rules are application-specific.
+// Tables I and II; only two diagnosis rules are application-specific. The
+// spec is examples/specs/backbone.grca; this package adds the remediation
+// decision.
 package backbone
 
 import (
-	"fmt"
-
+	"grca/internal/apps"
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/netstate"
-	"grca/internal/rulespec"
 	"grca/internal/store"
 )
 
-// Spec is the application's rule-specification source.
-const Spec = `
-app "backbone-loss" root "In-network loss increase"
+// The registry's backbone application, examples/specs/backbone.grca.
+// Build and NewEngine delegate to it; they remain for callers that name
+// this package, the bench harness (bench/reference.go) among them.
+var app = apps.MustGet("backbone")
 
-use "In-network loss increase" <- "Link congestion alarm" priority 120
-use "In-network loss increase" <- "OSPF re-convergence event" priority 100
+func Build() (*event.Library, *dgraph.Graph, error) { return app.Build() }
 
-rule "In-network loss increase" <- "Interface flap" {
-    priority 130
-    join     interface
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 5s
-    note     "transient loss while a path link flaps"
-}
-rule "In-network loss increase" <- "Link loss alarm" {
-    priority 110
-    join     interface
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-    note     "corrupted packets on a path link (dirty fiber)"
-}
-`
-
-// Build parses the specification against the Knowledge Library.
-func Build() (*event.Library, *dgraph.Graph, error) {
-	spec, err := rulespec.Parse(Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("backbone: %v", err)
-	}
-	return spec.Build(event.Knowledge(), dgraph.Knowledge())
-}
-
-// NewEngine builds the application's RCA engine over collected data.
 func NewEngine(st store.Store, view *netstate.View) (*engine.Engine, error) {
-	_, g, err := Build()
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(st, view, g), nil
-}
-
-// DisplayLabel maps diagnosis labels to operator-facing row names.
-func DisplayLabel(primary string) string {
-	switch primary {
-	case event.LinkCongestion:
-		return "Link congestion (augment capacity on the path)"
-	case event.OSPFReconvergence:
-		return "OSPF re-convergence (prioritize MPLS fast reroute)"
-	case event.LinkLoss:
-		return "Link loss / corrupted packets (inspect layer 1)"
-	}
-	return primary
+	return app.NewEngine(st, view)
 }
 
 // Recommend renders the §I remediation decision for a diagnosed breakdown

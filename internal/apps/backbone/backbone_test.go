@@ -88,10 +88,10 @@ func TestRecommend(t *testing.T) {
 }
 
 func TestDisplayLabel(t *testing.T) {
-	if got := DisplayLabel(event.LinkCongestion); !contains(got, "augment capacity") {
+	if got := app.DisplayLabel(event.LinkCongestion); !contains(got, "augment capacity") {
 		t.Errorf("congestion label = %q", got)
 	}
-	if got := DisplayLabel("Unknown"); got != "Unknown" {
+	if got := app.DisplayLabel("Unknown"); got != "Unknown" {
 		t.Errorf("passthrough = %q", got)
 	}
 }

@@ -1,138 +1,34 @@
-// Package bgpflap packages the BGP-flap root cause analysis application of
-// paper §III-A: the application-specific events of Table III, the
-// diagnosis graph of Fig. 4 expressed in the rule-specification language,
-// and the Bayesian configuration of Fig. 8 (§IV-C) with its virtual
-// root-cause classes.
+// Package bgpflap holds what of the BGP-flap root cause analysis
+// application of paper §III-A is not rules: the Bayesian configuration of
+// Fig. 8 (§IV-C) with its virtual root-cause classes, and the line-card
+// grouping it classifies. The events of Table III and the diagnosis graph
+// of Fig. 4 are examples/specs/bgpflap.grca.
 package bgpflap
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/bayes"
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/netmodel"
 	"grca/internal/netstate"
-	"grca/internal/rulespec"
 	"grca/internal/store"
 )
 
-// Spec is the application's rule-specification source: three
-// application-specific events (Table III) plus the diagnosis rules of
-// Fig. 4, most of which are pulled from the Knowledge Library. Priorities
-// follow the paper's guidance: deeper causes carry higher priorities, and
-// the layer flap (180) outranks CPU evidence, so a flap joining both is
-// attributed to the layer event (§III-A.1).
-const Spec = `
-app "bgp-flap" root "eBGP flap"
+// The registry's bgpflap application, examples/specs/bgpflap.grca. Build
+// and NewEngine delegate to it; they remain for callers that name this
+// package, the bench harness (bench/reference.go) among them.
+var app = apps.MustGet("bgpflap")
 
-event "eBGP flap" {
-    loctype  router:neighbor
-    source   syslog
-    desc     "eBGP session goes down and comes up, BGP-5-ADJCHANGE msg."
-}
-event "Customer reset session" {
-    loctype  router:neighbor
-    source   syslog
-    desc     "eBGP session is reset by the customer, BGP-5-NOTIFICATION msg."
-}
-event "eBGP HTE" {
-    loctype  router:neighbor
-    source   syslog
-    desc     "eBGP hold timer expired, BGP-5-NOTIFICATION msg."
-}
+func Build() (*event.Library, *dgraph.Graph, error) { return app.Build() }
 
-rule "eBGP flap" <- "Router reboot" {
-    priority 210
-    join     router
-    symptom  start/start expand 60s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "eBGP flap" <- "Customer reset session" {
-    priority 200
-    join     router:neighbor
-    symptom  start/start expand 10s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "eBGP flap" <- "Interface flap" {
-    priority 180
-    join     interface
-    symptom  start/start expand 185s 10s
-    diag     start/end   expand 5s 5s
-    note     "BGP fast external fallover, or hold-timer expiry while down"
-}
-rule "eBGP flap" <- "Line protocol flap" {
-    priority 170
-    join     interface
-    symptom  start/start expand 185s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "eBGP flap" <- "eBGP HTE" {
-    priority 10
-    join     router:neighbor
-    symptom  start/start expand 10s 10s
-    diag     start/end   expand 5s 5s
-}
-
-rule "eBGP HTE" <- "CPU high (spike)" {
-    priority 30
-    join     router
-    symptom  start/start expand 90s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "eBGP HTE" <- "CPU high (average)" {
-    priority 20
-    join     router
-    symptom  start/start expand 60s 10s
-    diag     start/end   expand 300s 300s
-}
-rule "eBGP HTE" <- "Interface flap" {
-    priority 180
-    join     interface
-    symptom  start/start expand 185s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "eBGP HTE" <- "Line protocol flap" {
-    priority 170
-    join     interface
-    symptom  start/start expand 185s 10s
-    diag     start/end   expand 5s 5s
-}
-
-use "Line protocol flap" <- "Interface flap" priority 180
-use "Interface flap" <- "SONET restoration" priority 190
-use "Interface flap" <- "Fast optical mesh network restoration" priority 191
-use "Interface flap" <- "Regular optical mesh network restoration" priority 192
-`
-
-// Build parses the specification against the Knowledge Library.
-func Build() (*event.Library, *dgraph.Graph, error) {
-	spec, err := rulespec.Parse(Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bgpflap: %v", err)
-	}
-	return spec.Build(event.Knowledge(), dgraph.Knowledge())
-}
-
-// NewEngine builds the application's RCA engine over collected data.
 func NewEngine(st store.Store, view *netstate.View) (*engine.Engine, error) {
-	_, g, err := Build()
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(st, view, g), nil
-}
-
-// DisplayLabel maps diagnosis labels to the row names of Table IV.
-func DisplayLabel(primary string) string {
-	if primary == event.EBGPHoldTimerExpired {
-		return "eBGP HTE (due to unknown reasons)"
-	}
-	return primary
+	return app.NewEngine(st, view)
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
-// Package cdn packages the CDN service-impairment RCA application of
-// paper §III-B: the application-specific events of Table V and the
-// diagnosis graph of Fig. 5, expressed in the rule-specification language.
+// Package cdn holds what of the CDN service-impairment RCA application of
+// paper §III-B is not rules: the deployment the spatial model needs and
+// the egress-change events it consumes. The events of Table V and the
+// diagnosis graph of Fig. 5 are examples/specs/cdn.grca (rooted at the RTT
+// degradation) and cdnthroughput.grca (at the throughput drop).
 //
 // The symptom is an end-to-end RTT degradation between a CDN server and a
 // client measurement agent. Diagnosis leans entirely on the spatial model:
@@ -12,174 +14,27 @@
 package cdn
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/collector"
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/netstate"
-	"grca/internal/rulespec"
 	"grca/internal/store"
 )
 
-// Spec is the application's rule-specification source (Tables V–VI,
-// Fig. 5).
-const Spec = `
-app "cdn-rtt" root "CDN round trip time increase"
+// The registry's cdn application, examples/specs/cdn.grca. Build and
+// NewEngine delegate to it; they remain for callers that name this
+// package, the bench harness (bench/reference.go) among them.
+var app = apps.MustGet("cdn")
 
-event "CDN round trip time increase" {
-    loctype  server:client
-    source   Keynote
-    desc     "increase in end-to-end round trip time (RTT) between end-users and CDN servers"
-}
-event "CDN end-to-end throughput drop" {
-    loctype  server:client
-    source   Keynote
-    desc     "decrease in average download throughput"
-}
-event "CDN server issue" {
-    loctype  server
-    source   "server logs"
-    desc     "CDN server load is high"
-}
-event "CDN assignment policy change" {
-    loctype  server
-    source   "server logs"
-    desc     "request-routing policy changed at a CDN node"
-}
+func Build() (*event.Library, *dgraph.Graph, error) { return app.Build() }
 
-rule "CDN round trip time increase" <- "CDN server issue" {
-    priority 160
-    join     server
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-}
-rule "CDN round trip time increase" <- "CDN assignment policy change" {
-    priority 150
-    join     server
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 300s
-}
-rule "CDN round trip time increase" <- "BGP egress change" {
-    priority 140
-    join     ingress:destination
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 300s
-}
-rule "CDN round trip time increase" <- "Interface flap" {
-    priority 130
-    join     interface
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 5s
-}
-rule "CDN round trip time increase" <- "Link congestion alarm" {
-    priority 120
-    join     interface
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-}
-rule "CDN round trip time increase" <- "Link loss alarm" {
-    priority 110
-    join     interface
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-}
-rule "CDN round trip time increase" <- "OSPF re-convergence event" {
-    priority 100
-    join     router
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 300s
-}
-`
-
-// ThroughputSpec is the sibling application rooted at the other Table V
-// symptom: §III-B.1 describes "CDN end-to-end throughput drop" as the
-// input event inferred from Keynote measurements (a decrease in average
-// download throughput). The diagnosis classes are those of Fig. 5; only
-// the root differs, because throughput degrades through the same network
-// and service causes as RTT.
-const ThroughputSpec = `
-app "cdn-throughput" root "CDN end-to-end throughput drop"
-
-event "CDN end-to-end throughput drop" {
-    loctype  server:client
-    source   Keynote
-    desc     "decrease in average download throughput"
-}
-event "CDN server issue" {
-    loctype  server
-    source   "server logs"
-    desc     "CDN server load is high"
-}
-event "CDN assignment policy change" {
-    loctype  server
-    source   "server logs"
-    desc     "request-routing policy changed at a CDN node"
-}
-
-rule "CDN end-to-end throughput drop" <- "CDN server issue" {
-    priority 160
-    join     server
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-}
-rule "CDN end-to-end throughput drop" <- "CDN assignment policy change" {
-    priority 150
-    join     server
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 300s
-}
-rule "CDN end-to-end throughput drop" <- "BGP egress change" {
-    priority 140
-    join     ingress:destination
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 300s
-}
-rule "CDN end-to-end throughput drop" <- "Interface flap" {
-    priority 130
-    join     interface
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 5s
-}
-rule "CDN end-to-end throughput drop" <- "Link congestion alarm" {
-    priority 120
-    join     interface
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-}
-rule "CDN end-to-end throughput drop" <- "Link loss alarm" {
-    priority 110
-    join     interface
-    symptom  start/end expand 300s 300s
-    diag     start/end expand 300s 300s
-}
-rule "CDN end-to-end throughput drop" <- "OSPF re-convergence event" {
-    priority 100
-    join     router
-    symptom  start/end expand 120s 120s
-    diag     start/end expand 5s 300s
-}
-`
-
-// BuildThroughput parses the throughput-rooted specification.
-func BuildThroughput() (*event.Library, *dgraph.Graph, error) {
-	spec, err := rulespec.Parse(ThroughputSpec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cdn: %v", err)
-	}
-	return spec.Build(event.Knowledge(), dgraph.Knowledge())
-}
-
-// NewThroughputEngine builds the throughput-drop RCA engine.
-func NewThroughputEngine(st store.Store, view *netstate.View) (*engine.Engine, error) {
-	_, g, err := BuildThroughput()
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(st, view, g), nil
+func NewEngine(st store.Store, view *netstate.View) (*engine.Engine, error) {
+	return app.NewEngine(st, view)
 }
 
 // Deployment describes the CDN layout and client population the
@@ -193,15 +48,6 @@ type Deployment struct {
 	Agents map[string]netip.Addr
 	// Prefixes lists the client prefixes whose egress history matters.
 	Prefixes []netip.Prefix
-}
-
-// Build parses the specification against the Knowledge Library.
-func Build() (*event.Library, *dgraph.Graph, error) {
-	spec, err := rulespec.Parse(Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cdn: %v", err)
-	}
-	return spec.Build(event.Knowledge(), dgraph.Knowledge())
 }
 
 // Register wires the deployment into the network view so the spatial
@@ -218,32 +64,4 @@ func Register(view *netstate.View, dep Deployment) {
 // ingress and client prefixes over the observation window.
 func MaterializeEgressChanges(c *collector.Collector, dep Deployment, from, to time.Time) {
 	c.EmitEgressChanges([]string{dep.Router}, dep.Prefixes, from, to)
-}
-
-// NewEngine builds the application's RCA engine over collected data.
-func NewEngine(st store.Store, view *netstate.View) (*engine.Engine, error) {
-	_, g, err := Build()
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(st, view, g), nil
-}
-
-// DisplayLabel maps diagnosis labels to the row names of Table VI.
-func DisplayLabel(primary string) string {
-	switch primary {
-	case engine.Unknown:
-		return "Outside of our network (Unknown)"
-	case event.BGPEgressChange:
-		return "Egress Change due to Inter-domain routing change"
-	case event.LinkCongestion:
-		return "Link Congestions"
-	case event.LinkLoss:
-		return "Link Loss"
-	case event.OSPFReconvergence:
-		return "OSPF re-convergence"
-	case event.CDNPolicyChange:
-		return "CDN assignment policy change"
-	}
-	return primary
 }

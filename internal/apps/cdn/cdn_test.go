@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/apps/cdn"
 	"grca/internal/engine"
 	"grca/internal/event"
@@ -60,8 +61,19 @@ func TestBuildGraphShape(t *testing.T) {
 	}
 }
 
+// throughput is examples/specs/cdnthroughput.grca, the registry's cdn
+// application rooted at the other Table V symptom. Nothing serves it.
+func throughput(t *testing.T) apps.App {
+	t.Helper()
+	a, err := apps.Load("cdnthroughput", "cdn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestBuildThroughputVariant(t *testing.T) {
-	lib, g, err := cdn.BuildThroughput()
+	lib, g, err := throughput(t).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +104,7 @@ func TestThroughputEngineOnCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cdn.NewThroughputEngine(sys.Store, sys.View)
+	eng, err := throughput(t).NewEngine(sys.Store, sys.View)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +122,7 @@ func TestThroughputEngineOnCorpus(t *testing.T) {
 }
 
 func TestDisplayLabelMapping(t *testing.T) {
+	app := apps.MustGet("cdn")
 	cases := map[string]string{
 		engine.Unknown:          "Outside of our network (Unknown)",
 		event.BGPEgressChange:   "Egress Change due to Inter-domain routing change",
@@ -119,8 +132,8 @@ func TestDisplayLabelMapping(t *testing.T) {
 		event.InterfaceFlap:     event.InterfaceFlap, // passthrough
 	}
 	for in, want := range cases {
-		if got := cdn.DisplayLabel(in); got != want {
-			t.Errorf("cdn.DisplayLabel(%q) = %q, want %q", in, got, want)
+		if got := app.DisplayLabel(in); got != want {
+			t.Errorf("cdn DisplayLabel(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package pim packages the PIM adjacency-change RCA application for
-// Multicast VPN service of paper §III-C: the application-specific events
-// of Table VII and the diagnosis graph of Fig. 6 in the
-// rule-specification language.
+// Package pim is the PIM adjacency-change RCA application for Multicast
+// VPN service of paper §III-C: the application-specific events of Table
+// VII and the diagnosis graph of Fig. 6 in the rule-specification
+// language.
 //
 // The symptom is a PE losing its PIM neighbor adjacency with another PE of
 // the same MVPN. Root causes span router configuration changes (customers
@@ -9,118 +9,25 @@
 // changes within the backbone, and problems on the PER uplinks — exactly
 // the classes of Table VIII. The paper built this application in under ten
 // hours by reusing Knowledge Library events and rules; here the whole
-// graph is the Spec constant below.
+// application is examples/specs/pim.grca, and this package only names it.
 package pim
 
 import (
-	"fmt"
-
+	"grca/internal/apps"
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/netstate"
-	"grca/internal/rulespec"
 	"grca/internal/store"
 )
 
-// Spec is the application's rule-specification source (Tables VII–VIII,
-// Fig. 6). All joins run at router level: the adjacency location (the
-// reporting PE and its peer PE) expands through the OSPF simulation to
-// every router on the paths between them, so backbone evidence anywhere
-// along the way is considered.
-const Spec = `
-app "pim-mvpn" root "PIM Neighbor Adjacency Change"
+// The registry's pim application, examples/specs/pim.grca. Build and
+// NewEngine delegate to it; they remain for callers that name this
+// package, the bench harness (bench/reference.go) among them.
+var app = apps.MustGet("pim")
 
-event "PIM Neighbor Adjacency Change" {
-    loctype  router:neighbor
-    source   syslog
-    desc     "a PE lost a neighbor adjacency with another PE in the MVPN"
-}
-event "PIM Configuration change" {
-    loctype  router
-    source   "router command logs"
-    desc     "a MVPN is either provisioned or de-provisioned on a router"
-}
-event "Uplink PIM adjacency change" {
-    loctype  router:neighbor
-    source   syslog
-    desc     "a PE lost a neighbor adjacency with its directly connected router on its uplink to the backbone"
-}
+func Build() (*event.Library, *dgraph.Graph, error) { return app.Build() }
 
-rule "PIM Neighbor Adjacency Change" <- "PIM Configuration change" {
-    priority 200
-    join     router
-    symptom  start/start expand 30s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "PIM Neighbor Adjacency Change" <- "Uplink PIM adjacency change" {
-    priority 150
-    join     router
-    symptom  start/start expand 30s 10s
-    diag     start/end   expand 5s 60s
-}
-rule "PIM Neighbor Adjacency Change" <- "Interface flap" {
-    priority 140
-    join     router
-    symptom  start/start expand 30s 10s
-    diag     start/end   expand 5s 5s
-    note     "customer-facing interface flap on either PE"
-}
-rule "PIM Neighbor Adjacency Change" <- "Router Cost In/Out" {
-    priority 130
-    join     router
-    symptom  start/start expand 60s 10s
-    diag     start/end   expand 5s 120s
-}
-rule "PIM Neighbor Adjacency Change" <- "Link Cost Out/Down" {
-    priority 120
-    join     router
-    symptom  start/start expand 30s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "PIM Neighbor Adjacency Change" <- "Link Cost In/Up" {
-    priority 110
-    join     router
-    symptom  start/start expand 30s 10s
-    diag     start/end   expand 5s 5s
-}
-rule "PIM Neighbor Adjacency Change" <- "OSPF re-convergence event" {
-    priority 100
-    join     router
-    symptom  start/start expand 30s 10s
-    diag     start/end   expand 5s 5s
-}
-`
-
-// Build parses the specification against the Knowledge Library.
-func Build() (*event.Library, *dgraph.Graph, error) {
-	spec, err := rulespec.Parse(Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pim: %v", err)
-	}
-	return spec.Build(event.Knowledge(), dgraph.Knowledge())
-}
-
-// NewEngine builds the application's RCA engine over collected data.
 func NewEngine(st store.Store, view *netstate.View) (*engine.Engine, error) {
-	_, g, err := Build()
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(st, view, g), nil
-}
-
-// DisplayLabel maps diagnosis labels to the row names of Table VIII.
-func DisplayLabel(primary string) string {
-	switch primary {
-	case event.PIMConfigChange:
-		return "PIM Configuration Change (to add and remove customers)"
-	case event.PIMUplinkAdjacencyChange:
-		return "Uplink PIM adjacency loss"
-	case event.InterfaceFlap:
-		return "interface (customer facing) flap"
-	case event.OSPFReconvergence:
-		return "OSPF re-convergence"
-	}
-	return primary
+	return app.NewEngine(st, view)
 }

@@ -63,7 +63,7 @@ func TestDisplayLabelMapping(t *testing.T) {
 		engine.Unknown:                 engine.Unknown,
 	}
 	for in, want := range cases {
-		if got := DisplayLabel(in); got != want {
+		if got := app.DisplayLabel(in); got != want {
 			t.Errorf("DisplayLabel(%q) = %q, want %q", in, got, want)
 		}
 	}

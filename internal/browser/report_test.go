@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"grca/internal/apps/bgpflap"
+	"grca/internal/apps"
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
@@ -27,7 +27,7 @@ func corpusForReport(t *testing.T) (*simnet.Dataset, *platform.System, []engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := bgpflap.NewEngine(sys.Store, sys.View)
+	eng, err := apps.MustGet("bgpflap").NewEngine(sys.Store, sys.View)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestWriteReport(t *testing.T) {
 	var b strings.Builder
 	err := WriteReport(&b, sys.Store, ds, ReportOptions{
 		Title:   "BGP flap SQM report",
-		Display: bgpflap.DisplayLabel,
+		Display: apps.MustGet("bgpflap").DisplayLabel,
 		View:    sys.View,
 	})
 	if err != nil {

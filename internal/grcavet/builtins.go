@@ -1,11 +1,6 @@
 package grcavet
 
-import (
-	"grca/internal/apps/backbone"
-	"grca/internal/apps/bgpflap"
-	"grca/internal/apps/cdn"
-	"grca/internal/apps/pim"
-)
+import "grca/examples/specs"
 
 // Builtin is one compiled-in application specification.
 type Builtin struct {
@@ -13,16 +8,16 @@ type Builtin struct {
 	Src  string
 }
 
-// Builtins lists the applications shipped with the platform, in the order
-// the grca CLI exposes them.
+// Builtins lists the application specs embedded from examples/specs, in
+// the order the grca CLI exposes the applications. A file missing from the
+// embed vets as a parse error of an empty spec.
 func Builtins() []Builtin {
-	return []Builtin{
-		{"bgpflap", bgpflap.Spec},
-		{"cdn", cdn.Spec},
-		{"cdnrtt", cdn.ThroughputSpec},
-		{"pim", pim.Spec},
-		{"backbone", backbone.Spec},
+	var out []Builtin
+	for _, name := range []string{"bgpflap", "cdn", "cdnthroughput", "pim", "backbone"} {
+		src, _ := specs.FS.ReadFile(name + ".grca")
+		out = append(out, Builtin{name, string(src)})
 	}
+	return out
 }
 
 // CheckBuiltins vets every compiled-in application spec plus the shipped

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"grca/internal/dgraph"
+	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/netstate"
 	"grca/internal/rulespec"
@@ -69,6 +70,7 @@ const (
 	CheckNegativePriority = "negative-priority"          // rule priority below zero
 	CheckUnusedEvent      = "unused-event"               // event defined but referenced by no rule
 	CheckRootNoRules      = "root-no-rules"              // root symptom has no diagnosis rules
+	CheckLabelUnknown     = "label-unknown"              // label renames a name that is no event of the graph nor Unknown
 	CheckUncorrelated     = "rule-uncorrelated"          // correlation test failed (with -validate)
 	CheckUntestable       = "rule-untestable"            // correlation test had no data (with -validate)
 )
@@ -82,7 +84,7 @@ func CheckIDs() []string {
 		CheckUnreachableRule, CheckJoinSymptom, CheckJoinDiagnostic,
 		CheckEmptyWindow, CheckRetention, CheckSNMPMargin,
 		CheckPriorityInverted, CheckNegativePriority, CheckUnusedEvent,
-		CheckRootNoRules, CheckUncorrelated, CheckUntestable,
+		CheckRootNoRules, CheckLabelUnknown, CheckUncorrelated, CheckUntestable,
 	}
 }
 
@@ -310,8 +312,9 @@ func (v *vetter) addf(check string, sev Severity, line int, subject, format stri
 }
 
 // checkEvents flags spec-defined events that no rule references (the
-// classic "renamed the event, forgot the rule" drift) and verifies the
-// root is defined.
+// classic "renamed the event, forgot the rule" drift) and labels that
+// rename no event of the graph (a typo that leaves a row unrenamed), and
+// verifies the root is defined.
 func (v *vetter) checkEvents(spec *rulespec.Spec, lib *event.Library, edges []edge) {
 	if !has(lib, spec.Root) {
 		v.addf(CheckUndefinedEvent, Error, spec.Line, spec.Root,
@@ -326,6 +329,12 @@ func (v *vetter) checkEvents(spec *rulespec.Spec, lib *event.Library, edges []ed
 		if !used[d.Name] {
 			v.addf(CheckUnusedEvent, Info, d.Line, d.Name,
 				"event %q is defined but no rule references it", d.Name)
+		}
+	}
+	for _, l := range spec.Labels {
+		if !used[l.Raw] && l.Raw != engine.Unknown {
+			v.addf(CheckLabelUnknown, Warning, l.Line, l.Raw,
+				"label %q names no event of the graph (nor %s): the row it renames never appears", l.Raw, engine.Unknown)
 		}
 	}
 }

@@ -2,19 +2,23 @@ package grcavet
 
 import (
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"grca/examples/specs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
 
 // TestCorpus runs every deliberately broken spec in testdata/ through the
 // vetter and compares the rendered findings against its .want golden. The
-// corpus has one file per check ID, named after it, so the test also
-// asserts that each file actually triggers its namesake check with full
-// file:line provenance.
+// corpus has one file per check ID, named after it (a second case of one
+// check is <check>.<case>.grca), so the test also asserts that each file
+// actually triggers its namesake check with full file:line provenance.
 func TestCorpus(t *testing.T) {
 	specs, err := filepath.Glob(filepath.Join("testdata", "*.grca"))
 	if err != nil || len(specs) == 0 {
@@ -26,8 +30,9 @@ func TestCorpus(t *testing.T) {
 	}
 	for _, path := range specs {
 		name := strings.TrimSuffix(filepath.Base(path), ".grca")
+		check, _, _ := strings.Cut(name, ".")
 		t.Run(name, func(t *testing.T) {
-			if !ids[name] {
+			if !ids[check] {
 				t.Fatalf("corpus file %q is not named after a check ID", path)
 			}
 			src, err := os.ReadFile(path)
@@ -44,7 +49,7 @@ func TestCorpus(t *testing.T) {
 				if f.Line < 1 {
 					t.Errorf("finding without line provenance: %+v", f)
 				}
-				if f.Check == name {
+				if f.Check == check {
 					hit = true
 				}
 			}
@@ -95,11 +100,24 @@ func TestCorpusCoversChecks(t *testing.T) {
 	}
 }
 
-// TestBuiltinsClean is the release gate: the shipped application specs and
-// the Table II rule catalogue must produce no warnings or errors. (Info
-// findings are tolerated — cdn deliberately defines the Table V
+// TestBuiltinsClean is the release gate: the shipped application specs —
+// every file embedded from examples/specs, the bytes CI also vets on disk
+// — and the Table II rule catalogue must produce no warnings or errors.
+// (Info findings are tolerated — cdn deliberately defines the Table V
 // throughput event its RTT graph does not reference.)
 func TestBuiltinsClean(t *testing.T) {
+	files, err := fs.Glob(specs.FS, "*.grca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, b := range Builtins() {
+		names = append(names, b.Name+".grca")
+	}
+	sort.Strings(names)
+	if strings.Join(names, " ") != strings.Join(files, " ") {
+		t.Errorf("builtins %v, embedded spec files %v", names, files)
+	}
 	for _, f := range CheckBuiltins(Options{}) {
 		if f.Severity >= Warning {
 			t.Errorf("shipped spec is not vet-clean: %s", f)
@@ -110,7 +128,7 @@ func TestBuiltinsClean(t *testing.T) {
 }
 
 // TestExamplesClean vets the standalone spec files shipped under
-// examples/specs — the same files CI feeds to `grca vet`.
+// examples/specs on disk — the same files CI feeds to `grca vet`.
 func TestExamplesClean(t *testing.T) {
 	specs, err := filepath.Glob(filepath.Join("..", "..", "examples", "specs", "*.grca"))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/apps/bgpflap"
 	"grca/internal/apps/cdn"
 	"grca/internal/apps/pim"
@@ -152,16 +153,17 @@ func TestPIMPipelineAccuracy(t *testing.T) {
 }
 
 func TestDisplayLabels(t *testing.T) {
-	if got := cdn.DisplayLabel(engine.Unknown); got != "Outside of our network (Unknown)" {
+	cdnApp, pimApp, bgpApp := apps.MustGet("cdn"), apps.MustGet("pim"), apps.MustGet("bgpflap")
+	if got := cdnApp.DisplayLabel(engine.Unknown); got != "Outside of our network (Unknown)" {
 		t.Errorf("cdn unknown label = %q", got)
 	}
-	if got := pim.DisplayLabel(event.InterfaceFlap); got != "interface (customer facing) flap" {
+	if got := pimApp.DisplayLabel(event.InterfaceFlap); got != "interface (customer facing) flap" {
 		t.Errorf("pim iface label = %q", got)
 	}
-	if got := bgpflap.DisplayLabel(event.EBGPHoldTimerExpired); got != "eBGP HTE (due to unknown reasons)" {
+	if got := bgpApp.DisplayLabel(event.EBGPHoldTimerExpired); got != "eBGP HTE (due to unknown reasons)" {
 		t.Errorf("bgp HTE label = %q", got)
 	}
-	if got := bgpflap.DisplayLabel(event.InterfaceFlap); got != event.InterfaceFlap {
+	if got := bgpApp.DisplayLabel(event.InterfaceFlap); got != event.InterfaceFlap {
 		t.Errorf("bgp passthrough label = %q", got)
 	}
 }

@@ -1,9 +1,12 @@
 package rulespec
 
 import (
+	"io/fs"
 	"regexp"
 	"strings"
 	"testing"
+
+	"grca/examples/specs"
 )
 
 // errLine matches the "line N" provenance every Parse error must carry.
@@ -31,6 +34,18 @@ func FuzzParse(f *testing.F) {
 	f.Add("app \"x\" root \"r\"\n\n\n\"unterminated")
 	f.Add("app \"x\" root \"r\"\nrule \"a\" <- \"b\" { symptom start/start expand -10s -10s }")
 	f.Add("app \"x\" root \"r\"\nevent \"e\" { loctype router } event \"e\" { loctype router }")
+	// The shipped applications, title and label statements included.
+	files, err := fs.Glob(specs.FS, "*.grca")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no embedded specs: %v", err)
+	}
+	for _, name := range files {
+		src, err := specs.FS.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		spec, err := Parse(src)
 		if err != nil {
@@ -62,6 +77,13 @@ func FuzzParse(f *testing.F) {
 			if u.Line < 1 {
 				t.Errorf("use without line provenance: %+v", u)
 			}
+		}
+		raws := map[string]bool{}
+		for _, l := range spec.Labels {
+			if l.Line < 1 || raws[l.Raw] {
+				t.Errorf("label without line provenance or repeated: %+v", l)
+			}
+			raws[l.Raw] = true
 		}
 	})
 }

@@ -3,13 +3,14 @@
 // operators customize the platform into new RCA applications without
 // programming: it declares application-specific events, redefines
 // Knowledge Library events, writes application-specific diagnosis rules,
-// and pulls catalogue rules in with one line.
+// pulls catalogue rules in with one line, and titles the root-cause
+// breakdown and names its rows.
 //
 // Grammar (line comments start with '#'; newlines are insignificant):
 //
 //	spec      = app { stmt } .
 //	app       = "app" STRING "root" STRING .
-//	stmt      = eventDecl | redefine | ruleDecl | useDecl .
+//	stmt      = eventDecl | redefine | ruleDecl | useDecl | title | label .
 //	eventDecl = "event" STRING "{" { eventProp } "}" .
 //	redefine  = "redefine" eventDecl .
 //	eventProp = "loctype" IDENT | "source" (IDENT|STRING) | "desc" STRING .
@@ -19,6 +20,8 @@
 //	          | "note" STRING .
 //	expansion = IDENT "expand" DURATION DURATION .   # IDENT: start/end etc.
 //	useDecl   = "use" STRING "<-" STRING "priority" NUMBER .
+//	title     = "title" STRING .              # at most once
+//	label     = "label" STRING STRING .       # raw name, shown name; raw names unique
 package rulespec
 
 import (

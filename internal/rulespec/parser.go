@@ -34,6 +34,13 @@ type Rule struct {
 	Line int
 }
 
+// Label renames a diagnosis label (an event name, or Unknown) for the
+// application's root-cause breakdown.
+type Label struct {
+	Raw, Shown string
+	Line       int
+}
+
 // Spec is a parsed application specification. Every statement carries the
 // source line it started on.
 type Spec struct {
@@ -42,6 +49,10 @@ type Spec struct {
 	Root string
 	// Line is the source line of the "app" header.
 	Line int
+	// Title heads the application's root-cause breakdown; Labels rename
+	// its rows. Neither changes a diagnosis.
+	Title  string
+	Labels []Label
 	// Events are application-specific event definitions; Redefines shadow
 	// Knowledge Library entries.
 	Events    []Event
@@ -110,6 +121,7 @@ func (p *parser) parseSpec() (*Spec, error) {
 	}
 	s.Root = root.text
 
+	titleLine := 0
 	for p.tok.kind != tokEOF {
 		if p.tok.kind != tokIdent {
 			return nil, fmt.Errorf("line %d: expected a statement, found %q", p.tok.line, p.tok.text)
@@ -144,6 +156,30 @@ func (p *parser) parseSpec() (*Spec, error) {
 				return nil, err
 			}
 			s.Uses = append(s.Uses, u)
+		case "title":
+			line := p.tok.line
+			if titleLine > 0 {
+				return nil, fmt.Errorf("line %d: second title (the first is on line %d)", line, titleLine)
+			}
+			if err := p.advance(); err != nil {
+				return nil, err
+			}
+			t, err := p.expect(tokString)
+			if err != nil {
+				return nil, err
+			}
+			s.Title, titleLine = t.text, line
+		case "label":
+			l, err := p.parseLabel()
+			if err != nil {
+				return nil, err
+			}
+			for _, prev := range s.Labels {
+				if prev.Raw == l.Raw {
+					return nil, fmt.Errorf("line %d: label %q already given on line %d", l.Line, l.Raw, prev.Line)
+				}
+			}
+			s.Labels = append(s.Labels, l)
 		default:
 			return nil, fmt.Errorf("line %d: unknown statement %q", p.tok.line, p.tok.text)
 		}
@@ -318,6 +354,23 @@ func (p *parser) parseExpansion() (temporal.Expansion, error) {
 		}
 	}
 	return e, nil
+}
+
+func (p *parser) parseLabel() (Label, error) {
+	l := Label{Line: p.tok.line}
+	if err := p.keyword("label"); err != nil {
+		return l, err
+	}
+	raw, err := p.expect(tokString)
+	if err != nil {
+		return l, err
+	}
+	shown, err := p.expect(tokString)
+	if err != nil {
+		return l, err
+	}
+	l.Raw, l.Shown = raw.text, shown.text
+	return l, nil
 }
 
 func (p *parser) parseUse() (Use, error) {

@@ -180,6 +180,8 @@ func TestParseErrors(t *testing.T) {
 		{"stray char", `app "x" root "r" @`},
 		{"lone <", `app "x" root "r" <`},
 		{"use missing priority", `app "x" root "r" use "a" <- "b"`},
+		{"title missing string", `app "x" root "r" title`},
+		{"label missing shown name", `app "x" root "r" label "a"`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil {
@@ -250,6 +252,8 @@ rule "eBGP flap" <- "Interface flap" {
     join     interface
 }
 use "Interface flap" <- "SONET restoration" priority 190
+title "Flaps"
+label "Interface flap" "Layer-1 or layer-2 flap"
 `
 	s, err := Parse(src)
 	if err != nil {
@@ -270,6 +274,12 @@ use "Interface flap" <- "SONET restoration" priority 190
 	if got := s.Uses[0].Line; got != 17 {
 		t.Errorf("use line = %d, want 17", got)
 	}
+	if s.Title != "Flaps" {
+		t.Errorf("title = %q", s.Title)
+	}
+	if want := (Label{Raw: "Interface flap", Shown: "Layer-1 or layer-2 flap", Line: 19}); len(s.Labels) != 1 || s.Labels[0] != want {
+		t.Errorf("labels = %+v, want [%+v]", s.Labels, want)
+	}
 }
 
 // TestErrorsCarryLines asserts that every Parse failure names a source
@@ -286,6 +296,8 @@ func TestErrorsCarryLines(t *testing.T) {
 		{"app \"x\" root \"r\"\nevent \"e\" { loctype nowhere }", "line 2"},                // unknown location type
 		{"app \"x\" root \"r\"\nrule \"a\" <- \"b\" { symptom start expand 1 }", "line 2"}, // bad expansion option
 		{"app \"x\" root \"r\"\n\"unterminated", "line 2"},                                 // lexer error
+		{"app \"x\" root \"r\"\ntitle \"a\"\n\ntitle \"b\"", "line 4: second title (the first is on line 2)"},
+		{"app \"x\" root \"r\"\nlabel \"a\" \"b\"\nlabel \"a\" \"c\"", `line 3: label "a" already given on line 2`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/apps"
 	"grca/internal/browser"
 	"grca/internal/event"
 	"grca/internal/platform"
@@ -76,7 +77,7 @@ func TestResultBrowser(t *testing.T) {
 
 	t.Run("breakdown parity", func(t *testing.T) {
 		for _, app := range []string{"bgpflap", "cdn"} {
-			spec := specFor(t, app)
+			spec := apps.MustGet(app)
 			eng, err := spec.NewEngine(sys.Store, sys.View)
 			if err != nil {
 				t.Fatal(err)

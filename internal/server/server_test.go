@@ -113,7 +113,7 @@ func TestDiagnoseParityWithBatch(t *testing.T) {
 	}
 
 	for _, app := range []string{"bgpflap", "cdn"} {
-		spec := specFor(t, app)
+		spec := apps.MustGet(app)
 		eng, err := spec.NewEngine(sys.Store, sys.View)
 		if err != nil {
 			t.Fatal(err)
@@ -181,15 +181,6 @@ func TestDiagnoseParityWithBatch(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func specFor(t *testing.T, name string) apps.App {
-	t.Helper()
-	a, ok := apps.Get(name)
-	if !ok {
-		t.Fatalf("no app %q", name)
-	}
-	return a
 }
 
 // TestRestartRecovery: a served corpus survives shutdown and reopen —

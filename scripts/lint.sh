@@ -6,8 +6,9 @@
 # Runs, in order: gofmt (whole tree, including testdata exemplars),
 # go vet, the grcalint analyzer suite (style + concurrency-correctness
 # checks; findings also written as a JSON envelope artifact when a path
-# is given), grca vet -strict over the built-in and example specs, and a
-# grep that keeps the docs from drifting back to a deleted instrument.
+# is given), grca vet -strict over the built-in and example specs, a grep
+# that keeps the docs from drifting back to a deleted instrument, and one
+# that keeps each application's spec in its .grca file alone.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -48,6 +49,15 @@ echo "== retired instruments stay retired =="
 if git grep -nE 'BENCH_[A-Z]+\.json|serve_[s]moke' -- . \
     ':!bench' ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
   echo "mentions of a deleted instrument (above)" >&2
+  fail=1
+fi
+
+echo "== one copy of each spec =="
+# An application is its .grca file (the shipped ones are examples/specs,
+# embedded by grca/examples/specs); a spec header in non-test Go is a
+# second copy that nothing holds equal to the first.
+if git grep -nE '^app "' -- '*.go' ':!*_test.go'; then
+  echo "rule-spec text in Go (above): keep it in a .grca file" >&2
   fail=1
 fi
 
