@@ -15,10 +15,9 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"grca/internal/epoch"
 	"grca/internal/obs"
 	"grca/internal/ospf"
 )
@@ -77,13 +76,16 @@ type Sim struct {
 	prefixes map[netip.Prefix]map[string]*timeline // prefix → egress → timeline
 	updates  []Update                              // global ordered update feed
 
-	// epochs holds the distinct update instants in time order; between two
-	// consecutive instants the RIB — and thus Lookup and Candidates — is
-	// constant. Best-path selection additionally depends on the OSPF epoch
-	// through the hot-potato tie-break, so bestKey carries both.
-	epochs []time.Time
-	gen    atomic.Int64
-	memo   atomic.Pointer[bgpTable]
+	// clock numbers the interdomain routing epochs: between two
+	// consecutive update instants the RIB — and thus Lookup and
+	// Candidates — is constant. Best-path selection additionally depends
+	// on the OSPF epoch through the hot-potato tie-break, so bestKey
+	// carries both.
+	clock epoch.Clock
+	// lookup and best are the two memos, each for one pair of (BGP, OSPF)
+	// clock generations: either change log growing drops both.
+	lookup *epoch.Memo[[2]int64, lookupKey, netip.Prefix]
+	best   *epoch.Memo[[2]int64, bestKey, Route]
 }
 
 // lookupKey identifies one memoized longest-prefix match.
@@ -102,86 +104,18 @@ type bestKey struct {
 	ospfEpoch int
 }
 
-type lookupVal struct {
-	pfx netip.Prefix
-	ok  bool
-}
-
-type bestVal struct {
-	route Route
-	err   error
-}
-
-const bgpShards = 16 // power of two
-
-func (k lookupKey) shard() int {
-	h := uint32(2166136261)
-	for _, b := range k.addr.As16() {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	h = (h ^ uint32(k.epoch)) * 16777619
-	return int(h & (bgpShards - 1))
-}
-
-func (k bestKey) shard() int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.ingress); i++ {
-		h = (h ^ uint32(k.ingress[i])) * 16777619
-	}
-	for _, b := range k.prefix.Addr().As16() {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	h = (h ^ uint32(k.prefix.Bits())) * 16777619
-	h = (h ^ uint32(k.epoch)) * 16777619
-	h = (h ^ uint32(k.ospfEpoch)) * 16777619
-	return int(h & (bgpShards - 1))
-}
-
-type bgpShard struct {
-	mu     sync.RWMutex
-	lookup map[lookupKey]lookupVal
-	best   map[bestKey]bestVal
-}
-
-// bgpTable is one generation of the memo; it is discarded whenever either
-// the BGP update feed or the OSPF change log grows.
-type bgpTable struct {
-	gen     int64
-	ospfGen int64
-	shards  [bgpShards]bgpShard
-}
-
-func (s *Sim) table() *bgpTable {
-	gen, ogen := s.gen.Load(), s.ospf.Generation()
-	for {
-		t := s.memo.Load()
-		if t != nil && t.gen == gen && t.ospfGen == ogen {
-			return t
-		}
-		nt := &bgpTable{gen: gen, ospfGen: ogen}
-		for i := range nt.shards {
-			nt.shards[i].lookup = map[lookupKey]lookupVal{}
-			nt.shards[i].best = map[bestKey]bestVal{}
-		}
-		if s.memo.CompareAndSwap(t, nt) {
-			return nt
-		}
-	}
+// gens returns the generations the memos are valid for.
+func (s *Sim) gens() [2]int64 {
+	return [2]int64{s.clock.Generation(), s.ospf.Clock().Generation()}
 }
 
 // EpochAt returns the interdomain routing epoch of time t: the number of
 // recorded update instants at or before t. The RIB is identical for any
 // two instants in the same epoch.
-func (s *Sim) EpochAt(t time.Time) int {
-	return sort.Search(len(s.epochs), func(i int) bool { return s.epochs[i].After(t) })
-}
+func (s *Sim) EpochAt(t time.Time) int { return s.clock.At(t) }
 
-// Epochs returns the number of distinct update instants recorded.
-func (s *Sim) Epochs() int { return len(s.epochs) }
-
-// Generation returns a counter incremented on every recorded update; see
-// ospf.Sim.Generation.
-func (s *Sim) Generation() int64 { return s.gen.Load() }
+// Clock returns the epoch clock of the update feed; see ospf.Sim.Clock.
+func (s *Sim) Clock() *epoch.Clock { return &s.clock }
 
 // Update is one observed reflector update, the unit of the BGP monitor feed.
 type Update struct {
@@ -192,7 +126,12 @@ type Update struct {
 
 // New creates a simulator whose hot-potato tie-break consults o.
 func New(o *ospf.Sim) *Sim {
-	return &Sim{ospf: o, prefixes: map[netip.Prefix]map[string]*timeline{}}
+	return &Sim{
+		ospf:     o,
+		prefixes: map[netip.Prefix]map[string]*timeline{},
+		lookup:   epoch.NewMemo[[2]int64, lookupKey, netip.Prefix](mLookupHits, mLookupMisses),
+		best:     epoch.NewMemo[[2]int64, bestKey, Route](mBestHits, mBestMisses),
+	}
 }
 
 // Announce records that egress r.Egress offered r for r.Prefix from time at.
@@ -228,15 +167,7 @@ func (s *Sim) record(at time.Time, r Route, withdraw bool) error {
 	}
 	tl.entries = append(tl.entries, ribEntry{at: at, withdrawn: withdraw, route: r})
 	s.updates = append(s.updates, Update{At: at, Withdraw: withdraw, Route: r})
-	// Maintain sorted, distinct epoch boundaries (updates to different
-	// prefixes may interleave in time).
-	i := sort.Search(len(s.epochs), func(i int) bool { return !s.epochs[i].Before(at) })
-	if i == len(s.epochs) || !s.epochs[i].Equal(at) {
-		s.epochs = append(s.epochs, time.Time{})
-		copy(s.epochs[i+1:], s.epochs[i:])
-		s.epochs[i] = at
-	}
-	s.gen.Add(1)
+	s.clock.Record(at)
 	return nil
 }
 
@@ -249,27 +180,15 @@ func (s *Sim) Updates() []Update { return s.updates }
 // BGP table data. The scan over the prefix table is memoized per
 // (address, epoch).
 func (s *Sim) Lookup(ip netip.Addr, t time.Time) (netip.Prefix, bool) {
-	k := lookupKey{addr: ip, epoch: s.EpochAt(t)}
-	tab := s.table()
-	sh := &tab.shards[k.shard()]
-	sh.mu.RLock()
-	v, ok := sh.lookup[k]
-	sh.mu.RUnlock()
-	if ok {
-		mLookupHits.Inc()
-		return v.pfx, v.ok
-	}
-	mLookupMisses.Inc()
-	pfx, found := s.lookup(ip, t)
-	sh.mu.Lock()
-	sh.lookup[k] = lookupVal{pfx: pfx, ok: found}
-	sh.mu.Unlock()
-	return pfx, found
+	pfx, _ := s.lookup.Get(s.gens(), lookupKey{addr: ip, epoch: s.EpochAt(t)},
+		func() (netip.Prefix, error) { return s.longestMatch(ip, t), nil })
+	return pfx, pfx.IsValid()
 }
 
-func (s *Sim) lookup(ip netip.Addr, t time.Time) (netip.Prefix, bool) {
-	best := netip.Prefix{}
-	found := false
+// longestMatch is Lookup's uncached scan. The zero Prefix, whose Bits is
+// -1, means no match: every recorded prefix is valid.
+func (s *Sim) longestMatch(ip netip.Addr, t time.Time) netip.Prefix {
+	var best netip.Prefix
 	for pfx, egresses := range s.prefixes {
 		if !pfx.Contains(ip) {
 			continue
@@ -284,11 +203,11 @@ func (s *Sim) lookup(ip netip.Addr, t time.Time) (netip.Prefix, bool) {
 		if !active {
 			continue
 		}
-		if !found || pfx.Bits() > best.Bits() {
-			best, found = pfx, true
+		if pfx.Bits() > best.Bits() {
+			best = pfx
 		}
 	}
-	return best, found
+	return best
 }
 
 // Candidates returns the active routes for an exact prefix at time t,
@@ -343,21 +262,7 @@ func (s *Sim) BestEgress(ingress string, ip netip.Addr, t time.Time) (Route, err
 		return Route{}, fmt.Errorf("bgp: no route to %v at %v", ip, t)
 	}
 	k := bestKey{ingress: ingress, prefix: pfx, epoch: s.EpochAt(t), ospfEpoch: s.ospf.EpochAt(t)}
-	tab := s.table()
-	sh := &tab.shards[k.shard()]
-	sh.mu.RLock()
-	v, hit := sh.best[k]
-	sh.mu.RUnlock()
-	if hit {
-		mBestHits.Inc()
-		return v.route, v.err
-	}
-	mBestMisses.Inc()
-	route, err := s.bestEgress(ingress, pfx, t)
-	sh.mu.Lock()
-	sh.best[k] = bestVal{route: route, err: err}
-	sh.mu.Unlock()
-	return route, err
+	return s.best.Get(s.gens(), k, func() (Route, error) { return s.bestEgress(ingress, pfx, t) })
 }
 
 func (s *Sim) bestEgress(ingress string, pfx netip.Prefix, t time.Time) (Route, error) {

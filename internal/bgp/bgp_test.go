@@ -222,8 +222,8 @@ func TestEpochsAndBestPathMemo(t *testing.T) {
 	}
 	ann(t0, "a")
 	ann(t0, "c")
-	if s.Epochs() != 1 || s.EpochAt(t0) != 1 || s.EpochAt(t0.Add(-time.Second)) != 0 {
-		t.Fatalf("epochs after two same-instant announcements: %d, EpochAt(t0)=%d", s.Epochs(), s.EpochAt(t0))
+	if s.Clock().Len() != 1 || s.EpochAt(t0) != 1 || s.EpochAt(t0.Add(-time.Second)) != 0 {
+		t.Fatalf("epochs after two same-instant announcements: %d, EpochAt(t0)=%d", s.Clock().Len(), s.EpochAt(t0))
 	}
 	// Hot potato from b: a and c are both at distance 10, so the
 	// deterministic name tie-break picks a. Query twice so the second

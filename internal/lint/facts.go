@@ -230,17 +230,28 @@ func (fs *facts) moduleLocal(fn *types.Func) bool {
 }
 
 // calleeFunc resolves a call expression to its static callee, handling
-// plain functions, package-qualified functions, and method calls.
+// plain functions, package-qualified functions, method calls and explicit
+// instantiations (f[T](…), pkg.F[T, U](…)). A generic callee resolves to
+// its declaration: the instantiated object go/types records at a call
+// site has no facts of its own, so the locks its body takes would be
+// invisible to the caller.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
+	fun := call.Fun
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
+		id = f
 	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
+		id = f.Sel
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
 	}
 	return nil
 }

@@ -67,3 +67,49 @@ func (a *A) WithD() {
 	d.mu.Unlock()
 	a.mu.Unlock()
 }
+
+// Memo is a generic type whose methods take its own lock: a call to one
+// must carry the lock to the caller like any other callee's.
+type Memo[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]int
+	a  *A
+}
+
+// Get takes Memo.mu.
+func (m *Memo[K]) Get(k K) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[k]
+}
+
+// Back nests A.mu under Memo.mu.
+func (m *Memo[K]) Back() {
+	m.mu.Lock()
+	m.a.mu.Lock()
+	m.a.mu.Unlock()
+	m.mu.Unlock()
+}
+
+// Through reaches Memo.mu under A.mu through the generic method; with
+// Back's nesting that is an A.mu → Memo.mu → A.mu cycle.
+func (a *A) Through(m *Memo[string]) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return m.Get("k")
+}
+
+func lockMemo[K comparable](m *Memo[K]) {
+	m.mu.Lock()
+	m.mu.Unlock()
+}
+
+type E struct{ mu sync.Mutex }
+
+// Explicit reaches Memo.mu under E.mu through an explicitly
+// instantiated generic function.
+func (e *E) Explicit(m *Memo[int]) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	lockMemo[int](m)
+}

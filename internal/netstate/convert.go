@@ -70,9 +70,3 @@ func ConvertibleTo(from, to locus.Type) bool {
 	}
 	return false
 }
-
-// JoinFeasible reports whether events located at types a and b can ever
-// be spatially joined at the given level.
-func JoinFeasible(a, b, level locus.Type) bool {
-	return ConvertibleTo(a, level) && ConvertibleTo(b, level)
-}

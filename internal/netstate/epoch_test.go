@@ -151,7 +151,7 @@ func TestViewEpochComposition(t *testing.T) {
 			t.Errorf("EpochAt(T0+%v) = %+v, want %+v", c.at, got, c.want)
 		}
 	}
-	og, bg := n.View.Generations()
+	og, bg := n.OSPF.Clock().Generation(), n.BGP.Clock().Generation()
 	if og != 1 || bg != 4 {
 		t.Errorf("Generations = %d, %d, want 1, 4", og, bg)
 	}

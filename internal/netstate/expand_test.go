@@ -258,3 +258,29 @@ func TestClientAddrAndServerRouterAccessors(t *testing.T) {
 		t.Error("routeless EgressFor accepted")
 	}
 }
+
+// TestWarmAnswersAllocateNothing pins the hot path DESIGN §10 promises:
+// once memoized, a spatial expansion and the routing answers beneath it
+// are served without allocating.
+func TestWarmAnswersAllocateNothing(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	at := testnet.T0.Add(time.Minute)
+	span := locus.Between(locus.ServerClient, "cdn-nyc-s1", "agent-1")
+	if locs, err := n.View.Expand(span, locus.LogicalLink, at); err != nil || len(locs) == 0 {
+		t.Fatalf("Expand(%v) = %v, %v; want a routed path", span, locs, err)
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"View.Expand", func() { _, _ = n.View.Expand(span, locus.LogicalLink, at) }},
+		{"ospf.Sim.Distance", func() { _ = n.OSPF.Distance("nyc-per1", "wdc-per1", at) }},
+		{"bgp.Sim.Lookup", func() { _, _ = n.BGP.Lookup(testnet.AgentAddr, at) }},
+		{"bgp.Sim.BestEgress", func() { _, _ = n.BGP.BestEgress("nyc-per1", testnet.AgentAddr, at) }},
+	} {
+		c.fn() // fill
+		if got := testing.AllocsPerRun(100, c.fn); got != 0 {
+			t.Errorf("warm %s allocates %.0f times per call, want 0", c.name, got)
+		}
+	}
+}

@@ -13,11 +13,10 @@ package netstate
 import (
 	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"grca/internal/bgp"
+	"grca/internal/epoch"
 	"grca/internal/locus"
 	"grca/internal/netmodel"
 	"grca/internal/obs"
@@ -49,7 +48,19 @@ type View struct {
 	clientAddr   map[string]netip.Addr // measurement agent / source → address
 	clientIngr   map[string]string     // agent/source → ingress router, when known from config
 
-	cache atomic.Pointer[expandCache] // see Expand
+	// expansions is Expand's memo for one pair of (OSPF, BGP) clock
+	// generations. CDN expansions run the BGP and OSPF simulations, which
+	// dominate diagnosis latency (§III-B.2); keys are comparable structs,
+	// so the hot path formats no strings.
+	expansions *epoch.Memo[[2]int64, expandKey, []locus.Location]
+}
+
+// expandKey identifies one memoized expansion, valid for every instant of
+// the epoch (see Epoch).
+type expandKey struct {
+	loc   locus.Location
+	level locus.Type
+	epoch Epoch
 }
 
 // Epoch identifies an equivalence class of instants for spatial
@@ -68,15 +79,6 @@ func (v *View) EpochAt(t time.Time) Epoch {
 	return Epoch{OSPF: v.OSPF.EpochAt(t), BGP: v.BGP.EpochAt(t)}
 }
 
-// Generations returns the change-log generation counters of the two
-// routing substrates. Epoch-keyed caches over this view store both and
-// rebuild when either moves — epoch numbering is only stable while the
-// change logs are append-quiescent (the normal ingest-then-diagnose
-// phasing).
-func (v *View) Generations() (ospf, bgp int64) {
-	return v.OSPF.Generation(), v.BGP.Generation()
-}
-
 // NewView assembles a view over the three routing/topology substrates.
 func NewView(topo *netmodel.Topology, o *ospf.Sim, b *bgp.Sim) *View {
 	return &View{
@@ -87,6 +89,7 @@ func NewView(topo *netmodel.Topology, o *ospf.Sim, b *bgp.Sim) *View {
 		serverRouter: map[string]string{},
 		clientAddr:   map[string]netip.Addr{},
 		clientIngr:   map[string]string{},
+		expansions:   epoch.NewMemo[[2]int64, expandKey, []locus.Location](mExpandHits, mExpandMisses),
 	}
 }
 
@@ -94,7 +97,7 @@ func NewView(topo *netmodel.Topology, o *ospf.Sim, b *bgp.Sim) *View {
 // network through router. The node itself is registered with the same
 // attachment so node-level events expand consistently.
 func (v *View) RegisterServer(server, node, router string) {
-	v.cache.Store(nil)
+	v.expansions.Drop()
 	v.serverNode[server] = node
 	v.serverRouter[server] = router
 	v.serverRouter[node] = router
@@ -105,7 +108,7 @@ func (v *View) RegisterServer(server, node, router string) {
 // when it is known from configuration (e.g. a data-center attachment), and
 // may be empty when only routing determines it.
 func (v *View) RegisterClient(name string, addr netip.Addr, ingress string) {
-	v.cache.Store(nil)
+	v.expansions.Drop()
 	v.clientAddr[name] = addr
 	if ingress != "" {
 		v.clientIngr[name] = ingress
@@ -154,95 +157,17 @@ func (v *View) EgressFor(ingress, client string, t time.Time) (string, error) {
 // applications, drill-down, the Correlation Tester — so the returned
 // slice must be treated as read-only.
 func (v *View) Expand(loc locus.Location, level locus.Type, t time.Time) ([]locus.Location, error) {
-	c := v.expandTable()
-	k := expandKey{loc: loc, level: level, epoch: v.EpochAt(t)}
-	sh := &c.shards[k.shard()]
-	sh.mu.RLock()
-	ent, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		mExpandHits.Inc()
-		return ent.locs, ent.err
-	}
-	mExpandMisses.Inc()
-	locs, err := v.expand(loc, level, t)
-	if err != nil {
-		mExpandErrors.Inc()
-	} else {
-		mExpandFanout.Observe(float64(len(locs)))
-	}
-	sh.mu.Lock()
-	sh.m[k] = expandEntry{locs: locs, err: err}
-	sh.mu.Unlock()
-	return locs, err
-}
-
-// expandCache is Expand's memo for one pair of routing generations. CDN
-// expansions run the BGP and OSPF simulations, which dominate diagnosis
-// latency (§III-B.2). Keys are comparable structs, so the hot path
-// formats no strings, and the table is striped across RWMutexes to keep
-// parallel diagnoses off each other's locks.
-type expandCache struct {
-	ospfGen, bgpGen int64
-	shards          [expandShards]expandShard
-}
-
-const expandShards = 32 // power of two; see expandKey.shard
-
-// expandKey identifies one memoized expansion, valid for every instant of
-// the epoch (see Epoch).
-type expandKey struct {
-	loc   locus.Location
-	level locus.Type
-	epoch Epoch
-}
-
-// shard hashes the key with FNV-1a, allocation-free.
-func (k expandKey) shard() int {
-	h := uint32(2166136261)
-	h = (h ^ uint32(k.loc.Type)) * 16777619
-	for i := 0; i < len(k.loc.A); i++ {
-		h = (h ^ uint32(k.loc.A[i])) * 16777619
-	}
-	for i := 0; i < len(k.loc.B); i++ {
-		h = (h ^ uint32(k.loc.B[i])) * 16777619
-	}
-	h = (h ^ uint32(k.level)) * 16777619
-	h = (h ^ uint32(k.epoch.OSPF)) * 16777619
-	h = (h ^ uint32(k.epoch.BGP)) * 16777619
-	return int(h & (expandShards - 1))
-}
-
-type expandEntry struct {
-	locs []locus.Location // shared; callers must not mutate
-	err  error
-}
-
-type expandShard struct {
-	mu sync.RWMutex
-	m  map[expandKey]expandEntry
-}
-
-// expandTable returns the table for the view's current routing
-// generations, swapping in an empty one when either change log has grown
-// since it was filled: epoch numbering is only stable while the logs are
-// append-quiescent, so ingest between expansions — the streaming case —
-// invalidates wholesale. A registration call drops the table too.
-func (v *View) expandTable() *expandCache {
-	og, bg := v.Generations()
-	for {
-		c := v.cache.Load()
-		if c != nil && c.ospfGen == og && c.bgpGen == bg {
-			return c
-		}
-		nc := &expandCache{ospfGen: og, bgpGen: bg}
-		for i := range nc.shards {
-			nc.shards[i].m = map[expandKey]expandEntry{}
-		}
-		if v.cache.CompareAndSwap(c, nc) {
-			return nc
-		}
-	}
+	gens := [2]int64{v.OSPF.Clock().Generation(), v.BGP.Clock().Generation()}
+	return v.expansions.Get(gens, expandKey{loc: loc, level: level, epoch: v.EpochAt(t)},
+		func() ([]locus.Location, error) {
+			locs, err := v.expand(loc, level, t)
+			if err != nil {
+				mExpandErrors.Inc()
+			} else {
+				mExpandFanout.Observe(float64(len(locs)))
+			}
+			return locs, err
+		})
 }
 
 func (v *View) expand(loc locus.Location, level locus.Type, t time.Time) ([]locus.Location, error) {

@@ -17,10 +17,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"grca/internal/epoch"
 	"grca/internal/netmodel"
 	"grca/internal/obs"
 )
@@ -61,16 +60,12 @@ type Sim struct {
 	log  []WeightChange                     // global ordered change feed
 	adj  map[string][]*netmodel.LogicalLink // router → incident internal links
 
-	// epochs holds the distinct weight-change instants in time order; the
-	// open interval between two consecutive instants is one routing epoch,
-	// within which every SPF answer is provably constant (see EpochAt).
-	epochs []time.Time
-	// gen counts recorded changes; epoch-keyed caches compare it to detect
-	// ingestion after they were filled and rebuild themselves.
-	gen atomic.Int64
-	// spf memoizes Dijkstra distance maps per (src, epoch); the pointer is
-	// swapped wholesale when gen moves, so readers never see a stale mix.
-	spf atomic.Pointer[spfTable]
+	// clock numbers the routing epochs of the weight-change log: within
+	// one epoch every SPF answer is provably constant (see EpochAt).
+	clock epoch.Clock
+	// spf memoizes Dijkstra distance maps per (src, epoch) for the clock's
+	// current generation.
+	spf *epoch.Memo[int64, spfKey, map[string]int]
 }
 
 // spfKey identifies one memoized single-source shortest-path run.
@@ -79,72 +74,18 @@ type spfKey struct {
 	epoch int
 }
 
-const spfShards = 16 // power of two; see spfKey.shard
-
-// shard hashes the key (FNV-1a over the source name and epoch) so that
-// concurrent diagnosis workers spread across stripe locks.
-func (k spfKey) shard() int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.src); i++ {
-		h = (h ^ uint32(k.src[i])) * 16777619
-	}
-	h = (h ^ uint32(k.epoch)) * 16777619
-	return int(h & (spfShards - 1))
-}
-
-type spfShard struct {
-	mu sync.RWMutex
-	m  map[spfKey]map[string]int
-}
-
-// spfTable is one generation of the SPF memo. It is immutable in shape:
-// shards fill under their stripe locks, and the whole table is discarded
-// when the change log grows (gen mismatch).
-type spfTable struct {
-	gen    int64
-	shards [spfShards]spfShard
-}
-
-// table returns the memo for the current generation, atomically replacing
-// a stale one. Losing a CAS race is harmless: both tables are empty and
-// the winner is adopted by every subsequent reader.
-func (s *Sim) table() *spfTable {
-	gen := s.gen.Load()
-	for {
-		t := s.spf.Load()
-		if t != nil && t.gen == gen {
-			return t
-		}
-		nt := &spfTable{gen: gen}
-		for i := range nt.shards {
-			nt.shards[i].m = map[spfKey]map[string]int{}
-		}
-		if s.spf.CompareAndSwap(t, nt) {
-			return nt
-		}
-	}
-}
-
 // EpochAt returns the routing epoch of time t: the number of recorded
 // weight-change instants at or before t. Every link weight — and
 // therefore every Distance/Elements/Paths answer — is identical for any
 // two instants in the same epoch, which is what lets SPF results and
 // spatial expansions be shared across diagnoses keyed by epoch instead of
 // by timestamp.
-func (s *Sim) EpochAt(t time.Time) int {
-	return sort.Search(len(s.epochs), func(i int) bool { return s.epochs[i].After(t) })
-}
+func (s *Sim) EpochAt(t time.Time) int { return s.clock.At(t) }
 
-// Epochs returns the number of routing epochs recorded so far (the number
-// of distinct change instants plus the implicit epoch 0 before any change
-// is len+1; this returns the count of boundaries).
-func (s *Sim) Epochs() int { return len(s.epochs) }
-
-// Generation returns a counter incremented on every recorded weight
-// change. Caches keyed by epoch store the generation they were built
-// against and rebuild when it moves, so an ingest-after-diagnose sequence
-// stays correct even though the normal phasing is ingest-then-diagnose.
-func (s *Sim) Generation() int64 { return s.gen.Load() }
+// Clock returns the epoch clock of the weight-change log. Caches keyed by
+// its epochs compare its generation to detect a change recorded after
+// they were filled.
+func (s *Sim) Clock() *epoch.Clock { return &s.clock }
 
 // New creates a simulator over topo with the given initial link weights.
 // Links not present in weights default to a metric of DefaultMetric.
@@ -154,6 +95,7 @@ func New(topo *netmodel.Topology, weights map[string]int) *Sim {
 		base: map[string]int{},
 		hist: map[string][]weightPoint{},
 		adj:  map[string][]*netmodel.LogicalLink{},
+		spf:  epoch.NewMemo[int64, spfKey, map[string]int](mSPFHits, mSPFMisses),
 	}
 	for id := range topo.Links {
 		w, ok := weights[id]
@@ -191,16 +133,7 @@ func (s *Sim) SetWeight(at time.Time, id string, w int) error {
 	}
 	s.hist[id] = append(tl, weightPoint{at: at, w: w})
 	s.log = append(s.log, WeightChange{At: at, LinkID: id, Old: old, New: w})
-	// Maintain the sorted, distinct epoch boundaries. Per-link ordering is
-	// enforced above, but changes to different links may interleave in
-	// time, so insert rather than append.
-	i := sort.Search(len(s.epochs), func(i int) bool { return !s.epochs[i].Before(at) })
-	if i == len(s.epochs) || !s.epochs[i].Equal(at) {
-		s.epochs = append(s.epochs, time.Time{})
-		copy(s.epochs[i+1:], s.epochs[i:])
-		s.epochs[i] = at
-	}
-	s.gen.Add(1)
+	s.clock.Record(at)
 	return nil
 }
 
@@ -244,21 +177,8 @@ func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q =
 // diagnoses, and the BGP hot-potato tie-break — shares the result. The
 // returned map is shared and must be treated as read-only.
 func (s *Sim) distances(src string, t time.Time) map[string]int {
-	k := spfKey{src: src, epoch: s.EpochAt(t)}
-	tab := s.table()
-	sh := &tab.shards[k.shard()]
-	sh.mu.RLock()
-	d, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		mSPFHits.Inc()
-		return d
-	}
-	mSPFMisses.Inc()
-	d = s.computeDistances(src, t)
-	sh.mu.Lock()
-	sh.m[k] = d
-	sh.mu.Unlock()
+	d, _ := s.spf.Get(s.clock.Generation(), spfKey{src: src, epoch: s.EpochAt(t)},
+		func() (map[string]int, error) { return s.computeDistances(src, t), nil })
 	return d
 }
 
@@ -366,8 +286,9 @@ func (s *Sim) Elements(src, dst string, t time.Time) (PathElements, error) {
 }
 
 // Paths enumerates the explicit router sequences of all shortest paths,
-// capped at limit paths (0 means no cap). Intended for tests, examples, and
-// the Result Browser's drill-down display; the engine itself uses Elements.
+// capped at limit paths (0 means no cap). Only this package's tests call
+// it; the engine and the Result Browser's drill-down reach routing through
+// netstate.View.Expand, which uses Elements.
 func (s *Sim) Paths(src, dst string, t time.Time, limit int) ([][]string, error) {
 	pe, err := s.Elements(src, dst, t)
 	if err != nil {

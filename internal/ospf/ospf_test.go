@@ -314,12 +314,12 @@ func TestEpochsAndSPFMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Refresh with the identical weight: no new epoch, no new generation.
-	gen := s.Generation()
+	gen := s.Clock().Generation()
 	if err := s.SetWeight(t0.Add(300*time.Second), "bd", 10); err != nil {
 		t.Fatal(err)
 	}
-	if s.Generation() != gen || s.Epochs() != 2 {
-		t.Fatalf("no-op refresh changed epochs/gen: epochs=%d gen=%d", s.Epochs(), s.Generation())
+	if s.Clock().Generation() != gen || s.Clock().Len() != 2 {
+		t.Fatalf("no-op refresh changed epochs/gen: epochs=%d gen=%d", s.Clock().Len(), s.Clock().Generation())
 	}
 	for _, c := range []struct {
 		at   time.Duration

@@ -7,8 +7,9 @@
 # go vet, the grcalint analyzer suite (style + concurrency-correctness
 # checks; findings also written as a JSON envelope artifact when a path
 # is given), grca vet -strict over the built-in and example specs, a grep
-# that keeps the docs from drifting back to a deleted instrument, and one
-# that keeps each application's spec in its .grca file alone.
+# that keeps the docs from drifting back to a deleted instrument, one
+# that keeps each application's spec in its .grca file alone, and one
+# that keeps routing memos in internal/epoch.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -58,6 +59,15 @@ echo "== one copy of each spec =="
 # second copy that nothing holds equal to the first.
 if git grep -nE '^app "' -- '*.go' ':!*_test.go'; then
   echo "rule-spec text in Go (above): keep it in a .grca file" >&2
+  fail=1
+fi
+
+echo "== one memo =="
+# Routing-derived answers are memoized by internal/epoch alone; the
+# FNV-1a constants in non-test Go elsewhere are the start of a second,
+# hand-rolled hashed table.
+if git grep -nE '16777619|2166136261' -- '*.go' ':!*_test.go' ':!internal/epoch'; then
+  echo "FNV-1a hashing outside internal/epoch (above): memoize through epoch.Memo" >&2
   fail=1
 fi
 
