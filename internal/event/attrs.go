@@ -104,6 +104,15 @@ func (a Attrs) AppendSection(b []byte) []byte {
 	return append(b, a.sec...)
 }
 
+// Spells reports whether sec is the section AppendSection writes for a —
+// for a decoder that accepts one spelling of a set and no other.
+func (a Attrs) Spells(sec []byte) bool {
+	if a.sec == "" {
+		return len(sec) == 1 && sec[0] == 0
+	}
+	return string(sec) == a.sec
+}
+
 // SectionLen returns the length of the section AppendSection writes.
 func (a Attrs) SectionLen() int { return max(len(a.sec), 1) }
 

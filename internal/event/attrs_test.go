@@ -48,6 +48,9 @@ func TestAttrsCanonical(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: parsed %q, want %q", name, got.sec, want.sec)
 		}
+		if got.Spells(sec) != (name == "canonical") {
+			t.Errorf("%s: Spells(%x) = %v", name, sec, got.Spells(sec))
+		}
 		again, _, err := ParseAttrs(got.AppendSection(nil))
 		if err != nil || again != got {
 			t.Errorf("%s: encode → parse is not a fixed point: %q, %v", name, again.sec, err)
@@ -71,6 +74,9 @@ func TestAttrsCanonical(t *testing.T) {
 	for _, sec := range [][]byte{{0}, {0x80, 0}} {
 		if a, rest, err := ParseAttrs(sec); err != nil || a != (Attrs{}) || len(rest) != 0 {
 			t.Errorf("ParseAttrs(%x) = %q, rest %x, %v", sec, a.sec, rest, err)
+		}
+		if (Attrs{}).Spells(sec) != (len(sec) == 1) {
+			t.Errorf("the empty set spelled as %x: %v", sec, (Attrs{}).Spells(sec))
 		}
 	}
 	if z := (Attrs{}); z.Len() != 0 || z.Map() != nil || z.Get("a") != "" || string(z.AppendSection(nil)) != "\x00" {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"grca/internal/locus"
@@ -66,7 +67,7 @@ var (
 )
 
 // ErrTimeRange is an instance that starts before MinTime or ends after
-// MaxTime. Both ingest encodings reject it with this text.
+// MaxTime. Instance.Check rejects it with this text.
 var ErrTimeRange = errors.New("start and end must lie between " +
 	MinTime.Format(time.RFC3339Nano) + " and " + MaxTime.Format(time.RFC3339Nano))
 
@@ -99,6 +100,26 @@ func (in Instance) Validate(def Definition) error {
 	if in.Loc.Type != def.LocType {
 		return fmt.Errorf("event: instance %q has location type %v, definition requires %v",
 			in.Name, in.Loc.Type, def.LocType)
+	}
+	return nil
+}
+
+// Check holds an ingested instance to the rules both ingest APIs share,
+// and answers in the words both use: a name, a start and an end, an end
+// not before the start, instants between MinTime and MaxTime, a valid
+// locus type.
+func (in Instance) Check() error {
+	switch {
+	case strings.TrimSpace(in.Name) == "":
+		return errors.New("event name is required")
+	case in.Start.IsZero() || in.End.IsZero():
+		return fmt.Errorf("event %q: start and end are required", in.Name)
+	case in.End.Before(in.Start):
+		return fmt.Errorf("event %q: end precedes start", in.Name)
+	case in.Start.Before(MinTime) || in.End.After(MaxTime):
+		return fmt.Errorf("event %q: %v", in.Name, ErrTimeRange)
+	case !in.Loc.Type.Valid():
+		return fmt.Errorf("event %q: locus: unknown location type %q", in.Name, in.Loc.Type)
 	}
 	return nil
 }

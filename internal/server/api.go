@@ -52,26 +52,18 @@ func eventJSON(in *event.Instance) EventJSON {
 }
 
 func (e EventJSON) instance() (event.Instance, error) {
-	if strings.TrimSpace(e.Name) == "" {
-		return event.Instance{}, fmt.Errorf("event name is required")
-	}
-	if e.Start.IsZero() || e.End.IsZero() {
-		return event.Instance{}, fmt.Errorf("event %q: start and end are required", e.Name)
-	}
-	if e.End.Before(e.Start) {
-		return event.Instance{}, fmt.Errorf("event %q: end precedes start", e.Name)
-	}
-	if e.Start.Before(event.MinTime) || e.End.After(event.MaxTime) {
-		return event.Instance{}, fmt.Errorf("event %q: %v", e.Name, event.ErrTimeRange)
-	}
 	loc, err := e.Loc.location()
 	if err != nil {
 		return event.Instance{}, fmt.Errorf("event %q: %v", e.Name, err)
 	}
-	return event.Instance{
+	in := event.Instance{
 		Name: e.Name, Start: e.Start.UTC(), End: e.End.UTC(),
 		Loc: loc, Attrs: event.NewAttrs(e.Attrs),
-	}, nil
+	}
+	if err := in.Check(); err != nil {
+		return event.Instance{}, err
+	}
+	return in, nil
 }
 
 // IngestRequest is the body of POST /v1/ingest. Exactly one mode:

@@ -213,16 +213,17 @@ func prepareReplicaState(dataDir, bootID string) (string, error) {
 	if id == "" {
 		id = "replica-" + newBootID()
 	}
-	return id, writeMarker(dataDir, bootID+"\n"+id+"\n")
+	return id, writeMarker(replicaFile(dataDir), bootID+"\n"+id+"\n")
 }
 
-// writeMarker replaces the REPLICA marker durably: a temp file, fsynced,
-// renamed over it, the directory fsynced. After a power cut the marker is
-// the old one or the new one, whole — and in place before the follower's
-// own fsynced journal and WAL, which a marker lost behind them would leave
-// looking like a primary's (ErrPrimaryHistory).
-func writeMarker(dataDir, content string) error {
-	path := replicaFile(dataDir)
+// writeMarker replaces a marker file of the data dir — REPLICA, FORMAT —
+// durably: a temp file, fsynced, renamed over it, the directory fsynced.
+// After a power cut the marker is the old one or the new one, whole — and
+// in place before the journal and WAL written behind it, which a REPLICA
+// marker lost behind them would leave looking like a primary's
+// (ErrPrimaryHistory), and a lost FORMAT like an earlier version's
+// (ErrFormat).
+func writeMarker(path, content string) error {
 	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return err
@@ -240,7 +241,7 @@ func writeMarker(dataDir, content string) error {
 	if err != nil {
 		return err
 	}
-	dir, err := os.Open(dataDir)
+	dir, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err
 	}
@@ -493,7 +494,7 @@ func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 // next open takes the shipped state for another incarnation's and wipes
 // it.
 func (fs *followerState) voidMarker(dataDir string) {
-	writeMarker(dataDir, "\n"+fs.id+"\n") //nolint:errcheck // best effort: the stream stops either way
+	writeMarker(replicaFile(dataDir), "\n"+fs.id+"\n") //nolint:errcheck // best effort: the stream stops either way
 }
 
 func (fs *followerState) noteMsg() {

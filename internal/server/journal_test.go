@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -22,6 +23,7 @@ import (
 	"grca/internal/platform"
 	"grca/internal/store"
 	"grca/internal/wal"
+	"grca/internal/wire"
 )
 
 // shrinkJournal makes the journal's tail roll every segBytes for the
@@ -722,32 +724,102 @@ func TestOverlapVerified(t *testing.T) {
 	})
 }
 
-// TestParentDataDirBoots: each fixture is a data dir an earlier version
-// wrote, and fixture.want holds the store digest and the SHA-256 of each
-// application's /v1/diagnose body it served. Each must boot here to that
-// digest and those bytes, verified against the WAL it wrote and applied
-// when that WAL is gone; what this version journals and logs behind it
-// reboots to the live store, with and without the WAL.
+var cutFixture = flag.Bool("cut-fixture", false, "re-cut testdata/datadir-format<N> and its .want from this version")
+
+// TestParentDataDirBoots: each fixture is a data dir a parent version
+// wrote. The one in this version's FORMAT, datadir-format<N>, must boot
+// here to the store digest and the SHA-256 of each application's
+// /v1/diagnose body its .want records, with its WAL and rebuilt without
+// it; what this version journals and logs behind it reboots to the live
+// store, with and without the WAL. Every older one is refused by name,
+// its files untouched: boot reads only what this version writes
+// (DESIGN.md §11).
 //
-//   - datadir-pr27, from the version before the event block: three feeds,
-//     then a JSON and a wire event batch in journal.log ahead of the
-//     finalize record, both kinds again in its tail segment, a clean
-//     shutdown. Event records of kinds 3 and 4 are read, never written;
-//     the blocks this version journals go behind them, into the same tail
-//     segment.
-//   - datadir-pr28, from the version before the block WAL: three feeds, a
-//     JSON and a wire batch journaled as event blocks on both sides of the
-//     finalize record, snapshots every 150 events, a clean shutdown — its
-//     WAL segment and runs hold one legacy record a frame. They are read,
-//     never appended to: the WAL goes on in a block segment.
-//   - datadir-pr29, from the version before the DEFLATE feed record: three
-//     feeds (JSON, wire, JSON) journaled as their raw lines, a JSON and a
-//     wire event batch ahead of the finalize record and five behind it,
-//     snapshots every 150 events, a clean shutdown. Feed records of kind 1
-//     are read, never written.
+//   - datadir-format1: three feeds (JSON, wire, JSON), a JSON and a wire
+//     event batch on either side of the finalize record, snapshots every
+//     150 events, a clean shutdown. go test -run TestParentDataDirBoots
+//     -cut-fixture re-cuts it, after a FORMAT bump.
+//   - datadir-pr27, -pr28, -pr29: written before FORMAT, with journal
+//     kinds 1, 3 and 4 and legacy WAL segments among them.
 func TestParentDataDirBoots(t *testing.T) {
+	current := filepath.Join("testdata", fmt.Sprintf("datadir-format%d", dataFormat))
+	if *cutFixture {
+		cutFormatFixture(t, current)
+	}
+	t.Run(filepath.Base(current), func(t *testing.T) { parentDataDirBoots(t, current) })
 	for _, fixture := range []string{"datadir-pr27", "datadir-pr28", "datadir-pr29"} {
-		t.Run(fixture, func(t *testing.T) { parentDataDirBoots(t, filepath.Join("testdata", fixture)) })
+		t.Run(fixture, func(t *testing.T) {
+			_, b := testBundle(t)
+			dir := copyTree(t, filepath.Join("testdata", fixture))
+			if err := refusedUntouched(t, Config{DataDir: dir, Bundle: b}, dir, ErrFormat); !strings.Contains(err.Error(), "FORMAT") {
+				t.Fatalf("err = %v, want a refusal naming FORMAT", err)
+			}
+		})
+	}
+}
+
+// cutFormatFixture writes dir as TestParentDataDirBoots describes it, and
+// beside it dir.want: the store's digest and each application's
+// /v1/diagnose hash as this version served them.
+func cutFormatFixture(t *testing.T, dir string) {
+	_, b := testBundle(t)
+	for _, p := range []string{dir, dir + ".want"} {
+		if err := os.RemoveAll(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(Config{DataDir: dir, Bundle: b, SnapshotEvery: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	expect := func(what string, code int, body []byte) {
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", what, code, body)
+		}
+	}
+	for i, src := range feedOrder[:3] {
+		if i == 1 {
+			code, body := postWire(t, ts, wire.AppendFeed(nil, src, b.Feeds[src]))
+			expect(src, code, body)
+			continue
+		}
+		code, body := post(t, ts, "/v1/ingest", IngestRequest{Source: src, Lines: b.Feeds[src]})
+		expect(src, code, body)
+	}
+	ticks := newTickStream(t, ts, b, time.Second)
+	events := func() {
+		code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: ticks.batch(20)})
+		expect("json event batch", code, body)
+		ins, err := decodeEvents(ticks.batch(20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body = postWire(t, ts, wire.AppendEvents(nil, ins))
+		expect("wire event batch", code, body)
+	}
+	events()
+	code, body := post(t, ts, "/v1/finalize", struct{}{})
+	expect("finalize", code, body)
+	events()
+	var hashes strings.Builder
+	for _, app := range []string{"bgpflap", "cdn", "pim", "backbone"} {
+		code, body := post(t, ts, "/v1/diagnose", DiagnoseRequest{App: app, All: true})
+		expect("diagnose "+app, code, body)
+		fmt.Fprintf(&hashes, "%x  %s\n", sha256.Sum256(body), app)
+	}
+	digest := wal.StoreDigest(s.Store())
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir+".want", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{"DIGEST": digest + "\n", "DIAGNOSE": hashes.String()} {
+		if err := os.WriteFile(filepath.Join(dir+".want", name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -792,14 +864,14 @@ func parentDataDirBoots(t *testing.T, fixture string) {
 		}
 		ts.Close()
 		if got.String() != string(hashes) {
-			t.Errorf("%s: diagnose bodies hash to\n%s, the older version served\n%s", c.what, got.String(), hashes)
+			t.Errorf("%s: diagnose bodies hash to\n%s, the parent version served\n%s", c.what, got.String(), hashes)
 		}
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Once more over the files as the older version left them, so that
+	// Once more over the files as the parent version left them, so that
 	// this version's records land behind its records, not behind a rebuilt
 	// WAL's.
 	dir = copyTree(t, fixture)
@@ -812,7 +884,7 @@ func parentDataDirBoots(t *testing.T, fixture string) {
 		t.Fatal(err)
 	}
 	if tail := journalTailPaths(dir); len(tail) != 1 {
-		t.Fatalf("tail segments %v, want the older version's one, taking the blocks behind its records", tail)
+		t.Fatalf("tail segments %v, want the parent version's one, taking the blocks behind its records", tail)
 	}
 	reopen("with this version's records behind its own", false, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
 	removeWALState(t, dir)

@@ -438,30 +438,32 @@ func listingOf(t *testing.T, dir string) string {
 	return strings.Join(lines, "\n")
 }
 
-// refusedUntouched opens cfg, which must fail with ErrMultiShard, and
-// holds a recursive listing of dir from before the attempt against one
-// from after it.
-func refusedUntouched(t *testing.T, cfg Config, dir string) {
+// refusedUntouched opens cfg, which must fail with want, holds a recursive
+// listing of dir from before the attempt against one from after it, and
+// returns the error.
+func refusedUntouched(t *testing.T, cfg Config, dir string, want error) error {
 	t.Helper()
 	before := listingOf(t, dir)
 	s, err := Open(cfg)
-	if !errors.Is(err, ErrMultiShard) {
+	if !errors.Is(err, want) {
 		if err == nil {
 			s.Shutdown(context.Background()) //nolint:errcheck // test teardown
 		}
-		t.Fatalf("err = %v, want ErrMultiShard", err)
+		t.Fatalf("err = %v, want %v", err, want)
 	}
 	t.Log(err)
 	if after := listingOf(t, dir); after != before {
 		t.Fatalf("the refused open touched the directory:\n%s\n---\n%s", before, after)
 	}
+	return err
 }
 
 // TestMultiShardRefused: this version runs one commit lane. A shard count
-// other than 1 — configured, in a data dir's SHARDS marker, in a journal
-// segment's header, or reported by the primary a replica is pointed at —
-// is refused by name before Open creates, writes or wipes anything; a
-// marker that says 1 is what a single-shard node used to write, and opens.
+// other than 1, configured or reported by the primary a replica is pointed
+// at, is refused by name before Open creates, writes or wipes anything.
+// What a multi-shard version left in a data dir — a SHARDS marker, a
+// journal segment header naming two shards — it left in a dir without a
+// FORMAT file, and that is refused untouched (ErrFormat).
 func TestMultiShardRefused(t *testing.T) {
 	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
@@ -469,13 +471,20 @@ func TestMultiShardRefused(t *testing.T) {
 	base := t.TempDir()
 	cfg := Config{DataDir: base, Bundle: b, SnapshotEvery: 150}
 	s, ts, _ := pinnedPrimary(t, cfg, 10)
-	want := wal.StoreDigest(s.Store())
 	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(base, "SHARDS")); !os.IsNotExist(err) {
 		t.Fatalf("a new data dir got a SHARDS marker (stat: %v)", err)
+	}
+	// preFormat is a copy of base as a version before FORMAT left it.
+	preFormat := func(t *testing.T) string {
+		dir := copyTree(t, base)
+		if err := os.Remove(formatPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
 
 	t.Run("configured", func(t *testing.T) {
@@ -490,26 +499,14 @@ func TestMultiShardRefused(t *testing.T) {
 		}
 	})
 	t.Run("marker", func(t *testing.T) {
-		dir := copyTree(t, base)
-		cfg := Config{DataDir: dir, Bundle: b, Shards: 1}
+		dir := preFormat(t)
 		if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("2\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		refusedUntouched(t, cfg, dir)
-		if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("a dir marked single-shard: %v", err)
-		}
-		defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
-		if wal.StoreDigest(s.Store()) != want {
-			t.Fatal("a dir marked single-shard opened to another store")
-		}
+		refusedUntouched(t, Config{DataDir: dir, Bundle: b, Shards: 1}, dir, ErrFormat)
 	})
 	t.Run("segment header", func(t *testing.T) {
-		dir := copyTree(t, base)
+		dir := preFormat(t)
 		// The last segment's header as two shards would have written it; the
 		// file is then headerless to anyone who does not look at why, and a
 		// headerless last segment is what recovery deletes.
@@ -527,7 +524,7 @@ func TestMultiShardRefused(t *testing.T) {
 		if err := os.WriteFile(last, wal.AppendFrame(nil, rec), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		refusedUntouched(t, Config{DataDir: dir, Bundle: b}, dir)
+		refusedUntouched(t, Config{DataDir: dir, Bundle: b}, dir, ErrFormat)
 	})
 	t.Run("primary", func(t *testing.T) {
 		prim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -541,7 +538,7 @@ func TestMultiShardRefused(t *testing.T) {
 		if err := os.WriteFile(replicaFile(dir), []byte("boot-1\nreplica-x\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		refusedUntouched(t, Config{DataDir: dir, Bundle: b, ReplicaOf: prim.URL}, dir)
+		refusedUntouched(t, Config{DataDir: dir, Bundle: b, ReplicaOf: prim.URL}, dir, ErrMultiShard)
 		fresh := filepath.Join(t.TempDir(), "never-created")
 		if _, err := Open(Config{DataDir: fresh, Bundle: b, ReplicaOf: prim.URL}); !errors.Is(err, ErrMultiShard) {
 			t.Fatalf("err = %v, want ErrMultiShard", err)
@@ -567,9 +564,7 @@ func TestOldShardJournalsRefused(t *testing.T) {
 	if err := os.WriteFile(journalPath(shard), []byte("a shard's journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{DataDir: dir, Bundle: b}
-	refusedUntouched(t, cfg, dir)
-	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), shard) {
+	if err := refusedUntouched(t, Config{DataDir: dir, Bundle: b}, dir, ErrFormat); !strings.Contains(err.Error(), shard) {
 		t.Fatalf("open over %s: err = %v, want a refusal naming it", shard, err)
 	}
 }
@@ -622,20 +617,22 @@ func TestJournalApplierRejects(t *testing.T) {
 		{Name: "x", Start: at, End: at, Loc: locus.At(locus.Router, "r1")},
 		{Name: "y", Start: at, End: at.Add(time.Minute), Loc: locus.Between(locus.Interface, "r1", "ge-0/0/0")},
 	}
-	block := wal.AppendEventBlock(nil, evs)
+	block := wire.AppendEventBlock(nil, evs)
 	short := append([]byte{byte(len(evs) + 1)}, block[1:]...) // one event more than it holds
 	for name, rec := range map[string][]byte{
-		"truncated":       {0x80},
-		"unknown kind":    encodeRecord(0, 9, "", nil),
-		"segment header":  wal.AppendJournalSegmentHeader(nil, wal.JournalSegmentHeader{FirstSeq: 3, FirstID: 7, Front: 7}),
-		"bad JSON events": encodeRecord(0, recEvents, "", []byte("{")),
-		"invalid event":   encodeRecord(0, recEvents, "", []byte(`[{"name":""}]`)),
-		"torn wire batch": encodeRecord(0, recEventsWire, "", []byte("GRC")),
-		"wire feed batch": encodeRecord(0, recEventsWire, "", wire.AppendFeed(nil, "syslog", "line\n")),
-		"torn block":      encodeRecord(0, recEventBlock, "", block[:len(block)-2]),
-		"short block":     encodeRecord(0, recEventBlock, "", short),
+		"truncated":      {0x80},
+		"unknown kind":   encodeRecord(0, 9, "", nil),
+		"segment header": wal.AppendJournalSegmentHeader(nil, wal.JournalSegmentHeader{FirstSeq: 3, FirstID: 7, Front: 7}),
+		// What earlier formats journaled event batches as, the JSON array
+		// (kind 3) and the version 1 wire body (kind 4): unknown kinds now.
+		"kind 3, JSON events":   encodeRecord(0, 3, "", []byte(`[{"name":"x","start":"2010-01-01T00:00:00Z","end":"2010-01-01T00:00:00Z","loc":{"type":"router","a":"r1"}}]`)),
+		"kind 4, wire v1 batch": encodeRecord(0, 4, "", []byte{'G', 'R', 'C', 'W', 1, 1, 0}),
+		"torn block":            encodeRecord(0, recEventBlock, "", block[:len(block)-2]),
+		"short block":           encodeRecord(0, recEventBlock, "", short),
 		// One event, table {"x"}, whose B names a second string.
 		"reference past the table": encodeRecord(0, recEventBlock, "", []byte{1, 1, 1, 'x', 0, 0, 0, byte(locus.Router), 0, 1, 0}),
+		// The same event at a locus type byte no type has.
+		"unknown locus type": encodeRecord(0, recEventBlock, "", []byte{1, 1, 1, 'x', 0, 0, 0, 200, 0, 0, 0}),
 	} {
 		if _, err := ap.apply(rec); err == nil {
 			t.Errorf("%s: applied without error", name)
@@ -652,10 +649,8 @@ func TestJournalApplierRejects(t *testing.T) {
 // the reverse) and stall, so every kind is distinct.
 func TestJournalRecordKinds(t *testing.T) {
 	kinds := map[string]byte{
-		"recFeed": recFeed, "recFinalize": recFinalize,
-		"recEvents": recEvents, "recEventsWire": recEventsWire,
-		"wal.JournalSegmentKind": wal.JournalSegmentKind, "recEventBlock": recEventBlock,
-		"recFeedDeflate": recFeedDeflate,
+		"recFinalize": recFinalize, "wal.JournalSegmentKind": wal.JournalSegmentKind,
+		"recEventBlock": recEventBlock, "recFeedDeflate": recFeedDeflate,
 	}
 	seen := map[byte]string{}
 	for name, k := range kinds {
@@ -664,7 +659,7 @@ func TestJournalRecordKinds(t *testing.T) {
 		}
 		seen[k] = name
 	}
-	rec := encodeRecord(4, recEventBlock, "", wal.AppendEventBlock(nil, nil))
+	rec := encodeRecord(4, recEventBlock, "", wire.AppendEventBlock(nil, nil))
 	if wal.IsJournalSegmentHeader(rec) {
 		t.Error("an event block record reads as a segment header")
 	}

@@ -34,7 +34,9 @@
 // -fsync=interval's window) is added through the WAL. A lost or
 // disagreeing WAL is refilled from an empty checkpoint while the journal
 // still reaches back to ID 0, and refused with a named error once its
-// tail has been dropped (DESIGN.md §11, §15).
+// tail has been dropped (DESIGN.md §11, §15). Startup reads one format,
+// the one this version writes: a data dir's FORMAT file names it, and a
+// dir in any other is refused untouched (ErrFormat).
 //
 // # Pipeline
 //
@@ -55,7 +57,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -63,6 +64,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,18 +103,15 @@ var (
 // uvarint seq | kind | uvarint len(source) | source | body: for
 // recFeedDeflate the feed batch's lines as one DEFLATE stream
 // (appendFeedRecord), empty for recFinalize, and for recEventBlock the
-// batch's validated instances as one wal event block — each whichever API
-// the batch arrived on. seq is the batch's dispatch sequence; it ascends
-// through the file and is the replication stream's resume cursor. recFeed
-// (the raw lines), recEvents (the JSON event array) and recEventsWire (a
-// verbatim wire.KindEvents body) are what earlier versions journaled
-// batches as: read, never written. journalApplier.apply has a case for
-// every kind, so two that collide do not compile.
+// batch's validated instances as one event block (wire.AppendEventBlock) —
+// each whichever API the batch arrived on. seq is the batch's dispatch
+// sequence; it ascends through the file and is the replication stream's
+// resume cursor. Every kind is one this version writes and
+// journalApplier.apply has a case for each, so two that collide do not
+// compile; kinds 1, 3 and 4 are what data dirs of earlier formats hold
+// (DESIGN.md §11), and no reader of them is left.
 const (
-	recFeed          = 1
 	recFinalize      = 2
-	recEvents        = 3
-	recEventsWire    = 4
 	recSegmentHeader = wal.JournalSegmentKind // 5
 	recEventBlock    = 6
 	recFeedDeflate   = 7
@@ -251,7 +250,8 @@ const maxEventDuration = 15 * time.Minute
 // Config configures Open.
 type Config struct {
 	// DataDir holds the ingest journal (journal.log and its tail segments
-	// journal-<firstSeq>.log), the WAL (wal/) and its snapshots (snap/).
+	// journal-<firstSeq>.log), the WAL (wal/) and its snapshots (snap/),
+	// and FORMAT, the number of the format they are written in.
 	DataDir string
 	// Bundle supplies the configuration archive and manifest (collection
 	// window, CDN deployment). Its Feeds are ignored — feeds arrive over
@@ -437,39 +437,47 @@ const (
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
-// ErrMultiShard refuses what only a multi-lane version ran or wrote: a
-// shard count other than 1 in the configuration, in a data dir (its SHARDS
-// marker, a shard-<i>/ directory, a journal segment header) or on the
-// primary a replica is pointed at. Open returns it before it creates,
-// writes or wipes anything.
+// ErrMultiShard refuses what only a multi-lane version ran: a shard count
+// other than 1 in the configuration or on the primary a replica is pointed
+// at. Open returns it before it creates, writes or wipes anything. (A data
+// dir such a version wrote predates FORMAT, and ErrFormat refuses it.)
 var ErrMultiShard = errors.New("server: this version runs one commit lane (DESIGN.md §15) and does not migrate multi-shard data dirs")
 
-// checkSingleLane holds cfg and what its data dir already contains against
-// ErrMultiShard. It only reads. New dirs get no SHARDS marker; one a
-// single-shard node of an earlier version wrote reads "1" and is accepted.
-func checkSingleLane(cfg Config) error {
-	if cfg.Shards < 0 || cfg.Shards > 1 {
-		return fmt.Errorf("%w: %d shards configured", ErrMultiShard, cfg.Shards)
-	}
-	marker := filepath.Join(cfg.DataDir, "SHARDS")
-	if data, err := os.ReadFile(marker); err == nil {
-		if have := strings.TrimSpace(string(data)); have != "1" {
-			return fmt.Errorf("%w: %s says %q", ErrMultiShard, marker, have)
+// dataFormat is the number FORMAT holds in every data dir this version
+// writes. A change to any encoding boot reads bumps it (DESIGN.md §11).
+const dataFormat = 1
+
+// ErrFormat refuses a data dir this version did not write: its FORMAT holds
+// another number, or it has no FORMAT yet holds what Open reads. Open
+// returns it before it creates, writes or wipes anything.
+var ErrFormat = errors.New("server: the data dir is not in this version's format (DESIGN.md §11)")
+
+// formatPath is the FORMAT file of a data dir.
+func formatPath(dataDir string) string { return filepath.Join(dataDir, "FORMAT") }
+
+// checkFormat holds what dataDir already contains against ErrFormat. It
+// only reads; fresh is true for an empty or missing dir, which Open
+// initializes.
+func checkFormat(dataDir string) (fresh bool, err error) {
+	data, err := os.ReadFile(formatPath(dataDir))
+	switch {
+	case err == nil:
+		if have := strings.TrimSpace(string(data)); have != strconv.Itoa(dataFormat) {
+			return false, fmt.Errorf("%w: %s says %q, this version reads and writes %d", ErrFormat, formatPath(dataDir), have, dataFormat)
 		}
-	} else if !os.IsNotExist(err) {
-		return err
+		return false, nil
+	case !os.IsNotExist(err):
+		return false, err
 	}
-	// (Glob fails only on a malformed pattern.)
-	if dirs, _ := filepath.Glob(filepath.Join(cfg.DataDir, "shard-*")); len(dirs) > 0 {
-		return fmt.Errorf("%w: found %s", ErrMultiShard, strings.Join(dirs, ", "))
-	}
-	for _, p := range journalTailPaths(cfg.DataDir) {
-		// Any other fault in a header is recovery's to report.
-		if _, _, err := wal.ReadJournalSegmentHeader(p); errors.Is(err, wal.ErrJournalShards) {
-			return fmt.Errorf("%w: %s: %v", ErrMultiShard, p, err)
+	// What an earlier version wrote: the journal, the WAL and its
+	// snapshots, and a multi-shard version's SHARDS marker and shard-<i>/.
+	for _, pattern := range []string{"journal*.log", "wal", "snap", "SHARDS", "shard-*"} {
+		// (Glob fails only on a malformed pattern.)
+		if found, _ := filepath.Glob(filepath.Join(dataDir, pattern)); len(found) > 0 {
+			return false, fmt.Errorf("%w: %s has no FORMAT file but holds %s", ErrFormat, dataDir, strings.Join(found, ", "))
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // Open recovers (or initializes) the service under cfg.DataDir. A replica
@@ -478,18 +486,28 @@ func checkSingleLane(cfg Config) error {
 // where a primary starts its applier (follower.go).
 func Open(cfg Config) (*Server, error) {
 	cfg.defaults()
-	if err := checkSingleLane(cfg); err != nil {
+	if cfg.Shards < 0 || cfg.Shards > 1 {
+		return nil, fmt.Errorf("%w: %d shards configured", ErrMultiShard, cfg.Shards)
+	}
+	fresh, err := checkFormat(cfg.DataDir)
+	if err != nil {
 		return nil, err
 	}
 	var fol *followerState
 	if cfg.ReplicaOf != "" {
-		var err error
 		if fol, err = prepareFollower(cfg); err != nil {
 			return nil, err
 		}
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
+	}
+	// FORMAT is durable before any journal byte: a dir holding a journal
+	// and no FORMAT is always an earlier version's.
+	if fresh {
+		if err := writeMarker(formatPath(cfg.DataDir), strconv.Itoa(dataFormat)+"\n"); err != nil {
+			return nil, err
+		}
 	}
 	topo, err := conf.Parse(cfg.Bundle.Configs, cfg.Bundle.Inventory)
 	if err != nil {
@@ -680,17 +698,14 @@ func (a *journalApplier) apply(rec []byte) (seq int, err error) {
 	}
 	var ins []event.Instance
 	switch kind {
-	case recFeedDeflate, recFeed:
+	case recFeedDeflate:
 		// The dispatch journaled the feed before parsing it, so a parse error
 		// recurs here deterministically (the primary answered it); state after
 		// the partial ingest is identical either way. A body that does not
 		// inflate to what it declares is another matter: a corrupt record.
-		ingest := func(r io.Reader) {
+		if err := inflateFeed(body, func(r io.Reader) {
 			a.coll.Ingest(source, r) //nolint:errcheck // see above
-		}
-		if kind == recFeed {
-			ingest(bytes.NewReader(body))
-		} else if err := inflateFeed(body, ingest); err != nil {
+		}); err != nil {
 			return seq, fmt.Errorf("journaled feed batch %d: %v", seq, err)
 		}
 		return seq, nil
@@ -702,18 +717,7 @@ func (a *journalApplier) apply(rec []byte) (seq int, err error) {
 	case recSegmentHeader:
 		return seq, fmt.Errorf("a journal segment header is not a batch")
 	case recEventBlock:
-		ins, err = wal.DecodeEventBlock(body)
-	case recEvents:
-		var evs []EventJSON
-		if err = json.Unmarshal(body, &evs); err == nil {
-			ins, err = decodeEvents(evs)
-		}
-	case recEventsWire:
-		var b wire.Batch
-		if b, err = wire.Decode(body); err == nil && b.Kind != wire.KindEvents {
-			err = fmt.Errorf("wire kind %d, want events", b.Kind)
-		}
-		ins = b.Events
+		ins, err = wire.DecodeEventBlock(body)
 	default:
 		return seq, fmt.Errorf("unknown journal record kind %d", kind)
 	}

@@ -232,12 +232,12 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 
 	// Clean replay: the follower's journal — segment 0 and the tail it
 	// rolled where the primary rolled — copied verbatim into a fresh data
-	// dir, opened as a plain single node.
+	// dir beside its FORMAT, opened as a plain single node.
 	files := append([]string{journalPath(follDir)}, journalTailPaths(follDir)...)
 	if len(files) < 2 {
 		t.Fatalf("the follower's journal is %v: it did not roll behind finalize", files)
 	}
-	for _, f := range files {
+	for _, f := range append(files, formatPath(follDir)) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)

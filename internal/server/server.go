@@ -14,7 +14,6 @@ import (
 
 	"grca/internal/event"
 	"grca/internal/obs"
-	"grca/internal/wal"
 	"grca/internal/wire"
 )
 
@@ -174,7 +173,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "empty event batch")
 				return
 			}
-			t = eventTask(b.Events)
+			t = eventTask(b.Events, b.Block)
 		}
 		s.finishIngest(w, r, t)
 		return
@@ -198,7 +197,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		t = eventTask(ins)
+		t = eventTask(ins, wire.AppendEventBlock(nil, ins))
 	default:
 		writeErr(w, http.StatusBadRequest, "provide either source+lines or events")
 		return
@@ -207,16 +206,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // eventTask is a validated event batch with its journal body: the events
-// as one wal event block, whichever API they arrived on, so the same
-// events journal to the same bytes. It is encoded here, in the handler's
-// goroutine, not under dispatchMu.
-func eventTask(ins []event.Instance) task {
-	return task{kind: recEventBlock, events: ins, raw: wal.AppendEventBlock(nil, ins)}
+// as one event block — a wire batch's as it arrived, a JSON batch's
+// encoded in the handler's goroutine, not under dispatchMu. The block is
+// canonical, so the same events journal to the same bytes whichever API
+// carried them.
+func eventTask(ins []event.Instance, block []byte) task {
+	return task{kind: recEventBlock, events: ins, raw: block}
 }
 
 // feedTask is a validated feed batch with its journal body: the lines as
 // one DEFLATE stream, whichever API they arrived on, so the same lines
-// journal to the same bytes. Like eventTask's block it is encoded in the
+// journal to the same bytes. Like a JSON batch's block it is encoded in the
 // handler's goroutine, not under dispatchMu; the lines themselves are what
 // admission parses.
 func feedTask(source string, lines []byte) task {

@@ -199,20 +199,40 @@ func TestWireIngestValidation(t *testing.T) {
 	}
 	// An instant past 2262-04-11 has no int64-nanosecond form, which is how
 	// the journal and the WAL write it: stored, it would replay as 1715.
-	// Both encodings refuse it, with the same words.
+	// JSON refuses it in event.Instance.Check's words.
 	late := time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
 	beyond := EventJSON{Name: "x", Start: late, End: late, Loc: LocationJSON{Type: "router", A: "r1"}}
-	ins := []event.Instance{{Name: "x", Start: late, End: late, Loc: locus.At(locus.Router, "r1")}}
 	want := `event "x": ` + event.ErrTimeRange.Error()
-	for name, send := range map[string]func() (int, []byte){
-		"json": func() (int, []byte) { return post(t, ts, "/v1/ingest", IngestRequest{Events: []EventJSON{beyond}}) },
-		"wire": func() (int, []byte) { return postWire(t, ts, wire.AppendEvents(nil, ins)) },
+	code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: []EventJSON{beyond}})
+	var ej ErrorJSON
+	if err := json.Unmarshal(body, &ej); code != http.StatusBadRequest || err != nil || ej.Error != want {
+		t.Fatalf("json event at %v: %d %s, want 400 %q", late, code, body, want)
+	}
+	// The wire's event block has no form for such an instant (nor for the
+	// zero time): the encoder writes the event as one that ends before it
+	// starts, and the server refuses the batch. Every event the block can
+	// carry is held to the same Check as JSON's.
+	at := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	r1 := locus.At(locus.Router, "r1")
+	for name, in := range map[string]event.Instance{
+		"zero start":         {Name: "x", End: at, Loc: r1},
+		"zero end":           {Name: "x", Start: at, Loc: r1},
+		"before MinTime":     {Name: "x", Start: event.MinTime.Add(-time.Second), End: at, Loc: r1},
+		"after MaxTime":      {Name: "x", Start: at, End: late, Loc: r1},
+		"unknown locus type": {Name: "x", Start: at, End: at, Loc: locus.Location{Type: 200, A: "r1"}},
+		"blank name":         {Name: " ", Start: at, End: at, Loc: r1},
 	} {
-		code, body := send()
-		var ej ErrorJSON
-		if err := json.Unmarshal(body, &ej); code != http.StatusBadRequest || err != nil || ej.Error != want {
-			t.Fatalf("%s event at %v: %d %s, want 400 %q", name, late, code, body, want)
+		ok := event.Instance{Name: "ok", Start: at, End: at, Loc: r1}
+		if code, body := postWire(t, ts, wire.AppendEvents(nil, []event.Instance{ok, in})); code != http.StatusBadRequest {
+			t.Fatalf("wire batch with an event of %s: %d %s, want 400", name, code, body)
 		}
+	}
+	// A version 1 batch is refused by name.
+	v1 := wire.AppendEvents(nil, []event.Instance{{Name: "ok", Start: at, End: at, Loc: r1}})
+	v1[4] = 1
+	code, body = postWire(t, ts, v1)
+	if err := json.Unmarshal(body, &ej); code != http.StatusBadRequest || err != nil || ej.Error != "wire: unsupported version 1" {
+		t.Fatalf("version 1 wire batch: %d %s, want 400 naming the version", code, body)
 	}
 	// A body over the cap is not a malformed one: 413, naming the cap, in
 	// either encoding (JSON whitespace keeps the decoder reading into it).

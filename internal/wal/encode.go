@@ -11,6 +11,7 @@ import (
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/store"
+	"grca/internal/wire"
 )
 
 // Framing: every frame — in segments, runs, manifests and the journal
@@ -163,161 +164,6 @@ func decodeInstance(p []byte) (event.Instance, error) {
 	return in, nil
 }
 
-// An event block is one batch of instances in the ingest journal's dense
-// encoding — every name and locus element once, in a string table, and
-// each event as references into it:
-//
-//	uvarint count | uvarint nstrings | nstrings × (uvarint len | bytes)
-//	| count × event
-//	event = uvarint name ref | varint start − previous start
-//	      | uvarint end − start | locus type byte
-//	      | uvarint A ref | uvarint B ref | attribute section
-//
-// The table is in first-use order and a ref is an index into it. Times are
-// nanoseconds since the Unix epoch, as in a legacy record; the first
-// event's previous start is 0, and the differences are taken modulo 2^64
-// so that every instant a record holds has an encoding. The attribute
-// section is the canonical event.Attrs bytes. IDs are not encoded: the
-// journal's replay allocates them in dispatch order, and a WAL block frame
-// carries them ahead of its block.
-
-// minBlockEvent is the fewest bytes an event of a block takes, one per
-// field: a block's count is bounded by its bytes.
-const minBlockEvent = 7
-
-// AppendEventBlock appends ins encoded as one event block to b. The same
-// instances always encode to the same bytes.
-func AppendEventBlock(b []byte, ins []event.Instance) []byte {
-	refs := make(map[string]uint64, 64)
-	var table []string
-	ref := func(s string) uint64 {
-		r, ok := refs[s]
-		if !ok {
-			r = uint64(len(table))
-			refs[s] = r
-			table = append(table, s)
-		}
-		return r
-	}
-	evs := make([]byte, 0, 16*len(ins))
-	var prev uint64
-	for i := range ins {
-		in := &ins[i]
-		start := uint64(in.Start.UnixNano())
-		evs = binary.AppendUvarint(evs, ref(in.Name))
-		evs = binary.AppendVarint(evs, int64(start-prev))
-		evs = binary.AppendUvarint(evs, uint64(in.End.UnixNano())-start)
-		evs = append(evs, byte(in.Loc.Type))
-		evs = binary.AppendUvarint(evs, ref(in.Loc.A))
-		evs = binary.AppendUvarint(evs, ref(in.Loc.B))
-		evs = in.Attrs.AppendSection(evs)
-		prev = start
-	}
-	b = binary.AppendUvarint(b, uint64(len(ins)))
-	b = binary.AppendUvarint(b, uint64(len(table)))
-	for _, s := range table {
-		b = appendString(b, s)
-	}
-	return append(b, evs...)
-}
-
-// DecodeEventBlock decodes an event block. The bytes may be a follower's
-// outside input: it never panics or reads past p, every count is bounded
-// by the bytes that carry it before anything is allocated for it, and a
-// table string is one allocation its events share. An event ending before
-// it starts is an error, as is anything left over.
-func DecodeEventBlock(p []byte) ([]event.Instance, error) {
-	var out []event.Instance
-	err := decodeEventBlock(p, func(n int) ([]event.Instance, error) {
-		out = make([]event.Instance, n)
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeEventBlock decodes the block p into the slice dst returns for its
-// event count, which is bounded by the bytes present before dst is asked.
-func decodeEventBlock(p []byte, dst func(n int) ([]event.Instance, error)) error {
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return fmt.Errorf("wal: event block: truncated event count")
-	}
-	p = p[sz:]
-	nstr, sz := binary.Uvarint(p)
-	if sz <= 0 || nstr > uint64(len(p)-sz) {
-		return fmt.Errorf("wal: event block: bad string count")
-	}
-	p = p[sz:]
-	table := make([]string, nstr)
-	var err error
-	for i := range table {
-		if table[i], p, err = readString(p); err != nil {
-			return fmt.Errorf("wal: event block: string %d: %v", i, err)
-		}
-	}
-	if n > uint64(len(p)/minBlockEvent) {
-		return fmt.Errorf("wal: event block: %d events in %d bytes", n, len(p))
-	}
-	out, err := dst(int(n))
-	if err != nil {
-		return err
-	}
-	var start uint64
-	for i := range out {
-		in := &out[i]
-		var ok bool
-		if in.Name, p, ok = readRef(p, table); !ok {
-			return fmt.Errorf("wal: event block: event %d: bad name ref", i)
-		}
-		d, sz := binary.Varint(p)
-		if sz <= 0 {
-			return fmt.Errorf("wal: event block: event %d: truncated start", i)
-		}
-		p = p[sz:]
-		dur, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return fmt.Errorf("wal: event block: event %d: truncated duration", i)
-		}
-		p = p[sz:]
-		start += uint64(d)
-		end := start + dur
-		if int64(end) < int64(start) {
-			return fmt.Errorf("wal: event block: event %d ends before it starts", i)
-		}
-		in.Start, in.End = time.Unix(0, int64(start)).UTC(), time.Unix(0, int64(end)).UTC()
-		if len(p) < 1 {
-			return fmt.Errorf("wal: event block: event %d: truncated location type", i)
-		}
-		in.Loc.Type = locus.Type(p[0])
-		if in.Loc.A, p, ok = readRef(p[1:], table); !ok {
-			return fmt.Errorf("wal: event block: event %d: bad location ref", i)
-		}
-		if in.Loc.B, p, ok = readRef(p, table); !ok {
-			return fmt.Errorf("wal: event block: event %d: bad location ref", i)
-		}
-		if in.Attrs, p, err = event.ParseAttrs(p); err != nil {
-			return fmt.Errorf("wal: event block: event %d: %v", i, err)
-		}
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("wal: event block: %d trailing bytes", len(p))
-	}
-	return nil
-}
-
-// readRef reads a string table reference; ok is false when it is
-// truncated or names no entry.
-func readRef(p []byte, table []string) (s string, rest []byte, ok bool) {
-	r, sz := binary.Uvarint(p)
-	if sz <= 0 || r >= uint64(len(table)) {
-		return "", p, false
-	}
-	return table[r], p[sz:], true
-}
-
 // Record files — segments and runs — come in two encodings, told apart by
 // their first frame. A block file, every one this version writes, opens
 // with the magic frame, payload "GRCABLK1", and every frame after it is a
@@ -325,7 +171,7 @@ func readRef(p []byte, table []string) (s string, rest []byte, ok bool) {
 //
 //	uvarint first ID | uvarint last ID | uvarint count
 //	| (count − 1) × uvarint (ID − previous ID − 1)  — only when count < last − first + 1
-//	| event block of the count instances
+//	| event block of the count instances (wire.AppendEventBlock)
 //
 // A legacy file — what earlier versions wrote, read and never written —
 // has no magic frame, and each of its frames is one record (appendRecord).
@@ -373,7 +219,7 @@ func appendBlockFrame(b []byte, ins []event.Instance) []byte {
 			b = binary.AppendUvarint(b, uint64(ins[i].ID-ins[i-1].ID-1))
 		}
 	}
-	return sealFrame(AppendEventBlock(b, ins), at)
+	return sealFrame(wire.AppendEventBlock(b, ins), at)
 }
 
 // span is what a frame of a record file holds, read off its header: the
@@ -386,7 +232,7 @@ type span struct{ first, last, count int }
 func blockSpan(p []byte) (s span, rest []byte, err error) {
 	u := uvarints{p, true}
 	s.first, s.last, s.count = u.next(), u.next(), u.next()
-	if !u.ok || s.count < 1 || s.first > s.last || s.count > s.last-s.first+1 || s.count > len(u.p)/minBlockEvent {
+	if !u.ok || s.count < 1 || s.first > s.last || s.count > s.last-s.first+1 || s.count > len(u.p)/wire.MinBlockEvent {
 		return s, nil, fmt.Errorf("wal: bad block header")
 	}
 	return s, u.p, nil
@@ -425,12 +271,10 @@ func decodeBlockFrame(p []byte, dst []event.Instance) error {
 	if id != s.last {
 		return fmt.Errorf("wal: block IDs end at %d, its header says %d", id, s.last)
 	}
-	return decodeEventBlock(p, func(n int) ([]event.Instance, error) {
-		if n != len(dst) {
-			return nil, fmt.Errorf("wal: block of %d events, its header says %d", n, len(dst))
-		}
-		return dst, nil
-	})
+	if err := wire.DecodeEventBlockTo(dst, p); err != nil {
+		return fmt.Errorf("wal: %v", err)
+	}
+	return nil
 }
 
 // fileFrames reads the frames of one record file in order. The first

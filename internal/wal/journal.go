@@ -23,8 +23,8 @@ var (
 
 // Journal is a flat append-only file of opaque framed records — the same
 // CRC32C framing as segments, without sequence numbers or snapshots. The
-// serving pipeline journals ingest batches here — raw feed lines, and
-// event batches as event blocks (AppendEventBlock): the event WAL can
+// serving pipeline journals ingest batches here — feed lines, and event
+// batches as event blocks (wire.AppendEventBlock): the event WAL can
 // recover the normalized store byte-for-byte, but the collector's parse
 // state (routing simulations, pairing buffers, rolling baselines) is a
 // function of the raw input, so restart recovery replays this journal

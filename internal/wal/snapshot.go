@@ -15,6 +15,7 @@ import (
 	"grca/internal/event"
 	"grca/internal/obs"
 	"grca/internal/store"
+	"grca/internal/wire"
 )
 
 // A snapshot is a small manifest over immutable run files:
@@ -164,8 +165,8 @@ func decodeManifest(payload []byte) (manifest, error) {
 // validate checks the invariants recovery relies on: bounds in order,
 // runs non-empty, ascending, non-overlapping and below next, each count
 // possible in its ID range and in the bytes the run claims, and the
-// counts summing to live. An instance takes at least minBlockEvent bytes
-// in either encoding — its share of a block frame, or a legacy record's
+// counts summing to live. An instance takes at least wire.MinBlockEvent
+// bytes in either encoding — its share of a block frame, or a legacy record's
 // frame header alone — so that bounds the count by the size.
 func (m manifest) validate() error {
 	if m.base > m.next || m.live > m.next-m.base {
@@ -173,7 +174,7 @@ func (m manifest) validate() error {
 	}
 	end, live := 0, 0
 	for i, r := range m.runs {
-		if r.lo < end || r.hi > m.next || r.count < 1 || r.count > r.hi-r.lo || int64(r.count) > r.size/minBlockEvent {
+		if r.lo < end || r.hi > m.next || r.count < 1 || r.count > r.hi-r.lo || int64(r.count) > r.size/wire.MinBlockEvent {
 			return fmt.Errorf("bad manifest run %d", i)
 		}
 		end = r.hi

@@ -16,6 +16,7 @@ import (
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/store"
+	"grca/internal/wire"
 )
 
 // runFiles lists the run files under dir's snap/ (temp files excluded).
@@ -1042,7 +1043,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("%d runs accepted from %d bytes", len(m.runs), len(man))
 			}
 			for _, r := range m.runs {
-				if int64(r.count) > r.size/minBlockEvent {
+				if int64(r.count) > r.size/wire.MinBlockEvent {
 					t.Fatalf("run of %d records accepted in %d claimed bytes", r.count, r.size)
 				}
 			}

@@ -2,14 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -47,8 +45,9 @@ func goldenEvents() []event.Instance {
 }
 
 // TestGoldenVectors pins the byte-level encoding: a format change that
-// alters these bytes breaks replay of journaled wire batches and must be
-// a new version, not a silent edit.
+// alters these bytes breaks every client of the wire, and the journal and
+// WAL that hold the same blocks, and must be a new version and FORMAT, not
+// a silent edit.
 func TestGoldenVectors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -92,7 +91,7 @@ func TestGoldenVectors(t *testing.T) {
 
 // TestRoundTripProperty encodes and decodes randomized batches and
 // requires exact equality — the encoder and decoder must be inverses on
-// every valid instance.
+// every valid instance, and decode → encode must give back the bytes.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	randStr := func(n int) string {
@@ -128,31 +127,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if got.Kind != KindEvents || !reflect.DeepEqual(got.Events, ins) {
 			t.Fatalf("iter %d: round trip mismatch\n got %+v\nwant %+v", iter, got.Events, ins)
 		}
-		if !bytes.Equal(AppendEvents(nil, got.Events), enc) {
-			t.Fatalf("iter %d: decode → encode is not a fixed point", iter)
-		}
-		// The same batch with every attribute section scrambled — keys
-		// descending, each preceded by a stale duplicate — decodes to the
-		// same instances: one canonical form whatever the sender wrote.
-		recs := make([][]byte, len(ins))
-		for i, in := range ins {
-			m := in.Attrs.Map()
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Sort(sort.Reverse(sort.StringSlice(keys)))
-			var pairs []string
-			for _, k := range keys {
-				pairs = append(pairs, k, "stale")
-			}
-			for _, k := range keys {
-				pairs = append(pairs, k, m[k])
-			}
-			recs[i] = rawEvent(in, pairs...)
-		}
-		if got, err = Decode(rawBatch(recs...)); err != nil || !reflect.DeepEqual(got.Events, ins) {
-			t.Fatalf("iter %d: scrambled attributes: %v\n got %+v\nwant %+v", iter, err, got.Events, ins)
+		if !bytes.Equal(AppendEvents(nil, got.Events), enc) || !bytes.Equal(got.Block, enc[headerSize:]) {
+			t.Fatalf("iter %d: decode → encode is not the identity on the bytes", iter)
 		}
 
 		src, lines := randStr(10), randStr(200)
@@ -166,81 +142,57 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// rawEvent is in's record with a hand-assembled attribute section: the
-// pairs exactly as given, in order, duplicates included.
-func rawEvent(in event.Instance, pairs ...string) []byte {
-	in.Attrs = event.Attrs{}
-	rec := appendEvent(nil, &in)
-	rec = binary.AppendUvarint(rec[:len(rec)-1], uint64(len(pairs)/2))
-	for _, s := range pairs {
-		rec = appendString(rec, s)
-	}
-	return rec
-}
-
-// rawBatch frames records as a KindEvents batch.
-func rawBatch(recs ...[]byte) []byte {
-	b := binary.AppendUvarint(appendHeader(nil, KindEvents), uint64(len(recs)))
-	for _, rec := range recs {
-		b = append(binary.AppendUvarint(b, uint64(len(rec))), rec...)
-	}
-	return b
-}
-
-// TestDecodeValidation asserts the wire decoder rejects invalid events
-// with the exact error strings of the JSON path.
+// TestDecodeValidation: Decode holds every event to event.Instance.Check,
+// in the JSON path's words; what the block cannot carry — a zero or
+// out-of-range instant, an end before the start, an unknown locus type, an
+// attribute section out of canonical form — is refused by the block
+// decoder; and a version 1 batch is refused by name.
 func TestDecodeValidation(t *testing.T) {
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
-	cases := []struct {
+	r1 := locus.At(locus.Router, "r1")
+	for _, tc := range []struct {
 		in   event.Instance
 		want string
 	}{
-		{event.Instance{Name: "  ", Start: t0, End: t0,
-			Loc: locus.At(locus.Router, "r1")}, `event name is required`},
-		{event.Instance{Name: "x", End: t0,
-			Loc: locus.At(locus.Router, "r1")}, `event "x": start and end are required`},
-		{event.Instance{Name: "x", Start: t0, End: t0.Add(-time.Second),
-			Loc: locus.At(locus.Router, "r1")}, `event "x": end precedes start`},
-		{event.Instance{Name: "x", Start: t0, End: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
-			Loc: locus.At(locus.Router, "r1")}, `event "x": ` + event.ErrTimeRange.Error()},
-		{event.Instance{Name: "x", Start: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), End: t0,
-			Loc: locus.At(locus.Router, "r1")}, `event "x": ` + event.ErrTimeRange.Error()},
-		{event.Instance{Name: "x", Start: t0, End: t0,
-			Loc: locus.Location{Type: locus.Type(200), A: "r1"}},
-			`event "x": locus: unknown location type "locus.type(200)"`},
-	}
-	for _, tc := range cases {
+		{event.Instance{Name: "  ", Start: t0, End: t0, Loc: r1}, `event name is required`},
+		{event.Instance{Name: "x", End: t0, Loc: r1}, `wire: event block: event 0 ends before it starts`},
+		{event.Instance{Name: "x", Start: t0, Loc: r1}, `wire: event block: event 0 ends before it starts`},
+		{event.Instance{Name: "x", Start: t0, End: t0.Add(-time.Second), Loc: r1}, `wire: event block: event 0 ends before it starts`},
+		{event.Instance{Name: "x", Start: t0, End: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), Loc: r1},
+			`wire: event block: event 0 ends before it starts`},
+		{event.Instance{Name: "x", Start: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), End: t0, Loc: r1},
+			`wire: event block: event 0 ends before it starts`},
+		{event.Instance{Name: "x", Start: t0, End: t0, Loc: locus.Location{Type: locus.Type(200), A: "r1"}},
+			`wire: event block: event 0: unknown locus type`},
+	} {
 		_, err := Decode(AppendEvents(nil, []event.Instance{tc.in}))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("decode(%+v): err %v, want %q", tc.in, err, tc.want)
 		}
 	}
 
-	// A malformed attribute section keeps its error strings, and a valid
-	// one in any order, with duplicates, is the canonical set (last wins).
-	x := event.Instance{Name: "x", Start: t0, End: t0, Loc: locus.At(locus.Router, "r1")}
-	bare := rawEvent(x)
-	bare = bare[:len(bare)-1]
+	// A malformed or non-canonical attribute section is refused, naming
+	// the event.
+	x := AppendEvents(nil, []event.Instance{{Name: "x", Start: t0, End: t0, Loc: r1}})
+	bare := x[:len(x)-1]
 	for _, tc := range []struct {
 		section []byte
 		want    string
 	}{
-		{nil, `wire: event "x": truncated attribute count`},
-		{[]byte{0x80}, `wire: event "x": truncated attribute count`},
-		{[]byte{7, 1, 'k', 1, 'v'}, `wire: event "x": truncated attribute count`},
-		{[]byte{1, 9, 'k'}, `wire: event "x" attr key: truncated string`},
-		{[]byte{1, 1, 'k', 9, 'v'}, `wire: event "x" attr value: truncated string`},
-		{[]byte{1, 1, 'k', 1, 'v', 0}, `wire: event "x": 1 trailing bytes`},
+		{nil, `wire: event block: event 0: truncated attribute count`},
+		{[]byte{1, 9, 'k'}, `wire: event block: event 0: truncated string`},
+		{[]byte{2, 1, 'b', 0, 1, 'a', 0}, `wire: event block: event 0: attribute section not in canonical form`},
+		{[]byte{0, 0}, `wire: event block: 1 trailing bytes`},
 	} {
-		rec := append(bare[:len(bare):len(bare)], tc.section...)
-		if _, err := Decode(rawBatch(rec)); err == nil || err.Error() != tc.want {
+		if _, err := Decode(append(bare[:len(bare):len(bare)], tc.section...)); err == nil || err.Error() != tc.want {
 			t.Errorf("section %x: err %v, want %q", tc.section, err, tc.want)
 		}
 	}
-	want := event.NewAttrs(map[string]string{"a": "2", "b": "3"})
-	got, err := Decode(rawBatch(rawEvent(x, "b", "1", "a", "2", "b", "3"), rawEvent(x, "a", "2", "b", "3"), rawEvent(x)))
-	if err != nil || got.Events[0].Attrs != want || got.Events[1].Attrs != want || got.Events[2].Attrs != (event.Attrs{}) {
-		t.Errorf("duplicate and unsorted keys: %+v, %v; want %+v twice and none", got.Events, err, want)
+
+	v1 := append([]byte(nil), x...)
+	v1[4] = 1
+	if _, err := Decode(v1); err == nil || err.Error() != "wire: unsupported version 1" {
+		t.Errorf("a version 1 batch: err %v, want it refused by name", err)
 	}
 }
 
@@ -249,7 +201,7 @@ func TestDecodeValidation(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	enc := AppendEvents(nil, goldenEvents())
 	for n := 0; n < len(enc); n++ {
-		if _, err := Decode(enc[:n]); err == nil {
+		if _, err := Decode(enc[:n:n]); err == nil {
 			t.Fatalf("Decode accepted %d-byte prefix of %d-byte batch", n, len(enc))
 		}
 	}
