@@ -84,3 +84,20 @@ func TestLoad(t *testing.T) {
 		t.Error("Load of a missing spec succeeded")
 	}
 }
+
+// TestRootsDistinct: no two packaged applications diagnose the same root
+// symptom. The server attributes each streamed diagnosis, and a drill-down
+// without app=, to an application by its symptom's name.
+func TestRootsDistinct(t *testing.T) {
+	seen := map[string]string{}
+	for _, a := range All() {
+		_, g, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, dup := seen[g.Root]; dup {
+			t.Errorf("%s and %s share the root symptom %q", other, a.Name, g.Root)
+		}
+		seen[g.Root] = a.Name
+	}
+}

@@ -1,9 +1,11 @@
 package backbone
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"grca/internal/browser"
 	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/platform"
@@ -68,6 +70,17 @@ func TestBackbonePipelineAccuracy(t *testing.T) {
 			}
 		}
 		t.Errorf("backbone diagnosis accuracy = %.3f, want ≥ 0.9", acc)
+	}
+
+	// Exactly what HEAD computes over this corpus: the score and the
+	// breakdown, label → count of primaries.
+	if want := (platform.Score{Total: 150, Correct: 150}); score != want {
+		t.Errorf("score = %+v (accuracy %.4f), want %+v", score, score.Accuracy(), want)
+	}
+	want := map[string]int{"Interface flap": 22, "Link congestion alarm": 53, "Link loss alarm": 15,
+		"OSPF re-convergence event": 38, "Unknown": 22}
+	if got := browser.CountPrimary(ds, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("breakdown = %v, want %v", got, want)
 	}
 
 	// The §I decision: with the default mix congestion dominates.

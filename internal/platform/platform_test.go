@@ -8,6 +8,7 @@ import (
 	"grca/internal/apps/bgpflap"
 	"grca/internal/apps/cdn"
 	"grca/internal/apps/pim"
+	"grca/internal/browser"
 	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/simnet"
@@ -68,6 +69,31 @@ func TestBGPFlapPipelineAccuracy(t *testing.T) {
 		}
 		t.Errorf("BGP diagnosis accuracy = %.3f, want ≥ 0.95", acc)
 	}
+	assertExact(t, score, Score{Total: 250, Correct: 250}, ds, map[string]int{
+		"CPU high (spike)": 16, "Customer reset session": 5, "Interface flap": 160,
+		"Line protocol flap": 28, "SONET restoration": 1, "Unknown": 28, "eBGP HTE": 12,
+	})
+}
+
+// assertExact pins what HEAD computes over a fixed corpus: the score (so
+// the exact accuracy) and the breakdown, label → count of primaries. A
+// change that moves either is a reviewed edit of the literals here.
+func assertExact(t *testing.T, score, want Score, ds []engine.Diagnosis, breakdown map[string]int) {
+	t.Helper()
+	if score != want {
+		t.Errorf("score = %+v (accuracy %.4f), want %+v", score, score.Accuracy(), want)
+	}
+	got := browser.CountPrimary(ds, nil)
+	for label, n := range breakdown {
+		if got[label] != n {
+			t.Errorf("breakdown[%q] = %d, want %d", label, got[label], n)
+		}
+	}
+	for label, n := range got {
+		if _, ok := breakdown[label]; !ok {
+			t.Errorf("breakdown[%q] = %d, want no such row", label, n)
+		}
+	}
 }
 
 func TestCDNPipelineAccuracy(t *testing.T) {
@@ -106,6 +132,10 @@ func TestCDNPipelineAccuracy(t *testing.T) {
 		}
 		t.Errorf("CDN diagnosis accuracy = %.3f, want ≥ 0.9", acc)
 	}
+	assertExact(t, score, Score{Total: 150, Correct: 150}, ds, map[string]int{
+		"BGP egress change": 9, "CDN assignment policy change": 6, "Interface flap": 7,
+		"Link congestion alarm": 5, "Link loss alarm": 5, "OSPF re-convergence event": 6, "Unknown": 112,
+	})
 }
 
 func TestPIMPipelineAccuracy(t *testing.T) {
@@ -150,6 +180,10 @@ func TestPIMPipelineAccuracy(t *testing.T) {
 	if b[engine.Unknown] > 10 {
 		t.Errorf("unknown share = %.2f%%, want small (paper: <2%%)", b[engine.Unknown])
 	}
+	assertExact(t, score, Score{Total: 150, Correct: 150}, ds, map[string]int{
+		"Interface flap": 104, "Link Cost In/Up": 1, "Link Cost Out/Down": 2, "OSPF re-convergence event": 16,
+		"PIM Configuration change": 6, "Router Cost In/Out": 15, "Unknown": 3, "Uplink PIM adjacency change": 3,
+	})
 }
 
 func TestDisplayLabels(t *testing.T) {

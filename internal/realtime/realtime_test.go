@@ -1,7 +1,7 @@
 package realtime
 
 import (
-	"sort"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,77 +11,93 @@ import (
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/obs"
-	"grca/internal/platform"
 	"grca/internal/simnet"
 	"grca/internal/store"
 	"grca/internal/temporal"
 	"grca/internal/testnet"
 )
 
-// TestReplayMatchesBatch streams a full simulated corpus through the
-// processor and verifies every diagnosis matches the offline batch run —
-// the package's defining property.
+// TestReplayMatchesBatch streams simulated corpora through one processor
+// serving every application studied in them and verifies that each
+// symptom is diagnosed exactly once, and that every diagnosis — its full
+// cause set, evidence included — matches the offline batch run: the
+// package's defining property. It holds for any arrival order in which no
+// event is delayed past a grace period, so each corpus is replayed in
+// availability order, with uniformly random delays and with every other
+// event delayed by 0.99× the shortest grace. Besides three mixed corpora
+// with all four applications, a dense BGP-only corpus (200 flap incidents
+// over eight sessions per PER) puts many symptoms in one grace window.
 func TestReplayMatchesBatch(t *testing.T) {
-	d, err := simnet.Generate(simnet.Config{
-		Seed: 51, PoPs: 3, PERsPerPoP: 2, SessionsPerPER: 8,
-		Duration: 5 * 24 * time.Hour, BGPFlapIncidents: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
+	corpora := []struct {
+		name  string
+		cfg   simnet.Config
+		names []string
+	}{
+		{"seed1", mixed(1), nil},
+		{"seed2", mixed(2), nil},
+		{"seed3", mixed(3), nil},
+		{"dense51", simnet.Config{
+			Seed: 51, PoPs: 3, PERsPerPoP: 2, SessionsPerPER: 8,
+			Duration: 5 * 24 * time.Hour, BGPFlapIncidents: 200,
+		}, []string{"bgpflap"}},
 	}
-	sys, err := platform.FromDataset(d, platform.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, g, err := bgpflap.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Batch reference.
-	batchEng := engine.New(sys.Store, sys.View, g)
-	batch := map[string]string{} // symptom key → primary
-	for _, diag := range batchEng.DiagnoseAll() {
-		batch[diagKey(diag.Symptom)] = diag.Primary()
-	}
-
-	// Stream: all events ordered by availability (end time).
-	var stream []event.Instance
-	for _, name := range sys.Store.Names() {
-		for _, in := range sys.Store.All(name) {
-			stream = append(stream, *in)
-		}
-	}
-	sort.SliceStable(stream, func(i, j int) bool { return stream[i].End.Before(stream[j].End) })
-
-	grace := GraceFor(g, 15*time.Minute)
-	if grace <= 0 {
-		t.Fatalf("grace = %v", grace)
-	}
-	p := New(sys.View, g, grace)
-	var live []engine.Diagnosis
-	for _, in := range stream {
-		out, late := p.Observe(in)
-		if late {
-			t.Fatalf("instance %v marked late in an availability-ordered replay", in)
-		}
-		live = append(live, out...)
-	}
-	live = append(live, p.Flush()...)
-	if p.Pending() != 0 {
-		t.Errorf("pending after flush = %d", p.Pending())
-	}
-
-	if len(live) != len(batch) {
-		t.Fatalf("live diagnoses = %d, batch = %d", len(live), len(batch))
-	}
-	for _, diag := range live {
-		want, ok := batch[diagKey(diag.Symptom)]
-		if !ok {
-			t.Fatalf("live symptom %v missing from batch", diag.Symptom)
-		}
-		if diag.Primary() != want {
-			t.Errorf("symptom %v: live %q vs batch %q", diag.Symptom, diag.Primary(), want)
+	for _, cc := range corpora {
+		c := newCorpus(t, cc.cfg, cc.names...)
+		bound := c.minGrace() * 99 / 100
+		for _, order := range []struct {
+			name string
+			rng  *rand.Rand
+			max  time.Duration
+		}{
+			{"available", nil, 0},
+			{"uniform", rand.New(rand.NewSource(cc.cfg.Seed)), bound},
+			{"alternate", nil, bound},
+		} {
+			t.Run(cc.name+"/"+order.name, func(t *testing.T) {
+				st := store.New()
+				p := NewStreams(st, c.streamsOver(st)...)
+				got := map[string]map[string]string{}
+				hooked := 0
+				p.OnDiagnosis = func(app string, d engine.Diagnosis) {
+					hooked++
+					key := diagKey(d.Symptom)
+					if _, dup := got[app][key]; dup {
+						t.Errorf("%s symptom %s diagnosed twice", app, key)
+					}
+					if got[app] == nil {
+						got[app] = map[string]string{}
+					}
+					got[app][key] = causesOf(d)
+				}
+				returned := 0
+				for _, in := range c.arrivals(order.rng, order.max) {
+					ds, late := p.Observe(in)
+					if late {
+						t.Fatalf("instance %v marked late with every delay under grace", in)
+					}
+					returned += len(ds)
+				}
+				returned += len(p.Flush())
+				if pending(p) != 0 {
+					t.Errorf("pending after flush = %d", pending(p))
+				}
+				wantN := 0
+				for _, s := range c.streams {
+					want, have := c.batch[s.Name], got[s.Name]
+					wantN += len(want)
+					if len(have) != len(want) {
+						t.Errorf("%s: %d streamed diagnoses, batch %d", s.Name, len(have), len(want))
+					}
+					for key, causes := range want {
+						if have[key] != causes {
+							t.Errorf("%s symptom %s:\n stream %q\n batch  %q", s.Name, key, have[key], causes)
+						}
+					}
+				}
+				if hooked != wantN || returned != wantN {
+					t.Errorf("%d diagnoses emitted (%d returned), batch %d", hooked, returned, wantN)
+				}
+			})
 		}
 	}
 }
@@ -119,8 +135,8 @@ func TestSymptomHeldForGrace(t *testing.T) {
 	// Symptom arrives first; no diagnosis yet.
 	out, late := p.Observe(event.Instance{Name: event.EBGPFlap,
 		Start: t0.Add(time.Hour), End: t0.Add(time.Hour + time.Minute), Loc: adj})
-	if late || len(out) != 0 || p.Pending() != 1 {
-		t.Fatalf("premature diagnosis: %v late=%v pending=%d", out, late, p.Pending())
+	if late || len(out) != 0 || pending(p) != 1 {
+		t.Fatalf("premature diagnosis: %v late=%v pending=%d", out, late, pending(p))
 	}
 	// Trailing evidence within grace still counts: the interface flap event
 	// materializes three minutes after the symptom ended.
@@ -148,11 +164,16 @@ func TestSymptomHeldForGrace(t *testing.T) {
 // into already-emitted diagnoses.
 func TestLateMarkedBeyondGrace(t *testing.T) {
 	n := testnet.Build(t.Fatalf)
-	p := New(n.View, miniGraph(t), time.Minute)
+	st := store.New()
+	p := NewOnStore(st, n.View, miniGraph(t), time.Minute)
 	t0 := testnet.T0
 	loc := locus.At(locus.Router, "nyc-cr1")
+	lates := 0
 	obs := func(at time.Time) bool {
 		_, late := p.Observe(event.Instance{Name: "x", Start: at, End: at, Loc: loc})
+		if late {
+			lates++
+		}
 		return late
 	}
 	if obs(t0.Add(time.Hour)) {
@@ -174,17 +195,17 @@ func TestLateMarkedBeyondGrace(t *testing.T) {
 	if !obs(t0.Add(50 * time.Minute)) {
 		t.Error("gross reordering not marked late")
 	}
-	if p.Late() != 2 {
-		t.Errorf("Late() = %d, want 2", p.Late())
+	if lates != 2 {
+		t.Errorf("%d late, want 2", lates)
 	}
-	if got := p.Store().Count("x"); got != 5 {
+	if got := st.Count("x"); got != 5 {
 		t.Errorf("store count = %d, want 5 (late instances must still be stored)", got)
 	}
 }
 
 // TestLateSymptomStillDiagnosed: a root symptom arriving beyond grace is
 // past its own evidence horizon, so it is diagnosed immediately instead of
-// being dropped.
+// being dropped — also behind a pending symptom whose grace runs later.
 func TestLateSymptomStillDiagnosed(t *testing.T) {
 	n := testnet.Build(t.Fatalf)
 	p := New(n.View, miniGraph(t), time.Minute)
@@ -198,6 +219,7 @@ func TestLateSymptomStillDiagnosed(t *testing.T) {
 		Loc: locus.Between(locus.Interface, "chi-per1", "to-custB")})
 	p.Observe(event.Instance{Name: "tick", Start: t0.Add(3 * time.Hour), End: t0.Add(3 * time.Hour),
 		Loc: locus.At(locus.Router, "nyc-cr1")})
+	p.Observe(event.Instance{Name: event.EBGPFlap, Start: t0.Add(3 * time.Hour), End: t0.Add(3 * time.Hour), Loc: adj})
 
 	// The symptom itself shows up hours later (delayed feed).
 	out, late := p.Observe(event.Instance{Name: event.EBGPFlap,
@@ -205,8 +227,8 @@ func TestLateSymptomStillDiagnosed(t *testing.T) {
 	if !late {
 		t.Fatal("delayed symptom not marked late")
 	}
-	if len(out) != 1 {
-		t.Fatalf("late symptom diagnoses = %d, want immediate diagnosis", len(out))
+	if len(out) != 1 || !out[0].Symptom.Start.Equal(t0.Add(time.Hour)) || pending(p) != 1 {
+		t.Fatalf("late symptom diagnoses = %d, %d pending, want its immediate diagnosis and the on-time one pending", len(out), pending(p))
 	}
 	if out[0].Primary() != event.InterfaceFlap {
 		t.Errorf("late symptom primary = %q, want interface flap", out[0].Primary())
@@ -229,8 +251,8 @@ func TestBackpressureBound(t *testing.T) {
 		out, _ := p.Observe(event.Instance{Name: event.EBGPFlap, Start: at, End: at, Loc: adj})
 		got = append(got, out...)
 	}
-	if p.Pending() != 2 {
-		t.Errorf("Pending = %d, want bound 2", p.Pending())
+	if pending(p) != 2 {
+		t.Errorf("Pending = %d, want bound 2", pending(p))
 	}
 	if p.Forced() != 3 || len(got) != 3 {
 		t.Errorf("Forced = %d, drained = %d, want 3 forced diagnoses", p.Forced(), len(got))
@@ -240,8 +262,8 @@ func TestBackpressureBound(t *testing.T) {
 		t.Errorf("first forced symptom at %v, want oldest", got[0].Symptom.Start)
 	}
 	rest := p.Flush()
-	if len(rest) != 2 || p.Pending() != 0 {
-		t.Errorf("flush = %d pending = %d", len(rest), p.Pending())
+	if len(rest) != 2 || pending(p) != 0 {
+		t.Errorf("flush = %d pending = %d", len(rest), pending(p))
 	}
 }
 
@@ -328,9 +350,6 @@ func TestObserveStoredSharedStore(t *testing.T) {
 
 	st := store.New()
 	shared := NewOnStore(st, n.View, g, 10*time.Minute)
-	if shared.Store() != st {
-		t.Fatal("NewOnStore did not adopt the given store")
-	}
 	var got []engine.Diagnosis
 	for _, in := range stream {
 		out, _ := shared.ObserveStored(st.Add(in))
@@ -365,7 +384,7 @@ func TestPendingSymptomIsACopy(t *testing.T) {
 	p.ObserveStored(&batch[0])
 	want := batch[0]
 	batch[0] = event.Instance{ID: 8, Name: "reused", Start: t0.Add(time.Hour), End: t0.Add(time.Hour)}
-	got := p.PendingSymptoms()
+	got := p.PendingSymptoms("")
 	if len(got) != 1 || got[0].ID != want.ID || got[0].Name != want.Name || !got[0].Start.Equal(want.Start) || got[0].Loc != want.Loc {
 		t.Fatalf("pending after the batch was rewritten = %v, want %v", got, want)
 	}
@@ -387,12 +406,12 @@ func TestCloseForceDrains(t *testing.T) {
 		at := t0.Add(time.Duration(i) * time.Minute)
 		p.Observe(event.Instance{Name: event.EBGPFlap, Start: at, End: at, Loc: adj})
 	}
-	if p.Pending() != 3 {
-		t.Fatalf("pending = %d", p.Pending())
+	if pending(p) != 3 {
+		t.Fatalf("pending = %d", pending(p))
 	}
 	ds := p.Close()
-	if len(ds) != 3 || p.Pending() != 0 {
-		t.Fatalf("Close drained %d, pending %d, want 3 and 0", len(ds), p.Pending())
+	if len(ds) != 3 || pending(p) != 0 {
+		t.Fatalf("Close drained %d, pending %d, want 3 and 0", len(ds), pending(p))
 	}
 	if p.Forced() != 3 {
 		t.Errorf("Forced = %d, want 3 (close cut their grace short)", p.Forced())
@@ -402,7 +421,7 @@ func TestCloseForceDrains(t *testing.T) {
 	}
 	out, late := p.Observe(event.Instance{Name: event.EBGPFlap,
 		Start: t0.Add(time.Hour), End: t0.Add(time.Hour), Loc: adj})
-	if out != nil || late || p.Pending() != 0 {
+	if out != nil || late || pending(p) != 0 {
 		t.Error("observation after Close was not ignored")
 	}
 }

@@ -61,9 +61,11 @@ const (
 	MsgEOF byte = 8
 )
 
-// ProtocolVersion rides MsgHello. ParseMsg refuses a hello of any other
-// version before it reads the fields that differ between versions, so no
-// frame of a mismatched peer is ever applied. (3 carried a shard count in
+// ProtocolVersion is this version's one format number: MsgHello carries
+// it, and every data dir's FORMAT file holds it (DESIGN.md §11), so one
+// bump covers disk and wire. ParseMsg refuses a hello of any other version
+// before it reads the fields that differ between versions, so no frame of
+// a mismatched peer is ever applied. (3 carried a shard count in
 // the hello, a shard index in MsgSnapBegin and one WAL frontier per shard
 // in the heartbeat. 4 has 5's frames, but a follower of 4 also opens a
 // WAL stream a primary of 5 does not serve, and a primary of 4 pins its
@@ -74,8 +76,10 @@ const (
 // header and runs of one record a frame, and a follower of 6 cannot
 // decode the manifest and block runs 7 ships. 7 has 8's frames, but its
 // journal records carry feed batches as raw lines, and a follower of 7
-// cannot apply the DEFLATE feed records 8 ships.)
-const ProtocolVersion = 8
+// cannot apply the DEFLATE feed records 8 ships. 8 has 9's frames; 9 is
+// the first number disk and wire share, above every protocol version and
+// every FORMAT, 1, ever shipped.)
+const ProtocolVersion = 9
 
 // Stream kinds named in MsgHello; StreamWAL only by ShipWALOnce.
 const (

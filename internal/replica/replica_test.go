@@ -101,7 +101,8 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{MsgHello, 5, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 5's, likewise
 		{MsgHello, 6, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 6's, likewise
 		{MsgHello, 7, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 7's, likewise
-		{MsgHello, 9},
+		{MsgHello, 8, 6, 'b', 'o', 'o', 't', '-', '1', StreamJournal, 34},    // protocol 8's, likewise
+		{MsgHello, 10},
 	} {
 		if _, err := ParseMsg(hello); !errors.Is(err, ErrFatal) || !strings.Contains(err.Error(), fmt.Sprintf("protocol version %d", hello[1])) {
 			t.Fatalf("a version-%d hello: err %v, want a fatal refusal naming the version", hello[1], err)

@@ -69,7 +69,7 @@ func (e EventJSON) instance() (event.Instance, error) {
 // IngestRequest is the body of POST /v1/ingest. Exactly one mode:
 // raw feed lines (Source+Lines, the Data Collector path, loading phase)
 // or normalized events (Events, any phase; streamed through the
-// realtime processors once the system is finalized).
+// realtime processor once the system is finalized).
 type IngestRequest struct {
 	Source string      `json:"source,omitempty"`
 	Lines  string      `json:"lines,omitempty"`

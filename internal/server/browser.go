@@ -43,11 +43,11 @@ func streamFrame(e rollup.Entry) []byte {
 
 // browserApp resolves the app query parameter to the served application,
 // writing the error response itself (and returning nil) on failure.
-func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) *servedApp {
+func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) (*serving, *servedApp) {
 	sv := s.serving.Load()
 	if sv == nil {
 		writeErr(w, http.StatusConflict, "not finalized: POST /v1/finalize first")
-		return nil
+		return nil, nil
 	}
 	app := r.URL.Query().Get("app")
 	a := sv.app(app)
@@ -58,18 +58,18 @@ func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) *servedApp {
 	default:
 		writeErr(w, http.StatusBadRequest, "unknown application %q", app)
 	}
-	return a
+	return sv, a
 }
 
-// pendingDiagnoses diagnoses, on demand, the symptoms still pending in
-// the application's realtime processor — the delta between the rollup
+// pendingDiagnoses diagnoses, on demand, the application's symptoms still
+// pending in the streaming processor — the delta between the rollup
 // counters and the full store that BreakdownCounts/CauseTrend merge back
-// in.
-func (a *servedApp) pendingDiagnoses() []engine.Diagnosis {
-	syms, eng := a.proc.PendingSymptoms(), a.proc.Engine()
+// in. a is one of sv's applications: symptoms and engine share one state.
+func (sv *serving) pendingDiagnoses(a *servedApp) []engine.Diagnosis {
+	syms := sv.proc.PendingSymptoms(a.Name)
 	ds := make([]engine.Diagnosis, 0, len(syms))
 	for _, sym := range syms {
-		ds = append(ds, eng.Diagnose(sym))
+		ds = append(ds, a.eng.Diagnose(sym))
 	}
 	return ds
 }
@@ -78,7 +78,7 @@ func (a *servedApp) pendingDiagnoses() []engine.Diagnosis {
 // breakdown table (display labels), equal to the batch browser.Breakdown
 // over one full-evidence diagnosis of every live root symptom.
 func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
-	a := s.browserApp(w, r)
+	sv, a := s.browserApp(w, r)
 	if a == nil {
 		return
 	}
@@ -94,7 +94,7 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 			from = last.Add(-d)
 		}
 	}
-	counts, total := s.roll.BreakdownCounts(a.Name, from, a.pendingDiagnoses())
+	counts, total := s.roll.BreakdownCounts(a.Name, from, sv.pendingDiagnoses(a))
 	mapped := make(map[string]int, len(counts))
 	for label, n := range counts {
 		mapped[a.DisplayLabel(label)] += n
@@ -113,11 +113,11 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 // handleCauses serves GET /v1/causes?app=: the raw root-cause labels
 // (the filter/trend vocabulary) with live counts.
 func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
-	a := s.browserApp(w, r)
+	sv, a := s.browserApp(w, r)
 	if a == nil {
 		return
 	}
-	counts, total := s.roll.BreakdownCounts(a.Name, time.Time{}, a.pendingDiagnoses())
+	counts, total := s.roll.BreakdownCounts(a.Name, time.Time{}, sv.pendingDiagnoses(a))
 	rows := browser.Rows(counts, total)
 	if rows == nil {
 		rows = []browser.Row{}
@@ -180,13 +180,13 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{"bin": bin.String(), "from": from, "to": to}
 	switch {
 	case cause != "":
-		a := s.browserApp(w, r)
+		sv, a := s.browserApp(w, r)
 		if a == nil {
 			return
 		}
 		resp["app"], resp["cause"] = a.Name, cause
 		if haveSpan {
-			points = s.roll.CauseTrend(a.Name, cause, from, to, bin, a.pendingDiagnoses())
+			points = s.roll.CauseTrend(a.Name, cause, from, to, bin, sv.pendingDiagnoses(a))
 		}
 	case name != "":
 		resp["name"] = name
@@ -234,16 +234,10 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	app := q.Get("app")
-	a := sv.app(app)
 	if app == "" {
-		for i := range sv.apps {
-			if sv.apps[i].proc.Engine().Graph.Root == sym.Name {
-				a = &sv.apps[i]
-				app = a.Name
-				break
-			}
-		}
+		app = sv.rootOf[sym.Name]
 	}
+	a := sv.app(app)
 	if a == nil {
 		if app == "" {
 			writeErr(w, http.StatusBadRequest,
@@ -271,7 +265,7 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		}
 		level = t
 	}
-	d := a.proc.Engine().DiagnoseTraced(sym)
+	d := a.eng.DiagnoseTraced(sym)
 	colocated, err := browser.DrillDown(s.st, sv.view, sym, window, level)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "drill-down: %v", err)

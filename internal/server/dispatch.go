@@ -22,7 +22,7 @@ var (
 // batch is one admitted event batch moving through the commit pipeline:
 // admission fills seq, stamps the event IDs and encodes the journal
 // record; the applier commits it and fills stored (or res, with the
-// batch's first commit error); the observer runs the streaming processors
+// batch's first commit error); the observer runs the streaming processor
 // over stored and replies. One goroutine holds a batch at a time, handed on
 // by channel.
 type batch struct {
@@ -406,9 +406,9 @@ func (s *Server) commitGroup(group []*batch) {
 }
 
 // observer is the pipeline's second stage: batches arrive in sequence
-// order, committed, and for each it runs the streaming processors over the
+// order, committed, and for each it runs the streaming processor over the
 // stored events and replies. It is a goroutine of its own so that this
-// work — a sixth of a batch's cost — overlaps the next group's fsync.
+// work overlaps the next group's fsync.
 func (s *Server) observer() {
 	defer close(s.observed)
 	for bt := range s.observeQ {
@@ -422,32 +422,27 @@ func (s *Server) observer() {
 	}
 }
 
-// observeStored runs committed instances through every application's
-// streaming processor in order. Shared by the observer (primary) and the
-// journal-stream apply path (follower), so both sides feed the processors
-// the identical event sequence.
+// observeStored runs committed instances through the streaming processor
+// in order. Shared by the observer (primary) and the journal-stream apply
+// path (follower), so both sides feed the processor the identical event
+// sequence.
 func (s *Server) observeStored(stored []*event.Instance) IngestResponse {
 	var resp IngestResponse
-	var served []servedApp // none before finalize
-	if sv := s.serving.Load(); sv != nil {
-		served = sv.apps
-	}
+	sv := s.serving.Load() // nil before finalize
 	for _, in := range stored {
 		if in == nil {
 			continue
 		}
 		resp.Stored++
-		for i := range served {
-			a := &served[i]
-			ds, late := a.proc.ObserveStored(in)
-			if late {
-				resp.Late++
-			}
-			for _, d := range ds {
-				dj := diagnosisJSON(d)
-				dj.App = a.Name
-				resp.Diagnoses = append(resp.Diagnoses, dj)
-			}
+		if sv == nil {
+			continue
+		}
+		ds, late := sv.proc.ObserveStored(in)
+		resp.Late += late
+		for _, d := range ds {
+			dj := diagnosisJSON(d)
+			dj.App = sv.rootOf[d.Symptom.Name]
+			resp.Diagnoses = append(resp.Diagnoses, dj)
 		}
 	}
 	mEvents.Add(int64(resp.Stored))

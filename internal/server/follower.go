@@ -587,7 +587,7 @@ func (s *Server) promote() (PromoteInfo, error) {
 }
 
 // shutdownFollower is Shutdown's replica path: seal the stream, close
-// the processors, and shut the promoted primary down if one exists.
+// the processor, and shut the promoted primary down if one exists.
 func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 	fs := s.follower
 	if fs.promoting.Load() {

@@ -21,6 +21,7 @@ import (
 	"grca/internal/conf"
 	"grca/internal/obs"
 	"grca/internal/platform"
+	"grca/internal/replica"
 	"grca/internal/store"
 	"grca/internal/wal"
 	"grca/internal/wire"
@@ -735,19 +736,21 @@ var cutFixture = flag.Bool("cut-fixture", false, "re-cut testdata/datadir-format
 // its files untouched: boot reads only what this version writes
 // (DESIGN.md §11).
 //
-//   - datadir-format1: three feeds (JSON, wire, JSON), a JSON and a wire
+//   - datadir-format9: three feeds (JSON, wire, JSON), a JSON and a wire
 //     event batch on either side of the finalize record, snapshots every
 //     150 events, a clean shutdown. go test -run TestParentDataDirBoots
 //     -cut-fixture re-cuts it, after a FORMAT bump.
+//   - datadir-format1: the same load, written when FORMAT and the
+//     replication protocol were two numbers.
 //   - datadir-pr27, -pr28, -pr29: written before FORMAT, with journal
 //     kinds 1, 3 and 4 and legacy WAL segments among them.
 func TestParentDataDirBoots(t *testing.T) {
-	current := filepath.Join("testdata", fmt.Sprintf("datadir-format%d", dataFormat))
+	current := filepath.Join("testdata", fmt.Sprintf("datadir-format%d", replica.ProtocolVersion))
 	if *cutFixture {
 		cutFormatFixture(t, current)
 	}
 	t.Run(filepath.Base(current), func(t *testing.T) { parentDataDirBoots(t, current) })
-	for _, fixture := range []string{"datadir-pr27", "datadir-pr28", "datadir-pr29"} {
+	for _, fixture := range []string{"datadir-format1", "datadir-pr27", "datadir-pr28", "datadir-pr29"} {
 		t.Run(fixture, func(t *testing.T) {
 			_, b := testBundle(t)
 			dir := copyTree(t, filepath.Join("testdata", fixture))

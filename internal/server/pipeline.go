@@ -35,8 +35,9 @@
 // disagreeing WAL is refilled from an empty checkpoint while the journal
 // still reaches back to ID 0, and refused with a named error once its
 // tail has been dropped (DESIGN.md §11, §15). Startup reads one format,
-// the one this version writes: a data dir's FORMAT file names it, and a
-// dir in any other is refused untouched (ErrFormat).
+// the one this version writes: a data dir's FORMAT file names it by the
+// number a replication hello carries, replica.ProtocolVersion, and a dir
+// in any other is refused untouched (ErrFormat).
 //
 // # Pipeline
 //
@@ -49,7 +50,7 @@
 // queue in commit groups (journal append + one fsync, store inserts, one
 // WAL commit — each amortized across every batch waiting) and hands each
 // batch to the observer, a goroutine of its own so that the streaming
-// processors run beside the next group's fsync instead of behind it; the
+// processor runs beside the next group's fsync instead of behind it; the
 // observer replies. Reads (diagnose, events, stats) bypass the queue.
 package server
 
@@ -346,7 +347,7 @@ type Server struct {
 
 	// The commit pipeline (dispatch.go): admission sends on queue, the
 	// applier commits what it receives in groups and sends on observeQ, the
-	// observer runs the streaming processors and replies. Shutdown closes
+	// observer runs the streaming processor and replies. Shutdown closes
 	// queue; each stage closes the next one's inbox, and observed closes
 	// when the observer has exited.
 	queue    chan *batch
@@ -443,10 +444,6 @@ func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 // dir such a version wrote predates FORMAT, and ErrFormat refuses it.)
 var ErrMultiShard = errors.New("server: this version runs one commit lane (DESIGN.md §15) and does not migrate multi-shard data dirs")
 
-// dataFormat is the number FORMAT holds in every data dir this version
-// writes. A change to any encoding boot reads bumps it (DESIGN.md §11).
-const dataFormat = 1
-
 // ErrFormat refuses a data dir this version did not write: its FORMAT holds
 // another number, or it has no FORMAT yet holds what Open reads. Open
 // returns it before it creates, writes or wipes anything.
@@ -462,8 +459,8 @@ func checkFormat(dataDir string) (fresh bool, err error) {
 	data, err := os.ReadFile(formatPath(dataDir))
 	switch {
 	case err == nil:
-		if have := strings.TrimSpace(string(data)); have != strconv.Itoa(dataFormat) {
-			return false, fmt.Errorf("%w: %s says %q, this version reads and writes %d", ErrFormat, formatPath(dataDir), have, dataFormat)
+		if have := strings.TrimSpace(string(data)); have != strconv.Itoa(replica.ProtocolVersion) {
+			return false, fmt.Errorf("%w: %s says %q, this version reads and writes %d", ErrFormat, formatPath(dataDir), have, replica.ProtocolVersion)
 		}
 		return false, nil
 	case !os.IsNotExist(err):
@@ -505,7 +502,7 @@ func Open(cfg Config) (*Server, error) {
 	// FORMAT is durable before any journal byte: a dir holding a journal
 	// and no FORMAT is always an earlier version's.
 	if fresh {
-		if err := writeMarker(formatPath(cfg.DataDir), strconv.Itoa(dataFormat)+"\n"); err != nil {
+		if err := writeMarker(formatPath(cfg.DataDir), strconv.Itoa(replica.ProtocolVersion)+"\n"); err != nil {
 			return nil, err
 		}
 	}
@@ -619,7 +616,7 @@ func Open(cfg Config) (*Server, error) {
 
 // newServer assembles the Server over the recovered store and collector,
 // the Result Browser rollups, and — when the journal already holds a
-// finalize record — the serving phase with its processors' tails rebuilt.
+// finalize record — the serving phase with its processor's tail rebuilt.
 // Open adds the role's half and starts the goroutines.
 func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.SegmentedJournal) (*Server, error) {
 	st := rep.st.Memory
@@ -747,22 +744,23 @@ func closeFeeds(c *collector.Collector, dep cdn.Deployment) error {
 	return nil
 }
 
-// serving is the serving phase: the routing view and one streaming
-// processor per application, in apps.All() order — the order streaming
-// diagnoses of one event are reported in. A processor's engine is its
-// application's only engine: the stream, /v1/diagnose, /v1/drilldown,
-// the pending-symptom merge and the rollup seed all diagnose through it.
-// Every engine, drill-down's browser.DrillDown included, expands through
-// view, whose one cache they all share. Built by installServing and never
-// changed afterwards.
+// serving is the serving phase: the routing view, each application's one
+// engine in apps.All() order (the stream, /v1/diagnose, /v1/drilldown,
+// the pending-symptom merge and the rollup seed all diagnose through it),
+// and one streaming processor with a stream per application in the same
+// order — the order streaming diagnoses of one event are reported in.
+// Everything expands through view's one cache. Built by installServing
+// and never changed afterwards.
 type serving struct {
-	view *netstate.View
-	apps []servedApp
+	view   *netstate.View
+	apps   []servedApp
+	proc   *realtime.Processor
+	rootOf map[string]string // root symptom name → application (apps.TestRootsDistinct)
 }
 
 type servedApp struct {
 	apps.App
-	proc *realtime.Processor
+	eng *engine.Engine
 }
 
 // app returns the named application's entry, or nil.
@@ -775,99 +773,81 @@ func (sv *serving) app(name string) *servedApp {
 	return nil
 }
 
-// close force-drains every processor; a no-op before finalize.
+// close force-drains the processor; a no-op before finalize.
 func (sv *serving) close() {
-	if sv == nil {
-		return
-	}
-	for _, a := range sv.apps {
-		a.proc.Close()
+	if sv != nil {
+		sv.proc.Close()
 	}
 }
 
-// installServing transitions to the serving phase: routing view, CDN
-// registration, and each application's streaming processor and engine.
-// With rebuildTails (recovery), the processors re-observe the tail of
-// the stored stream so symptoms still inside their grace window at the
-// crash stay pending instead of vanishing; their already-served
-// diagnoses are discarded. Runs under dispatchMu (finalize) or before
+// installServing transitions to the serving phase. With rebuildTail
+// (recovery), the processor re-observes the tail of the stored stream so
+// symptoms still inside their grace window at the crash stay pending
+// instead of vanishing. Runs under dispatchMu (finalize) or before
 // concurrency starts (Open).
-func (s *Server) installServing(rebuildTails bool) error {
+func (s *Server) installServing(rebuildTail bool) error {
 	view := netstate.NewView(s.topo, s.coll.OSPF, s.coll.BGP)
 	cdn.Register(view, s.cfg.Bundle.CDN)
-	sv := &serving{view: view}
+	sv := &serving{view: view, rootOf: map[string]string{}}
+	var streams []realtime.Stream
+	var grace time.Duration // the longest
 	for _, a := range apps.All() {
 		_, g, err := a.Build()
 		if err != nil {
 			return fmt.Errorf("server: %s graph: %v", a.Name, err)
 		}
-		p := realtime.NewOnStore(s.st, view, g, realtime.GraceFor(g, maxEventDuration))
-		sv.apps = append(sv.apps, servedApp{a, p})
+		eng := engine.New(s.st, view, g)
+		sv.apps = append(sv.apps, servedApp{a, eng})
+		sv.rootOf[g.Root] = a.Name
+		streams = append(streams, realtime.Stream{Name: a.Name, Engine: eng, Grace: realtime.GraceFor(g, maxEventDuration)})
+		grace = max(grace, streams[len(streams)-1].Grace)
 	}
-	if rebuildTails {
-		rebuildTail(s.st, sv.apps)
+	sv.proc = realtime.NewStreams(s.st, streams...)
+	if rebuildTail {
+		replayTail(s.st, sv.proc, grace)
 	}
+	// Seed the breakdown rollups with one full-evidence diagnosis of every
+	// stored root symptom, so breakdown ≡ batch browser.Breakdown over the
+	// live store from the first request, after a crash recovery too.
+	// Pending symptoms are counted too; their grace-elapsed drain re-counts
+	// them with the (by then unchanged) full evidence.
 	for _, a := range sv.apps {
-		// Seed the breakdown rollups: one full-evidence diagnosis of every
-		// stored root symptom, so the Result Browser's invariant (breakdown
-		// ≡ batch browser.Breakdown over the live store) holds from the
-		// first request — including right after a crash recovery, where
-		// this re-derives the identical counters deterministically.
-		// Symptoms still pending in the processor are counted too; their
-		// eventual grace-elapsed drain re-counts them with the (by then
-		// unchanged) full evidence.
-		name := a.Name
-		for _, d := range a.proc.Engine().DiagnoseAllParallel(0) {
-			s.roll.CountDiagnosis(name, d)
+		for _, d := range a.eng.DiagnoseAllParallel(0) {
+			s.roll.CountDiagnosis(a.Name, d)
 		}
-		// Fan live diagnoses out to the rollup counters, the recent ring,
-		// and the SSE stream. Installed after the tail rebuild so its
-		// replayed emissions (already served before the crash) don't reach
-		// the ring.
-		a.proc.OnDiagnosis = func(d engine.Diagnosis) {
-			seq := s.roll.AddDiagnosis(name, d)
-			if s.hub.active() {
-				s.hub.publish(seq, streamFrame(rollup.Entry{Seq: seq, App: name, D: d}))
-			}
+	}
+	// Fan live diagnoses out to the rollup counters, the recent ring, and
+	// the SSE stream. Installed after the tail replay so its emissions
+	// (already served before the crash) don't reach the ring.
+	sv.proc.OnDiagnosis = func(app string, d engine.Diagnosis) {
+		seq := s.roll.AddDiagnosis(app, d)
+		if s.hub.active() {
+			s.hub.publish(seq, streamFrame(rollup.Entry{Seq: seq, App: app, D: d}))
 		}
 	}
 	s.serving.Store(sv)
 	return nil
 }
 
-// rebuildTail replays the stored stream's tail (availability order)
-// through the fresh processors: for each, the events past the span's end
-// minus its grace window reconstruct the stream clock and the
-// pending-symptom queue. The tail is gathered and sorted once, as far
-// back as the longest grace reaches. Emitted diagnoses are dropped —
-// anything whose grace elapsed before the crash was already served
-// (streamed diagnoses are at-most-once; the authoritative answer is
-// always /v1/diagnose).
-func rebuildTail(st store.Store, served []servedApp) {
+// replayTail replays the stored stream's last grace window (availability
+// order) through a fresh processor, rebuilding its clock and every
+// stream's pending queue; a stream with a shorter grace drains its extra
+// symptoms before the replay ends. What it emits was served before the
+// crash and is dropped: streamed diagnoses are at-most-once.
+func replayTail(st store.Store, proc *realtime.Processor, grace time.Duration) {
 	_, last, ok := st.Span()
 	if !ok {
 		return
 	}
-	cutFor := func(a servedApp) time.Time { return last.Add(-a.proc.Grace - maxEventDuration) }
-	cut := last
-	for _, a := range served {
-		if c := cutFor(a); c.Before(cut) {
-			cut = c
-		}
-	}
+	cut := last.Add(-grace - maxEventDuration)
 	// A window query, not All: only the tail is materialized.
 	var tail []*event.Instance
 	for _, name := range st.Names() {
 		tail = append(tail, st.Query(name, cut, last)...)
 	}
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].End.Before(tail[j].End) })
-	for _, a := range served {
-		own := cutFor(a)
-		for _, in := range tail {
-			if !in.End.Before(own) {
-				a.proc.ObserveStored(in)
-			}
-		}
+	for _, in := range tail {
+		proc.ObserveStored(in)
 	}
 }
 

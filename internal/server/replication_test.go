@@ -853,7 +853,7 @@ func TestFollowerJournalBounded(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPeersRefused: a follower pointed at a protocol-4 to -7
+// TestMixedVersionPeersRefused: a follower pointed at a protocol-4 to -8
 // primary is refused by the hello's version before a record is applied —
 // a v5 primary's event batches are the JSON and wire bodies this follower
 // still reads, a v7 primary's raw feed records are ones it still reads too,
@@ -865,7 +865,7 @@ func TestFollowerJournalBounded(t *testing.T) {
 func TestMixedVersionPeersRefused(t *testing.T) {
 	_, b := testBundle(t)
 	rec := encodeRecord(0, recFinalize, "", nil)
-	for _, v := range []byte{4, 5, 6, 7} {
+	for _, v := range []byte{4, 5, 6, 7, 8} {
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/v1/replication/meta":

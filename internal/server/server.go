@@ -297,15 +297,14 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown application %q", req.App)
 		return
 	}
-	eng := a.proc.Engine()
-	diagnose := eng.Diagnose
+	diagnose := a.eng.Diagnose
 	if req.Trace {
-		diagnose = eng.DiagnoseTraced
+		diagnose = a.eng.DiagnoseTraced
 	}
 	resp := DiagnoseResponse{App: req.App, Diagnoses: []DiagnosisJSON{}}
 	switch {
 	case req.All:
-		for _, sym := range s.st.All(eng.Graph.Root) {
+		for _, sym := range s.st.All(a.eng.Graph.Root) {
 			resp.Diagnoses = append(resp.Diagnoses, diagnosisJSON(diagnose(sym)))
 		}
 	default:
@@ -314,9 +313,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, "no event with id %d", req.ID)
 			return
 		}
-		if sym.Name != eng.Graph.Root {
+		if sym.Name != a.eng.Graph.Root {
 			writeErr(w, http.StatusBadRequest, "event %d is %q, not the %q symptom %q",
-				req.ID, sym.Name, req.App, eng.Graph.Root)
+				req.ID, sym.Name, req.App, a.eng.Graph.Root)
 			return
 		}
 		resp.Diagnoses = append(resp.Diagnoses, diagnosisJSON(diagnose(sym)))
@@ -432,7 +431,7 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Shutdown drains gracefully: stop accepting work, let in-flight requests
-// finish, drain the commit pipeline, force-drain the streaming processors,
+// finish, drain the commit pipeline, force-drain the streaming processor,
 // snapshot the store, drop the journal segments that covers, and close the
 // WAL and the journal. Safe to call once; the ctx bounds the HTTP drain.
 func (s *Server) Shutdown(ctx context.Context) error {

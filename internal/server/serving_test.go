@@ -117,6 +117,53 @@ func TestOneEnginePerApp(t *testing.T) {
 	}
 }
 
+// TestPendingGaugeIsTotal: realtime.pending counts every application's
+// pending symptoms, not the queue of whichever one observed last.
+func TestPendingGaugeIsTotal(t *testing.T) {
+	_, b := testBundle(t)
+	s := openServer(t, t.TempDir(), b)
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+
+	at := b.Start.Add(b.Duration).Add(time.Hour)
+	code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: []EventJSON{
+		{
+			Name: event.EBGPFlap, Start: at, End: at.Add(time.Minute),
+			Loc: LocationJSON{Type: "router:neighbor", A: "pop00-per1", B: "10.99.0.1"},
+		},
+		{
+			Name: event.PIMAdjacencyChange, Start: at, End: at.Add(time.Minute),
+			Loc: LocationJSON{Type: "router:neighbor", A: "pop00-per1", B: "pop01-per1"},
+		},
+	}})
+	if code != http.StatusOK {
+		t.Fatalf("event ingest: %d %s", code, body)
+	}
+	sv := s.serving.Load()
+	total, apps := 0, 0
+	for _, a := range sv.apps {
+		if n := len(sv.proc.PendingSymptoms(a.Name)); n > 0 {
+			total += n
+			apps++
+		}
+	}
+	if apps < 2 {
+		t.Fatalf("symptoms pending in %d applications, want 2", apps)
+	}
+	code, body = get(t, ts, "/v1/stats")
+	var stats struct {
+		Metrics struct{ Gauges map[string]int64 }
+	}
+	if err := json.Unmarshal(body, &stats); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats: %d %v", code, err)
+	}
+	if got := stats.Metrics.Gauges["realtime.pending"]; got != int64(total) {
+		t.Errorf("realtime.pending = %d, want the %d symptoms pending over all applications", got, total)
+	}
+}
+
 // TestFinalizeAfterBurst: finalize arrives while concurrent clients have
 // event batches in flight. Whichever side of it a batch lands on, its
 // symptom is in the breakdown — seeded if acknowledged before, pending or

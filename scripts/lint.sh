@@ -8,8 +8,9 @@
 # checks; findings also written as a JSON envelope artifact when a path
 # is given), grca vet -strict over the built-in and example specs, a grep
 # that keeps the docs from drifting back to a deleted instrument, one
-# that keeps each application's spec in its .grca file alone, and one
-# that keeps routing memos in internal/epoch.
+# that keeps each application's spec in its .grca file alone, one that
+# keeps routing memos in internal/epoch, and one that keeps the server to
+# one streaming processor.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -68,6 +69,15 @@ echo "== one memo =="
 # hand-rolled hashed table.
 if git grep -nE '16777619|2166136261' -- '*.go' ':!*_test.go' ':!internal/epoch'; then
   echo "FNV-1a hashing outside internal/epoch (above): memoize through epoch.Memo" >&2
+  fail=1
+fi
+
+echo "== one stream =="
+# The server observes each committed event once, through one
+# realtime.Processor with a stream per application; a one-application
+# processor there is the start of a second stream clock.
+if git grep -nE 'realtime\.(New|NewOnStore)\(' -- 'internal/server/*.go' ':!*_test.go'; then
+  echo "one-application realtime processor in the server (above): add a stream to realtime.NewStreams" >&2
   fail=1
 fi
 
