@@ -93,7 +93,7 @@ func usage() {
   grca graph <bgpflap|cdn|pim|backbone>            # Graphviz DOT of the diagnosis graph
   grca report <bgpflap|cdn|pim|backbone> -data DIR # full SQM report (breakdown, trend, drill-downs)
   grca chaos -data DIR [-seed N] [-faults LIST] [-apps LIST] [-o FILE]  # fault-injection accuracy matrix (JSON)
-  grca serve -data-dir DIR -bundle DIR [-addr :8080] [-fsync batch|interval] [-snapshot-every N] [-retention DUR] [-max-inflight N] [-replica-of URL]
+  grca serve -data-dir DIR -bundle DIR [-addr :8080] [-snapshot-every N] [-retention DUR] [-max-inflight N] [-replica-of URL]
   grca promote -addr URL                 # flip a running replica into a standalone primary`)
 }
 

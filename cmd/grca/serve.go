@@ -22,7 +22,7 @@ import (
 // serveOptions holds serve's flag values.
 type serveOptions struct {
 	addr, dataDir, bundleDir, fsync, metricsAddr, replicaOf string
-	fsyncEvery, retention, timeout                          time.Duration
+	retention, timeout                                      time.Duration
 	snapshotEvery, shards, maxInflight                      int
 }
 
@@ -33,8 +33,10 @@ func serveFlags(o *serveOptions) *flag.FlagSet {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (WAL, snapshots, journal; required)")
 	fs.StringVar(&o.bundleDir, "bundle", "", "dataset bundle directory supplying configs + manifest (required)")
-	fs.StringVar(&o.fsync, "fsync", "batch", "WAL durability policy: batch (sync per commit) or interval")
-	fs.DurationVar(&o.fsyncEvery, "fsync-interval", 200*time.Millisecond, "background sync period with -fsync=interval")
+	// A vestige like -shards: bench/ passes -fsync batch. Both values name
+	// the one policy, the journal's fsync per commit group. ROADMAP item
+	// 1(e) deletes it.
+	fs.StringVar(&o.fsync, "fsync", "batch", "accepted for compatibility: batch and interval both mean one journal fsync per commit group")
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown/eviction)")
 	fs.DurationVar(&o.retention, "retention", 0, "evict events older than this behind the stream head (0 = keep everything)")
 	// A vestige of the multi-lane pipeline: bench/ passes -shards 1 and may
@@ -66,8 +68,7 @@ func runServe(args []string) error {
 	if o.shards != 1 {
 		return fmt.Errorf("serve: -shards %d: the commit pipeline is single-lane and multi-shard data dirs are not migrated (DESIGN.md §15)", o.shards)
 	}
-	policy, err := wal.ParseFsyncPolicy(o.fsync)
-	if err != nil {
+	if _, err := wal.ParseFsyncPolicy(o.fsync); err != nil {
 		return err
 	}
 	bundle, err := platform.Load(o.bundleDir)
@@ -86,8 +87,6 @@ func runServe(args []string) error {
 	s, err := server.Open(server.Config{
 		DataDir:        o.dataDir,
 		Bundle:         bundle,
-		Fsync:          policy,
-		FsyncInterval:  o.fsyncEvery,
 		SnapshotEvery:  o.snapshotEvery,
 		Retention:      o.retention,
 		MaxInflight:    o.maxInflight,
@@ -123,7 +122,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, fsync=%s)\n", bound, o.dataDir, policy)
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s)\n", bound, o.dataDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

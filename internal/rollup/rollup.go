@@ -168,11 +168,11 @@ func (r *Rollup) Reset() {
 // EvictEvents reverses ObserveEvent for retention-evicted instances and
 // un-counts any evicted root symptoms, keeping the breakdown invariant
 // scoped to live symptoms. Registered as a store OnEvict hook.
-func (r *Rollup) EvictEvents(evicted []*event.Instance, cutoff time.Time) {
+func (r *Rollup) EvictEvents(evicted []store.Evicted, cutoff time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, in := range evicted {
-		k := r.key(in.Start)
+		k := r.key(time.Unix(0, in.Start))
 		if bins := r.events[in.Name]; bins != nil {
 			if bins[k]--; bins[k] <= 0 {
 				delete(bins, k)

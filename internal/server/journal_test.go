@@ -323,8 +323,8 @@ func pinnedPrimary(t *testing.T, cfg Config, batches int) (*Server, *httptest.Se
 // TestJournalCrashCuts: the journal's own crash points — a roll killed
 // before its header is durable, after the header and before the first
 // record, a kill between the snapshot manifest and the unlinks it allows,
-// between two of the unlinks, and with the WAL trailing the journal by
-// what -fsync=interval had not flushed. Each image recovers to the store
+// and between two of the unlinks (the WAL's own cuts are
+// TestWALTrailsJournal's). Each image recovers to the store
 // of the node that never crashed, and is then appended to, snapshotted by
 // a clean shutdown and reopened to that node's store again.
 func TestJournalCrashCuts(t *testing.T) {
@@ -441,61 +441,208 @@ func TestJournalCrashCuts(t *testing.T) {
 	}
 }
 
-// TestWALTrailsJournalUnderIntervalFsync: under -fsync=interval an
-// acknowledged batch is in the journal and, for up to an interval, only
-// there. A kill inside it leaves the WAL a commit group behind; the tail
-// adds exactly what it lacks.
-func TestWALTrailsJournalUnderIntervalFsync(t *testing.T) {
-	shrinkJournal(t, 2<<10)
+// TestWALTrailsJournal: an acknowledged batch is durable in the journal,
+// and in the WAL only once a seal syncs its segment. A power cut can take
+// whatever the active segment held past its last sync, down to the file
+// itself; each such image of the default configuration recovers to the
+// never-crashed store from the journal's tail, takes more appends, and
+// reopens to the store of a node that took them without crashing.
+func TestWALTrailsJournal(t *testing.T) {
 	_, b := testBundle(t)
 	live := t.TempDir()
-	cfg := Config{DataDir: live, Bundle: b, SnapshotEvery: 150,
-		Fsync: wal.FsyncInterval, FsyncInterval: time.Hour}
+	cfg := Config{DataDir: live, Bundle: b}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
-	s.replReg.Attach("parked")             // no unlink under the copy below
+	s.replReg.Attach("parked")             // no unlink under the copies below
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	loadAndFinalize(t, ts, b)
 	k := newTickStream(t, ts, b, time.Second)
-	k.post(40, 40) // auto-snapshots flush along the way
-	if err := s.log.Sync(); err != nil {
+	k.post(4, 4000)
+	// The snapshot seals the active segment, past crumb size by now; the
+	// next group opens the one the cuts below take apart.
+	if err := s.snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	const unsealed = 3
+	k.post(unsealed, 40) // acknowledged and journaled; written to the WAL, synced nowhere
+	want := wal.StoreDigest(s.Store())
 	segs, err := wal.Segments(live)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments %v, %v", segs, err)
 	}
 	active := strings.TrimPrefix(segs[len(segs)-1].Path, live)
-	flushed := wal.JournalSize(filepath.Join(live, active))
-	k.post(2, 20) // acknowledged and journaled; written to the WAL, synced nowhere
-	want := wal.StoreDigest(s.Store())
-
-	// The kill takes what the WAL had not synced: its active segment is
-	// back where the last sync left it.
-	dir := copyTree(t, live)
-	if wal.JournalSize(filepath.Join(dir, active)) <= flushed {
-		t.Fatalf("%s did not grow past its synced %d bytes", active, flushed)
-	}
-	if err := os.Truncate(filepath.Join(dir, active), flushed); err != nil {
-		t.Fatal(err)
-	}
-	cfg.DataDir = dir
-	s2, err := Open(cfg)
+	// The active segment's frame boundaries: the magic frame, then one
+	// block frame per commit group.
+	var ends []int64
+	f, err := os.Open(filepath.Join(live, active))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
-	rec := s2.Recovery()
-	if rec.TailApplied != 2 || rec.WALRebuilt {
-		t.Fatalf("recovery %+v, want exactly the 2 unflushed batches applied from the tail and nothing rebuilt", rec)
+	for fr, end := wal.NewFrameReader(f), int64(0); ; {
+		p, err := fr.Next()
+		if err != nil {
+			break
+		}
+		end += int64(wal.FrameHeader + len(p))
+		ends = append(ends, end)
 	}
-	if got := wal.StoreDigest(s2.Store()); got != want {
-		t.Fatal("an acknowledged batch the WAL had not flushed is missing after the kill")
+	f.Close()
+	if len(ends) != 1+unsealed {
+		t.Fatalf("%s holds %d frames, want the magic frame and %d groups", active, len(ends), unsealed)
 	}
+	truncate := func(size int64) func(string) {
+		return func(path string) {
+			if err := os.Truncate(path, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cuts := []struct {
+		name string
+		cut  func(path string)
+		lost int // commit groups the journal's tail must re-apply
+	}{
+		{"missing", func(path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}, unsealed},
+		{"0 bytes", truncate(0), unsealed},
+		{"shorter than the magic frame", truncate(ends[0] - 3), unsealed},
+		{"magic frame only", truncate(ends[0]), unsealed},
+		{"mid-frame", truncate((ends[1] + ends[2]) / 2), unsealed - 1},
+		{"whole", func(string) {}, 0},
+	}
+	extra := k.batch(40)
+	recovered := map[string]string{} // cut → dir, reopened once more below
+	for _, c := range cuts {
+		dir := copyTree(t, live) // the outer test's: it is reopened after the subtest
+		t.Run(c.name, func(t *testing.T) {
+			c.cut(filepath.Join(dir, active))
+			ccfg := cfg
+			ccfg.DataDir = dir
+			s2, err := Open(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := s2.Recovery(); rec.TailApplied != c.lost || rec.WALRebuilt {
+				t.Fatalf("recovery %+v, want the %d lost groups applied from the journal's tail and nothing rebuilt", rec, c.lost)
+			}
+			if got := wal.StoreDigest(s2.Store()); got != want {
+				t.Fatal("an acknowledged batch the WAL had not synced is missing after the crash")
+			}
+			ts2 := httptest.NewServer(s2.Handler())
+			if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: extra}); code != http.StatusOK {
+				t.Fatalf("append after recovery: %d %s", code, body)
+			}
+			ts2.Close()
+			if err := s2.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			recovered[c.name] = dir
+		})
+	}
+	if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: extra}); code != http.StatusOK {
+		t.Fatalf("append on the live node: %d %s", code, body)
+	}
+	want = wal.StoreDigest(s.Store())
+	for name, dir := range recovered {
+		ccfg := cfg
+		ccfg.DataDir = dir
+		s3, err := Open(ccfg)
+		if err != nil {
+			t.Fatalf("%s: second reopen: %v", name, err)
+		}
+		if rec := s3.Recovery(); rec.WALRebuilt || wal.StoreDigest(s3.Store()) != want {
+			t.Errorf("%s: after append, snapshot and reopen the store differs from the never-crashed one (%+v)", name, rec)
+		}
+		if err := s3.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneFsyncPerCommitGroup: the journal's fsync is the only one on the
+// batch path. Over commit groups that seal nothing, journal.fsyncs rises
+// by one a group and wal.fsyncs stays where it was; a snapshot that seals
+// the active segment adds one WAL fsync. On a primary a group is an
+// acknowledged ingest batch; on a follower it is what a heartbeat commits.
+func TestOneFsyncPerCommitGroup(t *testing.T) {
+	const groups = 4
+	jfsyncs, wfsyncs := obs.GetCounter("journal.fsyncs"), obs.GetCounter("wal.fsyncs")
+	_, b := testBundle(t)
+	prim, err := Open(Config{DataDir: t.TempDir(), Bundle: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(prim.Handler())
+	defer ts.Close()
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	loadAndFinalize(t, ts, b)
+	k := newTickStream(t, ts, b, time.Second)
+	k.post(1, 40) // the first tail segment's roll
+	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	waitReplicaCaughtUp(t, foll, prim)
+	// From here the test is the follower's stream: it hands the follower
+	// the primary's records itself, a heartbeat behind each group.
+	foll.follower.client.Stop()
+	foll.follower.client.Wait()
+
+	expect := func(who string, j0, w0, dj, dw int64) {
+		t.Helper()
+		if gj, gw := jfsyncs.Value()-j0, wfsyncs.Value()-w0; gj != dj || gw != dw {
+			t.Fatalf("%s: %d journal and %d WAL fsyncs, want %d and %d", who, gj, gw, dj, dw)
+		}
+	}
+	j0, w0 := jfsyncs.Value(), wfsyncs.Value()
+	k.post(groups, 4000) // past crumb size, so that the snapshots below seal
+	expect("primary, one group a batch", j0, w0, groups, 0)
+	j0, w0 = jfsyncs.Value(), wfsyncs.Value()
+	if err := prim.snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	expect("primary, a snapshot that seals", j0, w0, 0, 1)
+
+	paths, _ := journalFiles(t, prim.cfg.DataDir)
+	var recs [][]byte
+	for _, rec := range journalRecords(t, paths[len(paths)-1]) {
+		if seq, err := replica.JournalSeq(rec); err != nil {
+			t.Fatal(err)
+		} else if seq > int(foll.follower.appliedSeq.Load()) {
+			recs = append(recs, rec)
+		}
+	}
+	if len(recs) != groups {
+		t.Fatalf("%d records for the follower, want %d", len(recs), groups)
+	}
+	j0, w0 = jfsyncs.Value(), wfsyncs.Value()
+	for _, rec := range recs {
+		if err := foll.handleJournalMsg(replica.Msg{Type: replica.MsgJournalRec, Rec: rec}); err != nil {
+			t.Fatal(err)
+		}
+		hb := replica.Msg{Type: replica.MsgHeartbeat, Sealed: int(prim.journaled.Load()),
+			JournalBytes: prim.jour.Offset(), WALNext: prim.st.NextID()}
+		if err := foll.handleJournalMsg(hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect("follower, one group a heartbeat", j0, w0, groups, 0)
+	if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
+		t.Fatal("the follower's store differs from the primary's")
+	}
+	j0, w0 = jfsyncs.Value(), wfsyncs.Value()
+	if err := foll.snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	expect("follower, a snapshot that seals behind its journal", j0, w0, 1, 1)
 }
 
 // truncatedImage runs a primary until its journal has dropped tail

@@ -30,11 +30,11 @@
 // journal tail (recovery.go): the WAL is opened while segment 0 replays
 // into a scratch store, then the head's events and the retained tail go
 // through a frontier — an event the WAL holds is verified against it and
-// skipped, one it lacks (a crash between journal fsync and WAL commit,
-// -fsync=interval's window) is added through the WAL. A lost or
-// disagreeing WAL is refilled from an empty checkpoint while the journal
-// still reaches back to ID 0, and refused with a named error once its
-// tail has been dropped (DESIGN.md §11, §15). Startup reads one format,
+// skipped, one it lacks (a crash between journal fsync and WAL commit, a
+// power cut that took the WAL's unsealed tail) is added through the WAL.
+// A lost or disagreeing WAL is refilled from an empty checkpoint while the
+// journal still reaches back to ID 0, and refused with a named error once
+// its tail has been dropped (DESIGN.md §11, §15). Startup reads one format,
 // the one this version writes: a data dir's FORMAT file names it by the
 // number a replication hello carries, replica.ProtocolVersion, and a dir
 // in any other is refused untouched (ErrFormat).
@@ -263,13 +263,11 @@ type Config struct {
 	// bench/ sets it and may not change with the code it measures; ROADMAP
 	// item 1(e) deletes it.
 	Shards int
-	// Fsync is the WAL durability policy (default batch). The ingest
-	// journal always fsyncs per commit group; this tunes only the event
-	// WAL.
+	// Fsync is ignored, a vestige like Shards that bench/ sets: the ingest
+	// journal's fsync per commit group is the one sync on the batch path,
+	// and the event WAL syncs a segment only when it seals it (see
+	// wal.FsyncPolicy). ROADMAP item 1(e) deletes it.
 	Fsync wal.FsyncPolicy
-	// FsyncInterval is the WAL background sync period under interval
-	// policy.
-	FsyncInterval time.Duration
 	// SnapshotEvery auto-snapshots the store after that many WAL records.
 	SnapshotEvery int
 	// Retention, when positive, evicts events older than this behind the
@@ -572,7 +570,7 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.log = cp.log
-	s.st.OnEvict(func([]*event.Instance, time.Time) {
+	s.st.OnEvict(func([]store.Evicted, time.Time) {
 		// Runs on the store's only writer (the applier, a follower's stream
 		// apply): evicting is the moment to snapshot, so segment compaction
 		// keeps disk bounded the same way retention bounds memory.

@@ -404,17 +404,9 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 }
 
 // openWAL opens the event WAL: the checkpoint. One that does not open, or
-// opens with a hole, says so in its err. A follower's commits only ever
-// follow its journal's fsync (frontierStore.jour), so its WAL syncs on
-// each of them whatever -fsync says: an interval flusher would make it
-// durable ahead of the journal.
+// opens with a hole, says so in its err.
 func openWAL(cfg Config) checkpoint {
-	fsync := cfg.Fsync
-	if cfg.ReplicaOf != "" {
-		fsync = wal.FsyncBatch
-	}
 	l, st, rec, err := wal.Open(cfg.DataDir, wal.Options{
-		Fsync: fsync, FsyncInterval: cfg.FsyncInterval,
 		SnapshotEvery: cfg.SnapshotEvery, Retention: cfg.Retention,
 	})
 	if err == nil && rec.LostBelow > 0 {

@@ -37,7 +37,7 @@ type Store interface {
 
 	// Hooks and retention. Hooks must be registered before concurrent use.
 	OnAppend(fn func(*event.Instance))
-	OnEvict(fn func(evicted []*event.Instance, cutoff time.Time))
+	OnEvict(fn func(evicted []Evicted, cutoff time.Time))
 	SetRetention(d time.Duration)
 	Retention() time.Duration
 	EvictBefore(cutoff time.Time) int

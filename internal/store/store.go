@@ -207,8 +207,17 @@ type Memory struct {
 	// serving rollups maintain their aggregates here.
 	onAppend []func(*event.Instance)
 	// onEvict hooks are invoked after a retention eviction, outside the
-	// lock, with the evicted instances and the cutoff applied.
-	onEvict []func(evicted []*event.Instance, cutoff time.Time)
+	// lock, with what was evicted and the cutoff applied.
+	onEvict []func(evicted []Evicted, cutoff time.Time)
+}
+
+// Evicted is what an evict hook is shown of an evicted event: its ID, its
+// name and its start (Unix ns) — what un-counting it takes, at a quarter
+// of a whole instance's bytes, since a sweep can evict a window's worth.
+type Evicted struct {
+	ID    int
+	Name  string
+	Start int64
 }
 
 // New returns an empty store.
@@ -240,11 +249,11 @@ func (s *Memory) reset() {
 func (s *Memory) OnAppend(fn func(*event.Instance)) { s.onAppend = append(s.onAppend, fn) }
 
 // OnEvict registers fn to run after each retention eviction, outside the
-// store lock, with copies of the evicted instances and the cutoff
-// applied. Hooks accumulate and run in registration order.
-// Snapshot/compaction coordination and rollup decrements hang off this
-// hook. Register hooks before concurrent use.
-func (s *Memory) OnEvict(fn func(evicted []*event.Instance, cutoff time.Time)) {
+// store lock, with the evicted events in ID order and the cutoff applied.
+// Hooks accumulate and run in registration order. Snapshot/compaction
+// coordination and rollup decrements hang off this hook. Register hooks
+// before concurrent use.
+func (s *Memory) OnEvict(fn func(evicted []Evicted, cutoff time.Time)) {
 	s.onEvict = append(s.onEvict, fn)
 }
 
@@ -311,7 +320,7 @@ func (s *Memory) PutAll(ins []event.Instance) error {
 
 // eviction is one retention sweep, for the evict hooks.
 type eviction struct {
-	gone   []*event.Instance
+	gone   []Evicted
 	cutoff time.Time
 }
 
@@ -808,7 +817,7 @@ func (s *Memory) EvictBefore(cutoff time.Time) int {
 
 // maybeEvictLocked applies the retention window with 25% slack so the
 // O(n) sweep amortizes over many inserts.
-func (s *Memory) maybeEvictLocked() (evicted []*event.Instance, cutoff time.Time) {
+func (s *Memory) maybeEvictLocked() (evicted []Evicted, cutoff time.Time) {
 	if s.retention <= 0 || s.live == 0 {
 		return nil, time.Time{}
 	}
@@ -822,8 +831,8 @@ func (s *Memory) maybeEvictLocked() (evicted []*event.Instance, cutoff time.Time
 
 // evictLocked empties every slot whose End is before cutoff (Unix ns),
 // releasing the intern entries no live slot references any more, and
-// returns copies of what it emptied in ID order.
-func (s *Memory) evictLocked(cutoff int64) []*event.Instance {
+// returns what it emptied in ID order.
+func (s *Memory) evictLocked(cutoff int64) []Evicted {
 	var rows []row
 	for id := s.base; id < s.next; id++ {
 		if r, ok := s.lookup(id); ok && s.slot(r).end < cutoff {
@@ -833,9 +842,10 @@ func (s *Memory) evictLocked(cutoff int64) []*event.Instance {
 	if len(rows) == 0 {
 		return nil
 	}
-	gone := s.copies(rows)
-	for _, r := range rows {
+	gone := make([]Evicted, len(rows))
+	for i, r := range rows {
 		sl := s.slot(r)
+		gone[i] = Evicted{ID: s.org + int(r), Name: s.names[sl.name].name, Start: sl.start}
 		s.releaseLoc(sl.loc)
 		*sl = slot{}
 		if a := s.attrs[r>>chunkBits]; a != nil {

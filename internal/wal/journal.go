@@ -14,11 +14,13 @@ import (
 
 // Journal disk footprint: segments and bytes are what the data dir holds
 // of the ingest journal now (segment 0 included), dropped counts the tail
-// segments unlinked behind the snapshots.
+// segments unlinked behind the snapshots. fsyncs counts the journal's
+// syncs: one per commit group, the batch path's only one.
 var (
 	mJournalSegments = obs.GetGauge("journal.segments")
 	mJournalBytes    = obs.GetGauge("journal.disk.bytes")
 	mJournalDropped  = obs.GetCounter("journal.segments.dropped")
+	mJournalFsyncs   = obs.GetCounter("journal.fsyncs")
 )
 
 // Journal is a flat append-only file of opaque framed records — the same
@@ -125,7 +127,10 @@ func (j *Journal) AppendNoSync(payload []byte) error {
 }
 
 // Sync forces everything written so far to stable storage.
-func (j *Journal) Sync() error { return fileSync(j.f) }
+func (j *Journal) Sync() error {
+	mJournalFsyncs.Inc()
+	return fileSync(j.f)
+}
 
 // Close closes the journal file.
 func (j *Journal) Close() error { return j.f.Close() }

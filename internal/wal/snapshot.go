@@ -547,12 +547,11 @@ func (l *Log) Snapshot() error {
 func (l *Log) snapshot() error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
-	// Records buffered but unflushed are covered by the runs below; sync
-	// them anyway so the log never trails the snapshot's claim. Then seal,
-	// so that what was appended since the last snapshot is a file nothing
-	// will write to again — unless it is a crumb, which is copied.
+	// Write what is buffered, then seal, so that what was appended since the
+	// last snapshot is a synced file nothing will write to again — unless it
+	// is a crumb, which is copied into a run and left unsynced.
 	l.mu.Lock()
-	err := l.flushLocked(true, obs.Now())
+	err := l.flushLocked(obs.Now())
 	if err == nil && l.cur.size >= crumbBytes {
 		if err = l.sealLocked(); err != nil {
 			l.err = err

@@ -257,7 +257,7 @@ func TestRaggedEvictionSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweeps, rewrites, reused := 0, mSnapRunsWritten.Value(), mSnapRunsReused.Value()
-	st.OnEvict(func([]*event.Instance, time.Time) {
+	st.OnEvict(func([]store.Evicted, time.Time) {
 		if err := l.Snapshot(); err != nil {
 			t.Errorf("snapshot on evict: %v", err)
 		}

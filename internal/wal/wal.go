@@ -60,9 +60,9 @@ import (
 	"grca/internal/store"
 )
 
-// Durability metrics: commit and fsync volume tell an operator what the
-// chosen fsync policy actually costs; pending records are the loss window
-// a crash would tear off under -fsync=interval.
+// Durability metrics: commits are the groups written, fsyncs the segments
+// sealed (the journal's group fsync, not the log's, is the commit point);
+// pending records are what the next Commit will write.
 var (
 	mAppends    = obs.GetCounter("wal.appends")
 	mCommits    = obs.GetCounter("wal.commits")
@@ -86,16 +86,19 @@ var (
 	mSnapUnreadable  = obs.GetCounter("wal.snapshots.unreadable")
 )
 
-// FsyncPolicy selects when appended records are forced to stable storage.
+// FsyncPolicy is a vestige: the log has one durability behaviour, and
+// both policies name it. It stays because bench/ passes FsyncBatch and
+// may not change with the code it measures; ROADMAP item 1(e) deletes it.
 type FsyncPolicy string
 
 const (
-	// FsyncBatch syncs on every Commit — the applier calls Commit once
-	// per applied ingest batch, so an acknowledged batch is durable.
-	FsyncBatch FsyncPolicy = "batch"
-	// FsyncInterval syncs on a background timer; a crash may lose up to
-	// one interval of acknowledged records (never torn ones — framing
-	// still bounds the damage to the torn tail).
+	// FsyncBatch and FsyncInterval both mean what the log always does:
+	// Commit writes a group's frames and syncs nothing, and a segment is
+	// synced once, when it is sealed. The serving pipeline fsyncs the
+	// ingest journal ahead of every Commit, so a kill -9 never needed the
+	// log's sync (the page cache survives it), and after a power cut boot
+	// re-applies from the journal what the log had not sealed.
+	FsyncBatch    FsyncPolicy = "batch"
 	FsyncInterval FsyncPolicy = "interval"
 )
 
@@ -112,11 +115,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // Options tunes a Log. The zero value takes every documented default.
 type Options struct {
-	// Fsync selects the durability policy (default FsyncBatch).
+	// Fsync is ignored: see FsyncPolicy.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync period under FsyncInterval
-	// (default 200ms).
-	FsyncInterval time.Duration
 	// SegmentBytes is the soft segment-rotation threshold (default 64MiB);
 	// flushes rotate between frames, so a segment only exceeds it by the
 	// last frame written to it.
@@ -138,12 +138,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Fsync == "" {
-		o.Fsync = FsyncBatch
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 200 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -215,9 +209,6 @@ type Log struct {
 	// snapshot keeps or rewrites. Written by recovery and, under snapMu, by
 	// Snapshot.
 	snap manifest
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // Open recovers the log under dir into a fresh store and returns both,
@@ -239,11 +230,6 @@ func Open(dir string, opts Options) (*Log, *store.Memory, Recovery, error) {
 		return nil, nil, rec, err
 	}
 	l.st.OnAppend(l.record)
-	if opts.Fsync == FsyncInterval {
-		l.stop = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.flusher()
-	}
 	return l, l.st, rec, nil
 }
 
@@ -275,18 +261,18 @@ func (l *Log) record(in *event.Instance) {
 	mPending.Set(int64(len(l.pend)))
 }
 
-// Commit writes the pending records to the active segment and, under
-// FsyncBatch, forces them to disk. It also rotates segments past the size
-// threshold and triggers an auto-snapshot when SnapshotEvery is due.
-// An acknowledged Commit under FsyncBatch means the records survive
-// kill -9, and the error it returns is the flush's alone: a failed
-// auto-snapshot takes nothing back from records already on disk, so it is
-// counted (wal.snapshots.failed) and retried by the next Commit instead
-// of being reported against a durable batch. Commit does not coalesce
-// callers: the serving pipeline's applier is the one committer,
-// and its queue-drain commit group is the one place fsyncs are amortized.
+// Commit writes the pending records to the active segment as block
+// frames and syncs nothing: the caller's journal fsync, taken before the
+// records were stored, is the commit point, and the segment is synced once,
+// when it is sealed. Written records survive kill -9 (the page cache does);
+// a power cut may take the unsealed tail, which the journal re-applies.
+// Commit also rotates segments past the size threshold and triggers an
+// auto-snapshot when SnapshotEvery is due. The error it returns is the
+// write's alone: a failed auto-snapshot takes nothing back from records
+// already written, so it is counted (wal.snapshots.failed) and retried by
+// the next Commit instead of being reported against an acknowledged batch.
 func (l *Log) Commit() error {
-	if err := l.flush(l.opts.Fsync == FsyncBatch); err != nil {
+	if err := l.flush(); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -298,17 +284,14 @@ func (l *Log) Commit() error {
 	return nil
 }
 
-// Sync flushes and fsyncs regardless of policy.
-func (l *Log) Sync() error { return l.flush(true) }
-
-func (l *Log) flush(sync bool) error {
+func (l *Log) flush() error {
 	began := obs.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.flushLocked(sync, began)
+	return l.flushLocked(began)
 }
 
-func (l *Log) flushLocked(sync bool, began time.Time) error {
+func (l *Log) flushLocked(began time.Time) error {
 	if l.err != nil {
 		return l.err
 	}
@@ -341,13 +324,6 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 		l.cur.count += n
 		rest = rest[n:]
 	}
-	if sync {
-		if err := fileSync(l.seg); err != nil {
-			l.err = err
-			return err
-		}
-		mFsyncs.Inc()
-	}
 	l.sinceSnap += len(l.pend)
 	if cap(l.pend) > maxPendKept {
 		l.pend = nil
@@ -363,6 +339,10 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 
 // sealLocked syncs and closes the active segment for good: nothing is
 // ever written to the file again, and the next flush opens a successor.
+// It is the log's only fsync of a segment. Every caller seals after the
+// journal fsync that covers the segment's records (the applier syncs the
+// journal before it stores a group, a follower before it commits or
+// snapshots), so the log is never durable ahead of the journal.
 func (l *Log) sealLocked() error {
 	if l.seg == nil {
 		return nil
@@ -370,6 +350,7 @@ func (l *Log) sealLocked() error {
 	if err := fileSync(l.seg); err != nil {
 		return err
 	}
+	mFsyncs.Inc()
 	if err := l.seg.Close(); err != nil {
 		return err
 	}
@@ -413,25 +394,6 @@ func (l *Log) writeLocked(b []byte) error {
 	return err
 }
 
-// flusher is the FsyncInterval background loop.
-func (l *Log) flusher() {
-	defer close(l.done)
-	t := time.NewTicker(l.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.err == nil && len(l.pend) > 0 {
-				l.flushLocked(true, obs.Now()) //nolint:errcheck // sticky in l.err
-			}
-			l.mu.Unlock()
-		case <-l.stop:
-			return
-		}
-	}
-}
-
 // SinceSnapshot reports how many committed records the latest snapshot
 // does not cover.
 func (l *Log) SinceSnapshot() int {
@@ -440,16 +402,12 @@ func (l *Log) SinceSnapshot() int {
 	return l.sinceSnap
 }
 
-// Close flushes and syncs pending records and closes the active segment.
-// It does not snapshot; callers wanting a fast next boot call Snapshot
+// Close writes pending records and closes the active segment without
+// syncing it: the segment stays unsealed, the next Open appends to it. It
+// does not snapshot; callers wanting a fast next boot call Snapshot
 // first.
 func (l *Log) Close() error {
-	if l.stop != nil {
-		close(l.stop)
-		<-l.done
-		l.stop = nil
-	}
-	flushErr := l.flush(true)
+	flushErr := l.flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -228,10 +228,11 @@ func snapshotCrashCuts(t *testing.T) {
 	defer l.Close()
 	var before, after, want string
 	sweeps := 0
-	st.OnEvict(func([]*event.Instance, time.Time) {
+	st.OnEvict(func([]store.Evicted, time.Time) {
 		if sweeps++; sweeps == crashSweep {
-			// Snapshot syncs first; the crash images start from there.
-			if err := l.Sync(); err != nil {
+			// Snapshot writes what is buffered first; the crash images
+			// start from there.
+			if err := l.Commit(); err != nil {
 				t.Error(err)
 			}
 			before = copyDir(t, dir)
@@ -564,7 +565,7 @@ func TestEvictionSnapshotRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.SetRetention(30 * time.Minute)
-	st.OnEvict(func([]*event.Instance, time.Time) {
+	st.OnEvict(func([]store.Evicted, time.Time) {
 		if err := l.Snapshot(); err != nil {
 			t.Errorf("snapshot on evict: %v", err)
 		}
@@ -697,25 +698,93 @@ func digestOfIDs(t *testing.T, ins []event.Instance) string {
 	return StoreDigest(st)
 }
 
-func TestIntervalFsyncCloseFlushes(t *testing.T) {
-	dir := t.TempDir()
-	ins := genEvents(17, 100)
-	l, st, _, err := Open(dir, Options{Fsync: FsyncInterval, FsyncInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddAll(ins)
-	// No explicit Commit: Close must flush the pending tail.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != len(ins) {
-		t.Fatalf("interval-fsync close lost events: %d, want %d", st2.Len(), len(ins))
-	}
+// TestCommitNeverSyncs: the serving pipeline's journal fsync is the
+// commit point, so the log's only fsync of a segment is its seal. Commit
+// and Close write and sync nothing; a rotation, and a Snapshot that seals
+// the active segment, sync exactly once each; a Snapshot of a crumb, which
+// it copies, syncs nothing. Close still writes what no Commit did.
+func TestCommitNeverSyncs(t *testing.T) {
+	ins := genEvents(17, 30000)
+	t.Run("commit and snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		l, st, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		syncs, commits := mFsyncs.Value(), mCommits.Value()
+		st.AddAll(ins[:100])
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mFsyncs.Value() - syncs; got != 0 {
+			t.Fatalf("a snapshot of a crumb synced %d times, want 0", got)
+		}
+		const groups = 200
+		for i := 100; i < 100+groups*100; i += 100 {
+			st.AddAll(ins[i : i+100])
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := mCommits.Value() - commits; got != groups+1 {
+			t.Fatalf("%d commits, want %d", got, groups+1)
+		}
+		if got := mFsyncs.Value() - syncs; got != 0 {
+			t.Fatalf("%d commit groups synced %d times, want 0", groups, got)
+		}
+		segs, err := Segments(dir)
+		if err != nil || len(segs) != 1 || JournalSize(segs[0].Path) < crumbBytes {
+			t.Fatalf("want one active segment past crumb size: %+v, %v", segs, err)
+		}
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mFsyncs.Value() - syncs; got != 1 {
+			t.Fatalf("a snapshot that seals synced %d times, want 1", got)
+		}
+	})
+	t.Run("rotation and close", func(t *testing.T) {
+		dir := t.TempDir()
+		l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncs := mFsyncs.Value()
+		for i := 0; i < 3000; i += 100 {
+			st.AddAll(ins[i : i+100])
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segs, err := Segments(dir)
+		if err != nil || len(segs) < 3 {
+			t.Fatalf("want the commits to rotate: %d segments, %v", len(segs), err)
+		}
+		if got, want := mFsyncs.Value()-syncs, int64(len(segs)-1); got != want {
+			t.Fatalf("%d rotations synced %d times, want one each", want, got)
+		}
+		st.AddAll(ins[3000:3100]) // no Commit: Close writes them
+		syncs = mFsyncs.Value()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := Segments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mFsyncs.Value()-syncs, int64(len(after)-len(segs)); got != want {
+			t.Fatalf("Close synced %d times, want only its %d rotations", got, want)
+		}
+		want := StoreDigest(st)
+		_, st2, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.Len() != 3100 || StoreDigest(st2) != want {
+			t.Fatalf("reopened after Close: %d events, want the 3100 written", st2.Len())
+		}
+	})
 }
 
 // TestTornSnapshotFallsBack damages snapshots every way a crash or a bad

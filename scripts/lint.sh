@@ -9,8 +9,9 @@
 # is given), grca vet -strict over the built-in and example specs, a grep
 # that keeps the docs from drifting back to a deleted instrument, one
 # that keeps each application's spec in its .grca file alone, one that
-# keeps routing memos in internal/epoch, and one that keeps the server to
-# one streaming processor.
+# keeps routing memos in internal/epoch, one that keeps the server to
+# one streaming processor, and one that keeps the event WAL from growing a
+# durability clock of its own.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -78,6 +79,15 @@ echo "== one stream =="
 # processor there is the start of a second stream clock.
 if git grep -nE 'realtime\.(New|NewOnStore)\(' -- 'internal/server/*.go' ':!*_test.go'; then
   echo "one-application realtime processor in the server (above): add a stream to realtime.NewStreams" >&2
+  fail=1
+fi
+
+echo "== one sync per batch =="
+# The journal's group fsync is the commit point and the batch path's only
+# sync; the event WAL syncs a segment when it seals it. A ticker in the
+# WAL is how a second durability clock (a background flusher) comes back.
+if git grep -nE 'time\.NewTicker' -- 'internal/wal/*.go' ':!*_test.go'; then
+  echo "ticker in internal/wal (above): the WAL syncs at a seal, the journal per commit group" >&2
   fail=1
 fi
 
