@@ -1,9 +1,10 @@
 // Command grcalint runs the project's custom analyzers (internal/lint)
 // over the module: the clock discipline (nakedtime, utctime), stdout
 // hygiene (noprint), deterministic-output (mapiter), event-identity
-// (instident) and raw-memory (rawmem) checks, and the
+// (instident) and raw-memory (rawmem) checks, the
 // concurrency-correctness suite (lockorder, deferunlock, atomicmix,
-// hookreentry, goroutinelife) that ordinary go vet cannot express. It is
+// hookreentry, goroutinelife) that ordinary go vet cannot express, and
+// deadcode (internal declarations no non-test file references). It is
 // a multichecker in the golang.org/x/tools/go/analysis mold, built on the
 // standard library alone.
 //
@@ -13,7 +14,9 @@
 //
 // With no arguments every package in the module is checked. Package
 // arguments are import paths ("grca/internal/engine") or "./..." for the
-// whole module. -json emits the findings as the same JSON envelope `grca
+// whole module; with import paths, deadcode (which needs every caller)
+// does not run and a //lint:ignore that suppresses nothing is not
+// reported. -json emits the findings as the same JSON envelope `grca
 // vet -json` uses, so downstream tooling can merge the two streams.
 // -allow overrides the embedded lock-order allowlist
 // (internal/lint/lockorder.allow). Exit status is 1 when any diagnostic
@@ -47,7 +50,8 @@ func main() {
 		fail(err)
 	}
 	paths := flag.Args()
-	if len(paths) == 0 || (len(paths) == 1 && paths[0] == "./...") {
+	partial := !(len(paths) == 0 || (len(paths) == 1 && paths[0] == "./..."))
+	if !partial {
 		if paths, err = loader.Walk(); err != nil {
 			fail(err)
 		}
@@ -62,6 +66,7 @@ func main() {
 		passes = append(passes, pkg.Pass(loader.Fset))
 	}
 	prog := lint.NewProgram(passes)
+	prog.Partial = partial
 	if *allowPath != "" {
 		src, err := os.ReadFile(*allowPath)
 		if err != nil {

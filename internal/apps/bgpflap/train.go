@@ -27,6 +27,8 @@ func ClassOf(primary string) string {
 // training examples — the paper's bootstrap of inference parameters from
 // rule-classified historical data (§II-D.2). Diagnoses whose label maps to
 // no class are skipped.
+//
+//lint:ignore deadcode TestBootstrapTraining reproduces the §II-D.2 bootstrap from rule-based diagnoses
 func TrainingSet(ds []engine.Diagnosis) []bayes.Labeled {
 	var out []bayes.Labeled
 	for _, d := range ds {
@@ -37,10 +39,4 @@ func TrainingSet(ds []engine.Diagnosis) []bayes.Labeled {
 		out = append(out, bayes.Labeled{Class: class, Evidence: Features(d)})
 	}
 	return out
-}
-
-// TrainedConfig bootstraps a Bayesian classifier from rule-based
-// diagnoses, an alternative to the hand-set fuzzy ratios of BayesConfig.
-func TrainedConfig(ds []engine.Diagnosis) (*bayes.Config, error) {
-	return bayes.Train(TrainingSet(ds), bayes.TrainOptions{})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/bayes"
 	"grca/internal/platform"
 	"grca/internal/simnet"
 )
@@ -32,7 +33,7 @@ func TestBootstrapTraining(t *testing.T) {
 	if len(examples) < 200 {
 		t.Fatalf("training set = %d examples", len(examples))
 	}
-	cfg, err := TrainedConfig(ds)
+	cfg, err := bayes.Train(examples, bayes.TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,6 @@ const (
 	Medium Ratio = 100
 	// High ≈ strong support (ratio 20000).
 	High Ratio = 20000
-	// Neutral carries no information.
-	Neutral Ratio = 1
 )
 
 // Class is one candidate root cause.
@@ -49,8 +47,9 @@ type Class struct {
 	// feature is observed.
 	Present map[string]Ratio
 	// Absent maps a feature to the ratio applied when the feature is NOT
-	// observed; unlisted features default to Neutral. Use a value below 1
-	// to make missing evidence count against the class.
+	// observed; unlisted features default to ratio 1 (no information).
+	// Use a value below 1 to make missing evidence count against the
+	// class.
 	Absent map[string]Ratio
 }
 
@@ -98,21 +97,13 @@ func (c *Config) AddClass(cl Class) error {
 }
 
 // Classes returns the configured class names in add order.
+//
+//lint:ignore deadcode TestBayesConfig reads the classes of bgpflap's hand-set classifier
 func (c *Config) Classes() []string {
 	out := make([]string, len(c.classes))
 	for i, cl := range c.classes {
 		out[i] = cl.Name
 	}
-	return out
-}
-
-// Features returns the full feature universe, sorted.
-func (c *Config) Features() []string {
-	out := make([]string, 0, len(c.features))
-	for f := range c.features {
-		out = append(out, f)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -133,6 +124,8 @@ type Result struct {
 }
 
 // Classify scores a single symptom's evidence vector.
+//
+//lint:ignore deadcode BenchmarkAblationReasoners classifies each symptom alone against the rule-based verdict
 func (c *Config) Classify(ev Evidence) (Result, error) {
 	return c.ClassifyJoint([]Evidence{ev})
 }

@@ -28,6 +28,8 @@ type TrainOptions struct {
 // p(e|r)/p(e|r̄) with Laplace smoothing. Both presence and absence ratios
 // are populated, so missing evidence counts against classes that usually
 // exhibit it.
+//
+//lint:ignore deadcode TestBootstrapTraining reproduces the §II-D.2 bootstrap from rule-based diagnoses
 func Train(examples []Labeled, opts TrainOptions) (*Config, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("bayes: no training examples")

@@ -171,10 +171,6 @@ func (s *Sim) record(at time.Time, r Route, withdraw bool) error {
 	return nil
 }
 
-// Updates returns the full reflector update feed in record order. The slice
-// is shared; callers must not modify it.
-func (s *Sim) Updates() []Update { return s.updates }
-
 // Lookup performs the longest-prefix match over all prefixes that have at
 // least one active route at time t, as the paper does against historical
 // BGP table data. The scan over the prefix table is memoized per

@@ -191,8 +191,8 @@ func TestRecordValidation(t *testing.T) {
 	if err := s.Announce(t0, Route{Prefix: pfx, Egress: "b"}); err == nil {
 		t.Error("out-of-order update accepted")
 	}
-	if len(s.Updates()) != 1 {
-		t.Errorf("updates = %d, want 1", len(s.Updates()))
+	if len(s.updates) != 1 {
+		t.Errorf("updates = %d, want 1", len(s.updates))
 	}
 }
 

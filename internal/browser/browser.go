@@ -124,7 +124,7 @@ type TrendPoint struct {
 
 // NewSeries allocates the bin grid for a trend over [from, to]: one point
 // per bin of width bin, the last covering to. It is the series core
-// shared by Trend, TrendDiagnoses, and the serving rollups, so every
+// shared by Trend and the serving rollups, so every
 // trend renderer agrees on bin count and bin starts by construction.
 func NewSeries(from, to time.Time, bin time.Duration) []TrendPoint {
 	if bin <= 0 || to.Before(from) {
@@ -163,6 +163,8 @@ func Trend(st store.Store, name string, from, to time.Time, bin time.Duration) [
 }
 
 // TrendDiagnoses counts diagnoses with the given primary label per bin.
+//
+//lint:ignore deadcode TestCauseTrendParity holds rollup's cause series equal to this batch count
 func TrendDiagnoses(ds []engine.Diagnosis, label string, from time.Time, bin time.Duration, n int) []TrendPoint {
 	points := make([]TrendPoint, n)
 	for i := range points {

@@ -11,7 +11,6 @@ import (
 	"grca/internal/netstate"
 	"grca/internal/obs"
 	"grca/internal/store"
-	"grca/internal/temporal"
 )
 
 // ReportOptions configures WriteReport.
@@ -161,89 +160,4 @@ func repeat(c byte, n int) string {
 		b[i] = c
 	}
 	return string(b)
-}
-
-// MarginSuggestion is a data-driven recommendation for a rule's symptom
-// expansion margins, addressing the paper's §VI goal of making temporal
-// joining rules "less sensitive": instead of hand-picking X and Y, measure
-// the lag distribution between symptom and diagnostic occurrences and
-// cover its bulk.
-type MarginSuggestion struct {
-	Samples int
-	// Left covers diagnostics preceding the symptom (the P99 lead);
-	// Right covers diagnostics trailing it.
-	Left, Right time.Duration
-	// MedianLead is the P50 symptom-after-diagnostic lag, a direct read
-	// of the dominant protocol timer (e.g. the BGP hold time).
-	MedianLead time.Duration
-}
-
-// Expansion renders the suggestion as a Start/Start expansion with the
-// syslog fuzz added on both sides.
-func (m MarginSuggestion) Expansion(fuzz time.Duration) temporal.Expansion {
-	return temporal.Expansion{Option: temporal.StartStart, Left: m.Left + fuzz, Right: m.Right + fuzz}
-}
-
-// CalibrateMargins measures, for each symptom instance, the nearest
-// *spatially related* diagnostic instance within ±maxLag and returns
-// margins covering 99% of the observed leads and trails. view and level
-// scope the pairing the way the rule under calibration would (a nil view
-// disables the spatial filter — only meaningful when the corpus carries a
-// single failure domain).
-func (m Miner) CalibrateMargins(view *netstate.View, level locus.Type, symptom, diagnostic string, maxLag time.Duration, from, to time.Time) (MarginSuggestion, error) {
-	var leads, trails []time.Duration // lead: diagnostic before symptom
-	for _, sym := range m.Store.Query(symptom, from, to) {
-		var best time.Duration
-		found := false
-		for _, diag := range m.Store.Query(diagnostic, sym.Start.Add(-maxLag), sym.Start.Add(maxLag)) {
-			lag := sym.Start.Sub(diag.Start)
-			if lag > maxLag || lag < -maxLag {
-				continue // overlapped the window without starting in it
-			}
-			if view != nil {
-				rel, err := view.Related(sym.Loc, diag.Loc, level, sym.Start)
-				if err != nil || !rel {
-					continue
-				}
-			}
-			if !found || abs(lag) < abs(best) {
-				best, found = lag, true
-			}
-		}
-		if !found {
-			continue
-		}
-		if best >= 0 {
-			leads = append(leads, best)
-		} else {
-			trails = append(trails, -best)
-		}
-	}
-	n := len(leads) + len(trails)
-	if n == 0 {
-		return MarginSuggestion{}, fmt.Errorf("browser: no co-occurrences of %q and %q within %v",
-			symptom, diagnostic, maxLag)
-	}
-	s := MarginSuggestion{Samples: n}
-	s.Left = quantile(leads, 0.99)
-	s.Right = quantile(trails, 0.99)
-	s.MedianLead = quantile(leads, 0.50)
-	return s, nil
-}
-
-func abs(d time.Duration) time.Duration {
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
-func quantile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q * float64(len(s)-1))
-	return s[i]
 }

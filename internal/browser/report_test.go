@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"grca/internal/apps"
-	"grca/internal/dgraph"
 	"grca/internal/engine"
-	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/platform"
 	"grca/internal/simnet"
 )
@@ -65,42 +62,5 @@ func TestWriteReport(t *testing.T) {
 	}
 	if !strings.Contains(e.String(), "no symptoms") {
 		t.Errorf("empty report = %q", e.String())
-	}
-}
-
-// TestCalibrateMargins recovers the BGP hold timer from the lag
-// distribution between eBGP flaps and interface flaps — the data-driven
-// margin setting of §VI.
-func TestCalibrateMargins(t *testing.T) {
-	_, sys, _ := corpusForReport(t)
-	first, last, _ := sys.Store.Span()
-	m := Miner{Store: sys.Store}
-	s, err := m.CalibrateMargins(sys.View, locus.Interface,
-		event.EBGPFlap, event.InterfaceFlap, 10*time.Minute, first, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Samples < 50 {
-		t.Fatalf("samples = %d", s.Samples)
-	}
-	// Half the cascades take the fast-fallover path (lead ≈ 1 s), half
-	// the hold-timer path (lead 180 s): the 99th-percentile lead must
-	// cover the hold timer, and the suggested expansion must cover the
-	// app's hand-written 185 s margin.
-	if s.Left < 175*time.Second || s.Left > 200*time.Second {
-		t.Errorf("calibrated left margin = %v, want ≈180s (the hold timer)", s.Left)
-	}
-	exp := s.Expansion(dgraph.SyslogFuzz)
-	if exp.Left < 180*time.Second {
-		t.Errorf("expansion left = %v", exp.Left)
-	}
-	if exp.Option.String() != "start/start" {
-		t.Errorf("expansion option = %v", exp.Option)
-	}
-	// Unrelated pairs cannot be calibrated... the CPU spike series exists
-	// but only co-occurs for its own incidents; an absent event errors.
-	if _, err := m.CalibrateMargins(nil, locus.Interface,
-		event.EBGPFlap, "no-such-event", time.Minute, first, last); err == nil {
-		t.Error("calibration against absent series accepted")
 	}
 }

@@ -57,6 +57,8 @@ func New(view *netstate.View, nodes []Node) (*Service, error) {
 
 // Pin overrides assignment for every client inside prefix — the
 // "CDN assignment policy change" of Table V, expressed as configuration.
+//
+//lint:ignore deadcode TestPinOverridesDistance and TestPinUsesMaskedPrefix are its only callers; they go together (ROADMAP item 10)
 func (s *Service) Pin(prefix netip.Prefix, node string) error {
 	for _, n := range s.nodes {
 		if n.Name == node {
@@ -68,6 +70,8 @@ func (s *Service) Pin(prefix netip.Prefix, node string) error {
 }
 
 // Unpin removes a policy pin.
+//
+//lint:ignore deadcode TestPinOverridesDistance is its only caller; the two go together (ROADMAP item 10)
 func (s *Service) Unpin(prefix netip.Prefix) { delete(s.pins, prefix.Masked()) }
 
 // Cost is one node's distance to a client at a point in time.

@@ -215,9 +215,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
 func (inj *Injector) has(f Fault) bool {
 	for _, g := range inj.cfg.Faults {
 		if g == f {

@@ -17,9 +17,6 @@ const (
 	// SNMPBin is the 5-minute aggregation interval of SNMP measurements; a
 	// condition reported in a bin may have occurred anywhere within it.
 	SNMPBin = 5 * time.Minute
-	// BGPHoldTimer is the default eBGP hold time: a session flap may trail
-	// its cause by up to this long.
-	BGPHoldTimer = 180 * time.Second
 	// RestorationLag bounds how long after a layer-1 restoration event the
 	// layer-3 consequences (interface flaps) are still attributable to it.
 	RestorationLag = 30 * time.Second
@@ -58,6 +55,8 @@ func (c *Catalogue) Len() int { return len(c.rules) }
 
 // MustFind is Find for statically known pairs; it panics when the pair is
 // absent, which indicates a programming error in an application package.
+//
+//lint:ignore deadcode TestGraphAddAndQuery builds its graphs from catalogue rows
 func (c *Catalogue) MustFind(symptom, diagnostic string) Rule {
 	r, ok := c.Find(symptom, diagnostic)
 	if !ok {

@@ -15,7 +15,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -420,27 +419,4 @@ func Breakdown(ds []Diagnosis) map[string]float64 {
 		out[k] = 100 * float64(v) / float64(len(ds))
 	}
 	return out
-}
-
-// SortedBreakdown renders a breakdown as (label, percent) rows, descending
-// by percent then by label for determinism.
-func SortedBreakdown(b map[string]float64) []struct {
-	Label   string
-	Percent float64
-} {
-	type row = struct {
-		Label   string
-		Percent float64
-	}
-	rows := make([]row, 0, len(b))
-	for k, v := range b {
-		rows = append(rows, row{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Percent != rows[j].Percent {
-			return rows[i].Percent > rows[j].Percent
-		}
-		return rows[i].Label < rows[j].Label
-	})
-	return rows
 }

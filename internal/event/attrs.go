@@ -146,16 +146,6 @@ func (a Attrs) Map() map[string]string {
 	return m
 }
 
-// With returns a copy of the set with key bound to value.
-func (a Attrs) With(key, value string) Attrs {
-	m := a.Map()
-	if m == nil {
-		m = make(map[string]string, 1)
-	}
-	m[key] = value
-	return NewAttrs(m)
-}
-
 // walk calls fn for each pair of the framing-valid section s (or none,
 // for ""), in section order, until it returns false.
 func walk(s string, fn func(k, v string) bool) {

@@ -77,12 +77,6 @@ func (in Instance) Duration() time.Duration { return in.End.Sub(in.Start) }
 // Attr returns the named attribute or "".
 func (in Instance) Attr(key string) string { return in.Attrs.Get(key) }
 
-// WithAttr returns a copy of the instance with the attribute set.
-func (in Instance) WithAttr(key, value string) Instance {
-	in.Attrs = in.Attrs.With(key, value)
-	return in
-}
-
 // String renders the instance in the paper's tuple notation.
 func (in Instance) String() string {
 	return fmt.Sprintf("(%s, %s, %s, %s)", in.Name,
@@ -90,6 +84,8 @@ func (in Instance) String() string {
 }
 
 // Validate checks the instance against its definition.
+//
+//lint:ignore deadcode TestInstanceValidate is its only caller; the two go together (ROADMAP item 10)
 func (in Instance) Validate(def Definition) error {
 	if in.Name != def.Name {
 		return fmt.Errorf("event: instance name %q does not match definition %q", in.Name, def.Name)

@@ -56,17 +56,13 @@ const (
 
 // Data source names as used throughout the collector.
 const (
-	SourceSyslog       = "syslog"
-	SourceSNMP         = "SNMP"
-	SourceLayer1Log    = "layer-1 device log"
-	SourceOSPFMonitor  = "OSPF monitor"
-	SourceBGPMonitor   = "BGP monitor"
-	SourceTACACS       = "TACACS"
-	SourcePerfMonitor  = "performance monitor"
-	SourceKeynote      = "Keynote"
-	SourceServerLogs   = "server logs"
-	SourceCommandLogs  = "router command logs"
-	SourceWorkflowLogs = "workflow logs"
+	SourceSyslog      = "syslog"
+	SourceSNMP        = "SNMP"
+	SourceLayer1Log   = "layer-1 device log"
+	SourceOSPFMonitor = "OSPF monitor"
+	SourceBGPMonitor  = "BGP monitor"
+	SourceTACACS      = "TACACS"
+	SourcePerfMonitor = "performance monitor"
 )
 
 // Knowledge returns a fresh copy of the RCA Knowledge Library's common

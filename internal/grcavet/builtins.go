@@ -19,16 +19,3 @@ func Builtins() []Builtin {
 	}
 	return out
 }
-
-// CheckBuiltins vets every compiled-in application spec plus the shipped
-// rule catalogue — the pre-release gate run by `grca vet` with no
-// arguments and by CI. Findings are attributed to "builtin:<name>" and
-// "catalogue" pseudo-files.
-func CheckBuiltins(opts Options) []Finding {
-	var all []Finding
-	for _, b := range Builtins() {
-		all = append(all, CheckSource("builtin:"+b.Name, b.Src, opts)...)
-	}
-	all = append(all, CheckCatalogue(opts)...)
-	return all
-}

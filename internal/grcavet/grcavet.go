@@ -8,12 +8,11 @@
 //
 // Every finding carries a stable check ID, a severity, and file:line
 // provenance threaded from the rulespec lexer. The check catalogue is
-// documented in DESIGN.md §8; CheckIDs enumerates it programmatically.
+// documented in DESIGN.md §8.
 package grcavet
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -75,19 +74,6 @@ const (
 	CheckUntestable       = "rule-untestable"            // correlation test had no data (with -validate)
 )
 
-// CheckIDs lists every check the vetter can emit, in catalogue order.
-func CheckIDs() []string {
-	return []string{
-		CheckParseError, CheckUndefinedEvent, CheckRedefineUnknown,
-		CheckShadowsLibrary, CheckDuplicateEvent, CheckUnknownUse,
-		CheckDuplicateEdge, CheckShadowedEdge, CheckGraphCycle,
-		CheckUnreachableRule, CheckJoinSymptom, CheckJoinDiagnostic,
-		CheckEmptyWindow, CheckRetention, CheckSNMPMargin,
-		CheckPriorityInverted, CheckNegativePriority, CheckUnusedEvent,
-		CheckRootNoRules, CheckLabelUnknown, CheckUncorrelated, CheckUntestable,
-	}
-}
-
 // Finding is one static-analysis result.
 type Finding struct {
 	Check    string   `json:"check"`
@@ -143,15 +129,6 @@ func (o Options) withDefaults() Options {
 		o.Catalogue = dgraph.Knowledge()
 	}
 	return o
-}
-
-// CheckFile vets one rulespec file on disk.
-func CheckFile(path string, opts Options) ([]Finding, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return CheckSource(path, string(src), opts), nil
 }
 
 // CheckSource vets rulespec source text, attributing findings to file.

@@ -14,6 +14,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
 
+// checkIDs lists every check the vetter can emit, in catalogue order
+// (DESIGN.md §8).
+var checkIDs = []string{
+	CheckParseError, CheckUndefinedEvent, CheckRedefineUnknown,
+	CheckShadowsLibrary, CheckDuplicateEvent, CheckUnknownUse,
+	CheckDuplicateEdge, CheckShadowedEdge, CheckGraphCycle,
+	CheckUnreachableRule, CheckJoinSymptom, CheckJoinDiagnostic,
+	CheckEmptyWindow, CheckRetention, CheckSNMPMargin,
+	CheckPriorityInverted, CheckNegativePriority, CheckUnusedEvent,
+	CheckRootNoRules, CheckLabelUnknown, CheckUncorrelated, CheckUntestable,
+}
+
 // TestCorpus runs every deliberately broken spec in testdata/ through the
 // vetter and compares the rendered findings against its .want golden. The
 // corpus has one file per check ID, named after it (a second case of one
@@ -25,7 +37,7 @@ func TestCorpus(t *testing.T) {
 		t.Fatalf("no corpus specs found: %v", err)
 	}
 	ids := map[string]bool{}
-	for _, id := range CheckIDs() {
+	for _, id := range checkIDs {
 		ids[id] = true
 	}
 	for _, path := range specs {
@@ -118,7 +130,11 @@ func TestBuiltinsClean(t *testing.T) {
 	if strings.Join(names, " ") != strings.Join(files, " ") {
 		t.Errorf("builtins %v, embedded spec files %v", names, files)
 	}
-	for _, f := range CheckBuiltins(Options{}) {
+	findings := CheckCatalogue(Options{})
+	for _, b := range Builtins() {
+		findings = append(findings, CheckSource("builtin:"+b.Name, b.Src, Options{})...)
+	}
+	for _, f := range findings {
 		if f.Severity >= Warning {
 			t.Errorf("shipped spec is not vet-clean: %s", f)
 		} else {
@@ -138,11 +154,11 @@ func TestExamplesClean(t *testing.T) {
 		t.Fatal("no example specs found under examples/specs")
 	}
 	for _, path := range specs {
-		findings, err := CheckFile(path, Options{})
+		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range findings {
+		for _, f := range CheckSource(path, string(src), Options{}) {
 			if f.Severity >= Warning {
 				t.Errorf("example spec is not vet-clean: %s", f)
 			}

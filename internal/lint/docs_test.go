@@ -17,7 +17,8 @@ var (
 	codeSpan   = regexp.MustCompile("`([^`\n]+)`")
 	testRef    = regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark)[A-Z]\w*)(\*?)`)
 	flagRef    = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
-	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w+)\(`)
+	seamReason = regexp.MustCompile(`(?m)^\s*//lint:ignore deadcode (\S+)`)
 	flagDefine = regexp.MustCompile(`\b(?:flag|fs)\.(?:String|Int|Int64|Bool|Duration)(?:Var)?\((?:&[\w.]+, )?"([a-z][a-z0-9-]*)"`)
 )
 
@@ -91,6 +92,24 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		if refs == 0 {
 			t.Errorf("%s names no test at all: the patterns no longer match the document", doc)
+		}
+	}
+}
+
+// TestSeamsNameTests: every //lint:ignore deadcode in a non-test file
+// opens its reason with the test, benchmark, fuzz target or example that
+// needs the declaration as a seam, and that function exists in some
+// _test.go file. Renaming or deleting the test fails the seam here, and
+// the stale directive would leave the declaration a deadcode finding.
+func TestSeamsNameTests(t *testing.T) {
+	tests := sourcesUnder(t, testFunc, true, ".")
+	seams := sourcesUnder(t, seamReason, false, ".")
+	if len(seams) == 0 || !tests["ExampleParse"] {
+		t.Fatalf("the tree scan found %d seams and %d tests: the patterns no longer match the sources", len(seams), len(tests))
+	}
+	for name := range seams {
+		if !tests[name] {
+			t.Errorf("a //lint:ignore deadcode seam names `%s`, which is no test, benchmark, fuzz target or example in the tree", name)
 		}
 	}
 }

@@ -27,8 +27,12 @@
 //
 // On top of the style checks sits the concurrency-correctness suite
 // (DESIGN.md §13): lockorder, deferunlock, atomicmix, hookreentry, and
-// goroutinelife, built on whole-program facts (facts.go, lockgraph.go)
-// and gated by the shared //lint:ignore suppression core (suppress.go).
+// goroutinelife, built on whole-program facts (facts.go, lockgraph.go).
+// Last comes deadcode (deadcode.go): a package-level declaration of an
+// internal package that no non-test file of the module references is a
+// finding. All of them are gated by the shared //lint:ignore suppression
+// core (suppress.go), which also reports a directive that suppresses
+// nothing.
 package lint
 
 import (
@@ -81,27 +85,14 @@ type Analyzer struct {
 }
 
 // Analyzers returns the project's checks in stable order: the original
-// style checks first, then the concurrency-correctness suite.
+// style checks first, then the concurrency-correctness suite, then
+// deadcode.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NakedTime, UTCTime, NoPrint, MapIter, InstIdent, RawMem,
 		LockOrder, DeferUnlock, AtomicMix, HookReentry, GoroutineLife,
+		DeadCode,
 	}
-}
-
-// RunAll applies every per-package analyzer to the pass and returns the
-// merged diagnostics sorted by position. Program-level analyzers are
-// skipped; use RunSuite for the full set.
-func RunAll(pass *Pass, analyzers []*Analyzer) []Diagnostic {
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		out = append(out, a.Run(pass)...)
-	}
-	sortDiagnostics(out)
-	return out
 }
 
 func sortDiagnostics(out []Diagnostic) {

@@ -11,7 +11,8 @@ import (
 )
 
 // check type-checks one synthetic file as the package at path and runs
-// every analyzer, returning the diagnostics' "analyzer: message" strings.
+// every per-package analyzer, returning the diagnostics sorted by
+// position.
 func check(t *testing.T, path, src string) []Diagnostic {
 	t.Helper()
 	return checkFile(t, path, "src.go", src)
@@ -36,7 +37,20 @@ func checkFile(t *testing.T, path, name, src string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return RunAll(&Pass{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info, Path: path}, Analyzers())
+	return runPackage(&Pass{Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info, Path: path})
+}
+
+// runPackage applies every per-package analyzer to the pass and returns
+// the merged diagnostics sorted by position.
+func runPackage(pass *Pass) []Diagnostic {
+	var out []Diagnostic
+	for _, a := range Analyzers() {
+		if a.Run != nil {
+			out = append(out, a.Run(pass)...)
+		}
+	}
+	sortDiagnostics(out)
+	return out
 }
 
 func assertDiags(t *testing.T, got []Diagnostic, want ...string) {
@@ -189,7 +203,7 @@ func TestLoaderOnRepo(t *testing.T) {
 	if pkg.Pkg.Name() != "locus" || len(pkg.Files) == 0 {
 		t.Errorf("loaded %q with %d files", pkg.Pkg.Name(), len(pkg.Files))
 	}
-	if ds := RunAll(pkg.Pass(l.Fset), Analyzers()); len(ds) != 0 {
+	if ds := runPackage(pkg.Pass(l.Fset)); len(ds) != 0 {
 		t.Errorf("locus has diagnostics: %v", ds)
 	}
 

@@ -15,6 +15,10 @@ type Program struct {
 	// Allow is the sanctioned lock-order allowlist consulted by the
 	// lockorder analyzer. Defaults to the embedded lockorder.allow.
 	Allow *Allowlist
+	// Partial marks a program that holds only some of the module's
+	// packages: deadcode, which needs every caller, does not run on it,
+	// and a //lint:ignore that suppresses nothing is not reported.
+	Partial bool
 
 	facts *facts
 }
@@ -36,8 +40,8 @@ func (p *Program) Facts() *facts {
 
 // RunSuite applies every analyzer — per-package and whole-program — to the
 // program, applies //lint:ignore suppressions, reports malformed ignore
-// directives as badignore diagnostics, and returns the survivors sorted by
-// position.
+// directives (and, on a whole program, those that suppress nothing) as
+// badignore diagnostics, and returns the survivors sorted by position.
 func RunSuite(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -55,7 +59,7 @@ func RunSuite(prog *Program, analyzers []*Analyzer) []Diagnostic {
 		known[a.Name] = true
 	}
 	dirs := collectDirectives(prog)
-	out = applySuppressions(dirs, known, out)
+	out = applySuppressions(dirs, known, out, !prog.Partial)
 	sortDiagnostics(out)
 	return out
 }

@@ -70,7 +70,7 @@ func brokenDiagLines(t *testing.T) map[string][]string {
 // exemplars against its golden file. Run with -update to regenerate.
 func TestGoldens(t *testing.T) {
 	byID := brokenDiagLines(t)
-	goldenIDs := append(append([]string{}, concurrencyIDs...), BadIgnore, "nakedtime", "instident", "rawmem")
+	goldenIDs := append(append([]string{}, concurrencyIDs...), BadIgnore, "nakedtime", "instident", "rawmem", "deadcode")
 	expected := map[string]bool{}
 	for _, id := range goldenIDs {
 		expected[id] = true
@@ -106,7 +106,7 @@ func TestGoldens(t *testing.T) {
 }
 
 // TestSuppressedExemplars proves each concurrency analyzer (and
-// nakedtime) has a working //lint:ignore exemplar: the directive exists
+// nakedtime and deadcode) has a working //lint:ignore exemplar: the directive exists
 // in testdata/src and no diagnostic for that ID survives on the
 // directive's line or the line below it.
 func TestSuppressedExemplars(t *testing.T) {
@@ -135,7 +135,7 @@ func TestSuppressedExemplars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range append(append([]string{}, concurrencyIDs...), "nakedtime") {
+	for _, id := range append(append([]string{}, concurrencyIDs...), "nakedtime", "deadcode") {
 		if len(directives[id]) == 0 {
 			t.Errorf("no suppressed exemplar for %s in testdata/src", id)
 			continue

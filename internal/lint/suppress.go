@@ -7,7 +7,8 @@ package lint
 // placed on the flagged line or on the line immediately above it
 // suppresses that analyzer's diagnostics there. The reason is mandatory
 // and the analyzer ID must exist: a malformed directive suppresses
-// nothing and is itself reported under the badignore ID, so dead or
+// nothing and is itself reported under the badignore ID, and so is a
+// well-formed one with no finding of its analyzer to suppress, so dead or
 // typo'd escape hatches cannot silently accumulate.
 
 import (
@@ -56,9 +57,10 @@ func collectDirectives(prog *Program) []directive {
 }
 
 // applySuppressions filters diagnostics matched by a well-formed
-// directive and appends a badignore diagnostic for each malformed one.
+// directive and appends a badignore diagnostic for each malformed one,
+// and, when stale is set, for each well-formed one that matched nothing.
 // known maps valid analyzer IDs.
-func applySuppressions(dirs []directive, known map[string]bool, diags []Diagnostic) []Diagnostic {
+func applySuppressions(dirs []directive, known map[string]bool, diags []Diagnostic, stale bool) []Diagnostic {
 	var good []directive
 	var out []Diagnostic
 	for _, d := range dirs {
@@ -76,22 +78,32 @@ func applySuppressions(dirs []directive, known map[string]bool, diags []Diagnost
 			good = append(good, d)
 		}
 	}
+	used := make([]bool, len(good))
 	for _, diag := range diags {
-		if !suppressed(good, diag) {
+		if !suppressed(good, used, diag) {
 			out = append(out, diag)
+		}
+	}
+	for i, d := range good {
+		if stale && !used[i] {
+			out = append(out, Diagnostic{Pos: d.pos, Analyzer: BadIgnore,
+				Message: "//lint:ignore " + d.id + " suppresses nothing; delete it"})
 		}
 	}
 	return out
 }
 
-func suppressed(dirs []directive, d Diagnostic) bool {
-	for _, dir := range dirs {
+// suppressed reports whether a directive covers d, marking each one that
+// does in used.
+func suppressed(dirs []directive, used []bool, d Diagnostic) bool {
+	hit := false
+	for i, dir := range dirs {
 		if dir.id != d.Analyzer || dir.pos.Filename != d.Pos.Filename {
 			continue
 		}
 		if d.Pos.Line == dir.pos.Line || d.Pos.Line == dir.pos.Line+1 {
-			return true
+			used[i], hit = true, true
 		}
 	}
-	return false
+	return hit
 }

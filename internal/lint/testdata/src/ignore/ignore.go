@@ -25,3 +25,9 @@ var t2 = time.Now()
 //
 //lint:ignore nakedtime exemplar: sanctioned clock read for this test
 var t3 = time.Now()
+
+// A well-formed directive with no finding of its analyzer to suppress is
+// stale: a badignore diagnostic of its own.
+//
+//lint:ignore nakedtime stale: this line reads no clock
+var t4 = 4

@@ -95,15 +95,6 @@ func (t Type) String() string {
 // Valid reports whether t is one of the defined location types (not None).
 func (t Type) Valid() bool { return t > None && t < numTypes }
 
-// Pair reports whether the type carries two element identifiers.
-func (t Type) Pair() bool { return t >= Interface && t < numTypes }
-
-// Scoped reports whether the type is a router-scoped element (A = router,
-// B = element within the router).
-func (t Type) Scoped() bool {
-	return t == Interface || t == LineCard || t == RouterNeighbor
-}
-
 // Span reports whether the type denotes all locations between two endpoints
 // (the paper's "A:B" notation) rather than a concrete element.
 func (t Type) Span() bool { return t >= IngressEgress && t < numTypes }
@@ -156,37 +147,12 @@ func (l Location) IsZero() bool { return l.Type == None && l.A == "" && l.B == "
 // Router returns the router name the location is anchored at, if any.
 // For router-scoped types this is A; for Router itself it is A; for spans
 // and network-wide types it returns "".
+//
+//lint:ignore deadcode TestLocationRouter is its only caller; the two go together (ROADMAP item 10)
 func (l Location) Router() string {
 	switch l.Type {
 	case Router, Interface, LineCard, RouterNeighbor:
 		return l.A
 	}
 	return ""
-}
-
-// Parse parses "A" or "A:B" into a Location of type t, validating the arity
-// against the type.
-func Parse(t Type, s string) (Location, error) {
-	if !t.Valid() {
-		return Location{}, fmt.Errorf("locus: invalid type in Parse")
-	}
-	s = strings.TrimSpace(s)
-	i := strings.IndexByte(s, ':')
-	if t.Pair() {
-		if i < 0 {
-			return Location{}, fmt.Errorf("locus: location type %s requires \"A:B\", got %q", t, s)
-		}
-		a, b := s[:i], s[i+1:]
-		if a == "" || b == "" {
-			return Location{}, fmt.Errorf("locus: empty element in %q", s)
-		}
-		return Location{Type: t, A: a, B: b}, nil
-	}
-	if i >= 0 {
-		return Location{}, fmt.Errorf("locus: location type %s takes a single element, got %q", t, s)
-	}
-	if s == "" {
-		return Location{}, fmt.Errorf("locus: empty location")
-	}
-	return Location{Type: t, A: s}, nil
 }

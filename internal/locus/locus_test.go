@@ -1,9 +1,6 @@
 package locus
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTypeString(t *testing.T) {
 	cases := []struct {
@@ -53,13 +50,10 @@ func TestParseTypeCaseAndSpace(t *testing.T) {
 }
 
 func TestTypePredicates(t *testing.T) {
-	if Router.Pair() {
-		t.Error("Router should not be Pair")
+	if Router.Span() || Interface.Span() {
+		t.Error("Router/Interface predicates wrong")
 	}
-	if !Interface.Pair() || !Interface.Scoped() || Interface.Span() {
-		t.Error("Interface predicates wrong")
-	}
-	if !IngressEgress.Pair() || !IngressEgress.Span() || IngressEgress.Scoped() {
+	if !IngressEgress.Span() {
 		t.Error("IngressEgress predicates wrong")
 	}
 	if None.Valid() || !Router.Valid() || Type(99).Valid() {
@@ -94,35 +88,6 @@ func TestLocationRouter(t *testing.T) {
 	}
 }
 
-func TestParse(t *testing.T) {
-	loc, err := Parse(Interface, "r1:so-0/0/0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.A != "r1" || loc.B != "so-0/0/0" {
-		t.Errorf("Parse pair = %+v", loc)
-	}
-	if _, err := Parse(Interface, "r1"); err == nil {
-		t.Error("Parse accepted missing element for pair type")
-	}
-	if _, err := Parse(Router, "r1:x"); err == nil {
-		t.Error("Parse accepted pair for single type")
-	}
-	if _, err := Parse(Router, ""); err == nil {
-		t.Error("Parse accepted empty location")
-	}
-	if _, err := Parse(Interface, ":x"); err == nil {
-		t.Error("Parse accepted empty A")
-	}
-	if _, err := Parse(None, "r1"); err == nil {
-		t.Error("Parse accepted None type")
-	}
-	loc, err = Parse(Router, " r9 ")
-	if err != nil || loc.A != "r9" {
-		t.Errorf("Parse should trim space: %+v, %v", loc, err)
-	}
-}
-
 func TestKeyUniqueness(t *testing.T) {
 	// Locations differing only in type or element split must have distinct
 	// keys. This is load-bearing: the engine indexes joined evidence by key.
@@ -139,26 +104,5 @@ func TestKeyUniqueness(t *testing.T) {
 			t.Errorf("key collision: %+v and %+v -> %q", prev, l, l.Key())
 		}
 		seen[l.Key()] = l
-	}
-}
-
-func TestParseStringRoundTrip(t *testing.T) {
-	f := func(a, b string) bool {
-		// Construct a parseable pair location and verify round trip.
-		if a == "" || b == "" {
-			return true
-		}
-		// Skip inputs the textual form cannot represent unambiguously.
-		for _, r := range a + b {
-			if r == ':' || r == ' ' || r == '\t' || r == '\n' || r == '\r' {
-				return true
-			}
-		}
-		l := Between(IngressEgress, a, b)
-		got, err := Parse(IngressEgress, l.String())
-		return err == nil && got == l
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

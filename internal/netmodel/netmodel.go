@@ -94,9 +94,6 @@ type Interface struct {
 	Uplink bool
 }
 
-// ID returns the canonical "router:interface" identifier.
-func (i *Interface) ID() string { return i.Router.Name + ":" + i.Name }
-
 // LogicalLink is a layer-3 point-to-point adjacency between two interfaces
 // inside the ISP. Phys lists the physical circuits realizing it (more than
 // one under APS protection or MLPPP bundling).
@@ -285,6 +282,8 @@ func (t *Topology) InterfaceByIP(ip netip.Addr) (*Interface, bool) {
 
 // LinkBySubnet returns the logical link whose endpoints share the /30
 // containing ip, if any.
+//
+//lint:ignore deadcode TestLinkBySubnet is its only caller; the two go together (ROADMAP item 10)
 func (t *Topology) LinkBySubnet(ip netip.Addr) (*LogicalLink, bool) {
 	for pfx, ifaces := range t.byAddr {
 		if pfx.Contains(ip) {

@@ -222,9 +222,6 @@ func TestLineCardID(t *testing.T) {
 	if i.Card.Slot != 1 {
 		t.Errorf("interface on wrong card slot %d", i.Card.Slot)
 	}
-	if id := i.ID(); id != "chi-cr1:so-1/0/0" {
-		t.Errorf("interface ID = %q", id)
-	}
 }
 
 func TestRoleString(t *testing.T) {

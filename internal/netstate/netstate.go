@@ -31,7 +31,6 @@ var (
 	mExpandMisses = obs.GetCounter("netstate.expand.cache.misses")
 	mExpandErrors = obs.GetCounter("netstate.expand.errors")
 	mExpandFanout = obs.GetHistogram("netstate.expand.locations", obs.SizeBuckets)
-	mRelated      = obs.GetCounter("netstate.related")
 	mEgressFor    = obs.GetCounter("netstate.egressfor")
 )
 
@@ -116,6 +115,8 @@ func (v *View) RegisterClient(name string, addr netip.Addr, ingress string) {
 }
 
 // ServerRouter returns the attachment router of a CDN server or node.
+//
+//lint:ignore deadcode TestClientAddrAndServerRouterAccessors reads the registered attachment router
 func (v *View) ServerRouter(server string) (string, bool) {
 	r, ok := v.serverRouter[server]
 	return r, ok
@@ -224,33 +225,6 @@ func (v *View) expand(loc locus.Location, level locus.Type, t time.Time) ([]locu
 		}
 	}
 	return nil, fmt.Errorf("netstate: no conversion from %v to %v", loc.Type, level)
-}
-
-// Related reports whether two locations are spatially related at join
-// level `level` at time t: their expansions intersect.
-func (v *View) Related(a, b locus.Location, level locus.Type, t time.Time) (bool, error) {
-	mRelated.Inc()
-	ea, err := v.Expand(a, level, t)
-	if err != nil {
-		return false, err
-	}
-	if len(ea) == 0 {
-		return false, nil
-	}
-	eb, err := v.Expand(b, level, t)
-	if err != nil {
-		return false, err
-	}
-	set := make(map[locus.Location]bool, len(ea))
-	for _, l := range ea {
-		set[l] = true
-	}
-	for _, l := range eb {
-		if set[l] {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 func (v *View) expandRouter(name string, level locus.Type) ([]locus.Location, error) {

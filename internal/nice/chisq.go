@@ -13,6 +13,8 @@ import (
 // of chance co-occurrence and over-declares significance; the circular
 // permutation test exists precisely to fix that. BenchmarkAblationTester
 // quantifies the difference.
+//
+//lint:ignore deadcode BenchmarkAblationTester is the comparison this baseline exists for
 type ChiSquared struct {
 	// Threshold is the χ² statistic above which (with positive
 	// association) the pair is declared significant. The default 10.83
@@ -27,6 +29,8 @@ const DefaultChiSquaredThreshold = 10.83
 // the two series. The result reuses Result: Corr carries the phi
 // coefficient (the Pearson correlation of binary variables), Score the χ²
 // statistic.
+//
+//lint:ignore deadcode BenchmarkAblationTester runs it beside the circular permutation test
 func (c ChiSquared) Test(a, b *Series) (Result, error) {
 	if a.Len() != b.Len() {
 		return Result{}, fmt.Errorf("nice: series length mismatch (%d vs %d)", a.Len(), b.Len())

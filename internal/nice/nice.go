@@ -40,17 +40,6 @@ func NewSeries(start time.Time, bin time.Duration, n int) *Series {
 // Len returns the number of bins.
 func (s *Series) Len() int { return len(s.bits) }
 
-// Ones returns the number of set bins.
-func (s *Series) Ones() int {
-	n := 0
-	for _, b := range s.bits {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Set marks the bins covering [from, to]. Out-of-range portions are
 // clipped.
 func (s *Series) Set(from, to time.Time) {
@@ -74,6 +63,8 @@ func (s *Series) Set(from, to time.Time) {
 }
 
 // Mark sets the single bin containing t.
+//
+//lint:ignore deadcode BenchmarkAblationTester marks its synthetic bursty series bin by bin
 func (s *Series) Mark(t time.Time) { s.Set(t, t) }
 
 // At reports whether bin i is set.
@@ -108,16 +99,6 @@ func FromInstances(ins []*event.Instance, start time.Time, bin time.Duration, n 
 		s.Set(in.Start, in.End)
 	}
 	return s
-}
-
-// Pearson computes the correlation coefficient of two equal-length binary
-// series. It returns an error when either series has zero variance
-// (empty or saturated), where correlation is undefined.
-func Pearson(a, b *Series) (float64, error) {
-	if a.Len() != b.Len() {
-		return 0, fmt.Errorf("nice: series length mismatch (%d vs %d)", a.Len(), b.Len())
-	}
-	return pearsonShifted(a.bits, b.bits, 0)
 }
 
 // pearsonShifted computes Pearson correlation of a against b circularly

@@ -25,8 +25,8 @@ func TestPearsonSymmetry(t *testing.T) {
 				b.Mark(t0.Add(time.Duration(i) * time.Minute))
 			}
 		}
-		rab, errAB := Pearson(a, b)
-		rba, errBA := Pearson(b, a)
+		rab, errAB := pearson(a, b)
+		rba, errBA := pearson(b, a)
 		if (errAB == nil) != (errBA == nil) {
 			return false
 		}
@@ -55,7 +55,7 @@ func TestPearsonBounds(t *testing.T) {
 				b.Mark(t0.Add(time.Duration(i) * time.Minute))
 			}
 		}
-		r, err := Pearson(a, b)
+		r, err := pearson(a, b)
 		if err != nil {
 			return true
 		}

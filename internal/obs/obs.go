@@ -40,10 +40,9 @@ func init() { enabled.Store(true) }
 // SetEnabled turns the whole metrics layer on or off. Reads (snapshots)
 // keep working while disabled; mutations become no-ops. The off switch
 // exists so benchmarks can measure the instrumentation overhead.
+//
+//lint:ignore deadcode BenchmarkDiagnosisLatencyBGPObsOff prices the always-on metrics against this off switch
 func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric mutations are currently recorded.
-func Enabled() bool { return enabled.Load() }
 
 // ---------------------------------------------------------------------
 // Counter and gauge

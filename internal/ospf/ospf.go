@@ -24,7 +24,7 @@ import (
 	"grca/internal/obs"
 )
 
-// SPF-memo metrics: the Dijkstra runs behind Distance/Elements/Paths
+// SPF-memo metrics: the Dijkstra runs behind Distance/Elements
 // dominate routed expansions (§III-B.2), so the hit ratio here is the
 // first read on whether the routing-epoch cache is doing its job.
 var (
@@ -76,7 +76,7 @@ type spfKey struct {
 
 // EpochAt returns the routing epoch of time t: the number of recorded
 // weight-change instants at or before t. Every link weight — and
-// therefore every Distance/Elements/Paths answer — is identical for any
+// therefore every Distance/Elements answer — is identical for any
 // two instants in the same epoch, which is what lets SPF results and
 // spatial expansions be shared across diagnoses keyed by epoch instead of
 // by timestamp.
@@ -151,10 +151,6 @@ func (s *Sim) WeightAt(id string, t time.Time) int {
 	i := sort.Search(len(tl), func(i int) bool { return tl[i].at.After(t) })
 	return tl[i-1].w
 }
-
-// Changes returns the global weight-change feed in record order. The slice
-// is shared; callers must not modify it.
-func (s *Sim) Changes() []WeightChange { return s.log }
 
 // priority queue for Dijkstra
 
@@ -283,49 +279,4 @@ func (s *Sim) Elements(src, dst string, t time.Time) (PathElements, error) {
 		}
 	}
 	return pe, nil
-}
-
-// Paths enumerates the explicit router sequences of all shortest paths,
-// capped at limit paths (0 means no cap). Only this package's tests call
-// it; the engine and the Result Browser's drill-down reach routing through
-// netstate.View.Expand, which uses Elements.
-func (s *Sim) Paths(src, dst string, t time.Time, limit int) ([][]string, error) {
-	pe, err := s.Elements(src, dst, t)
-	if err != nil {
-		return nil, err
-	}
-	if src == dst {
-		return [][]string{{src}}, nil
-	}
-	df := s.distances(src, t)
-	var out [][]string
-	var walk func(node string, acc []string) bool
-	walk = func(node string, acc []string) bool {
-		acc = append(acc, node)
-		if node == dst {
-			out = append(out, append([]string(nil), acc...))
-			return limit == 0 || len(out) < limit
-		}
-		// Deterministic neighbor order.
-		links := append([]*netmodel.LogicalLink(nil), s.adj[node]...)
-		sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
-		for _, l := range links {
-			if !pe.Links[l.ID] {
-				continue
-			}
-			far := l.Other(node)
-			if far == nil {
-				continue
-			}
-			next := far.Router.Name
-			if df[next] == df[node]+s.WeightAt(l.ID, t) {
-				if !walk(next, acc) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(src, nil)
-	return out, nil
 }

@@ -160,10 +160,10 @@ func TestWeightTimeline(t *testing.T) {
 	if w := sim.WeightAt("ab", t2.Add(time.Minute)); w != 10 {
 		t.Errorf("weight after revert = %d, want 10", w)
 	}
-	if got := len(sim.Changes()); got != 2 {
+	if got := len(sim.log); got != 2 {
 		t.Errorf("change log length = %d, want 2", got)
 	}
-	if c := sim.Changes()[0]; c.Old != 10 || c.New != 50 || c.LinkID != "ab" {
+	if c := sim.log[0]; c.Old != 10 || c.New != 50 || c.LinkID != "ab" {
 		t.Errorf("first change = %+v", c)
 	}
 }
@@ -180,34 +180,12 @@ func TestSetWeightValidation(t *testing.T) {
 		t.Error("accepted out-of-order change")
 	}
 	// Identical re-flood is a silent no-op.
-	n := len(sim.Changes())
+	n := len(sim.log)
 	if err := sim.SetWeight(t0.Add(2*time.Hour), "ab", 50); err != nil {
 		t.Fatal(err)
 	}
-	if len(sim.Changes()) != n {
+	if len(sim.log) != n {
 		t.Error("no-op refresh appended to change log")
-	}
-}
-
-func TestPathsEnumeration(t *testing.T) {
-	_, sim := diamond(t)
-	paths, err := sim.Paths("a", "d", t0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("paths = %v, want 2 ECMP paths", paths)
-	}
-	for _, p := range paths {
-		if len(p) != 3 || p[0] != "a" || p[2] != "d" {
-			t.Errorf("malformed path %v", p)
-		}
-	}
-	if paths, _ := sim.Paths("a", "d", t0, 1); len(paths) != 1 {
-		t.Error("limit not honored")
-	}
-	if paths, _ := sim.Paths("a", "a", t0, 0); len(paths) != 1 || len(paths[0]) != 1 {
-		t.Errorf("self path = %v", paths)
 	}
 }
 

@@ -252,14 +252,6 @@ func (s *WALSink) EndSnapshot() error {
 	return nil
 }
 
-// Sync forces shipped records to stable storage (heartbeat cadence).
-func (s *WALSink) Sync() error {
-	if s.seg == nil {
-		return nil
-	}
-	return s.seg.Sync()
-}
-
 // Close syncs and closes the active segment and any staged snapshot.
 func (s *WALSink) Close() error {
 	var first error

@@ -68,9 +68,6 @@ func NewSource(cfg SourceConfig) *Source {
 	return &Source{cfg: cfg}
 }
 
-// BootID returns the primary incarnation this source streams for.
-func (s *Source) BootID() string { return s.cfg.BootID }
-
 // JournalSize returns the journal's logical size: the bytes ever
 // journaled, dropped tail segments included (0 for a journal not yet
 // created).

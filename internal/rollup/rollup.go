@@ -29,7 +29,6 @@
 package rollup
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -348,26 +347,6 @@ func (r *Rollup) BreakdownCounts(app string, from time.Time, extra []engine.Diag
 	return counts, total
 }
 
-// Causes lists app's raw root-cause labels with live counts, sorted by
-// descending count then label — the filter vocabulary of the Result
-// Browser.
-func (r *Rollup) Causes(app string) []browser.Row {
-	counts, total := r.BreakdownCounts(app, time.Time{}, nil)
-	return browser.Rows(counts, total)
-}
-
-// Apps lists the applications with counted diagnoses, sorted.
-func (r *Rollup) Apps() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.apps))
-	for name := range r.apps {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Trend renders the event-occurrence series for name over [from, to] at
 // the given bin width (a multiple of the base bin; from must lie on the
 // bin grid). With from ≤ every live Start and to ≥ the store span's last
@@ -437,14 +416,4 @@ func (r *Rollup) CauseTrend(app, label string, from, to time.Time, bin time.Dura
 		}
 	}
 	return points
-}
-
-// Counted reports how many diagnoses are counted for app.
-func (r *Rollup) Counted(app string) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if a := r.apps[app]; a != nil {
-		return len(a.counted)
-	}
-	return 0
 }

@@ -57,8 +57,8 @@ func TestBreakdownMatchesBatch(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("rollup breakdown %s\n!= batch %s", got, want)
 	}
-	if n := r.Counted("app"); n != len(syms) {
-		t.Errorf("Counted = %d, want %d", n, len(syms))
+	if n := len(r.apps["app"].counted); n != len(syms) {
+		t.Errorf("counted = %d, want %d", n, len(syms))
 	}
 }
 

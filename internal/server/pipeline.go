@@ -654,7 +654,9 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 // Recovery reports what Open reconstructed.
 func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 
-// Store exposes the authoritative event store (tests, CLI wiring).
+// Store exposes the authoritative event store.
+//
+//lint:ignore deadcode TestRestartRecovery digests the store a restarted server rebuilt
 func (s *Server) Store() store.Store { return s.st }
 
 // journalApplier is the one definition of what a journaled record

@@ -283,20 +283,6 @@ func (s *Memory) Add(in event.Instance) *event.Instance {
 	return &in
 }
 
-// AddAll is Add for every instance, in order, under a single lock
-// acquisition.
-func (s *Memory) AddAll(ins []event.Instance) {
-	var in event.Instance
-	err := s.putEach(len(ins), func(i int) *event.Instance {
-		in = ins[i]
-		in.ID = s.next
-		return &in
-	})
-	if err != nil {
-		panic(fmt.Sprintf("store: AddAll: %v", err))
-	}
-}
-
 // Put stores in at its pre-assigned ID and returns a copy of it. IDs are
 // assigned externally (by the server's admission, or WAL replay), so the
 // sequence may be sparse: a forward gap leaves unassigned slots that

@@ -240,7 +240,9 @@ func TestShuffledInsertEquivalence(t *testing.T) {
 		ordered, shuffled := New(), New()
 		sorted := append([]event.Instance(nil), ins...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start.Before(sorted[j].Start) })
-		ordered.AddAll(sorted)
+		for _, in := range sorted {
+			ordered.Add(in)
+		}
 		perm := rng.Perm(len(ins))
 		for _, i := range perm {
 			shuffled.Add(ins[i])

@@ -16,11 +16,11 @@ func TestParallelReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddAll(ins[:700])
+	addAll(st, ins[:700])
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	st.AddAll(ins[700:])
+	addAll(st, ins[700:])
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(ins); i += 10 {
-		st.AddAll(ins[i : i+10])
+		addAll(st, ins[i:i+10])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st.AddAll(ins)
+	addAll(st, ins)
 	if err := l.Close(); err != nil {
 		b.Fatal(err)
 	}

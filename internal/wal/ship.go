@@ -25,10 +25,6 @@ import (
 // FrameHeader is the byte length of a record frame's header.
 const FrameHeader = frameHeader
 
-// MaxRecord bounds a single framed record; a streamed length beyond it
-// is treated as corruption, exactly as recovery treats it on disk.
-const MaxRecord = maxRecord
-
 // AppendFrame appends payload to b under the standard record framing.
 func AppendFrame(b, payload []byte) []byte { return appendFrame(b, payload) }
 

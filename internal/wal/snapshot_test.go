@@ -164,7 +164,7 @@ func TestSnapshotWriteAmplification(t *testing.T) {
 	snapBytes, manifestBytes, snapshots := int64(0), int64(0), 0
 	counter, adopted := mSnapBytes.Value(), mSnapRunsAdopted.Value()
 	for i := 0; i < total; i += batch {
-		st.AddAll(ins[i : i+batch])
+		addAll(st, ins[i:i+batch])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +464,7 @@ func TestHugeCountsFallBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.AddAll(ins)
+			addAll(st, ins)
 			if err := l.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -504,7 +504,7 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12000; i += 3000 {
-		st.AddAll(ins[i : i+3000])
+		addAll(st, ins[i:i+3000])
 		if err := l.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -608,7 +608,7 @@ func TestMixedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.AddAll(genEvents(26, 50))
+	addAll(st, genEvents(26, 50))
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -719,8 +719,16 @@ func decodeImage(data []byte, piece int) (*store.Memory, error) {
 		return nil, err
 	}
 	st := store.New()
-	st.AddAll(genEvents(99, 1)) // what the store held before
+	addAll(st, genEvents(99, 1)) // what the store held before
 	return st, st.Replace(base, next, ins)
+}
+
+// sinceSnapshot reports how many committed records the latest snapshot
+// does not cover.
+func sinceSnapshot(l *Log) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sinceSnap
 }
 
 // TestCommitSurvivesSnapshotFailure: Commit reports the flush, not the
@@ -743,7 +751,7 @@ func TestCommitSurvivesSnapshotFailure(t *testing.T) {
 	}
 	failed := mSnapFailed.Value()
 	for i := 0; i < 200; i += 50 {
-		st.AddAll(ins[i : i+50])
+		addAll(st, ins[i:i+50])
 		if err := l.Commit(); err != nil {
 			t.Fatalf("commit of a flushed, synced batch failed on the snapshot: %v", err)
 		}
@@ -751,8 +759,8 @@ func TestCommitSurvivesSnapshotFailure(t *testing.T) {
 	if got := mSnapFailed.Value() - failed; got != 4 {
 		t.Fatalf("wal.snapshots.failed rose by %d, want 4 (one per due commit)", got)
 	}
-	if l.SinceSnapshot() != 200 {
-		t.Fatalf("failed snapshots reset sinceSnap to %d", l.SinceSnapshot())
+	if sinceSnapshot(l) != 200 {
+		t.Fatalf("failed snapshots reset sinceSnap to %d", sinceSnapshot(l))
 	}
 	if err := l.Snapshot(); err == nil {
 		t.Fatal("explicit Snapshot into a broken snap/ reported success")
@@ -764,12 +772,12 @@ func TestCommitSurvivesSnapshotFailure(t *testing.T) {
 	if err := os.Mkdir(snapDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	st.AddAll(ins[200:])
+	addAll(st, ins[200:])
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if l.SinceSnapshot() != 0 || len(manifests(t, dir)) != 1 {
-		t.Fatalf("snapshot did not catch up: sinceSnap %d, %d manifests", l.SinceSnapshot(), len(manifests(t, dir)))
+	if sinceSnapshot(l) != 0 || len(manifests(t, dir)) != 1 {
+		t.Fatalf("snapshot did not catch up: sinceSnap %d, %d manifests", sinceSnapshot(l), len(manifests(t, dir)))
 	}
 	want := StoreDigest(st)
 	if err := l.Close(); err != nil {
@@ -834,11 +842,11 @@ func TestForeignRunsFallBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.AddAll(ins[:1000])
+		addAll(st, ins[:1000])
 		if err := l.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		st.AddAll(ins[1000:])
+		addAll(st, ins[1000:])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -988,7 +996,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		st.AddAll(genEvents(47, n))
+		addAll(st, genEvents(47, n))
 		if err := l.Snapshot(); err != nil {
 			f.Fatal(err)
 		}

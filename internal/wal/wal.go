@@ -233,9 +233,6 @@ func Open(dir string, opts Options) (*Log, *store.Memory, Recovery, error) {
 	return l, l.st, rec, nil
 }
 
-// Store returns the store the log recovers into and observes.
-func (l *Log) Store() *store.Memory { return l.st }
-
 // record is the store append hook: it keeps the instance for the next
 // flush, which encodes it. Called under the store's write lock, so it
 // only touches the log's own state, and does nothing it can put off.
@@ -392,14 +389,6 @@ func (l *Log) writeLocked(b []byte) error {
 	l.cur.size += int64(n)
 	l.cur.crc = crc32.Update(l.cur.crc, castagnoli, b[:n])
 	return err
-}
-
-// SinceSnapshot reports how many committed records the latest snapshot
-// does not cover.
-func (l *Log) SinceSnapshot() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sinceSnap
 }
 
 // Close writes pending records and closes the active segment without

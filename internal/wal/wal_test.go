@@ -16,6 +16,13 @@ import (
 	"grca/internal/store"
 )
 
+// addAll adds every instance to st, in order.
+func addAll(st *store.Memory, ins []event.Instance) {
+	for _, in := range ins {
+		st.Add(in)
+	}
+}
+
 // genEvents builds a deterministic mix of instances: varied names,
 // locations, durations, attribute maps, and mild time disorder — the
 // shapes the collector actually stores.
@@ -47,7 +54,7 @@ func genEvents(seed int64, n int) []event.Instance {
 // k generated events.
 func digestOfPrefix(ins []event.Instance, k int) string {
 	st := store.New()
-	st.AddAll(ins[:k])
+	addAll(st, ins[:k])
 	return StoreDigest(st)
 }
 
@@ -61,7 +68,7 @@ func TestRoundtripCleanClose(t *testing.T) {
 	if rec.SnapshotNext != 0 || rec.Replayed != 0 {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
-	st.AddAll(ins)
+	addAll(st, ins)
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestRoundtripCleanClose(t *testing.T) {
 	}
 	// Appends continue with the right IDs after recovery.
 	more := genEvents(2, 50)
-	st2.AddAll(more)
+	addAll(st2, more)
 	if err := l2.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +192,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// The log must keep working after a torn recovery: append,
 		// snapshot, append, close, reopen, and the tail must be there.
 		extra := genEvents(int64(1000+trial), 10)
-		st2.AddAll(extra[:5])
+		addAll(st2, extra[:5])
 		if err := l2.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		st2.AddAll(extra[5:])
+		addAll(st2, extra[5:])
 		if err := l2.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +468,7 @@ func TestSnapshotTailReplayDeterminism(t *testing.T) {
 		if end > len(ins) {
 			end = len(ins)
 		}
-		st.AddAll(ins[i:end])
+		addAll(st, ins[i:end])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -510,7 +517,7 @@ func TestSnapshotCompactionBoundsDisk(t *testing.T) {
 	// segments rotate every few groups.
 	commitGroups := func(ins []event.Instance) {
 		for i := 0; i < len(ins); i += 25 {
-			st.AddAll(ins[i:min(i+25, len(ins))])
+			addAll(st, ins[i:min(i+25, len(ins))])
 			if err := l.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -614,12 +621,12 @@ func TestRecoverySkipsCoveredSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, upTo := range []int{3000, 6000} {
-		st.AddAll(ins[upTo-3000 : upTo])
+		addAll(st, ins[upTo-3000:upTo])
 		if err := l.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.AddAll(ins[6000:])
+	addAll(st, ins[6000:])
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +720,7 @@ func TestCommitNeverSyncs(t *testing.T) {
 		}
 		defer l.Close()
 		syncs, commits := mFsyncs.Value(), mCommits.Value()
-		st.AddAll(ins[:100])
+		addAll(st, ins[:100])
 		if err := l.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -722,7 +729,7 @@ func TestCommitNeverSyncs(t *testing.T) {
 		}
 		const groups = 200
 		for i := 100; i < 100+groups*100; i += 100 {
-			st.AddAll(ins[i : i+100])
+			addAll(st, ins[i:i+100])
 			if err := l.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -752,7 +759,7 @@ func TestCommitNeverSyncs(t *testing.T) {
 		}
 		syncs := mFsyncs.Value()
 		for i := 0; i < 3000; i += 100 {
-			st.AddAll(ins[i : i+100])
+			addAll(st, ins[i:i+100])
 			if err := l.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -764,7 +771,7 @@ func TestCommitNeverSyncs(t *testing.T) {
 		if got, want := mFsyncs.Value()-syncs, int64(len(segs)-1); got != want {
 			t.Fatalf("%d rotations synced %d times, want one each", want, got)
 		}
-		st.AddAll(ins[3000:3100]) // no Commit: Close writes them
+		addAll(st, ins[3000:3100]) // no Commit: Close writes them
 		syncs = mFsyncs.Value()
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -818,7 +825,7 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 			// In commit groups of 100: the 4 KiB segments are crumbs, so
 			// every run is written, none a second name of a segment.
 			for i := g * gen; i < (g+1)*gen; i += 100 {
-				st.AddAll(ins[i : i+100])
+				addAll(st, ins[i:i+100])
 				if err := l.Commit(); err != nil {
 					t.Fatal(err)
 				}
@@ -827,7 +834,7 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st.AddAll(ins[generations*gen:])
+		addAll(st, ins[generations*gen:])
 		if err := l.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -917,11 +924,11 @@ func TestFloor(t *testing.T) {
 	if l.Floor() != 0 {
 		t.Fatalf("floor %d on an empty log", l.Floor())
 	}
-	st.AddAll(ins[:300])
+	addAll(st, ins[:300])
 	snap(0) // one manifest: it has no fallback
-	st.AddAll(ins[300:600])
+	addAll(st, ins[300:600])
 	snap(300)
-	st.AddAll(ins[600:])
+	addAll(st, ins[600:])
 	snap(600)
 	snap(900) // nothing new: both retained generations now reach 900
 	want := StoreDigest(st)
@@ -971,7 +978,7 @@ func TestParentDataDirBootsBothWays(t *testing.T) {
 		t.Fatalf("the older dir opened to digest %s (recovery %+v), it held %s", got, rec, want)
 	}
 
-	st.AddAll(genEvents(25, 50))
+	addAll(st, genEvents(25, 50))
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}

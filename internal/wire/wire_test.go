@@ -115,8 +115,12 @@ func TestRoundTripProperty(t *testing.T) {
 					A:    randStr(16), B: randStr(16),
 				},
 			}
-			for j := rng.Intn(4); j > 0; j-- {
-				ins[i] = ins[i].WithAttr("k"+randStr(6), randStr(20))
+			if n := rng.Intn(4); n > 0 {
+				m := map[string]string{}
+				for ; n > 0; n-- {
+					m["k"+randStr(6)] = randStr(20)
+				}
+				ins[i].Attrs = event.NewAttrs(m)
 			}
 		}
 		enc := AppendEvents(nil, ins)

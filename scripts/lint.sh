@@ -4,11 +4,12 @@
 # Usage: scripts/lint.sh [artifact.json]
 #
 # Runs, in order: gofmt (whole tree, including testdata exemplars),
-# go vet, the grcalint analyzer suite (style + concurrency-correctness
-# checks; findings also written as a JSON envelope artifact when a path
-# is given), grca vet -strict over the built-in and example specs, a grep
-# that keeps the docs from drifting back to a deleted instrument, one
-# that keeps each application's spec in its .grca file alone, one that
+# go vet, the grcalint analyzer suite (style, concurrency-correctness and
+# deadcode checks, stale //lint:ignore directives included; findings
+# also written as a JSON envelope artifact when a path is given), grca
+# vet -strict over the built-in and example specs, a grep that keeps
+# the docs from drifting back to a deleted instrument, one that keeps
+# each application's spec in its .grca file alone, one that
 # keeps routing memos in internal/epoch, one that keeps the server to
 # one streaming processor, and one that keeps the event WAL from growing a
 # durability clock of its own.
