@@ -106,14 +106,11 @@ func runServe(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "serve: recovered %d batches, %d events (phase %s", rec.Batches, rec.Events, phase)
 	if rec.SnapshotsSkipped > 0 {
-		fmt.Fprintf(os.Stderr, "; %d unreadable WAL snapshots skipped", rec.SnapshotsSkipped)
-	}
-	if rec.WALRebuilt {
-		fmt.Fprint(os.Stderr, "; WAL rebuilt from journal")
+		fmt.Fprintf(os.Stderr, "; %d unreadable checkpoints skipped", rec.SnapshotsSkipped)
 	}
 	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-	fmt.Fprintf(os.Stderr, "): WAL open %v beside head replay %v, tail apply %v over %d journal segments (%d records applied, %d verified), serving install %v\n",
-		ms(rec.WALOpen), ms(rec.HeadReplay), ms(rec.TailApply), rec.JournalSegments, rec.TailApplied, rec.TailVerified, ms(rec.ServingInstall))
+	fmt.Fprintf(os.Stderr, "): checkpoint open %v beside head replay %v, tail apply %v over %d journal segments (%d records applied, %d verified), serving install %v\n",
+		ms(rec.CheckpointOpen), ms(rec.HeadReplay), ms(rec.TailApply), rec.JournalSegments, rec.TailApplied, rec.TailVerified, ms(rec.ServingInstall))
 	if o.replicaOf != "" {
 		fmt.Fprintf(os.Stderr, "serve: replica of %s — writes redirect to the primary until promotion\n", o.replicaOf)
 	}
@@ -175,8 +172,8 @@ func runPromote(args []string) error {
 		return fmt.Errorf("promote: bad response: %v", err)
 	}
 	fmt.Printf("promoted: role=%s boot=%s applied_seq=%d\n", info.Role, info.BootID, info.AppliedSeq)
-	fmt.Printf("recovered %d batches, %d events (finalized=%v, wal_rebuilt=%v)\n",
-		info.Recovery.Batches, info.Recovery.Events, info.Recovery.Finalized, info.Recovery.WALRebuilt)
+	fmt.Printf("recovered %d batches, %d events (finalized=%v)\n",
+		info.Recovery.Batches, info.Recovery.Events, info.Recovery.Finalized)
 	// "shard 0" is the form the benchmark's promoted-digest check parses
 	// (bench/ may not change with the code it measures; ROADMAP item 1(e)).
 	fmt.Printf("shard 0 digest %s\n", info.Digest)

@@ -10,13 +10,13 @@
 // journal stream ships the ingest journal's records in file order, which
 // is dispatch order, so the follower applies records in arrival order
 // through the same replay path crash recovery uses — same dense ID
-// allocation, same store digest — and builds its own event WAL and
-// snapshots from the store that makes. The journal is segmented and its
+// allocation, same store digest — and takes its own checkpoints where its
+// primary rolled, as the primary does. The journal is segmented and its
 // covered tail dropped (wal/journal.go): segment headers ship verbatim,
 // and a follower whose resume point lies in a dropped segment is sent a
 // store checkpoint before the retained tail. Heartbeats carry the
 // primary's durable journal sequence and logical size (bytes ever
-// journaled) and the WAL frontier — the lag signal.
+// journaled) and the store's next event ID — the lag signal.
 //
 // Frozen, not served: ShipWALOnce, WALSink, MsgWALRec and StreamWAL, the
 // one-shot WAL shipping path bench/ measures and the chaos replica-lag and
@@ -78,8 +78,12 @@ const (
 // journal records carry feed batches as raw lines, and a follower of 7
 // cannot apply the DEFLATE feed records 8 ships. 8 has 9's frames; 9 is
 // the first number disk and wire share, above every protocol version and
-// every FORMAT, 1, ever shipped.)
-const ProtocolVersion = 9
+// every FORMAT, 1, ever shipped. 9 has 10's frames, but the checkpoint a
+// lagging follower is sent holds runs that are block files alone, and a
+// follower of 9 cannot decode the journal tail segments that 10's
+// checkpoints adopt as runs; a data dir of 9 holds an event WAL that 10
+// neither reads nor writes.)
+const ProtocolVersion = 10
 
 // Stream kinds named in MsgHello; StreamWAL only by ShipWALOnce.
 const (
@@ -113,7 +117,7 @@ type Msg struct {
 	// MsgHeartbeat
 	Sealed       int   // highest sequence durably journaled
 	JournalBytes int64 // the journal's logical size: bytes ever journaled
-	WALNext      int   // the event WAL's next record ID
+	WALNext      int   // the primary store's next event ID
 
 	// MsgEOF
 	Reason string
@@ -185,8 +189,8 @@ func AppendSnapChunk(b []byte, chunk []byte) []byte {
 func AppendSnapEnd(b []byte) []byte { return appendMsg(b, []byte{MsgSnapEnd}) }
 
 // AppendHeartbeat frames a lag heartbeat onto b: the highest durably
-// journaled sequence, the journal's byte size, and the event WAL's next
-// record ID on the primary.
+// journaled sequence, the journal's byte size, and the store's next event
+// ID on the primary.
 func AppendHeartbeat(b []byte, sealed int, journalBytes int64, walNext int) []byte {
 	p := make([]byte, 0, 32)
 	p = append(p, MsgHeartbeat)

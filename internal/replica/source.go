@@ -27,13 +27,13 @@ type SourceConfig struct {
 	// JournalPath is the path of the ingest journal's segment 0
 	// (journal.log); its tail segments lie beside it.
 	JournalPath string
-	// WALDir is the event WAL's state directory (holding wal/ and snap/),
-	// whose newest snapshot is the checkpoint a late follower is sent.
+	// WALDir is the directory holding snap/, whose newest checkpoint is
+	// what a late follower is sent.
 	WALDir string
 	// JournalFrontier returns the highest sequence durably journaled on
 	// the primary (heartbeat lag signal).
 	JournalFrontier func() int
-	// WALFrontier returns the event WAL's next record ID on the primary
+	// WALFrontier returns the store's next event ID on the primary
 	// (heartbeat lag signal).
 	WALFrontier func() int
 	// Registry tracks followers and feeds the journal pin.
@@ -351,7 +351,7 @@ func (j *journalSession) advance() (bool, error) {
 // bootstrap sends the follower what the dropped segments between
 // journal.log and seg held, as a store checkpoint. The journal pin goes to
 // seg first, so that no drop takes it while the image ships; the image is
-// whatever snapshot the WAL holds now, which the drop rule keeps at or
+// whatever checkpoint snap/ holds now, which the drop rule keeps at or
 // beyond where seg begins — the follower checks that against the header
 // that follows.
 func (j *journalSession) bootstrap(seg *wal.JournalSegment, h wal.JournalSegmentHeader) error {

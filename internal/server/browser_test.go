@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,14 +34,12 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
-// removeWALState deletes the WAL and snapshots, the crashed-before-WAL-
+// removeCheckpoints deletes the checkpoints, the crashed-before-checkpoint-
 // commit persona: recovery must rebuild everything from the journal.
-func removeWALState(t *testing.T, dir string) {
+func removeCheckpoints(t *testing.T, dir string) {
 	t.Helper()
-	for _, sub := range []string{"wal", "snap"} {
-		if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-			t.Fatal(err)
-		}
+	if err := wipeCheckpoints(dir); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -362,7 +358,7 @@ func TestResultBrowser(t *testing.T) {
 	}
 	for _, crash := range []bool{false, true} {
 		if crash {
-			removeWALState(t, dir)
+			removeCheckpoints(t, dir)
 		}
 		s2 := openServer(t, dir, b)
 		ts2 := httptest.NewServer(s2.Handler())

@@ -30,7 +30,8 @@ type batch struct {
 	events []event.Instance // the request's decoded events, IDs assigned
 	jrec   []byte           // the batch's journal record
 	// roll is the header of a new tail segment to start before jrec is
-	// appended.
+	// appended: such a batch begins its commit group, and the store is
+	// checkpointed between the roll and the group's inserts.
 	roll   *wal.JournalSegmentHeader
 	stored []*event.Instance // the committed instances, in batch order
 	res    taskResult
@@ -41,7 +42,7 @@ type batch struct {
 	drain bool
 }
 
-// fail records a commit error (journal, store, WAL) on the batch; only the
+// fail records a commit error (journal, store) on the batch; only the
 // first one sticks.
 func (bt *batch) fail(format string, args ...any) {
 	if bt.res.err == nil {
@@ -93,7 +94,9 @@ func (s *Server) admit(t *task) (*batch, taskResult) {
 // then allocate and enqueue. The journal record is the handler's event
 // block behind the sequence number; the applier appends records in queue
 // order, so the journal's file order is dispatch order and replaying it
-// re-allocates the same IDs to the same events.
+// re-allocates the same IDs to the same events. The tail rolls once its
+// active segment holds journalSegmentBytes or SnapshotEvery events, and
+// every roll is a checkpoint: -snapshot-every is the events between two.
 func (s *Server) admitEvents(t *task) (*batch, taskResult) {
 	// Handlers reject empty batches before dispatch; guard here too so
 	// nothing event-less is ever journaled as an event batch.
@@ -122,10 +125,11 @@ func (s *Server) admitEvents(t *task) (*batch, taskResult) {
 		jrec:  encodeRecord(s.seq, t.kind, "", t.raw),
 		reply: make(chan taskResult, 1),
 	}
-	if s.inTail && s.segBytes >= journalSegmentBytes {
-		bt.roll, s.segBytes = s.tailHeader(), 0
+	if s.inTail && (s.segBytes >= journalSegmentBytes || (s.cfg.SnapshotEvery > 0 && s.segEvents >= s.cfg.SnapshotEvery)) {
+		bt.roll, s.segBytes, s.segEvents = s.tailHeader(), 0, 0
 	}
 	s.segBytes += int64(wal.FrameHeader + len(bt.jrec))
+	s.segEvents += len(bt.events)
 	for j := range bt.events {
 		bt.events[j].ID = s.nextID + j
 	}
@@ -139,8 +143,8 @@ func (s *Server) admitEvents(t *task) (*batch, taskResult) {
 // is a single shared structure, so feeds serialize on dispatchMu by design
 // (they are the bulk-load phase, not the streaming fast path). The drain
 // first empties the pipeline — the collector's Adds go straight to the
-// store, and the WAL requires IDs to arrive in order, so every queued
-// event must be committed before the feed allocates higher ones.
+// store, which requires IDs to arrive in order, so every queued event must
+// be committed before the feed allocates higher ones.
 func (s *Server) applyFeed(t *task) taskResult {
 	if s.isFinalized() {
 		return errResult(http.StatusConflict, "feeds are closed: the system is finalized (use events)")
@@ -164,15 +168,17 @@ func (s *Server) applyFeed(t *task) taskResult {
 		}
 		s.nextID = s.st.NextID()
 	}
-	return s.commitInline(res)
+	mBatches.Inc()
+	return res
 }
 
 // applyFinalize closes the feed phase and installs the serving artifacts.
 // It drains the pipeline first, so the rollup seed that installServing
 // derives sees exactly the events of all acknowledged batches. The
 // finalize record is the last one journal.log takes: with it applied the
-// journal rolls to its first tail segment, and everything journaled from
-// here on can be dropped behind the snapshots.
+// journal rolls to its first tail segment, the store — the feed phase's
+// events — is checkpointed, and everything journaled from here on can be
+// dropped behind the checkpoints.
 func (s *Server) applyFinalize() taskResult {
 	if s.isFinalized() {
 		return errResult(http.StatusConflict, "already finalized")
@@ -188,13 +194,15 @@ func (s *Server) applyFinalize() taskResult {
 		}
 		if err != nil {
 			res = errResult(http.StatusInternalServerError, "%v", err)
-		} else if s.rollJournal(s.tailHeader()) == nil {
+		} else {
 			// A roll that fails leaves the records that follow in journal.log,
-			// kept whole like the rest of it; the next boot rolls.
-			s.inTail, s.segBytes = true, 0
+			// kept whole like the rest of it; the next boot rolls. A checkpoint
+			// that fails is counted, and the next roll's covers the same.
+			s.rollAndCheckpoint() //nolint:errcheck // see above
 		}
 	}
-	return s.commitInline(res)
+	mBatches.Inc()
+	return res
 }
 
 // tailHeader describes the tail segment whose first record will be the
@@ -214,18 +222,46 @@ func (s *Server) rollJournal(h *wal.JournalSegmentHeader) error {
 	return err
 }
 
+// rollAndCheckpoint seals what the journal's active file holds with a
+// roll — unless it is a tail segment that holds no record yet — and
+// checkpoints: afterwards the checkpoint alone holds every stored event.
+// Runs on a primary's journal appender with nothing in flight (boot,
+// finalize, shutdown, promotion), under dispatchMu or with the pipeline
+// stopped.
+func (s *Server) rollAndCheckpoint() error {
+	if tail := s.jour.Tail(); len(tail) == 0 || tail[len(tail)-1].Events != 0 {
+		if err := s.rollJournal(s.tailHeader()); err != nil {
+			return err
+		}
+		s.inTail, s.segBytes, s.segEvents = true, 0, 0
+	}
+	return s.checkpoint()
+}
+
+// checkpoint makes the store durable under snap/ over the journal's sealed
+// tail segments, which a roll synced. Callers checkpoint right behind a
+// roll, where the store holds exactly the events below the active segment:
+// no run ever covers it, and the manifest is the store as the journal's
+// replay leaves it there.
+func (s *Server) checkpoint() error {
+	tail := s.jour.Tail()
+	if len(tail) > 0 {
+		tail = tail[:len(tail)-1]
+	}
+	return s.ckpt.Checkpoint(s.st, tail)
+}
+
 // dropJournalSegments unlinks, oldest first, every sealed tail segment
 // that nothing needs any more: each event it allocated lies below the
-// older of the WAL's two retained snapshot manifests (so either manifest,
+// older of the two retained checkpoint manifests (so either manifest,
 // alone, still recovers it), and no live follower has yet to read it — or
-// the follower pins more than the hard cap allows. Each snapshot's
+// the follower pins more than the hard cap allows. Each checkpoint's
 // manifest was durable (its directory fsynced) before the floor it raised
 // was published, the directory is fsynced again behind the unlinks, and a
-// segment's successor carries the frontier the test is made against. With
-// force, once journalForceAfter sealed segments wait, the snapshots are
-// taken from here: under -snapshot-every 0 nothing else would take them.
-// Runs on the journal's appender.
-func (s *Server) dropJournalSegments(force bool) {
+// segment's successor carries the frontier the test is made against. A
+// segment a run was linked from keeps its file under snap/. Runs on the
+// journal's appender.
+func (s *Server) dropJournalSegments() {
 	dropped := false
 	for {
 		tail := s.jour.Tail()
@@ -236,15 +272,7 @@ func (s *Server) dropJournalSegments(force bool) {
 		if pin := s.replReg.PinJournal(); pin >= 0 && pin < next.FirstSeq && int64(sealed) <= s.pinCap.Load() {
 			break
 		}
-		if force && sealed >= journalForceAfter {
-			// The second snapshot makes the first one the older manifest.
-			for k := 0; k < 2 && s.log.Floor() < next.Front; k++ {
-				if s.snapshot() != nil {
-					break // counted in wal.snapshots.failed
-				}
-			}
-		}
-		if s.log.Floor() < next.Front || s.jour.DropOldest() != nil {
+		if s.ckpt.Floor() < next.Front || s.jour.DropOldest() != nil {
 			break
 		}
 		dropped = true
@@ -252,18 +280,6 @@ func (s *Server) dropJournalSegments(force bool) {
 	if dropped {
 		s.jour.SyncDir() //nolint:errcheck // an unlink that a crash undoes is a segment dropped again at the next boot
 	}
-}
-
-// snapshot checkpoints the store into the WAL. A follower journals what it
-// applies without fsync, so its journal is synced first: no snapshot holds
-// an event the journal could still lose.
-func (s *Server) snapshot() error {
-	if s.isFollower() {
-		if err := s.jour.Sync(); err != nil {
-			return err
-		}
-	}
-	return s.log.Snapshot()
 }
 
 // journalInline takes the next sequence number for a batch that admission
@@ -283,16 +299,6 @@ func (s *Server) journalInline(kind byte, source string, body []byte) (int, task
 		return 0, errResult(http.StatusInternalServerError, "journal: %v", err)
 	}
 	return wal.FrameHeader + len(rec), taskResult{}
-}
-
-// commitInline ends such a batch: it commits the WAL behind what the apply
-// stored (nothing, when the journal append failed) and counts the batch.
-func (s *Server) commitInline(res taskResult) taskResult {
-	if err := s.log.Commit(); err != nil && res.err == nil {
-		res = errResult(http.StatusInternalServerError, "wal: %v", err)
-	}
-	mBatches.Inc()
-	return res
 }
 
 // syncJournal fsyncs the journal — the commit point of every record
@@ -318,22 +324,34 @@ func (s *Server) drain() {
 	<-bt.reply
 }
 
-// applier is the store's, the WAL's and (but for inline batches) the
-// journal's single writer: it drains the queue into commit groups so the
-// journal fsync, the store inserts and the WAL commit are each amortized
-// across every batch already waiting — group commit, with the bounded
-// queue as the wait window, so fsync amortization grows exactly when load
-// does. A drain sentinel ends its group: admission is waiting on it and
-// nothing can be queued behind it.
+// applier is the store's and (but for inline batches) the journal's
+// single writer: it drains the queue into commit groups so the journal
+// fsync and the store inserts are amortized across every batch already
+// waiting — group commit, with the bounded queue as the wait window, so
+// fsync amortization grows exactly when load does. A drain sentinel ends
+// its group: admission is waiting on it and nothing can be queued behind
+// it. A batch that rolls the journal begins the next one.
 func (s *Server) applier() {
 	defer close(s.observeQ)
-	for bt := range s.queue {
+	var rolls *batch // received, and the first of the next group
+	for {
+		bt := rolls
+		if rolls = nil; bt == nil {
+			var ok bool
+			if bt, ok = <-s.queue; !ok {
+				return
+			}
+		}
 		group := []*batch{bt}
 	fill:
 		for !group[len(group)-1].drain {
 			select {
 			case next, ok := <-s.queue:
 				if !ok {
+					break fill
+				}
+				if next.roll != nil {
+					rolls = next
 					break fill
 				}
 				group = append(group, next)
@@ -345,28 +363,28 @@ func (s *Server) applier() {
 	}
 }
 
-// commitGroup commits one group, in statement order: the group's journal
-// records are staged, rolling to a new tail segment where admission said
-// to, and fsynced once — each batch's commit point. Only then are the
-// events inserted into the store (feeding the WAL's buffer), and not at
-// all when the journal failed: it is dead from then on (its first error is
-// sticky), and a WAL holding what the journal lacks is the one state
-// recovery cannot add its way out of. One WAL commit, then each batch goes
-// to the observer; the journal segments the snapshots have come to cover
-// are dropped behind them, and last a sentinel is passed on.
+// commitGroup commits one group, in statement order. A group that begins
+// with a roll starts the journal's new tail segment and checkpoints the
+// store, which holds exactly the events of the segments the roll sealed.
+// The group's journal records are staged and fsynced once — each batch's
+// commit point. Only then are the events inserted into the store, and not
+// at all when the journal failed: it is dead from then on (its first
+// error is sticky), and a store holding what the journal lacks is the one
+// state recovery cannot add its way out of. Each batch goes to the
+// observer; the journal segments the checkpoints have come to cover are
+// dropped behind them, and last a sentinel is passed on.
 func (s *Server) commitGroup(group []*batch) {
 	var sentinel *batch
 	if last := group[len(group)-1]; last.drain {
 		sentinel, group = last, group[:len(group)-1]
 	}
+	if len(group) > 0 && group[0].roll != nil && s.rollJournal(group[0].roll) == nil {
+		s.checkpoint() //nolint:errcheck // counted in wal.snapshots.failed; the next roll's checkpoint covers the same
+	}
 	var jerr error
-	rolled := false
 	for _, bt := range group {
 		if jerr != nil {
 			break
-		}
-		if bt.roll != nil {
-			rolled = s.rollJournal(bt.roll) == nil || rolled
 		}
 		jerr = s.jour.AppendNoSync(bt.jrec)
 	}
@@ -389,17 +407,12 @@ func (s *Server) commitGroup(group []*batch) {
 			bt.stored[j] = &bt.events[j]
 		}
 	}
-	if err := s.log.Commit(); err != nil {
-		for _, bt := range group {
-			bt.fail("wal: %v", err)
-		}
-	}
 	for _, bt := range group {
 		s.observeQ <- bt
 	}
 	// Behind the hand-off, so no batch waits on an unlink; ahead of the
 	// sentinel, so admission never finds the applier in the journal.
-	s.dropJournalSegments(rolled)
+	s.dropJournalSegments()
 	if sentinel != nil {
 		s.observeQ <- sentinel
 	}

@@ -209,7 +209,7 @@ func TestCorruptFeedRecordRefused(t *testing.T) {
 	if err := os.WriteFile(journalPath(dir), wal.AppendFrame(nil, torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	removeWALState(t, dir)
+	removeCheckpoints(t, dir)
 	s2, err := Open(Config{DataDir: dir, Bundle: b})
 	if err == nil {
 		s2.Shutdown(context.Background()) //nolint:errcheck // test teardown

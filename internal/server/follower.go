@@ -26,10 +26,10 @@ var mReplCheckpoints = obs.GetCounter("replica.follower.checkpoints.loaded")
 
 // followerState is the replica-only half of a Server: the stream client
 // and the lag bookkeeping. Everything else is a primary's: Open recovers a
-// follower's store from its own WAL and journal, and apply is the same
-// journalApplier over the same frontier store with the serving hooks
+// follower's store from its own checkpoint and journal, and apply is the
+// same journalApplier over the same frontier store with the serving hooks
 // attached — the follower IS a recovery that never stops replaying, and
-// it snapshots and drops journal segments on the primary's schedule.
+// it checkpoints and drops journal segments at the primary's rolls.
 type followerState struct {
 	primary string // primary base URL, no trailing slash
 	id      string // stable follower stream ID (REPLICA file)
@@ -92,9 +92,8 @@ type PromoteInfo struct {
 	BootID string `json:"boot_id"`
 	// AppliedSeq is the last stream sequence applied before the seal.
 	AppliedSeq int `json:"applied_seq"`
-	// Recovery is the reopen's report. The seal's snapshot holds all the
-	// journal does, so the retained tail is verified (TailVerified), not
-	// applied.
+	// Recovery is the reopen's report. The seal rolls and checkpoints, so
+	// the retained tail is verified (TailVerified), not applied.
 	Recovery RecoveryInfo `json:"recovery"`
 	// Digest is the promoted store's digest.
 	Digest string `json:"digest"`
@@ -141,8 +140,8 @@ func fetchPrimaryMeta(base string, perAttempt, backoff time.Duration) (Replicati
 }
 
 // ErrPrimaryHistory refuses a replica whose data directory has no
-// REPLICA marker yet holds a journal (either kind of file), WAL or snapshots: a primary wrote
-// them (an ex-primary rejoining after a failover), and what it
+// REPLICA marker yet holds a journal (either kind of file) or checkpoints:
+// a primary wrote them (an ex-primary rejoining after a failover), and what it
 // acknowledged past the failover point was never shipped. Resuming on
 // top of it would report "caught up" over a store that differs from the
 // new primary's; deleting it is the operator's call.
@@ -152,7 +151,7 @@ var ErrPrimaryHistory = errors.New("server: data dir holds a primary's history; 
 // under dataDir ("" when there is none).
 func primaryState(dataDir string) string {
 	paths := append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...)
-	for _, p := range append(paths, wal.WALDirOf(dataDir), wal.SnapDirOf(dataDir)) {
+	for _, p := range append(paths, wal.SnapDirOf(dataDir)) {
 		if _, err := os.Stat(p); err == nil {
 			return p
 		}
@@ -167,15 +166,15 @@ func journalTailPaths(dataDir string) []string {
 }
 
 // wipeShippedState removes everything a follower holds of its primary's
-// history: the journal, head and tail, and the WAL and its snapshots. The
-// REPLICA marker stays.
+// history: the journal, head and tail, and the checkpoints. The REPLICA
+// marker stays.
 func wipeShippedState(dataDir string) error {
 	for _, p := range append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...) {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
-	return wipeWALState(dataDir)
+	return wipeCheckpoints(dataDir)
 }
 
 // prepareReplicaState reconciles the data dir with the primary
@@ -198,8 +197,8 @@ func prepareReplicaState(dataDir, bootID string) (string, error) {
 		}
 		// Boot ID changed (or the marker is malformed, or a divergence voided
 		// it): drop the shipped journal — a stale tail under a fresh head
-		// would replay as if it followed it — and the WAL and snapshot
-		// state, and resync from scratch.
+		// would replay as if it followed it — and the checkpoints, and
+		// resync from scratch.
 		if err := wipeShippedState(dataDir); err != nil {
 			return "", err
 		}
@@ -219,7 +218,7 @@ func prepareReplicaState(dataDir, bootID string) (string, error) {
 // writeMarker replaces a marker file of the data dir — REPLICA, FORMAT —
 // durably: a temp file, fsynced, renamed over it, the directory fsynced.
 // After a power cut the marker is the old one or the new one, whole — and
-// in place before the journal and WAL written behind it, which a REPLICA
+// in place before the journal and checkpoints written behind it, which a REPLICA
 // marker lost behind them would leave looking like a primary's
 // (ErrPrimaryHistory), and a lost FORMAT like an earlier version's
 // (ErrFormat).
@@ -273,8 +272,7 @@ func prepareFollower(cfg Config) (*followerState, error) {
 
 // follow makes s the follower fs is, where a primary would start its
 // applier: recovery's frontier store stays the live store's only writer,
-// its commits now behind the journal's fsync, and the stream client (Open
-// starts it) applies each record through it.
+// and the stream client (Open starts it) applies each record through it.
 func (s *Server) follow(fs *followerState, rep replayResult) {
 	fs.appliedSeq.Store(int64(rep.maxSeq))
 	fs.apply = journalApplier{
@@ -282,7 +280,6 @@ func (s *Server) follow(fs *followerState, rep replayResult) {
 		serving: func() error { return s.installServing(false) },
 		stored:  func(stored []*event.Instance) { s.observeStored(stored) },
 	}
-	rep.st.jour = s.jour
 	fs.apply.writeTo(rep.st)
 	fs.client = &replica.Client{
 		URL: func(from int) string {
@@ -313,7 +310,7 @@ func (fs *followerState) checkHello(m replica.Msg) error {
 
 // handleJournalMsg applies one journal-stream message. Runs on the
 // client's goroutine — the follower's only writer to the live store, the
-// WAL and the local journal.
+// checkpoints and the local journal.
 func (s *Server) handleJournalMsg(m replica.Msg) error {
 	fs := s.follower
 	var err error
@@ -324,11 +321,14 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 		fs.incoming, fs.image = nil, nil
 		err = fs.checkHello(m)
 	case replica.MsgJournalRec:
-		err = s.applyJournalRecord(m.Rec)
-		if err == nil && wal.IsJournalSegmentHeader(m.Rec) {
-			// Behind a roll, as a primary's applier does it: outside
-			// dispatchMu, so that no read waits on an unlink or a snapshot.
-			s.dropJournalSegments(true)
+		var rolled bool
+		rolled, err = s.applyJournalRecord(m.Rec)
+		if err == nil && rolled {
+			// Behind a roll, as a primary's applier does it, where the store
+			// holds exactly the events of the sealed segments: outside
+			// dispatchMu, so that no read waits on a checkpoint or an unlink.
+			s.checkpoint() //nolint:errcheck // counted in wal.snapshots.failed; the next roll's covers the same
+			s.dropJournalSegments()
 		}
 		fs.noteMsg()
 	case replica.MsgSnapBegin:
@@ -350,10 +350,9 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 	case replica.MsgHeartbeat:
 		fs.noteHeartbeat(m)
 		s.updateLag(m)
-		// What was applied becomes durable at heartbeat cadence: the journal
-		// fsynced, then the WAL committed behind it (the frontier store does
-		// the same every 8192 events, so a busy stream is no exception).
-		err = fs.apply.st.commit()
+		// What was applied becomes durable at heartbeat cadence, and at
+		// every roll: the journal is fsynced.
+		err = s.jour.Sync()
 	case replica.MsgEOF:
 		// The client loop already treats EOF as end-of-connection; seen
 		// here only if the primary interleaves it oddly — ignore.
@@ -397,54 +396,54 @@ func (fs *followerState) endImage() error {
 // to the live pipeline through the applier crash recovery runs, under
 // dispatchMu so reads never see a half-applied batch. A tail segment's
 // header is not applied but followed: the local journal rolls where the
-// primary's did.
-func (s *Server) applyJournalRecord(rec []byte) error {
+// primary's did, and rolled says it did.
+func (s *Server) applyJournalRecord(rec []byte) (rolled bool, err error) {
 	h, isHeader, err := segmentHeader(rec)
 	if err != nil {
-		return err
+		return false, err
 	}
 	seq, err := replica.JournalSeq(rec)
 	if err != nil {
-		return err
+		return false, err
 	}
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
 	fs := s.follower
 	if isHeader {
 		if h.FirstSeq <= int(fs.appliedSeq.Load()) {
-			return nil // reconnect overlap: rolled there already
+			return false, nil // reconnect overlap: rolled there already
 		}
-		return s.followRoll(h, rec)
+		return true, s.followRoll(h, rec)
 	}
 	if fs.image != nil {
-		return fmt.Errorf("a checkpoint was not followed by a segment header")
+		return false, fmt.Errorf("a checkpoint was not followed by a segment header")
 	}
 	if seq <= int(fs.appliedSeq.Load()) {
-		return nil // reconnect overlap: already journaled and applied
+		return false, nil // reconnect overlap: already journaled and applied
 	}
 	// Local journal first: the live store is rebuilt from the journal at
-	// boot, so everything applied must be journaled — and it is fsynced
-	// ahead of every WAL commit and snapshot, so the WAL never holds what
-	// the journal lacks (a torn tail just re-ships).
+	// boot, so everything applied must be journaled — and a checkpoint
+	// covers only segments a roll synced, so it never holds what the
+	// journal lacks (a torn tail just re-ships).
 	if err := s.jour.AppendNoSync(rec); err != nil {
-		return err
+		return false, err
 	}
 	if _, err := fs.apply.apply(rec); err != nil {
-		return err
+		return false, err
 	}
 	s.seq = seq + 1
 	fs.appliedSeq.Store(int64(seq))
 	mReplApplied.Inc()
 	mReplSeq.Set(int64(seq))
-	return nil
+	return false, nil
 }
 
 // followRoll starts the local journal's next tail segment with the
 // primary's header record, verbatim, so that the directory is a primary's
 // directory. A header that follows a checkpoint begins behind segments the
 // primary dropped: the checkpoint becomes the live store and is
-// snapshotted into this node's WAL, and only then is the local tail
-// replaced — a restart stands on that snapshot — and the records behind
+// checkpointed here, and only then is the local tail
+// replaced — a restart stands on that checkpoint — and the records behind
 // the header go through the frontier filter like a recovery's. Either way
 // the header says which event ID its first record allocates, and the
 // replay must stand exactly there — a divergence check at every roll.
@@ -461,11 +460,12 @@ func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 			return err
 		}
 		fs.image = nil
-		if err := s.snapshot(); err != nil {
+		// Written from the store alone: the local tail is another history's.
+		if err := s.ckpt.Checkpoint(s.st, nil); err != nil {
 			return err
 		}
-		over := newFrontierStore(checkpoint{st: s.st, log: s.log}, s.cfg.Retention)
-		over.jour, over.next = s.jour, h.FirstID
+		over := newFrontierStore(checkpoint{st: s.st}, s.cfg.Retention)
+		over.next = h.FirstID
 		fs.apply.writeTo(over)
 		// Everything derived from the store's content is derived again.
 		s.roll.Reset()
@@ -526,22 +526,26 @@ func (s *Server) updateLag(hb replica.Msg) {
 	mReplLagRecs.Set(int64(max(hb.WALNext-s.follower.apply.st.NextID(), 0)))
 }
 
-// sealFollower stops the stream client and closes the logs the way a
-// primary's shutdown does; after it returns no goroutine touches follower
-// disk state. Idempotent (sealOnce); called by Promote and Shutdown.
-func (s *Server) sealFollower() error {
+// sealFollower stops the stream client and closes the journal; after it
+// returns no goroutine touches follower disk state. Sealing for a
+// promotion closes it the way a primary's shutdown does: the node is a
+// primary from here on, so it rolls where it stands and checkpoints, and
+// the reopen stands on that checkpoint. Idempotent (sealOnce: the first
+// caller decides); called by Promote and Shutdown.
+func (s *Server) sealFollower(promote bool) error {
 	fs := s.follower
 	fs.sealOnce.Do(func() {
 		fs.client.Stop()
 		fs.client.Wait()
-		fs.sealErr = s.closeLogs()
+		s.nextID = fs.apply.st.NextID() // the roll's header: where the replay stands
+		fs.sealErr = s.closeJournal(promote && s.isFinalized())
 	})
 	return fs.sealErr
 }
 
 // Promote turns this replica into a primary: seal the stream, then reopen
 // the data directory exactly as a restarting primary would. The seal's
-// snapshot holds everything applied, so the reopen verifies the retained
+// checkpoint holds everything applied, so the reopen verifies the retained
 // journal tail against it and applies nothing — the promoted store equals
 // a clean single-node replay of the same journal. The promoted server
 // takes over request handling atomically; this server's handler delegates
@@ -562,7 +566,7 @@ func (s *Server) Promote() (PromoteInfo, error) {
 
 func (s *Server) promote() (PromoteInfo, error) {
 	fs := s.follower
-	if err := s.sealFollower(); err != nil {
+	if err := s.sealFollower(true); err != nil {
 		return PromoteInfo{}, err
 	}
 	if err := os.Remove(replicaFile(s.cfg.DataDir)); err != nil && !os.IsNotExist(err) {
@@ -595,7 +599,7 @@ func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 		// is visible for shutdown; the empty Do blocks until it returns.
 		fs.promoteOnce.Do(func() {})
 	}
-	if e := s.sealFollower(); e != nil && err == nil {
+	if e := s.sealFollower(false); e != nil && err == nil {
 		err = e
 	}
 	s.serving.Load().close()

@@ -248,7 +248,7 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := s2.Recovery()
-		if rec.WALRebuilt || rec.TailApplied != 0 || rec.JournalSegments != len(files) {
+		if rec.TailApplied != 0 || rec.JournalSegments != len(files) {
 			t.Fatalf("clean reopen: %+v with %d journal files on disk", rec, len(files))
 		}
 		if got := wal.StoreDigest(s2.Store()); got != want {
@@ -260,11 +260,11 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 	})
 }
 
-// TestJournalDropsWithoutSnapshotCadence: under -snapshot-every 0 nothing
-// but an eviction or a shutdown snapshots the store, so with no retention
-// the journal's tail would never be covered. The applier takes the
-// snapshots itself once journalForceAfter sealed segments wait, and the
-// tail keeps being dropped.
+// TestJournalDropsWithoutSnapshotCadence: under -snapshot-every 0 the
+// tail still rolls at its segment size, and every roll checkpoints, so
+// with no retention the tail keeps being covered and dropped: the journal
+// holds journal.log, the segment the older manifest ends in, and the
+// segments behind it.
 func TestJournalDropsWithoutSnapshotCadence(t *testing.T) {
 	shrinkJournal(t, 4<<10)
 	_, b := testBundle(t)
@@ -280,12 +280,12 @@ func TestJournalDropsWithoutSnapshotCadence(t *testing.T) {
 	dropped := obs.GetCounter("journal.segments.dropped").Value()
 	newTickStream(t, ts, b, time.Second).post(150, 40)
 	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 4 {
-		t.Fatalf("%d snapshots over a tail of dozens of segments, want the applier to have forced several", got)
+		t.Fatalf("%d checkpoints over a tail of dozens of segments, want one a roll", got)
 	}
 	if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 10 {
 		t.Fatalf("%d journal segments dropped with no snapshot cadence, want the tail to keep going", got)
 	}
-	if files, _ := journalFiles(t, dir); len(files) > 1+journalForceAfter+3 {
+	if files, _ := journalFiles(t, dir); len(files) > 1+3 {
 		t.Fatalf("%d journal files on disk with no snapshot cadence: %v", len(files), files)
 	}
 	want := wal.StoreDigest(s.Store())
@@ -322,11 +322,13 @@ func pinnedPrimary(t *testing.T, cfg Config, batches int) (*Server, *httptest.Se
 
 // TestJournalCrashCuts: the journal's own crash points — a roll killed
 // before its header is durable, after the header and before the first
-// record, a kill between the snapshot manifest and the unlinks it allows,
-// and between two of the unlinks (the WAL's own cuts are
-// TestWALTrailsJournal's). Each image recovers to the store
-// of the node that never crashed, and is then appended to, snapshotted by
-// a clean shutdown and reopened to that node's store again.
+// record, a kill between the checkpoint manifest and the unlinks it
+// allows, and between two of the unlinks — and a roll's checkpoint cut
+// between the roll and the link, the link and the manifest's rename, and
+// the rename and the directory sync (which may lose the link). Each image
+// recovers to the store of the node that never crashed, and is then
+// appended to, checkpointed by a clean shutdown and reopened to that
+// node's store again.
 func TestJournalCrashCuts(t *testing.T) {
 	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
@@ -335,6 +337,9 @@ func TestJournalCrashCuts(t *testing.T) {
 	s, ts, k := pinnedPrimary(t, cfg, 60)
 	defer ts.Close()
 	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	// Batches past crumb size, a segment each: the last roll's checkpoint
+	// links the segment before it as a run.
+	k.post(3, 4000)
 	want := wal.StoreDigest(s.Store())
 	liveFiles, _ := journalFiles(t, live)
 	if len(liveFiles) < 8 {
@@ -351,6 +356,26 @@ func TestJournalCrashCuts(t *testing.T) {
 	s.dispatchMu.Unlock()
 	header := wal.AppendFrame(nil, wal.AppendJournalSegmentHeader(nil, *next))
 	nextPath := fmt.Sprintf("journal-%016d.log", next.FirstSeq)
+	// The last roll's checkpoint: its manifest, and the run it linked.
+	newest, ok, err := wal.LatestSnapshot(live)
+	if err != nil || !ok {
+		t.Fatalf("no checkpoint: %v", err)
+	}
+	manifest := filepath.Join("snap", fmt.Sprintf("snap-%016d.snap", newest))
+	run := linkedRun(t, live, liveFiles[len(liveFiles)-2])
+	if run == "" {
+		t.Fatal("the last roll's checkpoint linked no run")
+	}
+	run = filepath.Join("snap", run)
+	remove := func(rel ...string) func(string) {
+		return func(dir string) {
+			for _, r := range rel {
+				if err := os.Remove(filepath.Join(dir, r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 
 	// The batch every recovered image takes next, and the store that leaves.
 	extra := k.batch(40)
@@ -374,8 +399,9 @@ func TestJournalCrashCuts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, func(t *testing.T, dir string, s2 *Server) {
-			if tail := s2.jour.Tail(); tail[len(tail)-1].Header.FirstSeq == next.FirstSeq {
-				t.Fatal("the headerless file was kept as a segment")
+			// The boot's own roll, at the same sequence, made the file anew.
+			if _, ok, err := wal.ReadJournalSegmentHeader(filepath.Join(dir, nextPath)); err != nil || !ok {
+				t.Fatalf("the headerless file was kept as a segment (%v)", err)
 			}
 		}},
 		{"roll killed inside the header", func(dir string) {
@@ -392,6 +418,14 @@ func TestJournalCrashCuts(t *testing.T) {
 				t.Fatalf("the journal appends to segment %d, the header-only segment is %d", tail[len(tail)-1].Header.FirstSeq, next.FirstSeq)
 			}
 		}},
+		{"checkpoint cut after its roll", remove(manifest, run), nil},
+		{"checkpoint cut after its link", remove(manifest), nil},
+		{"checkpoint cut before its manifest's rename", func(dir string) {
+			if err := os.Rename(filepath.Join(dir, manifest), filepath.Join(dir, "snap", "snap.tmp")); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"checkpoint cut before its directory sync, the link lost", remove(run), nil},
 	}
 	recovered := map[string]string{} // cut → dir, reopened once more below
 	for _, c := range cuts {
@@ -432,8 +466,8 @@ func TestJournalCrashCuts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: second reopen: %v", name, err)
 		}
-		if rec := s3.Recovery(); rec.WALRebuilt || wal.StoreDigest(s3.Store()) != want {
-			t.Errorf("%s: after append, snapshot and reopen the store differs from the never-crashed one (%+v)", name, rec)
+		if rec := s3.Recovery(); rec.TailApplied != 0 || wal.StoreDigest(s3.Store()) != want {
+			t.Errorf("%s: after append, checkpoint and reopen the store differs from the never-crashed one (%+v)", name, rec)
 		}
 		if err := s3.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -441,16 +475,23 @@ func TestJournalCrashCuts(t *testing.T) {
 	}
 }
 
-// TestWALTrailsJournal: an acknowledged batch is durable in the journal,
-// and in the WAL only once a seal syncs its segment. A power cut can take
-// whatever the active segment held past its last sync, down to the file
-// itself; each such image of the default configuration recovers to the
-// never-crashed store from the journal's tail, takes more appends, and
-// reopens to the store of a node that took them without crashing.
+// TestWALTrailsJournal: a checkpoint never covers the journal's active
+// segment. Behind a roll the newest manifest ends where the active segment
+// begins, the segment the roll sealed is a run (the same file), no run is
+// the active segment's file, and nothing is written under wal/. A crash
+// that takes the newest manifest — missing, empty, cut inside or right
+// behind its magic, cut mid-frame — recovers to the never-crashed store
+// from the older manifest and the journal's tail, which re-applies what
+// the lost manifest covered as well as the active segment's groups;
+// intact, the active segment's groups alone are applied. Each image takes
+// more appends and reopens to the store of a node that took them without
+// crashing.
 func TestWALTrailsJournal(t *testing.T) {
 	_, b := testBundle(t)
 	live := t.TempDir()
-	cfg := Config{DataDir: live, Bundle: b}
+	// Three groups reach the cadence, the fourth rolls; a segment of them is
+	// past crumb size, so the checkpoint links it rather than copying it.
+	cfg := Config{DataDir: live, Bundle: b, SnapshotEvery: 10000}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -461,42 +502,37 @@ func TestWALTrailsJournal(t *testing.T) {
 	defer ts.Close()
 	loadAndFinalize(t, ts, b)
 	k := newTickStream(t, ts, b, time.Second)
-	k.post(4, 4000)
-	// The snapshot seals the active segment, past crumb size by now; the
-	// next group opens the one the cuts below take apart.
-	if err := s.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	const unsealed = 3
-	k.post(unsealed, 40) // acknowledged and journaled; written to the WAL, synced nowhere
+	const sealed, unsealed = 3, 3
+	k.post(sealed+unsealed, 4000)
 	want := wal.StoreDigest(s.Store())
-	segs, err := wal.Segments(live)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments %v, %v", segs, err)
+
+	tail := journalTailPaths(live)
+	if len(tail) != 2 {
+		t.Fatalf("tail segments %v, want the sealed one and the active one", tail)
 	}
-	active := strings.TrimPrefix(segs[len(segs)-1].Path, live)
-	// The active segment's frame boundaries: the magic frame, then one
-	// block frame per commit group.
-	var ends []int64
-	f, err := os.Open(filepath.Join(live, active))
-	if err != nil {
-		t.Fatal(err)
+	h, ok, err := wal.ReadJournalSegmentHeader(tail[1])
+	if err != nil || !ok {
+		t.Fatalf("active segment header: %v", err)
 	}
-	for fr, end := wal.NewFrameReader(f), int64(0); ; {
-		p, err := fr.Next()
-		if err != nil {
-			break
-		}
-		end += int64(wal.FrameHeader + len(p))
-		ends = append(ends, end)
+	next, ok, err := wal.LatestSnapshot(live)
+	if err != nil || !ok || next != h.FirstID {
+		t.Fatalf("the newest checkpoint ends at ID %d (%v, %v), the active segment begins at %d", next, ok, err, h.FirstID)
 	}
-	f.Close()
-	if len(ends) != 1+unsealed {
-		t.Fatalf("%s holds %d frames, want the magic frame and %d groups", active, len(ends), unsealed)
+	if linkedRun(t, live, tail[1]) != "" {
+		t.Fatal("a run under snap/ is the active segment's file")
 	}
-	truncate := func(size int64) func(string) {
+	if linkedRun(t, live, tail[0]) == "" {
+		t.Fatal("the segment the roll sealed is no run: the checkpoint wrote its events again")
+	}
+	if _, err := os.Stat(wal.WALDirOf(live)); !os.IsNotExist(err) {
+		t.Fatalf("%s exists (%v): the event WAL is written", wal.WALDirOf(live), err)
+	}
+	manifest := filepath.Join(wal.SnapDirOf(live), fmt.Sprintf("snap-%016d.snap", next))
+	size := wal.JournalSize(manifest)
+	const magic = int64(len("GRCASNAP2"))
+	truncate := func(at int64) func(string) {
 		return func(path string) {
-			if err := os.Truncate(path, size); err != nil {
+			if err := os.Truncate(path, at); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -510,30 +546,30 @@ func TestWALTrailsJournal(t *testing.T) {
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
-		}, unsealed},
-		{"0 bytes", truncate(0), unsealed},
-		{"shorter than the magic frame", truncate(ends[0] - 3), unsealed},
-		{"magic frame only", truncate(ends[0]), unsealed},
-		{"mid-frame", truncate((ends[1] + ends[2]) / 2), unsealed - 1},
-		{"whole", func(string) {}, 0},
+		}, sealed + unsealed},
+		{"0 bytes", truncate(0), sealed + unsealed},
+		{"shorter than the magic frame", truncate(magic - 3), sealed + unsealed},
+		{"magic frame only", truncate(magic), sealed + unsealed},
+		{"mid-frame", truncate((magic + size) / 2), sealed + unsealed},
+		{"whole", func(string) {}, unsealed},
 	}
 	extra := k.batch(40)
 	recovered := map[string]string{} // cut → dir, reopened once more below
 	for _, c := range cuts {
 		dir := copyTree(t, live) // the outer test's: it is reopened after the subtest
 		t.Run(c.name, func(t *testing.T) {
-			c.cut(filepath.Join(dir, active))
+			c.cut(filepath.Join(dir, strings.TrimPrefix(manifest, live)))
 			ccfg := cfg
 			ccfg.DataDir = dir
 			s2, err := Open(ccfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec := s2.Recovery(); rec.TailApplied != c.lost || rec.WALRebuilt {
-				t.Fatalf("recovery %+v, want the %d lost groups applied from the journal's tail and nothing rebuilt", rec, c.lost)
+			if rec := s2.Recovery(); rec.TailApplied != c.lost {
+				t.Fatalf("recovery %+v, want the %d groups above the surviving checkpoint applied from the journal's tail", rec, c.lost)
 			}
 			if got := wal.StoreDigest(s2.Store()); got != want {
-				t.Fatal("an acknowledged batch the WAL had not synced is missing after the crash")
+				t.Fatal("an acknowledged batch is missing after the crash")
 			}
 			ts2 := httptest.NewServer(s2.Handler())
 			if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: extra}); code != http.StatusOK {
@@ -557,8 +593,8 @@ func TestWALTrailsJournal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: second reopen: %v", name, err)
 		}
-		if rec := s3.Recovery(); rec.WALRebuilt || wal.StoreDigest(s3.Store()) != want {
-			t.Errorf("%s: after append, snapshot and reopen the store differs from the never-crashed one (%+v)", name, rec)
+		if rec := s3.Recovery(); rec.TailApplied != 0 || wal.StoreDigest(s3.Store()) != want {
+			t.Errorf("%s: after append, shutdown and reopen the store differs from the never-crashed one (%+v)", name, rec)
 		}
 		if err := s3.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -566,11 +602,150 @@ func TestWALTrailsJournal(t *testing.T) {
 	}
 }
 
+// linkedRun returns the name of the run under dir's snap/ that is the file
+// at path, "" when none is.
+func linkedRun(t *testing.T, dir, path string) string {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), "run-*.run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if ri, err := os.Stat(r); err == nil && os.SameFile(fi, ri) {
+			return filepath.Base(r)
+		}
+	}
+	return ""
+}
+
+// TestOneWritePerBatch: every event is written once, to the journal. Over
+// commit groups with one roll between them no file under wal/ is created
+// or grows; the roll's checkpoint adopts the segment it sealed
+// (wal.snapshot.runs.adopted rises by one, nothing is written from the
+// store) and writes its manifest and nothing else (wal.snapshot.bytes
+// grows by the manifest's bytes); and the run is the sealed segment's file.
+func TestOneWritePerBatch(t *testing.T) {
+	_, b := testBundle(t)
+	dir := t.TempDir()
+	s, err := Open(Config{DataDir: dir, Bundle: b, SnapshotEvery: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+	adopted, written := obs.GetCounter("wal.snapshot.runs.adopted"), obs.GetCounter("wal.snapshot.runs.written")
+	snapBytes := obs.GetCounter("wal.snapshot.bytes")
+	a0, w0, b0 := adopted.Value(), written.Value(), snapBytes.Value()
+
+	// Three groups fill the first tail segment to the cadence, past crumb
+	// size; the fourth rolls, and two more land behind it.
+	newTickStream(t, ts, b, time.Second).post(6, 4000)
+	if _, err := os.Stat(wal.WALDirOf(dir)); !os.IsNotExist(err) {
+		t.Fatalf("%s exists (%v)", wal.WALDirOf(dir), err)
+	}
+	if got, w := adopted.Value()-a0, written.Value()-w0; got != 1 || w != 0 {
+		t.Fatalf("the roll's checkpoint adopted %d runs and wrote %d, want the sealed segment adopted and nothing written", got, w)
+	}
+	next, ok, err := wal.LatestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("no checkpoint: %v", err)
+	}
+	manifest := wal.JournalSize(filepath.Join(wal.SnapDirOf(dir), fmt.Sprintf("snap-%016d.snap", next)))
+	if got := snapBytes.Value() - b0; got != manifest {
+		t.Fatalf("the checkpoint wrote %d bytes under snap/, its manifest is %d", got, manifest)
+	}
+	tail := journalTailPaths(dir)
+	if len(tail) != 2 || linkedRun(t, dir, tail[0]) == "" {
+		t.Fatalf("tail %v: the sealed segment is no run under snap/", tail)
+	}
+}
+
+// TestCheckpointAloneHoldsTheStore: what a node serves once it has booted
+// is what its checkpoint holds — wal.Open over the data dir, reading
+// snap/ alone, recovers the served store's digest: after a primary's
+// restart from a crash, after a clean restart, and on a promoted
+// follower's dir.
+func TestCheckpointAloneHoldsTheStore(t *testing.T) {
+	shrinkJournal(t, 2<<10)
+	_, b := testBundle(t)
+	checkpointed := func(t *testing.T, dir, served string) {
+		t.Helper()
+		img := copyTree(t, dir) // wal.Open starts a segment of its own
+		l, st, _, err := wal.Open(img, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close() //nolint:errcheck // read-only use
+		if got := wal.StoreDigest(st); got != served {
+			t.Fatalf("the checkpoint holds %d events (digest %s), the node serves digest %s", st.Len(), got, served)
+		}
+	}
+	cfg := Config{DataDir: t.TempDir(), Bundle: b, SnapshotEvery: 150}
+	prim, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	prim.replReg.Attach("parked")             // no unlink under the copy below
+	ts := httptest.NewServer(prim.Handler())
+	defer ts.Close()
+	loadAndFinalize(t, ts, b)
+	fcfg := Config{DataDir: t.TempDir(), Bundle: b, ReplicaOf: ts.URL}
+	foll, err := Open(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	newTickStream(t, ts, b, time.Second).post(25, 40)
+	waitReplicaCaughtUp(t, foll, prim)
+
+	t.Run("primary restarted after a crash", func(t *testing.T) {
+		ccfg := cfg
+		ccfg.DataDir = copyTree(t, cfg.DataDir)
+		s, err := Open(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := wal.StoreDigest(s.Store())
+		if s.Recovery().TailApplied == 0 {
+			t.Fatal("the crash image had nothing above its checkpoint: the case is not tested")
+		}
+		checkpointed(t, ccfg.DataDir, served)
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		t.Run("and restarted cleanly", func(t *testing.T) {
+			s, err := Open(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
+			checkpointed(t, ccfg.DataDir, wal.StoreDigest(s.Store()))
+		})
+	})
+	t.Run("promoted follower", func(t *testing.T) {
+		info, err := foll.Promote()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Digest != wal.StoreDigest(prim.Store()) {
+			t.Fatal("the promoted store differs from the primary's")
+		}
+		checkpointed(t, fcfg.DataDir, info.Digest)
+	})
+}
+
 // TestOneFsyncPerCommitGroup: the journal's fsync is the only one on the
-// batch path. Over commit groups that seal nothing, journal.fsyncs rises
-// by one a group and wal.fsyncs stays where it was; a snapshot that seals
-// the active segment adds one WAL fsync. On a primary a group is an
-// acknowledged ingest batch; on a follower it is what a heartbeat commits.
+// batch path. Over commit groups that roll nothing, journal.fsyncs rises
+// by one a group and wal.fsyncs never moves: nothing writes the event WAL.
+// On a primary a group is an acknowledged ingest batch; on a follower it
+// is what a heartbeat makes durable.
 func TestOneFsyncPerCommitGroup(t *testing.T) {
 	const groups = 4
 	jfsyncs, wfsyncs := obs.GetCounter("journal.fsyncs"), obs.GetCounter("wal.fsyncs")
@@ -582,9 +757,10 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
 	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	w0 := wfsyncs.Value()
 	loadAndFinalize(t, ts, b)
 	k := newTickStream(t, ts, b, time.Second)
-	k.post(1, 40) // the first tail segment's roll
+	k.post(1, 40)
 	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, ReplicaOf: ts.URL})
 	if err != nil {
 		t.Fatal(err)
@@ -596,20 +772,15 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	foll.follower.client.Stop()
 	foll.follower.client.Wait()
 
-	expect := func(who string, j0, w0, dj, dw int64) {
+	expect := func(who string, j0 int64, dj int64) {
 		t.Helper()
-		if gj, gw := jfsyncs.Value()-j0, wfsyncs.Value()-w0; gj != dj || gw != dw {
-			t.Fatalf("%s: %d journal and %d WAL fsyncs, want %d and %d", who, gj, gw, dj, dw)
+		if gj, gw := jfsyncs.Value()-j0, wfsyncs.Value()-w0; gj != dj || gw != 0 {
+			t.Fatalf("%s: %d journal and %d WAL fsyncs, want %d and 0", who, gj, gw, dj)
 		}
 	}
-	j0, w0 := jfsyncs.Value(), wfsyncs.Value()
-	k.post(groups, 4000) // past crumb size, so that the snapshots below seal
-	expect("primary, one group a batch", j0, w0, groups, 0)
-	j0, w0 = jfsyncs.Value(), wfsyncs.Value()
-	if err := prim.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	expect("primary, a snapshot that seals", j0, w0, 0, 1)
+	j0 := jfsyncs.Value()
+	k.post(groups, 4000)
+	expect("primary, one group a batch", j0, groups)
 
 	paths, _ := journalFiles(t, prim.cfg.DataDir)
 	var recs [][]byte
@@ -623,7 +794,7 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	if len(recs) != groups {
 		t.Fatalf("%d records for the follower, want %d", len(recs), groups)
 	}
-	j0, w0 = jfsyncs.Value(), wfsyncs.Value()
+	j0 = jfsyncs.Value()
 	for _, rec := range recs {
 		if err := foll.handleJournalMsg(replica.Msg{Type: replica.MsgJournalRec, Rec: rec}); err != nil {
 			t.Fatal(err)
@@ -634,15 +805,10 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	expect("follower, one group a heartbeat", j0, w0, groups, 0)
+	expect("follower, one group a heartbeat", j0, groups)
 	if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
 		t.Fatal("the follower's store differs from the primary's")
 	}
-	j0, w0 = jfsyncs.Value(), wfsyncs.Value()
-	if err := foll.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	expect("follower, a snapshot that seals behind its journal", j0, w0, 1, 1)
 }
 
 // truncatedImage runs a primary until its journal has dropped tail
@@ -675,19 +841,19 @@ func truncatedImage(t *testing.T, cfg Config) (dir, digest string) {
 }
 
 // TestCheckpointLostIsAnError: once tail segments have been dropped, the
-// snapshots that let them go are the only copy of their events. Deleting
-// snap/ and wal/ then is not a rebuild but a refusal, by name, that leaves
+// checkpoints that let them go are the only copy of their events.
+// Deleting snap/ then is not a refill but a refusal, by name, that leaves
 // the directory as it found it. The same deletion while the journal still
 // reaches back to ID 0 refills the store.
 func TestCheckpointLostIsAnError(t *testing.T) {
 	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	lose := func(dir string) {
-		if err := wipeWALState(dir); err != nil {
+		if err := wipeCheckpoints(dir); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lostDirs := []string{"/wal", "/snap"}
+	lostDirs := []string{"/snap"}
 
 	t.Run("truncated journal", func(t *testing.T) {
 		cfg := Config{Bundle: b, SnapshotEvery: 150}
@@ -733,8 +899,8 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
-		if rec := s2.Recovery(); !rec.WALRebuilt || wal.StoreDigest(s2.Store()) != want {
-			t.Fatalf("a lost WAL under a whole journal: %+v, digest equal: %v", rec, wal.StoreDigest(s2.Store()) == want)
+		if rec := s2.Recovery(); rec.TailVerified != 0 || rec.TailApplied == 0 || wal.StoreDigest(s2.Store()) != want {
+			t.Fatalf("a lost checkpoint under a whole journal: %+v, digest equal: %v", rec, wal.StoreDigest(s2.Store()) == want)
 		}
 	})
 }
@@ -742,7 +908,7 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 // TestOverlapVerified: what a checkpoint and the retained tail both hold
 // is checked, not trusted. Damage under a run both manifests reference,
 // a tail segment that no longer frames, and a tail record that frames but
-// says something else than the WAL holds are each refused — behind a
+// says something else than the checkpoint holds are each refused — behind a
 // truncated journal there is nothing to rebuild from — and never served.
 // And whoever writes through the frontier during a replay is checked the
 // same way: a collector's adds below it store nothing.
@@ -877,16 +1043,18 @@ var cutFixture = flag.Bool("cut-fixture", false, "re-cut testdata/datadir-format
 // TestParentDataDirBoots: each fixture is a data dir a parent version
 // wrote. The one in this version's FORMAT, datadir-format<N>, must boot
 // here to the store digest and the SHA-256 of each application's
-// /v1/diagnose body its .want records, with its WAL and rebuilt without
-// it; what this version journals and logs behind it reboots to the live
-// store, with and without the WAL. Every older one is refused by name,
-// its files untouched: boot reads only what this version writes
+// /v1/diagnose body its .want records, with its checkpoint and refilled
+// without it; what this version journals behind it reboots to the live
+// store, with and without the checkpoint. Every older one is refused by
+// name, its files untouched: boot reads only what this version writes
 // (DESIGN.md §11).
 //
-//   - datadir-format9: three feeds (JSON, wire, JSON), a JSON and a wire
-//     event batch on either side of the finalize record, snapshots every
-//     150 events, a clean shutdown. go test -run TestParentDataDirBoots
-//     -cut-fixture re-cuts it, after a FORMAT bump.
+//   - datadir-format10: three feeds (JSON, wire, JSON), a JSON and a wire
+//     event batch on either side of the finalize record, a checkpoint
+//     every 150 events, a clean shutdown. go test -run
+//     TestParentDataDirBoots -cut-fixture re-cuts it, after a FORMAT bump.
+//   - datadir-format9: the same load, written while the server still
+//     appended every batch to the event WAL as well.
 //   - datadir-format1: the same load, written when FORMAT and the
 //     replication protocol were two numbers.
 //   - datadir-pr27, -pr28, -pr29: written before FORMAT, with journal
@@ -897,7 +1065,7 @@ func TestParentDataDirBoots(t *testing.T) {
 		cutFormatFixture(t, current)
 	}
 	t.Run(filepath.Base(current), func(t *testing.T) { parentDataDirBoots(t, current) })
-	for _, fixture := range []string{"datadir-format1", "datadir-pr27", "datadir-pr28", "datadir-pr29"} {
+	for _, fixture := range []string{"datadir-format9", "datadir-format1", "datadir-pr27", "datadir-pr28", "datadir-pr29"} {
 		t.Run(fixture, func(t *testing.T) {
 			_, b := testBundle(t)
 			dir := copyTree(t, filepath.Join("testdata", fixture))
@@ -984,11 +1152,11 @@ func parentDataDirBoots(t *testing.T, fixture string) {
 	}
 	_, b := testBundle(t)
 	dir := copyTree(t, fixture)
-	reopen := func(what string, wantRebuilt bool, want string) *Server {
+	reopen := func(what string, wantRefilled bool, want string) *Server {
 		t.Helper()
-		s := openServer(t, dir, b)
-		if rec := s.Recovery(); !rec.Finalized || rec.WALRebuilt != wantRebuilt {
-			t.Fatalf("%s: recovery %+v, want finalized and WALRebuilt %v", what, rec, wantRebuilt)
+		s, refilled := openRefilled(t, dir, b)
+		if rec := s.Recovery(); !rec.Finalized || refilled != wantRefilled {
+			t.Fatalf("%s: recovery %+v, boot checkpointed %v, want finalized and %v", what, rec, refilled, wantRefilled)
 		}
 		if got := wal.StoreDigest(s.Store()); got != want {
 			t.Fatalf("%s: digest %s, want %s", what, got, want)
@@ -998,9 +1166,9 @@ func parentDataDirBoots(t *testing.T, fixture string) {
 	for _, c := range []struct {
 		what    string
 		rebuilt bool
-	}{{"as written", false}, {"without its WAL", true}} {
+	}{{"as written", false}, {"without its checkpoint", true}} {
 		if c.rebuilt {
-			removeWALState(t, dir)
+			removeCheckpoints(t, dir)
 		}
 		s := reopen(c.what, c.rebuilt, strings.TrimSpace(string(digest)))
 		ts := httptest.NewServer(s.Handler())
@@ -1022,10 +1190,18 @@ func parentDataDirBoots(t *testing.T, fixture string) {
 	}
 
 	// Once more over the files as the parent version left them, so that
-	// this version's records land behind its records, not behind a rebuilt
-	// WAL's.
+	// this version's records land behind its records, not behind a refilled
+	// checkpoint's.
 	dir = copyTree(t, fixture)
+	parentTail := journalTailPaths(dir)
+	if len(parentTail) == 0 {
+		t.Fatal("the fixture has no tail segment")
+	}
+	active, size := parentTail[len(parentTail)-1], wal.JournalSize(parentTail[len(parentTail)-1])
 	s := openServer(t, dir, b)
+	// Nothing is dropped behind this version's checkpoint: the refill below
+	// needs the whole journal.
+	s.replReg.Attach("parked")
 	ts := httptest.NewServer(s.Handler())
 	newTickStream(t, ts, b, time.Second).post(2, 10)
 	live := wal.StoreDigest(s.Store())
@@ -1033,12 +1209,14 @@ func parentDataDirBoots(t *testing.T, fixture string) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if tail := journalTailPaths(dir); len(tail) != 1 {
-		t.Fatalf("tail segments %v, want the parent version's one, taking the blocks behind its records", tail)
+	if got := wal.JournalSize(active); got <= size {
+		t.Fatalf("%s is %d bytes, it was %d: the blocks did not land behind the parent version's records", active, got, size)
 	}
+	whole := copyTree(t, dir)
 	reopen("with this version's records behind its own", false, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
-	removeWALState(t, dir)
-	reopen("with this version's records behind its own, without its WAL", true, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
+	dir = whole
+	removeCheckpoints(t, dir)
+	reopen("with this version's records behind its own, without its checkpoint", true, live).Shutdown(context.Background()) //nolint:errcheck // test teardown
 }
 
 // TestOutOfRangeFeedLineReplays: a feed line stamped where the logs cannot

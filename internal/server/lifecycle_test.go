@@ -140,10 +140,10 @@ func postLifecycleBatch(t *testing.T, ts *httptest.Server, i int, evs []EventJSO
 }
 
 // TestRestartAndWALLoss: a data dir must recover byte-identically after a
-// clean restart, and — the crash-point property — after losing its WAL,
-// or finding in its place an intact one that holds other events: the
-// journal, whole, rebuilds the store. The digest must be stable across one
-// more restart after the rebuild.
+// clean restart, and — the crash-point property — after losing its
+// checkpoint, or finding in its place an intact one that holds other
+// events: the journal, whole, refills the store. The digest must be stable
+// across one more restart after the refill.
 func TestRestartAndWALLoss(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
@@ -152,15 +152,15 @@ func TestRestartAndWALLoss(t *testing.T) {
 		t.Fatal("the lifecycle stored no events")
 	}
 
-	reopen := func(wantRebuilt bool, what string) {
+	reopen := func(wantRefilled bool, what string) {
 		t.Helper()
-		s := openServer(t, dir, b)
+		s, refilled := openRefilled(t, dir, b)
 		rec := s.Recovery()
 		if !rec.Finalized {
 			t.Fatalf("%s: recovery = %+v", what, rec)
 		}
-		if rec.WALRebuilt != wantRebuilt {
-			t.Errorf("%s: WALRebuilt = %v, want %v", what, rec.WALRebuilt, wantRebuilt)
+		if refilled != wantRefilled {
+			t.Errorf("%s: boot checkpointed %v, want %v", what, refilled, wantRefilled)
 		}
 		ts := httptest.NewServer(s.Handler())
 		for app, want := range before.diagnose {
@@ -178,29 +178,28 @@ func TestRestartAndWALLoss(t *testing.T) {
 	}
 
 	reopen(false, "clean restart")
-	if err := wipeWALState(dir); err != nil {
+	if err := wipeCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopen(true, "lost WAL")
-	reopen(false, "lost WAL (second restart)")
+	reopen(true, "lost checkpoint")
+	reopen(false, "lost checkpoint (second restart)")
 
-	// An intact WAL holding the wrong events: another node's, whose stream
-	// named one router differently. Nothing is torn or missing, so only the
-	// overlap check can notice; it must rebuild the store from the journal.
+	// An intact checkpoint holding the wrong events: another node's, whose
+	// stream named one router differently. Nothing is torn or missing, so
+	// only the overlap check can notice; it must refill the store from the
+	// journal.
 	other := t.TempDir()
 	batches := lifecycleBatches(b)
 	batches[0][1].Loc.A = "some-other-router"
 	driveLifecycle(t, other, b, batches)
-	if err := wipeWALState(dir); err != nil {
+	if err := wipeCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"wal", "snap"} {
-		if err := os.Rename(filepath.Join(other, sub), filepath.Join(dir, sub)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Rename(wal.SnapDirOf(other), wal.SnapDirOf(dir)); err != nil {
+		t.Fatal(err)
 	}
-	reopen(true, "another node's WAL")
-	reopen(false, "another node's WAL (second restart)")
+	reopen(true, "another node's checkpoint")
+	reopen(false, "another node's checkpoint (second restart)")
 }
 
 // TestEventRecordsInJournalHead: journal.log holds event records between
@@ -208,7 +207,7 @@ func TestRestartAndWALLoss(t *testing.T) {
 // — and, once its tail is folded back into it, every record behind the
 // finalize record too (a roll that failed; a dir from before the journal
 // had segments). The head's replay numbers both from one allocator, so a
-// restart, a refill of a lost WAL and a follower, live and restarted over
+// restart, a refill of a lost checkpoint and a follower, live and restarted over
 // its shipped head, all land on the store the live run held.
 func TestEventRecordsInJournalHead(t *testing.T) {
 	_, b := testBundle(t)
@@ -270,14 +269,11 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.Close()
-	reopen := func(wantRebuilt bool, what string) {
+	reopen := func(wantRefilled bool, what string) {
 		t.Helper()
-		s, err := Open(Config{DataDir: dir, Bundle: b})
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if rec := s.Recovery(); !rec.Finalized || rec.WALRebuilt != wantRebuilt {
-			t.Errorf("%s: recovery = %+v, want finalized and WALRebuilt %v", what, rec, wantRebuilt)
+		s, refilled := openRefilled(t, dir, b)
+		if rec := s.Recovery(); !rec.Finalized || refilled != wantRefilled {
+			t.Errorf("%s: recovery = %+v, boot checkpointed %v, want finalized and %v", what, rec, refilled, wantRefilled)
 		}
 		if got := wal.StoreDigest(s.Store()); got != digest {
 			t.Errorf("%s: recovered %d events with another digest, the live run held %d", what, s.Store().Len(), events)
@@ -287,10 +283,10 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 		}
 	}
 	reopen(false, "restart")
-	if err := wipeWALState(dir); err != nil {
+	if err := wipeCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopen(true, "lost WAL")
+	reopen(true, "lost checkpoint")
 
 	// Fold the tail back into journal.log: its records, minus each segment's
 	// header, behind the finalize record.
@@ -331,10 +327,10 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 		t.Error("the boot over a finalized journal.log started no tail segment")
 	}
 	reopen(false, "event records behind the finalize record (second restart)")
-	if err := wipeWALState(dir); err != nil {
+	if err := wipeCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopen(true, "event records behind the finalize record, lost WAL")
+	reopen(true, "event records behind the finalize record, lost checkpoint")
 }
 
 // TestConcurrentIngest hammers a server from parallel clients (retrying

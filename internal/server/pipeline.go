@@ -1,40 +1,42 @@
 // Package server turns the G-RCA pipeline into a durable, network-facing
 // diagnosis service: the paper's platform ran as a shared system that
 // applications fed continuously and queried on demand (§II), and this
-// package is that shape — an HTTP/JSON API over a WAL-backed event store.
+// package is that shape — an HTTP/JSON API over a journal-backed event
+// store.
 //
 // # Durability model
 //
-// One store, one event WAL, one ingest journal, one applier goroutine. Two
-// kinds of append-only structure carry the state:
+// One store, one ingest journal, one applier goroutine. Every batch is
+// written once, to the journal: accepted ingest batches — a feed's raw
+// lines as one DEFLATE stream, or the validated events as one dense block
+// — plus the finalize marker, each prefixed with the batch's dispatch
+// sequence number. The applier is its only appender, so file order is
+// dispatch order. <data-dir>/journal.log is segment 0, everything through
+// finalize: the collector's parse state (routing simulations, pairing
+// buffers, rolling baselines) is a function of raw input, not of
+// normalized events, so restart recovery replays it through a fresh
+// collector, and it is never dropped. What follows finalize is store input
+// only; it goes to tail segments (journal-<firstSeq>.log).
 //
-//   - The event WAL (internal/wal): every normalized instance added to the
-//     store, with snapshots and compaction. It recovers the store
-//     byte-identically and fast.
-//   - The ingest journal: accepted ingest batches — a feed's raw lines as
-//     one DEFLATE stream, or the validated events as one dense block —
-//     plus the finalize marker, each prefixed with the batch's dispatch
-//     sequence number. The applier is its only appender, so file order is
-//     dispatch order.
-//     <data-dir>/journal.log is segment 0, everything through finalize:
-//     the collector's parse state (routing simulations, pairing buffers,
-//     rolling baselines) is a function of raw input, not of normalized
-//     events, so restart recovery replays it through a fresh collector,
-//     and it is never dropped. What follows finalize is store input
-//     only; it goes to tail segments (journal-<firstSeq>.log), which are
-//     unlinked once the WAL's snapshots hold their events.
+// A checkpoint (wal.Checkpointer, under snap/) is a manifest over runs
+// that covers the store up to where the journal's active segment begins:
+// each roll of the tail triggers one, and a sealed segment whose events
+// are all still live becomes its range's run by hard link. Only the head's
+// events and the ranges an eviction thinned are written again, from the
+// store. Once two checkpoints cover a tail segment its journal name is
+// unlinked.
 //
 // A batch's journal append (fsynced) is its commit point; the store insert
-// and the WAL commit follow it in the same goroutine, so the WAL never
-// holds what the journal does not. Startup is newest readable checkpoint +
-// journal tail (recovery.go): the WAL is opened while segment 0 replays
-// into a scratch store, then the head's events and the retained tail go
-// through a frontier — an event the WAL holds is verified against it and
-// skipped, one it lacks (a crash between journal fsync and WAL commit, a
-// power cut that took the WAL's unsealed tail) is added through the WAL.
-// A lost or disagreeing WAL is refilled from an empty checkpoint while the
-// journal still reaches back to ID 0, and refused with a named error once
-// its tail has been dropped (DESIGN.md §11, §15). Startup reads one format,
+// follows it in the same goroutine. Startup is newest readable checkpoint
+// + journal tail (recovery.go): the checkpoint loads while segment 0
+// replays into a scratch store, then the head's events and the retained
+// tail go through a frontier — an event the checkpoint holds is verified
+// against it and skipped, one it lacks (everything in the active segment)
+// is added. A primary then rolls and checkpoints before it serves, so the
+// checkpoint alone holds every recovered event. A lost or disagreeing
+// checkpoint is refilled from an empty one while the journal still reaches
+// back to ID 0, and refused with a named error once its tail has been
+// dropped (DESIGN.md §11, §15). Startup reads one format,
 // the one this version writes: a data dir's FORMAT file names it by the
 // number a replication hello carries, replica.ProtocolVersion, and a dir
 // in any other is refused untouched (ErrFormat).
@@ -47,8 +49,8 @@
 // is full the handler answers 429 with a depth-derived Retry-After instead
 // of buffering, before any sequence number or ID is consumed, so memory
 // stays bounded and IDs stay dense under overload. The applier drains the
-// queue in commit groups (journal append + one fsync, store inserts, one
-// WAL commit — each amortized across every batch waiting) and hands each
+// queue in commit groups (journal append + one fsync, store inserts —
+// amortized across every batch waiting) and hands each
 // batch to the observer, a goroutine of its own so that the streaming
 // processor runs beside the next group's fsync instead of behind it; the
 // observer replies. Reads (diagnose, events, stats) bypass the queue.
@@ -95,7 +97,6 @@ var (
 	mRejected   = obs.GetCounter("server.http.429")
 	mQueueDepth = obs.GetGauge("server.queue.depth")
 	mRecovered  = obs.GetCounter("server.recovery.batches")
-	mRebuilt    = obs.GetCounter("server.recovery.wal.rebuilt")
 	mTailRecs   = obs.GetCounter("server.recovery.tail.records")
 )
 
@@ -114,7 +115,7 @@ var (
 const (
 	recFinalize      = 2
 	recSegmentHeader = wal.JournalSegmentKind // 5
-	recEventBlock    = 6
+	recEventBlock    = wal.JournalEventKind   // 6
 	recFeedDeflate   = 7
 )
 
@@ -251,8 +252,8 @@ const maxEventDuration = 15 * time.Minute
 // Config configures Open.
 type Config struct {
 	// DataDir holds the ingest journal (journal.log and its tail segments
-	// journal-<firstSeq>.log), the WAL (wal/) and its snapshots (snap/),
-	// and FORMAT, the number of the format they are written in.
+	// journal-<firstSeq>.log), its checkpoints (snap/), and FORMAT, the
+	// number of the format they are written in.
 	DataDir string
 	// Bundle supplies the configuration archive and manifest (collection
 	// window, CDN deployment). Its Feeds are ignored — feeds arrive over
@@ -264,16 +265,17 @@ type Config struct {
 	// item 1(e) deletes it.
 	Shards int
 	// Fsync is ignored, a vestige like Shards that bench/ sets: the ingest
-	// journal's fsync per commit group is the one sync on the batch path,
-	// and the event WAL syncs a segment only when it seals it (see
-	// wal.FsyncPolicy). ROADMAP item 1(e) deletes it.
+	// journal's fsync per commit group is the one sync on the batch path
+	// (see wal.FsyncPolicy). ROADMAP item 1(e) deletes it.
 	Fsync wal.FsyncPolicy
-	// SnapshotEvery auto-snapshots the store after that many WAL records.
+	// SnapshotEvery, when positive, rolls the journal's tail — and so
+	// checkpoints the store — once the active segment holds that many
+	// events; the tail also rolls at JournalSegmentBytes.
 	SnapshotEvery int
 	// Retention, when positive, evicts events older than this behind the
-	// store's moving window; eviction triggers a snapshot, snapshots let
-	// WAL segments be compacted and journal tail segments be dropped, so
-	// disk follows the events retained (plus journal.log, the feed phase's
+	// store's moving window; the next checkpoint rewrites the runs an
+	// eviction thinned and lets journal tail segments be dropped, so disk
+	// follows the events retained (plus journal.log, the feed phase's
 	// record — its feed batches DEFLATE-compressed, about 0.18× the lines
 	// posted — which is kept whole).
 	Retention time.Duration
@@ -325,7 +327,7 @@ type Server struct {
 	cfg  Config
 	topo *netmodel.Topology
 	st   *store.Memory
-	log  *wal.Log // the event WAL
+	ckpt *wal.Checkpointer
 	coll *collector.Collector
 
 	// dispatchMu serializes batch admission: sequence numbering, event ID
@@ -334,13 +336,14 @@ type Server struct {
 	// collector write.
 	dispatchMu sync.Mutex
 	// Admission's view of the pipeline, under dispatchMu: seq and nextID are
-	// the next batch's sequence and first event ID, segBytes the record
-	// bytes admitted into the journal's active file, inTail whether that
-	// file is a tail segment. A roll is decided here, where the journal's
-	// position is a function of the dispatch order alone, and carried out by
-	// the applier.
+	// the next batch's sequence and first event ID, segBytes and segEvents
+	// the record bytes and events admitted into the journal's active file,
+	// inTail whether that file is a tail segment. A roll is decided here,
+	// where the journal's position is a function of the dispatch order
+	// alone, and carried out by the applier.
 	seq, nextID int
 	segBytes    int64
+	segEvents   int
 	inTail      bool
 
 	// The commit pipeline (dispatch.go): admission sends on queue, the
@@ -353,7 +356,7 @@ type Server struct {
 	observed chan struct{}
 
 	// jour is the ingest journal. A primary appends to it — and rolls it
-	// to a new tail segment, and drops the segments the snapshots cover —
+	// to a new tail segment, and drops the segments the checkpoints cover —
 	// from the applier (event batches) and, with the applier idle behind a
 	// drain, from admission (feeds, finalize); a follower appends from the
 	// journal stream's apply path. journaled is the highest sequence durably
@@ -399,11 +402,7 @@ type RecoveryInfo struct {
 	Finalized bool
 	// Events is the recovered store's live event count.
 	Events int
-	// WALRebuilt is true when the store was filled from the journal over an
-	// empty checkpoint: the WAL was lost, unreadable, never reached its
-	// first commit, or disagreed with the journal and was wiped.
-	WALRebuilt bool
-	// SnapshotsSkipped is how many unreadable WAL snapshots recovery
+	// SnapshotsSkipped is how many unreadable checkpoint manifests recovery
 	// passed over (wal.Recovery.SnapshotsSkipped).
 	SnapshotsSkipped int
 	// JournalSegments is how many journal files were found, journal.log
@@ -413,26 +412,20 @@ type RecoveryInfo struct {
 	// what the frontier filter did with them: added at least one event the
 	// checkpoint lacked, or found every event already held and equal.
 	TailApplied, TailVerified int
-	// The stages of Open: opening the WAL (segment 0 replays beside it),
-	// replaying segment 0, putting the head's events and the retained
+	// The stages of Open: loading the checkpoint (segment 0 replays beside
+	// it), replaying segment 0, putting the head's events and the retained
 	// tail through the frontier filter, and building the serving state.
-	WALOpen, HeadReplay, TailApply, ServingInstall time.Duration
+	CheckpointOpen, HeadReplay, TailApply, ServingInstall time.Duration
 }
 
 // journalSegmentBytes is the size at which the journal's tail rolls to a
-// new segment (a variable so tests can shrink it), journalForceAfter how
-// many sealed segments may wait on the WAL's snapshots before the applier
-// takes the snapshots itself (under -snapshot-every 0 nothing else would;
-// any other cadence leaves fewer than that waiting), and
-// journalPinCap the hard cap on what a follower may pin: past that many
-// sealed segments the oldest goes whatever a follower has yet to read, and
-// the follower re-bootstraps from a checkpoint.
+// new segment (a variable so tests can shrink it), and journalPinCap the
+// hard cap on what a follower may pin: past that many sealed segments the
+// oldest goes whatever a follower has yet to read, and the follower
+// re-bootstraps from a checkpoint.
 var journalSegmentBytes int64 = wal.JournalSegmentBytes
 
-const (
-	journalForceAfter = 8
-	journalPinCap     = 64
-)
+const journalPinCap = 64
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
 
@@ -464,7 +457,7 @@ func checkFormat(dataDir string) (fresh bool, err error) {
 	case !os.IsNotExist(err):
 		return false, err
 	}
-	// What an earlier version wrote: the journal, the WAL and its
+	// What an earlier version wrote: the journal, the event WAL and the
 	// snapshots, and a multi-shard version's SHARDS marker and shard-<i>/.
 	for _, pattern := range []string{"journal*.log", "wal", "snap", "SHARDS", "shard-*"} {
 		// (Glob fails only on a malformed pattern.)
@@ -515,10 +508,9 @@ func Open(cfg Config) (*Server, error) {
 	// truncated journal a primary refuses it by name; a follower wipes all
 	// it was shipped instead, and bootstraps anew from its primary.
 	var (
-		tail  []wal.JournalSegment
-		rep   replayResult
-		cp    checkpoint
-		wiped bool
+		tail []wal.JournalSegment
+		rep  replayResult
+		cp   checkpoint
 	)
 	for attempt := 0; ; attempt++ {
 		if tail, err = wal.RecoverJournalTail(cfg.DataDir); err == nil {
@@ -530,52 +522,35 @@ func Open(cfg Config) (*Server, error) {
 		if attempt > 0 || !(refill || resync) {
 			break
 		}
-		cp.close()
 		wipe := wipeShippedState
 		if refill {
-			wiped, wipe = true, wipeWALState
+			wipe = wipeCheckpoints
 		}
 		if err := wipe(cfg.DataDir); err != nil {
 			return nil, err
 		}
 	}
+	if err != nil {
+		return nil, err
+	}
 	// Until the stream client or the pipeline goroutines take ownership at
-	// the very end, the open log and the journal are ours: close them on
-	// any error path so a failed Open leaks neither file handles nor an
-	// fsync goroutine.
-	var jour *wal.SegmentedJournal
+	// the very end, the journal is ours: close it on any error path so a
+	// failed Open leaks no file handle.
+	jour, err := wal.OpenSegmentedJournal(cfg.DataDir, tail)
+	if err != nil {
+		return nil, err
+	}
 	opened := false
 	defer func() {
-		if opened {
-			return
-		}
-		cp.close()
-		if jour != nil {
+		if !opened {
 			jour.Close() //nolint:errcheck // being discarded
 		}
 	}()
-	if err != nil {
-		return nil, err
-	}
-	if rep.info.WALRebuilt = rep.info.WALRebuilt || wiped; rep.info.WALRebuilt {
-		mRebuilt.Inc()
-	}
-
-	jour, err = wal.OpenSegmentedJournal(cfg.DataDir, tail)
-	if err != nil {
-		return nil, err
-	}
 	s, err := newServer(cfg, topo, rep, jour)
 	if err != nil {
 		return nil, err
 	}
-	s.log = cp.log
-	s.st.OnEvict(func([]store.Evicted, time.Time) {
-		// Runs on the store's only writer (the applier, a follower's stream
-		// apply): evicting is the moment to snapshot, so segment compaction
-		// keeps disk bounded the same way retention bounds memory.
-		s.snapshot() //nolint:errcheck // counted in wal.snapshots.failed; the next snapshot covers the same delta
-	})
+	s.ckpt = cp.ckpt
 	if fol != nil {
 		s.follow(fol, rep)
 	} else {
@@ -591,17 +566,17 @@ func Open(cfg Config) (*Server, error) {
 		s.observed = make(chan struct{})
 		s.journaled.Store(int64(rep.maxSeq))
 		s.initReplicationSource()
-		// A finalized journal still in journal.log — a crash between the
-		// finalize record and its roll, or a dir an earlier version wrote —
-		// starts its tail here; what the snapshots already cover goes.
-		if s.isFinalized() && !s.inTail {
-			if err := s.rollJournal(s.tailHeader()); err != nil {
+		// The checkpoint alone holds every recovered event before the node
+		// serves: what the active file holds — behind a crash, or a finalize
+		// record whose roll did not happen — is sealed by a roll and
+		// checkpointed.
+		if s.isFinalized() {
+			if err := s.rollAndCheckpoint(); err != nil {
 				return nil, err
 			}
-			s.inTail, s.segBytes = true, 0
 		}
 	}
-	s.dropJournalSegments(false)
+	s.dropJournalSegments()
 	opened = true
 	if fol != nil {
 		fol.client.Start()
@@ -628,6 +603,9 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 		recovery: rep.info,
 		segBytes: jour.ActiveSize(),
 		inTail:   len(jour.Tail()) > 0,
+	}
+	if tail := jour.Tail(); len(tail) > 0 {
+		s.segEvents = max(tail[len(tail)-1].Events, 0)
 	}
 	s.pinCap.Store(journalPinCap)
 	s.recovery.Batches, s.recovery.Finalized = rep.batches, rep.finalized

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -17,18 +16,17 @@ import (
 )
 
 // Recovery is newest readable checkpoint + journal tail (DESIGN.md §11,
-// §15), the same on a primary and a follower. The checkpoint is the event
-// WAL as wal.Open recovers it; the journal is replayed over the checkpoint
-// through a frontier — an event the checkpoint already holds is verified
-// against it and skipped, one it lacks is added — so the store the node
-// serves is the checkpoint plus exactly what the journal holds beyond it.
+// §15), the same on a primary and a follower. The checkpoint is snap/ as
+// wal.OpenCheckpoint restores it; the journal is replayed over it through
+// a frontier — an event the checkpoint already holds is verified against
+// it and skipped, one it lacks is added — so the store the node serves is
+// the checkpoint plus exactly what the journal holds beyond it.
 
 var (
 	// ErrCheckpointLost refuses a data dir whose journal no longer reaches
 	// back to what the checkpoint lacks: the tail segments that held the
-	// events were dropped behind snapshots that are gone (a deleted or
-	// unreadable snap/ and wal/). Serving would mean serving a store with a
-	// hole.
+	// events were dropped behind checkpoints that are gone (a deleted or
+	// unreadable snap/). Serving would mean serving a store with a hole.
 	ErrCheckpointLost = errors.New("server: the checkpoint ends below the retained journal tail")
 	// ErrCheckpointDiverged refuses a data dir where the checkpoint and the
 	// journal disagree about an event both hold, and the journal no longer
@@ -48,20 +46,13 @@ func (e *divergedError) Error() string { return fmt.Sprintf("%v: %s", ErrCheckpo
 func (e *divergedError) Unwrap() error { return ErrCheckpointDiverged }
 
 // checkpoint is the store as recovery found it, before the journal is
-// applied over it: what wal.Open recovered, with the log that takes the
-// appends.
+// applied over it: what wal.OpenCheckpoint restored, with the checkpointer
+// that takes the next ones.
 type checkpoint struct {
-	st  *store.Memory
-	log *wal.Log // nil only when the WAL did not open (err)
-	rec wal.Recovery
-	err error // the checkpoint could not be read: the store is refilled, or the dir refused
-}
-
-func (cp *checkpoint) close() {
-	if cp.log != nil {
-		cp.log.Close() //nolint:errcheck // being discarded
-		cp.log = nil
-	}
+	st   *store.Memory
+	ckpt *wal.Checkpointer // nil only when the checkpoint did not open (err)
+	rec  wal.Recovery
+	err  error // the checkpoint could not be read: the store is refilled, or the dir refused
 }
 
 // frontierStore is the store a journal replay writes to: a checkpoint's
@@ -73,11 +64,6 @@ func (cp *checkpoint) close() {
 // is sticky in err; callers check it after each record.
 type frontierStore struct {
 	*store.Memory
-	log *wal.Log // nil: nothing to commit (the head's scratch store)
-	// jour, when set, is fsynced ahead of every WAL commit: a follower's
-	// journal, which its stream apply appends to without fsync. The WAL
-	// never becomes durable ahead of it.
-	jour *wal.SegmentedJournal
 	// next is the allocator: the ID the journal's next event takes.
 	next int
 	// front is the checkpoint's frontier: an event with a lower ID is the
@@ -91,7 +77,6 @@ type frontierStore struct {
 	live      int
 	present   int // journaled events found in the checkpoint
 	added     int // events added beyond it
-	pending   int // adds since the last WAL commit
 	retention time.Duration
 	whole     bool // the journal being replayed starts at ID 0
 	err       error
@@ -100,7 +85,7 @@ type frontierStore struct {
 // newFrontierStore wraps cp's store, as it stands, with the allocator at
 // its frontier.
 func newFrontierStore(cp checkpoint, retention time.Duration) *frontierStore {
-	f := &frontierStore{Memory: cp.st, log: cp.log, retention: retention}
+	f := &frontierStore{Memory: cp.st, retention: retention}
 	f.front, f.live = cp.st.NextID(), cp.st.Len()
 	f.next = f.front
 	cp.st.Cut(func(c store.Cut) error { f.base, _, _ = c.Bounds(); return nil }) //nolint:errcheck // the func returns nil
@@ -137,10 +122,6 @@ func (f *frontierStore) place(in event.Instance) *event.Instance {
 		return nil
 	}
 	f.added++
-	// A refill commits as it goes, so the WAL's buffer stays a batch's size.
-	if f.pending++; f.pending >= 8192 {
-		f.err = f.commit()
-	}
 	return stored
 }
 
@@ -164,25 +145,9 @@ func (f *frontierStore) verify(in *event.Instance) string {
 		in.ID, in.Name, in.End, f.front)
 }
 
-// commit makes what was added durable in the WAL, behind the journal.
-func (f *frontierStore) commit() error {
-	if f.jour != nil {
-		if err := f.jour.Sync(); err != nil {
-			return fmt.Errorf("server: journal: %v", err)
-		}
-	}
-	if f.log != nil && f.pending > 0 {
-		if err := f.log.Commit(); err != nil {
-			return fmt.Errorf("server: wal: %v", err)
-		}
-	}
-	f.pending = 0
-	return nil
-}
-
 // finish closes a replay: nothing the checkpoint holds may lie beyond the
-// journal's end (the WAL is only ever written behind the journal), and on
-// a whole journal nothing in it may have gone unverified.
+// journal's end (a checkpoint is only ever taken behind the journal), and
+// on a whole journal nothing in it may have gone unverified.
 func (f *frontierStore) finish() error {
 	switch {
 	case f.err != nil:
@@ -194,7 +159,7 @@ func (f *frontierStore) finish() error {
 		return &divergedError{whole: true,
 			msg: fmt.Sprintf("the checkpoint holds %d events below ID %d, the journal put %d of them there", f.live, f.front, f.present)}
 	}
-	return f.commit()
+	return nil
 }
 
 // segmentHeader parses rec when it is a tail segment's header record.
@@ -272,11 +237,11 @@ func replayHead(cfg Config, topo *netmodel.Topology) (h head) {
 	return h
 }
 
-// recoverJournal replays the journal under cfg.DataDir over the event WAL.
-// The head replays into its scratch store while the WAL opens; its events
-// then go through the frontier filter like the tail's, so a refill is
-// nothing but the journal applied over an empty checkpoint. The checkpoint
-// is returned also on error, for the caller to close.
+// recoverJournal replays the journal under cfg.DataDir over the newest
+// readable checkpoint. The head replays into its scratch store while the
+// checkpoint loads; its events then go through the frontier filter like
+// the tail's, so a refill is nothing but the journal applied over an empty
+// checkpoint.
 func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegment) (replayResult, checkpoint, error) {
 	var rep replayResult
 	var h head
@@ -287,8 +252,8 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 		h = replayHead(cfg, topo)
 	}()
 	began := obs.Now()
-	cp := openWAL(cfg)
-	rep.info.WALOpen = obs.Since(began)
+	cp := openCheckpoint(cfg)
+	rep.info.CheckpointOpen = obs.Since(began)
 	wg.Wait()
 	rep.info.HeadReplay = h.took
 	if h.err != nil {
@@ -326,7 +291,7 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 	}
 
 	began = obs.Now()
-	// The head's events, in the ID order a store and its WAL ask for.
+	// The head's events, in the ID order a store asks for.
 	err := h.scratch.Cut(func(c store.Cut) error {
 		base, next, _ := c.Bounds()
 		return c.Each(base, next, func(in *event.Instance) error {
@@ -397,30 +362,20 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 	}
 	err = fs.finish()
 	rep.info.TailApply = obs.Since(began)
-	// A WAL filled from nothing: it was lost, or never got as far as its
-	// first commit.
-	rep.info.WALRebuilt = fs.front == 0 && fs.added > 0
 	return rep, cp, err
 }
 
-// openWAL opens the event WAL: the checkpoint. One that does not open, or
-// opens with a hole, says so in its err.
-func openWAL(cfg Config) checkpoint {
-	l, st, rec, err := wal.Open(cfg.DataDir, wal.Options{
-		SnapshotEvery: cfg.SnapshotEvery, Retention: cfg.Retention,
-	})
+// openCheckpoint restores the newest readable checkpoint. One that does
+// not open, or opens with a hole, says so in its err.
+func openCheckpoint(cfg Config) checkpoint {
+	c, st, rec, err := wal.OpenCheckpoint(cfg.DataDir, wal.Options{Retention: cfg.Retention})
 	if err == nil && rec.LostBelow > 0 {
-		err = fmt.Errorf("no readable snapshot reaches event ID %d, below which segments were compacted away", rec.LostBelow)
+		err = fmt.Errorf("no readable checkpoint reaches event ID %d, below which journal segments were dropped", rec.LostBelow)
 	}
-	return checkpoint{st: st, log: l, rec: rec, err: err}
+	return checkpoint{st: st, ckpt: c, rec: rec, err: err}
 }
 
-// wipeWALState removes the event WAL and its snapshots.
-func wipeWALState(dataDir string) error {
-	for _, sub := range []string{"wal", "snap"} {
-		if err := os.RemoveAll(filepath.Join(dataDir, sub)); err != nil {
-			return err
-		}
-	}
-	return nil
+// wipeCheckpoints removes the checkpoints.
+func wipeCheckpoints(dataDir string) error {
+	return os.RemoveAll(wal.SnapDirOf(dataDir))
 }

@@ -14,7 +14,7 @@ import (
 
 // Replication: a primary tails its own ingest journal and streams it to
 // followers (internal/replica); a follower applies the stream through the
-// same path crash recovery uses, keeps its own WAL and snapshots like a
+// same path crash recovery uses, checkpoints at the primary's rolls like a
 // primary, and serves the read API live. See DESIGN.md §16.
 
 var (
@@ -47,7 +47,7 @@ func (s *Server) initReplicationSource() {
 		JournalPath:     journalPath(s.cfg.DataDir),
 		WALDir:          s.cfg.DataDir,
 		JournalFrontier: func() int { return int(s.journaled.Load()) },
-		WALFrontier:     s.log.Frontier,
+		WALFrontier:     s.st.NextID,
 		Registry:        s.replReg,
 	})
 }
@@ -59,7 +59,8 @@ func (s *Server) isFollower() bool { return s.follower != nil }
 // ReplicationMetaJSON is the primary's stream rendezvous document: its
 // incarnation, the journal's durable sequence and logical size — the bytes
 // ever journaled, dropped tail segments included, which is what a
-// follower's own figure counts too — and the WAL's frontier. Shards is
+// follower's own figure counts too — and the store's next event ID
+// (WALNext, named for the log that once held it). Shards is
 // always 1 and the three slices always hold one element, vestiges of the
 // multi-lane pipeline kept because the benchmark (bench/) indexes them and
 // may not change with the code it measures; ROADMAP item 1(e) makes them
@@ -93,7 +94,7 @@ type ReplicationStatusJSON struct {
 
 // ReplicaShardLag is a follower's catch-up position: the journal's
 // logical bytes, and the event ID its replay stands at (WALNext) against
-// the primary's WAL frontier — equal once it has applied every event the
+// the primary store's next ID — equal once it has applied every event the
 // primary holds. SnapBootstraps counts the checkpoints loaded.
 type ReplicaShardLag struct {
 	JournalBytes    int64 `json:"journal_bytes"`
@@ -116,7 +117,7 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 		Shards:       1,
 		Sealed:       []int{int(s.journaled.Load())},
 		JournalBytes: []int64{s.jour.Offset()},
-		WALNext:      []int{s.log.Frontier()},
+		WALNext:      []int{s.st.NextID()},
 	})
 }
 

@@ -134,9 +134,9 @@ func TestReplicaParityAndPromote(t *testing.T) {
 		if rs.Role != "replica" || rs.Primary != ts.URL || len(rs.ShardLag) != 1 {
 			t.Fatalf("replica status = %s", body)
 		}
-		// Caught up, the replay stands where the primary's WAL does.
-		if got, want := rs.ShardLag[0].WALNext, prim.log.Frontier(); got != want {
-			t.Fatalf("the caught-up replica's replay stands at event %d, the primary's WAL at %d: %s", got, want, body)
+		// Caught up, the replay stands where the primary's store does.
+		if got, want := rs.ShardLag[0].WALNext, prim.st.NextID(); got != want {
+			t.Fatalf("the caught-up replica's replay stands at event %d, the primary's store at %d: %s", got, want, body)
 		}
 		code, body = get(t, ts, "/v1/replication/status")
 		if code != http.StatusOK {
@@ -169,9 +169,9 @@ func TestReplicaParityAndPromote(t *testing.T) {
 		if want := wal.StoreDigest(prim.st); info.Role != "primary" || info.Digest != want {
 			t.Fatalf("promote info = %s, want a primary with the store digest %s", body, want)
 		}
-		// The reopen stood on the follower's own sealed snapshot: it verified
-		// the retained tail and applied none of it.
-		if rec := info.Recovery; rec.WALRebuilt || rec.TailApplied != 0 {
+		// The seal rolled and checkpointed, as a primary's shutdown does: the
+		// reopen verified the retained tail and applied none of it.
+		if rec := info.Recovery; rec.TailApplied != 0 {
 			t.Fatalf("promotion's reopen: %+v, want the tail verified over the follower's own checkpoint", rec)
 		}
 		code, body = post(t, ts2, "/v1/ingest", IngestRequest{Events: lifecycleBatches(b)[0]})
@@ -325,12 +325,12 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 
 // TestPrepareReplicaState covers the REPLICA marker: a boot-ID change
 // wipes the shipped state — the root journal, head and tail segments, and
-// the WAL — and keeps the follower's stable ID. Nothing in a dir that has
+// the checkpoints — and keeps the follower's stable ID. Nothing in a dir that has
 // no marker at all is shipped state: it is refused, never deleted.
 func TestPrepareReplicaState(t *testing.T) {
 	// No marker but serving state on disk: a primary wrote it. Refused,
 	// nothing deleted, no marker stamped.
-	for _, rel := range []string{"journal.log", "journal-0000000000000042.log", "wal", "snap"} {
+	for _, rel := range []string{"journal.log", "journal-0000000000000042.log", "snap"} {
 		exDir := t.TempDir()
 		if err := os.MkdirAll(filepath.Join(exDir, rel), 0o755); err != nil {
 			t.Fatal(err)
@@ -361,9 +361,9 @@ func TestPrepareReplicaState(t *testing.T) {
 	if left, _ := filepath.Glob(replicaFile(dir) + ".*"); len(left) != 0 {
 		t.Fatalf("prepare left %v beside the marker", left)
 	}
-	jp, walDir := journalPath(dir), wal.WALDirOf(dir)
+	jp, snapDir := journalPath(dir), wal.SnapDirOf(dir)
 	tailSeg := filepath.Join(dir, "journal-0000000000000042.log")
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
+	if err := os.MkdirAll(snapDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{jp, tailSeg} {
@@ -379,7 +379,7 @@ func TestPrepareReplicaState(t *testing.T) {
 	if id2 != id1 {
 		t.Fatalf("follower id changed across same-boot reopen: %q -> %q", id1, id2)
 	}
-	for _, p := range []string{jp, tailSeg, walDir} {
+	for _, p := range []string{jp, tailSeg, snapDir} {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("shipped state wiped on same-boot reopen: %v", err)
 		}
@@ -400,7 +400,7 @@ func TestPrepareReplicaState(t *testing.T) {
 	}
 	// The tail segment too: left behind, it would replay as the tail of
 	// whatever head the new incarnation ships.
-	for _, p := range []string{jp, tailSeg, walDir} {
+	for _, p := range []string{jp, tailSeg, snapDir} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s survived a boot-ID change: %v", p, err)
 		}
@@ -501,13 +501,25 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		}
 		k := newTickStream(t, ts, b, time.Second)
 		k.at = k.at.Add(200 * time.Hour) // past the lifecycle's drain tick
+		k.post(3, 4000)                  // segments past crumb size: runs that are journal segments
 		k.post(80, 40)
 		if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 3 {
 			t.Fatalf("the primary dropped %d journal segments, want at least 3 truncations before the follower attaches", got)
 		}
-		// The checkpoint ships as one image over several runs.
-		if runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(prim.cfg.DataDir), "run-*.run")); err != nil || len(runs) < 3 {
+		// The checkpoint ships as one image over several runs, adopted
+		// journal segments among them.
+		runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(prim.cfg.DataDir), "run-*.run"))
+		if err != nil || len(runs) < 3 {
 			t.Fatalf("the primary's snapshot spans %d runs (%v), want ≥ 3", len(runs), err)
+		}
+		adopted := 0
+		for _, r := range runs {
+			if _, ok, err := wal.ReadJournalSegmentHeader(r); err == nil && ok {
+				adopted++
+			}
+		}
+		if adopted == 0 {
+			t.Fatalf("none of the primary's %d runs is a journal segment", len(runs))
 		}
 
 		follDir := t.TempDir()
@@ -529,19 +541,17 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		if files, _ := journalFiles(t, follDir); len(files) < 2 {
 			t.Fatalf("the follower's journal is %v: it did not roll where the primary rolled", files)
 		}
-		// A crash between the checkpoint's snapshot and the local roll: the
-		// snapshot durable in snap/, the journal still journal.log alone.
-		// Nothing since — no roll, no record, no other snapshot — is on disk.
+		// A crash between the checkpoint and the local roll that replaces the
+		// tail: the checkpoint durable in snap/, the journal still
+		// journal.log alone. (The checkpoints of the follower's later rolls
+		// stand in for it: each reaches past journal.log's end just the same.)
 		cut := copyTree(t, follDir)
-		if snaps, _ := filepath.Glob(filepath.Join(wal.SnapDirOf(cut), "snap-*.snap")); len(snaps) != 1 {
-			t.Fatalf("the follower holds %d snapshot manifests, want the checkpoint's alone", len(snaps))
+		if snaps, _ := filepath.Glob(filepath.Join(wal.SnapDirOf(cut), "snap-*.snap")); len(snaps) == 0 {
+			t.Fatal("the follower holds no checkpoint manifest")
 		}
-		for _, pattern := range []string{"journal-*.log", "wal/seg-*.log"} {
-			paths, _ := filepath.Glob(filepath.Join(cut, pattern))
-			for _, p := range paths {
-				if err := os.Remove(p); err != nil {
-					t.Fatal(err)
-				}
+		for _, p := range journalTailPaths(cut) {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
 			}
 		}
 
@@ -551,12 +561,12 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		compareReplica(t, prim, foll, ts, ts2)
 
 		// Restart from its own directory: the journal begins behind a
-		// checkpoint, so its own snapshot of that checkpoint is what it
-		// stands on.
+		// checkpoint, so its own checkpoint of that is what it stands on.
 		ts2.Close()
 		if err := foll.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		active := activeRecords(t, follDir)
 		foll, err = Open(fcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -564,10 +574,11 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
 		ts2 = httptest.NewServer(foll.Handler())
 		defer ts2.Close()
-		// It stands on its own log's snapshot: the tail is verified against
-		// it, none of it applied.
-		if rec := foll.Recovery(); rec.TailVerified == 0 || rec.TailApplied != 0 || rec.WALRebuilt {
-			t.Fatalf("the restarted follower did not stand on its own snapshot: %+v", rec)
+		// It stands on its own checkpoint: the sealed tail is verified
+		// against it, and only the active segment — which a follower, rolling
+		// where its primary rolls, never checkpoints — is applied.
+		if rec := foll.Recovery(); rec.TailVerified == 0 || rec.TailApplied != active {
+			t.Fatalf("the restarted follower did not stand on its own checkpoint: %+v, %d records in its active segment", rec, active)
 		}
 		waitReplicaCaughtUp(t, foll, prim)
 		if got := mReplCheckpoints.Value() - loaded; got != 1 {
@@ -706,24 +717,20 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 		}
 	}
 
-	// Parked: segments pile up behind the stream, across many snapshots.
+	// Parked: segments pile up behind the stream, across many checkpoints.
 	g.set(true)
-	before, snaps := files(), obs.GetCounter("wal.snapshots").Value()
+	before, snaps, floor := files(), obs.GetCounter("wal.snapshots").Value(), olderManifest(t, primDir)
 	k.post(40, 40)
 	if got := obs.GetCounter("wal.snapshots").Value() - snaps; got < 6 {
-		t.Fatalf("%d snapshots while the stream was parked, want several", got)
+		t.Fatalf("%d checkpoints while the stream was parked, want several", got)
 	}
 	if got := files(); got < before+12 {
 		t.Fatalf("%d journal files with the stream parked, %d before: segments the follower has yet to read were dropped", got, before)
 	}
-	// The journal is all a follower pins: the primary's WAL compacts behind
-	// its own snapshots — no segment wholly below its older manifest stays.
-	segs, err := wal.Segments(primDir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("the primary's wal/: %+v, %v", segs, err)
-	}
-	if floor := olderManifest(t, primDir); len(segs) > 1 && segs[1].First <= floor {
-		t.Fatalf("with the stream parked the primary's wal/ still holds %+v, below its older manifest at %d", segs, floor)
+	// The journal is all a follower pins: the primary's checkpoints move
+	// on behind their own rolls.
+	if got := olderManifest(t, primDir); got <= floor {
+		t.Fatalf("with the stream parked the primary's older manifest stayed at ID %d (%d before)", got, floor)
 	}
 	applied := foll.follower.appliedSeq.Load()
 	g.set(false)
@@ -759,8 +766,9 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 // follower: it snapshots its own store on the primary's schedule and drops
 // its own journal behind its own older manifest, so over twenty retention
 // windows its journal stays segment 0 plus what lies above that manifest
-// plus one segment, its wal/ and snap/ stay compacted, and a restart
-// stands on its own snapshot — no tail record applied, the live store.
+// plus one segment, its snap/ stays compacted, and a restart stands on its
+// own checkpoint — no tail record applied but the active segment's, which
+// a follower never checkpoints — to the live store.
 func TestFollowerJournalBounded(t *testing.T) {
 	const (
 		segBytes  = 4 << 10
@@ -834,26 +842,26 @@ func TestFollowerJournalBounded(t *testing.T) {
 	if got := obs.GetCounter("journal.segments.dropped").Value() - dropped; got < 20 {
 		t.Fatalf("%d journal segments dropped over %d batches, want at least 20", got, batches)
 	}
-	segs, _ := filepath.Glob(filepath.Join(wal.WALDirOf(follDir), "seg-*.log"))
 	snaps, _ := filepath.Glob(filepath.Join(wal.SnapDirOf(follDir), "snap-*.snap"))
-	if len(segs) > 4 || len(snaps) > 2 {
-		t.Fatalf("the follower's WAL holds %d segments and %d manifests, want ≤ 4 and ≤ 2", len(segs), len(snaps))
+	if _, err := os.Stat(wal.WALDirOf(follDir)); !os.IsNotExist(err) || len(snaps) > 2 {
+		t.Fatalf("the follower holds %d manifests (want ≤ 2), and wal/: %v", len(snaps), err)
 	}
 
+	active := activeRecords(t, follDir)
 	foll, err = Open(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
-	if rec := foll.Recovery(); rec.WALRebuilt || rec.TailApplied != 0 || rec.JournalSegments != len(files) {
-		t.Fatalf("restart: %+v with %d journal files on disk", rec, len(files))
+	if rec := foll.Recovery(); rec.TailApplied != active || rec.JournalSegments != len(files) {
+		t.Fatalf("restart: %+v with %d journal files on disk, %d records in the active segment", rec, len(files), active)
 	}
 	if got := wal.StoreDigest(foll.st); got != want {
 		t.Fatal("the follower reopened from its own checkpoint + tail differs from its live store")
 	}
 }
 
-// TestMixedVersionPeersRefused: a follower pointed at a protocol-4 to -8
+// TestMixedVersionPeersRefused: a follower pointed at a protocol-4 to -9
 // primary is refused by the hello's version before a record is applied —
 // a v5 primary's event batches are the JSON and wire bodies this follower
 // still reads, a v7 primary's raw feed records are ones it still reads too,
@@ -865,7 +873,7 @@ func TestFollowerJournalBounded(t *testing.T) {
 func TestMixedVersionPeersRefused(t *testing.T) {
 	_, b := testBundle(t)
 	rec := encodeRecord(0, recFinalize, "", nil)
-	for _, v := range []byte{4, 5, 6, 7, 8} {
+	for _, v := range []byte{4, 5, 6, 7, 8, 9} {
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/v1/replication/meta":

@@ -432,8 +432,8 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Shutdown drains gracefully: stop accepting work, let in-flight requests
 // finish, drain the commit pipeline, force-drain the streaming processor,
-// snapshot the store, drop the journal segments that covers, and close the
-// WAL and the journal. Safe to call once; the ctx bounds the HTTP drain.
+// roll and checkpoint, drop the journal segments that covers, and close
+// the journal. Safe to call once; the ctx bounds the HTTP drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.closing)
 	var err error
@@ -452,22 +452,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.dispatchMu.Unlock()
 	<-s.observed
 	s.serving.Load().close()
-	if e := s.closeLogs(); e != nil && err == nil {
+	if e := s.closeJournal(s.isFinalized()); e != nil && err == nil {
 		err = e
 	}
 	return err
 }
 
-// closeLogs is the tail of every shutdown, a primary's and a follower's
-// seal: snapshot the store, close the WAL, drop the journal segments the
-// final snapshot now covers, close the journal. Callers have stopped every
-// writer.
-func (s *Server) closeLogs() error {
-	err := s.snapshot()
-	if e := s.log.Close(); e != nil && err == nil {
-		err = e
+// closeJournal is the tail of every shutdown, a primary's and a
+// follower's seal. With checkpoint — a finalized primary, or a follower
+// being promoted to one — the journal is rolled and the store
+// checkpointed, so that the next boot stands on the checkpoint alone;
+// otherwise (a follower, whose journal rolls only where its primary's
+// did) the journal is synced and the next boot replays its active
+// segment. Then the journal segments the checkpoints cover are dropped and
+// the journal is closed. Callers have stopped every writer.
+func (s *Server) closeJournal(checkpoint bool) error {
+	var err error
+	if checkpoint {
+		err = s.rollAndCheckpoint()
+	} else {
+		err = s.jour.Sync()
 	}
-	s.dropJournalSegments(false)
+	s.dropJournalSegments()
 	if e := s.jour.Close(); e != nil && err == nil {
 		err = e
 	}

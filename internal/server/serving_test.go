@@ -275,14 +275,14 @@ func TestFinalizeAfterBurst(t *testing.T) {
 }
 
 // TestBatchFirstErrorWins: a batch that fails at more than one step of its
-// commit — journal append, store insert, WAL commit, in that order — is
-// answered with the first failure, whole, and after a journal failure
+// commit — journal append, store insert, in that order — is answered with
+// the first failure, whole, and after a journal failure
 // nothing reaches the store: not that batch's events, and no later
 // batch's, because the journal takes no more records.
 func TestBatchFirstErrorWins(t *testing.T) {
 	_, b := testBundle(t)
 	s := openServer(t, t.TempDir(), b)
-	defer s.Shutdown(context.Background()) //nolint:errcheck // shuts down over a closed journal and log
+	defer s.Shutdown(context.Background()) //nolint:errcheck // shuts down over a closed journal
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	tick := func() IngestRequest {
@@ -318,17 +318,11 @@ func TestBatchFirstErrorWins(t *testing.T) {
 	occupy()
 	ingest("store: ")
 	occupy()
-	if err := s.log.Close(); err != nil { // every commit fails from here on
-		t.Fatal(err)
-	}
-	ingest("store: ") // ahead of the WAL's
-	ingest("wal: ")
-	occupy()
 	if err := s.jour.Close(); err != nil { // every append fails from here on
 		t.Fatal(err)
 	}
 	held := s.st.Len()
-	ingest("journal: ") // ahead of the store's and the WAL's
+	ingest("journal: ") // ahead of the store's
 	ingest("journal: ")
 	if got := s.st.Len(); got != held {
 		t.Fatalf("the store went from %d to %d events behind a failed journal", held, got)

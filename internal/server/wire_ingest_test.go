@@ -45,6 +45,17 @@ func journalRecords(t *testing.T, path string) [][]byte {
 	return recs
 }
 
+// activeRecords returns how many records the journal's active tail
+// segment under dir holds behind its header.
+func activeRecords(t *testing.T, dir string) int {
+	t.Helper()
+	tail := journalTailPaths(dir)
+	if len(tail) == 0 {
+		t.Fatalf("%s has no tail segment", dir)
+	}
+	return len(journalRecords(t, tail[len(tail)-1])) - 1
+}
+
 // lastJournalRecord returns the last record journaled under dir.
 func lastJournalRecord(t *testing.T, dir string) []byte {
 	t.Helper()

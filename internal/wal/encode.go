@@ -278,34 +278,69 @@ func decodeBlockFrame(p []byte, dst []event.Instance) error {
 }
 
 // fileFrames reads the frames of one record file in order. The first
-// tells the encoding: the magic frame makes it a block file, any other is
-// the first record of a legacy file.
+// tells the encoding: the magic frame makes it a block file, a journal
+// segment header makes it a journal tail segment read as a run (a sealed
+// segment the checkpoint adopted: every frame behind the header is an
+// event record, whose instances take the IDs from the header's FirstID on,
+// densely, as the journal's replay allocates them), and any other frame is
+// the first record of a legacy file. (A legacy record parses as a segment
+// header only if its event's name is five bytes starting with NUL.)
 type fileFrames struct {
-	n     int // frames read
-	block bool
+	n       int // frames read
+	block   bool
+	journal bool
+	next    int // a journal segment's: the ID its next event record starts at
 }
 
-// span reads the span of the file's next frame p; the magic frame's holds
-// no instance.
+// span reads the span of the file's next frame p; the magic frame's and
+// a segment header's hold no instance.
 func (f *fileFrames) span(p []byte) (span, error) {
 	f.n++
-	if f.n == 1 && string(p) == blockMagic {
-		f.block = true
-		return span{}, nil
+	if f.n == 1 {
+		if string(p) == blockMagic {
+			f.block = true
+			return span{}, nil
+		}
+		if h, err := ParseJournalSegmentHeader(p); err == nil {
+			f.journal, f.next = true, h.FirstID
+			return span{}, nil
+		}
 	}
-	if f.block {
+	switch {
+	case f.block:
 		s, _, err := blockSpan(p)
 		return s, err
+	case f.journal:
+		n, _, err := journalEvents(p)
+		if err != nil {
+			return span{}, err
+		}
+		s := span{f.next, f.next + n - 1, n}
+		f.next += n
+		return s, nil
 	}
 	id, err := recordID(p)
 	return span{id, id, 1}, err
 }
 
-// decode decodes a frame whose span the file's scan read into dst, which
-// has room for exactly its count.
-func (f *fileFrames) decode(p []byte, dst []event.Instance) error {
-	if f.block {
+// decode decodes a frame into dst, which has room for exactly the count
+// of s, the span the file's scan read of it.
+func (f *fileFrames) decode(p []byte, s span, dst []event.Instance) error {
+	switch {
+	case f.block:
 		return decodeBlockFrame(p, dst)
+	case f.journal:
+		_, blk, err := journalEvents(p)
+		if err == nil {
+			err = wire.DecodeEventBlockTo(dst, blk)
+		}
+		if err != nil {
+			return fmt.Errorf("wal: %v", err)
+		}
+		for i := range dst {
+			dst[i].ID = s.first + i
+		}
+		return nil
 	}
 	in, err := decodeRecord(p)
 	dst[0] = in

@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
 	"grca/internal/obs"
+	"grca/internal/wire"
 )
 
 // Journal disk footprint: segments and bytes are what the data dir holds
@@ -25,13 +27,12 @@ var (
 
 // Journal is a flat append-only file of opaque framed records — the same
 // CRC32C framing as segments, without sequence numbers or snapshots. The
-// serving pipeline journals ingest batches here — feed lines, and event
-// batches as event blocks (wire.AppendEventBlock): the event WAL can
-// recover the normalized store byte-for-byte, but the collector's parse
-// state (routing simulations, pairing buffers, rolling baselines) is a
-// function of the raw input, so restart recovery replays this journal
-// through a fresh collector. Appends fsync before returning; an
-// acknowledged batch survives kill -9.
+// serving pipeline journals ingest batches here, and nowhere else — feed
+// lines, and event batches as event blocks (wire.AppendEventBlock): the
+// collector's parse state (routing simulations, pairing buffers, rolling
+// baselines) is a function of the raw input, so restart recovery replays
+// the journal through a fresh collector over the newest checkpoint.
+// Appends fsync before returning; an acknowledged batch survives kill -9.
 type Journal struct {
 	f    *os.File
 	path string
@@ -145,11 +146,15 @@ func (j *Journal) Close() error { return j.f.Close() }
 //	<dir>/journal-<firstSeq>.log    tail segments: a header frame, then the
 //	                                records from sequence firstSeq on
 //
-// The tail holds only store input, which the event WAL and its snapshots
-// hold a second time, so a tail segment is unlinked once the snapshots
-// cover it (SegmentedJournal.DropOldest; the serving pipeline decides
-// when). What is retained is always journal.log and a contiguous run of
-// tail segments ending in the active one.
+// The tail holds only store input: event records, nothing a collector
+// parses. A sealed segment is therefore a run as it stands — its events
+// are the IDs from its header's FirstID on, densely — and a checkpoint
+// adopts it by hard link instead of writing its events again
+// (Checkpointer). Once the checkpoints cover a tail segment its journal
+// name is unlinked (SegmentedJournal.DropOldest; the serving pipeline
+// decides when); the run's name keeps the file while a manifest needs it.
+// What is retained is always journal.log and a contiguous run of tail
+// segments ending in the active one.
 
 const (
 	// JournalSegmentBytes is the size at which the serving pipeline rolls
@@ -166,7 +171,29 @@ const (
 	// the kind space of the records the serving pipeline journals (its table
 	// is in internal/server, pipeline.go).
 	JournalSegmentKind byte = 5
+	// JournalEventKind is the kind of an event record, uvarint seq | 6 |
+	// uvarint 0 (no source) | event block (wire.AppendEventBlock): what a
+	// sealed tail segment holds behind its header, and all a run read from
+	// one may hold.
+	JournalEventKind byte = 6
 )
+
+// journalEvents reads an event record's instance count and its event
+// block; a record of any other kind, or with a source, is an error. The
+// count is bounded by the bytes behind it.
+func journalEvents(rec []byte) (n int, block []byte, err error) {
+	u := uvarints{rec, true}
+	u.next() // the sequence
+	if !u.ok || len(u.p) < 2 || u.p[0] != JournalEventKind || u.p[1] != 0 {
+		return 0, nil, fmt.Errorf("wal: not an event record")
+	}
+	block = u.p[2:]
+	u.p = block
+	if n = u.next(); !u.ok || n < 1 || n > len(u.p)/wire.MinBlockEvent {
+		return 0, nil, fmt.Errorf("wal: bad event record count")
+	}
+	return n, block, nil
+}
 
 // ErrJournalShards is a tail-segment header written for more than one
 // shard: the data dir is a multi-shard one, which this version does not
@@ -243,6 +270,48 @@ type JournalSegment struct {
 	Path   string
 	Header JournalSegmentHeader // only FirstSeq in a plain listing (JournalTail)
 	Size   int64                // file bytes, header frame included
+	// Events is how many events the segment's records hold, -1 when a
+	// record of it is not an event record or did not land whole; CRC is the
+	// CRC32C of its Size bytes. SegmentedJournal keeps both as it writes:
+	// with Header.FirstID they are what a manifest entry says of the
+	// segment as a run.
+	Events int
+	CRC    uint32
+}
+
+// run returns the segment as a run a checkpoint may adopt; ok is false
+// for one that holds no event, or that is not only event records.
+func (s JournalSegment) run() (segInfo, bool) {
+	return segInfo{path: s.Path, first: s.Header.FirstID, last: s.Header.FirstID + s.Events - 1,
+		count: s.Events, size: s.Size, crc: s.CRC}, s.Events > 0
+}
+
+// measure reads the segment's Size, CRC and Events off the file, for a
+// segment this process did not write.
+func (s *JournalSegment) measure() error {
+	data, err := os.ReadFile(s.Path)
+	if err != nil {
+		return err
+	}
+	s.Size, s.CRC, s.Events = int64(len(data)), crc32.Checksum(data, castagnoli), 0
+	for rest, first := data, true; len(rest) > 0; first = false {
+		p, r, ok := readFrame(rest)
+		if !ok {
+			s.Events = -1
+			break
+		}
+		rest = r
+		if first {
+			continue // the header
+		}
+		n, _, err := journalEvents(p)
+		if err != nil {
+			s.Events = -1
+			break
+		}
+		s.Events += n
+	}
+	return nil
 }
 
 // JournalHead returns the path of segment 0 under dir.
@@ -370,7 +439,9 @@ func OpenSegmentedJournal(dir string, tail []JournalSegment) (*SegmentedJournal,
 	j := &SegmentedJournal{dir: dir, tail: tail, headSize: JournalSize(JournalHead(dir))}
 	active, base := JournalHead(dir), int64(0)
 	for i := range j.tail {
-		j.tail[i].Size = JournalSize(j.tail[i].Path)
+		if err := j.tail[i].measure(); err != nil {
+			return nil, err
+		}
 		active, base = j.tail[i].Path, j.tail[i].Header.Offset
 	}
 	cur, err := OpenJournal(active)
@@ -415,9 +486,21 @@ func (j *SegmentedJournal) AppendNoSync(payload []byte) error {
 		// A short write leaves a torn frame the next replay cuts; the bytes
 		// that did land still count towards what is on disk.
 		j.grow(JournalSize(j.cur.path) - j.curSize)
+		if k := len(j.tail); k > 0 {
+			j.tail[k-1].Events = -1
+		}
 		return j.err
 	}
 	j.grow(int64(frameHeader + len(payload)))
+	if k := len(j.tail); k > 0 {
+		s := &j.tail[k-1]
+		s.CRC = crc32.Update(s.CRC, castagnoli, j.cur.buf)
+		if n, _, err := journalEvents(payload); err == nil && s.Events >= 0 {
+			s.Events += n
+		} else {
+			s.Events = -1
+		}
+	}
 	return nil
 }
 
@@ -507,7 +590,7 @@ func (j *SegmentedJournal) Roll(h JournalSegmentHeader, raw []byte, replace bool
 	j.cur.Close() //nolint:errcheck // synced above; nothing is written to it again
 	size := int64(frameHeader + len(raw))
 	j.cur, j.curSize = next, size
-	j.tail = append(j.tail, JournalSegment{Path: path, Header: h, Size: size})
+	j.tail = append(j.tail, JournalSegment{Path: path, Header: h, Size: size, CRC: crc32.Checksum(next.buf, castagnoli)})
 	j.offset.Store(h.Offset + size)
 	j.publish()
 	return nil

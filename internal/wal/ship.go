@@ -15,10 +15,11 @@ import (
 
 // Shipping support for the replication subsystem (internal/replica): the
 // stream's framing is the on-disk framing, so the source tails journal
-// files directly, and a checkpoint is a snapshot's files end to end. This
-// file exports just enough of the framing and the dir layout to do that.
-// Only the journal stream serves followers; what ships the event WAL
-// itself (internal/replica's one-shot path, SegmentRecords and
+// files directly, and a checkpoint is a snapshot's files end to end — its
+// runs adopted journal segments or block files. This file exports just
+// enough of the framing and the dir layout to do that. Only the journal
+// stream serves followers; what ships the event WAL itself
+// (internal/replica's one-shot path, SegmentRecords and
 // InstallSnapshotImage here) is frozen for bench/ and the chaos
 // replication classes, and speaks legacy records, one a message.
 
@@ -365,7 +366,7 @@ func (d *ImageDecoder) frame(p []byte) error {
 	at := len(d.ins)
 	d.ins = slices.Grow(d.ins, s.count)[:at+s.count]
 	d.held += s.count
-	return d.frames.decode(p, d.ins[at:])
+	return d.frames.decode(p, s, d.ins[at:])
 }
 
 func (d *ImageDecoder) fail(err error) error {
@@ -438,22 +439,3 @@ func SegPath(dir string, first int) string { return segPath(dir, first) }
 // WALDirOf and SnapDirOf expose the fixed sub-directory layout.
 func WALDirOf(dir string) string  { return walDir(dir) }
 func SnapDirOf(dir string) string { return snapDir(dir) }
-
-// Frontier returns the next record ID the log expects — one past the
-// highest ID ever appended (buffered records included).
-func (l *Log) Frontier() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
-// Floor returns the next-ID bound of the older of the two retained
-// snapshot manifests (0 with fewer than two): every record with a lower
-// ID is held by a snapshot that was durable before the latest one began,
-// so losing the latest loses none of them. The serving pipeline drops
-// the ingest journal behind it.
-func (l *Log) Floor() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.floor
-}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 
 	"grca/internal/event"
 	"grca/internal/obs"
@@ -31,18 +32,23 @@ import (
 // | count | file size | CRC32C of the whole file, runs ascending and
 // non-overlapping. Every frame carries the standard CRC32C.
 //
-// A run comes to exist one of two ways. A sealed segment whose records
-// are exactly the live instances of the run's range is adopted: hard-
-// linked under the run's name, its size and CRC taken from what the log
-// kept as it wrote the segment — it decodes to the instances writeRun
-// would write, so nothing is written. (Not to the same bytes: a segment's
-// frames follow commit groups, which a run written from the store cannot
-// know.) Every other run — a range an eviction took instances from, a
-// crumb, a range whose records straddle segments — is written from the
-// store by writeRun.
+// A run is also a journal tail segment: its header frame, then event
+// records whose instances take the IDs from the header's FirstID on
+// (encode.go, fileFrames). Those are what a Checkpointer adopts.
 //
-// Under a Log IDs only ascend (record poisons the log otherwise), so a
-// range already written can only lose instances, and a run's content
+// A run comes to exist one of two ways. A sealed file — a journal tail
+// segment, or a Log's WAL segment — whose records are exactly the live
+// instances of the run's range is adopted: hard-linked under the run's
+// name, its size and CRC taken from what its writer kept as it wrote the
+// file — it decodes to the instances writeRun would write, so nothing is
+// written. (Not to the same bytes: a file's frames follow commit groups,
+// which a run written from the store cannot know.) Every other run — a
+// range an eviction took instances from, a crumb, a range whose records
+// straddle files — is written from the store by writeRun.
+//
+// IDs only ascend (a Log's record hook poisons the log otherwise, and the
+// journal's replay allocates them in order), so a range already written
+// can only lose instances, and a run's content
 // is a function of (lo, hi, count): a run is unchanged exactly when the
 // store still holds count live instances in [lo, hi). That one
 // comparison replaces a dead-ID filter or tombstone list, and it is why
@@ -238,7 +244,7 @@ func parseRun(data []byte, want runInfo, workers int, dst []event.Instance) erro
 		return fmt.Errorf("%d records, the manifest says %d", held, len(dst))
 	}
 	return parallelIndexed(len(frames), workers, func(i int) error {
-		if err := ff.decode(frames[i].payload, dst[at[i]:at[i]+frames[i].count]); err != nil {
+		if err := ff.decode(frames[i].payload, frames[i].span, dst[at[i]:at[i]+frames[i].count]); err != nil {
 			return fmt.Errorf("record %d: %v", at[i], err)
 		}
 		return nil
@@ -280,29 +286,30 @@ func readSnapshot(dir, path string, workers int) (manifest, []event.Instance, er
 	return m, ins, nil
 }
 
-// loadLatestSnapshot restores the newest readable snapshot into the
-// fresh store. An unreadable one — torn by a crash, corrupt, referencing
-// a missing run, or in a format this code does not read — is counted and
-// skipped for the previous one: the segments below it still exist until a
-// later snapshot succeeds.
-func (l *Log) loadLatestSnapshot(rec *Recovery) error {
-	snaps, nums, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
+// loadCheckpoint restores the newest readable snapshot under dir into the
+// fresh store st and returns its manifest, and the next-ID bound of the
+// manifest before it (0 for none): the floor. An unreadable one — torn by
+// a crash, corrupt, referencing a missing run, or in a format this code
+// does not read — is counted and skipped for the previous one: what it
+// covered is still in the files below it until a later snapshot succeeds.
+func loadCheckpoint(dir string, workers int, st *store.Memory, rec *Recovery) (m manifest, floor int, err error) {
+	snaps, nums, err := listNumbered(snapDir(dir), "snap-", ".snap")
 	if err != nil {
-		return err
+		return m, 0, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		m, ins, err := readSnapshot(l.dir, snaps[i], l.opts.replayWorkers())
+		got, ins, err := readSnapshot(dir, snaps[i], workers)
 		if err != nil {
 			rec.SnapshotsSkipped++
 			mSnapUnreadable.Inc()
 			continue
 		}
-		if err := l.st.Restore(m.base, m.next, ins); err != nil {
-			return fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
+		if err := st.Restore(got.base, got.next, ins); err != nil {
+			return m, 0, fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
 		}
-		l.snap = m
+		m = got
 		if i > 0 {
-			l.floor = nums[i-1]
+			floor = nums[i-1]
 		}
 		rec.SnapshotNext = m.next
 		rec.SnapshotLive = len(ins)
@@ -313,7 +320,7 @@ func (l *Log) loadLatestSnapshot(rec *Recovery) error {
 	if n := len(nums); n >= 2 && rec.SnapshotNext < nums[n-2] {
 		rec.LostBelow = nums[n-2]
 	}
-	return nil
+	return m, floor, nil
 }
 
 // plannedRun is one entry of the manifest being built: a run of the
@@ -512,26 +519,12 @@ func writeManifest(dir string, m manifest) (int64, error) {
 }
 
 // Snapshot flushes pending records, seals the active segment, and makes
-// durable what changed since the previous snapshot: a run for each sealed
-// segment of the IDs assigned since — the segment itself, linked, when
-// its records are exactly the run's — a rewrite of each run an eviction
-// took instances from, and a manifest naming those beside the runs kept
-// as they are. It then compacts: segments and runs made redundant and all
-// but the previous manifest are deleted. With retention eviction feeding
-// this (the store's OnEvict hook), disk stays bounded like the store's
-// memory, and the bytes written follow the records evicted, not the
-// store's size — the records added were written once, by Commit.
-//
-// Write order: the segment is synced and closed, then linked; written
-// runs are synced and renamed; then the manifest is synced and renamed,
-// then the directory is synced, then compaction runs. A crash before the
-// manifest's rename leaves unreferenced runs, which recovery ignores and
-// the next compaction collects (a link that finds its name taken by one
-// replaces it); a crash after it leaves at worst files compaction had not
-// yet removed. Should the directory lose a run's name but keep the
-// manifest's, the manifest fails its size and CRC check and recovery
-// falls back to the previous one, whose runs and segments are only
-// removed after the sync.
+// durable what changed since the previous snapshot (takeCheckpoint), then
+// compacts: segments and runs made redundant and all but the previous
+// manifest are deleted. With retention eviction feeding this (the store's
+// OnEvict hook), disk stays bounded like the store's memory, and the bytes
+// written follow the records evicted, not the store's size — the records
+// added were written once, by Commit.
 //
 // A failure is counted in wal.snapshots.failed and leaves the log as it
 // was but for the seal — the previous snapshot and every segment above it
@@ -562,7 +555,59 @@ func (l *Log) snapshot() error {
 	if err != nil {
 		return err
 	}
+	m, err := takeCheckpoint(l.dir, l.snap, l.st, sealed)
+	if err != nil {
+		return err
+	}
+	l.snap = m
+	l.mu.Lock()
+	if l.sinceSnap = l.nextSeq - m.next; l.sinceSnap < 0 {
+		l.sinceSnap = 0
+	}
+	// A segment the manifest covers can never be adopted again: a later
+	// rewrite of its range is one an eviction caused.
+	l.sealed = slices.DeleteFunc(l.sealed, func(s segInfo) bool { return s.last < m.next })
+	active := l.cur.path
+	l.mu.Unlock()
+	horizon, err := compactSnap(l.dir, m)
+	if err != nil {
+		return err
+	}
+	// Segment i's records all lie below segment i+1's first ID, so it is
+	// removable once that bound clears the horizon; never the active one. A
+	// segment a run was linked from goes like any other: the wal/ name and
+	// the snap/ name are two names of one file, each removed by its own rule.
+	segs, firsts, err := listNumbered(walDir(l.dir), "seg-", ".log")
+	if err != nil {
+		return err
+	}
+	for i := 0; i+1 < len(segs); i++ {
+		if firsts[i+1] <= horizon && segs[i] != active {
+			if err := os.Remove(segs[i]); err != nil {
+				return err
+			}
+			mCompacted.Inc()
+		}
+	}
+	return nil
+}
 
+// takeCheckpoint makes durable a manifest over the store's cut, next to
+// prev, the latest durable one: a run for each sealed file holding the IDs
+// assigned since — the file itself, linked, when its records are exactly
+// the run's — a rewrite of each run an eviction took instances from, and
+// the runs kept as they are. sealed are synced files no write lands in
+// again, ascending; IDs ascend through them.
+//
+// Write order: linked runs first; written runs are synced and renamed;
+// then the manifest is synced and renamed, then the directory is synced. A
+// crash before the manifest's rename leaves unreferenced runs, which
+// recovery ignores and the next compaction collects (a link that finds its
+// name taken by one replaces it). Should the directory lose a run's name
+// but keep the manifest's, the manifest fails its size and CRC check and
+// recovery falls back to the previous one, whose runs are only removed by
+// a compaction after the sync.
+func takeCheckpoint(dir string, prev manifest, st *store.Memory, sealed []segInfo) (manifest, error) {
 	var m manifest
 	type writtenRun struct {
 		tmp  *os.File
@@ -575,9 +620,9 @@ func (l *Log) snapshot() error {
 		}
 	}()
 	adopted := 0
-	err = l.st.Cut(func(c store.Cut) error {
+	err := st.Cut(func(c store.Cut) error {
 		m.base, m.next, m.live = c.Bounds()
-		plan := planRuns(l.snap.runs, l.snap.next, m.next, sealed, c.Count)
+		plan := planRuns(prev.runs, prev.next, m.next, sealed, c.Count)
 		m.runs = make([]runInfo, len(plan))
 		for i, p := range plan {
 			r := &m.runs[i]
@@ -586,12 +631,12 @@ func (l *Log) snapshot() error {
 				continue
 			}
 			// A link the filesystem refuses is a run to write like any other.
-			if s := adoptable(sealed, *r, c.Count); s != nil && linkRun(s.path, runFile(l.dir, *r)) == nil {
+			if s := adoptable(sealed, *r, c.Count); s != nil && linkRun(s.path, runFile(dir, *r)) == nil {
 				r.size, r.crc = s.size, s.crc
 				adopted++
 				continue
 			}
-			f, err := writeRun(l.dir, r, c)
+			f, err := writeRun(dir, r, c)
 			if err != nil {
 				return err
 			}
@@ -600,66 +645,47 @@ func (l *Log) snapshot() error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return m, err
 	}
 	nwritten := len(written)
 	for len(written) > 0 {
 		w := written[0]
 		written = written[1:]
-		if err := commitFile(w.tmp, runFile(l.dir, *w.info)); err != nil {
-			return err
+		if err := commitFile(w.tmp, runFile(dir, *w.info)); err != nil {
+			return m, err
 		}
 		mSnapBytes.Add(w.info.size)
 	}
-	n, err := writeManifest(l.dir, m)
+	n, err := writeManifest(dir, m)
 	if err != nil {
-		return err
+		return m, err
 	}
 	mSnapshots.Inc()
 	mSnapBytes.Add(n)
 	mSnapRunsWritten.Add(int64(nwritten))
 	mSnapRunsAdopted.Add(int64(adopted))
 	mSnapRunsReused.Add(int64(len(m.runs) - nwritten - adopted))
-
-	// The manifest this one follows was durable before this snapshot began;
-	// what it covers is covered twice over now.
-	floor := l.snap.next
-	l.snap = m
-	l.mu.Lock()
-	l.floor = floor
-	if l.sinceSnap = l.nextSeq - m.next; l.sinceSnap < 0 {
-		l.sinceSnap = 0
-	}
-	// A segment the manifest covers can never be adopted again: a later
-	// rewrite of its range is one an eviction caused.
-	l.sealed = slices.DeleteFunc(l.sealed, func(s segInfo) bool { return s.last < m.next })
-	active := l.cur.path
-	l.mu.Unlock()
-	return l.compact(active, m)
+	return m, nil
 }
 
-// compact keeps the latest two manifests, the runs either references,
-// and removes segments whose entire record range lies below the OLDER
-// retained snapshot (never the active segment). A segment a run was linked
-// from goes like any other: the wal/ name and the snap/ name are two names
-// of one file, each removed by its own rule. Compacting to the older
-// snapshot — not the one just written — is what makes the two-snapshot
-// retention real: if the newest snapshot turns out unreadable at
-// recovery, the previous manifest, its runs and the still-present
-// segments rebuild the same state. Segment i's records all lie below
-// segment i+1's first ID, so it is removable once that bound clears the
-// horizon. cur is the manifest just written.
-func (l *Log) compact(active string, cur manifest) error {
-	snaps, nums, err := listNumbered(snapDir(l.dir), "snap-", ".snap")
+// compactSnap keeps the latest two manifests and the runs either
+// references, deletes every other manifest and run, and returns the
+// horizon: the older retained manifest's next-ID bound (0 with only one,
+// which has no fallback). Compacting to the older snapshot — not the one
+// just written — is what makes the two-snapshot retention real: if the
+// newest snapshot turns out unreadable at recovery, the previous manifest,
+// its runs and what is kept above its bound rebuild the same state. cur
+// is the manifest just written.
+func compactSnap(dir string, cur manifest) (horizon int, err error) {
+	snaps, nums, err := listNumbered(snapDir(dir), "snap-", ".snap")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i := 0; i+2 < len(snaps); i++ {
 		if err := os.Remove(snaps[i]); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	horizon := 0 // only one snapshot: it has no fallback, delete nothing
 	keep := map[string]bool{}
 	for _, r := range cur.runs {
 		keep[runName(r)] = true
@@ -676,31 +702,105 @@ func (l *Log) compact(active string, cur manifest) error {
 	}
 	// Whatever else is named like a run is an orphan: replaced, emptied,
 	// or a temp file or renamed run of a snapshot that never got its
-	// manifest. Snapshot is serialized, so nothing here is in flight.
-	entries, err := os.ReadDir(snapDir(l.dir))
+	// manifest. Snapshots are serialized, so nothing here is in flight.
+	entries, err := os.ReadDir(snapDir(dir))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, e := range entries {
 		if name := e.Name(); strings.HasPrefix(name, "run-") && !keep[name] {
-			if err := os.Remove(filepath.Join(snapDir(l.dir), name)); err != nil {
-				return err
+			if err := os.Remove(filepath.Join(snapDir(dir), name)); err != nil {
+				return 0, err
 			}
 		}
 	}
-	segs, firsts, err := listNumbered(walDir(l.dir), "seg-", ".log")
+	return horizon, nil
+}
+
+// Checkpointer keeps the checkpoints of a serving data dir, whose event
+// log is the ingest journal: a checkpoint is a manifest over runs, and a
+// sealed journal tail segment whose events are all still live becomes its
+// range's run by hard link. Only the ranges an eviction thinned, and the
+// head's events (journal.log holds them as feed lines), are written from
+// the store. Nothing is appended per batch: the journal holds each event
+// once, and a checkpoint links it.
+type Checkpointer struct {
+	dir string
+
+	mu sync.Mutex // serializes Checkpoint; guards snap and floor
+	// snap is the latest durable manifest, floor the next-ID bound of the
+	// one before it (0 for none): every event below floor is held by a
+	// manifest that was durable when the latest one began.
+	snap  manifest
+	floor int
+}
+
+// OpenCheckpoint restores the newest readable checkpoint under dir into a
+// fresh store with opts.Retention set, and returns both. It reads snap/
+// alone, creating it as needed; the caller replays the journal tail over
+// the store. Recovery.LostBelow says the restore has a hole, as for Open.
+func OpenCheckpoint(dir string, opts Options) (*Checkpointer, *store.Memory, Recovery, error) {
+	var rec Recovery
+	if err := os.MkdirAll(snapDir(dir), 0o755); err != nil {
+		return nil, nil, rec, err
+	}
+	st := store.New()
+	if opts.Retention > 0 {
+		st.SetRetention(opts.Retention)
+	}
+	m, floor, err := loadCheckpoint(dir, opts.replayWorkers(), st, &rec)
 	if err != nil {
-		return err
+		return nil, nil, rec, err
 	}
-	for i := 0; i+1 < len(segs); i++ {
-		if firsts[i+1] <= horizon && segs[i] != active {
-			if err := os.Remove(segs[i]); err != nil {
-				return err
-			}
-			mCompacted.Inc()
+	return &Checkpointer{dir: dir, snap: m, floor: floor}, st, rec, nil
+}
+
+// Checkpoint makes the store durable under snap/: a manifest over every
+// instance st holds, whose runs are kept, linked from sealed — the journal
+// tail segments no record is appended to again, synced, ascending — or
+// written from one store.Memory.Cut. The caller checkpoints where st holds
+// exactly the events below the journal's active segment (a roll), so that
+// no run ever covers the active segment and the manifest is the store as
+// the journal's replay left it at that point; and the journal is synced
+// ahead of it. A store that has not changed since the latest manifest
+// writes nothing.
+//
+// A failure is counted in wal.snapshots.failed and leaves the previous
+// checkpoint in place: the journal still holds everything above it.
+func (c *Checkpointer) Checkpoint(st *store.Memory, sealed []JournalSegment) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	base, next, live := 0, 0, 0
+	st.Cut(func(cut store.Cut) error { base, next, live = cut.Bounds(); return nil }) //nolint:errcheck // the func returns nil
+	if base == c.snap.base && next == c.snap.next && live == c.snap.live {
+		return nil // IDs only ascend and evictions only take: nothing changed
+	}
+	var runs []segInfo
+	for _, s := range sealed {
+		if r, ok := s.run(); ok {
+			runs = append(runs, r)
 		}
 	}
-	return nil
+	m, err := takeCheckpoint(c.dir, c.snap, st, runs)
+	if err == nil {
+		c.floor, c.snap = c.snap.next, m
+		_, err = compactSnap(c.dir, m)
+	}
+	if err != nil {
+		mSnapFailed.Inc()
+	}
+	return err
+}
+
+// Floor returns the next-ID bound of the older of the two retained
+// manifests (0 with fewer than two): every event with a lower ID is held
+// by a checkpoint that was durable before the latest one began, so losing
+// the latest loses none of them. The serving pipeline drops the journal's
+// tail segments behind it.
+func (c *Checkpointer) Floor() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.floor
 }
 
 func syncDir(dir string) error {

@@ -1028,6 +1028,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(oldRunHeader(0, 1<<60, 1<<60))
 	f.Add(manifest{next: 1 << 60, live: 1 << 60, runs: []runInfo{{hi: 1 << 60, count: 1 << 60, size: 8}}}.encode())
 	f.Add([]byte("GRCASNAP2 but nothing else"))
+	// A manifest over a journal tail segment the checkpoint adopted as its
+	// run, whole and torn.
+	if dir, _, _ := journalCheckpoint(f, 3000, 700); true {
+		man, err := os.ReadFile(manifests(f, dir)[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		run, err := os.ReadFile(runFiles(f, dir)[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		whole := append(man[:len(man):len(man)], run...)
+		f.Add(whole)
+		f.Add(whole[:len(whole)-5])
+	}
 
 	// restores checks that a run the reader accepted against want is one
 	// the store takes back.

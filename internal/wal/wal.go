@@ -1,13 +1,24 @@
-// Package wal gives the G-RCA event store durability: a segmented,
-// append-only write-ahead log of normalized event instances with
-// per-frame CRC32C framing, periodic incremental snapshots (a manifest
-// over immutable ID-range runs, see snapshot.go), and startup recovery
-// that replays snapshot+tail into a byte-identical store. The paper's
+// Package wal gives the G-RCA event store durability. The paper's
 // platform ran as a shared service continuously fed by many applications
 // (§II); this package is what lets the reproduction survive a restart
 // without replaying raw feeds.
 //
-// # Layout and invariants
+// The serving pipeline writes each batch once, to the ingest journal
+// (journal.go): CRC32C-framed records, the feed phase in journal.log and
+// everything after it in tail segments. Its checkpoints (Checkpointer,
+// snapshot.go) are manifests over immutable ID-range runs, and a sealed
+// tail segment whose events are all still live is adopted as its range's
+// run by hard link. Recovery is the newest readable checkpoint plus the
+// journal's tail.
+//
+// Log, the event WAL below — a segmented write-ahead log of normalized
+// instances that a store's append hook feeds, with its own snapshots — is
+// a vestige: no server writes it, and its record append and segments stay
+// only because bench/ and internal/chaos still drive them (ROADMAP item
+// 1(b)). Open also reads a server's data dir: with no segment there, it
+// is the newest checkpoint alone.
+//
+// # Layout and invariants of the event WAL
 //
 //	<dir>/wal/seg-<firstID>.log          record file, IDs ascending from firstID
 //	<dir>/snap/snap-<nextID>.snap        manifest of the snapshot covering IDs < nextID
@@ -198,11 +209,6 @@ type Log struct {
 	sinceSnap int              // records committed since the latest durable snapshot
 	closed    bool
 	err       error // first write/sync failure; sticky
-
-	// floor is the next-ID bound of the older of the two retained
-	// manifests: every record below it is held by a snapshot that was
-	// already durable when the latest one began. Guarded by mu.
-	floor int
 
 	snapMu sync.Mutex // serializes Snapshot end to end
 	// snap is the latest durable snapshot's manifest — the runs the next
@@ -528,11 +534,11 @@ const maxPendKept = 1 << 16
 const replayWindow = 1 << 16
 
 // replay is recovery's read side: it restores the store and leaves the
-// log positioned (nextSeq, sinceSnap, sealed, floor), writing nothing but
+// log positioned (nextSeq, sinceSnap, sealed), writing nothing but
 // the cut of a torn tail. tail is the last segment read and kept; reopen
 // says it may take the next appends.
 func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
-	if err := l.loadLatestSnapshot(&rec); err != nil {
+	if l.snap, _, err = loadCheckpoint(l.dir, l.opts.replayWorkers(), l.st, &rec); err != nil {
 		return rec, tail, false, err
 	}
 	segs, firsts, err := listNumbered(walDir(l.dir), "seg-", ".log")
@@ -666,7 +672,7 @@ func (l *Log) replayFrames(path string, ff *fileFrames, frames []pendFrame, expe
 		}
 		ins = slices.Grow(ins[:0], total)[:total]
 		err := parallelIndexed(n, l.opts.replayWorkers(), func(i int) error {
-			if err := ff.decode(window[i].payload, ins[at[i]:at[i]+window[i].count]); err != nil {
+			if err := ff.decode(window[i].payload, window[i].span, ins[at[i]:at[i]+window[i].count]); err != nil {
 				// Framing intact but the payload is gibberish — not a torn
 				// write, refuse to guess.
 				return fmt.Errorf("wal: %s record %d: %v", path, window[i].first, err)

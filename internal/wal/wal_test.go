@@ -901,49 +901,45 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestFloor: Floor is the next-ID bound of the older of the two retained
-// manifests — what the serving pipeline drops the ingest journal behind —
-// through snapshots, an idle re-snapshot (which makes the latest manifest
-// the older one's equal) and a reopen, which recovers the same store.
+// TestFloor: a Checkpointer's floor is the next-ID bound of the older of
+// the two retained manifests — 0 while there is only one — moved by every
+// checkpoint that writes a manifest and by none that finds nothing new, and
+// read back from the files on disk by OpenCheckpoint.
 func TestFloor(t *testing.T) {
 	dir := t.TempDir()
 	ins := genEvents(47, 900)
-	l, st, _, err := Open(dir, Options{})
+	c, st, _, err := OpenCheckpoint(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := func(wantFloor int) {
+	checkpoint := func(wantFloor int) {
 		t.Helper()
-		if err := l.Snapshot(); err != nil {
+		if err := c.Checkpoint(st, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := l.Floor(); got != wantFloor {
-			t.Fatalf("floor %d after the snapshot at %d, want %d", got, l.Frontier(), wantFloor)
+		if got := c.Floor(); got != wantFloor {
+			t.Fatalf("floor %d after the checkpoint at %d, want %d", got, st.NextID(), wantFloor)
 		}
 	}
-	if l.Floor() != 0 {
-		t.Fatalf("floor %d on an empty log", l.Floor())
+	if c.Floor() != 0 {
+		t.Fatalf("floor %d with no checkpoint", c.Floor())
 	}
 	addAll(st, ins[:300])
-	snap(0) // one manifest: it has no fallback
+	checkpoint(0) // one manifest: it has no fallback
 	addAll(st, ins[300:600])
-	snap(300)
+	checkpoint(300)
 	addAll(st, ins[600:])
-	snap(600)
-	snap(900) // nothing new: both retained generations now reach 900
+	checkpoint(600)
+	checkpoint(600) // nothing new: no manifest, the floor stays
 	want := StoreDigest(st)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, got, rec, err := Open(dir, Options{})
+	c, got, rec, err := OpenCheckpoint(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	if StoreDigest(got) != want || rec.SnapshotNext != 900 {
 		t.Fatalf("reopen: %+v, digest equal: %v", rec, StoreDigest(got) == want)
 	}
-	if got := l.Floor(); got != 600 {
+	if got := c.Floor(); got != 600 {
 		t.Fatalf("floor %d after the reopen, want 600: the older manifest file on disk", got)
 	}
 }

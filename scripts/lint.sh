@@ -11,8 +11,10 @@
 # the docs from drifting back to a deleted instrument, one that keeps
 # each application's spec in its .grca file alone, one that
 # keeps routing memos in internal/epoch, one that keeps the server to
-# one streaming processor, and one that keeps the event WAL from growing a
-# durability clock of its own.
+# one streaming processor, one that keeps the event WAL from growing a
+# durability clock of its own, and one that keeps the server and the
+# replication package off the event WAL, so that every batch is written
+# once, to the journal.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -89,6 +91,16 @@ echo "== one sync per batch =="
 # WAL is how a second durability clock (a background flusher) comes back.
 if git grep -nE 'time\.NewTicker' -- 'internal/wal/*.go' ':!*_test.go'; then
   echo "ticker in internal/wal (above): the WAL syncs at a seal, the journal per commit group" >&2
+  fail=1
+fi
+
+echo "== one write per batch =="
+# The journal is the only thing written per batch; a checkpoint links its
+# sealed segments as runs. wal.Log's append is a vestige that bench/ and
+# internal/chaos still drive (ROADMAP item 1(b)); the server or the
+# replication package opening one is the second write coming back.
+if git grep -nE 'wal\.Open\(|wal\.Log\b' -- 'internal/server/*.go' 'internal/replica/*.go' ':!*_test.go'; then
+  echo "event WAL in the server or the replication package (above): checkpoint through wal.Checkpointer" >&2
   fail=1
 fi
 
