@@ -11,7 +11,6 @@ package cdnassign
 import (
 	"fmt"
 	"math"
-	"net/netip"
 	"sort"
 	"time"
 
@@ -24,12 +23,11 @@ type Node struct {
 	Router string // attachment router inside the ISP
 }
 
-// Service is the assignment policy engine. It is immutable except for
-// policy pins and safe for concurrent readers otherwise.
+// Service is the assignment policy engine. It is immutable and safe for
+// concurrent readers.
 type Service struct {
 	view  *netstate.View
 	nodes []Node
-	pins  map[netip.Prefix]string // client prefix → pinned node
 }
 
 // New builds an assignment service over the network view. At least one
@@ -39,7 +37,7 @@ func New(view *netstate.View, nodes []Node) (*Service, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cdnassign: no nodes")
 	}
-	s := &Service{view: view, pins: map[netip.Prefix]string{}}
+	s := &Service{view: view}
 	seen := map[string]bool{}
 	for _, n := range nodes {
 		if n.Name == "" || n.Router == "" {
@@ -54,25 +52,6 @@ func New(view *netstate.View, nodes []Node) (*Service, error) {
 	sort.Slice(s.nodes, func(i, j int) bool { return s.nodes[i].Name < s.nodes[j].Name })
 	return s, nil
 }
-
-// Pin overrides assignment for every client inside prefix — the
-// "CDN assignment policy change" of Table V, expressed as configuration.
-//
-//lint:ignore deadcode TestPinOverridesDistance and TestPinUsesMaskedPrefix are its only callers; they go together (ROADMAP item 10)
-func (s *Service) Pin(prefix netip.Prefix, node string) error {
-	for _, n := range s.nodes {
-		if n.Name == node {
-			s.pins[prefix.Masked()] = node
-			return nil
-		}
-	}
-	return fmt.Errorf("cdnassign: unknown node %q", node)
-}
-
-// Unpin removes a policy pin.
-//
-//lint:ignore deadcode TestPinOverridesDistance is its only caller; the two go together (ROADMAP item 10)
-func (s *Service) Unpin(prefix netip.Prefix) { delete(s.pins, prefix.Masked()) }
 
 // Cost is one node's distance to a client at a point in time.
 type Cost struct {
@@ -102,33 +81,14 @@ func (s *Service) Rank(client string, t time.Time) ([]Cost, error) {
 	return costs, nil
 }
 
-// Assign picks the serving node for a client at time t: a policy pin when
-// one covers the client's address, otherwise the closest node by Rank.
+// Assign picks the serving node for a client at time t: the closest node
+// by Rank.
 func (s *Service) Assign(client string, t time.Time) (Node, error) {
-	if addr, ok := s.clientAddr(client); ok {
-		for pfx, node := range s.pins {
-			if pfx.Contains(addr) {
-				for _, n := range s.nodes {
-					if n.Name == node {
-						return n, nil
-					}
-				}
-			}
-		}
-	}
 	costs, err := s.Rank(client, t)
 	if err != nil {
 		return Node{}, err
 	}
 	return costs[0].Node, nil
-}
-
-func (s *Service) clientAddr(client string) (netip.Addr, bool) {
-	if a, ok := s.view.ClientAddr(client); ok {
-		return a, true
-	}
-	a, err := netip.ParseAddr(client)
-	return a, err == nil
 }
 
 // Repair is one DNS-table update the §III-B story calls for: a client

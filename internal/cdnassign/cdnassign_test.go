@@ -1,7 +1,6 @@
 package cdnassign
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -68,25 +67,6 @@ func TestAssignClosest(t *testing.T) {
 	}
 }
 
-func TestPinOverridesDistance(t *testing.T) {
-	_, s := fixture(t)
-	if err := s.Pin(testnet.ClientPrefix, "cdn-nyc"); err != nil {
-		t.Fatal(err)
-	}
-	node, err := s.Assign("agent-1", testnet.T0)
-	if err != nil || node.Name != "cdn-nyc" {
-		t.Errorf("pinned assignment = %v, %v", node, err)
-	}
-	s.Unpin(testnet.ClientPrefix)
-	node, _ = s.Assign("agent-1", testnet.T0)
-	if node.Name != "cdn-wdc" {
-		t.Errorf("after unpin = %v", node)
-	}
-	if err := s.Pin(testnet.ClientPrefix, "ghost"); err == nil {
-		t.Error("pin to unknown node accepted")
-	}
-}
-
 // TestRepairStory reproduces §III-B.2: the egress near the serving node
 // fails; the client's traffic detours; PlanRepairs recommends moving the
 // client to the node that is closer under the *new* routing — the DNS
@@ -132,22 +112,8 @@ func TestUnreachableClient(t *testing.T) {
 	if _, err := s.Assign("203.0.113.9", testnet.T0); err == nil {
 		t.Error("unreachable client assigned")
 	}
-	// Unregistered, unparsable client: no pin lookup possible, falls back
-	// to ranking, which fails.
+	// Unregistered, unparsable client: ranking fails.
 	if _, err := s.Assign("nobody", testnet.T0); err == nil {
 		t.Error("unknown client assigned")
-	}
-}
-
-func TestPinUsesMaskedPrefix(t *testing.T) {
-	_, s := fixture(t)
-	// A pin given with host bits set still covers the whole prefix.
-	sloppy := netip.PrefixFrom(testnet.AgentAddr, 24)
-	if err := s.Pin(sloppy, "cdn-nyc"); err != nil {
-		t.Fatal(err)
-	}
-	node, err := s.Assign("agent-1", testnet.T0)
-	if err != nil || node.Name != "cdn-nyc" {
-		t.Errorf("sloppy pin = %v, %v", node, err)
 	}
 }

@@ -55,22 +55,23 @@ const (
 	// streaming processor's grace window (exercised by Replay; feed text
 	// is unaffected).
 	FaultDelay Fault = "delay"
-	// FaultCrashRestart kills and restarts a WAL-backed ingest mid-stream
-	// (exercised by CrashReplay; feed text is unaffected): uncommitted
-	// batches are lost and re-delivered after recovery, and the recovered
-	// store must come back byte-identical.
+	// FaultCrashRestart kills the diagnosis service (server.Open) mid-ingest
+	// and boots the data dir's image (exercised by CrashReplay; feed text is
+	// unaffected): the batch in flight is posted again after recovery, and
+	// the rebooted node must answer as one that never crashed — the same
+	// store digest and /v1/breakdown bytes.
 	FaultCrashRestart Fault = "crash-restart"
-	// FaultReplicaLag stalls a read replica's WAL-shipping stream once
-	// LagFraction of the corpus has shipped (exercised by ReplicaReplay;
-	// feed text is unaffected): the follower serves a consistent stale
-	// prefix until the stream resumes, and the healed state must be
-	// byte-identical to the primary.
+	// FaultReplicaLag stalls a read replica's journal stream, held open,
+	// once LagFraction of the primary's journal has passed (exercised by
+	// ReplicaReplay; feed text is unaffected): the follower serves a
+	// consistent stale prefix until the stream resumes, and the healed
+	// follower must answer as the primary does.
 	FaultReplicaLag Fault = "replica-lag"
-	// FaultPartition severs the replication connection at seeded byte
-	// offsets — usually mid-frame — PartitionCount times (exercised by
-	// ReplicaReplay): each reconnect resumes from the follower's
-	// frontier through the torn-frame discard path, and the healed
-	// state must be byte-identical to the primary.
+	// FaultPartition severs the journal stream at seeded byte offsets —
+	// usually mid-frame — PartitionCount times (exercised by
+	// ReplicaReplay): each reconnect resumes from the follower's applied
+	// sequence through the torn-frame discard path, and the healed
+	// follower must answer as the primary does.
 	FaultPartition Fault = "partition"
 )
 
@@ -144,16 +145,17 @@ type Config struct {
 	DelayMax      time.Duration
 
 	// CrashCount kill -9 restarts are simulated at seed-derived points in
-	// the stream (default 3); CrashBatch events are delivered per
-	// acknowledged WAL commit (default 256), bounding how much each crash
-	// loses and re-delivers.
+	// the stream (default 3); CrashBatch events go to one acknowledged
+	// ingest batch (default 256), bounding what each crash leaves in
+	// flight and re-delivers, and the durability classes checkpoint every
+	// 4×CrashBatch events.
 	CrashCount int
 	CrashBatch int
 
-	// LagFraction is where the replica-lag scenario stalls the shipping
-	// stream, as a fraction of the corpus (default 0.6); PartitionCount
-	// is how many seeded mid-stream connection cuts the partition
-	// scenario inflicts before healing (default 3).
+	// LagFraction is where the replica-lag scenario stalls the journal
+	// stream, as a fraction of the primary's ingest batches (default 0.6);
+	// PartitionCount is how many seeded mid-stream connection cuts the
+	// partition scenario inflicts before healing (default 3).
 	LagFraction    float64
 	PartitionCount int
 }

@@ -1,41 +1,46 @@
 package chaos
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
-	"grca/internal/event"
-	"grca/internal/locus"
+	"grca/internal/platform"
+	"grca/internal/simnet"
 	"grca/internal/store"
 	"grca/internal/wal"
 )
 
-func crashCorpus(n int) store.Store {
-	st := store.New()
-	base := time.Date(2010, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < n; i++ {
-		at := base.Add(time.Duration(i) * time.Second)
-		in := event.Instance{
-			Name: event.InterfaceDown, Start: at, End: at,
-			Loc: locus.At(locus.Interface, fmt.Sprintf("r%02d", i%17)),
-		}
-		if i%3 == 0 {
-			in.Name = event.InterfaceUp
-			in.Attrs = event.NewAttrs(map[string]string{"n": fmt.Sprint(i)})
-		}
-		st.Add(in)
+// durabilityCorpus is a small dataset for the durability classes: the
+// bundle the server is opened over, and the clean store whose events it
+// is fed.
+func durabilityCorpus(t *testing.T) (platform.Bundle, store.Store) {
+	t.Helper()
+	d, err := simnet.Generate(simnet.Config{
+		Seed: 5, PoPs: 3, PERsPerPoP: 2, SessionsPerPER: 6,
+		Duration: 3 * 24 * time.Hour, BGPFlapIncidents: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return st
+	b := platform.BundleFromDataset(d)
+	sys, err := b.Assemble(platform.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, sys.Store
 }
 
-// TestCrashReplayByteIdentical is the fault class's core property: any
-// number of kill -9 restarts mid-ingest still converges on a store
-// byte-identical to never having crashed.
+// TestCrashReplayByteIdentical is the fault class's core property: kill -9
+// images of the serving node, cut between acknowledged batches and inside
+// the frame of the batch in flight, each boot to a node that answers as
+// the one that never crashed. The seed's matrix reaches the code it gates:
+// both kinds of cut, and a boot from a checkpoint that adopted a journal
+// segment as a run.
 func TestCrashReplayByteIdentical(t *testing.T) {
-	clean := crashCorpus(2000)
-	inj := New(Config{Seed: 11, Faults: []Fault{FaultCrashRestart}, CrashCount: 4, CrashBatch: 64})
-	res, err := inj.CrashReplay(clean)
+	b, clean := durabilityCorpus(t)
+	cfg := Config{Seed: 11, Faults: []Fault{FaultCrashRestart}, CrashCount: 4, CrashBatch: 64}
+	res, st, err := New(cfg).CrashReplay(b, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,21 +48,30 @@ func TestCrashReplayByteIdentical(t *testing.T) {
 		t.Errorf("crashes = %d, want 4", res.Crashes)
 	}
 	if !res.DigestMatch {
-		t.Fatal("recovered store is not byte-identical to the clean one")
+		t.Fatal("a rebooted node's store is not byte-identical to the clean one")
 	}
-	if res.Store.Len() != clean.Len() {
-		t.Fatalf("recovered %d events, want %d", res.Store.Len(), clean.Len())
+	if !res.BreakdownMatch {
+		t.Fatal("a rebooted node's /v1/breakdown differs from the uncrashed node's")
 	}
-	if wal.StoreDigest(res.Store) != wal.StoreDigest(clean) {
-		t.Fatal("digest mismatch despite DigestMatch")
+	if st.Len() != clean.Len() || wal.StoreDigest(st) != wal.StoreDigest(clean) {
+		t.Fatalf("recovered %d events, want %d, byte-identical", st.Len(), clean.Len())
+	}
+	if res.BetweenBatches == 0 || res.MidFrame == 0 {
+		t.Errorf("cuts: %d between batches, %d mid-frame; want both kinds", res.BetweenBatches, res.MidFrame)
+	}
+	if res.LinkedCheckpoints == 0 {
+		t.Error("no image booted from a checkpoint holding a linked journal segment")
+	}
+	if res.Redelivered == 0 {
+		t.Error("no crash left a batch in flight")
 	}
 
-	// Same seed, same crashes, same loss.
-	res2, err := New(Config{Seed: 11, Faults: []Fault{FaultCrashRestart}, CrashCount: 4, CrashBatch: 64}).CrashReplay(clean)
+	// Same seed, same cuts, same loss.
+	res2, _, err := New(cfg).CrashReplay(b, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Crashes != res.Crashes || res2.Redelivered != res.Redelivered {
+	if !reflect.DeepEqual(res, res2) {
 		t.Errorf("same seed diverged: %+v vs %+v", res, res2)
 	}
 }

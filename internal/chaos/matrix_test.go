@@ -120,7 +120,7 @@ func TestScenarioMatrix(t *testing.T) {
 				t.Error("crash-restart recovery was not byte-identical to the clean store")
 			}
 			if !scen.BreakdownMatch {
-				t.Error("rollup breakdown over the recovered store diverged from the batch browser breakdown")
+				t.Error("a rebooted node's /v1/breakdown diverged from the node that never crashed")
 			}
 			if scen.Redelivered == 0 {
 				t.Error("crash-restart scenario lost (and redelivered) no uncommitted events")
@@ -130,15 +130,15 @@ func TestScenarioMatrix(t *testing.T) {
 				t.Errorf("replica-lag stalled at frontier %d of %d — no stale window to serve from",
 					scen.StaleFrontier, scen.Total)
 			}
-			if !scen.DigestMatch {
-				t.Error("healed replica was not byte-identical to the primary after lag")
+			if !scen.DigestMatch || !scen.BreakdownMatch {
+				t.Errorf("healed replica diverged from the primary after lag: digest %v, breakdown %v", scen.DigestMatch, scen.BreakdownMatch)
 			}
 		case chaos.FaultPartition:
 			if scen.Reconnects == 0 {
 				t.Error("partition scenario severed no connections")
 			}
-			if !scen.DigestMatch {
-				t.Error("healed replica was not byte-identical to the primary after partitions")
+			if !scen.DigestMatch || !scen.BreakdownMatch {
+				t.Errorf("healed replica diverged from the primary after partitions: digest %v, breakdown %v", scen.DigestMatch, scen.BreakdownMatch)
 			}
 		}
 	}

@@ -1,216 +1,247 @@
 package chaos
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
-	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"time"
 
+	"grca/internal/obs"
+	"grca/internal/platform"
 	"grca/internal/replica"
+	"grca/internal/server"
 	"grca/internal/store"
 	"grca/internal/wal"
 )
 
-// ReplicaResult reports one replication fault scenario: a WAL sink fed
-// through the one-shot shipping path (replica.ShipWALOnce →
-// replica.Reader → replica.WALSink) with seeded stalls or mid-frame
-// connection cuts, then healed and recovered. Followers take the journal
-// stream, not this path; it is frozen with bench/ (DESIGN.md §16).
-type ReplicaResult struct {
-	// Store is the healed follower store (a plain wal.Open over the
-	// sink's directory); diagnoses are scored against it.
-	Store store.Store
-	// Total is the primary's record count; StaleFrontier is the
-	// follower's frontier while the fault held — the consistent prefix
-	// a lagging replica was serving reads from.
-	Total         int
-	StaleFrontier int
-	// Reconnects counts stream re-establishments; Torn counts
-	// deliveries that ended mid-frame (partition only).
-	Reconnects int
-	Torn       int
-	// DigestMatch reports whether the healed follower is byte-identical
-	// to the clean store — replication's whole contract: lag and
-	// partitions delay visibility, they never change what converges.
-	DigestMatch bool
+// streamFault is what the proxy does to one journal stream connection:
+// sever it once at bytes have passed, or — stallAt positive — hold it open
+// behind the journal record of that sequence until the scenario heals it.
+type streamFault struct {
+	at      int64
+	stallAt int
 }
 
-// applyStream decodes one shipped byte stream and applies it to the
-// sink, stopping at clean EOF or at a torn frame (a connection cut
-// mid-frame: the partial frame is discarded undecoded, exactly as the
-// live client's reader does). stopAt, when >= 0, stalls the transfer
-// once the sink frontier reaches it — a link that stopped draining.
-func applyStream(sink *replica.WALSink, data []byte, stopAt int) (torn bool, err error) {
-	r := replica.NewReader(wal.NewFrameReader(bytes.NewReader(data)))
+// proxy stands between a follower and its primary. Every request passes
+// through; the journal stream's connections meet the faults in order, one
+// each, and later ones pass whole.
+type proxy struct {
+	primary string
+	faults  []streamFault
+	srv     *httptest.Server
+
+	conns   atomic.Int32
+	torn    atomic.Int32 // connections severed inside a frame
+	stalled chan int     // the sequence a stall holds its connection behind
+	heal    chan struct{}
+	healed  sync.Once
+}
+
+func newProxy(primary *node, faults []streamFault) *proxy {
+	u, _ := url.Parse(primary.url) // a node's own loopback URL
+	p := &proxy{primary: primary.url, faults: faults, stalled: make(chan int, 1), heal: make(chan struct{})}
+	mux := http.NewServeMux()
+	mux.Handle("/", httputil.NewSingleHostReverseProxy(u))
+	mux.HandleFunc("/v1/replication/journal", p.journal)
+	p.srv = httptest.NewServer(mux)
+	return p
+}
+
+// healNow ends a stall, once.
+func (p *proxy) healNow() { p.healed.Do(func() { close(p.heal) }) }
+
+// close stops the proxy once its follower has left.
+func (p *proxy) close() {
+	p.healNow()
+	p.srv.Close()
+}
+
+// journal relays one stream connection frame by frame, through its fault.
+// A fault ends the connection with an abort: the follower sees it reset,
+// not a clean end.
+func (p *proxy) journal(w http.ResponseWriter, r *http.Request) {
+	var fault *streamFault
+	if k := int(p.conns.Add(1)) - 1; k < len(p.faults) {
+		fault = &p.faults[k]
+	}
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.primary+r.URL.RequestURI(), nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	defer resp.Body.Close()
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	w.WriteHeader(resp.StatusCode)
+	flush := w.(http.Flusher).Flush
+	fr := wal.NewFrameReader(resp.Body)
+	var sent int64
 	for {
-		if stopAt >= 0 && sink.Frontier() >= stopAt {
-			return false, nil
-		}
-		m, err := r.Next()
-		if err == io.EOF {
-			return false, nil
-		}
-		if err == wal.ErrTornFrame {
-			return true, nil
-		}
+		payload, err := fr.Next()
 		if err != nil {
-			return false, err
+			return // the primary ended the stream, or the follower left
 		}
-		switch m.Type {
-		case replica.MsgHello, replica.MsgHeartbeat, replica.MsgEOF:
-			// Framing only; the single-shot shipper has nothing to confirm.
-		case replica.MsgWALRec:
-			err = sink.WriteRecord(m.Rec)
-		case replica.MsgSnapBegin:
-			err = sink.BeginSnapshot(m.Next, m.Size)
-		case replica.MsgSnapChunk:
-			err = sink.WriteSnapshotChunk(m.Chunk)
-		case replica.MsgSnapEnd:
-			err = sink.EndSnapshot()
-		default:
-			err = fmt.Errorf("chaos: unexpected stream message type %d", m.Type)
+		frame := wal.AppendFrame(nil, payload)
+		m, perr := replica.ParseMsg(payload)
+		if fault != nil && fault.stallAt == 0 && perr == nil && m.Type == replica.MsgHeartbeat {
+			// The primary has shipped everything short of the cut: make it on
+			// this boundary.
+			fault.at = sent
 		}
-		if err != nil {
-			return false, err
+		if fault != nil && fault.stallAt == 0 && sent+int64(len(frame)) > fault.at {
+			cut := frame[:fault.at-sent]
+			w.Write(cut) //nolint:errcheck // the connection ends here either way
+			flush()
+			if len(cut) > 0 {
+				p.torn.Add(1)
+			}
+			panic(http.ErrAbortHandler)
 		}
-	}
-}
-
-// shipInto ships the primary's state from the sink's frontier into a
-// buffer via the deterministic single-shot shipper.
-func shipInto(primDir, bootID string, sink *replica.WALSink) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := replica.ShipWALOnce(primDir, bootID, sink.Frontier(), &buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ReplicaReplay simulates a read replica under one replication fault
-// class and returns the stale view it served plus the healed result:
-//
-//   - FaultReplicaLag: the stream stalls once LagFraction of the corpus
-//     has shipped — a slow or stopped link. The follower serves a
-//     consistent prefix until the stream resumes from its frontier.
-//   - FaultPartition: PartitionCount times, the connection is severed at
-//     a seeded byte offset — usually mid-frame — and the follower
-//     reconnects from its frontier through the torn-frame discard path
-//     (including snapshot-bootstrap restarts when the cut lands inside
-//     a shipped snapshot).
-//
-// After the fault heals, the remaining stream drains and the follower
-// directory is recovered with a plain wal.Open and compared
-// byte-for-byte against the clean store.
-func (inj *Injector) ReplicaReplay(clean store.Store, f Fault) (ReplicaResult, error) {
-	primDir, err := os.MkdirTemp("", "grca-chaos-replica-prim-")
-	if err != nil {
-		return ReplicaResult{}, err
-	}
-	defer os.RemoveAll(primDir) //nolint:errcheck // best-effort temp cleanup
-	follDir, err := os.MkdirTemp("", "grca-chaos-replica-foll-")
-	if err != nil {
-		return ReplicaResult{}, err
-	}
-	defer os.RemoveAll(follDir) //nolint:errcheck // best-effort temp cleanup
-
-	ins := liveInstances(clean)
-	res := ReplicaResult{Total: len(ins)}
-
-	// The lag scenario ships a pure record stream (no snapshots, so the
-	// stall point is exact); the partition scenario leaves snapshots
-	// behind so seeded cuts also land inside snapshot bootstraps.
-	opts := wal.Options{}
-	if f == FaultPartition {
-		opts.SnapshotEvery = 4 * inj.cfg.CrashBatch
-	}
-	l, st, _, err := wal.Open(primDir, opts)
-	if err != nil {
-		return res, fmt.Errorf("chaos: replica primary: %v", err)
-	}
-	for i, in := range ins {
-		st.Add(in)
-		if (i+1)%inj.cfg.CrashBatch == 0 {
-			if err := l.Commit(); err != nil {
-				return res, err
+		if _, err := w.Write(frame); err != nil {
+			return
+		}
+		flush()
+		sent += int64(len(frame))
+		// The record of sequence stallAt, or the first past it, always ships:
+		// the active segment, never dropped, holds the last one.
+		if fault != nil && fault.stallAt > 0 && perr == nil && m.Type == replica.MsgJournalRec && !wal.IsJournalSegmentHeader(m.Rec) {
+			if seq, err := replica.JournalSeq(m.Rec); err == nil && seq >= fault.stallAt {
+				p.stalled <- seq
+				<-p.heal
+				panic(http.ErrAbortHandler)
 			}
 		}
 	}
-	if err := l.Commit(); err != nil {
-		return res, err
-	}
-	// The primary stays "up" (log unclosed) while shipping: ShipWALOnce
-	// reads the flushed segments and snapshots from disk, as the real
-	// source does.
+}
 
-	const bootID = "chaos-replica"
-	sink, err := replica.OpenWALSink(follDir, 0)
+// applied polls the follower's replication status until it has applied
+// the journal through sequence seq, and answers the event ID its replay
+// stands at.
+func applied(follower *node, seq int) (int, error) {
+	for began := obs.Now(); obs.Since(began) < time.Minute; time.Sleep(10 * time.Millisecond) {
+		var st server.ReplicationStatusJSON
+		if _, err := follower.call("/v1/replication/status", "", nil, &st); err != nil {
+			return 0, err
+		}
+		if st.AppliedSeq != nil && *st.AppliedSeq == seq && len(st.ShardLag) == 1 {
+			return st.ShardLag[0].WALNext, nil
+		}
+	}
+	return 0, fmt.Errorf("chaos: the follower never applied the journal through sequence %d", seq)
+}
+
+// ReplicaReplay runs a read replica under one replication fault class. A
+// primary (server.Open, checkpointing every 4×CrashBatch events) is
+// finalized and fed the clean corpus in ID order; then a follower
+// (server.Config.ReplicaOf) attaches through a proxy on its journal
+// stream:
+//
+//   - FaultReplicaLag: the stream stalls behind the record of the batch
+//     LagFraction of the way through the primary's journal — a link that
+//     stopped draining, the connection held open. Once the follower has
+//     applied what reached it, the event count it serves reads at is
+//     StaleFrontier, against the primary's Total; then the stall heals.
+//   - FaultPartition: PartitionCount connections are severed, each at a
+//     seeded byte offset — usually mid-frame — and the follower reconnects
+//     from its applied sequence, through the torn-frame discard path and,
+//     when the cut lands inside the store checkpoint a fresh follower is
+//     sent ahead of the retained tail, through that checkpoint again.
+//
+// Healed, the follower must catch up to a store byte-identical to the
+// primary's and the clean one (DigestMatch), answering /v1/breakdown with
+// the primary's bytes (BreakdownMatch). It returns the scenario block and
+// the follower's store.
+func (inj *Injector) ReplicaReplay(b platform.Bundle, clean store.Store, f Fault) (Scenario, store.Store, error) {
+	scen := Scenario{Fault: string(f)}
+	if f != FaultReplicaLag && f != FaultPartition {
+		return scen, nil, fmt.Errorf("chaos: %s is not a replication fault", f)
+	}
+	root, err := os.MkdirTemp("", "grca-chaos-replica-")
 	if err != nil {
-		return res, err
+		return scen, nil, err
 	}
+	defer os.RemoveAll(root) //nolint:errcheck // best-effort temp cleanup
 
-	switch f {
-	case FaultReplicaLag:
-		stream, err := shipInto(primDir, bootID, sink)
-		if err != nil {
-			return res, err
-		}
-		stall := int(inj.cfg.LagFraction * float64(len(ins)))
-		if _, err := applyStream(sink, stream, stall); err != nil {
-			return res, err
-		}
-		res.StaleFrontier = sink.Frontier()
-		res.Reconnects = 1 // the single resume after the stall clears
-	case FaultPartition:
+	prim, err := openNode(server.Config{DataDir: filepath.Join(root, "primary"), Bundle: b, SnapshotEvery: 4 * inj.cfg.CrashBatch})
+	if err != nil {
+		return scen, nil, err
+	}
+	defer prim.close() //nolint:errcheck // closed below; this covers the error paths
+	if err := prim.finalize(); err != nil {
+		return scen, nil, err
+	}
+	if err := prim.post(wireBatches(clean, inj.cfg.CrashBatch), nil); err != nil {
+		return scen, nil, err
+	}
+	var meta server.ReplicationMetaJSON
+	if _, err := prim.call("/v1/replication/meta", "", nil, &meta); err != nil {
+		return scen, nil, err
+	}
+	scen.Total = meta.WALNext[0]
+
+	// The primary is idle from here on, so the stream a connection carries
+	// is a function of the follower's resume point alone, and so is where
+	// each offset below lands. Heartbeats, the one timed frame, follow the
+	// last record.
+	var faults []streamFault
+	if f == FaultReplicaLag {
+		faults = []streamFault{{stallAt: max(int(inj.cfg.LagFraction*float64(meta.Sealed[0])), 1)}}
+	} else {
+		// A connection carries about the journal bytes the follower lacks (a
+		// checkpoint stands in for the dropped segments), so cuts this short
+		// land inside the stream; one that would not is made where the
+		// stream runs dry (journal).
 		rng := inj.rng("partition")
 		for k := 0; k < inj.cfg.PartitionCount; k++ {
-			stream, err := shipInto(primDir, bootID, sink)
-			if err != nil {
-				return res, err
-			}
-			if len(stream) == 0 {
-				break
-			}
-			cut := 1 + rng.Intn(len(stream))
-			torn, err := applyStream(sink, stream[:cut], -1)
-			if err != nil {
-				return res, err
-			}
-			if torn {
-				res.Torn++
-			}
-			res.Reconnects++
+			faults = append(faults, streamFault{at: 1 + rng.Int63n(max(meta.JournalBytes[0]/int64(inj.cfg.PartitionCount+1), 1))})
 		}
-		res.StaleFrontier = sink.Frontier()
-	default:
-		return res, fmt.Errorf("chaos: %s is not a replication fault", f)
 	}
-
-	// Heal: the stream re-establishes from the follower's frontier and
-	// drains to the primary's end.
-	stream, err := shipInto(primDir, bootID, sink)
+	px := newProxy(prim, faults)
+	defer px.close()
+	fol, err := openNode(server.Config{DataDir: filepath.Join(root, "follower"), Bundle: b, ReplicaOf: px.srv.URL})
 	if err != nil {
-		return res, err
+		return scen, nil, err
 	}
-	if torn, err := applyStream(sink, stream, -1); err != nil {
-		return res, err
-	} else if torn {
-		return res, fmt.Errorf("chaos: heal stream ended torn")
+	defer fol.close() //nolint:errcheck // closed below; this covers the error paths
+	if f == FaultReplicaLag {
+		var seq int
+		select {
+		case seq = <-px.stalled:
+		case <-time.After(time.Minute):
+			return scen, nil, fmt.Errorf("chaos: the follower's stream never reached the stall")
+		}
+		if scen.StaleFrontier, err = applied(fol, seq); err != nil {
+			return scen, nil, err
+		}
+		px.healNow()
 	}
-	if err := sink.Close(); err != nil {
-		return res, err
+	if _, err := applied(fol, meta.Sealed[0]); err != nil {
+		return scen, nil, err
 	}
-	if err := l.Close(); err != nil {
-		return res, err
-	}
+	scen.Reconnects, scen.Torn = len(faults), int(px.torn.Load())
 
-	fl, fst, _, err := wal.Open(follDir, wal.Options{})
-	if err != nil {
-		return res, fmt.Errorf("chaos: follower recovery: %v", err)
+	want, err := prim.state()
+	got, ferr := fol.state()
+	if err = errors.Join(err, ferr); err != nil {
+		return scen, nil, err
 	}
-	if err := fl.Close(); err != nil {
-		return res, err
+	scen.DigestMatch = got.digest == want.digest && want.digest == wal.StoreDigest(clean)
+	scen.BreakdownMatch = got.breakdown == want.breakdown
+	st := fol.srv.Store()
+	if err := fol.close(); err != nil {
+		return scen, nil, err
 	}
-	res.Store = fst
-	res.DigestMatch = wal.StoreDigest(fst) == wal.StoreDigest(clean)
-	return res, nil
+	px.close()
+	return scen, st, prim.close()
 }

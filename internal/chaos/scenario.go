@@ -1,16 +1,14 @@
 package chaos
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"grca/internal/apps"
-	"grca/internal/browser"
+	"grca/internal/netstate"
 	"grca/internal/platform"
 	"grca/internal/realtime"
-	"grca/internal/rollup"
+	"grca/internal/store"
 )
 
 // StreamStats carries the delayed-replay counters of one app's delay
@@ -39,25 +37,28 @@ type Scenario struct {
 	Malformed   int      `json:",omitempty"`
 	Quarantined []string `json:",omitempty"`
 	Dropped     []string `json:",omitempty"`
-	// Crashes/Redelivered/DigestMatch are set by the crash-restart
-	// scenario: restart count, events lost-and-redelivered across all
-	// crashes, and whether WAL recovery reproduced the store
-	// byte-identically.
-	Crashes     int  `json:",omitempty"`
-	Redelivered int  `json:",omitempty"`
-	DigestMatch bool `json:",omitempty"`
-	// BreakdownMatch reports whether, over the recovered store, the
-	// incremental rollup's per-cause breakdown is byte-identical to the
-	// batch browser.Breakdown for every application. Combined with
-	// DigestMatch this asserts the Result Browser aggregates survive a
-	// kill -9 restart exactly.
+	// Crashes/Redelivered are set by the crash-restart scenario: the
+	// images booted, and the events of the batches the crashes left in
+	// flight, posted again. BetweenBatches and MidFrame split the cuts by
+	// where they fell — between two acknowledged batches, or inside the
+	// frame of the batch in flight — and LinkedCheckpoints counts the
+	// images whose checkpoint holds a journal segment adopted as a run.
+	Crashes           int `json:",omitempty"`
+	Redelivered       int `json:",omitempty"`
+	BetweenBatches    int `json:",omitempty"`
+	MidFrame          int `json:",omitempty"`
+	LinkedCheckpoints int `json:",omitempty"`
+	// DigestMatch and BreakdownMatch are set by the three durability
+	// scenarios: whether every rebooted node (crash-restart) or the healed
+	// follower (replica-lag, partition) holds a store byte-identical to
+	// the clean one, and answers /v1/breakdown for every application with
+	// the bytes of the node that never crashed, or of its primary.
+	DigestMatch    bool `json:",omitempty"`
 	BreakdownMatch bool `json:",omitempty"`
 	// StaleFrontier/Total/Reconnects/Torn are set by the replication
-	// scenarios (replica-lag, partition): the record frontier the
-	// lagging follower was serving reads at, the primary's record
-	// count, stream re-establishments, and deliveries cut mid-frame.
-	// DigestMatch then reports the post-heal follower-vs-primary
-	// comparison.
+	// scenarios: the event count the follower served reads at when the
+	// fault ended, the primary's, the stream connections the fault ended,
+	// and those it ended mid-frame.
 	StaleFrontier int `json:",omitempty"`
 	Total         int `json:",omitempty"`
 	Reconnects    int `json:",omitempty"`
@@ -115,7 +116,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 	}
 	cleanAcc := map[string]float64{}
 	for _, a := range selected {
-		sc, err := scoreApp(a, cleanSys, b, opts.Tolerance)
+		sc, err := scoreApp(a, cleanSys.Store, cleanSys.View, b, opts.Tolerance)
 		if err != nil {
 			return nil, err
 		}
@@ -127,11 +128,11 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 		sCfg := cfg
 		sCfg.Faults = []Fault{f}
 		inj := New(sCfg)
-		scen := Scenario{Fault: string(f)}
 
 		if f == FaultDelay {
 			// Delay perturbs delivery into the streaming processor, not
 			// the feed text: replay the clean corpus per application.
+			scen := Scenario{Fault: string(f)}
 			for _, a := range selected {
 				_, g, err := a.Build()
 				if err != nil {
@@ -155,91 +156,31 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 			continue
 		}
 
-		if f == FaultCrashRestart {
-			// Crash-restart perturbs durability, not the feed text: replay
-			// the clean corpus through a WAL with seeded kill -9 restarts
-			// and diagnose over the recovered store.
-			res, err := inj.CrashReplay(cleanSys.Store)
-			if err != nil {
-				return nil, err
+		// The durability classes perturb the service, not the feed text:
+		// the clean corpus goes to server.Open nodes, and the store that
+		// comes back is diagnosed in the clean view. It must be
+		// byte-identical, so their bounds are zero.
+		var scen Scenario
+		st, view := cleanSys.Store, cleanSys.View
+		switch f {
+		case FaultCrashRestart:
+			scen, st, err = inj.CrashReplay(b, cleanSys.Store)
+		case FaultReplicaLag, FaultPartition:
+			scen, st, err = inj.ReplicaReplay(b, cleanSys.Store, f)
+		default:
+			var sys *platform.System
+			if sys, err = inj.Bundle(b).Assemble(platform.Options{}); err != nil {
+				return nil, fmt.Errorf("chaos: %s assemble: %v", f, err)
 			}
-			scen.Crashes, scen.Redelivered, scen.DigestMatch =
-				res.Crashes, res.Redelivered, res.DigestMatch
-			scen.BreakdownMatch = true
-			for _, a := range selected {
-				eng, err := a.NewEngine(res.Store, cleanSys.View)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: %s engine: %v", a.Name, err)
-				}
-				ds := eng.DiagnoseAll()
-				// Rebuild the Result Browser rollup from the recovered
-				// store the way the server does on restart and compare
-				// its breakdown byte-for-byte with the batch path.
-				roll := rollup.New(rollup.Config{})
-				roll.SeedEvents(res.Store)
-				for _, d := range ds {
-					roll.CountDiagnosis(a.Name, d)
-				}
-				counts, total := roll.BreakdownCounts(a.Name, time.Time{}, nil)
-				got, err := json.Marshal(browser.Rows(counts, total))
-				if err != nil {
-					return nil, fmt.Errorf("chaos: %s breakdown: %v", a.Name, err)
-				}
-				want, err := json.Marshal(browser.Breakdown(ds, nil))
-				if err != nil {
-					return nil, fmt.Errorf("chaos: %s breakdown: %v", a.Name, err)
-				}
-				if !bytes.Equal(got, want) {
-					scen.BreakdownMatch = false
-				}
-				sc := AppScore{App: a.Name, Symptoms: len(ds),
-					Score: Score(b.Truth, a.Study, ds, opts.Tolerance)}
-				sc.AccuracyDrop = cleanAcc[a.Name] - sc.Score.Accuracy
-				scen.Apps = append(scen.Apps, sc)
-			}
-			rep.Scenarios = append(rep.Scenarios, scen)
-			continue
+			sum := sys.Collector.Summary()
+			scen = Scenario{Fault: string(f), Malformed: sum.Totals.Malformed, Quarantined: sum.Quarantined(), Dropped: inj.Dropped}
+			st, view = sys.Store, sys.View
 		}
-
-		if f == FaultReplicaLag || f == FaultPartition {
-			// Replication faults perturb the shipping stream, not the
-			// feed text: replay the clean corpus through the real
-			// protocol with seeded stalls/cuts, heal, and diagnose over
-			// the recovered follower — which must be byte-identical, so
-			// the bound is zero, like crash-restart.
-			res, err := inj.ReplicaReplay(cleanSys.Store, f)
-			if err != nil {
-				return nil, err
-			}
-			scen.StaleFrontier, scen.Total = res.StaleFrontier, res.Total
-			scen.Reconnects, scen.Torn = res.Reconnects, res.Torn
-			scen.DigestMatch = res.DigestMatch
-			for _, a := range selected {
-				eng, err := a.NewEngine(res.Store, cleanSys.View)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: %s engine: %v", a.Name, err)
-				}
-				ds := eng.DiagnoseAll()
-				sc := AppScore{App: a.Name, Symptoms: len(ds),
-					Score: Score(b.Truth, a.Study, ds, opts.Tolerance)}
-				sc.AccuracyDrop = cleanAcc[a.Name] - sc.Score.Accuracy
-				scen.Apps = append(scen.Apps, sc)
-			}
-			rep.Scenarios = append(rep.Scenarios, scen)
-			continue
-		}
-
-		fb := inj.Bundle(b)
-		sys, err := fb.Assemble(platform.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("chaos: %s assemble: %v", f, err)
+			return nil, err
 		}
-		sum := sys.Collector.Summary()
-		scen.Malformed = sum.Totals.Malformed
-		scen.Quarantined = sum.Quarantined()
-		scen.Dropped = inj.Dropped
 		for _, a := range selected {
-			sc, err := scoreApp(a, sys, b, opts.Tolerance)
+			sc, err := scoreApp(a, st, view, b, opts.Tolerance)
 			if err != nil {
 				return nil, err
 			}
@@ -266,8 +207,8 @@ func selectApps(names []string) ([]apps.App, error) {
 	return out, nil
 }
 
-func scoreApp(a apps.App, sys *platform.System, b platform.Bundle, tol time.Duration) (AppScore, error) {
-	eng, err := a.NewEngine(sys.Store, sys.View)
+func scoreApp(a apps.App, st store.Store, view *netstate.View, b platform.Bundle, tol time.Duration) (AppScore, error) {
+	eng, err := a.NewEngine(st, view)
 	if err != nil {
 		return AppScore{}, fmt.Errorf("chaos: %s engine: %v", a.Name, err)
 	}

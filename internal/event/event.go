@@ -83,23 +83,6 @@ func (in Instance) String() string {
 		in.Start.Format(time.DateTime), in.End.Format(time.DateTime), in.Loc)
 }
 
-// Validate checks the instance against its definition.
-//
-//lint:ignore deadcode TestInstanceValidate is its only caller; the two go together (ROADMAP item 10)
-func (in Instance) Validate(def Definition) error {
-	if in.Name != def.Name {
-		return fmt.Errorf("event: instance name %q does not match definition %q", in.Name, def.Name)
-	}
-	if in.End.Before(in.Start) {
-		return fmt.Errorf("event: instance %q ends before it starts", in.Name)
-	}
-	if in.Loc.Type != def.LocType {
-		return fmt.Errorf("event: instance %q has location type %v, definition requires %v",
-			in.Name, in.Loc.Type, def.LocType)
-	}
-	return nil
-}
-
 // Check holds an ingested instance to the rules both ingest APIs share,
 // and answers in the words both use: a name, a start and an end, an end
 // not before the start, instants between MinTime and MaxTime, a valid

@@ -91,33 +91,6 @@ func TestDefinitionValidate(t *testing.T) {
 	}
 }
 
-func TestInstanceValidate(t *testing.T) {
-	def := Definition{Name: LinkCongestion, LocType: locus.Interface, Source: SourceSNMP}
-	ok := Instance{
-		Name:  LinkCongestion,
-		Start: t0, End: t0.Add(5 * time.Minute),
-		Loc: locus.Between(locus.Interface, "newyork-router1", "serial-interface0"),
-	}
-	if err := ok.Validate(def); err != nil {
-		t.Errorf("valid instance rejected: %v", err)
-	}
-	bad := ok
-	bad.End = t0.Add(-time.Second)
-	if err := bad.Validate(def); err == nil {
-		t.Error("backwards interval validated")
-	}
-	bad = ok
-	bad.Loc = locus.At(locus.Router, "r1")
-	if err := bad.Validate(def); err == nil {
-		t.Error("wrong location type validated")
-	}
-	bad = ok
-	bad.Name = "other"
-	if err := bad.Validate(def); err == nil {
-		t.Error("mismatched name validated")
-	}
-}
-
 func TestInstanceHelpers(t *testing.T) {
 	in := Instance{Name: "e", Start: t0, End: t0.Add(time.Minute)}
 	if in.Duration() != time.Minute {
@@ -170,8 +143,8 @@ func TestPaperExampleInstance(t *testing.T) {
 		End:   time.Date(2010, 1, 1, 12, 35, 0, 0, time.UTC),
 		Loc:   locus.Between(locus.Interface, "newyork-router1", "serial-interface0"),
 	}
-	if err := in.Validate(def); err != nil {
-		t.Fatal(err)
+	if in.Loc.Type != def.LocType || in.Check() != nil {
+		t.Fatalf("the example instance does not fit its definition %+v: %v", def, in.Check())
 	}
 	if got := in.Loc.String(); got != "newyork-router1:serial-interface0" {
 		t.Errorf("location rendering = %q", got)

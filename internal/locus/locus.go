@@ -143,16 +143,3 @@ func (l Location) Key() string {
 
 // IsZero reports whether the location is unset.
 func (l Location) IsZero() bool { return l.Type == None && l.A == "" && l.B == "" }
-
-// Router returns the router name the location is anchored at, if any.
-// For router-scoped types this is A; for Router itself it is A; for spans
-// and network-wide types it returns "".
-//
-//lint:ignore deadcode TestLocationRouter is its only caller; the two go together (ROADMAP item 10)
-func (l Location) Router() string {
-	switch l.Type {
-	case Router, Interface, LineCard, RouterNeighbor:
-		return l.A
-	}
-	return ""
-}

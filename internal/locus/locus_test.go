@@ -73,21 +73,6 @@ func TestLocationString(t *testing.T) {
 	}
 }
 
-func TestLocationRouter(t *testing.T) {
-	if r := Between(Interface, "r1", "if0").Router(); r != "r1" {
-		t.Errorf("Interface Router = %q", r)
-	}
-	if r := At(Router, "r1").Router(); r != "r1" {
-		t.Errorf("Router Router = %q", r)
-	}
-	if r := Between(IngressEgress, "r1", "r2").Router(); r != "" {
-		t.Errorf("span Router = %q, want empty", r)
-	}
-	if r := At(LogicalLink, "l1").Router(); r != "" {
-		t.Errorf("link Router = %q, want empty", r)
-	}
-}
-
 func TestKeyUniqueness(t *testing.T) {
 	// Locations differing only in type or element split must have distinct
 	// keys. This is load-bearing: the engine indexes joined evidence by key.

@@ -158,8 +158,7 @@ type Topology struct {
 	Phys    map[string]*PhysicalLink
 	L1      map[string]*L1Device
 
-	byAddr map[netip.Prefix][]*Interface // /30 → member interfaces
-	byIP   map[netip.Addr]*Interface     // interface address → interface
+	byIP map[netip.Addr]*Interface // interface address → interface
 }
 
 // NewTopology returns an empty topology ready for AddRouter/AddLink calls.
@@ -169,7 +168,6 @@ func NewTopology() *Topology {
 		Links:   map[string]*LogicalLink{},
 		Phys:    map[string]*PhysicalLink{},
 		L1:      map[string]*L1Device{},
-		byAddr:  map[netip.Prefix][]*Interface{},
 		byIP:    map[netip.Addr]*Interface{},
 	}
 }
@@ -198,9 +196,6 @@ func (t *Topology) AddInterface(c *LineCard, name string, prefix netip.Prefix, i
 		return nil, fmt.Errorf("netmodel: duplicate interface address %v", ip)
 	}
 	c.Ports = append(c.Ports, ifc)
-	if prefix.IsValid() {
-		t.byAddr[prefix.Masked()] = append(t.byAddr[prefix.Masked()], ifc)
-	}
 	if ip.IsValid() {
 		t.byIP[ip] = ifc
 	}
@@ -278,23 +273,6 @@ func (t *Topology) InterfaceForNeighborIP(router string, ip netip.Addr) (*Interf
 func (t *Topology) InterfaceByIP(ip netip.Addr) (*Interface, bool) {
 	i, ok := t.byIP[ip]
 	return i, ok
-}
-
-// LinkBySubnet returns the logical link whose endpoints share the /30
-// containing ip, if any.
-//
-//lint:ignore deadcode TestLinkBySubnet is its only caller; the two go together (ROADMAP item 10)
-func (t *Topology) LinkBySubnet(ip netip.Addr) (*LogicalLink, bool) {
-	for pfx, ifaces := range t.byAddr {
-		if pfx.Contains(ip) {
-			for _, i := range ifaces {
-				if i.Link != nil {
-					return i.Link, true
-				}
-			}
-		}
-	}
-	return nil, false
 }
 
 // RouterNames returns all router names sorted, for deterministic iteration.

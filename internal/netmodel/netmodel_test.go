@@ -176,17 +176,6 @@ func TestUplinks(t *testing.T) {
 	}
 }
 
-func TestLinkBySubnet(t *testing.T) {
-	topo := buildTestTopo(t)
-	l, ok := topo.LinkBySubnet(netip.MustParseAddr("10.0.0.5"))
-	if !ok || l.ID != "l2" {
-		t.Errorf("LinkBySubnet = %v, %v", l, ok)
-	}
-	if _, ok := topo.LinkBySubnet(netip.MustParseAddr("203.0.113.9")); ok {
-		t.Error("LinkBySubnet matched unknown address")
-	}
-}
-
 func TestAliasTable(t *testing.T) {
 	topo := buildTestTopo(t)
 	at := NewAliasTable(topo)

@@ -237,11 +237,13 @@ func TestExpandPIMPairFallbackWhenPartitioned(t *testing.T) {
 
 func TestClientAddrAndServerRouterAccessors(t *testing.T) {
 	n := testnet.Build(t.Fatalf)
-	if a, ok := n.View.ClientAddr("agent-1"); !ok || a != testnet.AgentAddr {
-		t.Errorf("ClientAddr = %v, %v", a, ok)
+	// A registered client routes by the address it was registered with.
+	byName, err := n.View.EgressFor("nyc-per1", "agent-1", testnet.T0)
+	if byAddr, err2 := n.View.EgressFor("nyc-per1", testnet.AgentAddr.String(), testnet.T0); err != nil || err2 != nil || byName != byAddr {
+		t.Errorf("agent-1 egresses at %v (%v), its address at %v (%v)", byName, err, byAddr, err2)
 	}
-	if _, ok := n.View.ClientAddr("nobody"); ok {
-		t.Error("unknown client found")
+	if _, err := n.View.EgressFor("nyc-per1", "nobody", testnet.T0); err == nil {
+		t.Error("unknown client routed")
 	}
 	if r, ok := n.View.ServerRouter("cdn-nyc"); !ok || r != "nyc-per1" {
 		t.Errorf("ServerRouter = %v, %v", r, ok)

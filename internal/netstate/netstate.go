@@ -122,12 +122,6 @@ func (v *View) ServerRouter(server string) (string, bool) {
 	return r, ok
 }
 
-// ClientAddr returns the registered address of an agent or source.
-func (v *View) ClientAddr(name string) (netip.Addr, bool) {
-	a, ok := v.clientAddr[name]
-	return a, ok
-}
-
 // EgressFor emulates the BGP decision process from ingress toward the
 // named client at time t and returns the egress router.
 func (v *View) EgressFor(ingress, client string, t time.Time) (string, error) {

@@ -19,8 +19,7 @@
 // journaled) and the store's next event ID — the lag signal.
 //
 // Frozen, not served: ShipWALOnce, WALSink, MsgWALRec and StreamWAL, the
-// one-shot WAL shipping path bench/ measures and the chaos replica-lag and
-// partition classes drive.
+// one-shot WAL shipping path bench/ measures.
 package replica
 
 import (

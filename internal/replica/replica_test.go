@@ -221,28 +221,29 @@ func TestRegistryFollowersGauge(t *testing.T) {
 	check("f2 expired", 1)
 }
 
+// TestWALSinkWriteScanResume: a sink writes shipped records into rotated
+// segments, drops what it already holds — after a reopen too, and after a
+// torn tail only what survived the tear — and the directory opens as a
+// log.
 func TestWALSinkWriteScanResume(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenWALSink(dir, 256) // tiny segments to force rotation
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Frontier() != 0 {
-		t.Fatalf("fresh frontier = %d", s.Frontier())
-	}
 	recs := makeTestRecords(t, 40, "sink")
-	for _, rec := range recs {
-		if err := s.WriteRecord(rec); err != nil {
+	writeAll := func(s *WALSink) {
+		t.Helper()
+		for _, rec := range recs {
+			if err := s.WriteRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Duplicate (re-shipped) records drop silently.
-	if err := s.WriteRecord(recs[3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeAll(s)
 	segs, err := wal.Segments(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -250,18 +251,36 @@ func TestWALSinkWriteScanResume(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("got %d segments, want rotation to have split them", len(segs))
 	}
+	size := func() (n int64) {
+		t.Helper()
+		segs, err := wal.Segments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			fi, err := os.Stat(seg.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	whole := size()
 
-	// Reopen: frontier resumes one past the last intact record.
+	// Reopen: the sink resumes one past the last intact record, so the whole
+	// stream shipped again writes nothing.
 	s2, err := OpenWALSink(dir, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Frontier() != 40 {
-		t.Fatalf("resumed frontier = %d, want 40", s2.Frontier())
+	writeAll(s2)
+	if got := size(); got != whole {
+		t.Fatalf("re-shipped records grew the log from %d to %d bytes", whole, got)
 	}
-	s2.Close()
 
-	// Tear the tail: frontier retreats to the committed prefix.
+	// Tear the tail: the sink resumes at the committed prefix, and the
+	// stream shipped again completes the log.
 	tail := segs[len(segs)-1].Path
 	st, _ := os.Stat(tail)
 	if err := os.Truncate(tail, st.Size()-3); err != nil {
@@ -271,17 +290,9 @@ func TestWALSinkWriteScanResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Frontier() >= 40 {
-		t.Fatalf("torn-tail frontier = %d, want < 40", s3.Frontier())
-	}
-	// Re-shipping from the frontier completes the log again.
-	for i := s3.Frontier(); i < 40; i++ {
-		if err := s3.WriteRecord(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s3.Close(); err != nil {
-		t.Fatal(err)
+	writeAll(s3)
+	if got := size(); got != whole {
+		t.Fatalf("the log holds %d bytes after the tear was re-shipped, %d before", got, whole)
 	}
 	_, mem, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -289,99 +300,6 @@ func TestWALSinkWriteScanResume(t *testing.T) {
 	}
 	if next, live := mem.NextID(), mem.Len(); next != 40 || live != 40 {
 		t.Fatalf("recovered next=%d live=%d, want 40/40", next, live)
-	}
-}
-
-func TestWALSinkSnapshotBootstrap(t *testing.T) {
-	// Build a primary log whose snapshot spans several runs and whose
-	// early segments compaction already deleted, ship it through the sink
-	// from zero, and check the follower recovers the identical store from
-	// the runs the image installs as.
-	prim := t.TempDir()
-	l, st, _, err := wal.Open(prim, wal.Options{SegmentBytes: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds, perRound, tail = 4, 3000, 5 // 3000 records: a run well past crumb size
-	for i := 0; i < rounds*perRound+tail; i++ {
-		if _, err := st.Put(inst(i, "boot")); err != nil {
-			t.Fatal(err)
-		}
-		if i%perRound == perRound-1 {
-			if err := l.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := wal.StoreDigest(st)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(prim), "run-*.run"))
-	if err != nil || len(runs) != rounds {
-		t.Fatalf("primary snapshot spans %d runs (%v), want %d", len(runs), err, rounds)
-	}
-	if segs, err := wal.Segments(prim); err != nil || segs[0].First == 0 {
-		t.Fatalf("compaction left the segment chain whole (%v): %+v", err, segs)
-	}
-
-	var buf bytes.Buffer
-	next, err := ShipWALOnce(prim, "boot-x", 0, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != rounds*perRound+tail {
-		t.Fatalf("shipped next = %d, want %d", next, rounds*perRound+tail)
-	}
-
-	foll := t.TempDir()
-	sink, err := OpenWALSink(foll, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawSnap := false
-	for _, m := range decodeStream(t, buf.Bytes()) {
-		switch m.Type {
-		case MsgSnapBegin:
-			sawSnap = true
-			if err := sink.BeginSnapshot(m.Next, m.Size); err != nil {
-				t.Fatal(err)
-			}
-		case MsgSnapChunk:
-			if err := sink.WriteSnapshotChunk(m.Chunk); err != nil {
-				t.Fatal(err)
-			}
-		case MsgSnapEnd:
-			if err := sink.EndSnapshot(); err != nil {
-				t.Fatal(err)
-			}
-		case MsgWALRec:
-			if err := sink.WriteRecord(m.Rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !sawSnap {
-		t.Fatal("stream from 0 after a snapshot should bootstrap via the snapshot")
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if runs, err := filepath.Glob(filepath.Join(wal.SnapDirOf(foll), "*")); err != nil || len(runs) != rounds+1 {
-		t.Fatalf("follower snap/ holds %v (%v), want the primary's %d runs and one manifest", runs, err, rounds)
-	}
-	_, mem, rec, err := wal.Open(foll, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.SnapshotNext != rounds*perRound || rec.Replayed != tail {
-		t.Fatalf("follower recovery %+v, want the snapshot at %d and %d records replayed", rec, rounds*perRound, tail)
-	}
-	if got := wal.StoreDigest(mem); got != want {
-		t.Fatalf("follower digest %s != primary %s", got, want)
 	}
 }
 
@@ -697,7 +615,7 @@ func TestFileTailIdleFillAllocatesNothing(t *testing.T) {
 
 // TestLaggingFollowerAcrossAdoptedSegments: a sink a round behind a
 // primary whose every snapshot seals and adopts the segment it was shipped
-// from. Each ShipWALOnce pass resumes exactly at the sink's frontier,
+// from. Each ShipWALOnce pass resumes exactly where the last one ended,
 // beside the adopted segments below it — records only, never a snapshot
 // bootstrap, none twice — and the log the sink wrote opens to the
 // primary's digest.
@@ -713,10 +631,11 @@ func TestLaggingFollowerAcrossAdoptedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shipped := 0
 	ship := func() {
 		t.Helper()
 		var buf bytes.Buffer
-		from := sink.Frontier()
+		from := shipped
 		next, err := ShipWALOnce(prim, "boot-lag", from, &buf)
 		if err != nil {
 			t.Fatal(err)
@@ -736,9 +655,10 @@ func TestLaggingFollowerAcrossAdoptedSegments(t *testing.T) {
 				}
 			}
 		}
-		if next != want || sink.Frontier() != want {
-			t.Fatalf("the pass from %d reports %d, the sink stands at %d, %d records arrived", from, next, sink.Frontier(), want-from)
+		if next != want {
+			t.Fatalf("the pass from %d reports %d, %d records arrived", from, next, want-from)
 		}
+		shipped = next
 	}
 	const rounds, perRound = 4, 3000 // 3000 records: a segment well past crumb size
 	for r := 0; r < rounds; r++ {

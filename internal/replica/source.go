@@ -522,9 +522,9 @@ func (w *walSession) step() (bool, error) {
 // ShipWALOnce streams the WAL state under dir — the latest snapshot if
 // `from` predates the oldest retained record, then every flushed segment
 // record with ID >= the resume point, a block frame expanded into one
-// MsgWALRec per instance — to w, and returns without tailing. No server serves the WAL (followers take the journal stream
-// alone); this one-shot form is frozen because bench/ measures it and the
-// chaos replica-lag and partition classes drive a WALSink through it.
+// MsgWALRec per instance — to w, and returns without tailing. No server
+// serves the WAL (followers take the journal stream alone); this one-shot
+// form is frozen because bench/ measures it.
 func ShipWALOnce(dir string, bootID string, from int, w io.Writer) (next int, err error) {
 	conn := &streamConn{w: w}
 	conn.buf = AppendHello(conn.buf, bootID, StreamWAL, from)

@@ -25,7 +25,10 @@
 // overflow or shutdown) was counted with possibly-incomplete evidence,
 // and under retention eviction the remembered label is the one diagnosed
 // at drain time even if the evidence supporting it has since been
-// evicted.
+// evicted. A third, evidence that arrives after the symptom it explains
+// has drained, is the caller's to repair by counting again
+// (CountDiagnosis replaces a counted label); the server does it on the
+// next read after an out-of-order arrival.
 package rollup
 
 import (

@@ -65,7 +65,13 @@ func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) (*serving, *
 // pending in the streaming processor — the delta between the rollup
 // counters and the full store that BreakdownCounts/CauseTrend merge back
 // in. a is one of sv's applications: symptoms and engine share one state.
-func (sv *serving) pendingDiagnoses(a *servedApp) []engine.Diagnosis {
+// First, when an event has arrived behind the stream clock since the last
+// read, it counts every stored root symptom of a again: a symptom
+// diagnosed before that event may have lacked it as evidence.
+func (s *Server) pendingDiagnoses(sv *serving, a *servedApp) []engine.Diagnosis {
+	if a.stale.Swap(false) {
+		s.countAll(a)
+	}
 	syms := sv.proc.PendingSymptoms(a.Name)
 	ds := make([]engine.Diagnosis, 0, len(syms))
 	for _, sym := range syms {
@@ -94,7 +100,7 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 			from = last.Add(-d)
 		}
 	}
-	counts, total := s.roll.BreakdownCounts(a.Name, from, sv.pendingDiagnoses(a))
+	counts, total := s.roll.BreakdownCounts(a.Name, from, s.pendingDiagnoses(sv, a))
 	mapped := make(map[string]int, len(counts))
 	for label, n := range counts {
 		mapped[a.DisplayLabel(label)] += n
@@ -117,7 +123,7 @@ func (s *Server) handleCauses(w http.ResponseWriter, r *http.Request) {
 	if a == nil {
 		return
 	}
-	counts, total := s.roll.BreakdownCounts(a.Name, time.Time{}, sv.pendingDiagnoses(a))
+	counts, total := s.roll.BreakdownCounts(a.Name, time.Time{}, s.pendingDiagnoses(sv, a))
 	rows := browser.Rows(counts, total)
 	if rows == nil {
 		rows = []browser.Row{}
@@ -186,7 +192,7 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["app"], resp["cause"] = a.Name, cause
 		if haveSpan {
-			points = s.roll.CauseTrend(a.Name, cause, from, to, bin, sv.pendingDiagnoses(a))
+			points = s.roll.CauseTrend(a.Name, cause, from, to, bin, s.pendingDiagnoses(sv, a))
 		}
 	case name != "":
 		resp["name"] = name

@@ -17,7 +17,9 @@ import (
 	"grca/internal/browser"
 	"grca/internal/event"
 	"grca/internal/platform"
+	"grca/internal/simnet"
 	"grca/internal/store"
+	"grca/internal/wire"
 )
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
@@ -506,5 +508,67 @@ func TestEventsPaginationBounded(t *testing.T) {
 	code, body := get(t, ts, "/v1/events")
 	if code != http.StatusOK || !bytes.Contains(body, []byte(`"names"`)) {
 		t.Errorf("summary form broken: %d %s", code, body)
+	}
+}
+
+// TestBreakdownAfterOutOfOrderEvents: events that arrive behind the stream
+// clock — a corpus posted in store-ID order, feed by feed, so evidence
+// lands after the symptoms it explains have drained — still leave
+// /v1/breakdown equal to one full-evidence diagnosis of every stored
+// symptom: the bytes a restart, which seeds the counts from the store,
+// answers with.
+func TestBreakdownAfterOutOfOrderEvents(t *testing.T) {
+	d, err := simnet.Generate(simnet.Config{
+		Seed: 7, PoPs: 3, PERsPerPoP: 2, SessionsPerPER: 8,
+		MVPNFraction: 0.4, Duration: 6 * 24 * time.Hour,
+		BGPFlapIncidents: 120, CDNIncidents: 60, PIMIncidents: 60,
+		BackboneIncidents: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := platform.BundleFromDataset(d)
+	sys, err := b.Assemble(platform.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins []event.Instance
+	sys.Store.SnapshotTo(func(int, int, int) error { return nil }, func(in *event.Instance) error { //nolint:errcheck // neither callback fails
+		ins = append(ins, *in)
+		return nil
+	})
+	dir := t.TempDir()
+	s := openServer(t, dir, b)
+	ts := httptest.NewServer(s.Handler())
+	if code, body := post(t, ts, "/v1/finalize", struct{}{}); code != http.StatusOK {
+		t.Fatalf("finalize: %d %s", code, body)
+	}
+	for lo := 0; lo < len(ins); lo += 200 {
+		if code, body := postWire(t, ts, wire.AppendEvents(nil, ins[lo:min(lo+200, len(ins))])); code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", code, body)
+		}
+	}
+	breakdowns := func(ts *httptest.Server) string {
+		var all strings.Builder
+		for _, a := range apps.All() {
+			code, body := get(t, ts, "/v1/breakdown?app="+a.Name)
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %s", a.Name, code, body)
+			}
+			all.Write(body)
+		}
+		return all.String()
+	}
+	live := breakdowns(ts)
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openServer(t, dir, b)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer s2.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	defer ts2.Close()
+	if rebooted := breakdowns(ts2); rebooted != live {
+		t.Fatalf("the live breakdown kept labels diagnosed before their evidence arrived\n live %s\nreboot %s", live, rebooted)
 	}
 }

@@ -450,6 +450,7 @@ func (s *Server) observeStored(stored []*event.Instance) IngestResponse {
 		if sv == nil {
 			continue
 		}
+		sv.noteArrival(in)
 		ds, late := sv.proc.ObserveStored(in)
 		resp.Late += late
 		for _, d := range ds {

@@ -633,8 +633,6 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 
 // Store exposes the authoritative event store.
-//
-//lint:ignore deadcode TestRestartRecovery digests the store a restarted server rebuilt
 func (s *Server) Store() store.Store { return s.st }
 
 // journalApplier is the one definition of what a journaled record
@@ -734,11 +732,33 @@ type serving struct {
 	apps   []servedApp
 	proc   *realtime.Processor
 	rootOf map[string]string // root symptom name → application (apps.TestRootsDistinct)
+	// clock is the processor's stream clock, the latest End observed, as
+	// the observing goroutine tracks it: observeStored, or installServing
+	// before publishing.
+	clock time.Time
 }
 
 type servedApp struct {
 	apps.App
 	eng *engine.Engine
+	// stale says an event arrived behind the stream clock since the counted
+	// labels were last derived from the store (pendingDiagnoses).
+	stale *atomic.Bool
+}
+
+// noteArrival advances the stream clock to in, or — for an event that
+// arrives behind it — marks every application's counted labels stale: a
+// symptom diagnosed already may have lacked in as evidence. An event in
+// order cannot be evidence for a drained symptom, whose grace, the reach
+// of its evidence, the clock has passed.
+func (sv *serving) noteArrival(in *event.Instance) {
+	if in.End.Before(sv.clock) {
+		for _, a := range sv.apps {
+			a.stale.Store(true)
+		}
+		return
+	}
+	sv.clock = in.End
 }
 
 // app returns the named application's entry, or nil.
@@ -775,24 +795,22 @@ func (s *Server) installServing(rebuildTail bool) error {
 			return fmt.Errorf("server: %s graph: %v", a.Name, err)
 		}
 		eng := engine.New(s.st, view, g)
-		sv.apps = append(sv.apps, servedApp{a, eng})
+		sv.apps = append(sv.apps, servedApp{a, eng, new(atomic.Bool)})
 		sv.rootOf[g.Root] = a.Name
 		streams = append(streams, realtime.Stream{Name: a.Name, Engine: eng, Grace: realtime.GraceFor(g, maxEventDuration)})
 		grace = max(grace, streams[len(streams)-1].Grace)
 	}
 	sv.proc = realtime.NewStreams(s.st, streams...)
 	if rebuildTail {
-		replayTail(s.st, sv.proc, grace)
+		sv.clock = replayTail(s.st, sv.proc, grace)
 	}
 	// Seed the breakdown rollups with one full-evidence diagnosis of every
 	// stored root symptom, so breakdown ≡ batch browser.Breakdown over the
 	// live store from the first request, after a crash recovery too.
 	// Pending symptoms are counted too; their grace-elapsed drain re-counts
 	// them with the (by then unchanged) full evidence.
-	for _, a := range sv.apps {
-		for _, d := range a.eng.DiagnoseAllParallel(0) {
-			s.roll.CountDiagnosis(a.Name, d)
-		}
+	for i := range sv.apps {
+		s.countAll(&sv.apps[i])
 	}
 	// Fan live diagnoses out to the rollup counters, the recent ring, and
 	// the SSE stream. Installed after the tail replay so its emissions
@@ -807,15 +825,24 @@ func (s *Server) installServing(rebuildTail bool) error {
 	return nil
 }
 
+// countAll counts one full-evidence diagnosis of every stored root
+// symptom of a.
+func (s *Server) countAll(a *servedApp) {
+	for _, d := range a.eng.DiagnoseAllParallel(0) {
+		s.roll.CountDiagnosis(a.Name, d)
+	}
+}
+
 // replayTail replays the stored stream's last grace window (availability
 // order) through a fresh processor, rebuilding its clock and every
 // stream's pending queue; a stream with a shorter grace drains its extra
 // symptoms before the replay ends. What it emits was served before the
-// crash and is dropped: streamed diagnoses are at-most-once.
-func replayTail(st store.Store, proc *realtime.Processor, grace time.Duration) {
+// crash and is dropped: streamed diagnoses are at-most-once. It returns
+// the clock it left the processor at.
+func replayTail(st store.Store, proc *realtime.Processor, grace time.Duration) (clock time.Time) {
 	_, last, ok := st.Span()
 	if !ok {
-		return
+		return clock
 	}
 	cut := last.Add(-grace - maxEventDuration)
 	// A window query, not All: only the tail is materialized.
@@ -826,7 +853,9 @@ func replayTail(st store.Store, proc *realtime.Processor, grace time.Duration) {
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].End.Before(tail[j].End) })
 	for _, in := range tail {
 		proc.ObserveStored(in)
+		clock = in.End
 	}
+	return clock
 }
 
 func errResult(status int, format string, args ...any) taskResult {

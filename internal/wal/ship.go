@@ -19,9 +19,8 @@ import (
 // runs adopted journal segments or block files. This file exports just
 // enough of the framing and the dir layout to do that. Only the journal
 // stream serves followers; what ships the event WAL itself
-// (internal/replica's one-shot path, SegmentRecords and
-// InstallSnapshotImage here) is frozen for bench/ and the chaos
-// replication classes, and speaks legacy records, one a message.
+// (internal/replica's one-shot path, SegmentRecords here) is frozen for
+// bench/, and speaks legacy records, one a message.
 
 // FrameHeader is the byte length of a record frame's header.
 const FrameHeader = frameHeader
@@ -200,72 +199,6 @@ func (im *SnapshotImage) Close() {
 	for _, f := range im.files {
 		f.Close() //nolint:errcheck // read-only
 	}
-}
-
-// InstallSnapshotImage makes the image staged at path (a SnapshotImage's
-// bytes, already synced) the one snapshot under dir — its runs, each
-// copied out under its own name, and the manifest over them, the form
-// Snapshot writes — removes the staged file, and returns the snapshot's
-// next-ID bound. The manifest is trusted no further than recovery trusts
-// one: it must validate, the bytes behind it must be exactly its runs'
-// sizes, and each run copied must have the CRC its entry gives before the
-// manifest is written.
-func InstallSnapshotImage(dir, path string) (next int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	fr := NewFrameReader(f)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(fr.br, magic); err != nil || string(magic) != snapMagic {
-		return 0, fmt.Errorf("wal: %s: not a snapshot image", path)
-	}
-	payload, err := fr.Next()
-	if err != nil {
-		return 0, fmt.Errorf("wal: %s: snapshot image manifest: %v", path, err)
-	}
-	m, err := decodeManifest(payload)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %s: snapshot image manifest: %v", path, err)
-	}
-	// Hold the sizes the manifest claims against the bytes staged before
-	// copying any.
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	size := int64(len(snapMagic) + frameHeader + len(payload))
-	for _, r := range m.runs {
-		size += r.size
-	}
-	if size != fi.Size() {
-		return 0, fmt.Errorf("wal: %s: snapshot image of %d bytes, its manifest accounts for %d", path, fi.Size(), size)
-	}
-	for _, r := range m.runs {
-		tmp, err := os.OpenFile(runFile(dir, r)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return 0, err
-		}
-		sum := &crcWriter{w: tmp}
-		if _, err := io.CopyN(sum, fr.br, r.size); err != nil || sum.crc != r.crc {
-			tmp.Close() //nolint:errcheck // already failing
-			if err == nil {
-				err = fmt.Errorf("wal: %s: run %s differs from its manifest entry", path, runName(r))
-			}
-			return 0, err
-		}
-		if err := commitFile(tmp, runFile(dir, r)); err != nil {
-			return 0, err
-		}
-	}
-	if err := os.Remove(path); err != nil {
-		return 0, err
-	}
-	if _, err := writeManifest(dir, m); err != nil {
-		return 0, err
-	}
-	return m.next, nil
 }
 
 // ImageDecoder decodes a SnapshotImage's bytes, fed in whatever pieces

@@ -14,8 +14,7 @@
 // Log, the event WAL below — a segmented write-ahead log of normalized
 // instances that a store's append hook feeds, with its own snapshots — is
 // a vestige: no server writes it, and its record append and segments stay
-// only because bench/ and internal/chaos still drive them (ROADMAP item
-// 1(b)). Open also reads a server's data dir: with no segment there, it
+// only because bench/ still drives them (ROADMAP item 1(b)). Open also reads a server's data dir: with no segment there, it
 // is the newest checkpoint alone.
 //
 // # Layout and invariants of the event WAL

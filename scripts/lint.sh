@@ -12,9 +12,10 @@
 # each application's spec in its .grca file alone, one that
 # keeps routing memos in internal/epoch, one that keeps the server to
 # one streaming processor, one that keeps the event WAL from growing a
-# durability clock of its own, and one that keeps the server and the
-# replication package off the event WAL, so that every batch is written
-# once, to the journal.
+# durability clock of its own, and one that keeps the server, the
+# replication package and the chaos durability gates off the event WAL and
+# its one-shot shipping path, so that every batch is written once, to the
+# journal, and the gates test the path the server runs.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -96,11 +97,14 @@ fi
 
 echo "== one write per batch =="
 # The journal is the only thing written per batch; a checkpoint links its
-# sealed segments as runs. wal.Log's append is a vestige that bench/ and
-# internal/chaos still drive (ROADMAP item 1(b)); the server or the
-# replication package opening one is the second write coming back.
-if git grep -nE 'wal\.Open\(|wal\.Log\b' -- 'internal/server/*.go' 'internal/replica/*.go' ':!*_test.go'; then
-  echo "event WAL in the server or the replication package (above): checkpoint through wal.Checkpointer" >&2
+# sealed segments as runs. wal.Log's append and the one-shot WAL shipping
+# path (replica.ShipWALOnce into a WALSink) are vestiges only bench/ drives
+# (ROADMAP item 1(b)); the server or the replication package opening one is
+# the second write coming back, and the chaos durability classes reaching
+# one is a gate drifting back onto code no server runs.
+if git grep -nE 'wal\.Open\(|wal\.Log\b|replica\.(ShipWALOnce|OpenWALSink|WALSink)' -- \
+    'internal/server/*.go' 'internal/replica/*.go' 'internal/chaos/*.go' ':!*_test.go'; then
+  echo "event WAL or one-shot WAL shipping in the server, the replication package or the chaos gates (above): checkpoint through wal.Checkpointer, drive server.Open" >&2
   fail=1
 fi
 
