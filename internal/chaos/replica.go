@@ -115,9 +115,9 @@ func (p *proxy) journal(w http.ResponseWriter, r *http.Request) {
 		sent += int64(len(frame))
 		// The record of sequence stallAt, or the first past it, always ships:
 		// the active segment, never dropped, holds the last one.
-		if fault != nil && fault.stallAt > 0 && perr == nil && m.Type == replica.MsgJournalRec && !wal.IsJournalSegmentHeader(m.Rec) {
-			if seq, err := replica.JournalSeq(m.Rec); err == nil && seq >= fault.stallAt {
-				p.stalled <- seq
+		if fault != nil && fault.stallAt > 0 && perr == nil && m.Type == replica.MsgJournalRec {
+			if r, err := wal.ParseJournalRecord(m.Rec); err == nil && r.Kind != wal.JournalSegmentKind && r.Seq >= fault.stallAt {
+				p.stalled <- r.Seq
 				<-p.heal
 				panic(http.ErrAbortHandler)
 			}

@@ -81,7 +81,7 @@ func FuzzStreamDecode(f *testing.F) {
 			if m.Next < 0 || m.Size < 0 {
 				t.Fatalf("snapshot announcement out of bounds: next %d, size %d", m.Next, m.Size)
 			}
-			if m.Type == MsgJournalRec && wal.IsJournalSegmentHeader(m.Rec) {
+			if r, err := wal.ParseJournalRecord(m.Rec); m.Type == MsgJournalRec && err == nil && r.Kind == wal.JournalSegmentKind {
 				// What the follower does with a header: parse it; garbage is
 				// an error, never a panic or a negative position.
 				if h, err := wal.ParseJournalSegmentHeader(m.Rec); err == nil && (h.FirstSeq < 0 || h.FirstID < 0 || h.Offset < 0) {

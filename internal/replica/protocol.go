@@ -14,9 +14,13 @@
 // primary rolled, as the primary does. The journal is segmented and its
 // covered tail dropped (wal/journal.go): segment headers ship verbatim,
 // and a follower whose resume point lies in a dropped segment is sent a
-// store checkpoint before the retained tail. Heartbeats carry the
-// primary's durable journal sequence and logical size (bytes ever
-// journaled) and the store's next event ID — the lag signal.
+// store checkpoint before the retained tail — the snapshot's files end to
+// end, which the follower keeps as its own (wal.ImageWriter). Records and
+// checkpoints cross the wire as they lie on disk, and this package parses
+// neither: what the source reads of a record, it reads through wal's one
+// record codec. Heartbeats carry the primary's durable journal sequence
+// and logical size (bytes ever journaled) and the store's next event ID —
+// the lag signal.
 //
 // Frozen, not served: ShipWALOnce, WALSink, MsgWALRec and StreamWAL, the
 // one-shot WAL shipping path bench/ measures.
@@ -62,26 +66,11 @@ const (
 
 // ProtocolVersion is this version's one format number: MsgHello carries
 // it, and every data dir's FORMAT file holds it (DESIGN.md §11), so one
-// bump covers disk and wire. ParseMsg refuses a hello of any other version
-// before it reads the fields that differ between versions, so no frame of
-// a mismatched peer is ever applied. (3 carried a shard count in
-// the hello, a shard index in MsgSnapBegin and one WAL frontier per shard
-// in the heartbeat. 4 has 5's frames, but a follower of 4 also opens a
-// WAL stream a primary of 5 does not serve, and a primary of 4 pins its
-// WAL compaction for a follower of 5 that never opens one. 5 has 6's
-// frames, but its journal records carry event batches as JSON or wire
-// bodies, and a follower of 5 cannot decode the event blocks 6 ships. 6
-// has 7's frames, but the checkpoint a lagging follower is sent is then a
-// header and runs of one record a frame, and a follower of 6 cannot
-// decode the manifest and block runs 7 ships. 7 has 8's frames, but its
-// journal records carry feed batches as raw lines, and a follower of 7
-// cannot apply the DEFLATE feed records 8 ships. 8 has 9's frames; 9 is
-// the first number disk and wire share, above every protocol version and
-// every FORMAT, 1, ever shipped. 9 has 10's frames, but the checkpoint a
-// lagging follower is sent holds runs that are block files alone, and a
-// follower of 9 cannot decode the journal tail segments that 10's
-// checkpoints adopt as runs; a data dir of 9 holds an event WAL that 10
-// neither reads nor writes.)
+// bump covers disk and wire. Any change to a frame, a journal record, or
+// what a checkpoint may hold bumps it. ParseMsg refuses a hello of any
+// other version before it reads the fields that differ between versions,
+// so no frame of a mismatched peer is ever applied. DESIGN.md §16 keeps
+// what each earlier version differed in.
 const ProtocolVersion = 10
 
 // Stream kinds named in MsgHello; StreamWAL only by ShipWALOnce.
@@ -288,17 +277,6 @@ func ParseMsg(p []byte) (Msg, error) {
 		return m, fmt.Errorf("replica: unknown message type %d", m.Type)
 	}
 	return m, nil
-}
-
-// JournalSeq reads the sequence number off an encoded ingest journal
-// record without decoding the rest — what the source's resume skip and
-// the follower's overlap check need.
-func JournalSeq(p []byte) (int, error) {
-	seq, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, fmt.Errorf("replica: truncated journal record seq")
-	}
-	return int(seq), nil
 }
 
 // Reader decodes protocol messages from a byte stream: WAL framing

@@ -31,8 +31,10 @@ type SourceConfig struct {
 	// what a late follower is sent.
 	WALDir string
 	// JournalFrontier returns the highest sequence durably journaled on
-	// the primary (heartbeat lag signal).
+	// the primary, and JournalOffset the journal's logical size, the bytes
+	// ever journaled (heartbeat lag signals).
 	JournalFrontier func() int
+	JournalOffset   func() int64
 	// WALFrontier returns the store's next event ID on the primary
 	// (heartbeat lag signal).
 	WALFrontier func() int
@@ -68,16 +70,11 @@ func NewSource(cfg SourceConfig) *Source {
 	return &Source{cfg: cfg}
 }
 
-// JournalSize returns the journal's logical size: the bytes ever
-// journaled, dropped tail segments included (0 for a journal not yet
-// created).
-func (s *Source) JournalSize() int64 { return wal.JournalOffset(s.journalDir()) }
-
 func (s *Source) journalDir() string { return filepath.Dir(s.cfg.JournalPath) }
 
 // heartbeat encodes the current lag heartbeat.
 func (s *Source) heartbeat(b []byte) []byte {
-	return AppendHeartbeat(b, s.cfg.JournalFrontier(), s.JournalSize(), s.cfg.WALFrontier())
+	return AppendHeartbeat(b, s.cfg.JournalFrontier(), s.cfg.JournalOffset(), s.cfg.WALFrontier())
 }
 
 // fileTail incrementally reads one append-only framed file, carrying a
@@ -249,21 +246,21 @@ func (j *journalSession) step() (bool, error) {
 		return true, j.start()
 	}
 	progress, err := j.tail.fill(func(payload []byte) error {
-		seq, err := JournalSeq(payload)
+		r, err := wal.ParseJournalRecord(payload)
 		if err != nil {
 			return fmt.Errorf("replica: journal: %v", err)
 		}
-		if wal.IsJournalSegmentHeader(payload) {
+		if r.Kind == wal.JournalSegmentKind {
 			// A header carries the sequence of the record behind it: the
 			// follower needs it until it holds that record.
-			if seq <= j.shipped {
+			if r.Seq <= j.shipped {
 				return nil
 			}
 		} else {
-			if seq <= j.shipped {
+			if r.Seq <= j.shipped {
 				return nil // resume skip: the follower journaled this already
 			}
-			j.shipped = seq
+			j.shipped = r.Seq
 			mJournalShipped.Inc()
 		}
 		j.conn.buf = AppendJournalRec(j.conn.buf, payload)

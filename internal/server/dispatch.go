@@ -80,9 +80,9 @@ func (s *Server) admit(t *task) (*batch, taskResult) {
 	default:
 	}
 	switch t.kind {
-	case recFeedDeflate:
+	case wal.JournalFeedKind:
 		return nil, s.applyFeed(t)
-	case recFinalize:
+	case wal.JournalFinalizeKind:
 		return nil, s.applyFinalize()
 	default:
 		return s.admitEvents(t)
@@ -122,7 +122,7 @@ func (s *Server) admitEvents(t *task) (*batch, taskResult) {
 
 	bt := &batch{
 		seq: s.seq, events: t.events,
-		jrec:  encodeRecord(s.seq, t.kind, "", t.raw),
+		jrec:  wal.AppendJournalRecord(nil, wal.JournalRecord{Seq: s.seq, Kind: t.kind, Body: t.raw}),
 		reply: make(chan taskResult, 1),
 	}
 	if s.inTail && (s.segBytes >= journalSegmentBytes || (s.cfg.SnapshotEvery > 0 && s.segEvents >= s.cfg.SnapshotEvery)) {
@@ -155,7 +155,7 @@ func (s *Server) applyFeed(t *task) taskResult {
 	// converges on the same state. The journal takes the handler's DEFLATE
 	// body; the collector parses the lines as they came, so a primary never
 	// inflates.
-	n, res := s.journalInline(recFeedDeflate, t.source, t.raw)
+	n, res := s.journalInline(wal.JournalFeedKind, t.source, t.raw)
 	if res.err == nil {
 		mFeedLineBytes.Add(int64(len(t.lines)))
 		mFeedRecordBytes.Add(int64(n))
@@ -184,7 +184,7 @@ func (s *Server) applyFinalize() taskResult {
 		return errResult(http.StatusConflict, "already finalized")
 	}
 	s.drain()
-	_, res := s.journalInline(recFinalize, "", nil)
+	_, res := s.journalInline(wal.JournalFinalizeKind, "", nil)
 	if res.err == nil {
 		res = taskResult{status: http.StatusOK}
 		err := closeFeeds(s.coll, s.cfg.Bundle.CDN)
@@ -290,7 +290,7 @@ func (s *Server) dropJournalSegments() {
 func (s *Server) journalInline(kind byte, source string, body []byte) (int, taskResult) {
 	seq := s.seq
 	s.seq++
-	rec := encodeRecord(seq, kind, source, body)
+	rec := wal.AppendJournalRecord(nil, wal.JournalRecord{Seq: seq, Kind: kind, Source: source, Body: body})
 	err := s.jour.AppendNoSync(rec)
 	if err == nil {
 		err = s.syncJournal(seq)

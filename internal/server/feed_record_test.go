@@ -24,7 +24,7 @@ func withDeclared(body []byte, n uint64) []byte {
 	return append(binary.AppendUvarint(nil, n), body[sz:]...)
 }
 
-// TestFeedRecordDecode: a recFeedDeflate body inflates to the lines it was
+// TestFeedRecordDecode: a wal.JournalFeedKind body inflates to the lines it was
 // made from, and to nothing else — every way a body can disagree with its
 // declared length is an error, and a length over maxBody is refused before
 // ingest sees a byte.
@@ -98,7 +98,7 @@ func TestFeedRecordDecode(t *testing.T) {
 	}
 }
 
-// FuzzFeedRecord: the recFeedDeflate body decoder is total and bounded.
+// FuzzFeedRecord: the wal.JournalFeedKind body decoder is total and bounded.
 // Any bytes are either refused or inflate to exactly the length declared,
 // at most maxBody; ingest never sees a stream declared over the cap; and
 // the verdict does not depend on how much of the stream ingest reads.
@@ -171,7 +171,7 @@ func TestFeedJournalCompression(t *testing.T) {
 	if records <= 0 || float64(records) >= 0.3*float64(lines) {
 		t.Fatalf("journal.feed.record_bytes rose by %d for %d bytes of lines, want under 0.3×", records, lines)
 	}
-	finalize := int64(wal.FrameHeader + len(encodeRecord(feeds, recFinalize, "", nil)))
+	finalize := int64(wal.FrameHeader + len(wal.AppendJournalRecord(nil, wal.JournalRecord{Seq: feeds, Kind: wal.JournalFinalizeKind})))
 	if size := wal.JournalSize(journalPath(dir)); size != records+finalize {
 		t.Fatalf("journal.log is %d bytes, the feed records %d and the finalize record %d", size, records, finalize)
 	}
@@ -199,13 +199,14 @@ func TestCorruptFeedRecordRefused(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("journal.log holds %d records, want the one feed", len(recs))
 	}
-	seq, kind, source, body, err := decodeJournalRecord(recs[0])
-	if err != nil || kind != recFeedDeflate {
-		t.Fatalf("the feed journaled as kind %d (%v)", kind, err)
+	r, err := wal.ParseJournalRecord(recs[0])
+	if err != nil || r.Kind != wal.JournalFeedKind {
+		t.Fatalf("the feed journaled as kind %d (%v)", r.Kind, err)
 	}
 	// One declared byte more than the stream holds, re-framed so that every
 	// CRC holds.
-	torn := encodeRecord(seq, kind, source, withDeclared(body, uint64(len(lines))+1))
+	r.Body = withDeclared(r.Body, uint64(len(lines))+1)
+	torn := wal.AppendJournalRecord(nil, r)
 	if err := os.WriteFile(journalPath(dir), wal.AppendFrame(nil, torn), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -41,11 +41,12 @@ type followerState struct {
 	appliedSeq atomic.Int64 // last journal sequence applied (and locally journaled)
 
 	// incoming is the store checkpoint arriving on the journal stream ahead
-	// of a tail segment whose predecessors the primary has dropped, image
-	// the one that has arrived whole; that segment's header record makes it
-	// the live store. Only the client's goroutine touches them.
-	incoming *incomingImage
-	image    *storeImage
+	// of a tail segment whose predecessors the primary has dropped, written
+	// into snap/ as it comes; image is the one that has arrived whole. That
+	// segment's header record installs it as the live store. Only the
+	// client's goroutine touches them.
+	incoming *wal.ImageWriter
+	image    *wal.ImageWriter
 
 	// sealOnce makes the seal idempotent between Promote and Shutdown, and
 	// promoteOnce serializes promotion without holding any lock across the
@@ -63,19 +64,6 @@ type followerState struct {
 	hbAt      time.Time
 	lastMsg   time.Time
 	streamErr error
-}
-
-// storeImage is a decoded checkpoint: store.Memory.Replace's arguments.
-type storeImage struct {
-	base, next int
-	ins        []event.Instance
-}
-
-// incomingImage is a checkpoint between its MsgSnapBegin and MsgSnapEnd.
-type incomingImage struct {
-	next int
-	size int64
-	dec  wal.ImageDecoder
 }
 
 // promotedNode is the primary a promoted replica delegates to.
@@ -317,7 +305,11 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 	switch m.Type {
 	case replica.MsgHello:
 		// A new connection starts over whatever checkpoint the last one was
-		// in the middle of.
+		// in the middle of; a run it cut short stays a temp file, which the
+		// next compaction removes.
+		if fs.incoming != nil {
+			fs.incoming.Close()
+		}
 		fs.incoming, fs.image = nil, nil
 		err = fs.checkHello(m)
 	case replica.MsgJournalRec:
@@ -336,17 +328,21 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 			err = fmt.Errorf("unexpected checkpoint announcement")
 			break
 		}
-		fs.incoming = &incomingImage{next: m.Next, size: m.Size}
+		fs.incoming = wal.NewImageWriter(s.cfg.DataDir, m.Next, m.Size)
 	case replica.MsgSnapChunk:
 		if fs.incoming == nil {
 			err = fmt.Errorf("checkpoint chunk outside a checkpoint")
 			break
 		}
-		fs.incoming.size -= int64(len(m.Chunk))
-		_, err = fs.incoming.dec.Write(m.Chunk)
+		_, err = fs.incoming.Write(m.Chunk)
 		fs.noteMsg()
 	case replica.MsgSnapEnd:
-		err = fs.endImage()
+		if fs.incoming == nil {
+			err = fmt.Errorf("checkpoint end outside a checkpoint")
+			break
+		}
+		fs.image, fs.incoming = fs.incoming, nil
+		err = fs.image.Finish()
 	case replica.MsgHeartbeat:
 		fs.noteHeartbeat(m)
 		s.updateLag(m)
@@ -366,52 +362,27 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 	return nil
 }
 
-// endImage closes the checkpoint being received: the bytes announced, the
-// bound announced, decoded whole. A size of zero is the empty checkpoint
-// of a primary that has no snapshot.
-func (fs *followerState) endImage() error {
-	in := fs.incoming
-	fs.incoming = nil
-	if in == nil {
-		return fmt.Errorf("checkpoint end outside a checkpoint")
-	}
-	img := &storeImage{}
-	if in.next != 0 || in.size != 0 {
-		if in.size != 0 {
-			return fmt.Errorf("the checkpoint is %d bytes off its announced size", -in.size)
-		}
-		var err error
-		if img.base, img.next, img.ins, err = in.dec.Finish(); err != nil {
-			return err
-		}
-		if img.next != in.next {
-			return fmt.Errorf("the checkpoint covers IDs below %d, announced %d", img.next, in.next)
-		}
-	}
-	fs.image = img
-	return nil
-}
-
 // applyJournalRecord journals one shipped record locally and applies it
 // to the live pipeline through the applier crash recovery runs, under
 // dispatchMu so reads never see a half-applied batch. A tail segment's
 // header is not applied but followed: the local journal rolls where the
 // primary's did, and rolled says it did.
 func (s *Server) applyJournalRecord(rec []byte) (rolled bool, err error) {
-	h, isHeader, err := segmentHeader(rec)
+	r, err := wal.ParseJournalRecord(rec)
 	if err != nil {
 		return false, err
 	}
-	seq, err := replica.JournalSeq(rec)
-	if err != nil {
-		return false, err
-	}
+	seq := r.Seq
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
 	fs := s.follower
-	if isHeader {
-		if h.FirstSeq <= int(fs.appliedSeq.Load()) {
+	if r.Kind == wal.JournalSegmentKind {
+		if seq <= int(fs.appliedSeq.Load()) {
 			return false, nil // reconnect overlap: rolled there already
+		}
+		h, err := wal.ParseJournalSegmentHeader(rec)
+		if err != nil {
+			return false, err
 		}
 		return true, s.followRoll(h, rec)
 	}
@@ -441,27 +412,23 @@ func (s *Server) applyJournalRecord(rec []byte) (rolled bool, err error) {
 // followRoll starts the local journal's next tail segment with the
 // primary's header record, verbatim, so that the directory is a primary's
 // directory. A header that follows a checkpoint begins behind segments the
-// primary dropped: the checkpoint becomes the live store and is
-// checkpointed here, and only then is the local tail
-// replaced — a restart stands on that checkpoint — and the records behind
-// the header go through the frontier filter like a recovery's. Either way
-// the header says which event ID its first record allocates, and the
-// replay must stand exactly there — a divergence check at every roll.
-// Callers hold dispatchMu.
+// primary dropped: the checkpoint, its runs already in snap/, gets its
+// manifest and becomes the live store, read back from it as a restart
+// reads it; only then is the local tail replaced — a restart stands on
+// that checkpoint — and the records behind the header go through the
+// frontier filter like a recovery's. Either way the header says which
+// event ID its first record allocates, and the replay must stand exactly
+// there — a divergence check at every roll. Callers hold dispatchMu.
 func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 	fs := s.follower
 	img := fs.image
 	replace := img != nil
 	if replace {
-		if img.next < h.Front {
-			return fmt.Errorf("the checkpoint before journal segment %d reaches event ID %d, not %d", h.FirstSeq, img.next, h.Front)
-		}
-		if err := s.st.Replace(img.base, img.next, img.ins); err != nil {
-			return err
+		if img.Next < h.Front {
+			return fmt.Errorf("the checkpoint before journal segment %d reaches event ID %d, not %d", h.FirstSeq, img.Next, h.Front)
 		}
 		fs.image = nil
-		// Written from the store alone: the local tail is another history's.
-		if err := s.ckpt.Checkpoint(s.st, nil); err != nil {
+		if err := s.ckpt.Install(img, s.st); err != nil {
 			return err
 		}
 		over := newFrontierStore(checkpoint{st: s.st}, s.cfg.Retention)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -346,8 +347,8 @@ func TestJournalCrashCuts(t *testing.T) {
 		t.Fatalf("the pinned journal holds %d files, want a long tail to cut", len(liveFiles))
 	}
 	// Every image below boots through journal.log's feeds, DEFLATE records.
-	if _, kind, _, _, err := decodeJournalRecord(journalRecords(t, liveFiles[0])[0]); err != nil || kind != recFeedDeflate {
-		t.Fatalf("journal.log begins with a record of kind %d (%v), want a feed as %d", kind, err, recFeedDeflate)
+	if r, err := wal.ParseJournalRecord(journalRecords(t, liveFiles[0])[0]); err != nil || r.Kind != wal.JournalFeedKind {
+		t.Fatalf("journal.log begins with a record of kind %d (%v), want a feed as %d", r.Kind, err, wal.JournalFeedKind)
 	}
 	// Where the journal stands, for the header a killed roll leaves behind.
 	s.dispatchMu.Lock()
@@ -785,9 +786,9 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	paths, _ := journalFiles(t, prim.cfg.DataDir)
 	var recs [][]byte
 	for _, rec := range journalRecords(t, paths[len(paths)-1]) {
-		if seq, err := replica.JournalSeq(rec); err != nil {
+		if r, err := wal.ParseJournalRecord(rec); err != nil {
 			t.Fatal(err)
-		} else if seq > int(foll.follower.appliedSeq.Load()) {
+		} else if r.Seq > int(foll.follower.appliedSeq.Load()) {
 			recs = append(recs, rec)
 		}
 	}
@@ -972,7 +973,7 @@ func TestOverlapVerified(t *testing.T) {
 		renamed := false
 		torn, err := wal.ScanJournal(tail[0], func(p []byte) error {
 			rec := append([]byte(nil), p...)
-			if _, kind, _, _, err := decodeJournalRecord(rec); err != nil || kind != recEventBlock {
+			if r, err := wal.ParseJournalRecord(rec); err != nil || r.Kind != wal.JournalEventKind {
 				out = wal.AppendFrame(out, rec)
 				return nil
 			}
@@ -1073,6 +1074,32 @@ func TestParentDataDirBoots(t *testing.T) {
 				t.Fatalf("err = %v, want a refusal naming FORMAT", err)
 			}
 		})
+	}
+}
+
+// TestJournalRecordCodecReadsFixture: every record of the committed format
+// fixture's journal files — feeds, finalize, segment headers, event
+// batches — parses through wal's one record codec and re-encodes to its
+// very bytes: the codec is the format, not a reading of it.
+func TestJournalRecordCodecReadsFixture(t *testing.T) {
+	dir := filepath.Join("testdata", fmt.Sprintf("datadir-format%d", replica.ProtocolVersion))
+	kinds := map[byte]int{}
+	for _, path := range append([]string{journalPath(dir)}, journalTailPaths(dir)...) {
+		for i, rec := range journalRecords(t, path) {
+			r, err := wal.ParseJournalRecord(rec)
+			if err != nil {
+				t.Fatalf("%s record %d: %v", path, i, err)
+			}
+			if again := wal.AppendJournalRecord(nil, r); !bytes.Equal(again, rec) {
+				t.Fatalf("%s record %d re-encodes to %x, the file holds %x", path, i, again, rec)
+			}
+			kinds[r.Kind]++
+		}
+	}
+	for _, k := range []byte{wal.JournalFeedKind, wal.JournalFinalizeKind, wal.JournalSegmentKind, wal.JournalEventKind} {
+		if kinds[k] == 0 {
+			t.Errorf("the fixture's journal holds no record of kind %d (%v)", k, kinds)
+		}
 	}
 }
 

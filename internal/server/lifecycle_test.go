@@ -617,18 +617,18 @@ func TestJournalApplierRejects(t *testing.T) {
 	short := append([]byte{byte(len(evs) + 1)}, block[1:]...) // one event more than it holds
 	for name, rec := range map[string][]byte{
 		"truncated":      {0x80},
-		"unknown kind":   encodeRecord(0, 9, "", nil),
+		"unknown kind":   wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: 9}),
 		"segment header": wal.AppendJournalSegmentHeader(nil, wal.JournalSegmentHeader{FirstSeq: 3, FirstID: 7, Front: 7}),
 		// What earlier formats journaled event batches as, the JSON array
 		// (kind 3) and the version 1 wire body (kind 4): unknown kinds now.
-		"kind 3, JSON events":   encodeRecord(0, 3, "", []byte(`[{"name":"x","start":"2010-01-01T00:00:00Z","end":"2010-01-01T00:00:00Z","loc":{"type":"router","a":"r1"}}]`)),
-		"kind 4, wire v1 batch": encodeRecord(0, 4, "", []byte{'G', 'R', 'C', 'W', 1, 1, 0}),
-		"torn block":            encodeRecord(0, recEventBlock, "", block[:len(block)-2]),
-		"short block":           encodeRecord(0, recEventBlock, "", short),
+		"kind 3, JSON events":   wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: 3, Body: []byte(`[{"name":"x","start":"2010-01-01T00:00:00Z","end":"2010-01-01T00:00:00Z","loc":{"type":"router","a":"r1"}}]`)}),
+		"kind 4, wire v1 batch": wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: 4, Body: []byte{'G', 'R', 'C', 'W', 1, 1, 0}}),
+		"torn block":            wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: wal.JournalEventKind, Body: block[:len(block)-2]}),
+		"short block":           wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: wal.JournalEventKind, Body: short}),
 		// One event, table {"x"}, whose B names a second string.
-		"reference past the table": encodeRecord(0, recEventBlock, "", []byte{1, 1, 1, 'x', 0, 0, 0, byte(locus.Router), 0, 1, 0}),
+		"reference past the table": wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: wal.JournalEventKind, Body: []byte{1, 1, 1, 'x', 0, 0, 0, byte(locus.Router), 0, 1, 0}}),
 		// The same event at a locus type byte no type has.
-		"unknown locus type": encodeRecord(0, recEventBlock, "", []byte{1, 1, 1, 'x', 0, 0, 0, 200, 0, 0, 0}),
+		"unknown locus type": wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: wal.JournalEventKind, Body: []byte{1, 1, 1, 'x', 0, 0, 0, 200, 0, 0, 0}}),
 	} {
 		if _, err := ap.apply(rec); err == nil {
 			t.Errorf("%s: applied without error", name)
@@ -639,14 +639,14 @@ func TestJournalApplierRejects(t *testing.T) {
 	}
 }
 
-// TestJournalRecordKinds: the journal has one kind space, shared by the
-// records this package writes and the segment header wal writes. A kind
-// taken twice makes a follower read event batches as segment headers (or
-// the reverse) and stall, so every kind is distinct.
+// TestJournalRecordKinds: the journal has one kind space, wal's table,
+// shared by the records this package writes and the segment header wal
+// writes. A kind taken twice makes a follower read event batches as
+// segment headers (or the reverse) and stall, so every kind is distinct.
 func TestJournalRecordKinds(t *testing.T) {
 	kinds := map[string]byte{
-		"recFinalize": recFinalize, "wal.JournalSegmentKind": wal.JournalSegmentKind,
-		"recEventBlock": recEventBlock, "recFeedDeflate": recFeedDeflate,
+		"wal.JournalFinalizeKind": wal.JournalFinalizeKind, "wal.JournalSegmentKind": wal.JournalSegmentKind,
+		"wal.JournalEventKind": wal.JournalEventKind, "wal.JournalFeedKind": wal.JournalFeedKind,
 	}
 	seen := map[byte]string{}
 	for name, k := range kinds {
@@ -655,8 +655,8 @@ func TestJournalRecordKinds(t *testing.T) {
 		}
 		seen[k] = name
 	}
-	rec := encodeRecord(4, recEventBlock, "", wire.AppendEventBlock(nil, nil))
-	if wal.IsJournalSegmentHeader(rec) {
+	rec := wal.AppendJournalRecord(nil, wal.JournalRecord{Seq: 4, Kind: wal.JournalEventKind, Body: wire.AppendEventBlock(nil, nil)})
+	if _, err := wal.ParseJournalSegmentHeader(rec); err == nil {
 		t.Error("an event block record reads as a segment header")
 	}
 }

@@ -10,13 +10,15 @@
 // written once, to the journal: accepted ingest batches — a feed's raw
 // lines as one DEFLATE stream, or the validated events as one dense block
 // — plus the finalize marker, each prefixed with the batch's dispatch
-// sequence number. The applier is its only appender, so file order is
-// dispatch order. <data-dir>/journal.log is segment 0, everything through
-// finalize: the collector's parse state (routing simulations, pairing
-// buffers, rolling baselines) is a function of raw input, not of
-// normalized events, so restart recovery replays it through a fresh
-// collector, and it is never dropped. What follows finalize is store input
-// only; it goes to tail segments (journal-<firstSeq>.log).
+// sequence number: records in wal's one codec and kind table
+// (wal.AppendJournalRecord, wal.ParseJournalRecord). The applier is its
+// only appender, so file order is dispatch order. <data-dir>/journal.log
+// is segment 0, everything through finalize: the collector's parse state
+// (routing simulations, pairing buffers, rolling baselines) is a function
+// of raw input, not of normalized events, so restart recovery replays it
+// through a fresh collector, and it is never dropped. What follows
+// finalize is store input only; it goes to tail segments
+// (journal-<firstSeq>.log).
 //
 // A checkpoint (wal.Checkpointer, under snap/) is a manifest over runs
 // that covers the store up to where the journal's active segment begins:
@@ -100,51 +102,6 @@ var (
 	mTailRecs   = obs.GetCounter("server.recovery.tail.records")
 )
 
-// Journal record kinds, all of them: one kind space for the records this
-// package writes and the tail segment header wal writes. A record is
-// uvarint seq | kind | uvarint len(source) | source | body: for
-// recFeedDeflate the feed batch's lines as one DEFLATE stream
-// (appendFeedRecord), empty for recFinalize, and for recEventBlock the
-// batch's validated instances as one event block (wire.AppendEventBlock) —
-// each whichever API the batch arrived on. seq is the batch's dispatch
-// sequence; it ascends through the file and is the replication stream's
-// resume cursor. Every kind is one this version writes and
-// journalApplier.apply has a case for each, so two that collide do not
-// compile; kinds 1, 3 and 4 are what data dirs of earlier formats hold
-// (DESIGN.md §11), and no reader of them is left.
-const (
-	recFinalize      = 2
-	recSegmentHeader = wal.JournalSegmentKind // 5
-	recEventBlock    = wal.JournalEventKind   // 6
-	recFeedDeflate   = 7
-)
-
-func encodeRecord(seq int, kind byte, source string, body []byte) []byte {
-	out := make([]byte, 0, 10+1+10+len(source)+len(body))
-	out = binary.AppendUvarint(out, uint64(seq))
-	out = append(out, kind)
-	out = binary.AppendUvarint(out, uint64(len(source)))
-	out = append(out, source...)
-	return append(out, body...)
-}
-
-func decodeJournalRecord(p []byte) (seq int, kind byte, source string, body []byte, err error) {
-	sq, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, 0, "", nil, fmt.Errorf("server: truncated journal record seq")
-	}
-	p = p[sz:]
-	if len(p) < 1 {
-		return 0, 0, "", nil, fmt.Errorf("server: empty journal record")
-	}
-	kind, p = p[0], p[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 || n > uint64(len(p)-sz) {
-		return 0, 0, "", nil, fmt.Errorf("server: truncated journal record source")
-	}
-	return int(sq), kind, string(p[sz : sz+int(n)]), p[sz+int(n):], nil
-}
-
 // deflaters holds the feed records' compressors: a flate.Writer's state is
 // about a megabyte, so one is reset per feed, not allocated per feed.
 var deflaters = sync.Pool{New: func() any {
@@ -152,7 +109,7 @@ var deflaters = sync.Pool{New: func() any {
 	return w
 }}
 
-// appendFeedRecord appends a recFeedDeflate body to dst: uvarint
+// appendFeedRecord appends a wal.JournalFeedKind body to dst: uvarint
 // len(lines) | lines as one raw DEFLATE stream (RFC 1951) at BestSpeed. It
 // is a function of the lines alone, so a feed journals to the same bytes
 // whichever API carried it. Feed text compresses to about 0.18×; stored
@@ -168,8 +125,8 @@ func appendFeedRecord(dst, lines []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflateFeed hands ingest the lines of a recFeedDeflate body as a stream
-// — boot holds no second copy of a feed batch — and then holds the body
+// inflateFeed hands ingest the lines of a wal.JournalFeedKind body as a
+// stream — boot holds no second copy of a feed batch — and then holds the body
 // to what it declares: a length no request could carry (maxBody) is
 // refused before anything is read or allocated, and the DEFLATE stream
 // must end exactly at the declared length, at the body's last byte.
@@ -312,7 +269,7 @@ type task struct {
 	source string
 	lines  []byte
 	events []event.Instance
-	raw    []byte // journal body for recFeedDeflate and recEventBlock
+	raw    []byte // journal body for wal.JournalFeedKind and wal.JournalEventKind
 }
 
 type taskResult struct {
@@ -664,35 +621,39 @@ func (a *journalApplier) writeTo(fs *frontierStore) {
 	a.st, a.coll.Store = fs, fs
 }
 
+// apply applies one record, whichever kind wal's table gives it: every
+// kind this version writes has a case, so two that collide do not
+// compile.
 func (a *journalApplier) apply(rec []byte) (seq int, err error) {
-	seq, kind, source, body, err := decodeJournalRecord(rec)
+	r, err := wal.ParseJournalRecord(rec)
 	if err != nil {
-		return seq, err
+		return r.Seq, err
 	}
+	seq, body := r.Seq, r.Body
 	var ins []event.Instance
-	switch kind {
-	case recFeedDeflate:
+	switch r.Kind {
+	case wal.JournalFeedKind:
 		// The dispatch journaled the feed before parsing it, so a parse error
 		// recurs here deterministically (the primary answered it); state after
 		// the partial ingest is identical either way. A body that does not
 		// inflate to what it declares is another matter: a corrupt record.
-		if err := inflateFeed(body, func(r io.Reader) {
-			a.coll.Ingest(source, r) //nolint:errcheck // see above
+		if err := inflateFeed(body, func(lines io.Reader) {
+			a.coll.Ingest(r.Source, lines) //nolint:errcheck // see above
 		}); err != nil {
 			return seq, fmt.Errorf("journaled feed batch %d: %v", seq, err)
 		}
 		return seq, nil
-	case recFinalize:
+	case wal.JournalFinalizeKind:
 		if err := closeFeeds(a.coll, a.dep); err != nil {
 			return seq, err
 		}
 		return seq, a.serving()
-	case recSegmentHeader:
+	case wal.JournalSegmentKind:
 		return seq, fmt.Errorf("a journal segment header is not a batch")
-	case recEventBlock:
+	case wal.JournalEventKind:
 		ins, err = wire.DecodeEventBlock(body)
 	default:
-		return seq, fmt.Errorf("unknown journal record kind %d", kind)
+		return seq, fmt.Errorf("unknown journal record kind %d", r.Kind)
 	}
 	if err != nil {
 		return seq, fmt.Errorf("journaled event batch %d: %v", seq, err)

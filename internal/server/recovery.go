@@ -162,15 +162,6 @@ func (f *frontierStore) finish() error {
 	return nil
 }
 
-// segmentHeader parses rec when it is a tail segment's header record.
-func segmentHeader(rec []byte) (h wal.JournalSegmentHeader, ok bool, err error) {
-	if !wal.IsJournalSegmentHeader(rec) {
-		return h, false, nil
-	}
-	h, err = wal.ParseJournalSegmentHeader(rec)
-	return h, true, err
-}
-
 // replayResult is what recoverJournal rebuilt.
 type replayResult struct {
 	coll      *collector.Collector
@@ -318,8 +309,8 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 		fn := func(p []byte) error {
 			if first {
 				first = false
-				hd, ok, err := segmentHeader(p)
-				if err != nil || !ok {
+				hd, err := wal.ParseJournalSegmentHeader(p)
+				if err != nil {
 					return fmt.Errorf("server: %s does not begin with a segment header: %v", seg.Path, err)
 				}
 				if k == 0 && !whole {

@@ -47,6 +47,7 @@ func (s *Server) initReplicationSource() {
 		JournalPath:     journalPath(s.cfg.DataDir),
 		WALDir:          s.cfg.DataDir,
 		JournalFrontier: func() int { return int(s.journaled.Load()) },
+		JournalOffset:   s.jour.Offset,
 		WALFrontier:     s.st.NextID,
 		Registry:        s.replReg,
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -463,12 +465,82 @@ func compareReplica(t *testing.T, prim, foll *Server, ts, ts2 *httptest.Server) 
 	}
 }
 
+// imageCutter is a journal stream's ResponseWriter that ends the stream
+// inside the checkpoint image: the chunk that carries the image's start is
+// cut at byte at of the image, and nothing goes out after it.
+type imageCutter struct {
+	http.ResponseWriter
+	at  int
+	cut bool
+}
+
+func (w *imageCutter) Write(p []byte) (int, error) {
+	if w.cut {
+		return 0, errors.New("cut")
+	}
+	var out []byte
+	for rest := p; len(rest) > 0 && !w.cut; { // a stream write is whole frames
+		payload, r2, ok := wal.ReadFrame(rest)
+		if !ok {
+			return 0, errors.New("a stream write that is not whole frames")
+		}
+		rest = r2
+		if m, err := replica.ParseMsg(payload); err == nil && m.Type == replica.MsgSnapChunk && len(m.Chunk) > w.at {
+			out, w.cut = replica.AppendSnapChunk(out, m.Chunk[:w.at]), true
+			continue
+		}
+		out = wal.AppendFrame(out, payload)
+	}
+	if _, err := w.ResponseWriter.Write(out); err != nil || w.cut {
+		return 0, errors.Join(err, errors.New("cut"))
+	}
+	return len(p), nil
+}
+
+func (w *imageCutter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// snapshotImage reads the newest checkpoint under dir as a primary ships
+// it: the manifest and every run it references, byte for byte.
+func snapshotImage(t *testing.T, dir string) []byte {
+	t.Helper()
+	im, err := wal.OpenSnapshotImage(dir)
+	if err != nil || im == nil {
+		t.Fatalf("no checkpoint image under %s: %v", dir, err)
+	}
+	defer im.Close()
+	data, err := io.ReadAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// snapFiles lists the files under dir's snap/ matching pattern, by name.
+func snapFiles(t *testing.T, dir, pattern string) map[string]os.FileInfo {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]os.FileInfo{}
+	for _, p := range paths {
+		if fi, err := os.Stat(p); err == nil {
+			out[filepath.Base(p)] = fi
+		}
+	}
+	return out
+}
+
 // TestLateFollowerBootstrapsFromCheckpoint: a follower that attaches, on
 // an empty directory, to a primary whose journal has long dropped the
 // segments behind its snapshots is sent segment 0, a store checkpoint, and
-// the retained tail — and lands on the primary's store
-// and read surfaces. Its directory then restarts to the same store
-// without another bootstrap, and promotes to a primary holding it.
+// the retained tail — and lands on the primary's store and read surfaces.
+// The checkpoint is kept as the files it was sent as, byte for byte, and
+// nothing of it is written again, then or at the follower's next roll;
+// a first stream cut inside the image leaves a temp file and no manifest,
+// and the install's compaction removes it. Its directory then restarts to
+// the same store without another bootstrap, and promotes to a primary
+// holding it.
 func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 	shrinkJournal(t, 2<<10)
 	// Shards: 1 is how bench/ opens a server; most tests leave it 0.
@@ -480,16 +552,40 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		}
 		defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 		// The follower needs the journal stream alone: no other replication
-		// route of the primary answers it.
+		// route of the primary answers it. Its first stream is cut inside the
+		// checkpoint image's first run, its second waits until the test has
+		// looked at what the cut left, and every later one passes a gate.
 		h := prim.Handler()
+		cutter, g := &imageCutter{}, newGate()
+		var streams atomic.Int32
+		resume := make(chan struct{})
+		var resumeOnce sync.Once
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if p := r.URL.Path; strings.HasPrefix(p, "/v1/replication/") && p != "/v1/replication/meta" && p != "/v1/replication/journal" {
+			p := r.URL.Path
+			if strings.HasPrefix(p, "/v1/replication/") && p != "/v1/replication/meta" && p != "/v1/replication/journal" {
 				http.NotFound(w, r)
 				return
+			}
+			if p == "/v1/replication/journal" {
+				switch streams.Add(1) {
+				case 1:
+					cutter.ResponseWriter = w
+					w = cutter
+				case 2:
+					select {
+					case <-resume:
+					case <-r.Context().Done():
+						return
+					}
+					fallthrough
+				default:
+					w = gatedWriter{w, g}
+				}
 			}
 			h.ServeHTTP(w, r)
 		}))
 		defer ts.Close()
+		defer resumeOnce.Do(func() { close(resume) })
 		loadAndFinalize(t, ts, b)
 		dropped := obs.GetCounter("journal.segments.dropped").Value()
 		// Symptoms and their evidence first, so they sit in dropped
@@ -521,20 +617,62 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 		if adopted == 0 {
 			t.Fatalf("none of the primary's %d runs is a journal segment", len(runs))
 		}
+		// The cut: the image's manifest, as the primary's snap/ holds it, and
+		// 64 bytes of its first run.
+		next, ok, err := wal.LatestSnapshot(prim.cfg.DataDir)
+		if err != nil || !ok {
+			t.Fatalf("the primary holds no checkpoint: %v", err)
+		}
+		man, err := os.Stat(filepath.Join(wal.SnapDirOf(prim.cfg.DataDir), fmt.Sprintf("snap-%016d.snap", next)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cutter.at = int(man.Size()) + 64
+		primImage := snapshotImage(t, prim.cfg.DataDir)
 
 		follDir := t.TempDir()
 		loaded := mReplCheckpoints.Value()
+		runsWritten := obs.GetCounter("wal.snapshot.runs.written")
+		written := runsWritten.Value()
 		fcfg := Config{DataDir: follDir, Bundle: b, Shards: 1, ReplicaOf: ts.URL}
 		foll, err := Open(fcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		first := foll // shut down below; here only when the test fails first
+		defer func() {
+			resumeOnce.Do(func() { close(resume) }) // its stream may be parked
+			if first != nil {
+				first.Shutdown(context.Background()) //nolint:errcheck // test teardown
+			}
+		}()
+		for deadline := time.Now().Add(30 * time.Second); len(snapFiles(t, follDir, "run-*.tmp")) == 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the cut stream left no partial run in the follower's snap/")
+			}
+		}
+		if m := snapFiles(t, follDir, "snap-*.snap"); len(m) != 0 {
+			t.Fatalf("the stream cut inside a run left manifests %v", m)
+		}
+		resumeOnce.Do(func() { close(resume) })
 		ts2 := httptest.NewServer(foll.Handler())
 		waitReplicaCaughtUp(t, foll, prim)
 		if got := mReplCheckpoints.Value() - loaded; got != 1 {
 			t.Fatalf("the late follower loaded %d checkpoints, want 1", got)
 		}
 		compareReplica(t, prim, foll, ts, ts2)
+		// The primary has been idle: what the follower's snap/ holds is what
+		// it was sent, nothing was written from its store, and the install's
+		// compaction took the cut's temp file.
+		if !bytes.Equal(snapshotImage(t, follDir), primImage) {
+			t.Fatal("the follower's newest checkpoint is not, byte for byte, the primary's manifest and runs")
+		}
+		if got := runsWritten.Value() - written; got != 0 {
+			t.Fatalf("the bootstrap wrote %d runs from the store", got)
+		}
+		if tmp := snapFiles(t, follDir, "run-*.tmp"); len(tmp) != 0 {
+			t.Fatalf("temp files %v outlived the install's compaction", tmp)
+		}
 		if got, want := foll.jour.Offset(), prim.jour.Offset(); got != want {
 			t.Fatalf("follower's journal stands at logical byte %d, the primary's at %d", got, want)
 		}
@@ -555,14 +693,42 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 			}
 		}
 
-		// More of the stream, live, through the frontier filter's far side.
+		// More of the stream, live, through the frontier filter's far side,
+		// and rolls: primary and follower checkpoint the same store over the
+		// same manifest, so they write the same runs — the primary before
+		// each batch's answer, the follower once its stream is let through —
+		// and no run the follower was sent is written again.
+		sent, manifests := snapFiles(t, follDir, "run-*.run"), snapFiles(t, follDir, "snap-*.snap")
+		g.set(true)
+		written = runsWritten.Value()
 		k.post(5, 40)
+		primWrote := runsWritten.Value() - written
+		g.set(false)
 		waitReplicaCaughtUp(t, foll, prim)
 		compareReplica(t, prim, foll, ts, ts2)
+		if follWrote := runsWritten.Value() - written - primWrote; follWrote != primWrote {
+			t.Fatalf("the follower's rolls wrote %d runs, its primary's %d", follWrote, primWrote)
+		}
+		rolled := false
+		for name := range snapFiles(t, follDir, "snap-*.snap") {
+			rolled = rolled || manifests[name] == nil
+		}
+		if !rolled {
+			t.Fatal("the follower took no checkpoint while the stream went on")
+		}
+		if !bytes.Equal(snapshotImage(t, follDir), snapshotImage(t, prim.cfg.DataDir)) {
+			t.Fatal("the follower's checkpoint after its roll is not the primary's")
+		}
+		for name, fi := range snapFiles(t, follDir, "run-*.run") {
+			if was := sent[name]; was != nil && !os.SameFile(was, fi) {
+				t.Fatalf("the follower wrote run %s it was sent again", name)
+			}
+		}
 
 		// Restart from its own directory: the journal begins behind a
 		// checkpoint, so its own checkpoint of that is what it stands on.
 		ts2.Close()
+		first = nil
 		if err := foll.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -872,7 +1038,7 @@ func TestFollowerJournalBounded(t *testing.T) {
 // behind it).
 func TestMixedVersionPeersRefused(t *testing.T) {
 	_, b := testBundle(t)
-	rec := encodeRecord(0, recFinalize, "", nil)
+	rec := wal.AppendJournalRecord(nil, wal.JournalRecord{Kind: wal.JournalFinalizeKind})
 	for _, v := range []byte{4, 5, 6, 7, 8, 9} {
 		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {

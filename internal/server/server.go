@@ -14,6 +14,7 @@ import (
 
 	"grca/internal/event"
 	"grca/internal/obs"
+	"grca/internal/wal"
 	"grca/internal/wire"
 )
 
@@ -211,7 +212,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // canonical, so the same events journal to the same bytes whichever API
 // carried them.
 func eventTask(ins []event.Instance, block []byte) task {
-	return task{kind: recEventBlock, events: ins, raw: block}
+	return task{kind: wal.JournalEventKind, events: ins, raw: block}
 }
 
 // feedTask is a validated feed batch with its journal body: the lines as
@@ -220,7 +221,7 @@ func eventTask(ins []event.Instance, block []byte) task {
 // handler's goroutine, not under dispatchMu; the lines themselves are what
 // admission parses.
 func feedTask(source string, lines []byte) task {
-	return task{kind: recFeedDeflate, source: source, lines: lines, raw: appendFeedRecord(nil, lines)}
+	return task{kind: wal.JournalFeedKind, source: source, lines: lines, raw: appendFeedRecord(nil, lines)}
 }
 
 // writeBodyErr answers a request whose body could not be read or decoded:
@@ -273,7 +274,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		s.redirectToPrimary(w, r)
 		return
 	}
-	res := s.dispatch(r.Context(), task{kind: recFinalize})
+	res := s.dispatch(r.Context(), task{kind: wal.JournalFinalizeKind})
 	if res.err != nil {
 		writeErr(w, res.status, "%v", res.err)
 		return

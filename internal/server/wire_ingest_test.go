@@ -105,8 +105,8 @@ func TestWireIngestParity(t *testing.T) {
 		if !bytes.Equal(refHead[i], wireHead[i]) {
 			t.Fatalf("journal.log record %d is %x after the json feeds, %x after the wire feeds", i, refHead[i], wireHead[i])
 		}
-		if _, kind, _, _, err := decodeJournalRecord(refHead[i]); err != nil || (kind != recFeedDeflate && i < len(refHead)-1) {
-			t.Fatalf("journal.log record %d is kind %d (%v), want a feed as %d", i, kind, err, recFeedDeflate)
+		if r, err := wal.ParseJournalRecord(refHead[i]); err != nil || (r.Kind != wal.JournalFeedKind && i < len(refHead)-1) {
+			t.Fatalf("journal.log record %d is kind %d (%v), want a feed as %d", i, r.Kind, err, wal.JournalFeedKind)
 		}
 	}
 
@@ -149,8 +149,8 @@ func TestWireIngestParity(t *testing.T) {
 	if !bytes.Equal(refRec, wireRec) {
 		t.Fatalf("the json batch journaled as %x, the wire batch as %x", refRec, wireRec)
 	}
-	if _, kind, _, _, err := decodeJournalRecord(refRec); err != nil || kind != recEventBlock {
-		t.Fatalf("the event batch journaled as kind %d (%v), want %d", kind, err, recEventBlock)
+	if r, err := wal.ParseJournalRecord(refRec); err != nil || r.Kind != wal.JournalEventKind {
+		t.Fatalf("the event batch journaled as kind %d (%v), want %d", r.Kind, err, wal.JournalEventKind)
 	}
 
 	if got, want := wal.StoreDigest(wired.Store()), wal.StoreDigest(ref.Store()); got != want {

@@ -48,7 +48,7 @@ func fillStore(s *Memory, n int) {
 }
 
 // TestPagesReleased: what a store maps comes back — when eviction
-// empties it, when a checkpoint install (Replace, after Restore) takes
+// empties it, when a checkpoint install (Replace, over a restored one) takes
 // its place, and, through the arena's finalizer, when the store is
 // dropped, even one held in a cycle the way the WAL's append hook holds
 // its store.
@@ -74,7 +74,7 @@ func TestPagesReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New()
-	if err := r.Restore(base, next, dump); err != nil {
+	if err := r.Replace(base, next, dump); err != nil {
 		t.Fatal(err)
 	}
 	if mappedBy(r) != mappedBy(src) {

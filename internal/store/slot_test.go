@@ -185,7 +185,7 @@ func TestReadsAreCopies(t *testing.T) {
 // TestPutRefusesOutOfRange: an instant the int64-nanosecond slot cannot
 // hold is refused with event.ErrTimeRange — by Put, by PutAll (which stops
 // there and names the refused ID, as WAL replay reports it) and by
-// Restore — and leaves nothing behind; it is never wrapped around.
+// Replace — and leaves nothing behind; it is never wrapped around.
 func TestPutRefusesOutOfRange(t *testing.T) {
 	loc := locus.At(locus.Router, "r")
 	for _, bad := range []event.Instance{
@@ -207,15 +207,15 @@ func TestPutRefusesOutOfRange(t *testing.T) {
 		if s.Len() != 1 || s.NextID() != 1 || s.Count("e") != 1 {
 			t.Errorf("after the refusals the store holds %d events, next ID %d", s.Len(), s.NextID())
 		}
-		if err := New().Restore(0, 2, []event.Instance{bad}); !errors.Is(err, event.ErrTimeRange) {
-			t.Errorf("Restore = %v, want event.ErrTimeRange", err)
+		if err := New().Replace(0, 2, []event.Instance{bad}); !errors.Is(err, event.ErrTimeRange) {
+			t.Errorf("Replace = %v, want event.ErrTimeRange", err)
 		}
 	}
 }
 
 // TestPutRefusesIDSpan: an index holds 32-bit rows, so an ID 2^32 or more
 // above the oldest one the store spans is refused, by Put and by
-// Restore, before anything is allocated for it; an emptied store starts
+// Replace, before anything is allocated for it; an emptied store starts
 // its span over.
 func TestPutRefusesIDSpan(t *testing.T) {
 	s := New()
@@ -229,8 +229,8 @@ func TestPutRefusesIDSpan(t *testing.T) {
 	if _, err := s.Put(far); err == nil || s.Len() != 1 || s.NextID() != 1 || len(s.chunks) != 1 {
 		t.Fatalf("Put 2^32 IDs ahead = %v; store holds %d events, next %d, %d chunks", err, s.Len(), s.NextID(), len(s.chunks))
 	}
-	if err := New().Restore(0, far.ID+1, []event.Instance{first, far}); err == nil {
-		t.Fatal("Restore took an ID 2^32 above its base")
+	if err := New().Replace(0, far.ID+1, []event.Instance{first, far}); err == nil {
+		t.Fatal("Replace took an ID 2^32 above its base")
 	}
 	s.EvictBefore(event.MaxTime)
 	if _, err := s.Put(far); err != nil || s.Len() != 1 {
@@ -244,7 +244,7 @@ func TestPutRefusesIDSpan(t *testing.T) {
 func TestEvictPastAllocatedChunks(t *testing.T) {
 	s := New()
 	in := mk("e", 0, 1, locus.At(locus.Router, "r"))
-	if err := s.Restore(0, 5*chunkSize, []event.Instance{in}); err != nil {
+	if err := s.Replace(0, 5*chunkSize, []event.Instance{in}); err != nil {
 		t.Fatal(err)
 	}
 	if s.EvictBefore(event.MaxTime) != 1 {

@@ -850,7 +850,7 @@ func (s *Memory) evictLocked(cutoff int64) []Evicted {
 		}
 		s.base++
 	}
-	// (Restore's bounds and forward gaps can reach past the allocated
+	// (Replace's bounds and forward gaps can reach past the allocated
 	// chunks.)
 	drop := min((s.base-s.org)>>chunkBits, len(s.chunks))
 	if s.live == 0 {
@@ -969,50 +969,34 @@ func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(
 	})
 }
 
-// Restore rebuilds a dumped state into an empty store: each instance is
-// placed at its recorded ID, interior gaps stay empty, and the next
-// insert receives ID next. It is the snapshot-recovery path; restoring
-// into a non-empty store is an error.
-func (s *Memory) Restore(base, next int, ins []event.Instance) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restoreLocked(base, next, ins)
-}
-
 // Replace makes a dumped state the store's whole content, whatever it
-// held: a replica loading a checkpoint its primary shipped over a store
-// it had been filling itself. Hooks and retention stay; like Restore it
-// runs no hook, so whoever derives state from the store's content
-// rebuilds it.
+// held: each instance is placed at its recorded ID, interior gaps stay
+// empty, and the next insert receives ID next. It is how a checkpoint is
+// restored — at boot into a fresh store, and on a replica over the store
+// it had been filling itself. Hooks and retention stay; it runs no hook,
+// so whoever derives state from the store's content rebuilds it.
 func (s *Memory) Replace(base, next int, ins []event.Instance) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reset()
-	return s.restoreLocked(base, next, ins)
-}
-
-func (s *Memory) restoreLocked(base, next int, ins []event.Instance) error {
-	if s.next != 0 || s.base != 0 {
-		return fmt.Errorf("store: Restore into a non-empty store")
-	}
 	if base < 0 || next < base || len(ins) > next-base {
-		return fmt.Errorf("store: Restore bounds [%d,%d) cannot hold %d instances", base, next, len(ins))
+		return fmt.Errorf("store: Replace bounds [%d,%d) cannot hold %d instances", base, next, len(ins))
 	}
 	s.org, s.base, s.next = base&^chunkMask, base, next
 	prev := base - 1
 	for i := range ins {
 		in := &ins[i]
 		if in.ID <= prev || in.ID >= next {
-			return fmt.Errorf("store: Restore instance ID %d out of order for bounds [%d,%d)", in.ID, base, next)
+			return fmt.Errorf("store: Replace instance ID %d out of order for bounds [%d,%d)", in.ID, base, next)
 		}
 		if in.ID >= base+math.MaxUint32-chunkSize {
-			return fmt.Errorf("store: Restore instance ID %d lies 2^32 or more above the base %d", in.ID, base)
+			return fmt.Errorf("store: Replace instance ID %d lies 2^32 or more above the base %d", in.ID, base)
 		}
 		prev = in.ID
 		start, okS := nanos(in.Start)
 		end, okE := nanos(in.End)
 		if !okS || !okE {
-			return fmt.Errorf("store: Restore instance ID %d: %w", in.ID, event.ErrTimeRange)
+			return fmt.Errorf("store: Replace instance ID %d: %w", in.ID, event.ErrTimeRange)
 		}
 		s.place(in.ID, start, end, in)
 	}

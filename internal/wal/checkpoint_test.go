@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"io"
 	"os"
 	"testing"
 
@@ -62,7 +61,7 @@ func journalCheckpoint(t testing.TB, n, per int) (string, *store.Memory, Journal
 // events are all live becomes the checkpoint's run by hard link — nothing
 // of it written again — and reads back as that run everywhere a run is
 // read: OpenCheckpoint, Open (the vestige's recovery), and a checkpoint
-// image decoded as a follower decodes it. The measure of the segment a
+// image written and installed as a follower installs it. The measure of the segment a
 // reopened journal takes off the file is what the appender kept. A segment
 // that holds a record other than events is no run: its range is written
 // from the store.
@@ -99,22 +98,8 @@ func TestCheckpointAdoptsJournalSegment(t *testing.T) {
 	}
 	l.Close()
 
-	im, err := OpenSnapshotImage(dir)
-	if err != nil || im == nil {
-		t.Fatalf("OpenSnapshotImage: %v", err)
-	}
-	defer im.Close()
-	var d ImageDecoder
-	if _, err := io.Copy(&d, im); err != nil {
-		t.Fatal(err)
-	}
-	base, next, ins, err := d.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromImage := store.New()
-	if err := fromImage.Restore(base, next, ins); err != nil || StoreDigest(fromImage) != want {
-		t.Fatalf("the image restores (%v) to another store", err)
+	if _, fromImage, err := installImage(t, imageBytes(t, dir), 3000, 1<<16); err != nil || StoreDigest(fromImage) != want {
+		t.Fatalf("the image installs (%v) as another store", err)
 	}
 
 	// A segment with a header record where an event record belongs.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"grca/internal/obs"
@@ -166,33 +167,90 @@ const (
 	// spanned many more could not be dropped until long after its first
 	// events were checkpointed.
 	JournalSegmentBytes = 1 << 20
-
-	// JournalSegmentKind is the record kind of a tail segment's header, in
-	// the kind space of the records the serving pipeline journals (its table
-	// is in internal/server, pipeline.go).
-	JournalSegmentKind byte = 5
-	// JournalEventKind is the kind of an event record, uvarint seq | 6 |
-	// uvarint 0 (no source) | event block (wire.AppendEventBlock): what a
-	// sealed tail segment holds behind its header, and all a run read from
-	// one may hold.
-	JournalEventKind byte = 6
 )
+
+// A journal record, in every file of the journal and on the replication
+// stream, is
+//
+//	uvarint seq | kind | uvarint len(source) | source | body
+//
+// seq is the batch's dispatch sequence (a segment header's, the sequence
+// of the record behind it); it ascends through the journal and is the
+// replication stream's resume cursor. This file is the one codec of that
+// envelope and the one table of its kinds: the serving pipeline writes and
+// applies records through it, the replication source and the follower read
+// their sequences and kinds through it, and so do a segment's header and
+// a run read from a sealed segment. Kinds 1, 3 and 4 are what data dirs of
+// earlier formats hold (DESIGN.md §11); no reader of them is left.
+const (
+	// JournalFinalizeKind closes the collector's feed phase; its body is
+	// empty.
+	JournalFinalizeKind byte = 2
+	// JournalSegmentKind is a tail segment's header
+	// (AppendJournalSegmentHeader): the first record of every tail segment.
+	JournalSegmentKind byte = 5
+	// JournalEventKind is an event batch: no source, and the batch's
+	// instances as one event block (wire.AppendEventBlock). A sealed tail
+	// segment holds these behind its header, and a run read from one holds
+	// nothing else.
+	JournalEventKind byte = 6
+	// JournalFeedKind is a feed batch: the feed's source, and its lines as
+	// uvarint len(lines) | one raw DEFLATE stream (the server's
+	// appendFeedRecord).
+	JournalFeedKind byte = 7
+)
+
+// JournalRecord is a journal record's envelope, decoded. Body aliases the
+// bytes it was parsed from.
+type JournalRecord struct {
+	Seq    int
+	Kind   byte
+	Source string
+	Body   []byte
+}
+
+// AppendJournalRecord appends r encoded to b.
+func AppendJournalRecord(b []byte, r JournalRecord) []byte {
+	b = slices.Grow(b, 2*binary.MaxVarintLen64+1+len(r.Source)+len(r.Body))
+	b = binary.AppendUvarint(b, uint64(r.Seq))
+	b = append(b, r.Kind)
+	b = appendString(b, r.Source)
+	return append(b, r.Body...)
+}
+
+// ParseJournalRecord decodes a record's envelope; the body is the kind's
+// to read. The bytes are outside input on a follower: the sequence is
+// bounded, the source must fit, and a uvarint in any but its shortest
+// form is an error, so a record that parses re-encodes to its bytes.
+func ParseJournalRecord(p []byte) (JournalRecord, error) {
+	var r JournalRecord
+	u := uvarints{p, true}
+	r.Seq = u.next()
+	if !u.ok || len(u.p) < 1 {
+		return r, fmt.Errorf("wal: truncated journal record")
+	}
+	r.Kind, u.p = u.p[0], u.p[1:]
+	n := u.next()
+	if !u.ok || n > len(u.p) {
+		return r, fmt.Errorf("wal: truncated journal record source")
+	}
+	r.Source, r.Body = string(u.p[:n]), u.p[n:]
+	return r, nil
+}
 
 // journalEvents reads an event record's instance count and its event
 // block; a record of any other kind, or with a source, is an error. The
 // count is bounded by the bytes behind it.
 func journalEvents(rec []byte) (n int, block []byte, err error) {
-	u := uvarints{rec, true}
-	u.next() // the sequence
-	if !u.ok || len(u.p) < 2 || u.p[0] != JournalEventKind || u.p[1] != 0 {
+	r, err := ParseJournalRecord(rec)
+	if err != nil || r.Kind != JournalEventKind || r.Source != "" {
 		return 0, nil, fmt.Errorf("wal: not an event record")
 	}
-	block = u.p[2:]
-	u.p = block
+	u := uvarints{r.Body, true}
 	if n = u.next(); !u.ok || n < 1 || n > len(u.p)/wire.MinBlockEvent {
 		return 0, nil, fmt.Errorf("wal: bad event record count")
 	}
-	return n, block, nil
+	return n, r.Body, nil
 }
 
 // ErrJournalShards is a tail-segment header written for more than one
@@ -218,24 +276,16 @@ type JournalSegmentHeader struct {
 	Front int
 }
 
-// AppendJournalSegmentHeader appends h encoded as a journal record:
-// uvarint FirstSeq | JournalSegmentKind | uvarint 0 (no source) | uvarint
+// AppendJournalSegmentHeader appends h encoded as a journal record of
+// JournalSegmentKind: sequence FirstSeq, no source, and the body uvarint
 // FirstID | Offset | 1 | Front. The 1 is the shard count of the format
 // multi-shard versions wrote; a single-shard dir of theirs reads as is.
 func AppendJournalSegmentHeader(b []byte, h JournalSegmentHeader) []byte {
-	b = binary.AppendUvarint(b, uint64(h.FirstSeq))
-	b = append(b, JournalSegmentKind, 0)
-	b = binary.AppendUvarint(b, uint64(h.FirstID))
-	b = binary.AppendUvarint(b, uint64(h.Offset))
-	b = append(b, 1)
-	return binary.AppendUvarint(b, uint64(h.Front))
-}
-
-// IsJournalSegmentHeader reports whether a journal record is a tail
-// segment's header: the kind byte behind the sequence says so.
-func IsJournalSegmentHeader(rec []byte) bool {
-	_, sz := binary.Uvarint(rec)
-	return sz > 0 && len(rec) > sz && rec[sz] == JournalSegmentKind
+	body := binary.AppendUvarint(nil, uint64(h.FirstID))
+	body = binary.AppendUvarint(body, uint64(h.Offset))
+	body = append(body, 1)
+	body = binary.AppendUvarint(body, uint64(h.Front))
+	return AppendJournalRecord(b, JournalRecord{Seq: h.FirstSeq, Kind: JournalSegmentKind, Body: body})
 }
 
 // ParseJournalSegmentHeader decodes a header record. The bytes are outside
@@ -243,12 +293,12 @@ func IsJournalSegmentHeader(rec []byte) bool {
 // error. A shard count other than 1 is ErrJournalShards.
 func ParseJournalSegmentHeader(p []byte) (JournalSegmentHeader, error) {
 	var h JournalSegmentHeader
-	u := uvarints{p, true}
-	h.FirstSeq = u.next()
-	if !u.ok || len(u.p) < 2 || u.p[0] != JournalSegmentKind || u.p[1] != 0 {
+	r, err := ParseJournalRecord(p)
+	if err != nil || r.Kind != JournalSegmentKind || r.Source != "" {
 		return h, fmt.Errorf("wal: not a journal segment header")
 	}
-	u.p = u.p[2:]
+	h.FirstSeq = r.Seq
+	u := uvarints{r.Body, true}
 	h.FirstID = u.next()
 	h.Offset = int64(u.next())
 	n := u.next()
@@ -395,23 +445,6 @@ func RecoverJournalTail(dir string) ([]JournalSegment, error) {
 		}
 	}
 	return segs, nil
-}
-
-// JournalOffset returns the logical size of the journal under dir — the
-// bytes ever journaled, dropped segments included — from the files alone:
-// the last segment's offset plus its size. A segment whose header is not
-// whole yet (a roll in progress) counts from its predecessor.
-func JournalOffset(dir string) int64 {
-	segs, err := JournalTail(dir)
-	if err != nil {
-		return 0
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		if h, ok, err := ReadJournalSegmentHeader(segs[i].Path); ok && err == nil {
-			return h.Offset + JournalSize(segs[i].Path)
-		}
-	}
-	return JournalSize(JournalHead(dir))
 }
 
 // SegmentedJournal appends to the journal under one data dir: to

@@ -16,11 +16,12 @@ import (
 // Shipping support for the replication subsystem (internal/replica): the
 // stream's framing is the on-disk framing, so the source tails journal
 // files directly, and a checkpoint is a snapshot's files end to end — its
-// runs adopted journal segments or block files. This file exports just
-// enough of the framing and the dir layout to do that. Only the journal
-// stream serves followers; what ships the event WAL itself
-// (internal/replica's one-shot path, SegmentRecords here) is frozen for
-// bench/, and speaks legacy records, one a message.
+// runs adopted journal segments or block files — which a follower writes
+// back as those files (ImageWriter). This file exports just enough of the
+// framing and the dir layout to do that. Only the journal stream serves
+// followers; what ships the event WAL itself (internal/replica's one-shot
+// path, SegmentRecords here) is frozen for bench/, and speaks legacy
+// records, one a message.
 
 // FrameHeader is the byte length of a record frame's header.
 const FrameHeader = frameHeader
@@ -126,8 +127,8 @@ func LatestSnapshot(dir string) (next int, ok bool, err error) {
 // SnapshotImage is a snapshot under dir read as one stream: the manifest
 // file's bytes, then the bytes of every run it references, in order — the
 // form a follower bootstraps from. A run in the image is delimited by the
-// size its manifest entry gives, and is a record file of either encoding,
-// as on disk. Every run file is open from the moment the image exists, so
+// size its manifest entry gives, and is a record file of any encoding, as
+// on disk. Every run file is open from the moment the image exists, so
 // the primary's compaction may delete them mid-stream without tearing it.
 type SnapshotImage struct {
 	Next int   // the snapshot's next-ID bound
@@ -137,8 +138,9 @@ type SnapshotImage struct {
 }
 
 // OpenSnapshotImage opens the newest snapshot under dir whose manifest
-// parses and whose runs are all present at their recorded size. It
-// returns nil when dir holds no such snapshot.
+// parses and whose runs are all present at their recorded size; what the
+// runs hold is the follower's to check, with recovery's reader. It returns
+// nil when dir holds no such snapshot.
 func OpenSnapshotImage(dir string) (*SnapshotImage, error) {
 	snaps, _, err := listNumbered(snapDir(dir), "snap-", ".snap")
 	if err != nil {
@@ -167,7 +169,7 @@ func openImage(dir string, m manifest) *SnapshotImage {
 			return nil
 		}
 		im.files = append(im.files, f)
-		if !looksLikeRun(f, r) {
+		if fi, err := f.Stat(); err != nil || fi.Size() != r.size {
 			im.Close()
 			return nil
 		}
@@ -178,22 +180,6 @@ func openImage(dir string, m manifest) *SnapshotImage {
 	return im
 }
 
-// looksLikeRun reports whether the open run file f is at r's recorded
-// size and starts with a frame — a block file's magic frame or a legacy
-// file's first record — which a run in a format this code does not read
-// (one with a header) does not.
-func looksLikeRun(f *os.File, r runInfo) bool {
-	if fi, err := f.Stat(); err != nil || fi.Size() != r.size {
-		return false
-	}
-	var hdr [frameHeader]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return false
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	return n <= maxRecord && n <= r.size-frameHeader
-}
-
 // Close releases the image's run files.
 func (im *SnapshotImage) Close() {
 	for _, f := range im.files {
@@ -201,132 +187,131 @@ func (im *SnapshotImage) Close() {
 	}
 }
 
-// ImageDecoder decodes a SnapshotImage's bytes, fed in whatever pieces
-// they arrive in, into the store state they carry: the ID bounds and
-// the live instances, ready for store.Memory.Replace. The bytes are
-// outside input, held to what recovery holds a snapshot to: the manifest
-// must validate, each run must end on a frame boundary at its size with
-// its CRC and count, and IDs must ascend inside its range.
-type ImageDecoder struct {
-	carry  []byte
-	header bool
-	m      manifest
-	run    int        // the run being read
-	left   int64      // its bytes not yet read
-	crc    uint32     // its CRC32C so far
-	frames fileFrames // its encoding
-	held   int        // its instances decoded
-	ins    []event.Instance
-	err    error
+// ImageWriter writes a SnapshotImage's bytes, fed in whatever pieces
+// they arrive in, into a data dir's snap/ as the files the image is made
+// of: each run under its name, held to its manifest entry's size and CRC
+// and synced before it is renamed into place. The manifest is held back
+// for Checkpointer.Install, which writes it once the caller has checked
+// the image against where its journal resumes, and reads the store back
+// from it as recovery does. A run the stream cut short stays a temp file,
+// which the next compaction removes; no manifest references it.
+type ImageWriter struct {
+	// Next is the image's next-ID bound, as announced; the manifest must
+	// agree.
+	Next  int
+	dir   string
+	size  int64     // bytes announced
+	left  int64     // of them, not yet written
+	carry []byte    // the image's first bytes, until the manifest is whole
+	m     *manifest // nil until then, and for the empty image
+	run   int       // the run being written, or next to be
+	f     *os.File  // its temp file, while open
+	cw    crcWriter
+	err   error
 }
 
-// Write decodes every whole frame p completes; the first bad one is the
-// decoder's error from then on.
-func (d *ImageDecoder) Write(p []byte) (int, error) {
-	if d.err != nil {
-		return 0, d.err
+// NewImageWriter writes an image of size bytes and next-ID bound next
+// under dir's snap/. Size 0 is the empty image: no manifest, no run, and
+// next 0.
+func NewImageWriter(dir string, next int, size int64) *ImageWriter {
+	return &ImageWriter{Next: next, dir: dir, size: size, left: size}
+}
+
+// Write writes p's bytes where they belong; the first error is the
+// writer's from then on.
+func (w *ImageWriter) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
 	}
-	d.carry = append(d.carry, p...)
-	if !d.header {
-		if len(d.carry) < len(snapMagic) {
-			return len(p), nil
+	n := len(p)
+	if w.left -= int64(n); w.left < 0 {
+		return 0, w.fail(fmt.Errorf("wal: snapshot image runs past its announced %d bytes", w.size))
+	}
+	if w.m == nil {
+		w.carry = append(w.carry, p...)
+		k := min(len(w.carry), len(snapMagic))
+		if string(w.carry[:k]) != snapMagic[:k] {
+			return 0, w.fail(fmt.Errorf("wal: not a snapshot image"))
 		}
-		if string(d.carry[:len(snapMagic)]) != snapMagic {
-			return 0, d.fail(fmt.Errorf("wal: not a snapshot image"))
-		}
-		payload, rest, ok := readFrame(d.carry[len(snapMagic):])
+		payload, rest, ok := readFrame(w.carry[k:])
 		if !ok {
-			return len(p), d.stalled()
+			if len(w.carry) > len(snapMagic)+frameHeader+maxRecord {
+				return 0, w.fail(fmt.Errorf("wal: snapshot image: torn or corrupt manifest frame"))
+			}
+			return n, nil
 		}
 		m, err := decodeManifest(payload)
+		if err == nil && m.next != w.Next {
+			err = fmt.Errorf("it covers IDs below %d, announced %d", m.next, w.Next)
+		}
 		if err != nil {
-			return 0, d.fail(fmt.Errorf("wal: snapshot image manifest: %v", err))
+			return 0, w.fail(fmt.Errorf("wal: snapshot image manifest: %v", err))
 		}
-		d.m, d.header, d.carry = m, true, rest
-		d.nextRun(0)
+		w.m, w.carry, p = &m, nil, rest
 	}
-	for len(d.carry) > 0 {
-		if d.run == len(d.m.runs) {
-			return 0, d.fail(fmt.Errorf("wal: snapshot image: %d bytes after its last run", len(d.carry)))
+	for len(p) > 0 {
+		if w.run == len(w.m.runs) {
+			return 0, w.fail(fmt.Errorf("wal: snapshot image: %d bytes after its last run", len(p)))
 		}
-		payload, rest, ok := readFrame(d.carry)
-		if !ok {
+		r := w.m.runs[w.run]
+		if w.f == nil {
+			f, err := os.OpenFile(runFile(w.dir, r)+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+			if err != nil {
+				return 0, w.fail(err)
+			}
+			w.f, w.cw = f, crcWriter{w: f}
+		}
+		k := min(int64(len(p)), r.size-w.cw.size)
+		if _, err := w.cw.Write(p[:k]); err != nil {
+			return 0, w.fail(err)
+		}
+		p = p[k:]
+		if w.cw.size < r.size {
 			break
 		}
-		n := int64(len(d.carry) - len(rest))
-		if n > d.left {
-			return 0, d.fail(fmt.Errorf("wal: snapshot image: a frame crosses the end of run %s", runName(d.m.runs[d.run])))
+		if w.cw.crc != r.crc {
+			return 0, w.fail(fmt.Errorf("wal: snapshot image run %s: CRC %08x, its entry %08x", runName(r), w.cw.crc, r.crc))
 		}
-		d.crc = crc32.Update(d.crc, castagnoli, d.carry[:n])
-		d.left -= n
-		d.carry = rest
-		if err := d.frame(payload); err != nil {
-			return 0, d.fail(fmt.Errorf("wal: snapshot image run %s: %v", runName(d.m.runs[d.run]), err))
+		f := w.f
+		w.f = nil
+		if err := commitFile(f, runFile(w.dir, r)); err != nil {
+			return 0, w.fail(err)
 		}
-		if d.left == 0 {
-			if r := d.m.runs[d.run]; d.crc != r.crc || d.held != r.count {
-				return 0, d.fail(fmt.Errorf("wal: snapshot image run %s holds %d records with CRC %08x, its entry %d with %08x", runName(r), d.held, d.crc, r.count, r.crc))
-			}
-			d.nextRun(d.run + 1)
-		}
+		mSnapBytes.Add(r.size)
+		w.run++
 	}
-	// Keep the torn remainder without pinning the consumed bytes.
-	d.carry = append([]byte(nil), d.carry...)
-	return len(p), d.stalled()
+	return n, nil
 }
 
-// nextRun starts reading run i (none past the last).
-func (d *ImageDecoder) nextRun(i int) {
-	d.run, d.crc, d.frames, d.held = i, 0, fileFrames{}, 0
-	if i < len(d.m.runs) {
-		d.left = d.m.runs[i].size
-	}
-}
-
-// frame decodes one frame of the current run.
-func (d *ImageDecoder) frame(p []byte) error {
-	s, err := d.frames.span(p)
-	if err != nil || s.count == 0 {
-		return err
-	}
-	r, prev := d.m.runs[d.run], d.m.base-1
-	if n := len(d.ins); n > 0 {
-		prev = d.ins[n-1].ID
-	}
-	if s.first <= prev || s.first < r.lo || s.last >= r.hi || s.count > r.count-d.held {
-		return fmt.Errorf("IDs %d…%d do not fit [%d,%d) × %d after ID %d", s.first, s.last, r.lo, r.hi, r.count, prev)
-	}
-	at := len(d.ins)
-	d.ins = slices.Grow(d.ins, s.count)[:at+s.count]
-	d.held += s.count
-	return d.frames.decode(p, s, d.ins[at:])
-}
-
-func (d *ImageDecoder) fail(err error) error {
-	d.err = err
-	return err
-}
-
-// stalled reports a carry no frame can still complete: longer than the
-// largest frame, it is damage and not a frame in flight.
-func (d *ImageDecoder) stalled() error {
-	if len(d.carry) > len(snapMagic)+frameHeader+maxRecord {
-		d.err = fmt.Errorf("wal: snapshot image: torn or corrupt frame")
-	}
-	return d.err
-}
-
-// Finish returns the decoded state once every byte has been written.
-func (d *ImageDecoder) Finish() (base, next int, ins []event.Instance, err error) {
+// Finish reports whether every announced byte arrived and made the image
+// whole: the manifest and each of its runs in place.
+func (w *ImageWriter) Finish() error {
 	switch {
-	case d.err != nil:
-		return 0, 0, nil, d.err
-	case !d.header || len(d.carry) != 0 || d.run != len(d.m.runs):
-		return 0, 0, nil, fmt.Errorf("wal: snapshot image ends inside a frame or run")
-	case len(d.ins) != d.m.live:
-		return 0, 0, nil, fmt.Errorf("wal: snapshot image holds %d instances, its manifest says %d", len(d.ins), d.m.live)
+	case w.err != nil:
+		return w.err
+	case w.left != 0:
+		return fmt.Errorf("wal: snapshot image is %d bytes short of its announced %d", w.left, w.size)
+	case w.m == nil && w.size == 0 && w.Next == 0:
+		return nil // the empty image
+	case w.m == nil || w.run != len(w.m.runs):
+		return fmt.Errorf("wal: snapshot image ends inside a frame or run")
 	}
-	return d.m.base, d.m.next, d.ins, nil
+	return nil
+}
+
+// Close abandons the image: the run being written stays a temp file.
+func (w *ImageWriter) Close() {
+	if w.f != nil {
+		w.f.Close() //nolint:errcheck // abandoned; compaction collects the temp file
+		w.f = nil
+	}
+}
+
+// fail makes err the writer's and abandons the image.
+func (w *ImageWriter) fail(err error) error {
+	w.Close()
+	w.err = err
+	return err
 }
 
 // SegmentRecords reads the frames of one segment file in order, handing

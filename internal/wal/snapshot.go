@@ -112,7 +112,8 @@ func (m manifest) encode() []byte {
 }
 
 // uvarints reads consecutive bounded uvarints; ok turns false (and stays
-// false) at the first truncated or out-of-range value.
+// false) at the first truncated or out-of-range value, or one not in its
+// shortest form (a last byte of zero), which no writer here produces.
 type uvarints struct {
 	p  []byte
 	ok bool
@@ -120,7 +121,7 @@ type uvarints struct {
 
 func (u *uvarints) next() int {
 	v, sz := binary.Uvarint(u.p)
-	if sz <= 0 || v > maxID {
+	if sz <= 0 || v > maxID || (sz > 1 && u.p[sz-1] == 0) {
 		u.ok = false
 		return 0
 	}
@@ -304,7 +305,7 @@ func loadCheckpoint(dir string, workers int, st *store.Memory, rec *Recovery) (m
 			mSnapUnreadable.Inc()
 			continue
 		}
-		if err := st.Restore(got.base, got.next, ins); err != nil {
+		if err := st.Replace(got.base, got.next, ins); err != nil {
 			return m, 0, fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
 		}
 		m = got
@@ -725,7 +726,8 @@ func compactSnap(dir string, cur manifest) (horizon int, err error) {
 // the store. Nothing is appended per batch: the journal holds each event
 // once, and a checkpoint links it.
 type Checkpointer struct {
-	dir string
+	dir     string
+	workers int // the run decode's, for Install
 
 	mu sync.Mutex // serializes Checkpoint; guards snap and floor
 	// snap is the latest durable manifest, floor the next-ID bound of the
@@ -752,7 +754,7 @@ func OpenCheckpoint(dir string, opts Options) (*Checkpointer, *store.Memory, Rec
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	return &Checkpointer{dir: dir, snap: m, floor: floor}, st, rec, nil
+	return &Checkpointer{dir: dir, workers: opts.replayWorkers(), snap: m, floor: floor}, st, rec, nil
 }
 
 // Checkpoint makes the store durable under snap/: a manifest over every
@@ -789,6 +791,40 @@ func (c *Checkpointer) Checkpoint(st *store.Memory, sealed []JournalSegment) err
 	if err != nil {
 		mSnapFailed.Inc()
 	}
+	return err
+}
+
+// Install makes the checkpoint an ImageWriter wrote under snap/ the
+// latest, and its content st's whole content: the manifest is written
+// durably beside the runs already in place, and the store is read back
+// from it with the reader recovery uses (readSnapshot). If that manifest
+// does not read, the install fails — it never falls back to an older one,
+// which would not reach where the caller resumes. The empty image leaves
+// st empty and the checkpoints as they are. Whatever derives state from
+// st's content rebuilds it.
+func (c *Checkpointer) Install(w *ImageWriter, st *store.Memory) error {
+	if err := w.Finish(); err != nil {
+		return err
+	}
+	if w.m == nil {
+		return st.Replace(0, 0, nil)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, err := writeManifest(c.dir, *w.m)
+	if err != nil {
+		return err
+	}
+	mSnapBytes.Add(n)
+	m, ins, err := readSnapshot(c.dir, snapFile(c.dir, w.m.next), c.workers)
+	if err != nil {
+		return err
+	}
+	if err := st.Replace(m.base, m.next, ins); err != nil {
+		return err
+	}
+	c.snap = m
+	c.floor, err = compactSnap(c.dir, m)
 	return err
 }
 

@@ -493,9 +493,10 @@ func TestHugeCountsFallBack(t *testing.T) {
 
 // TestSnapshotImageRoundtrip: a multi-run snapshot read as one image —
 // the checkpoint a follower whose resume point lies in dropped journal
-// segments is sent — decodes to the identical store, however its bytes are
-// cut; an image whose manifest lies, or whose runs are not what it says,
-// does not decode.
+// segments is sent — is written back as the very files it was read from,
+// however its bytes are cut, and installs as the identical store; an image
+// whose manifest lies, or whose runs are not what it says, does not
+// install.
 func TestSnapshotImageRoundtrip(t *testing.T) {
 	prim := t.TempDir()
 	ins := genEvents(41, 12000) // 3000 a run: well past crumb size, so four runs
@@ -542,12 +543,16 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)-3] ^= 0x20
 
-	// The bytes decoded straight into a store — a follower loading a
-	// checkpoint off the journal stream — in whatever pieces they arrive.
+	// The bytes written into a follower's snap/ and installed over its
+	// store — a follower loading a checkpoint off the journal stream — in
+	// whatever pieces they arrive.
 	for _, piece := range []int{1 << 20, 4096, 7} {
-		st3, err := decodeImage(data, piece)
+		dir, st3, err := installImage(t, data, im.Next, piece)
 		if err != nil || StoreDigest(st3) != want {
-			t.Fatalf("decoded in pieces of %d: %v, digest equal: %v", piece, err, err == nil && StoreDigest(st3) == want)
+			t.Fatalf("installed in pieces of %d: %v, digest equal: %v", piece, err, err == nil && StoreDigest(st3) == want)
+		}
+		if got := imageBytes(t, dir); !bytes.Equal(got, data) {
+			t.Fatalf("installed in pieces of %d, the follower's snapshot reads as another image", piece)
 		}
 	}
 	for name, bad := range map[string][]byte{
@@ -560,15 +565,15 @@ func TestSnapshotImageRoundtrip(t *testing.T) {
 		"magic alone":   []byte(snapMagic),
 		"huge counts":   hugeCountDump(),
 	} {
-		if _, err := decodeImage(bad, 4096); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, _, err := installImage(t, bad, im.Next, 4096); err == nil {
+			t.Errorf("%s: installed without error", name)
 		}
 	}
 }
 
 // TestMixedImage: a snapshot of a directory an earlier version wrote keeps
 // its legacy run beside the block runs this version writes; the image over
-// both decodes to the store it was taken from.
+// both installs as the store it was taken from.
 func TestMixedImage(t *testing.T) {
 	dir := legacyDir(t, genEvents(26, 1000))
 	l, st, _, err := Open(dir, Options{})
@@ -601,8 +606,8 @@ func TestMixedImage(t *testing.T) {
 	if fmt.Sprint(formats) != "[legacy block]" {
 		t.Fatalf("the image's runs are %v, want a legacy one and a block one", formats)
 	}
-	if st2, err := decodeImage(data, 999); err != nil || StoreDigest(st2) != want {
-		t.Fatalf("the mixed image decoded: %v, digest equal: %v", err, err == nil && StoreDigest(st2) == want)
+	if _, st2, err := installImage(t, data, im.Next, 999); err != nil || StoreDigest(st2) != want {
+		t.Fatalf("the mixed image installed: %v, digest equal: %v", err, err == nil && StoreDigest(st2) == want)
 	}
 }
 
@@ -648,24 +653,44 @@ func imageManifest(t *testing.T, data []byte) (manifest, int) {
 	return m, n
 }
 
-// decodeImage runs an ImageDecoder over data, piece bytes at a time, into
-// a store that held something else before.
-func decodeImage(data []byte, piece int) (*store.Memory, error) {
-	var d ImageDecoder
+// installImage writes data, announced as an image of next-ID bound next,
+// through an ImageWriter into a fresh data dir's snap/, piece bytes at a
+// time, and installs it over a store that held something else before: a
+// follower loading a checkpoint off the journal stream. It returns the dir
+// and the store.
+func installImage(t testing.TB, data []byte, next, piece int) (string, *store.Memory, error) {
+	t.Helper()
+	dir := t.TempDir()
+	c, st, _, err := OpenCheckpoint(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addAll(st, genEvents(99, 1)) // what the store held before
+	w := NewImageWriter(dir, next, int64(len(data)))
+	defer w.Close()
 	for len(data) > 0 {
 		n := min(piece, len(data))
-		if _, err := d.Write(data[:n]); err != nil {
-			return nil, err
+		if _, err := w.Write(data[:n]); err != nil {
+			return dir, nil, err
 		}
 		data = data[n:]
 	}
-	base, next, ins, err := d.Finish()
-	if err != nil {
-		return nil, err
+	return dir, st, c.Install(w, st)
+}
+
+// imageBytes reads the newest snapshot under dir as a primary ships it.
+func imageBytes(t testing.TB, dir string) []byte {
+	t.Helper()
+	im, err := OpenSnapshotImage(dir)
+	if err != nil || im == nil {
+		t.Fatalf("no image under %s: %v", dir, err)
 	}
-	st := store.New()
-	addAll(st, genEvents(99, 1)) // what the store held before
-	return st, st.Replace(base, next, ins)
+	defer im.Close()
+	data, err := io.ReadAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // sinceSnapshot reports how many committed records the latest snapshot
@@ -989,12 +1014,34 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(whole[:len(whole)-5])
 	}
 
+	// Whole images, as a follower's writer puts them in its snap/ — the
+	// only way checkpoint bytes from outside reach a data dir: the image
+	// itself, and the manifest and first run the writer left.
+	for _, n := range []int{20, 3000} {
+		dir := snapshot(n)
+		data := imageBytes(f, dir)
+		written, _, err := installImage(f, data, n, 4096)
+		if err != nil {
+			f.Fatal(err)
+		}
+		man, err := os.ReadFile(manifests(f, written)[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		run, err := os.ReadFile(runFiles(f, written)[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(append(man[:len(man):len(man)], run...))
+	}
+
 	// restores checks that a run the reader accepted against want is one
 	// the store takes back.
 	restores := func(t *testing.T, run []byte, want runInfo) {
 		dst := make([]event.Instance, want.count)
 		if err := parseRun(run, want, 2, dst); err == nil {
-			if err := store.New().Restore(want.lo, want.hi, dst); err != nil {
+			if err := store.New().Replace(want.lo, want.hi, dst); err != nil {
 				t.Fatalf("a run the reader accepted does not restore: %v", err)
 			}
 		}

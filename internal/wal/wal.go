@@ -11,11 +11,22 @@
 // run by hard link. Recovery is the newest readable checkpoint plus the
 // journal's tail.
 //
+// This package is the one codec of both formats, on disk and on the
+// replication stream alike. A journal record is read and written through
+// ParseJournalRecord and AppendJournalRecord, with the kind table beside
+// them (journal.go), by the serving pipeline, the replication source and
+// follower and the segment header and run readers here. A checkpoint is
+// read by readSnapshot at every boot; a follower writes the one its
+// primary streams into its own snap/ as the very files it was sent
+// (ImageWriter, ship.go) and installs it through that same reader
+// (Checkpointer.Install).
+//
 // Log, the event WAL below — a segmented write-ahead log of normalized
 // instances that a store's append hook feeds, with its own snapshots — is
 // a vestige: no server writes it, and its record append and segments stay
-// only because bench/ still drives them (ROADMAP item 1(b)). Open also reads a server's data dir: with no segment there, it
-// is the newest checkpoint alone.
+// only because bench/ still drives them (ROADMAP item 1(b)). Open also
+// reads a server's data dir: with no segment there, it is the newest
+// checkpoint alone.
 //
 // # Layout and invariants of the event WAL
 //

@@ -15,7 +15,9 @@
 # durability clock of its own, and one that keeps the server, the
 # replication package and the chaos durability gates off the event WAL and
 # its one-shot shipping path, so that every batch is written once, to the
-# journal, and the gates test the path the server runs.
+# journal, and the gates test the path the server runs, and one that keeps
+# each journal format's one codec in internal/wal: the record envelope and
+# its kinds, and the checkpoint image a follower writes into its snap/.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -105,6 +107,19 @@ echo "== one write per batch =="
 if git grep -nE 'wal\.Open\(|wal\.Log\b|replica\.(ShipWALOnce|OpenWALSink|WALSink)' -- \
     'internal/server/*.go' 'internal/replica/*.go' 'internal/chaos/*.go' ':!*_test.go'; then
   echo "event WAL or one-shot WAL shipping in the server, the replication package or the chaos gates (above): checkpoint through wal.Checkpointer, drive server.Open" >&2
+  fail=1
+fi
+
+echo "== one journal codec =="
+# internal/wal owns the journal record (AppendJournalRecord,
+# ParseJournalRecord and the kind table beside them) and the checkpoint
+# image (ImageWriter, read back by recovery's reader). A kind constant
+# declared elsewhere, or a second reader of either — a decoder of the
+# image, a sequence read off a record's front — is the second codec
+# coming back.
+if git grep -nE '^\s*(const\s+)?(rec[A-Z]\w*|\w*Journal\w*Kind)\s+(byte\s+)?=|[^=!<>:]=\s*wal\.Journal\w*Kind\b|\bImageDecoder\b|\bJournalSeq\(' -- \
+    '*.go' ':!*_test.go' ':!internal/wal'; then
+  echo "journal record kind or second journal codec outside internal/wal (above): read and write records through wal.ParseJournalRecord/AppendJournalRecord, checkpoints through wal.ImageWriter" >&2
   fail=1
 fi
 
