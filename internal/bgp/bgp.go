@@ -25,12 +25,14 @@ import (
 // Best-path-memo metrics: decision-process emulation is the interdomain
 // half of the route computation that dominates CDN diagnosis latency
 // (§III-B.2); the hit ratios show how much of it the routing-epoch cache
-// absorbs.
+// absorbs, and the entries gauges what they hold.
 var (
-	mLookupHits   = obs.GetCounter("bgp.lookup.cache.hits")
-	mLookupMisses = obs.GetCounter("bgp.lookup.cache.misses")
-	mBestHits     = obs.GetCounter("bgp.bestpath.cache.hits")
-	mBestMisses   = obs.GetCounter("bgp.bestpath.cache.misses")
+	mLookupHits    = obs.GetCounter("bgp.lookup.cache.hits")
+	mLookupMisses  = obs.GetCounter("bgp.lookup.cache.misses")
+	mLookupEntries = obs.GetGauge("bgp.lookup.cache.entries")
+	mBestHits      = obs.GetCounter("bgp.bestpath.cache.hits")
+	mBestMisses    = obs.GetCounter("bgp.bestpath.cache.misses")
+	mBestEntries   = obs.GetGauge("bgp.bestpath.cache.entries")
 )
 
 // Route is one reflector-learned path to an external prefix, already
@@ -129,8 +131,8 @@ func New(o *ospf.Sim) *Sim {
 	return &Sim{
 		ospf:     o,
 		prefixes: map[netip.Prefix]map[string]*timeline{},
-		lookup:   epoch.NewMemo[[2]int64, lookupKey, netip.Prefix](mLookupHits, mLookupMisses),
-		best:     epoch.NewMemo[[2]int64, bestKey, Route](mBestHits, mBestMisses),
+		lookup:   epoch.NewMemo[[2]int64, lookupKey, netip.Prefix](mLookupHits, mLookupMisses, mLookupEntries),
+		best:     epoch.NewMemo[[2]int64, bestKey, Route](mBestHits, mBestMisses, mBestEntries),
 	}
 }
 

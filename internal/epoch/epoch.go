@@ -6,6 +6,7 @@
 package epoch
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -55,6 +56,7 @@ func (c *Clock) Generation() int64 { return c.gen.Load() }
 // they were computed against. It is safe for concurrent use.
 type Memo[G, K comparable, V any] struct {
 	hits, misses *obs.Counter
+	entries      *obs.Gauge
 	cur          atomic.Pointer[table[G]]
 }
 
@@ -64,7 +66,14 @@ type Memo[G, K comparable, V any] struct {
 type table[G comparable] struct {
 	gen G
 	m   sync.Map // K → entry[V]
+	// n counts the entries stored, or is retired once the table has been
+	// swapped out or dropped: a store that loses that race is not
+	// counted, so the gauge is always the live tables' entries.
+	n atomic.Int64
 }
+
+// retired marks a table whose entries the gauge no longer counts.
+const retired = -1
 
 type entry[V any] struct {
 	v   V
@@ -72,16 +81,20 @@ type entry[V any] struct {
 }
 
 // NewMemo returns an empty memo counting its hits and misses on the given
-// counters.
-func NewMemo[G, K comparable, V any](hits, misses *obs.Counter) *Memo[G, K, V] {
-	return &Memo[G, K, V]{hits: hits, misses: misses}
+// counters and its stored entries on the gauge, which every table swap and
+// Drop takes back down, and so does the memo becoming garbage: the gauge
+// is what the live memos sharing it hold.
+func NewMemo[G, K comparable, V any](hits, misses *obs.Counter, entries *obs.Gauge) *Memo[G, K, V] {
+	m := &Memo[G, K, V]{hits: hits, misses: misses, entries: entries}
+	runtime.SetFinalizer(m, (*Memo[G, K, V]).Drop)
+	return m
 }
 
 // Get returns the answer memoized for key in generation gen, calling fill
 // to compute it on a miss. fill runs outside any lock, and what it
 // returns, an error included, is kept and returned verbatim to every
 // later caller of the generation. Concurrent misses on one key may each
-// call fill; the answers are equal by contract, and the last one stays.
+// call fill; the first answer stored stays, and every caller gets it.
 // A table built for another generation is swapped out whole.
 func (m *Memo[G, K, V]) Get(gen G, key K, fill func() (V, error)) (V, error) {
 	t := m.table(gen)
@@ -92,13 +105,42 @@ func (m *Memo[G, K, V]) Get(gen G, key K, fill func() (V, error)) (V, error) {
 	}
 	m.misses.Inc()
 	v, err := fill()
-	t.m.Store(key, entry[V]{v: v, err: err})
+	e, loaded := t.m.LoadOrStore(key, entry[V]{v: v, err: err})
+	if loaded {
+		e := e.(entry[V])
+		return e.v, e.err
+	}
+	m.count(t)
 	return v, err
+}
+
+// count adds one stored entry of t to the gauge, unless t is retired.
+func (m *Memo[G, K, V]) count(t *table[G]) {
+	for {
+		n := t.n.Load()
+		if n == retired {
+			return
+		}
+		if t.n.CompareAndSwap(n, n+1) {
+			m.entries.Add(1)
+			return
+		}
+	}
+}
+
+// retire takes t's entries off the gauge; t is then never counted again.
+func (m *Memo[G, K, V]) retire(t *table[G]) {
+	if t == nil {
+		return
+	}
+	if n := t.n.Swap(retired); n > 0 {
+		m.entries.Add(-n)
+	}
 }
 
 // Drop discards every memoized answer, for a change the generations do
 // not count (a registration that alters what a key means).
-func (m *Memo[G, K, V]) Drop() { m.cur.Store(nil) }
+func (m *Memo[G, K, V]) Drop() { m.retire(m.cur.Swap(nil)) }
 
 // table returns the table for gen, replacing one from another
 // generation. Losing the CAS race is harmless: both tables are empty and
@@ -111,6 +153,7 @@ func (m *Memo[G, K, V]) table(gen G) *table[G] {
 		}
 		nt := &table[G]{gen: gen}
 		if m.cur.CompareAndSwap(t, nt) {
+			m.retire(t)
 			return nt
 		}
 	}

@@ -1,6 +1,7 @@
 package netstate_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,6 +31,11 @@ func uncached(n *testnet.Net) *netstate.View {
 // Distinct epochs must also be distinguishable: a weight change that
 // actually reroutes yields a different epoch on the two sides of its
 // instant.
+//
+// A conversion that reads no routing state is memoized once for every
+// epoch, so it must answer identically at instants in different epochs,
+// and its error, which the memo hands to every later instant, must name
+// none.
 func TestEpochEquivalence(t *testing.T) {
 	links := []string{"nyc-chi-1", "nyc-chi-2", "chi-wdc-1", "chi-wdc-2", "nyc-wdc-1", "nyc-wdc-2", "chi-core"}
 	weightsFor := []int{5, 10, 25, 40, 80}
@@ -44,6 +50,29 @@ func TestEpochEquivalence(t *testing.T) {
 		{locus.Between(locus.IngressEgress, "nyc-per1", "wdc-per1"), locus.Interface},
 		{locus.Between(locus.IngressDestination, "nyc-per1", testnet.AgentAddr.String()), locus.LogicalLink},
 		{locus.Between(locus.RouterNeighbor, "nyc-per1", "chi-per1"), locus.Router},
+	}
+	static := []struct {
+		loc   locus.Location
+		level locus.Type
+	}{
+		{locus.Between(locus.Interface, "chi-per1", "to-custB"), locus.Router},
+		{locus.Between(locus.Interface, "chi-per1", "to-custB"), locus.Interface},
+		{locus.Between(locus.Interface, "chi-per1", "to-custB"), locus.Layer1Device},
+		{locus.Between(locus.Interface, "nyc-cr1", "to-chi-cr1"), locus.PhysicalLink},
+		{locus.At(locus.Router, "chi-per1"), locus.Router},
+		{locus.At(locus.Router, "chi-per1"), locus.Interface},
+		{locus.At(locus.LogicalLink, "nyc-chi-1"), locus.Layer1Device},
+		{locus.At(locus.PhysicalLink, "nyc-chi-1-c1"), locus.LogicalLink},
+		{locus.Between(locus.LineCard, "nyc-per1", "1"), locus.Interface},
+		{locus.At(locus.Server, "cdn-nyc-s1"), locus.Router},
+		{locus.Between(locus.EgressDestination, "chi-per1", testnet.AgentAddr.String()), locus.PoP},
+		{locus.Between(locus.ServerClient, "cdn-nyc-s1", "agent-1"), locus.ServerClient},
+		{locus.Between(locus.RouterNeighbor, "nyc-per1", "chi-per1"), locus.RouterNeighbor},
+		// Errors: an unknown element, an unsupported level, an
+		// unregistered server.
+		{locus.Between(locus.Interface, "chi-per1", "ghost"), locus.Router},
+		{locus.At(locus.Router, "chi-per1"), locus.Layer1Device},
+		{locus.At(locus.Server, "cdn-lax-s1"), locus.Router},
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -112,6 +141,33 @@ func TestEpochEquivalence(t *testing.T) {
 					}
 				}
 			}
+		}
+		// Topology-only conversions: one answer across epochs, from a
+		// computing view and from the shared one alike.
+		before := testnet.T0.Add(-time.Hour) // ahead of every change
+		crossed := 0
+		for p, sp := range static {
+			want, werr := uncached(n).Expand(sp.loc, sp.level, before)
+			if werr != nil && strings.Contains(werr.Error(), before.Format("2006")) {
+				t.Fatalf("seed %d: static probe %d: error %q names an instant", seed, p, werr)
+			}
+			for trial := 0; trial < 20; trial++ {
+				when := sample()
+				if n.View.EpochAt(when) != n.View.EpochAt(before) {
+					crossed++
+				}
+				for _, v := range []*netstate.View{uncached(n), n.View} {
+					got, gerr := v.Expand(sp.loc, sp.level, when)
+					if fmt.Sprint(gerr) != fmt.Sprint(werr) ||
+						strings.Join(keys(got), " ") != strings.Join(keys(want), " ") {
+						t.Fatalf("seed %d: static probe %d (%v → %v) at %v = %v, %v; at %v (another epoch) = %v, %v",
+							seed, p, sp.loc, sp.level, when, keys(got), gerr, before, keys(want), werr)
+					}
+				}
+			}
+		}
+		if crossed == 0 {
+			t.Fatalf("seed %d: no static probe was asked outside the first epoch; the test proves nothing", seed)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"grca/internal/locus"
+	"grca/internal/netstate"
+	"grca/internal/obs"
 	"grca/internal/ospf"
 	"grca/internal/testnet"
 )
@@ -263,19 +265,40 @@ func TestClientAddrAndServerRouterAccessors(t *testing.T) {
 
 // TestWarmAnswersAllocateNothing pins the hot path DESIGN §10 promises:
 // once memoized, a spatial expansion and the routing answers beneath it
-// are served without allocating.
+// are served without allocating. A topology-only expansion is memoized
+// for every epoch: asked in a second epoch, it is already a hit.
 func TestWarmAnswersAllocateNothing(t *testing.T) {
 	n := testnet.Build(t.Fatalf)
 	at := testnet.T0.Add(time.Minute)
+	later := testnet.T0.Add(2 * time.Hour)
+	if err := n.OSPF.SetWeight(testnet.T0.Add(time.Hour), "nyc-wdc-1", 30); err != nil {
+		t.Fatal(err)
+	}
+	if n.View.EpochAt(at) == n.View.EpochAt(later) {
+		t.Fatalf("%v and %v share epoch %v; the static case proves nothing", at, later, n.View.EpochAt(at))
+	}
 	span := locus.Between(locus.ServerClient, "cdn-nyc-s1", "agent-1")
 	if locs, err := n.View.Expand(span, locus.LogicalLink, at); err != nil || len(locs) == 0 {
 		t.Fatalf("Expand(%v) = %v, %v; want a routed path", span, locs, err)
+	}
+	ifc := locus.Between(locus.Interface, "chi-per1", "to-custB")
+	if locs, err := n.View.Expand(ifc, locus.Layer1Device, at); err != nil || len(locs) == 0 {
+		t.Fatalf("Expand(%v) = %v, %v; want its layer-1 devices", ifc, locs, err)
+	}
+	hits, misses := obs.GetCounter("netstate.expand.cache.hits"), obs.GetCounter("netstate.expand.cache.misses")
+	h, m := hits.Value(), misses.Value()
+	if _, err := n.View.Expand(ifc, locus.Layer1Device, later); err != nil {
+		t.Fatal(err)
+	}
+	if hits.Value() != h+1 || misses.Value() != m {
+		t.Fatalf("static Expand in a second epoch: hits +%d, misses +%d; want a hit", hits.Value()-h, misses.Value()-m)
 	}
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
 		{"View.Expand", func() { _, _ = n.View.Expand(span, locus.LogicalLink, at) }},
+		{"View.Expand (static, second epoch)", func() { _, _ = n.View.Expand(ifc, locus.Layer1Device, later) }},
 		{"ospf.Sim.Distance", func() { _ = n.OSPF.Distance("nyc-per1", "wdc-per1", at) }},
 		{"bgp.Sim.Lookup", func() { _, _ = n.BGP.Lookup(testnet.AgentAddr, at) }},
 		{"bgp.Sim.BestEgress", func() { _, _ = n.BGP.BestEgress("nyc-per1", testnet.AgentAddr, at) }},
@@ -284,5 +307,53 @@ func TestWarmAnswersAllocateNothing(t *testing.T) {
 		if got := testing.AllocsPerRun(100, c.fn); got != 0 {
 			t.Errorf("warm %s allocates %.0f times per call, want 0", c.name, got)
 		}
+	}
+}
+
+// TestStaticExpansionsStoredOnce: the expansion memo holds one entry per
+// topology-only conversion however many routing epochs ask for it, and
+// one per epoch for a routed one.
+func TestStaticExpansionsStoredOnce(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	var instants []time.Time
+	for i := 0; i < 5; i++ {
+		if i > 0 {
+			if err := n.OSPF.SetWeight(testnet.T0.Add(time.Duration(i)*time.Hour), "nyc-wdc-1", 20+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		instants = append(instants, testnet.T0.Add(time.Duration(i)*time.Hour+time.Minute))
+	}
+	seen := map[netstate.Epoch]bool{}
+	for _, at := range instants {
+		seen[n.View.EpochAt(at)] = true
+	}
+	if len(seen) != 5 {
+		t.Fatalf("instants span %d epochs, want 5", len(seen))
+	}
+	entries := obs.GetGauge("netstate.expand.cache.entries")
+	ask := func(v *netstate.View, loc locus.Location, level locus.Type) {
+		t.Helper()
+		for _, at := range instants {
+			if _, err := v.Expand(loc, level, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	v := uncached(n)
+	before := entries.Value()
+	ask(v, locus.Between(locus.Interface, "chi-per1", "to-custB"), locus.Router)
+	ask(v, locus.Between(locus.Interface, "chi-per1", "to-custB"), locus.Layer1Device)
+	ask(v, locus.At(locus.LogicalLink, "nyc-chi-1"), locus.Interface)
+	if got := entries.Value() - before; got != 3 {
+		t.Fatalf("3 static conversions asked in 5 epochs stored %d entries, want 3", got)
+	}
+	ask(v, locus.Between(locus.IngressEgress, "nyc-per1", "wdc-per1"), locus.Router)
+	if got := entries.Value() - before; got != 3+5 {
+		t.Fatalf("a routed conversion asked in 5 epochs brought the entries to %d, want 3+5", got)
+	}
+	v.RegisterClient("agent-2", testnet.AgentAddr, "")
+	if got := entries.Value() - before; got != 0 {
+		t.Fatalf("entries %+d after a registration dropped the memo, want 0", got)
 	}
 }

@@ -25,13 +25,15 @@ import (
 
 // Conversion-utility metrics: Expand drives the spatial joins that
 // dominate CDN diagnosis latency (§III-B.2), so its cache hit rate and
-// the fan-out of what it computes are the first read on a slow diagnosis.
+// the fan-out of what it computes are the first read on a slow diagnosis;
+// the entries gauge counts what its memo holds.
 var (
-	mExpandHits   = obs.GetCounter("netstate.expand.cache.hits")
-	mExpandMisses = obs.GetCounter("netstate.expand.cache.misses")
-	mExpandErrors = obs.GetCounter("netstate.expand.errors")
-	mExpandFanout = obs.GetHistogram("netstate.expand.locations", obs.SizeBuckets)
-	mEgressFor    = obs.GetCounter("netstate.egressfor")
+	mExpandHits    = obs.GetCounter("netstate.expand.cache.hits")
+	mExpandMisses  = obs.GetCounter("netstate.expand.cache.misses")
+	mExpandEntries = obs.GetGauge("netstate.expand.cache.entries")
+	mExpandErrors  = obs.GetCounter("netstate.expand.errors")
+	mExpandFanout  = obs.GetHistogram("netstate.expand.locations", obs.SizeBuckets)
+	mEgressFor     = obs.GetCounter("netstate.egressfor")
 )
 
 // View is the queryable network condition. Once the registration calls
@@ -55,7 +57,8 @@ type View struct {
 }
 
 // expandKey identifies one memoized expansion, valid for every instant of
-// the epoch (see Epoch).
+// the epoch (see Epoch). A conversion that reads no routing state holds
+// for every instant, so its key carries the zero Epoch (see routed).
 type expandKey struct {
 	loc   locus.Location
 	level locus.Type
@@ -78,6 +81,25 @@ func (v *View) EpochAt(t time.Time) Epoch {
 	return Epoch{OSPF: v.OSPF.EpochAt(t), BGP: v.BGP.EpochAt(t)}
 }
 
+// routed reports whether expanding a location of type from to level can
+// read routing state: a span resolved through BGP or OSPF, or an
+// adjacency whose far end is another ISP router. Every other conversion
+// is a lookup in the static topology and registrations, the same at
+// every instant; so is an identity, which expand answers before it looks
+// at the type (Ingress:Destination excepted, since it normalizes its
+// destination through the RIB).
+func routed(from, level locus.Type) bool {
+	if from == level && level != locus.IngressDestination {
+		return false
+	}
+	switch from {
+	case locus.RouterNeighbor, locus.IngressEgress, locus.IngressDestination,
+		locus.ServerClient, locus.SourceDestination, locus.SourceIngress:
+		return true
+	}
+	return false
+}
+
 // NewView assembles a view over the three routing/topology substrates.
 func NewView(topo *netmodel.Topology, o *ospf.Sim, b *bgp.Sim) *View {
 	return &View{
@@ -88,7 +110,7 @@ func NewView(topo *netmodel.Topology, o *ospf.Sim, b *bgp.Sim) *View {
 		serverRouter: map[string]string{},
 		clientAddr:   map[string]netip.Addr{},
 		clientIngr:   map[string]string{},
-		expansions:   epoch.NewMemo[[2]int64, expandKey, []locus.Location](mExpandHits, mExpandMisses),
+		expansions:   epoch.NewMemo[[2]int64, expandKey, []locus.Location](mExpandHits, mExpandMisses, mExpandEntries),
 	}
 }
 
@@ -150,10 +172,15 @@ func (v *View) EgressFor(ingress, client string, t time.Time) (string, error) {
 // Results, errors included, are memoized per (loc, level, EpochAt(t)) in
 // one table shared by every caller of the view — the engines of all
 // applications, drill-down, the Correlation Tester — so the returned
-// slice must be treated as read-only.
+// slice must be treated as read-only. A conversion that reads no routing
+// state is memoized once for every epoch.
 func (v *View) Expand(loc locus.Location, level locus.Type, t time.Time) ([]locus.Location, error) {
 	gens := [2]int64{v.OSPF.Clock().Generation(), v.BGP.Clock().Generation()}
-	return v.expansions.Get(gens, expandKey{loc: loc, level: level, epoch: v.EpochAt(t)},
+	key := expandKey{loc: loc, level: level}
+	if routed(loc.Type, level) {
+		key.epoch = v.EpochAt(t)
+	}
+	return v.expansions.Get(gens, key,
 		func() ([]locus.Location, error) {
 			locs, err := v.expand(loc, level, t)
 			if err != nil {
