@@ -74,7 +74,7 @@ func TestPagesReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New()
-	if err := r.Replace(base, next, dump); err != nil {
+	if err := replaceWith(r, base, next, dump); err != nil {
 		t.Fatal(err)
 	}
 	if mappedBy(r) != mappedBy(src) {

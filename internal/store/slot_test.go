@@ -207,7 +207,7 @@ func TestPutRefusesOutOfRange(t *testing.T) {
 		if s.Len() != 1 || s.NextID() != 1 || s.Count("e") != 1 {
 			t.Errorf("after the refusals the store holds %d events, next ID %d", s.Len(), s.NextID())
 		}
-		if err := New().Replace(0, 2, []event.Instance{bad}); !errors.Is(err, event.ErrTimeRange) {
+		if err := replaceWith(New(), 0, 2, []event.Instance{bad}); !errors.Is(err, event.ErrTimeRange) {
 			t.Errorf("Replace = %v, want event.ErrTimeRange", err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestPutRefusesIDSpan(t *testing.T) {
 	if _, err := s.Put(far); err == nil || s.Len() != 1 || s.NextID() != 1 || len(s.chunks) != 1 {
 		t.Fatalf("Put 2^32 IDs ahead = %v; store holds %d events, next %d, %d chunks", err, s.Len(), s.NextID(), len(s.chunks))
 	}
-	if err := New().Replace(0, far.ID+1, []event.Instance{first, far}); err == nil {
+	if err := replaceWith(New(), 0, far.ID+1, []event.Instance{first, far}); err == nil {
 		t.Fatal("Replace took an ID 2^32 above its base")
 	}
 	s.EvictBefore(event.MaxTime)
@@ -244,7 +244,7 @@ func TestPutRefusesIDSpan(t *testing.T) {
 func TestEvictPastAllocatedChunks(t *testing.T) {
 	s := New()
 	in := mk("e", 0, 1, locus.At(locus.Router, "r"))
-	if err := s.Replace(0, 5*chunkSize, []event.Instance{in}); err != nil {
+	if err := replaceWith(s, 0, 5*chunkSize, []event.Instance{in}); err != nil {
 		t.Fatal(err)
 	}
 	if s.EvictBefore(event.MaxTime) != 1 {

@@ -13,9 +13,12 @@
 // identity is the ID, never the pointer.
 //
 // Each event name keeps an index of its rows sorted by start time
-// (out-of-order arrivals wait in a tail that the next read merges in); a
-// per-name maximum-duration bound turns interval-overlap queries into two
-// binary searches plus a bounded scan.
+// (out-of-order arrivals wait in a tail that the next read merges in, in
+// place); a per-name maximum-duration bound turns interval-overlap
+// queries into two binary searches plus a bounded scan. Eviction filters
+// an index without merging its tail, and a restore (Replace) takes its
+// instances a batch at a time, so neither copies the store or an index
+// onto the heap.
 //
 // The slot chunks and the index columns hold no pointer, so they live
 // outside the Go heap, in pages the store's arena maps (pages.go) and
@@ -28,7 +31,6 @@
 package store
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -89,7 +91,9 @@ type row = uint32
 // — every Put since one arrived behind the prefix's last Start — in
 // insertion order. Everything in the prefix was inserted before anything
 // in the tail, so settling is a stable sort of the tail and a merge, and
-// equals a stable sort of the whole index.
+// equals a stable sort of the whole index. Eviction drops rows from both
+// parts and keeps the order of the rest, so all three properties survive
+// it unsettled.
 type nameIndex struct {
 	starts []int64
 	rows   []row
@@ -112,37 +116,118 @@ func (idx *nameIndex) add(a *arena, r row, sl slot) {
 
 func (idx *nameIndex) settled() bool { return idx.sorted == len(idx.rows) }
 
-// settle merges the tail into the prefix from the back, so it rewrites
-// the tail and the prefix elements that start after the tail's earliest
-// — never the part of the index the tail does not reach.
+// settle merges the tail into the prefix in place, allocating nothing
+// whatever the tail's length: a stable sort of the tail, then a rotation
+// merge with the prefix rows that start after the tail's earliest — never
+// the part of the index the tail does not reach.
 func (idx *nameIndex) settle() {
 	if idx.settled() {
 		return
 	}
-	type ent struct {
-		start int64
-		r     row
+	c := columns{idx.starts, idx.rows}
+	mid, n := idx.sorted, len(idx.rows)
+	c.sort(mid, n)
+	// lo is the first prefix row starting after the tail's earliest: one
+	// tied with it was inserted first, so it stays in front.
+	earliest := idx.starts[mid]
+	lo, _ := slices.BinarySearchFunc(idx.starts[:mid], earliest, func(s, t int64) int {
+		if s <= t {
+			return -1
+		}
+		return 1
+	})
+	c.merge(lo, mid, n)
+	mLazyResorts.Inc()
+	mResortMoved.Add(int64(n - lo))
+	idx.sorted = n
+}
+
+// columns is an index's two columns, permuted together. Its sort and
+// merge are stable and in place — insertion-sorted blocks merged by
+// rotation (the scheme of sort.Stable, without the interface value that
+// would cost an allocation per settle).
+type columns struct {
+	starts []int64
+	rows   []row
+}
+
+// sort stable-sorts [a, b) by start.
+func (c columns) sort(a, b int) {
+	const block = 20
+	for i := a; i < b; i += block {
+		c.insertionSort(i, min(i+block, b))
 	}
-	starts, rows := idx.starts, idx.rows
-	var buf [16]ent // a late event or two: no allocation per settle
-	tail := buf[:0]
-	for i := idx.sorted; i < len(rows); i++ {
-		tail = append(tail, ent{starts[i], rows[i]})
-	}
-	slices.SortStableFunc(tail, func(a, b ent) int { return cmp.Compare(a.start, b.start) })
-	i, k := idx.sorted-1, len(rows)-1
-	for j := len(tail) - 1; j >= 0; k-- {
-		if i >= 0 && starts[i] > tail[j].start {
-			starts[k], rows[k] = starts[i], rows[i]
-			i--
-		} else {
-			starts[k], rows[k] = tail[j].start, tail[j].r
-			j--
+	for size := block; size < b-a; size *= 2 {
+		for i := a; i+size < b; i += 2 * size {
+			c.merge(i, i+size, min(i+2*size, b))
 		}
 	}
-	mLazyResorts.Inc()
-	mResortMoved.Add(int64(len(rows) - 1 - k))
-	idx.sorted = len(rows)
+}
+
+func (c columns) insertionSort(a, b int) {
+	for i := a + 1; i < b; i++ {
+		s, r := c.starts[i], c.rows[i]
+		j := i
+		for ; j > a && c.starts[j-1] > s; j-- {
+			c.starts[j], c.rows[j] = c.starts[j-1], c.rows[j-1]
+		}
+		c.starts[j], c.rows[j] = s, r
+	}
+}
+
+// merge merges the sorted runs [a, m) and [m, b) stably: SymMerge (Kim and
+// Kutzner), which splits both runs around a rotation and recurses on the
+// halves, and moves a lone element straight to its place.
+func (c columns) merge(a, m, b int) {
+	if a >= m || m >= b || c.starts[m-1] <= c.starts[m] {
+		return // a run empty, or the two already in order
+	}
+	if m-a == 1 {
+		// The first row of [m, b) not before row a: a goes just before it.
+		i := m + sort.Search(b-m, func(k int) bool { return c.starts[m+k] >= c.starts[a] })
+		c.rotate(a, m, i)
+		return
+	}
+	if b-m == 1 {
+		// The first row of [a, m) after row m: m goes just before it.
+		i := a + sort.Search(m-a, func(k int) bool { return c.starts[a+k] > c.starts[m] })
+		c.rotate(i, m, b)
+		return
+	}
+	mid := int(uint(a+b) >> 1)
+	n := mid + m
+	var start, r int
+	if m > mid {
+		start, r = n-b, mid
+	} else {
+		start, r = a, m
+	}
+	for p := n - 1; start < r; {
+		h := int(uint(start+r) >> 1)
+		if c.starts[p-h] >= c.starts[h] {
+			start = h + 1
+		} else {
+			r = h
+		}
+	}
+	end := n - start
+	c.rotate(start, m, end)
+	c.merge(a, start, mid)
+	c.merge(mid, end, b)
+}
+
+// rotate swaps the blocks [a, m) and [m, b).
+func (c columns) rotate(a, m, b int) {
+	if a >= m || m >= b {
+		return
+	}
+	reverse := func(i, j int) {
+		slices.Reverse(c.starts[i:j])
+		slices.Reverse(c.rows[i:j])
+	}
+	reverse(a, m)
+	reverse(m, b)
+	reverse(a, b)
 }
 
 // nameEntry is one interned event name. It lives exactly as long as its
@@ -819,27 +904,31 @@ func (s *Memory) maybeEvictLocked() (evicted []Evicted, cutoff time.Time) {
 // releasing the intern entries no live slot references any more, and
 // returns what it emptied in ID order.
 func (s *Memory) evictLocked(cutoff int64) []Evicted {
-	var rows []row
+	n := 0
 	for id := s.base; id < s.next; id++ {
 		if r, ok := s.lookup(id); ok && s.slot(r).end < cutoff {
-			rows = append(rows, r)
+			n++
 		}
 	}
-	if len(rows) == 0 {
+	if n == 0 {
 		return nil
 	}
-	gone := make([]Evicted, len(rows))
-	for i, r := range rows {
+	gone := make([]Evicted, 0, n)
+	for id := s.base; len(gone) < n; id++ {
+		r, ok := s.lookup(id)
+		if !ok || s.slot(r).end >= cutoff {
+			continue
+		}
 		sl := s.slot(r)
-		gone[i] = Evicted{ID: s.org + int(r), Name: s.names[sl.name].name, Start: sl.start}
+		gone = append(gone, Evicted{ID: id, Name: s.names[sl.name].name, Start: sl.start})
 		s.releaseLoc(sl.loc)
 		*sl = slot{}
 		if a := s.attrs[r>>chunkBits]; a != nil {
 			a[r&chunkMask] = event.Attrs{}
 		}
 	}
-	s.live -= len(rows)
-	mEvicted.Add(int64(len(rows)))
+	s.live -= n
+	mEvicted.Add(int64(n))
 	mEvictions.Inc()
 	// Trim leading empty slots, advancing the base; the chunks wholly
 	// below it go — every chunk, once nothing is live — and org (and with
@@ -857,27 +946,30 @@ func (s *Memory) evictLocked(cutoff int64) []Evicted {
 		drop = len(s.chunks)
 	}
 	shift := row(drop << chunkBits)
-	// Filter each name index in place, settled first so that what is kept
-	// is all prefix. maxDur is left as an upper bound: a too-wide query
-	// bound only costs extra scan, never correctness.
+	// Filter each name index in place, unsettled: what is kept keeps its
+	// order, so the kept prefix rows are still the sorted prefix and the
+	// kept tail rows still the tail. maxDur is left as an upper bound: a
+	// too-wide query bound only costs extra scan, never correctness.
 	for nid := 1; nid < len(s.names); nid++ {
 		idx := &s.names[nid].idx
 		if len(idx.rows) == 0 {
 			continue
 		}
-		idx.settle()
-		k := 0
+		k, sorted := 0, 0
 		for i, r := range idx.rows {
 			if s.slot(r).name != 0 {
 				idx.starts[k], idx.rows[k] = idx.starts[i], r-shift
 				k++
+				if i < idx.sorted {
+					sorted = k
+				}
 			}
 		}
 		if k == 0 {
 			s.releaseName(uint32(nid))
 			continue
 		}
-		idx.starts, idx.rows, idx.sorted = idx.starts[:k], idx.rows[:k], k
+		idx.starts, idx.rows, idx.sorted = idx.starts[:k], idx.rows[:k], sorted
 	}
 	s.dropChunks(drop)
 	// Recompute the span bounds. Eviction is keyed on End < cutoff, so
@@ -970,35 +1062,51 @@ func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(
 }
 
 // Replace makes a dumped state the store's whole content, whatever it
-// held: each instance is placed at its recorded ID, interior gaps stay
-// empty, and the next insert receives ID next. It is how a checkpoint is
-// restored — at boot into a fresh store, and on a replica over the store
-// it had been filling itself. Hooks and retention stay; it runs no hook,
-// so whoever derives state from the store's content rebuilds it.
-func (s *Memory) Replace(base, next int, ins []event.Instance) error {
+// held: fill is called once, under the store's write lock, with put,
+// which places a batch of instances each at its recorded ID — IDs
+// ascending across every call, inside [base, next) — and copies what it
+// keeps, so fill may reuse a batch once put returns. Interior gaps stay
+// empty, and the next insert receives ID next. fill must not call back
+// into the store, and returns put's error when put refuses a batch; a nil
+// fill restores the empty range. When put refuses or fill fails, the
+// store is left empty. It is how a checkpoint is restored — at boot into
+// a fresh store, and on a replica over the store it had been filling
+// itself. Hooks and retention stay; it runs no hook, so whoever derives
+// state from the store's content rebuilds it.
+func (s *Memory) Replace(base, next int, fill func(put func([]event.Instance) error) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reset()
-	if base < 0 || next < base || len(ins) > next-base {
-		return fmt.Errorf("store: Replace bounds [%d,%d) cannot hold %d instances", base, next, len(ins))
+	if base < 0 || next < base {
+		return fmt.Errorf("store: Replace bounds [%d,%d) are not a range", base, next)
 	}
 	s.org, s.base, s.next = base&^chunkMask, base, next
+	if fill == nil {
+		return nil
+	}
 	prev := base - 1
-	for i := range ins {
-		in := &ins[i]
-		if in.ID <= prev || in.ID >= next {
-			return fmt.Errorf("store: Replace instance ID %d out of order for bounds [%d,%d)", in.ID, base, next)
+	put := func(ins []event.Instance) error {
+		for i := range ins {
+			in := &ins[i]
+			if in.ID <= prev || in.ID >= next {
+				return fmt.Errorf("store: Replace instance ID %d out of order for bounds [%d,%d)", in.ID, base, next)
+			}
+			if in.ID >= base+math.MaxUint32-chunkSize {
+				return fmt.Errorf("store: Replace instance ID %d lies 2^32 or more above the base %d", in.ID, base)
+			}
+			prev = in.ID
+			start, okS := nanos(in.Start)
+			end, okE := nanos(in.End)
+			if !okS || !okE {
+				return fmt.Errorf("store: Replace instance ID %d: %w", in.ID, event.ErrTimeRange)
+			}
+			s.place(in.ID, start, end, in)
 		}
-		if in.ID >= base+math.MaxUint32-chunkSize {
-			return fmt.Errorf("store: Replace instance ID %d lies 2^32 or more above the base %d", in.ID, base)
-		}
-		prev = in.ID
-		start, okS := nanos(in.Start)
-		end, okE := nanos(in.End)
-		if !okS || !okE {
-			return fmt.Errorf("store: Replace instance ID %d: %w", in.ID, event.ErrTimeRange)
-		}
-		s.place(in.ID, start, end, in)
+		return nil
+	}
+	if err := fill(put); err != nil {
+		s.reset()
+		return err
 	}
 	return nil
 }

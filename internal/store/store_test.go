@@ -358,6 +358,11 @@ func dump(s *Memory) (base, next int, ins []event.Instance) {
 	return s.base, s.next, ins
 }
 
+// replaceWith is Replace with ins as its one batch.
+func replaceWith(s *Memory, base, next int, ins []event.Instance) error {
+	return s.Replace(base, next, func(put func([]event.Instance) error) error { return put(ins) })
+}
+
 // TestCutRangesMatchDump: a Cut's bounds, per-range counts and per-range
 // walks agree with the store's own fields (dump) after ragged eviction,
 // for ranges inside, across and beyond the store's ID bounds — and

@@ -137,8 +137,8 @@ func TestMinimalRunWithinBound(t *testing.T) {
 	if int64(r.count) <= r.size/frameHeader {
 		t.Errorf("a minimal run of %d instances is %d bytes: the old bound holds it too, so it pins nothing", r.count, r.size)
 	}
-	got := make([]event.Instance, r.count)
-	if err := parseRun(run, r, 2, got); err != nil || got[999] != ins[999] {
+	got, err := readRun(run, r, 2)
+	if err != nil || got[999] != ins[999] {
 		t.Fatalf("the minimal run does not parse back: %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestMinimalRunWithinBound(t *testing.T) {
 // an error or to instances whose IDs ascend through the header's span —
 // never a panic, a read past the buffer, or an allocation the bytes could
 // not carry. A frame that decodes is also a run: behind the magic frame
-// parseRun reads the same instances, and re-encoded they decode to
+// a restore reads the same instances, and re-encoded they decode to
 // themselves again.
 func FuzzWALBlockFrame(f *testing.F) {
 	for _, ins := range blockFrameCases() {
@@ -179,8 +179,8 @@ func FuzzWALBlockFrame(f *testing.F) {
 		}
 		run := appendFrame(append([]byte(nil), magicFrame...), p)
 		r := runInfo{lo: s.first, hi: s.last + 1, count: s.count, size: int64(len(run)), crc: crc32.Checksum(run, castagnoli)}
-		got := make([]event.Instance, s.count)
-		if err := parseRun(run, r, 2, got); err != nil {
+		got, err := readRun(run, r, 2)
+		if err != nil {
 			t.Fatalf("a frame that decodes does not parse as a run: %v", err)
 		}
 		again, _, _ := readFrame(appendBlockFrame(nil, ins))

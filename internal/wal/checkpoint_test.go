@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"os"
+	"runtime"
 	"testing"
 
 	"grca/internal/event"
@@ -137,4 +138,51 @@ func TestCheckpointAdoptsJournalSegment(t *testing.T) {
 	if got, w := mSnapRunsAdopted.Value()-adopted, mSnapRunsWritten.Value()-written; got != 0 || w != 1 {
 		t.Fatalf("%d runs adopted and %d written, want the range written from the store", got, w)
 	}
+}
+
+// TestRestoreAllocatesPerFrame: a boot restores its checkpoint a run and
+// a window of frames at a time, so what it allocates is the restored
+// store's own heap and a window's scratch — never the live set decoded
+// whole (128 B an event for the instances alone) or a run file read
+// whole — and the store it restores is the live one. A window holds a
+// frame per decode worker, so the worker count is fixed: the figure is
+// the same on every machine.
+func TestRestoreAllocatesPerFrame(t *testing.T) {
+	const n = 200000
+	dir, live, _ := journalCheckpoint(t, n, 1000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, st, _, err := OpenCheckpoint(dir, Options{ReplayWorkers: 4})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if StoreDigest(st) != StoreDigest(live) {
+		t.Fatal("the restored store differs from the live one")
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.1f B allocated per restored event", per)
+	if per > 50 {
+		t.Errorf("the restore allocated %.0f B per restored event, want ≤ 50", per)
+	}
+}
+
+// BenchmarkRestore prices a boot's checkpoint restore: a 200k-event
+// checkpoint whose run is an adopted journal segment, restored into a
+// fresh store; B/event is what the restore allocates per restored event.
+func BenchmarkRestore(b *testing.B) {
+	const n = 200000
+	dir, _, _ := journalCheckpoint(b, n, 1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := OpenCheckpoint(dir, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/n, "B/event")
 }

@@ -1,10 +1,6 @@
 package wal
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // replayWorkers resolves Options.ReplayWorkers.
 func (o Options) replayWorkers() int {
@@ -12,50 +8,4 @@ func (o Options) replayWorkers() int {
 		return o.ReplayWorkers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parallelIndexed runs f over [0, n) with the given number of workers.
-// When several indices fail it returns the lowest-index error, so the
-// reported failure is the same for every worker count and schedule —
-// parallel recovery must be indistinguishable from sequential.
-func parallelIndexed(n, workers int, f func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		errIdx   = n
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := f(i); err != nil {
-					mu.Lock()
-					if i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -205,86 +205,283 @@ func readManifest(path string) (manifest, error) {
 	return m, nil
 }
 
-// parseRun decodes a run file's bytes into dst against the manifest
-// entry that references it: the size and whole-file CRC must match the
-// entry, the frames must hold exactly len(dst) = count records in either
-// encoding, and their IDs must ascend inside [lo, hi). A file in any
-// other format — a run with the header this code once wrote — fails at
-// its first frame. The frame scan is sequential and the decode parallel —
-// same staging as segment replay, same any-worker-count determinism.
-func parseRun(data []byte, want runInfo, workers int, dst []event.Instance) error {
-	if int64(len(data)) != want.size || crc32.Checksum(data, castagnoli) != want.crc {
-		return fmt.Errorf("size or checksum differs from the manifest")
+// runScanner reads run files a frame at a time through a buffered reader
+// and a payload buffer it keeps from run to run: a restore holds one frame
+// of a run in memory, never the file.
+type runScanner struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// scan reads a run from r against the manifest entry that references it: its frames must hold exactly want.count records in either
+// encoding, their IDs ascending inside [want.lo, want.hi), and its size and
+// whole-file CRC must match the entry. No frame is read past the size the
+// entry claims. frame is shown each record-bearing frame as it is read —
+// its payload, valid until frame returns, and its span — so a caller that
+// must not act on a run that fails a check scans it twice. A file in any
+// other format — a run with the header this code once wrote — fails at its
+// first frame.
+func (sc *runScanner) scan(r io.Reader, want runInfo, ff *fileFrames, frame func(p []byte, s span) error) error {
+	if sc.br == nil {
+		sc.br = bufio.NewReaderSize(r, 1<<16)
+	} else {
+		sc.br.Reset(r)
 	}
-	var ff fileFrames
-	var frames []pendFrame
-	var at []int // where each frame's instances go in dst
+	var hdr [frameHeader]byte
+	var size int64
+	var crc uint32
 	held, prev := 0, want.lo-1
-	for rest := data; len(rest) > 0; {
-		payload, r2, ok := readFrame(rest)
-		if !ok {
-			return fmt.Errorf("torn frame after record %d/%d", held, len(dst))
+	for {
+		if _, err := io.ReadFull(sc.br, hdr[:]); err == io.EOF {
+			break
+		} else if err != nil {
+			return fmt.Errorf("torn frame after record %d/%d: %v", held, want.count, err)
 		}
-		rest = r2
+		n := int64(binary.LittleEndian.Uint32(hdr[:4]))
+		if n > maxRecord || n > want.size-size-frameHeader {
+			return fmt.Errorf("torn frame after record %d/%d", held, want.count)
+		}
+		sc.buf = slices.Grow(sc.buf[:0], int(n))[:n]
+		if _, err := io.ReadFull(sc.br, sc.buf); err != nil {
+			return fmt.Errorf("torn frame after record %d/%d: %v", held, want.count, err)
+		}
+		if crc32.Checksum(sc.buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return fmt.Errorf("torn frame after record %d/%d", held, want.count)
+		}
+		size += frameHeader + n
+		crc = crc32.Update(crc32.Update(crc, castagnoli, hdr[:]), castagnoli, sc.buf)
 		// Order is checked here, on bytes the CRC just pulled into cache,
 		// rather than in a second walk over the decoded instances.
-		s, err := ff.span(payload)
+		s, err := ff.span(sc.buf)
 		if err != nil {
 			return fmt.Errorf("record %d: %v", held, err)
 		}
 		if s.count == 0 {
-			continue // the magic frame
+			continue // the magic frame, or a segment header
 		}
-		if s.first <= prev || s.last >= want.hi || s.count > len(dst)-held {
-			return fmt.Errorf("record %d: IDs %d…%d do not fit [%d,%d) × %d after ID %d", held, s.first, s.last, want.lo, want.hi, len(dst), prev)
+		if s.first <= prev || s.last >= want.hi || s.count > want.count-held {
+			return fmt.Errorf("record %d: IDs %d…%d do not fit [%d,%d) × %d after ID %d", held, s.first, s.last, want.lo, want.hi, want.count, prev)
 		}
-		frames, at = append(frames, pendFrame{payload, s}), append(at, held)
+		if err := frame(sc.buf, s); err != nil {
+			return err
+		}
 		held, prev = held+s.count, s.last
 	}
-	if held != len(dst) {
-		return fmt.Errorf("%d records, the manifest says %d", held, len(dst))
+	if held != want.count {
+		return fmt.Errorf("%d records, the manifest says %d", held, want.count)
 	}
-	return parallelIndexed(len(frames), workers, func(i int) error {
-		if err := ff.decode(frames[i].payload, frames[i].span, dst[at[i]:at[i]+frames[i].count]); err != nil {
-			return fmt.Errorf("record %d: %v", at[i], err)
+	if size != want.size || crc != want.crc {
+		return fmt.Errorf("size or checksum differs from the manifest")
+	}
+	return nil
+}
+
+// slotEvents is how many instances a decode slot gathers before it is
+// decoded: a frame of them or more is a slot of its own, and smaller ones
+// (a legacy run's one-instance frames, small commit groups) share one.
+const slotEvents = 512
+
+// decodeSlot is one unit of a framePipe's decode: consecutive frames of
+// one file, copied off the scan, and the instances they decode to.
+type decodeSlot struct {
+	ff    fileFrames // the run's encoding
+	buf   []byte     // the frames' payloads, back to back
+	ends  []int      // where each frame's payload ends in buf
+	spans []span
+	held  int
+	ins   []event.Instance
+	err   error
+	done  chan struct{} // a worker's signal that ins, or err, is ready
+}
+
+func (sl *decodeSlot) decode() {
+	sl.ins = slices.Grow(sl.ins[:0], sl.held)[:sl.held]
+	from, at := 0, 0
+	for i, s := range sl.spans {
+		if err := sl.ff.decode(sl.buf[from:sl.ends[i]], s, sl.ins[at:at+s.count]); err != nil {
+			sl.err = fmt.Errorf("record %d: %v", s.first, err)
+			return
+		}
+		from, at = sl.ends[i], at+s.count
+	}
+}
+
+// framePipe decodes the frames a scan reads on worker goroutines and hands
+// them to put in ID order, through a ring of one decode slot per worker
+// and one more: while the oldest slot goes into the store, the workers
+// decode the slots behind it. Each slot's scratch is reused from slot to
+// slot, so what a restore holds decoded is the ring, whatever the store's
+// size. The scan and put run on the caller's goroutine.
+type framePipe struct {
+	ff   fileFrames // the encoding of the run being read
+	put  func([]event.Instance) error
+	ring []*decodeSlot
+	head int // the oldest slot handed to the workers
+	n    int // slots handed to the workers and not yet put
+	work chan *decodeSlot
+	wg   sync.WaitGroup
+}
+
+func newFramePipe(workers int, put func([]event.Instance) error) *framePipe {
+	workers = max(workers, 1)
+	// work has room for the whole ring, so that a dispatch never waits
+	// for a worker: only putOldest waits, for the slot it puts.
+	p := &framePipe{put: put, ring: make([]*decodeSlot, workers+1), work: make(chan *decodeSlot, workers+1)}
+	for i := range p.ring {
+		p.ring[i] = &decodeSlot{done: make(chan struct{}, 1)}
+	}
+	p.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer p.wg.Done()
+			for sl := range p.work {
+				sl.decode()
+				sl.done <- struct{}{}
+			}
+		}()
+	}
+	return p
+}
+
+// filling is the slot the scan's frames go into.
+func (p *framePipe) filling() *decodeSlot { return p.ring[(p.head+p.n)%len(p.ring)] }
+
+// add is the scan's frame callback: it copies the frame into the filling
+// slot, and hands the slot to the workers once it holds slotEvents.
+func (p *framePipe) add(b []byte, s span) error {
+	sl := p.filling()
+	sl.buf = append(sl.buf, b...)
+	sl.ends = append(sl.ends, len(sl.buf))
+	sl.spans = append(sl.spans, s)
+	if sl.held += s.count; sl.held < slotEvents {
+		return nil
+	}
+	return p.dispatch()
+}
+
+// dispatch hands the filling slot, if it holds anything, to the workers;
+// with the ring full, the oldest slot goes into the store first, so that
+// one is free to fill.
+func (p *framePipe) dispatch() error {
+	sl := p.filling()
+	if sl.held == 0 {
+		return nil
+	}
+	sl.ff = p.ff
+	p.work <- sl
+	if p.n++; p.n < len(p.ring) {
+		return nil
+	}
+	return p.putOldest()
+}
+
+// putOldest waits for the oldest slot's decode and puts its instances.
+func (p *framePipe) putOldest() error {
+	sl := p.ring[p.head]
+	<-sl.done
+	p.head, p.n = (p.head+1)%len(p.ring), p.n-1
+	err := sl.err
+	if err == nil {
+		err = p.put(sl.ins)
+	}
+	sl.buf, sl.ends, sl.spans, sl.held, sl.err = sl.buf[:0], sl.ends[:0], sl.spans[:0], 0, nil
+	return err
+}
+
+// flush hands the filling slot to the workers and puts every slot handed
+// to them: everything added has been put when it returns nil. A slot
+// must not span two files, whose encodings may differ, so each file's
+// frames end with a flush.
+func (p *framePipe) flush() error {
+	err := p.dispatch()
+	for err == nil && p.n > 0 {
+		err = p.putOldest()
+	}
+	return err
+}
+
+// run reads one run from r through sc, checked against want, into the
+// pipe; every instance of it has been put when it returns nil.
+func (p *framePipe) run(sc *runScanner, r io.Reader, want runInfo) error {
+	p.ff = fileFrames{}
+	if err := sc.scan(r, want, &p.ff, p.add); err != nil {
+		return err
+	}
+	return p.flush()
+}
+
+// stop ends the workers once they have drained what was handed to them.
+func (p *framePipe) stop() {
+	close(p.work)
+	p.wg.Wait()
+}
+
+// withFile runs fn on the file at path, opened for reading.
+func withFile(path string, fn func(*os.File) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return fn(f)
+}
+
+// checkSnapshot reads the manifest at path and checks every run it
+// references — size, CRC, frame spans and ID order — decoding none: a
+// snapshot that passes holds its live count of instances from its base
+// on, and only a payload that does not decode can fail its restore.
+func checkSnapshot(dir, path string, sc *runScanner) (manifest, error) {
+	m, err := readManifest(path)
+	if err != nil {
+		return m, err
+	}
+	for _, r := range m.runs {
+		err := withFile(runFile(dir, r), func(f *os.File) error {
+			return sc.scan(f, r, new(fileFrames), func(_ []byte, s span) error {
+				if s.first < m.base {
+					return fmt.Errorf("instance ID %d below base %d", s.first, m.base)
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			return m, fmt.Errorf("wal: %s: %v", runFile(dir, r), err)
+		}
+	}
+	return m, nil
+}
+
+// restoreSnapshot makes the snapshot at path st's whole content, a run at
+// a time and a few frames of it at a time: every run is checked
+// (checkSnapshot) before st is touched, then read again, decoded through
+// a framePipe and put into st through store.Memory.Replace. Nothing
+// materializes the whole live set, or a run file. unreadable says a failure is the snapshot's — a check,
+// or a decode, which leaves st empty — rather than st refusing an
+// instance it read.
+func restoreSnapshot(dir, path string, workers int, st *store.Memory) (m manifest, unreadable bool, err error) {
+	var sc runScanner
+	if m, err = checkSnapshot(dir, path, &sc); err != nil {
+		return m, true, err
+	}
+	var refused error
+	err = st.Replace(m.base, m.next, func(put func([]event.Instance) error) error {
+		p := newFramePipe(workers, func(ins []event.Instance) error {
+			refused = put(ins)
+			return refused
+		})
+		defer p.stop()
+		for _, r := range m.runs {
+			err := withFile(runFile(dir, r), func(f *os.File) error { return p.run(&sc, f, r) })
+			if err != nil {
+				return fmt.Errorf("wal: %s: %v", runFile(dir, r), err)
+			}
 		}
 		return nil
 	})
-}
-
-// readSnapshot loads the manifest at path and every run it references.
-func readSnapshot(dir, path string, workers int) (manifest, []event.Instance, error) {
-	m, err := readManifest(path)
-	if err != nil {
-		return m, nil, err
+	if refused != nil {
+		return m, false, fmt.Errorf("wal: snapshot %s: %v", path, refused)
 	}
-	// The manifest bounded every count by the size it claims for the run;
-	// hold those claims against the files before allocating for them.
-	for _, r := range m.runs {
-		fi, err := os.Stat(runFile(dir, r))
-		if err != nil {
-			return m, nil, err
-		}
-		if fi.Size() != r.size {
-			return m, nil, fmt.Errorf("wal: %s is %d bytes, manifest %s says %d", runFile(dir, r), fi.Size(), path, r.size)
-		}
-	}
-	ins := make([]event.Instance, m.live)
-	off := 0
-	for _, r := range m.runs {
-		data, err := os.ReadFile(runFile(dir, r))
-		if err != nil {
-			return m, nil, err
-		}
-		if err := parseRun(data, r, workers, ins[off:off+r.count]); err != nil {
-			return m, nil, fmt.Errorf("wal: %s: %v", runFile(dir, r), err)
-		}
-		off += r.count
-	}
-	if len(ins) > 0 && ins[0].ID < m.base {
-		return m, nil, fmt.Errorf("wal: %s: instance ID %d below base %d", path, ins[0].ID, m.base)
-	}
-	return m, ins, nil
+	return m, err != nil, err
 }
 
 // loadCheckpoint restores the newest readable snapshot under dir into the
@@ -299,21 +496,21 @@ func loadCheckpoint(dir string, workers int, st *store.Memory, rec *Recovery) (m
 		return m, 0, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		got, ins, err := readSnapshot(dir, snaps[i], workers)
-		if err != nil {
+		got, unreadable, err := restoreSnapshot(dir, snaps[i], workers, st)
+		if unreadable {
 			rec.SnapshotsSkipped++
 			mSnapUnreadable.Inc()
 			continue
 		}
-		if err := st.Replace(got.base, got.next, ins); err != nil {
-			return m, 0, fmt.Errorf("wal: snapshot %s: %v", snaps[i], err)
+		if err != nil {
+			return m, 0, err
 		}
 		m = got
 		if i > 0 {
 			floor = nums[i-1]
 		}
 		rec.SnapshotNext = m.next
-		rec.SnapshotLive = len(ins)
+		rec.SnapshotLive = m.live
 		break
 	}
 	// compact's horizon, from the file names alone (they outlive a
@@ -797,11 +994,12 @@ func (c *Checkpointer) Checkpoint(st *store.Memory, sealed []JournalSegment) err
 // Install makes the checkpoint an ImageWriter wrote under snap/ the
 // latest, and its content st's whole content: the manifest is written
 // durably beside the runs already in place, and the store is read back
-// from it with the reader recovery uses (readSnapshot). If that manifest
-// does not read, the install fails — it never falls back to an older one,
-// which would not reach where the caller resumes. The empty image leaves
-// st empty and the checkpoints as they are. Whatever derives state from
-// st's content rebuilds it.
+// from it with the reader recovery uses (restoreSnapshot). If that
+// manifest does not read, the install fails — it never falls back to an
+// older one, which would not reach where the caller resumes — leaving st
+// as it was when a run fails its checks, and empty when a payload fails
+// to decode. The empty image leaves st empty and the checkpoints as they
+// are. Whatever derives state from st's content rebuilds it.
 func (c *Checkpointer) Install(w *ImageWriter, st *store.Memory) error {
 	if err := w.Finish(); err != nil {
 		return err
@@ -816,11 +1014,8 @@ func (c *Checkpointer) Install(w *ImageWriter, st *store.Memory) error {
 		return err
 	}
 	mSnapBytes.Add(n)
-	m, ins, err := readSnapshot(c.dir, snapFile(c.dir, w.m.next), c.workers)
+	m, _, err := restoreSnapshot(c.dir, snapFile(c.dir, w.m.next), c.workers, st)
 	if err != nil {
-		return err
-	}
-	if err := st.Replace(m.base, m.next, ins); err != nil {
 		return err
 	}
 	c.snap = m

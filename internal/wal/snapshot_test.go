@@ -774,9 +774,12 @@ func oldRunHeader(lo, hi, count int) []byte {
 
 // unreadablePairs returns, from a log directory holding one manifest over
 // one run, manifest and run bytes recovery must refuse: the run as it
-// would be had an append landed in it after its manifest was written, and
-// the same records under the header run files carried before they became
-// plain record files, with a manifest that vouches for those very bytes.
+// would be had an append landed in it after its manifest was written, the
+// same records under the header run files carried before they became
+// plain record files, and the records as two block frames whose second
+// passes every check but its decode — one instance short of its header's
+// count — so that the first is in the store when the restore fails; each
+// with a manifest that vouches for those very bytes.
 func unreadablePairs(t testing.TB, dir string) map[string][2][]byte {
 	t.Helper()
 	m, err := readManifest(manifests(t, dir)[0])
@@ -795,9 +798,24 @@ func unreadablePairs(t testing.TB, dir string) map[string][2][]byte {
 	headed := append(oldRunHeader(r.lo, r.hi, r.count), run...)
 	r.size, r.crc = int64(len(headed)), crc32.Checksum(headed, castagnoli)
 	old.runs = []runInfo{r}
+	ins, err := readRun(run, m.runs[0], 2)
+	if err != nil || len(ins) < 2 {
+		t.Fatalf("the run reads back %d instances (%v)", len(ins), err)
+	}
+	k, last := len(ins)*3/5, len(ins)-1
+	short := binary.AppendUvarint(nil, uint64(ins[k].ID))
+	short = binary.AppendUvarint(short, uint64(ins[last].ID))
+	short = binary.AppendUvarint(short, uint64(len(ins)-k))
+	split := appendBlockFrame(append([]byte(nil), magicFrame...), ins[:k])
+	split = appendFrame(split, wire.AppendEventBlock(short, ins[k:last]))
+	undecodable := m
+	u := m.runs[0]
+	u.size, u.crc = int64(len(split)), crc32.Checksum(split, castagnoli)
+	undecodable.runs = []runInfo{u}
 	return map[string][2][]byte{
-		"run grown after its manifest": {m.encode(), grown},
-		"run with the old header":      {old.encode(), headed},
+		"run grown after its manifest":      {m.encode(), grown},
+		"run with the old header":           {old.encode(), headed},
+		"run whose last frame won't decode": {undecodable.encode(), split},
 	}
 }
 
@@ -908,8 +926,8 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := make([]event.Instance, r.count)
-				if err := parseRun(data, r, 2, got); err != nil {
+				got, err := readRun(data, r, 2)
+				if err != nil {
 					t.Fatalf("%s against its entry %+v: %v", path, r, err)
 				}
 				return got
@@ -950,6 +968,20 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readRun reads a run's bytes as a restore reads a run file: scanned
+// against want, then scanned again and decoded a window at a time.
+func readRun(data []byte, want runInfo, workers int) ([]event.Instance, error) {
+	var sc runScanner
+	if err := sc.scan(bytes.NewReader(data), want, new(fileFrames), func([]byte, span) error { return nil }); err != nil {
+		return nil, err
+	}
+	var got []event.Instance
+	p := newFramePipe(workers, func(ins []event.Instance) error { got = append(got, ins...); return nil })
+	defer p.stop()
+	err := p.run(&sc, bytes.NewReader(data), want)
+	return got, err
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to both snapshot readers, as a
@@ -1039,9 +1071,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// restores checks that a run the reader accepted against want is one
 	// the store takes back.
 	restores := func(t *testing.T, run []byte, want runInfo) {
-		dst := make([]event.Instance, want.count)
-		if err := parseRun(run, want, 2, dst); err == nil {
-			if err := store.New().Replace(want.lo, want.hi, dst); err != nil {
+		if dst, err := readRun(run, want, 2); err == nil {
+			if err := store.New().Replace(want.lo, want.hi, func(put func([]event.Instance) error) error { return put(dst) }); err != nil {
 				t.Fatalf("a run the reader accepted does not restore: %v", err)
 			}
 		}

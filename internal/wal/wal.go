@@ -16,10 +16,10 @@
 // ParseJournalRecord and AppendJournalRecord, with the kind table beside
 // them (journal.go), by the serving pipeline, the replication source and
 // follower and the segment header and run readers here. A checkpoint is
-// read by readSnapshot at every boot; a follower writes the one its
-// primary streams into its own snap/ as the very files it was sent
-// (ImageWriter, ship.go) and installs it through that same reader
-// (Checkpointer.Install).
+// read by restoreSnapshot at every boot, run by run into the store; a
+// follower writes the one its primary streams into its own snap/ as the
+// very files it was sent (ImageWriter, ship.go) and installs it through
+// that same reader (Checkpointer.Install).
 //
 // Log, the event WAL below — a segmented write-ahead log of normalized
 // instances that a store's append hook feeds, with its own snapshots — is
@@ -69,7 +69,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -538,11 +537,6 @@ func (l *Log) recover() (Recovery, error) {
 // and a burst — a whole feed's events stored at once — gives it back.
 const maxPendKept = 1 << 16
 
-// replayWindow is about how many instances recovery decodes before it
-// applies them: the parallel decode has work, and a 64 MiB segment of
-// block frames never lies decoded in memory whole.
-const replayWindow = 1 << 16
-
 // replay is recovery's read side: it restores the store and leaves the
 // log positioned (nextSeq, sinceSnap, sealed), writing nothing but
 // the cut of a torn tail. tail is the last segment read and kept; reopen
@@ -663,35 +657,13 @@ type pendFrame struct {
 	span
 }
 
-// replayFrames decodes frames of the file at path a window at a time, in
-// parallel, and puts every instance at or above *expected into the store
-// in ID order.
+// replayFrames decodes frames of the file at path on the workers of a
+// framePipe — as a checkpoint restore does, so a segment never lies
+// decoded in memory whole — and puts every instance at or above
+// *expected into the store in ID order.
 func (l *Log) replayFrames(path string, ff *fileFrames, frames []pendFrame, expected *int, rec *Recovery) error {
-	var ins []event.Instance
-	for len(frames) > 0 {
-		n, total := 0, 0
-		for n < len(frames) && total < replayWindow {
-			total += frames[n].count
-			n++
-		}
-		window, at := frames[:n], make([]int, n)
-		frames = frames[n:]
-		total = 0
-		for i := range window {
-			at[i], total = total, total+window[i].count
-		}
-		ins = slices.Grow(ins[:0], total)[:total]
-		err := parallelIndexed(n, l.opts.replayWorkers(), func(i int) error {
-			if err := ff.decode(window[i].payload, window[i].span, ins[at[i]:at[i]+window[i].count]); err != nil {
-				// Framing intact but the payload is gibberish — not a torn
-				// write, refuse to guess.
-				return fmt.Errorf("wal: %s record %d: %v", path, window[i].first, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	var refused error
+	p := newFramePipe(l.opts.replayWorkers(), func(ins []event.Instance) error {
 		// IDs ascend, so what the store already holds is a prefix; the
 		// rest goes in with one PutAll, whose error names the refused ID.
 		i := 0
@@ -699,13 +671,31 @@ func (l *Log) replayFrames(path string, ff *fileFrames, frames []pendFrame, expe
 			i++
 		}
 		if i == len(ins) {
-			continue
+			return nil
 		}
-		if err := l.st.PutAll(ins[i:]); err != nil {
-			return fmt.Errorf("wal: %s replay: %v", path, err)
+		if refused = l.st.PutAll(ins[i:]); refused != nil {
+			return refused
 		}
 		rec.Replayed += len(ins) - i
 		*expected = ins[len(ins)-1].ID + 1
+		return nil
+	})
+	defer p.stop()
+	p.ff = *ff
+	var err error
+	for i := 0; i < len(frames) && err == nil; i++ {
+		err = p.add(frames[i].payload, frames[i].span)
+	}
+	if err == nil {
+		err = p.flush()
+	}
+	switch {
+	case refused != nil:
+		return fmt.Errorf("wal: %s replay: %v", path, refused)
+	case err != nil:
+		// Framing intact but the payload is gibberish — not a torn
+		// write, refuse to guess.
+		return fmt.Errorf("wal: %s %v", path, err)
 	}
 	return nil
 }
