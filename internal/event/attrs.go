@@ -15,9 +15,10 @@ import (
 //
 // in its one canonical form: pairs sorted by key, keys distinct, every
 // uvarint minimal. Equal sets are therefore ==, an encoder appends the
-// bytes as they are (AppendSection), and a stored event pays one
-// pointer-free allocation for its attributes, none when it has none.
-// The zero value is the empty set.
+// bytes as they are (AppendSection), and a store keeps the bytes where it
+// likes — the event store packs them into shared slabs, no object per
+// event — and hands them back with AdoptSection. The zero value is the
+// empty set.
 type Attrs struct {
 	sec string // "" for the empty set, never "\x00"
 }
@@ -94,6 +95,13 @@ func ParseAttrs(p []byte) (a Attrs, rest []byte, err error) {
 	})
 	return NewAttrs(m), p[i:], nil
 }
+
+// AdoptSection returns the set whose section is sec, without a copy or
+// a check. It is for a store handing back a section it took from
+// AppendSection and keeps unchanged: sec must be the canonical section of
+// a non-empty set, or "", and its bytes must never change. Anything else
+// reads a section with ParseAttrs.
+func AdoptSection(sec string) Attrs { return Attrs{sec} }
 
 // AppendSection appends the canonical section to b: what ParseAttrs
 // reads, and byte for byte what the codecs have always written.

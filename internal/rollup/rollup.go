@@ -52,9 +52,6 @@ var (
 
 // Config sizes a Rollup.
 type Config struct {
-	// Bin is the base width of the trend bins (default one minute).
-	// Trend queries may aggregate to any multiple of it.
-	Bin time.Duration
 	// RecentSize bounds the ring of recent diagnoses kept for the SSE
 	// stream's replay catch-up (default 256).
 	RecentSize int
@@ -68,12 +65,42 @@ type Entry struct {
 	D   engine.Diagnosis
 }
 
+// baseBin is the width of the trend bins. Trend queries may aggregate to
+// any multiple of it.
+const baseBin = time.Minute
+
+// minute is a base bin's key: its start as whole minutes since the Unix
+// epoch. Every instant a store holds, event.MinTime to event.MaxTime, is
+// within about ±1.5e8 minutes of it, so an int32 holds them all.
+type minute int32
+
+// minuteOf returns the key of the bin that holds t.
+func minuteOf(t time.Time) minute { return minute(t.Truncate(baseBin).Unix() / 60) }
+
+// unix returns the bin's start in Unix seconds.
+func (m minute) unix() int64 { return int64(m) * 60 }
+
+// bins counts events or diagnoses per base bin, 8 bytes an entry.
+type bins map[minute]uint32
+
+// dec takes one off the count at k, deleting the entry at zero. A key the
+// map does not hold is left alone: nothing counted there, nothing to
+// take off.
+func (b bins) dec(k minute) {
+	switch c, ok := b[k]; {
+	case !ok:
+	case c <= 1:
+		delete(b, k)
+	default:
+		b[k] = c - 1
+	}
+}
+
 // causeSeries is one root-cause label's counters: total plus per-bin
-// counts keyed by the symptom start truncated to the base bin (unix
-// seconds).
+// counts keyed by the symptom start's base bin.
 type causeSeries struct {
 	total int
-	bins  map[int64]int
+	bins  bins
 }
 
 // appAgg aggregates one application's diagnoses.
@@ -89,12 +116,11 @@ type appAgg struct {
 // Safe for concurrent use: writers are the store hooks and diagnosis
 // fan-out, readers the HTTP handlers.
 type Rollup struct {
-	bin        time.Duration
 	recentSize int
 
 	mu sync.RWMutex
-	// events: event name → base-bin start (unix seconds) → count.
-	events map[string]map[int64]int
+	// events: event name → base bin → count.
+	events map[string]bins
 	apps   map[string]*appAgg
 	recent []Entry // fixed-size ring once full
 	next   int     // ring write position
@@ -103,24 +129,19 @@ type Rollup struct {
 
 // New returns an empty rollup.
 func New(cfg Config) *Rollup {
-	if cfg.Bin <= 0 {
-		cfg.Bin = time.Minute
-	}
 	if cfg.RecentSize <= 0 {
 		cfg.RecentSize = 256
 	}
 	return &Rollup{
-		bin:        cfg.Bin,
 		recentSize: cfg.RecentSize,
-		events:     map[string]map[int64]int{},
+		events:     map[string]bins{},
 		apps:       map[string]*appAgg{},
 	}
 }
 
-// Bin returns the base bin width. Trend queries must use a multiple.
-func (r *Rollup) Bin() time.Duration { return r.bin }
-
-func (r *Rollup) key(t time.Time) int64 { return t.Truncate(r.bin).Unix() }
+// Bin returns the base bin width, one minute. Trend queries must use a
+// multiple.
+func (r *Rollup) Bin() time.Duration { return baseBin }
 
 func (r *Rollup) app(name string) *appAgg {
 	a := r.apps[name]
@@ -134,14 +155,14 @@ func (r *Rollup) app(name string) *appAgg {
 // ObserveEvent bins one stored instance. Registered as a store OnAppend
 // hook, so it runs under the store's write lock and stays O(1).
 func (r *Rollup) ObserveEvent(in *event.Instance) {
-	k := r.key(in.Start)
+	k := minuteOf(in.Start)
 	r.mu.Lock()
-	bins := r.events[in.Name]
-	if bins == nil {
-		bins = map[int64]int{}
-		r.events[in.Name] = bins
+	b := r.events[in.Name]
+	if b == nil {
+		b = bins{}
+		r.events[in.Name] = b
 	}
-	bins[k]++
+	b[k]++
 	r.mu.Unlock()
 	mEventsBinned.Inc()
 }
@@ -163,7 +184,7 @@ func (r *Rollup) SeedEvents(st store.Store) {
 func (r *Rollup) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = map[string]map[int64]int{}
+	r.events = map[string]bins{}
 	r.apps = map[string]*appAgg{}
 }
 
@@ -174,12 +195,9 @@ func (r *Rollup) EvictEvents(evicted []store.Evicted, cutoff time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, in := range evicted {
-		k := r.key(time.Unix(0, in.Start))
-		if bins := r.events[in.Name]; bins != nil {
-			if bins[k]--; bins[k] <= 0 {
-				delete(bins, k)
-			}
-			if len(bins) == 0 {
+		k := minuteOf(time.Unix(0, in.Start))
+		if b := r.events[in.Name]; b != nil {
+			if b.dec(k); len(b) == 0 {
 				delete(r.events, in.Name)
 			}
 		}
@@ -195,16 +213,14 @@ func (r *Rollup) EvictEvents(evicted []store.Evicted, cutoff time.Time) {
 	}
 }
 
-func (a *appAgg) uncount(id int, label string, bin int64) {
+func (a *appAgg) uncount(id int, label string, k minute) {
 	delete(a.counted, id)
 	cs := a.labels[label]
 	if cs == nil {
 		return
 	}
 	cs.total--
-	if cs.bins[bin]--; cs.bins[bin] <= 0 {
-		delete(cs.bins, bin)
-	}
+	cs.bins.dec(k)
 	if cs.total <= 0 {
 		delete(a.labels, label)
 	}
@@ -216,7 +232,7 @@ func (a *appAgg) uncount(id int, label string, bin int64) {
 func (r *Rollup) countLocked(app string, d engine.Diagnosis) {
 	a := r.app(app)
 	id := d.Symptom.ID
-	k := r.key(d.Symptom.Start)
+	k := minuteOf(d.Symptom.Start)
 	label := d.Primary()
 	if prev, ok := a.counted[id]; ok {
 		if prev == label {
@@ -230,7 +246,7 @@ func (r *Rollup) countLocked(app string, d engine.Diagnosis) {
 	a.counted[id] = label
 	cs := a.labels[label]
 	if cs == nil {
-		cs = &causeSeries{bins: map[int64]int{}}
+		cs = &causeSeries{bins: bins{}}
 		a.labels[label] = cs
 	}
 	cs.total++
@@ -306,9 +322,9 @@ func (r *Rollup) RecentSince(after int64, limit int) []Entry {
 // apply display mapping.
 func (r *Rollup) BreakdownCounts(app string, from time.Time, extra []engine.Diagnosis) (counts map[string]int, total int) {
 	windowed := !from.IsZero()
-	var fromKey int64
+	var fromKey minute
 	if windowed {
-		fromKey = from.Truncate(r.bin).Unix()
+		fromKey = minuteOf(from)
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -325,7 +341,7 @@ func (r *Rollup) BreakdownCounts(app string, from time.Time, extra []engine.Diag
 				n := 0
 				for k, c := range cs.bins {
 					if k >= fromKey {
-						n += c
+						n += int(c)
 					}
 				}
 				if n > 0 {
@@ -341,7 +357,7 @@ func (r *Rollup) BreakdownCounts(app string, from time.Time, extra []engine.Diag
 				continue
 			}
 		}
-		if windowed && r.key(d.Symptom.Start) < fromKey {
+		if windowed && minuteOf(d.Symptom.Start) < fromKey {
 			continue
 		}
 		counts[d.Primary()]++
@@ -365,12 +381,13 @@ func (r *Rollup) Trend(name string, from, to time.Time, bin time.Duration) []bro
 	fromSec, toSec, binSec := from.Unix(), to.Unix(), int64(bin/time.Second)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for k, n := range r.events[name] {
+	for m, n := range r.events[name] {
+		k := m.unix()
 		if k < fromSec || k > toSec {
 			continue
 		}
 		if i := int((k - fromSec) / binSec); i >= 0 && i < len(points) {
-			points[i].Count += n
+			points[i].Count += int(n)
 		}
 	}
 	return points
@@ -387,11 +404,11 @@ func (r *Rollup) CauseTrend(app, label string, from, to time.Time, bin time.Dura
 		return nil
 	}
 	fromSec, binSec := from.Unix(), int64(bin/time.Second)
-	idx := func(k int64) int {
-		if k < fromSec {
-			return -1
+	idx := func(m minute) int {
+		if k := m.unix(); k >= fromSec {
+			return int((k - fromSec) / binSec)
 		}
-		return int((k - fromSec) / binSec)
+		return -1
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -400,7 +417,7 @@ func (r *Rollup) CauseTrend(app, label string, from, to time.Time, bin time.Dura
 		if cs := a.labels[label]; cs != nil {
 			for k, n := range cs.bins {
 				if i := idx(k); i >= 0 && i < len(points) {
-					points[i].Count += n
+					points[i].Count += int(n)
 				}
 			}
 		}
@@ -414,7 +431,7 @@ func (r *Rollup) CauseTrend(app, label string, from, to time.Time, bin time.Dura
 				continue
 			}
 		}
-		if i := idx(r.key(d.Symptom.Start)); i >= 0 && i < len(points) {
+		if i := idx(minuteOf(d.Symptom.Start)); i >= 0 && i < len(points) {
 			points[i].Count++
 		}
 	}

@@ -251,3 +251,88 @@ func TestRecentRing(t *testing.T) {
 		t.Errorf("RecentSince(last) returned %d entries", len(es))
 	}
 }
+
+// TestTrendAtTheEdges: minute keys cover every instant a store holds. A
+// store's first and last representable minutes, event.MinTime and
+// event.MaxTime, trend and break down exactly as browser.Trend,
+// browser.TrendDiagnoses and browser.Breakdown count them.
+func TestTrendAtTheEdges(t *testing.T) {
+	for _, edge := range []time.Time{event.MinTime, event.MaxTime} {
+		st := store.New()
+		r := New(Config{})
+		st.OnAppend(r.ObserveEvent)
+		// Five minutes of events ending at the edge or starting there.
+		from := edge.Truncate(time.Minute)
+		if edge == event.MaxTime {
+			from = from.Add(-4 * time.Minute)
+		}
+		var ds []engine.Diagnosis
+		for i := 0; i < 20; i++ {
+			at := from.Add(time.Duration(i*15+i%7) * time.Second)
+			if at.Before(event.MinTime) || at.After(event.MaxTime) {
+				at = edge
+			}
+			sym := st.Add(event.Instance{Name: "sym", Start: at, End: at})
+			d := diag(sym, []string{"link down", "maintenance"}[i%2])
+			ds = append(ds, d)
+			r.CountDiagnosis("app", d)
+		}
+		to := from.Add(5*time.Minute - time.Nanosecond)
+		for _, bin := range []time.Duration{time.Minute, 2 * time.Minute} {
+			got, _ := json.Marshal(r.Trend("sym", from, to, bin))
+			want, _ := json.Marshal(browser.Trend(st, "sym", from, to, bin))
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v, bin %v: rollup trend %s\n!= browser.Trend %s", edge, bin, got, want)
+			}
+			n := int(to.Sub(from)/bin) + 1
+			got, _ = json.Marshal(r.CauseTrend("app", "link down", from, to, bin, nil))
+			want, _ = json.Marshal(browser.TrendDiagnoses(ds, "link down", from, bin, n))
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v, bin %v: cause trend %s\n!= browser.TrendDiagnoses %s", edge, bin, got, want)
+			}
+		}
+		counts, total := r.BreakdownCounts("app", from, nil)
+		got, _ := json.Marshal(browser.Rows(counts, total))
+		want, _ := json.Marshal(browser.Breakdown(ds, nil))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: windowed breakdown %s\n!= batch %s", edge, got, want)
+		}
+	}
+}
+
+// TestEvictUnbinnedIsNoOp: un-counting what was never counted — an
+// evicted event in a bin its name never filled, of a name never binned,
+// or a counted symptom's ID in another bin — changes no count: a bin
+// count never wraps below zero.
+func TestEvictUnbinnedIsNoOp(t *testing.T) {
+	st := store.New()
+	r := New(Config{})
+	st.OnAppend(r.ObserveEvent)
+	sym := st.Add(event.Instance{Name: "sym", Start: t0, End: t0})
+	r.CountDiagnosis("app", diag(sym, "link down"))
+	later := t0.Add(5 * time.Minute)
+	r.EvictEvents([]store.Evicted{
+		{ID: 100, Name: "sym", Start: later.UnixNano()},
+		{ID: 101, Name: "never", Start: t0.UnixNano()},
+	}, later)
+	to := t0.Add(10 * time.Minute)
+	for _, p := range r.Trend("sym", t0, to, time.Minute) {
+		if want := map[bool]int{true: 1}[p.Start.Equal(t0)]; p.Count != want {
+			t.Fatalf("after evicting unbinned events the bin at %v counts %d, want %d", p.Start, p.Count, want)
+		}
+	}
+	if got := r.Trend("never", t0, to, time.Minute); got[0].Count != 0 || len(r.events) != 1 {
+		t.Fatalf("evicting a name never binned left %d name series, a count of %d", len(r.events), got[0].Count)
+	}
+	// The symptom is counted at t0; an eviction naming its ID at a later
+	// start un-counts it without touching the later bin.
+	r.EvictEvents([]store.Evicted{{ID: sym.ID, Name: "sym", Start: later.UnixNano()}}, later)
+	if counts, total := r.BreakdownCounts("app", time.Time{}, nil); total != 0 || len(counts) != 0 {
+		t.Fatalf("after its symptom's eviction the breakdown counts %v (total %d)", counts, total)
+	}
+	for _, p := range r.CauseTrend("app", "link down", t0, to, time.Minute, nil) {
+		if p.Count != 0 {
+			t.Fatalf("after its symptom's eviction the cause trend counts %d at %v", p.Count, p.Start)
+		}
+	}
+}

@@ -373,7 +373,8 @@ func TestStatsDuringFeeds(t *testing.T) {
 
 // TestStoreMappedGauge: /v1/stats reports the pages the store maps
 // outside the heap; one ingest batch into an empty store maps at least a
-// chunk of slots and its name's columns.
+// chunk of slots and its name's columns. Beside it is the attribute slab
+// bytes the store holds.
 func TestStoreMappedGauge(t *testing.T) {
 	_, b := testBundle(t)
 	s := openServer(t, t.TempDir(), b)
@@ -388,6 +389,9 @@ func TestStoreMappedGauge(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &stats); code != http.StatusOK || err != nil {
 			t.Fatalf("/v1/stats: %d %v", code, err)
+		}
+		if _, ok := stats.Metrics.Gauges["store.attrs.bytes"]; !ok {
+			t.Fatal("/v1/stats reports no store.attrs.bytes")
 		}
 		return stats.Metrics.Gauges["store.mapped.bytes"]
 	}

@@ -10,15 +10,17 @@ import (
 	"grca/internal/obs"
 )
 
-// The store's pointer-free memory — the slot chunks and every name
-// index's columns — lives in pages mapped outside the Go heap
-// (pages_linux.go; elsewhere pages_other.go falls back to the heap). The
-// collector neither scans nor counts those pages, so a stored byte costs
-// one byte of RSS instead of the two GOGC's headroom makes of a heap
-// byte. This file is the only place that turns mapped bytes into typed
+// The store's pointer-free memory — the slot chunks, their attribute
+// columns and every name index's columns — lives in pages mapped outside
+// the Go heap (pages_linux.go; elsewhere pages_other.go falls back to the
+// heap). The collector neither scans nor counts those pages, so a stored
+// byte costs one byte of RSS instead of the two GOGC's headroom makes of
+// a heap byte. This file is the only place that turns mapped bytes into typed
 // memory: what it hands out holds no Go pointer
 // (TestMappedTypesPointerFree), and no pointer into it leaves the
-// package, because every read copies.
+// package, because every read copies. It is also the only place that
+// views bytes as a string without a copy (view): the attribute slabs,
+// which are heap memory the store never rewrites.
 //
 // Every touch of mapped memory happens under the owning store's mu, and
 // the unlock that follows keeps the store — and with it its arena —
@@ -30,17 +32,24 @@ var (
 	// store.mapped.bytes follows it while metrics are enabled.
 	mappedBytes atomic.Int64
 	mMapped     = obs.GetGauge("store.mapped.bytes")
+	// mAttrBytes is the attribute slab bytes the process's stores hold.
+	mAttrBytes = obs.GetGauge("store.attrs.bytes")
 )
 
 var pageSize = os.Getpagesize()
 
 // arena is the mapped memory one store owns: each mapping by its first
-// byte, with its length. A Memory points to its arena and the arena to
+// byte, with its length; and the count of the attribute slab bytes the
+// store holds on the heap. A Memory points to its arena and the arena to
 // nothing, so a store dropped without a reset takes its arena with it,
-// and the arena's finalizer unmaps what is left. (A finalizer on the
-// Memory itself would never run: the WAL's append hook closes over the
-// Log that holds the store, a cycle.)
-type arena struct{ maps map[*byte]int }
+// and the arena's finalizer unmaps what is left and takes its slabs off
+// store.attrs.bytes. (A finalizer on the Memory itself would never run:
+// the WAL's append hook closes over the Log that holds the store, a
+// cycle.)
+type arena struct {
+	maps  map[*byte]int
+	slabs int
+}
 
 func newArena() *arena {
 	a := &arena{maps: map[*byte]int{}}
@@ -77,19 +86,44 @@ func (a *arena) free(p *byte) {
 	mMapped.Add(-int64(n))
 }
 
-// freeAll unmaps everything the arena holds.
+// freeAll unmaps everything the arena holds and forgets its slabs.
 func (a *arena) freeAll() {
 	for p := range a.maps {
 		a.free(p)
 	}
+	mAttrBytes.Add(-int64(a.slabs))
+	a.slabs = 0
 }
 
-// newChunk maps one chunk of empty slots.
-func (a *arena) newChunk() *chunk {
-	return (*chunk)(unsafe.Pointer(&a.alloc(int(unsafe.Sizeof(chunk{})))[0]))
+// newMapped maps one zeroed T: a chunk of empty slots, or a chunk's
+// attribute column with no row pointing anywhere.
+func newMapped[T chunk | attrColumn](a *arena) *T {
+	var zero T
+	return (*T)(unsafe.Pointer(&a.alloc(int(unsafe.Sizeof(zero)))[0]))
 }
 
-func (a *arena) freeChunk(c *chunk) { a.free((*byte)(unsafe.Pointer(c))) }
+func freeMapped[T chunk | attrColumn](a *arena, p *T) { a.free((*byte)(unsafe.Pointer(p))) }
+
+// newSlab allocates an empty attribute slab of capacity n on the heap.
+func (a *arena) newSlab(n int) []byte {
+	a.slabs += n
+	mAttrBytes.Add(int64(n))
+	return make([]byte, 0, n)
+}
+
+// dropSlabs forgets slabs the store no longer references. Their bytes
+// stay valid for any reader still holding a view of them.
+func (a *arena) dropSlabs(slabs [][]byte) {
+	n := 0
+	for _, b := range slabs {
+		n += cap(b)
+	}
+	a.slabs -= n
+	mAttrBytes.Add(-int64(n))
+}
+
+// view is b as a string, without a copy: b must never be written again.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // columnEntry is what one row costs a name index: its start and its row,
 // in two columns that share one mapping, starts first.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -111,8 +112,9 @@ func TestPagesReleased(t *testing.T) {
 }
 
 // TestMappedTypesPointerFree: everything the store places in mapped
-// memory — a chunk of slots, and the element types of a name index's
-// columns — holds no Go pointer, so the collector never needs to see it.
+// memory — a chunk of slots, a chunk's attribute column, and the element
+// types of a name index's columns — holds no Go pointer, so the collector
+// never needs to see it.
 func TestMappedTypesPointerFree(t *testing.T) {
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(ty reflect.Type) bool {
@@ -136,20 +138,23 @@ func TestMappedTypesPointerFree(t *testing.T) {
 	idx := reflect.TypeOf(nameIndex{})
 	starts, _ := idx.FieldByName("starts")
 	rows, _ := idx.FieldByName("rows")
-	for _, ty := range []reflect.Type{reflect.TypeOf((*chunk)(nil)).Elem(), starts.Type.Elem(), rows.Type.Elem()} {
+	for _, ty := range []reflect.Type{reflect.TypeOf((*chunk)(nil)).Elem(), reflect.TypeOf((*attrColumn)(nil)).Elem(),
+		starts.Type.Elem(), rows.Type.Elem()} {
 		if !pointerFree(ty) {
 			t.Errorf("%v is placed in mapped memory but holds a pointer", ty)
 		}
 	}
-	if pointerFree(reflect.TypeOf((*attrChunk)(nil)).Elem()) {
-		t.Error("the walk finds no pointer in an attribute chunk, which holds strings")
+	if pointerFree(reflect.TypeOf(attrChunk{})) {
+		t.Error("the walk finds no pointer in an attrChunk, which holds its column and its slabs")
 	}
 }
 
-// checkMappings holds the arena against the store: every chunk and every
-// name index's two columns lie inside mappings the arena owns — the
-// columns inside one, at their full capacity — and the arena owns nothing
-// else, so nothing leaked and nothing was moved to the heap by an append.
+// checkMappings holds the arena against the store: every chunk, every
+// chunk's attribute column and every name index's two columns lie inside
+// mappings the arena owns — the index columns inside one, at their full
+// capacity — and the arena owns nothing else, so nothing leaked and
+// nothing was moved to the heap by an append. The arena counts the bytes
+// of exactly the slabs the store references.
 func checkMappings(t *testing.T, s *Memory) {
 	t.Helper()
 	type span struct{ lo, hi uintptr }
@@ -174,6 +179,23 @@ func checkMappings(t *testing.T, s *Memory) {
 			used[inside(fmt.Sprintf("chunk %d", i), span{p, p + unsafe.Sizeof(*c)})] = true
 		}
 	}
+	slabs := 0
+	for i, ac := range s.attrs {
+		if ac.col == nil {
+			if len(ac.slabs) != 0 {
+				t.Fatalf("chunk %d holds %d attribute slabs and no column", i, len(ac.slabs))
+			}
+			continue
+		}
+		p := uintptr(unsafe.Pointer(ac.col))
+		used[inside(fmt.Sprintf("attribute column %d", i), span{p, p + unsafe.Sizeof(*ac.col)})] = true
+		for _, b := range ac.slabs {
+			slabs += cap(b)
+		}
+	}
+	if slabs != s.mem.slabs {
+		t.Fatalf("the store references %d bytes of attribute slabs, the arena counts %d", slabs, s.mem.slabs)
+	}
 	for name, id := range s.nameIDs {
 		idx := &s.names[id].idx
 		if cap(idx.starts) != cap(idx.rows) || cap(idx.rows) == 0 {
@@ -193,8 +215,9 @@ func checkMappings(t *testing.T, s *Memory) {
 }
 
 // TestColumnsInsideMappings: under random Puts (in order, late, into
-// forward gaps), evictions and settling reads, every chunk and column the
-// store references lies inside a mapping it owns, and it owns no other.
+// forward gaps; a third with attributes, some larger than a slab),
+// evictions and settling reads, every chunk and column the store
+// references lies inside a mapping it owns, and it owns no other.
 func TestColumnsInsideMappings(t *testing.T) {
 	loc := locus.At(locus.Router, "r")
 	for seed := int64(1); seed <= 20; seed++ {
@@ -208,6 +231,9 @@ func TestColumnsInsideMappings(t *testing.T) {
 				at := t0.Add(time.Duration(clock-rng.Intn(4)*rng.Intn(60)) * time.Second)
 				id += 1 + rng.Intn(2)*rng.Intn(3*chunkSize)*rng.Intn(2)
 				in := event.Instance{ID: id, Name: fmt.Sprintf("e%d", rng.Intn(4)), Start: at, End: at.Add(time.Minute), Loc: loc}
+				if rng.Intn(3) == 0 {
+					in.Attrs = event.NewAttrs(map[string]string{"msg": strings.Repeat("x", rng.Intn(3*slabSize/2))})
+				}
 				if _, err := s.Put(in); err != nil {
 					t.Fatal(err)
 				}

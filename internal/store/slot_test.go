@@ -16,14 +16,14 @@ import (
 )
 
 // TestSlotSize pins the row: a 24-byte slot without a pointer in it — so
-// that the collector never scans the chunks — beside a 16-byte attribute
-// column entry, 40 bytes an event.
+// that the collector never scans the chunks — beside a 4-byte attribute
+// column entry, 28 bytes an event.
 func TestSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 24 {
 		t.Errorf("slot is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(slot{}) + unsafe.Sizeof(event.Attrs{}); got != 40 {
-		t.Errorf("a row with its attribute section is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(slot{}) + unsafe.Sizeof(attrColumn{})/chunkSize; got != 28 {
+		t.Errorf("a row with its attribute reference is %d bytes, want 28", got)
 	}
 	st := reflect.TypeOf(slot{})
 	for i := 0; i < st.NumField(); i++ {
@@ -368,16 +368,17 @@ func rowBytes(n int) (heap, mapped float64) {
 }
 
 // TestStoreBytesPerEvent is the memory gate: a corpus-shaped stored event
-// costs at most 72 bytes — slot, attribute column, index entry and the
-// attribute section itself (159.9 when every event was its own
+// costs at most 58 bytes — slot, attribute reference, index entry and the
+// attribute section itself (72 while each section was its own string
+// behind a 16-byte column entry, 159.9 when every event was its own
 // event.Instance) — counting the heap and the mapped pages alike, and at
-// most 36 of them are heap: the slots and index columns are not.
+// most 16 of them are heap: only the slabs' sections are.
 func TestStoreBytesPerEvent(t *testing.T) {
 	heap, mapped := rowBytes(200000)
-	if heap+mapped > 72 {
-		t.Errorf("a stored event costs %.1f bytes (%.1f heap, %.1f mapped), want ≤ 72", heap+mapped, heap, mapped)
+	if heap+mapped > 58 {
+		t.Errorf("a stored event costs %.1f bytes (%.1f heap, %.1f mapped), want ≤ 58", heap+mapped, heap, mapped)
 	}
-	if heap > 36 {
-		t.Errorf("a stored event costs %.1f bytes of live heap, want ≤ 36", heap)
+	if heap > 16 {
+		t.Errorf("a stored event costs %.1f bytes of live heap, want ≤ 16", heap)
 	}
 }

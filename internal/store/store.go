@@ -4,13 +4,16 @@
 // the access pattern of the paper's "database tables" (§II-A) without the
 // external database dependency.
 //
-// A stored event is a 40-byte row: a pointer-free 24-byte slot — its two
-// instants as int64 nanoseconds, its name and location as IDs into
-// per-store intern tables — and its 16-byte attribute section, kept in a
-// column beside the slots that a chunk only allocates once it holds an
-// event with attributes. Rows live in ID-indexed chunks; every read
+// A stored event is a 24 + 4-byte row and no heap object of its own: a
+// pointer-free 24-byte slot — its two instants as int64 nanoseconds, its
+// name and location as IDs into per-store intern tables — and a 4-byte
+// reference to its attribute section, in a column beside the slots that
+// a chunk only maps once it holds an event with attributes. The sections
+// themselves are packed into the chunk's fixed-size heap slabs, which are
+// only ever appended to. Rows live in ID-indexed chunks; every read
 // materializes fresh event.Instance copies that the caller owns, so
-// identity is the ID, never the pointer.
+// identity is the ID, never the pointer — bar the attributes, which view
+// a slab's bytes, immutable once written.
 //
 // Each event name keeps an index of its rows sorted by start time
 // (out-of-order arrivals wait in a tail that the next read merges in, in
@@ -20,17 +23,20 @@
 // instances a batch at a time, so neither copies the store or an index
 // onto the heap.
 //
-// The slot chunks and the index columns hold no pointer, so they live
-// outside the Go heap, in pages the store's arena maps (pages.go) and
-// alone owns: eviction and an emptied name unmap what they drop, Replace
-// (a checkpoint install) unmaps everything, and a store dropped whole is
-// unmapped by the arena's finalizer (TestPagesReleased). No pointer into
-// those pages leaves the package, since every read copies. The race
+// The slot chunks, the attribute columns and the index columns hold no
+// pointer, so they live outside the Go heap, in pages the store's arena
+// maps (pages.go) and alone owns: eviction and an emptied name unmap what
+// they drop, Replace (a checkpoint install) unmaps everything, and a
+// store dropped whole is unmapped by the arena's finalizer
+// (TestPagesReleased). No pointer into those pages leaves the package,
+// since every read copies them; a slab is dropped with its chunk, and a
+// reader still holding attributes keeps that one slab alive. The race
 // detector does not see the pages themselves; every touch of them goes
 // through heap fields read under mu, which it does see.
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -63,8 +69,7 @@ var (
 // slot is a stored event's fixed part: everything but its attributes.
 // name and loc index the store's intern tables; name 0 marks an empty
 // slot (never assigned, or evicted). It holds no pointer, so the garbage
-// collector never scans a chunk: the attribute column is the only
-// per-event memory it walks.
+// collector never scans a chunk.
 type slot struct {
 	start, end int64 // Unix nanoseconds
 	name, loc  uint32
@@ -76,10 +81,76 @@ const (
 	chunkMask = chunkSize - 1
 )
 
-type (
-	chunk     [chunkSize]slot
-	attrChunk [chunkSize]event.Attrs
+type chunk [chunkSize]slot
+
+// attrColumn is a chunk's attribute references, a row each: 0 for no
+// attributes, else the slab number plus one above slabBits and the
+// offset of the row's entry in that slab below them.
+type attrColumn [chunkSize]uint32
+
+const (
+	slabBits = 12
+	slabSize = 1 << slabBits
+	slabMask = slabSize - 1
+	// maxSlabs is how many slabs a reference can name. A put starts at
+	// most one, so a chunk's rows need at most chunkSize; only IDs
+	// evicted and put again a thousand times over come near it.
+	maxSlabs = 1<<(32-slabBits) - 1
 )
+
+// attrChunk is one chunk's attributes: its column, mapped (nil until the
+// chunk holds an event with any), and the heap slabs the column points
+// into. A slab holds entries uvarint(len) | section, is slabSize bytes or
+// one entry that would not fit in one, and is only appended to, inside
+// its capacity: a byte once written never changes, so a read can hand out
+// the section without copying it. An evicted row only loses its
+// reference; its slab goes with the chunk.
+type attrChunk struct {
+	col   *attrColumn
+	slabs [][]byte
+}
+
+// put places at's section in the chunk's last slab, or in a new one, and
+// points row j at it.
+func (ac *attrChunk) put(a *arena, j row, at event.Attrs) {
+	if ac.col == nil {
+		ac.col = newMapped[attrColumn](a)
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	m := binary.PutUvarint(prefix[:], uint64(at.SectionLen()))
+	need := m + at.SectionLen()
+	k := len(ac.slabs) - 1
+	if k < 0 || cap(ac.slabs[k])-len(ac.slabs[k]) < need {
+		if k+1 == maxSlabs {
+			panic("store: a chunk's attribute slabs outnumber its references")
+		}
+		ac.slabs = append(ac.slabs, a.newSlab(max(slabSize, need)))
+		k++
+	}
+	off := len(ac.slabs[k])
+	ac.slabs[k] = at.AppendSection(append(ac.slabs[k], prefix[:m]...))
+	ac.col[j] = uint32(k+1)<<slabBits | uint32(off)
+}
+
+// get returns row j's attributes, viewing its slab.
+func (ac *attrChunk) get(j row) event.Attrs {
+	if ac.col == nil || ac.col[j] == 0 {
+		return event.Attrs{}
+	}
+	ref := ac.col[j]
+	b := ac.slabs[ref>>slabBits-1][ref&slabMask:]
+	n, k := binary.Uvarint(b)
+	return event.AdoptSection(view(b[k : k+int(n)]))
+}
+
+// free unmaps the column and drops the slabs.
+func (ac *attrChunk) free(a *arena) {
+	if ac.col != nil {
+		freeMapped(a, ac.col)
+		a.dropSlabs(ac.slabs)
+	}
+	*ac = attrChunk{}
+}
 
 // A row is a slot's position: its ID minus the store's org. Indexes hold
 // rows, not IDs, at half the size; eviction rebases them when org moves.
@@ -253,14 +324,14 @@ type locEntry struct {
 type Memory struct {
 	mu sync.RWMutex
 	// chunks[i][j] is the slot of row i·chunkSize + j, ID org + row; a
-	// nil chunk is chunkSize empty slots. attrs[i][j] is its attribute
-	// section; attrs[i] is nil until chunk i holds an event with any.
-	// Chunks and the name indexes' columns are mapped from mem, which the
-	// store alone owns. IDs are never reused. base..next−1 is the ID range
-	// the store spans: leading empty slots are trimmed by advancing base,
-	// and whole chunks below it dropped.
+	// nil chunk is chunkSize empty slots. attrs[i] holds the attributes
+	// of chunk i's rows. Chunks, attribute columns and the name indexes'
+	// columns are mapped from mem, which the store alone owns, and mem
+	// counts the attribute slabs. IDs are never reused. base..next−1 is
+	// the ID range the store spans: leading empty slots are trimmed by
+	// advancing base, and whole chunks below it dropped.
 	chunks     []*chunk
-	attrs      []*attrChunk
+	attrs      []attrChunk
 	mem        *arena
 	org        int
 	base, next int
@@ -468,16 +539,13 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 	r := row(id - s.org)
 	i, j := int(r>>chunkBits), r&chunkMask
 	for len(s.chunks) <= i {
-		s.chunks, s.attrs = append(s.chunks, nil), append(s.attrs, nil)
+		s.chunks, s.attrs = append(s.chunks, nil), append(s.attrs, attrChunk{})
 	}
 	if s.chunks[i] == nil {
-		s.chunks[i] = s.mem.newChunk()
+		s.chunks[i] = newMapped[chunk](s.mem)
 	}
 	if in.Attrs != (event.Attrs{}) {
-		if s.attrs[i] == nil {
-			s.attrs[i] = new(attrChunk)
-		}
-		s.attrs[i][j] = in.Attrs
+		s.attrs[i].put(s.mem, j, in.Attrs)
 	}
 	nid := s.internName(in.Name)
 	sl := slot{start: start, end: end, name: nid, loc: s.internLoc(in.Loc)}
@@ -492,20 +560,21 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 	}
 }
 
-// dropChunks unmaps the first n chunks and drops them from the tables —
-// by copying, so that the dropped prefix is released — and org moves
-// past them.
+// dropChunks unmaps the first n chunks, with their attribute columns and
+// slabs, and drops them from the tables — by copying, so that the
+// dropped prefix is released — and org moves past them.
 func (s *Memory) dropChunks(n int) {
 	if n == 0 {
 		return
 	}
-	for _, c := range s.chunks[:n] {
+	for i, c := range s.chunks[:n] {
 		if c != nil {
-			s.mem.freeChunk(c)
+			freeMapped(s.mem, c)
 		}
+		s.attrs[i].free(s.mem)
 	}
 	s.chunks = append([]*chunk(nil), s.chunks[n:]...)
-	s.attrs = append([]*attrChunk(nil), s.attrs[n:]...)
+	s.attrs = append([]attrChunk(nil), s.attrs[n:]...)
 	s.org += n << chunkBits
 }
 
@@ -592,10 +661,7 @@ func (s *Memory) fill(dst *event.Instance, r row) {
 	dst.Start = time.Unix(0, sl.start).UTC()
 	dst.End = time.Unix(0, sl.end).UTC()
 	dst.Loc = s.locs[sl.loc].loc
-	dst.Attrs = event.Attrs{}
-	if a := s.attrs[r>>chunkBits]; a != nil {
-		dst.Attrs = a[r&chunkMask]
-	}
+	dst.Attrs = s.attrs[r>>chunkBits].get(r & chunkMask)
 }
 
 // copies materializes the events of rows as one fresh array and the
@@ -923,8 +989,8 @@ func (s *Memory) evictLocked(cutoff int64) []Evicted {
 		gone = append(gone, Evicted{ID: id, Name: s.names[sl.name].name, Start: sl.start})
 		s.releaseLoc(sl.loc)
 		*sl = slot{}
-		if a := s.attrs[r>>chunkBits]; a != nil {
-			a[r&chunkMask] = event.Attrs{}
+		if col := s.attrs[r>>chunkBits].col; col != nil {
+			col[r&chunkMask] = 0
 		}
 	}
 	s.live -= n
