@@ -276,6 +276,8 @@ func (t *Topology) InterfaceByIP(ip netip.Addr) (*Interface, bool) {
 }
 
 // RouterNames returns all router names sorted, for deterministic iteration.
+// Each call allocates and sorts a new slice of every name, so a caller that
+// iterates in a loop should hoist the call out of it.
 func (t *Topology) RouterNames() []string {
 	names := make([]string, 0, len(t.Routers))
 	for n := range t.Routers {
@@ -285,7 +287,8 @@ func (t *Topology) RouterNames() []string {
 	return names
 }
 
-// LinkIDs returns all logical link IDs sorted.
+// LinkIDs returns all logical link IDs sorted. Like RouterNames, each call
+// allocates and sorts a new slice; hoist it out of loops.
 func (t *Topology) LinkIDs() []string {
 	ids := make([]string, 0, len(t.Links))
 	for id := range t.Links {

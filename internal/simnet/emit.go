@@ -1,7 +1,8 @@
 package simnet
 
 import (
-	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -9,78 +10,153 @@ import (
 	"grca/internal/netmodel"
 )
 
-// zoneCache caches time.LoadLocation lookups for emission.
-var zoneCache = map[string]*time.Location{}
+// Every emitter renders its line into the scratch buffer d.buf with
+// append-style helpers and hands it to emit, which copies it into the
+// source's arena. Arguments that draw from d.rng are drawn in the order the
+// line names them, so the random stream (and with it the whole corpus) is a
+// function of Config alone.
 
-func zone(name string) *time.Location {
+// zone returns the location of a device time zone, loading each name once
+// per Dataset.
+func (d *Dataset) zone(name string) *time.Location {
 	if name == "" {
 		return time.UTC
 	}
-	if loc, ok := zoneCache[name]; ok {
+	if loc, ok := d.zones[name]; ok {
 		return loc
 	}
 	loc, err := time.LoadLocation(name)
 	if err != nil {
 		loc = time.UTC
 	}
-	zoneCache[name] = loc
+	d.zones[name] = loc
 	return loc
 }
 
-// deviceRef renders a router reference the way one of the management
-// systems would: short name, FQDN, or upper case, chosen pseudo-randomly
-// so the collector's alias normalization is genuinely exercised.
-func (d *Dataset) deviceRef(router string) string {
+// appendDeviceRef appends a router reference the way one of the management
+// systems would render it: short name, FQDN, or upper case, chosen
+// pseudo-randomly so the collector's alias normalization is genuinely
+// exercised.
+func (d *Dataset) appendDeviceRef(dst []byte, router string) []byte {
 	switch d.rng.Intn(3) {
 	case 0:
-		return router
+		return append(dst, router...)
 	case 1:
-		return router + ".net.example.com"
+		return append(append(dst, router...), ".net.example.com"...)
 	default:
-		return strings.ToUpper(router)
+		return appendUpper(dst, router)
 	}
 }
 
-// syslog emits one syslog line stamped in the device's local wall time.
-func (d *Dataset) syslog(at time.Time, router, msg string) {
-	r := d.Topo.Routers[router]
-	tz := time.UTC
-	if r != nil {
-		tz = zone(r.TZName)
+// appendUpper appends strings.ToUpper(s) without building the string when s
+// is ASCII.
+func appendUpper(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return append(dst, strings.ToUpper(s)...)
+		}
 	}
-	local := at.In(tz)
-	d.emit(collector.SourceSyslog, at,
-		fmt.Sprintf("%s %s %s", local.Format("Jan _2 15:04:05"), d.deviceRef(router), msg))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// pow10 holds 10^prec for the precisions appendFixed formats exactly.
+var pow10 = [...]uint64{1, 10, 100, 1000}
+
+// appendFixed appends v with prec digits after the decimal point, byte for
+// byte as strconv.AppendFloat(dst, v, 'f', prec, 64) does, which is its
+// oracle (FuzzAppendFixed). For 0 ≤ v < 2^53 and prec ≤ 3 it rounds the
+// exact binary value in integer arithmetic: v = m·2^E with m < 2^53, so
+// m·10^prec < 2^63, and shifting E bits off with round-half-to-even is the
+// correctly rounded decimal strconv's exact path computes. Everything else
+// (negative or signed zero, NaN, ±Inf, large values, more digits) is
+// strconv's.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	bits := math.Float64bits(v)
+	biased := int(bits>>52) & 0x7ff
+	if bits>>63 != 0 || biased > 1075 || prec < 0 || prec >= len(pow10) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	mant, exp := bits&(1<<52-1), -1074
+	if biased != 0 {
+		mant |= 1 << 52
+		exp = biased - 1075
+	}
+	q := mant * pow10[prec]
+	switch shift := uint(-exp); {
+	case exp == 0:
+	case shift >= 64:
+		q = 0 // m·10^prec / 2^shift < 1/2: rounds to zero
+	default:
+		rem, half := q&(1<<shift-1), uint64(1)<<(shift-1)
+		q >>= shift
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	dst = strconv.AppendUint(dst, q/pow10[prec], 10)
+	if prec == 0 {
+		return dst
+	}
+	dst = append(dst, '.')
+	frac := q % pow10[prec]
+	for p := pow10[prec] / 10; p > 1 && frac < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, frac, 10)
+}
+
+// syslog emits one syslog line stamped in the device's local wall time;
+// the message is the concatenation of msg.
+func (d *Dataset) syslog(at time.Time, router string, msg ...string) {
+	tz := time.UTC
+	if r := d.Topo.Routers[router]; r != nil {
+		tz = d.zone(r.TZName)
+	}
+	b := at.In(tz).AppendFormat(d.buf[:0], "Jan _2 15:04:05")
+	b = append(b, ' ')
+	b = d.appendDeviceRef(b, router)
+	b = append(b, ' ')
+	for _, m := range msg {
+		b = append(b, m...)
+	}
+	d.emit(collector.SourceSyslog, at, b)
 }
 
 // Cascade emitters for the common causal chains.
 
 func (d *Dataset) linkUpDown(at time.Time, router, ifname, state string) {
-	d.syslog(at, router, fmt.Sprintf("%%LINK-3-UPDOWN: Interface %s, changed state to %s", ifname, state))
+	d.syslog(at, router, "%LINK-3-UPDOWN: Interface ", ifname, ", changed state to ", state)
 }
 
 func (d *Dataset) lineProtoUpDown(at time.Time, router, ifname, state string) {
-	d.syslog(at, router, fmt.Sprintf("%%LINEPROTO-5-UPDOWN: Line protocol on Interface %s, changed state to %s", ifname, state))
+	d.syslog(at, router, "%LINEPROTO-5-UPDOWN: Line protocol on Interface ", ifname, ", changed state to ", state)
 }
 
 func (d *Dataset) bgpAdj(at time.Time, router, neighbor, state, reason string) {
-	msg := fmt.Sprintf("%%BGP-5-ADJCHANGE: neighbor %s %s", neighbor, state)
+	sep := ""
 	if reason != "" {
-		msg += " " + reason
+		sep = " "
 	}
-	d.syslog(at, router, msg)
+	d.syslog(at, router, "%BGP-5-ADJCHANGE: neighbor ", neighbor, " ", state, sep, reason)
 }
 
 func (d *Dataset) bgpHTE(at time.Time, router, neighbor string) {
-	d.syslog(at, router, fmt.Sprintf("%%BGP-5-NOTIFICATION: sent to neighbor %s 4/0 (hold time expired)", neighbor))
+	d.syslog(at, router, "%BGP-5-NOTIFICATION: sent to neighbor ", neighbor, " 4/0 (hold time expired)")
 }
 
 func (d *Dataset) bgpCustomerReset(at time.Time, router, neighbor string) {
-	d.syslog(at, router, fmt.Sprintf("%%BGP-5-NOTIFICATION: received from neighbor %s 6/4 (administrative reset)", neighbor))
+	d.syslog(at, router, "%BGP-5-NOTIFICATION: received from neighbor ", neighbor, " 6/4 (administrative reset)")
 }
 
 func (d *Dataset) cpuSpike(at time.Time, router string, pct int) {
-	d.syslog(at, router, fmt.Sprintf("%%SYS-1-CPURISINGTHRESHOLD: Threshold: Total CPU Utilization(Total/Intr): %d%%/2%%", pct))
+	d.syslog(at, router, "%SYS-1-CPURISINGTHRESHOLD: Threshold: Total CPU Utilization(Total/Intr): ", strconv.Itoa(pct), "%/2%")
 }
 
 func (d *Dataset) reboot(at time.Time, router string) {
@@ -92,72 +168,114 @@ func (d *Dataset) reboot(at time.Time, router string) {
 // loopback, as the protocol does.
 func (d *Dataset) pimVRFChange(at time.Time, reporter, vrf, neighborPE, state string) {
 	loop := d.Topo.Routers[neighborPE].Loopback
-	d.syslog(at, reporter, fmt.Sprintf("%%PIM-5-NBRCHG: VRF %s: neighbor %s %s", vrf, loop, state))
+	d.syslog(at, reporter, "%PIM-5-NBRCHG: VRF ", vrf, ": neighbor ", loop.String(), " ", state)
 }
 
 func (d *Dataset) pimUplinkChange(at time.Time, reporter, ifname string, neighborIP string, state string) {
-	d.syslog(at, reporter, fmt.Sprintf("%%PIM-5-NBRCHG: neighbor %s %s on interface %s", neighborIP, state, ifname))
+	d.syslog(at, reporter, "%PIM-5-NBRCHG: neighbor ", neighborIP, " ", state, " on interface ", ifname)
 }
 
 // snmp emits one SNMP sample row.
 func (d *Dataset) snmp(at time.Time, router, object, instance string, value float64) {
-	d.emit(collector.SourceSNMP, at, fmt.Sprintf("%d,%s,%s,%s,%.1f",
-		at.Unix(), d.deviceRef(router), object, instance, value))
+	b := strconv.AppendInt(d.buf[:0], at.Unix(), 10)
+	b = append(b, ',')
+	b = d.appendDeviceRef(b, router)
+	b = append(append(b, ','), object...)
+	b = append(append(b, ','), instance...)
+	b = appendFixed(append(b, ','), value, 1)
+	d.emit(collector.SourceSNMP, at, b)
 }
 
 // ospfMetric emits one OSPF monitor observation for a link, advertised
 // from its A end.
 func (d *Dataset) ospfMetric(at time.Time, l *netmodel.LogicalLink, metric int, initial bool) {
-	suffix := ""
+	b := at.UTC().AppendFormat(d.buf[:0], time.RFC3339)
+	b = l.A.Router.Loopback.AppendTo(append(b, ' '))
+	b = l.A.IP.AppendTo(append(b, ' '))
+	b = strconv.AppendInt(append(b, " metric "...), int64(metric), 10)
 	if initial {
-		suffix = " initial"
+		b = append(b, " initial"...)
 	}
-	d.emit(collector.SourceOSPFMon, at, fmt.Sprintf("%s %s %s metric %d%s",
-		at.UTC().Format(time.RFC3339), l.A.Router.Loopback, l.A.IP, metric, suffix))
+	d.emit(collector.SourceOSPFMon, at, b)
 }
 
 // bgpAnnounce and bgpWithdraw emit reflector feed records.
 func (d *Dataset) bgpAnnounce(at time.Time, prefix, egress string, localPref, asLen int) {
-	loop := d.Topo.Routers[egress].Loopback
-	d.emit(collector.SourceBGPMon, at, fmt.Sprintf("%d|A|%s|%s|%d|%d|0|0",
-		at.Unix(), prefix, loop, localPref, asLen))
+	b := d.bgpRecord(at, 'A', prefix, egress)
+	b = strconv.AppendInt(append(b, '|'), int64(localPref), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(asLen), 10)
+	d.emit(collector.SourceBGPMon, at, append(b, "|0|0"...))
 }
 
 func (d *Dataset) bgpWithdraw(at time.Time, prefix, egress string) {
-	loop := d.Topo.Routers[egress].Loopback
-	d.emit(collector.SourceBGPMon, at, fmt.Sprintf("%d|W|%s|%s", at.Unix(), prefix, loop))
+	d.emit(collector.SourceBGPMon, at, d.bgpRecord(at, 'W', prefix, egress))
 }
+
+// bgpRecord renders the fields a reflector record opens with.
+func (d *Dataset) bgpRecord(at time.Time, kind byte, prefix, egress string) []byte {
+	b := strconv.AppendInt(d.buf[:0], at.Unix(), 10)
+	b = append(b, '|', kind, '|')
+	b = append(append(b, prefix...), '|')
+	return d.Topo.Routers[egress].Loopback.AppendTo(b)
+}
+
+// The zones TACACS and layer-1 devices stamp their records in, one drawn
+// per record.
+var (
+	tacacsZones = []*time.Location{time.FixedZone("", 0), time.FixedZone("", -5*3600), time.FixedZone("", -6*3600)}
+	layer1Zones = []*time.Location{time.FixedZone("", 0), time.FixedZone("", -5*3600)}
+)
 
 // tacacs emits a command-accounting record with a randomized zone offset.
 func (d *Dataset) tacacs(at time.Time, router, user, command string) {
-	offsets := []int{0, -5 * 3600, -6 * 3600}
-	off := offsets[d.rng.Intn(len(offsets))]
-	stamped := at.In(time.FixedZone("", off)).Format(time.RFC3339)
-	d.emit(collector.SourceTACACS, at, fmt.Sprintf("%s|%s|%s|%s", stamped, d.deviceRef(router), user, command))
+	tz := tacacsZones[d.rng.Intn(len(tacacsZones))]
+	b := at.In(tz).AppendFormat(d.buf[:0], time.RFC3339)
+	b = d.appendDeviceRef(append(b, '|'), router)
+	b = append(append(b, '|'), user...)
+	b = append(append(b, '|'), command...)
+	d.emit(collector.SourceTACACS, at, b)
 }
 
 func (d *Dataset) workflow(at time.Time, router, ticket, action string) {
-	d.emit(collector.SourceWorkflow, at, fmt.Sprintf("%s|%s|%s|%s",
-		at.UTC().Format(time.RFC3339), d.deviceRef(router), ticket, action))
+	b := at.UTC().AppendFormat(d.buf[:0], time.RFC3339)
+	b = d.appendDeviceRef(append(b, '|'), router)
+	b = append(append(b, '|'), ticket...)
+	b = append(append(b, '|'), action...)
+	d.emit(collector.SourceWorkflow, at, b)
 }
 
 func (d *Dataset) layer1(at time.Time, device, kind, detail string) {
-	offsets := []int{0, -5 * 3600}
-	off := offsets[d.rng.Intn(len(offsets))]
-	stamped := at.In(time.FixedZone("", off)).Format("2006/01/02 15:04:05 -0700")
-	d.emit(collector.SourceLayer1, at, fmt.Sprintf("%s|%s|%s|%s", stamped, device, kind, detail))
+	tz := layer1Zones[d.rng.Intn(len(layer1Zones))]
+	b := at.In(tz).AppendFormat(d.buf[:0], "2006/01/02 15:04:05 -0700")
+	b = append(append(b, '|'), device...)
+	b = append(append(b, '|'), kind...)
+	b = append(append(b, '|'), detail...)
+	d.emit(collector.SourceLayer1, at, b)
 }
 
 func (d *Dataset) keynote(at time.Time, server, agent string, rttMS, tputKbps float64) {
-	d.emit(collector.SourceKeynote, at, fmt.Sprintf("%d,%s,%s,%.1f,%.0f",
-		at.Unix(), server, agent, rttMS, tputKbps))
+	b := strconv.AppendInt(d.buf[:0], at.Unix(), 10)
+	b = append(append(b, ','), server...)
+	b = append(append(b, ','), agent...)
+	b = appendFixed(append(b, ','), rttMS, 1)
+	b = appendFixed(append(b, ','), tputKbps, 0)
+	d.emit(collector.SourceKeynote, at, b)
 }
 
 func (d *Dataset) serverLog(at time.Time, record, who, value string) {
-	d.emit(collector.SourceServer, at, fmt.Sprintf("%d,%s,%s,%s", at.Unix(), record, who, value))
+	b := strconv.AppendInt(d.buf[:0], at.Unix(), 10)
+	b = append(append(b, ','), record...)
+	b = append(append(b, ','), who...)
+	b = append(append(b, ','), value...)
+	d.emit(collector.SourceServer, at, b)
 }
 
 func (d *Dataset) perf(at time.Time, ingress, egress string, delayMS, lossPct, tputMbps float64) {
-	d.emit(collector.SourcePerfMon, at, fmt.Sprintf("%d,%s,%s,%.1f,%.2f,%.0f",
-		at.Unix(), d.deviceRef(ingress), d.deviceRef(egress), delayMS, lossPct, tputMbps))
+	b := strconv.AppendInt(d.buf[:0], at.Unix(), 10)
+	b = d.appendDeviceRef(append(b, ','), ingress)
+	b = d.appendDeviceRef(append(b, ','), egress)
+	b = appendFixed(append(b, ','), delayMS, 1)
+	b = appendFixed(append(b, ','), lossPct, 2)
+	b = appendFixed(append(b, ','), tputMbps, 0)
+	d.emit(collector.SourcePerfMon, at, b)
 }

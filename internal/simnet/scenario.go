@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"grca/internal/event"
@@ -108,7 +109,8 @@ func (d *Dataset) accessCircuit(s Session) *netmodel.PhysicalLink {
 // Routing baseline and steady-state feeds
 // ------------------------------------------------------------------
 
-// internalLinks returns the IGP links (both ends inside the ISP), sorted.
+// internalLinks returns the IGP links (both ends inside the ISP), sorted;
+// Generate keeps them as d.igpLinks.
 func (d *Dataset) internalLinks() []*netmodel.LogicalLink {
 	var out []*netmodel.LogicalLink
 	for _, id := range d.Topo.LinkIDs() {
@@ -124,7 +126,7 @@ func (d *Dataset) internalLinks() []*netmodel.LogicalLink {
 // prefixes at both peering egresses.
 func (d *Dataset) emitRoutingBaseline() {
 	at := d.Config.Start
-	for _, l := range d.internalLinks() {
+	for _, l := range d.igpLinks {
 		d.ospfMetric(at, l, d.weights[l.ID], true)
 	}
 	for _, agent := range d.Agents {
@@ -143,16 +145,11 @@ func (d *Dataset) emitSteadyState() {
 	endAt := cfg.Start.Add(cfg.Duration)
 
 	// SNMP: router CPU and backbone interface counters every 30 minutes.
-	links := d.internalLinks()
 	for at := cfg.Start; at.Before(endAt); at = at.Add(30 * time.Minute) {
-		for _, name := range d.Topo.RouterNames() {
-			r := d.Topo.Routers[name]
-			if r.Role == netmodel.RoleCustomer {
-				continue
-			}
+		for _, name := range d.polled {
 			d.snmp(at, name, "cpu5min", "", 20+d.rng.Float64()*30)
 		}
-		for _, l := range links {
+		for _, l := range d.igpLinks {
 			d.snmp(at, l.A.Router.Name, "ifutil", l.A.Name, 20+d.rng.Float64()*40)
 			d.snmp(at, l.A.Router.Name, "iferrors", l.A.Name, d.rng.Float64()*5)
 		}
@@ -191,7 +188,7 @@ func (d *Dataset) emitSteadyState() {
 
 	// CDN server load every 30 minutes, nominal.
 	for at := cfg.Start; at.Before(endAt); at = at.Add(30 * time.Minute) {
-		d.serverLog(at, "load", d.CDNServer, fmt.Sprintf("%d", 20+d.rng.Intn(40)))
+		d.serverLog(at, "load", d.CDNServer, strconv.Itoa(20+d.rng.Intn(40)))
 	}
 }
 
@@ -224,20 +221,19 @@ func (d *Dataset) probePairs() [][2]string {
 // syslog message kinds and workflow actions scattered across routers.
 func (d *Dataset) emitNoise() {
 	cfg := d.Config
-	routers := d.perList()
 	span := int64(cfg.Duration)
 	for k := 0; k < cfg.NoiseSyslogKinds; k++ {
 		tag := fmt.Sprintf("%%NOISE%02d-5-NOTICE: routine condition %d", k, k)
 		for i := 0; i < cfg.NoiseEventsPerKind; i++ {
 			at := cfg.Start.Add(time.Duration(d.rng.Int63n(span)))
-			d.syslog(at, routers[d.rng.Intn(len(routers))], tag)
+			d.syslog(at, d.pers[d.rng.Intn(len(d.pers))], tag)
 		}
 	}
 	for k := 0; k < cfg.NoiseWorkflowKinds; k++ {
 		action := fmt.Sprintf("wf-task-%02d", k)
 		for i := 0; i < cfg.NoiseEventsPerKind; i++ {
 			at := cfg.Start.Add(time.Duration(d.rng.Int63n(span)))
-			d.workflow(at, routers[d.rng.Intn(len(routers))],
+			d.workflow(at, d.pers[d.rng.Intn(len(d.pers))],
 				fmt.Sprintf("TKT%05d", d.rng.Intn(100000)), action)
 		}
 	}
@@ -273,7 +269,6 @@ func (d *Dataset) runBGPScenario(total int) error {
 	for _, s := range d.Sessions {
 		perSessions[s.PER] = append(perSessions[s.PER], s)
 	}
-	pers := d.perList()
 
 	rebootFlaps := int(rebootFrac * float64(total))
 	reboots := rebootFlaps / d.Config.SessionsPerPER
@@ -286,7 +281,7 @@ func (d *Dataset) runBGPScenario(total int) error {
 	}
 
 	for i := 0; i < reboots; i++ {
-		per := pers[d.rng.Intn(len(pers))]
+		per := d.pers[d.rng.Intn(len(d.pers))]
 		keys := []string{"router/" + per}
 		for _, s := range perSessions[per] {
 			keys = append(keys, "session/"+sessionWhere(s))
@@ -495,8 +490,7 @@ func (d *Dataset) lineProtoIncident() error {
 // cpuIncident drives sessions down through CPU exhaustion: a syslog spike
 // (or a high 5-minute SNMP average) plus hold-timer expiries.
 func (d *Dataset) cpuIncident(spike bool) error {
-	pers := d.perList()
-	per := pers[d.rng.Intn(len(pers))]
+	per := d.pers[d.rng.Intn(len(d.pers))]
 	var sessions []Session
 	for _, s := range d.Sessions {
 		if s.PER == per {
@@ -567,9 +561,8 @@ func (d *Dataset) simpleFlap(pre func(t time.Time, s Session), truthKind string)
 // activity that flaps unrelated customer sessions through CPU exhaustion,
 // leaving no link-layer evidence.
 func (d *Dataset) runProvisioningBug(count int) {
-	pers := d.perList()
 	for i := 0; i < count; i++ {
-		per := pers[d.rng.Intn(len(pers))]
+		per := d.pers[d.rng.Intn(len(d.pers))]
 		var sessions []Session
 		for _, s := range d.Sessions {
 			if s.PER == per {

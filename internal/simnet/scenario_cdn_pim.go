@@ -279,7 +279,7 @@ func (d *Dataset) pimIncident(kind string) error {
 		}
 		core := cores[d.rng.Intn(len(cores))]
 		var links []*netmodel.LogicalLink
-		for _, l := range d.internalLinks() {
+		for _, l := range d.igpLinks {
 			if l.A.Router.Name == core || l.B.Router.Name == core {
 				links = append(links, l)
 			}

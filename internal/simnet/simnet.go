@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
-	"strings"
 	"time"
 
 	"grca/internal/conf"
@@ -174,9 +172,19 @@ type Dataset struct {
 	PeerEgresses []string
 
 	rng     *rand.Rand
-	feeds   map[string][]timedLine
+	feeds   map[string]*feed
+	buf     []byte // the line an emitter is rendering
+	err     error  // a feed outgrew its arena's offsets
+	zones   map[string]*time.Location
 	weights map[string]int // internal link → IGP metric
 	planner *ospf.Sim      // static routing view used for incident placement
+
+	// Listings of the finished topology, computed once: the IGP links,
+	// the PERs, and the routers SNMP polls (all but customers), each in
+	// name order.
+	igpLinks []*netmodel.LogicalLink
+	pers     []string
+	polled   []string
 
 	// ProbePairs are the (ingress, egress) router pairs the in-network
 	// performance monitor measures.
@@ -189,18 +197,14 @@ type Dataset struct {
 	busy       map[string][]time.Time     // spacing ledger per element
 }
 
-type timedLine struct {
-	at   time.Time
-	line string
-}
-
 // Generate builds a dataset for cfg.
 func Generate(cfg Config) (*Dataset, error) {
 	cfg.defaults()
 	d := &Dataset{
 		Config:      cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		feeds:       map[string][]timedLine{},
+		feeds:       map[string]*feed{},
+		zones:       map[string]*time.Location{},
 		AgentPrefix: map[string]netip.Prefix{},
 		AgentAddr:   map[string]netip.Addr{},
 		weights:     map[string]int{},
@@ -211,6 +215,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := d.buildTopology(); err != nil {
 		return nil, err
 	}
+	d.igpLinks = d.internalLinks()
+	d.pers = d.routersWhere(func(r *netmodel.Router) bool { return r.Role == netmodel.RoleProviderEdge })
+	d.polled = d.routersWhere(func(r *netmodel.Router) bool { return r.Role != netmodel.RoleCustomer })
 	d.Configs = conf.Render(d.Topo)
 	d.Inventory = conf.RenderInventory(d.Topo)
 
@@ -250,29 +257,32 @@ func Generate(cfg Config) (*Dataset, error) {
 	d.emitSteadyState()
 	d.emitNoise()
 
-	d.Feeds = map[string]string{}
-	srcs := make([]string, 0, len(d.feeds))
-	for src := range d.feeds {
-		srcs = append(srcs, src)
+	if d.err != nil {
+		return nil, d.err
 	}
-	sort.Strings(srcs)
-	for _, src := range srcs {
-		lines := d.feeds[src]
-		sort.SliceStable(lines, func(i, j int) bool { return lines[i].at.Before(lines[j].at) })
-		var b strings.Builder
-		for _, l := range lines {
-			b.WriteString(l.line)
-			b.WriteByte('\n')
-		}
-		d.Feeds[src] = b.String()
+	d.Feeds = make(map[string]string, len(d.feeds))
+	for src, f := range d.feeds {
+		d.Feeds[src] = f.sorted()
 	}
 	d.feeds = nil
 	return d, nil
 }
 
-// emit appends a raw line to a feed at a timestamp (for ordering).
-func (d *Dataset) emit(source string, at time.Time, line string) {
-	d.feeds[source] = append(d.feeds[source], timedLine{at: at, line: line})
+// emit appends a rendered line to a source's feed, stamped with its record
+// time for ordering, and takes the line's buffer back as d.buf.
+func (d *Dataset) emit(source string, at time.Time, line []byte) {
+	f := d.feeds[source]
+	if f == nil {
+		f = &feed{}
+		d.feeds[source] = f
+	}
+	// at.Sub would be the same offset, at twice the cost per line.
+	start := d.Config.Start
+	off := time.Duration(at.Unix()-start.Unix())*time.Second + time.Duration(at.Nanosecond()-start.Nanosecond())
+	if !f.add(off, line) && d.err == nil {
+		d.err = fmt.Errorf("simnet: the %s feed exceeds 4 GiB (shorten Duration)", source)
+	}
+	d.buf = line[:0]
 }
 
 // TruthBreakdown tallies the ground truth of one study as percentages.

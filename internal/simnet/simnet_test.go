@@ -3,6 +3,7 @@ package simnet
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,6 +51,34 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if c.Feeds[collector.SourceSyslog] == a.Feeds[collector.SourceSyslog] {
 		t.Error("different seeds produced identical syslog")
+	}
+}
+
+// TestGenerateConcurrent runs eight Generates at once: a Dataset shares no
+// mutable state with another, so the race detector stays quiet (with a
+// package-level zone cache it reports a race in most -race runs), and each
+// renders the golden bytes.
+func TestGenerateConcurrent(t *testing.T) {
+	g := goldenConfigs[0]
+	var digests [8]string
+	var wg sync.WaitGroup
+	for i := range digests {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, err := Generate(g.cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			digests[i] = datasetDigest(d)
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range digests {
+		if got != g.digest {
+			t.Errorf("run %d: digest = %s, want %s", i, got, g.digest)
+		}
 	}
 }
 

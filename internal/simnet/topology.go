@@ -228,11 +228,11 @@ func (d *Dataset) buildTopology() error {
 	return nil
 }
 
-// perList returns all provider-edge router names, sorted.
-func (d *Dataset) perList() []string {
+// routersWhere returns the names of the routers keep accepts, sorted.
+func (d *Dataset) routersWhere(keep func(*netmodel.Router) bool) []string {
 	var out []string
 	for _, name := range d.Topo.RouterNames() {
-		if d.Topo.Routers[name].Role == netmodel.RoleProviderEdge {
+		if keep(d.Topo.Routers[name]) {
 			out = append(out, name)
 		}
 	}
