@@ -4,8 +4,33 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// repo is the module this package lints, loaded once for every test that
+// type-checks the whole of it: the Loader caches each package it checks,
+// so a second test's Load of the same path costs nothing.
+var repo struct {
+	once  sync.Once
+	l     *Loader
+	paths []string // Walk's
+	err   error
+}
+
+// loadRepo returns the shared loader over the module and its Walk.
+func loadRepo(t *testing.T) (*Loader, []string) {
+	t.Helper()
+	repo.once.Do(func() {
+		if repo.l, repo.err = NewLoader("../.."); repo.err == nil {
+			repo.paths, repo.err = repo.l.Walk()
+		}
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.l, repo.paths
+}
 
 // TestWalkCoversInternalPackages is the regression gate for the loader
 // satellite: every directory under internal/ that holds non-test Go
@@ -13,14 +38,7 @@ import (
 // that silently skips a package (as a stale importer could after the
 // PR 4–6 package additions) makes grcalint report "clean" vacuously.
 func TestWalkCoversInternalPackages(t *testing.T) {
-	l, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := l.Walk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, paths := loadRepo(t)
 	seen := map[string]bool{}
 	for _, p := range paths {
 		seen[p] = true
@@ -28,7 +46,7 @@ func TestWalkCoversInternalPackages(t *testing.T) {
 
 	root := filepath.Join("..", "..")
 	var wantPkgs []string
-	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

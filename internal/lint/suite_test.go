@@ -160,14 +160,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	l, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := l.Walk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, paths := loadRepo(t)
 	var passes []*Pass
 	for _, p := range paths {
 		pkg, err := l.Load(p)

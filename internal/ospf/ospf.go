@@ -75,7 +75,6 @@ type Sim struct {
 	links   []linkEnds       // link number → ID and endpoint router numbers
 	base    []int            // link number → weight at the beginning of time
 	hist    [][]weightPoint  // link number → sorted weight timeline
-	log     []WeightChange   // global ordered change feed
 
 	// clock numbers the routing epochs of the weight-change log: within
 	// one epoch every SPF answer is provably constant (see EpochAt).
@@ -197,7 +196,6 @@ func (s *Sim) SetWeight(at time.Time, id string, w int) error {
 		return nil // no-op refresh; OSPF re-floods identical LSAs periodically
 	}
 	s.hist[i] = append(tl, weightPoint{at: at, w: w})
-	s.log = append(s.log, WeightChange{At: at, LinkID: id, Old: old, New: w})
 	s.clock.Record(at)
 	return nil
 }

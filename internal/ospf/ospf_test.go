@@ -160,11 +160,8 @@ func TestWeightTimeline(t *testing.T) {
 	if w := sim.WeightAt("ab", t2.Add(time.Minute)); w != 10 {
 		t.Errorf("weight after revert = %d, want 10", w)
 	}
-	if got := len(sim.log); got != 2 {
-		t.Errorf("change log length = %d, want 2", got)
-	}
-	if c := sim.log[0]; c.Old != 10 || c.New != 50 || c.LinkID != "ab" {
-		t.Errorf("first change = %+v", c)
+	if got := sim.Clock().Len(); got != 2 {
+		t.Errorf("%d changes recorded, want 2", got)
 	}
 }
 
@@ -180,12 +177,12 @@ func TestSetWeightValidation(t *testing.T) {
 		t.Error("accepted out-of-order change")
 	}
 	// Identical re-flood is a silent no-op.
-	n := len(sim.log)
+	n := sim.Clock().Len()
 	if err := sim.SetWeight(t0.Add(2*time.Hour), "ab", 50); err != nil {
 		t.Fatal(err)
 	}
-	if len(sim.log) != n {
-		t.Error("no-op refresh appended to change log")
+	if sim.Clock().Len() != n {
+		t.Error("no-op refresh recorded a change")
 	}
 }
 

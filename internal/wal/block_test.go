@@ -137,7 +137,7 @@ func TestMinimalRunWithinBound(t *testing.T) {
 	if int64(r.count) <= r.size/frameHeader {
 		t.Errorf("a minimal run of %d instances is %d bytes: the old bound holds it too, so it pins nothing", r.count, r.size)
 	}
-	got, err := readRun(run, r, 2)
+	got, err := readRun(run, r)
 	if err != nil || got[999] != ins[999] {
 		t.Fatalf("the minimal run does not parse back: %v", err)
 	}
@@ -179,7 +179,7 @@ func FuzzWALBlockFrame(f *testing.F) {
 		}
 		run := appendFrame(append([]byte(nil), magicFrame...), p)
 		r := runInfo{lo: s.first, hi: s.last + 1, count: s.count, size: int64(len(run)), crc: crc32.Checksum(run, castagnoli)}
-		got, err := readRun(run, r, 2)
+		got, err := readRun(run, r)
 		if err != nil {
 			t.Fatalf("a frame that decodes does not parse as a run: %v", err)
 		}

@@ -141,19 +141,17 @@ func TestCheckpointAdoptsJournalSegment(t *testing.T) {
 }
 
 // TestRestoreAllocatesPerFrame: a boot restores its checkpoint a run and
-// a window of frames at a time, so what it allocates is the restored
-// store's own heap and a window's scratch — never the live set decoded
-// whole (128 B an event for the instances alone) or a run file read
-// whole — and the store it restores is the live one. A window holds a
-// frame per decode worker, so the worker count is fixed: the figure is
-// the same on every machine.
+// a frame at a time, so what it allocates is the restored store's own
+// heap and one frame's scratch — never the live set decoded whole (128 B
+// an event for the instances alone) or a run file read whole — and the
+// store it restores is the live one.
 func TestRestoreAllocatesPerFrame(t *testing.T) {
 	const n = 200000
 	dir, live, _ := journalCheckpoint(t, n, 1000)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, st, _, err := OpenCheckpoint(dir, Options{ReplayWorkers: 4})
+	_, st, _, err := OpenCheckpoint(dir, Options{})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +161,8 @@ func TestRestoreAllocatesPerFrame(t *testing.T) {
 	}
 	per := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("%.1f B allocated per restored event", per)
-	if per > 50 {
-		t.Errorf("the restore allocated %.0f B per restored event, want ≤ 50", per)
+	if per > 45 {
+		t.Errorf("the restore allocated %.0f B per restored event, want ≤ 45", per)
 	}
 }
 

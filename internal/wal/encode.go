@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"grca/internal/event"
@@ -323,28 +324,33 @@ func (f *fileFrames) span(p []byte) (span, error) {
 	return span{id, id, 1}, err
 }
 
-// decode decodes a frame into dst, which has room for exactly the count
-// of s, the span the file's scan read of it.
-func (f *fileFrames) decode(p []byte, s span, dst []event.Instance) error {
+// decode decodes frame p, of the span s the file's scan read of it, into
+// dst's room, grown as needed, and returns the instances. A payload that
+// does not decode is named by its first ID.
+func (f *fileFrames) decode(dst []event.Instance, p []byte, s span) ([]event.Instance, error) {
+	dst = slices.Grow(dst[:0], s.count)[:s.count]
+	var err error
 	switch {
 	case f.block:
-		return decodeBlockFrame(p, dst)
+		err = decodeBlockFrame(p, dst)
 	case f.journal:
-		_, blk, err := journalEvents(p)
-		if err == nil {
+		var blk []byte
+		if _, blk, err = journalEvents(p); err == nil {
 			err = wire.DecodeEventBlockTo(dst, blk)
 		}
 		if err != nil {
-			return fmt.Errorf("wal: %v", err)
+			err = fmt.Errorf("wal: %v", err)
 		}
 		for i := range dst {
 			dst[i].ID = s.first + i
 		}
-		return nil
+	default:
+		dst[0], err = decodeRecord(p)
 	}
-	in, err := decodeRecord(p)
-	dst[0] = in
-	return err
+	if err != nil {
+		return dst, fmt.Errorf("record %d: %v", s.first, err)
+	}
+	return dst, nil
 }
 
 // StoreDigest returns a hex SHA-256 over the store's full dumped state —

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestParallelReplayDeterminism: recovery with 1, 2, and 8 decode
-// workers must produce byte-identical stores and identical recovery
-// reports, over a log that mixes a snapshot with a multi-segment tail.
-func TestParallelReplayDeterminism(t *testing.T) {
+// TestReplayDeterminism: recovery over a log that mixes a snapshot with a
+// multi-segment tail restores a byte-identical store, and every recovery
+// of it reports the same.
+func TestReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	ins := genEvents(41, 1200)
 	l, st, _, err := Open(dir, Options{SegmentBytes: 8 << 10})
@@ -27,20 +27,26 @@ func TestParallelReplayDeterminism(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if segs, _, err := listNumbered(walDir(dir), "seg-", ".log"); err != nil || len(segs) < 2 {
+		t.Fatalf("the tail is %d segments (%v), want several", len(segs), err)
+	}
 	want := StoreDigest(st)
 	var rec0 Recovery
-	for i, workers := range []int{1, 2, 8} {
-		l2, st2, rec, err := Open(dir, Options{ReplayWorkers: workers})
+	for i := range 2 {
+		l2, st2, rec, err := Open(dir, Options{})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("recovery %d: %v", i, err)
 		}
 		if got := StoreDigest(st2); got != want {
-			t.Fatalf("workers=%d: recovered digest differs from the original", workers)
+			t.Fatalf("recovery %d: recovered digest differs from the original", i)
+		}
+		if rec.SnapshotNext != 700 || rec.Replayed != 500 {
+			t.Fatalf("recovery %d: %+v, want the snapshot's 700 and 500 replayed", i, rec)
 		}
 		if i == 0 {
 			rec0 = rec
 		} else if rec != rec0 {
-			t.Fatalf("workers=%d: recovery report %+v differs from single-worker %+v", workers, rec, rec0)
+			t.Fatalf("recovery %d: report %+v differs from the first's %+v", i, rec, rec0)
 		}
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
@@ -48,10 +54,10 @@ func TestParallelReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelReplayCorruptRecordDeterministicError: corrupted block
-// bodies (intact frames and ID headers, gibberish events) must produce the
-// same fatal error for every worker count — the first one's.
-func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
+// TestReplayCorruptRecordError: corrupted block bodies (intact frames and
+// ID headers, gibberish events) make recovery fail, naming the first bad
+// group.
+func TestReplayCorruptRecordError(t *testing.T) {
 	dir := t.TempDir()
 	ins := genEvents(43, 80)
 	l, st, _, err := Open(dir, Options{})
@@ -98,16 +104,12 @@ func TestParallelReplayCorruptRecordDeterministicError(t *testing.T) {
 	if err := os.WriteFile(segs[0], patched, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var msgs []string
-	for _, workers := range []int{1, 8} {
-		_, _, _, err := Open(dir, Options{ReplayWorkers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: corrupt record recovered without error", workers)
-		}
-		msgs = append(msgs, err.Error())
+	_, _, _, err = Open(dir, Options{})
+	if err == nil {
+		t.Fatal("corrupt record recovered without error")
 	}
-	if msgs[0] != msgs[1] || !strings.Contains(msgs[0], "record 20:") {
-		t.Fatalf("error differs by worker count or is not the first bad group's:\n1: %s\n8: %s", msgs[0], msgs[1])
+	if !strings.Contains(err.Error(), "record 20:") {
+		t.Fatalf("the error is not the first bad group's: %v", err)
 	}
 }
 

@@ -206,11 +206,13 @@ func readManifest(path string) (manifest, error) {
 }
 
 // runScanner reads run files a frame at a time through a buffered reader
-// and a payload buffer it keeps from run to run: a restore holds one frame
-// of a run in memory, never the file.
+// and a payload buffer it keeps from run to run, and decodes them into
+// instances it keeps likewise: a restore holds one frame of a run in
+// memory, never the file.
 type runScanner struct {
 	br  *bufio.Reader
 	buf []byte
+	ins []event.Instance
 }
 
 // scan reads a run from r against the manifest entry that references it: its frames must hold exactly want.count records in either
@@ -276,144 +278,19 @@ func (sc *runScanner) scan(r io.Reader, want runInfo, ff *fileFrames, frame func
 	return nil
 }
 
-// slotEvents is how many instances a decode slot gathers before it is
-// decoded: a frame of them or more is a slot of its own, and smaller ones
-// (a legacy run's one-instance frames, small commit groups) share one.
-const slotEvents = 512
-
-// decodeSlot is one unit of a framePipe's decode: consecutive frames of
-// one file, copied off the scan, and the instances they decode to.
-type decodeSlot struct {
-	ff    fileFrames // the run's encoding
-	buf   []byte     // the frames' payloads, back to back
-	ends  []int      // where each frame's payload ends in buf
-	spans []span
-	held  int
-	ins   []event.Instance
-	err   error
-	done  chan struct{} // a worker's signal that ins, or err, is ready
-}
-
-func (sl *decodeSlot) decode() {
-	sl.ins = slices.Grow(sl.ins[:0], sl.held)[:sl.held]
-	from, at := 0, 0
-	for i, s := range sl.spans {
-		if err := sl.ff.decode(sl.buf[from:sl.ends[i]], s, sl.ins[at:at+s.count]); err != nil {
-			sl.err = fmt.Errorf("record %d: %v", s.first, err)
-			return
+// decodeRun reads one run from r through sc, checked against want, and
+// decodes each frame on the reading goroutine as the scan reads it, into
+// one frame's scratch that put is handed in ID order and that is reused
+// once put returns: a restore holds one frame decoded, whatever the
+// store's size.
+func (sc *runScanner) decodeRun(r io.Reader, want runInfo, put func([]event.Instance) error) error {
+	var ff fileFrames
+	return sc.scan(r, want, &ff, func(p []byte, s span) (err error) {
+		if sc.ins, err = ff.decode(sc.ins, p, s); err != nil {
+			return err
 		}
-		from, at = sl.ends[i], at+s.count
-	}
-}
-
-// framePipe decodes the frames a scan reads on worker goroutines and hands
-// them to put in ID order, through a ring of one decode slot per worker
-// and one more: while the oldest slot goes into the store, the workers
-// decode the slots behind it. Each slot's scratch is reused from slot to
-// slot, so what a restore holds decoded is the ring, whatever the store's
-// size. The scan and put run on the caller's goroutine.
-type framePipe struct {
-	ff   fileFrames // the encoding of the run being read
-	put  func([]event.Instance) error
-	ring []*decodeSlot
-	head int // the oldest slot handed to the workers
-	n    int // slots handed to the workers and not yet put
-	work chan *decodeSlot
-	wg   sync.WaitGroup
-}
-
-func newFramePipe(workers int, put func([]event.Instance) error) *framePipe {
-	workers = max(workers, 1)
-	// work has room for the whole ring, so that a dispatch never waits
-	// for a worker: only putOldest waits, for the slot it puts.
-	p := &framePipe{put: put, ring: make([]*decodeSlot, workers+1), work: make(chan *decodeSlot, workers+1)}
-	for i := range p.ring {
-		p.ring[i] = &decodeSlot{done: make(chan struct{}, 1)}
-	}
-	p.wg.Add(workers)
-	for range workers {
-		go func() {
-			defer p.wg.Done()
-			for sl := range p.work {
-				sl.decode()
-				sl.done <- struct{}{}
-			}
-		}()
-	}
-	return p
-}
-
-// filling is the slot the scan's frames go into.
-func (p *framePipe) filling() *decodeSlot { return p.ring[(p.head+p.n)%len(p.ring)] }
-
-// add is the scan's frame callback: it copies the frame into the filling
-// slot, and hands the slot to the workers once it holds slotEvents.
-func (p *framePipe) add(b []byte, s span) error {
-	sl := p.filling()
-	sl.buf = append(sl.buf, b...)
-	sl.ends = append(sl.ends, len(sl.buf))
-	sl.spans = append(sl.spans, s)
-	if sl.held += s.count; sl.held < slotEvents {
-		return nil
-	}
-	return p.dispatch()
-}
-
-// dispatch hands the filling slot, if it holds anything, to the workers;
-// with the ring full, the oldest slot goes into the store first, so that
-// one is free to fill.
-func (p *framePipe) dispatch() error {
-	sl := p.filling()
-	if sl.held == 0 {
-		return nil
-	}
-	sl.ff = p.ff
-	p.work <- sl
-	if p.n++; p.n < len(p.ring) {
-		return nil
-	}
-	return p.putOldest()
-}
-
-// putOldest waits for the oldest slot's decode and puts its instances.
-func (p *framePipe) putOldest() error {
-	sl := p.ring[p.head]
-	<-sl.done
-	p.head, p.n = (p.head+1)%len(p.ring), p.n-1
-	err := sl.err
-	if err == nil {
-		err = p.put(sl.ins)
-	}
-	sl.buf, sl.ends, sl.spans, sl.held, sl.err = sl.buf[:0], sl.ends[:0], sl.spans[:0], 0, nil
-	return err
-}
-
-// flush hands the filling slot to the workers and puts every slot handed
-// to them: everything added has been put when it returns nil. A slot
-// must not span two files, whose encodings may differ, so each file's
-// frames end with a flush.
-func (p *framePipe) flush() error {
-	err := p.dispatch()
-	for err == nil && p.n > 0 {
-		err = p.putOldest()
-	}
-	return err
-}
-
-// run reads one run from r through sc, checked against want, into the
-// pipe; every instance of it has been put when it returns nil.
-func (p *framePipe) run(sc *runScanner, r io.Reader, want runInfo) error {
-	p.ff = fileFrames{}
-	if err := sc.scan(r, want, &p.ff, p.add); err != nil {
-		return err
-	}
-	return p.flush()
-}
-
-// stop ends the workers once they have drained what was handed to them.
-func (p *framePipe) stop() {
-	close(p.work)
-	p.wg.Wait()
+		return put(sc.ins)
+	})
 }
 
 // withFile runs fn on the file at path, opened for reading.
@@ -452,26 +329,25 @@ func checkSnapshot(dir, path string, sc *runScanner) (manifest, error) {
 }
 
 // restoreSnapshot makes the snapshot at path st's whole content, a run at
-// a time and a few frames of it at a time: every run is checked
-// (checkSnapshot) before st is touched, then read again, decoded through
-// a framePipe and put into st through store.Memory.Replace. Nothing
-// materializes the whole live set, or a run file. unreadable says a failure is the snapshot's — a check,
-// or a decode, which leaves st empty — rather than st refusing an
-// instance it read.
-func restoreSnapshot(dir, path string, workers int, st *store.Memory) (m manifest, unreadable bool, err error) {
+// a time and a frame of it at a time: every run is checked
+// (checkSnapshot) before st is touched, then read again, decoded
+// (runScanner.decodeRun) and put into st through store.Memory.Replace.
+// Nothing materializes the whole live set, or a run file. unreadable says
+// a failure is the snapshot's — a check, or a decode, which leaves st
+// empty — rather than st refusing an instance it read.
+func restoreSnapshot(dir, path string, st *store.Memory) (m manifest, unreadable bool, err error) {
 	var sc runScanner
 	if m, err = checkSnapshot(dir, path, &sc); err != nil {
 		return m, true, err
 	}
 	var refused error
 	err = st.Replace(m.base, m.next, func(put func([]event.Instance) error) error {
-		p := newFramePipe(workers, func(ins []event.Instance) error {
+		keep := func(ins []event.Instance) error {
 			refused = put(ins)
 			return refused
-		})
-		defer p.stop()
+		}
 		for _, r := range m.runs {
-			err := withFile(runFile(dir, r), func(f *os.File) error { return p.run(&sc, f, r) })
+			err := withFile(runFile(dir, r), func(f *os.File) error { return sc.decodeRun(f, r, keep) })
 			if err != nil {
 				return fmt.Errorf("wal: %s: %v", runFile(dir, r), err)
 			}
@@ -490,13 +366,13 @@ func restoreSnapshot(dir, path string, workers int, st *store.Memory) (m manifes
 // a crash, corrupt, referencing a missing run, or in a format this code
 // does not read — is counted and skipped for the previous one: what it
 // covered is still in the files below it until a later snapshot succeeds.
-func loadCheckpoint(dir string, workers int, st *store.Memory, rec *Recovery) (m manifest, floor int, err error) {
+func loadCheckpoint(dir string, st *store.Memory, rec *Recovery) (m manifest, floor int, err error) {
 	snaps, nums, err := listNumbered(snapDir(dir), "snap-", ".snap")
 	if err != nil {
 		return m, 0, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		got, unreadable, err := restoreSnapshot(dir, snaps[i], workers, st)
+		got, unreadable, err := restoreSnapshot(dir, snaps[i], st)
 		if unreadable {
 			rec.SnapshotsSkipped++
 			mSnapUnreadable.Inc()
@@ -923,8 +799,7 @@ func compactSnap(dir string, cur manifest) (horizon int, err error) {
 // the store. Nothing is appended per batch: the journal holds each event
 // once, and a checkpoint links it.
 type Checkpointer struct {
-	dir     string
-	workers int // the run decode's, for Install
+	dir string
 
 	mu sync.Mutex // serializes Checkpoint; guards snap and floor
 	// snap is the latest durable manifest, floor the next-ID bound of the
@@ -947,11 +822,11 @@ func OpenCheckpoint(dir string, opts Options) (*Checkpointer, *store.Memory, Rec
 	if opts.Retention > 0 {
 		st.SetRetention(opts.Retention)
 	}
-	m, floor, err := loadCheckpoint(dir, opts.replayWorkers(), st, &rec)
+	m, floor, err := loadCheckpoint(dir, st, &rec)
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	return &Checkpointer{dir: dir, workers: opts.replayWorkers(), snap: m, floor: floor}, st, rec, nil
+	return &Checkpointer{dir: dir, snap: m, floor: floor}, st, rec, nil
 }
 
 // Checkpoint makes the store durable under snap/: a manifest over every
@@ -1014,7 +889,7 @@ func (c *Checkpointer) Install(w *ImageWriter, st *store.Memory) error {
 		return err
 	}
 	mSnapBytes.Add(n)
-	m, _, err := restoreSnapshot(c.dir, snapFile(c.dir, w.m.next), c.workers, st)
+	m, _, err := restoreSnapshot(c.dir, snapFile(c.dir, w.m.next), st)
 	if err != nil {
 		return err
 	}

@@ -798,7 +798,7 @@ func unreadablePairs(t testing.TB, dir string) map[string][2][]byte {
 	headed := append(oldRunHeader(r.lo, r.hi, r.count), run...)
 	r.size, r.crc = int64(len(headed)), crc32.Checksum(headed, castagnoli)
 	old.runs = []runInfo{r}
-	ins, err := readRun(run, m.runs[0], 2)
+	ins, err := readRun(run, m.runs[0])
 	if err != nil || len(ins) < 2 {
 		t.Fatalf("the run reads back %d instances (%v)", len(ins), err)
 	}
@@ -926,7 +926,7 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := readRun(data, r, 2)
+				got, err := readRun(data, r)
 				if err != nil {
 					t.Fatalf("%s against its entry %+v: %v", path, r, err)
 				}
@@ -971,16 +971,14 @@ func TestAdoptedRunMatchesWrittenRun(t *testing.T) {
 }
 
 // readRun reads a run's bytes as a restore reads a run file: scanned
-// against want, then scanned again and decoded a window at a time.
-func readRun(data []byte, want runInfo, workers int) ([]event.Instance, error) {
+// against want, then scanned again and decoded a frame at a time.
+func readRun(data []byte, want runInfo) ([]event.Instance, error) {
 	var sc runScanner
 	if err := sc.scan(bytes.NewReader(data), want, new(fileFrames), func([]byte, span) error { return nil }); err != nil {
 		return nil, err
 	}
 	var got []event.Instance
-	p := newFramePipe(workers, func(ins []event.Instance) error { got = append(got, ins...); return nil })
-	defer p.stop()
-	err := p.run(&sc, bytes.NewReader(data), want)
+	err := sc.decodeRun(bytes.NewReader(data), want, func(ins []event.Instance) error { got = append(got, ins...); return nil })
 	return got, err
 }
 
@@ -1071,7 +1069,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// restores checks that a run the reader accepted against want is one
 	// the store takes back.
 	restores := func(t *testing.T, run []byte, want runInfo) {
-		if dst, err := readRun(run, want, 2); err == nil {
+		if dst, err := readRun(run, want); err == nil {
 			if err := store.New().Replace(want.lo, want.hi, func(put func([]event.Instance) error) error { return put(dst) }); err != nil {
 				t.Fatalf("a run the reader accepted does not restore: %v", err)
 			}

@@ -150,11 +150,6 @@ type Options struct {
 	// exactly as the original run did — recovering with a different
 	// retention than the log was written under yields a different store.
 	Retention time.Duration
-	// ReplayWorkers is the number of goroutines decoding frames during
-	// recovery (segments and snapshot alike). The frame scan and the
-	// store applies stay sequential, so the recovered store is
-	// byte-identical for every worker count. Zero means GOMAXPROCS.
-	ReplayWorkers int
 }
 
 func (o *Options) defaults() {
@@ -542,7 +537,7 @@ const maxPendKept = 1 << 16
 // the cut of a torn tail. tail is the last segment read and kept; reopen
 // says it may take the next appends.
 func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
-	if l.snap, _, err = loadCheckpoint(l.dir, l.opts.replayWorkers(), l.st, &rec); err != nil {
+	if l.snap, _, err = loadCheckpoint(l.dir, l.st, &rec); err != nil {
 		return rec, tail, false, err
 	}
 	segs, firsts, err := listNumbered(walDir(l.dir), "seg-", ".log")
@@ -560,6 +555,7 @@ func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
 	expected := rec.SnapshotNext // next ID the store will assign
 	tailLinked := false          // tail shares its inode with a run
 	var tailFrames fileFrames    // the tail's encoding
+	var ins []event.Instance     // one frame's decode, reused
 	torn := false
 	for i, path := range segs {
 		if torn {
@@ -596,13 +592,10 @@ func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
 		if err != nil {
 			return rec, tail, false, err
 		}
-		// Replay in three stages: a sequential frame scan (CRC checks,
-		// torn-tail detection, skip-or-replay by each frame's first and
-		// last ID), parallel frame decoding, and sequential in-order store
-		// applies of the instances at or above expected — a frame may
-		// straddle it — so the recovered store is byte-identical for any
-		// worker count.
-		var pend []pendFrame
+		// Replay is one pass over the frames: each is checked (CRC, torn
+		// tail, IDs ascending), and one whose last ID is at or above
+		// expected is decoded as it is read and its instances from
+		// expected on — a frame may straddle it — put into the store.
 		rest := data
 		// An empty segment resumes at its name: first > last says so.
 		tail, tailLinked, tailFrames = segInfo{path: path, first: firsts[i], last: firsts[i] - 1}, linked != "", fileFrames{}
@@ -634,68 +627,32 @@ func (l *Log) replay() (rec Recovery, tail segInfo, reopen bool, err error) {
 				tail.last = s.last
 				tail.count += s.count
 				if s.last >= expected {
-					pend = append(pend, pendFrame{payload, s})
+					if ins, err = tailFrames.decode(ins, payload, s); err != nil {
+						// Framing intact but the payload is gibberish — not
+						// a torn write: refuse to guess.
+						return rec, tail, false, fmt.Errorf("wal: %s %v", path, err)
+					}
+					// IDs ascend, so what the store already holds is a
+					// prefix; the rest goes in with one PutAll, whose error
+					// names the refused ID.
+					fresh := ins
+					for fresh[0].ID < expected {
+						fresh = fresh[1:]
+					}
+					if err := l.st.PutAll(fresh); err != nil {
+						return rec, tail, false, fmt.Errorf("wal: %s replay: %v", path, err)
+					}
+					rec.Replayed += len(fresh)
+					expected = s.last + 1
 				}
 			}
 			tail.size += int64(frameHeader + len(payload))
 			rest = r2
 		}
 		tail.crc = crc32.Checksum(data[:tail.size], castagnoli)
-		if err := l.replayFrames(path, &tailFrames, pend, &expected, &rec); err != nil {
-			return rec, tail, false, err
-		}
 	}
 	l.nextSeq = expected
 	l.sinceSnap = expected - rec.SnapshotNext
 	reopen = tail.path != "" && tail.last+1 == l.nextSeq && (torn || !tailLinked) && (tailFrames.block || tail.size == 0)
 	return rec, tail, reopen, nil
-}
-
-// pendFrame is a frame recovery's scan kept for replay.
-type pendFrame struct {
-	payload []byte
-	span
-}
-
-// replayFrames decodes frames of the file at path on the workers of a
-// framePipe — as a checkpoint restore does, so a segment never lies
-// decoded in memory whole — and puts every instance at or above
-// *expected into the store in ID order.
-func (l *Log) replayFrames(path string, ff *fileFrames, frames []pendFrame, expected *int, rec *Recovery) error {
-	var refused error
-	p := newFramePipe(l.opts.replayWorkers(), func(ins []event.Instance) error {
-		// IDs ascend, so what the store already holds is a prefix; the
-		// rest goes in with one PutAll, whose error names the refused ID.
-		i := 0
-		for i < len(ins) && ins[i].ID < *expected {
-			i++
-		}
-		if i == len(ins) {
-			return nil
-		}
-		if refused = l.st.PutAll(ins[i:]); refused != nil {
-			return refused
-		}
-		rec.Replayed += len(ins) - i
-		*expected = ins[len(ins)-1].ID + 1
-		return nil
-	})
-	defer p.stop()
-	p.ff = *ff
-	var err error
-	for i := 0; i < len(frames) && err == nil; i++ {
-		err = p.add(frames[i].payload, frames[i].span)
-	}
-	if err == nil {
-		err = p.flush()
-	}
-	switch {
-	case refused != nil:
-		return fmt.Errorf("wal: %s replay: %v", path, refused)
-	case err != nil:
-		// Framing intact but the payload is gibberish — not a torn
-		// write, refuse to guess.
-		return fmt.Errorf("wal: %s %v", path, err)
-	}
-	return nil
 }

@@ -17,7 +17,9 @@
 # its one-shot shipping path, so that every batch is written once, to the
 # journal, and the gates test the path the server runs, and one that keeps
 # each journal format's one codec in internal/wal: the record envelope and
-# its kinds, and the checkpoint image a follower writes into its snap/.
+# its kinds, and the checkpoint image a follower writes into its snap/,
+# and one that keeps internal/wal's reads and writes on their caller's
+# goroutine.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -120,6 +122,16 @@ echo "== one journal codec =="
 if git grep -nE '^\s*(const\s+)?(rec[A-Z]\w*|\w*Journal\w*Kind)\s+(byte\s+)?=|[^=!<>:]=\s*wal\.Journal\w*Kind\b|\bImageDecoder\b|\bJournalSeq\(' -- \
     '*.go' ':!*_test.go' ':!internal/wal'; then
   echo "journal record kind or second journal codec outside internal/wal (above): read and write records through wal.ParseJournalRecord/AppendJournalRecord, checkpoints through wal.ImageWriter" >&2
+  fail=1
+fi
+
+echo "== wal starts no goroutine =="
+# A restore and a replay decode each frame on the goroutine that reads
+# it, into one frame's scratch. A go statement in internal/wal is a
+# decode pipe — a ring of decoded frames and workers to stop on every
+# error path — or another background worker coming back.
+if git grep -nE '^\s*go [a-zA-Z(]' -- internal/wal ':!*_test.go'; then
+  echo "go statement in internal/wal (above): decode and write on the caller's goroutine" >&2
   fail=1
 fi
 
