@@ -1,7 +1,8 @@
 // Package rollup maintains the pre-computed aggregates behind the live
 // Result Browser (paper §II-F): per-application root-cause breakdown
-// counters, time-binned trend series for events and causes, and a
-// bounded ring of recent diagnoses for streaming. Aggregates are updated
+// counters and time-binned trend series for events and causes. (The
+// stream of recent diagnoses is not an aggregate; the server's SSE hub
+// keeps it.) Aggregates are updated
 // incrementally on the ingest/diagnose path — store append/evict hooks
 // feed the event bins, the realtime processor's diagnosis fan-out feeds
 // the cause counters — so the breakdown and trend endpoints answer from
@@ -27,7 +28,7 @@
 // at drain time even if the evidence supporting it has since been
 // evicted. A third, evidence that arrives after the symptom it explains
 // has drained, is the caller's to repair by counting again
-// (CountDiagnosis replaces a counted label); the server does it on the
+// (AddDiagnosis replaces a counted label); the server does it on the
 // next read after an out-of-order arrival.
 package rollup
 
@@ -50,20 +51,10 @@ var (
 	mEvictedDiag  = obs.GetCounter("rollup.evicted.diagnoses")
 )
 
-// Config sizes a Rollup.
-type Config struct {
-	// RecentSize bounds the ring of recent diagnoses kept for the SSE
-	// stream's replay catch-up (default 256).
-	RecentSize int
-}
-
-// Entry is one diagnosis in the recent ring. Seq increases by one per
-// live diagnosis and orders the SSE stream.
-type Entry struct {
-	Seq int64
-	App string
-	D   engine.Diagnosis
-}
+// Config configures a Rollup. It has no fields, since a rollup holds only
+// aggregates; it is kept, empty, because the benchmark (bench/) builds
+// its rollups with rollup.New(rollup.Config{}).
+type Config struct{}
 
 // baseBin is the width of the trend bins. Trend queries may aggregate to
 // any multiple of it.
@@ -116,27 +107,15 @@ type appAgg struct {
 // Safe for concurrent use: writers are the store hooks and diagnosis
 // fan-out, readers the HTTP handlers.
 type Rollup struct {
-	recentSize int
-
 	mu sync.RWMutex
 	// events: event name → base bin → count.
 	events map[string]bins
 	apps   map[string]*appAgg
-	recent []Entry // fixed-size ring once full
-	next   int     // ring write position
-	seq    int64
 }
 
 // New returns an empty rollup.
-func New(cfg Config) *Rollup {
-	if cfg.RecentSize <= 0 {
-		cfg.RecentSize = 256
-	}
-	return &Rollup{
-		recentSize: cfg.RecentSize,
-		events:     map[string]bins{},
-		apps:       map[string]*appAgg{},
-	}
+func New(Config) *Rollup {
+	return &Rollup{events: map[string]bins{}, apps: map[string]*appAgg{}}
 }
 
 // Bin returns the base bin width, one minute. Trend queries must use a
@@ -179,8 +158,7 @@ func (r *Rollup) SeedEvents(st store.Store) {
 
 // Reset forgets every binned event and counted diagnosis, for a store
 // whose content was replaced wholesale (a replica loading a checkpoint):
-// seed again from the new content. The recent ring and its sequence stay
-// — stream cursors held by clients must keep ascending.
+// seed again from the new content.
 func (r *Rollup) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -226,10 +204,14 @@ func (a *appAgg) uncount(id int, label string, k minute) {
 	}
 }
 
-// countLocked counts (or re-counts) one diagnosis for app. A symptom
-// already counted has its label replaced — the later diagnosis saw at
-// least as much evidence (seed-then-drain ordering).
-func (r *Rollup) countLocked(app string, d engine.Diagnosis) {
+// AddDiagnosis counts (or re-counts) one diagnosis for app in the
+// breakdown and cause-trend counters. A symptom already counted has its
+// label replaced — the later diagnosis saw at least as much evidence
+// (seed-then-drain ordering). Both the startup seed and the realtime
+// processor's OnDiagnosis fan-out count through it.
+func (r *Rollup) AddDiagnosis(app string, d engine.Diagnosis) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	a := r.app(app)
 	id := d.Symptom.ID
 	k := minuteOf(d.Symptom.Start)
@@ -251,66 +233,6 @@ func (r *Rollup) countLocked(app string, d engine.Diagnosis) {
 	}
 	cs.total++
 	cs.bins[k]++
-}
-
-// CountDiagnosis folds one diagnosis into the breakdown and cause-trend
-// counters without touching the recent ring — the seed path, where
-// startup diagnoses every stored root symptom to establish the
-// invariant before live traffic resumes.
-func (r *Rollup) CountDiagnosis(app string, d engine.Diagnosis) {
-	r.mu.Lock()
-	r.countLocked(app, d)
-	r.mu.Unlock()
-}
-
-// AddDiagnosis is CountDiagnosis plus a push onto the recent ring; it
-// returns the diagnosis' stream sequence number. This is the realtime
-// processor's OnDiagnosis fan-out target.
-func (r *Rollup) AddDiagnosis(app string, d engine.Diagnosis) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.countLocked(app, d)
-	r.seq++
-	e := Entry{Seq: r.seq, App: app, D: d}
-	if len(r.recent) < r.recentSize {
-		r.recent = append(r.recent, e)
-	} else {
-		r.recent[r.next] = e
-	}
-	r.next = (r.next + 1) % r.recentSize
-	return r.seq
-}
-
-// LastSeq returns the sequence number of the newest ring entry (0 before
-// any live diagnosis).
-func (r *Rollup) LastSeq() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.seq
-}
-
-// RecentSince returns up to limit ring entries with Seq > after, oldest
-// first — the SSE replay catch-up. limit <= 0 means no limit.
-func (r *Rollup) RecentSince(after int64, limit int) []Entry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Entry
-	n := len(r.recent)
-	start := 0
-	if n == r.recentSize {
-		start = r.next // oldest slot once the ring wrapped
-	}
-	for i := 0; i < n; i++ {
-		e := r.recent[(start+i)%n]
-		if e.Seq <= after {
-			continue
-		}
-		if limit > 0 && len(out) == limit {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // BreakdownCounts returns the per-label counts and total for app's

@@ -48,7 +48,7 @@ func TestBreakdownMatchesBatch(t *testing.T) {
 	for i, sym := range syms {
 		d := diag(sym, labels[i])
 		ds = append(ds, d)
-		r.CountDiagnosis("app", d)
+		r.AddDiagnosis("app", d)
 	}
 
 	counts, total := r.BreakdownCounts("app", time.Time{}, nil)
@@ -69,8 +69,8 @@ func TestRecountReplacesLabel(t *testing.T) {
 	r := New(Config{})
 	sym := st.Add(event.Instance{Name: "sym", Start: t0, End: t0.Add(time.Second)})
 
-	r.CountDiagnosis("app", diag(sym, ""))
-	r.CountDiagnosis("app", diag(sym, "link down"))
+	r.AddDiagnosis("app", diag(sym, ""))
+	r.AddDiagnosis("app", diag(sym, "link down"))
 	counts, total := r.BreakdownCounts("app", time.Time{}, nil)
 	if total != 1 {
 		t.Fatalf("total = %d after recount, want 1", total)
@@ -86,7 +86,7 @@ func TestExtraMerge(t *testing.T) {
 	st := store.New()
 	r := New(Config{})
 	syms := fill(st, "sym", 3, t0, time.Hour)
-	r.CountDiagnosis("app", diag(syms[0], "link down"))
+	r.AddDiagnosis("app", diag(syms[0], "link down"))
 
 	extra := []engine.Diagnosis{
 		diag(syms[0], "maintenance"), // already counted: must be skipped
@@ -181,7 +181,7 @@ func TestCauseTrendParity(t *testing.T) {
 		d := diag(sym, label)
 		ds = append(ds, d)
 		if i < 8 {
-			r.CountDiagnosis("app", d)
+			r.AddDiagnosis("app", d)
 		}
 	}
 	extra := ds[8:] // still pending: merged at read time
@@ -220,38 +220,6 @@ func TestSeedEventsEqualsHooks(t *testing.T) {
 	}
 }
 
-// TestRecentRing: the ring keeps the last RecentSize diagnoses in order,
-// RecentSince filters by sequence and honors the limit.
-func TestRecentRing(t *testing.T) {
-	st := store.New()
-	r := New(Config{RecentSize: 4})
-	syms := fill(st, "sym", 10, t0, time.Minute)
-	for _, sym := range syms {
-		r.AddDiagnosis("app", diag(sym, "link down"))
-	}
-	if got := r.LastSeq(); got != 10 {
-		t.Fatalf("LastSeq = %d, want 10", got)
-	}
-	es := r.RecentSince(0, 0)
-	if len(es) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(es))
-	}
-	for i, e := range es {
-		if want := int64(7 + i); e.Seq != want {
-			t.Errorf("entry %d seq = %d, want %d (oldest-first)", i, e.Seq, want)
-		}
-	}
-	if es := r.RecentSince(8, 0); len(es) != 2 || es[0].Seq != 9 {
-		t.Errorf("RecentSince(8) = %+v", es)
-	}
-	if es := r.RecentSince(0, 2); len(es) != 2 || es[0].Seq != 7 {
-		t.Errorf("RecentSince(0, 2) = %+v", es)
-	}
-	if es := r.RecentSince(10, 0); len(es) != 0 {
-		t.Errorf("RecentSince(last) returned %d entries", len(es))
-	}
-}
-
 // TestTrendAtTheEdges: minute keys cover every instant a store holds. A
 // store's first and last representable minutes, event.MinTime and
 // event.MaxTime, trend and break down exactly as browser.Trend,
@@ -275,7 +243,7 @@ func TestTrendAtTheEdges(t *testing.T) {
 			sym := st.Add(event.Instance{Name: "sym", Start: at, End: at})
 			d := diag(sym, []string{"link down", "maintenance"}[i%2])
 			ds = append(ds, d)
-			r.CountDiagnosis("app", d)
+			r.AddDiagnosis("app", d)
 		}
 		to := from.Add(5*time.Minute - time.Nanosecond)
 		for _, bin := range []time.Duration{time.Minute, 2 * time.Minute} {
@@ -309,7 +277,7 @@ func TestEvictUnbinnedIsNoOp(t *testing.T) {
 	r := New(Config{})
 	st.OnAppend(r.ObserveEvent)
 	sym := st.Add(event.Instance{Name: "sym", Start: t0, End: t0})
-	r.CountDiagnosis("app", diag(sym, "link down"))
+	r.AddDiagnosis("app", diag(sym, "link down"))
 	later := t0.Add(5 * time.Minute)
 	r.EvictEvents([]store.Evicted{
 		{ID: 100, Name: "sym", Start: later.UnixNano()},

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -12,7 +12,6 @@ import (
 	"grca/internal/engine"
 	"grca/internal/locus"
 	"grca/internal/obs"
-	"grca/internal/rollup"
 )
 
 // The live Result Browser (paper §II-F): breakdown tables, trending,
@@ -28,17 +27,6 @@ var mBrowserSecs = obs.GetHistogram("server.http.browser.seconds", obs.LatencyBu
 type StreamDiagnosisJSON struct {
 	Seq int64 `json:"seq"`
 	DiagnosisJSON
-}
-
-// streamFrame renders one ring entry as a complete SSE frame.
-func streamFrame(e rollup.Entry) []byte {
-	dj := diagnosisJSON(e.D)
-	dj.App = e.App
-	body, err := json.Marshal(StreamDiagnosisJSON{Seq: e.Seq, DiagnosisJSON: dj})
-	if err != nil {
-		return nil
-	}
-	return []byte(fmt.Sprintf("id: %d\nevent: diagnosis\ndata: %s\n\n", e.Seq, body))
 }
 
 // browserApp resolves the app query parameter to the served application,
@@ -312,15 +300,21 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	out := []StreamDiagnosisJSON{}
-	for _, e := range s.roll.RecentSince(after, limit) {
-		dj := diagnosisJSON(e.D)
-		dj.App = e.App
-		out = append(out, StreamDiagnosisJSON{Seq: e.Seq, DiagnosisJSON: dj})
+	entries, last := s.hub.since(after, limit)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// writeJSON's bytes for {"diagnoses":[…],"last_seq":N}, written around
+	// each entry's own (encoding/json would re-compact them). A failed
+	// write means the client left, which changes nothing here.
+	io.WriteString(w, `{"diagnoses":[`)
+	for i, e := range entries {
+		if i > 0 {
+			io.WriteString(w, ",")
+		}
+		_, body := e.render()
+		w.Write(body)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"last_seq": s.roll.LastSeq(), "diagnoses": out,
-	})
+	io.WriteString(w, `],"last_seq":`+strconv.FormatInt(last, 10)+"}\n")
 }
 
 // handleStream serves GET /v1/stream: fresh diagnoses over SSE. A client
@@ -337,7 +331,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	after := int64(-1)
+	after, replay := int64(-1), -1
 	if v := q.Get("after"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
@@ -352,30 +346,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "bad replay %q", v)
 			return
 		}
-		if after = s.roll.LastSeq() - int64(n); after < 0 {
-			after = 0
-		}
+		replay = n
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	// Subscribe before replaying so nothing published in between is
-	// lost; duplicates from that overlap are dropped by sequence below.
-	c := s.hub.subscribe()
+	c, backlog := s.hub.subscribe(after, replay)
 	defer s.hub.unsubscribe(c)
-	last := int64(0)
-	if after >= 0 {
-		last = after
-		for _, e := range s.roll.RecentSince(after, 0) {
-			if _, err := w.Write(streamFrame(e)); err != nil {
-				return
-			}
-			last = e.Seq
+	for _, e := range backlog {
+		frame, _ := e.render()
+		if _, err := w.Write(frame); err != nil {
+			return
 		}
-	} else {
-		last = s.roll.LastSeq()
 	}
 	flusher.Flush()
 
@@ -383,17 +367,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer heartbeat.Stop()
 	for {
 		select {
-		case m, ok := <-c.ch:
+		case e, ok := <-c.ch:
 			if !ok {
 				return // evicted as a slow consumer
 			}
-			if m.seq <= last {
-				continue
-			}
-			if _, err := w.Write(m.frame); err != nil {
+			frame, _ := e.render()
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
-			last = m.seq
 			flusher.Flush()
 		case <-heartbeat.C:
 			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {

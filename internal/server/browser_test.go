@@ -15,6 +15,7 @@ import (
 
 	"grca/internal/apps"
 	"grca/internal/browser"
+	"grca/internal/engine"
 	"grca/internal/event"
 	"grca/internal/platform"
 	"grca/internal/simnet"
@@ -273,10 +274,10 @@ func TestResultBrowser(t *testing.T) {
 			}
 			close(lines)
 		}()
-		for i := 0; !s.hub.active() && i < 500; i++ {
+		for i := 0; subscribers(s.hub) == 0 && i < 500; i++ {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if !s.hub.active() {
+		if subscribers(s.hub) == 0 {
 			t.Fatal("stream client never subscribed")
 		}
 
@@ -385,14 +386,14 @@ func TestResultBrowser(t *testing.T) {
 // clients keep receiving.
 func TestSSESlowConsumerEviction(t *testing.T) {
 	h := newSSEHub()
-	slow := h.subscribe()
-	if !h.active() {
+	slow, _ := h.subscribe(-1, -1)
+	if subscribers(h) != 1 {
 		t.Fatal("hub inactive with a subscriber")
 	}
 	done := make(chan struct{})
 	go func() { // must never block, no matter how far behind slow is
 		for i := 1; i <= sseClientBuf+10; i++ {
-			h.publish(int64(i), []byte("frame"))
+			h.publish("app", engine.Diagnosis{})
 		}
 		close(done)
 	}()
@@ -409,22 +410,32 @@ func TestSSESlowConsumerEviction(t *testing.T) {
 	if got != sseClientBuf {
 		t.Errorf("slow client buffered %d frames, want %d", got, sseClientBuf)
 	}
-	if h.active() {
+	if subscribers(h) != 0 {
 		t.Error("evicted client still counted as subscribed")
 	}
 	h.unsubscribe(slow) // the handler's deferred detach: must not double-close
 
-	fresh := h.subscribe()
-	h.publish(99, []byte("after"))
+	fresh, backlog := h.subscribe(-1, -1)
+	if len(backlog) != 0 {
+		t.Errorf("a live-only client was handed %d ring entries", len(backlog))
+	}
+	h.publish("app", engine.Diagnosis{})
 	select {
 	case m := <-fresh.ch:
-		if m.seq != 99 {
-			t.Errorf("fresh client got seq %d", m.seq)
+		if want := int64(sseClientBuf + 11); m.seq != want {
+			t.Errorf("fresh client got seq %d, want %d", m.seq, want)
 		}
 	default:
 		t.Error("fresh client received nothing after the eviction")
 	}
 	h.unsubscribe(fresh)
+}
+
+// subscribers counts the hub's connected clients.
+func subscribers(h *sseHub) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.clients)
 }
 
 // TestEventsPaginationBounded: /v1/events answers in bounded pages no

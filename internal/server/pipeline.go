@@ -327,8 +327,9 @@ type Server struct {
 	// installServing (finalize, or recovery of a finalized data dir).
 	serving atomic.Pointer[serving]
 
-	// roll holds the Result Browser's incremental aggregates; hub fans
-	// streaming diagnoses out to SSE clients. Both exist from Open on.
+	// roll holds the Result Browser's incremental aggregates; hub owns
+	// the diagnosis stream: its sequence, its replay ring and its SSE
+	// clients. Both exist from Open on.
 	roll *rollup.Rollup
 	hub  *sseHub
 
@@ -773,14 +774,12 @@ func (s *Server) installServing(rebuildTail bool) error {
 	for i := range sv.apps {
 		s.countAll(&sv.apps[i])
 	}
-	// Fan live diagnoses out to the rollup counters, the recent ring, and
-	// the SSE stream. Installed after the tail replay so its emissions
-	// (already served before the crash) don't reach the ring.
+	// Fan live diagnoses out to the rollup counters and the stream's hub.
+	// Installed after the tail replay so its emissions (already served
+	// before the crash) don't reach the stream.
 	sv.proc.OnDiagnosis = func(app string, d engine.Diagnosis) {
-		seq := s.roll.AddDiagnosis(app, d)
-		if s.hub.active() {
-			s.hub.publish(seq, streamFrame(rollup.Entry{Seq: seq, App: app, D: d}))
-		}
+		s.roll.AddDiagnosis(app, d)
+		s.hub.publish(app, d)
 	}
 	s.serving.Store(sv)
 	return nil
@@ -790,7 +789,7 @@ func (s *Server) installServing(rebuildTail bool) error {
 // symptom of a.
 func (s *Server) countAll(a *servedApp) {
 	for _, d := range a.eng.DiagnoseAllParallel(0) {
-		s.roll.CountDiagnosis(a.Name, d)
+		s.roll.AddDiagnosis(a.Name, d)
 	}
 }
 

@@ -168,7 +168,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "unknown source %q", b.Source)
 				return
 			}
-			t = feedTask(b.Source, []byte(b.Lines))
+			t = feedTask(b.Source, b.Lines)
 		case wire.KindEvents:
 			if len(b.Events) == 0 {
 				writeErr(w, http.StatusBadRequest, "empty event batch")

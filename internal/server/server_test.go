@@ -35,7 +35,7 @@ var feedOrder = []string{
 	collector.SourceServer,
 }
 
-func testBundle(t *testing.T) (*simnet.Dataset, platform.Bundle) {
+func testBundle(t testing.TB) (*simnet.Dataset, platform.Bundle) {
 	t.Helper()
 	d, err := simnet.Generate(simnet.Config{
 		Seed: 7, PoPs: 2, PERsPerPoP: 2, SessionsPerPER: 4,

@@ -1,15 +1,20 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"sync"
 
+	"grca/internal/engine"
 	"grca/internal/obs"
 )
 
 var (
-	mSSEClients = obs.GetGauge("server.sse.clients")
-	mSSEEvicted = obs.GetCounter("server.sse.evicted")
-	mSSESent    = obs.GetCounter("server.sse.sent")
+	mSSEClients     = obs.GetGauge("server.sse.clients")
+	mSSEEvicted     = obs.GetCounter("server.sse.evicted")
+	mSSESent        = obs.GetCounter("server.sse.sent")
+	mStreamRendered = obs.GetCounter("server.stream.rendered")
 )
 
 // sseClientBuf bounds one subscriber's unread backlog. The publisher
@@ -19,43 +24,111 @@ var (
 // backpressure. Evicted clients reconnect and catch up via ?after=.
 const sseClientBuf = 64
 
-// sseMsg is one published stream frame. Seq lets a freshly-subscribed
-// handler skip frames it already served from the replay ring.
-type sseMsg struct {
-	seq   int64
-	frame []byte
+// streamRingSize is how many of the newest streamed diagnoses the hub
+// keeps for ?after=/?replay= catch-up and /v1/recent.
+const streamRingSize = 256
+
+// streamEntry is one streamed diagnosis. Seq increases by one per
+// diagnosis and is the SSE event id.
+type streamEntry struct {
+	seq  int64
+	app  string
+	d    engine.Diagnosis
+	once sync.Once
+	// frame is the complete SSE frame; body, a subslice of it, is the
+	// StreamDiagnosisJSON object. Both are set once, by render.
+	frame, body []byte
+}
+
+// render returns the entry's SSE frame and its JSON object, rendering them
+// the first time any reader asks — on that reader's goroutine, outside the
+// hub lock — and never again.
+func (e *streamEntry) render() (frame, body []byte) {
+	e.once.Do(func() {
+		dj := diagnosisJSON(e.d)
+		dj.App = e.app
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "id: %d\nevent: diagnosis\ndata: ", e.seq)
+		n := b.Len()
+		// Encode writes the object and a newline, which the blank line
+		// ending the frame follows. It cannot fail: every field is a
+		// string, an int or a time the store holds, within
+		// event.MinTime..MaxTime.
+		json.NewEncoder(&b).Encode(StreamDiagnosisJSON{Seq: e.seq, DiagnosisJSON: dj}) //nolint:errcheck // see above
+		b.WriteByte('\n')
+		e.frame = b.Bytes()
+		e.body = e.frame[n : len(e.frame)-2]
+		e.d = engine.Diagnosis{} // the bytes are all a reader needs from now on
+		mStreamRendered.Inc()
+	})
+	return e.frame, e.body
 }
 
 type sseClient struct {
-	ch chan sseMsg
+	ch chan *streamEntry
 }
 
-// sseHub fans diagnosis frames out to the connected /v1/stream clients.
-// publish runs on the applier goroutine and must stay non-blocking.
+// sseHub owns the diagnosis stream: it numbers each diagnosis, keeps the
+// newest streamRingSize of them for catch-up and /v1/recent, and fans
+// each out to the connected /v1/stream clients. publish runs on the
+// observer goroutine and must stay non-blocking; it renders nothing.
 type sseHub struct {
 	mu      sync.Mutex
 	clients map[*sseClient]struct{}
+	// ring holds the entry of sequence number s at (s-1) % streamRingSize,
+	// for every s in (seq-streamRingSize, seq].
+	ring [streamRingSize]*streamEntry
+	seq  int64 // the newest entry's; 0 before any
 }
 
 func newSSEHub() *sseHub {
 	return &sseHub{clients: map[*sseClient]struct{}{}}
 }
 
-// active reports whether anyone is subscribed — lets the publisher skip
-// frame marshaling when nobody is listening.
-func (h *sseHub) active() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.clients) > 0
+// sinceLocked returns up to limit ring entries with seq > after, oldest
+// first; limit <= 0 means no limit.
+func (h *sseHub) sinceLocked(after int64, limit int) []*streamEntry {
+	lo := max(after, h.seq-streamRingSize, 0) // the entries are lo+1..seq
+	n := h.seq - lo
+	if n <= 0 {
+		return nil
+	}
+	if limit > 0 {
+		n = min(n, int64(limit))
+	}
+	out := make([]*streamEntry, n)
+	for i := range out {
+		out[i] = h.ring[(lo+int64(i))%streamRingSize]
+	}
+	return out
 }
 
-func (h *sseHub) subscribe() *sseClient {
-	c := &sseClient{ch: make(chan sseMsg, sseClientBuf)}
+// since returns up to limit ring entries with seq > after, oldest first
+// (limit <= 0: no limit), and the newest sequence number.
+func (h *sseHub) since(after int64, limit int) ([]*streamEntry, int64) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sinceLocked(after, limit), h.seq
+}
+
+// subscribe registers a client and returns, from the same instant, the
+// ring entries to send it first: with replay >= 0 the newest replay
+// entries, else with after >= 0 every entry past after, else none.
+// Everything newer arrives on the client's channel, so the two neither
+// overlap nor leave a gap.
+func (h *sseHub) subscribe(after int64, replay int) (*sseClient, []*streamEntry) {
+	c := &sseClient{ch: make(chan *streamEntry, sseClientBuf)}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.clients[c] = struct{}{}
 	mSSEClients.Set(int64(len(h.clients)))
-	h.mu.Unlock()
-	return c
+	switch {
+	case replay >= 0:
+		after = max(h.seq-int64(replay), 0)
+	case after < 0:
+		after = h.seq
+	}
+	return c, h.sinceLocked(after, 0)
 }
 
 // unsubscribe detaches a client; safe to call after an eviction already
@@ -70,15 +143,18 @@ func (h *sseHub) unsubscribe(c *sseClient) {
 	h.mu.Unlock()
 }
 
-// publish delivers one frame to every subscriber without blocking: a
-// client with a full buffer is evicted and its channel closed, which its
-// handler observes as end-of-stream.
-func (h *sseHub) publish(seq int64, frame []byte) {
-	m := sseMsg{seq: seq, frame: frame}
+// publish numbers one diagnosis, puts it in the ring and delivers it to
+// every subscriber without blocking: a client with a full buffer is
+// evicted and its channel closed, which its handler observes as
+// end-of-stream.
+func (h *sseHub) publish(app string, d engine.Diagnosis) {
 	h.mu.Lock()
+	h.seq++
+	e := &streamEntry{seq: h.seq, app: app, d: d}
+	h.ring[(h.seq-1)%streamRingSize] = e
 	for c := range h.clients {
 		select {
-		case c.ch <- m:
+		case c.ch <- e:
 			mSSESent.Inc()
 		default:
 			delete(h.clients, c)

@@ -65,13 +65,13 @@ func TestFeedAddStopsAtOffsetLimit(t *testing.T) {
 	if !f.add(0, []byte("abc")) {
 		t.Fatal("a line that fits the last chunk was refused")
 	}
-	if want := uint32(last<<chunkBits + 1<<chunkBits - 4); f.lines[0].off != want {
-		t.Fatalf("offset %#x, want %#x", f.lines[0].off, want)
+	if want := uint32(last<<chunkBits + 1<<chunkBits - 4); f.refs[0][0].off != want {
+		t.Fatalf("offset %#x, want %#x", f.refs[0][0].off, want)
 	}
 	if f.add(0, []byte("x")) {
 		t.Fatal("a line past the last addressable chunk was accepted")
 	}
-	if len(f.lines) != 1 || len(f.chunks) != 1<<(32-chunkBits) {
-		t.Fatalf("refused line left %d lines, %d chunks", len(f.lines), len(f.chunks))
+	if f.n != 1 || len(f.chunks) != 1<<(32-chunkBits) {
+		t.Fatalf("refused line left %d lines, %d chunks", f.n, len(f.chunks))
 	}
 }

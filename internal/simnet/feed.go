@@ -11,13 +11,18 @@ import (
 // strings, so the longest line it can produce is a few hundred bytes.
 const chunkBits = 16
 
+// refBlock is how many lineRefs a block of a feed's line index holds (64
+// KiB of them).
+const refBlock = 4096
+
 // feed is one source's rendered lines in emission order: their bytes, each
-// followed by '\n', packed into fixed-size chunks that are filled once and
-// never moved, and where each line sits in them.
+// followed by '\n', packed into fixed-size chunks, and where each line sits
+// in them, in fixed-size blocks. Both are filled once and never moved.
 type feed struct {
 	chunks [][]byte
 	size   int // bytes of every line, newlines included
-	lines  []lineRef
+	refs   [][]lineRef
+	n      int // lines
 }
 
 // lineRef places one line: its time as an offset from Config.Start (every
@@ -45,20 +50,28 @@ func (f *feed) add(at time.Duration, line []byte) bool {
 		f.chunks = append(f.chunks, make([]byte, 0, 1<<chunkBits))
 		k++
 	}
-	c := f.chunks[k]
-	f.lines = append(f.lines, lineRef{at: at, off: uint32(k<<chunkBits + len(c)), n: uint32(n)})
+	if f.n%refBlock == 0 {
+		f.refs = append(f.refs, make([]lineRef, 0, refBlock))
+	}
+	c, r := f.chunks[k], len(f.refs)-1
+	f.refs[r] = append(f.refs[r], lineRef{at: at, off: uint32(k<<chunkBits + len(c)), n: uint32(n)})
 	f.chunks[k] = append(append(c, line...), '\n')
 	f.size += n
+	f.n++
 	return true
 }
 
 // sorted returns the feed's lines ordered by record time, lines of one time
 // in emission order, copied once into a string of exactly their size.
 func (f *feed) sorted() string {
-	slices.SortStableFunc(f.lines, func(a, b lineRef) int { return cmp.Compare(a.at, b.at) })
+	lines := make([]lineRef, 0, f.n)
+	for _, r := range f.refs {
+		lines = append(lines, r...)
+	}
+	slices.SortStableFunc(lines, func(a, b lineRef) int { return cmp.Compare(a.at, b.at) })
 	var b strings.Builder
 	b.Grow(f.size)
-	for _, l := range f.lines {
+	for _, l := range lines {
 		pos := l.off & (1<<chunkBits - 1)
 		b.Write(f.chunks[l.off>>chunkBits][pos : pos+l.n])
 	}

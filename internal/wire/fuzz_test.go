@@ -45,8 +45,8 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("%x decoded to %d events, which encode as %x", data, len(b.Events), enc)
 			}
 		case KindFeed:
-			b2, err := Decode(AppendFeed(nil, b.Source, b.Lines))
-			if err != nil || b2.Kind != KindFeed || b2.Source != b.Source || b2.Lines != b.Lines {
+			b2, err := Decode(AppendFeed(nil, b.Source, string(b.Lines)))
+			if err != nil || b2.Kind != KindFeed || b2.Source != b.Source || !bytes.Equal(b2.Lines, b.Lines) {
 				t.Fatalf("re-decode of the re-encoded feed batch: %+v, %v; want %+v", b2, err, b)
 			}
 		default:

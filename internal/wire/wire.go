@@ -56,7 +56,9 @@ type Batch struct {
 	// canonical event block of Events.
 	Block  []byte
 	Source string
-	Lines  string
+	// Lines is the feed's lines, a subslice of the decoded body: the body
+	// must not be reused while they are in use.
+	Lines []byte
 }
 
 // AppendEvents appends a KindEvents batch for ins to b and returns the
@@ -109,10 +111,12 @@ func Decode(p []byte) (Batch, error) {
 	case KindFeed:
 		out.Kind = KindFeed
 		var err error
-		if out.Source, p, err = readString(p); err != nil {
+		var src []byte
+		if src, p, err = readBytes(p); err != nil {
 			return out, fmt.Errorf("wire: feed source: %v", err)
 		}
-		if out.Lines, p, err = readString(p); err != nil {
+		out.Source = string(src)
+		if out.Lines, p, err = readBytes(p); err != nil {
 			return out, fmt.Errorf("wire: feed lines: %v", err)
 		}
 		if len(p) != 0 {
@@ -129,10 +133,12 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func readString(b []byte) (string, []byte, error) {
+// readBytes returns the length-prefixed string at the head of b, as a
+// subslice of b, and what follows it.
+func readBytes(b []byte) ([]byte, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", b, fmt.Errorf("truncated string")
+		return nil, b, fmt.Errorf("truncated string")
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	return b[sz : sz+int(n)], b[sz+int(n):], nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestGoldenVectors(t *testing.T) {
 				t.Errorf("%s: golden decode mismatch: %+v", tc.name, b.Events)
 			}
 		case "feed_batch.bin":
-			if b.Source != "syslog" || b.Lines == "" {
+			if b.Source != "syslog" || len(b.Lines) == 0 {
 				t.Errorf("%s: golden feed decode mismatch: %+v", tc.name, b)
 			}
 		}
@@ -140,9 +141,29 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: feed decode: %v", iter, err)
 		}
-		if fb.Kind != KindFeed || fb.Source != src || fb.Lines != lines {
+		if fb.Kind != KindFeed || fb.Source != src || string(fb.Lines) != lines {
 			t.Fatalf("iter %d: feed round trip mismatch", iter)
 		}
+	}
+}
+
+// TestDecodeFeedAliasesBody: a feed batch's lines are the decoded body's
+// own bytes. Decoding allocates the source name and nothing for the lines,
+// however long they are.
+func TestDecodeFeedAliasesBody(t *testing.T) {
+	body := AppendFeed(nil, "syslog", strings.Repeat("Mar  1 00:00:00 per1 %BGP-5-ADJCHANGE: neighbor 10.0.0.1 Down\n", 1<<14))
+	var b Batch
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if b, err = Decode(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("decoding a %d-byte feed batch allocates %v times, want 1 (the source)", len(body), allocs)
+	}
+	if len(b.Lines) == 0 || &b.Lines[len(b.Lines)-1] != &body[len(body)-1] {
+		t.Error("the decoded lines are a copy of the body, not a subslice")
 	}
 }
 
