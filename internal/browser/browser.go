@@ -124,7 +124,7 @@ type TrendPoint struct {
 
 // NewSeries allocates the bin grid for a trend over [from, to]: one point
 // per bin of width bin, the last covering to. It is the series core
-// shared by Trend and the serving rollups, so every
+// shared by Trend, the serving rollups and the server's name trends, so every
 // trend renderer agrees on bin count and bin starts by construction.
 func NewSeries(from, to time.Time, bin time.Duration) []TrendPoint {
 	if bin <= 0 || to.Before(from) {

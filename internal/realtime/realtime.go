@@ -196,6 +196,29 @@ func (p *Processor) ObserveStored(stored *event.Instance) (ds []engine.Diagnosis
 	return p.emit(out), late
 }
 
+// Advance moves the stream clock to t, if t is later, and returns the
+// diagnoses of every pending symptom whose grace period has elapsed by
+// then — what observing a non-symptom event that ends at t would return.
+// A restart replays the stored tail's root symptoms alone and then
+// advances to the store's last End.
+func (p *Processor) Advance(t time.Time) []engine.Diagnosis {
+	p.pmu.Lock()
+	if p.closed {
+		p.pmu.Unlock()
+		return nil
+	}
+	if t.After(p.now) {
+		p.now = t
+	}
+	var out []ripe
+	for _, q := range p.queues {
+		out = q.take(p.now, false, out)
+	}
+	mPending.Set(int64(p.pendingLocked()))
+	p.pmu.Unlock()
+	return p.emit(out)
+}
+
 // take moves q's symptoms whose grace period has elapsed by now (all of
 // them, with all) onto out, and records each one's grace wait in event
 // time: how far the clock ran past its end before it could be diagnosed.

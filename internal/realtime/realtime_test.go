@@ -425,3 +425,34 @@ func TestCloseForceDrains(t *testing.T) {
 		t.Error("observation after Close was not ignored")
 	}
 }
+
+// TestAdvance: advancing the clock drains what an event ending there
+// would have ripened, never moves the clock back, and is ignored once the
+// processor is closed.
+func TestAdvance(t *testing.T) {
+	n := testnet.Build(t.Fatalf)
+	p := New(n.View, miniGraph(t), 10*time.Minute)
+	t0 := testnet.T0
+	ifc, _ := n.Topo.InterfaceByName("chi-per1", "to-custB")
+	adj := locus.Between(locus.RouterNeighbor, "chi-per1", ifc.PeerIP.String())
+	for i := 0; i < 3; i++ {
+		at := t0.Add(time.Duration(i) * 2 * time.Minute)
+		p.Observe(event.Instance{Name: event.EBGPFlap, Start: at, End: at, Loc: adj})
+	}
+	// Due at t0+10m, t0+12m and t0+14m.
+	if ds := p.Advance(t0.Add(13 * time.Minute)); len(ds) != 2 || pending(p) != 1 {
+		t.Fatalf("Advance to the second's due drained %d, left %d pending; want 2 and 1", len(ds), pending(p))
+	}
+	if ds := p.Advance(t0); len(ds) != 0 || pending(p) != 1 {
+		t.Fatalf("Advance into the past drained %d, left %d pending", len(ds), pending(p))
+	}
+	// The clock stayed at t0+13m: an event ending before t0+3m is late.
+	if _, late := p.Observe(event.Instance{Name: "tick", Start: t0, End: t0.Add(2 * time.Minute),
+		Loc: locus.At(locus.Router, "nyc-cr1")}); !late {
+		t.Error("Advance into the past moved the clock back")
+	}
+	p.Close()
+	if ds := p.Advance(t0.Add(time.Hour)); ds != nil {
+		t.Errorf("Advance after Close drained %d", len(ds))
+	}
+}

@@ -1,13 +1,18 @@
 // Package rollup maintains the pre-computed aggregates behind the live
 // Result Browser (paper §II-F): per-application root-cause breakdown
-// counters and time-binned trend series for events and causes. (The
-// stream of recent diagnoses is not an aggregate; the server's SSE hub
-// keeps it.) Aggregates are updated
-// incrementally on the ingest/diagnose path — store append/evict hooks
-// feed the event bins, the realtime processor's diagnosis fan-out feeds
-// the cause counters — so the breakdown and trend endpoints answer from
+// counters and time-binned cause trend series. (The stream of recent
+// diagnoses is not an aggregate; the server's SSE hub keeps it.)
+// Aggregates are updated incrementally on the diagnose path — the
+// realtime processor's diagnosis fan-out counts, the store's evict hook
+// un-counts — so the breakdown and cause trend endpoints answer from
 // O(causes) and O(bins) state instead of re-diagnosing the store per
 // request.
+//
+// Event trends are no aggregate of the server's: it counts them from the
+// store's own start column (store.Memory.CountStarts). The event half of
+// a Rollup — ObserveEvent, SeedEvents, Trend — is off the server's path
+// and stays for the benchmark's layer rows (bench/) and as the oracle the
+// server's name trends are held byte-equal to.
 //
 // # The breakdown invariant
 //
@@ -52,8 +57,8 @@ var (
 )
 
 // Config configures a Rollup. It has no fields, since a rollup holds only
-// aggregates; it is kept, empty, because the benchmark (bench/) builds
-// its rollups with rollup.New(rollup.Config{}).
+// aggregates over a constant base bin; it is kept, empty, because the
+// benchmark (bench/) builds its rollups with rollup.New(rollup.Config{}).
 type Config struct{}
 
 // baseBin is the width of the trend bins. Trend queries may aggregate to
@@ -131,8 +136,10 @@ func (r *Rollup) app(name string) *appAgg {
 	return a
 }
 
-// ObserveEvent bins one stored instance. Registered as a store OnAppend
-// hook, so it runs under the store's write lock and stays O(1).
+// ObserveEvent bins one stored instance: a store OnAppend hook, run under
+// the store's write lock, so O(1). The server registers it no more (it
+// counts event trends from the store); bench/ and the server's trend
+// oracle do.
 func (r *Rollup) ObserveEvent(in *event.Instance) {
 	k := minuteOf(in.Start)
 	r.mu.Lock()
@@ -147,8 +154,8 @@ func (r *Rollup) ObserveEvent(in *event.Instance) {
 }
 
 // SeedEvents replays every live instance of the store into the event
-// bins — the recovery path, where the store was rebuilt from snapshot +
-// WAL before the rollup existed. Register the hooks after seeding.
+// bins, for a store filled before the rollup existed. Register the hooks
+// after seeding.
 func (r *Rollup) SeedEvents(st store.Store) {
 	st.SnapshotTo(func(int, int, int) error { return nil }, func(in *event.Instance) error { //nolint:errcheck // neither callback fails
 		r.ObserveEvent(in)
@@ -158,7 +165,7 @@ func (r *Rollup) SeedEvents(st store.Store) {
 
 // Reset forgets every binned event and counted diagnosis, for a store
 // whose content was replaced wholesale (a replica loading a checkpoint):
-// seed again from the new content.
+// count again from the new content.
 func (r *Rollup) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -166,9 +173,10 @@ func (r *Rollup) Reset() {
 	r.apps = map[string]*appAgg{}
 }
 
-// EvictEvents reverses ObserveEvent for retention-evicted instances and
-// un-counts any evicted root symptoms, keeping the breakdown invariant
-// scoped to live symptoms. Registered as a store OnEvict hook.
+// EvictEvents reverses ObserveEvent for retention-evicted instances (a
+// no-op for a name never binned) and un-counts any evicted root symptoms,
+// keeping the breakdown invariant scoped to live symptoms. Registered as a
+// store OnEvict hook.
 func (r *Rollup) EvictEvents(evicted []store.Evicted, cutoff time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -16,9 +16,10 @@ import (
 
 // The live Result Browser (paper §II-F): breakdown tables, trending,
 // cause filtering, drill-down, and the SSE diagnosis stream. Breakdown
-// and trend answer from the incremental rollups maintained on the
-// ingest/diagnose path (internal/rollup); the only per-request diagnosis
-// work is the handful of symptoms still inside their grace window.
+// and cause trends answer from the incremental rollups maintained on the
+// diagnose path (internal/rollup), event trends from the store's own
+// start column; the only per-request diagnosis work is the handful of
+// symptoms still inside their grace window.
 
 var mBrowserSecs = obs.GetHistogram("server.http.browser.seconds", obs.LatencyBuckets)
 
@@ -185,7 +186,7 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	case name != "":
 		resp["name"] = name
 		if haveSpan {
-			points = s.roll.Trend(name, from, to, bin)
+			points = s.nameTrend(name, from, to, bin)
 		}
 	default:
 		writeErr(w, http.StatusBadRequest, "provide name= (event trend) or app=&cause= (cause trend)")
@@ -196,6 +197,23 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	}
 	resp["points"] = points
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// nameTrend counts the name's live events per bin over [from, to] from
+// the store's start column: an event counts in the bin of its Start's
+// minute, for every minute from from's to to's, as a trend over one-minute
+// bins summed up would count it.
+func (s *Server) nameTrend(name string, from, to time.Time, bin time.Duration) []browser.TrendPoint {
+	points := browser.NewSeries(from, to, bin)
+	if points == nil {
+		return nil
+	}
+	counts := make([]int, len(points))
+	s.st.CountStarts(name, from, to.Truncate(time.Minute).Add(time.Minute), bin, counts)
+	for i, n := range counts {
+		points[i].Count = n
+	}
+	return points
 }
 
 // drilldown defaults: how far around the symptom to look and at which

@@ -436,7 +436,6 @@ func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 		fs.apply.writeTo(over)
 		// Everything derived from the store's content is derived again.
 		s.roll.Reset()
-		s.roll.SeedEvents(s.st)
 		if s.isFinalized() {
 			if err := s.installServing(true); err != nil {
 				return err

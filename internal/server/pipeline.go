@@ -570,12 +570,10 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 	s.recovery.Events = st.Len()
 	mRecovered.Add(int64(rep.batches))
 	mTailRecs.Add(int64(rep.info.TailApplied + rep.info.TailVerified))
-	// The Result Browser rollups: seed the trend bins from the recovered
-	// store (Restore bypasses the append hook), then track every future
-	// append and eviction incrementally. Cause counters are seeded by
-	// installServing once engines exist.
-	s.roll.SeedEvents(st)
-	st.OnAppend(s.roll.ObserveEvent)
+	// The Result Browser rollups hold the cause counters, which
+	// installServing seeds once engines exist; retention un-counts evicted
+	// symptoms. Event trends need no rollup: they count the store's own
+	// start column.
 	st.OnEvict(s.roll.EvictEvents)
 	if rep.finalized {
 		began := obs.Now()
@@ -750,6 +748,7 @@ func (s *Server) installServing(rebuildTail bool) error {
 	cdn.Register(view, s.cfg.Bundle.CDN)
 	sv := &serving{view: view, rootOf: map[string]string{}}
 	var streams []realtime.Stream
+	var roots []string
 	var grace time.Duration // the longest
 	for _, a := range apps.All() {
 		_, g, err := a.Build()
@@ -759,12 +758,13 @@ func (s *Server) installServing(rebuildTail bool) error {
 		eng := engine.New(s.st, view, g)
 		sv.apps = append(sv.apps, servedApp{a, eng, new(atomic.Bool)})
 		sv.rootOf[g.Root] = a.Name
+		roots = append(roots, g.Root)
 		streams = append(streams, realtime.Stream{Name: a.Name, Engine: eng, Grace: realtime.GraceFor(g, maxEventDuration)})
 		grace = max(grace, streams[len(streams)-1].Grace)
 	}
 	sv.proc = realtime.NewStreams(s.st, streams...)
 	if rebuildTail {
-		sv.clock = replayTail(s.st, sv.proc, grace)
+		sv.clock = replayTail(s.st, sv.proc, roots, grace)
 	}
 	// Seed the breakdown rollups with one full-evidence diagnosis of every
 	// stored root symptom, so breakdown ≡ batch browser.Breakdown over the
@@ -796,26 +796,28 @@ func (s *Server) countAll(a *servedApp) {
 // replayTail replays the stored stream's last grace window (availability
 // order) through a fresh processor, rebuilding its clock and every
 // stream's pending queue; a stream with a shorter grace drains its extra
-// symptoms before the replay ends. What it emits was served before the
-// crash and is dropped: streamed diagnoses are at-most-once. It returns
-// the clock it left the processor at.
-func replayTail(st store.Store, proc *realtime.Processor, grace time.Duration) (clock time.Time) {
+// symptoms before the replay ends. Only the root symptoms are replayed:
+// nothing else is queued, and the clock, advanced to the store's last End
+// at the end, drains what the events between them would have. What it
+// emits was served before the crash and is dropped: streamed diagnoses
+// are at-most-once. It returns the clock it left the processor at.
+func replayTail(st store.Store, proc *realtime.Processor, roots []string, grace time.Duration) time.Time {
 	_, last, ok := st.Span()
 	if !ok {
-		return clock
+		return time.Time{}
 	}
 	cut := last.Add(-grace - maxEventDuration)
 	// A window query, not All: only the tail is materialized.
 	var tail []*event.Instance
-	for _, name := range st.Names() {
+	for _, name := range roots {
 		tail = append(tail, st.Query(name, cut, last)...)
 	}
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].End.Before(tail[j].End) })
 	for _, in := range tail {
 		proc.ObserveStored(in)
-		clock = in.End
 	}
-	return clock
+	proc.Advance(last)
+	return last
 }
 
 func errResult(status int, format string, args ...any) taskResult {

@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -359,8 +360,7 @@ type Memory struct {
 
 	// onAppend hooks are invoked for every stored instance, under the
 	// write lock, in registration order; they must be fast and must not
-	// call back into the store. The WAL records instances here; the
-	// serving rollups maintain their aggregates here.
+	// call back into the store. The WAL records instances here.
 	onAppend []func(*event.Instance)
 	// onEvict hooks are invoked after a retention eviction, outside the
 	// lock, with what was evicted and the cutoff applied.
@@ -882,6 +882,91 @@ func (s *Memory) All(name string) []*event.Instance {
 	}
 	defer s.mu.RUnlock()
 	return s.copies(idx.rows)
+}
+
+// CountStarts adds to counts[i] the number of live instances of the
+// named event whose Start lies in [from, to) and in the i-th bin of width
+// bin counted from from; starts in a bin past len(counts) are not
+// counted. It reads the name's start column alone — one binary search and
+// a walk — and materializes no instance.
+func (s *Memory) CountStarts(name string, from, to time.Time, bin time.Duration, counts []int) {
+	if bin <= 0 || len(counts) == 0 || !to.After(from) {
+		return
+	}
+	s.mu.RLock()
+	idx := s.index(name)
+	if idx == nil {
+		s.mu.RUnlock()
+		return
+	}
+	if !idx.settled() {
+		// The upgrade query takes: redo the read under the write lock.
+		s.mu.RUnlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if idx = s.index(name); idx == nil {
+			return
+		}
+		idx.settle()
+		countStarts(idx.starts, from, to, bin, counts)
+		return
+	}
+	defer s.mu.RUnlock()
+	countStarts(idx.starts, from, to, bin, counts)
+}
+
+// countStarts is CountStarts over a sorted start column. It divides once
+// per bin it meets, not once per start: a start before the current bin's
+// end is counted in it.
+func countStarts(starts []int64, from, to time.Time, bin time.Duration, counts []int) {
+	// event.MinTime and event.MaxTime are int64's range, so a start is
+	// never past it: a to beyond MaxTime bounds nothing, and a from
+	// beyond it leaves nothing to count.
+	if from.After(event.MaxTime) {
+		return
+	}
+	bounded := !to.After(event.MaxTime)
+	hi := clampNanos(to)
+	first, _ := slices.BinarySearch(starts, clampNanos(from))
+	i, end := 0, int64(math.MinInt64) // the current bin and its end
+	for _, t := range starts[first:] {
+		if bounded && t >= hi {
+			break
+		}
+		if t >= end {
+			n, off := binOf(from, t, bin)
+			if n >= uint64(len(counts)) {
+				break
+			}
+			i = int(n)
+			if end = t + (int64(bin) - off); end < t {
+				end = math.MaxInt64 // saturated: the last bin a start can be in
+			}
+		}
+		counts[i]++
+	}
+}
+
+// binOf returns which bin of width bin, counted from from, holds t (Unix
+// ns, not before from), and t's offset into it. It takes the span between
+// the two in 128 bits: from may lie centuries before the store's earliest
+// instant, farther than a Duration reaches.
+func binOf(from time.Time, t int64, bin time.Duration) (n uint64, off int64) {
+	sec, nsec := t/1e9, t%1e9
+	if nsec < 0 {
+		sec, nsec = sec-1, nsec+1e9
+	}
+	sec -= from.Unix()
+	if nsec -= int64(from.Nanosecond()); nsec < 0 {
+		sec, nsec = sec-1, nsec+1e9
+	}
+	hi, lo := bits.Mul64(uint64(sec), 1e9)
+	lo, carry := bits.Add64(lo, uint64(nsec), 0)
+	if hi += carry; hi >= uint64(bin) {
+		return math.MaxUint64, 0 // more bins out than a slice can hold
+	}
+	n, r := bits.Div64(hi, lo, uint64(bin))
+	return n, int64(r)
 }
 
 // ScanAfter returns copies of up to limit live instances with ID > after,

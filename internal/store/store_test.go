@@ -279,7 +279,8 @@ func TestShuffledInsertEquivalence(t *testing.T) {
 // TestConcurrentOutOfOrderAddQuery hammers the lazy re-sort path: writers
 // insert in reverse time order (every Add dirties the index) while readers
 // query concurrently. Every query result must be sorted — the re-sort loop
-// in sortIfDirty may not return while the index is dirty. Run with -race.
+// in sortIfDirty may not return while the index is dirty — and a trend
+// count never shrinks. Run with -race.
 func TestConcurrentOutOfOrderAddQuery(t *testing.T) {
 	s := New()
 	loc := locus.At(locus.Router, "r")
@@ -308,10 +309,31 @@ func TestConcurrentOutOfOrderAddQuery(t *testing.T) {
 			}
 		}
 	}()
+	// A trend count racing the same writes settles the same index and
+	// only ever sees the count grow.
+	countDone := make(chan struct{})
+	var countShrank atomic.Bool
+	go func() {
+		defer close(countDone)
+		counts, prev := make([]int, 1), 0
+		for i := 0; i < 2000; i++ {
+			counts[0] = 0
+			s.CountStarts("e", t0, t0.Add(100*time.Hour), 100*time.Hour, counts)
+			if counts[0] < prev {
+				countShrank.Store(true)
+				return
+			}
+			prev = counts[0]
+		}
+	}()
 	wg.Wait()
 	<-readDone
+	<-countDone
 	if sortViolation.Load() {
 		t.Fatal("Query returned unsorted results during concurrent out-of-order Adds")
+	}
+	if countShrank.Load() {
+		t.Fatal("CountStarts counted fewer starts than it had before, under concurrent Adds")
 	}
 	if got := s.Count("e"); got != writers*perWriter {
 		t.Errorf("Count = %d, want %d", got, writers*perWriter)
