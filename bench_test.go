@@ -492,7 +492,15 @@ var (
 	scaleC    *corpus
 )
 
-// BenchmarkParallelDiagnosis measures DiagnoseAllParallel speedup over the
+// diagnoseAllParallel is every root symptom's diagnosis, in start-time
+// order, from DiagnoseEach over workers goroutines.
+func diagnoseAllParallel(eng *engine.Engine, workers int) []engine.Diagnosis {
+	ds := make([]engine.Diagnosis, len(eng.Store.All(eng.Graph.Root)))
+	eng.DiagnoseEach(workers, func(i int, d engine.Diagnosis) { ds[i] = d })
+	return ds
+}
+
+// BenchmarkParallelDiagnosis measures DiagnoseEach speedup over the
 // BGP corpus (symptoms are independent; the store and network view are
 // read-only during diagnosis).
 func BenchmarkParallelDiagnosis(b *testing.B) {
@@ -509,14 +517,14 @@ func BenchmarkParallelDiagnosis(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var ds []engine.Diagnosis
 			for i := 0; i < b.N; i++ {
-				ds = eng.DiagnoseAllParallel(workers)
+				ds = diagnoseAllParallel(eng, workers)
 			}
 			b.ReportMetric(float64(len(ds)), "events")
 		})
 	}
 }
 
-// BenchmarkChaosParallelDiagnosis measures DiagnoseAllParallel throughput
+// BenchmarkChaosParallelDiagnosis measures DiagnoseEach throughput
 // on the clean BGP corpus versus the same corpus ingested from 10%-faulted
 // feeds (skew + reorder + duplicate + truncate). Accuracy is reported
 // alongside so a throughput win can't hide an evidence loss; the
@@ -537,7 +545,7 @@ func BenchmarkChaosParallelDiagnosis(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var ds []engine.Diagnosis
 			for i := 0; i < b.N; i++ {
-				ds = eng.DiagnoseAllParallel(0)
+				ds = diagnoseAllParallel(eng, 0)
 			}
 			b.StopTimer()
 			score := platform.ScoreDiagnoses(v.c.dataset.Truth, "bgp", ds, 10*time.Minute)

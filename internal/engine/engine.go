@@ -368,39 +368,41 @@ func (e *Engine) DiagnoseAll() []Diagnosis {
 	return out
 }
 
-// DiagnoseAllParallel is DiagnoseAll fanned out over workers goroutines.
+// DiagnoseEach is DiagnoseAll fanned out over workers goroutines
+// (GOMAXPROCS when workers < 1; one runs on the caller's goroutine).
 // Diagnosis is read-only over the store and network view, so symptoms are
-// independent; results keep start-time order. workers < 1 selects
-// GOMAXPROCS.
-func (e *Engine) DiagnoseAllParallel(workers int) []Diagnosis {
+// independent. Each diagnosis goes to fn, with the symptom's index in
+// start-time order, on the worker that made it: fn must be safe to call
+// concurrently, and nothing holds the diagnoses but fn.
+func (e *Engine) DiagnoseEach(workers int, fn func(i int, d Diagnosis)) {
 	syms := e.Store.All(e.Graph.Root)
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(syms) {
-		workers = len(syms)
+	workers = min(workers, len(syms))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(syms) {
+				return
+			}
+			fn(i, e.Diagnose(syms[i]))
+		}
 	}
 	if workers <= 1 {
-		return e.DiagnoseAll()
+		work()
+		return
 	}
-	out := make([]Diagnosis, len(syms))
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(syms) {
-					return
-				}
-				out[i] = e.Diagnose(syms[i])
-			}
+			work()
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // Breakdown aggregates diagnoses into the Result Browser's root-cause

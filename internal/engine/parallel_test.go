@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"grca/internal/event"
@@ -10,6 +11,14 @@ import (
 	"grca/internal/netstate"
 	"grca/internal/ospf"
 )
+
+// diagnoseAllParallel is DiagnoseAll through DiagnoseEach: the
+// diagnoses in start-time order, each put at its index by its worker.
+func diagnoseAllParallel(e *Engine, workers int) []Diagnosis {
+	out := make([]Diagnosis, len(e.Store.All(e.Graph.Root)))
+	e.DiagnoseEach(workers, func(i int, d Diagnosis) { out[i] = d })
+	return out
+}
 
 // TestParallelMatchesSerial: parallel diagnosis must produce identical
 // verdicts in identical order.
@@ -25,7 +34,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	serial := f.eng.DiagnoseAll()
 	for _, workers := range []int{0, 1, 2, 8, 100} {
-		par := f.eng.DiagnoseAllParallel(workers)
+		par := diagnoseAllParallel(f.eng, workers)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d diagnoses, want %d", workers, len(par), len(serial))
 		}
@@ -36,6 +45,56 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if par[i].Label() != serial[i].Label() {
 				t.Errorf("workers=%d: diagnosis %d = %q, want %q",
 					workers, i, par[i].Label(), serial[i].Label())
+			}
+		}
+	}
+}
+
+// TestDiagnoseEach: the function form visits every root symptom exactly
+// once, with DiagnoseAll's diagnosis at its start-time index, at 1, 2 and
+// 8 workers, and calls nothing on an empty store.
+func TestDiagnoseEach(t *testing.T) {
+	f := newFixture(t)
+	f.diagnoseEachOn(t, 0)
+	f.add(event.InterfaceFlap, 900, 1, f.ifLoc)
+	f.add(event.CPUHighSpike, 2980, 30, locus.At(locus.Router, "chi-per1"))
+	f.add(event.CustomerResetSession, 5000, 1, f.adjLoc)
+	f.add(event.InterfaceFlap, 9000, 1, f.ifLoc)
+	for i := 0; i < 60; i++ {
+		f.symptom(800 + i*300)
+	}
+	f.diagnoseEachOn(t, 60)
+}
+
+// diagnoseEachOn checks DiagnoseEach against DiagnoseAll over the
+// fixture's n root symptoms.
+func (f *fixture) diagnoseEachOn(t *testing.T, n int) {
+	t.Helper()
+	serial := f.eng.DiagnoseAll()
+	if len(serial) != n {
+		t.Fatalf("%d root symptoms, want %d", len(serial), n)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		var mu sync.Mutex
+		seen := make([]int, n)
+		f.eng.DiagnoseEach(workers, func(i int, d Diagnosis) {
+			mu.Lock()
+			defer mu.Unlock()
+			if i < 0 || i >= n {
+				t.Errorf("workers=%d: index %d of %d symptoms", workers, i, n)
+				return
+			}
+			seen[i]++
+			if d.Symptom.ID != serial[i].Symptom.ID {
+				t.Errorf("workers=%d: index %d holds symptom %d, DiagnoseAll's %d", workers, i, d.Symptom.ID, serial[i].Symptom.ID)
+			}
+			if got, want := causeSig(d), causeSig(serial[i]); got != want {
+				t.Errorf("workers=%d diagnosis %d:\n got %s\nwant %s", workers, i, got, want)
+			}
+		})
+		for i, k := range seen {
+			if k != 1 {
+				t.Errorf("workers=%d: symptom %d visited %d times", workers, i, k)
 			}
 		}
 	}
@@ -81,7 +140,7 @@ func TestParallelDeterminism(t *testing.T) {
 		want[i] = causeSig(d)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		par := f.eng.DiagnoseAllParallel(workers)
+		par := diagnoseAllParallel(f.eng, workers)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d diagnoses, want %d", workers, len(par), len(serial))
 		}
@@ -132,7 +191,7 @@ func TestSharedCacheDeterminism(t *testing.T) {
 		want[i] = causeSig(d)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par := f.eng.DiagnoseAllParallel(workers)
+		par := diagnoseAllParallel(f.eng, workers)
 		if len(par) != len(base) {
 			t.Fatalf("workers=%d: %d diagnoses, want %d", workers, len(par), len(base))
 		}
@@ -172,7 +231,7 @@ func TestSharedCacheInvalidatedByIngest(t *testing.T) {
 
 func TestParallelEmptyStore(t *testing.T) {
 	f := newFixture(t)
-	if got := f.eng.DiagnoseAllParallel(4); len(got) != 0 {
+	if got := diagnoseAllParallel(f.eng, 4); len(got) != 0 {
 		t.Errorf("empty parallel run = %v", got)
 	}
 }

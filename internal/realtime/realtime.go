@@ -11,6 +11,9 @@
 // observed so far. Replaying a batch corpus through a Processor therefore
 // yields byte-identical diagnoses to the offline run, which is the
 // package's central test.
+//
+// A diagnosis goes only to the caller that drove the processor, which
+// attributes it to its stream by the symptom's name, the stream's root.
 package realtime
 
 import (
@@ -42,9 +45,9 @@ var (
 		[]float64{1, 5, 10, 30, 60, 120, 300, 600, 1800, 3600, 7200, 21600, 86400})
 )
 
-// Stream is one application a Processor diagnoses: the name OnDiagnosis
-// is told, the engine that diagnoses its root symptoms, and how long past
-// a symptom's end diagnosis waits for trailing evidence (see GraceFor).
+// Stream is one application a Processor diagnoses: its name, the engine
+// that diagnoses its root symptoms, and how long past a symptom's end
+// diagnosis waits for trailing evidence (see GraceFor).
 type Stream struct {
 	Name   string
 	Engine *engine.Engine
@@ -58,6 +61,7 @@ type queue struct {
 	Stream
 	pending []*event.Instance
 	due     time.Time
+	behind  bool // an event arrived behind the clock since TakeBehind
 }
 
 // ripe is one symptom taken off its queue for diagnosis.
@@ -78,20 +82,12 @@ type Processor struct {
 	// evidence on the force-drained symptoms. Zero means unbounded.
 	MaxPending int
 
-	// OnDiagnosis, when set, observes every diagnosis the processor
-	// emits — from grace-elapsed drains, MaxPending force-drains, Flush,
-	// and Close — with its stream's name, on the goroutine driving the
-	// processor, before the diagnosis is returned to the caller. The
-	// serving pipeline uses it to fan emitted diagnoses out to the rollup
-	// aggregates and the SSE stream. Set it before observing events.
-	OnDiagnosis func(stream string, d engine.Diagnosis)
-
 	st     store.Store
 	queues []*queue          // in stream order: the order one event's diagnoses are emitted in
 	byRoot map[string]*queue // root symptom name → the stream it is pending in
 	// pmu guards the clock, the queues, closed and forced: PendingSymptoms
-	// is read from other goroutines (the HTTP result browser). An
-	// observation takes it once; diagnoses run outside it.
+	// and TakeBehind are read from other goroutines (the HTTP result
+	// browser). An observation takes it once; diagnoses run outside it.
 	pmu    sync.Mutex
 	now    time.Time
 	closed bool
@@ -150,7 +146,8 @@ func (p *Processor) Observe(in event.Instance) (ds []engine.Diagnosis, late bool
 // applier. Same ordering contract as Observe; late counts the streams
 // whose grace the instance arrived beyond. Diagnoses come in stream order,
 // and in observation order within a stream. The processor keeps its own
-// copy of a pending symptom, never stored itself.
+// copy of a pending symptom, never stored itself. An instance that ends
+// before the clock marks every stream behind (see TakeBehind).
 func (p *Processor) ObserveStored(stored *event.Instance) (ds []engine.Diagnosis, late int) {
 	avail := stored.End
 	p.pmu.Lock()
@@ -160,6 +157,7 @@ func (p *Processor) ObserveStored(stored *event.Instance) (ds []engine.Diagnosis
 	}
 	if avail.Before(p.now) {
 		for _, q := range p.queues {
+			q.behind = true
 			if avail.Before(p.now.Add(-q.Grace)) {
 				late++
 			}
@@ -244,17 +242,12 @@ func (q *queue) take(now time.Time, all bool, out []ripe) []ripe {
 	return out
 }
 
-// emit diagnoses each taken symptom with its stream's engine, outside pmu,
-// and fans the result out to OnDiagnosis.
+// emit diagnoses each taken symptom with its stream's engine, outside pmu.
 func (p *Processor) emit(out []ripe) []engine.Diagnosis {
 	var ds []engine.Diagnosis
 	for _, r := range out {
 		mDiagnosed.Inc()
-		d := r.q.Engine.Diagnose(r.sym)
-		if p.OnDiagnosis != nil {
-			p.OnDiagnosis(r.q.Name, d)
-		}
-		ds = append(ds, d)
+		ds = append(ds, r.q.Engine.Diagnose(r.sym))
 	}
 	return ds
 }
@@ -310,6 +303,20 @@ func (p *Processor) PendingSymptoms(stream string) []*event.Instance {
 		}
 	}
 	return nil
+}
+
+// TakeBehind reports and clears the named stream's mark: whether an event
+// arrived behind the clock since the last call. Only such an event can be
+// evidence for a symptom already diagnosed, whose grace the clock passed.
+func (p *Processor) TakeBehind(stream string) (behind bool) {
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	for _, q := range p.queues {
+		if q.Name == stream {
+			behind, q.behind = q.behind, false
+		}
+	}
+	return behind
 }
 
 // Forced reports how many symptoms MaxPending or Close force-drained.

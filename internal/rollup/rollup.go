@@ -2,9 +2,9 @@
 // Result Browser (paper §II-F): per-application root-cause breakdown
 // counters and time-binned cause trend series. (The stream of recent
 // diagnoses is not an aggregate; the server's SSE hub keeps it.)
-// Aggregates are updated incrementally on the diagnose path — the
-// realtime processor's diagnosis fan-out counts, the store's evict hook
-// un-counts — so the breakdown and cause trend endpoints answer from
+// Aggregates are updated incrementally on the diagnose path — the server
+// counts each diagnosis its realtime processor returns, the store's evict
+// hook un-counts — so the breakdown and cause trend endpoints answer from
 // O(causes) and O(bins) state instead of re-diagnosing the store per
 // request.
 //
@@ -28,7 +28,7 @@
 //
 // Deviations from a from-scratch batch run, both inherited from the
 // realtime package's contract: a force-drained symptom (MaxPending
-// overflow or shutdown) was counted with possibly-incomplete evidence,
+// overflow) was counted with possibly-incomplete evidence,
 // and under retention eviction the remembered label is the one diagnosed
 // at drain time even if the evidence supporting it has since been
 // evicted. A third, evidence that arrives after the symptom it explains
@@ -215,8 +215,9 @@ func (a *appAgg) uncount(id int, label string, k minute) {
 // AddDiagnosis counts (or re-counts) one diagnosis for app in the
 // breakdown and cause-trend counters. A symptom already counted has its
 // label replaced — the later diagnosis saw at least as much evidence
-// (seed-then-drain ordering). Both the startup seed and the realtime
-// processor's OnDiagnosis fan-out count through it.
+// (seed-then-drain ordering). Both the startup seed and the server's
+// streaming fan-out count through it; it is safe to call concurrently,
+// and the seed counts on the workers that diagnose.
 func (r *Rollup) AddDiagnosis(app string, d engine.Diagnosis) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

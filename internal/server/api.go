@@ -87,7 +87,8 @@ type IngestResponse struct {
 	// diagnosed without it. Feed-mode parse totals live in /v1/stats.
 	Late int `json:"late,omitempty"`
 	// Diagnoses carries streaming diagnoses emitted by this batch
-	// (normalized-event mode after finalize).
+	// (normalized-event mode after finalize), written as their stream
+	// entries' objects less "seq": the bytes encoding/json would write.
 	Diagnoses []DiagnosisJSON `json:"diagnoses,omitempty"`
 }
 

@@ -55,10 +55,10 @@ func (s *Server) browserApp(w http.ResponseWriter, r *http.Request) (*serving, *
 // counters and the full store that BreakdownCounts/CauseTrend merge back
 // in. a is one of sv's applications: symptoms and engine share one state.
 // First, when an event has arrived behind the stream clock since the last
-// read, it counts every stored root symptom of a again: a symptom
-// diagnosed before that event may have lacked it as evidence.
+// read (TakeBehind), it counts every stored root symptom of a again: a
+// symptom diagnosed before that event may have lacked it as evidence.
 func (s *Server) pendingDiagnoses(sv *serving, a *servedApp) []engine.Diagnosis {
-	if a.stale.Swap(false) {
+	if sv.proc.TakeBehind(a.Name) {
 		s.countAll(a)
 	}
 	syms := sv.proc.PendingSymptoms(a.Name)
@@ -300,39 +300,40 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 // streaming diagnoses, the poll-based sibling of /v1/stream.
 func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	after := int64(0)
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad after %q", v)
-			return
-		}
-		after = n
+	after, ok := queryInt(w, q, "after", 0, 0)
+	if !ok {
+		return
 	}
-	limit := 50
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		limit = n
+	limit, ok := queryInt(w, q, "limit", 50, 1)
+	if !ok {
+		return
 	}
 	entries, last := s.hub.since(after, limit)
+	writeEntries(w, `{"diagnoses":[`, entries, true, `],"last_seq":`+strconv.FormatInt(last, 10)+"}\n")
+}
+
+// writeEntries answers 200 with writeJSON's bytes for head, the entries'
+// objects between commas (less their leading "seq" unless withSeq), then
+// tail: encoding/json would re-compact each entry's own rendering. A
+// failed write means the client left, which changes nothing here.
+func writeEntries(w http.ResponseWriter, head string, entries []*streamEntry, withSeq bool, tail string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	// writeJSON's bytes for {"diagnoses":[…],"last_seq":N}, written around
-	// each entry's own (encoding/json would re-compact them). A failed
-	// write means the client left, which changes nothing here.
-	io.WriteString(w, `{"diagnoses":[`)
+	io.WriteString(w, head)
+	var num [20]byte
 	for i, e := range entries {
 		if i > 0 {
 			io.WriteString(w, ",")
 		}
 		_, body := e.render()
+		if !withSeq {
+			// body opens {"seq":N, and a symptom member always follows.
+			io.WriteString(w, "{")
+			body = body[len(`{"seq":,`)+len(strconv.AppendInt(num[:0], e.seq, 10)):]
+		}
 		w.Write(body)
 	}
-	io.WriteString(w, `],"last_seq":`+strconv.FormatInt(last, 10)+"}\n")
+	io.WriteString(w, tail)
 }
 
 // handleStream serves GET /v1/stream: fresh diagnoses over SSE. A client
@@ -349,22 +350,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	after, replay := int64(-1), -1
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad after %q", v)
-			return
-		}
-		after = n
+	after, ok := queryInt(w, q, "after", -1, 0)
+	if !ok {
+		return
 	}
-	if v := q.Get("replay"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad replay %q", v)
-			return
-		}
-		replay = n
+	replay, ok := queryInt(w, q, "replay", -1, 0)
+	if !ok {
+		return
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")

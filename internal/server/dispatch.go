@@ -427,7 +427,7 @@ func (s *Server) observer() {
 	for bt := range s.observeQ {
 		if !bt.drain {
 			if bt.res.err == nil {
-				bt.res = taskResult{status: http.StatusOK, resp: s.observeStored(bt.stored)}
+				bt.res = s.observeStored(bt.stored)
 			}
 			mBatches.Inc()
 		}
@@ -436,29 +436,28 @@ func (s *Server) observer() {
 }
 
 // observeStored runs committed instances through the streaming processor
-// in order. Shared by the observer (primary) and the journal-stream apply
-// path (follower), so both sides feed the processor the identical event
-// sequence.
-func (s *Server) observeStored(stored []*event.Instance) IngestResponse {
-	var resp IngestResponse
+// in order — the observer's (primary) and the journal apply's (follower)
+// one sequence — and is the one fan-out of its diagnoses: each is counted,
+// published, and carried by the returned ack as its stream entry.
+func (s *Server) observeStored(stored []*event.Instance) taskResult {
+	res := taskResult{status: http.StatusOK}
 	sv := s.serving.Load() // nil before finalize
 	for _, in := range stored {
 		if in == nil {
 			continue
 		}
-		resp.Stored++
+		res.resp.Stored++
 		if sv == nil {
 			continue
 		}
-		sv.noteArrival(in)
 		ds, late := sv.proc.ObserveStored(in)
-		resp.Late += late
+		res.resp.Late += late
 		for _, d := range ds {
-			dj := diagnosisJSON(d)
-			dj.App = sv.rootOf[d.Symptom.Name]
-			resp.Diagnoses = append(resp.Diagnoses, dj)
+			app := sv.rootOf[d.Symptom.Name]
+			s.roll.AddDiagnosis(app, d)
+			res.entries = append(res.entries, s.hub.publish(app, d))
 		}
 	}
-	mEvents.Add(int64(resp.Stored))
-	return resp
+	mEvents.Add(int64(res.resp.Stored))
+	return res
 }

@@ -275,6 +275,7 @@ type task struct {
 type taskResult struct {
 	status     int
 	resp       IngestResponse
+	entries    []*streamEntry // the ack's diagnoses, as stream entries
 	err        error
 	retryAfter int // seconds, set on 429
 }
@@ -692,33 +693,11 @@ type serving struct {
 	apps   []servedApp
 	proc   *realtime.Processor
 	rootOf map[string]string // root symptom name → application (apps.TestRootsDistinct)
-	// clock is the processor's stream clock, the latest End observed, as
-	// the observing goroutine tracks it: observeStored, or installServing
-	// before publishing.
-	clock time.Time
 }
 
 type servedApp struct {
 	apps.App
 	eng *engine.Engine
-	// stale says an event arrived behind the stream clock since the counted
-	// labels were last derived from the store (pendingDiagnoses).
-	stale *atomic.Bool
-}
-
-// noteArrival advances the stream clock to in, or — for an event that
-// arrives behind it — marks every application's counted labels stale: a
-// symptom diagnosed already may have lacked in as evidence. An event in
-// order cannot be evidence for a drained symptom, whose grace, the reach
-// of its evidence, the clock has passed.
-func (sv *serving) noteArrival(in *event.Instance) {
-	if in.End.Before(sv.clock) {
-		for _, a := range sv.apps {
-			a.stale.Store(true)
-		}
-		return
-	}
-	sv.clock = in.End
 }
 
 // app returns the named application's entry, or nil.
@@ -756,7 +735,7 @@ func (s *Server) installServing(rebuildTail bool) error {
 			return fmt.Errorf("server: %s graph: %v", a.Name, err)
 		}
 		eng := engine.New(s.st, view, g)
-		sv.apps = append(sv.apps, servedApp{a, eng, new(atomic.Bool)})
+		sv.apps = append(sv.apps, servedApp{a, eng})
 		sv.rootOf[g.Root] = a.Name
 		roots = append(roots, g.Root)
 		streams = append(streams, realtime.Stream{Name: a.Name, Engine: eng, Grace: realtime.GraceFor(g, maxEventDuration)})
@@ -764,7 +743,7 @@ func (s *Server) installServing(rebuildTail bool) error {
 	}
 	sv.proc = realtime.NewStreams(s.st, streams...)
 	if rebuildTail {
-		sv.clock = replayTail(s.st, sv.proc, roots, grace)
+		replayTail(s.st, sv.proc, roots, grace)
 	}
 	// Seed the breakdown rollups with one full-evidence diagnosis of every
 	// stored root symptom, so breakdown ≡ batch browser.Breakdown over the
@@ -774,23 +753,16 @@ func (s *Server) installServing(rebuildTail bool) error {
 	for i := range sv.apps {
 		s.countAll(&sv.apps[i])
 	}
-	// Fan live diagnoses out to the rollup counters and the stream's hub.
-	// Installed after the tail replay so its emissions (already served
-	// before the crash) don't reach the stream.
-	sv.proc.OnDiagnosis = func(app string, d engine.Diagnosis) {
-		s.roll.AddDiagnosis(app, d)
-		s.hub.publish(app, d)
-	}
 	s.serving.Store(sv)
 	return nil
 }
 
 // countAll counts one full-evidence diagnosis of every stored root
-// symptom of a.
+// symptom of a, each on the worker that diagnosed it.
 func (s *Server) countAll(a *servedApp) {
-	for _, d := range a.eng.DiagnoseAllParallel(0) {
+	a.eng.DiagnoseEach(0, func(_ int, d engine.Diagnosis) {
 		s.roll.AddDiagnosis(a.Name, d)
-	}
+	})
 }
 
 // replayTail replays the stored stream's last grace window (availability

@@ -149,8 +149,9 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing follower id")
 		return
 	}
+	// Below -1, a fresh follower's cursor, a pin would read as no pin.
 	from, err := strconv.Atoi(q.Get("from"))
-	if err != nil {
+	if err != nil || from < -1 {
 		writeErr(w, http.StatusBadRequest, "bad from cursor")
 		return
 	}

@@ -1087,3 +1087,39 @@ func TestMixedVersionPeersRefused(t *testing.T) {
 		t.Fatalf("the stream opens with %v (%v), want a hello whose first field is version %d", first, err, replica.ProtocolVersion)
 	}
 }
+
+// TestJournalCursorBelowFresh: a journal stream request whose cursor is
+// below -1, a fresh follower's, is a 400 that registers no follower, so
+// it cannot set a negative pin under the real followers; -1 streams.
+func TestJournalCursorBelowFresh(t *testing.T) {
+	_, b := testBundle(t)
+	prim := openServer(t, t.TempDir(), b)
+	ts := httptest.NewServer(prim.Handler())
+	defer ts.Close()
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	for _, from := range []string{"-2", "-9223372036854775808"} {
+		resp, err := http.Get(ts.URL + "/v1/replication/journal?id=bad&from=" + from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("from=%s: %d, want 400", from, resp.StatusCode)
+		}
+	}
+	if fs := prim.replReg.Status(); len(fs) != 0 {
+		t.Fatalf("a refused cursor registered followers %+v", fs)
+	}
+	if pin := prim.replReg.PinJournal(); pin != -1 {
+		t.Fatalf("a refused cursor pinned the journal at %d", pin)
+	}
+	resp, err := http.Get(ts.URL + "/v1/replication/journal?id=fresh&from=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	first, err := wal.NewFrameReader(resp.Body).Next()
+	if resp.StatusCode != http.StatusOK || err != nil || len(first) < 1 || first[0] != replica.MsgHello {
+		t.Fatalf("from=-1: %d, first frame %v (%v); want a hello", resp.StatusCode, first, err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -142,6 +143,22 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
+// queryInt reads the integer query parameter name, def when it is absent;
+// one that does not parse or is below least is answered 400 ("bad name")
+// and reported not ok.
+func queryInt(w http.ResponseWriter, q url.Values, name string, def, least int64) (n int64, ok bool) {
+	v := q.Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < least {
+		writeErr(w, http.StatusBadRequest, "bad %s %q", name, v)
+		return 0, false
+	}
+	return n, true
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		s.redirectToPrimary(w, r)
@@ -266,7 +283,18 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, t task) {
 		writeErr(w, res.status, "%v", res.err)
 		return
 	}
-	writeJSON(w, res.status, res.resp)
+	writeAck(w, res)
+}
+
+// writeAck writes a successful ingest's ack: writeJSON's bytes for
+// res.resp with res.entries, read like any stream reader's, as Diagnoses.
+func writeAck(w http.ResponseWriter, res taskResult) {
+	if len(res.entries) == 0 {
+		writeJSON(w, res.status, res.resp)
+		return
+	}
+	head, _ := json.Marshal(res.resp) // its members but Diagnoses; cannot fail
+	writeEntries(w, string(head[:len(head)-1])+`,"diagnoses":[`, res.entries, false, "]}\n")
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
@@ -342,32 +370,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	limit := defaultEventsPage
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		if n > 0 {
-			limit = n
-		}
+	limit, ok := queryInt(w, q, "limit", 0, 0)
+	if !ok {
+		return
 	}
-	if limit > maxEventsPage {
-		limit = maxEventsPage
+	if limit == 0 {
+		limit = defaultEventsPage
 	}
 	// Cursor: return live instances with ID > after, in insertion order;
 	// resume from the returned next cursor.
-	after := -1
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad after %q", v)
-			return
-		}
-		after = n
+	after, ok := queryInt(w, q, "after", -1, 0)
+	if !ok {
+		return
 	}
-	ins, more := s.st.ScanAfter(name, after, limit)
+	ins, more := s.st.ScanAfter(name, int(after), int(min(limit, maxEventsPage)))
 	out := make([]EventJSON, 0, len(ins))
 	for _, in := range ins {
 		out = append(out, eventJSON(in))

@@ -3,7 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"grca/internal/engine"
@@ -40,25 +40,35 @@ type streamEntry struct {
 	frame, body []byte
 }
 
+// renderBufs recycles render's scratch: the frame is built in b, the
+// object encoded from v, and only the finished frame is copied out.
+var renderBufs = sync.Pool{New: func() any { return new(renderBuf) }}
+
+type renderBuf struct {
+	b bytes.Buffer
+	v StreamDiagnosisJSON
+}
+
 // render returns the entry's SSE frame and its JSON object, rendering them
 // the first time any reader asks — on that reader's goroutine, outside the
 // hub lock — and never again.
 func (e *streamEntry) render() (frame, body []byte) {
 	e.once.Do(func() {
-		dj := diagnosisJSON(e.d)
-		dj.App = e.app
-		var b bytes.Buffer
-		fmt.Fprintf(&b, "id: %d\nevent: diagnosis\ndata: ", e.seq)
-		n := b.Len()
-		// Encode writes the object and a newline, which the blank line
-		// ending the frame follows. It cannot fail: every field is a
-		// string, an int or a time the store holds, within
-		// event.MinTime..MaxTime.
-		json.NewEncoder(&b).Encode(StreamDiagnosisJSON{Seq: e.seq, DiagnosisJSON: dj}) //nolint:errcheck // see above
-		b.WriteByte('\n')
-		e.frame = b.Bytes()
+		r := renderBufs.Get().(*renderBuf)
+		defer renderBufs.Put(r)
+		r.v = StreamDiagnosisJSON{Seq: e.seq, DiagnosisJSON: diagnosisJSON(e.d)}
+		r.v.App = e.app
+		r.b.Reset()
+		r.b.Write(strconv.AppendInt(append(r.b.AvailableBuffer(), "id: "...), e.seq, 10))
+		r.b.WriteString("\nevent: diagnosis\ndata: ")
+		n := r.b.Len()
+		// Encode adds a newline, which the frame's blank line follows. It
+		// cannot fail on the strings, ints and in-range times it is given.
+		json.NewEncoder(&r.b).Encode(&r.v) //nolint:errcheck // see above
+		r.b.WriteByte('\n')
+		e.frame = bytes.Clone(r.b.Bytes())
 		e.body = e.frame[n : len(e.frame)-2]
-		e.d = engine.Diagnosis{} // the bytes are all a reader needs from now on
+		e.d, r.v = engine.Diagnosis{}, StreamDiagnosisJSON{} // the bytes are all a reader needs
 		mStreamRendered.Inc()
 	})
 	return e.frame, e.body
@@ -87,14 +97,14 @@ func newSSEHub() *sseHub {
 
 // sinceLocked returns up to limit ring entries with seq > after, oldest
 // first; limit <= 0 means no limit.
-func (h *sseHub) sinceLocked(after int64, limit int) []*streamEntry {
+func (h *sseHub) sinceLocked(after, limit int64) []*streamEntry {
 	lo := max(after, h.seq-streamRingSize, 0) // the entries are lo+1..seq
 	n := h.seq - lo
 	if n <= 0 {
 		return nil
 	}
 	if limit > 0 {
-		n = min(n, int64(limit))
+		n = min(n, limit)
 	}
 	out := make([]*streamEntry, n)
 	for i := range out {
@@ -105,7 +115,7 @@ func (h *sseHub) sinceLocked(after int64, limit int) []*streamEntry {
 
 // since returns up to limit ring entries with seq > after, oldest first
 // (limit <= 0: no limit), and the newest sequence number.
-func (h *sseHub) since(after int64, limit int) ([]*streamEntry, int64) {
+func (h *sseHub) since(after, limit int64) ([]*streamEntry, int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sinceLocked(after, limit), h.seq
@@ -116,7 +126,7 @@ func (h *sseHub) since(after int64, limit int) ([]*streamEntry, int64) {
 // entries, else with after >= 0 every entry past after, else none.
 // Everything newer arrives on the client's channel, so the two neither
 // overlap nor leave a gap.
-func (h *sseHub) subscribe(after int64, replay int) (*sseClient, []*streamEntry) {
+func (h *sseHub) subscribe(after, replay int64) (*sseClient, []*streamEntry) {
 	c := &sseClient{ch: make(chan *streamEntry, sseClientBuf)}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -124,7 +134,7 @@ func (h *sseHub) subscribe(after int64, replay int) (*sseClient, []*streamEntry)
 	mSSEClients.Set(int64(len(h.clients)))
 	switch {
 	case replay >= 0:
-		after = max(h.seq-int64(replay), 0)
+		after = max(h.seq-replay, 0)
 	case after < 0:
 		after = h.seq
 	}
@@ -143,11 +153,11 @@ func (h *sseHub) unsubscribe(c *sseClient) {
 	h.mu.Unlock()
 }
 
-// publish numbers one diagnosis, puts it in the ring and delivers it to
-// every subscriber without blocking: a client with a full buffer is
-// evicted and its channel closed, which its handler observes as
-// end-of-stream.
-func (h *sseHub) publish(app string, d engine.Diagnosis) {
+// publish numbers one diagnosis, puts it in the ring, delivers it to
+// every subscriber without blocking and returns its entry: a client with
+// a full buffer is evicted and its channel closed, which its handler
+// observes as end-of-stream.
+func (h *sseHub) publish(app string, d engine.Diagnosis) *streamEntry {
 	h.mu.Lock()
 	h.seq++
 	e := &streamEntry{seq: h.seq, app: app, d: d}
@@ -164,4 +174,5 @@ func (h *sseHub) publish(app string, d engine.Diagnosis) {
 	}
 	mSSEClients.Set(int64(len(h.clients)))
 	h.mu.Unlock()
+	return e
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -18,6 +19,8 @@ import (
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/platform"
+	"grca/internal/simnet"
+	"grca/internal/wire"
 )
 
 // streamed is one diagnosis as the observer hands it to the hub.
@@ -317,7 +320,10 @@ func TestRecentRing(t *testing.T) {
 
 // TestStreamRendersOnce: publishing renders nothing, and two /v1/recent
 // polls and an SSE replay, run at once over the same entries, render each
-// entry once (server.stream.rendered) and serve the same bytes.
+// entry once (server.stream.rendered) and serve the same bytes. On a
+// server, where the ingest ack is every entry's first reader, an SSE
+// replay and a /v1/recent read of every streamed diagnosis render
+// nothing more: rendered equals the diagnoses streamed.
 func TestStreamRendersOnce(t *testing.T) {
 	xs := craftedDiagnoses()
 	var all []byte
@@ -365,6 +371,53 @@ func TestStreamRendersOnce(t *testing.T) {
 	if got := mStreamRendered.Value() - before; got != int64(len(xs)) {
 		t.Errorf("rendered %d times for %d entries", got, len(xs))
 	}
+
+	t.Run("ack first", func(t *testing.T) {
+		b, ins := corpusEvents(t, simnet.Config{
+			Seed: 7, PoPs: 2, PERsPerPoP: 2, SessionsPerPER: 4,
+			Duration: 2 * 24 * time.Hour, BGPFlapIncidents: 40,
+		}, true)
+		_, ts := finalizedServer(t, b)
+		before := mStreamRendered.Value()
+		streamed := 0
+		for lo := 0; lo < len(ins); lo += 50 {
+			code, body := postWire(t, ts, wire.AppendEvents(nil, ins[lo:min(lo+50, len(ins))]))
+			var ack IngestResponse
+			if err := json.Unmarshal(body, &ack); code != http.StatusOK || err != nil {
+				t.Fatalf("ingest: %d %s", code, body)
+			}
+			streamed += len(ack.Diagnoses)
+		}
+		if streamed == 0 || streamed > streamRingSize {
+			t.Fatalf("%d diagnoses streamed; want some, all in the ring", streamed)
+		}
+		if got := mStreamRendered.Value() - before; got != int64(streamed) {
+			t.Fatalf("the acks rendered %d entries for %d diagnoses", got, streamed)
+		}
+
+		stream := openStream(t, ts, "/v1/stream?after=0")
+		defer stream.Close()
+		sse := bufio.NewReader(stream)
+		for frames := 0; frames < streamed; {
+			line, err := sse.ReadString('\n')
+			if err != nil {
+				t.Fatalf("after %d of %d frames: %v", frames, streamed, err)
+			}
+			if line == "event: diagnosis\n" {
+				frames++
+			}
+		}
+		code, body := get(t, ts, fmt.Sprintf("/v1/recent?limit=%d", streamRingSize))
+		var recent struct {
+			Diagnoses []StreamDiagnosisJSON `json:"diagnoses"`
+		}
+		if err := json.Unmarshal(body, &recent); code != http.StatusOK || err != nil || len(recent.Diagnoses) != streamed {
+			t.Fatalf("recent: %d, %d diagnoses (%v); want %d", code, len(recent.Diagnoses), err, streamed)
+		}
+		if got := mStreamRendered.Value() - before; got != int64(streamed) {
+			t.Errorf("rendered %d times for %d diagnoses streamed", got, streamed)
+		}
+	})
 }
 
 var recentSink []byte

@@ -18,8 +18,9 @@
 # journal, and the gates test the path the server runs, and one that keeps
 # each journal format's one codec in internal/wal: the record envelope and
 # its kinds, and the checkpoint image a follower writes into its snap/,
-# and one that keeps internal/wal's reads and writes on their caller's
-# goroutine.
+# one that keeps internal/wal's reads and writes on their caller's
+# goroutine, and one that keeps the streaming processor the one stream
+# clock and observeStored the one fan-out of its diagnoses.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -132,6 +133,23 @@ echo "== wal starts no goroutine =="
 # error path — or another background worker coming back.
 if git grep -nE '^\s*go [a-zA-Z(]' -- internal/wal ':!*_test.go'; then
   echo "go statement in internal/wal (above): decode and write on the caller's goroutine" >&2
+  fail=1
+fi
+
+echo "== one stream clock, one fan-out =="
+# The streaming processor owns the stream clock (TakeBehind reports an
+# arrival behind it) and returns what it diagnoses to observeStored,
+# which counts and publishes each diagnosis; the ack reads the published
+# entry. A diagnosis hook on the processor, or a second publish site in
+# the server, is a second fan-out coming back.
+if git grep -nE '\bOnDiagnosis\b' -- 'internal/*.go' ':!*_test.go'; then
+  echo "OnDiagnosis in internal/ (above): fan diagnoses out where the processor returns them" >&2
+  fail=1
+fi
+publishes=$(git grep -hE 'hub\.publish\(' -- 'internal/server/*.go' ':!*_test.go' | wc -l)
+if [ "$publishes" -ne 1 ]; then
+  git grep -nE 'hub\.publish\(' -- 'internal/server/*.go' ':!*_test.go'
+  echo "$publishes hub.publish( calls in non-test internal/server (above), want 1: publish from observeStored alone" >&2
   fail=1
 fi
 
