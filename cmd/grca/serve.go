@@ -31,13 +31,13 @@ type serveOptions struct {
 func serveFlags(o *serveOptions) *flag.FlagSet {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (WAL, snapshots, journal; required)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory: the ingest journal, its checkpoints under snap/ and FORMAT (required)")
 	fs.StringVar(&o.bundleDir, "bundle", "", "dataset bundle directory supplying configs + manifest (required)")
 	// A vestige like -shards: bench/ passes -fsync batch. Both values name
 	// the one policy, the journal's fsync per commit group. ROADMAP item
 	// 1(e) deletes it.
 	fs.StringVar(&o.fsync, "fsync", "batch", "accepted for compatibility: batch and interval both mean one journal fsync per commit group")
-	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown/eviction)")
+	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50000, "roll the journal's tail, and so checkpoint the store, every N events (0 = every 1 MiB of journal only)")
 	fs.DurationVar(&o.retention, "retention", 0, "evict events older than this behind the stream head (0 = keep everything)")
 	// A vestige of the multi-lane pipeline: bench/ passes -shards 1 and may
 	// not change with the code it measures. ROADMAP item 1(e) deletes it.
@@ -55,8 +55,8 @@ func serveFlags(o *serveOptions) *flag.FlagSet {
 
 // runServe starts the durable diagnosis service: the bundle supplies the
 // configuration archive and deployment metadata, feeds arrive over HTTP,
-// and everything accepted survives restarts via the WAL + ingest journal
-// under -data-dir.
+// and everything accepted survives restarts via the ingest journal and
+// its checkpoints under -data-dir.
 func runServe(args []string) error {
 	var o serveOptions
 	if err := serveFlags(&o).Parse(args); err != nil {
@@ -134,14 +134,14 @@ func runServe(args []string) error {
 	return nil
 }
 
-// runPromote flips a running replica into a standalone primary: it
-// seals the replication streams, finishes replay, reopens through the
-// normal recovery path (which checks the shipped journal against the
-// shipped WAL state), and reports the promoted node's store digest.
+// runPromote flips a running replica into a standalone primary in place:
+// the replica stops its stream, rolls and checkpoints where its replay
+// stands and starts the primary pipeline over the store it served as a
+// follower. It reports the promoted node's store digest.
 func runPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "base URL of the replica to promote (e.g. http://127.0.0.1:8081; required)")
-	timeout := fs.Duration("timeout", 5*time.Minute, "how long to wait for the promotion replay")
+	timeout := fs.Duration("timeout", 5*time.Minute, "how long to wait for the promotion")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -172,8 +172,6 @@ func runPromote(args []string) error {
 		return fmt.Errorf("promote: bad response: %v", err)
 	}
 	fmt.Printf("promoted: role=%s boot=%s applied_seq=%d\n", info.Role, info.BootID, info.AppliedSeq)
-	fmt.Printf("recovered %d batches, %d events (finalized=%v)\n",
-		info.Recovery.Batches, info.Recovery.Events, info.Recovery.Finalized)
 	// "shard 0" is the form the benchmark's promoted-digest check parses
 	// (bench/ may not change with the code it measures; ROADMAP item 1(e)).
 	fmt.Printf("shard 0 digest %s\n", info.Digest)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,12 +48,9 @@ type followerState struct {
 	image    *wal.ImageWriter
 
 	// sealOnce makes the seal idempotent between Promote and Shutdown, and
-	// promoteOnce serializes promotion without holding any lock across the
-	// reopen (which acquires the whole pipeline's lock set — a mutex here
-	// would nest above all of them).
+	// promoteOnce gives concurrent Promote callers the first one's outcome.
 	sealOnce    sync.Once
 	sealErr     error
-	promoting   atomic.Bool
 	promoteOnce sync.Once
 	promoteInfo PromoteInfo
 	promoteErr  error
@@ -66,13 +62,6 @@ type followerState struct {
 	streamErr error
 }
 
-// promotedNode is the primary a promoted replica delegates to.
-type promotedNode struct {
-	srv  *Server
-	h    http.Handler
-	info PromoteInfo
-}
-
 // PromoteInfo is the promote endpoint's answer.
 type PromoteInfo struct {
 	Role string `json:"role"`
@@ -80,9 +69,6 @@ type PromoteInfo struct {
 	BootID string `json:"boot_id"`
 	// AppliedSeq is the last stream sequence applied before the seal.
 	AppliedSeq int `json:"applied_seq"`
-	// Recovery is the reopen's report. The seal rolls and checkpoints, so
-	// the retained tail is verified (TailVerified), not applied.
-	Recovery RecoveryInfo `json:"recovery"`
 	// Digest is the promoted store's digest.
 	Digest string `json:"digest"`
 }
@@ -258,9 +244,9 @@ func prepareFollower(cfg Config) (*followerState, error) {
 	return &followerState{primary: primary, id: id, bootID: meta.BootID}, nil
 }
 
-// follow makes s the follower fs is, where a primary would start its
-// applier: recovery's frontier store stays the live store's only writer,
-// and the stream client (Open starts it) applies each record through it.
+// follow makes s the follower fs is, where a primary would lead:
+// recovery's frontier store stays the live store's only writer, and the
+// stream client applies each record through it.
 func (s *Server) follow(fs *followerState, rep replayResult) {
 	fs.appliedSeq.Store(int64(rep.maxSeq))
 	fs.apply = journalApplier{
@@ -277,8 +263,10 @@ func (s *Server) follow(fs *followerState, rep replayResult) {
 		Handle:  s.handleJournalMsg,
 		OnState: fs.noteState,
 	}
-	s.follower = fs
+	s.follower.Store(fs)
 	mReplSeq.Set(int64(rep.maxSeq))
+	s.dropJournalSegments()
+	fs.client.Start()
 }
 
 // checkHello validates the stream's opening frame against the incarnation
@@ -300,7 +288,7 @@ func (fs *followerState) checkHello(m replica.Msg) error {
 // client's goroutine — the follower's only writer to the live store, the
 // checkpoints and the local journal.
 func (s *Server) handleJournalMsg(m replica.Msg) error {
-	fs := s.follower
+	fs := s.follower.Load()
 	var err error
 	switch m.Type {
 	case replica.MsgHello:
@@ -375,7 +363,7 @@ func (s *Server) applyJournalRecord(rec []byte) (rolled bool, err error) {
 	seq := r.Seq
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
-	fs := s.follower
+	fs := s.follower.Load()
 	if r.Kind == wal.JournalSegmentKind {
 		if seq <= int(fs.appliedSeq.Load()) {
 			return false, nil // reconnect overlap: rolled there already
@@ -420,7 +408,7 @@ func (s *Server) applyJournalRecord(rec []byte) (rolled bool, err error) {
 // event ID its first record allocates, and the replay must stand exactly
 // there — a divergence check at every roll. Callers hold dispatchMu.
 func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
-	fs := s.follower
+	fs := s.follower.Load()
 	img := fs.image
 	replace := img != nil
 	if replace {
@@ -489,92 +477,65 @@ func (fs *followerState) noteState(err error) {
 // here. Runs on the client's goroutine, the replay's only writer.
 func (s *Server) updateLag(hb replica.Msg) {
 	mReplLagBytes.Set(max(hb.JournalBytes-s.jour.Offset(), 0))
-	mReplLagRecs.Set(int64(max(hb.WALNext-s.follower.apply.st.NextID(), 0)))
+	mReplLagRecs.Set(int64(max(hb.WALNext-s.follower.Load().apply.st.NextID(), 0)))
 }
 
-// sealFollower stops the stream client and closes the journal; after it
-// returns no goroutine touches follower disk state. Sealing for a
-// promotion closes it the way a primary's shutdown does: the node is a
-// primary from here on, so it rolls where it stands and checkpoints, and
-// the reopen stands on that checkpoint. Idempotent (sealOnce: the first
-// caller decides); called by Promote and Shutdown.
-func (s *Server) sealFollower(promote bool) error {
-	fs := s.follower
+// sealFollower stops the stream client and syncs the journal; after it
+// returns no goroutine but the caller's touches follower disk state. A
+// checkpoint image that arrived without its segment header is discarded:
+// nothing installs it. Idempotent (sealOnce: the first caller runs it,
+// the others wait for it); called by Promote and Shutdown.
+func (s *Server) sealFollower(fs *followerState) error {
 	fs.sealOnce.Do(func() {
 		fs.client.Stop()
 		fs.client.Wait()
-		s.nextID = fs.apply.st.NextID() // the roll's header: where the replay stands
-		fs.sealErr = s.closeJournal(promote && s.isFinalized())
+		if fs.incoming != nil {
+			fs.incoming.Close()
+		}
+		fs.incoming, fs.image = nil, nil
+		fs.sealErr = s.jour.Sync()
 	})
 	return fs.sealErr
 }
 
-// Promote turns this replica into a primary: seal the stream, then reopen
-// the data directory exactly as a restarting primary would. The seal's
-// checkpoint holds everything applied, so the reopen verifies the retained
-// journal tail against it and applies nothing — the promoted store equals
-// a clean single-node replay of the same journal. The promoted server
-// takes over request handling atomically; this server's handler delegates
-// to it from then on.
+// Promote turns this replica into a primary in place: it seals the
+// stream, then starts the primary half Open starts on a primary (lead)
+// over the same store, collector, rollups, processor and SSE hub, so
+// reads go on against the state they read as a follower and the diagnosis
+// stream's sequence goes on unbroken. Nothing is read back from disk: the
+// follower's replay is a recovery that never stopped, and lead's roll and
+// checkpoint leave the dir what a restart would stand on. Concurrent
+// callers share the first one's outcome; a failed promotion is sticky
+// (the local state is suspect: restart the process to retry).
 func (s *Server) Promote() (PromoteInfo, error) {
-	fs := s.follower
+	fs := s.follower.Load()
 	if fs == nil {
 		return PromoteInfo{}, fmt.Errorf("server: not a replica")
 	}
-	// Promotion runs exactly once; concurrent callers block on the Once
-	// and share the stored outcome (a failed promotion is sticky — the
-	// local state is suspect, restart the process to retry). No lock is
-	// held across the reopen.
-	fs.promoting.Store(true)
-	fs.promoteOnce.Do(func() { fs.promoteInfo, fs.promoteErr = s.promote() })
+	fs.promoteOnce.Do(func() { fs.promoteInfo, fs.promoteErr = s.promote(fs) })
 	return fs.promoteInfo, fs.promoteErr
 }
 
-func (s *Server) promote() (PromoteInfo, error) {
-	fs := s.follower
-	if err := s.sealFollower(true); err != nil {
+func (s *Server) promote(fs *followerState) (PromoteInfo, error) {
+	if err := s.sealFollower(fs); err != nil {
 		return PromoteInfo{}, err
 	}
-	if err := os.Remove(replicaFile(s.cfg.DataDir)); err != nil && !os.IsNotExist(err) {
+	// What a recovery would refuse to serve: a replay that diverged, or a
+	// checkpoint that reaches past where the journal ends.
+	if err := fs.apply.st.finish(); err != nil {
 		return PromoteInfo{}, err
 	}
-	cfg := s.cfg
-	cfg.ReplicaOf = ""
-	ps, err := Open(cfg)
-	if err != nil {
-		return PromoteInfo{}, fmt.Errorf("reopening as primary: %v", err)
+	// Sealed, the store has no writer until lead starts the applier.
+	digest := wal.StoreDigest(s.st)
+	if err := s.lead(fs); err != nil {
+		return PromoteInfo{}, err
 	}
-	info := PromoteInfo{
+	return PromoteInfo{
 		Role:       "primary",
-		BootID:     ps.bootID,
+		BootID:     s.bootID,
 		AppliedSeq: int(fs.appliedSeq.Load()),
-		Recovery:   ps.Recovery(),
-		Digest:     wal.StoreDigest(ps.st),
-	}
-	node := &promotedNode{srv: ps, h: ps.Handler(), info: info}
-	s.promoted.Store(node)
-	return info, nil
-}
-
-// shutdownFollower is Shutdown's replica path: seal the stream, close
-// the processor, and shut the promoted primary down if one exists.
-func (s *Server) shutdownFollower(ctx context.Context, err error) error {
-	fs := s.follower
-	if fs.promoting.Load() {
-		// Wait out an in-flight promotion so the promoted server below
-		// is visible for shutdown; the empty Do blocks until it returns.
-		fs.promoteOnce.Do(func() {})
-	}
-	if e := s.sealFollower(false); e != nil && err == nil {
-		err = e
-	}
-	s.serving.Load().close()
-	if node := s.promoted.Load(); node != nil {
-		if e := node.srv.Shutdown(ctx); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
+		Digest:     digest,
+	}, nil
 }
 
 // status renders /v1/replication/status for a replica.
@@ -582,10 +543,6 @@ func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 	fs.mu.Lock()
 	hb, hbAt, lastMsg, serr := fs.hb, fs.hbAt, fs.lastMsg, fs.streamErr
 	fs.mu.Unlock()
-	if node := s.promoted.Load(); node != nil {
-		// Promoted: report the new primary's identity through the old path.
-		return ReplicationStatusJSON{Role: "primary", BootID: node.info.BootID}
-	}
 	s.dispatchMu.Lock() // held by the stream apply, which moves the replay
 	next := fs.apply.st.NextID()
 	s.dispatchMu.Unlock()

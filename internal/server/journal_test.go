@@ -770,8 +770,8 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	waitReplicaCaughtUp(t, foll, prim)
 	// From here the test is the follower's stream: it hands the follower
 	// the primary's records itself, a heartbeat behind each group.
-	foll.follower.client.Stop()
-	foll.follower.client.Wait()
+	foll.follower.Load().client.Stop()
+	foll.follower.Load().client.Wait()
 
 	expect := func(who string, j0 int64, dj int64) {
 		t.Helper()
@@ -788,7 +788,7 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	for _, rec := range journalRecords(t, paths[len(paths)-1]) {
 		if r, err := wal.ParseJournalRecord(rec); err != nil {
 			t.Fatal(err)
-		} else if r.Seq > int(foll.follower.appliedSeq.Load()) {
+		} else if r.Seq > int(foll.follower.Load().appliedSeq.Load()) {
 			recs = append(recs, rec)
 		}
 	}

@@ -337,14 +337,12 @@ type Server struct {
 	// Replication (DESIGN.md §16). Primary side: bootID names this
 	// incarnation, replReg tracks followers (and pins the journal), replSrc
 	// serves the stream; a follower has neither, and its nil replReg pins
-	// nothing.
-	// Follower side: follower is non-nil on a read replica, and promoted,
-	// once set, is the post-failover primary every request delegates to.
+	// nothing. Follower side: follower is set on a read replica, and
+	// cleared, under dispatchMu, as a promotion's last step (lead).
 	bootID   string
 	replReg  *replica.Registry
 	replSrc  *replica.Source
-	follower *followerState
-	promoted atomic.Pointer[promotedNode]
+	follower atomic.Pointer[followerState]
 
 	closing  chan struct{}
 	httpSrv  *http.Server
@@ -512,44 +510,80 @@ func Open(cfg Config) (*Server, error) {
 	s.ckpt = cp.ckpt
 	if fol != nil {
 		s.follow(fol, rep)
-	} else {
-		// The collector carries the journal's parse state. From here on its
-		// adds go to the store itself and admission numbers them; a
-		// follower's keep going through the replay's frontier.
-		s.coll.Store = s.st
-		s.queue = make(chan *batch, cfg.MaxInflight)
-		// As deep as the queue, so the applier hands a whole commit group to
-		// the observer without waiting on it; deeper would only let
-		// acknowledged-but-unobserved batches pile up.
-		s.observeQ = make(chan *batch, cfg.MaxInflight)
-		s.observed = make(chan struct{})
-		s.journaled.Store(int64(rep.maxSeq))
-		s.initReplicationSource()
-		// The checkpoint alone holds every recovered event before the node
-		// serves: what the active file holds — behind a crash, or a finalize
-		// record whose roll did not happen — is sealed by a roll and
-		// checkpointed.
-		if s.isFinalized() {
-			if err := s.rollAndCheckpoint(); err != nil {
-				return nil, err
-			}
+	} else if err := s.lead(nil); err != nil {
+		return nil, err
+	}
+	opened = true
+	return s, nil
+}
+
+// lead starts the primary half of s over what recovery, or a follower's
+// replay, left: the collector's adds go to the store itself and admission
+// numbers them, where the replay stands; admission's queue and its view of
+// the journal's active file; the replication source, under a new boot ID;
+// a roll and checkpoint of a finalized store, so that the checkpoint alone
+// holds every event before the node serves; and the applier and the
+// observer. Open calls it on a primary, promote on a sealed follower, fs,
+// whose REPLICA marker goes first, durably. The role switches last, under
+// dispatchMu, so a handler sees a follower, and redirects, or a whole
+// primary; a Shutdown that has begun decided on the follower, and lead
+// refuses.
+func (s *Server) lead(fs *followerState) error {
+	s.dispatchMu.Lock()
+	select {
+	case <-s.closing:
+		s.dispatchMu.Unlock()
+		return fmt.Errorf("server is shutting down")
+	default:
+	}
+	if fs != nil {
+		// Durable before the node acts as a primary: a marker a power cut
+		// brings back would take the dir for a replica's and wipe it.
+		err := os.Remove(replicaFile(s.cfg.DataDir))
+		if err == nil || os.IsNotExist(err) {
+			err = s.jour.SyncDir()
+		}
+		if err != nil {
+			s.dispatchMu.Unlock()
+			return err
 		}
 	}
-	s.dropJournalSegments()
-	opened = true
-	if fol != nil {
-		fol.client.Start()
-	} else {
-		go s.applier()
-		go s.observer()
+	s.nextID = s.coll.Store.NextID()
+	s.coll.Store = s.st
+	s.queue = make(chan *batch, s.cfg.MaxInflight)
+	// As deep as the queue, so the applier hands a whole commit group to
+	// the observer without waiting on it; deeper would only let
+	// acknowledged-but-unobserved batches pile up.
+	s.observeQ = make(chan *batch, s.cfg.MaxInflight)
+	s.observed = make(chan struct{})
+	s.journaled.Store(int64(s.seq - 1))
+	tail := s.jour.Tail()
+	s.segBytes, s.inTail = s.jour.ActiveSize(), len(tail) > 0
+	if len(tail) > 0 {
+		s.segEvents = max(tail[len(tail)-1].Events, 0)
 	}
-	return s, nil
+	s.initReplicationSource()
+	// What the active file holds — behind a crash, a finalize record whose
+	// roll did not happen, or a follower's last records — is sealed by a
+	// roll and checkpointed.
+	if s.isFinalized() {
+		if err := s.rollAndCheckpoint(); err != nil {
+			s.dispatchMu.Unlock()
+			return err
+		}
+	}
+	s.follower.Store(nil)
+	s.dispatchMu.Unlock()
+	s.dropJournalSegments()
+	go s.applier()
+	go s.observer()
+	return nil
 }
 
 // newServer assembles the Server over the recovered store and collector,
 // the Result Browser rollups, and — when the journal already holds a
 // finalize record — the serving phase with its processor's tail rebuilt.
-// Open adds the role's half and starts the goroutines.
+// Open adds the role's half: lead or follow.
 func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.SegmentedJournal) (*Server, error) {
 	st := rep.st.Memory
 	s := &Server{
@@ -557,14 +591,8 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 		roll:     rollup.New(rollup.Config{}),
 		hub:      newSSEHub(),
 		seq:      rep.maxSeq + 1,
-		nextID:   rep.st.NextID(),
 		closing:  make(chan struct{}),
 		recovery: rep.info,
-		segBytes: jour.ActiveSize(),
-		inTail:   len(jour.Tail()) > 0,
-	}
-	if tail := jour.Tail(); len(tail) > 0 {
-		s.segEvents = max(tail[len(tail)-1].Events, 0)
 	}
 	s.pinCap.Store(journalPinCap)
 	s.recovery.Batches, s.recovery.Finalized = rep.batches, rep.finalized

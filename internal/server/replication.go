@@ -55,7 +55,7 @@ func (s *Server) initReplicationSource() {
 
 // isFollower reports whether this server is a read replica (not yet
 // promoted).
-func (s *Server) isFollower() bool { return s.follower != nil }
+func (s *Server) isFollower() bool { return s.follower.Load() != nil }
 
 // ReplicationMetaJSON is the primary's stream rendezvous document: its
 // incarnation, the journal's durable sequence and logical size — the bytes
@@ -123,8 +123,8 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	if s.isFollower() {
-		writeJSON(w, http.StatusOK, s.follower.status(s))
+	if fs := s.follower.Load(); fs != nil {
+		writeJSON(w, http.StatusOK, fs.status(s))
 		return
 	}
 	writeJSON(w, http.StatusOK, ReplicationStatusJSON{
@@ -177,14 +177,20 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// redirectToPrimary fences a write endpoint on a follower: 307 keeps
-// the method and body, pointing the client at the primary.
-func (s *Server) redirectToPrimary(w http.ResponseWriter, r *http.Request) {
-	target := s.follower.primary + r.URL.Path
+// redirected fences a write endpoint on a follower, and reports whether
+// it did: 307 keeps the method and body, pointing the client at the
+// primary.
+func (s *Server) redirected(w http.ResponseWriter, r *http.Request) bool {
+	fs := s.follower.Load()
+	if fs == nil {
+		return false
+	}
+	target := fs.primary + r.URL.Path
 	if r.URL.RawQuery != "" {
 		target += "?" + r.URL.RawQuery
 	}
 	http.Redirect(w, r, target, http.StatusTemporaryRedirect)
+	return true
 }
 
 // replicaFile is the follower's identity marker under the data dir: the

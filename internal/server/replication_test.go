@@ -30,7 +30,7 @@ func waitReplicaCaughtUp(t *testing.T, foll, prim *Server) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		target := int(prim.journaled.Load())
-		applied := int(foll.follower.appliedSeq.Load())
+		applied := int(foll.follower.Load().appliedSeq.Load())
 		if applied >= target {
 			return
 		}
@@ -57,9 +57,8 @@ func TestReplicaParityAndPromote(t *testing.T) {
 		ts := httptest.NewServer(prim.Handler())
 		loadAndFinalize(t, ts, b)
 		// Feeds, finalize, and both event encodings: every journal
-		// record kind reaches the follower's stream apply and, at the
-		// promotion's reopen, crash recovery's replay — the shared
-		// applier's two callers.
+		// record kind reaches the follower's stream apply, the applier
+		// crash recovery's replay shares.
 		for i, evs := range lifecycleBatches(b) {
 			code, body := postLifecycleBatch(t, ts, i, evs)
 			if code != http.StatusOK {
@@ -159,7 +158,7 @@ func TestReplicaParityAndPromote(t *testing.T) {
 			t.Fatalf("replica stats carry no lag gauges")
 		}
 
-		// Promote: the replica reopens as a primary and accepts writes.
+		// Promote: the replica becomes a primary in place and accepts writes.
 		code, body = post(t, ts2, "/v1/replication/promote", struct{}{})
 		if code != http.StatusOK {
 			t.Fatalf("promote: %d %s", code, body)
@@ -171,10 +170,10 @@ func TestReplicaParityAndPromote(t *testing.T) {
 		if want := wal.StoreDigest(prim.st); info.Role != "primary" || info.Digest != want {
 			t.Fatalf("promote info = %s, want a primary with the store digest %s", body, want)
 		}
-		// The seal rolled and checkpointed, as a primary's shutdown does: the
-		// reopen verified the retained tail and applied none of it.
-		if rec := info.Recovery; rec.TailApplied != 0 {
-			t.Fatalf("promotion's reopen: %+v, want the tail verified over the follower's own checkpoint", rec)
+		// The node that answered is the primary now, under the new boot ID.
+		code, body = get(t, ts2, "/v1/replication/status")
+		if err := json.Unmarshal(body, &rs); err != nil || code != http.StatusOK || rs.Role != "primary" || rs.BootID != info.BootID {
+			t.Fatalf("post-promote status: %d %s, want a primary with boot ID %s", code, body, info.BootID)
 		}
 		code, body = post(t, ts2, "/v1/ingest", IngestRequest{Events: lifecycleBatches(b)[0]})
 		if code != http.StatusOK {
@@ -761,7 +760,7 @@ func TestLateFollowerBootstrapsFromCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := wal.StoreDigest(prim.st); info.Digest != want {
-			t.Fatalf("promoted digest %s, want the primary's %s (%+v)", info.Digest, want, info.Recovery)
+			t.Fatalf("promoted digest %s, want the primary's %s (%+v)", info.Digest, want, info)
 		}
 		if code, body := post(t, ts2, "/v1/ingest", IngestRequest{Events: k.batch(10)}); code != http.StatusOK {
 			t.Fatalf("post-promote ingest: %d %s", code, body)
@@ -898,11 +897,11 @@ func TestLaggingFollowerPinsJournal(t *testing.T) {
 	if got := olderManifest(t, primDir); got <= floor {
 		t.Fatalf("with the stream parked the primary's older manifest stayed at ID %d (%d before)", got, floor)
 	}
-	applied := foll.follower.appliedSeq.Load()
+	applied := foll.follower.Load().appliedSeq.Load()
 	g.set(false)
 	waitReplicaCaughtUp(t, foll, prim)
-	if foll.follower.appliedSeq.Load() < applied+30 {
-		t.Fatalf("the follower applied up to %d while parked at about %d: the stream was not parked", foll.follower.appliedSeq.Load(), applied)
+	if foll.follower.Load().appliedSeq.Load() < applied+30 {
+		t.Fatalf("the follower applied up to %d while parked at about %d: the stream was not parked", foll.follower.Load().appliedSeq.Load(), applied)
 	}
 	if got := mReplCheckpoints.Value() - loaded; got != 0 {
 		t.Fatalf("the released follower loaded %d checkpoints, want none: every segment was kept for it", got)
@@ -1058,13 +1057,13 @@ func TestMixedVersionPeersRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for !strings.Contains(foll.follower.status(foll).StreamError, fmt.Sprintf("protocol version %d", v)) {
+		for !strings.Contains(foll.follower.Load().status(foll).StreamError, fmt.Sprintf("protocol version %d", v)) {
 			if time.Now().After(deadline) {
-				t.Fatalf("a protocol-%d primary's stream was not refused by its version: %+v", v, foll.follower.status(foll))
+				t.Fatalf("a protocol-%d primary's stream was not refused by its version: %+v", v, foll.follower.Load().status(foll))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		if applied, journaled := foll.follower.appliedSeq.Load(), foll.jour.Offset(); applied != -1 || journaled != 0 {
+		if applied, journaled := foll.follower.Load().appliedSeq.Load(), foll.jour.Offset(); applied != -1 || journaled != 0 {
 			t.Fatalf("the refused protocol-%d stream applied up to sequence %d and journaled %d bytes", v, applied, journaled)
 		}
 		if err := foll.Shutdown(context.Background()); err != nil {

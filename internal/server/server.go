@@ -47,6 +47,10 @@ const maxBody = 8 << 20
 //	GET  /v1/drilldown/{id} traced diagnosis + co-located events (?app=&window=&level=)
 //	GET  /v1/recent         recent streaming diagnoses (?after=&limit=)
 //	GET  /v1/stream         SSE diagnosis stream (?after= | ?replay=)
+//	GET  /v1/replication/status   this node's role, and its followers or its lag
+//	GET  /v1/replication/meta     a primary's stream rendezvous document
+//	GET  /v1/replication/journal  a primary's journal stream (?id=&from=)
+//	POST /v1/replication/promote  turn a replica into a primary in place
 //	GET  /browser/          embedded Result Browser dashboard
 //	GET  /healthz           liveness + phase
 //
@@ -71,15 +75,7 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.Debug {
 		mux.Handle("/debug/", obs.DebugMux())
 	}
-	// After a promotion the replica's old pipeline stays up for in-flight
-	// requests, but every new request belongs to the promoted primary.
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if node := s.promoted.Load(); node != nil {
-			node.h.ServeHTTP(w, r)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
+	return mux
 }
 
 // route is one API endpoint: its path, the one method it answers (any
@@ -110,7 +106,7 @@ func (s *Server) routes() []route {
 		{"/v1/replication/status", get, mStatsSecs, s.handleReplStatus},
 		{"/v1/replication/meta", get, mStatsSecs, s.handleReplMeta},
 		// The replication stream lives until the follower disconnects, and a
-		// promotion reopens the data dir — neither fits under the request
+		// promotion rolls and checkpoints — neither fits under the request
 		// timeout.
 		{"/v1/replication/journal", get, nil, s.handleReplJournal},
 		{"/v1/replication/promote", post, nil, s.handleReplPromote},
@@ -160,8 +156,7 @@ func queryInt(w http.ResponseWriter, q url.Values, name string, def, least int64
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.isFollower() {
-		s.redirectToPrimary(w, r)
+	if s.redirected(w, r) {
 		return
 	}
 	var t task
@@ -298,8 +293,7 @@ func writeAck(w http.ResponseWriter, res taskResult) {
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
-	if s.isFollower() {
-		s.redirectToPrimary(w, r)
+	if s.redirected(w, r) {
 		return
 	}
 	res := s.dispatch(r.Context(), task{kind: wal.JournalFinalizeKind})
@@ -398,9 +392,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	first, last, _ := s.st.Span()
 	// The collector's tallies are written by feed loads (and a follower's
-	// journal apply) under dispatchMu.
+	// journal apply) under dispatchMu, and a promotion makes the queue
+	// there.
 	s.dispatchMu.Lock()
 	sources := s.coll.Summary()
+	depth, capacity := len(s.queue), cap(s.queue)
 	s.dispatchMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"phase":    s.phase(),
@@ -409,8 +405,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"recovery": s.recovery,
 		"sources":  sources,
 		"pipeline": map[string]any{
-			"queue_depth":    len(s.queue),
-			"queue_capacity": cap(s.queue),
+			"queue_depth":    depth,
+			"queue_capacity": capacity,
 		},
 		"metrics": obs.Default().Snapshot(),
 	})
@@ -448,41 +444,47 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Shutdown drains gracefully: stop accepting work, let in-flight requests
-// finish, drain the commit pipeline, force-drain the streaming processor,
-// roll and checkpoint, drop the journal segments that covers, and close
-// the journal. Safe to call once; the ctx bounds the HTTP drain.
+// finish, drain the commit pipeline (a follower: seal the stream),
+// force-drain the streaming processor, roll and checkpoint, drop the
+// journal segments that covers, and close the journal. Safe to call once;
+// the ctx bounds the HTTP drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.closing)
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	if s.isFollower() {
-		return s.shutdownFollower(ctx, err)
-	}
-	// Closing the queue under dispatchMu excludes in-flight dispatchers:
-	// anyone who passed the closing check has finished enqueueing before
-	// we close, anyone after sees closing first. The applier then closes
-	// the observer's inbox behind its last group.
+	// The role is decided under dispatchMu, behind closing: a promotion
+	// that has not switched it yet now refuses to (lead). Closing the queue
+	// there excludes in-flight dispatchers: anyone who passed the closing
+	// check has finished enqueueing before we close, anyone after sees
+	// closing first. The applier then closes the observer's inbox behind
+	// its last group.
 	s.dispatchMu.Lock()
-	close(s.queue)
+	fs := s.follower.Load()
+	if fs == nil {
+		close(s.queue)
+	}
 	s.dispatchMu.Unlock()
-	<-s.observed
+	if fs == nil {
+		<-s.observed
+	} else if e := s.sealFollower(fs); e != nil && err == nil {
+		err = e
+	}
 	s.serving.Load().close()
-	if e := s.closeJournal(s.isFinalized()); e != nil && err == nil {
+	if e := s.closeJournal(fs == nil && s.isFinalized()); e != nil && err == nil {
 		err = e
 	}
 	return err
 }
 
-// closeJournal is the tail of every shutdown, a primary's and a
-// follower's seal. With checkpoint — a finalized primary, or a follower
-// being promoted to one — the journal is rolled and the store
-// checkpointed, so that the next boot stands on the checkpoint alone;
-// otherwise (a follower, whose journal rolls only where its primary's
-// did) the journal is synced and the next boot replays its active
-// segment. Then the journal segments the checkpoints cover are dropped and
-// the journal is closed. Callers have stopped every writer.
+// closeJournal is the tail of every shutdown. With checkpoint — a
+// finalized primary — the journal is rolled and the store checkpointed,
+// so that the next boot stands on the checkpoint alone; otherwise (a
+// follower, whose journal rolls only where its primary's did) the journal
+// is synced and the next boot replays its active segment. Then the
+// journal segments the checkpoints cover are dropped and the journal is
+// closed. Callers have stopped every writer.
 func (s *Server) closeJournal(checkpoint bool) error {
 	var err error
 	if checkpoint {

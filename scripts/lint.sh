@@ -19,8 +19,10 @@
 # each journal format's one codec in internal/wal: the record envelope and
 # its kinds, and the checkpoint image a follower writes into its snap/,
 # one that keeps internal/wal's reads and writes on their caller's
-# goroutine, and one that keeps the streaming processor the one stream
-# clock and observeStored the one fan-out of its diagnoses.
+# goroutine, one that keeps the streaming processor the one stream
+# clock and observeStored the one fan-out of its diagnoses, and one that
+# keeps one Server per process: a promoted replica leads on its own
+# Server, never a second one reopened beside it.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -150,6 +152,21 @@ publishes=$(git grep -hE 'hub\.publish\(' -- 'internal/server/*.go' ':!*_test.go
 if [ "$publishes" -ne 1 ]; then
   git grep -nE 'hub\.publish\(' -- 'internal/server/*.go' ':!*_test.go'
   echo "$publishes hub.publish( calls in non-test internal/server (above), want 1: publish from observeStored alone" >&2
+  fail=1
+fi
+
+echo "== one Server per process =="
+# A promoted replica becomes the primary in place: the Server that
+# followed starts the primary pipeline (lead) over the store, processor
+# and stream it served as a follower. A call of Open inside the package,
+# or a field holding a promoted Server, is a second Server — and a second
+# recovery — for one node coming back.
+if git grep -nE '(^|[^.[:alnum:]_])Open\(' -- 'internal/server/*.go' ':!*_test.go' | grep -v ':func Open('; then
+  echo "Open called inside internal/server (above): promote in place through lead" >&2
+  fail=1
+fi
+if git grep -nE '^\s+promoted\s+(\*?[[:alpha:]]|\[)' -- 'internal/server/*.go' ':!*_test.go'; then
+  echo "a promoted field in internal/server (above): the promoted node is the Server itself" >&2
   fail=1
 fi
 
