@@ -282,3 +282,67 @@ func BenchmarkStoreHeapPerEvent(b *testing.B) {
 		b.ReportMetric(heap, "heapB/event")
 	}
 }
+
+// TestReadAllocations pins what a read costs the heap, on a settled index
+// and on one whose tail the read must settle first under the write lock:
+// Query, QueryAt and All allocate the result's one array of instances and
+// one pointer slice over it (a window of at most 64 rows, which the scan
+// collects on the stack), and CountStarts allocates nothing. A closure or
+// a row buffer that escaped on the way to the index would show here.
+func TestReadAllocations(t *testing.T) {
+	loc := locus.At(locus.Router, "r")
+	s := New()
+	for _, m := range []int{0, 5, 10, 15, 20, 25, 30, 35, 40, 3, 13, 23, 33} { // the last four late
+		in := mk("e", m, 1, loc)
+		in.Attrs = event.NewAttrs(map[string]string{"m": fmt.Sprint(m)})
+		s.Add(in)
+	}
+	idx := s.index("e")
+	if idx.settled() {
+		t.Fatal("late adds left the index settled")
+	}
+	starts, rows, sorted := append([]int64(nil), idx.starts...), append([]row(nil), idx.rows...), idx.sorted
+	from, to := t0, t0.Add(time.Hour)
+	counts := make([]int, 4)
+	reads := []struct {
+		name  string
+		want  float64
+		read  func() int
+		count int
+	}{
+		{"Query", 2, func() int { return len(s.Query("e", from, to)) }, 13},
+		{"QueryAt", 2, func() int { return len(s.QueryAt("e", from, to, loc)) }, 13},
+		{"All", 2, func() int { return len(s.All("e")) }, 13},
+		{"CountStarts", 0, func() int {
+			clear(counts)
+			s.CountStarts("e", from, to, 15*time.Minute, counts)
+			return counts[0] + counts[1] + counts[2] + counts[3]
+		}, 13},
+	}
+	for _, r := range reads {
+		for _, settled := range []bool{true, false} {
+			unsettle := func() {
+				if !settled {
+					copy(idx.starts, starts)
+					copy(idx.rows, rows)
+					idx.sorted = sorted
+				}
+			}
+			unsettle()
+			if got := r.read(); got != r.count {
+				t.Fatalf("%s (settled %v) reads %d instances, want %d", r.name, settled, got, r.count)
+			}
+			resorts := mLazyResorts.Value()
+			allocs := testing.AllocsPerRun(20, func() {
+				unsettle()
+				r.read()
+			})
+			if allocs != r.want {
+				t.Errorf("%s on a settled=%v index allocates %.0f times, want %.0f", r.name, settled, allocs, r.want)
+			}
+			if n := mLazyResorts.Value() - resorts; settled != (n == 0) {
+				t.Errorf("%s on a settled=%v index settled it %d times", r.name, settled, n)
+			}
+		}
+	}
+}
