@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -190,5 +192,39 @@ func TestServeSIGTERMDrain(t *testing.T) {
 		if !bytes.Equal(before[i], after) {
 			t.Errorf("response %d (events, diagnose, breakdown) changed across the restart:\n%s\n---\n%s", i, before[i], after)
 		}
+	}
+}
+
+// TestPromoteOutput holds grca promote to the two lines it prints — the
+// second is what `go run ./bench -workload replicated` parses for the
+// promoted digest — from a canned PromoteInfo, and a non-200 answer to an
+// error that carries the body.
+func TestPromoteOutput(t *testing.T) {
+	info := server.PromoteInfo{Role: "primary", BootID: "b00t", AppliedSeq: 42, Digest: "d1ge57"}
+	var refuse atomic.Bool
+	calls := make(chan string, 2) // a send for each of the two requests that reach it
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls <- r.Method + " " + r.URL.Path
+		if refuse.Load() {
+			http.Error(w, `{"error":"not a replica"}`, http.StatusConflict)
+			return
+		}
+		json.NewEncoder(w).Encode(info) //nolint:errcheck // test server
+	}))
+	defer ts.Close()
+	out := capture(t, func() error { return runPromote([]string{"-addr", ts.URL + "/"}) })
+	if want := "promoted: role=primary boot=b00t applied_seq=42\nshard 0 digest d1ge57\n"; out != want {
+		t.Fatalf("promote printed %q, want %q", out, want)
+	}
+	if call := <-calls; call != "POST /v1/replication/promote" {
+		t.Fatalf("promote sent %s, want POST /v1/replication/promote", call)
+	}
+	refuse.Store(true)
+	err := runPromote([]string{"-addr", ts.URL})
+	if err == nil || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "not a replica") {
+		t.Fatalf("a 409 answer: err %v, want an error naming the status and the body", err)
+	}
+	if err := runPromote(nil); err == nil {
+		t.Error("promote without -addr accepted")
 	}
 }

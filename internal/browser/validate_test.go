@@ -76,7 +76,7 @@ func TestValidateRuleOnCorpus(t *testing.T) {
 		// A rule backed by a handful of instances cannot reach
 		// significance — that is the test working as designed, not a bad
 		// rule. Demand significance only where the data can support it.
-		if sys.Store.Count(v.Rule.Diagnostic) < 5 {
+		if len(sys.Store.All(v.Rule.Diagnostic)) < 5 {
 			continue
 		}
 		if !v.Result.Significant {

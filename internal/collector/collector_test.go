@@ -14,7 +14,7 @@ import (
 	"grca/internal/testnet"
 )
 
-func newCollector(t *testing.T) (*Collector, store.Store) {
+func newCollector(t *testing.T) (*Collector, *store.Memory) {
 	t.Helper()
 	n := testnet.Build(t.Fatalf)
 	st := store.New()

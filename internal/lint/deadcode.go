@@ -13,10 +13,11 @@ import (
 // module holds, so an unreferenced declaration there is proof of dead
 // code; the roots (package main under cmd/, examples/ and bench/) are
 // checked as callers only. A reference through an instantiation of a
-// generic type or function counts for its origin. A method whose name is
-// a method of any interface type in the program (the module's own, or
-// those of the packages it imports: sort.Interface, io.Writer, error, ...)
-// is exempt: it may be reached only through the interface. A
+// generic type or function counts for its origin. A method may be reached
+// only through an interface, so one is exempt when its name is a method of
+// an interface the module imports (sort.Interface, io.Writer, error, ...),
+// which code outside the module may call, or of an interface the module
+// declares whose method of that name some non-test file calls. A
 // declaration's references to itself, and a method's to its receiver
 // type, do not make it live. A declaration a test needs as a seam carries
 // //lint:ignore deadcode <the test or benchmark that needs it>.
@@ -32,15 +33,26 @@ func runDeadCode(prog *Program) []Diagnostic {
 	if prog.Partial {
 		return nil
 	}
+	module := map[*types.Package]bool{}
+	for _, pass := range prog.Passes {
+		module[pass.Pkg] = true
+	}
 	used := map[types.Object]bool{}
-	ifaceMethods := map[string]bool{"Error": true}
-	addIface := func(t types.Type) {
+	// exempt holds the method names of imported interfaces; own, the
+	// methods of the module's, whose names are exempt once called.
+	exempt := map[string]bool{"Error": true}
+	var own []*types.Func
+	addIface := func(t types.Type, mine bool) {
 		if t == nil {
 			return
 		}
 		if it, ok := t.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				ifaceMethods[it.Method(i).Name()] = true
+				if m := it.Method(i); mine {
+					own = append(own, m)
+				} else {
+					exempt[m.Name()] = true
+				}
 			}
 		}
 	}
@@ -53,7 +65,7 @@ func runDeadCode(prog *Program) []Diagnostic {
 		seen[p] = true
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-				addIface(tn.Type())
+				addIface(tn.Type(), module[p])
 			}
 		}
 		for _, imp := range p.Imports() {
@@ -68,7 +80,7 @@ func runDeadCode(prog *Program) []Diagnostic {
 					used[obj] = true
 				}
 			case *ast.InterfaceType:
-				addIface(info.TypeOf(n))
+				addIface(info.TypeOf(n), true)
 			}
 			return true
 		})
@@ -116,9 +128,14 @@ func runDeadCode(prog *Program) []Diagnostic {
 			}
 		}
 	}
+	for _, m := range own {
+		if used[origin(m)] {
+			exempt[m.Name()] = true
+		}
+	}
 	var out []Diagnostic
 	for _, d := range decls {
-		if used[d.pass.Info.Defs[d.id]] || (d.kind == "method" && ifaceMethods[d.id.Name]) {
+		if used[d.pass.Info.Defs[d.id]] || (d.kind == "method" && exempt[d.id.Name]) {
 			continue
 		}
 		out = append(out, d.pass.diag("deadcode", d.id.Pos(),

@@ -15,5 +15,6 @@ func Run() string {
 	b := &dead.Box[int]{}
 	b.Put(dead.Used())
 	var s dead.Shape = dead.Square{Side: 2}
-	return fmt.Sprint(b.Peek(), s.Area(), dead.Label{})
+	var l dead.Ledger = dead.Book{}
+	return fmt.Sprint(b.Peek(), s.Area(), l.Total(), dead.Label{})
 }

@@ -19,8 +19,8 @@ func (b *Box[T]) Peek() T { return b.v }
 // Shape is an interface deadcode calls through.
 type Shape interface{ Area() int }
 
-// Square is a Shape. Area is only ever called through Shape, and it is
-// a method of an interface in the program: not a finding.
+// Square is a Shape. Area is only ever called through Shape, and a
+// non-test file calls it so: not a finding.
 type Square struct{ Side int }
 
 // Area returns the square's area.
@@ -64,3 +64,21 @@ func TestOnly() int { return 4 }
 //
 //lint:ignore deadcode TestSeam drives it as the hook under test
 func Seam() int { return 5 }
+
+// Ledger is an interface of the module's own. deadcode calls Total
+// through it; only a test calls Audit.
+type Ledger interface {
+	Total() int
+	Audit() bool
+}
+
+// Book is a Ledger. Total is called through Ledger: not a finding. Audit
+// is a method of an interface in the program, but no non-test file calls
+// it, through Ledger or on an implementation: a finding.
+type Book struct{ n int }
+
+// Total returns the book's balance.
+func (b Book) Total() int { return b.n }
+
+// Audit reports whether the balance is not negative.
+func (b Book) Audit() bool { return b.n >= 0 }

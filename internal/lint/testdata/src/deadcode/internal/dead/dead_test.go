@@ -6,4 +6,8 @@ func TestSeam(t *testing.T) {
 	if Seam()+TestOnly() != 9 {
 		t.Fatal("seam")
 	}
+	var l Ledger = Book{}
+	if !l.Audit() {
+		t.Fatal("audit")
+	}
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -217,5 +219,44 @@ func TestCacheRatios(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "cache hit ratios:") || !strings.Contains(out, "75.0%") {
 		t.Errorf("text output missing cache ratio section:\n%s", out)
+	}
+}
+
+// TestBucketJSONRoundTrip: a registry snapshot whose histogram overflowed
+// its last bound survives the JSON round trip `grca stats -addr` makes of
+// /v1/stats — the +Inf bucket included — and a string bound other than
+// "+Inf" is refused.
+func TestBucketJSONRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("store.queries").Add(4)
+	r.Gauge("realtime.pending").Set(2)
+	h := r.Histogram("store.query.results", []float64{1, 10})
+	for _, v := range []float64{0.5, 7, 7, 1e6} {
+		h.Observe(v)
+	}
+	want := r.Snapshot()
+	buckets := want.Histograms["store.query.results"].Buckets
+	if n := len(buckets); n != 3 || !math.IsInf(buckets[n-1].Upper, 1) {
+		t.Fatalf("the snapshot's buckets are %+v, want three ending in the +Inf overflow", buckets)
+	}
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `{"upper":"+Inf","count":1}`) {
+		t.Fatalf("the overflow bucket is not rendered with a +Inf string bound: %s", data)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the round trip reads %+v, want %+v", got, want)
+	}
+	for _, bad := range []string{`{"upper":"Inf","count":1}`, `{"upper":"-Inf","count":1}`, `{"upper":"1e3","count":1}`, `{"upper":true,"count":1}`} {
+		var b Bucket
+		if err := json.Unmarshal([]byte(bad), &b); err == nil {
+			t.Errorf("%s decoded to %+v, want an error", bad, b)
+		}
 	}
 }

@@ -162,7 +162,8 @@ func prepareReplicaState(dataDir, bootID string) (string, error) {
 	data, err := os.ReadFile(replicaFile(dataDir))
 	switch {
 	case err == nil:
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		// Split before trimming: a voided marker's first line is empty.
+		lines := strings.Split(string(data), "\n")
 		if len(lines) >= 2 {
 			id = strings.TrimSpace(lines[1])
 			if strings.TrimSpace(lines[0]) == bootID {

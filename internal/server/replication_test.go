@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -405,6 +406,118 @@ func TestPrepareReplicaState(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s survived a boot-ID change: %v", p, err)
 		}
+	}
+}
+
+// TestDivergentRollVoidsMarker: a tail segment header whose first event ID
+// is not where the follower's replay stands means the same records led
+// somewhere else here. The stream stops for good, the REPLICA marker loses
+// its boot ID and keeps its stream ID, and the next Open against the same
+// primary takes the shipped state for another incarnation's: it wipes the
+// journal and the checkpoints, recovers nothing, and catches up afresh.
+func TestDivergentRollVoidsMarker(t *testing.T) {
+	shrinkJournal(t, 2<<10)
+	_, b := testBundle(t)
+	prim, err := Open(Config{DataDir: t.TempDir(), Bundle: b, SnapshotEvery: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	// forged is the event ID a forged segment header claims; at 0 the
+	// journal stream is the primary's, behind the gate.
+	var forged atomic.Int64
+	g := newGate()
+	h := prim.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/replication/journal" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		if id := int(forged.Load()); id != 0 {
+			from, err := strconv.Atoi(r.URL.Query().Get("from"))
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			hdr := wal.AppendJournalSegmentHeader(nil, wal.JournalSegmentHeader{FirstSeq: from + 1, FirstID: id, Front: id})
+			w.Write(replica.AppendJournalRec(replica.AppendHello(nil, prim.bootID, replica.StreamJournal, from), hdr)) //nolint:errcheck // test server
+			return
+		}
+		h.ServeHTTP(gatedWriter{w, g}, r)
+	}))
+	defer ts.Close()
+	defer g.set(false) // runs first: a parked stream must end before ts.Close waits on it
+	loadAndFinalize(t, ts, b)
+	k := newTickStream(t, ts, b, time.Second)
+	k.post(20, 40)
+
+	dir := t.TempDir()
+	foll, err := Open(Config{DataDir: dir, Bundle: b, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReplicaCaughtUp(t, foll, prim)
+	marker, err := os.ReadFile(replicaFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(marker), "\n")
+	if len(lines) != 3 || lines[0] != prim.bootID || lines[1] == "" {
+		t.Fatalf("the caught-up follower's marker reads %q", marker)
+	}
+	tails, _ := filepath.Glob(filepath.Join(dir, "journal-*.log"))
+	snaps, _ := filepath.Glob(filepath.Join(wal.SnapDirOf(dir), "*"))
+	if len(tails) == 0 || len(snaps) == 0 {
+		t.Fatalf("the follower holds %d tail segments and %d checkpoint files; the test needs both", len(tails), len(snaps))
+	}
+
+	// Cut the stream; the reconnect is handed a roll to an event ID the
+	// replay does not stand at.
+	at := foll.st.NextID()
+	forged.Store(int64(at + 7))
+	ts.CloseClientConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(foll.follower.Load().status(foll).StreamError, "restart the replica to resync") {
+		if time.Now().After(deadline) {
+			t.Fatalf("the divergent roll did not stop the stream: %+v", foll.follower.Load().status(foll))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := foll.st.NextID(); got != at {
+		t.Fatalf("the divergent roll moved the replay from event ID %d to %d", at, got)
+	}
+	if data, err := os.ReadFile(replicaFile(dir)); err != nil || string(data) != "\n"+lines[1]+"\n" {
+		t.Fatalf("the voided marker reads %q (%v), want no boot ID and the stream ID %q", data, err, lines[1])
+	}
+	if err := foll.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopened with the stream parked, the follower has wiped what it was
+	// shipped and recovered an empty store; released, it catches up.
+	forged.Store(0)
+	g.set(true)
+	foll, err = Open(Config{DataDir: dir, Bundle: b, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	defer g.set(false)                        // runs first: Shutdown waits for the parked stream
+	for _, p := range append(tails, snaps...) {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived the reopen over a voided marker: %v", p, err)
+		}
+	}
+	if n := foll.st.Len(); n != 0 {
+		t.Fatalf("the reopened follower recovered %d events from the state it was to wipe", n)
+	}
+	if data, err := os.ReadFile(replicaFile(dir)); err != nil || string(data) != prim.bootID+"\n"+lines[1]+"\n" {
+		t.Fatalf("the reopened follower's marker reads %q (%v)", data, err)
+	}
+	g.set(false)
+	waitReplicaCaughtUp(t, foll, prim)
+	if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
+		t.Fatalf("the resynced follower's store digest is %s, the primary's %s", got, want)
 	}
 }
 

@@ -422,13 +422,6 @@ func (s *Memory) SetRetention(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Retention returns the configured look-back window (zero = unbounded).
-func (s *Memory) Retention() time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.retention
-}
-
 // Add stores in under the next ID and returns a copy of it, ID set. Its
 // instants must lie between event.MinTime and event.MaxTime: every
 // ingress bounds them, so Add panics on one that does not.
@@ -687,6 +680,32 @@ func (s *Memory) index(name string) *nameIndex {
 	return nil
 }
 
+// read runs fn over the named index, settled, under the store's lock; fn
+// does not run when no live event has the name. It is every index read's
+// one way in, and the only place a read settles: an unsettled tail drops
+// the read lock for the write lock, looks the index up again (an eviction
+// in between may have emptied the name), settles it and runs fn under the
+// write lock. Resuming on the read lock after a write-locked settle would
+// trust state observed before the upgrade — the store race of DESIGN.md
+// §13, which the deferunlock analyzer rejects.
+func (s *Memory) read(name string, fn func(idx *nameIndex)) {
+	s.mu.RLock()
+	if idx := s.index(name); idx == nil || idx.settled() {
+		defer s.mu.RUnlock()
+		if idx != nil {
+			fn(idx)
+		}
+		return
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if idx := s.index(name); idx != nil {
+		idx.settle()
+		fn(idx)
+	}
+}
+
 // Get returns a copy of the instance with the given ID. Evicted IDs
 // report not found, exactly like IDs never assigned.
 func (s *Memory) Get(id int) (*event.Instance, bool) {
@@ -718,6 +737,8 @@ func (s *Memory) NextID() int {
 }
 
 // Count returns the number of instances of the named event.
+//
+//lint:ignore deadcode TestConcurrentOutOfOrderAddQuery and the collector, simnet and realtime tests count a name's instances
 func (s *Memory) Count(name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -743,49 +764,25 @@ func (s *Memory) Names() []string {
 // End] interval overlaps [from, to] (inclusive on both ends), ordered by
 // start time.
 func (s *Memory) Query(name string, from, to time.Time) []*event.Instance {
-	return s.query(name, from, to, nil, nil)
+	return s.query(name, from, to, nil)
 }
 
-// QueryFunc is Query with an optional location/content filter applied to
-// each candidate. A nil filter accepts everything; a filter must not
-// retain the instance it is shown.
-func (s *Memory) QueryFunc(name string, from, to time.Time, keep func(*event.Instance) bool) []*event.Instance {
-	return s.query(name, from, to, nil, keep)
-}
-
-// QueryAt returns the instances of the named event at the exact location,
-// overlapping the window. This is the common engine fast path for
-// element-level joins: the location is compared as its intern ID, before
-// anything is materialized.
+// QueryAt is Query narrowed to the instances at the exact location. The
+// location is compared as its intern ID, before anything is materialized.
 func (s *Memory) QueryAt(name string, from, to time.Time, loc locus.Location) []*event.Instance {
-	return s.query(name, from, to, &loc, nil)
+	return s.query(name, from, to, &loc)
 }
 
-func (s *Memory) query(name string, from, to time.Time, loc *locus.Location, keep func(*event.Instance) bool) []*event.Instance {
+func (s *Memory) query(name string, from, to time.Time, loc *locus.Location) (out []*event.Instance) {
 	mQueries.Inc()
-	s.mu.RLock()
-	idx := s.index(name)
-	if idx == nil || to.Before(from) {
-		s.mu.RUnlock()
+	if to.Before(from) {
 		return nil
 	}
-	mQueryWindow.ObserveDuration(to.Sub(from))
-	if !idx.settled() {
-		// Upgrade: drop the read lock and redo the whole read under the
-		// write lock. Resuming on RLock after a write-locked settle would
-		// trust state observed before the upgrade — the PR 3 store race,
-		// now rejected by the deferunlock/lockorder analyzers.
-		s.mu.RUnlock()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if idx = s.index(name); idx == nil {
-			return nil // evicted between the locks
-		}
-		idx.settle()
-		return s.queryScan(idx, from, to, loc, keep)
-	}
-	defer s.mu.RUnlock()
-	return s.queryScan(idx, from, to, loc, keep)
+	s.read(name, func(idx *nameIndex) {
+		mQueryWindow.ObserveDuration(to.Sub(from))
+		out = s.queryScan(idx, from, to, loc)
+	})
+	return out
 }
 
 // clampNanos is t as Unix nanoseconds, saturated to int64's range.
@@ -799,9 +796,9 @@ func clampNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// queryScan performs the window scan over a settled index; the caller
-// holds s.mu in either mode.
-func (s *Memory) queryScan(idx *nameIndex, from, to time.Time, loc *locus.Location, keep func(*event.Instance) bool) []*event.Instance {
+// queryScan performs the window scan over a settled index, under read's
+// lock.
+func (s *Memory) queryScan(idx *nameIndex, from, to time.Time, loc *locus.Location) []*event.Instance {
 	var lid uint32
 	if loc != nil {
 		var ok bool
@@ -839,49 +836,15 @@ func (s *Memory) queryScan(idx *nameIndex, from, to time.Time, loc *locus.Locati
 	if skipped > 0 {
 		mQueryScanSkip.Add(skipped)
 	}
-	if keep != nil {
-		rows = s.filter(rows, keep)
-	}
 	mQueryResults.Observe(float64(len(rows)))
 	return s.copies(rows)
 }
 
-// filter keeps the rows whose events keep accepts, shown one scratch
-// instance at a time.
-func (s *Memory) filter(rows []row, keep func(*event.Instance) bool) []row {
-	var in event.Instance
-	kept := rows[:0]
-	for _, r := range rows {
-		if s.fill(&in, r); keep(&in) {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
 // All returns copies of every instance of the named event ordered by
 // start time.
-func (s *Memory) All(name string) []*event.Instance {
-	s.mu.RLock()
-	idx := s.index(name)
-	if idx == nil {
-		s.mu.RUnlock()
-		return nil
-	}
-	if !idx.settled() {
-		// Same upgrade discipline as query: redo the read under the
-		// write lock rather than settling and resuming on RLock.
-		s.mu.RUnlock()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if idx = s.index(name); idx == nil {
-			return nil
-		}
-		idx.settle()
-		return s.copies(idx.rows)
-	}
-	defer s.mu.RUnlock()
-	return s.copies(idx.rows)
+func (s *Memory) All(name string) (out []*event.Instance) {
+	s.read(name, func(idx *nameIndex) { out = s.copies(idx.rows) })
+	return out
 }
 
 // CountStarts adds to counts[i] the number of live instances of the
@@ -893,26 +856,7 @@ func (s *Memory) CountStarts(name string, from, to time.Time, bin time.Duration,
 	if bin <= 0 || len(counts) == 0 || !to.After(from) {
 		return
 	}
-	s.mu.RLock()
-	idx := s.index(name)
-	if idx == nil {
-		s.mu.RUnlock()
-		return
-	}
-	if !idx.settled() {
-		// The upgrade query takes: redo the read under the write lock.
-		s.mu.RUnlock()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if idx = s.index(name); idx == nil {
-			return
-		}
-		idx.settle()
-		countStarts(idx.starts, from, to, bin, counts)
-		return
-	}
-	defer s.mu.RUnlock()
-	countStarts(idx.starts, from, to, bin, counts)
+	s.read(name, func(idx *nameIndex) { countStarts(idx.starts, from, to, bin, counts) })
 }
 
 // countStarts is CountStarts over a sorted start column. It divides once

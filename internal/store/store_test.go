@@ -90,7 +90,7 @@ func TestQueryOrderedAndOutOfOrderInsert(t *testing.T) {
 	}
 }
 
-func TestQueryAtAndFunc(t *testing.T) {
+func TestQueryAt(t *testing.T) {
 	s := New()
 	l1 := locus.Between(locus.Interface, "r1", "if0")
 	l2 := locus.Between(locus.Interface, "r2", "if0")
@@ -98,12 +98,6 @@ func TestQueryAtAndFunc(t *testing.T) {
 	s.Add(mk("e", 0, 1, l2))
 	if got := s.QueryAt("e", t0, t0.Add(time.Hour), l1); len(got) != 1 || got[0].Loc != l1 {
 		t.Errorf("QueryAt = %v", got)
-	}
-	got := s.QueryFunc("e", t0, t0.Add(time.Hour), func(in *event.Instance) bool {
-		return in.Loc.A == "r2"
-	})
-	if len(got) != 1 || got[0].Loc != l2 {
-		t.Errorf("QueryFunc = %v", got)
 	}
 }
 
