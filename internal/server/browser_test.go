@@ -515,6 +515,14 @@ func TestEventsPaginationBounded(t *testing.T) {
 	if code, _ := get(t, ts, "/v1/events?name=pagetest&after=-2"); code != http.StatusBadRequest {
 		t.Errorf("bad after: %d", code)
 	}
+	// A cursor past every ID, the largest int64 included, is the walk's end.
+	for _, after := range []string{strconv.Itoa(total + 1), "9223372036854775807"} {
+		for _, q := range []string{"name=pagetest&", ""} {
+			if p = fetch("/v1/events?" + q + "after=" + after); len(p.Events) != 0 || p.More {
+				t.Errorf("after=%s (%s): %d events, more=%v; want an empty last page", after, q, len(p.Events), p.More)
+			}
+		}
+	}
 	// The summary form (no name/limit/after) is unchanged.
 	code, body := get(t, ts, "/v1/events")
 	if code != http.StatusOK || !bytes.Contains(body, []byte(`"names"`)) {

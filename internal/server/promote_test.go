@@ -11,8 +11,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"grca/internal/wal"
 )
 
 // sseFrame is one frame a /v1/stream client read: its id and its data.
@@ -254,5 +257,92 @@ func TestPromoteRacesShutdown(t *testing.T) {
 			t.Fatalf("%d appliers and %d observers running, want the primary's one of each", a, o)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// silentFollower opens a primary whose journal stream can be held before
+// its headers and a follower caught up to it, then cuts the follower's
+// stream and waits for the reconnect, which the primary holds: the
+// follower is connecting to a primary that never answers. release lets the
+// held stream go on.
+func silentFollower(t *testing.T) (foll *Server, release func()) {
+	t.Helper()
+	_, b := testBundle(t)
+	prim := openServer(t, t.TempDir(), b)
+	g := newGate()
+	var streams atomic.Int64
+	h := prim.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replication/journal" {
+			streams.Add(1)
+			w = gatedWriter{w, g}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { prim.Shutdown(context.Background()) }) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	t.Cleanup(func() { g.set(false) })                        // runs first: a held stream must end before the primary's Shutdown waits on it
+	loadAndFinalize(t, ts, b)
+	if code, body := postLifecycleBatch(t, ts, 0, lifecycleBatches(b)[0]); code != http.StatusOK {
+		t.Fatalf("event batch: %d %s", code, body)
+	}
+	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReplicaCaughtUp(t, foll, prim)
+	g.set(true)
+	n := streams.Load()
+	ts.CloseClientConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for streams.Load() == n {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower did not reconnect after its stream was cut")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return foll, func() { g.set(false) }
+}
+
+// TestPromoteSilentPrimary: promotion is for a primary that stopped
+// answering. A follower whose primary holds its stream request without a
+// header is promoted at once, and leads with the store it held.
+func TestPromoteSilentPrimary(t *testing.T) {
+	foll, release := silentFollower(t)
+	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	want := wal.StoreDigest(foll.st)
+	var info PromoteInfo
+	var err error
+	done := make(chan struct{})
+	go func() { info, err = foll.Promote(); close(done) }()
+	defer func() { release(); <-done }() // runs first: a stuck seal waits on the held stream
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Promote still blocked 5 s on a primary that holds the stream request")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Role != "primary" || info.Digest != want {
+		t.Fatalf("promoted as %q with digest %s, want a primary with the follower's %s", info.Role, info.Digest, want)
+	}
+}
+
+// TestShutdownSilentPrimary: a follower whose primary holds its stream
+// request without a header shuts down at once.
+func TestShutdownSilentPrimary(t *testing.T) {
+	foll, release := silentFollower(t)
+	var err error
+	done := make(chan struct{})
+	go func() { err = foll.Shutdown(context.Background()); close(done) }()
+	defer func() { release(); <-done }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown still blocked 5 s on a primary that holds the stream request")
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
