@@ -154,9 +154,6 @@ func assemble(topo *netmodel.Topology, feeds map[string]string, start time.Time,
 	c := collector.New(topo, st, start.Year())
 	c.WindowStart, c.WindowEnd = start, start.Add(duration)
 	c.EmitGenericSignatures = opts.GenericSignatures
-	if opts.Thresholds != nil {
-		c.Thresholds = *opts.Thresholds
-	}
 	for _, src := range feedOrder {
 		feed, ok := feeds[src]
 		if !ok {

@@ -47,8 +47,6 @@ type Options struct {
 	// GenericSignatures enables the per-signature event series needed by
 	// the correlation-mining studies (§IV-B).
 	GenericSignatures bool
-	// Thresholds overrides the collector's detector thresholds.
-	Thresholds *collector.Thresholds
 }
 
 // FromDataset builds a System from a simulated dataset: the topology is

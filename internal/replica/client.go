@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"grca/internal/obs"
@@ -26,6 +25,13 @@ var ErrFatal = errors.New("replica: fatal stream error")
 // Fatal marks err as non-retryable for the Client loop.
 func Fatal(err error) error { return fmt.Errorf("%w: %w", ErrFatal, err) }
 
+// The reconnect delay starts at minBackoff and doubles to maxBackoff; a
+// connection that delivered messages resets the ladder.
+const (
+	minBackoff = 100 * time.Millisecond
+	maxBackoff = 5 * time.Second
+)
+
 // Client maintains one replication stream: connect, decode frames,
 // hand each message to Handle, and reconnect with exponential backoff
 // when the stream drops. A clean MsgEOF (primary shutdown, deliberate
@@ -40,82 +46,54 @@ type Client struct {
 	// Handle applies one message. Wrap the return in Fatal to stop the
 	// loop permanently; any other error reconnects.
 	Handle func(Msg) error
-	// HTTP issues the requests (default http.DefaultClient).
-	HTTP *http.Client
-	// Backoff is the initial reconnect delay (default 100ms), doubling to
-	// MaxBackoff (default 5s). A connection that delivered messages
-	// resets the ladder.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// OnState, when set, observes health transitions: nil after a
 	// successful connect, the error after a failure. Called from the
 	// client goroutine.
 	OnState func(err error)
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-func (c *Client) defaults() {
-	if c.HTTP == nil {
-		c.HTTP = http.DefaultClient
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
+	// ctx lives from Start to Stop: the stream request, the reads of its
+	// body and the backoff sleep all end on it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // Start launches the stream loop. Stop (or a Fatal handler error) ends
 // it; Wait blocks until it is down.
 func (c *Client) Start() {
-	c.defaults()
-	c.stop = make(chan struct{})
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.done = make(chan struct{})
-	go c.run() // lifecycle: Stop closes c.stop, Wait joins c.done
+	go c.run() // lifecycle: Stop cancels c.ctx, Wait joins c.done
 }
 
-// Stop asks the loop to exit and interrupts any in-flight read.
-func (c *Client) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-}
+// Stop ends the loop wherever it is: in the stream request, however long
+// the primary holds it, in a read of the stream, or in the backoff sleep.
+func (c *Client) Stop() { c.cancel() }
 
 // Wait blocks until the loop has exited.
 func (c *Client) Wait() { <-c.done }
 
 func (c *Client) run() {
 	defer close(c.done)
-	backoff := c.Backoff
+	backoff := minBackoff
 	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
 		delivered, err := c.once()
-		if err != nil && errors.Is(err, ErrFatal) {
-			mStreamErrs.Inc()
-			if c.OnState != nil {
-				c.OnState(err)
-			}
-			return
-		}
 		if err != nil {
 			mStreamErrs.Inc()
 			if c.OnState != nil {
 				c.OnState(err)
 			}
+			if errors.Is(err, ErrFatal) {
+				return
+			}
 		}
 		if delivered {
-			backoff = c.Backoff
-		} else if backoff *= 2; backoff > c.MaxBackoff {
-			backoff = c.MaxBackoff
+			backoff = minBackoff
+		} else if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
@@ -124,17 +102,16 @@ func (c *Client) run() {
 }
 
 // once runs one connection to exhaustion. delivered reports whether any
-// message arrived (the backoff-reset signal).
+// message arrived (the backoff-reset signal). A connection that Stop
+// cancelled ends without an error: it is no stream fault.
 func (c *Client) once() (delivered bool, err error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.URL(c.From()), nil)
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, c.URL(c.From()), nil)
 	if err != nil {
 		return false, Fatal(err)
 	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return false, err
+		return false, c.unlessStopped(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -144,22 +121,6 @@ func (c *Client) once() (delivered bool, err error) {
 	if c.OnState != nil {
 		c.OnState(nil)
 	}
-
-	// A Stop while blocked in a read must interrupt it: cancel the
-	// request context when stop closes. watchdone gates the watcher's
-	// exit so this function never leaks it.
-	watchdone := make(chan struct{})
-	bodyDone := make(chan struct{})
-	go func() { // lifecycle: joined via watchdone before once returns
-		defer close(watchdone)
-		select {
-		case <-c.stop:
-			cancel()
-		case <-bodyDone:
-		}
-	}()
-	defer func() { close(bodyDone); <-watchdone }()
-
 	r := NewReader(wal.NewFrameReader(resp.Body))
 	for {
 		msg, err := r.Next()
@@ -167,12 +128,7 @@ func (c *Client) once() (delivered bool, err error) {
 			return delivered, nil
 		}
 		if err != nil {
-			select {
-			case <-c.stop:
-				return delivered, nil // interrupted read, not a stream fault
-			default:
-			}
-			return delivered, err
+			return delivered, c.unlessStopped(err)
 		}
 		delivered = true
 		if msg.Type == MsgEOF {
@@ -182,4 +138,12 @@ func (c *Client) once() (delivered bool, err error) {
 			return delivered, err
 		}
 	}
+}
+
+// unlessStopped drops an error that Stop caused.
+func (c *Client) unlessStopped(err error) error {
+	if c.ctx.Err() != nil {
+		return nil
+	}
+	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"grca/internal/obs"
@@ -19,17 +18,23 @@ var (
 	mCheckpoints    = obs.GetCounter("replica.source.checkpoints.shipped")
 )
 
+// The stream's cadences: a poll of the journal files while nothing is
+// new, and a heartbeat at least this often, whether or not records flow.
+// Tests lower them.
+var (
+	pollEvery      = 50 * time.Millisecond
+	heartbeatEvery = time.Second
+)
+
 // SourceConfig wires a Source into the serving pipeline it streams from.
 type SourceConfig struct {
 	// BootID identifies this primary incarnation; a follower refuses to
 	// resume across a boot-ID change (recovery may renumber sequences).
 	BootID string
-	// JournalPath is the path of the ingest journal's segment 0
-	// (journal.log); its tail segments lie beside it.
-	JournalPath string
-	// WALDir is the directory holding snap/, whose newest checkpoint is
-	// what a late follower is sent.
-	WALDir string
+	// DataDir holds the ingest journal — journal.log and its tail
+	// segments — and snap/, whose newest checkpoint is what a late
+	// follower is sent.
+	DataDir string
 	// JournalFrontier returns the highest sequence durably journaled on
 	// the primary, and JournalOffset the journal's logical size, the bytes
 	// ever journaled (heartbeat lag signals).
@@ -40,19 +45,6 @@ type SourceConfig struct {
 	WALFrontier func() int
 	// Registry tracks followers and feeds the journal pin.
 	Registry *Registry
-	// Poll is the file-tail poll cadence (default 50ms).
-	Poll time.Duration
-	// Heartbeat is the idle heartbeat cadence (default 1s).
-	Heartbeat time.Duration
-}
-
-func (c *SourceConfig) defaults() {
-	if c.Poll <= 0 {
-		c.Poll = 50 * time.Millisecond
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = time.Second
-	}
 }
 
 // Source serves the replication stream off the primary's on-disk state.
@@ -65,12 +57,7 @@ type Source struct {
 }
 
 // NewSource returns a source over cfg.
-func NewSource(cfg SourceConfig) *Source {
-	cfg.defaults()
-	return &Source{cfg: cfg}
-}
-
-func (s *Source) journalDir() string { return filepath.Dir(s.cfg.JournalPath) }
+func NewSource(cfg SourceConfig) *Source { return &Source{cfg: cfg} }
 
 // heartbeat encodes the current lag heartbeat.
 func (s *Source) heartbeat(b []byte) []byte {
@@ -206,25 +193,23 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		}
 		if progress {
 			s.cfg.Registry.NoteJournal(followerID, sess.shipped)
-			if err := conn.push(); err != nil {
-				return err
-			}
-			lastBeat = obs.Now()
-			continue // drain hot without sleeping
 		}
-		if obs.Since(lastBeat) >= s.cfg.Heartbeat {
+		if obs.Since(lastBeat) >= heartbeatEvery {
 			conn.buf = s.heartbeat(conn.buf)
-			if err := conn.push(); err != nil {
-				return err
-			}
 			lastBeat = obs.Now()
+		}
+		if err := conn.push(); err != nil {
+			return err
+		}
+		if progress {
+			continue // drain hot without sleeping
 		}
 		select {
 		case <-stop:
 			conn.buf = AppendEOF(conn.buf, "primary shutting down")
 			conn.push() //nolint:errcheck // stream is ending either way
 			return nil
-		case <-time.After(s.cfg.Poll):
+		case <-time.After(pollEvery):
 		}
 	}
 }
@@ -283,12 +268,12 @@ func (j *journalSession) step() (bool, error) {
 // start opens the file holding from+1: the newest tail segment beginning
 // at or below it, journal.log when there is none.
 func (j *journalSession) start() error {
-	segs, err := wal.JournalTail(j.src.journalDir())
+	segs, err := wal.JournalTail(j.src.cfg.DataDir)
 	if err != nil {
 		return err
 	}
 	j.cur = -1
-	path := j.src.cfg.JournalPath
+	path := wal.JournalHead(j.src.cfg.DataDir)
 	for _, seg := range segs {
 		if seg.Header.FirstSeq <= j.shipped+1 {
 			j.cur, path = seg.Header.FirstSeq, seg.Path
@@ -305,7 +290,7 @@ func (j *journalSession) start() error {
 // on, or segments between them were dropped and the follower is sent a
 // checkpoint to stand on instead.
 func (j *journalSession) advance() (bool, error) {
-	segs, err := wal.JournalTail(j.src.journalDir())
+	segs, err := wal.JournalTail(j.src.cfg.DataDir)
 	if err != nil {
 		return false, err
 	}
@@ -356,7 +341,7 @@ func (j *journalSession) bootstrap(seg *wal.JournalSegment, h wal.JournalSegment
 	if _, err := os.Stat(seg.Path); err != nil {
 		return fmt.Errorf("replica: journal segment %s was dropped before it could be pinned", seg.Path)
 	}
-	img, err := wal.OpenSnapshotImage(j.src.cfg.WALDir)
+	img, err := wal.OpenSnapshotImage(j.src.cfg.DataDir)
 	if err != nil {
 		return err
 	}

@@ -44,8 +44,7 @@ func (s *Server) initReplicationSource() {
 	s.replReg = replica.NewRegistry(replica.DefaultGrace)
 	s.replSrc = replica.NewSource(replica.SourceConfig{
 		BootID:          s.bootID,
-		JournalPath:     journalPath(s.cfg.DataDir),
-		WALDir:          s.cfg.DataDir,
+		DataDir:         s.cfg.DataDir,
 		JournalFrontier: func() int { return int(s.journaled.Load()) },
 		JournalOffset:   s.jour.Offset,
 		WALFrontier:     s.st.NextID,

@@ -932,6 +932,9 @@ func (s *Memory) ScanAfter(name string, after, limit int) (out []*event.Instance
 			return nil, false
 		}
 	}
+	if after >= s.next {
+		return nil, false // past every ID; after+1 could wrap below the first
+	}
 	var rows []row
 	for id := max(after+1, s.base); id < s.next; id++ {
 		r, ok := s.lookup(id)
