@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 	"time"
 
 	"grca/internal/event"
@@ -47,18 +50,53 @@ const MinBlockEvent = 7
 // every decoder refuses, rather than as the instant its nanoseconds would
 // wrap to.
 func AppendEventBlock(b []byte, ins []event.Instance) []byte {
-	refs := make(map[string]uint64, 64)
-	var table []string
-	ref := func(s string) uint64 {
-		r, ok := refs[s]
-		if !ok {
-			r = uint64(len(table))
-			refs[s] = r
-			table = append(table, s)
-		}
-		return r
+	e := encoders.Get().(*encoder)
+	b = e.append(b, ins)
+	if e.reset() {
+		encoders.Put(e)
 	}
-	evs := make([]byte, 0, 16*len(ins))
+	return b
+}
+
+// An encoder is AppendEventBlock's working state, pooled so that a block
+// costs no setup: the string table, each table string's ref, a cache of
+// recently used strings in front of that map, and the events' scratch
+// bytes. Between calls all four are empty, so a pooled encoder holds no
+// caller's string.
+type encoder struct {
+	table []string
+	refs  map[string]int
+	cache [cacheSlots]cached
+	slots []uint16 // the cache slots in use
+	evs   []byte
+	grown int // the longest table refs has held: its capacity
+}
+
+// cached is a cache slot: a table string and its ref plus one, so that the
+// zero slot matches no string, "" included.
+type cached struct {
+	s   string
+	ref int
+}
+
+const (
+	cacheBits  = 10
+	cacheSlots = 1 << cacheBits
+
+	// An encoder whose scratch grew past a WAL block frame's cap, or whose
+	// map past maxPooledStrings, is dropped rather than pooled, so that
+	// one large block does not stay resident.
+	maxPooledScratch = 1 << 20
+	maxPooledStrings = 1 << 14
+)
+
+// encoders holds AppendEventBlock's encoders between calls.
+var encoders = sync.Pool{New: func() any { return &encoder{refs: make(map[string]int, 64)} }}
+
+// append appends ins encoded as one event block to b, growing b once: the
+// events are written to e's scratch first, since the table precedes them.
+func (e *encoder) append(b []byte, ins []event.Instance) []byte {
+	evs := e.evs
 	var prev uint64
 	for i := range ins {
 		in := &ins[i]
@@ -66,25 +104,108 @@ func AppendEventBlock(b []byte, ins []event.Instance) []byte {
 		if !holds(in.Start) || !holds(in.End) {
 			start, dur = 0, math.MaxUint64
 		}
-		evs = binary.AppendUvarint(evs, ref(in.Name))
+		evs = binary.AppendUvarint(evs, e.ref(in.Name))
 		evs = binary.AppendVarint(evs, int64(start-prev))
 		evs = binary.AppendUvarint(evs, dur)
 		evs = append(evs, byte(in.Loc.Type))
-		evs = binary.AppendUvarint(evs, ref(in.Loc.A))
-		evs = binary.AppendUvarint(evs, ref(in.Loc.B))
+		evs = binary.AppendUvarint(evs, e.ref(in.Loc.A))
+		evs = binary.AppendUvarint(evs, e.ref(in.Loc.B))
 		evs = in.Attrs.AppendSection(evs)
 		prev = start
 	}
+	e.evs = evs
+	n := uvarintLen(len(ins)) + uvarintLen(len(e.table)) + len(evs)
+	for _, s := range e.table {
+		n += uvarintLen(len(s)) + len(s)
+	}
+	b = slices.Grow(b, n)
 	b = binary.AppendUvarint(b, uint64(len(ins)))
-	b = binary.AppendUvarint(b, uint64(len(table)))
-	for _, s := range table {
+	b = binary.AppendUvarint(b, uint64(len(e.table)))
+	for _, s := range e.table {
 		b = appendString(b, s)
 	}
 	return append(b, evs...)
 }
 
-// holds reports whether t has an int64-nanosecond form.
-func holds(t time.Time) bool { return !t.Before(event.MinTime) && !t.After(event.MaxTime) }
+// ref returns s's index in the table, adding s to its end if it is new.
+// It looks s up first in the cache, at a slot hashed from its length and
+// its first and last 8 bytes (all its bytes when shorter): a hit costs one
+// string compare, where the two strings usually share their bytes. A miss
+// costs one map lookup, so strings that share a slot cost a map lookup
+// each, never a probe chain.
+func (e *encoder) ref(s string) uint64 {
+	a, b := uint64(len(s)), uint64(0)
+	if len(s) >= 8 {
+		a, b = a^le64(s), le64(s[len(s)-8:])
+	} else {
+		for i := 0; i < len(s); i++ {
+			a = a<<8 | uint64(s[i])
+		}
+	}
+	hi, lo := bits.Mul64(a^0x9e3779b97f4a7c15, b^0xbf58476d1ce4e5b9)
+	i := uint16((hi ^ lo) >> (64 - cacheBits))
+	c := &e.cache[i]
+	if c.ref != 0 && c.s == s {
+		return uint64(c.ref - 1)
+	}
+	if c.ref == 0 {
+		e.slots = append(e.slots, i)
+	}
+	r, ok := e.refs[s]
+	if !ok {
+		r = len(e.table)
+		e.refs[s] = r
+		e.table = append(e.table, s)
+	}
+	*c = cached{s, r + 1}
+	return uint64(r)
+}
+
+// reset empties e after a call and reports whether it may be pooled. Its
+// map is cleared whole only when that costs about as much as deleting its
+// strings one by one.
+func (e *encoder) reset() bool {
+	e.grown = max(e.grown, len(e.table))
+	for _, i := range e.slots {
+		e.cache[i] = cached{}
+	}
+	if 4*len(e.table) < e.grown {
+		for _, s := range e.table {
+			delete(e.refs, s)
+		}
+	} else {
+		clear(e.refs)
+	}
+	clear(e.table)
+	e.table, e.slots, e.evs = e.table[:0], e.slots[:0], e.evs[:0]
+	return cap(e.evs) <= maxPooledScratch && e.grown <= maxPooledStrings
+}
+
+// uvarintLen is the length of n's uvarint.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// le64 reads the first 8 bytes of s as a little-endian word.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// minSec and maxSec are the Unix seconds of event.MinTime and MaxTime.
+var minSec, maxSec = event.MinTime.Unix(), event.MaxTime.Unix()
+
+// holds reports whether t has an int64-nanosecond form: every instant of
+// a second strictly between MinTime's and MaxTime's does, and only in
+// those two seconds are the instants compared.
+func holds(t time.Time) bool {
+	switch s := t.Unix(); {
+	case s > minSec && s < maxSec:
+		return true
+	case s == minSec || s == maxSec:
+		return !t.Before(event.MinTime) && !t.After(event.MaxTime)
+	}
+	return false
+}
 
 // DecodeEventBlock decodes an event block. The bytes may be a client's or
 // a follower's outside input: it never panics or reads past p, every count

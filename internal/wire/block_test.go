@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,10 @@ import (
 	"grca/internal/event"
 	"grca/internal/locus"
 )
+
+// raceEnabled is set under the race detector, whose sync.Pool drops items
+// at random.
+var raceEnabled bool
 
 // upBatch is n events shaped like bench's ingest_bulk stream: "Interface
 // up", one millisecond apart, on 64 interfaces; with attrs, each carries
@@ -182,6 +187,266 @@ func TestEventBlockRejects(t *testing.T) {
 	}
 }
 
+// refAppendEventBlock is the map-based encoder AppendEventBlock replaced,
+// kept as its oracle: a fresh map, table and scratch for every block, and a
+// map lookup for every string.
+func refAppendEventBlock(b []byte, ins []event.Instance) []byte {
+	refs := make(map[string]uint64, 64)
+	var table []string
+	ref := func(s string) uint64 {
+		r, ok := refs[s]
+		if !ok {
+			r = uint64(len(table))
+			refs[s] = r
+			table = append(table, s)
+		}
+		return r
+	}
+	evs := make([]byte, 0, 16*len(ins))
+	var prev uint64
+	for i := range ins {
+		in := &ins[i]
+		start, dur := uint64(in.Start.UnixNano()), uint64(in.End.UnixNano()-in.Start.UnixNano())
+		if !refHolds(in.Start) || !refHolds(in.End) {
+			start, dur = 0, math.MaxUint64
+		}
+		evs = binary.AppendUvarint(evs, ref(in.Name))
+		evs = binary.AppendVarint(evs, int64(start-prev))
+		evs = binary.AppendUvarint(evs, dur)
+		evs = append(evs, byte(in.Loc.Type))
+		evs = binary.AppendUvarint(evs, ref(in.Loc.A))
+		evs = binary.AppendUvarint(evs, ref(in.Loc.B))
+		evs = in.Attrs.AppendSection(evs)
+		prev = start
+	}
+	b = binary.AppendUvarint(b, uint64(len(ins)))
+	b = binary.AppendUvarint(b, uint64(len(table)))
+	for _, s := range table {
+		b = appendString(b, s)
+	}
+	return append(b, evs...)
+}
+
+// refHolds reports whether t has an int64-nanosecond form.
+func refHolds(t time.Time) bool { return !t.Before(event.MinTime) && !t.After(event.MaxTime) }
+
+// colliding is the k-th of strings that share their length and their first
+// and last 8 bytes, and so one cache slot.
+func colliding(k int) string { return fmt.Sprintf("collide:%04d:collide", k) }
+
+// collidingBatch is n events whose locations are drawn from 72 strings
+// that all share one cache slot.
+func collidingBatch(n int) []event.Instance {
+	ins := upBatch(n, false)
+	for i := range ins {
+		ins[i].Loc.A, ins[i].Loc.B = colliding(i*37%64), colliding(64+i%8)
+	}
+	return ins
+}
+
+// parityCases are the batches the encoder must write exactly as its
+// oracle does.
+func parityCases() map[string][]event.Instance {
+	cases := blockCases()
+	cases["ingest_bulk"] = upBatch(1000, false)
+	cases["attrs"] = upBatch(1000, true)
+	for seed := int64(1); seed <= 4; seed++ {
+		cases[fmt.Sprintf("generated %d", seed)] = genEvents(seed, 500)
+	}
+	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(name, a, b string, start, end time.Time) event.Instance {
+		return event.Instance{Name: name, Start: start, End: end, Loc: locus.Between(locus.Interface, a, b)}
+	}
+	var many, shared, edges []event.Instance
+	for i := 0; i < 700; i++ {
+		// 1400 distinct strings, each used twice, far apart.
+		k := i % 350
+		many = append(many, at(fmt.Sprintf("name %d", k), fmt.Sprintf("a%d", k), fmt.Sprintf("a much longer location string %d", k), t0, t0))
+	}
+	cases["more strings than cache slots"] = many
+	cases["colliding"] = collidingBatch(300)
+	for i := 0; i < 20; i++ {
+		s := fmt.Sprintf("s%d", i%3)
+		shared = append(shared, at(s, fmt.Sprintf("s%d", (i+1)%3), s, t0, t0))
+	}
+	cases["one string as name and location"] = shared
+	cases["empty A and B"] = []event.Instance{at("x", "", "", t0, t0), at("", "", "y", t0, t0), at("y", "x", "", t0, t0)}
+	ns := time.Nanosecond
+	for _, tm := range []time.Time{
+		event.MinTime, event.MinTime.Add(-ns), event.MinTime.Add(ns),
+		event.MaxTime, event.MaxTime.Add(-ns), event.MaxTime.Add(ns), {},
+	} {
+		edges = append(edges, at("e", "r", "", tm, tm), at("e", "r", "", event.MinTime, tm), at("e", "r", "", tm, event.MaxTime))
+	}
+	cases["instants at the edges"] = edges
+	return cases
+}
+
+// TestEncoderMatchesReference: the pooled, cached encoder writes the
+// oracle's bytes for every batch, after a prefix too, and a block encoded
+// after another with disjoint strings carries none of the first's over.
+func TestEncoderMatchesReference(t *testing.T) {
+	for name, ins := range parityCases() {
+		for _, prefix := range []string{"", "prefix"} {
+			got := AppendEventBlock([]byte(prefix), ins)
+			if want := refAppendEventBlock([]byte(prefix), ins); !bytes.Equal(got, want) {
+				t.Errorf("%s, prefix %q: the encoder wrote %d bytes unlike the reference's %d", name, prefix, len(got), len(want))
+			}
+		}
+	}
+	first, second := upBatch(100, true), genEvents(9, 100)
+	for _, ins := range [][]event.Instance{first, second, first, collidingBatch(50), second} {
+		if got, want := AppendEventBlock(nil, ins), refAppendEventBlock(nil, ins); !bytes.Equal(got, want) {
+			t.Fatalf("back to back: a block encoded after another differs from the reference")
+		}
+	}
+}
+
+// TestEncodeAllocatesNothing: a block appended to a buffer with room for
+// it allocates nothing, its encoder's table, map and scratch reused.
+func TestEncodeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops encoders at random under the race detector")
+	}
+	for name, ins := range map[string][]event.Instance{
+		"ingest_bulk": upBatch(1000, false),
+		"attrs":       upBatch(1000, true),
+	} {
+		buf := AppendEventBlock(nil, ins)
+		if n := testing.AllocsPerRun(100, func() { buf = AppendEventBlock(buf[:0], ins) }); n != 0 {
+			t.Errorf("%s: %v allocations a block", name, n)
+		}
+	}
+}
+
+// TestEncoderResetHoldsNothing: an encoder going back to the pool holds no
+// string of the block it encoded — its cache, map and table are empty —
+// and one grown past its bounds is not pooled at all.
+func TestEncoderResetHoldsNothing(t *testing.T) {
+	e := &encoder{refs: make(map[string]int)}
+	for _, ins := range [][]event.Instance{upBatch(1000, true), parityCases()["more strings than cache slots"], collidingBatch(100)} {
+		e.append(nil, ins)
+		if !e.reset() {
+			t.Fatalf("an encoder of %d events was not pooled", len(ins))
+		}
+		if e.cache != [cacheSlots]cached{} {
+			t.Error("the cache holds a string")
+		}
+		if len(e.refs) != 0 || len(e.slots) != 0 || len(e.evs) != 0 {
+			t.Errorf("%d strings mapped, %d slots in use, %d scratch bytes", len(e.refs), len(e.slots), len(e.evs))
+		}
+		for _, s := range e.table[:cap(e.table)] {
+			if s != "" {
+				t.Fatalf("the table holds %q", s)
+			}
+		}
+	}
+	big := upBatch(1, false)
+	big[0].Attrs = event.NewAttrs(map[string]string{"raw": string(make([]byte, maxPooledScratch))})
+	e.append(nil, big)
+	if e.reset() {
+		t.Errorf("an encoder with %d bytes of scratch was pooled", cap(e.evs))
+	}
+	e = &encoder{refs: make(map[string]int)}
+	var wide []event.Instance
+	for i := 0; i <= maxPooledStrings/2; i++ {
+		wide = append(wide, event.Instance{Name: "x", Loc: locus.Between(locus.Interface, fmt.Sprint("a", i), fmt.Sprint("b", i))})
+	}
+	e.append(nil, wide)
+	if e.reset() {
+		t.Errorf("an encoder whose map held %d strings was pooled", e.grown)
+	}
+}
+
+// FuzzEncodeParity: for batches built from arbitrary bytes — strings fresh,
+// repeated or sharing a cache slot with an earlier one, instants at and
+// past the encodable range — the encoder writes the oracle's bytes.
+func FuzzEncodeParity(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\xff\x14collide:0000:collide\x00\x80\x05\x01\x02\x03\x04\x05\x06\x07"))
+	for _, seed := range blockSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ins := fuzzInstances(data)
+		half := len(ins) / 2
+		for _, b := range [][]event.Instance{ins, ins[:half], ins[half:]} {
+			if got, want := AppendEventBlock(nil, b), refAppendEventBlock(nil, b); !bytes.Equal(got, want) {
+				t.Fatalf("%d events: encoder %x, reference %x", len(b), got, want)
+			}
+		}
+	})
+}
+
+// fuzzInstances builds a batch from fuzz bytes. Each string is one used
+// before, a fresh one the bytes spell, or an earlier one with a middle byte
+// replaced (same length, first and last 8 bytes: same cache slot); each
+// instant is an edge of the encodable range, one past it, the zero time or
+// a step from the previous.
+func fuzzInstances(data []byte) []event.Instance {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		c := data[0]
+		data = data[1:]
+		return c
+	}
+	var pool []string
+	str := func() string {
+		op := next()
+		if len(pool) > 0 && op < 128 {
+			return pool[int(op)%len(pool)]
+		}
+		s := ""
+		if old := ""; len(pool) > 0 && op < 192 {
+			old = pool[int(op)%len(pool)]
+			if len(old) > 16 {
+				s = old[:8] + string(next()) + old[9:]
+			}
+		}
+		if s == "" {
+			n := min(int(next()%48), len(data))
+			s, data = string(data[:n]), data[n:]
+		}
+		pool = append(pool, s)
+		return s
+	}
+	at := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	instant := func() time.Time {
+		ns := time.Nanosecond
+		switch op := next(); op % 16 {
+		case 0:
+			return event.MinTime
+		case 1:
+			return event.MaxTime
+		case 2:
+			return event.MinTime.Add(-ns)
+		case 3:
+			return event.MaxTime.Add(ns)
+		case 4:
+			return event.MinTime.Add(ns)
+		case 5:
+			return event.MaxTime.Add(-ns)
+		case 6:
+			return time.Time{}
+		default:
+			at = at.Add(time.Duration(int8(next()))*time.Second + time.Duration(op))
+			return at
+		}
+	}
+	var ins []event.Instance
+	for len(data) > 0 && len(ins) < 256 {
+		in := event.Instance{Name: str(), Start: instant(), End: instant()}
+		in.Loc = locus.Location{Type: locus.Type(next()), A: str(), B: str()}
+		if next()%4 == 0 {
+			in.Attrs = event.NewAttrs(map[string]string{str(): str()})
+		}
+		ins = append(ins, in)
+	}
+	return ins
+}
+
 // FuzzEventBlock: arbitrary bytes decode to an error or to a batch, never
 // a panic or a read past the buffer; and decoding is canonical — a batch
 // that decodes re-encodes to the very bytes it was decoded from.
@@ -201,14 +466,20 @@ func FuzzEventBlock(f *testing.F) {
 }
 
 // BenchmarkEventBlock prices the one binary encoding of one 1000-event
-// batch — bench's ingest_bulk shape, and the same with attributes — in
-// bytes and in encode and decode time per event.
+// batch — bench's ingest_bulk shape, the same with attributes, genEvents'
+// mix of names, loci and attributes, and locations that all share one
+// encoder cache slot — in bytes and in encode and decode time per event.
 func BenchmarkEventBlock(b *testing.B) {
 	for _, tc := range []struct {
-		name  string
-		attrs bool
-	}{{"ingest_bulk", false}, {"attrs", true}} {
-		ins := upBatch(1000, tc.attrs)
+		name string
+		ins  []event.Instance
+	}{
+		{"ingest_bulk", upBatch(1000, false)},
+		{"attrs", upBatch(1000, true)},
+		{"mixed", genEvents(3, 1000)},
+		{"colliding", collidingBatch(1000)},
+	} {
+		ins := tc.ins
 		block := AppendEventBlock(nil, ins)
 		n := float64(len(ins))
 		report := func(b *testing.B) {
