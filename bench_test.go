@@ -310,7 +310,7 @@ func BenchmarkFig7_RuleMining(b *testing.B) {
 	}
 	ds := eng.DiagnoseAll()
 	cpuDs := browser.Filter(ds, cpuRelatedFlap)
-	miner := browser.Miner{Store: c.sys.Store, Bin: time.Minute, Smooth: 5}
+	miner := browser.Miner{Store: c.sys.Store}
 	candidates := miner.CandidateSeries("syslog:", "workflow:")
 	from := c.dataset.Config.Start
 	to := from.Add(c.dataset.Config.Duration)

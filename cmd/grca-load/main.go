@@ -31,13 +31,6 @@ import (
 	"grca/internal/wire"
 )
 
-var feedOrder = []string{
-	collector.SourceOSPFMon, collector.SourceBGPMon, collector.SourceSyslog,
-	collector.SourceSNMP, collector.SourceTACACS, collector.SourceWorkflow,
-	collector.SourceLayer1, collector.SourcePerfMon, collector.SourceKeynote,
-	collector.SourceServer,
-}
-
 func main() {
 	addr := flag.String("addr", "http://localhost:8080", "serve base URL")
 	bundleDir := flag.String("bundle", "", "bundle to load before streaming (skip load phase when empty)")
@@ -69,7 +62,7 @@ func run(addr, bundleDir string, events, batchSize, workers int, binary bool) er
 			return err
 		}
 		start = b.Start.Add(b.Duration)
-		for _, src := range feedOrder {
+		for _, src := range collector.Sources {
 			feed, ok := b.Feeds[src]
 			if !ok {
 				continue

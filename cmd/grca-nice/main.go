@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"grca/internal/apps/bgpflap"
 	"grca/internal/browser"
@@ -77,7 +76,7 @@ func run(data string, all bool, top int) error {
 	for _, d := range subset {
 		symptoms = append(symptoms, d.Symptom)
 	}
-	m := browser.Miner{Store: sys.Store, Bin: time.Minute, Smooth: 5}
+	m := browser.Miner{Store: sys.Store}
 	candidates := m.CandidateSeries("syslog:", "workflow:")
 	fmt.Printf("testing %d candidate series over %v\n", len(candidates), bundle.Duration)
 

@@ -66,7 +66,7 @@ func main() {
 	fmt.Printf("%d flaps total; %d CPU-related after engine prefiltering\n",
 		len(diagnoses), len(cpuRelated))
 
-	miner := browser.Miner{Store: sys.Store, Bin: time.Minute, Smooth: 5}
+	miner := browser.Miner{Store: sys.Store}
 	candidates := miner.CandidateSeries("syslog:", "workflow:")
 	window := dataset.Config.Duration
 

@@ -243,14 +243,15 @@ type MiningResult struct {
 // candidate diagnostic series drawn from the store.
 type Miner struct {
 	Store store.Store
-	// Bin is the series bin width (default 1 minute).
-	Bin time.Duration
-	// Smooth dilates both series by this many bins to absorb causal lag
-	// (default 5).
-	Smooth int
-	// Tester configures the significance test.
-	Tester nice.Tester
 }
+
+const (
+	// mineBin is the series bin width.
+	mineBin = time.Minute
+	// mineSmooth dilates both mined series by this many bins to absorb
+	// causal lag.
+	mineSmooth = 5
+)
 
 // CandidateSeries lists the store's event names matching any of the given
 // prefixes — e.g. "syslog:" and "workflow:" for the generic signature
@@ -272,19 +273,11 @@ func (m Miner) CandidateSeries(prefixes ...string) []string {
 // [from, to] and returns all results, most significant first. Candidates
 // whose series are degenerate (no occurrences in the window) are skipped.
 func (m Miner) Mine(symptoms []*event.Instance, candidates []string, from, to time.Time) ([]MiningResult, error) {
-	bin := m.Bin
-	if bin <= 0 {
-		bin = time.Minute
-	}
-	smooth := m.Smooth
-	if smooth == 0 {
-		smooth = 5
-	}
-	n := int(to.Sub(from)/bin) + 1
+	n := int(to.Sub(from)/mineBin) + 1
 	if n < 8 {
 		return nil, fmt.Errorf("browser: mining window too short")
 	}
-	symSeries := nice.FromInstances(symptoms, from, bin, n).Smooth(smooth)
+	symSeries := nice.FromInstances(symptoms, from, mineBin, n).Smooth(mineSmooth)
 
 	var out []MiningResult
 	for _, cand := range candidates {
@@ -292,8 +285,8 @@ func (m Miner) Mine(symptoms []*event.Instance, candidates []string, from, to ti
 		if len(ins) == 0 {
 			continue
 		}
-		candSeries := nice.FromInstances(ins, from, bin, n).Smooth(smooth)
-		res, err := m.Tester.Test(symSeries, candSeries)
+		candSeries := nice.FromInstances(ins, from, mineBin, n).Smooth(mineSmooth)
+		res, err := nice.Tester{}.Test(symSeries, candSeries)
 		if err != nil {
 			continue // degenerate series: not a usable candidate
 		}

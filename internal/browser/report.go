@@ -20,18 +20,19 @@ type ReportOptions struct {
 	Display func(string) string
 	// TrendBin is the trend bucket width (default 24h).
 	TrendBin time.Duration
-	// DrillDownTop is how many unexplained symptoms get a drill-down
-	// section (default 3); requires View.
-	DrillDownTop int
-	View         *netstate.View
-	// DrillLevel is the spatial level for drill-downs (default Router).
-	DrillLevel locus.Type
-	// DrillWindow is the temporal window for drill-downs (default 5m).
-	DrillWindow time.Duration
+	// View, when set, adds drill-downs into the top unexplained symptoms.
+	View *netstate.View
 	// Metrics, when set, appends a pipeline-health section with the
 	// registry's counters and latency percentiles (typically obs.Default()).
 	Metrics *obs.Registry
 }
+
+// A report drills down into its reportDrillTop longest unexplained
+// symptoms, reportDrillWindow either side, at router level.
+const (
+	reportDrillTop    = 3
+	reportDrillWindow = 5 * time.Minute
+)
 
 // WriteReport renders a complete SQM report for a diagnosed symptom
 // population: summary, root-cause breakdown, symptom trend, and
@@ -45,15 +46,6 @@ func WriteReport(w io.Writer, st store.Store, ds []engine.Diagnosis, opts Report
 	}
 	if opts.TrendBin <= 0 {
 		opts.TrendBin = 24 * time.Hour
-	}
-	if opts.DrillDownTop == 0 {
-		opts.DrillDownTop = 3
-	}
-	if !opts.DrillLevel.Valid() {
-		opts.DrillLevel = locus.Router
-	}
-	if opts.DrillWindow <= 0 {
-		opts.DrillWindow = 5 * time.Minute
 	}
 
 	first, last := ds[0].Symptom.Start, ds[0].Symptom.End
@@ -119,17 +111,17 @@ func WriteReport(w io.Writer, st store.Store, ds []engine.Diagnosis, opts Report
 				len(unexplained), 100*float64(len(unexplained))/float64(len(ds)))
 		}
 		for i, d := range unexplained {
-			if i >= opts.DrillDownTop {
+			if i >= reportDrillTop {
 				break
 			}
 			fmt.Fprintf(w, "  %s\n", d.Symptom)
-			related, err := DrillDown(st, opts.View, d.Symptom, opts.DrillWindow, opts.DrillLevel)
+			related, err := DrillDown(st, opts.View, d.Symptom, reportDrillWindow, locus.Router)
 			if err != nil {
 				fmt.Fprintf(w, "    (drill-down unavailable: %v)\n", err)
 				continue
 			}
 			if len(related) == 0 {
-				fmt.Fprintf(w, "    nothing co-located within %v\n", opts.DrillWindow)
+				fmt.Fprintf(w, "    nothing co-located within %v\n", reportDrillWindow)
 			}
 			for j, in := range related {
 				if j >= 5 {

@@ -32,11 +32,7 @@ type RuleVerdict struct {
 // the rule's own temporal margins so that a causal lag the rule models
 // (e.g. the 180 s BGP hold timer) does not defeat the test.
 func (m Miner) ValidateRule(r dgraph.Rule, from, to time.Time) RuleVerdict {
-	bin := m.Bin
-	if bin <= 0 {
-		bin = time.Minute
-	}
-	n := int(to.Sub(from)/bin) + 1
+	n := int(to.Sub(from)/mineBin) + 1
 	if n < 8 {
 		return RuleVerdict{Rule: r, Err: fmt.Errorf("browser: validation window too short")}
 	}
@@ -53,10 +49,10 @@ func (m Miner) ValidateRule(r dgraph.Rule, from, to time.Time) RuleVerdict {
 			reach = d
 		}
 	}
-	radius := int(reach/bin) + 1
-	sym := nice.FromInstances(symIns, from, bin, n).Smooth(radius)
-	diag := nice.FromInstances(diagIns, from, bin, n).Smooth(radius)
-	res, err := m.Tester.Test(sym, diag)
+	radius := int(reach/mineBin) + 1
+	sym := nice.FromInstances(symIns, from, mineBin, n).Smooth(radius)
+	diag := nice.FromInstances(diagIns, from, mineBin, n).Smooth(radius)
+	res, err := nice.Tester{}.Test(sym, diag)
 	if err != nil {
 		return RuleVerdict{Rule: r, Err: err}
 	}

@@ -56,75 +56,44 @@ const (
 	SourceServer   = "serverlog"
 )
 
-// Thresholds configures the detector thresholds of the common event
-// definitions (Table I). Zero values take the Table I defaults; an RCA
-// application may redefine them (the paper's 80% vs 90% congestion
-// example).
-type Thresholds struct {
-	CPUAveragePct  float64       // CPU high (average), default 80
-	LinkUtilPct    float64       // Link congestion alarm, default 80
-	LinkErrorCount float64       // Link loss alarm, default 100
-	ServerLoadPct  float64       // CDN server issue, default 90
-	FlapWindow     time.Duration // max down→up gap treated as a flap, default 10m
-	// DelayFactor / TputFactor / LossDelta flag performance deviations
-	// against the rolling per-pair baseline. Defaults 1.5, 0.7, 0.5.
-	DelayFactor float64
-	TputFactor  float64
-	LossDelta   float64
+// Sources lists every source Ingest accepts, in the order a bundle's
+// feeds are loaded: the routing feeds first, so that the reconstructed
+// routing state every later feed reads does not depend on map order.
+var Sources = []string{
+	SourceOSPFMon, SourceBGPMon, SourceSyslog, SourceSNMP, SourceTACACS,
+	SourceWorkflow, SourceLayer1, SourcePerfMon, SourceKeynote, SourceServer,
 }
 
-func (t *Thresholds) defaults() {
-	if t.CPUAveragePct == 0 {
-		t.CPUAveragePct = 80
-	}
-	if t.LinkUtilPct == 0 {
-		t.LinkUtilPct = 80
-	}
-	if t.LinkErrorCount == 0 {
-		t.LinkErrorCount = 100
-	}
-	if t.ServerLoadPct == 0 {
-		t.ServerLoadPct = 90
-	}
-	if t.FlapWindow == 0 {
-		t.FlapWindow = 10 * time.Minute
-	}
-	if t.DelayFactor == 0 {
-		t.DelayFactor = 1.5
-	}
-	if t.TputFactor == 0 {
-		t.TputFactor = 0.7
-	}
-	if t.LossDelta == 0 {
-		t.LossDelta = 0.5
-	}
-}
+// The detector thresholds of the common event definitions (Table I).
+const (
+	cpuAveragePct  = 80               // CPU high (average)
+	linkUtilPct    = 80               // Link congestion alarm
+	linkErrorCount = 100              // Link loss alarm
+	serverLoadPct  = 90               // CDN server issue
+	flapWindow     = 10 * time.Minute // max down→up gap treated as a flap
+	// delayFactor, tputFactor and lossDelta flag performance deviations
+	// against the rolling per-pair baseline.
+	delayFactor = 1.5
+	tputFactor  = 0.7
+	lossDelta   = 0.5
+)
 
-// ErrorBudget bounds how much malformed input a single source may deliver
-// before the collector quarantines it: stops consuming the feed, records
-// the reason, and moves on to the other sources. Without a budget, one
-// corrupted feed among the paper's ~600 floods the malformed tally and
-// burns ingest time line by line; aborting the whole run for it would be
-// worse. The zero value takes the documented defaults.
-type ErrorBudget struct {
-	// MinLines is how many raw lines a source must deliver before its
-	// drop rate is judged (default 200) — early garbage on a feed that
-	// recovers should not condemn it.
-	MinLines int
-	// MaxDropRate is the malformed fraction beyond which the source is
-	// quarantined (default 0.5). A value ≥ 1 disables rate quarantine
-	// (scanner failures still quarantine — they are unrecoverable).
-	MaxDropRate float64
-}
-
-func (b *ErrorBudget) defaults() {
-	if b.MinLines == 0 {
-		b.MinLines = 200
-	}
-	if b.MaxDropRate == 0 {
-		b.MaxDropRate = 0.5
-	}
-}
+// The error budget bounds how much malformed input a single source may
+// deliver before the collector quarantines it: stops consuming the feed,
+// records the reason, and moves on to the other sources. Without a
+// budget, one corrupted feed among the paper's ~600 floods the malformed
+// tally and burns ingest time line by line; aborting the whole run for it
+// would be worse. Tests lower them.
+var (
+	// minLines is how many raw lines a source must deliver before its
+	// drop rate is judged — early garbage on a feed that recovers should
+	// not condemn it.
+	minLines = 200
+	// maxDropRate is the malformed fraction beyond which the source is
+	// quarantined. A value ≥ 1 disables rate quarantine (scanner failures
+	// still quarantine — they are unrecoverable).
+	maxDropRate = 0.5
+)
 
 // Malformed summarizes rejected raw lines.
 type Malformed struct {
@@ -246,10 +215,6 @@ type Collector struct {
 	// RFC 3164 year-wrap: a device in a western zone stamps the first
 	// hours of a January 1st collection as December 31st.
 	WindowStart, WindowEnd time.Time
-	// Thresholds configures the detectors.
-	Thresholds Thresholds
-	// Budget is the per-source malformed-line tolerance; see ErrorBudget.
-	Budget ErrorBudget
 	// Malformed accumulates rejected input lines.
 	Malformed Malformed
 	// Sources tallies per-feed ingestion (lines, parsed, malformed,
@@ -310,7 +275,6 @@ func New(topo *netmodel.Topology, st store.Store, year int) *Collector {
 		perfBase:   map[string]*baseline{},
 		keyBase:    map[string]*baseline{},
 	}
-	c.Thresholds.defaults()
 	c.OSPF = ospf.New(topo, nil)
 	c.BGP = bgp.New(c.OSPF)
 	return c
@@ -357,8 +321,6 @@ func (c *Collector) Ingest(source string, r io.Reader) error {
 	default:
 		return fmt.Errorf("collector: unknown source %q", source)
 	}
-	budget := c.Budget
-	budget.defaults()
 	stats := c.stats(source)
 	c.curSource = source
 	scr := scratchPool.Get().(*scratch)
@@ -387,9 +349,9 @@ func (c *Collector) Ingest(source string, r io.Reader) error {
 			c.Malformed.add(source, string(line), err)
 			stats.Malformed++
 			mMalformed.Inc()
-			if stats.Lines >= budget.MinLines && float64(stats.Malformed) > budget.MaxDropRate*float64(stats.Lines) {
+			if stats.Lines >= minLines && float64(stats.Malformed) > maxDropRate*float64(stats.Lines) {
 				stats.Quarantine = fmt.Sprintf("error budget exhausted: %d/%d lines malformed (> %.0f%%)",
-					stats.Malformed, stats.Lines, 100*budget.MaxDropRate)
+					stats.Malformed, stats.Lines, 100*maxDropRate)
 				mQuarantined.Inc()
 				return false
 			}
@@ -532,7 +494,7 @@ func (c *Collector) Finalize() error {
 
 // pairTransitions implements the down/up/flap signature family: every down
 // edge yields a down event, every up edge an up event, and a down followed
-// by an up on the same location within FlapWindow additionally yields a
+// by an up on the same location within flapWindow additionally yields a
 // flap spanning the pair.
 func (c *Collector) pairTransitions(buf map[locus.Location][]transition, downName, upName, flapName string) {
 	for _, loc := range sortedLocs(buf) {
@@ -543,7 +505,7 @@ func (c *Collector) pairTransitions(buf map[locus.Location][]transition, downNam
 			tr := &trans[i]
 			if tr.up {
 				c.add(upName, tr.at, tr.at, loc, tr.attr)
-				if pendingDown != nil && tr.at.Sub(pendingDown.at) <= c.Thresholds.FlapWindow {
+				if pendingDown != nil && tr.at.Sub(pendingDown.at) <= flapWindow {
 					c.add(flapName, pendingDown.at, tr.at, loc, tr.attr)
 				}
 				pendingDown = nil
@@ -578,7 +540,7 @@ func (c *Collector) pairBGP() {
 		for i := range trans {
 			tr := &trans[i]
 			if tr.up {
-				if pendingDown != nil && tr.at.Sub(pendingDown.at) <= c.Thresholds.FlapWindow {
+				if pendingDown != nil && tr.at.Sub(pendingDown.at) <= flapWindow {
 					c.add(event.EBGPFlap, pendingDown.at, tr.at, loc, pendingDown.attr)
 				}
 				pendingDown = nil
@@ -600,7 +562,7 @@ func (c *Collector) pairPIM() {
 		end := down.at
 		ups := c.pimUp[down.loc]
 		for _, up := range ups {
-			if !up.Before(down.at) && up.Sub(down.at) <= c.Thresholds.FlapWindow {
+			if !up.Before(down.at) && up.Sub(down.at) <= flapWindow {
 				end = up
 				break
 			}

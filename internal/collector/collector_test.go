@@ -28,6 +28,14 @@ func ingest(t *testing.T, c *Collector, source, text string) {
 	}
 }
 
+// setBudget lowers the error budget for one test.
+func setBudget(t *testing.T, lines int, rate float64) {
+	t.Helper()
+	l, r := minLines, maxDropRate
+	minLines, maxDropRate = lines, rate
+	t.Cleanup(func() { minLines, maxDropRate = l, r })
+}
+
 func finalize(t *testing.T, c *Collector) {
 	t.Helper()
 	if err := c.Finalize(); err != nil {
@@ -504,6 +512,35 @@ func TestIngestLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestSourcesIsIngestsList: Ingest accepts every entry of Sources, once
+// each, and refuses any other name — near misses and the "derived"
+// pseudo-source included.
+func TestSourcesIsIngestsList(t *testing.T) {
+	c, _ := newCollector(t)
+	seen := map[string]bool{}
+	for _, src := range Sources {
+		if seen[src] {
+			t.Errorf("%q listed twice", src)
+		}
+		seen[src] = true
+		if err := c.Ingest(src, strings.NewReader("")); err != nil {
+			t.Errorf("Ingest(%q) = %v", src, err)
+		}
+	}
+	refused := []string{"", "derived", "unknown", "routing", "SYSLOG", "Syslog", "syslog ", "snmp\n", "perf", "serverlogs"}
+	for _, src := range Sources {
+		refused = append(refused, src+"x", strings.ToUpper(src), src[1:])
+	}
+	for _, src := range refused {
+		if seen[src] {
+			continue
+		}
+		if err := c.Ingest(src, strings.NewReader("")); err == nil {
+			t.Errorf("Ingest(%q) accepted a source not in Sources", src)
+		}
+	}
+}
+
 func TestCommentsAndBlanksSkipped(t *testing.T) {
 	c, st := newCollector(t)
 	ingest(t, c, SourceSNMP, "# header comment\n\n1262304000,chi-per1,cpu5min,,99\n")
@@ -515,7 +552,7 @@ func TestCommentsAndBlanksSkipped(t *testing.T) {
 
 func TestErrorBudgetQuarantine(t *testing.T) {
 	c, st := newCollector(t)
-	c.Budget = ErrorBudget{MinLines: 10, MaxDropRate: 0.5}
+	setBudget(t, 10, 0.5)
 	var b strings.Builder
 	// Nine good lines, then a run of garbage that blows the 50% budget,
 	// then a good line that must never be reached.
@@ -548,7 +585,7 @@ func TestErrorBudgetQuarantine(t *testing.T) {
 
 func TestErrorBudgetNotTrippedBelowMinLines(t *testing.T) {
 	c, _ := newCollector(t)
-	c.Budget = ErrorBudget{MinLines: 100, MaxDropRate: 0.5}
+	setBudget(t, 100, 0.5)
 	// 20 garbage lines: 100% drop rate but below the judging floor.
 	ingest(t, c, SourceSyslog, strings.Repeat("garbage\n", 20))
 	if s := c.Sources[SourceSyslog]; s.Quarantined() {
@@ -558,7 +595,7 @@ func TestErrorBudgetNotTrippedBelowMinLines(t *testing.T) {
 
 func TestErrorBudgetDisabled(t *testing.T) {
 	c, _ := newCollector(t)
-	c.Budget = ErrorBudget{MinLines: 1, MaxDropRate: 1}
+	setBudget(t, 1, 1)
 	ingest(t, c, SourceSyslog, strings.Repeat("garbage\n", 500))
 	s := c.Sources[SourceSyslog]
 	if s.Quarantined() {
@@ -632,7 +669,7 @@ func TestFeedTimesOutOfRange(t *testing.T) {
 	// Against the budget like any malformed line: the feed sorts them last,
 	// and the second takes the drop rate to 2/4.
 	c, _ = newCollector(t)
-	c.Budget = ErrorBudget{MinLines: 2, MaxDropRate: 0.4}
+	setBudget(t, 2, 0.4)
 	ingest(t, c, SourceSNMP, "1262304000,chi-per1,cpu5min,,87.5\n99999999999,chi-per1,cpu5min,,87.5\n99999999999,chi-per1,cpu5min,,88.5\n1262304300,chi-per1,cpu5min,,87.5\n")
 	if s := c.Sources[SourceSNMP]; s.Quarantine == "" || s.Malformed != 2 || s.Parsed != 2 {
 		t.Fatalf("snmp with two out-of-range lines of four: %+v, want quarantined", *s)

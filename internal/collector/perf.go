@@ -56,9 +56,9 @@ const baselineWindow = 24 // two hours of 5-minute samples
 //
 // The detectors compare each sample against the pair's rolling median and
 // emit the Table I events "In-network delay increase" (delay above
-// DelayFactor × median), "In-network loss increase" (loss above median +
-// LossDelta points), and "In-network throughput drop" (throughput below
-// TputFactor × median).
+// delayFactor × median), "In-network loss increase" (loss above median +
+// lossDelta points), and "In-network throughput drop" (throughput below
+// tputFactor × median).
 func (c *Collector) perfMonLine(line []byte) error {
 	scr := c.scr
 	f := scr.split(line, ',')
@@ -98,19 +98,19 @@ func (c *Collector) perfMonLine(line []byte) error {
 
 	scr.key = append(scr.key[:base], "/delay"...)
 	c.judgeKey(scr.key, delay, func(med float64) bool {
-		return delay > med*c.Thresholds.DelayFactor
+		return delay > med*delayFactor
 	}, func() {
 		c.add(event.DelayIncrease, start, end, loc, map[string]string{"delay_ms": string(f[3])})
 	})
 	scr.key = append(scr.key[:base], "/loss"...)
 	c.judgeKey(scr.key, loss, func(med float64) bool {
-		return loss > med+c.Thresholds.LossDelta
+		return loss > med+lossDelta
 	}, func() {
 		c.add(event.LossIncrease, start, end, loc, map[string]string{"loss_pct": string(f[4])})
 	})
 	scr.key = append(scr.key[:base], "/tput"...)
 	c.judgeKey(scr.key, tput, func(med float64) bool {
-		return med > 0 && tput < med*c.Thresholds.TputFactor
+		return med > 0 && tput < med*tputFactor
 	}, func() {
 		c.add(event.ThroughputDrop, start, end, loc, map[string]string{"tput_mbps": string(f[5])})
 	})
@@ -136,8 +136,8 @@ func (c *Collector) judgeKey(key []byte, v float64, breach func(median float64) 
 //	epoch,server,agent,rtt_ms,tput_kbps
 //	1262304000,cdn-nyc-s1,agent-1,41.0,8800
 //
-// Detectors emit "CDN round trip time increase" (RTT above DelayFactor ×
-// rolling median) and "CDN end-to-end throughput drop" (below TputFactor ×
+// Detectors emit "CDN round trip time increase" (RTT above delayFactor ×
+// rolling median) and "CDN end-to-end throughput drop" (below tputFactor ×
 // median) at the server:client location.
 func (c *Collector) parseKeynote(line string) error {
 	parts := strings.Split(line, ",")
@@ -170,7 +170,7 @@ func (c *Collector) parseKeynote(line string) error {
 		b = newBaseline(baselineWindow)
 		c.keyBase[key+"/rtt"] = b
 	}
-	if med, ready := b.observe(rtt); ready && rtt > med*c.Thresholds.DelayFactor {
+	if med, ready := b.observe(rtt); ready && rtt > med*delayFactor {
 		c.add(event.CDNRTTIncrease, start, end, loc, map[string]string{"rtt_ms": parts[3]})
 	}
 	b = c.keyBase[key+"/tput"]
@@ -178,7 +178,7 @@ func (c *Collector) parseKeynote(line string) error {
 		b = newBaseline(baselineWindow)
 		c.keyBase[key+"/tput"] = b
 	}
-	if med, ready := b.observe(tput); ready && med > 0 && tput < med*c.Thresholds.TputFactor {
+	if med, ready := b.observe(tput); ready && med > 0 && tput < med*tputFactor {
 		c.add(event.CDNThroughputDrop, start, end, loc, map[string]string{"tput_kbps": parts[4]})
 	}
 	return nil
@@ -210,7 +210,7 @@ func (c *Collector) parseServerLog(line string) error {
 		if err != nil {
 			return fmt.Errorf("bad load %q", parts[3])
 		}
-		if load >= c.Thresholds.ServerLoadPct {
+		if load >= serverLoadPct {
 			c.add(event.CDNServerIssue, at, at.Add(5*time.Minute),
 				locus.At(locus.Server, parts[2]), map[string]string{"load": parts[3]})
 		}

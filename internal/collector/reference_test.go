@@ -36,8 +36,6 @@ func (c *Collector) refIngest(source string, r io.Reader) error {
 	if parse == nil {
 		return fmt.Errorf("collector: unknown source %q", source)
 	}
-	budget := c.Budget
-	budget.defaults()
 	stats := c.stats(source)
 	c.curSource = source
 	defer func() { c.curSource = "" }()
@@ -69,9 +67,9 @@ func (c *Collector) refIngest(source string, r io.Reader) error {
 		}
 		c.Malformed.add(source, l.line, err)
 		stats.Malformed++
-		if stats.Lines >= budget.MinLines && float64(stats.Malformed) > budget.MaxDropRate*float64(stats.Lines) {
+		if stats.Lines >= minLines && float64(stats.Malformed) > maxDropRate*float64(stats.Lines) {
 			stats.Quarantine = fmt.Sprintf("error budget exhausted: %d/%d lines malformed (> %.0f%%)",
-				stats.Malformed, stats.Lines, 100*budget.MaxDropRate)
+				stats.Malformed, stats.Lines, 100*maxDropRate)
 			return nil
 		}
 	}
@@ -256,7 +254,7 @@ func (c *Collector) parseSNMP(line string) error {
 	object, instance := parts[2], parts[3]
 	switch object {
 	case "cpu5min":
-		if value >= c.Thresholds.CPUAveragePct {
+		if value >= cpuAveragePct {
 			c.add(event.CPUHighAverage, start, end, locus.At(locus.Router, router),
 				map[string]string{"cpu": parts[4]})
 		}
@@ -264,7 +262,7 @@ func (c *Collector) parseSNMP(line string) error {
 		if instance == "" {
 			return fmt.Errorf("ifutil without interface instance")
 		}
-		if value >= c.Thresholds.LinkUtilPct {
+		if value >= linkUtilPct {
 			c.add(event.LinkCongestion, start, end,
 				locus.Between(locus.Interface, router, instance),
 				map[string]string{"util": parts[4]})
@@ -273,7 +271,7 @@ func (c *Collector) parseSNMP(line string) error {
 		if instance == "" {
 			return fmt.Errorf("iferrors without interface instance")
 		}
-		if value >= c.Thresholds.LinkErrorCount {
+		if value >= linkErrorCount {
 			c.add(event.LinkLoss, start, end,
 				locus.Between(locus.Interface, router, instance),
 				map[string]string{"errors": parts[4]})
@@ -320,17 +318,17 @@ func (c *Collector) parsePerfMon(line string) error {
 	key := loc.Key()
 
 	c.judgeKey([]byte(key+"/delay"), delay, func(med float64) bool {
-		return delay > med*c.Thresholds.DelayFactor
+		return delay > med*delayFactor
 	}, func() {
 		c.add(event.DelayIncrease, start, end, loc, map[string]string{"delay_ms": parts[3]})
 	})
 	c.judgeKey([]byte(key+"/loss"), loss, func(med float64) bool {
-		return loss > med+c.Thresholds.LossDelta
+		return loss > med+lossDelta
 	}, func() {
 		c.add(event.LossIncrease, start, end, loc, map[string]string{"loss_pct": parts[4]})
 	})
 	c.judgeKey([]byte(key+"/tput"), tput, func(med float64) bool {
-		return med > 0 && tput < med*c.Thresholds.TputFactor
+		return med > 0 && tput < med*tputFactor
 	}, func() {
 		c.add(event.ThroughputDrop, start, end, loc, map[string]string{"tput_mbps": parts[5]})
 	})

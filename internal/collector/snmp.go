@@ -44,7 +44,7 @@ func (c *Collector) snmpLine(line []byte) error {
 	object, instance := f[2], f[3]
 	switch string(object) {
 	case "cpu5min":
-		if value >= c.Thresholds.CPUAveragePct {
+		if value >= cpuAveragePct {
 			c.add(event.CPUHighAverage, start, end, locus.At(locus.Router, router),
 				map[string]string{"cpu": string(f[4])})
 		}
@@ -52,7 +52,7 @@ func (c *Collector) snmpLine(line []byte) error {
 		if len(instance) == 0 {
 			return fmt.Errorf("ifutil without interface instance")
 		}
-		if value >= c.Thresholds.LinkUtilPct {
+		if value >= linkUtilPct {
 			c.add(event.LinkCongestion, start, end,
 				locus.Between(locus.Interface, router, string(instance)),
 				map[string]string{"util": string(f[4])})
@@ -61,7 +61,7 @@ func (c *Collector) snmpLine(line []byte) error {
 		if len(instance) == 0 {
 			return fmt.Errorf("iferrors without interface instance")
 		}
-		if value >= c.Thresholds.LinkErrorCount {
+		if value >= linkErrorCount {
 			c.add(event.LinkLoss, start, end,
 				locus.Between(locus.Interface, router, string(instance)),
 				map[string]string{"errors": string(f[4])})

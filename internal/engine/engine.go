@@ -43,16 +43,16 @@ var (
 // Unknown is the root-cause label for symptoms with no joined evidence.
 const Unknown = "Unknown"
 
+// maxDepth bounds evidence-chain recursion as a backstop against
+// pathological graphs; 8 exceeds any graph in the paper. Tests lower it.
+var maxDepth = 8
+
 // Engine binds one diagnosis graph to a data store and network view. An
 // Engine is cheap; build one per application.
 type Engine struct {
 	Store store.Store
 	View  *netstate.View
 	Graph *dgraph.Graph
-
-	// MaxDepth bounds evidence-chain recursion as a backstop against
-	// pathological graphs; the default (8) exceeds any graph in the paper.
-	MaxDepth int
 
 	// Tracing attaches an obs.Trace to every Diagnosis: one span per rule
 	// evaluation carrying its store-query and spatial-join timings,
@@ -64,7 +64,7 @@ type Engine struct {
 
 // New returns an engine over the given substrates.
 func New(st store.Store, view *netstate.View, g *dgraph.Graph) *Engine {
-	return &Engine{Store: st, View: view, Graph: g, MaxDepth: 8}
+	return &Engine{Store: st, View: view, Graph: g}
 }
 
 // Node is one vertex of the correlated evidence tree. The root node holds
@@ -182,7 +182,7 @@ func (e *Engine) diagnose(sym *event.Instance, tracing bool) Diagnosis {
 // deeper evidence nests under the rule that admitted it) annotated with
 // its expand, store-query, and spatial-join timings.
 func (e *Engine) correlate(n *Node, visited map[string]bool, depth int, d *Diagnosis, tr *obs.Trace) {
-	if depth >= e.MaxDepth {
+	if depth >= maxDepth {
 		return
 	}
 	for _, rule := range e.Graph.RulesFor(n.Event) {

@@ -252,7 +252,9 @@ func TestElapsedRecorded(t *testing.T) {
 
 func TestMaxDepthBounds(t *testing.T) {
 	f := newFixture(t)
-	f.eng.MaxDepth = 1
+	depth := maxDepth
+	maxDepth = 1
+	t.Cleanup(func() { maxDepth = depth })
 	f.add(event.InterfaceFlap, 900, 1, f.ifLoc)
 	f.add(event.SONETRestoration, 899, 2, locus.At(locus.Layer1Device, "sonet-chi-per1-a"))
 	d := f.eng.Diagnose(f.symptom(1000))

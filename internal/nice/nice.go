@@ -9,7 +9,7 @@
 // series).
 //
 // The correlation is declared significant when the unshifted score exceeds
-// the null mean by more than Threshold standard deviations.
+// the null mean by more than DefaultThreshold standard deviations.
 package nice
 
 import (
@@ -145,7 +145,7 @@ type Result struct {
 	NullStd  float64
 	// Score is (Corr − NullMean) / NullStd.
 	Score float64
-	// Significant is Score > threshold.
+	// Significant is Score > DefaultThreshold.
 	Significant bool
 	// Shifts is the number of circular permutations evaluated.
 	Shifts int
@@ -156,9 +156,6 @@ type Tester struct {
 	// Shifts is the number of circular offsets sampled for the null
 	// distribution (default 200).
 	Shifts int
-	// Threshold is the significance score threshold (default
-	// DefaultThreshold).
-	Threshold float64
 	// Rand drives offset sampling; a nil Rand uses a fixed seed so tests
 	// and experiments are reproducible.
 	Rand *rand.Rand
@@ -169,10 +166,6 @@ func (t Tester) Test(a, b *Series) (Result, error) {
 	shifts := t.Shifts
 	if shifts <= 0 {
 		shifts = 200
-	}
-	threshold := t.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
 	}
 	rng := t.Rand
 	if rng == nil {
@@ -220,6 +213,6 @@ func (t Tester) Test(a, b *Series) (Result, error) {
 		return res, nil
 	}
 	res.Score = (corr - mean) / std
-	res.Significant = res.Score > threshold
+	res.Significant = res.Score > DefaultThreshold
 	return res, nil
 }

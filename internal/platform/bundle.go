@@ -154,7 +154,7 @@ func assemble(topo *netmodel.Topology, feeds map[string]string, start time.Time,
 	c := collector.New(topo, st, start.Year())
 	c.WindowStart, c.WindowEnd = start, start.Add(duration)
 	c.EmitGenericSignatures = opts.GenericSignatures
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		feed, ok := feeds[src]
 		if !ok {
 			continue

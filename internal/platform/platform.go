@@ -19,21 +19,6 @@ import (
 	"grca/internal/store"
 )
 
-// feedOrder lists every collector source in ingestion order. Routing feeds
-// go first so that state reconstruction does not depend on map iteration.
-var feedOrder = []string{
-	collector.SourceOSPFMon,
-	collector.SourceBGPMon,
-	collector.SourceSyslog,
-	collector.SourceSNMP,
-	collector.SourceTACACS,
-	collector.SourceWorkflow,
-	collector.SourceLayer1,
-	collector.SourcePerfMon,
-	collector.SourceKeynote,
-	collector.SourceServer,
-}
-
 // System is an assembled G-RCA instance.
 type System struct {
 	Topo      *netmodel.Topology

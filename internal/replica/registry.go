@@ -10,10 +10,11 @@ import (
 
 var mFollowers = obs.GetGauge("replica.source.followers")
 
-// DefaultGrace is how long a disconnected follower's journal pin
-// survives: segments it has not been shipped stay on disk for this window
-// so a transient partition does not force a checkpoint re-bootstrap.
-const DefaultGrace = 5 * time.Minute
+// pinGrace is how long a disconnected follower's journal pin survives:
+// segments it has not been shipped stay on disk for this window so a
+// transient partition does not force a checkpoint re-bootstrap. Tests
+// lower it.
+var pinGrace = 5 * time.Minute
 
 // Registry tracks attached followers on the primary: each follower's
 // shipped sequence feeds the journal pin, and the whole table backs
@@ -44,9 +45,10 @@ type FollowerStatus struct {
 	JournalSeq int     `json:"journal_seq"`
 }
 
-// NewRegistry returns an empty registry; the server passes DefaultGrace.
-func NewRegistry(grace time.Duration) *Registry {
-	return &Registry{grace: grace, followers: map[string]*followerEntry{}}
+// NewRegistry returns an empty registry whose pins last pinGrace, read
+// here once so that a test lowering it races no registry already serving.
+func NewRegistry() *Registry {
+	return &Registry{grace: pinGrace, followers: map[string]*followerEntry{}}
 }
 
 // Attach registers one stream connection for the follower, creating its

@@ -138,8 +138,17 @@ func TestReaderTornStream(t *testing.T) {
 	}
 }
 
+// graceRegistry returns a registry whose pins last grace.
+func graceRegistry(t *testing.T, grace time.Duration) *Registry {
+	t.Helper()
+	g := pinGrace
+	pinGrace = grace
+	t.Cleanup(func() { pinGrace = g })
+	return NewRegistry()
+}
+
 func TestRegistryPinAndGrace(t *testing.T) {
-	r := NewRegistry(30 * time.Millisecond)
+	r := graceRegistry(t, 30*time.Millisecond)
 	if pin := r.PinJournal(); pin != -1 {
 		t.Fatalf("empty registry pin = %d, want -1", pin)
 	}
@@ -196,7 +205,7 @@ func TestRegistryPinAndGrace(t *testing.T) {
 // through attach, detach and grace expiry — it is what Status reports,
 // not a value stamped once when a journal stream opened.
 func TestRegistryFollowersGauge(t *testing.T) {
-	r := NewRegistry(30 * time.Millisecond)
+	r := graceRegistry(t, 30*time.Millisecond)
 	check := func(what string, want int) {
 		t.Helper()
 		if got := mFollowers.Value(); got != int64(want) {
@@ -357,7 +366,7 @@ func TestServeJournalTail(t *testing.T) {
 		JournalFrontier: func() int { return -1 },
 		JournalOffset:   func() int64 { return 0 },
 		WALFrontier:     func() int { return 0 },
-		Registry:        NewRegistry(time.Minute),
+		Registry:        NewRegistry(),
 	})
 	// serve starts a stream at from and returns a wait-for-seqs function
 	// and the stream's stop function.
@@ -524,7 +533,7 @@ func TestServeJournalSegments(t *testing.T) {
 		JournalFrontier: func() int { return next - 1 },
 		JournalOffset:   j.Offset,
 		WALFrontier:     func() int { return 0 },
-		Registry:        NewRegistry(time.Minute),
+		Registry:        NewRegistry(),
 	})
 
 	seqs, headers, _ := journalStream(t, src, "whole", -1, next-1)
@@ -947,7 +956,7 @@ func TestHeartbeatsWhileStreaming(t *testing.T) {
 		JournalFrontier: func() int { return 0 },
 		JournalOffset:   func() int64 { return 0 },
 		WALFrontier:     func() int { return 0 },
-		Registry:        NewRegistry(time.Minute),
+		Registry:        NewRegistry(),
 	})
 	w := &collectWriter{}
 	stop := make(chan struct{})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/collector"
 	"grca/internal/event"
 	"grca/internal/platform"
 	"grca/internal/realtime"
@@ -226,7 +227,7 @@ func BenchmarkIngestAck(b *testing.B) {
 		}
 		return rec.Body.Bytes()
 	}
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		if feed, ok := bundle.Feeds[src]; ok {
 			send("/v1/ingest", wire.ContentType, wire.AppendFeed(nil, src, feed))
 		}

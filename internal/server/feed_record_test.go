@@ -159,7 +159,7 @@ func TestFeedJournalCompression(t *testing.T) {
 	lines, records := lines1-lines0, records1-records0
 
 	var posted, feeds int
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		if feed, ok := b.Feeds[src]; ok {
 			posted += len(feed)
 			feeds++

@@ -1001,7 +1001,7 @@ func TestOverlapVerified(t *testing.T) {
 			t.Helper()
 			c := collector.New(topo, st, b.Start.Year())
 			c.WindowStart, c.WindowEnd = b.Start, b.Start.Add(b.Duration)
-			for _, src := range feedOrder {
+			for _, src := range collector.Sources {
 				if feed, ok := b.Feeds[src]; ok && src != skip {
 					if err := c.Ingest(src, strings.NewReader(feed)); err != nil {
 						t.Fatal(err)
@@ -1123,7 +1123,7 @@ func cutFormatFixture(t *testing.T, dir string) {
 			t.Fatalf("%s: %d %s", what, code, body)
 		}
 	}
-	for i, src := range feedOrder[:3] {
+	for i, src := range collector.Sources[:3] {
 		if i == 1 {
 			code, body := postWire(t, ts, wire.AppendFeed(nil, src, b.Feeds[src]))
 			expect(src, code, body)

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/collector"
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/platform"
@@ -87,7 +88,7 @@ func driveLifecycle(t *testing.T, dir string, b platform.Bundle, batches [][]Eve
 		}
 		out.ingest = append(out.ingest, body)
 	}
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		feed, ok := b.Feeds[src]
 		if !ok {
 			continue
@@ -216,7 +217,7 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	batches := lifecycleBatches(b)
 	early := 0
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		feed, ok := b.Feeds[src]
 		if !ok {
 			continue

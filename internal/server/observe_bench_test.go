@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/collector"
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/platform"
@@ -50,7 +51,7 @@ func BenchmarkObserveStored(b *testing.B) {
 			b.Fatalf("%s: %d", path, resp.StatusCode)
 		}
 	}
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		if feed, ok := bundle.Feeds[src]; ok {
 			send("/v1/ingest", IngestRequest{Source: src, Lines: feed})
 		}

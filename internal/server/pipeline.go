@@ -68,6 +68,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -189,17 +190,9 @@ func (f *feedLines) Read(p []byte) (int, error) {
 	return n, f.err
 }
 
-// knownSources mirrors the collector's feed switch so an unknown source
-// is rejected before it is journaled.
-var knownSources = map[string]bool{
-	collector.SourceOSPFMon: true, collector.SourceBGPMon: true,
-	collector.SourceSyslog: true, collector.SourceSNMP: true,
-	collector.SourceTACACS: true, collector.SourceWorkflow: true,
-	collector.SourceLayer1: true, collector.SourcePerfMon: true,
-	collector.SourceKeynote: true, collector.SourceServer: true,
-}
-
-func knownSource(s string) bool { return knownSources[s] }
+// knownSource reports whether the collector ingests the source, so an
+// unknown one is refused before it is journaled.
+func knownSource(s string) bool { return slices.Contains(collector.Sources, s) }
 
 // maxEventDuration bounds a single event's run time when deriving each
 // application's streaming grace period; 15 minutes matches the

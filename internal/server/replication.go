@@ -41,7 +41,7 @@ func newBootID() string {
 // follower registry and the stream source over the journal.
 func (s *Server) initReplicationSource() {
 	s.bootID = newBootID()
-	s.replReg = replica.NewRegistry(replica.DefaultGrace)
+	s.replReg = replica.NewRegistry()
 	s.replSrc = replica.NewSource(replica.SourceConfig{
 		BootID:          s.bootID,
 		DataDir:         s.cfg.DataDir,

@@ -26,15 +26,6 @@ import (
 	"grca/internal/wal"
 )
 
-// feedOrder mirrors the platform's canonical ingestion order; posting
-// feeds in this order is what makes serve byte-identical to batch.
-var feedOrder = []string{
-	collector.SourceOSPFMon, collector.SourceBGPMon, collector.SourceSyslog,
-	collector.SourceSNMP, collector.SourceTACACS, collector.SourceWorkflow,
-	collector.SourceLayer1, collector.SourcePerfMon, collector.SourceKeynote,
-	collector.SourceServer,
-}
-
 func testBundle(t testing.TB) (*simnet.Dataset, platform.Bundle) {
 	t.Helper()
 	d, err := simnet.Generate(simnet.Config{
@@ -88,7 +79,7 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (int, []byte
 
 func loadAndFinalize(t *testing.T, ts *httptest.Server, b platform.Bundle) {
 	t.Helper()
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		feed, ok := b.Feeds[src]
 		if !ok {
 			continue

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/collector"
 	"grca/internal/event"
 	"grca/internal/obs"
 )
@@ -181,7 +182,7 @@ func TestFinalizeAfterBurst(t *testing.T) {
 	defer ts.Close()
 	counted := batches.Value()
 	feeds := 0
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		if feed, ok := b.Feeds[src]; ok {
 			if code, body := post(t, ts, "/v1/ingest", IngestRequest{Source: src, Lines: feed}); code != http.StatusOK {
 				t.Fatalf("ingest %s: %d %s", src, code, body)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"grca/internal/collector"
 	"grca/internal/event"
 	"grca/internal/locus"
 	"grca/internal/wal"
@@ -82,7 +83,7 @@ func TestWireIngestParity(t *testing.T) {
 
 	// Reference: JSON feeds. The other: binary feed batches.
 	loadAndFinalize(t, refTS, b)
-	for _, src := range feedOrder {
+	for _, src := range collector.Sources {
 		feed, ok := b.Feeds[src]
 		if !ok {
 			continue

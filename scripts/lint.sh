@@ -22,7 +22,8 @@
 # goroutine, one that keeps the streaming processor the one stream
 # clock and observeStored the one fan-out of its diagnoses, and one that
 # keeps one Server per process: a promoted replica leads on its own
-# Server, never a second one reopened beside it.
+# Server, never a second one reopened beside it, and one that keeps the
+# list of feed sources in collector.Sources.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -167,6 +168,28 @@ if git grep -nE '(^|[^.[:alnum:]_])Open\(' -- 'internal/server/*.go' ':!*_test.g
 fi
 if git grep -nE '^\s+promoted\s+(\*?[[:alpha:]]|\[)' -- 'internal/server/*.go' ':!*_test.go'; then
   echo "a promoted field in internal/server (above): the promoted node is the Server itself" >&2
+  fail=1
+fi
+
+echo "== one feed-source list =="
+# collector.Sources lists the sources Ingest accepts, in the order a
+# bundle's feeds load. A literal naming three or more collector.Source*
+# constants elsewhere is a second copy of it that nothing holds equal to
+# the collector's switch. bench/ keeps its own copy; chaos's
+# DefaultDroppable is a chosen subset, the evidence feeds a fault drops.
+# (An innermost {...} block is a literal's body; its line is its head's.)
+lists=$(git ls-files -z -- '*.go' ':!*_test.go' ':!bench' ':!internal/collector' |
+  xargs -0 perl -0777 -ne '
+    while (/([^\n]*)\{([^{}]*)\}/g) {
+      my ($head, $body, $at) = ($1, $2, $-[0]);
+      my $n = () = $body =~ /\bcollector\.Source[A-Z]\w*/g;
+      next if $n < 3 || $head =~ /\bDefaultDroppable\b/;
+      my $line = 1 + (() = substr($_, 0, $at) =~ /\n/g);
+      print "$ARGV:$line: $n collector.Source constants in one literal\n";
+    }')
+if [ -n "$lists" ]; then
+  echo "$lists"
+  echo "a list of feed sources outside internal/collector (above): range over collector.Sources" >&2
   fail=1
 fi
 
