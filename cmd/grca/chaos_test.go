@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -32,6 +34,10 @@ func TestChaosCommandDeterministicReport(t *testing.T) {
 	r2 := run(filepath.Join(t.TempDir(), "b.json"))
 	if r1 != r2 {
 		t.Fatal("chaos report not byte-identical across two runs of the same seed")
+	}
+	sum := sha256.Sum256([]byte(r1))
+	if got, want := hex.EncodeToString(sum[:]), "6c3a3ca74990cc568fb6afb9f375ae566c069ed9414930d85b502cd2d60b1bae"; got != want {
+		t.Errorf("report sha256 = %s, want %s\n%s", got, want, r1)
 	}
 
 	var rep struct {
