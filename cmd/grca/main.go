@@ -350,7 +350,7 @@ func runStats(args []string) error {
 		// Replay the corpus in availability order so the realtime.* gauges
 		// and grace-wait histogram reflect this dataset too.
 		g := eng.Graph
-		proc := realtime.New(sys.View, g, realtime.GraceFor(g, 15*time.Minute))
+		proc := realtime.New(sys.View, g, realtime.GraceFor(g, realtime.MaxEventDuration))
 		var ins []*event.Instance
 		for _, name := range sys.Store.Names() {
 			ins = append(ins, sys.Store.All(name)...)

@@ -51,7 +51,7 @@ func main() {
 	}
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].End.Before(stream[j].End) })
 
-	grace := realtime.GraceFor(graph, 15*time.Minute)
+	grace := realtime.GraceFor(graph, realtime.MaxEventDuration)
 	fmt.Printf("streaming %d events; derived grace period %v\n", len(stream), grace)
 
 	p := realtime.New(sys.View, graph, grace)

@@ -326,6 +326,13 @@ func (p *Processor) Forced() int {
 	return p.forced
 }
 
+// MaxEventDuration is the bound on one diagnostic event's run time that
+// every shipped caller hands GraceFor: the server's streams, the chaos
+// harness's delay scenario, grca stats and the realtime example. It sits
+// above the collector's 10-minute flap-aggregation window, the longest
+// down→up gap paired into one flap.
+const MaxEventDuration = 15 * time.Minute
+
 // GraceFor derives a safe grace period from a diagnosis graph: the
 // maximum "future reach" of any evidence chain from the root — how long
 // after a symptom ends the latest joinable diagnostic can still become

@@ -57,7 +57,7 @@ func newCorpus(t *testing.T, cfg simnet.Config, names ...string) *corpus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.streams = append(c.streams, Stream{Name: a.Name, Engine: eng, Grace: GraceFor(eng.Graph, 15*time.Minute)})
+		c.streams = append(c.streams, Stream{Name: a.Name, Engine: eng, Grace: GraceFor(eng.Graph, MaxEventDuration)})
 		want := map[string]string{}
 		for _, d := range eng.DiagnoseAll() {
 			want[diagKey(d.Symptom)] = causesOf(d)

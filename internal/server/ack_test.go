@@ -46,7 +46,7 @@ func newAckOracle(s *Server) *ackOracle {
 	sv := s.serving.Load()
 	var streams []realtime.Stream
 	for _, a := range sv.apps {
-		streams = append(streams, realtime.Stream{Name: a.Name, Engine: a.eng, Grace: realtime.GraceFor(a.eng.Graph, maxEventDuration)})
+		streams = append(streams, realtime.Stream{Name: a.Name, Engine: a.eng, Grace: realtime.GraceFor(a.eng.Graph, realtime.MaxEventDuration)})
 	}
 	return &ackOracle{proc: realtime.NewStreams(s.st, streams...), rootOf: sv.rootOf}
 }

@@ -194,11 +194,6 @@ func (f *feedLines) Read(p []byte) (int, error) {
 // unknown one is refused before it is journaled.
 func knownSource(s string) bool { return slices.Contains(collector.Sources, s) }
 
-// maxEventDuration bounds a single event's run time when deriving each
-// application's streaming grace period; 15 minutes matches the
-// collector's flap-aggregation window (and cmd/grca stats).
-const maxEventDuration = 15 * time.Minute
-
 // Config configures Open.
 type Config struct {
 	// DataDir holds the ingest journal (journal.log and its tail segments
@@ -759,7 +754,7 @@ func (s *Server) installServing(rebuildTail bool) error {
 		sv.apps = append(sv.apps, servedApp{a, eng})
 		sv.rootOf[g.Root] = a.Name
 		roots = append(roots, g.Root)
-		streams = append(streams, realtime.Stream{Name: a.Name, Engine: eng, Grace: realtime.GraceFor(g, maxEventDuration)})
+		streams = append(streams, realtime.Stream{Name: a.Name, Engine: eng, Grace: realtime.GraceFor(g, realtime.MaxEventDuration)})
 		grace = max(grace, streams[len(streams)-1].Grace)
 	}
 	sv.proc = realtime.NewStreams(s.st, streams...)
@@ -799,7 +794,7 @@ func replayTail(st store.Store, proc *realtime.Processor, roots []string, grace 
 	if !ok {
 		return time.Time{}
 	}
-	cut := last.Add(-grace - maxEventDuration)
+	cut := last.Add(-grace - realtime.MaxEventDuration)
 	// A window query, not All: only the tail is materialized.
 	var tail []*event.Instance
 	for _, name := range roots {

@@ -22,7 +22,7 @@ func replayAllNames(st store.Store, proc *realtime.Processor, grace time.Duratio
 	if !ok {
 		return clock
 	}
-	cut := last.Add(-grace - maxEventDuration)
+	cut := last.Add(-grace - realtime.MaxEventDuration)
 	var tail []*event.Instance
 	for _, name := range st.Names() {
 		tail = append(tail, st.Query(name, cut, last)...)
@@ -59,7 +59,7 @@ func TestReplayTailRootsOnly(t *testing.T) {
 	newProc := func() *realtime.Processor {
 		var streams []realtime.Stream
 		for _, a := range sv.apps {
-			g := realtime.GraceFor(a.eng.Graph, maxEventDuration)
+			g := realtime.GraceFor(a.eng.Graph, realtime.MaxEventDuration)
 			graces[a.Name], grace = g, max(grace, g)
 			streams = append(streams, realtime.Stream{Name: a.Name, Engine: a.eng, Grace: g})
 		}
