@@ -119,7 +119,7 @@ func chaosCorpus(b *testing.B) *corpus {
 				chaos.FaultSkew, chaos.FaultReorder,
 				chaos.FaultDuplicate, chaos.FaultTruncate,
 			},
-			ReorderFraction: 0.10, DuplicateFraction: 0.10, TruncateFraction: 0.10,
+			DuplicateFraction: 0.10, TruncateFraction: 0.10,
 		})
 		fb := inj.Bundle(platform.BundleFromDataset(clean.dataset))
 		sys, err := fb.Assemble(platform.Options{})

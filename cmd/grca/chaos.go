@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"grca/internal/chaos"
 	"grca/internal/platform"
@@ -20,8 +19,6 @@ func runChaos(args []string) error {
 	seed := fs.Int64("seed", 1, "injection seed; the same seed reproduces the report byte for byte")
 	faults := fs.String("faults", "", "comma-separated fault classes (default all: "+faultList()+")")
 	appsFlag := fs.String("apps", "", "comma-separated applications (default all)")
-	tolerance := fs.Duration("tolerance", 10*time.Minute, "truth-matching window")
-	maxPending := fs.Int("max-pending", 256, "streaming pending-queue bound in the delay scenario (0 = unbounded)")
 	out := fs.String("o", "", "write the JSON report to this file instead of stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -38,7 +35,7 @@ func runChaos(args []string) error {
 		return fmt.Errorf("chaos: bundle %s carries no ground truth; accuracy cannot be scored", *data)
 	}
 
-	opts := chaos.Options{Tolerance: *tolerance, MaxPending: *maxPending}
+	opts := chaos.Options{Seed: *seed}
 	if *appsFlag != "" {
 		opts.Apps = strings.Split(*appsFlag, ",")
 	}
@@ -56,7 +53,7 @@ func runChaos(args []string) error {
 		}
 	}
 
-	rep, err := chaos.RunMatrix(bundle, chaos.Config{Seed: *seed}, opts)
+	rep, err := chaos.RunMatrix(bundle, opts)
 	if err != nil {
 		return err
 	}

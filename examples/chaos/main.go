@@ -30,9 +30,9 @@ func main() {
 	}
 	bundle := platform.BundleFromDataset(dataset)
 
-	rep, err := chaos.RunMatrix(bundle, chaos.Config{Seed: 99}, chaos.Options{
-		Apps:       []string{"bgpflap", "cdn", "pim"},
-		MaxPending: 256,
+	rep, err := chaos.RunMatrix(bundle, chaos.Options{
+		Seed: 99,
+		Apps: []string{"bgpflap", "cdn", "pim"},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -62,13 +62,13 @@ const (
 	// store digest and /v1/breakdown bytes.
 	FaultCrashRestart Fault = "crash-restart"
 	// FaultReplicaLag stalls a read replica's journal stream, held open,
-	// once LagFraction of the primary's journal has passed (exercised by
+	// once lagFraction of the primary's journal has passed (exercised by
 	// ReplicaReplay; feed text is unaffected): the follower serves a
 	// consistent stale prefix until the stream resumes, and the healed
 	// follower must answer as the primary does.
 	FaultReplicaLag Fault = "replica-lag"
 	// FaultPartition severs the journal stream at seeded byte offsets —
-	// usually mid-frame — PartitionCount times (exercised by
+	// usually mid-frame — partitionCount times (exercised by
 	// ReplicaReplay): each reconnect resumes from the follower's applied
 	// sequence through the torn-frame discard path, and the healed
 	// follower must answer as the primary does.
@@ -82,8 +82,9 @@ func AllFaults() []Fault {
 
 // Bounds documents the maximum top-cause accuracy drop (absolute, on the
 // matched-symptom accuracy of Score) each fault class may inflict at the
-// default Config rates. The scenario-matrix tests enforce these bounds;
-// widen one only with a DESIGN.md §9 note explaining what got worse.
+// rates below and Config's defaults. The scenario-matrix tests enforce
+// these bounds; widen one only with a DESIGN.md §9 note explaining what
+// got worse.
 var Bounds = map[Fault]float64{
 	FaultSkew:         0.10, // seconds-scale skew sits well inside minutes-scale join windows
 	FaultReorder:      0.02, // ingest restores record order on stateful feeds; pairing buffers sort in Finalize
@@ -96,11 +97,48 @@ var Bounds = map[Fault]float64{
 	FaultPartition:    0.0,  // torn frames never decode; reconnects re-ship, converging byte-identical
 }
 
-// DefaultDroppable lists the sources FaultDropSource picks from when
-// Config.DropSources is empty: auxiliary evidence feeds whose loss
-// degrades attribution but leaves symptoms detectable. Dropping a symptom
-// feed itself (syslog, keynote) is allowed via explicit DropSources and
-// is covered by the harness's no-panic tests rather than accuracy bounds.
+// The fault classes' fixed rates, the ones Bounds is measured at.
+const (
+	// skewMax bounds the per-router clock offset: skewed routers draw
+	// uniformly from ±skewMax at second granularity, excluding zero.
+	skewMax = 15 * time.Second
+	// reorderFraction of records are displaced forward by up to
+	// reorderWindow positions.
+	reorderFraction = 0.10
+	reorderWindow   = 8
+	// dropCount feeds are picked from DefaultDroppable and removed.
+	dropCount = 1
+	// delayFraction of streamed events are delivered up to delayMax after
+	// their availability time — far enough past any derived grace period
+	// to exercise the late path — into a processor whose pending queue
+	// holds at most maxPending symptoms.
+	delayFraction = 0.05
+	delayMax      = 4 * time.Hour
+	maxPending    = 256
+	// lagFraction is where the replica-lag scenario stalls the journal
+	// stream, as a fraction of the primary's ingest batches;
+	// partitionCount is how many seeded mid-stream connection cuts the
+	// partition scenario inflicts before healing.
+	lagFraction    = 0.6
+	partitionCount = 3
+	// tolerance is Score's truth-matching window.
+	tolerance = 10 * time.Minute
+)
+
+// crashCount kill -9 restarts are simulated at seed-derived points in the
+// stream; crashBatch events go to one acknowledged ingest batch, bounding
+// what each crash leaves in flight and re-delivers, and the durability
+// classes checkpoint every 4×crashBatch events. Package variables that
+// only tests lower.
+var (
+	crashCount = 3
+	crashBatch = 256
+)
+
+// DefaultDroppable lists the sources FaultDropSource picks from:
+// auxiliary evidence feeds whose loss degrades attribution but leaves
+// symptoms detectable. A symptom feed itself (syslog, keynote) is never
+// dropped, so the matrix holds every application's symptoms.
 var DefaultDroppable = []string{
 	collector.SourceLayer1,
 	collector.SourceTACACS,
@@ -108,23 +146,15 @@ var DefaultDroppable = []string{
 	collector.SourceServer,
 }
 
-// Config parameterizes an Injector. The zero value of every rate takes
-// the documented default; only the fault classes listed in Faults are
-// applied.
+// Config parameterizes an Injector: the seed, the fault classes applied,
+// and the three rates a caller may raise; a rate at zero takes its
+// default.
 type Config struct {
 	Seed   int64
 	Faults []Fault
 
-	// SkewMax bounds the per-router clock offset (default 15s); skewed
-	// routers draw uniformly from ±SkewMax at second granularity,
-	// excluding zero. SkewFraction of routers are affected (default 0.5).
-	SkewMax      time.Duration
+	// SkewFraction of routers are skewed (default 0.5).
 	SkewFraction float64
-
-	// ReorderFraction of records are displaced forward by up to
-	// ReorderWindow positions (defaults 0.10 and 8).
-	ReorderFraction float64
-	ReorderWindow   int
 
 	// DuplicateFraction of records are emitted twice (default 0.05).
 	DuplicateFraction float64
@@ -132,73 +162,17 @@ type Config struct {
 	// TruncateFraction of records are cut short at a random byte
 	// (default 0.02).
 	TruncateFraction float64
-
-	// DropSources lists feeds to remove. Empty means pick DropCount
-	// (default 1) deterministically from DefaultDroppable.
-	DropSources []string
-	DropCount   int
-
-	// DelayFraction of streamed events are delivered up to DelayMax
-	// after their availability time (defaults 0.05 and 4h) — far enough
-	// past any derived grace period to exercise the late path.
-	DelayFraction float64
-	DelayMax      time.Duration
-
-	// CrashCount kill -9 restarts are simulated at seed-derived points in
-	// the stream (default 3); CrashBatch events go to one acknowledged
-	// ingest batch (default 256), bounding what each crash leaves in
-	// flight and re-delivers, and the durability classes checkpoint every
-	// 4×CrashBatch events.
-	CrashCount int
-	CrashBatch int
-
-	// LagFraction is where the replica-lag scenario stalls the journal
-	// stream, as a fraction of the primary's ingest batches (default 0.6);
-	// PartitionCount is how many seeded mid-stream connection cuts the
-	// partition scenario inflicts before healing (default 3).
-	LagFraction    float64
-	PartitionCount int
 }
 
 func (c *Config) defaults() {
-	if c.SkewMax == 0 {
-		c.SkewMax = 15 * time.Second
-	}
 	if c.SkewFraction == 0 {
 		c.SkewFraction = 0.5
-	}
-	if c.ReorderFraction == 0 {
-		c.ReorderFraction = 0.10
-	}
-	if c.ReorderWindow == 0 {
-		c.ReorderWindow = 8
 	}
 	if c.DuplicateFraction == 0 {
 		c.DuplicateFraction = 0.05
 	}
 	if c.TruncateFraction == 0 {
 		c.TruncateFraction = 0.02
-	}
-	if c.DropCount == 0 {
-		c.DropCount = 1
-	}
-	if c.DelayFraction == 0 {
-		c.DelayFraction = 0.05
-	}
-	if c.DelayMax == 0 {
-		c.DelayMax = 4 * time.Hour
-	}
-	if c.CrashCount == 0 {
-		c.CrashCount = 3
-	}
-	if c.CrashBatch == 0 {
-		c.CrashBatch = 256
-	}
-	if c.LagFraction == 0 {
-		c.LagFraction = 0.6
-	}
-	if c.PartitionCount == 0 {
-		c.PartitionCount = 3
 	}
 }
 
@@ -274,12 +248,8 @@ func (inj *Injector) Bundle(b platform.Bundle) platform.Bundle {
 	return out
 }
 
-// pickDrops resolves the drop list: explicit DropSources, else DropCount
-// picks from DefaultDroppable present in the feeds.
+// pickDrops picks dropCount of the DefaultDroppable feeds present.
 func (inj *Injector) pickDrops(feeds map[string]string) []string {
-	if len(inj.cfg.DropSources) > 0 {
-		return inj.cfg.DropSources
-	}
 	var cands []string
 	for _, src := range DefaultDroppable {
 		if _, ok := feeds[src]; ok {
@@ -288,8 +258,8 @@ func (inj *Injector) pickDrops(feeds map[string]string) []string {
 	}
 	rng := inj.rng("drop")
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > inj.cfg.DropCount {
-		cands = cands[:inj.cfg.DropCount]
+	if len(cands) > dropCount {
+		cands = cands[:dropCount]
 	}
 	sort.Strings(cands)
 	return cands
@@ -360,17 +330,14 @@ func (inj *Injector) skewLines(source string, lines []string) {
 }
 
 // skewFor returns the clock offset of one device token: zero for
-// unaffected devices, else a uniform draw from ±SkewMax (seconds,
+// unaffected devices, else a uniform draw from ±skewMax (seconds,
 // nonzero).
 func (inj *Injector) skewFor(device string) time.Duration {
 	h := inj.hash("skew", device)
 	if float64(h%1_000_000)/1_000_000 >= inj.cfg.SkewFraction {
 		return 0
 	}
-	maxSec := int64(inj.cfg.SkewMax / time.Second)
-	if maxSec <= 0 {
-		return 0
-	}
+	const maxSec = int64(skewMax / time.Second)
 	h2 := inj.hash("skew-mag", device)
 	v := int64(h2%uint64(2*maxSec)) - maxSec // [-maxSec, maxSec)
 	if v >= 0 {
@@ -380,15 +347,15 @@ func (inj *Injector) skewFor(device string) time.Duration {
 }
 
 // reorderLines displaces a fraction of records forward by up to
-// ReorderWindow positions — local shuffling, the way multi-threaded relay
+// reorderWindow positions — local shuffling, the way multi-threaded relay
 // daemons interleave, not wholesale scrambling.
 func (inj *Injector) reorderLines(source string, lines []string) []string {
 	rng := inj.rng("reorder", source)
 	for i := range lines {
-		if rng.Float64() >= inj.cfg.ReorderFraction {
+		if rng.Float64() >= reorderFraction {
 			continue
 		}
-		j := i + 1 + rng.Intn(inj.cfg.ReorderWindow)
+		j := i + 1 + rng.Intn(reorderWindow)
 		if j < len(lines) {
 			lines[i], lines[j] = lines[j], lines[i]
 		}

@@ -28,10 +28,10 @@ func activeSegment(dir string) (string, int64, error) {
 }
 
 // CrashReplay kills the diagnosis service mid-ingest and restarts it. A
-// server (server.Open, checkpointing every 4×CrashBatch events, so rolls,
+// server (server.Open, checkpointing every 4×crashBatch events, so rolls,
 // linked runs, manifests and segment drops all run) is finalized and fed
-// the clean corpus in ID order as wire batches of CrashBatch events. At
-// CrashCount seeded batches the data dir's image is taken — alternately
+// the clean corpus in ID order as wire batches of crashBatch events. At
+// crashCount seeded batches the data dir's image is taken — alternately
 // between two acknowledged batches, and with the batch just acknowledged
 // torn at a seeded byte inside its frame, the kill landing mid-write. Each
 // image boots with server.Open, its client posts again every batch it never
@@ -47,15 +47,15 @@ func (inj *Injector) CrashReplay(b platform.Bundle, clean store.Store) (Scenario
 	}
 	defer os.RemoveAll(root) //nolint:errcheck // best-effort temp cleanup
 
-	batches := wireBatches(clean, inj.cfg.CrashBatch)
+	batches := wireBatches(clean, crashBatch)
 	n := len(batches)
-	cfg := server.Config{DataDir: filepath.Join(root, "live"), Bundle: b, SnapshotEvery: 4 * inj.cfg.CrashBatch}
+	cfg := server.Config{DataDir: filepath.Join(root, "live"), Bundle: b, SnapshotEvery: 4 * crashBatch}
 
 	// Cuts: distinct batches in [0, n-1), drawn from the seed so the same
 	// matrix run crashes at the same places; every other one mid-frame.
 	rng := inj.rng("crash")
 	pts := map[int]bool{}
-	for len(pts) < inj.cfg.CrashCount && len(pts) < n-1 {
+	for len(pts) < crashCount && len(pts) < n-1 {
 		pts[rng.Intn(n-1)] = true
 	}
 	var cuts []int

@@ -31,6 +31,15 @@ func durabilityCorpus(t *testing.T) (platform.Bundle, store.Store) {
 	return b, sys.Store
 }
 
+// setCrash lowers crashCount and crashBatch for one test; t.Cleanup
+// restores them.
+func setCrash(t *testing.T, count, batch int) {
+	t.Helper()
+	c, b := crashCount, crashBatch
+	crashCount, crashBatch = count, batch
+	t.Cleanup(func() { crashCount, crashBatch = c, b })
+}
+
 // TestCrashReplayByteIdentical is the fault class's core property: kill -9
 // images of the serving node, cut between acknowledged batches and inside
 // the frame of the batch in flight, each boot to a node that answers as
@@ -39,7 +48,8 @@ func durabilityCorpus(t *testing.T) (platform.Bundle, store.Store) {
 // segment as a run.
 func TestCrashReplayByteIdentical(t *testing.T) {
 	b, clean := durabilityCorpus(t)
-	cfg := Config{Seed: 11, Faults: []Fault{FaultCrashRestart}, CrashCount: 4, CrashBatch: 64}
+	setCrash(t, 4, 64)
+	cfg := Config{Seed: 11, Faults: []Fault{FaultCrashRestart}}
 	res, st, err := New(cfg).CrashReplay(b, clean)
 	if err != nil {
 		t.Fatal(err)

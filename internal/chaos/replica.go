@@ -142,17 +142,17 @@ func applied(follower *node, seq int) (int, error) {
 }
 
 // ReplicaReplay runs a read replica under one replication fault class. A
-// primary (server.Open, checkpointing every 4×CrashBatch events) is
+// primary (server.Open, checkpointing every 4×crashBatch events) is
 // finalized and fed the clean corpus in ID order; then a follower
 // (server.Config.ReplicaOf) attaches through a proxy on its journal
 // stream:
 //
 //   - FaultReplicaLag: the stream stalls behind the record of the batch
-//     LagFraction of the way through the primary's journal — a link that
+//     lagFraction of the way through the primary's journal — a link that
 //     stopped draining, the connection held open. Once the follower has
 //     applied what reached it, the event count it serves reads at is
 //     StaleFrontier, against the primary's Total; then the stall heals.
-//   - FaultPartition: PartitionCount connections are severed, each at a
+//   - FaultPartition: partitionCount connections are severed, each at a
 //     seeded byte offset — usually mid-frame — and the follower reconnects
 //     from its applied sequence, through the torn-frame discard path and,
 //     when the cut lands inside the store checkpoint a fresh follower is
@@ -173,7 +173,7 @@ func (inj *Injector) ReplicaReplay(b platform.Bundle, clean store.Store, f Fault
 	}
 	defer os.RemoveAll(root) //nolint:errcheck // best-effort temp cleanup
 
-	prim, err := openNode(server.Config{DataDir: filepath.Join(root, "primary"), Bundle: b, SnapshotEvery: 4 * inj.cfg.CrashBatch})
+	prim, err := openNode(server.Config{DataDir: filepath.Join(root, "primary"), Bundle: b, SnapshotEvery: 4 * crashBatch})
 	if err != nil {
 		return scen, nil, err
 	}
@@ -181,7 +181,7 @@ func (inj *Injector) ReplicaReplay(b platform.Bundle, clean store.Store, f Fault
 	if err := prim.finalize(); err != nil {
 		return scen, nil, err
 	}
-	if err := prim.post(wireBatches(clean, inj.cfg.CrashBatch), nil); err != nil {
+	if err := prim.post(wireBatches(clean, crashBatch), nil); err != nil {
 		return scen, nil, err
 	}
 	var meta server.ReplicationMetaJSON
@@ -196,15 +196,15 @@ func (inj *Injector) ReplicaReplay(b platform.Bundle, clean store.Store, f Fault
 	// last record.
 	var faults []streamFault
 	if f == FaultReplicaLag {
-		faults = []streamFault{{stallAt: max(int(inj.cfg.LagFraction*float64(meta.Sealed[0])), 1)}}
+		faults = []streamFault{{stallAt: max(int(lagFraction*float64(meta.Sealed[0])), 1)}}
 	} else {
 		// A connection carries about the journal bytes the follower lacks (a
 		// checkpoint stands in for the dropped segments), so cuts this short
 		// land inside the stream; one that would not is made where the
 		// stream runs dry (journal).
 		rng := inj.rng("partition")
-		for k := 0; k < inj.cfg.PartitionCount; k++ {
-			faults = append(faults, streamFault{at: 1 + rng.Int63n(max(meta.JournalBytes[0]/int64(inj.cfg.PartitionCount+1), 1))})
+		for k := 0; k < partitionCount; k++ {
+			faults = append(faults, streamFault{at: 1 + rng.Int63n(max(meta.JournalBytes[0]/int64(partitionCount+1), 1))})
 		}
 	}
 	px := newProxy(prim, faults)

@@ -12,9 +12,10 @@ import (
 // served a strict prefix, and a partition cut landed mid-frame.
 func TestReplicaReplayConverges(t *testing.T) {
 	b, clean := durabilityCorpus(t)
+	setCrash(t, crashCount, 64)
 	for _, f := range []Fault{FaultReplicaLag, FaultPartition} {
 		t.Run(string(f), func(t *testing.T) {
-			res, st, err := New(Config{Seed: 11, Faults: []Fault{f}, CrashBatch: 64}).ReplicaReplay(b, clean, f)
+			res, st, err := New(Config{Seed: 11, Faults: []Fault{f}}).ReplicaReplay(b, clean, f)
 			if err != nil {
 				t.Fatal(err)
 			}

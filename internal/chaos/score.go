@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"sort"
-	"time"
 
 	"grca/internal/engine"
 	"grca/internal/platform"
@@ -42,11 +41,11 @@ type ScoreSummary struct {
 
 // Score matches each diagnosis to a truth record the way the platform
 // scorer does (platform.MatchTruth: nearest same-location record of the
-// study within tolerance), then computes top-cause accuracy, detection
-// and per-label precision/recall. The expected label for a truth kind
+// study within tolerance, 10 minutes), then computes top-cause accuracy,
+// detection and per-label precision/recall. The expected label for a truth kind
 // follows platform.ExpectedLabel (what rule-based reasoning *can*
 // conclude, e.g. a line-card crash presents as an interface flap, §IV-C).
-func Score(truths []simnet.Truth, study string, ds []engine.Diagnosis, tolerance time.Duration) ScoreSummary {
+func Score(truths []simnet.Truth, study string, ds []engine.Diagnosis) ScoreSummary {
 	var s ScoreSummary
 	counts := map[string]*LabelScore{}
 	tally := func(label string) *LabelScore {

@@ -22,12 +22,12 @@ type ReplayResult struct {
 }
 
 // Replay streams every instance of st through a fresh realtime.Processor
-// for graph g, in availability order except that DelayFraction of the
-// instances are delivered up to DelayMax after they became available —
-// the delayed-feed fault class (FaultDelay). maxPending bounds the
-// processor's pending queue (0 = unbounded). The delivery schedule is a
-// pure function of the injector seed and the instance set.
-func (inj *Injector) Replay(view *netstate.View, g *dgraph.Graph, st store.Store, grace time.Duration, maxPending int) ReplayResult {
+// for graph g, in availability order except that delayFraction of the
+// instances are delivered up to delayMax after they became available —
+// the delayed-feed fault class (FaultDelay) — into a pending queue of at
+// most maxPending symptoms. The delivery schedule is a pure function of
+// the injector seed and the instance set.
+func (inj *Injector) Replay(view *netstate.View, g *dgraph.Graph, st store.Store, grace time.Duration) ReplayResult {
 	type delivery struct {
 		at time.Time
 		in event.Instance
@@ -39,9 +39,9 @@ func (inj *Injector) Replay(view *netstate.View, g *dgraph.Graph, st store.Store
 	for _, name := range st.Names() {
 		for _, in := range st.All(name) {
 			d := delivery{at: in.End, in: *in}
-			if inj.has(FaultDelay) && rng.Float64() < inj.cfg.DelayFraction {
-				// Delay by whole seconds up to DelayMax, at least one.
-				secs := 1 + rng.Int63n(int64(inj.cfg.DelayMax/time.Second))
+			if inj.has(FaultDelay) && rng.Float64() < delayFraction {
+				// Delay by whole seconds up to delayMax, at least one.
+				secs := 1 + rng.Int63n(int64(delayMax/time.Second))
 				d.at = in.End.Add(time.Duration(secs) * time.Second)
 			}
 			sched = append(sched, d)
