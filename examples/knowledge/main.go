@@ -23,7 +23,6 @@ import (
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/platform"
 	"grca/internal/simnet"
 )
@@ -99,7 +98,7 @@ func main() {
 				if i >= 10 {
 					break
 				}
-				related, err := browser.DrillDown(sys.Store, sys.View, diag.Symptom, 2*time.Minute, locus.Router)
+				related, err := browser.DrillDown(sys.Store, sys.View, diag.Symptom, browser.DrillWindow, browser.DrillLevel)
 				if err != nil || len(related) == 0 {
 					continue
 				}

@@ -182,6 +182,16 @@ func TrendDiagnoses(ds []engine.Diagnosis, label string, from time.Time, bin tim
 	return points
 }
 
+// DrillWindow and DrillLevel are the drill-down every Result Browser face
+// looks with by default — GET /v1/drilldown without window= or level=,
+// grca report's unexplained symptoms and the knowledge example — so one
+// symptom lists the same co-located events in each: those within 15
+// minutes either side, on the same router.
+const (
+	DrillWindow = 15 * time.Minute
+	DrillLevel  = locus.Router
+)
+
 // DrillDown returns every stored event instance that is temporally within
 // window of the symptom and spatially related to it at the given join
 // level — the Result Browser's manual exploration view ("additional

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"grca/internal/engine"
-	"grca/internal/locus"
 	"grca/internal/netstate"
 	"grca/internal/obs"
 	"grca/internal/store"
@@ -28,11 +27,8 @@ type ReportOptions struct {
 }
 
 // A report drills down into its reportDrillTop longest unexplained
-// symptoms, reportDrillWindow either side, at router level.
-const (
-	reportDrillTop    = 3
-	reportDrillWindow = 5 * time.Minute
-)
+// symptoms, at DrillWindow and DrillLevel.
+const reportDrillTop = 3
 
 // WriteReport renders a complete SQM report for a diagnosed symptom
 // population: summary, root-cause breakdown, symptom trend, and
@@ -115,13 +111,13 @@ func WriteReport(w io.Writer, st store.Store, ds []engine.Diagnosis, opts Report
 				break
 			}
 			fmt.Fprintf(w, "  %s\n", d.Symptom)
-			related, err := DrillDown(st, opts.View, d.Symptom, reportDrillWindow, locus.Router)
+			related, err := DrillDown(st, opts.View, d.Symptom, DrillWindow, DrillLevel)
 			if err != nil {
 				fmt.Fprintf(w, "    (drill-down unavailable: %v)\n", err)
 				continue
 			}
 			if len(related) == 0 {
-				fmt.Fprintf(w, "    nothing co-located within %v\n", reportDrillWindow)
+				fmt.Fprintf(w, "    nothing co-located within %v\n", DrillWindow)
 			}
 			for j, in := range related {
 				if j >= 5 {

@@ -216,13 +216,6 @@ func (s *Server) nameTrend(name string, from, to time.Time, bin time.Duration) [
 	return points
 }
 
-// drilldown defaults: how far around the symptom to look and at which
-// spatial join level.
-const (
-	defaultDrillWindow = 15 * time.Minute
-	defaultDrillLevel  = locus.Router
-)
-
 // handleDrilldown serves GET /v1/drilldown/{id}?app=&window=&level=: the
 // full investigation view for one stored symptom — a traced diagnosis
 // (evidence chain plus staged timings) and every co-located raw event
@@ -259,7 +252,7 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	window := defaultDrillWindow
+	window := browser.DrillWindow
 	if v := q.Get("window"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
@@ -268,7 +261,7 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	level := defaultDrillLevel
+	level := browser.DrillLevel
 	if v := q.Get("level"); v != "" {
 		t, err := locus.ParseType(v)
 		if err != nil {
