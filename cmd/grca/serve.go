@@ -22,8 +22,8 @@ import (
 // serveOptions holds serve's flag values.
 type serveOptions struct {
 	addr, dataDir, bundleDir, fsync, metricsAddr, replicaOf string
-	retention, timeout                                      time.Duration
-	snapshotEvery, shards, maxInflight                      int
+	retention                                               time.Duration
+	snapshotEvery, shards                                   int
 }
 
 // serveFlags registers serve's flags onto o. It is split from runServe
@@ -42,8 +42,6 @@ func serveFlags(o *serveOptions) *flag.FlagSet {
 	// A vestige of the multi-lane pipeline: bench/ passes -shards 1 and may
 	// not change with the code it measures. ROADMAP item 1(e) deletes it.
 	fs.IntVar(&o.shards, "shards", 1, "accepted for compatibility and must be 1: the commit pipeline is single-lane (DESIGN.md §15)")
-	fs.IntVar(&o.maxInflight, "max-inflight", 64, "ingest queue depth; beyond it clients get 429")
-	fs.DurationVar(&o.timeout, "request-timeout", 60*time.Second, "per-request applier wait bound")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve expvar/pprof on a dedicated address (e.g. :6060); "+
 			"when unset, the same handlers are mounted on the main -addr under /debug/")
@@ -85,13 +83,11 @@ func runServe(args []string) error {
 	}
 
 	s, err := server.Open(server.Config{
-		DataDir:        o.dataDir,
-		Bundle:         bundle,
-		SnapshotEvery:  o.snapshotEvery,
-		Retention:      o.retention,
-		MaxInflight:    o.maxInflight,
-		RequestTimeout: o.timeout,
-		ReplicaOf:      o.replicaOf,
+		DataDir:       o.dataDir,
+		Bundle:        bundle,
+		SnapshotEvery: o.snapshotEvery,
+		Retention:     o.retention,
+		ReplicaOf:     o.replicaOf,
 		// No dedicated metrics listener: expose /debug/ on the main
 		// address so a single-port deployment still has expvar/pprof.
 		Debug: o.metricsAddr == "",

@@ -99,37 +99,19 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s [%s] %s", pos, f.Severity, f.Check, f.Message)
 }
 
-// Options configures a vet pass. The zero value selects the shipped
-// Knowledge Library, catalogue, and default retention.
+// Options configures a vet pass over the shipped Knowledge Library and
+// catalogue (event.Knowledge, dgraph.Knowledge).
 type Options struct {
 	// Retention is the event store's look-back horizon: temporal margins
-	// reaching past it can never be satisfied by stored data. Defaults to
+	// reaching past it can never be satisfied by stored data. Zero means
 	// DefaultRetention.
 	Retention time.Duration
-	// Base is the event library specs layer over; defaults to
-	// event.Knowledge().
-	Base *event.Library
-	// Catalogue resolves use statements; defaults to dgraph.Knowledge().
-	Catalogue *dgraph.Catalogue
 }
 
 // DefaultRetention mirrors a typical production deployment: one week of
 // normalized events kept queryable (the paper's studies span months, but
 // on rolled-up data).
 const DefaultRetention = 7 * 24 * time.Hour
-
-func (o Options) withDefaults() Options {
-	if o.Retention <= 0 {
-		o.Retention = DefaultRetention
-	}
-	if o.Base == nil {
-		o.Base = event.Knowledge()
-	}
-	if o.Catalogue == nil {
-		o.Catalogue = dgraph.Knowledge()
-	}
-	return o
-}
 
 // CheckSource vets rulespec source text, attributing findings to file.
 func CheckSource(file, src string, opts Options) []Finding {
@@ -172,19 +154,19 @@ type edge struct {
 // resolution, graph shape, spatial-join feasibility, and temporal sanity.
 // Findings come back sorted by line, then check ID.
 func CheckSpec(file string, spec *rulespec.Spec, opts Options) []Finding {
-	opts = opts.withDefaults()
 	v := &vetter{file: file, opts: opts}
 
 	// Layer the spec's event definitions over the base library, flagging
 	// shadowing and duplicates instead of failing on the first.
-	lib := opts.Base.Clone()
+	base := event.Knowledge()
+	lib := base.Clone()
 	seen := map[string]bool{}
 	for _, d := range spec.Events {
 		switch {
 		case seen[d.Name]:
 			v.addf(CheckDuplicateEvent, Error, d.Line, d.Name,
 				"event %q defined more than once", d.Name)
-		case has(opts.Base, d.Name):
+		case has(base, d.Name):
 			v.addf(CheckShadowsLibrary, Error, d.Line, d.Name,
 				"event %q already exists in the Knowledge Library; use redefine to override it", d.Name)
 		default:
@@ -209,8 +191,9 @@ func CheckSpec(file string, spec *rulespec.Spec, opts Options) []Finding {
 	// into one edge list, flagging duplicates and shadowing.
 	var edges []edge
 	byKey := map[string]edge{}
+	catalogue := dgraph.Knowledge()
 	for _, u := range spec.Uses {
-		r, ok := opts.Catalogue.Find(u.Symptom, u.Diagnostic)
+		r, ok := catalogue.Find(u.Symptom, u.Diagnostic)
 		if !ok {
 			v.addf(CheckUnknownUse, Error, u.Line, u.Symptom+" <- "+u.Diagnostic,
 				"catalogue has no rule %q <- %q", u.Symptom, u.Diagnostic)
@@ -372,6 +355,9 @@ func (v *vetter) checkExpansion(r dgraph.Rule, line int, side string, x temporal
 		}
 	}
 	ret := v.opts.Retention
+	if ret <= 0 {
+		ret = DefaultRetention
+	}
 	if x.Left > ret || x.Right > ret {
 		v.addf(CheckRetention, Warning, line, key,
 			"rule %q %s margin (%s) reaches beyond the store's %s retention", key, side, x, ret)
@@ -487,10 +473,10 @@ func cyclePath(path []string, to string) string {
 // rule's endpoints must be defined events and its joins and windows sane.
 // Findings are attributed to the pseudo-file "catalogue" with no lines.
 func CheckCatalogue(opts Options) []Finding {
-	opts = opts.withDefaults()
 	v := &vetter{file: "catalogue", opts: opts}
-	for _, r := range opts.Catalogue.All() {
-		v.checkRule(opts.Base, r, 0)
+	base := event.Knowledge()
+	for _, r := range dgraph.Knowledge().All() {
+		v.checkRule(base, r, 0)
 	}
 	sort.SliceStable(v.findings, func(i, j int) bool {
 		a, b := v.findings[i], v.findings[j]

@@ -20,6 +20,7 @@ import (
 	"grca/internal/platform"
 	"grca/internal/simnet"
 	"grca/internal/store"
+	"grca/internal/wal"
 	"grca/internal/wire"
 )
 
@@ -41,7 +42,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // commit persona: recovery must rebuild everything from the journal.
 func removeCheckpoints(t *testing.T, dir string) {
 	t.Helper()
-	if err := wipeCheckpoints(dir); err != nil {
+	if err := wal.RemoveCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -450,7 +451,7 @@ func TestEventsPaginationBounded(t *testing.T) {
 			End: t0.Add(time.Duration(i+1) * time.Second)})
 	}
 	st.Add(event.Instance{Name: "other", Start: t0, End: t0.Add(time.Second)})
-	s := &Server{cfg: Config{RequestTimeout: time.Minute}, st: st, closing: make(chan struct{})}
+	s := &Server{st: st, closing: make(chan struct{})}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -172,7 +172,7 @@ func TestFeedJournalCompression(t *testing.T) {
 		t.Fatalf("journal.feed.record_bytes rose by %d for %d bytes of lines, want under 0.3×", records, lines)
 	}
 	finalize := int64(wal.FrameHeader + len(wal.AppendJournalRecord(nil, wal.JournalRecord{Seq: feeds, Kind: wal.JournalFinalizeKind})))
-	if size := wal.JournalSize(journalPath(dir)); size != records+finalize {
+	if size := wal.JournalSize(wal.JournalHead(dir)); size != records+finalize {
 		t.Fatalf("journal.log is %d bytes, the feed records %d and the finalize record %d", size, records, finalize)
 	}
 	t.Logf("%d bytes of lines journaled as %d (%.3f×)", lines, records, float64(records)/float64(lines))
@@ -195,7 +195,7 @@ func TestCorruptFeedRecordRefused(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	recs := journalRecords(t, journalPath(dir))
+	recs := journalRecords(t, wal.JournalHead(dir))
 	if len(recs) != 1 {
 		t.Fatalf("journal.log holds %d records, want the one feed", len(recs))
 	}
@@ -207,7 +207,7 @@ func TestCorruptFeedRecordRefused(t *testing.T) {
 	// CRC holds.
 	r.Body = withDeclared(r.Body, uint64(len(lines))+1)
 	torn := wal.AppendJournalRecord(nil, r)
-	if err := os.WriteFile(journalPath(dir), wal.AppendFrame(nil, torn), 0o644); err != nil {
+	if err := os.WriteFile(wal.JournalHead(dir), wal.AppendFrame(nil, torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	removeCheckpoints(t, dir)

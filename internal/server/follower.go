@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,33 +121,18 @@ func fetchPrimaryMeta(base string, perAttempt, backoff time.Duration) (Replicati
 var ErrPrimaryHistory = errors.New("server: data dir holds a primary's history; a replica must start on an empty directory")
 
 // primaryState returns the first piece of durable serving state found
-// under dataDir ("" when there is none).
-func primaryState(dataDir string) string {
-	paths := append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...)
+// under dataDir ("" when there is none): the journal or the checkpoints.
+func primaryState(dataDir string) (string, error) {
+	paths, err := wal.JournalFiles(dataDir)
+	if err != nil && !os.IsNotExist(err) {
+		return "", err
+	}
 	for _, p := range append(paths, wal.SnapDirOf(dataDir)) {
 		if _, err := os.Stat(p); err == nil {
-			return p
+			return p, nil
 		}
 	}
-	return ""
-}
-
-// journalTailPaths lists the journal's tail segment files under dataDir.
-func journalTailPaths(dataDir string) []string {
-	paths, _ := filepath.Glob(filepath.Join(dataDir, "journal-*.log")) // fails only on a malformed pattern
-	return paths
-}
-
-// wipeShippedState removes everything a follower holds of its primary's
-// history: the journal, head and tail, and the checkpoints. The REPLICA
-// marker stays.
-func wipeShippedState(dataDir string) error {
-	for _, p := range append([]string{journalPath(dataDir)}, journalTailPaths(dataDir)...) {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return wipeCheckpoints(dataDir)
+	return "", nil
 }
 
 // prepareReplicaState reconciles the data dir with the primary
@@ -174,53 +158,33 @@ func prepareReplicaState(dataDir, bootID string) (string, error) {
 		// it): drop the shipped journal — a stale tail under a fresh head
 		// would replay as if it followed it — and the checkpoints, and
 		// resync from scratch.
-		if err := wipeShippedState(dataDir); err != nil {
+		if err := wal.RemoveJournalAndCheckpoints(dataDir); err != nil {
 			return "", err
 		}
 	case !os.IsNotExist(err):
 		return "", err
 	default:
-		if p := primaryState(dataDir); p != "" {
+		p, err := primaryState(dataDir)
+		if err != nil {
+			return "", err
+		}
+		if p != "" {
 			return "", fmt.Errorf("%w (found %s)", ErrPrimaryHistory, p)
 		}
 	}
 	if id == "" {
 		id = "replica-" + newBootID()
 	}
-	return id, writeMarker(replicaFile(dataDir), bootID+"\n"+id+"\n")
+	return id, writeReplicaMarker(dataDir, bootID, id)
 }
 
-// writeMarker replaces a marker file of the data dir — REPLICA, FORMAT —
-// durably: a temp file, fsynced, renamed over it, the directory fsynced.
-// After a power cut the marker is the old one or the new one, whole — and
-// in place before the journal and checkpoints written behind it, which a REPLICA
-// marker lost behind them would leave looking like a primary's
-// (ErrPrimaryHistory), and a lost FORMAT like an earlier version's
-// (ErrFormat).
-func writeMarker(path, content string) error {
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return err
-	}
-	_, err = f.WriteString(content)
-	if err == nil {
-		err = f.Sync()
-	}
-	if e := f.Close(); err == nil {
-		err = e
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
+// writeReplicaMarker durably makes REPLICA name the primary incarnation
+// bootID and this follower's stream ID. It is in place before the journal
+// and checkpoints shipped behind it, which a marker lost behind them would
+// leave looking like a primary's (ErrPrimaryHistory).
+func writeReplicaMarker(dataDir, bootID, id string) error {
+	path := replicaFile(dataDir)
+	return wal.ReplaceFile(path+".tmp", path, []byte(bootID+"\n"+id+"\n"))
 }
 
 // prepareFollower is what a replica does before recovery: fetch its
@@ -234,9 +198,6 @@ func prepareFollower(cfg Config) (*followerState, error) {
 	}
 	if meta.Shards != 1 {
 		return nil, fmt.Errorf("%w: primary %s runs %d shards", ErrMultiShard, primary, meta.Shards)
-	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, err
 	}
 	id, err := prepareReplicaState(cfg.DataDir, meta.BootID)
 	if err != nil {
@@ -449,7 +410,7 @@ func (s *Server) followRoll(h wal.JournalSegmentHeader, raw []byte) error {
 // next open takes the shipped state for another incarnation's and wipes
 // it.
 func (fs *followerState) voidMarker(dataDir string) {
-	writeMarker(replicaFile(dataDir), "\n"+fs.id+"\n") //nolint:errcheck // best effort: the stream stops either way
+	writeReplicaMarker(dataDir, "", fs.id) //nolint:errcheck // best effort: the stream stops either way
 }
 
 func (fs *followerState) noteMsg() {

@@ -39,6 +39,15 @@ func shrinkJournal(t *testing.T, segBytes int64) {
 	t.Cleanup(func() { journalSegmentBytes = old })
 }
 
+// lowerInflight makes the ingest queue n batches deep for the length of
+// the test.
+func lowerInflight(t *testing.T, n int) {
+	t.Helper()
+	old := maxInflight
+	maxInflight = n
+	t.Cleanup(func() { maxInflight = old })
+}
+
 // tickStream posts batches of synthetic ticks whose event time advances
 // by step per batch: the post-finalize load of every test here.
 type tickStream struct {
@@ -83,11 +92,17 @@ func (k *tickStream) post(batches, per int) {
 	}
 }
 
+// journalTailPaths lists the journal's tail segment files under dir.
+func journalTailPaths(dir string) []string {
+	paths, _ := wal.JournalFiles(dir) // a dir not yet made has none
+	return paths[1:]
+}
+
 // journalFiles lists the journal's files under dir with their sizes,
 // journal.log first.
 func journalFiles(t *testing.T, dir string) (paths []string, total int64) {
 	t.Helper()
-	paths = append([]string{journalPath(dir)}, journalTailPaths(dir)...)
+	paths, _ = wal.JournalFiles(dir)
 	for _, p := range paths {
 		total += wal.JournalSize(p)
 	}
@@ -192,7 +207,7 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		loadAndFinalize(t, ts, b)
-		head := wal.JournalSize(journalPath(dir))
+		head := wal.JournalSize(wal.JournalHead(dir))
 		dropped := obs.GetCounter("journal.segments.dropped").Value()
 
 		// Each batch's journal bytes and the last event ID it allocated.
@@ -217,7 +232,7 @@ func TestJournalBoundedUnderRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if got := wal.JournalSize(journalPath(dir)); got != head {
+		if got := wal.JournalSize(wal.JournalHead(dir)); got != head {
 			t.Fatalf("journal.log is %d bytes, it was %d at finalize: records landed in segment 0 after it", got, head)
 		}
 		floor := olderManifest(t, dir)
@@ -835,7 +850,7 @@ func truncatedImage(t *testing.T, cfg Config) (dir, digest string) {
 	k.post(20, 40)
 	dir = copyTree(t, cfg.DataDir)
 	tail, err := wal.RecoverJournalTail(dir)
-	if err != nil || len(tail) < 3 || tail[0].Header.Offset == wal.JournalSize(journalPath(dir)) {
+	if err != nil || len(tail) < 3 || tail[0].Header.Offset == wal.JournalSize(wal.JournalHead(dir)) {
 		t.Fatalf("want a truncated journal with sealed segments left: tail %+v, %v", tail, err)
 	}
 	return dir, wal.StoreDigest(s.Store())
@@ -850,7 +865,7 @@ func TestCheckpointLostIsAnError(t *testing.T) {
 	shrinkJournal(t, 2<<10)
 	_, b := testBundle(t)
 	lose := func(dir string) {
-		if err := wipeCheckpoints(dir); err != nil {
+		if err := wal.RemoveCheckpoints(dir); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1084,7 +1099,7 @@ func TestParentDataDirBoots(t *testing.T) {
 func TestJournalRecordCodecReadsFixture(t *testing.T) {
 	dir := filepath.Join("testdata", fmt.Sprintf("datadir-format%d", replica.ProtocolVersion))
 	kinds := map[byte]int{}
-	for _, path := range append([]string{journalPath(dir)}, journalTailPaths(dir)...) {
+	for _, path := range append([]string{wal.JournalHead(dir)}, journalTailPaths(dir)...) {
 		for i, rec := range journalRecords(t, path) {
 			r, err := wal.ParseJournalRecord(rec)
 			if err != nil {

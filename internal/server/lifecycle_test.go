@@ -179,7 +179,7 @@ func TestRestartAndWALLoss(t *testing.T) {
 	}
 
 	reopen(false, "clean restart")
-	if err := wipeCheckpoints(dir); err != nil {
+	if err := wal.RemoveCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
 	reopen(true, "lost checkpoint")
@@ -193,7 +193,7 @@ func TestRestartAndWALLoss(t *testing.T) {
 	batches := lifecycleBatches(b)
 	batches[0][1].Loc.A = "some-other-router"
 	driveLifecycle(t, other, b, batches)
-	if err := wipeCheckpoints(dir); err != nil {
+	if err := wal.RemoveCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(wal.SnapDirOf(other), wal.SnapDirOf(dir)); err != nil {
@@ -284,7 +284,7 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 		}
 	}
 	reopen(false, "restart")
-	if err := wipeCheckpoints(dir); err != nil {
+	if err := wal.RemoveCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
 	reopen(true, "lost checkpoint")
@@ -295,7 +295,7 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 	if err != nil || len(tail) == 0 {
 		t.Fatalf("journal tail = %v (%v), want at least one segment", tail, err)
 	}
-	head, err := wal.OpenJournal(journalPath(dir))
+	head, err := wal.OpenJournal(wal.JournalHead(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 		t.Error("the boot over a finalized journal.log started no tail segment")
 	}
 	reopen(false, "event records behind the finalize record (second restart)")
-	if err := wipeCheckpoints(dir); err != nil {
+	if err := wal.RemoveCheckpoints(dir); err != nil {
 		t.Fatal(err)
 	}
 	reopen(true, "event records behind the finalize record, lost checkpoint")
@@ -342,7 +342,8 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 func TestConcurrentIngest(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
-	s, err := Open(Config{DataDir: dir, Bundle: b, MaxInflight: 4})
+	lowerInflight(t, 4)
+	s, err := Open(Config{DataDir: dir, Bundle: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +559,7 @@ func TestOldShardJournalsRefused(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(shard, "wal"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(journalPath(shard), []byte("a shard's journal"), 0o644); err != nil {
+	if err := os.WriteFile(wal.JournalHead(shard), []byte("a shard's journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := refusedUntouched(t, Config{DataDir: dir, Bundle: b}, dir, ErrFormat); !strings.Contains(err.Error(), shard) {
@@ -579,7 +580,7 @@ func TestTornJournalTail(t *testing.T) {
 	tail := journalTailPaths(dir)
 	active := tail[len(tail)-1]
 	size := wal.JournalSize(active)
-	for _, path := range []string{active, journalPath(dir)} {
+	for _, path := range []string{active, wal.JournalHead(dir)} {
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
 			t.Fatal(err)

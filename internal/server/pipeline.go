@@ -224,12 +224,6 @@ type Config struct {
 	// record — its feed batches DEFLATE-compressed, about 0.18× the lines
 	// posted — which is kept whole).
 	Retention time.Duration
-	// MaxInflight bounds the ingest queue (default 64 batches); when it is
-	// full, ingest answers 429.
-	MaxInflight int
-	// RequestTimeout bounds one request's wait for the commit pipeline
-	// (default 60s).
-	RequestTimeout time.Duration
 	// Debug mounts the expvar/pprof debug handlers under /debug/ on the
 	// main API address — the single-port deployment; a dedicated metrics
 	// listener (obs.ServeDebug) is the alternative.
@@ -242,14 +236,12 @@ type Config struct {
 	ReplicaOf string
 }
 
-func (c *Config) defaults() {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 64
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 60 * time.Second
-	}
-}
+// maxInflight bounds the ingest queue, in batches: when it is full, ingest
+// answers 429 (a variable so tests can lower it). requestTimeout bounds
+// one request's wait for the commit pipeline.
+var maxInflight = 64
+
+const requestTimeout = 60 * time.Second
 
 // task is one validated ingest request handed to admission.
 type task struct {
@@ -372,8 +364,6 @@ var journalSegmentBytes int64 = wal.JournalSegmentBytes
 
 const journalPinCap = 64
 
-func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
-
 // ErrMultiShard refuses what only a multi-lane version ran: a shard count
 // other than 1 in the configuration or on the primary a replica is pointed
 // at. Open returns it before it creates, writes or wipes anything. (A data
@@ -418,7 +408,6 @@ func checkFormat(dataDir string) (fresh bool, err error) {
 // the rendezvous with its primary before recovery and a stream client
 // where a primary starts its applier (follower.go).
 func Open(cfg Config) (*Server, error) {
-	cfg.defaults()
 	if cfg.Shards < 0 || cfg.Shards > 1 {
 		return nil, fmt.Errorf("%w: %d shards configured", ErrMultiShard, cfg.Shards)
 	}
@@ -432,13 +421,12 @@ func Open(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, err
-	}
 	// FORMAT is durable before any journal byte: a dir holding a journal
-	// and no FORMAT is always an earlier version's.
+	// and no FORMAT is always an earlier version's. Its write creates a
+	// fresh dir.
 	if fresh {
-		if err := writeMarker(formatPath(cfg.DataDir), strconv.Itoa(replica.ProtocolVersion)+"\n"); err != nil {
+		path := formatPath(cfg.DataDir)
+		if err := wal.ReplaceFile(path+".tmp", path, []byte(strconv.Itoa(replica.ProtocolVersion)+"\n")); err != nil {
 			return nil, err
 		}
 	}
@@ -467,9 +455,9 @@ func Open(cfg Config) (*Server, error) {
 		if attempt > 0 || !(refill || resync) {
 			break
 		}
-		wipe := wipeShippedState
+		wipe := wal.RemoveJournalAndCheckpoints
 		if refill {
-			wipe = wipeCheckpoints
+			wipe = wal.RemoveCheckpoints
 		}
 		if err := wipe(cfg.DataDir); err != nil {
 			return nil, err
@@ -527,22 +515,18 @@ func (s *Server) lead(fs *followerState) error {
 	if fs != nil {
 		// Durable before the node acts as a primary: a marker a power cut
 		// brings back would take the dir for a replica's and wipe it.
-		err := os.Remove(replicaFile(s.cfg.DataDir))
-		if err == nil || os.IsNotExist(err) {
-			err = s.jour.SyncDir()
-		}
-		if err != nil {
+		if err := wal.RemoveFile(replicaFile(s.cfg.DataDir)); err != nil {
 			s.dispatchMu.Unlock()
 			return err
 		}
 	}
 	s.nextID = s.coll.Store.NextID()
 	s.coll.Store = s.st
-	s.queue = make(chan *batch, s.cfg.MaxInflight)
+	s.queue = make(chan *batch, maxInflight)
 	// As deep as the queue, so the applier hands a whole commit group to
 	// the observer without waiting on it; deeper would only let
 	// acknowledged-but-unobserved batches pile up.
-	s.observeQ = make(chan *batch, s.cfg.MaxInflight)
+	s.observeQ = make(chan *batch, maxInflight)
 	s.observed = make(chan struct{})
 	s.journaled.Store(int64(s.seq - 1))
 	tail := s.jour.Tail()

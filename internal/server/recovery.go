@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -210,8 +209,7 @@ func replayHead(cfg Config, topo *netmodel.Topology) (h head) {
 		},
 	}
 	ap.writeTo(fs)
-	path := journalPath(cfg.DataDir)
-	torn, err := wal.ScanJournal(path, func(p []byte) error {
+	torn, err := wal.ScanJournal(wal.JournalHead(cfg.DataDir), func(p []byte) error {
 		seq, err := ap.apply(p)
 		if err != nil {
 			return err
@@ -253,21 +251,15 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 	rep.coll, rep.finalized, rep.batches, rep.maxSeq = h.coll, h.finalized, h.batches, h.maxSeq
 	rep.info.JournalSegments = 1 + len(tail)
 
-	// What framed of the head against where the tail says it begins: equal
-	// is a whole journal (garbage behind a sealed head proves nothing
-	// missing, and is cut like any torn tail); a gap is the dropped
-	// segments, which the checkpoint must cover.
-	path := journalPath(cfg.DataDir)
-	whole := len(tail) == 0 || tail[0].Header.Offset == h.bytes
-	switch {
-	case len(tail) > 0 && !h.finalized:
-		return rep, cp, fmt.Errorf("server: %s ends before the finalize record, yet tail segments follow it: the file is damaged", path)
-	case h.torn && !whole:
-		return rep, cp, fmt.Errorf("server: %s is damaged at byte %d (the next retained segment begins at %d)", path, h.bytes, tail[0].Header.Offset)
-	case h.torn:
-		if err := os.Truncate(path, h.bytes); err != nil {
-			return rep, cp, err
-		}
+	// A tail segment begins only at a roll, and a roll only follows the
+	// finalize record. Whether the head runs on into the tail is wal's to
+	// judge, and a torn head wal's to cut.
+	if len(tail) > 0 && !h.finalized {
+		return rep, cp, fmt.Errorf("server: %s ends before the finalize record, yet tail segments follow it: the file is damaged", wal.JournalHead(cfg.DataDir))
+	}
+	whole, err := wal.RecoverJournalHead(cfg.DataDir, h.bytes, h.torn, tail)
+	if err != nil {
+		return rep, cp, err
 	}
 	if cp.err != nil {
 		return rep, cp, &divergedError{whole: whole, msg: "unreadable: " + cp.err.Error()}
@@ -283,7 +275,7 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 
 	began = obs.Now()
 	// The head's events, in the ID order a store asks for.
-	err := h.scratch.Cut(func(c store.Cut) error {
+	err = h.scratch.Cut(func(c store.Cut) error {
 		base, next, _ := c.Bounds()
 		return c.Each(base, next, func(in *event.Instance) error {
 			fs.place(*in)
@@ -364,9 +356,4 @@ func openCheckpoint(cfg Config) checkpoint {
 		err = fmt.Errorf("no readable checkpoint reaches event ID %d, below which journal segments were dropped", rec.LostBelow)
 	}
 	return checkpoint{st: st, ckpt: c, rec: rec, err: err}
-}
-
-// wipeCheckpoints removes the checkpoints.
-func wipeCheckpoints(dataDir string) error {
-	return os.RemoveAll(wal.SnapDirOf(dataDir))
 }

@@ -235,7 +235,7 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 	// Clean replay: the follower's journal — segment 0 and the tail it
 	// rolled where the primary rolled — copied verbatim into a fresh data
 	// dir beside its FORMAT, opened as a plain single node.
-	files := append([]string{journalPath(follDir)}, journalTailPaths(follDir)...)
+	files := append([]string{wal.JournalHead(follDir)}, journalTailPaths(follDir)...)
 	if len(files) < 2 {
 		t.Fatalf("the follower's journal is %v: it did not roll behind finalize", files)
 	}
@@ -302,7 +302,7 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 	if err := prim.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	journal, _ := os.ReadFile(journalPath(primDir))
+	journal, _ := os.ReadFile(wal.JournalHead(primDir))
 	ex, err := Open(Config{DataDir: primDir, Bundle: b, ReplicaOf: ts2.URL})
 	if !errors.Is(err, ErrPrimaryHistory) {
 		if err == nil {
@@ -310,7 +310,7 @@ func TestFailoverPromoteMatchesCleanReplay(t *testing.T) {
 		}
 		t.Fatalf("ex-primary dir opened as a replica: err %v, want ErrPrimaryHistory", err)
 	}
-	after, _ := os.ReadFile(journalPath(primDir))
+	after, _ := os.ReadFile(wal.JournalHead(primDir))
 	if _, err := os.Stat(replicaFile(primDir)); !os.IsNotExist(err) || len(journal) == 0 || !bytes.Equal(journal, after) {
 		t.Fatalf("refused open touched the dir: marker stat %v, journal %d -> %d bytes", err, len(journal), len(after))
 	}
@@ -363,12 +363,16 @@ func TestPrepareReplicaState(t *testing.T) {
 	if left, _ := filepath.Glob(replicaFile(dir) + ".*"); len(left) != 0 {
 		t.Fatalf("prepare left %v beside the marker", left)
 	}
-	jp, snapDir := journalPath(dir), wal.SnapDirOf(dir)
+	jp, snapDir := wal.JournalHead(dir), wal.SnapDirOf(dir)
 	tailSeg := filepath.Join(dir, "journal-0000000000000042.log")
+	tailSeg2 := filepath.Join(dir, "journal-0000000000000043.log")
 	if err := os.MkdirAll(snapDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{jp, tailSeg} {
+	if err := os.WriteFile(filepath.Join(snapDir, "snap-0000000000000009.snap"), []byte("manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{jp, tailSeg, tailSeg2} {
 		if err := os.WriteFile(p, []byte("journal"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -400,12 +404,97 @@ func TestPrepareReplicaState(t *testing.T) {
 	if left, _ := filepath.Glob(replicaFile(dir) + ".*"); len(left) != 0 {
 		t.Fatalf("prepare left %v beside the marker", left)
 	}
-	// The tail segment too: left behind, it would replay as the tail of
-	// whatever head the new incarnation ships.
-	for _, p := range []string{jp, tailSeg, snapDir} {
+	// The tail segments too: left behind, they would replay as the tail of
+	// whatever head the new incarnation ships. The marker alone stays.
+	for _, p := range []string{jp, tailSeg, tailSeg2, snapDir} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s survived a boot-ID change: %v", p, err)
 		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 1 || left[0] != replicaFile(dir) {
+		t.Fatalf("the resync left %v, want the marker alone", left)
+	}
+}
+
+// TestStaleMarkerTempFiles: a crash inside a marker's replace leaves
+// FORMAT.tmp or REPLICA.tmp behind, holding anything. Neither is a marker:
+// a dir holding both opens as a primary and as a replica, fresh or not,
+// and reads the real markers beside them.
+func TestStaleMarkerTempFiles(t *testing.T) {
+	_, b := testBundle(t)
+	plant := func(dir string) {
+		t.Helper()
+		for _, p := range []string{formatPath(dir) + ".tmp", replicaFile(dir) + ".tmp"} {
+			if err := os.WriteFile(p, []byte("garbage a crash left\x00\xff"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read := func(path string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	format := strconv.Itoa(replica.ProtocolVersion) + "\n"
+
+	// A primary, fresh and reopened.
+	primDir := t.TempDir()
+	plant(primDir)
+	prim := openServer(t, primDir, b)
+	if got := read(formatPath(primDir)); got != format {
+		t.Fatalf("the fresh primary's FORMAT reads %q, want %q", got, format)
+	}
+	ts := httptest.NewServer(prim.Handler())
+	loadAndFinalize(t, ts, b)
+	ts.Close()
+	if err := prim.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	plant(primDir)
+	prim = openServer(t, primDir, b)
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if prim.follower.Load() != nil || !prim.isFinalized() {
+		t.Fatal("the primary did not reopen as the finalized primary it was")
+	}
+	if _, err := os.Stat(replicaFile(primDir)); !os.IsNotExist(err) {
+		t.Fatalf("the primary holds a REPLICA marker: %v", err)
+	}
+	ts = httptest.NewServer(prim.Handler())
+	defer ts.Close()
+
+	// A replica, fresh and reopened: the same marker, and nothing wiped.
+	follDir := t.TempDir()
+	plant(follDir)
+	foll, err := Open(Config{DataDir: follDir, Bundle: b, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReplicaCaughtUp(t, foll, prim)
+	marker := read(replicaFile(follDir))
+	if !strings.HasPrefix(marker, prim.bootID+"\n") || read(formatPath(follDir)) != format {
+		t.Fatalf("the fresh replica's markers read %q and %q", marker, read(formatPath(follDir)))
+	}
+	if err := foll.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	plant(follDir)
+	foll, err = Open(Config{DataDir: follDir, Bundle: b, ReplicaOf: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foll.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	if got := read(replicaFile(follDir)); got != marker {
+		t.Fatalf("the reopened replica's marker reads %q, want %q", got, marker)
+	}
+	if got, want := foll.st.Len(), prim.st.Len(); got != want {
+		t.Fatalf("the reopened replica recovered %d events, the primary holds %d", got, want)
+	}
+	waitReplicaCaughtUp(t, foll, prim)
+	if got, want := wal.StoreDigest(foll.st), wal.StoreDigest(prim.st); got != want {
+		t.Fatalf("the reopened replica's store digest is %s, the primary's %s", got, want)
 	}
 }
 
@@ -507,6 +596,9 @@ func TestDivergentRollVoidsMarker(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s survived the reopen over a voided marker: %v", p, err)
 		}
+	}
+	if n := wal.JournalSize(wal.JournalHead(dir)); n != 0 {
+		t.Errorf("the reopen over a voided marker kept %d bytes of journal.log", n)
 	}
 	if n := foll.st.Len(); n != 0 {
 		t.Fatalf("the reopened follower recovered %d events from the state it was to wipe", n)
@@ -1073,7 +1165,7 @@ func TestFollowerJournalBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReplicaCaughtUp(t, foll, prim)
-	head := wal.JournalSize(journalPath(follDir))
+	head := wal.JournalSize(wal.JournalHead(follDir))
 	dropped := obs.GetCounter("journal.segments.dropped").Value()
 
 	// Each batch's journal bytes — the follower journals the primary's

@@ -122,7 +122,7 @@ func (s *Server) timed(h *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc {
 		began := obs.Now()
 		mHTTPInflight.Add(1)
 		defer mHTTPInflight.Add(-1)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		fn(w, r.WithContext(ctx))
 		h.ObserveDuration(obs.Since(began))

@@ -212,7 +212,7 @@ func TestRestartRecovery(t *testing.T) {
 		{"clean restart", func() {}, false, 0},
 		// The checkpoints vanished — the journal must refill everything.
 		{"checkpoint lost", func() {
-			if err := wipeCheckpoints(dir); err != nil {
+			if err := wal.RemoveCheckpoints(dir); err != nil {
 				t.Fatal(err)
 			}
 		}, true, 0},
@@ -229,7 +229,7 @@ func TestRestartRecovery(t *testing.T) {
 			if _, err := fmt.Sscanf(filepath.Base(newest), "snap-%d.snap", &next); err != nil {
 				t.Fatal(err)
 			}
-			if err := wipeCheckpoints(dir); err != nil {
+			if err := wal.RemoveCheckpoints(dir); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.Mkdir(wal.SnapDirOf(dir), 0o755); err != nil {
@@ -457,7 +457,6 @@ func TestBackpressure429(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &Server{
-				cfg:      Config{MaxInflight: inflight, RequestTimeout: time.Second},
 				st:       store.New(),
 				queue:    make(chan *batch, inflight),
 				observeQ: make(chan *batch, inflight),

@@ -174,7 +174,8 @@ func TestPendingGaugeIsTotal(t *testing.T) {
 func TestFinalizeAfterBurst(t *testing.T) {
 	_, b := testBundle(t)
 	batches := obs.GetCounter("server.ingest.batches")
-	s, err := Open(Config{DataDir: t.TempDir(), Bundle: b, MaxInflight: 4})
+	lowerInflight(t, 4)
+	s, err := Open(Config{DataDir: t.TempDir(), Bundle: b})
 	if err != nil {
 		t.Fatal(err)
 	}

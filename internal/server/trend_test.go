@@ -23,7 +23,7 @@ import (
 // trendServer serves the Result Browser's trends over st alone.
 func trendServer(st *store.Memory) *Server {
 	return &Server{
-		cfg: Config{RequestTimeout: time.Minute}, st: st, roll: rollup.New(rollup.Config{}),
+		st: st, roll: rollup.New(rollup.Config{}),
 		hub: newSSEHub(), closing: make(chan struct{}),
 	}
 }

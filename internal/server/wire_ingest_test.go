@@ -98,7 +98,7 @@ func TestWireIngestParity(t *testing.T) {
 	}
 	// The feed phase journals to the same bytes either way: every feed one
 	// DEFLATE record of its lines, then the finalize record.
-	refHead, wireHead := journalRecords(t, journalPath(refDir)), journalRecords(t, journalPath(wireDir))
+	refHead, wireHead := journalRecords(t, wal.JournalHead(refDir)), journalRecords(t, wal.JournalHead(wireDir))
 	if len(refHead) != len(wireHead) {
 		t.Fatalf("journal.log holds %d records after json feeds, %d after wire feeds", len(refHead), len(wireHead))
 	}

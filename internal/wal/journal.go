@@ -386,6 +386,17 @@ func JournalTail(dir string) ([]JournalSegment, error) {
 	return out, nil
 }
 
+// JournalFiles lists dir's journal files: journal.log, whether or not it
+// exists yet, then the tail segments as JournalTail lists them.
+func JournalFiles(dir string) ([]string, error) {
+	tail, err := JournalTail(dir)
+	paths := []string{JournalHead(dir)}
+	for _, s := range tail {
+		paths = append(paths, s.Path)
+	}
+	return paths, err
+}
+
 // ReadJournalSegmentHeader reads the header frame off the front of a tail
 // segment; ok is false when the file has no whole first frame (a roll in
 // progress, or the crash cut of one).
@@ -428,10 +439,7 @@ func RecoverJournalTail(dir string) ([]JournalSegment, error) {
 			if i+1 < len(segs) {
 				return nil, fmt.Errorf("wal: %s: no segment header, and it is not the last segment", s.Path)
 			}
-			if err := os.Remove(s.Path); err != nil {
-				return nil, err
-			}
-			return segs[:i], syncDir(dir)
+			return segs[:i], RemoveFile(s.Path)
 		}
 		if h.FirstSeq != s.Header.FirstSeq {
 			return nil, fmt.Errorf("wal: %s: header says first sequence %d", s.Path, h.FirstSeq)
@@ -445,6 +453,24 @@ func RecoverJournalTail(dir string) ([]JournalSegment, error) {
 		}
 	}
 	return segs, nil
+}
+
+// RecoverJournalHead holds journal.log against RecoverJournalTail's tail,
+// for the process about to own the journal: framed is where a scan of the
+// head stopped, torn whether bytes that do not frame follow. The head is
+// whole when the tail is empty or begins at framed; a gap is the dropped
+// segments, which a checkpoint must cover. A torn whole head is cut at
+// framed, like any torn tail; a torn head before a gap is damage.
+func RecoverJournalHead(dir string, framed int64, torn bool, tail []JournalSegment) (whole bool, err error) {
+	path := JournalHead(dir)
+	whole = len(tail) == 0 || tail[0].Header.Offset == framed
+	switch {
+	case torn && !whole:
+		return false, fmt.Errorf("server: %s is damaged at byte %d (the next retained segment begins at %d)", path, framed, tail[0].Header.Offset)
+	case torn:
+		return true, os.Truncate(path, framed)
+	}
+	return whole, nil
 }
 
 // SegmentedJournal appends to the journal under one data dir: to

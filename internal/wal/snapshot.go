@@ -562,34 +562,11 @@ func writeRun(dir string, r *runInfo, c store.Cut) (*os.File, error) {
 	return f, nil
 }
 
-// commitFile syncs and closes a written temp file and renames it to path.
-func commitFile(f *os.File, path string) error {
-	err := fileSync(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
-}
-
 // writeManifest makes m the durable snapshot covering IDs < m.next. The
 // runs it references must already be renamed into place.
 func writeManifest(dir string, m manifest) (int64, error) {
 	data := m.encode()
-	f, err := os.OpenFile(filepath.Join(snapDir(dir), "snap.tmp"), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return 0, err
-	}
-	if err := commitFile(f, snapFile(dir, m.next)); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), syncDir(snapDir(dir))
+	return int64(len(data)), ReplaceFile(filepath.Join(snapDir(dir), "snap.tmp"), snapFile(dir, m.next), data)
 }
 
 // Snapshot flushes pending records, seals the active segment, and makes
@@ -907,13 +884,4 @@ func (c *Checkpointer) Floor() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.floor
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

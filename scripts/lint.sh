@@ -22,8 +22,9 @@
 # goroutine, one that keeps the streaming processor the one stream
 # clock and observeStored the one fan-out of its diagnoses, and one that
 # keeps one Server per process: a promoted replica leads on its own
-# Server, never a second one reopened beside it, and one that keeps the
-# list of feed sources in collector.Sources.
+# Server, never a second one reopened beside it, one that keeps the
+# list of feed sources in collector.Sources, and one that keeps the data
+# dir written only by internal/wal: the server reads it and nothing more.
 # Exits non-zero on the first failing stage; a zero exit means zero
 # findings everywhere.
 set -u
@@ -190,6 +191,19 @@ lists=$(git ls-files -z -- '*.go' ':!*_test.go' ':!bench' ':!internal/collector'
 if [ -n "$lists" ]; then
   echo "$lists"
   echo "a list of feed sources outside internal/collector (above): range over collector.Sources" >&2
+  fail=1
+fi
+
+echo "== the data dir is written only by internal/wal =="
+# internal/wal makes every change to a data-dir file: the journal, the
+# checkpoints, and the markers through its one durable replace
+# (ReplaceFile) and unlink (RemoveFile). An os call in the server that
+# creates, opens, renames, removes, truncates or links a file is a second
+# writer with rules of its own — and a write no simulated disk fault
+# reaches.
+if git grep -nE 'os\.(Create|Open|OpenFile|Rename|Remove|RemoveAll|Truncate|WriteFile|MkdirAll|Link)\(' -- \
+    'internal/server/*.go' ':!*_test.go'; then
+  echo "a data-dir write in internal/server (above): replace, remove or wipe through internal/wal" >&2
   fail=1
 fi
 
