@@ -56,8 +56,6 @@ func main() {
 		err = listRules()
 	case "bayes":
 		err = runBayes(os.Args[2:])
-	case "check":
-		err = runCheck(os.Args[2:])
 	case "vet":
 		err = runVet(os.Args[2:])
 	case "graph":
@@ -88,7 +86,6 @@ func usage() {
   grca events
   grca rules
   grca bayes -data DIR
-  grca check <bgpflap|cdn|pim|backbone> -data DIR
   grca vet [spec.grca ...] [-json] [-validate -data DIR]  # static spec/graph validation; no args vets the built-ins
   grca graph <bgpflap|cdn|pim|backbone>            # Graphviz DOT of the diagnosis graph
   grca report <bgpflap|cdn|pim|backbone> -data DIR # full SQM report (breakdown, trend, drill-downs)
@@ -510,34 +507,6 @@ func runReport(args []string) error {
 		View:     sys.View,
 		Metrics:  obs.Default(),
 	})
-}
-
-// runCheck validates every diagnosis rule of an application against the
-// dataset with the Correlation Tester (§II-E): rules whose symptom and
-// diagnostic series are not statistically correlated are flagged.
-func runCheck(args []string) error {
-	b, err := bundleCmd{name: "check"}.open(args)
-	if err != nil {
-		return err
-	}
-	m := browser.Miner{Store: b.sys.Store}
-	verdicts := m.ValidateGraph(b.eng.Graph, b.bundle.Start, b.bundle.Start.Add(b.bundle.Duration))
-	pass, fail, skip := 0, 0, 0
-	for _, v := range verdicts {
-		switch {
-		case v.Err != nil:
-			skip++
-			fmt.Printf("SKIP  %-60s (%v)\n", v.Rule.Key(), v.Err)
-		case v.Result.Significant:
-			pass++
-			fmt.Printf("PASS  %-60s score %6.2f\n", v.Rule.Key(), v.Result.Score)
-		default:
-			fail++
-			fmt.Printf("FAIL  %-60s score %6.2f\n", v.Rule.Key(), v.Result.Score)
-		}
-	}
-	fmt.Printf("\n%d rules: %d pass, %d fail, %d untestable on this data\n", len(verdicts), pass, fail, skip)
-	return nil
 }
 
 func keys(m map[string]bool) []string {

@@ -126,12 +126,6 @@ func TestRunErrors(t *testing.T) {
 	if err := runBayes(nil); err == nil {
 		t.Error("bayes without -data accepted")
 	}
-	if err := runCheck(nil); err == nil {
-		t.Error("check without app accepted")
-	}
-	if err := runCheck([]string{"nope", "-data", "x"}); err == nil {
-		t.Error("check unknown app accepted")
-	}
 	// The one value -shards still takes is 1; the refusal comes before the
 	// bundle or the data dir is looked at, and says where to read why.
 	dir := filepath.Join(t.TempDir(), "never-created")
@@ -154,19 +148,6 @@ func TestListCommands(t *testing.T) {
 	out = capture(t, listRules)
 	if !containsStr(out, "55 rules") {
 		t.Errorf("rules listing:\n%s", out)
-	}
-}
-
-func TestCheckCommand(t *testing.T) {
-	dir := writeBundle(t, simnet.Config{
-		Seed: 67, PoPs: 2, PERsPerPoP: 1, SessionsPerPER: 8,
-		Duration: 4 * 24 * time.Hour, BGPFlapIncidents: 120,
-	})
-	out := capture(t, func() error {
-		return runCheck([]string{"bgpflap", "-data", dir})
-	})
-	if !containsStr(out, "PASS") || !containsStr(out, "pass,") {
-		t.Errorf("check output:\n%s", out)
 	}
 }
 

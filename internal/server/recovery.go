@@ -230,7 +230,8 @@ func replayHead(cfg Config, topo *netmodel.Topology) (h head) {
 // readable checkpoint. The head replays into its scratch store while the
 // checkpoint loads; its events then go through the frontier filter like
 // the tail's, so a refill is nothing but the journal applied over an empty
-// checkpoint.
+// checkpoint. wal.ReplayJournalTail reads, checks and measures the tail in
+// place; of its shape only the head→tail boundary is judged here.
 func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegment) (replayResult, checkpoint, error) {
 	var rep replayResult
 	var h head
@@ -296,52 +297,39 @@ func recoverJournal(cfg Config, topo *netmodel.Topology, tail []wal.JournalSegme
 		},
 	}
 	ap.writeTo(fs)
-	for k, seg := range tail {
-		first := true
-		fn := func(p []byte) error {
-			if first {
-				first = false
-				hd, err := wal.ParseJournalSegmentHeader(p)
-				if err != nil {
-					return fmt.Errorf("server: %s does not begin with a segment header: %v", seg.Path, err)
-				}
-				if k == 0 && !whole {
-					fs.next = hd.FirstID
-					rep.maxSeq = hd.FirstSeq - 1
-				}
-				if hd.FirstSeq != rep.maxSeq+1 || hd.FirstID != fs.next {
-					return fmt.Errorf("server: %s begins at sequence %d and event ID %d, the replay stands at %d and %d",
-						seg.Path, hd.FirstSeq, hd.FirstID, rep.maxSeq+1, fs.next)
-				}
-				return nil
-			}
-			added := fs.added
-			seq, err := ap.apply(p)
-			if err = errors.Join(err, fs.err); err != nil {
-				return err
-			}
-			rep.batches++
-			rep.maxSeq = seq
-			if fs.added > added {
-				rep.info.TailApplied++
-			} else {
-				rep.info.TailVerified++
-			}
+	// A whole head hands over at its last sequence and event ID; behind a
+	// gap the first tail segment says where the replay stands.
+	err = wal.ReplayJournalTail(tail, func(k int) error {
+		if k > 0 {
 			return nil
 		}
-		// Only the last file can end in a crash's torn frame; in a sealed one
-		// bytes that do not frame are damage.
-		var err error
-		if k+1 == len(tail) {
-			_, err = wal.ReplayJournal(seg.Path, fn)
-		} else if torn, e := wal.ScanJournal(seg.Path, fn); e != nil {
-			err = e
-		} else if torn >= 0 {
-			err = fmt.Errorf("server: %s is damaged at byte %d", seg.Path, torn)
+		hd := tail[0].Header
+		if !whole {
+			fs.next = hd.FirstID
+			rep.maxSeq = hd.FirstSeq - 1
 		}
-		if err != nil {
-			return rep, cp, err
+		if hd.FirstSeq != rep.maxSeq+1 || hd.FirstID != fs.next {
+			return fmt.Errorf("server: %s begins at sequence %d and event ID %d, the replay stands at %d and %d",
+				tail[0].Path, hd.FirstSeq, hd.FirstID, rep.maxSeq+1, fs.next)
 		}
+		return nil
+	}, func(p []byte) error {
+		added := fs.added
+		seq, err := ap.apply(p)
+		if err = errors.Join(err, fs.err); err != nil {
+			return err
+		}
+		rep.batches++
+		rep.maxSeq = seq
+		if fs.added > added {
+			rep.info.TailApplied++
+		} else {
+			rep.info.TailVerified++
+		}
+		return nil
+	})
+	if err != nil {
+		return rep, cp, err
 	}
 	err = fs.finish()
 	rep.info.TailApply = obs.Since(began)

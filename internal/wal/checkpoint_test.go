@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"runtime"
 	"testing"
@@ -17,6 +18,35 @@ func appendEventRecord(b []byte, seq int, ins []event.Instance) []byte {
 	b = binary.AppendUvarint(b, uint64(seq))
 	b = append(b, JournalEventKind, 0)
 	return wire.AppendEventBlock(b, ins)
+}
+
+// measure reads the segment's Size, CRC and Events off the file: the
+// oracle for what ReplayJournalTail measures as it replays, and what
+// SegmentedJournal keeps as it writes.
+func (s *JournalSegment) measure() error {
+	data, err := os.ReadFile(s.Path)
+	if err != nil {
+		return err
+	}
+	s.Size, s.CRC, s.Events = int64(len(data)), crc32.Checksum(data, castagnoli), 0
+	for rest, first := data, true; len(rest) > 0; first = false {
+		p, r, ok := readFrame(rest)
+		if !ok {
+			s.Events = -1
+			break
+		}
+		rest = r
+		if first {
+			continue // the header
+		}
+		n, _, err := journalEvents(p)
+		if err != nil {
+			s.Events = -1
+			break
+		}
+		s.Events += n
+	}
+	return nil
 }
 
 // journalCheckpoint journals n events in records of per under a fresh
@@ -62,10 +92,10 @@ func journalCheckpoint(t testing.TB, n, per int) (string, *store.Memory, Journal
 // events are all live becomes the checkpoint's run by hard link — nothing
 // of it written again — and reads back as that run everywhere a run is
 // read: OpenCheckpoint, Open (the vestige's recovery), and a checkpoint
-// image written and installed as a follower installs it. The measure of the segment a
-// reopened journal takes off the file is what the appender kept. A segment
-// that holds a record other than events is no run: its range is written
-// from the store.
+// image written and installed as a follower installs it. The segment
+// measured off the file is what the appender kept. A segment that holds a
+// record other than events is no run: its range is written from the
+// store.
 func TestCheckpointAdoptsJournalSegment(t *testing.T) {
 	adopted, written := mSnapRunsAdopted.Value(), mSnapRunsWritten.Value()
 	dir, st, seg := journalCheckpoint(t, 3000, 700)

@@ -7,13 +7,14 @@ import (
 
 // ReplaceFile makes data the content of path durably: the temp file tmp
 // beside it, fdatasynced, renamed over it, the directory fsynced (made as
-// needed). After a power cut path is the old file or the new one, whole,
-// and in place before anything written behind it. It is the one way a
-// data-dir file is replaced — a manifest, and the server's markers
-// (FORMAT, REPLICA). A tmp a crash left is overwritten, never read.
+// needed, each directory made fsynced into its parent). After a power cut
+// path is the old file or the new one, whole, and in place before
+// anything written behind it. It is the one way a data-dir file is
+// replaced — a manifest, and the server's markers (FORMAT, REPLICA). A
+// tmp a crash left is overwritten, never read.
 func ReplaceFile(tmp, path string, data []byte) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirAll(dir); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -69,6 +70,23 @@ func commitFile(f *os.File, path string) error {
 		return err
 	}
 	return os.Rename(f.Name(), path)
+}
+
+// mkdirAll makes dir and any parent it lacks, each fsynced into its
+// parent, so that a power cut takes back neither them nor what is
+// written under them.
+func mkdirAll(dir string) error {
+	parent := filepath.Dir(dir)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) || parent == dir {
+		return err
+	}
+	if err := mkdirAll(parent); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return err
+	}
+	return syncDir(parent)
 }
 
 func syncDir(dir string) error {

@@ -25,6 +25,20 @@ func TestReplaceFile(t *testing.T) {
 			t.Fatalf("the temp file is left: %v", err)
 		}
 	})
+	t.Run("two missing levels", func(t *testing.T) {
+		root := t.TempDir()
+		path := filepath.Join(root, "data", "snap", "MARKER")
+		if err := ReplaceFile(path+".tmp", path, []byte("10\n")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "10\n" {
+			t.Fatalf("under two new directories: %q, %v", got, err)
+		}
+		entries, err := os.ReadDir(root)
+		if err != nil || len(entries) != 1 || entries[0].Name() != "data" || !entries[0].IsDir() {
+			t.Fatalf("the root holds %v (%v), want the one directory made", entries, err)
+		}
+	})
 	t.Run("failed write keeps the old bytes", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "MARKER")
 		if err := ReplaceFile(path+".tmp", path, []byte("old\n")); err != nil {

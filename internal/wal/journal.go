@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -57,9 +56,7 @@ func ReplayJournal(path string, fn func(payload []byte) error) (truncated int64,
 
 // ScanJournal is ReplayJournal without the cut: it returns the offset of
 // the first torn or corrupt frame, -1 when every byte of the file is a
-// whole record. A journal file that a successor has sealed is read with
-// it — nothing is appended to such a file again, so bytes that do not
-// frame there are damage, not a crash's tail, and the caller decides.
+// whole record, and the caller decides.
 func ScanJournal(path string, fn func(payload []byte) error) (torn int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -253,11 +250,6 @@ func journalEvents(rec []byte) (n int, block []byte, err error) {
 	return n, r.Body, nil
 }
 
-// ErrJournalShards is a tail-segment header written for more than one
-// shard: the data dir is a multi-shard one, which this version does not
-// read.
-var ErrJournalShards = errors.New("wal: journal segment header written for more than one shard")
-
 // JournalSegmentHeader is the first record of every tail segment. It says
 // where the segment sits in the journal — by sequence, by event ID and by
 // byte — and how far a checkpoint must reach for recovery to start from
@@ -279,7 +271,7 @@ type JournalSegmentHeader struct {
 // AppendJournalSegmentHeader appends h encoded as a journal record of
 // JournalSegmentKind: sequence FirstSeq, no source, and the body uvarint
 // FirstID | Offset | 1 | Front. The 1 is the shard count of the format
-// multi-shard versions wrote; a single-shard dir of theirs reads as is.
+// multi-shard versions wrote; FORMAT refuses their dirs.
 func AppendJournalSegmentHeader(b []byte, h JournalSegmentHeader) []byte {
 	body := binary.AppendUvarint(nil, uint64(h.FirstID))
 	body = binary.AppendUvarint(body, uint64(h.Offset))
@@ -290,7 +282,7 @@ func AppendJournalSegmentHeader(b []byte, h JournalSegmentHeader) []byte {
 
 // ParseJournalSegmentHeader decodes a header record. The bytes are outside
 // input on a follower: every value is bounded and anything left over is an
-// error. A shard count other than 1 is ErrJournalShards.
+// error, and so is a shard count other than 1.
 func ParseJournalSegmentHeader(p []byte) (JournalSegmentHeader, error) {
 	var h JournalSegmentHeader
 	r, err := ParseJournalRecord(p)
@@ -301,12 +293,8 @@ func ParseJournalSegmentHeader(p []byte) (JournalSegmentHeader, error) {
 	u := uvarints{r.Body, true}
 	h.FirstID = u.next()
 	h.Offset = int64(u.next())
-	n := u.next()
-	if !u.ok || n < 1 {
+	if n := u.next(); !u.ok || n != 1 {
 		return h, fmt.Errorf("wal: bad journal segment header")
-	}
-	if n != 1 {
-		return h, fmt.Errorf("%w (%d)", ErrJournalShards, n)
 	}
 	h.Front = u.next()
 	if !u.ok || h.Front > h.FirstID || len(u.p) != 0 {
@@ -334,34 +322,6 @@ type JournalSegment struct {
 func (s JournalSegment) run() (segInfo, bool) {
 	return segInfo{path: s.Path, first: s.Header.FirstID, last: s.Header.FirstID + s.Events - 1,
 		count: s.Events, size: s.Size, crc: s.CRC}, s.Events > 0
-}
-
-// measure reads the segment's Size, CRC and Events off the file, for a
-// segment this process did not write.
-func (s *JournalSegment) measure() error {
-	data, err := os.ReadFile(s.Path)
-	if err != nil {
-		return err
-	}
-	s.Size, s.CRC, s.Events = int64(len(data)), crc32.Checksum(data, castagnoli), 0
-	for rest, first := data, true; len(rest) > 0; first = false {
-		p, r, ok := readFrame(rest)
-		if !ok {
-			s.Events = -1
-			break
-		}
-		rest = r
-		if first {
-			continue // the header
-		}
-		n, _, err := journalEvents(p)
-		if err != nil {
-			s.Events = -1
-			break
-		}
-		s.Events += n
-	}
-	return nil
 }
 
 // JournalHead returns the path of segment 0 under dir.
@@ -455,6 +415,62 @@ func RecoverJournalTail(dir string) ([]JournalSegment, error) {
 	return segs, nil
 }
 
+// ReplayJournalTail replays the tail RecoverJournalTail listed, reading
+// each segment once, whole: begin(k) before segment k's records, rec with
+// each record behind its (parsed) header, aliasing the file's bytes. A
+// torn last segment is cut; bytes that do not frame in a sealed one are
+// damage. Each segment must begin one sequence past its predecessor's
+// last record, at its first event ID plus the events it holds; where
+// tail[0] begins is begin(0)'s to judge. Size, CRC and Events are filled
+// in as each segment is read, for OpenSegmentedJournal.
+func ReplayJournalTail(tail []JournalSegment, begin func(k int) error, rec func(p []byte) error) error {
+	var nextSeq, nextID int
+	for k := range tail {
+		s := &tail[k]
+		if h := s.Header; k > 0 && (h.FirstSeq != nextSeq || h.FirstID != nextID) {
+			return fmt.Errorf("server: %s begins at sequence %d and event ID %d, the replay stands at %d and %d",
+				s.Path, h.FirstSeq, h.FirstID, nextSeq, nextID)
+		}
+		if err := begin(k); err != nil {
+			return err
+		}
+		data, err := os.ReadFile(s.Path)
+		if err != nil {
+			return err
+		}
+		_, rest, ok := readFrame(data) // the header
+		nextSeq, nextID, s.Events = s.Header.FirstSeq, s.Header.FirstID, 0
+		for ok && len(rest) > 0 {
+			var p []byte
+			if p, rest, ok = readFrame(rest); !ok {
+				break
+			}
+			r, _ := ParseJournalRecord(p) // one that does not parse is rec's to refuse
+			n, _, err := journalEvents(p)
+			if err != nil {
+				s.Events = -1
+			} else if s.Events >= 0 {
+				s.Events += n
+			}
+			nextSeq, nextID = r.Seq+1, nextID+n
+			if err := rec(p); err != nil {
+				return err
+			}
+		}
+		if at := len(data) - len(rest); !ok {
+			if k+1 < len(tail) || at == 0 {
+				return fmt.Errorf("server: %s is damaged at byte %d", s.Path, at)
+			}
+			if err := os.Truncate(s.Path, int64(at)); err != nil {
+				return err
+			}
+			data = data[:at]
+		}
+		s.Size, s.CRC = int64(len(data)), crc32.Checksum(data, castagnoli)
+	}
+	return nil
+}
+
 // RecoverJournalHead holds journal.log against RecoverJournalTail's tail,
 // for the process about to own the journal: framed is where a scan of the
 // head stopped, torn whether bytes that do not frame follow. The head is
@@ -492,16 +508,13 @@ type SegmentedJournal struct {
 }
 
 // OpenSegmentedJournal opens the journal under dir for appending behind
-// what recovery replayed: tail is RecoverJournalTail's listing, re-measured
-// here because the replay may have cut a torn frame off the last file.
+// what recovery replayed: tail is RecoverJournalTail's listing as
+// ReplayJournalTail left it, cut and measured.
 func OpenSegmentedJournal(dir string, tail []JournalSegment) (*SegmentedJournal, error) {
 	j := &SegmentedJournal{dir: dir, tail: tail, headSize: JournalSize(JournalHead(dir))}
 	active, base := JournalHead(dir), int64(0)
-	for i := range j.tail {
-		if err := j.tail[i].measure(); err != nil {
-			return nil, err
-		}
-		active, base = j.tail[i].Path, j.tail[i].Header.Offset
+	if k := len(tail); k > 0 {
+		active, base = tail[k-1].Path, tail[k-1].Header.Offset
 	}
 	cur, err := OpenJournal(active)
 	if err != nil {

@@ -11,6 +11,13 @@
 // run by hard link. Recovery is the newest readable checkpoint plus the
 // journal's tail.
 //
+// The journal's shape at boot is this package's to judge, each rule in
+// one place: RecoverJournalTail the listing (headers, names, byte
+// offsets), ReplayJournalTail each segment's one read (torn or damaged
+// bytes, sequence and event-ID continuity, the measure OpenSegmentedJournal
+// takes over), RecoverJournalHead journal.log against the tail. The
+// caller owns the head→tail boundary and what the records mean.
+//
 // This package is the one codec of both formats, on disk and on the
 // replication stream alike. A journal record is read and written through
 // ParseJournalRecord and AppendJournalRecord, with the kind table beside
