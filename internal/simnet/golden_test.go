@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -63,16 +64,21 @@ func datasetDigest(d *Dataset) string {
 
 // TestGenerateGolden pins Generate's output byte for byte: the corpus is a
 // pure function of Config, so any change to how it is rendered must leave
-// these digests alone.
+// these digests alone, on however many goroutines it is rendered.
 func TestGenerateGolden(t *testing.T) {
 	for _, g := range goldenConfigs {
 		t.Run(g.name, func(t *testing.T) {
-			d, err := Generate(g.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := datasetDigest(d); got != g.digest {
-				t.Errorf("digest = %s, want %s", got, g.digest)
+			for _, procs := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					d, err := Generate(g.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := datasetDigest(d); got != g.digest {
+						t.Errorf("digest = %s, want %s", got, g.digest)
+					}
+				})
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -184,6 +185,65 @@ func TestSegmentedJournalRollDropRecover(t *testing.T) {
 	}
 	if err := j.DropOldest(); err == nil {
 		t.Fatal("dropped the active segment")
+	}
+}
+
+// TestReadJournalSegmentHeaderCuts: the header is read off the file
+// without a stream reader, with what the FrameReader oracle returns for
+// the same bytes: every cut of a header frame, a cut record behind it,
+// a flipped byte, a length beyond the file or beyond any record, an
+// event record where the header belongs, and garbage.
+func TestReadJournalSegmentHeaderCuts(t *testing.T) {
+	oracle := func(path string) (h JournalSegmentHeader, ok bool, err error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return h, false, err
+		}
+		defer f.Close()
+		payload, err := NewFrameReader(f).Next()
+		if err == io.EOF || err == ErrTornFrame {
+			return h, false, nil
+		}
+		if err != nil {
+			return h, false, err
+		}
+		h, err = ParseJournalSegmentHeader(payload)
+		return h, err == nil, err
+	}
+	hdr := appendFrame(nil, AppendJournalSegmentHeader(nil, JournalSegmentHeader{FirstSeq: 7, FirstID: 4096, Offset: 8 << 20, Front: 4000}))
+	whole := appendFrame(slices.Clone(hdr), jrec(7, "a record behind the header"))
+	files := map[string][]byte{
+		"whole":         whole,
+		"event record":  appendFrame(nil, jrec(3, "an event batch, not a header")),
+		"garbage":       []byte("not a journal segment at all, just text"),
+		"huge length":   append([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, hdr[frameHeader:]...),
+		"length beyond": append(binary.LittleEndian.AppendUint32(nil, 1<<20), hdr[4:]...),
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		files[fmt.Sprintf("cut %d", cut)] = whole[:cut]
+	}
+	for i := range hdr {
+		flipped := slices.Clone(whole)
+		flipped[i] ^= 0x40
+		files[fmt.Sprintf("flip %d", i)] = flipped
+	}
+	dir := t.TempDir()
+	for name, b := range files {
+		path := filepath.Join(dir, "journal-0000000000000007.log")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, ok, err := ReadJournalSegmentHeader(path)
+		wh, wok, werr := oracle(path)
+		if h != wh || ok != wok || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%s: got %+v, %v, %v; the oracle %+v, %v, %v", name, h, ok, err, wh, wok, werr)
+		}
+		if name == "whole" && (!ok || err != nil || h.FirstID != 4096) {
+			t.Errorf("the whole frame read as %+v, %v, %v", h, ok, err)
+		}
+	}
+	if _, _, err := ReadJournalSegmentHeader(filepath.Join(dir, "missing.log")); !os.IsNotExist(err) {
+		t.Fatalf("a missing file: %v", err)
 	}
 }
 
