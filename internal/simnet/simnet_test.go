@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -79,6 +80,36 @@ func TestGenerateConcurrent(t *testing.T) {
 		if got != g.digest {
 			t.Errorf("run %d: digest = %s, want %s", i, got, g.digest)
 		}
+	}
+}
+
+// TestGenerateBytesIndependentOfProcs: the heap Generate allocates for
+// the small corpus at GOMAXPROCS 64 is within a chunk (64 KiB) per
+// rendered block of what it allocates at GOMAXPROCS 1, so more cores cost
+// short-lived goroutines and no more feed memory.
+func TestGenerateBytesIndependentOfProcs(t *testing.T) {
+	g := goldenConfigs[0]
+	allocated := func(procs int) (bytes uint64, blocks int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		if _, err := Generate(g.cfg); err != nil { // the runtime's own per-P and goroutine set-up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := Generate(g.cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{"snmp", "perfmon", "keynote"} {
+			blocks += (strings.Count(d.Feeds[src], "\n") + rowBlock - 1) / rowBlock
+		}
+		return after.TotalAlloc - before.TotalAlloc, blocks
+	}
+	one, blocks := allocated(1)
+	many, _ := allocated(64)
+	if diff := max(one, many) - min(one, many); diff > uint64(blocks)<<chunkBits {
+		t.Errorf("Generate allocated %d bytes at GOMAXPROCS 1 and %d at 64: %d apart, more than %d blocks' chunk", one, many, diff, blocks)
 	}
 }
 
