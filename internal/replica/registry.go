@@ -25,12 +25,14 @@ type Registry struct {
 	grace time.Duration
 
 	mu        sync.Mutex
+	conns     uint64 // connections ever attached: the last one's token
 	followers map[string]*followerEntry
 }
 
 type followerEntry struct {
 	id         string
-	streams    int // open stream connections
+	owner      uint64 // the newest connection's token
+	streams    int    // 1 while that connection is open, else 0
 	lastSeen   time.Time
 	journalSeq int // last journal seq shipped
 }
@@ -51,9 +53,11 @@ func NewRegistry() *Registry {
 	return &Registry{grace: pinGrace, followers: map[string]*followerEntry{}}
 }
 
-// Attach registers one stream connection for the follower, creating its
-// entry (pinning the whole journal) on first contact.
-func (r *Registry) Attach(id string) {
+// Attach registers a stream connection for the follower, creating its
+// entry (pinning the whole journal) on first contact, and returns the
+// connection's token: from now on it alone owns the entry, and one it
+// replaced (a half-closed socket may look alive) notes and detaches nothing.
+func (r *Registry) Attach(id string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.followers[id]
@@ -61,32 +65,32 @@ func (r *Registry) Attach(id string) {
 		e = &followerEntry{id: id, journalSeq: -1}
 		r.followers[id] = e
 	}
-	e.streams++
+	r.conns++
+	e.owner, e.streams = r.conns, 1
 	e.lastSeen = obs.Now()
 	r.expireLocked()
+	return e.owner
 }
 
-// Detach drops one stream connection and stamps the grace-window clock.
-func (r *Registry) Detach(id string) {
+// Detach ends conn, if it owns the entry, and stamps the grace clock.
+func (r *Registry) Detach(id string, conn uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.followers[id]; e != nil {
-		if e.streams > 0 {
-			e.streams--
-		}
+	if e := r.followers[id]; e != nil && e.owner == conn {
+		e.streams = 0
 		e.lastSeen = obs.Now()
 	}
 	r.expireLocked()
 }
 
-// NoteJournal records the journal sequence the follower holds or was
-// last shipped. It is set, not raised: a reconnect says where the
-// follower really stands, and that may be below what an earlier
-// connection had sent.
-func (r *Registry) NoteJournal(id string, seq int) {
+// NoteJournal records, if conn owns the entry, the journal sequence the
+// follower holds or was last shipped. It is set, not raised: a reconnect
+// says where the follower really stands, and that may be below what an
+// earlier connection had sent.
+func (r *Registry) NoteJournal(id string, conn uint64, seq int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.followers[id]; e != nil {
+	if e := r.followers[id]; e != nil && e.owner == conn {
 		e.journalSeq = seq
 		e.lastSeen = obs.Now()
 	}

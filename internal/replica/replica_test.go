@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -158,18 +159,18 @@ func TestRegistryPinAndGrace(t *testing.T) {
 	}
 	// The lowest sequence some live follower has yet to be shipped. A fresh
 	// follower pins everything.
-	r.Attach("f1")
+	f1 := r.Attach("f1")
 	if pin := r.PinJournal(); pin != 0 {
 		t.Fatalf("fresh follower pin = %d, want 0 (everything)", pin)
 	}
-	r.NoteJournal("f1", 41)
-	r.Attach("f2")
-	r.NoteJournal("f2", 9)
+	r.NoteJournal("f1", f1, 41)
+	f2 := r.Attach("f2")
+	r.NoteJournal("f2", f2, 9)
 	if pin := r.PinJournal(); pin != 10 {
 		t.Fatalf("two-follower pin = %d, want 10: f2's next", pin)
 	}
 	// Disconnect f2: the pin holds through the grace window, then expires.
-	r.Detach("f2")
+	r.Detach("f2", f2)
 	if pin := r.PinJournal(); pin != 10 {
 		t.Fatalf("graced pin = %d, want 10", pin)
 	}
@@ -184,17 +185,31 @@ func TestRegistryPinAndGrace(t *testing.T) {
 
 	// A reconnect says where the follower stands, also when that is
 	// further back.
-	r.Attach("f3")
-	r.NoteJournal("f3", 17)
+	f3 := r.Attach("f3")
+	r.NoteJournal("f3", f3, 17)
 	if pin := r.PinJournal(); pin != 18 {
 		t.Fatalf("journal pin = %d, want 18: f3's next", pin)
 	}
-	r.NoteJournal("f1", 9)
+	f1b := r.Attach("f1")
+	r.NoteJournal("f1", f1b, 9)
 	if pin := r.PinJournal(); pin != 10 {
 		t.Fatalf("journal pin = %d after f1 reconnected from 9, want 10", pin)
 	}
-	r.Detach("f1")
-	r.Detach("f3")
+	// The reconnect owns f1: the connection it replaced, still shipping
+	// behind a half-closed socket, neither raises the pin nor detaches f1.
+	r.NoteJournal("f1", f1, 60)
+	r.Detach("f1", f1)
+	if pin := r.PinJournal(); pin != 10 {
+		t.Fatalf("journal pin = %d after f1's replaced connection noted 60, want 10", pin)
+	}
+	if st := r.Status(); len(st) != 2 || !st[0].Connected || st[0].Streams != 1 || st[0].JournalSeq != 9 {
+		t.Fatalf("status = %+v after f1's replaced connection detached, want f1 connected on one stream, at 9", st)
+	}
+	r.Detach("f1", f1b)
+	r.Detach("f3", f3)
+	if st := r.Status(); len(st) != 2 || st[0].Connected || st[0].Streams != 0 {
+		t.Fatalf("status = %+v after f1's newest connection detached, want f1 disconnected", st)
+	}
 	time.Sleep(60 * time.Millisecond)
 	if pin := r.PinJournal(); pin != -1 {
 		t.Fatalf("journal pin = %d past every grace window, want -1", pin)
@@ -215,15 +230,15 @@ func TestRegistryFollowersGauge(t *testing.T) {
 			t.Errorf("%s: Status lists %d followers, want %d", what, got, want)
 		}
 	}
-	r.Attach("f1")
+	f1 := r.Attach("f1")
 	check("one attached", 1)
-	r.Attach("f1") // a second stream of the same follower
-	r.Attach("f2")
+	r.Attach("f1") // a second stream of the same follower, which owns it now
+	f2 := r.Attach("f2")
 	check("two attached", 2)
-	r.Detach("f2")
+	r.Detach("f2", f2)
 	check("f2 inside its grace window", 2)
 	time.Sleep(60 * time.Millisecond)
-	r.Detach("f1") // one of f1's two streams; the detach also expires f2
+	r.Detach("f1", f1) // f1's replaced stream: f1 stays, but the detach expires f2
 	if got := mFollowers.Value(); got != 1 {
 		t.Errorf("after f2's grace: gauge = %d, want 1", got)
 	}
@@ -372,9 +387,9 @@ func TestServeJournalTail(t *testing.T) {
 	// and the stream's stop function.
 	serve := func(from int) (func(want ...int), func()) {
 		w := &collectWriter{}
-		stop := make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
-		go func() { done <- src.ServeJournal(w, nil, "t", from, stop) }()
+		go func() { done <- src.ServeJournal(ctx, w, nil, "t", from) }()
 		seqs := func() []int {
 			var got []int
 			for _, m := range decodeStream(t, w.bytes()) {
@@ -399,7 +414,7 @@ func TestServeJournalTail(t *testing.T) {
 			}
 		}
 		return wait, func() {
-			close(stop)
+			cancel()
 			if err := <-done; err != nil {
 				t.Error(err)
 			}
@@ -436,6 +451,102 @@ func TestServeJournalTail(t *testing.T) {
 	wait(2, 3, 4)
 	stop()
 }
+
+// TestReplacedStreamLeavesPin: a follower reconnects at a lower cursor
+// while its old connection still takes writes and its context stays live
+// — a half-closed socket the primary has not noticed. The old session
+// ships what is appended, but the newest connection owns the follower's
+// cursor: the pin stays at the reconnect's, and the old session's end
+// detaches nothing.
+func TestReplacedStreamLeavesPin(t *testing.T) {
+	quicken(t, time.Second)
+	path := filepath.Join(t.TempDir(), "journal.log")
+	jour, err := wal.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jour.Close()
+	appendJ := func(from, to int) {
+		for seq := from; seq < to; seq++ {
+			if err := jour.Append(wal.AppendJournalRecord(nil, wal.JournalRecord{Seq: seq, Kind: wal.JournalEventKind, Body: []byte("body")})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reg := NewRegistry()
+	src := NewSource(SourceConfig{
+		BootID:          "boot-r",
+		DataDir:         filepath.Dir(path),
+		JournalFrontier: func() int { return -1 },
+		JournalOffset:   func() int64 { return 0 },
+		WALFrontier:     func() int { return 0 },
+		Registry:        reg,
+	})
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: status %+v, pin %d", what, reg.Status(), reg.PinJournal())
+			}
+		}
+	}
+	at := func(seq int) func() bool {
+		return func() bool { st := reg.Status(); return len(st) == 1 && st[0].JournalSeq == seq }
+	}
+	const k, j = 9, 4 // the old connection's cursor, and the reconnect's lower one
+	appendJ(0, k+1)
+
+	oldW := &collectWriter{}
+	oldCtx, oldCancel := context.WithCancel(context.Background())
+	defer oldCancel()
+	oldDone := make(chan error, 1)
+	go func() { oldDone <- src.ServeJournal(oldCtx, oldW, nil, "f", k) }()
+	waitFor("the old connection attached", at(k))
+
+	// The reconnect's follower has not read a byte yet: its hello blocks,
+	// so the session stays at its resume point.
+	release := make(chan struct{})
+	newW := writerFunc(func(p []byte) (int, error) { <-release; return len(p), nil })
+	newCtx, newCancel := context.WithCancel(context.Background())
+	defer newCancel()
+	newDone := make(chan error, 1)
+	go func() { newDone <- src.ServeJournal(newCtx, newW, nil, "f", j) }()
+	waitFor("the reconnect attached", at(j))
+
+	appendJ(k+1, k+6)
+	waitFor("the old connection shipped the new records", func() bool {
+		n := 0
+		for _, m := range decodeStream(t, oldW.bytes()) {
+			if m.Type == MsgJournalRec {
+				n++
+			}
+		}
+		return n == 5
+	})
+	if pin := reg.PinJournal(); pin != j+1 {
+		t.Fatalf("pin = %d once the replaced connection shipped through %d, want %d: the reconnect's", pin, k+5, j+1)
+	}
+	oldCancel()
+	if err := <-oldDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := reg.Status(); len(st) != 1 || !st[0].Connected || st[0].JournalSeq != j || reg.PinJournal() != j+1 {
+		t.Fatalf("status %+v, pin %d after the replaced connection ended; want the reconnect attached at %d", st, reg.PinJournal(), j)
+	}
+	newCancel()
+	close(release)
+	if err := <-newDone; err != nil {
+		t.Fatal(err)
+	}
+	if st := reg.Status(); len(st) != 1 || st[0].Connected {
+		t.Fatalf("status %+v after the reconnect ended, want the follower detached", st)
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // segmentedJournal writes a journal of a head and `segments` tail
 // segments under dir, perSeg records of about 1 KiB in each file, and
@@ -474,9 +585,9 @@ func segmentedJournal(t *testing.T, dir string, segments, perSeg int) (*wal.Segm
 func journalStream(t *testing.T, src *Source, id string, from, until int) (seqs, headers []int, msgs []Msg) {
 	t.Helper()
 	w := &collectWriter{}
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- src.ServeJournal(w, nil, id, from, stop) }()
+	go func() { done <- src.ServeJournal(ctx, w, nil, id, from) }()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		seqs, headers, msgs = nil, nil, decodeStream(t, w.bytes())
@@ -506,7 +617,7 @@ func journalStream(t *testing.T, src *Source, id string, from, until int) (seqs,
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-	close(stop)
+	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -959,9 +1070,9 @@ func TestHeartbeatsWhileStreaming(t *testing.T) {
 		Registry:        NewRegistry(),
 	})
 	w := &collectWriter{}
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- src.ServeJournal(w, nil, "h", -1, stop) }()
+	go func() { done <- src.ServeJournal(ctx, w, nil, "h", -1) }()
 	// A record at a quarter of the cadence, for twenty cadences: the stream
 	// is never idle for a whole one.
 	began := time.Now()
@@ -973,7 +1084,7 @@ func TestHeartbeatsWhileStreaming(t *testing.T) {
 		}
 		time.Sleep(beat / 4)
 	}
-	close(stop)
+	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

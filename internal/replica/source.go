@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -127,8 +128,10 @@ func (t *fileTail) fill(push func(payload []byte) error) (bool, error) {
 	}
 }
 
+// close releases the file; a nil tail (a session that never opened
+// one) has nothing to release.
 func (t *fileTail) close() {
-	if t.f != nil {
+	if t != nil && t.f != nil {
 		t.f.Close() //nolint:errcheck // read-only
 		t.f = nil
 	}
@@ -160,29 +163,30 @@ func (c *streamConn) push() error {
 // that holds from+1 — tail segments are named for their first sequence —
 // tails the active file live, follows each roll into the next segment
 // (the header record ships verbatim: the follower rolls where the primary
-// rolled), and ends only on stop (server shutdown), a write error
-// (follower gone), or a segment dropped from under it. A follower whose
-// resume point lies in a segment already dropped is sent, between
-// segment 0 and the retained tail, a store checkpoint.
-// flush may be nil.
-func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
-	s.cfg.Registry.Attach(followerID)
-	defer s.cfg.Registry.Detach(followerID)
-	// The new connection's resume point is what the follower holds, whatever
-	// an earlier connection shipped.
-	s.cfg.Registry.NoteJournal(followerID, from)
+// rolled), and ends with ctx (an EOF carries its cause, if it has its
+// own), on a write error, or on a segment dropped from under it. A
+// follower whose resume point lies in a segment already dropped is sent,
+// between segment 0 and the retained tail, a store checkpoint. flush may
+// be nil.
+func (s *Source) ServeJournal(ctx context.Context, w io.Writer, flush func(), followerID string, from int) error {
+	token := s.cfg.Registry.Attach(followerID)
+	defer s.cfg.Registry.Detach(followerID, token)
+	// Notes count while ctx is live and the connection is the follower's
+	// newest; the first is what it holds, whatever an earlier one shipped.
+	note := func(seq int) {
+		if ctx.Err() == nil {
+			s.cfg.Registry.NoteJournal(followerID, token, seq)
+		}
+	}
+	note(from)
 
 	conn := &streamConn{w: w, flush: flush}
 	conn.buf = AppendHello(conn.buf, s.cfg.BootID, StreamJournal, from)
 	if err := conn.push(); err != nil {
 		return err
 	}
-	sess := &journalSession{src: s, conn: conn, followerID: followerID, shipped: from}
-	defer func() {
-		if sess.tail != nil {
-			sess.tail.close()
-		}
-	}()
+	sess := &journalSession{src: s, conn: conn, note: note, shipped: from}
+	defer func() { sess.tail.close() }()
 	lastBeat := obs.Now()
 	for {
 		progress, err := sess.step()
@@ -192,7 +196,7 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 			return err
 		}
 		if progress {
-			s.cfg.Registry.NoteJournal(followerID, sess.shipped)
+			note(sess.shipped)
 		}
 		if obs.Since(lastBeat) >= heartbeatEvery {
 			conn.buf = s.heartbeat(conn.buf)
@@ -201,13 +205,15 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		if err := conn.push(); err != nil {
 			return err
 		}
-		if progress {
+		if progress && ctx.Err() == nil {
 			continue // drain hot without sleeping
 		}
 		select {
-		case <-stop:
-			conn.buf = AppendEOF(conn.buf, "primary shutting down")
-			conn.push() //nolint:errcheck // stream is ending either way
+		case <-ctx.Done():
+			if cause := context.Cause(ctx); cause != ctx.Err() {
+				conn.buf = AppendEOF(conn.buf, cause.Error())
+				conn.push() //nolint:errcheck // stream is ending either way
+			}
 			return nil
 		case <-time.After(pollEvery):
 		}
@@ -216,12 +222,12 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 
 // journalSession is one journal stream's server-side state.
 type journalSession struct {
-	src        *Source
-	conn       *streamConn
-	followerID string
-	shipped    int       // highest sequence the follower holds or was sent
-	tail       *fileTail // the file being read; nil before the first step
-	cur        int       // first sequence of that file; -1 for journal.log
+	src     *Source
+	conn    *streamConn
+	note    func(seq int) // moves the follower's journal pin
+	shipped int           // highest sequence the follower holds or was sent
+	tail    *fileTail     // the file being read; nil before the first step
+	cur     int           // first sequence of that file; -1 for journal.log
 }
 
 // step makes one unit of progress: pick the starting file, drain the
@@ -337,7 +343,7 @@ func (j *journalSession) advance() (bool, error) {
 // beyond where seg begins — the follower checks that against the header
 // that follows.
 func (j *journalSession) bootstrap(seg *wal.JournalSegment, h wal.JournalSegmentHeader) error {
-	j.src.cfg.Registry.NoteJournal(j.followerID, h.FirstSeq-1)
+	j.note(h.FirstSeq - 1)
 	if _, err := os.Stat(seg.Path); err != nil {
 		return fmt.Errorf("replica: journal segment %s was dropped before it could be pinned", seg.Path)
 	}
@@ -514,11 +520,7 @@ func ShipWALOnce(dir string, bootID string, from int, w io.Writer) (next int, er
 		return from, err
 	}
 	sess := &walSession{dir: dir, conn: conn, next: from}
-	defer func() {
-		if sess.tail != nil {
-			sess.tail.close()
-		}
-	}()
+	defer func() { sess.tail.close() }()
 	for {
 		progress, err := sess.step()
 		if err != nil {

@@ -334,8 +334,8 @@ func writeEntries(w http.ResponseWriter, head string, entries []*streamEntry, wi
 // ?replay=<n> (the last n ring entries) before going live. Each client
 // gets a bounded buffer; one that stops reading is evicted rather than
 // backpressuring the ingest path, and reconnects from its last seen id.
-// Deliberately not wrapped in the request timeout: the stream lives
-// until the client leaves or the server drains.
+// Deliberately not wrapped in the request timeout: the stream ends on
+// its streamContext, when the client leaves or Shutdown begins.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -356,6 +356,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
+	ctx, release := s.streamContext(r)
+	defer release()
 	c, backlog := s.hub.subscribe(after, replay)
 	defer s.hub.unsubscribe(c)
 	for _, e := range backlog {
@@ -384,9 +386,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.closing:
+		case <-ctx.Done():
 			return
 		}
 	}

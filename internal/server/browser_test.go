@@ -451,7 +451,7 @@ func TestEventsPaginationBounded(t *testing.T) {
 			End: t0.Add(time.Duration(i+1) * time.Second)})
 	}
 	st.Add(event.Instance{Name: "other", Start: t0, End: t0.Add(time.Second)})
-	s := &Server{st: st, closing: make(chan struct{})}
+	s := &Server{st: st, life: context.Background()}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -74,10 +74,8 @@ func (s *Server) dispatch(ctx context.Context, t task) taskResult {
 func (s *Server) admit(t *task) (*batch, taskResult) {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
-	select {
-	case <-s.closing:
+	if s.life.Err() != nil {
 		return nil, errResult(http.StatusServiceUnavailable, "server is shutting down")
-	default:
 	}
 	switch t.kind {
 	case wal.JournalFeedKind:

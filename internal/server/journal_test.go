@@ -707,7 +707,7 @@ func TestCheckpointAloneHoldsTheStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	prim.replReg.Attach("parked")             // no unlink under the copy below
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
@@ -772,7 +772,7 @@ func TestOneFsyncPerCommitGroup(t *testing.T) {
 	}
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	w0 := wfsyncs.Value()
 	loadAndFinalize(t, ts, b)
 	k := newTickStream(t, ts, b, time.Second)

@@ -264,8 +264,6 @@ func TestEventRecordsInJournalHead(t *testing.T) {
 	}
 
 	digest, events := wal.StoreDigest(s.Store()), s.Store().Len()
-	// Shutdown first: it ends the replication streams, which otherwise
-	// notice a follower gone only at a heartbeat, and ts.Close waits on them.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

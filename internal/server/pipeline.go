@@ -61,6 +61,7 @@ package server
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -324,7 +325,9 @@ type Server struct {
 	replSrc  *replica.Source
 	follower atomic.Pointer[followerState]
 
-	closing  chan struct{}
+	// life ends when Shutdown begins (see streamContext, admit, lead).
+	life     context.Context
+	shutdown context.CancelFunc
 	httpSrv  *http.Server
 	recovery RecoveryInfo
 }
@@ -506,11 +509,9 @@ func Open(cfg Config) (*Server, error) {
 // refuses.
 func (s *Server) lead(fs *followerState) error {
 	s.dispatchMu.Lock()
-	select {
-	case <-s.closing:
+	if s.life.Err() != nil {
 		s.dispatchMu.Unlock()
 		return fmt.Errorf("server is shutting down")
-	default:
 	}
 	if fs != nil {
 		// Durable before the node acts as a primary: a marker a power cut
@@ -563,9 +564,9 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 		roll:     rollup.New(rollup.Config{}),
 		hub:      newSSEHub(),
 		seq:      rep.maxSeq + 1,
-		closing:  make(chan struct{}),
 		recovery: rep.info,
 	}
+	s.life, s.shutdown = context.WithCancel(context.Background())
 	s.pinCap.Store(journalPinCap)
 	s.recovery.Batches, s.recovery.Finalized = rep.batches, rep.finalized
 	s.recovery.Events = st.Len()

@@ -90,7 +90,7 @@ func TestPromoteKeepsStream(t *testing.T) {
 	prim := openServer(t, t.TempDir(), b)
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	loadAndFinalize(t, ts, b)
 	foll, err := Open(Config{DataDir: t.TempDir(), Bundle: b, ReplicaOf: ts.URL})
 	if err != nil {
@@ -187,7 +187,7 @@ func TestPromoteRacesShutdown(t *testing.T) {
 	prim := openServer(t, t.TempDir(), b)
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	loadAndFinalize(t, ts, b)
 	if code, body := postLifecycleBatch(t, ts, 0, lifecycleBatches(b)[0]); code != http.StatusOK {
 		t.Fatalf("event batch: %d %s", code, body)
@@ -280,7 +280,7 @@ func silentFollower(t *testing.T) (foll *Server, release func()) {
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	t.Cleanup(func() { prim.Shutdown(context.Background()) }) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	t.Cleanup(func() { prim.Shutdown(context.Background()) }) //nolint:errcheck // test teardown
 	t.Cleanup(func() { g.set(false) })                        // runs first: a held stream must end before the primary's Shutdown waits on it
 	loadAndFinalize(t, ts, b)
 	if code, body := postLifecycleBatch(t, ts, 0, lifecycleBatches(b)[0]); code != http.StatusOK {

@@ -1155,7 +1155,7 @@ func TestFollowerJournalBounded(t *testing.T) {
 	}
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	loadAndFinalize(t, ts, b)
 
 	follDir := t.TempDir()
@@ -1280,7 +1280,7 @@ func TestMixedVersionPeersRefused(t *testing.T) {
 	prim := openServer(t, t.TempDir(), b)
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	resp, err := http.Get(ts.URL + "/v1/replication/journal?id=v4&from=-1")
 	if err != nil {
 		t.Fatal(err)
@@ -1300,7 +1300,7 @@ func TestJournalCursorBelowFresh(t *testing.T) {
 	prim := openServer(t, t.TempDir(), b)
 	ts := httptest.NewServer(prim.Handler())
 	defer ts.Close()
-	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown; ends the stream ahead of ts.Close
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
 	for _, from := range []string{"-2", "-9223372036854775808"} {
 		resp, err := http.Get(ts.URL + "/v1/replication/journal?id=bad&from=" + from)
 		if err != nil {
@@ -1325,5 +1325,52 @@ func TestJournalCursorBelowFresh(t *testing.T) {
 	first, err := wal.NewFrameReader(resp.Body).Next()
 	if resp.StatusCode != http.StatusOK || err != nil || len(first) < 1 || first[0] != replica.MsgHello {
 		t.Fatalf("from=-1: %d, first frame %v (%v); want a hello", resp.StatusCode, first, err)
+	}
+}
+
+// TestDepartedFollowerDetached: a follower that closes its journal stream,
+// the primary still up, reads as disconnected within two journal polls
+// (50 ms each) — its stream ends on the request's context, not at the next
+// write that fails — and its pin's grace clock starts at the close, not
+// at the stream's last shipment.
+func TestDepartedFollowerDetached(t *testing.T) {
+	_, b := testBundle(t)
+	prim := openServer(t, t.TempDir(), b)
+	ts := httptest.NewServer(prim.Handler())
+	defer ts.Close()
+	defer prim.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	resp, err := http.Get(ts.URL + "/v1/replication/journal?id=gone&from=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := wal.NewFrameReader(resp.Body).Next(); err != nil || len(first) < 1 || first[0] != replica.MsgHello {
+		t.Fatalf("first frame %v (%v); want a hello", first, err)
+	}
+	status := func() replica.FollowerStatus {
+		t.Helper()
+		code, body := get(t, ts, "/v1/replication/status")
+		var rs ReplicationStatusJSON
+		if err := json.Unmarshal(body, &rs); err != nil || code != http.StatusOK || len(rs.Followers) != 1 {
+			t.Fatalf("replication status: %d %s (%v), want one follower", code, body, err)
+		}
+		return rs.Followers[0]
+	}
+	if f := status(); !f.Connected {
+		t.Fatalf("the streaming follower reads %+v, want connected", f)
+	}
+	time.Sleep(200 * time.Millisecond) // an idle stream: the grace clock would run from here
+
+	closed := time.Now()
+	resp.Body.Close()
+	f := status()
+	for f.Connected && time.Since(closed) < 100*time.Millisecond {
+		time.Sleep(2 * time.Millisecond)
+		f = status()
+	}
+	if f.Connected {
+		t.Fatalf("%v after the follower closed its stream it reads %+v, want disconnected", time.Since(closed), f)
+	}
+	if since := time.Since(closed).Seconds(); f.IdleSecs > since {
+		t.Fatalf("the departed follower has been idle %.3f s by its row, but closed its stream %.3f s ago: the grace clock did not start at the close", f.IdleSecs, since)
 	}
 }

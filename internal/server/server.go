@@ -443,23 +443,32 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// streamContext is what a long-lived stream (SSE, a follower's journal)
+// ends on: its request's context, which net/http cancels when the client
+// leaves, cancelled also, with a cause of its own, when Shutdown begins.
+func (s *Server) streamContext(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancelCause(r.Context())
+	stop := context.AfterFunc(s.life, func() { cancel(errors.New("server shutting down")) })
+	return ctx, func() { stop(); cancel(nil) }
+}
+
 // Shutdown drains gracefully: stop accepting work, let in-flight requests
 // finish, drain the commit pipeline (a follower: seal the stream),
 // force-drain the streaming processor, roll and checkpoint, drop the
 // journal segments that covers, and close the journal. Safe to call once;
 // the ctx bounds the HTTP drain.
 func (s *Server) Shutdown(ctx context.Context) error {
-	close(s.closing)
+	s.shutdown()
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	// The role is decided under dispatchMu, behind closing: a promotion
-	// that has not switched it yet now refuses to (lead). Closing the queue
-	// there excludes in-flight dispatchers: anyone who passed the closing
-	// check has finished enqueueing before we close, anyone after sees
-	// closing first. The applier then closes the observer's inbox behind
-	// its last group.
+	// The role is decided under dispatchMu, behind the ended lifetime: a
+	// promotion that has not switched it yet now refuses to (lead). Closing
+	// the queue there excludes in-flight dispatchers: anyone who found the
+	// lifetime live has finished enqueueing before we close, anyone after
+	// finds it ended first. The applier then closes the observer's inbox
+	// behind its last group.
 	s.dispatchMu.Lock()
 	fs := s.follower.Load()
 	if fs == nil {

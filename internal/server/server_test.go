@@ -460,7 +460,7 @@ func TestBackpressure429(t *testing.T) {
 				st:       store.New(),
 				queue:    make(chan *batch, inflight),
 				observeQ: make(chan *batch, inflight),
-				closing:  make(chan struct{}),
+				life:     context.Background(),
 			}
 			for j := 0; j < inflight; j++ {
 				s.queue <- &batch{}

@@ -121,7 +121,7 @@ func oracleRecent(first int64, xs []streamed, last int64) *httptest.ResponseReco
 // hubServer is a Server with a fresh hub and nothing else: all that
 // /v1/stream and /v1/recent read.
 func hubServer() *Server {
-	return &Server{hub: newSSEHub(), closing: make(chan struct{})}
+	return &Server{hub: newSSEHub(), life: context.Background()}
 }
 
 // streamServer serves a hubServer over HTTP.

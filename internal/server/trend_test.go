@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -24,7 +25,7 @@ import (
 func trendServer(st *store.Memory) *Server {
 	return &Server{
 		st: st, roll: rollup.New(rollup.Config{}),
-		hub: newSSEHub(), closing: make(chan struct{}),
+		hub: newSSEHub(), life: context.Background(),
 	}
 }
 
