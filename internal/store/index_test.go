@@ -49,8 +49,9 @@ func FuzzNameIndex(f *testing.F) {
 	})
 }
 
-// playIndexOps plays a sequence of Puts (in order, late, and with tied
-// Starts), EvictBefores, Queries and Alls on two names of one store,
+// playIndexOps plays a sequence of Puts (in order, late, with tied
+// Starts, instants and intervals, so that a chunk maps its durations
+// partway), EvictBefores, Queries and Alls on two names of one store,
 // against a reference that stable-sorts each name's instances in
 // insertion order, and fails on the first read that differs from it, or
 // on an eviction that settles. more says whether another op follows, and
@@ -91,7 +92,13 @@ func playIndexOps(t *testing.T, label string, more func() bool, draw func(n int)
 			}
 			in := event.Instance{Name: name, Loc: locus.At(locus.Router, "r"),
 				Start: t0.Add(time.Duration(at) * time.Second)}
-			in.End = in.Start.Add(time.Duration(draw(90)) * time.Second)
+			// Half the choices an instant, the rest up to 89 s long, so
+			// that chunks hold both.
+			if d := draw(180); d < 90 {
+				in.End = in.Start.Add(time.Duration(d) * time.Second)
+			} else {
+				in.End = in.Start
+			}
 			ref[name] = append(ref[name], s.Add(in))
 		case op < 16:
 			same("All", s.All(name), sorted(name))
@@ -162,18 +169,22 @@ func TestSettleAllocatesNothing(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(tail)))
 		n := prefix + tail
 		starts, rows := make([]int64, n), make([]row, n)
+		chunks := make([]*chunk, (n+chunkMask)/chunkSize)
+		for i := range chunks {
+			chunks[i] = new(chunk)
+		}
 		for i := range starts {
 			starts[i], rows[i] = int64(i/3), row(i) // runs of ties
 			if i >= prefix {
 				starts[i] = rng.Int63n(prefix / 3) // late, tied with prefix rows
 			}
+			chunks[i>>chunkBits][i&chunkMask].start = starts[i]
 		}
-		idx := nameIndex{starts: make([]int64, n), rows: make([]row, n)}
+		idx := nameIndex{rows: make([]row, n)}
 		allocs := testing.AllocsPerRun(3, func() {
-			copy(idx.starts, starts)
 			copy(idx.rows, rows)
 			idx.sorted = prefix
-			idx.settle()
+			idx.settle(chunks)
 		})
 		if allocs != 0 {
 			t.Errorf("a settle of %d tail rows behind %d allocates %.0f times", tail, prefix, allocs)
@@ -184,8 +195,8 @@ func TestSettleAllocatesNothing(t *testing.T) {
 		}
 		sort.SliceStable(want, func(i, j int) bool { return starts[want[i]] < starts[want[j]] })
 		for i, w := range want {
-			if idx.rows[i] != row(w) || idx.starts[i] != starts[w] {
-				t.Fatalf("tail %d: position %d holds row %d at %d, the stable sort row %d at %d", tail, i, idx.rows[i], idx.starts[i], w, starts[w])
+			if r := idx.rows[i]; r != row(w) {
+				t.Fatalf("tail %d: position %d holds row %d at %d, the stable sort row %d at %d", tail, i, r, starts[r], w, starts[w])
 			}
 		}
 		if !idx.settled() {
@@ -270,6 +281,29 @@ func BenchmarkQueryAfterOutOfOrderPut(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryRandomWindow is the query path alone on a settled index
+// of 1e6 instants, one a second: each operation queries a 60 s window at
+// a random place, so its binary search runs cold, reading each probe's
+// start from its slot, where QueryAfterOutOfOrderPut's stays at the
+// index's cache-hot end.
+func BenchmarkQueryRandomWindow(b *testing.B) {
+	const n = 1e6
+	loc := locus.At(locus.Router, "r")
+	s := New()
+	for i := 0; i < n; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		s.Add(event.Instance{Name: "e", Start: at, End: at, Loc: loc})
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := t0.Add(time.Duration(rng.Intn(n-60)) * time.Second)
+		if got := s.Query("e", from, from.Add(59*time.Second)); len(got) != 60 {
+			b.Fatalf("window holds %d events", len(got))
+		}
+	}
+}
+
 // BenchmarkStoreHeapPerEvent reports what a stored event costs, heap and
 // mapped pages together (B/event) and the heap's share (heapB/event), for
 // events shaped like the generated corpus's (corpusShaped; `go run
@@ -301,7 +335,7 @@ func TestReadAllocations(t *testing.T) {
 	if idx.settled() {
 		t.Fatal("late adds left the index settled")
 	}
-	starts, rows, sorted := append([]int64(nil), idx.starts...), append([]row(nil), idx.rows...), idx.sorted
+	rows, sorted := append([]row(nil), idx.rows...), idx.sorted
 	from, to := t0, t0.Add(time.Hour)
 	counts := make([]int, 4)
 	reads := []struct {
@@ -323,7 +357,6 @@ func TestReadAllocations(t *testing.T) {
 		for _, settled := range []bool{true, false} {
 			unsettle := func() {
 				if !settled {
-					copy(idx.starts, starts)
 					copy(idx.rows, rows)
 					idx.sorted = sorted
 				}

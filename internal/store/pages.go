@@ -10,10 +10,10 @@ import (
 	"grca/internal/obs"
 )
 
-// The store's pointer-free memory — the slot chunks, their attribute
-// columns and every name index's columns — lives in pages mapped outside
-// the Go heap (pages_linux.go; elsewhere pages_other.go falls back to the
-// heap). The collector neither scans nor counts those pages, so a stored
+// The store's pointer-free memory — the slot chunks, their duration and
+// attribute columns and every name index's rows — lives in pages mapped
+// outside the Go heap (pages_linux.go; elsewhere pages_other.go falls
+// back to the heap). The collector neither scans nor counts those pages, so a stored
 // byte costs one byte of RSS instead of the two GOGC's headroom makes of
 // a heap byte. This file is the only place that turns mapped bytes into typed
 // memory: what it hands out holds no Go pointer
@@ -95,14 +95,15 @@ func (a *arena) freeAll() {
 	a.slabs = 0
 }
 
-// newMapped maps one zeroed T: a chunk of empty slots, or a chunk's
-// attribute column with no row pointing anywhere.
-func newMapped[T chunk | attrColumn](a *arena) *T {
+// newMapped maps one zeroed T: a chunk of empty slots, a chunk's
+// durations, all 0, or its attribute column with no row pointing
+// anywhere.
+func newMapped[T chunk | durColumn | attrColumn](a *arena) *T {
 	var zero T
 	return (*T)(unsafe.Pointer(&a.alloc(int(unsafe.Sizeof(zero)))[0]))
 }
 
-func freeMapped[T chunk | attrColumn](a *arena, p *T) { a.free((*byte)(unsafe.Pointer(p))) }
+func freeMapped[T chunk | durColumn | attrColumn](a *arena, p *T) { a.free((*byte)(unsafe.Pointer(p))) }
 
 // newSlab allocates an empty attribute slab of capacity n on the heap.
 func (a *arena) newSlab(n int) []byte {
@@ -125,25 +126,22 @@ func (a *arena) dropSlabs(slabs [][]byte) {
 // view is b as a string, without a copy: b must never be written again.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// columnEntry is what one row costs a name index: its start and its row,
-// in two columns that share one mapping, starts first.
-const columnEntry = int(unsafe.Sizeof(int64(0)) + unsafe.Sizeof(row(0)))
+// columnEntry is what one row costs a name index: the row alone, whose
+// start its slot holds.
+const columnEntry = int(unsafe.Sizeof(row(0)))
 
 // growColumns is the one way a name index gains room: it maps a page, or
 // a quarter more than the index holds (the runtime's own growth for a
 // large slice, so the slack a column carries is what it was on the
-// heap), moves both columns over and unmaps the old mapping. Nothing
-// appends to a column, which would move it to the heap.
+// heap), moves the rows over and unmaps the old mapping. Nothing appends
+// to the column, which would move it to the heap.
 func (a *arena) growColumns(idx *nameIndex) {
 	b := a.alloc(max(pageSize, cap(idx.rows)*columnEntry*5/4))
-	n := len(b) / columnEntry
-	starts := unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	rows := unsafe.Slice((*row)(unsafe.Pointer(&b[n*int(unsafe.Sizeof(int64(0)))])), n)
+	rows := unsafe.Slice((*row)(unsafe.Pointer(&b[0])), len(b)/columnEntry)
 	k := len(idx.rows)
-	move(starts, idx.starts)
 	move(rows, idx.rows)
 	a.freeColumns(idx)
-	idx.starts, idx.rows = starts[:k], rows[:k]
+	idx.rows = rows[:k]
 }
 
 // moveStep is how many bytes of a column move copies before it hands
@@ -154,13 +152,12 @@ const moveStep = 1 << 20
 // each stretch once it is copied, so that a column being grown never
 // holds its pages twice over: with one name, that would be most of the
 // store's peak RSS.
-func move[T int64 | row](dst, src []T) {
-	var zero T
-	size := int(unsafe.Sizeof(zero))
-	for off := 0; off < len(src); off += moveStep / size {
-		end := min(off+moveStep/size, len(src))
+func move(dst, src []row) {
+	const step = moveStep / columnEntry
+	for off := 0; off < len(src); off += step {
+		end := min(off+step, len(src))
 		copy(dst[off:end], src[off:end])
-		release(unsafe.Slice((*byte)(unsafe.Pointer(&src[off])), (end-off)*size))
+		release(unsafe.Slice((*byte)(unsafe.Pointer(&src[off])), (end-off)*columnEntry))
 	}
 }
 
@@ -174,10 +171,10 @@ func release(b []byte) {
 	}
 }
 
-// freeColumns unmaps a name index's columns, leaving it empty.
+// freeColumns unmaps a name index's rows, leaving it empty.
 func (a *arena) freeColumns(idx *nameIndex) {
-	if cap(idx.starts) > 0 {
-		a.free((*byte)(unsafe.Pointer(unsafe.SliceData(idx.starts))))
+	if cap(idx.rows) > 0 {
+		a.free((*byte)(unsafe.Pointer(unsafe.SliceData(idx.rows))))
 	}
-	idx.starts, idx.rows = nil, nil
+	idx.rows = nil
 }

@@ -39,14 +39,22 @@ func mappedBy(s *Memory) int64 {
 	return int64(n)
 }
 
-// fillStore adds n events under three names, one an hour apart each.
+// fillStore adds n events under three names, one an hour apart each;
+// those of e2 last a minute, so every chunk maps durations.
 func fillStore(s *Memory, n int) {
 	loc := locus.At(locus.Router, "r")
 	for j := 0; j < n; j++ {
 		at := t0.Add(time.Duration(j) * time.Hour)
-		s.Add(event.Instance{Name: fmt.Sprintf("e%d", j%3), Start: at, End: at, Loc: loc})
+		in := event.Instance{Name: fmt.Sprintf("e%d", j%3), Start: at, End: at, Loc: loc}
+		if j%3 == 2 {
+			in.End = at.Add(time.Minute)
+		}
+		s.Add(in)
 	}
 }
+
+// chunkBytes is what a chunk of slots maps with its duration column.
+const chunkBytes = int64(unsafe.Sizeof(chunk{}) + unsafe.Sizeof(durColumn{}))
 
 // TestPagesReleased: what a store maps comes back — when eviction
 // empties it, when a checkpoint install (Replace, over a restored one) takes
@@ -58,7 +66,7 @@ func TestPagesReleased(t *testing.T) {
 
 	s := New()
 	fillStore(s, 3*chunkSize)
-	if mappedBy(s) < 3*int64(unsafe.Sizeof(chunk{})) {
+	if mappedBy(s) < 3*chunkBytes {
 		t.Fatalf("a store of 3 chunks' events maps %d bytes", mappedBy(s))
 	}
 	s.EvictBefore(event.MaxTime)
@@ -96,7 +104,7 @@ func TestPagesReleased(t *testing.T) {
 		fillStore(d, 100)
 		made += mappedBy(d)
 	}
-	if made < 200*int64(unsafe.Sizeof(chunk{})) {
+	if made < 200*chunkBytes {
 		t.Fatalf("200 filled stores mapped %d bytes", made)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -112,9 +120,9 @@ func TestPagesReleased(t *testing.T) {
 }
 
 // TestMappedTypesPointerFree: everything the store places in mapped
-// memory — a chunk of slots, a chunk's attribute column, and the element
-// types of a name index's columns — holds no Go pointer, so the collector
-// never needs to see it.
+// memory — a chunk of slots, a chunk's duration and attribute columns, and
+// a name index's rows — holds no Go pointer, so the collector never needs
+// to see it.
 func TestMappedTypesPointerFree(t *testing.T) {
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(ty reflect.Type) bool {
@@ -135,11 +143,9 @@ func TestMappedTypesPointerFree(t *testing.T) {
 		}
 		return false
 	}
-	idx := reflect.TypeOf(nameIndex{})
-	starts, _ := idx.FieldByName("starts")
-	rows, _ := idx.FieldByName("rows")
-	for _, ty := range []reflect.Type{reflect.TypeOf((*chunk)(nil)).Elem(), reflect.TypeOf((*attrColumn)(nil)).Elem(),
-		starts.Type.Elem(), rows.Type.Elem()} {
+	rows, _ := reflect.TypeOf(nameIndex{}).FieldByName("rows")
+	for _, ty := range []reflect.Type{reflect.TypeOf((*chunk)(nil)).Elem(), reflect.TypeOf((*durColumn)(nil)).Elem(),
+		reflect.TypeOf((*attrColumn)(nil)).Elem(), rows.Type.Elem()} {
 		if !pointerFree(ty) {
 			t.Errorf("%v is placed in mapped memory but holds a pointer", ty)
 		}
@@ -150,11 +156,11 @@ func TestMappedTypesPointerFree(t *testing.T) {
 }
 
 // checkMappings holds the arena against the store: every chunk, every
-// chunk's attribute column and every name index's two columns lie inside
-// mappings the arena owns — the index columns inside one, at their full
-// capacity — and the arena owns nothing else, so nothing leaked and
-// nothing was moved to the heap by an append. The arena counts the bytes
-// of exactly the slabs the store references.
+// chunk's duration and attribute columns and every name index's rows lie
+// inside mappings the arena owns — the rows at their full capacity — and
+// the arena owns nothing else, so nothing leaked and nothing was moved to
+// the heap by an append. An empty row of a chunk with durations reads 0.
+// The arena counts the bytes of exactly the slabs the store references.
 func checkMappings(t *testing.T, s *Memory) {
 	t.Helper()
 	type span struct{ lo, hi uintptr }
@@ -179,6 +185,24 @@ func checkMappings(t *testing.T, s *Memory) {
 			used[inside(fmt.Sprintf("chunk %d", i), span{p, p + unsafe.Sizeof(*c)})] = true
 		}
 	}
+	if len(s.durs) != len(s.chunks) || len(s.attrs) != len(s.chunks) {
+		t.Fatalf("%d chunks beside %d duration and %d attribute columns", len(s.chunks), len(s.durs), len(s.attrs))
+	}
+	for i, d := range s.durs {
+		if d == nil {
+			continue
+		}
+		if s.chunks[i] == nil {
+			t.Fatalf("chunk %d holds durations and no slots", i)
+		}
+		for j, sl := range s.chunks[i] {
+			if sl.name == 0 && d[j] != 0 {
+				t.Fatalf("the empty row %d of chunk %d keeps a duration of %d", j, i, d[j])
+			}
+		}
+		p := uintptr(unsafe.Pointer(d))
+		used[inside(fmt.Sprintf("duration column %d", i), span{p, p + unsafe.Sizeof(*d)})] = true
+	}
 	slabs := 0
 	for i, ac := range s.attrs {
 		if ac.col == nil {
@@ -198,16 +222,11 @@ func checkMappings(t *testing.T, s *Memory) {
 	}
 	for name, id := range s.nameIDs {
 		idx := &s.names[id].idx
-		if cap(idx.starts) != cap(idx.rows) || cap(idx.rows) == 0 {
-			t.Fatalf("name %q holds columns of capacity %d and %d", name, cap(idx.starts), cap(idx.rows))
+		if cap(idx.rows) == 0 {
+			t.Fatalf("name %q holds no rows", name)
 		}
-		p := uintptr(unsafe.Pointer(unsafe.SliceData(idx.starts)))
-		q := uintptr(unsafe.Pointer(unsafe.SliceData(idx.rows)))
-		lo := inside(name+" starts", span{p, p + uintptr(cap(idx.starts))*unsafe.Sizeof(int64(0))})
-		if inside(name+" rows", span{q, q + uintptr(cap(idx.rows))*unsafe.Sizeof(row(0))}) != lo {
-			t.Fatalf("name %q keeps its columns in two mappings", name)
-		}
-		used[lo] = true
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(idx.rows)))
+		used[inside(name+" rows", span{p, p + uintptr(cap(idx.rows))*unsafe.Sizeof(row(0))})] = true
 	}
 	if len(used) != len(owned) {
 		t.Fatalf("the arena holds %d mappings, the store references %d", len(owned), len(used))

@@ -15,15 +15,19 @@ import (
 	"grca/internal/locus"
 )
 
-// TestSlotSize pins the row: a 24-byte slot without a pointer in it — so
+// TestSlotSize pins the row: a 16-byte slot without a pointer in it — so
 // that the collector never scans the chunks — beside a 4-byte attribute
-// column entry, 28 bytes an event.
+// column entry, 20 bytes an event, and an 8-byte duration for a chunk
+// that holds an interval.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 24 {
-		t.Errorf("slot is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(slot{}); got != 16 {
+		t.Errorf("slot is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(slot{}) + unsafe.Sizeof(attrColumn{})/chunkSize; got != 28 {
-		t.Errorf("a row with its attribute reference is %d bytes, want 28", got)
+	if got := unsafe.Sizeof(slot{}) + unsafe.Sizeof(attrColumn{})/chunkSize; got != 20 {
+		t.Errorf("a row with its attribute reference is %d bytes, want 20", got)
+	}
+	if got := unsafe.Sizeof(durColumn{}) / chunkSize; got != 8 {
+		t.Errorf("a row's duration is %d bytes, want 8", got)
 	}
 	st := reflect.TypeOf(slot{})
 	for i := 0; i < st.NumField(); i++ {
@@ -75,24 +79,44 @@ func sameInstance(a, b *event.Instance) bool {
 // and non-empty attributes and locations of one and two parts, and every
 // instant comes back in UTC. Every event of the third chunk has
 // attributes and none of the fourth, so the reads cross from a chunk with
-// an attribute column to one without.
+// an attribute column to one without. The fifth chunk holds only
+// instants, so it maps no durations, and the sixth the longest span
+// there is, MinTime to MaxTime, and spans of 0 at both edges; a window in
+// between finds the long one, which starts 2^63 ns and more before it.
 func TestSlotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := New()
 	want := map[int]event.Instance{}
-	for id := 0; id < 4*chunkSize; id += 1 + rng.Intn(3) {
+	put := func(in event.Instance) {
+		t.Helper()
+		if _, err := s.Put(in); err != nil {
+			t.Fatal(err)
+		}
+		want[in.ID] = in
+	}
+	for id := 0; id < 5*chunkSize; id += 1 + rng.Intn(3) {
 		in := randomInstance(rng)
 		switch id / chunkSize {
 		case 2:
 			in.Attrs = event.NewAttrs(map[string]string{"id": fmt.Sprint(id)})
 		case 3:
 			in.Attrs = event.Attrs{}
+		case 4:
+			in.End = in.Start
 		}
 		in.ID = id
-		if _, err := s.Put(in); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = in
+		put(in)
+	}
+	loc := locus.At(locus.Router, "r")
+	for i, span := range [][2]time.Time{{event.MinTime, event.MaxTime}, {event.MinTime, event.MinTime},
+		{event.MaxTime, event.MaxTime}, {t0, t0}} {
+		put(event.Instance{ID: 5*chunkSize + i, Name: "edge", Start: span[0], End: span[1], Loc: loc})
+	}
+	if s.durs[4] != nil || s.durs[5] == nil {
+		t.Fatalf("the chunk of instants maps durations: %v; the chunk of the longest span: %v", s.durs[4] != nil, s.durs[5] != nil)
+	}
+	if got := s.Query("edge", t0.Add(time.Hour), t0.Add(2*time.Hour)); len(got) != 1 || got[0].ID != 5*chunkSize {
+		t.Fatalf("a window inside the longest span found %d events, want it alone", len(got))
 	}
 	check := func(what string, got *event.Instance) {
 		t.Helper()
@@ -367,16 +391,114 @@ func rowBytes(n int) (heap, mapped float64) {
 	return float64(ms[1].HeapAlloc-ms[0].HeapAlloc) / float64(n), float64(mappedBy(s)) / float64(n)
 }
 
+// TestDurationsMappedMidChunk: a chunk maps its durations at its first
+// interval, however many instants it already holds, and those instants,
+// the interval and the instants after it each read back their own End
+// through every read.
+func TestDurationsMappedMidChunk(t *testing.T) {
+	s := New()
+	loc := locus.At(locus.Router, "r")
+	for m := 0; m < 100; m++ {
+		s.Add(mk("e", m, 0, loc))
+	}
+	if s.durs[0] != nil {
+		t.Fatal("a chunk of instants maps durations")
+	}
+	long := s.Add(mk("e", 100, 30, loc))
+	if s.durs[0] == nil {
+		t.Fatal("the chunk's first interval mapped no durations")
+	}
+	for m := 101; m < 200; m++ {
+		s.Add(mk("e", m, 0, loc))
+	}
+	checkMappings(t, s)
+	wantEnd := func(in *event.Instance) time.Time {
+		if in.ID == long.ID {
+			return long.End
+		}
+		return in.Start
+	}
+	for id := 0; id < 200; id++ {
+		if in, ok := s.Get(id); !ok || !in.End.Equal(wantEnd(in)) {
+			t.Fatalf("Get(%d) = %+v, want End %v", id, in, wantEnd(in))
+		}
+	}
+	for _, in := range s.All("e") {
+		if !in.End.Equal(wantEnd(in)) {
+			t.Fatalf("All: ID %d ends at %v, want %v", in.ID, in.End, wantEnd(in))
+		}
+	}
+	// Minute 120 lies inside the interval alone of everything before it.
+	got := s.Query("e", t0.Add(120*time.Minute), t0.Add(120*time.Minute))
+	if len(got) != 2 || got[0].ID != long.ID || got[1].ID != 120 {
+		t.Fatalf("the query at minute 120 found %d events, want the interval and the instant there", len(got))
+	}
+}
+
+// TestEvictedIntervalLeavesNoDuration: an evicted interval's duration is
+// zeroed with its slot, so an instant put next in its chunk — under a
+// fresh ID, or at the evicted one — reads End == Start.
+func TestEvictedIntervalLeavesNoDuration(t *testing.T) {
+	s := New()
+	loc := locus.At(locus.Router, "r")
+	for _, in := range []event.Instance{mk("e", 600, 0, loc), mk("e", 0, 60, loc), mk("e", 300, 0, loc)} {
+		s.Add(in)
+	}
+	if n := s.EvictBefore(t0.Add(120 * time.Minute)); n != 1 {
+		t.Fatalf("evicted %d events, want the interval alone", n)
+	}
+	if s.durs[0] == nil || s.durs[0][1] != 0 {
+		t.Fatal("the evicted interval left its duration behind")
+	}
+	checkMappings(t, s)
+	for _, id := range []int{3, 1} {
+		in := mk("e", 400+id, 0, loc)
+		in.ID = id
+		if _, err := s.Put(in); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(id); !ok || !got.End.Equal(got.Start) {
+			t.Fatalf("the instant put at ID %d reads %+v", id, got)
+		}
+	}
+	if got := s.Query("e", t0.Add(401*time.Minute), t0.Add(403*time.Minute)); len(got) != 2 {
+		t.Fatalf("the window of the two new instants found %d events", len(got))
+	}
+	checkMappings(t, s)
+}
+
+// TestInstantRowBytes: an attribute-less instant maps its 16-byte slot
+// and its 4-byte index row, and the slack of the index's growth: at most
+// 22 bytes an event, and no duration column.
+func TestInstantRowBytes(t *testing.T) {
+	s := New()
+	loc := locus.At(locus.Router, "r")
+	const n = 200000
+	for j := 0; j < n; j++ {
+		at := t0.Add(time.Duration(j) * time.Second)
+		s.Add(event.Instance{Name: "e", Start: at, End: at, Loc: loc})
+	}
+	for i, d := range s.durs {
+		if d != nil {
+			t.Fatalf("chunk %d of instants maps durations", i)
+		}
+	}
+	if per := float64(mappedBy(s)) / n; per > 22 {
+		t.Errorf("a stored instant maps %.2f bytes, want ≤ 22", per)
+	}
+}
+
 // TestStoreBytesPerEvent is the memory gate: a corpus-shaped stored event
-// costs at most 58 bytes — slot, attribute reference, index entry and the
-// attribute section itself (72 while each section was its own string
+// costs at most 41 bytes — slot, attribute reference, index row and the
+// attribute section itself (≈ 37; 52 while the index kept a copy of each
+// start and every slot an end, 72 while each section was its own string
 // behind a 16-byte column entry, 159.9 when every event was its own
 // event.Instance) — counting the heap and the mapped pages alike, and at
 // most 16 of them are heap: only the slabs' sections are.
 func TestStoreBytesPerEvent(t *testing.T) {
 	heap, mapped := rowBytes(200000)
-	if heap+mapped > 58 {
-		t.Errorf("a stored event costs %.1f bytes (%.1f heap, %.1f mapped), want ≤ 58", heap+mapped, heap, mapped)
+	if heap+mapped > 41 {
+		t.Errorf("a stored event costs %.1f bytes (%.1f heap, %.1f mapped), want ≤ 41", heap+mapped, heap, mapped)
 	}
 	if heap > 16 {
 		t.Errorf("a stored event costs %.1f bytes of live heap, want ≤ 16", heap)

@@ -4,30 +4,34 @@
 // the access pattern of the paper's "database tables" (§II-A) without the
 // external database dependency.
 //
-// A stored event is a 24 + 4-byte row and no heap object of its own: a
-// pointer-free 24-byte slot — its two instants as int64 nanoseconds, its
-// name and location as IDs into per-store intern tables — and a 4-byte
-// reference to its attribute section, in a column beside the slots that
-// a chunk only maps once it holds an event with attributes. The sections
-// themselves are packed into the chunk's fixed-size heap slabs, which are
-// only ever appended to. Rows live in ID-indexed chunks; every read
-// materializes fresh event.Instance copies that the caller owns, so
-// identity is the ID, never the pointer — bar the attributes, which view
-// a slab's bytes, immutable once written.
+// A stored event is no heap object of its own. It is a pointer-free
+// 16-byte slot — its start as int64 nanoseconds, its name and location as
+// IDs into per-store intern tables — and a 4-byte row in its name's
+// index: 20 bytes for an instant without attributes. Two columns beside
+// the slots hold the rest, and a chunk maps each only once it needs it:
+// an 8-byte duration (End − Start) once the chunk holds an event whose
+// End is not its Start, and a 4-byte reference to an attribute section
+// once it holds one with attributes. The sections themselves are packed
+// into the chunk's fixed-size heap slabs, which are only ever appended
+// to. Rows live in ID-indexed chunks; every read materializes fresh
+// event.Instance copies that the caller owns, so identity is the ID,
+// never the pointer — bar the attributes, which view a slab's bytes,
+// immutable once written.
 //
-// Each event name keeps an index of its rows sorted by start time
-// (out-of-order arrivals wait in a tail that the next read merges in, in
-// place); a per-name maximum-duration bound turns interval-overlap
-// queries into two binary searches plus a bounded scan. Eviction filters
-// an index without merging its tail, and a restore (Replace) takes its
-// instances a batch at a time, so neither copies the store or an index
-// onto the heap.
+// Each event name keeps an index of its rows sorted by start time, read
+// from their slots (out-of-order arrivals wait in a tail that the next
+// read merges in, in place); a per-name maximum-duration bound turns
+// interval-overlap queries into a binary search, a gallop from it and a
+// bounded scan.
+// Eviction filters an index without merging its tail, and a restore
+// (Replace) takes its instances a batch at a time, so neither copies the
+// store or an index onto the heap.
 //
-// The slot chunks, the attribute columns and the index columns hold no
-// pointer, so they live outside the Go heap, in pages the store's arena
-// maps (pages.go) and alone owns: eviction and an emptied name unmap what
-// they drop, Replace (a checkpoint install) unmaps everything, and a
-// store dropped whole is unmapped by the arena's finalizer
+// The slot chunks, the duration and attribute columns and the index rows
+// hold no pointer, so they live outside the Go heap, in pages the store's
+// arena maps (pages.go) and alone owns: eviction and an emptied name
+// unmap what they drop, Replace (a checkpoint install) unmaps everything,
+// and a store dropped whole is unmapped by the arena's finalizer
 // (TestPagesReleased). No pointer into those pages leaves the package,
 // since every read copies them; a slab is dropped with its chunk, and a
 // reader still holding attributes keeps that one slab alive. The race
@@ -67,13 +71,13 @@ var (
 	mEvictions     = obs.GetCounter("store.evictions")
 )
 
-// slot is a stored event's fixed part: everything but its attributes.
-// name and loc index the store's intern tables; name 0 marks an empty
-// slot (never assigned, or evicted). It holds no pointer, so the garbage
-// collector never scans a chunk.
+// slot is a stored event's fixed part but its attributes and its
+// duration. name and loc index the store's intern tables; name 0 marks an
+// empty slot (never assigned, or evicted). It holds no pointer, so the
+// garbage collector never scans a chunk.
 type slot struct {
-	start, end int64 // Unix nanoseconds
-	name, loc  uint32
+	start     int64 // Unix nanoseconds
+	name, loc uint32
 }
 
 const (
@@ -83,6 +87,13 @@ const (
 )
 
 type chunk [chunkSize]slot
+
+// durColumn is a chunk's durations, a row each: End − Start as uint64
+// nanoseconds, modulo 2^64, so that every pair of int64 instants round-
+// trips. A chunk maps it only once it holds a row whose End is not its
+// Start; a row of a chunk without one is an instant, and so is an empty
+// row of a chunk with one (its entry is 0).
+type durColumn [chunkSize]uint64
 
 // attrColumn is a chunk's attribute references, a row each: 0 for no
 // attributes, else the slab number plus one above slabBits and the
@@ -157,74 +168,107 @@ func (ac *attrChunk) free(a *arena) {
 // rows, not IDs, at half the size; eviction rebases them when org moves.
 type row = uint32
 
-// nameIndex holds one event name's rows with their starts beside them, so
-// that sorting and searching never touch the slots. [:sorted] is in Start
-// order, equal Starts in insertion order; [sorted:] is the unsettled tail
-// — every Put since one arrived behind the prefix's last Start — in
+// nameIndex holds one event name's rows. [:sorted] is in Start order,
+// equal Starts in insertion order; [sorted:] is the unsettled tail —
+// every Put since one arrived behind the prefix's last Start — in
 // insertion order. Everything in the prefix was inserted before anything
 // in the tail, so settling is a stable sort of the tail and a merge, and
 // equals a stable sort of the whole index. Eviction drops rows from both
 // parts and keeps the order of the rest, so all three properties survive
-// it unsettled.
+// it unsettled. A row's start is read from its slot (byStart): the index
+// keeps no copy of it.
 type nameIndex struct {
-	starts []int64
 	rows   []row
 	sorted int
-	maxDur int64
+	// maxDur bounds every duration the index has held, so that a query
+	// finds an interval that starts before its window.
+	maxDur uint64
 }
 
-func (idx *nameIndex) add(a *arena, r row, sl slot) {
+func (idx *nameIndex) add(a *arena, chunks []*chunk, r row, start int64, dur uint64) {
 	n := len(idx.rows)
 	if n == cap(idx.rows) {
 		a.growColumns(idx)
 	}
-	if idx.sorted == n && (n == 0 || idx.starts[n-1] <= sl.start) {
+	if idx.sorted == n && (n == 0 || idx.by(chunks).start(n-1) <= start) {
 		idx.sorted++
 	}
-	idx.starts, idx.rows = idx.starts[:n+1], idx.rows[:n+1]
-	idx.starts[n], idx.rows[n] = sl.start, r
-	idx.maxDur = max(idx.maxDur, sl.end-sl.start)
+	idx.rows = idx.rows[:n+1]
+	idx.rows[n] = r
+	idx.maxDur = max(idx.maxDur, dur)
 }
 
 func (idx *nameIndex) settled() bool { return idx.sorted == len(idx.rows) }
+
+// by is the index's rows seen through the chunk table that holds their
+// slots.
+func (idx *nameIndex) by(chunks []*chunk) byStart { return byStart{idx.rows, chunks} }
 
 // settle merges the tail into the prefix in place, allocating nothing
 // whatever the tail's length: a stable sort of the tail, then a rotation
 // merge with the prefix rows that start after the tail's earliest — never
 // the part of the index the tail does not reach.
-func (idx *nameIndex) settle() {
+func (idx *nameIndex) settle(chunks []*chunk) {
 	if idx.settled() {
 		return
 	}
-	c := columns{idx.starts, idx.rows}
+	c := idx.by(chunks)
 	mid, n := idx.sorted, len(idx.rows)
 	c.sort(mid, n)
 	// lo is the first prefix row starting after the tail's earliest: one
 	// tied with it was inserted first, so it stays in front.
-	earliest := idx.starts[mid]
-	lo, _ := slices.BinarySearchFunc(idx.starts[:mid], earliest, func(s, t int64) int {
-		if s <= t {
-			return -1
-		}
-		return 1
-	})
+	lo := c.search(0, mid, c.start(mid), true)
 	c.merge(lo, mid, n)
 	mLazyResorts.Inc()
 	mResortMoved.Add(int64(n - lo))
 	idx.sorted = n
 }
 
-// columns is an index's two columns, permuted together. Its sort and
-// merge are stable and in place — insertion-sorted blocks merged by
-// rotation (the scheme of sort.Stable, without the interface value that
-// would cost an allocation per settle).
-type columns struct {
-	starts []int64
+// byStart is an index's rows ordered by their slots' starts, read through
+// the chunk table. A value, not a closure, so that a read or a settle
+// allocates nothing. Its sort and merge are stable and in place —
+// insertion-sorted blocks merged by rotation (the scheme of sort.Stable,
+// without the interface value that would cost an allocation per settle).
+type byStart struct {
 	rows   []row
+	chunks []*chunk
+}
+
+// start is the start of the i-th row.
+func (c byStart) start(i int) int64 {
+	r := c.rows[i]
+	return c.chunks[r>>chunkBits][r&chunkMask].start
+}
+
+// search returns the first i in [a, b) whose row starts at t or later —
+// after t, when after is set — and b when none does. [a, b) must be
+// sorted.
+func (c byStart) search(a, b int, t int64, after bool) int {
+	for a < b {
+		h := int(uint(a+b) >> 1)
+		if s := c.start(h); s < t || after && s == t {
+			a = h + 1
+		} else {
+			b = h
+		}
+	}
+	return a
+}
+
+// gallop is search(a, b, t, true) for a t whose answer lies near a: it
+// probes a, a+1, a+3, a+7, … until a row starts after t, then searches
+// the last stretch, so a short window reads only the rows and slots
+// around a, which its first binary search has just brought in.
+func (c byStart) gallop(a, b int, t int64) int {
+	hi := a
+	for step := 1; hi < b && c.start(hi) <= t; step *= 2 {
+		a, hi = hi+1, hi+step
+	}
+	return c.search(a, min(hi, b), t, true)
 }
 
 // sort stable-sorts [a, b) by start.
-func (c columns) sort(a, b int) {
+func (c byStart) sort(a, b int) {
 	const block = 20
 	for i := a; i < b; i += block {
 		c.insertionSort(i, min(i+block, b))
@@ -236,34 +280,32 @@ func (c columns) sort(a, b int) {
 	}
 }
 
-func (c columns) insertionSort(a, b int) {
+func (c byStart) insertionSort(a, b int) {
 	for i := a + 1; i < b; i++ {
-		s, r := c.starts[i], c.rows[i]
+		r, s := c.rows[i], c.start(i)
 		j := i
-		for ; j > a && c.starts[j-1] > s; j-- {
-			c.starts[j], c.rows[j] = c.starts[j-1], c.rows[j-1]
+		for ; j > a && c.start(j-1) > s; j-- {
+			c.rows[j] = c.rows[j-1]
 		}
-		c.starts[j], c.rows[j] = s, r
+		c.rows[j] = r
 	}
 }
 
 // merge merges the sorted runs [a, m) and [m, b) stably: SymMerge (Kim and
 // Kutzner), which splits both runs around a rotation and recurses on the
 // halves, and moves a lone element straight to its place.
-func (c columns) merge(a, m, b int) {
-	if a >= m || m >= b || c.starts[m-1] <= c.starts[m] {
+func (c byStart) merge(a, m, b int) {
+	if a >= m || m >= b || c.start(m-1) <= c.start(m) {
 		return // a run empty, or the two already in order
 	}
 	if m-a == 1 {
 		// The first row of [m, b) not before row a: a goes just before it.
-		i := m + sort.Search(b-m, func(k int) bool { return c.starts[m+k] >= c.starts[a] })
-		c.rotate(a, m, i)
+		c.rotate(a, m, c.search(m, b, c.start(a), false))
 		return
 	}
 	if b-m == 1 {
 		// The first row of [a, m) after row m: m goes just before it.
-		i := a + sort.Search(m-a, func(k int) bool { return c.starts[a+k] > c.starts[m] })
-		c.rotate(i, m, b)
+		c.rotate(c.search(a, m, c.start(m), true), m, b)
 		return
 	}
 	mid := int(uint(a+b) >> 1)
@@ -276,7 +318,7 @@ func (c columns) merge(a, m, b int) {
 	}
 	for p := n - 1; start < r; {
 		h := int(uint(start+r) >> 1)
-		if c.starts[p-h] >= c.starts[h] {
+		if c.start(p-h) >= c.start(h) {
 			start = h + 1
 		} else {
 			r = h
@@ -289,17 +331,13 @@ func (c columns) merge(a, m, b int) {
 }
 
 // rotate swaps the blocks [a, m) and [m, b).
-func (c columns) rotate(a, m, b int) {
+func (c byStart) rotate(a, m, b int) {
 	if a >= m || m >= b {
 		return
 	}
-	reverse := func(i, j int) {
-		slices.Reverse(c.starts[i:j])
-		slices.Reverse(c.rows[i:j])
-	}
-	reverse(a, m)
-	reverse(m, b)
-	reverse(a, b)
+	slices.Reverse(c.rows[a:m])
+	slices.Reverse(c.rows[m:b])
+	slices.Reverse(c.rows[a:b])
 }
 
 // nameEntry is one interned event name. It lives exactly as long as its
@@ -325,13 +363,15 @@ type locEntry struct {
 type Memory struct {
 	mu sync.RWMutex
 	// chunks[i][j] is the slot of row i·chunkSize + j, ID org + row; a
-	// nil chunk is chunkSize empty slots. attrs[i] holds the attributes
-	// of chunk i's rows. Chunks, attribute columns and the name indexes'
-	// columns are mapped from mem, which the store alone owns, and mem
-	// counts the attribute slabs. IDs are never reused. base..next−1 is
-	// the ID range the store spans: leading empty slots are trimmed by
+	// nil chunk is chunkSize empty slots. durs[i] holds the durations of
+	// chunk i's rows, nil while they are all instants, and attrs[i] their
+	// attributes. Chunks, duration and attribute columns and the name
+	// indexes' rows are mapped from mem, which the store alone owns, and
+	// mem counts the attribute slabs. IDs are never reused. base..next−1
+	// is the ID range the store spans: leading empty slots are trimmed by
 	// advancing base, and whole chunks below it dropped.
 	chunks     []*chunk
+	durs       []*durColumn
 	attrs      []attrChunk
 	mem        *arena
 	org        int
@@ -390,7 +430,7 @@ func (s *Memory) reset() {
 		s.mem = newArena()
 	}
 	s.mem.freeAll()
-	s.chunks, s.attrs, s.org, s.base, s.next, s.live = nil, nil, 0, 0, 0, 0
+	s.chunks, s.durs, s.attrs, s.org, s.base, s.next, s.live = nil, nil, nil, 0, 0, 0, 0
 	s.names, s.nameIDs, s.freeNames = make([]nameEntry, 1), map[string]uint32{}, nil
 	s.locs, s.locIDs, s.freeLocs = make([]locEntry, 1), map[locus.Location]uint32{}, nil
 	s.first, s.last = 0, 0
@@ -532,18 +572,26 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 	r := row(id - s.org)
 	i, j := int(r>>chunkBits), r&chunkMask
 	for len(s.chunks) <= i {
-		s.chunks, s.attrs = append(s.chunks, nil), append(s.attrs, attrChunk{})
+		s.chunks, s.durs, s.attrs = append(s.chunks, nil), append(s.durs, nil), append(s.attrs, attrChunk{})
 	}
 	if s.chunks[i] == nil {
 		s.chunks[i] = newMapped[chunk](s.mem)
+	}
+	// An empty row's duration is 0 (eviction zeroes it), so an instant
+	// writes none.
+	dur := uint64(end) - uint64(start)
+	if dur != 0 {
+		if s.durs[i] == nil {
+			s.durs[i] = newMapped[durColumn](s.mem)
+		}
+		s.durs[i][j] = dur
 	}
 	if in.Attrs != (event.Attrs{}) {
 		s.attrs[i].put(s.mem, j, in.Attrs)
 	}
 	nid := s.internName(in.Name)
-	sl := slot{start: start, end: end, name: nid, loc: s.internLoc(in.Loc)}
-	s.chunks[i][j] = sl
-	s.names[nid].idx.add(s.mem, r, sl)
+	s.chunks[i][j] = slot{start: start, name: nid, loc: s.internLoc(in.Loc)}
+	s.names[nid].idx.add(s.mem, s.chunks, r, start, dur)
 	s.live++
 	if s.live == 1 || start < s.first {
 		s.first = start
@@ -553,9 +601,10 @@ func (s *Memory) place(id int, start, end int64, in *event.Instance) {
 	}
 }
 
-// dropChunks unmaps the first n chunks, with their attribute columns and
-// slabs, and drops them from the tables — by copying, so that the
-// dropped prefix is released — and org moves past them.
+// dropChunks unmaps the first n chunks, with their duration and
+// attribute columns and their slabs, and drops them from the tables — by
+// copying, so that the dropped prefix is released — and org moves past
+// them.
 func (s *Memory) dropChunks(n int) {
 	if n == 0 {
 		return
@@ -564,15 +613,29 @@ func (s *Memory) dropChunks(n int) {
 		if c != nil {
 			freeMapped(s.mem, c)
 		}
+		if d := s.durs[i]; d != nil {
+			freeMapped(s.mem, d)
+		}
 		s.attrs[i].free(s.mem)
 	}
 	s.chunks = append([]*chunk(nil), s.chunks[n:]...)
+	s.durs = append([]*durColumn(nil), s.durs[n:]...)
 	s.attrs = append([]attrChunk(nil), s.attrs[n:]...)
 	s.org += n << chunkBits
 }
 
 // slot returns the slot of a row the store holds.
 func (s *Memory) slot(r row) *slot { return &s.chunks[r>>chunkBits][r&chunkMask] }
+
+// end returns the End (Unix ns) of a row the store holds: its start, for
+// a chunk without durations.
+func (s *Memory) end(r row) int64 {
+	start := s.slot(r).start
+	if d := s.durs[r>>chunkBits]; d != nil {
+		return int64(uint64(start) + d[r&chunkMask])
+	}
+	return start
+}
 
 // lookup returns the row of an ID, false when the store holds no event
 // there.
@@ -652,7 +715,7 @@ func (s *Memory) fill(dst *event.Instance, r row) {
 	dst.ID = s.org + int(r)
 	dst.Name = s.names[sl.name].name
 	dst.Start = time.Unix(0, sl.start).UTC()
-	dst.End = time.Unix(0, sl.end).UTC()
+	dst.End = time.Unix(0, s.end(r)).UTC()
 	dst.Loc = s.locs[sl.loc].loc
 	dst.Attrs = s.attrs[r>>chunkBits].get(r & chunkMask)
 }
@@ -701,7 +764,7 @@ func (s *Memory) read(name string, fn func(idx *nameIndex)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if idx := s.index(name); idx != nil {
-		idx.settle()
+		idx.settle(s.chunks)
 		fn(idx)
 	}
 }
@@ -808,27 +871,24 @@ func (s *Memory) queryScan(idx *nameIndex, from, to time.Time, loc *locus.Locati
 		}
 	}
 	lo, hi := clampNanos(from), clampNanos(to)
-	// First candidate: an overlapping instance has Start >= from-maxDur.
-	low := lo - idx.maxDur
-	if low > lo {
-		low = math.MinInt64 // saturate the subtraction
+	// First candidate: an overlapping instance has Start >= from-maxDur,
+	// saturated at the first instant; the last has Start <= to.
+	low := int64(math.MinInt64)
+	if idx.maxDur <= uint64(lo)-uint64(low) {
+		low = int64(uint64(lo) - idx.maxDur)
 	}
-	first, _ := slices.BinarySearch(idx.starts, low)
-	// Last candidate: Start <= to.
-	last := len(idx.starts)
-	if hi < math.MaxInt64 {
-		last, _ = slices.BinarySearch(idx.starts, hi+1)
-	}
+	c := idx.by(s.chunks)
+	first := c.search(0, len(idx.rows), low, false)
+	last := c.gallop(first, len(idx.rows), hi)
 	var buf [64]row
 	rows := buf[:0]
 	skipped := int64(0)
 	for _, r := range idx.rows[first:last] {
-		sl := s.slot(r)
-		if sl.end < lo {
+		if s.end(r) < lo {
 			skipped++
 			continue
 		}
-		if loc != nil && sl.loc != lid {
+		if loc != nil && s.slot(r).loc != lid {
 			continue
 		}
 		rows = append(rows, r)
@@ -850,19 +910,19 @@ func (s *Memory) All(name string) (out []*event.Instance) {
 // CountStarts adds to counts[i] the number of live instances of the
 // named event whose Start lies in [from, to) and in the i-th bin of width
 // bin counted from from; starts in a bin past len(counts) are not
-// counted. It reads the name's start column alone — one binary search and
-// a walk — and materializes no instance.
+// counted. It reads the name's sorted index alone — one binary search and
+// a walk over its rows' starts — and materializes no instance.
 func (s *Memory) CountStarts(name string, from, to time.Time, bin time.Duration, counts []int) {
 	if bin <= 0 || len(counts) == 0 || !to.After(from) {
 		return
 	}
-	s.read(name, func(idx *nameIndex) { countStarts(idx.starts, from, to, bin, counts) })
+	s.read(name, func(idx *nameIndex) { countStarts(idx.by(s.chunks), from, to, bin, counts) })
 }
 
-// countStarts is CountStarts over a sorted start column. It divides once
-// per bin it meets, not once per start: a start before the current bin's
-// end is counted in it.
-func countStarts(starts []int64, from, to time.Time, bin time.Duration, counts []int) {
+// countStarts is CountStarts over a settled index. It divides once per
+// bin it meets, not once per start: a start before the current bin's end
+// is counted in it.
+func countStarts(starts byStart, from, to time.Time, bin time.Duration, counts []int) {
 	// event.MinTime and event.MaxTime are int64's range, so a start is
 	// never past it: a to beyond MaxTime bounds nothing, and a from
 	// beyond it leaves nothing to count.
@@ -871,9 +931,9 @@ func countStarts(starts []int64, from, to time.Time, bin time.Duration, counts [
 	}
 	bounded := !to.After(event.MaxTime)
 	hi := clampNanos(to)
-	first, _ := slices.BinarySearch(starts, clampNanos(from))
 	i, end := 0, int64(math.MinInt64) // the current bin and its end
-	for _, t := range starts[first:] {
+	for k := starts.search(0, len(starts.rows), clampNanos(from), false); k < len(starts.rows); k++ {
+		t := starts.start(k)
 		if bounded && t >= hi {
 			break
 		}
@@ -1004,7 +1064,7 @@ func (s *Memory) maybeEvictLocked() (evicted []Evicted, cutoff time.Time) {
 func (s *Memory) evictLocked(cutoff int64) []Evicted {
 	n := 0
 	for id := s.base; id < s.next; id++ {
-		if r, ok := s.lookup(id); ok && s.slot(r).end < cutoff {
+		if r, ok := s.lookup(id); ok && s.end(r) < cutoff {
 			n++
 		}
 	}
@@ -1014,13 +1074,16 @@ func (s *Memory) evictLocked(cutoff int64) []Evicted {
 	gone := make([]Evicted, 0, n)
 	for id := s.base; len(gone) < n; id++ {
 		r, ok := s.lookup(id)
-		if !ok || s.slot(r).end >= cutoff {
+		if !ok || s.end(r) >= cutoff {
 			continue
 		}
 		sl := s.slot(r)
 		gone = append(gone, Evicted{ID: id, Name: s.names[sl.name].name, Start: sl.start})
 		s.releaseLoc(sl.loc)
 		*sl = slot{}
+		if d := s.durs[r>>chunkBits]; d != nil {
+			d[r&chunkMask] = 0
+		}
 		if col := s.attrs[r>>chunkBits].col; col != nil {
 			col[r&chunkMask] = 0
 		}
@@ -1056,7 +1119,7 @@ func (s *Memory) evictLocked(cutoff int64) []Evicted {
 		k, sorted := 0, 0
 		for i, r := range idx.rows {
 			if s.slot(r).name != 0 {
-				idx.starts[k], idx.rows[k] = idx.starts[i], r-shift
+				idx.rows[k] = r - shift
 				k++
 				if i < idx.sorted {
 					sorted = k
@@ -1067,7 +1130,7 @@ func (s *Memory) evictLocked(cutoff int64) []Evicted {
 			s.releaseName(uint32(nid))
 			continue
 		}
-		idx.starts, idx.rows, idx.sorted = idx.starts[:k], idx.rows[:k], sorted
+		idx.rows, idx.sorted = idx.rows[:k], sorted
 	}
 	s.dropChunks(drop)
 	// Recompute the span bounds. Eviction is keyed on End < cutoff, so
