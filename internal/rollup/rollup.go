@@ -9,7 +9,7 @@
 // request.
 //
 // Event trends are no aggregate of the server's: it counts them from the
-// store's own start column (store.Memory.CountStarts). The event half of
+// name's sorted index in the store (store.Memory.CountStarts). The event half of
 // a Rollup — ObserveEvent, SeedEvents, Trend — is off the server's path
 // and stays for the benchmark's layer rows (bench/) and as the oracle the
 // server's name trends are held byte-equal to.

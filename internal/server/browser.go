@@ -17,8 +17,8 @@ import (
 // The live Result Browser (paper §II-F): breakdown tables, trending,
 // cause filtering, drill-down, and the SSE diagnosis stream. Breakdown
 // and cause trends answer from the incremental rollups maintained on the
-// diagnose path (internal/rollup), event trends from the store's own
-// start column; the only per-request diagnosis work is the handful of
+// diagnose path (internal/rollup), event trends from the name's sorted
+// index in the store; the only per-request diagnosis work is the handful of
 // symptoms still inside their grace window.
 
 var mBrowserSecs = obs.GetHistogram("server.http.browser.seconds", obs.LatencyBuckets)
@@ -200,7 +200,7 @@ func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
 }
 
 // nameTrend counts the name's live events per bin over [from, to] from
-// the store's start column: an event counts in the bin of its Start's
+// the name's sorted index: an event counts in the bin of its Start's
 // minute, for every minute from from's to to's, as a trend over one-minute
 // bins summed up would count it.
 func (s *Server) nameTrend(name string, from, to time.Time, bin time.Duration) []browser.TrendPoint {

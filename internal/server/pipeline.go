@@ -574,8 +574,8 @@ func newServer(cfg Config, topo *netmodel.Topology, rep replayResult, jour *wal.
 	mTailRecs.Add(int64(rep.info.TailApplied + rep.info.TailVerified))
 	// The Result Browser rollups hold the cause counters, which
 	// installServing seeds once engines exist; retention un-counts evicted
-	// symptoms. Event trends need no rollup: they count the store's own
-	// start column.
+	// symptoms. Event trends need no rollup: they count the name's sorted
+	// index in the store.
 	st.OnEvict(s.roll.EvictEvents)
 	if rep.finalized {
 		began := obs.Now()

@@ -157,8 +157,8 @@ func TestNameTrendMatchesRollup(t *testing.T) {
 	})
 }
 
-// TestNameTrendMaterializesNothing: a name trend reads the start column
-// alone. It makes no store query, and what it allocates follows the
+// TestNameTrendMaterializesNothing: a name trend reads the name's sorted
+// index alone. It makes no store query, and what it allocates follows the
 // points it serves, not the events it counts.
 func TestNameTrendMaterializesNothing(t *testing.T) {
 	t0 := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
